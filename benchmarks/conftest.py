@@ -20,8 +20,8 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.baselines import compile_scalehls_baseline
+from repro.compiler import Compiler, default_stages
 from repro.estimation import get_platform
-from repro.hida import HidaOptions, compile_module
 
 __all__ = ["fit_hida", "fit_scalehls", "dsp_budget_of"]
 
@@ -70,25 +70,27 @@ def dsp_budget_of(platform_name):
     return get_platform(platform_name).dsps
 
 
-def fit_hida(build_module, platform_name, factors=(16, 32, 64, 128, 256), **options):
-    """Compile with HIDA at the largest parallel factor fitting the DSP budget."""
+def fit_hida(build_module, platform_name, factors=(16, 32, 64, 128, 256), drop=()):
+    """Compile with HIDA at the largest parallel factor fitting the DSP budget.
+
+    ``drop`` names default-pipeline stages to leave out (``["tile"]``).
+    """
+
+    def compile_at(factor):
+        stages = default_stages(drop, parallelize={"factor": factor})
+        return Compiler(stages, platform=platform_name).run(build_module())
+
     budget = dsp_budget_of(platform_name)
     best = None
     for factor in factors:
-        result = compile_module(
-            build_module(),
-            HidaOptions(platform=platform_name, max_parallel_factor=factor, **options),
-        )
+        result = compile_at(factor)
         if result.estimate.resources.dsp <= budget:
             if best is None or result.throughput > best.throughput:
                 best = result
         else:
             break
     if best is None:
-        best = compile_module(
-            build_module(),
-            HidaOptions(platform=platform_name, max_parallel_factor=factors[0], **options),
-        )
+        best = compile_at(factors[0])
     return best
 
 

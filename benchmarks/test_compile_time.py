@@ -7,18 +7,16 @@ the wall-clock cost of the compiler itself is a first-class result.
 
 import pytest
 
-from repro.frontend.cpp import build_kernel
-from repro.frontend.nn import build_model
-from repro.hida import HidaOptions, compile_module
+from repro.compiler import Compiler, default_stages
 from repro.ir.printer import fingerprint_op, print_op
+from repro.workloads import as_module, get_workload
 
 
 @pytest.mark.parametrize("kernel", ["2mm", "atax", "correlation"])
 def test_compile_time_cpp_kernel(benchmark, kernel):
     def run():
-        return compile_module(
-            build_kernel(kernel),
-            HidaOptions(platform="zu3eg", max_parallel_factor=32, tile_size=0),
+        return Compiler(default_stages(drop=["tile"]), platform="zu3eg").run(
+            workload=kernel
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -28,10 +26,7 @@ def test_compile_time_cpp_kernel(benchmark, kernel):
 @pytest.mark.parametrize("model", ["lenet", "resnet18", "mobilenet"])
 def test_compile_time_dnn_model(benchmark, model):
     def run():
-        return compile_module(
-            build_model(model),
-            HidaOptions(platform="vu9p-slr", max_parallel_factor=64),
-        )
+        return Compiler(default_stages(parallelize={"factor": 64})).run(workload=model)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     assert result.throughput > 0
@@ -49,7 +44,6 @@ def test_compile_time_reference_interpreter(benchmark):
     Tracked by the perf-trend gate alongside the compile-time numbers.
     """
     from repro.ir.interp import interpret_module
-    from repro.workloads import as_module, get_workload
 
     module = as_module(get_workload("2mm").at(n=8))
 
@@ -80,10 +74,7 @@ def test_compile_time_telemetry_disabled(benchmark):
     assert not obs.enabled()
 
     def run():
-        return compile_module(
-            build_kernel("atax"),
-            HidaOptions(platform="zu3eg", max_parallel_factor=32, tile_size=16),
-        )
+        return Compiler(default_stages(), platform="zu3eg").run(workload="atax")
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.throughput > 0
@@ -99,7 +90,7 @@ def test_print_and_fingerprint_largest_model(benchmark):
     nested op through one shared memo — the access pattern of a module-wide
     analysis sweep, which without memoization is quadratic in module size.
     """
-    module = build_model("mobilenet")  # largest zoo model by printed IR
+    module = as_module("mobilenet")  # largest zoo model by printed IR
 
     def run():
         text = print_op(module)

@@ -10,9 +10,8 @@ combination, reproducing the trends of Figure 10:
 * memory utilization grows with the tile size.
 """
 
+from repro.compiler import Compiler, default_stages
 from repro.evaluation import format_table
-from repro.frontend.nn import build_model
-from repro.hida import HidaOptions, compile_module
 
 PLATFORM = "vu9p-slr"
 PARALLEL_FACTORS = [1, 4, 16, 64, 256]
@@ -23,12 +22,8 @@ def _run_sweep():
     samples = []
     for factor in PARALLEL_FACTORS:
         for tile in TILE_SIZES:
-            result = compile_module(
-                build_model("resnet18"),
-                HidaOptions(
-                    platform=PLATFORM, max_parallel_factor=factor, tile_size=tile
-                ),
-            )
+            stages = default_stages(parallelize={"factor": factor}, tile={"size": tile})
+            result = Compiler(stages, platform=PLATFORM).run(workload="resnet18")
             resources = result.estimate.resources
             samples.append({
                 "parallel_factor": factor,

@@ -10,7 +10,7 @@ less memory at the same throughput.
 
 from repro.baselines import ABLATION_MODES, run_ablation_mode
 from repro.evaluation import format_table
-from repro.frontend.nn import build_model
+from repro.workloads import as_module
 
 PLATFORM = "vu9p-slr"
 PARALLEL_FACTORS = [1, 8, 32, 64, 128]
@@ -21,7 +21,7 @@ def _run_ablation():
     for mode in ABLATION_MODES:
         for factor in PARALLEL_FACTORS:
             outcome = run_ablation_mode(
-                build_model("resnet18"), mode, factor, platform=PLATFORM
+                as_module("resnet18"), mode, factor, platform=PLATFORM
             )
             samples.append(outcome.summary())
     return samples

@@ -8,7 +8,7 @@ tiles; the figure reports the resulting BRAM reduction factor per model.
 from conftest import fit_hida, fit_scalehls
 from repro.estimation import memory_reduction
 from repro.evaluation import format_table
-from repro.frontend.nn import build_model
+from repro.workloads import as_module
 
 PLATFORM = "vu9p-slr"
 MODELS = ["resnet18", "mobilenet", "vgg16", "mlp"]
@@ -18,10 +18,10 @@ def _run_fig9():
     rows = []
     for name in MODELS:
         hida = fit_hida(
-            lambda name=name: build_model(name), PLATFORM, factors=(32, 64, 128)
+            lambda name=name: as_module(name), PLATFORM, factors=(32, 64, 128)
         )
         scalehls = fit_scalehls(
-            lambda name=name: build_model(name), PLATFORM, factors=(8, 16, 32)
+            lambda name=name: as_module(name), PLATFORM, factors=(8, 16, 32)
         )
         rows.append({
             "model": name,

@@ -1,29 +1,18 @@
 """Tables 4, 5 and 6: connection analysis, node parallelization and array
 partitioning of the Listing-1 running example."""
 
+from repro.compiler import Compiler, default_stages
 from repro.evaluation import format_table
 from repro.frontend.cpp import build_listing1
-from repro.hida import (
-    HidaOptions,
-    collect_band_infos,
-    collect_connections,
-    compile_module,
-    connection_table,
-)
+from repro.hida import collect_band_infos, collect_connections, connection_table
 
 
 def _compile(intensity_aware=True, connection_aware=True):
-    return compile_module(
-        build_listing1(),
-        HidaOptions(
-            platform="zu3eg",
-            max_parallel_factor=32,
-            tile_size=0,
-            fuse_tasks=False,
-            intensity_aware=intensity_aware,
-            connection_aware=connection_aware,
-        ),
+    stages = default_stages(
+        drop=["fuse-tasks", "tile"],
+        parallelize={"ia": intensity_aware, "ca": connection_aware},
     )
+    return Compiler(stages, platform="zu3eg").run(build_listing1())
 
 
 def _run_all_modes():

@@ -12,15 +12,16 @@ from conftest import fit_hida, fit_scalehls
 from repro.baselines import compile_vitis_baseline, soff_throughput
 from repro.estimation import geometric_mean
 from repro.evaluation import format_ratio, format_table
-from repro.frontend.cpp import MULTI_LOOP_KERNELS, SINGLE_LOOP_KERNELS, build_kernel, kernel_names
+from repro.frontend.cpp import MULTI_LOOP_KERNELS, SINGLE_LOOP_KERNELS, kernel_names
+from repro.workloads import as_module
 
 PLATFORM = "zu3eg"
 
 
 def _evaluate_kernel(name):
-    hida = fit_hida(lambda: build_kernel(name), PLATFORM, factors=(8, 16, 32, 64), tile_size=0)
-    scalehls = fit_scalehls(lambda: build_kernel(name), PLATFORM, factors=(8, 16, 32, 64))
-    vitis = compile_vitis_baseline(build_kernel(name), platform=PLATFORM)
+    hida = fit_hida(lambda: as_module(name), PLATFORM, factors=(8, 16, 32, 64), drop=["tile"])
+    scalehls = fit_scalehls(lambda: as_module(name), PLATFORM, factors=(8, 16, 32, 64))
+    vitis = compile_vitis_baseline(as_module(name), platform=PLATFORM)
     return {
         "kernel": name,
         "compile_seconds": hida.compile_seconds,

@@ -9,7 +9,8 @@ from conftest import fit_hida, fit_scalehls
 from repro.baselines import UnsupportedModelError, compile_dnnbuilder_baseline
 from repro.estimation import dsp_efficiency, geometric_mean, get_platform
 from repro.evaluation import format_ratio, format_table
-from repro.frontend.nn import build_model, layer_summary
+from repro.frontend.nn import layer_summary
+from repro.workloads import as_module
 
 PLATFORM = "vu9p-slr"
 MODELS = ["resnet18", "mobilenet", "zfnet", "vgg16", "yolo", "mlp"]
@@ -17,11 +18,11 @@ MODELS = ["resnet18", "mobilenet", "zfnet", "vgg16", "yolo", "mlp"]
 
 def _evaluate_model(name):
     platform = get_platform(PLATFORM)
-    macs = sum(row[3] for row in layer_summary(build_model(name)))
-    hida = fit_hida(lambda: build_model(name), PLATFORM, factors=(32, 64, 128, 256))
-    scalehls = fit_scalehls(lambda: build_model(name), PLATFORM, factors=(4, 8, 16, 32, 64))
+    macs = sum(row[3] for row in layer_summary(as_module(name)))
+    hida = fit_hida(lambda: as_module(name), PLATFORM, factors=(32, 64, 128, 256))
+    scalehls = fit_scalehls(lambda: as_module(name), PLATFORM, factors=(4, 8, 16, 32, 64))
     try:
-        dnnbuilder = compile_dnnbuilder_baseline(build_model(name), platform=PLATFORM)
+        dnnbuilder = compile_dnnbuilder_baseline(as_module(name), platform=PLATFORM)
     except UnsupportedModelError:
         dnnbuilder = None
     hida_eff = dsp_efficiency(

@@ -24,7 +24,7 @@ def main() -> None:
 
     # 2. Compile with HIDA through the textual-pipeline front door.  The
     #    spec is the Figure-3 flow with task fusion and tiling dropped
-    #    (equivalently: HidaOptions(fuse_tasks=False, tile_size=0)).
+    #    (equivalently: Compiler(default_stages(drop=["fuse-tasks", "tile"]))).
     compiler = Compiler.from_spec(
         "construct-dataflow,lower-linalg,lower-structural,"
         "eliminate-multi-producers,balance,parallelize{factor=32},estimate",

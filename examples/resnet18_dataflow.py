@@ -9,7 +9,7 @@ against the ScaleHLS-style baseline under the same resource budget.
 Run with:  python examples/resnet18_dataflow.py
 """
 
-from repro import HidaCompiler, get_target, get_workload
+from repro import Compiler, default_stages, get_target, get_workload
 from repro.baselines import compile_scalehls_baseline
 from repro.estimation import dsp_efficiency, memory_reduction
 from repro.frontend.nn import layer_summary
@@ -28,9 +28,11 @@ def main() -> None:
         print(f"  {label:<28} {name:<26} out={shape} macs={macs:,}")
     print("  ...")
 
-    # 2. Compile with HIDA at a parallel factor that fits the SLR.
-    compiler = HidaCompiler()
-    result = compiler.compile_model("resnet18", max_parallel_factor=128)
+    # 2. Compile with HIDA at a parallel factor that fits the SLR: the
+    #    default Figure-3 pipeline with only the parallelize stage retuned.
+    compiler = Compiler(default_stages(parallelize={"factor": 128}), platform=platform.name)
+    print(f"\npipeline: {compiler.spec_text()}")
+    result = compiler.run(module)
     resources = result.estimate.resources
     efficiency = dsp_efficiency(
         result.throughput, total_macs, resources.dsp, platform.clock_hz

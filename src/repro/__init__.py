@@ -11,7 +11,8 @@ The package layers:
 * :mod:`repro.frontend` — PyTorch-like model tracing and a C++-style loop
   kernel builder (the Torch-MLIR / Polygeist substitutes);
 * :mod:`repro.transforms` — bufferization, loop transforms, array partition;
-* :mod:`repro.hida` — the HIDA-OPT optimizer and end-to-end pipeline;
+* :mod:`repro.hida` — the HIDA-OPT optimizer;
+* :mod:`repro.compiler` — the pipeline-spec front door that drives it;
 * :mod:`repro.estimation` — the Vitis-HLS-style QoR model, platform specs and
   the coarse-grained dataflow simulator;
 * :mod:`repro.baselines` — ScaleHLS / Vitis / DNNBuilder / SOFF baselines and
@@ -20,8 +21,8 @@ The package layers:
 * :mod:`repro.evaluation` — the experiment harnesses behind every table and
   figure of the paper.
 
-Quickstart (the workload/target registries are the front door for *what*
-to compile and *for which hardware*)::
+Quickstart — one front door (:mod:`repro.compiler`); the workload/target
+registries name *what* to compile and *for which hardware*::
 
     from repro import Compiler
 
@@ -29,37 +30,31 @@ to compile and *for which hardware*)::
         "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
         "eliminate-multi-producers,balance,tile,parallelize{factor=64},estimate",
         platform="vu9p-slr",
-    ).run(workload="resnet18@batch=4")
-    print(result.summary())
-
-Spec-first front door (see :mod:`repro.compiler`)::
-
-    from repro import Compiler
-
-    result = Compiler.from_spec(
-        "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
-        "eliminate-multi-producers,balance,tile,parallelize{factor=64},estimate",
-        platform="vu9p-slr",
-    ).run(module)
+    ).run(workload="resnet18@batch=4")  # or .run(module)
+    print(result.summary(), result.stage_timings)
 """
 
 from .backend import emit_hls_cpp
-from .compiler import DEFAULT_PIPELINE, Compiler, PipelineSpec, parse_pipeline
+from .compiler import (
+    DEFAULT_PIPELINE,
+    Compiler,
+    PipelineSpec,
+    default_stages,
+    parse_pipeline,
+)
 from .estimation import Platform, QoREstimator, get_platform
-from .hida import CompileResult, HidaCompiler, HidaOptions, compile_module
+from .hida import CompileResult
 from .targets import Target, get_target, list_targets
 from .workloads import Workload, get_workload, list_workloads
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CompileResult",
     "Compiler",
     "DEFAULT_PIPELINE",
-    "HidaCompiler",
-    "HidaOptions",
     "PipelineSpec",
-    "compile_module",
+    "default_stages",
     "parse_pipeline",
     "emit_hls_cpp",
     "Platform",

@@ -1,8 +1,7 @@
 """Shared name-resolution helpers for the workload and target registries.
 
 Both registries (and the CLIs built on them) report unknown names the same
-way: the full list of registered names plus a closest-match suggestion,
-mirroring the fusion-pattern errors of ``HidaOptions.from_dict``.
+way: the full list of registered names plus a closest-match suggestion.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from ..compiler import Compiler
+from ..compiler import Compiler, default_stages
 from ..hida.pipeline import CompileResult
 from ..ir.builtin import ModuleOp
 
@@ -49,25 +49,25 @@ def ablation_pipeline_spec(
 ) -> str:
     """The printed pipeline spec of one Figure-11 ablation variant.
 
-    Derived from the same options->spec bridge the default pipeline uses
-    (so the stage sequence can never drift from what ``compile_module``
-    runs), with the mode-defining ``ia``/``ca`` switches kept explicit in
-    the printed form even when they equal the stage defaults.
+    Derived from :func:`repro.compiler.default_stages` (so the stage
+    sequence can never drift from the default pipeline), with the
+    mode-defining ``ia``/``ca`` switches kept explicit in the printed form
+    even when they equal the stage defaults.
     """
     if mode not in ABLATION_MODES:
         raise KeyError(f"unknown ablation mode {mode!r}; options: {list(ABLATION_MODES)}")
-    from ..compiler import spec_from_options
-    from ..hida.pipeline import HidaOptions
-
     intensity_aware, connection_aware = ABLATION_MODES[mode]
-    spec = spec_from_options(
-        HidaOptions(
-            max_parallel_factor=max_parallel_factor,
-            tile_size=tile_size,
-            intensity_aware=intensity_aware,
-            connection_aware=connection_aware,
+    spec = Compiler(
+        default_stages(
+            drop=() if tile_size > 0 else ("tile",),
+            tile={"size": tile_size},
+            parallelize={
+                "factor": max_parallel_factor,
+                "ia": intensity_aware,
+                "ca": connection_aware,
+            },
         )
-    )
+    ).spec()
     for stage in spec:
         if stage.name == "parallelize":
             stage.options.setdefault("ia", [str(int(intensity_aware))])

@@ -1,7 +1,6 @@
 """repro.compiler — the composable compilation front door.
 
-This package replaces the monolithic ``compile_module`` driver with three
-composable layers:
+Three layers:
 
 * :mod:`repro.compiler.spec` — MLIR-style textual pipeline specs
   (``"construct-dataflow,fuse-tasks{patterns=elementwise,init},..."``),
@@ -12,25 +11,29 @@ composable layers:
   typed per-stage options;
 * :mod:`repro.compiler.driver` — the :class:`Compiler` object
   (``Compiler.from_spec(spec, platform=...)``, ``.run(module)``) with
-  observer hooks for per-stage IR snapshots, timings and structured
-  diagnostics, plus the lossless bridge to the legacy ``HidaOptions``
-  surface.
+  per-stage timings, observer hooks for IR snapshots and structured
+  diagnostics, and :func:`default_stages` for "the default pipeline with
+  these stages dropped or reconfigured".
 
 ``python -m repro.compiler`` exposes the same front door on the command
 line (``--print-default-pipeline``, ``--list-stages``, ``--spec``).
 
 Quickstart::
 
-    from repro.compiler import Compiler
-    from repro.frontend.cpp import build_kernel
+    from repro.compiler import Compiler, default_stages
 
     compiler = Compiler.from_spec(
         "construct-dataflow,lower-structural,balance,"
         "parallelize{factor=16},estimate",
         platform="zu3eg",
     )
-    result = compiler.run(build_kernel("2mm"))
-    print(compiler.spec_text(), result.summary())
+    result = compiler.run(workload="2mm")
+    print(compiler.spec_text(), result.summary(), result.stage_timings)
+
+    ablated = Compiler(
+        default_stages(drop=["fuse-tasks"], parallelize={"factor": 16}),
+        platform="zu3eg",
+    )
 """
 
 from .driver import (
@@ -39,10 +42,8 @@ from .driver import (
     DiagnosticsObserver,
     PipelineObserver,
     SnapshotObserver,
-    TimingObserver,
     default_pipeline_spec,
-    options_from_spec,
-    spec_from_options,
+    default_stages,
 )
 from .spec import PipelineSpec, PipelineSpecError, StageSpec, parse_pipeline
 from .stages import (
@@ -63,10 +64,8 @@ __all__ = [
     "DiagnosticsObserver",
     "PipelineObserver",
     "SnapshotObserver",
-    "TimingObserver",
     "default_pipeline_spec",
-    "options_from_spec",
-    "spec_from_options",
+    "default_stages",
     "PipelineSpec",
     "PipelineSpecError",
     "StageSpec",

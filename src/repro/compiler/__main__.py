@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .. import obs
 from ..workloads import UnknownWorkloadError, get_workload, iter_workloads
@@ -27,8 +27,8 @@ from .driver import (
     DEFAULT_PIPELINE,
     Compiler,
     DiagnosticsObserver,
+    PipelineObserver,
     SnapshotObserver,
-    TimingObserver,
 )
 from .spec import PipelineSpecError
 from .stages import stage_registry
@@ -271,9 +271,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         ir_cache = IRSnapshotCache(args.ir_cache_dir)
 
-    timing = TimingObserver()
     diagnostics = DiagnosticsObserver()
-    observers = [timing, diagnostics]
+    observers: List[PipelineObserver] = [diagnostics]
     snapshots = None
     if args.print_ir is not None:
         if args.print_ir != "*" and args.print_ir not in stage_registry():
@@ -343,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  {diagnostic}")
     if args.timings:
         print("\nper-stage timings:")
-        for name, seconds in timing.timings:
+        for name, seconds in result.stage_timings:
             print(f"  {name:28s} {seconds * 1e3:8.2f} ms")
 
     qor = fidelity.apply(result)
@@ -355,6 +354,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  {key}: {rendered}")
 
     if args.json:
+        stage_seconds: Dict[str, float] = {}
+        for name, seconds in result.stage_timings:
+            stage_seconds[name] = stage_seconds.get(name, 0.0) + seconds
         payload = {
             "workload": args.workload.label(),
             "platform": platform_name,
@@ -363,7 +365,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "fidelity": fidelity.name,
             "summary": summary,
             "estimate": qor["estimate"],
-            "stage_seconds": result.stage_seconds,
+            "stage_seconds": stage_seconds,
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -3,23 +3,23 @@
 ``Compiler.from_spec("construct-dataflow,...,estimate", platform="zu3eg")``
 builds a stage list from the registry; ``.run(module)`` threads a
 :class:`~repro.compiler.stages.CompilationState` through the stages and
-returns the same :class:`~repro.hida.pipeline.CompileResult` the legacy
-``compile_module`` produced, so every downstream consumer (baselines, DSE,
-benchmark harnesses, the HLS emitter) works unchanged.
+returns a :class:`~repro.hida.pipeline.CompileResult`.  Programmatic
+callers that only *vary* the default pipeline (ablations, DSE knob points)
+build typed stages with :func:`default_stages` and hand them to
+``Compiler(stages, platform=...)`` — no text round trip.
 
-Observers (:class:`PipelineObserver`) receive per-stage begin/end events,
-per-stage IR snapshots (:class:`SnapshotObserver`), wall-clock timings
-(:class:`TimingObserver`) and structured diagnostics as they are emitted.
-
-The legacy ``HidaOptions`` surface maps losslessly onto pipeline specs via
-:func:`spec_from_options` / :func:`options_from_spec`; the canonical printed
-form of that mapping is what the QoR cache hashes.
+Every run records per-stage wall-clock seconds on
+``CompileResult.stage_timings`` and, under a live :mod:`repro.obs` session,
+one ``cat="stage"`` span per stage.  Observers (:class:`PipelineObserver`)
+receive per-stage begin/end events, per-stage IR snapshots
+(:class:`SnapshotObserver`) and structured diagnostics
+(:class:`DiagnosticsObserver`) as they are emitted.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..estimation.platform import get_platform
@@ -32,19 +32,17 @@ from .stages import (
     CompilationState,
     Diagnostic,
     build_stages,
+    get_stage_class,
 )
 
 __all__ = [
     "Compiler",
     "PipelineObserver",
-    "TimingObserver",
-    "TracingObserver",
     "SnapshotObserver",
     "DiagnosticsObserver",
     "DEFAULT_PIPELINE",
     "default_pipeline_spec",
-    "spec_from_options",
-    "options_from_spec",
+    "default_stages",
 ]
 
 #: The canonical Figure-3 pipeline with every optimization enabled.
@@ -56,6 +54,38 @@ DEFAULT_PIPELINE = (
 
 def default_pipeline_spec() -> PipelineSpec:
     return parse_pipeline(DEFAULT_PIPELINE)
+
+
+def default_stages(
+    drop: Iterable[str] = (), **options: Mapping[str, object]
+) -> List[CompilationStage]:
+    """Typed stages of :data:`DEFAULT_PIPELINE`, minus ``drop``, reconfigured.
+
+    ``drop`` names stages to leave out; each keyword names a stage (``_``
+    for ``-``) and maps to that stage's own constructor options::
+
+        default_stages(drop=["fuse-tasks"], tile={"size": 8},
+                       parallelize={"factor": 64, "target_ii": 2})
+
+    This is how ablations and DSE knob points express "the Figure-3 flow
+    with this stage dropped or reconfigured" without a text round trip;
+    ``Compiler(default_stages(...), platform=...)`` runs the result and
+    ``.spec_text()`` prints its canonical spec.
+    """
+    names = DEFAULT_PIPELINE.split(",")
+    dropped = set(drop)
+    configured = {key.replace("_", "-"): values for key, values in options.items()}
+    unknown = sorted((dropped | set(configured)) - set(names))
+    if unknown:
+        raise PipelineSpecError(
+            f"{', '.join(map(repr, unknown))} not in the default pipeline; "
+            f"its stages: {', '.join(names)}"
+        )
+    return [
+        get_stage_class(name)(**configured.get(name, {}))
+        for name in names
+        if name not in dropped
+    ]
 
 
 #: Key template for the :attr:`Compiler.ir_cache_stats` view (the values
@@ -93,63 +123,6 @@ class PipelineObserver:
 
     def on_pipeline_end(self, result) -> None:
         pass
-
-
-class TimingObserver(PipelineObserver):
-    """Collects per-stage wall-clock seconds keyed by *stage* name.
-
-    Unlike ``CompileResult.stage_seconds`` (which buckets by the legacy
-    timing keys), this keeps one entry per stage instance in run order —
-    useful when a spec runs the same stage twice.
-    """
-
-    def __init__(self) -> None:
-        self.timings: List[tuple] = []
-
-    def on_stage_end(self, stage, state, seconds: float) -> None:
-        self.timings.append((stage.name, seconds))
-
-    def by_stage(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for name, seconds in self.timings:
-            totals[name] = totals.get(name, 0.0) + seconds
-        return totals
-
-
-class TracingObserver(TimingObserver):
-    """A :class:`TimingObserver` that also traces stages as obs spans.
-
-    Each stage becomes a child span (category ``"stage"``) of the run's
-    ``compile`` span on the live :mod:`repro.obs` session, and structured
-    diagnostics mirror as instant events.  :meth:`Compiler.run` attaches one
-    automatically whenever telemetry is enabled, so ``--trace`` needs no
-    caller cooperation; with telemetry disabled it degrades to the plain
-    timing behaviour (``obs.span`` hands out a shared no-op span).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._stage_span = None
-
-    def on_stage_start(self, stage, state) -> None:
-        self._stage_span = obs.span(stage.name, cat="stage")
-
-    def on_stage_end(self, stage, state, seconds: float) -> None:
-        super().on_stage_end(stage, state, seconds)
-        span = self._stage_span
-        if span is not None:
-            span.set_attr(seconds=round(seconds, 6))
-            span.finish()
-            self._stage_span = None
-
-    def on_diagnostic(self, diagnostic: Diagnostic) -> None:
-        obs.event(
-            "diagnostic",
-            cat="pipeline",
-            stage=diagnostic.stage,
-            severity=diagnostic.severity,
-            message=diagnostic.message,
-        )
 
 
 class SnapshotObserver(PipelineObserver):
@@ -197,7 +170,6 @@ class Compiler:
         self.platform = platform
         self.verify_each = verify_each
         self.observers: List[PipelineObserver] = list(observers)
-        self._legacy_options = None
         #: Typed per-run metrics of the most recent :meth:`run` (the
         #: ``ir_cache.*`` counters back :attr:`ir_cache_stats`).  Lives on
         #: the compiler rather than :class:`CompileResult` so result records
@@ -206,7 +178,6 @@ class Compiler:
         #: Observer exceptions swallowed during the most recent :meth:`run`,
         #: as structured ``observer-error`` diagnostics.
         self.observer_errors: List[Diagnostic] = []
-        self._run_observers: List[PipelineObserver] = self.observers
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -225,26 +196,6 @@ class Compiler:
             verify_each=verify_each,
             observers=observers,
         )
-
-    @classmethod
-    def from_options(
-        cls, options, observers: Sequence[PipelineObserver] = ()
-    ) -> "Compiler":
-        """Build a compiler equivalent to legacy ``compile_module(options)``."""
-        compiler = cls(
-            _stages_from_options(options),
-            platform=options.platform,
-            verify_each=options.verify,
-            observers=observers,
-        )
-        if options.fusion_patterns is not None:
-            # Hand the live pattern instances through so custom
-            # FusionPattern subclasses (which textual specs cannot name)
-            # keep working exactly as they did pre-refactor.
-            for stage in compiler.stages:
-                if stage.name == "fuse-tasks":
-                    stage._pattern_instances = list(options.fusion_patterns)
-        return compiler
 
     # ----------------------------------------------------------------- spec
     def spec(self) -> PipelineSpec:
@@ -276,10 +227,17 @@ class Compiler:
         }
 
     def _emit_diagnostic(self, diagnostic: Diagnostic) -> None:
+        obs.event(
+            "diagnostic",
+            cat="pipeline",
+            stage=diagnostic.stage,
+            severity=diagnostic.severity,
+            message=diagnostic.message,
+        )
         self._dispatch("on_diagnostic", diagnostic)
 
     def _dispatch(self, hook: str, *args, _depth: int = 0) -> None:
-        """Call ``hook`` on every active observer, isolating observer faults.
+        """Call ``hook`` on every observer, isolating observer faults.
 
         An observer that raises must not abort the compilation it is merely
         watching: the exception is swallowed, recorded as a structured
@@ -288,7 +246,7 @@ class Compiler:
         session.  ``_depth`` caps the recursion when an ``on_diagnostic``
         hook itself fails while reporting a failure.
         """
-        for observer in self._run_observers:
+        for observer in self.observers:
             try:
                 getattr(observer, hook)(*args)
             except Exception as error:
@@ -379,7 +337,7 @@ class Compiler:
         produced no QoR estimate (i.e. it lacks an ``estimate`` stage);
         partial-pipeline inspection is served by observers instead.
         """
-        from ..hida.pipeline import CompileResult
+        from ..hida.pipeline import CompileOptions, CompileResult
 
         if workload is not None and module is not None:
             raise TypeError("pass either module or workload=..., not both")
@@ -396,15 +354,6 @@ class Compiler:
             # Per-run registry plus the live obs session (no-op if disabled).
             self.metrics.inc(name, amount)
             obs.inc(name, amount)
-
-        observers = list(self.observers)
-        if obs.enabled() and not any(
-            isinstance(observer, TracingObserver) for observer in observers
-        ):
-            # `--trace` needs no caller cooperation: any run under a live
-            # telemetry session gets per-stage spans attached automatically.
-            observers.append(TracingObserver())
-        self._run_observers = observers
 
         with obs.span(
             "compile", cat="pipeline", platform=self.platform, spec=self.spec_text()
@@ -463,18 +412,20 @@ class Compiler:
                     module=module, platform=get_platform(self.platform)
                 )
             state._sink = self._emit_diagnostic
-            stage_seconds: Dict[str, float] = {}
+            stage_timings: List[Tuple[str, float]] = []
             start = time.perf_counter()
             self._dispatch("on_pipeline_start", self, module)
             for index, stage in enumerate(self.stages):
                 if index < resume_index:
                     continue  # resumed past this stage from a snapshot
                 self._dispatch("on_stage_start", stage, state)
-                stage_start = time.perf_counter()
-                stage.run(state)
-                elapsed = time.perf_counter() - stage_start
-                key = stage.timing_key or stage.name
-                stage_seconds[key] = stage_seconds.get(key, 0.0) + elapsed
+                # A stage that raises still closes its span (``error`` attr).
+                with obs.span(stage.name, cat="stage") as stage_span:
+                    stage_start = time.perf_counter()
+                    stage.run(state)
+                    elapsed = time.perf_counter() - stage_start
+                    stage_span.set_attr(seconds=round(elapsed, 6))
+                stage_timings.append((stage.name, elapsed))
                 self._dispatch("on_stage_end", stage, state, elapsed)
                 if self.verify_each:
                     with obs.span("verify", cat="stage", after=stage.name):
@@ -508,125 +459,20 @@ class Compiler:
                     "append an 'estimate' stage (observers can inspect "
                     "partial runs)"
                 )
-            if self._legacy_options is None:
-                self._legacy_options = _options_from_stages(
-                    self.stages, platform=self.platform, verify=self.verify_each
-                )
             result = CompileResult(
                 module=module,
                 schedules=state.schedules,
                 estimate=state.estimate,
                 parallelization=state.parallelization,
                 balance_report=state.balance_report,
-                options=self._legacy_options,
+                options=CompileOptions(self.platform, self.verify_each),
                 compile_seconds=time.perf_counter() - start,
-                stage_seconds=stage_seconds,
+                stage_timings=stage_timings,
                 misalignments=state.misalignments,
             )
             run_span.set_attr(compile_seconds=round(result.compile_seconds, 6))
             self._dispatch("on_pipeline_end", result)
         return result
 
-    def run_workload(self, workload):
-        """Resolve a workload (id, handle or spec) via the registry and run it."""
-        return self.run(workload=workload)
-
     def __repr__(self) -> str:
         return f"Compiler({self.spec_text()!r}, platform={self.platform!r})"
-
-
-# ---------------------------------------------------------------------------
-# HidaOptions <-> pipeline spec bridge
-# ---------------------------------------------------------------------------
-
-
-def _stages_from_options(options) -> List[CompilationStage]:
-    """Typed stage instances equivalent to legacy ``compile_module(options)``."""
-    from ..hida.functional import fusion_pattern_name
-    from .stages import get_stage_class
-
-    def stage(name: str, **values) -> CompilationStage:
-        return get_stage_class(name)(**values)
-
-    stages: List[CompilationStage] = [stage("construct-dataflow")]
-    if options.fuse_tasks:
-        patterns = None
-        if options.fusion_patterns is not None:
-            patterns = [fusion_pattern_name(p) for p in options.fusion_patterns]
-        stages.append(stage("fuse-tasks", patterns=patterns))
-    stages.append(stage("lower-linalg"))
-    stages.append(stage("lower-structural"))
-    if options.eliminate_multi_producers:
-        stages.append(stage("eliminate-multi-producers"))
-    if options.balance_paths:
-        stages.append(stage("balance", budget=options.on_chip_bit_budget))
-    if options.tile_size > 0:
-        stages.append(stage("tile", size=options.tile_size))
-    stages.append(
-        stage(
-            "parallelize",
-            factor=options.max_parallel_factor,
-            ia=options.intensity_aware,
-            ca=options.connection_aware,
-            target_ii=options.target_ii,
-        )
-    )
-    stages.append(stage("estimate", dataflow=options.enable_dataflow))
-    return stages
-
-
-def spec_from_options(options) -> PipelineSpec:
-    """The pipeline spec equivalent to legacy ``compile_module(options)``.
-
-    Boolean ablation flags map to stage presence (``fuse_tasks=False`` drops
-    the ``fuse-tasks`` stage), scalar knobs map to stage options, and the
-    result prints canonically (defaults omitted) — the form the QoR cache
-    hashes.
-    """
-    return PipelineSpec([s.to_spec() for s in _stages_from_options(options)])
-
-
-def _options_from_stages(
-    stages: Sequence[CompilationStage], platform: str, verify: bool
-):
-    from ..hida.pipeline import HidaOptions
-
-    present = {stage.name for stage in stages}
-    options = HidaOptions(
-        platform=platform,
-        verify=verify,
-        fuse_tasks="fuse-tasks" in present,
-        eliminate_multi_producers="eliminate-multi-producers" in present,
-        balance_paths="balance" in present,
-        tile_size=0,
-    )
-    for stage in stages:
-        if stage.name == "fuse-tasks":
-            options.fusion_patterns = stage.resolved_patterns()
-        elif stage.name == "balance":
-            options.on_chip_bit_budget = stage.budget
-        elif stage.name == "tile":
-            options.tile_size = stage.size
-        elif stage.name == "parallelize":
-            options.max_parallel_factor = stage.factor
-            options.intensity_aware = stage.ia
-            options.connection_aware = stage.ca
-            options.target_ii = stage.target_ii
-        elif stage.name == "estimate":
-            options.enable_dataflow = stage.dataflow
-    return options
-
-
-def options_from_spec(
-    spec: Union[str, PipelineSpec], platform: str = "vu9p-slr", verify: bool = False
-):
-    """Best-effort legacy ``HidaOptions`` view of a pipeline spec.
-
-    Stage presence/options fold back onto the boolean flags and scalar
-    knobs; later duplicates win.  Used to populate ``CompileResult.options``
-    so legacy consumers keep working; specs exercising compositions the flag
-    surface cannot express (reordered or repeated stages) still compile —
-    only this summary view is lossy.
-    """
-    parsed = parse_pipeline(spec) if isinstance(spec, str) else spec
-    return _options_from_stages(build_stages(parsed), platform, verify)

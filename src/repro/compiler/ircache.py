@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..dialects.dataflow import ScheduleOp
 from ..hida.dataflow_opt import BalanceReport
@@ -90,23 +90,17 @@ def workload_cache_key(workload: object) -> Optional[str]:
     Accepts everything :func:`repro.workloads.as_module` accepts except a
     pre-built module: a workload id string, a bound
     :class:`~repro.workloads.registry.Workload` handle, or a
-    :class:`~repro.hida.pipeline.WorkloadSpec`.  Raw modules have no
+    :class:`~repro.hida.pipeline.WorkloadSpec` — all three spellings of one
+    workload share the handle's canonical ``workload_id``, so the compiler
+    and DSE front doors hit each other's snapshots.  Raw modules have no
     registry identity — callers key those by content fingerprint instead.
     """
-    if isinstance(workload, str):
-        return workload
-    from ..workloads.registry import Workload
-
-    if isinstance(workload, Workload):
-        return workload.workload_id
     from ..hida.pipeline import WorkloadSpec
+    from ..workloads.registry import Workload, get_workload
 
-    if isinstance(workload, WorkloadSpec):
-        params = ",".join(
-            f"{key}={value}" for key, value in sorted(workload.params)
-        )
-        return f"{workload.kind}:{workload.name}@batch={workload.batch}|{params}"
-    return None
+    if not isinstance(workload, (str, Workload, WorkloadSpec)):
+        return None
+    return get_workload(workload).workload_id
 
 
 class IRSnapshotCache:
@@ -195,6 +189,8 @@ class IRSnapshotCache:
         try:
             clone = parse_op(text)
             assign_name_hints(clone, hints)
+            if not isinstance(clone, ModuleOp):
+                raise IRParseError("snapshot root is not a module")
             if print_op(clone) != text:
                 raise IRParseError("re-printed snapshot differs")
             recollected = _collect_schedules(clone)
@@ -295,5 +291,8 @@ def _collect_schedules(module: ModuleOp) -> List[ScheduleOp]:
     the workload zoo).
     """
     return [
-        op for func in module.functions for op in func.walk_ops(ScheduleOp)
+        op
+        for func in module.functions
+        for op in func.walk()
+        if isinstance(op, ScheduleOp)
     ]

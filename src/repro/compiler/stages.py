@@ -11,18 +11,13 @@ Stages mutate a shared :class:`CompilationState` in place.  They hold no
 references to each other: composition order is entirely the pipeline
 spec's business, which is what makes ablations (drop a stage) and DSE over
 pipeline composition (permute/parametrize stages) serializable one-liners.
-
-``timing_key`` maps each stage onto the legacy ``CompileResult.stage_seconds``
-buckets of the monolithic ``compile_module`` (several structural-optimization
-stages share the historical ``dataflow-opt`` bucket), keeping result layouts
-byte-compatible across the refactor.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..dialects import linalg
 from ..dialects.dataflow import ScheduleOp
@@ -62,7 +57,7 @@ __all__ = [
     "stage_registry",
 ]
 
-#: Default on-chip buffer budget in bits (mirrors ``HidaOptions``).
+#: Default on-chip buffer budget in bits (4 MiB).
 _DEFAULT_BIT_BUDGET = 4 * 1024 * 1024 * 8
 
 
@@ -157,7 +152,7 @@ class StageOption:
                 ) from None
         return token
 
-    def validate(self, value: object) -> object:
+    def validate(self, value: Any) -> object:
         if self.kind is list:
             return list(value) if value is not None else None
         if self.kind is bool:
@@ -166,7 +161,7 @@ class StageOption:
             return int(value)
         return str(value)
 
-    def render(self, value: object) -> str:
+    def render(self, value: Any) -> str:
         """Canonical token form of a value for spec printing."""
         if self.kind is list:
             return ",".join(value)
@@ -180,8 +175,6 @@ class CompilationStage(abc.ABC):
 
     #: Spec-level stage name (what appears in textual pipelines).
     name: ClassVar[str] = ""
-    #: Bucket in ``CompileResult.stage_seconds`` (legacy-compatible).
-    timing_key: ClassVar[str] = ""
     #: Declared options, in canonical printing order.
     option_decls: ClassVar[Tuple[StageOption, ...]] = ()
     #: Whether the compilation state at this stage's *exit* boundary can be
@@ -295,7 +288,6 @@ class ConstructDataflowStage(CompilationStage):
     """Functional dataflow construction (Algorithm 1)."""
 
     name = "construct-dataflow"
-    timing_key = "construct"
     snapshot_safe = True
 
     def run(self, state: CompilationState) -> None:
@@ -308,7 +300,6 @@ class FuseTasksStage(CompilationStage):
     """Functional dataflow optimization — task fusion (Algorithm 2)."""
 
     name = "fuse-tasks"
-    timing_key = "fusion"
     snapshot_safe = True
     option_decls = (
         StageOption(
@@ -318,18 +309,10 @@ class FuseTasksStage(CompilationStage):
             "fusion pattern names to apply (default: all profitable patterns)",
         ),
     )
-
-    def __init__(self, **options) -> None:
-        super().__init__(**options)
-        #: Direct pattern-instance override (set by ``Compiler.from_options``
-        #: so custom ``FusionPattern`` subclasses survive the spec round
-        #: trip; textual specs can only name the registered patterns).
-        self._pattern_instances = None
+    patterns: Optional[List[str]]
 
     def resolved_patterns(self):
         """Pattern instances for the configured names (None = defaults)."""
-        if self._pattern_instances is not None:
-            return list(self._pattern_instances)
         if self.patterns is None:
             return None
         by_name = fusion_patterns_by_name()
@@ -351,7 +334,6 @@ class LowerLinalgStage(CompilationStage):
     """Bufferize tensor-level (linalg) programs down to affine loops."""
 
     name = "lower-linalg"
-    timing_key = "bufferize"
     snapshot_safe = True
 
     def run(self, state: CompilationState) -> None:
@@ -369,7 +351,6 @@ class LowerStructuralStage(CompilationStage):
     """Structural dataflow construction: dispatch/task -> schedule/node."""
 
     name = "lower-structural"
-    timing_key = "structural"
     snapshot_safe = True
 
     def run(self, state: CompilationState) -> None:
@@ -386,7 +367,6 @@ class EliminateMultiProducersStage(CompilationStage):
     """Multi-producer elimination (Section 6.4.1)."""
 
     name = "eliminate-multi-producers"
-    timing_key = "dataflow-opt"
     snapshot_safe = True
 
     def run(self, state: CompilationState) -> None:
@@ -399,13 +379,13 @@ class BalanceStage(CompilationStage):
     """Data-path balancing (Section 6.4.2)."""
 
     name = "balance"
-    timing_key = "dataflow-opt"
     snapshot_safe = True
     option_decls = (
         StageOption(
             "budget", int, _DEFAULT_BIT_BUDGET, "on-chip buffer budget in bits"
         ),
     )
+    budget: int
 
     def run(self, state: CompilationState) -> None:
         for schedule in state.schedules:
@@ -437,11 +417,11 @@ class TileStage(CompilationStage):
     """
 
     name = "tile"
-    timing_key = "dataflow-opt"
     snapshot_safe = True
     option_decls = (
         StageOption("size", int, 16, "tile edge length in elements (0 disables)"),
     )
+    size: int
 
     def run(self, state: CompilationState) -> None:
         if self.size <= 0:
@@ -471,13 +451,16 @@ class ParallelizeStage(CompilationStage):
     """Structural dataflow parallelization (IA+CA unroll factor selection)."""
 
     name = "parallelize"
-    timing_key = "parallelize"
     option_decls = (
         StageOption("factor", int, 32, "maximum parallel factor per node"),
         StageOption("ia", bool, True, "intensity-aware factor assignment"),
         StageOption("ca", bool, True, "connection-aware factor alignment"),
         StageOption("target-ii", int, 1, "target initiation interval"),
     )
+    factor: int
+    ia: bool
+    ca: bool
+    target_ii: int
 
     def parallelization_options(self) -> ParallelizationOptions:
         return ParallelizationOptions(
@@ -519,7 +502,6 @@ class EstimateStage(CompilationStage):
     """QoR estimation of the final design (Vitis-HLS-style model)."""
 
     name = "estimate"
-    timing_key = "estimate"
     option_decls = (
         StageOption(
             "dataflow",
@@ -528,6 +510,7 @@ class EstimateStage(CompilationStage):
             "estimate with coarse-grained (schedule-level) overlap",
         ),
     )
+    dataflow: bool
 
     def run(self, state: CompilationState) -> None:
         estimator = QoREstimator(state.platform)
@@ -560,7 +543,6 @@ class LintStage(CompilationStage):
     """
 
     name = "lint"
-    timing_key = "lint"
     snapshot_safe = True
     option_decls = (
         StageOption(
@@ -577,6 +559,8 @@ class LintStage(CompilationStage):
             "restrict to these rule ids (default: every registered rule)",
         ),
     )
+    fail_on: str
+    rules: Optional[List[str]]
 
     def run(self, state: CompilationState) -> None:
         from ..analysis import AnalysisError, analyze_module, severity_rank
@@ -629,7 +613,6 @@ class ValidateStage(CompilationStage):
     """
 
     name = "validate"
-    timing_key = "validate"
     snapshot_safe = True
     option_decls = (
         StageOption("seed", int, 0, "reference-input seed"),

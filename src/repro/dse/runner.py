@@ -143,8 +143,8 @@ def evaluate_point(
     """Evaluate one design point; safe to call in a worker process.
 
     Builds the workload module, computes the content-hash cache key from the
-    *input* module fingerprint plus the full option fingerprint, and either
-    replays the cached QoR record or runs the compilation pipeline and
+    *input* module fingerprint plus the point's canonical pipeline spec, and
+    either replays the cached QoR record or runs the compilation pipeline and
     caches its outcome.  ``fidelity`` selects the registered QoR level the
     payload is produced at (``"estimate"`` = analytic model, ``"simulate"``
     = dataflow simulation); the record carries the level name so consumers

@@ -24,7 +24,7 @@ import json
 import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..hida.pipeline import HidaOptions, WorkloadSpec
+from ..hida.pipeline import WorkloadSpec
 
 __all__ = [
     "DesignPoint",
@@ -119,40 +119,50 @@ class DesignPoint:
             params=self.workload_params,
         )
 
-    def options(self) -> HidaOptions:
-        from ..hida.functional import default_fusion_patterns
-
-        patterns = None
-        if self.top_k_fusion >= 0:
-            patterns = default_fusion_patterns()[: self.top_k_fusion]
-        return HidaOptions(
-            platform=self.platform,
-            max_parallel_factor=self.max_parallel_factor,
-            tile_size=self.tile_size,
-            fuse_tasks=self.top_k_fusion != 0,
-            target_ii=self.target_ii,
-            enable_dataflow=self.enable_dataflow,
-            intensity_aware=self.intensity_aware,
-            connection_aware=self.connection_aware,
-            fusion_patterns=patterns,
-        )
-
     def canonical_spec(self) -> str:
         """Canonical printed pipeline spec this point compiles through.
 
         Explicit ``pipeline_spec`` points re-print through the parser (so
-        equivalent spellings collapse); flag-driven points print the spec
-        derived from their options.  The QoR cache keys on this string.
+        equivalent spellings collapse); knob-driven points print the spec
+        of the stages their knobs configure.  The QoR cache keys on this
+        string.
         """
         return self.compiler().spec_text()
 
     def compiler(self):
         """The :class:`~repro.compiler.driver.Compiler` for this point."""
-        from ..compiler import Compiler
+        from ..compiler import Compiler, default_stages
 
         if self.pipeline_spec is not None:
             return Compiler.from_spec(self.pipeline_spec, platform=self.platform)
-        return Compiler.from_options(self.options())
+        from ..hida.functional import default_fusion_patterns, fusion_pattern_name
+
+        # The knob axes as "the default pipeline, reconfigured": built as
+        # typed stages directly (no text round trip per evaluated point).
+        drop = []
+        patterns = None
+        if self.top_k_fusion == 0:
+            drop.append("fuse-tasks")
+        elif self.top_k_fusion > 0:
+            patterns = [
+                fusion_pattern_name(pattern)
+                for pattern in default_fusion_patterns()[: self.top_k_fusion]
+            ]
+        if self.tile_size <= 0:
+            drop.append("tile")
+        stages = default_stages(
+            drop,
+            fuse_tasks={"patterns": patterns},
+            tile={"size": self.tile_size},
+            parallelize={
+                "factor": self.max_parallel_factor,
+                "ia": self.intensity_aware,
+                "ca": self.connection_aware,
+                "target_ii": self.target_ii,
+            },
+            estimate={"dataflow": self.enable_dataflow},
+        )
+        return Compiler(stages, platform=self.platform)
 
     def to_dict(self) -> Dict[str, object]:
         data = dataclasses.asdict(self)

@@ -19,8 +19,9 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..compiler import Compiler, default_stages
 from ..estimation.platform import PYNQ_Z2, Platform
-from ..hida.pipeline import CompileResult, HidaOptions, compile_module
+from ..hida.pipeline import CompileResult
 from ..workloads import get_workload
 
 __all__ = [
@@ -251,13 +252,10 @@ def compile_hida_lenet(
     best: Optional[Tuple[float, float, CompileResult]] = None
     for batch in batches:
         for factor in parallel_factors:
-            module = handle.at(batch=batch).build_module()
-            options = HidaOptions(
+            result = Compiler(
+                default_stages(drop=["tile"], parallelize={"factor": factor}),
                 platform=platform_name,
-                max_parallel_factor=factor,
-                tile_size=0,
-            )
-            result = compile_module(module, options)
+            ).run(workload=handle.at(batch=batch))
             utilization = result.max_utilization()
             throughput = result.throughput * batch
             if utilization > 1.0:

@@ -6,7 +6,6 @@ from .polybench import (
     MULTI_LOOP_KERNELS,
     POLYBENCH_KERNELS,
     SINGLE_LOOP_KERNELS,
-    build_kernel,
     kernel_names,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "POLYBENCH_KERNELS",
     "MULTI_LOOP_KERNELS",
     "SINGLE_LOOP_KERNELS",
-    "build_kernel",
     "kernel_names",
 ]

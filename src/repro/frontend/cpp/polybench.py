@@ -30,7 +30,6 @@ __all__ = [
     "POLYBENCH_KERNELS",
     "MULTI_LOOP_KERNELS",
     "SINGLE_LOOP_KERNELS",
-    "build_kernel",
     "kernel_names",
 ]
 
@@ -310,15 +309,3 @@ SINGLE_LOOP_KERNELS: List[str] = ["bicg", "gesummv", "seidel-2d", "symm", "syr2k
 def kernel_names() -> List[str]:
     """Names of all PolyBench kernels, in the paper's Table 7 order."""
     return list(POLYBENCH_KERNELS)
-
-
-def build_kernel(name: str) -> ModuleOp:
-    """Build a PolyBench kernel module by name.
-
-    .. deprecated:: thin wrapper over the :mod:`repro.workloads` registry —
-       new code should use ``get_workload(name).build_module()``, which also
-       understands parameterized ids like ``"2mm@n=16"``.
-    """
-    from ...workloads import get_workload
-
-    return get_workload(name, kind="kernel").build_module()

@@ -2,16 +2,22 @@
 
 Models: LeNet (Section 2 case study), ResNet-18, MobileNet(V1), ZFNet,
 VGG-16, a YOLO-style detector and an MLP (Table 8).  Each model is a plain
-:class:`~repro.frontend.nn.module.Module`; :func:`build_model` traces it to
-linalg-level IR at a given batch size.
+:class:`~repro.frontend.nn.module.Module` registered with
+:func:`~repro.workloads.register_workload`;
+``get_workload("resnet18@batch=4").build_module()`` traces it to linalg-level
+IR at a given batch size.
+
+Models default to 8-bit integer activations and weights, matching the
+post-training quantization typically applied before FPGA deployment (and
+the low-precision MAC mapping discussed in the paper's DSP-efficiency
+analysis); pass ``build_module(element_type=f32)`` for single-precision
+models.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...ir.builtin import ModuleOp
-from ...ir.types import Type, i8
 from ...workloads import register_workload
 from .module import (
     Add,
@@ -38,7 +44,6 @@ __all__ = [
     "MLP",
     "MODEL_ZOO",
     "MODEL_INPUT_SHAPES",
-    "build_model",
     "model_names",
 ]
 
@@ -388,23 +393,3 @@ MODEL_INPUT_SHAPES: Dict[str, Tuple[int, ...]] = {
 
 def model_names() -> List[str]:
     return list(MODEL_ZOO)
-
-
-def build_model(name: str, batch: int = 1, element_type: Type = i8) -> ModuleOp:
-    """Instantiate and trace a model from the zoo at the given batch size.
-
-    .. deprecated:: thin wrapper over the :mod:`repro.workloads` registry —
-       new code should use ``get_workload(name).at(batch=...).build_module()``,
-       which also understands parameterized ids like ``"resnet18@batch=4"``.
-
-    Models default to 8-bit integer activations and weights, matching the
-    post-training quantization typically applied before FPGA deployment (and
-    the low-precision MAC mapping discussed in the paper's DSP-efficiency
-    analysis); pass ``element_type=f32`` for single-precision models.
-    """
-    from ...workloads import get_workload
-
-    handle = get_workload(name, kind="model")
-    if batch != 1:
-        handle = handle.at(batch=batch)
-    return handle.build_module(element_type=element_type)

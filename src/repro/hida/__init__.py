@@ -3,7 +3,8 @@
 The paper's primary contribution: Functional dataflow construction and task
 fusion, Structural lowering, multi-producer elimination, data-path
 balancing, intensity/connection analysis, IA+CA parallelization, and the
-end-to-end pipeline driver.
+result/workload records of a compilation (the driver itself is
+:mod:`repro.compiler`).
 """
 
 from .analysis import (
@@ -50,14 +51,7 @@ from .parallelize import (
     proposal_cost,
     sort_bands,
 )
-from .pipeline import (
-    CompileResult,
-    HidaCompiler,
-    HidaOptions,
-    WorkloadSpec,
-    compile_module,
-    compile_workload,
-)
+from .pipeline import CompileOptions, CompileResult, WorkloadSpec
 from .structural import (
     LowerToStructuralPass,
     analyze_memory_effects,
@@ -104,11 +98,8 @@ __all__ = [
     "parallelize_schedule",
     "proposal_cost",
     "sort_bands",
+    "CompileOptions",
     "CompileResult",
-    "HidaCompiler",
-    "HidaOptions",
-    "compile_module",
-    "compile_workload",
     "WorkloadSpec",
     "LowerToStructuralPass",
     "analyze_memory_effects",

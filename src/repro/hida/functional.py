@@ -407,9 +407,8 @@ def fusion_patterns_by_name() -> dict:
     """Fresh pattern instances keyed by every accepted name.
 
     Both the short spec names (``elementwise``, ``init``) and the pattern
-    class names (``ElementwiseFusionPattern``, ...) resolve, so textual
-    pipeline specs and serialized :class:`~repro.hida.pipeline.HidaOptions`
-    dicts share one lookup.
+    class names (``ElementwiseFusionPattern``, ...) resolve in textual
+    pipeline specs.
     """
     by_name = {name: cls() for name, cls in _FUSION_PATTERN_SHORT_NAMES.items()}
     for pattern in default_fusion_patterns():

@@ -1,19 +1,9 @@
-"""The end-to-end HIDA compilation pipeline (legacy option-driven surface).
+"""Result and workload records of the HIDA compilation pipeline.
 
-The actual driver lives in :mod:`repro.compiler`: every Figure-3 phase is a
+The driver lives in :mod:`repro.compiler`: every Figure-3 phase is a
 registered :class:`~repro.compiler.stages.CompilationStage`, composed by a
-textual pipeline spec and executed by a
-:class:`~repro.compiler.driver.Compiler`.  This module keeps the historical
-entry points as thin wrappers over the default spec:
-
-* :func:`compile_module` / :func:`compile_workload` run the spec derived
-  from a :class:`HidaOptions` (byte-identical :class:`CompileResult`\\ s to
-  the pre-refactor monolithic driver);
-* :class:`HidaOptions` remains the picklable option bag used by DSE and
-  the benchmark harnesses, and maps losslessly onto pipeline specs via
-  :meth:`HidaOptions.to_pipeline_spec`.
-
-New code should prefer the spec-first front door::
+textual pipeline spec (or :func:`~repro.compiler.default_stages`) and
+executed by a :class:`~repro.compiler.driver.Compiler`::
 
     from repro.compiler import Compiler
 
@@ -21,128 +11,37 @@ New code should prefer the spec-first front door::
         "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
         "eliminate-multi-producers,balance,tile,parallelize,estimate",
         platform="zu3eg",
-    ).run(module)
+    ).run(workload="2mm")
+
+This module holds what such a run consumes and produces: the picklable
+:class:`WorkloadSpec` that names *what* to compile across process
+boundaries, and the :class:`CompileResult` every downstream consumer
+(baselines, DSE, benchmark harnesses, the HLS emitter) reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..dialects.dataflow import ScheduleOp
 from ..estimation.platform import Platform, get_platform
 from ..estimation.qor import DesignEstimate
 from ..ir.builtin import ModuleOp
 from .dataflow_opt import BalanceReport
-from .functional import FusionPattern
-from .parallelize import ParallelizationOptions, ParallelizationResult
+from .parallelize import ParallelizationResult
 
-__all__ = [
-    "HidaOptions",
-    "CompileResult",
-    "WorkloadSpec",
-    "compile_module",
-    "compile_workload",
-    "HidaCompiler",
-]
+__all__ = ["CompileOptions", "CompileResult", "WorkloadSpec"]
 
 
-@dataclasses.dataclass
-class HidaOptions:
-    """User-facing options of the HIDA pipeline.
-
-    .. deprecated:: the boolean ablation switches (``fuse_tasks``,
-       ``balance_paths``, ``eliminate_multi_producers``, ``intensity_aware``,
-       ``connection_aware``) survive for the option-driven entry points, but
-       the first-class way to express an ablation is a pipeline spec with
-       the corresponding stage dropped or reconfigured — see
-       :meth:`to_pipeline_spec` and :mod:`repro.baselines.ablation`.
-    """
+@dataclasses.dataclass(frozen=True)
+class CompileOptions:
+    """What a :class:`~repro.compiler.driver.Compiler` is bound to besides
+    its stages (everything else is in the pipeline spec)."""
 
     platform: str = "vu9p-slr"
-    max_parallel_factor: int = 32
-    #: Tile size used for external-memory tiling of large buffers (elements
-    #: along each tiled dimension); 0 disables tiling.
-    tile_size: int = 16
-    #: Enable the task-fusion step (Algorithm 2).
-    fuse_tasks: bool = True
-    #: Enable data-path balancing (Section 6.4.2).
-    balance_paths: bool = True
-    #: Enable multi-producer elimination (Section 6.4.1).
-    eliminate_multi_producers: bool = True
-    #: Enable coarse-grained dataflow (schedule-level overlap).  When off the
-    #: design is estimated as a sequential (non-dataflow) implementation.
-    enable_dataflow: bool = True
-    #: Parallelization mode switches (IA / CA ablations of Figure 11).
-    intensity_aware: bool = True
-    connection_aware: bool = True
-    #: Target initiation interval for pipelined loops (DSE axis).
-    target_ii: int = 1
-    #: On-chip buffer budget in bits used by tiling and path balancing.
-    on_chip_bit_budget: int = 4 * 1024 * 1024 * 8
-    #: Verify the IR after each major stage (slower, useful in tests).
+    #: Whether the IR was verified after every stage.
     verify: bool = False
-    fusion_patterns: Optional[Sequence[FusionPattern]] = None
-
-    def parallelization_options(self) -> ParallelizationOptions:
-        return ParallelizationOptions(
-            max_parallel_factor=self.max_parallel_factor,
-            intensity_aware=self.intensity_aware,
-            connection_aware=self.connection_aware,
-            target_ii=self.target_ii,
-        )
-
-    def to_pipeline_spec(self) -> str:
-        """Canonical textual pipeline spec equivalent to these options."""
-        from ..compiler import spec_from_options
-
-        return spec_from_options(self).print()
-
-    # ------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict of every option, suitable for hashing and caching.
-
-        ``fusion_patterns`` is represented by the pattern class names: the
-        stock patterns are stateless, so the names identify the behaviour.
-        Custom pattern classes round-trip only if :meth:`from_dict` can find
-        them among :func:`default_fusion_patterns` (unknown names raise).
-        """
-        data = dataclasses.asdict(self)
-        if self.fusion_patterns is None:
-            data["fusion_patterns"] = None
-        else:
-            data["fusion_patterns"] = [
-                type(pattern).__name__ for pattern in self.fusion_patterns
-            ]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HidaOptions":
-        from .functional import fusion_patterns_by_name
-
-        data = dict(data)
-        names = data.pop("fusion_patterns", None)
-        patterns = None
-        if names is not None:
-            by_name = fusion_patterns_by_name()
-            unknown = [name for name in names if name not in by_name]
-            if unknown:
-                raise ValueError(
-                    f"unknown fusion pattern(s) {', '.join(map(repr, unknown))}; "
-                    f"known patterns: {', '.join(sorted(by_name))}"
-                )
-            patterns = [by_name[name] for name in names]
-        known = {f.name for f in dataclasses.fields(cls)}
-        options = cls(**{k: v for k, v in data.items() if k in known})
-        options.fusion_patterns = patterns
-        return options
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the full option set."""
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass
@@ -154,9 +53,11 @@ class CompileResult:
     estimate: DesignEstimate
     parallelization: Optional[ParallelizationResult]
     balance_report: Optional[BalanceReport]
-    options: HidaOptions
+    options: CompileOptions
     compile_seconds: float
-    stage_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
+    #: ``(stage name, wall-clock seconds)`` per executed stage, in run order
+    #: (stages skipped by an IR-cache resume do not appear).
+    stage_timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
     misalignments: int = 0
 
     @property
@@ -237,85 +138,3 @@ class WorkloadSpec:
         if self.kind == "model" and self.batch != 1:
             return f"{self.name}@b{self.batch}{suffix}"
         return f"{self.name}{suffix}"
-
-
-def compile_workload(
-    spec: Union[WorkloadSpec, str], options: Optional[HidaOptions] = None
-) -> CompileResult:
-    """Build a workload from its spec and run the full HIDA pipeline.
-
-    This is the option-driven entry point used by DSE workers: both
-    arguments are picklable, so the call can cross a process boundary, and
-    the module is constructed inside the worker.  ``spec`` may also be a
-    registry workload id (``"resnet18@batch=4"``) or a bound
-    :class:`repro.workloads.Workload` handle.
-    """
-    if isinstance(spec, WorkloadSpec):
-        module = spec.build()
-    else:
-        from ..workloads import as_module
-
-        module = as_module(spec)
-    return compile_module(module, options)
-
-
-#: Stage-timing buckets the pre-refactor monolithic driver always recorded,
-#: even for stages its option flags disabled.
-_LEGACY_STAGE_KEYS = (
-    "construct",
-    "fusion",
-    "bufferize",
-    "structural",
-    "dataflow-opt",
-    "parallelize",
-    "estimate",
-)
-
-
-def compile_module(module: ModuleOp, options: Optional[HidaOptions] = None) -> CompileResult:
-    """Run the full HIDA pipeline on ``module`` (modified in place).
-
-    Thin wrapper over the spec-driven front door: the options map onto the
-    default pipeline spec (stages dropped or reconfigured per flag) and a
-    :class:`~repro.compiler.driver.Compiler` executes it.  Results are
-    identical to the pre-refactor monolithic driver, including the
-    ``stage_seconds`` keys: stages disabled by flags are backfilled as
-    zero-duration buckets, exactly as the old driver timed their skipped
-    bodies.
-    """
-    from ..compiler import Compiler
-
-    result = Compiler.from_options(options or HidaOptions()).run(module)
-    for key in _LEGACY_STAGE_KEYS:
-        result.stage_seconds.setdefault(key, 0.0)
-    return result
-
-
-class HidaCompiler:
-    """Object-style wrapper around :func:`compile_module`.
-
-    Keeps a default option set and exposes convenience entry points for the
-    two supported frontends.  For spec-first composition (custom stage
-    orders, ablations, observers) use :class:`repro.compiler.Compiler`.
-    """
-
-    def __init__(self, options: Optional[HidaOptions] = None) -> None:
-        self.options = options or HidaOptions()
-
-    def compile(self, module: ModuleOp, **overrides) -> CompileResult:
-        options = dataclasses.replace(self.options, **overrides) if overrides else self.options
-        return compile_module(module, options)
-
-    def compile_model(self, name: str, batch: int = 1, **overrides) -> CompileResult:
-        """Trace a model from the zoo and compile it."""
-        from ..frontend.nn import build_model
-
-        module = build_model(name, batch=batch)
-        return self.compile(module, **overrides)
-
-    def compile_kernel(self, name: str, **overrides) -> CompileResult:
-        """Build a PolyBench kernel and compile it."""
-        from ..frontend.cpp import build_kernel
-
-        module = build_kernel(name)
-        return self.compile(module, **overrides)

@@ -450,7 +450,7 @@ def get_workload(
         if spec.batch != 1 and "batch" in declared:
             params["batch"] = spec.batch
         # A batch on a batch-less workload (kernels) is ignored, exactly as
-        # the pre-registry build_kernel path ignored WorkloadSpec.batch.
+        # the pre-registry kernel frontend ignored WorkloadSpec.batch.
         return handle.at(**params) if params else handle
     if not isinstance(spec, str):
         raise TypeError(f"cannot resolve a workload from {spec!r}")

@@ -2,34 +2,32 @@
 
 Covers the textual pipeline-spec parser/printer (round-trips, diagnostics
 with token + offset, hash stability), the stage registry, the observer
-hooks, the legacy-equivalence guarantee of the default spec, and the
-spec-expressed Figure-11 ablation baselines.
+hooks, the ``default_stages`` helper behind ablations and DSE knob points,
+and the spec-expressed Figure-11 ablation baselines.
 """
 
 import pytest
 
-from repro import Compiler, HidaOptions, compile_module
+from repro import Compiler, default_stages
 from repro.baselines import ABLATION_MODES, ablation_pipeline_spec, run_ablation_mode
 from repro.compiler import (
     DEFAULT_PIPELINE,
     CompilationStage,
     DiagnosticsObserver,
+    PipelineObserver,
     PipelineSpec,
     PipelineSpecError,
     SnapshotObserver,
     StageSpec,
-    TimingObserver,
     available_stages,
     get_stage_class,
-    options_from_spec,
     parse_pipeline,
     register_stage,
-    spec_from_options,
     stage_registry,
 )
-from repro.frontend.cpp import build_kernel, build_listing1
-from repro.frontend.nn import build_model
+from repro.frontend.cpp import build_listing1
 from repro.ir import verify
+from repro.workloads import as_module
 
 
 # ---------------------------------------------------------------- parsing
@@ -138,7 +136,6 @@ class TestStageRegistry:
         @register_stage
         class NopStage(CompilationStage):
             name = "test-nop"
-            timing_key = "test-nop"
 
             def run(self, state):
                 state.emit(self.name, "did nothing")
@@ -147,7 +144,7 @@ class TestStageRegistry:
             assert "test-nop" in available_stages()
             spec = parse_pipeline("test-nop,construct-dataflow,lower-structural,estimate")
             result = Compiler.from_spec(spec, platform="zu3eg").run(build_listing1())
-            assert "test-nop" in result.stage_seconds
+            assert result.stage_timings[0][0] == "test-nop"
         finally:
             stage_registry()  # sanity: registry copy, not the live dict
             from repro.compiler import stages as stages_module
@@ -168,7 +165,7 @@ class TestStageRegistry:
 # ------------------------------------------------------------ canonical
 class TestCanonicalSpecs:
     def test_default_options_print_default_pipeline(self):
-        assert spec_from_options(HidaOptions()).print() == DEFAULT_PIPELINE
+        assert Compiler(default_stages()).spec_text() == DEFAULT_PIPELINE
 
     def test_canonical_print_drops_defaults(self):
         compiler = Compiler.from_spec("parallelize{factor=32,ia=1,ca=1,target-ii=1},estimate{dataflow=1}")
@@ -182,25 +179,30 @@ class TestCanonicalSpecs:
         assert c.spec_hash() != a.spec_hash()
 
     def test_options_spec_roundtrip(self):
-        options = HidaOptions(
+        compiler = Compiler(
+            default_stages(
+                drop=["fuse-tasks", "tile"],
+                parallelize={"factor": 64, "ia": False, "target_ii": 2},
+                estimate={"dataflow": False},
+            ),
             platform="zu3eg",
-            max_parallel_factor=64,
-            tile_size=8,
-            fuse_tasks=False,
-            intensity_aware=False,
-            target_ii=2,
-            enable_dataflow=False,
         )
-        spec = spec_from_options(options)
-        restored = options_from_spec(spec, platform="zu3eg")
-        assert restored == options
-        assert spec_from_options(restored).print() == spec.print()
+        text = (
+            "construct-dataflow,lower-linalg,lower-structural,"
+            "eliminate-multi-producers,balance,"
+            "parallelize{factor=64,ia=0,target-ii=2},estimate{dataflow=0}"
+        )
+        assert compiler.spec_text() == text
+        # The typed-stage path and the text path are the same pipeline.
+        assert Compiler.from_spec(text).spec_hash() == compiler.spec_hash()
 
-    def test_options_to_pipeline_spec_method(self):
-        options = HidaOptions(balance_paths=False, tile_size=0)
-        text = options.to_pipeline_spec()
-        assert "balance" not in text and "tile" not in text
-        assert options_from_spec(text).balance_paths is False
+    def test_default_stages_rejects_unknown_names(self):
+        with pytest.raises(PipelineSpecError, match="'lint' not in the default"):
+            default_stages(drop=["lint"])
+        with pytest.raises(PipelineSpecError, match="'tiel'"):
+            default_stages(tiel={"size": 4})
+        with pytest.raises(TypeError, match="no option"):
+            default_stages(tile={"sz": 4})
 
     def test_stagespec_print(self):
         stage = StageSpec("tile", {"size": ["8"]})
@@ -208,61 +210,12 @@ class TestCanonicalSpecs:
         assert PipelineSpec([stage]).print() == "tile{size=8}"
 
 
-# ----------------------------------------------------------- equivalence
+# ------------------------------------------------------------ compilation
 class TestLegacyEquivalence:
-    WORKLOADS = (
-        ("listing1", lambda: build_listing1()),
-        ("atax", lambda: build_kernel("atax")),
-        ("lenet", lambda: build_model("lenet")),
-    )
+    """``Compiler.run`` contracts (class name kept so test ids stay stable)."""
 
-    @pytest.mark.parametrize("name,builder", WORKLOADS, ids=[w[0] for w in WORKLOADS])
-    def test_default_spec_equals_legacy_compile_module(self, name, builder):
-        options = HidaOptions(platform="zu3eg")
-        legacy = compile_module(builder(), options)
-        spec_result = Compiler.from_spec(
-            spec_from_options(options), platform="zu3eg"
-        ).run(builder())
-        assert spec_result.estimate.to_dict() == legacy.estimate.to_dict()
-        assert len(spec_result.schedules) == len(legacy.schedules)
-        assert set(spec_result.stage_seconds) == set(legacy.stage_seconds)
-
-        def qor(result):
-            return {
-                k: v for k, v in result.summary().items() if k != "compile_seconds"
-            }
-
-        assert qor(spec_result) == qor(legacy)
-
-    def test_default_stage_seconds_keys_match_legacy_names(self):
-        result = compile_module(build_listing1(), HidaOptions(platform="zu3eg"))
-        assert set(result.stage_seconds) == {
-            "construct",
-            "fusion",
-            "bufferize",
-            "structural",
-            "dataflow-opt",
-            "parallelize",
-            "estimate",
-        }
-
-    def test_ablated_options_keep_legacy_stage_seconds_keys(self):
-        # The legacy monolith timed disabled stages as ~0s buckets; the
-        # wrapper must preserve those keys for external consumers.
-        result = compile_module(
-            build_listing1(),
-            HidaOptions(
-                platform="zu3eg",
-                fuse_tasks=False,
-                balance_paths=False,
-                eliminate_multi_producers=False,
-                tile_size=0,
-            ),
-        )
-        assert set(result.stage_seconds) >= {"fusion", "dataflow-opt"}
-        assert result.stage_seconds["fusion"] == 0.0
-
-    def test_custom_fusion_pattern_instances_survive_compile_module(self):
+    def test_custom_fusion_pattern_instances_survive_compile_in_a_stage_subclass(self):
+        from repro.compiler.stages import FuseTasksStage
         from repro.hida import ElementwiseFusionPattern
 
         calls = []
@@ -274,24 +227,24 @@ class TestLegacyEquivalence:
                 calls.append(task)
                 return super().match(task)
 
-        result = compile_module(
-            build_model("lenet"),
-            HidaOptions(platform="zu3eg", fusion_patterns=[TracingPattern()]),
-        )
+        class TracingFuseStage(FuseTasksStage):
+            def resolved_patterns(self):
+                return [TracingPattern()]
+
+        stages = default_stages()
+        stages[1] = TracingFuseStage()
+        result = Compiler(stages, platform="zu3eg").run(as_module("lenet"))
         assert calls, "custom pattern instance was never consulted"
         assert result.throughput > 0
-        assert result.options.fusion_patterns is not None
-        assert type(result.options.fusion_patterns[0]).__name__ == "TracingPattern"
 
     def test_compile_result_options_reflect_spec(self):
         result = Compiler.from_spec(
             "construct-dataflow,lower-structural,parallelize{factor=8,ca=0},estimate",
             platform="zu3eg",
         ).run(build_listing1())
-        assert result.options.max_parallel_factor == 8
-        assert result.options.connection_aware is False
-        assert result.options.fuse_tasks is False
         assert result.options.platform == "zu3eg"
+        assert result.options.verify is False
+        assert result.platform.name == "zu3eg"
 
     def test_missing_estimate_stage_is_a_helpful_error(self):
         compiler = Compiler.from_spec("construct-dataflow,lower-structural")
@@ -308,14 +261,20 @@ class TestLegacyEquivalence:
 # -------------------------------------------------------------- observers
 class TestObservers:
     def test_timing_observer_sees_every_stage_in_order(self):
-        timing = TimingObserver()
-        Compiler.from_spec(
-            DEFAULT_PIPELINE, platform="zu3eg", observers=[timing]
+        seen = []
+
+        class Recorder(PipelineObserver):
+            def on_stage_end(self, stage, state, seconds):
+                seen.append((stage.name, seconds))
+
+        result = Compiler.from_spec(
+            DEFAULT_PIPELINE, platform="zu3eg", observers=[Recorder()]
         ).run(build_listing1())
-        names = [name for name, _ in timing.timings]
+        names = [name for name, _ in result.stage_timings]
         assert names == DEFAULT_PIPELINE.split(",")
-        assert all(seconds >= 0 for _, seconds in timing.timings)
-        assert set(timing.by_stage()) == set(names)
+        assert all(seconds >= 0 for _, seconds in result.stage_timings)
+        # Observers are handed the very seconds the result records.
+        assert seen == result.stage_timings
 
     def test_snapshot_observer_captures_ir_per_stage(self):
         snapshots = SnapshotObserver(["construct-dataflow", "lower-structural"])
@@ -378,25 +337,15 @@ class TestAblationSpecs:
         with pytest.raises(KeyError, match="bogus"):
             ablation_pipeline_spec("bogus", 8)
 
-
-# ----------------------------------------------- satellite: from_dict error
-class TestHidaOptionsFromDict:
-    def test_unknown_fusion_pattern_lists_known_names(self):
-        data = HidaOptions().to_dict()
-        data["fusion_patterns"] = ["ElementwiseFusionPattern", "Bogus", "Worse"]
-        with pytest.raises(ValueError) as exc:
-            HidaOptions.from_dict(data)
-        message = str(exc.value)
-        assert "'Bogus'" in message and "'Worse'" in message
-        assert "ElementwiseFusionPattern" in message
-        assert "InitializationFusionPattern" in message
-        assert "elementwise" in message and "init" in message
-
-    def test_short_names_accepted(self):
-        data = HidaOptions().to_dict()
-        data["fusion_patterns"] = ["elementwise", "init"]
-        options = HidaOptions.from_dict(data)
-        assert len(options.fusion_patterns) == 2
+    def test_printed_specs_are_pinned(self):
+        # Literals computed at the commit before the option bag was deleted:
+        # these strings feed AblationOutcome.pipeline_spec and QoR-cache keys.
+        template = (
+            "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+            "eliminate-multi-producers,balance,tile,parallelize{ia=%d,ca=%d},estimate"
+        )
+        for mode, (ia, ca) in ABLATION_MODES.items():
+            assert ablation_pipeline_spec(mode, 32) == template % (ia, ca)
 
 
 # ------------------------------------------------------------------- CLI
@@ -438,6 +387,9 @@ class TestCompilerCli:
 
         payload = json_module.loads(json_path.read_text())
         assert payload["pipeline_spec"].startswith("construct-dataflow")
+        assert list(payload["stage_seconds"]) == sorted(
+            ["construct-dataflow", "lower-structural", "parallelize", "estimate"]
+        )
         assert payload["summary"]["throughput"] > 0
 
     def test_bad_spec_exits_2(self, capsys):

@@ -9,18 +9,20 @@ import json
 
 import pytest
 
+from repro.compiler import DEFAULT_PIPELINE, Compiler
 from repro.dse import (
     DesignPoint,
     DesignSpace,
     QoRCache,
     build_space,
+    dnn_suite,
     evaluate_point,
     explore,
     pareto_frontier,
     polybench_suite,
 )
 from repro.estimation import DesignEstimate
-from repro.hida import HidaOptions, WorkloadSpec, compile_workload
+from repro.hida import WorkloadSpec
 from repro.ir import fingerprint_op
 
 
@@ -73,26 +75,38 @@ def test_design_point_roundtrip_and_options():
     )
     again = DesignPoint.from_dict(json.loads(json.dumps(point.to_dict())))
     assert again == point and again.key() == point.key()
-    options = point.options()
-    assert options.max_parallel_factor == 64
-    assert options.target_ii == 2
-    assert len(options.fusion_patterns) == 1
-    no_fusion = DesignPoint(workload_kind="kernel", workload="2mm", top_k_fusion=0)
-    assert no_fusion.options().fuse_tasks is False
+    stages = {stage.name: stage for stage in point.compiler().stages}
+    assert stages["parallelize"].factor == 64
+    assert stages["parallelize"].target_ii == 2
+    assert stages["fuse-tasks"].patterns == ["elementwise"]
+    assert stages["tile"].size == 8
+    no_fusion = DesignPoint(
+        workload_kind="kernel", workload="2mm", top_k_fusion=0, tile_size=0
+    )
+    assert not {"fuse-tasks", "tile"} & {s.name for s in no_fusion.compiler().stages}
 
 
-def test_hida_options_serialization_roundtrip():
-    options = HidaOptions(platform="zu3eg", tile_size=4, target_ii=2)
-    restored = HidaOptions.from_dict(options.to_dict())
-    assert restored == options
-    assert restored.fingerprint() == options.fingerprint()
-    # Different options change the fingerprint.
-    assert HidaOptions(tile_size=8).fingerprint() != options.fingerprint()
+def test_full_space_keys_and_canonical_specs_are_pinned():
+    """Point identity must not move: it keys QoR caches and golden records.
+
+    The digest was computed at the commit before ``DesignPoint.compiler()``
+    stopped going through the deleted option bag.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    space = build_space("full", polybench_suite() + dnn_suite())
+    for point in space:
+        digest.update(f"{point.key()}\t{point.canonical_spec()}\n".encode())
+    assert len(space) == 1950
+    assert digest.hexdigest() == (
+        "e81a8b9178d0a789fec14789c759c212296cd8cc8b9cbfc3965c5cf47279a8b9"
+    )
 
 
 def test_workload_spec_builds_and_compiles():
     spec = WorkloadSpec("kernel", "atax")
-    result = compile_workload(spec, HidaOptions(platform="zu3eg"))
+    result = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(workload=spec)
     assert result.throughput > 0
     with pytest.raises(ValueError):
         WorkloadSpec("netlist", "atax").build()
@@ -417,11 +431,9 @@ def test_dse_cli_resume_and_pipeline_spec(tmp_path, capsys):
 # ------------------------------------------------- estimator cache plumbing
 def test_qor_estimator_cache_plumbing(tmp_path):
     from repro.estimation import QoREstimator, get_platform
-    from repro.frontend.cpp import build_kernel
-    from repro.hida import compile_module
 
     cache = QoRCache(tmp_path / "estimator")
-    result = compile_module(build_kernel("atax"))
+    result = Compiler.from_spec(DEFAULT_PIPELINE).run(workload="atax")
     schedule = result.schedules[0]
     estimator = QoREstimator(get_platform("zu3eg"), cache=cache)
     first = estimator.estimate_schedule(schedule)
@@ -431,11 +443,11 @@ def test_qor_estimator_cache_plumbing(tmp_path):
 
 
 def test_module_fingerprint_stability():
-    from repro.frontend.cpp import build_kernel
+    from repro.workloads import as_module
 
-    first = fingerprint_op(build_kernel("2mm"))
-    second = fingerprint_op(build_kernel("2mm"))
-    other = fingerprint_op(build_kernel("3mm"))
+    first = fingerprint_op(as_module("2mm"))
+    second = fingerprint_op(as_module("2mm"))
+    other = fingerprint_op(as_module("3mm"))
     assert first == second
     assert first != other
 

@@ -29,10 +29,16 @@ from repro.estimation import (
 from repro.dialects.arith import AddFOp, MulFOp
 from repro.dialects.dataflow import BufferOp
 from repro.dialects.memref import AllocOp
-from repro.frontend.cpp import KernelBuilder, build_kernel, build_listing1
-from repro.hida import HidaOptions, compile_module
+from repro.compiler import Compiler, default_stages
+from repro.frontend.cpp import KernelBuilder, build_listing1
 from repro.ir import ConstantOp, MemRefType, f32, i8
 from repro.transforms.loop_transforms import loop_bands_of, pipeline_loop
+from repro.workloads import as_module
+
+
+def compile_unfused_listing1():
+    stages = default_stages(drop=["fuse-tasks", "tile"], parallelize={"factor": 8})
+    return Compiler(stages, platform="zu3eg").run(build_listing1())
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +202,7 @@ class TestDataflowSimulator:
         assert total >= max(latencies) * 0.999
 
     def test_simulate_schedule_end_to_end(self):
-        result = compile_module(
-            build_listing1(),
-            HidaOptions(platform="zu3eg", max_parallel_factor=8, tile_size=0, fuse_tasks=False),
-        )
+        result = compile_unfused_listing1()
         schedule = result.schedules[0]
         estimates = result.estimate.node_estimates
         interval, latency = simulate_schedule(schedule, estimates)
@@ -214,10 +217,7 @@ class TestDataflowSimulator:
 
 class TestDesignEstimation:
     def test_dataflow_beats_sequential_estimate(self):
-        result = compile_module(
-            build_listing1(),
-            HidaOptions(platform="zu3eg", max_parallel_factor=8, tile_size=0, fuse_tasks=False),
-        )
+        result = compile_unfused_listing1()
         estimator = QoREstimator(ZU3EG)
         schedule = result.schedules[0]
         dataflow = estimator.estimate_schedule(schedule, dataflow=True)
@@ -233,7 +233,7 @@ class TestDesignEstimation:
         assert estimate.latency_seconds == pytest.approx(1000 / 200e6)
 
     def test_estimate_function_on_plain_kernel(self):
-        module = build_kernel("symm")
+        module = as_module("symm")
         estimator = QoREstimator(ZU3EG)
         estimate = estimator.estimate_function(module.functions[0])
         assert estimate.latency > 0

@@ -10,7 +10,6 @@ from repro.frontend.cpp import (
     SINGLE_LOOP_KERNELS,
     IndexExpr,
     KernelBuilder,
-    build_kernel,
     build_listing1,
     kernel_names,
 )
@@ -21,13 +20,13 @@ from repro.frontend.nn import (
     ReLU,
     Sequential,
     Tensor,
-    build_model,
     layer_summary,
     model_names,
     trace,
 )
 from repro.ir import ModuleOp, f32, i8, verify
 from repro.transforms.loop_transforms import loop_bands_of
+from repro.workloads import as_module
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +91,13 @@ class TestKernelBuilder:
             IndexExpr.const(1) * 1.5  # non-integer scaling
 
     def test_multiple_loop_nests_are_separate_bands(self):
-        module = build_kernel("mvt")
+        module = as_module("mvt")
         func = module.functions[0]
         bands = loop_bands_of(func)
         assert len(bands) == 2
 
     def test_arguments_are_external_memrefs(self):
-        module = build_kernel("atax")
+        module = as_module("atax")
         func = module.functions[0]
         assert all(not arg.type.is_on_chip for arg in func.arguments)
 
@@ -114,23 +113,23 @@ class TestPolyBench:
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(KeyError):
-            build_kernel("nonexistent")
+            as_module("nonexistent")
 
     @pytest.mark.parametrize("name", kernel_names())
     def test_every_kernel_builds_and_verifies(self, name):
-        module = build_kernel(name)
+        module = as_module(name)
         assert verify(module) == []
         assert module.functions[0].is_top
 
     @pytest.mark.parametrize("name", SINGLE_LOOP_KERNELS)
     def test_single_loop_kernels_have_one_band(self, name):
-        module = build_kernel(name)
+        module = as_module(name)
         bands = loop_bands_of(module.functions[0])
         assert len(bands) == 1
 
     @pytest.mark.parametrize("name", MULTI_LOOP_KERNELS)
     def test_multi_loop_kernels_have_many_bands(self, name):
-        module = build_kernel(name)
+        module = as_module(name)
         bands = loop_bands_of(module.functions[0])
         assert len(bands) >= 2
 
@@ -203,40 +202,40 @@ class TestModelZoo:
 
     def test_unknown_model_raises(self):
         with pytest.raises(KeyError):
-            build_model("alexnet")
+            as_module("alexnet")
 
     @pytest.mark.parametrize("name", ["lenet", "mlp", "resnet18", "mobilenet"])
     def test_models_trace_and_verify(self, name):
-        module = build_model(name)
+        module = as_module(name)
         assert verify(module) == []
 
     def test_resnet18_mac_count_is_realistic(self):
-        module = build_model("resnet18", element_type=f32)
+        module = as_module("resnet18", element_type=f32)
         macs = sum(row[3] for row in layer_summary(module))
         assert 1.6e9 < macs < 2.0e9  # ~1.8 GMAC for 224x224 ResNet-18
 
     def test_vgg16_mac_count_is_realistic(self):
-        module = build_model("vgg16")
+        module = as_module("vgg16")
         macs = sum(row[3] for row in layer_summary(module))
         assert 1.4e10 < macs < 1.7e10  # ~15.5 GMAC
 
     def test_mobilenet_has_depthwise_layers(self):
-        module = build_model("mobilenet")
+        module = as_module("mobilenet")
         names = {op.name for op in module.walk()}
         assert "linalg.depthwise_conv2d" in names
 
     def test_resnet18_has_shortcut_adds(self):
-        module = build_model("resnet18")
+        module = as_module("resnet18")
         adds = [op for op in module.walk() if isinstance(op, linalg.AddOp)]
         assert len(adds) == 8  # one per basic block
 
     def test_batch_dimension_propagates(self):
-        module = build_model("lenet", batch=4)
+        module = as_module("lenet@batch=4")
         conv = [op for op in module.walk() if isinstance(op, linalg.Conv2DOp)][0]
         assert conv.output_type.shape[0] == 4
 
     def test_mlp_is_linear_only(self):
-        module = build_model("mlp")
+        module = as_module("mlp")
         compute = [row[0] for row in layer_summary(module) if row[3] > 0]
         assert set(compute) == {"linalg.linear"}
 
@@ -247,23 +246,23 @@ class TestModelZoo:
 
 class TestLinalgOpSemantics:
     def test_conv_macs_formula(self):
-        module = build_model("lenet", element_type=f32)
+        module = as_module("lenet", element_type=f32)
         conv = [op for op in module.walk() if isinstance(op, linalg.Conv2DOp)][0]
         # conv1: 6 out channels, 1 in channel, 5x5 kernel, 28x28 output.
         assert conv.macs() == 6 * 1 * 5 * 5 * 28 * 28
 
     def test_pool_output_shape(self):
-        module = build_model("lenet")
+        module = as_module("lenet")
         pools = [op for op in module.walk() if isinstance(op, linalg.MaxPool2DOp)]
         assert pools[0].output_type.shape == (1, 6, 14, 14)
 
     def test_reshape_preserves_elements(self):
-        module = build_model("lenet")
+        module = as_module("lenet")
         reshape = [op for op in module.walk() if isinstance(op, linalg.ReshapeOp)][0]
         assert reshape.output_type.num_elements == reshape.input.type.num_elements
 
     def test_elementwise_classification(self):
-        module = build_model("resnet18")
+        module = as_module("resnet18")
         relu = [op for op in module.walk() if isinstance(op, linalg.ReluOp)][0]
         conv = [op for op in module.walk() if isinstance(op, linalg.Conv2DOp)][0]
         assert relu.is_elementwise

@@ -16,8 +16,8 @@ from repro.dialects.dataflow import (
     get_producers,
 )
 from repro.dialects.memref import AllocOp, CopyOp
-from repro.frontend.cpp import build_kernel, build_listing1
-from repro.frontend.nn import Sequential, Conv2d, ReLU, BatchNorm2d, build_model, trace
+from repro.frontend.cpp import build_listing1
+from repro.frontend.nn import Sequential, Conv2d, ReLU, BatchNorm2d, trace
 from repro.hida import (
     analyze_memory_effects,
     balance_data_paths,
@@ -38,6 +38,7 @@ from repro.hida.functional import (
 )
 from repro.ir import Builder, MemRefType, f32, verify
 from repro.transforms import lower_linalg_to_affine
+from repro.workloads import as_module
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +56,13 @@ class TestFunctionalConstruction:
         assert verify(module) == []
 
     def test_single_band_kernel_not_dispatched(self):
-        module = build_kernel("symm")
+        module = as_module("symm")
         created = construct_functional_dataflow(module)
         assert created == 0
         assert not module.walk_ops(DispatchOp)
 
     def test_dnn_model_dispatch_and_tasks(self):
-        module = build_model("lenet")
+        module = as_module("lenet")
         construct_functional_dataflow(module)
         dispatch = module.walk_ops(DispatchOp)[0]
         # One task per compute layer (weights excluded).
@@ -69,7 +70,7 @@ class TestFunctionalConstruction:
         assert verify(module) == []
 
     def test_weights_stay_outside_tasks(self):
-        module = build_model("lenet")
+        module = as_module("lenet")
         construct_functional_dataflow(module)
         for task in module.walk_ops(TaskOp):
             assert not any(op.name == "linalg.fill" for op in task.body.operations)
@@ -81,7 +82,7 @@ class TestFunctionalConstruction:
         assert created_again == 0
 
     def test_wrap_ops_in_task_yields_escaping_values(self):
-        module = build_model("lenet")
+        module = as_module("lenet")
         func = module.functions[0]
         conv = [op for op in func.entry_block.operations if op.name == "linalg.conv2d"][0]
         task = wrap_ops_in_task([conv], label="conv")
@@ -135,7 +136,7 @@ class TestTaskFusion:
         assert len(dispatch.tasks) == 3
 
     def test_init_pattern_fuses_zero_initialization(self):
-        module = build_kernel("3mm")
+        module = as_module("3mm")
         construct_functional_dataflow(module)
         dispatch = module.walk_ops(DispatchOp)[0]
         tasks_before = len(dispatch.tasks)
@@ -153,7 +154,7 @@ class TestTaskFusion:
         assert verify(module) == []
 
     def test_task_intensity_of_lenet_layers(self):
-        module = build_model("lenet")
+        module = as_module("lenet")
         construct_functional_dataflow(module)
         dispatch = module.walk_ops(DispatchOp)[0]
         intensities = [task_intensity(t) for t in dispatch.tasks]
@@ -231,7 +232,7 @@ class TestStructuralLowering:
         assert not module.walk_ops(DispatchOp)
 
     def test_dnn_end_to_end_lowering(self):
-        module = build_model("lenet")
+        module = as_module("lenet")
         construct_functional_dataflow(module)
         fuse_dataflow_tasks(module)
         lower_linalg_to_affine(module)
@@ -388,10 +389,11 @@ class TestDataPathBalancing:
         assert report.total_actions == 0
 
     def test_resnet_shortcuts_trigger_balancing(self):
-        module = build_model("resnet18")
-        from repro.hida import compile_module, HidaOptions
+        from repro.compiler import Compiler, default_stages
 
-        result = compile_module(module, HidaOptions(max_parallel_factor=8))
+        result = Compiler(default_stages(parallelize={"factor": 8})).run(
+            workload="resnet18"
+        )
         assert result.balance_report.buffers_deepened + result.balance_report.soft_fifos > 0
 
 

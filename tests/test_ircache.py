@@ -44,13 +44,30 @@ def summary_of(result):
 
 
 def test_workload_cache_key_forms():
+    """Every spelling of one workload shares the handle's canonical id."""
     assert workload_cache_key("resnet18@batch=4") == "resnet18@batch=4"
     handle = get_workload("2mm")
-    assert workload_cache_key(handle) == handle.workload_id
     spec = WorkloadSpec(kind="kernel", name="2mm", batch=1)
-    key = workload_cache_key(spec)
-    assert key.startswith("kernel:2mm@batch=1")
+    assert workload_cache_key(handle) == workload_cache_key(spec) == "2mm"
+    assert workload_cache_key("kernel:2mm") == workload_cache_key(handle.spec())
+    assert workload_cache_key(get_workload("lenet@batch=4").spec()) == "lenet@batch=4"
     assert workload_cache_key(object()) is None
+
+
+def test_compiler_snapshot_is_a_prefix_hit_for_dse(tmp_path):
+    """Regression: ``--workload 2mm`` keyed snapshots ``"2mm"`` while DSE keyed
+    the same workload ``"kernel:2mm@batch=1|"``, so the two never shared."""
+    from repro.dse import DesignPoint, evaluate_point
+
+    point = DesignPoint(workload_kind="kernel", workload="2mm")
+    cache = IRSnapshotCache(tmp_path)
+    point.compiler().run(workload="2mm", ir_cache=cache)
+    record = evaluate_point(point, ir_cache_dir=str(tmp_path))
+    assert "error" not in record
+    assert record["ir_cache"]["prefix_hits"] == 1
+    assert record["ir_cache"]["stages_skipped"] == len(
+        point.compiler().snapshot_boundaries()
+    )
 
 
 def test_snapshot_boundaries_of_default_pipeline():

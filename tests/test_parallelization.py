@@ -4,12 +4,11 @@ reproducing Tables 4, 5 and 6 of the paper on the Listing-1 example."""
 import pytest
 
 from repro.frontend.cpp import build_listing1
+from repro.compiler import Compiler, default_stages
 from repro.hida import (
-    HidaOptions,
     ParallelizationOptions,
     collect_band_infos,
     collect_connections,
-    compile_module,
     connection_table,
     count_misalignments,
     generate_parallel_factors,
@@ -29,14 +28,9 @@ def lower_listing1_to_schedule(fuse=False):
     return module, schedules[0]
 
 
-def compile_listing1(**overrides):
-    module = build_listing1()
-    options = HidaOptions(
-        platform="zu3eg", max_parallel_factor=32, tile_size=0, fuse_tasks=False
-    )
-    for key, value in overrides.items():
-        setattr(options, key, value)
-    return compile_module(module, options)
+def compile_listing1(**parallelize):
+    stages = default_stages(drop=["fuse-tasks", "tile"], parallelize=parallelize)
+    return Compiler(stages, platform="zu3eg").run(build_listing1())
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +174,7 @@ class TestTable5And6:
         assert result.misalignments == 0
 
     def test_ia_only_unroll_factors(self):
-        result = compile_listing1(connection_aware=False)
+        result = compile_listing1(ca=False)
         factors = {
             result.parallelization.intensities[k]: v
             for k, v in result.parallelization.unroll_factors.items()
@@ -190,7 +184,7 @@ class TestTable5And6:
         assert factors[256] == [1, 2]
 
     def test_ca_only_unroll_factors(self):
-        result = compile_listing1(intensity_aware=False)
+        result = compile_listing1(ia=False)
         factors = {
             result.parallelization.intensities[k]: v
             for k, v in result.parallelization.unroll_factors.items()
@@ -200,7 +194,7 @@ class TestTable5And6:
         assert factors[256] == [4, 8]
 
     def test_naive_unroll_factors(self):
-        result = compile_listing1(intensity_aware=False, connection_aware=False)
+        result = compile_listing1(ia=False, ca=False)
         factors = {
             result.parallelization.intensities[k]: v
             for k, v in result.parallelization.unroll_factors.items()
@@ -223,9 +217,9 @@ class TestTable5And6:
         banks_by_mode = {}
         for mode, overrides in {
             "ia+ca": {},
-            "ia": {"connection_aware": False},
-            "ca": {"intensity_aware": False},
-            "naive": {"intensity_aware": False, "connection_aware": False},
+            "ia": {"ca": False},
+            "ca": {"ia": False},
+            "naive": {"ia": False, "ca": False},
         }.items():
             result = compile_listing1(**overrides)
             banks_by_mode[mode] = sum(
@@ -238,7 +232,7 @@ class TestTable5And6:
         assert banks_by_mode["naive"] >= 4 * banks_by_mode["ia+ca"]
 
     def test_misalignment_counter(self):
-        result = compile_listing1(connection_aware=False)
+        result = compile_listing1(ca=False)
         # IA-only factors happen to stay aligned on this small example or not;
         # the counter must simply be consistent and non-negative.
         assert result.misalignments >= 0

@@ -3,7 +3,7 @@ the LeNet case study harness."""
 
 import pytest
 
-from repro import HidaCompiler, HidaOptions, compile_module, emit_hls_cpp
+from repro import DEFAULT_PIPELINE, Compiler, default_stages, emit_hls_cpp
 from repro.baselines import (
     ABLATION_MODES,
     UnsupportedModelError,
@@ -24,9 +24,18 @@ from repro.evaluation import (
     pareto_frontier,
 )
 from repro.evaluation.lenet_case_study import LeNetDesignPoint
-from repro.frontend.cpp import build_kernel, build_listing1
-from repro.frontend.nn import build_model, layer_summary
+from repro.frontend.cpp import build_listing1
+from repro.frontend.nn import layer_summary
 from repro.ir import verify
+from repro.workloads import as_module
+
+
+def compile_hida(workload, platform="vu9p-slr", drop=(), verify_each=False, **stage_options):
+    """The default pipeline, reconfigured, over a module or workload id."""
+    compiler = Compiler(
+        default_stages(drop, **stage_options), platform=platform, verify_each=verify_each
+    )
+    return compiler.run(as_module(workload))
 
 
 # ---------------------------------------------------------------------------
@@ -36,59 +45,54 @@ from repro.ir import verify
 
 class TestPipeline:
     def test_listing1_compiles_and_verifies(self):
-        result = compile_module(
-            build_listing1(),
-            HidaOptions(platform="zu3eg", max_parallel_factor=32, tile_size=0, verify=True),
-        )
+        result = compile_hida(build_listing1(), "zu3eg", drop=["tile"], verify_each=True)
+        assert result.options.verify
         assert result.schedules
         assert result.throughput > 0
         assert verify(result.module) == []
 
     def test_summary_keys(self):
-        result = compile_module(build_listing1(), HidaOptions(platform="zu3eg", tile_size=0))
+        result = compile_hida(build_listing1(), "zu3eg", drop=["tile"])
         summary = result.summary()
         for key in ("throughput", "dsp", "bram", "lut", "interval_cycles", "num_nodes"):
             assert key in summary
 
     def test_single_band_kernel_estimated_without_schedule(self):
-        result = compile_module(build_kernel("symm"), HidaOptions(platform="zu3eg"))
+        result = compile_hida("symm", "zu3eg")
         assert result.schedules == []
         assert result.throughput > 0
 
     def test_dnn_compiles_quickly(self):
-        result = HidaCompiler().compile_model("lenet", max_parallel_factor=16)
+        result = compile_hida("lenet", parallelize={"factor": 16})
         assert result.compile_seconds < 30
         assert result.throughput > 0
 
     def test_larger_parallel_factor_not_slower(self):
-        small = HidaCompiler().compile_model("lenet", max_parallel_factor=4)
-        large = HidaCompiler().compile_model("lenet", max_parallel_factor=32)
+        small = compile_hida("lenet", parallelize={"factor": 4})
+        large = compile_hida("lenet", parallelize={"factor": 32})
         assert large.throughput >= small.throughput * 0.99
         assert large.estimate.resources.dsp >= small.estimate.resources.dsp
 
     def test_dataflow_disabled_is_slower(self):
-        with_df = compile_module(
-            build_listing1(), HidaOptions(platform="zu3eg", tile_size=0)
-        )
-        without_df = compile_module(
-            build_listing1(), HidaOptions(platform="zu3eg", tile_size=0, enable_dataflow=False)
+        with_df = compile_hida(build_listing1(), "zu3eg", drop=["tile"])
+        without_df = compile_hida(
+            build_listing1(), "zu3eg", drop=["tile"], estimate={"dataflow": False}
         )
         assert with_df.throughput >= without_df.throughput
 
     def test_tiling_reduces_on_chip_memory_for_dnn(self):
-        tiled = HidaCompiler().compile_model("vgg16", max_parallel_factor=16, tile_size=16)
-        untiled = HidaCompiler().compile_model("vgg16", max_parallel_factor=16, tile_size=0)
+        tiled = compile_hida("vgg16", parallelize={"factor": 16}, tile={"size": 16})
+        untiled = compile_hida("vgg16", parallelize={"factor": 16}, drop=["tile"])
         assert tiled.estimate.resources.bram < untiled.estimate.resources.bram
 
     def test_compiler_kernel_entry_point(self):
-        result = HidaCompiler(HidaOptions(platform="zu3eg")).compile_kernel("mvt")
+        result = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(workload="mvt")
         assert result.throughput > 0
 
     def test_stage_timings_recorded(self):
-        result = compile_module(build_listing1(), HidaOptions(platform="zu3eg", tile_size=0))
-        assert set(result.stage_seconds) >= {
-            "construct", "fusion", "bufferize", "structural", "dataflow-opt", "parallelize",
-        }
+        result = compile_hida(build_listing1(), "zu3eg", drop=["tile"])
+        names = [name for name, _ in result.stage_timings]
+        assert names == [n for n in DEFAULT_PIPELINE.split(",") if n != "tile"]
 
 
 # ---------------------------------------------------------------------------
@@ -98,36 +102,35 @@ class TestPipeline:
 
 class TestBaselines:
     def test_vitis_baseline_pipelines_only(self):
-        module = build_kernel("2mm")
-        estimate = compile_vitis_baseline(module, platform="zu3eg")
+        estimate = compile_vitis_baseline(as_module("2mm"), platform="zu3eg")
         assert estimate.resources.dsp < 30  # no unrolling -> few multipliers
         assert estimate.throughput > 0
 
     def test_hida_beats_vitis_on_multi_loop_kernel(self):
-        hida = compile_module(build_kernel("2mm"), HidaOptions(platform="zu3eg", max_parallel_factor=16))
-        vitis = compile_vitis_baseline(build_kernel("2mm"), platform="zu3eg")
+        hida = compile_hida("2mm", "zu3eg", parallelize={"factor": 16})
+        vitis = compile_vitis_baseline(as_module("2mm"), platform="zu3eg")
         assert hida.throughput > vitis.throughput
 
     def test_scalehls_keeps_everything_on_chip(self):
-        scalehls = compile_scalehls_baseline(build_model("lenet"), max_parallel_factor=8)
-        hida = HidaCompiler().compile_model("lenet", max_parallel_factor=8, tile_size=16)
+        scalehls = compile_scalehls_baseline(as_module("lenet"), max_parallel_factor=8)
+        hida = compile_hida("lenet", parallelize={"factor": 8}, tile={"size": 16})
         assert scalehls.estimate.resources.bram > hida.estimate.resources.bram
 
     def test_hida_beats_scalehls_on_dnn_at_equal_parallelism_budget(self):
-        scalehls = compile_scalehls_baseline(build_model("resnet18"), max_parallel_factor=16)
-        hida = HidaCompiler().compile_model("resnet18", max_parallel_factor=64)
+        scalehls = compile_scalehls_baseline(as_module("resnet18"), max_parallel_factor=16)
+        hida = compile_hida("resnet18", parallelize={"factor": 64})
         # At a comparable DSP budget HIDA reaches higher throughput.
         assert hida.estimate.resources.dsp <= scalehls.estimate.resources.dsp * 1.6
         assert hida.throughput > scalehls.throughput
 
     def test_dnnbuilder_supports_plain_cnns_only(self):
-        result = compile_dnnbuilder_baseline(build_model("vgg16"))
+        result = compile_dnnbuilder_baseline(as_module("vgg16"))
         assert result.throughput > 0
         assert 0 < result.dsp_efficiency <= 1.5
         with pytest.raises(UnsupportedModelError):
-            compile_dnnbuilder_baseline(build_model("resnet18"))
+            compile_dnnbuilder_baseline(as_module("resnet18"))
         with pytest.raises(UnsupportedModelError):
-            compile_dnnbuilder_baseline(build_model("mobilenet"))
+            compile_dnnbuilder_baseline(as_module("mobilenet"))
 
     def test_soff_reference_constants(self):
         assert soff_throughput("2mm") == pytest.approx(30.67)
@@ -154,9 +157,7 @@ class TestBaselines:
 
 class TestEmitter:
     def test_emits_dataflow_and_pipeline_pragmas(self):
-        result = compile_module(
-            build_listing1(), HidaOptions(platform="zu3eg", max_parallel_factor=32, tile_size=0)
-        )
+        result = compile_hida(build_listing1(), "zu3eg", drop=["tile"])
         code = emit_hls_cpp(result.module)
         assert "#pragma HLS dataflow" in code
         assert "#pragma HLS pipeline" in code
@@ -165,17 +166,17 @@ class TestEmitter:
         assert "void listing1(" in code
 
     def test_emits_interfaces_for_external_arguments(self):
-        result = compile_module(build_kernel("atax"), HidaOptions(platform="zu3eg"))
+        result = compile_hida("atax", "zu3eg")
         code = emit_hls_cpp(result.module)
         assert "#pragma HLS interface m_axi" in code
 
     def test_plain_kernel_emission(self):
-        code = emit_hls_cpp(build_kernel("symm"))
+        code = emit_hls_cpp(as_module("symm"))
         assert "for (int" in code
         assert code.count("{") == code.count("}")
 
     def test_emission_is_deterministic(self):
-        module = build_kernel("bicg")
+        module = as_module("bicg")
         assert emit_hls_cpp(module) == emit_hls_cpp(module)
 
 
@@ -246,9 +247,8 @@ class TestReportingAndMetrics:
         assert "-" in lines[2]
 
     def test_hida_dsp_efficiency_in_sane_range(self):
-        module = build_model("vgg16")
-        macs = sum(row[3] for row in layer_summary(module))
-        result = HidaCompiler().compile_model("vgg16", max_parallel_factor=128)
+        macs = sum(row[3] for row in layer_summary(as_module("vgg16")))
+        result = compile_hida("vgg16", parallelize={"factor": 128})
         platform = get_platform("vu9p-slr")
         efficiency = dsp_efficiency(
             result.throughput, macs, result.estimate.resources.dsp, platform.clock_hz

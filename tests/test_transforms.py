@@ -7,8 +7,8 @@ from repro.dialects import linalg
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.dialects.dataflow import TaskOp
 from repro.dialects.memref import AllocOp, GetGlobalOp
-from repro.frontend.cpp import KernelBuilder, build_kernel, build_listing1
-from repro.frontend.nn import Sequential, Conv2d, ReLU, Linear, MaxPool2d, Flatten, build_model, trace
+from repro.frontend.cpp import KernelBuilder, build_listing1
+from repro.frontend.nn import Sequential, Conv2d, ReLU, Linear, MaxPool2d, Flatten, trace
 from repro.hida.functional import construct_functional_dataflow
 from repro.ir import Builder, ConstantOp, FuncOp, MemRefType, ModuleOp, f32, verify
 from repro.transforms import (
@@ -19,6 +19,7 @@ from repro.transforms import (
     tile_loop,
     unroll_loop,
 )
+from repro.workloads import as_module
 from repro.transforms.loop_transforms import (
     annotate_unroll,
     innermost_loops_of,
@@ -98,12 +99,12 @@ class TestLinalgLowering:
         )
 
     def test_residual_add_lowering(self):
-        module = build_model("resnet18")
+        module = as_module("resnet18")
         lower_linalg_to_affine(module)
         assert verify(module) == []
 
     def test_depthwise_lowering(self):
-        module = build_model("mobilenet")
+        module = as_module("mobilenet")
         lower_linalg_to_affine(module)
         assert not any(isinstance(op, linalg.LinalgOp) for op in module.walk())
 
@@ -151,7 +152,7 @@ class TestLoopTransforms:
         assert loop.is_pipelined and loop.target_ii == 2
 
     def test_pipeline_innermost_loops_count(self):
-        module = build_kernel("mvt")
+        module = as_module("mvt")
         count = pipeline_innermost_loops(module.functions[0])
         assert count == 2
 
@@ -175,21 +176,21 @@ class TestLoopTransforms:
             tile_loop(loop, 0)
 
     def test_tile_band(self):
-        module = build_kernel("symm")
+        module = as_module("symm")
         band = loop_bands_of(module.functions[0])[0]
         points = tile_band(band, [8, 8, 8])
         assert len(points) == 3
         assert verify(module) == []
 
     def test_normalize_band_unroll(self):
-        module = build_kernel("symm")
+        module = as_module("symm")
         band = loop_bands_of(module.functions[0])[0]
         applied = normalize_band_unroll(band, [4, 1000, 2])
         assert applied[0] == 4
         assert applied[1] <= band[1].trip_count
 
     def test_innermost_loops_of(self):
-        module = build_kernel("3mm")
+        module = as_module("3mm")
         inner = innermost_loops_of(module.functions[0])
         assert len(inner) == len(loop_bands_of(module.functions[0]))
 
@@ -260,14 +261,14 @@ class TestCanonicalize:
         assert dead not in func.entry_block.operations
 
     def test_dce_preserves_side_effects(self):
-        module = build_kernel("symm")
+        module = as_module("symm")
         stores_before = len([op for op in module.walk() if isinstance(op, AffineStoreOp)])
         eliminate_dead_code(module)
         stores_after = len([op for op in module.walk() if isinstance(op, AffineStoreOp)])
         assert stores_before == stores_after
 
     def test_dce_preserves_loops_with_stores(self):
-        module = build_kernel("2mm")
+        module = as_module("2mm")
         loops_before = len([op for op in module.walk() if isinstance(op, AffineForOp)])
         eliminate_dead_code(module)
         loops_after = len([op for op in module.walk() if isinstance(op, AffineForOp)])

@@ -101,7 +101,7 @@ class TestParameterization:
         with pytest.raises(ValueError, match="int"):
             get_workload("resnet18@batch=huge")
 
-    def test_kernel_spec_ignores_batch_like_legacy_build_kernel(self):
+    def test_kernel_spec_ignores_batch_like_legacy_build_path(self):
         # Pre-registry, WorkloadSpec.build() for kernels silently ignored
         # the batch field; the registry bridge must preserve that.
         spec = WorkloadSpec("kernel", "atax", batch=2)
@@ -158,13 +158,13 @@ class TestSuggestions:
         assert get_platform("vu9p").name == "vu9p-slr"
 
     def test_legacy_build_entry_points_raise_keyerror(self):
-        from repro.frontend.cpp import build_kernel
-        from repro.frontend.nn import build_model
-
+        # The kind-qualified spellings the old per-frontend builders mapped to.
         with pytest.raises(KeyError):
-            build_model("resnet8")
+            get_workload("model:resnet8")
         with pytest.raises(KeyError):
-            build_kernel("ataxx")
+            get_workload("atax", kind="model")
+        with pytest.raises(KeyError):
+            get_workload("kernel:ataxx")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Ratcheting mypy gate over the analyzer and IR layers.
 
-Runs ``mypy --config-file mypy.ini src/repro/analysis src/repro/ir`` and
-diffs the findings against the committed baseline
+Runs ``mypy --config-file mypy.ini`` over :data:`TARGETS` (the analyzer, IR,
+telemetry and compiler-front-door layers) and diffs the findings against the committed baseline
 (``tools/mypy_baseline.txt``):
 
 * a finding not in the baseline fails the gate (new type error);
@@ -32,6 +32,8 @@ TARGETS = [
     "src/repro/analysis",
     "src/repro/ir",
     "src/repro/obs",
+    "src/repro/compiler",
+    "src/repro/hida/pipeline.py",
     "src/repro/hida/analysis.py",
     "src/repro/hida/dataflow_opt.py",
     "src/repro/transforms/array_partition.py",
