@@ -28,6 +28,7 @@ from . import checkers, loop_checkers  # noqa: F401  (registers the built-in rul
 from .dependence import (
     Dependence,
     DistanceElement,
+    NestAccesses,
     band_dependences,
     loop_carried_dependences,
     loop_carries_dependence,
@@ -86,6 +87,7 @@ __all__ = [
     "DistanceElement",
     "FuzzReport",
     "LegalityResult",
+    "NestAccesses",
     "ScheduleContext",
     "SourceLocation",
     "StageValidation",

@@ -25,20 +25,35 @@ that does not exist, but never misses one.  Each distance entry is one of
 
 ``exact``/``atleast`` entries are sound bounds; ``any``/``unknown`` must
 be treated as "every distance possible".
+
+All arithmetic is integral: affine constants, loop bounds and steps are
+``int`` by construction, so linear forms and the GCD / bounds tests run on
+``int``.  A non-integral constant, should one ever appear, makes the
+subscript not analyzable (``None``), like a non-linear expression.
+
+Sharing the walk
+----------------
+Walking a nest and linearizing its subscripts does not depend on which
+loop a question is rooted at.  :class:`NestAccesses` does it once for a
+band's outermost loop; every entry point here and in :mod:`.legality` /
+:mod:`.recurrence` takes one as ``accesses`` and answers for any loop of
+the nest by restricting to the accesses under it and trimming their loop
+tuples — the same rooted solve as a fresh walk, not a projection of the
+outer nest's vectors.  A collection describes one IR state: whoever
+mutates the nest (``permute_band``) drops it.  Without ``accesses`` each
+call walks for itself, so there is no cache to invalidate.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects.affine import (
     AffineApplyOp,
     AffineForOp,
     AffineLoadOp,
     AffineStoreOp,
-    enclosing_loops,
 )
 from ..dialects.affine_map import (
     AffineBinaryExpr,
@@ -51,6 +66,7 @@ from ..ir.core import Block, Operation, Value
 __all__ = [
     "DistanceElement",
     "Dependence",
+    "NestAccesses",
     "nest_dependences",
     "band_dependences",
     "loop_carried_dependences",
@@ -183,25 +199,25 @@ class Dependence:
 class _LinearIndex:
     """``const + sum(coeffs[v] * v)`` over SSA index values."""
 
-    coeffs: Dict[Value, Fraction]
-    const: Fraction
+    coeffs: Dict[Value, int]
+    const: int
 
     def add(self, other: "_LinearIndex") -> "_LinearIndex":
         coeffs = dict(self.coeffs)
         for value, coeff in other.coeffs.items():
-            coeffs[value] = coeffs.get(value, Fraction(0)) + coeff
+            coeffs[value] = coeffs.get(value, 0) + coeff
         return _LinearIndex(
             {v: c for v, c in coeffs.items() if c != 0}, self.const + other.const
         )
 
-    def scale(self, factor: Fraction) -> "_LinearIndex":
+    def scale(self, factor: int) -> "_LinearIndex":
         return _LinearIndex(
             {v: c * factor for v, c in self.coeffs.items() if c * factor != 0},
             self.const * factor,
         )
 
     @property
-    def constant_value(self) -> Optional[Fraction]:
+    def constant_value(self) -> Optional[int]:
         return self.const if not self.coeffs else None
 
 
@@ -223,7 +239,7 @@ def _linearize_value(value: Value, depth: int = 0) -> _LinearIndex:
         expanded = _expr_to_linear(owner.map.results[0], operand_forms)
         if expanded is not None:
             return expanded
-    return _LinearIndex({value: Fraction(1)}, Fraction(0))
+    return _LinearIndex({value: 1}, 0)
 
 
 def _expr_to_linear(
@@ -231,7 +247,9 @@ def _expr_to_linear(
 ) -> Optional[_LinearIndex]:
     """Fold an affine expression over linear operand forms; None if non-linear."""
     if isinstance(expr, AffineConstantExpr):
-        return _LinearIndex({}, Fraction(expr.value))
+        if not isinstance(expr.value, int):
+            return None  # non-integral constant: not analyzable
+        return _LinearIndex({}, expr.value)
     if isinstance(expr, AffineDimExpr):
         if expr.position >= len(dim_forms):
             return None
@@ -252,14 +270,12 @@ def _expr_to_linear(
         # floordiv / ceildiv / mod: fold only the fully constant case.
         lc, rc = lhs.constant_value, rhs.constant_value
         if lc is not None and rc is not None and rc != 0:
-            if lc.denominator == 1 and rc.denominator == 1:
-                a, b = int(lc), int(rc)
-                if expr.kind == "floordiv":
-                    return _LinearIndex({}, Fraction(a // b))
-                if expr.kind == "ceildiv":
-                    return _LinearIndex({}, Fraction(-((-a) // b)))
-                if expr.kind == "mod":
-                    return _LinearIndex({}, Fraction(a % b))
+            if expr.kind == "floordiv":
+                return _LinearIndex({}, lc // rc)
+            if expr.kind == "ceildiv":
+                return _LinearIndex({}, _ceil_div(lc, rc))
+            if expr.kind == "mod":
+                return _LinearIndex({}, lc % rc)
         return None
     return None  # symbols and anything else: not analyzable
 
@@ -271,36 +287,56 @@ class _Access:
     is_store: bool
     subscripts: List[Optional[_LinearIndex]]
     loops: Tuple[AffineForOp, ...]  # enclosing loops within the nest root
-    order: int  # program (walk) order within the root
 
 
-def _collect_accesses(root: Operation) -> List[_Access]:
-    accesses: List[_Access] = []
-    order = 0
-    for op in root.walk():
-        if isinstance(op, AffineLoadOp):
-            memref, indices, is_store = op.memref, op.index_operands, False
-        elif isinstance(op, AffineStoreOp):
-            memref, indices, is_store = op.memref, op.index_operands, True
-        else:
-            continue
-        loops = tuple(
-            loop
-            for loop in enclosing_loops(op)
-            if loop is root or root.is_ancestor_of(loop)
-        )
-        # Each subscript is the access map's result expression composed
-        # over the linearized index operands (so both map-level arithmetic
-        # like ``d0 * 2 + 1`` and operand-level ``affine.apply`` chains
-        # land in one linear form).
-        operand_forms = [_linearize_value(index) for index in indices]
-        subscripts: List[Optional[_LinearIndex]] = [
-            _expr_to_linear(expr, operand_forms)
-            for expr in op.access_map.results
+class NestAccesses:
+    """The affine accesses of one nest, walked and linearized once.
+
+    Describes the IR as it was when built; see "Sharing the walk" in the
+    module docstring for who may reuse it and when it must be rebuilt.
+    """
+
+    def __init__(self, root: Operation) -> None:
+        self.root = root
+        self.accesses: List[_Access] = []  # program order
+        self._walk(root, ())
+
+    def _walk(self, op: Operation, loops: Tuple[AffineForOp, ...]) -> None:
+        if isinstance(op, (AffineLoadOp, AffineStoreOp)):
+            # Each subscript is the access map's result expression composed
+            # over the linearized index operands (so both map-level arithmetic
+            # like ``d0 * 2 + 1`` and operand-level ``affine.apply`` chains
+            # land in one linear form).
+            operand_forms = [_linearize_value(index) for index in op.index_operands]
+            subscripts: List[Optional[_LinearIndex]] = [
+                _expr_to_linear(expr, operand_forms)
+                for expr in op.access_map.results
+            ]
+            is_store = isinstance(op, AffineStoreOp)
+            self.accesses.append(_Access(op, op.memref, is_store, subscripts, loops))
+            return
+        if isinstance(op, AffineForOp):
+            loops += (op,)
+        for region in op.regions:
+            for block in region.blocks:
+                for child in block.operations:
+                    self._walk(child, loops)
+
+    def under(self, root: Operation) -> List[_Access]:
+        """Accesses nested under ``root``, their loop tuples starting at it."""
+        if root is self.root:
+            return self.accesses
+        trimmed = [
+            dataclasses.replace(access, loops=access.loops[depth:])
+            for access in self.accesses
+            for depth, loop in enumerate(access.loops)
+            if loop is root
         ]
-        accesses.append(_Access(op, memref, is_store, subscripts, loops, order))
-        order += 1
-    return accesses
+        if not trimmed and not (
+            isinstance(root, AffineForOp) and self.root.is_ancestor_of(root)
+        ):
+            raise ValueError("root is not a loop of the nest these accesses cover")
+        return trimmed
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +359,6 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    lcm = 1
-    for value in values:
-        d = value.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return lcm
 
 
 def _iter_range(loop: AffineForOp) -> int:
@@ -364,13 +391,13 @@ def _solve_pair(
         if fa is None or fb is None:
             pair_unknown = True
             continue
-        coeff_a: Dict[int, Fraction] = {}
-        coeff_b: Dict[int, Fraction] = {}
+        coeff_a: Dict[int, int] = {}
+        coeff_b: Dict[int, int] = {}
         skip_dim = False
         invariant_mismatch = False
         for value in set(fa.coeffs) | set(fb.coeffs):
-            ca = fa.coeffs.get(value, Fraction(0))
-            cb = fb.coeffs.get(value, Fraction(0))
+            ca = fa.coeffs.get(value, 0)
+            cb = fb.coeffs.get(value, 0)
             level = level_of.get(id(value))
             if level is not None:
                 if ca:
@@ -403,8 +430,7 @@ def _solve_pair(
                 return None  # distinct constant addresses: independent
             continue
         uniform = all(
-            coeff_a.get(level, Fraction(0)) == coeff_b.get(level, Fraction(0))
-            for level in involved
+            coeff_a.get(level, 0) == coeff_b.get(level, 0) for level in involved
         )
         if uniform:
             verdict = _solve_uniform_dim(
@@ -415,29 +441,25 @@ def _solve_pair(
             continue
         # General case: GCD + bounds tests over iteration-number variables.
         # sum(a_l*s_l * t_src_l) - sum(b_l*s_l * t_dst_l) = C2
-        terms: List[Tuple[int, int]] = []  # (int coefficient, trip range)
+        terms: List[Tuple[int, int]] = []  # (coefficient, trip range)
         c2 = const
         for level in involved:
-            step = Fraction(common[level].step)
-            lb = Fraction(common[level].lower_bound)
-            a = coeff_a.get(level, Fraction(0))
-            b = coeff_b.get(level, Fraction(0))
-            c2 -= (a - b) * lb
+            step = common[level].step
+            a = coeff_a.get(level, 0)
+            b = coeff_b.get(level, 0)
+            c2 -= (a - b) * common[level].lower_bound
             if a:
                 terms.append((a * step, _iter_range(common[level])))
             if b:
                 terms.append((-b * step, _iter_range(common[level])))
-        denom = _common_denominator([t[0] for t in terms] + [c2])
-        int_terms = [(int(t * denom), r) for t, r in terms]
-        c2_int = int(c2 * denom)
         g = 0
-        for coefficient, _ in int_terms:
+        for coefficient, _ in terms:
             g = _gcd(g, coefficient)
-        if g and c2_int % g != 0:
+        if g and c2 % g != 0:
             return None  # GCD test: no integer solution
-        low = sum(min(c * r, 0) for c, r in int_terms)
-        high = sum(max(c * r, 0) for c, r in int_terms)
-        if not low <= c2_int <= high:
+        low = sum(min(c * r, 0) for c, r in terms)
+        high = sum(max(c * r, 0) for c, r in terms)
+        if not low <= c2 <= high:
             return None  # bounds test: no solution inside the loop bounds
         for level in involved:
             if exact[level] is None:
@@ -475,8 +497,8 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _solve_uniform_dim(
     involved: Sequence[int],
-    coeffs: Dict[int, Fraction],
-    const: Fraction,
+    coeffs: Dict[int, int],
+    const: int,
     common: Sequence[AffineForOp],
     exact: List[Optional[int]],
     unknown: List[bool],
@@ -490,16 +512,14 @@ def _solve_uniform_dim(
     a level left with slack becomes ``unknown``.  Returns False when the
     system has no integer solution (the accesses are independent).
     """
-    entries: List[Tuple[int, Fraction, int]] = []
+    terms: List[Tuple[int, int, int]] = []  # (level, coefficient, trip range)
     for level in involved:
-        g = coeffs.get(level, Fraction(0)) * Fraction(common[level].step)
+        g = coeffs.get(level, 0) * common[level].step
         if g != 0:
-            entries.append((level, g, _iter_range(common[level])))
-    if not entries:
+            terms.append((level, g, _iter_range(common[level])))
+    if not terms:
         return const == 0
-    denom = _common_denominator([g for _, g, _ in entries] + [const])
-    terms = [(level, int(g * denom), r) for level, g, r in entries]
-    target = int(-const * denom)
+    target = -const
     g_all = 0
     for _, g, _ in terms:
         g_all = _gcd(g_all, g)
@@ -652,18 +672,21 @@ def _common_prefix(
 
 
 def nest_dependences(
-    root: Operation, include_loop_independent: bool = True
+    root: Operation,
+    include_loop_independent: bool = True,
+    accesses: Optional[NestAccesses] = None,
 ) -> List[Dependence]:
     """All memory dependences between affine accesses nested under ``root``.
 
     Every pair of accesses to the same buffer with at least one store is
     solved in both directions over their common enclosing loops (within
     ``root``): program order for the forward direction, strictly earlier
-    iterations for the backward one.
+    iterations for the backward one.  ``accesses`` is a collection of an
+    enclosing nest to answer from instead of walking ``root`` again.
     """
-    accesses = _collect_accesses(root)
+    nest = accesses or NestAccesses(root)
     by_buffer: Dict[int, List[_Access]] = {}
-    for access in accesses:
+    for access in nest.under(root):
         by_buffer.setdefault(id(access.memref), []).append(access)
 
     dependences: List[Dependence] = []
@@ -703,15 +726,19 @@ def band_dependences(band: Sequence[AffineForOp]) -> List[Dependence]:
     return nest_dependences(band[0])
 
 
-def loop_carried_dependences(loop: AffineForOp) -> List[Dependence]:
+def loop_carried_dependences(
+    loop: AffineForOp, accesses: Optional[NestAccesses] = None
+) -> List[Dependence]:
     """Dependences carried by ``loop`` itself (distance > 0 at its level)."""
     carried = []
-    for dep in nest_dependences(loop, include_loop_independent=False):
+    for dep in nest_dependences(loop, include_loop_independent=False, accesses=accesses):
         if dep.loops and dep.loops[0] is loop and dep.carried_at(0):
             carried.append(dep)
     return carried
 
 
-def loop_carries_dependence(loop: AffineForOp) -> bool:
+def loop_carries_dependence(
+    loop: AffineForOp, accesses: Optional[NestAccesses] = None
+) -> bool:
     """True when iterations of ``loop`` cannot safely run in parallel."""
-    return bool(loop_carried_dependences(loop))
+    return bool(loop_carried_dependences(loop, accesses))

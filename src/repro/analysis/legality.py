@@ -20,6 +20,7 @@ from ..dialects.affine import AffineForOp
 from ..ir.core import Operation, Value
 from .dependence import (
     Dependence,
+    NestAccesses,
     _expr_to_linear,
     _linearize_value,
     loop_carried_dependences,
@@ -83,14 +84,17 @@ class LegalityResult:
 
 
 def legal_permutation(
-    band: Sequence[AffineForOp], permutation: Sequence[int]
+    band: Sequence[AffineForOp],
+    permutation: Sequence[int],
+    accesses: Optional[NestAccesses] = None,
 ) -> LegalityResult:
     """Can ``band`` be reordered so level ``j`` becomes old level ``permutation[j]``?
 
     Classic criterion: every dependence's permuted distance vector must stay
     lexicographically non-negative.  Free (``any``/``unknown``) entries are
     treated as possibly negative, so they only pass when a permuted-outer
-    level already forces positivity.
+    level already forces positivity.  ``accesses`` is the band's shared
+    access collection (see :mod:`.dependence`), if the caller holds one.
     """
     name = "permutation"
     order = list(permutation)
@@ -98,9 +102,11 @@ def legal_permutation(
         return LegalityResult(
             False, name, f"{order} is not a permutation of 0..{len(band) - 1}"
         )
+    if not band:
+        return LegalityResult(True, name)
     offending: List[Dependence] = []
     inverse = {old: new for new, old in enumerate(order)}
-    for dep in band_deps_for_permutation(band):
+    for dep in nest_dependences(band[0], include_loop_independent=False, accesses=accesses):
         if len(dep.loops) < len(band):
             # An access sits between band levels; reordering across it is
             # not representable in this vector space — reject conservatively.
@@ -132,12 +138,6 @@ def legal_permutation(
             tuple(offending),
         )
     return LegalityResult(True, name)
-
-
-def band_deps_for_permutation(band: Sequence[AffineForOp]) -> List[Dependence]:
-    if not band:
-        return []
-    return nest_dependences(band[0], include_loop_independent=False)
 
 
 def _possibly_lex_negative(
@@ -198,7 +198,9 @@ def legal_unroll(loop: AffineForOp, factor: int) -> LegalityResult:
 # ---------------------------------------------------------------------------
 
 
-def legal_pipeline_ii(loop: AffineForOp, target_ii: int = 1) -> LegalityResult:
+def legal_pipeline_ii(
+    loop: AffineForOp, target_ii: int = 1, accesses: Optional[NestAccesses] = None
+) -> LegalityResult:
     """Is ``target_ii`` achievable against the loop's recurrences?
 
     ``min_ii`` in the result is the rec-MII bound; callers either clamp
@@ -206,10 +208,10 @@ def legal_pipeline_ii(loop: AffineForOp, target_ii: int = 1) -> LegalityResult:
     ``strict=True``).
     """
     name = f"pipeline at II={target_ii}"
-    min_ii = pipeline_rec_mii(loop)
+    min_ii = pipeline_rec_mii(loop, accesses)
     if target_ii >= min_ii:
         return LegalityResult(True, name, min_ii=min_ii)
-    offending = tuple(binding_recurrences(loop, target_ii))
+    offending = tuple(binding_recurrences(loop, target_ii, accesses))
     return LegalityResult(
         False,
         name,
@@ -281,15 +283,10 @@ def partition_bank_conflicts(
             if form is None:
                 continue
             offsets = _unrolled_offsets(form)
-            if offsets is None:
-                continue
             signature = tuple(
                 sorted((id(v), c) for v, c in form.coeffs.items())
             )
-            base = form.const
-            if base.denominator != 1:
-                continue
-            groups.setdefault(signature, []).append((int(base), offsets))
+            groups.setdefault(signature, []).append((form.const, offsets))
         for members in groups.values():
             hits: Dict[int, int] = {}
             for base, offsets in members:
@@ -305,12 +302,11 @@ def partition_bank_conflicts(
     return conflicts
 
 
-def _unrolled_offsets(form) -> Optional[List[int]]:
+def _unrolled_offsets(form) -> List[int]:
     """Same-cycle address offsets of one subscript under loop unrolling.
 
     Every unrolled loop whose IV appears in the linear form multiplies the
-    copies; offsets are the cartesian sums of ``k * coeff * step``.  None
-    when a coefficient is fractional (non-integer addressing).
+    copies; offsets are the cartesian sums of ``k * coeff * step``.
     """
     per_loop: List[List[int]] = []
     for value, coeff in form.coeffs.items():
@@ -322,9 +318,7 @@ def _unrolled_offsets(form) -> Optional[List[int]]:
         if factor <= 1:
             continue
         stride = coeff * loop.step
-        if stride.denominator != 1:
-            return None
-        per_loop.append([k * int(stride) for k in range(min(factor, 64))])
+        per_loop.append([k * stride for k in range(min(factor, 64))])
     if not per_loop:
         return [0]
     offsets = [sum(combo) for combo in itertools.product(*per_loop)]

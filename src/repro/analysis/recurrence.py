@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from ..dialects.affine import AffineForOp
 from ..ir.core import Operation, Value
-from .dependence import Dependence, loop_carried_dependences
+from .dependence import Dependence, NestAccesses, loop_carried_dependences
 
 __all__ = [
     "op_latency",
@@ -99,18 +99,22 @@ def dependence_chain_latency(dep: Dependence) -> Optional[float]:
     return path + _FORWARD_LATENCY
 
 
-def pipeline_rec_mii(loop: AffineForOp) -> int:
+def pipeline_rec_mii(
+    loop: AffineForOp, accesses: Optional[NestAccesses] = None
+) -> int:
     """Recurrence-constrained minimum II of pipelining ``loop``.
 
     ``max(ceil(chain latency / distance))`` over the RAW dependences the
-    loop carries; 1 when the loop carries no value recurrence.
+    loop carries; 1 when the loop carries no value recurrence.  The result
+    is cached on the loop under :func:`_loop_signature`, so the estimator's
+    repeated queries of an unchanged loop do not re-run the engine.
     """
     cached = getattr(loop, "_rec_mii_cache", None)
     signature = _loop_signature(loop)
     if cached is not None and cached[0] == signature:
         return cached[1]
     rec_mii = 1
-    for dep in loop_carried_dependences(loop):
+    for dep in loop_carried_dependences(loop, accesses):
         chain = dependence_chain_latency(dep)
         if chain is None:
             continue
@@ -120,10 +124,12 @@ def pipeline_rec_mii(loop: AffineForOp) -> int:
     return rec_mii
 
 
-def binding_recurrences(loop: AffineForOp, target_ii: int) -> List[Dependence]:
+def binding_recurrences(
+    loop: AffineForOp, target_ii: int, accesses: Optional[NestAccesses] = None
+) -> List[Dependence]:
     """Carried RAW dependences whose rec-MII exceeds ``target_ii``."""
     binding = []
-    for dep in loop_carried_dependences(loop):
+    for dep in loop_carried_dependences(loop, accesses):
         chain = dependence_chain_latency(dep)
         if chain is None:
             continue
@@ -142,8 +148,19 @@ def band_rec_mii(band: List[AffineForOp]) -> int:
 
 
 def _loop_signature(loop: AffineForOp) -> tuple:
-    """Cheap structural fingerprint to key the per-loop rec-MII cache."""
-    ops = 0
-    for _ in loop.walk():
-        ops += 1
-    return (loop.lower_bound, loop.upper_bound, loop.step, ops)
+    """Everything the rec-MII of ``loop`` is computed from, as the cache key.
+
+    Every enclosed op with its operands and access/apply map — the accesses,
+    their subscripts and the value chains between them — plus every enclosed
+    loop's bounds and ``parallel`` attr.  Operands are held, not ``id``-ed,
+    so a freed value's address cannot alias a new one.  Bounds alone are not
+    a key: ``permute_band`` moves IV uses between loops of equal bounds.
+    """
+    parts: List[tuple] = []
+    for op in loop.walk():
+        parts.append((op.name, op.get_attr("map"), *op.operands))
+        if isinstance(op, AffineForOp):
+            parts.append(
+                (op.lower_bound, op.upper_bound, op.step, op.get_attr("parallel"))
+            )
+    return tuple(parts)

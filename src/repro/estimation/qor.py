@@ -26,12 +26,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..dialects.affine import (
-    AffineForOp,
-    AffineLoadOp,
-    AffineStoreOp,
-    enclosing_loops,
-)
+from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.arith import is_compute_op
 from ..dialects.dataflow import BufferOp, NodeOp, ScheduleOp
 from ..dialects.hls import partition_of
@@ -47,6 +42,7 @@ __all__ = [
     "NodeEstimate",
     "DesignEstimate",
     "dsp_cost_of_op",
+    "node_intensity",
     "estimate_band",
     "estimate_node",
     "estimate_buffer",
@@ -398,25 +394,29 @@ def estimate_band(
     return latency, latency, resources
 
 
-def _node_intensity(node_like: Operation) -> int:
-    """Computation intensity: scalar compute ops executed per invocation.
+def node_intensity(node: Operation) -> int:
+    """Computation intensity of a node (Table 5 definition).
 
-    Falls back to stored elements for pure data-movement nodes, matching the
-    intensities of Table 5 (Node0 = 512, Node1 = 256, Node2 = 4096).
+    The number of scalar compute operations executed per invocation; nodes
+    that only move data fall back to the number of elements they store
+    (Table 5: Node0 = 512, Node1 = 256, Node2 = 4096).
     """
-    total_compute = 0
-    total_store = 0
-    for op in node_like.walk():
-        if is_compute_op(op) or isinstance(op, AffineStoreOp):
-            iterations = 1
-            for loop in enclosing_loops(op):
-                if node_like.is_ancestor_of(loop):
-                    iterations *= max(loop.trip_count, 1)
-            if is_compute_op(op):
-                total_compute += iterations
-            else:
-                total_store += iterations
-    return total_compute if total_compute else total_store
+    totals = [0, 0]  # compute ops, stored elements
+
+    def visit(op: Operation, iterations: int) -> None:
+        if is_compute_op(op):
+            totals[0] += iterations
+        elif isinstance(op, AffineStoreOp):
+            totals[1] += iterations
+        if isinstance(op, AffineForOp):
+            iterations *= max(op.trip_count, 1)
+        for region in op.regions:
+            for block in region.blocks:
+                for child in block.operations:
+                    visit(child, iterations)
+
+    visit(node, 1)
+    return totals[0] or totals[1]
 
 
 def estimate_buffer(buffer_op: Operation, platform: Platform) -> ResourceUsage:
@@ -524,7 +524,7 @@ def estimate_node(node: NodeOp, platform: Platform) -> NodeEstimate:
         latency=max(latency, 1.0),
         interval=max(latency, 1.0),
         resources=resources,
-        intensity=_node_intensity(node),
+        intensity=node_intensity(node),
     )
     return estimate
 

@@ -20,15 +20,12 @@ import dataclasses
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dialects.affine import (
-    AffineForOp,
-    AffineLoadOp,
-    AffineStoreOp,
-    enclosing_loops,
-)
-from ..dialects.arith import is_compute_op, is_multiply_accumulate
+from ..analysis.dependence import NestAccesses, loop_carries_dependence
+from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
+from ..dialects.arith import is_multiply_accumulate
 from ..dialects.dataflow import NodeOp, ScheduleOp
-from ..ir.core import Block, Operation, Value
+from ..estimation.qor import node_intensity
+from ..ir.core import Block, Value
 from ..transforms.loop_transforms import loop_bands_of
 
 __all__ = [
@@ -39,12 +36,15 @@ __all__ = [
     "band_info_of",
     "node_intensity",
     "collect_band_infos",
+    "collect_access_infos",
     "collect_connections",
     "connection_table",
 ]
 
 
-def is_parallel_loop(loop: AffineForOp) -> bool:
+def is_parallel_loop(
+    loop: AffineForOp, accesses: Optional[NestAccesses] = None
+) -> bool:
     """Whether a loop can be unrolled without breaking a dependence.
 
     Uses the explicit ``parallel`` attribute when present (set by the linalg
@@ -52,13 +52,12 @@ def is_parallel_loop(loop: AffineForOp) -> bool:
     engine (:mod:`repro.analysis.dependence`) finds no dependence carried by
     it — distance/direction vectors over the access maps replace the old
     "every store indexes this IV" heuristic, so reductions through affine
-    subscripts of any shape are caught.
+    subscripts of any shape are caught.  ``accesses`` is the enclosing
+    band's shared access collection, when the caller holds one.
     """
     if loop.has_attr("parallel"):
         return bool(loop.is_parallel)
-    from ..analysis.dependence import loop_carries_dependence
-
-    return not loop_carries_dependence(loop)
+    return not loop_carries_dependence(loop, accesses)
 
 
 @dataclasses.dataclass
@@ -81,15 +80,22 @@ class BandAccess:
 
 @dataclasses.dataclass
 class BandInfo:
-    """Loop-band structure of a node used by the parallelizer."""
+    """Loop-band structure of a node used by the parallelizer.
+
+    ``nest_accesses`` is the dependence engine's walk of ``band[0]`` that
+    ``parallel_flags`` were answered from; ``parallelize_band`` reuses it
+    for its legality checks until it mutates the band, then drops it.
+    Records from :func:`collect_access_infos` fill ``accesses`` only.
+    """
 
     node: NodeOp
     band: List[AffineForOp]
-    trip_counts: List[int]
-    parallel_flags: List[bool]
-    accesses: List[BandAccess]
-    intensity: int
-    muls_per_iteration: int
+    trip_counts: List[int] = dataclasses.field(default_factory=list)
+    parallel_flags: List[bool] = dataclasses.field(default_factory=list)
+    accesses: List[BandAccess] = dataclasses.field(default_factory=list)
+    intensity: int = 0
+    muls_per_iteration: int = 0
+    nest_accesses: Optional[NestAccesses] = None
 
     @property
     def num_loops(self) -> int:
@@ -146,30 +152,6 @@ def _band_accesses(node: NodeOp, band: Sequence[AffineForOp]) -> List[BandAccess
     return accesses
 
 
-def node_intensity(node: Operation) -> int:
-    """Computation intensity of a node (Table 5 definition).
-
-    The number of scalar compute operations executed per invocation; nodes
-    that only move data fall back to the number of elements they store.
-    """
-    total_compute = 0
-    total_store = 0
-    for op in node.walk():
-        is_compute = is_compute_op(op)
-        is_store = isinstance(op, AffineStoreOp)
-        if not (is_compute or is_store):
-            continue
-        iterations = 1
-        for loop in enclosing_loops(op):
-            if node.is_ancestor_of(loop):
-                iterations *= max(loop.trip_count, 1)
-        if is_compute:
-            total_compute += iterations
-        else:
-            total_store += iterations
-    return total_compute if total_compute else total_store
-
-
 def _muls_per_innermost_iteration(band: Sequence[AffineForOp]) -> int:
     if not band:
         return 0
@@ -187,10 +169,11 @@ def _muls_per_innermost_iteration(band: Sequence[AffineForOp]) -> int:
 
 
 def band_info_of(node: NodeOp, band: Sequence[AffineForOp]) -> BandInfo:
-    """Build the BandInfo record for one band of a node."""
+    """Build the BandInfo record for one band of a node (one dependence walk)."""
     band = list(band)
     trips = [max(loop.trip_count, 1) for loop in band]
-    flags = [is_parallel_loop(loop) for loop in band]
+    nest = NestAccesses(band[0]) if band else None
+    flags = [is_parallel_loop(loop, nest) for loop in band]
     accesses = _band_accesses(node, band)
     intensity = node_intensity(band[0]) if band else node_intensity(node)
     return BandInfo(
@@ -201,17 +184,27 @@ def band_info_of(node: NodeOp, band: Sequence[AffineForOp]) -> BandInfo:
         accesses=accesses,
         intensity=intensity,
         muls_per_iteration=_muls_per_innermost_iteration(band),
+        nest_accesses=nest,
     )
 
 
 def collect_band_infos(schedule: ScheduleOp) -> List[BandInfo]:
     """All (node, band) parallelization units of a schedule, in program order."""
-    infos: List[BandInfo] = []
-    for node in schedule.nodes:
-        bands = loop_bands_of(node)
-        for band in bands:
-            infos.append(band_info_of(node, band))
-    return infos
+    return [
+        band_info_of(node, band)
+        for node in schedule.nodes
+        for band in loop_bands_of(node)
+    ]
+
+
+def collect_access_infos(schedule: ScheduleOp) -> List[BandInfo]:
+    """The same units carrying only their accesses: all that connection
+    alignment reads, so no dependence, intensity or MAC analysis is run."""
+    return [
+        BandInfo(node, list(band), accesses=_band_accesses(node, band))
+        for node in schedule.nodes
+        for band in loop_bands_of(node)
+    ]
 
 
 @dataclasses.dataclass

@@ -24,6 +24,7 @@ from ..ir.builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from ..ir.core import Block, Operation, Value
 from ..ir.passes import AnalysisManager, Pass
 from ..transforms.canonicalize import simplify_dispatch_hierarchy
+from .analysis import node_intensity
 
 __all__ = [
     "wrap_ops_in_task",
@@ -242,9 +243,7 @@ def task_intensity(task: TaskOp) -> int:
             total += op.num_scalar_ops()
     if total:
         return total
-    from ..estimation.qor import _node_intensity
-
-    return _node_intensity(task)
+    return node_intensity(task)
 
 
 class FusionPattern:

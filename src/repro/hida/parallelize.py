@@ -17,21 +17,30 @@ Implements steps (2)-(4) of the HIDA parallelization flow:
 
 After parallelization the innermost loops are pipelined and buffer
 partitions are derived from the final unroll factors.
+
+A band's legality checks (``legal_permutation``, ``legal_pipeline_ii``) are
+answered from the access collection its :class:`BandInfo` was analyzed
+with; an applied permutation invalidates it, so the pipelined loop is then
+walked afresh.  :func:`count_misalignments` runs no dependence analysis.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.dependence import NestAccesses
+from ..analysis.legality import legal_permutation, legal_pipeline_ii
 from ..dialects.affine import AffineForOp
 from ..dialects.dataflow import ScheduleOp
 from ..transforms.array_partition import partition_buffers_in
-from ..transforms.loop_transforms import pipeline_loop
+from ..transforms.loop_transforms import loop_bands_of, permute_band, pipeline_loop
 from .analysis import (
     BandInfo,
     Connection,
+    band_info_of,
+    collect_access_infos,
     collect_band_infos,
     collect_connections,
 )
@@ -236,14 +245,14 @@ def proposal_cost(
     with the alignment constraints, then structural tie-breakers that favour
     balanced factor vectors with parallelism on inner loops.
     """
-    iterations = 1.0
-    for trip, factor in zip(band.trip_counts, factors):
-        iterations *= math.ceil(trip / max(factor, 1))
-    product = 1
-    for factor in factors:
-        product *= factor
-    dsp = band.muls_per_iteration * product
+    return _proposal_ranker(band, constraints_list)(factors)
 
+
+def _proposal_ranker(
+    band: BandInfo, constraints_list: Sequence[Sequence[Optional[int]]]
+) -> Callable[[Sequence[int]], Tuple[float, float, float, int, float]]:
+    """:func:`proposal_cost` of one band, with what no proposal changes —
+    the combined constraint and each access's stride weights — computed once."""
     # Combined constraint demand per loop position (from connected bands).
     combined_constraint: List[int] = [1] * band.num_loops
     for constraints in constraints_list:
@@ -252,21 +261,39 @@ def proposal_cost(
                 combined_constraint[position] = max(
                     combined_constraint[position], constraint
                 )
+    # Per access: (loop position, stride weight, constraint demand) of every
+    # buffer dimension a band loop drives.
+    demands = [
+        [
+            (position, max(abs(float(stride)), 1.0), float(combined_constraint[position]))
+            for position, stride in zip(access.dim_loop_positions, access.dim_strides)
+            if position is not None
+        ]
+        for access in band.accesses
+    ]
 
-    banks = 0.0
-    for access in band.accesses:
-        access_banks = 1.0
-        for position, stride in zip(access.dim_loop_positions, access.dim_strides):
-            if position is None:
-                continue
-            own_demand = factors[position] * max(abs(float(stride)), 1.0)
-            demand = max(own_demand, float(combined_constraint[position]))
-            access_banks *= max(demand, 1.0)
-        banks += access_banks
+    def cost(factors: Sequence[int]) -> Tuple[float, float, float, int, float]:
+        iterations = 1.0
+        for trip, factor in zip(band.trip_counts, factors):
+            iterations *= math.ceil(trip / max(factor, 1))
+        product = 1
+        for factor in factors:
+            product *= factor
+        dsp = band.muls_per_iteration * product
 
-    max_factor = max(factors) if factors else 1
-    inner_preference = sum(factor * index for index, factor in enumerate(factors))
-    return (iterations, dsp, banks, max_factor, -inner_preference)
+        banks = 0.0
+        for access_demands in demands:
+            access_banks = 1.0
+            for position, weight, constraint in access_demands:
+                demand = max(factors[position] * weight, constraint)
+                access_banks *= max(demand, 1.0)
+            banks += access_banks
+
+        max_factor = max(factors) if factors else 1
+        inner_preference = sum(factor * index for index, factor in enumerate(factors))
+        return (iterations, dsp, banks, max_factor, -inner_preference)
+
+    return cost
 
 
 def _order_reductions_outward(band: BandInfo) -> bool:
@@ -286,12 +313,10 @@ def _order_reductions_outward(band: BandInfo) -> bool:
     order += [i for i, flag in enumerate(flags) if flag]
     if order == list(range(len(flags))):
         return False
-    from ..analysis.legality import legal_permutation
-    from ..transforms.loop_transforms import permute_band
-
-    if not legal_permutation(band.band, order):
+    if not legal_permutation(band.band, order, band.nest_accesses):
         return False
     permute_band(band.band, order, check=False)
+    band.nest_accesses = None  # walked before the permutation: stale
     return True
 
 
@@ -316,6 +341,7 @@ def parallelize_band(
                 constraints_list.append(connection.constraints_for(band, other))
 
     proposals = candidate_unroll_factors(band, parallel_factor, options)
+    cost_of = _proposal_ranker(band, constraints_list)
     best: Optional[List[int]] = None
     best_cost: Optional[Tuple] = None
     for factors in proposals:
@@ -323,7 +349,7 @@ def parallelize_band(
         if options.connection_aware and _violates_constraints(factors, constraints_list):
             result.constraint_violations += 1
             continue
-        cost = proposal_cost(band, factors, constraints_list)
+        cost = cost_of(factors)
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best = factors
@@ -344,10 +370,10 @@ def parallelize_band(
             current = inner[0]
         # Clamp the directive to the recurrence bound so the pass never
         # claims an II its own carried dependences make unachievable.
-        from ..analysis.legality import legal_pipeline_ii
-
-        min_ii = legal_pipeline_ii(current, options.target_ii).min_ii
+        accesses = band.nest_accesses or NestAccesses(current)
+        min_ii = legal_pipeline_ii(current, options.target_ii, accesses).min_ii
         pipeline_loop(current, target_ii=max(options.target_ii, min_ii))
+    band.nest_accesses = None
     return list(best)
 
 
@@ -401,9 +427,6 @@ def parallelize_function_bands(
     array partitioning — which is why the two frameworks perform on par on
     the paper's single-loop kernels.
     """
-    from ..transforms.loop_transforms import loop_bands_of
-    from .analysis import band_info_of
-
     options = options or ParallelizationOptions()
     result = ParallelizationResult()
     bands = [band_info_of(func, band) for band in loop_bands_of(func)]
@@ -422,11 +445,7 @@ def parallelize_function_bands(
     return result
 
 
-def count_misalignments(
-    schedule: ScheduleOp,
-    bands: Optional[Sequence[BandInfo]] = None,
-    connections: Optional[Sequence[Connection]] = None,
-) -> int:
+def count_misalignments(schedule: ScheduleOp) -> int:
     """Count loop pairs whose final unroll factors violate alignment.
 
     A connected loop pair is misaligned when the two chosen unroll factors
@@ -435,12 +454,10 @@ def count_misalignments(
     degrades the connection-unaware modes at large parallel factors in the
     Figure 11 ablation.
     """
-    if bands is None:
-        bands = collect_band_infos(schedule)
-    if connections is None:
-        connections = collect_connections(schedule, bands)
+    # Accesses are re-collected, not reused from the parallelizer: a permuted
+    # band's ``dim_loop_positions`` are stale.  Nothing else is analyzed.
     violations = 0
-    for connection in connections:
+    for connection in collect_connections(schedule, collect_access_infos(schedule)):
         source_factors = connection.source.unroll_factors()
         target_factors = connection.target.unroll_factors()
         constraints = connection.constraints_for(connection.target, source_factors)

@@ -5,16 +5,23 @@ sound lower bounds on carried reduction levels, independence from the
 GCD/bounds tests, and conservative degradation everywhere else.
 """
 
+import pytest
+
 from repro.analysis import (
+    NestAccesses,
     band_dependences,
+    legal_permutation,
     loop_carried_dependences,
     loop_carries_dependence,
     nest_dependences,
 )
+from repro.compiler import DEFAULT_PIPELINE, Compiler, PipelineObserver
+from repro.dialects.affine import AffineForOp, enclosing_loops
 from repro.frontend.cpp import KernelBuilder
 from repro.hida.analysis import is_parallel_loop
 from repro.transforms import tile_loop
-from repro.transforms.loop_transforms import loop_bands_of
+from repro.transforms.loop_transforms import get_perfectly_nested_band, loop_bands_of
+from repro.workloads import list_workloads
 
 
 def _loops(module):
@@ -245,3 +252,70 @@ class TestIsParallelLoop:
         assert not is_parallel_loop(loop)
         loop.set_attr("parallel", True)
         assert is_parallel_loop(loop)
+
+
+# ---------------------------------------------------------------------------
+# One shared walk per band answers like a fresh analysis of every loop
+# ---------------------------------------------------------------------------
+
+
+def _signature(dependences):
+    """Order matters: ``offending[0].describe()`` and ``binding_recurrences``
+    expose it."""
+    return [
+        (dep.kind, id(dep.source), id(dep.sink), dep.loops, dep.distance)
+        for dep in dependences
+    ]
+
+
+class _SharedEqualsFresh(PipelineObserver):
+    """At the ``tile`` and ``parallelize`` boundaries, compare every loop of
+    every nest against a fresh analysis rooted at that loop.  Mismatches are
+    collected: the driver isolates exceptions raised by observers."""
+
+    def __init__(self):
+        self.loops = self.permutations = 0
+        self.mismatches = []
+
+    def on_stage_end(self, stage, state, seconds):
+        if stage.name not in ("tile", "parallelize"):
+            return
+        for root in state.module.walk():
+            if not isinstance(root, AffineForOp) or enclosing_loops(root):
+                continue
+            shared = NestAccesses(root)
+            for loop in root.walk():
+                if not isinstance(loop, AffineForOp):
+                    continue
+                self.loops += 1
+                for independent in (True, False):
+                    ours = nest_dependences(loop, independent, shared)
+                    fresh = nest_dependences(loop, independent)
+                    if _signature(ours) != _signature(fresh):
+                        self.mismatches.append((stage.name, loop, independent))
+            band = get_perfectly_nested_band(root)
+            for shift in range(len(band)):
+                order = [(i + shift) % len(band) for i in range(len(band))]
+                ours = legal_permutation(band, order, shared)
+                fresh = legal_permutation(band, order)
+                self.permutations += 1
+                if (ours.ok, ours.reason) != (fresh.ok, fresh.reason):
+                    self.mismatches.append((stage.name, root, order))
+
+
+class TestSharedAccessCollection:
+    @pytest.mark.parametrize("workload", list_workloads())
+    def test_equals_fresh_analysis_on(self, workload):
+        observer = _SharedEqualsFresh()
+        compiler = Compiler.from_spec(
+            DEFAULT_PIPELINE, platform="vu9p-slr", observers=[observer]
+        )
+        compiler.run(workload=workload)
+        assert not compiler.observer_errors
+        assert observer.loops and observer.permutations
+        assert not observer.mismatches
+
+    def test_rejects_a_loop_outside_its_nest(self):
+        inside, outside = _loops(gemm_module())[0], _loops(gemm_module())[0]
+        with pytest.raises(ValueError):
+            nest_dependences(outside, accesses=NestAccesses(inside))

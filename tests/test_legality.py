@@ -218,6 +218,21 @@ class TestPipeline:
         pipeline_loop(loop, target_ii=3, check=True)
         assert loop.is_pipelined and loop.target_ii == 3
 
+    def test_rec_mii_is_not_stale_after_equal_bound_permutation(self):
+        """``permute_band`` over loops of equal bounds changes neither the
+        innermost loop's bounds nor its op count, only which IV its accesses
+        use: the per-loop rec-MII cache must notice."""
+        from repro.workloads import as_module
+
+        func = as_module("2mm@n=8").functions[0]
+        band = next(band for band in loop_bands_of(func) if len(band) == 3)
+        assert pipeline_rec_mii(band[-1]) == 3  # the reduction, innermost
+        permute_band(band, [2, 0, 1])  # reduction outward
+        assert pipeline_rec_mii(band[-1]) == 1
+        assert legal_pipeline_ii(band[-1], 1)
+        del band[-1]._rec_mii_cache
+        assert pipeline_rec_mii(band[-1]) == 1  # what a fresh analysis says
+
 
 # ---------------------------------------------------------------------------
 # Bank conflicts

@@ -1,10 +1,14 @@
 """Tests for intensity/connection analysis and IA+CA parallelization —
 reproducing Tables 4, 5 and 6 of the paper on the Listing-1 example."""
 
+import collections
+
 import pytest
 
+from repro.analysis import NestAccesses
+from repro.dialects.affine import enclosing_loops
 from repro.frontend.cpp import build_listing1
-from repro.compiler import Compiler, default_stages
+from repro.compiler import DEFAULT_PIPELINE, Compiler, PipelineObserver, default_stages
 from repro.hida import (
     ParallelizationOptions,
     collect_band_infos,
@@ -17,6 +21,8 @@ from repro.hida import (
 )
 from repro.hida.parallelize import candidate_unroll_factors, proposal_cost
 from repro.ir import verify
+from repro.transforms.loop_transforms import loop_bands_of
+from repro.workloads import list_workloads
 
 
 def lower_listing1_to_schedule(fuse=False):
@@ -277,3 +283,67 @@ class TestTable5And6:
     def test_ir_remains_valid_after_parallelization(self):
         result = compile_listing1()
         assert verify(result.module) == []
+
+
+class _ParallelizeWindow(PipelineObserver):
+    """Slices a shared event list to what the ``parallelize`` stage appended."""
+
+    def __init__(self, events):
+        self.events, self.begin, self.end = events, 0, 0
+
+    def on_stage_start(self, stage, state):
+        if stage.name == "parallelize":
+            self.begin = len(self.events)
+
+    def on_stage_end(self, stage, state, seconds):
+        if stage.name == "parallelize":
+            self.end = len(self.events)
+
+
+class TestDependenceWork:
+    """Pins the work, not the clock: how often the dependence engine walks a
+    nest (``NestAccesses`` is the only collector) while parallelizing."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        roots = []
+        collect = NestAccesses.__init__
+
+        def counting(self, root):
+            roots.append(root)
+            collect(self, root)
+
+        monkeypatch.setattr(NestAccesses, "__init__", counting)
+        return roots
+
+    def test_at_most_two_walks_per_band_and_none_for_misalignment(self, walked):
+        window = _ParallelizeWindow(walked)
+        result = Compiler.from_spec(
+            DEFAULT_PIPELINE, platform="vu9p-slr", observers=[window]
+        ).run(workload="resnet18")
+        bands = [
+            band
+            for schedule in result.schedules
+            for node in schedule.nodes
+            for band in loop_bands_of(node)
+        ]
+        # One walk when the band is analyzed, plus one of the pipelined loop
+        # when an applied permutation made the first stale.
+        per_band = collections.Counter(
+            id((enclosing_loops(root) or [root])[0])
+            for root in walked[window.begin : window.end]
+        )
+        assert set(per_band) == {id(band[0]) for band in bands}
+        assert max(per_band.values()) <= 2
+        assert 2 in per_band.values()  # resnet18 does reorder reductions
+
+        del walked[:]
+        assert sum(map(count_misalignments, result.schedules)) == result.misalignments
+        assert walked == []
+
+    @pytest.mark.parametrize("model", list_workloads(kind="model"))
+    def test_misalignment_recount_matches_the_stage(self, model):
+        result = Compiler.from_spec(DEFAULT_PIPELINE, platform="vu9p-slr").run(
+            workload=model
+        )
+        assert sum(map(count_misalignments, result.schedules)) == result.misalignments
