@@ -6,7 +6,9 @@ pipeline into that search engine:
 
 * :mod:`repro.dse.space` — design points and preset design spaces;
 * :mod:`repro.dse.cache` — persistent content-hash QoR cache;
-* :mod:`repro.dse.runner` — process-parallel exploration driver;
+* :mod:`repro.dse.config` — ``ExploreConfig``, every setting of one run;
+* :mod:`repro.dse.evaluate` — one point: fingerprint, cache probe, compile;
+* :mod:`repro.dse.runner` — the search loop and process-parallel fan-out;
 * :mod:`repro.dse.pareto` — Pareto frontier + hypervolume over QoR records;
 * :mod:`repro.dse.search` — pluggable adaptive search strategies
   (exhaustive / random / genetic / anneal over knob axes *and* pipeline
@@ -17,6 +19,8 @@ pipeline into that search engine:
 """
 
 from .cache import QoRCache, default_cache_dir
+from .config import ExploreConfig
+from .evaluate import evaluate_point
 from .fidelity import (
     DEFAULT_FIDELITY,
     DEFAULT_PROMOTE_TOP,
@@ -37,7 +41,7 @@ from .pareto import (
     objective_vector,
     pareto_frontier,
 )
-from .runner import evaluate_point, explore
+from .runner import explore
 from .search import (
     AnnealSearch,
     ExhaustiveSearch,
@@ -64,6 +68,7 @@ from .space import (
 __all__ = [
     "QoRCache",
     "default_cache_dir",
+    "ExploreConfig",
     "DEFAULT_FIDELITY",
     "DEFAULT_PROMOTE_TOP",
     "FidelityLevel",

@@ -30,7 +30,8 @@ from ..targets import UnknownTargetError, get_target
 from ..workloads import UnknownWorkloadError
 from .cache import QoRCache, default_cache_dir
 from .fidelity import DEFAULT_FIDELITY, available_fidelities, describe_fidelities
-from .pareto import DEFAULT_OBJECTIVES, SUMMARY_METRICS
+from .config import ExploreConfig
+from .pareto import DEFAULT_OBJECTIVES
 from .runner import explore
 from .search import available_strategies, get_strategy
 from .space import (
@@ -270,32 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--budget must be non-negative (got {args.budget})")
     if args.generations < 0:
         parser.error(f"--generations must be non-negative (got {args.generations})")
-    if args.strategy is None and (
-        args.budget
-        or args.generations
-        or args.mutation_rate is not None
-        or args.population is not None
-        or args.patience is not None
-    ):
-        parser.error(
-            "--budget/--generations/--mutation-rate/--population/--patience "
-            "need --strategy"
-        )
-    if args.strategy and args.resume:
-        parser.error("--resume replays the whole space; drop --strategy")
-    if args.patience is not None and args.patience < 1:
-        parser.error(f"--patience must be >= 1 (got {args.patience})")
-    if args.promote_top is not None:
-        if args.fidelity == DEFAULT_FIDELITY:
-            parser.error("--promote-top needs a multi-fidelity run "
-                         "(e.g. --fidelity simulate)")
-        if not 0.0 < args.promote_top <= 1.0:
-            parser.error(
-                f"--promote-top must be in (0, 1] (got {args.promote_top})"
-            )
-    if args.resume and args.fidelity != DEFAULT_FIDELITY:
-        parser.error("--resume replays the estimate fidelity only; "
-                     "drop --fidelity")
     strategy_options = {}
     if args.generations:
         strategy_options["generations"] = args.generations
@@ -313,6 +288,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.population < 1:
             parser.error(f"--population must be >= 1 (got {args.population})")
         strategy_options["population"] = args.population
+    if args.ir_cache and args.no_ir_cache:
+        parser.error("--ir-cache and --no-ir-cache are mutually exclusive")
+    try:
+        # Every cross-field rule (--resume vs --no-cache/--strategy/
+        # --fidelity, search flags without --strategy, --promote-top,
+        # --patience, --ir-cache-dir, --objectives) is ExploreConfig's.
+        config = ExploreConfig(
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            objectives=tuple(
+                name.strip() for name in args.objectives.split(",") if name.strip()
+            ),
+            resume=args.resume,
+            strategy=args.strategy,
+            budget=args.budget or None,
+            # Without a strategy --seed only steers --sample.
+            seed=args.seed if args.strategy else 0,
+            strategy_options=strategy_options or None,
+            fidelity=args.fidelity,
+            promote_top=args.promote_top,
+            patience=args.patience,
+            ir_cache=args.ir_cache,
+            ir_cache_dir=args.ir_cache_dir,
+            prefilter=args.prefilter,
+            validate_frontier=args.validate_frontier,
+        )
+    except ValueError as error:
+        parser.error(str(error))
 
     if args.list_workloads:
         from ..workloads import iter_workloads
@@ -341,14 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         removed = cache.clear()
         print(f"cleared {removed} cached QoR entries from {cache.root}")
         return 0
-
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the QoR cache; drop --no-cache")
-
-    if args.ir_cache and args.no_ir_cache:
-        parser.error("--ir-cache and --no-ir-cache are mutually exclusive")
-    if args.ir_cache_dir and not args.ir_cache:
-        parser.error("--ir-cache-dir needs --ir-cache")
 
     if args.workloads:
         try:
@@ -380,16 +376,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if args.sample:
         space = space.sample(args.sample, seed=args.seed)
-    objectives = tuple(
-        name.strip() for name in args.objectives.split(",") if name.strip()
-    )
-    unknown = [name for name in objectives if name not in SUMMARY_METRICS]
-    if unknown or not objectives:
-        parser.error(
-            f"unknown objective(s) {', '.join(unknown) or '(none given)'}; "
-            f"choose from: {', '.join(SUMMARY_METRICS)}"
-        )
-
     if args.dry_run:
         print(
             f"{len(space)} design points "
@@ -412,26 +398,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{'off' if args.no_cache else (args.cache_dir or str(default_cache_dir()))}"
     )
     obs.cli_configure(args)
-    result = explore(
-        space,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        objectives=objectives,
-        resume=args.resume,
-        strategy=args.strategy,
-        budget=args.budget or None,
-        # Without a strategy --seed only steers --sample (handled above).
-        seed=args.seed if args.strategy else 0,
-        strategy_options=strategy_options or None,
-        fidelity=args.fidelity,
-        promote_top=args.promote_top,
-        patience=args.patience,
-        ir_cache=args.ir_cache,
-        ir_cache_dir=args.ir_cache_dir,
-        prefilter=args.prefilter,
-        validate_frontier=args.validate_frontier,
-    )
+    result = explore(space, config)
 
     if result.strategy:
         print()

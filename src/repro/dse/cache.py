@@ -98,16 +98,24 @@ class QoRCache:
             with open(path, "r", encoding="utf-8") as handle:
                 record = json.load(handle)
         except (OSError, ValueError):
-            self._record_probe(key, hit=False)
-            return None
-        if record.get("_cache_version") != CACHE_VERSION:
+            record = None
+        # Anything but a current-version object holding an object payload
+        # (truncated file, ``null``, ``[]``, version skew) is a miss: the
+        # caller recompiles and ``put`` overwrites the bad entry.
+        payload = (
+            record.get("payload")
+            if isinstance(record, dict)
+            and record.get("_cache_version") == CACHE_VERSION
+            else None
+        )
+        if not isinstance(payload, dict):
             self._record_probe(key, hit=False)
             return None
         with contextlib.suppress(OSError):
             # Touch for LRU eviction ordering.
             os.utime(path)
         self._record_probe(key, hit=True)
-        return record.get("payload")
+        return payload
 
     def put(self, key: str, payload: Dict) -> None:
         path = self._path(key)

@@ -1,0 +1,197 @@
+"""``ExploreConfig`` — every setting of one :func:`repro.dse.explore` run.
+
+The API takes it (``explore(space, config)``; keyword overrides are
+``dataclasses.replace`` on it), the CLI populates it, and
+:class:`~repro.evaluation.reporting.ExplorationResult` embeds it.  Every
+cross-field rule lives in :meth:`ExploreConfig.__post_init__` and nowhere
+else: an invalid combination raises ``ValueError`` at construction.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Dict, Optional, Tuple, Union
+
+from ..compiler.ircache import default_ir_cache_dir
+from .cache import default_cache_dir
+from .fidelity import (
+    DEFAULT_FIDELITY,
+    DEFAULT_PROMOTE_TOP,
+    PromotionPolicy,
+    get_fidelity,
+)
+from .pareto import DEFAULT_OBJECTIVES, SUMMARY_METRICS
+from .search import SearchStrategy
+
+__all__ = ["ExploreConfig"]
+
+
+@dataclasses.dataclass(frozen=True)
+class ExploreConfig:
+    """Frozen settings of one exploration run (validated on construction)."""
+
+    #: ``<= 1`` evaluates serially in-process (easier profiling/debugging);
+    #: anything larger fans out over one shared ``ProcessPoolExecutor``.
+    workers: int = 1
+    #: QoR cache root (default ``$REPRO_DSE_CACHE`` or ``~/.cache/repro/dse``).
+    cache_dir: Optional[str] = None
+    #: Persist every evaluated point in the QoR cache and replay hits, so
+    #: overlapping sweeps and re-runs are nearly free.
+    use_cache: bool = True
+    #: Summary metrics the frontier optimizes, each in its natural direction.
+    #: The frontier is the union of per-workload frontiers: trade-offs only
+    #: make sense between designs of the *same* computation.
+    objectives: Tuple[str, ...] = DEFAULT_OBJECTIVES
+    #: ``pool.map`` chunk size of the worker fan-out.
+    chunksize: int = 4
+    #: Never compile: cached points stream into the result, every uncached
+    #: point is skipped (``ExplorationResult.skipped``).  Turns an
+    #: interrupted sweep's partial cache into an output JSON.  Replays the
+    #: *whole* space at the base fidelity, so it excludes ``strategy`` and
+    #: a higher ``fidelity``.
+    resume: bool = False
+    #: Adaptive search instead of the full sweep: a registered name
+    #: (``exhaustive``/``random``/``genetic``/``anneal``) or a
+    #: :class:`~repro.dse.search.SearchStrategy` instance (which then owns
+    #: ``budget``/``seed``/``strategy_options`` and must steer on the same
+    #: ``objectives``).  Progress lands in ``ExplorationResult.generations``.
+    strategy: Union[None, str, SearchStrategy] = None
+    #: Cap on distinct points a ``strategy`` evaluates (default: the space
+    #: size).  Cache hits count, promotions and prefilter rejections do not,
+    #: so cold and warm runs follow identical trajectories.
+    budget: Optional[int] = None
+    #: Seed of the search trajectory.
+    seed: int = 0
+    #: Strategy-specific knobs (``population``, ``mutation_rate``,
+    #: ``generations``, ``chains``, ...).
+    strategy_options: Optional[Dict] = None
+    #: Top QoR level (see :mod:`repro.dse.fidelity`).  Above the base level
+    #: every point is still scored by the analytic model first; each
+    #: generation (a full sweep is one) the top ``promote_top`` fraction is
+    #: re-evaluated at this level and the frontier re-ranks on the
+    #: highest-fidelity record per point.  Both levels cache under
+    #: fidelity-tagged keys.
+    fidelity: str = DEFAULT_FIDELITY
+    #: Fraction of each generation promoted (default 0.25; frontier members
+    #: first, ranked by hypervolume contribution).
+    promote_top: Optional[float] = None
+    #: Stop a ``strategy`` run once this many consecutive generations fail
+    #: to improve the best-fidelity frontier hypervolume.
+    patience: Optional[int] = None
+    #: Stage-boundary IR snapshot cache (:mod:`repro.compiler.ircache`):
+    #: points are grouped by shared canonical-spec prefix so it compiles
+    #: once per worker batch and the rest resume from snapshots.  Results
+    #: are byte-identical on/off/cold/warm; reuse shows only in
+    #: ``prefix_hits``/``stages_skipped``.  The cache trusts workload ids, so
+    #: re-registering a different workload under a cached id needs a clear.
+    ir_cache: bool = False
+    #: Snapshot root (default ``$REPRO_IR_CACHE`` or ``~/.cache/repro/ir``).
+    ir_cache_dir: Optional[str] = None
+    #: Statically reject infeasible points before evaluation
+    #: (:mod:`repro.analysis.prefilter`) into ``ExplorationResult.rejected``;
+    #: records of feasible points are unchanged.
+    prefilter: bool = False
+    #: Translation-validate every frontier member (:mod:`repro.analysis.tv`);
+    #: failures move to ``ExplorationResult.validation_failures``.
+    validate_frontier: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "objectives", tuple(self.objectives))
+        for name in ("cache_dir", "ir_cache_dir"):  # accept os.PathLike
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, str(getattr(self, name)))
+        unknown = [name for name in self.objectives if name not in SUMMARY_METRICS]
+        if unknown or not self.objectives:
+            raise ValueError(
+                f"unknown objective(s) {unknown or '(none)'}; "
+                f"choose from {SUMMARY_METRICS}"
+            )
+        searching = self.strategy is not None
+        search_args = self.budget is not None or self.seed or self.strategy_options
+        if self.resume and not self.use_cache:
+            raise ValueError("resume=True requires the QoR cache (use_cache=True)")
+        if self.resume and searching:
+            raise ValueError("resume replays the whole space; drop strategy=...")
+        if search_args and not searching:
+            raise ValueError(
+                "budget/seed/strategy_options have no effect without strategy=... "
+                "(the full sweep evaluates every point)"
+            )
+        if isinstance(self.strategy, SearchStrategy):
+            if search_args:
+                raise ValueError(
+                    "budget/seed/strategy_options belong to the "
+                    "SearchStrategy constructor when explore() is handed "
+                    "an instance"
+                )
+            if tuple(self.strategy.objectives) != self.objectives:
+                raise ValueError(
+                    f"strategy steers on objectives {self.strategy.objectives} "
+                    f"but explore() would report on {self.objectives}; "
+                    "pass the same objectives to both"
+                )
+        policy = self.promotion_policy()  # validates fidelity and promote_top
+        if self.promote_top is not None and policy is None:
+            raise ValueError(
+                "promote_top has no effect at the base fidelity; "
+                "pass fidelity='simulate' (or another higher level) with it"
+            )
+        if self.resume and policy is not None:
+            raise ValueError(
+                "resume replays base-fidelity cache entries only; drop fidelity=..."
+            )
+        if self.patience is not None:
+            if not searching:
+                raise ValueError(
+                    "patience stops an adaptive search early; it needs strategy=..."
+                )
+            if int(self.patience) < 1:
+                raise ValueError(f"patience must be >= 1 (got {self.patience})")
+        if self.ir_cache_dir and not self.ir_cache:
+            raise ValueError("ir_cache_dir has no effect with ir_cache=False")
+
+    # ------------------------------------------------------------ derived
+    def promotion_policy(self) -> Optional[PromotionPolicy]:
+        """The promotion race of a multi-fidelity run (None at base level)."""
+        level = get_fidelity(str(self.fidelity))
+        base_rank = get_fidelity(DEFAULT_FIDELITY).rank
+        if level.rank < base_rank:
+            raise ValueError(
+                f"fidelity {level.name!r} is below the base level "
+                f"{DEFAULT_FIDELITY!r}; promotion races upward only"
+            )
+        if level.rank == base_rank:
+            return None
+        return PromotionPolicy(
+            target=level.name,
+            promote_top=(
+                DEFAULT_PROMOTE_TOP
+                if self.promote_top is None
+                else float(self.promote_top)
+            ),
+        )
+
+    def qor_cache_root(self) -> Optional[str]:
+        """Resolved QoR cache directory (None with the cache off)."""
+        if not self.use_cache:
+            return None
+        return self.cache_dir or str(default_cache_dir())
+
+    def ir_cache_root(self) -> Optional[str]:
+        """Resolved IR snapshot directory (None with the IR cache off)."""
+        if not self.ir_cache:
+            return None
+        return self.ir_cache_dir or str(default_ir_cache_dir())
+
+    # ------------------------------------------------------ serialization
+    def to_dict(self) -> Dict:
+        """JSON-safe settings; a strategy instance is recorded by ``name``."""
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["objectives"] = list(self.objectives)
+        if isinstance(self.strategy, SearchStrategy):
+            data["strategy"] = self.strategy.name
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "ExploreConfig":
+        return cls(**data)

@@ -1,0 +1,208 @@
+"""Evaluating one design point: fingerprint, cache key, probe, compile.
+
+:func:`probe_point` is the single "what is this point, and is its QoR
+already known" sequence; :func:`repro.dse.runner.explore` calls it from the
+orchestrating process before fan-out and :func:`evaluate_point` calls it
+again wherever the point actually runs, so both sides agree on record
+layout and cache keys by construction.
+"""
+
+from __future__ import annotations
+
+import time
+import traceback
+from typing import Dict, Optional, Tuple
+
+from .. import obs
+from ..compiler.ircache import IRSnapshotCache, workload_cache_key
+from ..estimation.qor import QoREstimator
+from ..ir.printer import fingerprint_op
+from ..workloads.registry import registered_definition
+from .cache import QoRCache
+from .fidelity import DEFAULT_FIDELITY, get_fidelity
+from .space import DesignPoint
+
+__all__ = ["evaluate_point", "probe_point"]
+
+#: Per-process memo ``spec -> (definition, fingerprint)`` of workload-module
+#: fingerprints.  A workload rebuilds deterministically from its spec *and*
+#: its registered builder, so an entry holds while the registry still maps
+#: the name to the same definition; memoizing lets cache hits skip the
+#: module build entirely.
+_WORKLOAD_FINGERPRINTS: Dict = {}
+
+
+def _point_cache_key(
+    fingerprint: str, platform: str, spec_text: str, fidelity: str = DEFAULT_FIDELITY
+) -> str:
+    """Cache key of one evaluated point.
+
+    Keyed by *what* is compiled (the input module's printed-IR fingerprint),
+    *where* it targets (the platform) and *how* it is compiled — the
+    canonical printed pipeline spec, so flag-driven points and textual-spec
+    points that denote the same stage sequence share cache entries.
+    Includes the estimator's MODEL_VERSION so that bumping it (the
+    documented way to signal an analytical-model change) invalidates every
+    persisted QoR record, not just in-process estimator caches.
+
+    Non-base fidelity levels append their versioned tag, so estimate and
+    simulate records never collide; base-level keys are byte-identical to
+    pre-fidelity caches, which therefore stay warm.
+    """
+    key = (
+        f"point|m{QoREstimator.MODEL_VERSION}|{fingerprint}|{platform}|{spec_text}"
+    )
+    if fidelity != DEFAULT_FIDELITY:
+        key = f"{key}|{get_fidelity(fidelity).cache_tag()}"
+    return key
+
+
+def _resolve_fingerprint(spec, ir_cache) -> tuple:
+    """``(fingerprint, module)`` for a workload spec (module None if unbuilt).
+
+    Resolution order: per-process memo, then the IR cache's persistent
+    frontend-fingerprint memo (which makes warm processes and fresh workers
+    alike skip the frontend trace entirely), then an actual trace — whose
+    fingerprint is published back to both memos.
+    """
+    definition = registered_definition(spec.name)
+    memo = _WORKLOAD_FINGERPRINTS.get(spec)
+    if memo is not None and memo[0] is definition:
+        return memo[1], None
+    module = None
+    workload_key = workload_cache_key(spec)
+    fingerprint = (
+        ir_cache.get_fingerprint(workload_key)
+        if ir_cache is not None and workload_key is not None
+        else None
+    )
+    if fingerprint is None:
+        module = spec.build()
+        fingerprint = fingerprint_op(module)
+        if ir_cache is not None and workload_key is not None:
+            ir_cache.put_fingerprint(workload_key, fingerprint)
+    _WORKLOAD_FINGERPRINTS[spec] = (definition, fingerprint)
+    return fingerprint, module
+
+
+def probe_point(
+    point: DesignPoint,
+    cache_dir: Optional[str],
+    fidelity: str,
+    ir_cache_dir: Optional[str],
+    **span_attrs,
+) -> Tuple[Dict, Optional[tuple]]:
+    """Record skeleton → fingerprint → cache key → QoR-cache probe.
+
+    Returns ``(record, miss)``.  On a hit the record is complete
+    (``cached=True``) and ``miss`` is None.  On a miss, ``miss`` is the
+    ``(key, compiler, module, ir_cache)`` the compile continues from
+    (``module`` is None unless the fingerprint needed a frontend trace).
+    Never raises: a failure leaves ``record["error"]`` and no ``miss``.
+    """
+    record = {
+        "point": point.to_dict(),
+        "point_key": point.key(),
+        "label": point.label(),
+        "workload": point.workload,
+        "fidelity": fidelity,
+    }
+    try:
+        compiler = point.compiler()
+        spec_text = compiler.spec_text()
+        ir_cache = IRSnapshotCache(ir_cache_dir) if ir_cache_dir else None
+        fingerprint, module = _resolve_fingerprint(point.workload_spec(), ir_cache)
+        record["module_fingerprint"] = fingerprint
+        record["pipeline_spec"] = spec_text
+        key = _point_cache_key(fingerprint, point.platform, spec_text, fidelity)
+        cached = None
+        if cache_dir:
+            with obs.span("qor-cache.probe", cat="cache", **span_attrs):
+                cached = QoRCache(cache_dir).get(key)
+        if cached is None:
+            return record, (key, compiler, module, ir_cache)
+        record.update(cached)
+        record["cached"] = True
+        record["fidelity"] = fidelity
+    except Exception:
+        record["error"] = traceback.format_exc(limit=8)
+        record["cached"] = False
+    return record, None
+
+
+def evaluate_point(
+    point: DesignPoint,
+    cache_dir: Optional[str] = None,
+    fidelity: str = DEFAULT_FIDELITY,
+    ir_cache_dir: Optional[str] = None,
+    trace: Optional[Dict[str, str]] = None,
+) -> Dict:
+    """Evaluate one design point; safe to call in a worker process.
+
+    Either replays the cached QoR record (see :func:`probe_point`) or runs
+    the compilation pipeline and caches its outcome.  ``fidelity`` selects
+    the registered QoR level the payload is produced at (``"estimate"`` =
+    analytic model, ``"simulate"`` = dataflow simulation); the record
+    carries the level name so consumers can re-rank on the most trusted
+    record per point.  Never raises: failures come back as records with an
+    ``"error"`` field so one broken point cannot sink a whole sweep.
+
+    ``ir_cache_dir`` enables the stage-boundary IR snapshot cache
+    (:mod:`repro.compiler.ircache`): the workload fingerprint resolves from
+    the cache's frontend memo instead of a fresh trace where possible, and
+    a QoR-cache miss compiles through :meth:`Compiler.run
+    <repro.compiler.driver.Compiler.run>` with prefix resumption.  The
+    run's reuse counters travel under the record's ``"ir_cache"`` key,
+    which :func:`~repro.dse.runner.explore` pops into aggregate statistics
+    — cached QoR records themselves stay byte-identical with the IR cache
+    on or off.
+
+    ``trace`` carries a serialized :class:`~repro.obs.SpanContext` into
+    worker processes: the worker adopts it (so its spans stitch under the
+    orchestrating span), then hands its collected events back under the
+    record's ``"telemetry"`` key — popped by the parent exactly like
+    ``"ir_cache"``, so traced and untraced records are byte-identical.
+    """
+    obs.begin_worker(trace)
+    started = time.perf_counter()
+    with obs.span(
+        "dse.point", cat="dse", label=point.label(), fidelity=fidelity
+    ) as point_span:
+        record, miss = probe_point(point, cache_dir, fidelity, ir_cache_dir)
+        if miss is None:
+            if record["cached"]:
+                point_span.set_attr(cached=True)
+        else:
+            key, compiler, module, ir_cache = miss
+            try:
+                spec = point.workload_spec()
+                if ir_cache is None:
+                    result = compiler.run(
+                        module if module is not None else spec.build()
+                    )
+                elif module is not None:
+                    result = compiler.run(
+                        module,
+                        ir_cache=ir_cache,
+                        workload_key=workload_cache_key(spec),
+                    )
+                else:
+                    # No module in hand: on a prefix hit the driver
+                    # rehydrates from the snapshot and the frontend never
+                    # runs in this process at all.
+                    result = compiler.run(workload=spec, ir_cache=ir_cache)
+                if ir_cache is not None:
+                    record["ir_cache"] = compiler.ir_cache_stats
+                payload = get_fidelity(fidelity).apply(result)
+                if cache_dir:
+                    QoRCache(cache_dir).put(key, payload)
+                record.update(payload)
+            except Exception:
+                record["error"] = traceback.format_exc(limit=8)
+            record["cached"] = False
+    record["eval_seconds"] = time.perf_counter() - started
+    if trace is not None:
+        telemetry = obs.drain_worker()
+        if telemetry is not None:
+            record["telemetry"] = telemetry
+    return record

@@ -270,7 +270,6 @@ class PromotionPolicy:
         candidates: Sequence[Dict],
         context: Sequence[Dict],
         objectives: Sequence[str] = DEFAULT_OBJECTIVES,
-        group_by_workload: bool = True,
     ) -> List[str]:
         """Point keys to promote, in deterministic rank order.
 
@@ -278,10 +277,10 @@ class PromotionPolicy:
         (scored, base-fidelity); ``context`` is every scored best-fidelity
         record observed so far (used for frontier membership and the
         hypervolume reference).  The ``promote_top`` quota is *global* over
-        the round's candidates — never per group, or a multi-workload sweep
-        with one candidate per group would promote everything — but is
-        spent breadth-first across groups (each group's best candidate
-        before any group's second), so no workload starves.
+        the round's candidates — never per workload group, or a
+        multi-workload sweep with one candidate per group would promote
+        everything — but is spent breadth-first across groups (each group's
+        best candidate before any group's second), so no workload starves.
         """
         eligible = [
             r
@@ -293,13 +292,13 @@ class PromotionPolicy:
             return []
         groups: Dict[str, List[Dict]] = {}
         for record in eligible:
-            name = str(record.get("workload", "")) if group_by_workload else ""
+            name = str(record.get("workload", ""))
             groups.setdefault(name, []).append(record)
         context_groups: Dict[str, List[Dict]] = {}
         for record in context:
             if "error" in record:
                 continue
-            name = str(record.get("workload", "")) if group_by_workload else ""
+            name = str(record.get("workload", ""))
             context_groups.setdefault(name, []).append(record)
         #: (position within its group, group rank tuple, key) per candidate:
         #: sorting on it spends the global quota breadth-first over groups.

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from ..dse.config import ExploreConfig
 
 __all__ = [
     "ExplorationResult",
@@ -143,6 +146,9 @@ class ExplorationResult:
     #: omitted from :meth:`to_dict` then, so result files are byte-identical
     #: to pre-telemetry output.
     telemetry: Optional[Dict] = None
+    #: The :class:`~repro.dse.config.ExploreConfig` that produced this run
+    #: (None on hand-built results, and omitted from :meth:`to_dict` then).
+    config: Optional[ExploreConfig] = None
 
     @property
     def num_points(self) -> int:
@@ -371,29 +377,13 @@ class ExplorationResult:
 
     # ---------------------------------------------------------- serialization
     def to_dict(self) -> Dict:
-        data = {
-            "records": self.records,
-            "frontier": self.frontier,
-            "objectives": list(self.objectives),
-            "workers": self.workers,
-            "elapsed_seconds": self.elapsed_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "errors": self.errors,
-            "skipped": self.skipped,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "generations": self.generations,
-            "fidelity": self.fidelity,
-            "promote_top": self.promote_top,
-            "stopped_early": self.stopped_early,
-            "prefix_hits": self.prefix_hits,
-            "stages_skipped": self.stages_skipped,
-            "rejected": self.rejected,
-            "validation_failures": self.validation_failures,
-        }
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["objectives"] = list(self.objectives)
+        if self.config is not None:
+            data["config"] = self.config.to_dict()
+        for optional in ("config", "telemetry"):
+            if data[optional] is None:
+                del data[optional]
         return data
 
     def to_json(self, indent: int = 2) -> str:
@@ -401,25 +391,12 @@ class ExplorationResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExplorationResult":
-        return cls(
-            records=list(data.get("records", [])),
-            frontier=list(data.get("frontier", [])),
-            objectives=tuple(data.get("objectives", ("latency_cycles", "dsp", "bram"))),
-            workers=int(data.get("workers", 1)),
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
-            errors=list(data.get("errors", [])),
-            skipped=int(data.get("skipped", 0)),
-            strategy=data.get("strategy"),
-            budget=data.get("budget"),
-            generations=list(data.get("generations", [])),
-            fidelity=str(data.get("fidelity", "estimate")),
-            promote_top=data.get("promote_top"),
-            stopped_early=bool(data.get("stopped_early", False)),
-            prefix_hits=int(data.get("prefix_hits", 0)),
-            stages_skipped=int(data.get("stages_skipped", 0)),
-            rejected=list(data.get("rejected", [])),
-            validation_failures=list(data.get("validation_failures", [])),
-            telemetry=data.get("telemetry"),
-        )
+        from ..dse.config import ExploreConfig
+
+        known = {f.name for f in dataclasses.fields(cls)}
+        values = {name: value for name, value in data.items() if name in known}
+        if "objectives" in values:
+            values["objectives"] = tuple(values["objectives"])
+        if values.get("config") is not None:
+            values["config"] = ExploreConfig.from_dict(values["config"])
+        return cls(**values)

@@ -19,17 +19,13 @@ from .analysis import (
     node_intensity,
 )
 from .dataflow_opt import (
-    BalanceDataflowPass,
     BalanceReport,
-    EliminateMultiProducerPass,
     balance_data_paths,
     eliminate_multiple_producers,
     node_depths,
 )
 from .functional import (
-    ConstructDataflowPass,
     ElementwiseFusionPattern,
-    FuseTasksPass,
     FusionPattern,
     InitializationFusionPattern,
     construct_functional_dataflow,
@@ -53,7 +49,6 @@ from .parallelize import (
 )
 from .pipeline import CompileOptions, CompileResult, WorkloadSpec
 from .structural import (
-    LowerToStructuralPass,
     analyze_memory_effects,
     convert_allocs_to_buffers,
     convert_dispatch_to_schedule,
@@ -71,15 +66,11 @@ __all__ = [
     "connection_table",
     "is_parallel_loop",
     "node_intensity",
-    "BalanceDataflowPass",
     "BalanceReport",
-    "EliminateMultiProducerPass",
     "balance_data_paths",
     "eliminate_multiple_producers",
     "node_depths",
-    "ConstructDataflowPass",
     "ElementwiseFusionPattern",
-    "FuseTasksPass",
     "FusionPattern",
     "InitializationFusionPattern",
     "construct_functional_dataflow",
@@ -101,7 +92,6 @@ __all__ = [
     "CompileOptions",
     "CompileResult",
     "WorkloadSpec",
-    "LowerToStructuralPass",
     "analyze_memory_effects",
     "convert_allocs_to_buffers",
     "convert_dispatch_to_schedule",

@@ -36,9 +36,8 @@ from ..dialects.dataflow import (
 )
 from ..dialects.memref import CopyOp
 from ..ir.builder import Builder
-from ..ir.builtin import ConstantOp, ModuleOp
+from ..ir.builtin import ConstantOp
 from ..ir.core import Value
-from ..ir.passes import AnalysisManager, Pass
 from ..ir.types import MemRefType, i1
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "node_depths",
     "balance_data_paths",
     "BalanceReport",
-    "EliminateMultiProducerPass",
-    "BalanceDataflowPass",
 ]
 
 
@@ -357,27 +354,3 @@ def balance_data_paths(
                     consumer_builder.insert(StreamReadOp.create(consumer_arg))
                     report.token_streams += 1
     return report
-
-
-class EliminateMultiProducerPass(Pass):
-    """Pass wrapper for multi-producer elimination on every schedule."""
-
-    name = "hida-eliminate-multi-producers"
-
-    def run(self, module: ModuleOp, analyses: AnalysisManager) -> None:
-        for schedule in module.walk_ops(ScheduleOp):
-            eliminate_multiple_producers(schedule)
-
-
-class BalanceDataflowPass(Pass):
-    """Pass wrapper for data-path balancing on every schedule."""
-
-    name = "hida-balance-dataflow"
-
-    def __init__(self, on_chip_bit_budget: int = 4 * 1024 * 1024 * 8) -> None:
-        super().__init__()
-        self.on_chip_bit_budget = on_chip_bit_budget
-
-    def run(self, module: ModuleOp, analyses: AnalysisManager) -> None:
-        for schedule in module.walk_ops(ScheduleOp):
-            balance_data_paths(schedule, self.on_chip_bit_budget)

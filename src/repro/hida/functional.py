@@ -22,7 +22,6 @@ from ..dialects.dataflow import DispatchOp, TaskOp, YieldOp
 from ..dialects.memref import AllocOp, GetGlobalOp
 from ..ir.builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from ..ir.core import Block, Operation, Value
-from ..ir.passes import AnalysisManager, Pass
 from ..transforms.canonicalize import simplify_dispatch_hierarchy
 from .analysis import node_intensity
 
@@ -39,8 +38,6 @@ __all__ = [
     "fuse_tasks",
     "task_intensity",
     "fuse_dataflow_tasks",
-    "ConstructDataflowPass",
-    "FuseTasksPass",
 ]
 
 
@@ -550,30 +547,3 @@ def fuse_dataflow_tasks(
 
         simplify_dispatch_hierarchy(dispatch)
     return fusions
-
-
-class ConstructDataflowPass(Pass):
-    """Pass wrapper for Functional dataflow construction (Algorithm 1)."""
-
-    name = "hida-construct-dataflow"
-
-    def run(self, module: ModuleOp, analyses: AnalysisManager) -> None:
-        construct_functional_dataflow(module)
-
-
-class FuseTasksPass(Pass):
-    """Pass wrapper for Functional dataflow task fusion (Algorithm 2)."""
-
-    name = "hida-fuse-tasks"
-
-    def __init__(
-        self,
-        patterns: Optional[Sequence[FusionPattern]] = None,
-        balance: bool = True,
-    ) -> None:
-        super().__init__()
-        self.patterns = patterns
-        self.balance = balance
-
-    def run(self, module: ModuleOp, analyses: AnalysisManager) -> None:
-        fuse_dataflow_tasks(module, self.patterns, self.balance)

@@ -31,7 +31,6 @@ from ..dialects.dataflow import (
 from ..dialects.memref import AllocOp, CopyOp
 from ..ir.builtin import FuncOp, ModuleOp
 from ..ir.core import Operation, Value
-from ..ir.passes import AnalysisManager, Pass
 from ..ir.types import MemRefType
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "convert_task_to_node",
     "convert_dispatch_to_schedule",
     "lower_to_structural_dataflow",
-    "LowerToStructuralPass",
 ]
 
 
@@ -254,16 +252,3 @@ def lower_to_structural_dataflow(module: ModuleOp, default_depth: int = 2) -> Li
         for dispatch in dispatches:
             schedules.append(convert_dispatch_to_schedule(dispatch))
     return schedules
-
-
-class LowerToStructuralPass(Pass):
-    """Pass wrapper for the Functional → Structural dataflow lowering."""
-
-    name = "hida-lower-to-structural"
-
-    def __init__(self, default_depth: int = 2) -> None:
-        super().__init__()
-        self.default_depth = default_depth
-
-    def run(self, module: ModuleOp, analyses: AnalysisManager) -> None:
-        lower_to_structural_dataflow(module, self.default_depth)

@@ -1,8 +1,8 @@
-"""repro.ir — a compact SSA IR kernel (values, ops, regions, passes).
+"""repro.ir — a compact SSA IR kernel (values, ops, regions).
 
 This package provides the compiler infrastructure substrate that the HIDA
 dialects and optimizations are built on.  See :mod:`repro.ir.core` for the
-object model and :mod:`repro.ir.passes` for the pass infrastructure.
+object model; pipelines are :class:`repro.compiler.CompilationStage` lists.
 """
 
 from .builder import Builder, InsertionPoint
@@ -19,15 +19,6 @@ from .core import (
     create_operation,
     register_operation,
     registered_operations,
-)
-from .passes import (
-    AnalysisManager,
-    FunctionPass,
-    Pass,
-    PassInstrumentation,
-    PassManager,
-    RewritePattern,
-    apply_patterns_greedily,
 )
 from .printer import IRPrinter, fingerprint_op, print_op
 from .types import (
@@ -81,14 +72,6 @@ __all__ = [
     # builder
     "Builder",
     "InsertionPoint",
-    # passes
-    "AnalysisManager",
-    "FunctionPass",
-    "Pass",
-    "PassInstrumentation",
-    "PassManager",
-    "RewritePattern",
-    "apply_patterns_greedily",
     # printing / verification
     "IRPrinter",
     "fingerprint_op",

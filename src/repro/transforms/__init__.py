@@ -7,11 +7,10 @@ from .array_partition import (
     partition_for_accesses,
 )
 from .canonicalize import (
-    CanonicalizePass,
     eliminate_dead_code,
     simplify_dispatch_hierarchy,
 )
-from .linalg_to_affine import LowerLinalgToAffinePass, lower_linalg_to_affine
+from .linalg_to_affine import lower_linalg_to_affine
 from .loop_transforms import (
     annotate_unroll,
     innermost_loops_of,
@@ -29,10 +28,8 @@ __all__ = [
     "partition_buffers_in",
     "partition_factors_of_value",
     "partition_for_accesses",
-    "CanonicalizePass",
     "eliminate_dead_code",
     "simplify_dispatch_hierarchy",
-    "LowerLinalgToAffinePass",
     "lower_linalg_to_affine",
     "annotate_unroll",
     "innermost_loops_of",

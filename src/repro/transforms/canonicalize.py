@@ -6,12 +6,10 @@ from __future__ import annotations
 from ..dialects.dataflow import DispatchOp, TaskOp, YieldOp
 from ..ir.builtin import FuncOp, ModuleOp
 from ..ir.core import Operation
-from ..ir.passes import AnalysisManager, Pass
 
 __all__ = [
     "eliminate_dead_code",
     "simplify_dispatch_hierarchy",
-    "CanonicalizePass",
 ]
 
 #: Operations that have observable effects and must never be removed even if
@@ -95,14 +93,3 @@ def simplify_dispatch_hierarchy(dispatch: DispatchOp) -> None:
                 inner.erase()
                 changed = True
                 break
-
-
-class CanonicalizePass(Pass):
-    """Module-level canonicalization: DCE plus dispatch simplification."""
-
-    name = "canonicalize"
-
-    def run(self, module: ModuleOp, analyses: AnalysisManager) -> None:
-        for dispatch in module.walk_ops(DispatchOp):
-            simplify_dispatch_hierarchy(dispatch)
-        eliminate_dead_code(module)

@@ -25,10 +25,9 @@ from ..dialects.memref import AllocOp, GetGlobalOp
 from ..ir.builder import Builder, InsertionPoint
 from ..ir.builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from ..ir.core import Value
-from ..ir.passes import AnalysisManager, Pass
 from ..ir.types import FunctionType, MemRefType, TensorType
 
-__all__ = ["LowerLinalgToAffinePass", "lower_linalg_to_affine"]
+__all__ = ["lower_linalg_to_affine"]
 
 
 class _LoweringContext:
@@ -438,12 +437,3 @@ def lower_linalg_to_affine(module: ModuleOp) -> ModuleOp:
         for op in reversed(linalg_ops):
             op.erase()
     return module
-
-
-class LowerLinalgToAffinePass(Pass):
-    """Pass wrapper around :func:`lower_linalg_to_affine`."""
-
-    name = "lower-linalg-to-affine"
-
-    def run(self, module: ModuleOp, analyses: AnalysisManager) -> None:
-        lower_linalg_to_affine(module)

@@ -40,6 +40,7 @@ __all__ = [
     "list_workloads",
     "parse_workload_id",
     "register_workload",
+    "registered_definition",
     "source_modules",
     "workload_registry",
 ]
@@ -268,6 +269,17 @@ def workload_registry() -> Dict[str, WorkloadDef]:
     """A snapshot of the registry (name -> definition, registration order)."""
     _ensure_builtins()
     return dict(_REGISTRY)
+
+
+def registered_definition(name: str) -> Optional[WorkloadDef]:
+    """The live definition under ``name`` (None when unregistered).
+
+    Each registration creates a fresh :class:`WorkloadDef`, so memos of
+    anything derived from a workload's builder compare this by identity to
+    notice a ``replace=True`` re-registration.
+    """
+    _ensure_builtins()
+    return _REGISTRY.get(name)
 
 
 def _default_name(obj: object) -> str:

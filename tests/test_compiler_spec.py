@@ -397,30 +397,3 @@ class TestCompilerCli:
 
         assert main(["--workload", "kernel:atax", "--spec", "nope"]) == 2
         assert "known stages" in capsys.readouterr().err
-
-
-# ------------------------------------------------- pass instrumentation
-class TestPassInstrumentation:
-    def test_pass_manager_invokes_hooks(self):
-        from repro.ir import ModuleOp, PassInstrumentation, PassManager
-        from repro.ir.passes import Pass
-
-        events = []
-
-        class Recorder(PassInstrumentation):
-            def on_pass_start(self, pass_, module):
-                events.append(("start", pass_.name))
-
-            def on_pass_end(self, pass_, module, seconds):
-                events.append(("end", pass_.name, seconds >= 0))
-
-        class NopPass(Pass):
-            name = "nop"
-
-            def run(self, module, analyses):
-                pass
-
-        manager = PassManager([NopPass()], verify_each=False)
-        manager.add_instrumentation(Recorder())
-        manager.run(ModuleOp.create())
-        assert events == [("start", "nop"), ("end", "nop", True)]

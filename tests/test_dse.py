@@ -280,11 +280,6 @@ def test_explore_dedupes_duplicate_points(tmp_path):
     assert warm.num_cached == 2
 
 
-def test_explore_rejects_unknown_objectives():
-    with pytest.raises(ValueError, match="unknown objective"):
-        explore(tiny_space(kernels=("atax",)), objectives=("latency",), use_cache=False)
-
-
 def test_explore_warm_cache_replay(tmp_path):
     space = tiny_space(kernels=("atax",))
     cold = explore(space, workers=1, cache_dir=str(tmp_path / "qor"))
@@ -391,11 +386,6 @@ def test_explore_resume_streams_cache_without_recompute(tmp_path):
     resumed_again = explore(space, workers=1, cache_dir=str(tmp_path / "qor"), resume=True)
     assert resumed_again.num_points == len(space)
     assert resumed_again.frontier_keys() == full.frontier_keys()
-
-
-def test_explore_resume_requires_cache():
-    with pytest.raises(ValueError, match="resume"):
-        explore(tiny_space(kernels=("atax",)), use_cache=False, resume=True)
 
 
 def test_dse_cli_resume_and_pipeline_spec(tmp_path, capsys):

@@ -224,13 +224,6 @@ def test_hypervolume_reference_epsilon_scales_with_magnitude():
     assert hypervolume(records, objectives, reference) > 0.0
 
 
-def test_explore_rejects_search_args_without_strategy():
-    with pytest.raises(ValueError, match="without strategy"):
-        explore(medium_space(kernels=1), use_cache=False, budget=5)
-    with pytest.raises(ValueError, match="without strategy"):
-        explore(medium_space(kernels=1), use_cache=False, seed=3)
-
-
 def test_generation_hypervolume_is_a_monotone_trajectory(tmp_path):
     result = explore(
         medium_space(kernels=1),
@@ -246,16 +239,6 @@ def test_generation_hypervolume_is_a_monotone_trajectory(tmp_path):
     # dominated volume.
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] > 0
-
-
-def test_explore_rejects_strategy_with_resume(tmp_path):
-    with pytest.raises(ValueError, match="resume"):
-        explore(
-            medium_space(kernels=1),
-            cache_dir=str(tmp_path),
-            resume=True,
-            strategy="genetic",
-        )
 
 
 # ------------------------------------------------------------- determinism

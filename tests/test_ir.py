@@ -14,14 +14,10 @@ from repro.ir import (
     IntegerType,
     MemRefType,
     ModuleOp,
-    Pass,
-    PassManager,
     Region,
     ReturnOp,
-    RewritePattern,
     TensorType,
     VerificationError,
-    apply_patterns_greedily,
     create_operation,
     f32,
     i32,
@@ -30,7 +26,6 @@ from repro.ir import (
     registered_operations,
     verify,
 )
-from repro.ir.passes import AnalysisManager, FunctionPass
 from repro.dialects.arith import AddFOp
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 
@@ -377,104 +372,3 @@ class TestVerifier:
         Builder.at_end(loop2.body).insert(AddFOp.create(inner.result(), inner.result()))
         errors = verify(module, raise_on_error=False)
         assert any("not visible" in e for e in errors)
-
-
-# ---------------------------------------------------------------------------
-# Pass infrastructure
-# ---------------------------------------------------------------------------
-
-
-class _CountLoopsPass(FunctionPass):
-    name = "count-loops"
-
-    def __init__(self):
-        super().__init__()
-        self.count = 0
-
-    def run_on_function(self, func, analyses):
-        self.count += len(func.walk_ops(AffineForOp))
-
-
-class _UnrollAttrPattern(RewritePattern):
-    root = AffineForOp
-
-    def match_and_rewrite(self, op):
-        if op.get_attr("marked", False):
-            return False
-        op.set_attr("marked", True)
-        return True
-
-
-class TestPasses:
-    def test_pass_manager_runs_in_order_and_times(self):
-        module, func = build_simple_func()
-        Builder.at_end(func.entry_block).insert(AffineForOp.create(0, 4))
-        counter = _CountLoopsPass()
-        pm = PassManager([counter], verify_each=True)
-        pm.run(module)
-        assert counter.count == 1
-        assert len(pm.timings) == 1
-        assert pm.total_time() >= 0
-
-    def test_greedy_rewriter_reaches_fixpoint(self):
-        module, func = build_simple_func()
-        builder = Builder.at_end(func.entry_block)
-        builder.insert(AffineForOp.create(0, 4))
-        builder.insert(AffineForOp.create(0, 8))
-        changed = apply_patterns_greedily(module, [_UnrollAttrPattern()])
-        assert changed
-        assert all(
-            loop.get_attr("marked") for loop in module.walk_ops(AffineForOp)
-        )
-        # Second run: nothing left to do.
-        assert not apply_patterns_greedily(module, [_UnrollAttrPattern()])
-
-    def test_analysis_manager_caches(self):
-        calls = []
-
-        def analysis(op):
-            calls.append(op)
-            return 42
-
-        manager = AnalysisManager()
-        module = ModuleOp.create("m")
-        assert manager.get(analysis, module) == 42
-        assert manager.get(analysis, module) == 42
-        assert len(calls) == 1
-        manager.invalidate()
-        manager.get(analysis, module)
-        assert len(calls) == 2
-
-    def test_analysis_manager_invalidates_on_rewrite(self):
-        calls = []
-
-        def analysis(op):
-            calls.append(op)
-            return len(calls)
-
-        manager = AnalysisManager()
-        module, func = build_simple_func()
-        assert manager.get(analysis, module) == 1
-        assert manager.get(analysis, module) == 1
-        # Rewriting the IR changes the module's content fingerprint, so the
-        # stale analysis must not be served.
-        func.set_attr("rewritten", True)
-        assert manager.get(analysis, module) == 2
-        assert manager.get(analysis, module) == 2
-
-    def test_analysis_manager_keys_by_content_not_identity(self):
-        # Two structurally identical but distinct ops share a fingerprint, so
-        # a dead op's id being recycled can never resurrect a stale result;
-        # distinct content always gets distinct cache slots.
-        calls = []
-
-        def analysis(op):
-            calls.append(op)
-            return len(calls)
-
-        manager = AnalysisManager()
-        module_a, _ = build_simple_func()
-        module_b, func_b = build_simple_func()
-        assert manager.get(analysis, module_a) == manager.get(analysis, module_b)
-        func_b.set_attr("divergent", True)
-        assert manager.get(analysis, module_b) == 2

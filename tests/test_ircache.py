@@ -198,6 +198,33 @@ def test_corrupt_payload_loads_as_miss(tmp_path):
     assert cache.hits == 0
 
 
+@pytest.mark.parametrize(
+    "poison",
+    ["null", "[]", '{"_cache_ver', '{"_cache_version": 1, "payload": [1]}',
+     '{"_cache_version": 999, "payload": {"fingerprint": "x", "ir": ""}}'],
+)
+def test_poisoned_entries_are_misses_and_get_overwritten(tmp_path, poison):
+    """Valid-JSON-but-not-a-record files (and truncated / version-skewed
+    ones) must read as misses on both IR-cache read paths, not raise."""
+    compiler = make_compiler()
+    cold = compiler.run(workload="2mm", ir_cache=IRSnapshotCache(tmp_path))
+    IRSnapshotCache(tmp_path).put_fingerprint("2mm", "abc123")
+    entries = list(tmp_path.glob("*/*.json"))
+    assert len(entries) == 8  # 7 snapshots + the frontend fingerprint
+    for path in entries:
+        path.write_text(poison)
+    cache = IRSnapshotCache(tmp_path)
+    assert cache.get_fingerprint("2mm") is None
+    assert all(
+        cache.load("2mm", "zu3eg", prefix) is None
+        for prefix in compiler.prefix_hashes()
+    )
+    assert cache.hits == 0
+    healed = make_compiler().run(workload="2mm", ir_cache=cache)
+    assert summary_of(healed) == summary_of(cold)
+    assert cache.stores == 7
+
+
 def test_store_skips_existing_key(tmp_path):
     compiler = make_compiler()
     state = CompilationState(

@@ -469,6 +469,7 @@ def test_tracing_does_not_change_results(tmp_path):
         payload = result.to_dict()
         payload.pop("telemetry", None)
         payload.pop("elapsed_seconds", None)
+        payload.pop("config")  # the two runs name different cache dirs
 
         def scrub(value):
             # Wall-clock fields differ between any two runs, traced or not.

@@ -2,7 +2,7 @@
 """Ratcheting mypy gate over the analyzer and IR layers.
 
 Runs ``mypy --config-file mypy.ini`` over :data:`TARGETS` (the analyzer, IR,
-telemetry and compiler-front-door layers) and diffs the findings against the committed baseline
+telemetry, compiler-front-door and DSE layers) and diffs the findings against the committed baseline
 (``tools/mypy_baseline.txt``):
 
 * a finding not in the baseline fails the gate (new type error);
@@ -33,6 +33,8 @@ TARGETS = [
     "src/repro/ir",
     "src/repro/obs",
     "src/repro/compiler",
+    "src/repro/dse",
+    "src/repro/evaluation/reporting.py",
     "src/repro/hida/pipeline.py",
     "src/repro/hida/analysis.py",
     "src/repro/hida/dataflow_opt.py",
