@@ -23,7 +23,7 @@ from repro.baselines import compile_scalehls_baseline
 from repro.compiler import Compiler, default_stages
 from repro.estimation import get_platform
 
-__all__ = ["fit_hida", "fit_scalehls", "dsp_budget_of"]
+__all__ = ["fit_dsp_budget", "hida_at", "scalehls_at", "dsp_budget_of"]
 
 
 def pytest_addoption(parser):
@@ -70,45 +70,34 @@ def dsp_budget_of(platform_name):
     return get_platform(platform_name).dsps
 
 
-def fit_hida(build_module, platform_name, factors=(16, 32, 64, 128, 256), drop=()):
-    """Compile with HIDA at the largest parallel factor fitting the DSP budget.
+def fit_dsp_budget(compile_at, platform_name, factors):
+    """The best design of ``compile_at(factor)`` that fits the DSP budget.
 
-    ``drop`` names default-pipeline stages to leave out (``["tile"]``).
+    ``compile_at`` compiles one tool's pipeline at a maximum parallel factor
+    (see :func:`hida_at` and :func:`scalehls_at`); ``factors`` ascend, and
+    the sweep stops at the first design over budget.
     """
-
-    def compile_at(factor):
-        stages = default_stages(drop, parallelize={"factor": factor})
-        return Compiler(stages, platform=platform_name).run(build_module())
-
     budget = dsp_budget_of(platform_name)
     best = None
     for factor in factors:
         result = compile_at(factor)
-        if result.estimate.resources.dsp <= budget:
-            if best is None or result.throughput > best.throughput:
-                best = result
-        else:
+        if result.estimate.resources.dsp > budget:
             break
-    if best is None:
-        best = compile_at(factors[0])
-    return best
+        if best is None or result.throughput > best.throughput:
+            best = result
+    return best if best is not None else compile_at(factors[0])
 
 
-def fit_scalehls(build_module, platform_name, factors=(4, 8, 16, 32, 64, 128)):
-    """Compile the ScaleHLS baseline at the largest factor fitting the DSP budget."""
-    budget = dsp_budget_of(platform_name)
-    best = None
-    for factor in factors:
-        result = compile_scalehls_baseline(
-            build_module(), platform=platform_name, max_parallel_factor=factor
-        )
-        if result.estimate.resources.dsp <= budget:
-            if best is None or result.throughput > best.throughput:
-                best = result
-        else:
-            break
-    if best is None:
-        best = compile_scalehls_baseline(
-            build_module(), platform=platform_name, max_parallel_factor=factors[0]
-        )
-    return best
+def hida_at(workload, platform_name, drop=()):
+    """``factor -> CompileResult`` of the default pipeline minus ``drop``."""
+
+    def compile_at(factor):
+        stages = default_stages(drop, parallelize={"factor": factor})
+        return Compiler(stages, platform=platform_name).run(workload=workload)
+
+    return compile_at
+
+
+def scalehls_at(workload, platform_name):
+    """``factor -> CompileResult`` of the ScaleHLS baseline."""
+    return lambda factor: compile_scalehls_baseline(workload, platform_name, factor)

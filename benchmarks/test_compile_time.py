@@ -87,22 +87,16 @@ def test_print_and_fingerprint_largest_model(benchmark):
     Analysis caching, the IR snapshot cache and QoR-cache keys all funnel
     through ``print_op``/``fingerprint_op``, so their cost on the biggest
     module in the zoo is a first-class number.  The walk fingerprints every
-    nested op through one shared memo — the access pattern of a module-wide
-    analysis sweep, which without memoization is quadratic in module size.
+    nested op — the access pattern of a module-wide analysis sweep.
     """
     module = as_module("mobilenet")  # largest zoo model by printed IR
 
     def run():
         text = print_op(module)
-        memo = {}
-        digests = [fingerprint_op(op, memo) for op in module.walk()]
+        digests = [fingerprint_op(op) for op in module.walk()]
         return text, digests
 
     text, digests = benchmark.pedantic(run, rounds=5, iterations=2)
     assert len(text.splitlines()) > 100
     assert len(digests) == len(set(id(op) for op in module.walk()))
-    # Memoized re-lookup must be cheap: the module digest is already in the
-    # memo, so fingerprinting the root again costs one dict probe.
-    memo = {}
-    fingerprint_op(module, memo)
-    assert fingerprint_op(module, memo) == fingerprint_op(module)
+    assert fingerprint_op(module) in digests

@@ -5,10 +5,9 @@ while HIDA tiles large buffers into external memory and only caches small
 tiles; the figure reports the resulting BRAM reduction factor per model.
 """
 
-from conftest import fit_hida, fit_scalehls
+from conftest import fit_dsp_budget, hida_at, scalehls_at
 from repro.estimation import memory_reduction
 from repro.evaluation import format_table
-from repro.workloads import as_module
 
 PLATFORM = "vu9p-slr"
 MODELS = ["resnet18", "mobilenet", "vgg16", "mlp"]
@@ -17,12 +16,8 @@ MODELS = ["resnet18", "mobilenet", "vgg16", "mlp"]
 def _run_fig9():
     rows = []
     for name in MODELS:
-        hida = fit_hida(
-            lambda name=name: as_module(name), PLATFORM, factors=(32, 64, 128)
-        )
-        scalehls = fit_scalehls(
-            lambda name=name: as_module(name), PLATFORM, factors=(8, 16, 32)
-        )
+        hida = fit_dsp_budget(hida_at(name, PLATFORM), PLATFORM, (32, 64, 128))
+        scalehls = fit_dsp_budget(scalehls_at(name, PLATFORM), PLATFORM, (8, 16, 32))
         rows.append({
             "model": name,
             "hida_bram": hida.estimate.resources.bram,

@@ -8,7 +8,7 @@ paper's Table 7.
 
 import pytest
 
-from conftest import fit_hida, fit_scalehls
+from conftest import fit_dsp_budget, hida_at, scalehls_at
 from repro.baselines import compile_vitis_baseline, soff_throughput
 from repro.estimation import geometric_mean
 from repro.evaluation import format_ratio, format_table
@@ -19,8 +19,8 @@ PLATFORM = "zu3eg"
 
 
 def _evaluate_kernel(name):
-    hida = fit_hida(lambda: as_module(name), PLATFORM, factors=(8, 16, 32, 64), drop=["tile"])
-    scalehls = fit_scalehls(lambda: as_module(name), PLATFORM, factors=(8, 16, 32, 64))
+    hida = fit_dsp_budget(hida_at(name, PLATFORM, drop=["tile"]), PLATFORM, (8, 16, 32, 64))
+    scalehls = fit_dsp_budget(scalehls_at(name, PLATFORM), PLATFORM, (8, 16, 32, 64))
     vitis = compile_vitis_baseline(as_module(name), platform=PLATFORM)
     return {
         "kernel": name,

@@ -5,7 +5,7 @@ compared with the ScaleHLS baseline and the DNNBuilder-style RTL baseline
 (which, as in the paper, does not support ResNet-18 or MobileNet).
 """
 
-from conftest import fit_hida, fit_scalehls
+from conftest import fit_dsp_budget, hida_at, scalehls_at
 from repro.baselines import UnsupportedModelError, compile_dnnbuilder_baseline
 from repro.estimation import dsp_efficiency, geometric_mean, get_platform
 from repro.evaluation import format_ratio, format_table
@@ -19,8 +19,8 @@ MODELS = ["resnet18", "mobilenet", "zfnet", "vgg16", "yolo", "mlp"]
 def _evaluate_model(name):
     platform = get_platform(PLATFORM)
     macs = sum(row[3] for row in layer_summary(as_module(name)))
-    hida = fit_hida(lambda: as_module(name), PLATFORM, factors=(32, 64, 128, 256))
-    scalehls = fit_scalehls(lambda: as_module(name), PLATFORM, factors=(4, 8, 16, 32, 64))
+    hida = fit_dsp_budget(hida_at(name, PLATFORM), PLATFORM, (32, 64, 128, 256))
+    scalehls = fit_dsp_budget(scalehls_at(name, PLATFORM), PLATFORM, (4, 8, 16, 32, 64))
     try:
         dnnbuilder = compile_dnnbuilder_baseline(as_module(name), platform=PLATFORM)
     except UnsupportedModelError:

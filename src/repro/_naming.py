@@ -9,7 +9,19 @@ from __future__ import annotations
 import difflib
 from typing import List, Sequence
 
-__all__ = ["closest_names", "unknown_name_message"]
+__all__ = ["UnknownNameError", "closest_names", "unknown_name_message"]
+
+
+class UnknownNameError(KeyError):
+    """An unresolvable registry name, with closest-match suggestions."""
+
+    def __init__(self, message: str, suggestions: Sequence[str] = ()) -> None:
+        super().__init__(message)
+        self.message = message
+        self.suggestions = list(suggestions)
+
+    def __str__(self) -> str:  # KeyError would repr() the message
+        return self.message
 
 
 def closest_names(name: str, candidates: Sequence[str], limit: int = 3) -> List[str]:

@@ -11,9 +11,9 @@ from .dnnbuilder import (
     UnsupportedModelError,
     compile_dnnbuilder_baseline,
 )
-from .scalehls import ScaleHLSResult, compile_scalehls_baseline
+from .scalehls import compile_scalehls_baseline, scalehls_pipeline_spec
 from .soff import SOFF_THROUGHPUT_SAMPLES_PER_S, soff_throughput
-from .vitis import compile_vitis_baseline
+from .vitis import compile_vitis_baseline, vitis_pipeline_spec
 
 __all__ = [
     "ABLATION_MODES",
@@ -23,9 +23,10 @@ __all__ = [
     "DNNBuilderResult",
     "UnsupportedModelError",
     "compile_dnnbuilder_baseline",
-    "ScaleHLSResult",
     "compile_scalehls_baseline",
+    "scalehls_pipeline_spec",
     "SOFF_THROUGHPUT_SAMPLES_PER_S",
     "soff_throughput",
     "compile_vitis_baseline",
+    "vitis_pipeline_spec",
 ]

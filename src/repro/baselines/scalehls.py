@@ -1,8 +1,7 @@
 """ScaleHLS-style baseline (the paper's primary comparison framework).
 
-ScaleHLS [70] automatically legalizes a computation graph into a dataflow
-model and applies loop/directive optimizations per task, but — as the paper
-discusses — it
+ScaleHLS [70] legalizes a computation graph into a dataflow model and applies
+loop/directive optimizations per task but, as the paper discusses, it
 
 * ignores the inter-task design-space coupling: every task is parallelized
   towards the maximum parallel factor independently (no intensity
@@ -12,57 +11,28 @@ discusses — it
 * performs no multi-producer elimination or data-path balancing, so shortcut
   structures (ResNet) back-pressure the pipeline.
 
-The baseline reuses the same IR, lowering and estimation substrate as HIDA
-so the comparison isolates exactly these policy differences.
+Each policy is a difference between :func:`scalehls_pipeline_spec` and the
+default pipeline, except the BRAM that keeping every weight tensor on-chip
+costs, which is added to the estimate afterwards.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
-
+from ..compiler import Compiler
 from ..dialects.memref import GetGlobalOp
-from ..estimation.platform import get_platform
-from ..estimation.qor import DesignEstimate, QoREstimator
-from ..hida.functional import construct_functional_dataflow, fuse_dataflow_tasks
-from ..hida.parallelize import (
-    ParallelizationOptions,
-    parallelize_function_bands,
-    parallelize_schedule,
-)
-from ..hida.structural import lower_to_structural_dataflow
+from ..hida.pipeline import CompileResult
 from ..ir.builtin import ModuleOp
-from ..transforms.canonicalize import eliminate_dead_code
-from ..transforms.linalg_to_affine import lower_linalg_to_affine
-from ..dialects import linalg
 
-__all__ = ["ScaleHLSResult", "compile_scalehls_baseline"]
+__all__ = ["compile_scalehls_baseline", "scalehls_pipeline_spec"]
 
 
-@dataclasses.dataclass
-class ScaleHLSResult:
-    """Outcome of the ScaleHLS-style compilation."""
-
-    module: ModuleOp
-    estimate: DesignEstimate
-    compile_seconds: float
-
-    @property
-    def throughput(self) -> float:
-        return self.estimate.throughput
-
-    def summary(self) -> dict:
-        resources = self.estimate.resources
-        return {
-            "throughput": self.throughput,
-            "latency_cycles": self.estimate.latency,
-            "interval_cycles": self.estimate.interval,
-            "lut": resources.lut,
-            "ff": resources.ff,
-            "dsp": resources.dsp,
-            "bram": resources.bram,
-            "compile_seconds": self.compile_seconds,
-        }
+def scalehls_pipeline_spec(max_parallel_factor: int, enable_dataflow: bool = True) -> str:
+    """The printed pipeline spec of the ScaleHLS baseline."""
+    estimate = "estimate" if enable_dataflow else "estimate{dataflow=0}"
+    return (
+        "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+        f"parallelize{{factor={max_parallel_factor},ia=0,ca=0}},{estimate}"
+    )
 
 
 def _weight_bram(module: ModuleOp) -> float:
@@ -81,55 +51,13 @@ def compile_scalehls_baseline(
     platform: str = "vu9p-slr",
     max_parallel_factor: int = 32,
     enable_dataflow: bool = True,
-) -> ScaleHLSResult:
+) -> CompileResult:
     """Compile ``module`` with ScaleHLS-style policies and estimate its QoR.
 
     ``module`` may also be a registry workload id (``"resnet18@batch=4"``)
     or :class:`~repro.workloads.Workload` handle, resolved lazily.
     """
-    from ..workloads import as_module
-
-    module = as_module(module)
-    target = get_platform(platform)
-    estimator = QoREstimator(target)
-    start = time.perf_counter()
-
-    has_linalg = any(isinstance(op, linalg.LinalgOp) for op in module.walk())
-    construct_functional_dataflow(module)
-    fuse_dataflow_tasks(module)
-    if has_linalg:
-        lower_linalg_to_affine(module)
-        eliminate_dead_code(module)
-    schedules = lower_to_structural_dataflow(module)
-
-    # ScaleHLS keeps every intermediate buffer on-chip: no spilling, no
-    # tiling, single-frame (non ping-pong) buffers unless dataflow demands
-    # double buffering, which ScaleHLS does apply between tasks.
-    for schedule in schedules:
-        for buffer in schedule.buffers:
-            buffer.set_memory_kind("bram_t2p")
-
-    options = ParallelizationOptions.naive(max_parallel_factor)
-    for schedule in schedules:
-        parallelize_schedule(schedule, options)
-    if not schedules:
-        for func in module.functions:
-            parallelize_function_bands(func, options)
-
-    if schedules:
-        estimates = [
-            estimator.estimate_schedule(schedule, dataflow=enable_dataflow)
-            for schedule in schedules
-        ]
-        estimate = max(estimates, key=lambda e: e.latency)
-    else:
-        estimate = estimator.estimate_function(module.functions[0], dataflow=False)
-
-    # All weights stay on-chip as well (no external memory support).
-    estimate.resources.bram += _weight_bram(module)
-
-    return ScaleHLSResult(
-        module=module,
-        estimate=estimate,
-        compile_seconds=time.perf_counter() - start,
-    )
+    spec = scalehls_pipeline_spec(max_parallel_factor, enable_dataflow)
+    result = Compiler.from_spec(spec, platform=platform).run(module)
+    result.estimate.resources.bram += _weight_bram(result.module)
+    return result

@@ -2,7 +2,7 @@
 
 Vitis HLS applies loop pipelining to innermost loops automatically but does
 not unroll loops, partition arrays, restructure the program into dataflow
-tasks, or manage external memory tiling.  The baseline therefore:
+tasks, or manage external memory tiling.  :func:`vitis_pipeline_spec` therefore
 
 * pipelines every innermost loop (II = 1 target),
 * keeps every loop at unroll factor 1,
@@ -11,33 +11,22 @@ tasks, or manage external memory tiling.  The baseline therefore:
 
 from __future__ import annotations
 
-
-from ..estimation.platform import get_platform
-from ..estimation.qor import DesignEstimate, QoREstimator
+from ..compiler import Compiler
+from ..estimation.qor import DesignEstimate
 from ..ir.builtin import ModuleOp
-from ..transforms.loop_transforms import pipeline_innermost_loops
 
-__all__ = ["compile_vitis_baseline"]
+__all__ = ["compile_vitis_baseline", "vitis_pipeline_spec"]
 
 
-def compile_vitis_baseline(
-    module: ModuleOp, platform: str = "zu3eg"
-) -> DesignEstimate:
+def vitis_pipeline_spec() -> str:
+    """The printed pipeline spec of the Vitis-HLS-only baseline."""
+    return "lower-linalg,pipeline-innermost,estimate{dataflow=0}"
+
+
+def compile_vitis_baseline(module: ModuleOp, platform: str = "zu3eg") -> DesignEstimate:
     """Estimate ``module`` as Vitis HLS would compile it out of the box.
 
     ``module`` may also be a registry workload id (``"atax"``) or
     :class:`~repro.workloads.Workload` handle, resolved lazily.
     """
-    from ..dialects import linalg
-    from ..transforms.linalg_to_affine import lower_linalg_to_affine
-    from ..workloads import as_module
-
-    module = as_module(module)
-    target = get_platform(platform)
-    if any(isinstance(op, linalg.LinalgOp) for op in module.walk()):
-        lower_linalg_to_affine(module)
-    for func in module.functions:
-        pipeline_innermost_loops(func)
-    estimator = QoREstimator(target)
-    func = module.functions[0]
-    return estimator.estimate_function(func, dataflow=False)
+    return Compiler.from_spec(vitis_pipeline_spec(), platform=platform).run(module).estimate

@@ -307,7 +307,6 @@ class Compiler:
         *,
         workload=None,
         ir_cache: Optional[IRSnapshotCache] = None,
-        workload_key: Optional[str] = None,
     ):
         """Run every stage over ``module`` (modified in place).
 
@@ -316,6 +315,8 @@ class Compiler:
         ``"resnet18@batch=4"``, a bound :class:`~repro.workloads.Workload`
         handle or a :class:`~repro.hida.pipeline.WorkloadSpec` — and builds
         the module first (``Compiler.from_spec(...).run(workload="2mm")``).
+        Given both, ``module`` is the already-built form of ``workload``,
+        which then only names the input for the IR cache.
 
         With an :class:`~repro.compiler.ircache.IRSnapshotCache`, the run
         first probes for the *longest* cached snapshot-safe stage prefix of
@@ -323,14 +324,12 @@ class Compiler:
         printed IR and resumes mid-pipeline — skipping the frontend trace
         entirely on the workload path.  On a miss it compiles normally and
         stores a snapshot at every snapshot-safe boundary it crosses.
-        ``workload_key`` overrides the cache identity of the input (needed
-        when passing a raw module that nevertheless has a stable identity);
-        by default it derives from ``workload`` or, for raw modules, from
-        the module's content fingerprint.  Counters for the run land in
-        :attr:`ir_cache_stats`; results are bit-for-bit independent of the
-        cache (snapshots self-verify at store time), with one observable
-        difference: skipped stages emit no diagnostics and re-run no
-        observers.
+        Snapshots are keyed by ``workload``'s registry identity or, for raw
+        modules, by the module's content fingerprint.  Counters for the run
+        land in :attr:`ir_cache_stats`; results are bit-for-bit independent
+        of the cache (snapshots self-verify at store time), with one
+        observable difference: skipped stages emit no diagnostics and re-run
+        no observers.
 
         Returns a :class:`~repro.hida.pipeline.CompileResult`.  Raises
         :class:`~repro.compiler.spec.PipelineSpecError` when the pipeline
@@ -339,13 +338,13 @@ class Compiler:
         """
         from ..hida.pipeline import CompileOptions, CompileResult
 
-        if workload is not None and module is not None:
-            raise TypeError("pass either module or workload=..., not both")
-        if workload is None and module is None:
-            raise TypeError("Compiler.run() needs a module or workload=...")
         if module is not None and not isinstance(module, ModuleOp):
             # Convenience: run("2mm") / run(handle) resolve via the registry.
+            if workload is not None:
+                raise TypeError("pass the workload once, not also as the module")
             workload, module = module, None
+        if workload is None and module is None:
+            raise TypeError("Compiler.run() needs a module or workload=...")
 
         self.metrics = obs.MetricsRegistry()
         self.observer_errors = []
@@ -358,7 +357,8 @@ class Compiler:
         with obs.span(
             "compile", cat="pipeline", platform=self.platform, spec=self.spec_text()
         ) as run_span:
-            if ir_cache is not None and workload_key is None:
+            workload_key: Optional[str] = None
+            if ir_cache is not None:
                 if workload is not None:
                     workload_key = workload_cache_key(workload)
                 else:
@@ -370,11 +370,7 @@ class Compiler:
 
             state: Optional[CompilationState] = None
             resume_index = 0
-            boundaries = (
-                self.snapshot_boundaries()
-                if ir_cache is not None and workload_key is not None
-                else []
-            )
+            boundaries = self.snapshot_boundaries() if workload_key is not None else []
             hashes = self.prefix_hashes() if boundaries else []
             for i in reversed(boundaries):
                 restored = ir_cache.load(workload_key, self.platform, hashes[i])

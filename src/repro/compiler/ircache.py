@@ -182,7 +182,7 @@ class IRSnapshotCache:
         continues uncached rather than risking a divergent warm path.
         """
         key = self.snapshot_key(workload_key, platform, prefix_hash)
-        if self._store.get(key) is not None:
+        if key in self._store:
             return False  # identical content by construction of the key
         text = print_op(state.module)
         hints = collect_name_hints(state.module)

@@ -44,6 +44,7 @@ from ..hida.structural import lower_to_structural_dataflow
 from ..ir.builtin import ModuleOp
 from ..transforms.canonicalize import eliminate_dead_code
 from ..transforms.linalg_to_affine import lower_linalg_to_affine
+from ..transforms.loop_transforms import pipeline_innermost_loops
 from .spec import PipelineSpecError, StageSpec
 
 __all__ = [
@@ -495,6 +496,21 @@ class ParallelizeStage(CompilationStage):
                 severity="warning",
                 misalignments=state.misalignments,
             )
+
+
+@register_stage
+class PipelineInnermostStage(CompilationStage):
+    """Pipeline every innermost loop at II = 1 and change nothing else.
+
+    What Vitis HLS does on its own, out of the box: no unrolling, no array
+    partitioning, no dataflow restructuring (the Vitis-only baseline).
+    """
+
+    name = "pipeline-innermost"
+
+    def run(self, state: CompilationState) -> None:
+        for func in state.module.functions:
+            pipeline_innermost_loops(func)
 
 
 @register_stage

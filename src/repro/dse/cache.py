@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .. import obs
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["QoRCache", "default_cache_dir"]
 
@@ -56,30 +55,17 @@ class QoRCache:
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.max_entries = max_entries
-        #: Probe counters live on a metrics registry; :attr:`hits` and
-        #: :attr:`misses` remain as plain-int views for the existing surface.
-        self.metrics = MetricsRegistry()
-
-    @property
-    def hits(self) -> int:
-        return int(self.metrics.value("qor_cache.hits"))
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self.metrics.counter("qor_cache.hits").value = float(value)
-
-    @property
-    def misses(self) -> int:
-        return int(self.metrics.value("qor_cache.misses"))
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self.metrics.counter("qor_cache.misses").value = float(value)
+        #: Probes by :meth:`get` that found / did not find a usable entry.
+        self.hits = 0
+        self.misses = 0
 
     def _record_probe(self, key: str, hit: bool) -> None:
         # Keys are namespaced ("point|...", "ir|...", "irfp|..."), so the
         # leading token tells the telemetry which cache family was probed.
-        self.metrics.inc("qor_cache.hits" if hit else "qor_cache.misses")
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
         kind = key.split("|", 1)[0]
         obs.inc(f"cache.{kind}.{'hits' if hit else 'misses'}")
         obs.event("cache.get", cat="cache", kind=kind, hit=hit, key=key[:96])
@@ -92,7 +78,7 @@ class QoRCache:
         return self.root / digest[:2] / f"{digest}.json"
 
     # ----------------------------------------------------------------- api
-    def get(self, key: str) -> Optional[Dict]:
+    def _read(self, key: str) -> Optional[Dict]:
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -109,13 +95,20 @@ class QoRCache:
             else None
         )
         if not isinstance(payload, dict):
-            self._record_probe(key, hit=False)
             return None
         with contextlib.suppress(OSError):
             # Touch for LRU eviction ordering.
             os.utime(path)
-        self._record_probe(key, hit=True)
         return payload
+
+    def get(self, key: str) -> Optional[Dict]:
+        payload = self._read(key)
+        self._record_probe(key, hit=payload is not None)
+        return payload
+
+    def __contains__(self, key: str) -> bool:
+        """Whether :meth:`get` would hit; not a probe, so nothing is counted."""
+        return self._read(key) is not None
 
     def put(self, key: str, payload: Dict) -> None:
         path = self._path(key)

@@ -175,22 +175,12 @@ def evaluate_point(
         else:
             key, compiler, module, ir_cache = miss
             try:
-                spec = point.workload_spec()
-                if ir_cache is None:
-                    result = compiler.run(
-                        module if module is not None else spec.build()
-                    )
-                elif module is not None:
-                    result = compiler.run(
-                        module,
-                        ir_cache=ir_cache,
-                        workload_key=workload_cache_key(spec),
-                    )
-                else:
-                    # No module in hand: on a prefix hit the driver
-                    # rehydrates from the snapshot and the frontend never
-                    # runs in this process at all.
-                    result = compiler.run(workload=spec, ir_cache=ir_cache)
+                # With no module in hand the driver builds it — or, on an
+                # IR-cache prefix hit, rehydrates from the snapshot and the
+                # frontend never runs in this process at all.
+                result = compiler.run(
+                    module, workload=point.workload_spec(), ir_cache=ir_cache
+                )
                 if ir_cache is not None:
                     record["ir_cache"] = compiler.ir_cache_stats
                 payload = get_fidelity(fidelity).apply(result)

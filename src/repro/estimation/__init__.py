@@ -13,7 +13,7 @@ from .metrics import (
     speedup,
     throughput_samples_per_second,
 )
-from .platform import PLATFORMS, PYNQ_Z2, VU9P_SLR, ZU3EG, Platform, get_platform
+from .platform import PYNQ_Z2, VU9P_SLR, ZU3EG, Platform, get_platform
 from .qor import (
     SIMULATION_FRAMES,
     DesignEstimate,
@@ -38,7 +38,6 @@ __all__ = [
     "memory_reduction",
     "speedup",
     "throughput_samples_per_second",
-    "PLATFORMS",
     "PYNQ_Z2",
     "VU9P_SLR",
     "ZU3EG",

@@ -9,9 +9,9 @@ device figures; BRAM is counted in 18Kb blocks as Vitis HLS reports it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
+from typing import Dict, Union
 
-__all__ = ["Platform", "PYNQ_Z2", "ZU3EG", "VU9P_SLR", "PLATFORMS", "get_platform"]
+__all__ = ["Platform", "PYNQ_Z2", "ZU3EG", "VU9P_SLR", "get_platform"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,24 +83,22 @@ VU9P_SLR = Platform(
     dram_bytes_per_cycle=256.0,
 )
 
-PLATFORMS: Dict[str, Platform] = {
-    p.name: p for p in (PYNQ_Z2, ZU3EG, VU9P_SLR)
-}
 
-
-def get_platform(name: str) -> Platform:
+def get_platform(name: Union[str, Platform]) -> Platform:
     """Look up a platform by name (``pynq-z2``, ``zu3eg``, ``vu9p-slr``).
 
-    Resolution goes through the :mod:`repro.targets` registry, so aliases
-    (``vu9p`` -> ``vu9p-slr``) work everywhere a platform name is accepted
-    and unknown names carry closest-match suggestions.  The error remains a
-    ``KeyError`` subclass for pre-registry callers.
+    A lookup in the :mod:`repro.targets` registry, so aliases (``vu9p`` ->
+    ``vu9p-slr``) work everywhere a platform name is accepted and unknown
+    names raise its did-you-mean ``KeyError`` subclass.
     """
     if isinstance(name, Platform):
         return name
-    key = name.lower()
-    if key in PLATFORMS:
-        return PLATFORMS[key]
-    from ..targets import get_target  # deferred: targets imports this module
+    try:
+        # Canonical names (every internal caller) are one dict read.
+        return _targets._REGISTRY[name].platform
+    except KeyError:
+        return _targets.get_target(name).platform
 
-    return get_target(key).platform
+
+# At the bottom because repro.targets registers the devices defined above.
+from .. import targets as _targets  # noqa: E402

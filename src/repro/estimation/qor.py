@@ -658,29 +658,13 @@ def simulate_design(
 
 
 class QoREstimator:
-    """Estimates QoR for schedules, nodes and plain loop functions.
-
-    An optional ``cache`` (any object with dict-like ``get(key)`` /
-    ``put(key, value)`` over JSON records, e.g.
-    :class:`repro.dse.cache.QoRCache`) memoizes whole-schedule estimates by
-    the schedule's content fingerprint, so re-estimating an identical design
-    — the common case during design-space exploration — is a lookup instead
-    of a simulation.
-    """
+    """Estimates QoR for schedules, nodes and plain loop functions."""
 
     #: Bump when the analytical model changes to invalidate persisted caches.
     MODEL_VERSION = 2
 
-    def __init__(self, platform: Platform, cache=None) -> None:
+    def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self.cache = cache
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def _cache_key(self, kind: str, fingerprint: str, **params) -> str:
-        fields = [f"v{self.MODEL_VERSION}", kind, self.platform.name, fingerprint]
-        fields += [f"{k}={params[k]}" for k in sorted(params)]
-        return "|".join(fields)
 
     # ------------------------------------------------------------- schedules
     def estimate_schedule(
@@ -693,19 +677,6 @@ class QoREstimator:
         ping-pong buffers); otherwise nodes execute back-to-back.
         """
         from .dataflow_sim import simulate_schedule
-
-        key = None
-        if self.cache is not None:
-            from ..ir.printer import fingerprint_op
-
-            key = self._cache_key(
-                "schedule", fingerprint_op(schedule), dataflow=dataflow, frames=frames
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return DesignEstimate.from_dict(cached)
-            self.cache_misses += 1
 
         node_estimates = [estimate_node(node, self.platform) for node in schedule.nodes]
         resources = ResourceUsage()
@@ -725,7 +696,7 @@ class QoREstimator:
         else:
             interval = total_latency
             latency = total_latency
-        estimate = DesignEstimate(
+        return DesignEstimate(
             resources=resources,
             latency=latency,
             interval=interval,
@@ -733,9 +704,6 @@ class QoREstimator:
             node_estimates=node_estimates,
             dataflow=dataflow,
         )
-        if key is not None:
-            self.cache.put(key, estimate.to_dict())
-        return estimate
 
     # ----------------------------------------------------------- plain loops
     def estimate_function(self, func: Operation, dataflow: bool = False) -> DesignEstimate:
@@ -744,16 +712,6 @@ class QoREstimator:
         Used for the Vitis-HLS-only baseline and any design evaluated before
         Structural lowering: bands execute sequentially.
         """
-        key = None
-        if self.cache is not None:
-            from ..ir.printer import fingerprint_op
-
-            key = self._cache_key("function", fingerprint_op(func), dataflow=dataflow)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return DesignEstimate.from_dict(cached)
-            self.cache_misses += 1
         bands = loop_bands_of(func)
         # Also descend into tasks/dispatches if present.
         if not bands:
@@ -779,7 +737,7 @@ class QoREstimator:
             if isinstance(op, (AllocOp, BufferOp)):
                 resources = resources + estimate_buffer(op, self.platform)
         latency = max(latency, 1.0)
-        estimate = DesignEstimate(
+        return DesignEstimate(
             resources=resources,
             latency=latency,
             interval=latency,
@@ -787,6 +745,3 @@ class QoREstimator:
             node_estimates=node_estimates,
             dataflow=dataflow,
         )
-        if key is not None:
-            self.cache.put(key, estimate.to_dict())
-        return estimate

@@ -273,21 +273,18 @@ class BalanceReport:
 def balance_data_paths(
     schedule: ScheduleOp,
     on_chip_bit_budget: int = 4 * 1024 * 1024 * 8,
-    insert_copy_nodes: bool = False,
 ) -> BalanceReport:
     """Balance unequal data paths in the schedule.
 
     For every internal buffer whose consumer sits more than one level deeper
     than its producer, the buffer must be able to hold the extra in-flight
     frames.  Small buffers are deepened on-chip (method 1: buffer
-    duplication; optionally materialized as an explicit chain of copy nodes);
-    large buffers are spilled to external memory as soft FIFOs and the
-    producer/consumer pair is synchronized through 1-bit token streams
-    (method 2: elastic node execution).
+    duplication); large buffers are spilled to external memory as soft FIFOs
+    and the producer/consumer pair is synchronized through 1-bit token
+    streams (method 2: elastic node execution).
     """
     report = BalanceReport()
     depths = node_depths(schedule)
-    builder = Builder.at_end(schedule.body)
 
     for buffer_op in list(_internal_buffers(schedule)):
         buffer = buffer_op.result()
@@ -310,23 +307,6 @@ def balance_data_paths(
             buffer_op.set_depth(required_stages)
             buffer_op.set_attr("balanced", True)
             report.buffers_deepened += 1
-            if insert_copy_nodes:
-                for _ in range(required_stages - 2):
-                    duplicate = _clone_buffer(buffer_op, "_bal")
-                    copy_node = NodeOp.create(
-                        inputs=[buffer],
-                        outputs=[duplicate.result()],
-                        label="copy",
-                    )
-                    copy_builder = Builder.at_end(copy_node.body)
-                    copy_builder.insert(
-                        CopyOp.create(
-                            copy_node.body.arguments[0], copy_node.body.arguments[1]
-                        )
-                    )
-                    block = schedule.body
-                    block.insert(block.index_of(producers[0]) + 1, copy_node.detach())
-                    report.copy_nodes_inserted += 1
         else:
             # Method (2): soft FIFO in external memory plus token flow.
             buffer_op.set_memory_kind("dram")

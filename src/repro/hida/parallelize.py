@@ -57,6 +57,9 @@ __all__ = [
     "count_misalignments",
 ]
 
+#: Upper bound on DSE proposals evaluated per band.
+_MAX_PROPOSALS = 8192
+
 
 @dataclasses.dataclass
 class ParallelizationOptions:
@@ -69,41 +72,10 @@ class ParallelizationOptions:
     max_parallel_factor: int = 32
     intensity_aware: bool = True
     connection_aware: bool = True
-    #: Restrict DSE proposals to power-of-two factors (plus exact divisors of
-    #: small trip counts), keeping the proposal space tractable.
-    powers_of_two_only: bool = False
-    #: Upper bound on DSE proposals evaluated per band.
-    max_proposals: int = 8192
-    #: Pipeline innermost loops after unrolling.
-    pipeline: bool = True
     #: Target initiation interval requested for pipelined loops.  II > 1
     #: trades throughput for resources (the scheduler can share operators),
     #: which makes it a useful DSE axis on resource-constrained platforms.
     target_ii: int = 1
-
-    @classmethod
-    def naive(cls, max_parallel_factor: int = 32) -> "ParallelizationOptions":
-        return cls(
-            max_parallel_factor=max_parallel_factor,
-            intensity_aware=False,
-            connection_aware=False,
-        )
-
-    @classmethod
-    def ia_only(cls, max_parallel_factor: int = 32) -> "ParallelizationOptions":
-        return cls(
-            max_parallel_factor=max_parallel_factor,
-            intensity_aware=True,
-            connection_aware=False,
-        )
-
-    @classmethod
-    def ca_only(cls, max_parallel_factor: int = 32) -> "ParallelizationOptions":
-        return cls(
-            max_parallel_factor=max_parallel_factor,
-            intensity_aware=False,
-            connection_aware=True,
-        )
 
 
 @dataclasses.dataclass
@@ -170,10 +142,9 @@ def generate_parallel_factors(
 # ---------------------------------------------------------------------------
 
 
-def _factor_candidates_for_loop(
-    trip: int, parallel: bool, limit: int, powers_of_two_only: bool
-) -> List[int]:
-    """Candidate unroll factors of one loop."""
+def _factor_candidates_for_loop(trip: int, parallel: bool, limit: int) -> List[int]:
+    """Candidate unroll factors of one loop: powers of two, plus the exact
+    divisors of small trip counts."""
     if not parallel:
         return [1]
     limit = max(1, min(limit, trip))
@@ -182,27 +153,23 @@ def _factor_candidates_for_loop(
     while power <= limit:
         candidates.add(power)
         power *= 2
-    if not powers_of_two_only and trip <= 64:
+    if trip <= 64:
         for divisor in range(2, limit + 1):
             if trip % divisor == 0:
                 candidates.add(divisor)
     return sorted(candidates)
 
 
-def candidate_unroll_factors(
-    band: BandInfo, parallel_factor: int, options: ParallelizationOptions
-) -> List[List[int]]:
+def candidate_unroll_factors(band: BandInfo, parallel_factor: int) -> List[List[int]]:
     """Enumerate unroll-factor vectors whose product does not exceed the budget."""
     per_loop = [
-        _factor_candidates_for_loop(
-            trip, flag, parallel_factor, options.powers_of_two_only
-        )
+        _factor_candidates_for_loop(trip, flag, parallel_factor)
         for trip, flag in zip(band.trip_counts, band.parallel_flags)
     ]
     proposals: List[List[int]] = []
 
     def recurse(index: int, current: List[int], product: int) -> None:
-        if len(proposals) >= options.max_proposals:
+        if len(proposals) >= _MAX_PROPOSALS:
             return
         if index == len(per_loop):
             proposals.append(list(current))
@@ -340,7 +307,7 @@ def parallelize_band(
                 other = finished_factors[id(connection.source)]
                 constraints_list.append(connection.constraints_for(band, other))
 
-    proposals = candidate_unroll_factors(band, parallel_factor, options)
+    proposals = candidate_unroll_factors(band, parallel_factor)
     cost_of = _proposal_ranker(band, constraints_list)
     best: Optional[List[int]] = None
     best_cost: Optional[Tuple] = None
@@ -357,7 +324,7 @@ def parallelize_band(
         best = [1] * band.num_loops
     band.apply_unroll_factors(best)
     _order_reductions_outward(band)
-    if options.pipeline and band.band:
+    if band.band:
         innermost = band.band[-1]
         # Pipeline the innermost loop of the (possibly deeper) nest.
         current = innermost

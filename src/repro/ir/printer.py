@@ -11,7 +11,7 @@ unambiguous — every SSA value prints under a unique name.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 from .core import Operation, Region, Value
 
@@ -115,7 +115,7 @@ def print_op(op: Operation) -> str:
     return IRPrinter().print_op(op)
 
 
-def fingerprint_op(op: Operation, memo: Optional[Dict[int, str]] = None) -> str:
+def fingerprint_op(op: Operation) -> str:
     """Deterministic content hash of an operation and everything nested in it.
 
     The fingerprint is the SHA-256 of the printed form rendered by a fresh
@@ -124,18 +124,6 @@ def fingerprint_op(op: Operation, memo: Optional[Dict[int, str]] = None) -> str:
     fingerprint identically regardless of object identity, while any rewrite
     that changes operations, attributes or structure changes the hash.  Used
     as the stable cache key for analyses and QoR results.
-
-    ``memo`` is an optional ``id(op) -> digest`` cache for callers that
-    fingerprint many ops of one unmutated module walk (the analysis manager,
-    repeated cache-key computations); the caller owns invalidation — drop
-    the memo whenever the IR may have changed.
     """
-    if memo is not None:
-        cached = memo.get(id(op))
-        if cached is not None:
-            return cached
     text = IRPrinter().print_op(op)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    if memo is not None:
-        memo[id(op)] = digest
-    return digest
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

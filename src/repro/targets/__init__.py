@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .._naming import closest_names, unknown_name_message
+from .._naming import UnknownNameError, closest_names, unknown_name_message
 from ..estimation.platform import PYNQ_Z2, VU9P_SLR, ZU3EG, Platform
 
 __all__ = [
@@ -35,16 +35,8 @@ __all__ = [
 ]
 
 
-class UnknownTargetError(KeyError):
+class UnknownTargetError(UnknownNameError):
     """An unresolvable target/platform name, with closest-match suggestions."""
-
-    def __init__(self, message: str, suggestions: Sequence[str] = ()) -> None:
-        super().__init__(message)
-        self.message = message
-        self.suggestions = list(suggestions)
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.message
 
 
 @dataclasses.dataclass(frozen=True)

@@ -26,7 +26,7 @@ import dataclasses
 import inspect
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .._naming import closest_names, unknown_name_message
+from .._naming import UnknownNameError, closest_names, unknown_name_message
 from ..ir.builtin import ModuleOp
 
 __all__ = [
@@ -51,16 +51,8 @@ _SIMPLE_TYPES = (bool, int, float, str)
 WORKLOAD_KINDS = ("kernel", "model")
 
 
-class UnknownWorkloadError(KeyError):
+class UnknownWorkloadError(UnknownNameError):
     """An unresolvable workload name, with closest-match suggestions."""
-
-    def __init__(self, message: str, suggestions: Sequence[str] = ()) -> None:
-        super().__init__(message)
-        self.message = message
-        self.suggestions = list(suggestions)
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.message
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,7 +9,13 @@ and the spec-expressed Figure-11 ablation baselines.
 import pytest
 
 from repro import Compiler, default_stages
-from repro.baselines import ABLATION_MODES, ablation_pipeline_spec, run_ablation_mode
+from repro.baselines import (
+    ABLATION_MODES,
+    ablation_pipeline_spec,
+    run_ablation_mode,
+    scalehls_pipeline_spec,
+    vitis_pipeline_spec,
+)
 from repro.compiler import (
     DEFAULT_PIPELINE,
     CompilationStage,
@@ -346,6 +352,28 @@ class TestAblationSpecs:
         )
         for mode, (ia, ca) in ABLATION_MODES.items():
             assert ablation_pipeline_spec(mode, 32) == template % (ia, ca)
+
+
+    def test_baseline_specs_are_pinned(self):
+        # HIDA vs ScaleHLS vs Vitis is a diff of three printed specs.
+        scalehls = (
+            "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+            "parallelize{factor=32,ia=0,ca=0},estimate"
+        )
+        assert scalehls_pipeline_spec(32) == scalehls
+        assert scalehls_pipeline_spec(32, enable_dataflow=False) == (
+            scalehls + "{dataflow=0}"
+        )
+        assert vitis_pipeline_spec() == (
+            "lower-linalg,pipeline-innermost,estimate{dataflow=0}"
+        )
+        for text in (
+            scalehls_pipeline_spec(32),
+            scalehls_pipeline_spec(32, enable_dataflow=False),
+            vitis_pipeline_spec(),
+        ):
+            assert parse_pipeline(text).print() == text
+            Compiler.from_spec(text)  # every stage and option is registered
 
 
 # ------------------------------------------------------------------- CLI

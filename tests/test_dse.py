@@ -418,20 +418,6 @@ def test_dse_cli_resume_and_pipeline_spec(tmp_path, capsys):
     assert blob["records"] and all(r["cached"] for r in blob["records"])
 
 
-# ------------------------------------------------- estimator cache plumbing
-def test_qor_estimator_cache_plumbing(tmp_path):
-    from repro.estimation import QoREstimator, get_platform
-
-    cache = QoRCache(tmp_path / "estimator")
-    result = Compiler.from_spec(DEFAULT_PIPELINE).run(workload="atax")
-    schedule = result.schedules[0]
-    estimator = QoREstimator(get_platform("zu3eg"), cache=cache)
-    first = estimator.estimate_schedule(schedule)
-    second = estimator.estimate_schedule(schedule)
-    assert estimator.cache_misses == 1 and estimator.cache_hits == 1
-    assert second.to_dict() == first.to_dict()
-
-
 def test_module_fingerprint_stability():
     from repro.workloads import as_module
 

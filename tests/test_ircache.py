@@ -166,6 +166,30 @@ def test_resume_from_every_boundary_matches_full_compile(tmp_path, workload):
         assert summary_of(resumed) == summary_of(reference)
 
 
+def test_module_with_workload_keys_like_the_workload_alone(tmp_path):
+    """``run(module, workload=...)``: the module is the built form, the
+    workload is the cache identity — same snapshot files either way."""
+    by_workload = IRSnapshotCache(tmp_path / "a")
+    make_compiler().run(workload="2mm", ir_cache=by_workload)
+    by_module = IRSnapshotCache(tmp_path / "b")
+    module = get_workload("2mm").build_module()
+    make_compiler().run(module, workload="2mm", ir_cache=by_module)
+
+    def names(cache):
+        return sorted(path.name for path in cache.root.glob("*/*.json"))
+
+    assert len(names(by_workload)) == 7
+    assert names(by_module) == names(by_workload)
+    # A raw module alone keys by content fingerprint instead.
+    raw = IRSnapshotCache(tmp_path / "c")
+    make_compiler().run(get_workload("2mm").build_module(), ir_cache=raw)
+    assert not set(names(raw)) & set(names(by_workload))
+    with pytest.raises(TypeError):
+        make_compiler().run()
+    with pytest.raises(TypeError):
+        make_compiler().run("2mm", workload="2mm")
+
+
 # ---------------------------------------------------------------------------
 # Self-verification and corruption handling
 # ---------------------------------------------------------------------------

@@ -501,6 +501,27 @@ def test_qor_cache_probe_counters(tmp_path):
     assert registry.value("cache.point.hits") > 0
 
 
+def test_ir_cache_store_is_not_counted_as_a_probe(tmp_path):
+    """``store``'s existence check is not a ``cache.get``: one cold compile
+    probes the seven snapshot boundaries, so both stat views read 7 misses."""
+    from repro.compiler.ircache import IRSnapshotCache
+
+    obs.configure()
+    registry = obs.session().registry
+    cache = IRSnapshotCache(tmp_path / "ir")
+    Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(
+        workload="2mm", ir_cache=cache
+    )
+    assert cache.stores == 7
+    assert cache.misses == 7
+    assert registry.value("cache.ir.misses") == 7
+    Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(
+        workload="2mm", ir_cache=cache
+    )
+    assert registry.value("cache.ir.hits") == 1
+    assert registry.value("cache.ir.misses") == 7
+
+
 # ---------------------------------------------------------------------------
 # Simulator timeline
 # ---------------------------------------------------------------------------

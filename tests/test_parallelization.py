@@ -122,7 +122,7 @@ class TestParallelFactorGeneration:
 
     def test_naive_factors_all_equal_max(self, listing1_analysis):
         _, bands, _ = listing1_analysis
-        options = ParallelizationOptions.naive(32)
+        options = ParallelizationOptions(32, intensity_aware=False, connection_aware=False)
         factors = generate_parallel_factors(bands, options)
         assert all(f == 32 for f in factors.values())
 
@@ -149,8 +149,7 @@ class TestCandidateGeneration:
     def test_candidates_respect_budget_and_parallel_flags(self, listing1_analysis):
         _, bands, _ = listing1_analysis
         compute_band = max(bands, key=lambda b: b.intensity)
-        options = ParallelizationOptions(max_parallel_factor=32)
-        proposals = candidate_unroll_factors(compute_band, 32, options)
+        proposals = candidate_unroll_factors(compute_band, 32)
         assert proposals
         for factors in proposals:
             product = 1

@@ -1,6 +1,9 @@
 """End-to-end tests: the HIDA pipeline, the baselines, the HLS C++ emitter and
 the LeNet case study harness."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import DEFAULT_PIPELINE, Compiler, default_stages, emit_hls_cpp
@@ -27,7 +30,7 @@ from repro.evaluation.lenet_case_study import LeNetDesignPoint
 from repro.frontend.cpp import build_listing1
 from repro.frontend.nn import layer_summary
 from repro.ir import verify
-from repro.workloads import as_module
+from repro.workloads import as_module, list_workloads
 
 
 def compile_hida(workload, platform="vu9p-slr", drop=(), verify_each=False, **stage_options):
@@ -122,6 +125,38 @@ class TestBaselines:
         # At a comparable DSP budget HIDA reaches higher throughput.
         assert hida.estimate.resources.dsp <= scalehls.estimate.resources.dsp * 1.6
         assert hida.throughput > scalehls.throughput
+
+    def test_baseline_estimates_match_the_deleted_drivers(self):
+        """sha256 over every zoo workload's estimate, computed at the commit
+        before the hand-written ScaleHLS and Vitis drivers were deleted."""
+
+        def digest(rows):
+            sha = hashlib.sha256()
+            for name, variant, estimate in rows:
+                blob = json.dumps(estimate.to_dict(), sort_keys=True)
+                sha.update(f"{name}\t{variant}\t{blob}\n".encode())
+            return sha.hexdigest()
+
+        zoo = sorted(list_workloads())
+        assert len(zoo) == 19
+        assert digest(
+            (name, factor, compile_scalehls_baseline(name, "vu9p-slr", factor).estimate)
+            for name in zoo
+            for factor in (8, 32)
+        ) == "c3408c1c5fcaf0eb7aec5785f558382abadc742fdd9b6b2ab05c6c37faddfa86"
+        assert digest(
+            (name, platform, compile_vitis_baseline(name, platform))
+            for name in zoo
+            for platform in ("zu3eg", "vu9p-slr")
+        ) == "0b34e550430c9a1aa0ec9c20db6e63bb3807418c746b2b77c668059e47766f80"
+
+    def test_scalehls_spec_leaves_every_buffer_on_chip(self):
+        # No stage of the ScaleHLS spec spills: the deleted driver's
+        # force-everything-to-BRAM loop never had a buffer to move.
+        for name in list_workloads():
+            result = compile_scalehls_baseline(name, max_parallel_factor=8)
+            for schedule in result.schedules:
+                assert all(b.memory_kind == "bram_t2p" for b in schedule.buffers), name
 
     def test_dnnbuilder_supports_plain_cnns_only(self):
         result = compile_dnnbuilder_baseline(as_module("vgg16"))

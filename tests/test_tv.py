@@ -30,7 +30,12 @@ from repro.analysis.tv import (
     validate_pipeline,
 )
 from repro.analysis.tv import main as tv_main
-from repro.baselines.ablation import ABLATION_MODES, ablation_pipeline_spec
+from repro.baselines import (
+    ABLATION_MODES,
+    ablation_pipeline_spec,
+    scalehls_pipeline_spec,
+    vitis_pipeline_spec,
+)
 from repro.compiler.driver import DEFAULT_PIPELINE
 from repro.compiler.stages import CompilationState, get_stage_class
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
@@ -49,7 +54,7 @@ _PLATFORM = get_platform("vu9p-slr")
 _SPECS = [("default", DEFAULT_PIPELINE)] + [
     (mode, ablation_pipeline_spec(mode, max_parallel_factor=8))
     for mode in sorted(ABLATION_MODES)
-]
+] + [("scalehls", scalehls_pipeline_spec(8)), ("vitis", vitis_pipeline_spec())]
 
 #: Kernels with non-integer math (division/sqrt) need the documented
 #: relative tolerance; every other kernel must stay bitwise.
@@ -65,7 +70,8 @@ def _small(handle):
 
 
 # ---------------------------------------------------------------------------
-# The acceptance pin: zoo x (default + ablations), every boundary validates
+# The acceptance pin: zoo x (default + ablations + the two baselines), every
+# boundary validates
 # ---------------------------------------------------------------------------
 
 
