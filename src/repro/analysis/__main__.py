@@ -148,9 +148,8 @@ def _print_rule_catalog() -> None:
 
 def analyze_workload(handle, spec: str, platform: str) -> AnalysisReport:
     """Compile one workload through ``spec`` and analyze the final design."""
-    compiler = Compiler.from_spec(spec, platform=platform)
-    result = compiler.run(workload=handle)
-    return analyze_module(result.module, platform=platform)
+    state = Compiler.from_spec(spec, platform=platform).run_stages(workload=handle)
+    return analyze_module(state.module, platform=platform)
 
 
 def _counts_payload(

@@ -105,14 +105,6 @@ class DistanceElement:
         return trip_count > 1
 
     @property
-    def can_be_negative(self) -> bool:
-        if self.kind == _EXACT:
-            return self.value < 0
-        if self.kind == _ATLEAST:
-            return self.value < 0
-        return True
-
-    @property
     def min_positive(self) -> int:
         """Smallest positive distance this entry allows (assuming one exists)."""
         if self.kind == _EXACT:
@@ -170,12 +162,6 @@ class Dependence:
         if not all(self.distance[i].can_be_zero for i in range(level)):
             return False
         return self.distance[level].can_be_positive(self.loops[level].trip_count)
-
-    def carried_by(self, loop: AffineForOp) -> bool:
-        for level, candidate in enumerate(self.loops):
-            if candidate is loop:
-                return self.carried_at(level)
-        return False
 
     def min_distance_at(self, level: int) -> int:
         """Smallest positive carried distance at ``level`` (1 when free)."""

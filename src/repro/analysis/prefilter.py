@@ -66,18 +66,13 @@ def _prefix_errors(point, prefix_text: str) -> Optional[List]:
     non-static reason): the full evaluation owns reporting such failures as
     error records, the filter must not swallow them.
     """
-    from ..compiler.spec import parse_pipeline
-    from ..compiler.stages import CompilationState, build_stages
-    from ..estimation.platform import get_platform
+    from ..compiler.driver import Compiler
     from .engine import analyze_module
 
     try:
-        module = point.workload_spec().build()
-        state = CompilationState(
-            module=module, platform=get_platform(point.platform)
+        state = Compiler.from_spec(prefix_text, platform=point.platform).run_stages(
+            workload=point.workload_spec()
         )
-        for stage in build_stages(parse_pipeline(prefix_text)):
-            stage.run(state)
         report = analyze_module(
             state.module, platform=point.platform, only=ERROR_RULES
         )
@@ -90,7 +85,7 @@ def check_point(point, _memo: Optional[Dict] = None) -> Optional[Dict]:
     """The rejection record of a statically infeasible point, else None.
 
     ``_memo`` (as threaded by :func:`filter_points`) caches prefix-compile
-    verdicts per ``(workload spec, platform, prefix)``: a sweep typically
+    verdicts per ``(workload identity, platform, prefix)``: a sweep typically
     fans one workload out over many knob settings that share the same
     structural prefix, which therefore compiles and lints once.
     """
@@ -111,13 +106,15 @@ def check_point(point, _memo: Optional[Dict] = None) -> Optional[Dict]:
     prefix_text = _structural_prefix(compiler)
     if not prefix_text:
         return None
-    memo_key = (point.workload_spec(), point.platform, prefix_text)
-    if _memo is not None and memo_key in _memo:
-        errors = _memo[memo_key]
-    else:
+    if _memo is None:
         errors = _prefix_errors(point, prefix_text)
-        if _memo is not None:
-            _memo[memo_key] = errors
+    else:
+        # The point's identity fields, not its handle: resolving the handle
+        # is the registry round trip the memo exists to skip.
+        memo_key = (point.workload_identity, point.platform, prefix_text)
+        if memo_key not in _memo:
+            _memo[memo_key] = _prefix_errors(point, prefix_text)
+        errors = _memo[memo_key]
     if not errors:
         return None
     counts: Dict[str, int] = {}

@@ -364,10 +364,9 @@ def validate_pipeline(
     """Compile ``workload`` through ``spec_text`` validating every boundary.
 
     Accepts everything ``Compiler.run`` accepts as a workload (registry
-    handle, id string, ``WorkloadSpec``, raw module).  Returns a
-    :class:`ValidationReport`; a behavioral mismatch aborts the pipeline
-    and lands in ``report.error`` plus a ``mismatch`` check — it never
-    raises, so sweeps can keep going.
+    handle, id string, raw module).  Returns a :class:`ValidationReport`;
+    a behavioral mismatch aborts the pipeline and lands in ``report.error``
+    plus a ``mismatch`` check — it never raises, so sweeps can keep going.
     """
     from ..compiler.driver import DEFAULT_PIPELINE, Compiler, DiagnosticsObserver
 
@@ -671,7 +670,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not args.workload and not args.all_workloads:
         parser.error("pass --workload/--all-workloads (or --fuzz)")
-    handles = _sweep_workloads(args.workload, args.all_workloads)
+    from ..workloads import UnknownWorkloadError
+
+    try:
+        handles = _sweep_workloads(args.workload, args.all_workloads)
+    except (UnknownWorkloadError, ValueError) as error:
+        parser.error(f"--workload: {error}")
     specs = _sweep_specs(args.spec, args.ablations)
     reports: List[ValidationReport] = []
     failures = 0

@@ -3,9 +3,11 @@
 ``Compiler.from_spec("construct-dataflow,...,estimate", platform="zu3eg")``
 builds a stage list from the registry; ``.run(module)`` threads a
 :class:`~repro.compiler.stages.CompilationState` through the stages and
-returns a :class:`~repro.hida.pipeline.CompileResult`.  Programmatic
-callers that only *vary* the default pipeline (ablations, DSE knob points)
-build typed stages with :func:`default_stages` and hand them to
+returns a :class:`~repro.hida.pipeline.CompileResult`;
+``.run_stages(module)`` is the same loop returning the state itself, for
+pipelines without an ``estimate`` stage.  Programmatic callers that only
+*vary* the default pipeline (ablations, DSE knob points) build typed stages
+with :func:`default_stages` and hand them to
 ``Compiler(stages, platform=...)`` — no text round trip.
 
 Every run records per-stage wall-clock seconds on
@@ -19,7 +21,7 @@ receive per-stage begin/end events, per-stage IR snapshots
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .. import obs
 from ..estimation.platform import get_platform
@@ -88,8 +90,8 @@ def default_stages(
     ]
 
 
-#: Key template for the :attr:`Compiler.ir_cache_stats` view (the values
-#: live as ``ir_cache.*`` counters on :attr:`Compiler.metrics`).
+#: Initial value of :attr:`Compiler.ir_cache_stats` (a live :mod:`repro.obs`
+#: session counts the same events as ``ir_cache.*``).
 _ZERO_IR_STATS = {
     "prefix_hits": 0,
     "stages_skipped": 0,
@@ -170,13 +172,13 @@ class Compiler:
         self.platform = platform
         self.verify_each = verify_each
         self.observers: List[PipelineObserver] = list(observers)
-        #: Typed per-run metrics of the most recent :meth:`run` (the
-        #: ``ir_cache.*`` counters back :attr:`ir_cache_stats`).  Lives on
-        #: the compiler rather than :class:`CompileResult` so result records
-        #: stay byte-identical with telemetry/caching on or off.
-        self.metrics = obs.MetricsRegistry()
-        #: Observer exceptions swallowed during the most recent :meth:`run`,
-        #: as structured ``observer-error`` diagnostics.
+        #: Incremental-compilation counters of the most recent run (all
+        #: zero when it had no IR cache).  Lives on the compiler rather than
+        #: :class:`CompileResult` so result records stay byte-identical with
+        #: caching on or off.
+        self.ir_cache_stats: Dict[str, int] = dict(_ZERO_IR_STATS)
+        #: Observer exceptions swallowed during the most recent run, as
+        #: structured ``observer-error`` diagnostics.
         self.observer_errors: List[Diagnostic] = []
 
     # ------------------------------------------------------------- builders
@@ -207,24 +209,6 @@ class Compiler:
 
     def spec_hash(self) -> str:
         return self.spec().spec_hash()
-
-    def add_observer(self, observer: PipelineObserver) -> "Compiler":
-        self.observers.append(observer)
-        return self
-
-    @property
-    def ir_cache_stats(self) -> Dict[str, int]:
-        """Incremental-compilation counters of the most recent :meth:`run`.
-
-        A plain-dict view over the ``ir_cache.*`` counters of
-        :attr:`metrics` (all zero when the run had no IR cache), kept as the
-        stable public surface now that the counters live on a
-        :class:`~repro.obs.MetricsRegistry`.
-        """
-        return {
-            key: int(self.metrics.value(f"ir_cache.{key}"))
-            for key in _ZERO_IR_STATS
-        }
 
     def _emit_diagnostic(self, diagnostic: Diagnostic) -> None:
         obs.event(
@@ -301,22 +285,22 @@ class Compiler:
         ]
 
     # ------------------------------------------------------------ execution
-    def run(
+    def run_stages(
         self,
         module: Optional[ModuleOp] = None,
         *,
         workload=None,
         ir_cache: Optional[IRSnapshotCache] = None,
-    ):
+    ) -> CompilationState:
         """Run every stage over ``module`` (modified in place).
 
-        Instead of a pre-built module, ``workload`` accepts anything the
+        Instead of a pre-built module, ``workload`` accepts what the
         :mod:`repro.workloads` registry resolves — a workload id such as
-        ``"resnet18@batch=4"``, a bound :class:`~repro.workloads.Workload`
-        handle or a :class:`~repro.hida.pipeline.WorkloadSpec` — and builds
-        the module first (``Compiler.from_spec(...).run(workload="2mm")``).
-        Given both, ``module`` is the already-built form of ``workload``,
-        which then only names the input for the IR cache.
+        ``"resnet18@batch=4"`` or a bound :class:`~repro.workloads.Workload`
+        handle — and builds the module first
+        (``Compiler.from_spec(...).run(workload="2mm")``).  Given both,
+        ``module`` is the already-built form of ``workload``, which then
+        only names the input for the IR cache.
 
         With an :class:`~repro.compiler.ircache.IRSnapshotCache`, the run
         first probes for the *longest* cached snapshot-safe stage prefix of
@@ -331,13 +315,11 @@ class Compiler:
         observable difference: skipped stages emit no diagnostics and re-run
         no observers.
 
-        Returns a :class:`~repro.hida.pipeline.CompileResult`.  Raises
-        :class:`~repro.compiler.spec.PipelineSpecError` when the pipeline
-        produced no QoR estimate (i.e. it lacks an ``estimate`` stage);
-        partial-pipeline inspection is served by observers instead.
+        Returns the final :class:`~repro.compiler.stages.CompilationState`.
+        Any pipeline is legal here — one without an ``estimate`` stage
+        leaves ``state.estimate`` None; :meth:`run` is this plus the
+        estimate check and the :class:`CompileResult` packaging.
         """
-        from ..hida.pipeline import CompileOptions, CompileResult
-
         if module is not None and not isinstance(module, ModuleOp):
             # Convenience: run("2mm") / run(handle) resolve via the registry.
             if workload is not None:
@@ -346,13 +328,13 @@ class Compiler:
         if workload is None and module is None:
             raise TypeError("Compiler.run() needs a module or workload=...")
 
-        self.metrics = obs.MetricsRegistry()
+        self.ir_cache_stats = dict(_ZERO_IR_STATS)
         self.observer_errors = []
 
-        def count(name: str, amount: int = 1) -> None:
-            # Per-run registry plus the live obs session (no-op if disabled).
-            self.metrics.inc(name, amount)
-            obs.inc(name, amount)
+        def count(key: str, amount: int = 1) -> None:
+            # Per-run stats plus the live obs session (no-op if disabled).
+            self.ir_cache_stats[key] += amount
+            obs.inc(f"ir_cache.{key}", amount)
 
         with obs.span(
             "compile", cat="pipeline", platform=self.platform, spec=self.spec_text()
@@ -385,8 +367,8 @@ class Compiler:
                     misalignments=misalignments,
                 )
                 resume_index = i
-                count("ir_cache.prefix_hits")
-                count("ir_cache.stages_skipped", i)
+                count("prefix_hits")
+                count("stages_skipped", i)
                 obs.event(
                     "ircache.resume",
                     cat="cache",
@@ -403,12 +385,11 @@ class Compiler:
                         "frontend-trace", cat="frontend", workload=str(workload)[:80]
                     ):
                         module = as_module(workload)
-                    count("ir_cache.frontend_traces")
+                    count("frontend_traces")
                 state = CompilationState(
                     module=module, platform=get_platform(self.platform)
                 )
             state._sink = self._emit_diagnostic
-            stage_timings: List[Tuple[str, float]] = []
             start = time.perf_counter()
             self._dispatch("on_pipeline_start", self, module)
             for index, stage in enumerate(self.stages):
@@ -421,7 +402,7 @@ class Compiler:
                     stage.run(state)
                     elapsed = time.perf_counter() - stage_start
                     stage_span.set_attr(seconds=round(elapsed, 6))
-                stage_timings.append((stage.name, elapsed))
+                state.stage_timings.append((stage.name, elapsed))
                 self._dispatch("on_stage_end", stage, state, elapsed)
                 if self.verify_each:
                     with obs.span("verify", cat="stage", after=stage.name):
@@ -439,7 +420,7 @@ class Compiler:
                             f"IR verification failed after stage {stage.name!r}: "
                             f"{len(issues)} issue(s); first: {issues[0]}"
                         )
-                count("ir_cache.stages_run")
+                count("stages_run")
                 boundary = index + 1
                 if (
                     boundary in boundaries
@@ -448,26 +429,46 @@ class Compiler:
                         workload_key, self.platform, hashes[boundary], state
                     )
                 ):
-                    count("ir_cache.snapshots_stored")
-            if state.estimate is None:
-                raise PipelineSpecError(
-                    f"pipeline {self.spec_text()!r} produced no QoR estimate; "
-                    "append an 'estimate' stage (observers can inspect "
-                    "partial runs)"
-                )
-            result = CompileResult(
-                module=module,
-                schedules=state.schedules,
-                estimate=state.estimate,
-                parallelization=state.parallelization,
-                balance_report=state.balance_report,
-                options=CompileOptions(self.platform, self.verify_each),
-                compile_seconds=time.perf_counter() - start,
-                stage_timings=stage_timings,
-                misalignments=state.misalignments,
+                    count("snapshots_stored")
+            state.compile_seconds = time.perf_counter() - start
+            run_span.set_attr(compile_seconds=round(state.compile_seconds, 6))
+        return state
+
+    def run(
+        self,
+        module: Optional[ModuleOp] = None,
+        *,
+        workload=None,
+        ir_cache: Optional[IRSnapshotCache] = None,
+    ):
+        """:meth:`run_stages`, packaged as a
+        :class:`~repro.hida.pipeline.CompileResult`.
+
+        Raises :class:`~repro.compiler.spec.PipelineSpecError` when the
+        pipeline produced no QoR estimate (i.e. it lacks an ``estimate``
+        stage); :meth:`run_stages` is the entry point for such pipelines.
+        """
+        from ..hida.pipeline import CompileOptions, CompileResult
+
+        state = self.run_stages(module, workload=workload, ir_cache=ir_cache)
+        if state.estimate is None:
+            raise PipelineSpecError(
+                f"pipeline {self.spec_text()!r} produced no QoR estimate; "
+                "append an 'estimate' stage (run_stages() runs partial "
+                "pipelines)"
             )
-            run_span.set_attr(compile_seconds=round(result.compile_seconds, 6))
-            self._dispatch("on_pipeline_end", result)
+        result = CompileResult(
+            module=state.module,
+            schedules=state.schedules,
+            estimate=state.estimate,
+            parallelization=state.parallelization,
+            balance_report=state.balance_report,
+            options=CompileOptions(self.platform, self.verify_each),
+            compile_seconds=state.compile_seconds,
+            stage_timings=state.stage_timings,
+            misalignments=state.misalignments,
+        )
+        self._dispatch("on_pipeline_end", result)
         return result
 
     def __repr__(self) -> str:

@@ -88,17 +88,16 @@ def workload_cache_key(workload: object) -> Optional[str]:
     """Stable identity string for a workload reference, or None.
 
     Accepts everything :func:`repro.workloads.as_module` accepts except a
-    pre-built module: a workload id string, a bound
-    :class:`~repro.workloads.registry.Workload` handle, or a
-    :class:`~repro.hida.pipeline.WorkloadSpec` — all three spellings of one
-    workload share the handle's canonical ``workload_id``, so the compiler
-    and DSE front doors hit each other's snapshots.  Raw modules have no
-    registry identity — callers key those by content fingerprint instead.
+    pre-built module: a workload id string or a bound
+    :class:`~repro.workloads.registry.Workload` handle — both spellings of
+    one workload share the handle's canonical ``workload_id``, so the
+    compiler and DSE front doors hit each other's snapshots.  Raw modules
+    have no registry identity — callers key those by content fingerprint
+    instead.
     """
-    from ..hida.pipeline import WorkloadSpec
     from ..workloads.registry import Workload, get_workload
 
-    if not isinstance(workload, (str, Workload, WorkloadSpec)):
+    if not isinstance(workload, (str, Workload)):
         return None
     return get_workload(workload).workload_id
 

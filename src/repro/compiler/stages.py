@@ -93,6 +93,10 @@ class CompilationState:
     #: stage; see :mod:`repro.analysis.tv`).  Not serialized into IR
     #: snapshots — a warm resume simply re-baselines at its first boundary.
     tv_baseline: Optional[object] = None
+    #: ``(stage name, wall-clock seconds)`` per stage the driver ran, in run
+    #: order, and the wall-clock seconds of the whole stage loop.
+    stage_timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
+    compile_seconds: float = 0.0
     #: Observer fan-out installed by the driver; stages call :meth:`emit`.
     _sink: Optional[Callable[[Diagnostic], None]] = None
 

@@ -213,9 +213,6 @@ class _AffineMemAccess(Operation):
     def access_map(self) -> AffineMap:
         return self.get_attr("map")
 
-    def set_access_map(self, map: AffineMap) -> None:
-        self.set_attr("map", map)
-
     @property
     def memref(self) -> Value:
         raise NotImplementedError

@@ -78,18 +78,6 @@ class AffineExpr:
     def _collect_dims(self, out: set) -> None:
         raise NotImplementedError
 
-    def coefficient_of(self, dim_position: int) -> Fraction:
-        """Linear coefficient of dim ``dim_position`` (0 if absent/non-linear)."""
-        base = self.evaluate(
-            [0] * (dim_position + 1 + max((0,) + self.used_dims())),
-        )
-        probe_dims = [0] * (dim_position + 1 + max((0,) + self.used_dims()))
-        probe_dims[dim_position] = 1
-        return Fraction(self.evaluate(probe_dims)) - Fraction(base)
-
-    def is_constant(self) -> bool:
-        return not self.used_dims() and not self._uses_symbols()
-
     def _uses_symbols(self) -> bool:
         return False
 

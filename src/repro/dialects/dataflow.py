@@ -332,14 +332,6 @@ class NodeOp(Operation):
     def effects(self) -> List[str]:
         return list(self.get_attr("effects", []))
 
-    def effect_of(self, operand_index: int) -> str:
-        return self.effects[operand_index]
-
-    def set_effect(self, operand_index: int, effect: str) -> None:
-        effects = self.effects
-        effects[operand_index] = effect
-        self.set_attr("effects", effects)
-
     # --------------------------------------------------------------- queries
     def _operands_with_effect(self, predicate) -> List[Tuple[int, Value]]:
         return [
@@ -390,12 +382,6 @@ class NodeOp(Operation):
                 return self.body.arguments[i]
         raise ValueError("value is not an operand of this node")
 
-    def operand_index_of(self, value: Value) -> int:
-        for i, candidate in enumerate(self.operands):
-            if candidate is value:
-                return i
-        raise ValueError("value is not an operand of this node")
-
     def add_operand_with_argument(self, value: Value, effect: str) -> Value:
         """Add an extra operand (with the given effect); returns the block arg."""
         self.append_operand(value)
@@ -409,10 +395,6 @@ class NodeOp(Operation):
         for i, operand in enumerate(self.operands):
             if operand is old:
                 self.set_operand(i, new)
-
-    @property
-    def sub_schedules(self) -> List[ScheduleOp]:
-        return [op for op in self.body.operations if isinstance(op, ScheduleOp)]
 
     def verify(self) -> None:
         if len(self.effects) != self.num_operands:
@@ -482,9 +464,6 @@ class BufferOp(Operation):
     @property
     def layout(self) -> BufferLayout:
         return self.get_attr("layout")
-
-    def set_layout(self, layout: BufferLayout) -> None:
-        self.set_attr("layout", layout)
 
     @property
     def memory_kind(self) -> str:

@@ -197,12 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "recompiling from the frontend (results are byte-identical)",
     )
     parser.add_argument(
-        "--no-ir-cache",
-        action="store_true",
-        help="explicitly disable the IR snapshot cache (the default; "
-        "counterpart of --ir-cache for scripts)",
-    )
-    parser.add_argument(
         "--ir-cache-dir",
         default=None,
         metavar="PATH",
@@ -288,8 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.population < 1:
             parser.error(f"--population must be >= 1 (got {args.population})")
         strategy_options["population"] = args.population
-    if args.ir_cache and args.no_ir_cache:
-        parser.error("--ir-cache and --no-ir-cache are mutually exclusive")
     try:
         # Every cross-field rule (--resume vs --no-cache/--strategy/
         # --fidelity, search flags without --strategy, --promote-top,

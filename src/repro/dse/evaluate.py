@@ -14,7 +14,7 @@ import traceback
 from typing import Dict, Optional, Tuple
 
 from .. import obs
-from ..compiler.ircache import IRSnapshotCache, workload_cache_key
+from ..compiler.ircache import IRSnapshotCache
 from ..estimation.qor import QoREstimator
 from ..ir.printer import fingerprint_op
 from ..workloads.registry import registered_definition
@@ -24,11 +24,12 @@ from .space import DesignPoint
 
 __all__ = ["evaluate_point", "probe_point"]
 
-#: Per-process memo ``spec -> (definition, fingerprint)`` of workload-module
-#: fingerprints.  A workload rebuilds deterministically from its spec *and*
-#: its registered builder, so an entry holds while the registry still maps
-#: the name to the same definition; memoizing lets cache hits skip the
-#: module build entirely.
+#: Per-process memo ``workload identity -> (definition, fingerprint)`` of
+#: workload-module fingerprints (see :attr:`DesignPoint.workload_identity`).
+#: A workload rebuilds deterministically from that *and* its registered
+#: builder, so an entry holds while the registry still maps the name to the
+#: same definition; memoizing lets cache hits skip the handle resolution
+#: and the module build entirely.
 _WORKLOAD_FINGERPRINTS: Dict = {}
 
 
@@ -57,31 +58,31 @@ def _point_cache_key(
     return key
 
 
-def _resolve_fingerprint(spec, ir_cache) -> tuple:
-    """``(fingerprint, module)`` for a workload spec (module None if unbuilt).
+def _resolve_fingerprint(point: DesignPoint, ir_cache) -> tuple:
+    """``(fingerprint, module)`` of a point's workload (module None if unbuilt).
 
     Resolution order: per-process memo, then the IR cache's persistent
     frontend-fingerprint memo (which makes warm processes and fresh workers
     alike skip the frontend trace entirely), then an actual trace — whose
     fingerprint is published back to both memos.
     """
-    definition = registered_definition(spec.name)
-    memo = _WORKLOAD_FINGERPRINTS.get(spec)
+    definition = registered_definition(point.workload)
+    identity = point.workload_identity
+    memo = _WORKLOAD_FINGERPRINTS.get(identity)
     if memo is not None and memo[0] is definition:
         return memo[1], None
     module = None
-    workload_key = workload_cache_key(spec)
+    workload = point.workload_spec()
+    workload_key = workload.workload_id
     fingerprint = (
-        ir_cache.get_fingerprint(workload_key)
-        if ir_cache is not None and workload_key is not None
-        else None
+        ir_cache.get_fingerprint(workload_key) if ir_cache is not None else None
     )
     if fingerprint is None:
-        module = spec.build()
+        module = workload.build_module()
         fingerprint = fingerprint_op(module)
-        if ir_cache is not None and workload_key is not None:
+        if ir_cache is not None:
             ir_cache.put_fingerprint(workload_key, fingerprint)
-    _WORKLOAD_FINGERPRINTS[spec] = (definition, fingerprint)
+    _WORKLOAD_FINGERPRINTS[identity] = (definition, fingerprint)
     return fingerprint, module
 
 
@@ -111,7 +112,7 @@ def probe_point(
         compiler = point.compiler()
         spec_text = compiler.spec_text()
         ir_cache = IRSnapshotCache(ir_cache_dir) if ir_cache_dir else None
-        fingerprint, module = _resolve_fingerprint(point.workload_spec(), ir_cache)
+        fingerprint, module = _resolve_fingerprint(point, ir_cache)
         record["module_fingerprint"] = fingerprint
         record["pipeline_spec"] = spec_text
         key = _point_cache_key(fingerprint, point.platform, spec_text, fidelity)

@@ -2,8 +2,9 @@
 
 ``explore`` fans a :class:`~repro.dse.space.DesignSpace` out across worker
 processes with :mod:`concurrent.futures`.  Each worker rebuilds its
-workload module from the picklable :class:`~repro.hida.pipeline.WorkloadSpec`
-(IR does not cross process boundaries), consults the content-hash
+workload module from the point's picklable identity fields, resolved
+through the workload registry (IR does not cross process boundaries),
+consults the content-hash
 :class:`~repro.dse.cache.QoRCache`, and only runs the full HIDA pipeline on
 a cache miss.  Results come back as plain JSON-safe record dicts, so the
 orchestrating process never unpickles IR either.

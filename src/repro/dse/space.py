@@ -22,9 +22,9 @@ import hashlib
 import itertools
 import json
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from ..hida.pipeline import WorkloadSpec
+from ..workloads.registry import WORKLOAD_KINDS, Workload, get_workload
 
 __all__ = [
     "DesignPoint",
@@ -95,29 +95,35 @@ class DesignPoint:
     def for_workload(cls, workload, **knobs) -> "DesignPoint":
         """A point for anything the :mod:`repro.workloads` registry resolves.
 
-        ``workload`` may be a registry id (``"resnet18@batch=4"``), a bound
-        :class:`~repro.workloads.Workload` handle or a ``WorkloadSpec``;
-        ``knobs`` are the remaining :class:`DesignPoint` fields.
+        ``workload`` may be a registry id (``"resnet18@batch=4"``) or a
+        bound :class:`~repro.workloads.Workload` handle; ``knobs`` are the
+        remaining :class:`DesignPoint` fields.
         """
-        from ..workloads import get_workload
-
-        spec = get_workload(workload).spec()
-        return cls(
-            workload_kind=spec.kind,
-            workload=spec.name,
-            batch=spec.batch,
-            workload_params=spec.params,
-            **knobs,
-        )
+        return cls(**_identity_fields(get_workload(workload)), **knobs)
 
     # ------------------------------------------------------------ conversion
-    def workload_spec(self) -> WorkloadSpec:
-        return WorkloadSpec(
-            kind=self.workload_kind,
-            name=self.workload,
-            batch=self.batch,
-            params=self.workload_params,
-        )
+    @property
+    def workload_identity(self) -> tuple:
+        """The four fields naming the workload: what memos key on in place
+        of the resolved handle."""
+        return (self.workload_kind, self.workload, self.batch, self.workload_params)
+
+    def workload_spec(self) -> Workload:
+        """The bound registry handle this point compiles.
+
+        Resolves through the registry on every call, so the cache-probe
+        path keys its memos on :attr:`workload_identity` instead and only
+        an actual compile asks for the handle.
+        """
+        if self.workload_kind not in WORKLOAD_KINDS:
+            raise ValueError(f"unknown workload kind {self.workload_kind!r}")
+        handle = get_workload(self.workload, kind=self.workload_kind)
+        params = dict(self.workload_params)
+        # A batch on a batch-less workload (kernels) is ignored, exactly as
+        # the pre-registry kernel frontend ignored it.
+        if self.batch != 1 and "batch" in handle.params:
+            params["batch"] = self.batch
+        return handle.at(**params) if params else handle
 
     def canonical_spec(self) -> str:
         """Canonical printed pipeline spec this point compiles through.
@@ -187,7 +193,10 @@ class DesignPoint:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def label(self) -> str:
-        workload = self.workload_spec().label()
+        workload = self.workload
+        if self.workload_kind == "model" and self.batch != 1:
+            workload += f"@b{self.batch}"
+        workload += "".join(f"+{k}{v}" for k, v in self.workload_params)
         if self.pipeline_spec is not None:
             spec_tag = hashlib.sha256(
                 self.pipeline_spec.encode("utf-8")
@@ -261,32 +270,40 @@ def axis_domains(points: Iterable[DesignPoint]) -> Dict[str, tuple]:
     return domains
 
 
-def _as_workload_spec(workload) -> WorkloadSpec:
-    """Normalize a suite entry (spec, registry id or handle) to a spec."""
-    if isinstance(workload, WorkloadSpec):
-        return workload
-    from ..workloads import get_workload
+def _identity_fields(handle: Workload) -> Dict[str, Any]:
+    """The four :class:`DesignPoint` identity fields of a bound handle.
 
-    return get_workload(workload).spec()
+    Only non-default bindings are carried (``batch`` in its own field, the
+    rest as sorted pairs), so every spelling of one workload yields the
+    same point key.
+    """
+    defaults = handle.definition.defaults()
+    params = {k: v for k, v in handle.params.items() if v != defaults[k]}
+    return {
+        "workload_kind": handle.kind,
+        "workload": handle.name,
+        "batch": int(params.pop("batch", 1)),
+        "workload_params": tuple(sorted(params.items())),
+    }
 
 
-def suite_from_names(names: Sequence) -> List[WorkloadSpec]:
+def suite_from_names(names: Sequence) -> List[Workload]:
     """A workload suite from registry ids / handles (``["2mm@n=16", ...]``).
 
     Unknown names raise :class:`repro.workloads.UnknownWorkloadError` with
     the registered names and a closest-match suggestion.
     """
-    return [_as_workload_spec(name) for name in names]
+    return [get_workload(name) for name in names]
 
 
-def polybench_suite() -> List[WorkloadSpec]:
+def polybench_suite() -> List[Workload]:
     """Every registered PolyBench kernel, in Table 7 order."""
     from ..frontend.cpp import kernel_names
 
     return suite_from_names(kernel_names())
 
 
-def dnn_suite() -> List[WorkloadSpec]:
+def dnn_suite() -> List[Workload]:
     """The small end of the paper's DNN zoo (kept tractable for sweeps)."""
     return suite_from_names(["lenet", "mlp"])
 
@@ -322,11 +339,11 @@ def build_space(
 ) -> DesignSpace:
     """Cross product of a preset's axes over a workload suite.
 
-    ``suite`` entries may be :class:`~repro.hida.pipeline.WorkloadSpec`\\ s,
-    registry workload ids (``"resnet18@batch=4"``) or bound
-    :class:`~repro.workloads.Workload` handles — user spaces can name any
-    registered workload.  ``pipeline_specs`` is the pipeline-composition
-    axis: ``None`` entries sweep the preset's per-stage knobs as usual,
+    ``suite`` entries may be registry workload ids (``"resnet18@batch=4"``)
+    or bound :class:`~repro.workloads.Workload` handles — user spaces can
+    name any registered workload.  ``pipeline_specs`` is the
+    pipeline-composition axis: ``None`` entries sweep the preset's per-stage
+    knobs as usual,
     while textual spec entries add one point per (workload, platform, spec)
     that compiles through that exact stage sequence (the other knob axes do
     not apply to it).
@@ -337,22 +354,15 @@ def build_space(
         raise ValueError(
             f"unknown space preset {preset!r}; options: {sorted(SPACE_PRESETS)}"
         ) from None
-    suite = (
-        [_as_workload_spec(entry) for entry in suite]
-        if suite is not None
-        else polybench_suite()
-    )
     space = DesignSpace()
-    for spec in suite:
+    for entry in polybench_suite() if suite is None else suite:
+        identity = _identity_fields(get_workload(entry))
         for platform in platforms:
             for pipeline_spec in pipeline_specs:
                 if pipeline_spec is not None:
                     space.add(
                         DesignPoint(
-                            workload_kind=spec.kind,
-                            workload=spec.name,
-                            batch=spec.batch,
-                            workload_params=spec.params,
+                            **identity,
                             platform=platform,
                             pipeline_spec=pipeline_spec,
                         )
@@ -366,10 +376,7 @@ def build_space(
                 ):
                     space.add(
                         DesignPoint(
-                            workload_kind=spec.kind,
-                            workload=spec.name,
-                            batch=spec.batch,
-                            workload_params=spec.params,
+                            **identity,
                             platform=platform,
                             max_parallel_factor=factor,
                             tile_size=tile,

@@ -115,17 +115,6 @@ class LeNetEvaluation:
     def fits(self) -> bool:
         return self.utilization <= 1.0
 
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "batch": self.point.batch,
-            "dataflow": float(self.point.dataflow),
-            "throughput": self.throughput,
-            "utilization": self.utilization,
-            "dsp": self.dsp,
-            "bram": self.bram,
-            "lut": self.lut,
-        }
-
 
 def evaluate_design_point(
     point: LeNetDesignPoint, platform: Platform = PYNQ_Z2

@@ -37,7 +37,6 @@ class Tracer:
         self.func: Optional[FuncOp] = None
         self.builder: Optional[Builder] = None
         self._module_stack: List[Module] = []
-        self._layer_ops: List[Tuple[str, Operation]] = []
         self._weight_count = 0
 
     # ------------------------------------------------------------- lifecycle
@@ -76,7 +75,6 @@ class Tracer:
     def record_layer_op(self, op: Operation) -> None:
         path = ".".join(m.__class__.__name__ for m in self._module_stack[-2:])
         op.set_attr("layer", path or op.name)
-        self._layer_ops.append((path, op))
 
     def weight(self, shape: Sequence[int], label: str) -> Value:
         op = self.builder.insert(
@@ -85,10 +83,6 @@ class Tracer:
         op.set_attr("label", f"{label}_{self._weight_count}")
         self._weight_count += 1
         return op.result()
-
-    @property
-    def layer_ops(self) -> List[Tuple[str, Operation]]:
-        return list(self._layer_ops)
 
 
 def trace(

@@ -47,7 +47,7 @@ from .parallelize import (
     proposal_cost,
     sort_bands,
 )
-from .pipeline import CompileOptions, CompileResult, WorkloadSpec
+from .pipeline import CompileOptions, CompileResult
 from .structural import (
     analyze_memory_effects,
     convert_allocs_to_buffers,
@@ -91,7 +91,6 @@ __all__ = [
     "sort_bands",
     "CompileOptions",
     "CompileResult",
-    "WorkloadSpec",
     "analyze_memory_effects",
     "convert_allocs_to_buffers",
     "convert_dispatch_to_schedule",

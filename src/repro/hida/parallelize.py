@@ -88,9 +88,6 @@ class ParallelizationResult:
     constraint_violations: int = 0
     proposals_evaluated: int = 0
 
-    def factors_of(self, label: str) -> Optional[List[int]]:
-        return self.unroll_factors.get(label)
-
 
 # ---------------------------------------------------------------------------
 # Step (2): node sorting

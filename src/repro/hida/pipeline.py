@@ -1,4 +1,4 @@
-"""Result and workload records of the HIDA compilation pipeline.
+"""Result records of the HIDA compilation pipeline.
 
 The driver lives in :mod:`repro.compiler`: every Figure-3 phase is a
 registered :class:`~repro.compiler.stages.CompilationStage`, composed by a
@@ -13,10 +13,9 @@ executed by a :class:`~repro.compiler.driver.Compiler`::
         platform="zu3eg",
     ).run(workload="2mm")
 
-This module holds what such a run consumes and produces: the picklable
-:class:`WorkloadSpec` that names *what* to compile across process
-boundaries, and the :class:`CompileResult` every downstream consumer
-(baselines, DSE, benchmark harnesses, the HLS emitter) reads.
+This module holds what such a run produces: the :class:`CompileResult`
+every downstream consumer (baselines, DSE, benchmark harnesses, the HLS
+emitter) reads.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from ..ir.builtin import ModuleOp
 from .dataflow_opt import BalanceReport
 from .parallelize import ParallelizationResult
 
-__all__ = ["CompileOptions", "CompileResult", "WorkloadSpec"]
+__all__ = ["CompileOptions", "CompileResult"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,51 +89,3 @@ class CompileResult:
             "num_nodes": sum(len(s.nodes) for s in self.schedules),
             "misalignments": float(self.misalignments),
         }
-
-
-@dataclasses.dataclass(frozen=True)
-class WorkloadSpec:
-    """A picklable description of *what to compile*.
-
-    Design-space exploration fans compilations out to worker processes, and
-    IR modules do not pickle (they are densely linked object graphs).  A
-    workload spec is the thin serialization of a :mod:`repro.workloads`
-    registry handle: it carries only the recipe — frontend kind, registered
-    workload name and parameter bindings — and each worker rebuilds the
-    module locally with :meth:`build`, which resolves through the registry
-    and is deterministic and cheap relative to the pipeline itself.
-    """
-
-    #: ``"kernel"`` (PolyBench C++ frontend) or ``"model"`` (nn frontend).
-    kind: str
-    #: Registered workload name (see :func:`repro.workloads.list_workloads`).
-    name: str
-    #: Batch size (models only).
-    batch: int = 1
-    #: Extra registry parameter bindings beyond ``batch`` (e.g. a kernel's
-    #: problem size), as sorted (name, value) pairs so specs stay hashable.
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        # Normalize JSON-decoded lists back into hashable tuple form.
-        if not isinstance(self.params, tuple):
-            object.__setattr__(
-                self, "params", tuple((k, v) for k, v in self.params)
-            )
-
-    def workload(self):
-        """The bound :class:`repro.workloads.Workload` handle of this spec."""
-        if self.kind not in ("kernel", "model"):
-            raise ValueError(f"unknown workload kind {self.kind!r}")
-        from ..workloads import get_workload
-
-        return get_workload(self)
-
-    def build(self) -> ModuleOp:
-        return self.workload().build_module()
-
-    def label(self) -> str:
-        suffix = "".join(f"+{k}{v}" for k, v in self.params)
-        if self.kind == "model" and self.batch != 1:
-            return f"{self.name}@b{self.batch}{suffix}"
-        return f"{self.name}{suffix}"

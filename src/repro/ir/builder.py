@@ -14,7 +14,7 @@ regions::
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Iterator, Optional, Sequence, TypeVar
+from typing import Any, Iterator, Optional, TypeVar
 
 from .builtin import ConstantOp
 from .core import Block, Operation, Value
@@ -90,9 +90,6 @@ class Builder:
     def insertion_point(self) -> Optional[InsertionPoint]:
         return self._ip
 
-    def set_insertion_point(self, ip: InsertionPoint) -> None:
-        self._ip = ip
-
     @contextlib.contextmanager
     def at(self, ip: InsertionPoint) -> Iterator["Builder"]:
         """Temporarily move the insertion point."""
@@ -105,9 +102,6 @@ class Builder:
 
     def at_end_of(self, block: Block) -> Any:
         return self.at(InsertionPoint.at_end(block))
-
-    def at_start_of(self, block: Block) -> Any:
-        return self.at(InsertionPoint.at_start(block))
 
     # --------------------------------------------------------------- insert
     def insert(self, op: _OpT) -> _OpT:
@@ -132,7 +126,3 @@ class Builder:
 
     def index_constant(self, value: int) -> Value:
         return self.constant(int(value), IndexType())
-
-    def insert_all(self, ops: Sequence[Operation]) -> None:
-        for op in ops:
-            self.insert(op)

@@ -287,13 +287,6 @@ class Operation:
         for value in values:
             self.append_operand(value)
 
-    def remove_operand(self, index: int) -> None:
-        """Remove the operand at ``index``, shifting later operands down."""
-        self._drop_all_operand_uses()
-        del self._operands[index]
-        for i, value in enumerate(self._operands):
-            value._add_use(self, i)
-
     def _drop_all_operand_uses(self) -> None:
         for i, value in enumerate(self._operands):
             value._remove_use(self, i)
@@ -434,15 +427,6 @@ class Operation:
         block._operations.insert(idx + 1, self)
         self.parent = block
 
-    def move_to_end(self, block: "Block") -> None:
-        self.detach()
-        block.append(self)
-
-    def move_to_front(self, block: "Block") -> None:
-        self.detach()
-        block._operations.insert(0, self)
-        self.parent = block
-
     # --------------------------------------------------------------- walking
     def walk(
         self,
@@ -561,16 +545,8 @@ class Block:
         return list(self._operations)
 
     @property
-    def num_operations(self) -> int:
-        return len(self._operations)
-
-    @property
     def empty(self) -> bool:
         return not self._operations
-
-    @property
-    def first_op(self) -> Optional[Operation]:
-        return self._operations[0] if self._operations else None
 
     @property
     def last_op(self) -> Optional[Operation]:

@@ -117,10 +117,6 @@ class _Cursor:
                 column=self.pos,
             )
 
-    def skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-
     def ident(self) -> str:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:

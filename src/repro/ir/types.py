@@ -46,10 +46,6 @@ class Type:
         """Storage width in bits; 0 for types without a data representation."""
         return 0
 
-    @property
-    def is_shaped(self) -> bool:
-        return isinstance(self, (TensorType, MemRefType))
-
     def __str__(self) -> str:  # pragma: no cover - overridden by subclasses
         return self.__class__.__name__
 

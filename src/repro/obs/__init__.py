@@ -2,9 +2,9 @@
 
 A zero-dependency telemetry subsystem: hierarchical spans
 (:mod:`repro.obs.trace`), a typed metrics registry
-(:mod:`repro.obs.metrics`), pluggable sinks (:mod:`repro.obs.sinks`) and a
-Chrome trace-event / Perfetto exporter (:mod:`repro.obs.export`), plus the
-report CLI ``python -m repro.obs``.
+(:mod:`repro.obs.metrics`), an in-memory sink with a JSONL log format
+(:mod:`repro.obs.sinks`) and a Chrome trace-event / Perfetto exporter
+(:mod:`repro.obs.export`), plus the report CLI ``python -m repro.obs``.
 
 Telemetry is **off by default**.  The instrumented call sites throughout
 the repo go through the module-level helpers here (``obs.span(...)``,
@@ -44,8 +44,8 @@ from .export import (
     to_chrome_trace,
     validate_chrome_trace,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .sinks import InMemorySink, JsonlSink, TeeSink, read_jsonl, write_jsonl
+from .metrics import Counter, Gauge, MetricsRegistry
+from .sinks import InMemorySink, read_jsonl, write_jsonl
 from .trace import (
     NULL_SPAN,
     Clock,
@@ -66,11 +66,8 @@ __all__ = [
     "NULL_SPAN",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "InMemorySink",
-    "JsonlSink",
-    "TeeSink",
     "read_jsonl",
     "write_jsonl",
     "to_chrome_trace",
@@ -85,7 +82,6 @@ __all__ = [
     "event",
     "inc",
     "gauge_set",
-    "observe",
     "metrics",
     "propagation_context",
     "begin_worker",
@@ -107,23 +103,16 @@ _TIMELINE_PID_BASE = 1 << 24
 
 
 class Session:
-    """One enabled telemetry scope: a tracer, a registry and its sinks."""
+    """One enabled telemetry scope: a tracer, a registry and its sink."""
 
     def __init__(
         self,
         clock: Optional[Clock] = None,
         trace_id: Optional[str] = None,
-        jsonl_path: Optional[str] = None,
         role: str = "main",
     ) -> None:
         self.memory = InMemorySink()
-        self._jsonl: Optional[JsonlSink] = (
-            JsonlSink(jsonl_path) if jsonl_path else None
-        )
-        sink = (
-            TeeSink(self.memory, self._jsonl) if self._jsonl else self.memory
-        )
-        self.tracer = Tracer(sink, clock=clock, trace_id=trace_id)
+        self.tracer = Tracer(self.memory, clock=clock, trace_id=trace_id)
         self.registry = MetricsRegistry()
         self.role = role
         self._timeline_serial = 0
@@ -149,8 +138,6 @@ class Session:
 
     def close(self) -> None:
         self.tracer.finish_open()
-        if self._jsonl is not None:
-            self._jsonl.close()
 
 
 _SESSION: Optional[Session] = None
@@ -163,14 +150,13 @@ _SESSION_PID: Optional[int] = None
 def configure(
     clock: Optional[Clock] = None,
     trace_id: Optional[str] = None,
-    jsonl: Optional[str] = None,
     role: str = "main",
 ) -> Session:
     """Enable telemetry (replacing any live session) and return the session."""
     global _SESSION, _SESSION_PID
     if _SESSION is not None and _SESSION_PID == os.getpid():
         _SESSION.close()
-    _SESSION = Session(clock=clock, trace_id=trace_id, jsonl_path=jsonl, role=role)
+    _SESSION = Session(clock=clock, trace_id=trace_id, role=role)
     _SESSION_PID = os.getpid()
     return _SESSION
 
@@ -231,13 +217,6 @@ def gauge_set(name: str, value: float, keep_max: bool = False) -> None:
         return
     gauge = live.registry.gauge(name)
     (gauge.set_max if keep_max else gauge.set)(value)
-
-
-def observe(name: str, value: float) -> None:
-    live = _SESSION
-    if live is None or _SESSION_PID != os.getpid():
-        return
-    live.registry.histogram(name).observe(value)
 
 
 def metrics() -> Optional[MetricsRegistry]:
@@ -440,7 +419,7 @@ def add_cli_arguments(parser: Any) -> None:
         "--metrics-json",
         default=None,
         metavar="PATH",
-        help="dump the metrics registry (counters/gauges/histograms) as "
+        help="dump the metrics registry (counters/gauges) as "
         "JSON to PATH (implies --trace)",
     )
 

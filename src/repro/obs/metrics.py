@@ -1,11 +1,7 @@
-"""Typed metrics: counters, gauges, histograms and their registry.
+"""Typed metrics: counters, gauges and their registry.
 
-The registry is the single store behind every hand-rolled stat surface in
-the repo (``Compiler.ir_cache_stats``, the QoR-cache hit/miss counters,
-``ExplorationResult.prefix_hits``): callers keep their existing public
-fields, which are now *views* over a registry, so the counting logic lives
-in one place and worker-process dumps merge losslessly into the parent's
-registry (:meth:`MetricsRegistry.merge`).
+A live session counts into one registry; worker-process dumps merge
+losslessly into the parent's (:meth:`MetricsRegistry.merge`).
 
 Everything serializes to plain JSON (:meth:`MetricsRegistry.to_dict`), so
 metric dumps travel through result records and ``--metrics-json`` files
@@ -14,13 +10,9 @@ without custom codecs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-
-#: Histogram bucket upper bounds (unit-agnostic, decades from 1e-6 to 1e6);
-#: one overflow bucket catches everything above.
-HISTOGRAM_BOUNDS = tuple(10.0**exp for exp in range(-6, 7))
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 
 class Counter:
@@ -69,63 +61,7 @@ class Gauge:
         self.set_max(float(dump.get("value", 0.0)))
 
 
-class Histogram:
-    """Fixed-bucket distribution with count/sum/min/max."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.buckets = [0] * (len(HISTOGRAM_BOUNDS) + 1)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for index, bound in enumerate(HISTOGRAM_BOUNDS):
-            if value <= bound:
-                self.buckets[index] += 1
-                return
-        self.buckets[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "buckets": list(self.buckets),
-        }
-
-    def merge(self, dump: Dict[str, Any]) -> None:
-        self.count += int(dump.get("count", 0))
-        self.sum += float(dump.get("sum", 0.0))
-        for bound, key in ((dump.get("min"), "min"), (dump.get("max"), "max")):
-            if bound is None:
-                continue
-            bound = float(bound)
-            current = getattr(self, key)
-            chooser = min if key == "min" else max
-            setattr(
-                self, key, bound if current is None else chooser(current, bound)
-            )
-        incoming = dump.get("buckets") or []
-        for index, count in enumerate(incoming[: len(self.buckets)]):
-            self.buckets[index] += int(count)
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = {"counter": Counter, "gauge": Gauge}
 
 
 class MetricsRegistry:
@@ -151,16 +87,13 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, "gauge")
 
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, "histogram")
-
     # ------------------------------------------------------------ shortcuts
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counter(name).inc(amount)
 
     def value(self, name: str, default: float = 0.0) -> float:
         metric = self._metrics.get(name)
-        if metric is None or metric.kind == "histogram":
+        if metric is None:
             return default
         return float(metric.value)
 
@@ -180,8 +113,8 @@ class MetricsRegistry:
     def merge(self, dump: Dict[str, Dict[str, Any]]) -> None:
         """Fold a :meth:`to_dict` dump (e.g. from a worker) into this registry.
 
-        Counters and histograms add; gauges keep their maximum.  A kind
-        conflict raises rather than silently corrupting a metric.
+        Counters add; gauges keep their maximum.  A kind conflict raises
+        rather than silently corrupting a metric.
         """
         for name, payload in dump.items():
             kind = str(payload.get("kind", "counter"))

@@ -1,19 +1,19 @@
-"""Event sinks: in-memory collection, JSONL structured logs, fan-out.
+"""The in-memory event sink and the JSONL structured-log format.
 
-Every sink accepts the plain-dict events minted by
-:class:`~repro.obs.trace.Tracer` via ``emit(event)``; ``close()`` flushes
-and releases any resources.  The JSONL format is one JSON object per line
-with sorted keys — grep-able, append-safe and round-trippable through
-:func:`read_jsonl` (see the Perfetto exporter in :mod:`repro.obs.export`
-for the merged-trace rendering).
+A session collects the plain-dict events minted by
+:class:`~repro.obs.trace.Tracer` in an :class:`InMemorySink` and writes
+them out at exit.  The JSONL format is one JSON object per line with sorted
+keys — grep-able and round-trippable through :func:`read_jsonl` (see the
+Perfetto exporter in :mod:`repro.obs.export` for the merged-trace
+rendering).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional
+from typing import Any, Dict, List
 
-__all__ = ["InMemorySink", "JsonlSink", "TeeSink", "read_jsonl", "write_jsonl"]
+__all__ = ["InMemorySink", "read_jsonl", "write_jsonl"]
 
 
 class InMemorySink:
@@ -31,50 +31,8 @@ class InMemorySink:
         self.events = []
         return drained
 
-    def close(self) -> None:
-        pass
-
     def __len__(self) -> int:
         return len(self.events)
-
-
-class JsonlSink:
-    """Appends one sorted-key JSON object per event to ``path``.
-
-    The file opens lazily on the first event and every line is flushed as
-    written, so a crashed run still leaves a readable prefix.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._handle: Optional[IO[str]] = None
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "w", encoding="utf-8")
-        json.dump(event, self._handle, sort_keys=True)
-        self._handle.write("\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-class TeeSink:
-    """Fans every event out to several sinks."""
-
-    def __init__(self, *sinks: Any) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:

@@ -127,18 +127,6 @@ def partition_for_accesses(
     return ArrayPartition(kinds, factors)
 
 
-def _accesses_of(
-    buffer: Value, within: Optional[Operation] = None
-) -> List[AffineAccess]:
-    accesses: List[AffineAccess] = []
-    for user in buffer.users:
-        if isinstance(user, (AffineLoadOp, AffineStoreOp)) and (
-            within is None or within.is_ancestor_of(user)
-        ):
-            accesses.append(user)
-    return accesses
-
-
 def partition_factors_of_value(buffer: Value) -> Tuple[int, ...]:
     """Current partition factors of a buffer value (all ones if none).
 

@@ -260,14 +260,6 @@ def _lower_elementwise(op: linalg.LinalgOp, out: Value, ctx: _LoweringContext, b
         loop.set_parallel(True)
 
 
-def _linearize(exprs: Sequence[AffineExpr], shape: Sequence[int]) -> AffineExpr:
-    """Row-major linearization of multi-dimensional index expressions."""
-    flat: AffineExpr = constant(0)
-    for expr, size in zip(exprs, shape):
-        flat = flat * int(size) + expr
-    return flat
-
-
 def _delinearize(flat: AffineExpr, shape: Sequence[int]) -> List[AffineExpr]:
     """Row-major de-linearization into per-dimension index expressions."""
     exprs: List[AffineExpr] = []

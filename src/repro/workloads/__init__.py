@@ -7,7 +7,6 @@ See :mod:`repro.workloads.registry` for the full API; the common surface::
     list_workloads(kind="model")          # the Table-8 DNN zoo
     wl = get_workload("resnet18@batch=4")
     module = wl.build_module()            # lazy linalg-level IR
-    spec = wl.spec()                      # picklable WorkloadSpec for DSE
 """
 
 from .registry import (

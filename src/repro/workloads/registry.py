@@ -14,10 +14,11 @@ under a single :class:`Workload` API:
   (``python -m repro.compiler --list-workloads``).
 
 A :class:`Workload` builds its linalg-level IR lazily via
-:meth:`Workload.build_module` and serializes to the picklable
-:class:`~repro.hida.pipeline.WorkloadSpec` that design-space exploration
-fans out to worker processes — QoR cache keys are a function of the built
-module, so registry resolution leaves them unchanged.
+:meth:`Workload.build_module`.  Design-space exploration ships a workload
+to worker processes as the identity fields of a
+:class:`~repro.dse.space.DesignPoint`, which resolve back to the handle
+here — QoR cache keys are a function of the built module, so registry
+resolution leaves them unchanged.
 """
 
 from __future__ import annotations
@@ -209,24 +210,6 @@ class Workload:
         registry parameters (e.g. ``element_type`` for traced models).
         """
         return self.definition.builder(**self.params, **extra)
-
-    def spec(self):
-        """The picklable :class:`~repro.hida.pipeline.WorkloadSpec` of this
-        handle (the serialization DSE ships across process boundaries)."""
-        from ..hida.pipeline import WorkloadSpec
-
-        params = {
-            key: value
-            for key, value in self.params.items()
-            if value != self.definition.param(key).default
-        }
-        batch = int(params.pop("batch", 1))
-        return WorkloadSpec(
-            kind=self.kind,
-            name=self.name,
-            batch=batch,
-            params=tuple(sorted(params.items())),
-        )
 
     def __repr__(self) -> str:
         return f"Workload({self.workload_id!r}, kind={self.kind!r})"
@@ -427,35 +410,29 @@ def parse_workload_id(text: str) -> Tuple[Optional[str], str, Dict[str, str]]:
             item = item.strip()
             if not item:
                 continue
+            # A bare value is the positional shorthand, resolved at lookup.
+            key, value = "", item
             if "=" in item:
-                key, _, value = item.partition("=")
-                params[key.strip()] = value.strip()
-            else:
-                params[""] = item  # positional shorthand, resolved at lookup
+                key, _, value = (part.strip() for part in item.partition("="))
+                if not key:
+                    raise ValueError(f"empty parameter name in workload id {text!r}")
+            if key in params:
+                what = f"parameter {key!r}" if key else "a bare value"
+                raise ValueError(
+                    f"{what} given more than once in workload id {text!r}"
+                )
+            params[key] = value
     return kind, name, params
 
 
-def get_workload(
-    spec: Union[str, Workload, "object"], kind: Optional[str] = None
-) -> Workload:
-    """Resolve a workload id / spec / handle to a bound :class:`Workload`.
+def get_workload(spec: Union[str, Workload], kind: Optional[str] = None) -> Workload:
+    """Resolve a workload id or handle to a bound :class:`Workload`.
 
     Unknown names raise :class:`UnknownWorkloadError` listing every
     registered name with a closest-match suggestion.
     """
     if isinstance(spec, Workload):
         return spec
-    from ..hida.pipeline import WorkloadSpec
-
-    if isinstance(spec, WorkloadSpec):
-        handle = get_workload(spec.name, kind=spec.kind)
-        params: Dict[str, object] = dict(spec.params)
-        declared = {decl.name for decl in handle.definition.params}
-        if spec.batch != 1 and "batch" in declared:
-            params["batch"] = spec.batch
-        # A batch on a batch-less workload (kernels) is ignored, exactly as
-        # the pre-registry kernel frontend ignored WorkloadSpec.batch.
-        return handle.at(**params) if params else handle
     if not isinstance(spec, str):
         raise TypeError(f"cannot resolve a workload from {spec!r}")
 
@@ -486,7 +463,13 @@ def get_workload(
                 f"workload {name!r} takes no parameters "
                 f"(got {raw_params['']!r})"
             )
-        raw_params[definition.params[0].name] = raw_params.pop("")
+        first = definition.params[0].name
+        if first in raw_params:
+            raise ValueError(
+                f"parameter {first!r} given more than once in workload id "
+                f"{spec!r} (a bare value binds it too)"
+            )
+        raw_params[first] = raw_params.pop("")
     return handle.at(**raw_params) if raw_params else handle
 
 
@@ -528,8 +511,8 @@ def source_modules(names: Sequence[str]) -> List[str]:
     return sorted(modules)
 
 
-def as_module(workload: Union[ModuleOp, str, Workload, "object"], **extra) -> ModuleOp:
-    """Coerce a module / workload id / handle / spec to a built module.
+def as_module(workload: Union[ModuleOp, str, Workload], **extra) -> ModuleOp:
+    """Coerce a module / workload id / handle to a built module.
 
     The polymorphic front door used by the baselines: pass a pre-built
     module through unchanged, or resolve anything else via the registry.

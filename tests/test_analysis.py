@@ -366,9 +366,6 @@ class _FakePoint:
         return Compiler.from_spec(self._spec, platform=self.platform)
 
     def workload_spec(self):
-        return self
-
-    def build(self):
         return self._module
 
     def key(self):
@@ -379,6 +376,26 @@ class _FakePoint:
 
     def to_dict(self):
         return {"workload": self.workload, "spec": self._spec}
+
+
+def test_prefilter_prefix_compile_is_a_traced_compiler_run():
+    # The structural prefix goes through the one driver, so a live session
+    # sees its stage spans (a hand-rolled stage loop emitted none).
+    from repro import obs
+    from repro.dse import DesignPoint
+
+    obs.configure()
+    try:
+        assert check_point(DesignPoint.for_workload("atax@n=8")) is None
+        spans = [
+            e["name"]
+            for e in obs.session().events()
+            if e["type"] == "span" and e["cat"] == "stage"
+        ]
+    finally:
+        obs.shutdown()
+    assert spans[0] == "construct-dataflow"
+    assert "parallelize" not in spans and "estimate" not in spans
 
 
 def test_prefilter_rejects_spec_without_estimate():
@@ -494,15 +511,8 @@ def test_compiler_cli_verify_ir_flag(capsys):
 
 def _lowered_kernel(build):
     """Build a KernelBuilder module and lower it to a scheduled design."""
-    from repro.compiler.spec import parse_pipeline
-    from repro.compiler.stages import CompilationState, build_stages
-
-    module = build()
-    state = CompilationState(module=module, platform=get_platform("vu9p-slr"))
     spec = "construct-dataflow,lower-linalg,lower-structural"
-    for stage in build_stages(parse_pipeline(spec)):
-        stage.run(state)
-    return state.module
+    return Compiler.from_spec(spec).run_stages(build()).module
 
 
 def _recurrence_kernel():

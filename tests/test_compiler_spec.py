@@ -257,6 +257,34 @@ class TestLegacyEquivalence:
         with pytest.raises(PipelineSpecError, match="estimate"):
             compiler.run(build_listing1())
 
+    def test_run_stages_runs_a_pipeline_without_estimate(self):
+        from repro import obs
+        from repro.dialects.dataflow import ScheduleOp
+
+        stages = ["construct-dataflow", "lower-structural"]
+        compiler = Compiler.from_spec(",".join(stages), verify_each=True)
+        obs.configure()
+        try:
+            state = compiler.run_stages(build_listing1())
+            spans = [
+                e["name"]
+                for e in obs.session().events()
+                if e["type"] == "span" and e["cat"] == "stage"
+            ]
+        finally:
+            obs.shutdown()
+        assert state.estimate is None
+        assert state.schedules == [
+            op for op in state.module.walk() if isinstance(op, ScheduleOp)
+        ]
+        assert state.schedules
+        assert [name for name, _ in state.stage_timings] == stages
+        # One span per stage, each followed by its verify_each pass.
+        assert spans == ["construct-dataflow", "verify", "lower-structural", "verify"]
+        # run() is run_stages() plus the estimate check.
+        with pytest.raises(PipelineSpecError, match="estimate"):
+            compiler.run(build_listing1())
+
     def test_verify_each_spec_run(self):
         result = Compiler.from_spec(
             DEFAULT_PIPELINE, platform="zu3eg", verify_each=True

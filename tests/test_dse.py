@@ -22,7 +22,6 @@ from repro.dse import (
     polybench_suite,
 )
 from repro.estimation import DesignEstimate
-from repro.hida import WorkloadSpec
 from repro.ir import fingerprint_op
 
 
@@ -105,11 +104,11 @@ def test_full_space_keys_and_canonical_specs_are_pinned():
 
 
 def test_workload_spec_builds_and_compiles():
-    spec = WorkloadSpec("kernel", "atax")
-    result = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(workload=spec)
+    handle = DesignPoint("kernel", "atax").workload_spec()
+    result = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(workload=handle)
     assert result.throughput > 0
     with pytest.raises(ValueError):
-        WorkloadSpec("netlist", "atax").build()
+        DesignPoint("netlist", "atax").workload_spec()
 
 
 # ------------------------------------------------------------------- pareto

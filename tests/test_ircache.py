@@ -16,7 +16,6 @@ from repro.compiler.ircache import (
 from repro.compiler.stages import CompilationState
 from repro.dse import build_space, explore
 from repro.estimation.platform import get_platform
-from repro.hida.pipeline import WorkloadSpec
 from repro.ir.printer import print_op
 from repro.workloads import get_workload
 
@@ -46,11 +45,14 @@ def summary_of(result):
 def test_workload_cache_key_forms():
     """Every spelling of one workload shares the handle's canonical id."""
     assert workload_cache_key("resnet18@batch=4") == "resnet18@batch=4"
+    from repro.dse import DesignPoint
+
     handle = get_workload("2mm")
-    spec = WorkloadSpec(kind="kernel", name="2mm", batch=1)
-    assert workload_cache_key(handle) == workload_cache_key(spec) == "2mm"
-    assert workload_cache_key("kernel:2mm") == workload_cache_key(handle.spec())
-    assert workload_cache_key(get_workload("lenet@batch=4").spec()) == "lenet@batch=4"
+    point = DesignPoint(workload_kind="kernel", workload="2mm", batch=1)
+    assert workload_cache_key(handle) == workload_cache_key(point.workload_spec()) == "2mm"
+    assert workload_cache_key("kernel:2mm") == workload_cache_key(handle)
+    batched = DesignPoint.for_workload("lenet@batch=4")
+    assert workload_cache_key(batched.workload_spec()) == "lenet@batch=4"
     assert workload_cache_key(object()) is None
 
 
@@ -197,12 +199,8 @@ def test_module_with_workload_keys_like_the_workload_alone(tmp_path):
 
 def test_store_refuses_snapshot_on_schedule_mismatch(tmp_path):
     compiler = make_compiler()
-    state = CompilationState(
-        module=get_workload("2mm").build_module(),
-        platform=get_platform("zu3eg"),
-    )
-    for stage in compiler.stages[:4]:  # through lower-structural
-        stage.run(state)
+    # Through lower-structural.
+    state = Compiler(compiler.stages[:4], platform="zu3eg").run_stages(workload="2mm")
     assert state.schedules
     state.schedules.append(state.schedules[0])  # now lies about its schedules
 

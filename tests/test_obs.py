@@ -75,7 +75,6 @@ def test_disabled_by_default():
     obs.event("nothing")
     obs.inc("nothing")
     obs.gauge_set("nothing", 1.0)
-    obs.observe("nothing", 1.0)
     assert obs.propagation_context() is None
     assert obs.drain_worker() is None
     assert obs.telemetry_summary() is None
@@ -147,14 +146,11 @@ def test_registry_counters_gauges_histograms():
     registry.inc("c")
     registry.gauge("g").set(5.0)
     registry.gauge("g").set_max(3.0)  # keeps 5
-    registry.histogram("h").observe(0.5)
-    registry.histogram("h").observe(50.0)
     assert registry.value("c") == 3.0
     assert registry.value("g") == 5.0
     dump = registry.to_dict()
     assert dump["c"]["kind"] == "counter"
-    assert dump["h"]["count"] == 2
-    assert dump["h"]["sum"] == pytest.approx(50.5)
+    assert dump["g"] == {"kind": "gauge", "value": 5.0}
     # Kind conflicts are programming errors.
     with pytest.raises(TypeError):
         registry.gauge("c")
@@ -299,8 +295,10 @@ def test_compiler_metrics_replace_stat_dict():
     }
     assert stats["stages_run"] > 0
     assert stats["frontend_traces"] == 1
-    # The dict is a view over the compiler's metrics registry.
-    assert stats["stages_run"] == int(compiler.metrics.value("ir_cache.stages_run"))
+    # A live session counts the same events as ``ir_cache.*``.
+    obs.configure()
+    compiler.run(workload=get_workload("atax"))
+    assert obs.metrics().value("ir_cache.stages_run") == stats["stages_run"]
 
 
 class _ExplodingObserver(PipelineObserver):

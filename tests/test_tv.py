@@ -443,6 +443,14 @@ def test_tv_cli_sweep_and_json(tmp_path, capsys):
     assert payload["runs"][0]["ok"] is True
 
 
+def test_tv_cli_rejects_a_malformed_workload_id(capsys):
+    # Regression: unknown names and malformed ids escaped as tracebacks.
+    for workload in ("2mm@n=8,n=16", "2mn"):
+        with pytest.raises(SystemExit):
+            tv_main(["--workload", workload])
+        assert "--workload:" in capsys.readouterr().err
+
+
 def test_tv_cli_fuzz_mode(capsys):
     assert tv_main(["--fuzz", "--count", "8", "--seed", "2"]) == 0
     assert "silent change(s)" in capsys.readouterr().out

@@ -1,11 +1,10 @@
 """Tests for the unified workload & target registries (repro.workloads /
 repro.targets): discovery, parameterized variants, did-you-mean errors, the
-WorkloadSpec serialization bridge and the CLI listing/resolution paths."""
+handle <-> DesignPoint identity bridge and the CLI listing/resolution paths."""
 
 import pytest
 
 from repro.dse.space import DesignPoint, build_space
-from repro.hida.pipeline import WorkloadSpec
 from repro.ir import ModuleOp, verify
 from repro.targets import (
     Target,
@@ -101,12 +100,27 @@ class TestParameterization:
         with pytest.raises(ValueError, match="int"):
             get_workload("resnet18@batch=huge")
 
+    @pytest.mark.parametrize(
+        "workload_id, named",
+        [
+            ("2mm@n=8,n=16", "'n'"),
+            ("lenet@4,8", "bare value"),
+            ("lenet@4,batch=8", "'batch'"),
+            ("2mm@=5", "empty parameter name"),
+        ],
+    )
+    def test_a_parameter_may_be_named_once(self, workload_id, named):
+        # Regression: these were silently last-wins (2mm@n=16, lenet@batch=8)
+        # and "@=5" passed as the positional shorthand.
+        with pytest.raises(ValueError, match=named):
+            get_workload(workload_id)
+
     def test_kernel_spec_ignores_batch_like_legacy_build_path(self):
-        # Pre-registry, WorkloadSpec.build() for kernels silently ignored
-        # the batch field; the registry bridge must preserve that.
-        spec = WorkloadSpec("kernel", "atax", batch=2)
-        assert spec.build().functions
-        assert get_workload(spec).params == {"n": 40}
+        # The pre-registry kernel frontend silently ignored a point's batch
+        # field; resolving the point's handle must preserve that.
+        handle = DesignPoint("kernel", "atax", batch=2).workload_spec()
+        assert handle.build_module().functions
+        assert handle.params == {"n": 40}
 
     def test_shape_coupled_ctor_params_are_not_exposed(self):
         # mlp's in_features must match the registered input_shape, so only
@@ -119,14 +133,14 @@ class TestParameterization:
 
     def test_spec_bridge_roundtrips(self):
         handle = get_workload("resnet18@batch=4")
-        spec = handle.spec()
-        assert spec == WorkloadSpec(kind="model", name="resnet18", batch=4)
-        assert get_workload(spec) == handle
+        point = DesignPoint.for_workload(handle)
+        assert point == DesignPoint(workload_kind="model", workload="resnet18", batch=4)
+        assert point.workload_spec() == handle
         kernel = get_workload("2mm@n=16")
-        spec = kernel.spec()
-        assert spec.params == (("n", 16),)
-        assert spec.build().functions
-        assert get_workload(spec) == kernel
+        point = DesignPoint.for_workload(kernel)
+        assert point.workload_params == (("n", 16),)
+        assert point.workload_spec().build_module().functions
+        assert point.workload_spec() == kernel
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +240,27 @@ class TestDesignPointBridge:
         assert by_handle == by_fields
         assert by_handle.key() == by_fields.key()
 
+    def test_every_handle_roundtrips_through_a_point(self):
+        # Default binding, and every declared parameter off its default.
+        handles = list(iter_workloads())
+        assert len(handles) == 19
+        for handle in handles:
+            bumped = {k: v + 1 for k, v in handle.definition.defaults().items()}
+            for variant in (handle, handle.at(**bumped)):
+                point = DesignPoint.for_workload(variant)
+                assert point.workload_spec() == variant, variant.workload_id
+                assert DesignPoint.from_dict(point.to_dict()) == point
+
+    def test_point_labels_are_pinned(self):
+        # Record labels (and the perf golden digests built from them) spell
+        # the workload from the point's own fields: name@bN+kV.
+        label = DesignPoint.for_workload("2mm@n=16", platform="zu3eg").label()
+        assert label == "2mm+n16/zu3eg/pf32/t16/f2/ii1"
+        label = DesignPoint.for_workload("lenet@batch=4", platform="zu3eg").label()
+        assert label == "lenet@b4/zu3eg/pf32/t16/f2/ii1"
+        label = DesignPoint.for_workload("yolo@batch=2,num_anchors=3").label()
+        assert label.startswith("yolo@b2+num_anchors3/")
+
     def test_unparameterized_points_keep_legacy_keys(self):
         # The QoR-cache stability contract: workload_params is omitted from
         # the hashed dict whenever it is empty.
@@ -241,7 +276,8 @@ class TestDesignPointBridge:
         data = json.loads(json.dumps(point.to_dict()))
         roundtrip = DesignPoint.from_dict(data)
         assert roundtrip == point and roundtrip.key() == point.key()
-        assert roundtrip.workload_spec().params == (("n", 16),)
+        assert roundtrip.workload_params == (("n", 16),)
+        assert roundtrip.workload_spec() == get_workload("2mm@n=16")
         assert roundtrip.key() != DesignPoint.for_workload(
             "2mm", platform="zu3eg"
         ).key()
