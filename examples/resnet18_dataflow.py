@@ -9,14 +9,14 @@ against the ScaleHLS-style baseline under the same resource budget.
 Run with:  python examples/resnet18_dataflow.py
 """
 
-from repro import Compiler, default_stages, get_target, get_workload
+from repro import Compiler, default_stages, get_platform, get_workload
 from repro.baselines import compile_scalehls_baseline
 from repro.estimation import dsp_efficiency, memory_reduction
 from repro.frontend.nn import layer_summary
 
 
 def main() -> None:
-    platform = get_target("vu9p-slr").platform
+    platform = get_platform("vu9p-slr")
 
     # 1. Resolve the workload from the registry and inspect the traced model.
     workload = get_workload("resnet18")

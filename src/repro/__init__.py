@@ -6,7 +6,7 @@ Hierarchical Dataflow Compiler for High-Level Synthesis* (Ye, Jun, Chen).
 The package layers:
 
 * :mod:`repro.ir` — a compact SSA IR kernel (the MLIR substrate);
-* :mod:`repro.dialects` — affine/arith/memref/linalg/scf/tensor dialects plus
+* :mod:`repro.dialects` — affine/arith/memref/linalg/scf dialects plus
   the HIDA Functional/Structural dataflow dialect;
 * :mod:`repro.frontend` — PyTorch-like model tracing and a C++-style loop
   kernel builder (the Torch-MLIR / Polygeist substitutes);
@@ -21,8 +21,8 @@ The package layers:
 * :mod:`repro.evaluation` — the experiment harnesses behind every table and
   figure of the paper.
 
-Quickstart — one front door (:mod:`repro.compiler`); the workload/target
-registries name *what* to compile and *for which hardware*::
+Quickstart — one front door (:mod:`repro.compiler`); the workload registry
+and the platform table name *what* to compile and *for which hardware*::
 
     from repro import Compiler
 
@@ -42,9 +42,8 @@ from .compiler import (
     default_stages,
     parse_pipeline,
 )
-from .estimation import Platform, QoREstimator, get_platform
+from .estimation import Platform, QoREstimator, get_platform, list_platforms
 from .hida import CompileResult
-from .targets import Target, get_target, list_targets
 from .workloads import Workload, get_workload, list_workloads
 
 __version__ = "2.0.0"
@@ -60,9 +59,7 @@ __all__ = [
     "Platform",
     "QoREstimator",
     "get_platform",
-    "Target",
-    "get_target",
-    "list_targets",
+    "list_platforms",
     "Workload",
     "get_workload",
     "list_workloads",

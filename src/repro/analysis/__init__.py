@@ -59,7 +59,7 @@ from .tv import (
     semantic_fingerprint,
     validate_pipeline,
 )
-from .recurrence import band_rec_mii, dependence_chain_latency, pipeline_rec_mii
+from .recurrence import dependence_chain_latency, pipeline_rec_mii
 from .rules import (
     SEVERITIES,
     SUPPRESS_ATTR,
@@ -97,7 +97,6 @@ __all__ = [
     "analyze_module",
     "available_rules",
     "band_dependences",
-    "band_rec_mii",
     "check_point",
     "default_rules",
     "dependence_chain_latency",

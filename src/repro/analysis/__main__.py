@@ -8,7 +8,6 @@ Examples::
     python -m repro.analysis --all-workloads --json report.json
     python -m repro.analysis --all-workloads --write-baseline tools/analysis_baseline.json
     python -m repro.analysis --all-workloads --baseline tools/analysis_baseline.json
-    python -m repro.analysis --workload lenet --fail-on warning
     python -m repro.analysis --workload atax \\
         --spec "construct-dataflow,lower-structural,estimate"
 
@@ -26,13 +25,13 @@ import json
 import sys
 from typing import Dict, List, Optional
 
+from .. import _cli
 from ..compiler.driver import DEFAULT_PIPELINE, Compiler
 from ..compiler.spec import PipelineSpecError
 from ..evaluation.reporting import format_table
-from ..targets import UnknownTargetError, get_target
-from ..workloads import UnknownWorkloadError, get_workload, iter_workloads
+from ..workloads import iter_workloads
 from .engine import AnalysisReport, analyze_module
-from .rules import available_rules, rule_registry, severity_rank
+from .rules import available_rules, rule_registry
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,33 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="Static dataflow soundness analysis over compiled workloads.",
     )
-    parser.add_argument(
-        "--workload",
-        action="append",
-        dest="workloads",
-        default=None,
-        metavar="NAME[@PARAM=VALUE,...]",
-        help="analyze this registered workload; repeatable",
-    )
-    parser.add_argument(
-        "--all-workloads",
-        action="store_true",
-        help="analyze every registered workload (the full zoo)",
-    )
-    parser.add_argument(
-        "--target",
-        "--platform",
-        dest="platform",
-        default="vu9p-slr",
-        metavar="NAME",
-        help="target platform (default: vu9p-slr)",
-    )
-    parser.add_argument(
-        "--spec",
-        default=DEFAULT_PIPELINE,
-        help="pipeline spec compiled before analysis "
-        "(default: the full Figure-3 pipeline)",
-    )
+    _cli.add_workload(parser, repeatable=True)
+    _cli.add_sweep_flags(parser)  # --all-workloads: the full zoo
+    _cli.add_target(parser, default="vu9p-slr")
+    _cli.add_spec(parser, "--spec", default=DEFAULT_PIPELINE)
     parser.add_argument(
         "--rules",
         action="append",
@@ -80,13 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog (id, severity, description) and exit",
     )
     parser.add_argument(
-        "--fail-on",
-        choices=("never", "note", "warning", "error"),
-        default="never",
-        metavar="SEVERITY",
-        help="exit with status 1 when any finding reaches this severity",
-    )
-    parser.add_argument(
         "--baseline",
         default=None,
         metavar="PATH",
@@ -95,27 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--write-baseline",
+        type=_cli.output_path,
         default=None,
         metavar="PATH",
         help="write the observed per-workload rule counts as a baseline JSON",
     )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the full per-workload reports as JSON to PATH",
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print every individual finding, not just the count table",
-    )
-    parser.add_argument(
-        "--annotate",
-        action="store_true",
-        help="emit GitHub Actions workflow annotations "
-        "(::error file=...) for every finding",
-    )
+    _cli.add_json(parser, "the full per-workload reports")
     return parser
 
 
@@ -132,10 +86,14 @@ def _print_annotations(label: str, report: AnalysisReport) -> None:
     for finding in report.diagnostics:
         level = _ANNOTATION_LEVELS.get(finding.severity, "warning")
         line = finding.location.line if finding.location else 1
-        message = f"{label}: {finding.message}"
         print(
-            f"::{level} file=printed-ir/{label}.mlir,line={line},"
-            f"title={finding.rule}::{message}"
+            _cli.github_annotation(
+                level,
+                finding.rule,
+                f"{label}: {finding.message}",
+                file=f"printed-ir/{label}.mlir",
+                line=line,
+            )
         )
 
 
@@ -193,20 +151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--rules: unknown rule id(s) {', '.join(unknown)}; "
                 f"known rules: {', '.join(available_rules())}"
             )
-    try:
-        platform = get_target(args.platform).name
-    except UnknownTargetError as error:
-        parser.error(f"--target: {error}")
-
-    if args.all_workloads:
-        handles = list(iter_workloads())
-    else:
-        handles = []
-        for name in args.workloads:
-            try:
-                handles.append(get_workload(name))
-            except (UnknownWorkloadError, ValueError) as error:
-                parser.error(f"--workload: {error}")
+    handles = list(iter_workloads()) if args.all_workloads else args.workloads
 
     rule_ids = args.rules or available_rules()
     reports: Dict[str, AnalysisReport] = {}
@@ -214,7 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for handle in handles:
         label = handle.label()
         try:
-            report = analyze_workload(handle, args.spec, platform)
+            report = analyze_workload(handle, args.spec, args.platform)
         except PipelineSpecError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -255,7 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             headers,
             rows,
             f"Static analysis ({len(reports)} workload(s), "
-            f"platform {platform}, spec {args.spec!r})",
+            f"platform {args.platform}, spec {args.spec!r})",
         )
     )
     if args.verbose:
@@ -268,23 +213,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     for failure in failures:
         print(f"compile failure (not analyzed): {failure}", file=sys.stderr)
 
-    current = _counts_payload(reports, args.spec, platform)
+    current = _counts_payload(reports, args.spec, args.platform)
     if args.json:
         payload = {
-            "platform": platform,
+            "platform": args.platform,
             "spec": args.spec,
             "workloads": {
                 label: report.to_dict() for label, report in reports.items()
             },
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
+        _cli.write_json(args.json, payload)
     if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            json.dump(current, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote baseline {args.write_baseline}")
+        _cli.write_json(args.write_baseline, current, "baseline ")
 
     status = 0
     if args.baseline:
@@ -297,18 +237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             status = 1
         else:
             print(f"no new hits vs baseline {args.baseline}")
-    if args.fail_on != "never":
-        floor = severity_rank(args.fail_on)
-        offenders = [
-            f"{label}: {finding}"
-            for label in sorted(reports)
-            for finding in reports[label].diagnostics
-            if severity_rank(finding.severity) >= floor
-        ]
-        for line in offenders:
-            print(f"fail-on {args.fail_on}: {line}", file=sys.stderr)
-        if offenders:
-            status = 1
     if failures:
         status = max(status, 1)
     return status

@@ -29,7 +29,6 @@ __all__ = [
     "dependence_chain_latency",
     "binding_recurrences",
     "pipeline_rec_mii",
-    "band_rec_mii",
 ]
 
 #: Per-op pipeline latencies (cycles) for recurrence chains.  Deliberately
@@ -136,15 +135,6 @@ def binding_recurrences(
         if math.ceil(chain / max(dep.min_distance_at(0), 1)) > target_ii:
             binding.append(dep)
     return binding
-
-
-def band_rec_mii(band: List[AffineForOp]) -> int:
-    """Max rec-MII over the pipelined loops of a band (1 if none)."""
-    rec = 1
-    for loop in band:
-        if loop.is_pipelined:
-            rec = max(rec, pipeline_rec_mii(loop))
-    return rec
 
 
 def _loop_signature(loop: AffineForOp) -> tuple:

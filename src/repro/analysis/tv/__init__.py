@@ -39,15 +39,12 @@ Wired in at four layers:
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
-import json
 import random
-import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir.interp import (
+from ...ir.interp import (
     DEFAULT_MAX_OPS,
     ExecutionResult,
     InterpreterBudgetError,
@@ -209,7 +206,7 @@ def semantic_fingerprint(module) -> str:
     modules that differ only in directives (:data:`NON_SEMANTIC_ATTRS`)
     hash identically and need no execution.
     """
-    from ..ir.printer import print_op
+    from ...ir.printer import print_op
 
     clone = module.clone()
     for op in clone.walk():
@@ -327,7 +324,7 @@ def interleave_validate(
     returns the printed interleaved spec.  Existing ``validate`` stages
     are left alone and not doubled.
     """
-    from ..compiler.spec import StageSpec, parse_pipeline
+    from ...compiler.spec import StageSpec, parse_pipeline
 
     def _validate_spec(after: str) -> StageSpec:
         options: Dict[str, List[str]] = {"after": [after]}
@@ -368,7 +365,7 @@ def validate_pipeline(
     a behavioral mismatch aborts the pipeline and lands in ``report.error``
     plus a ``mismatch`` check — it never raises, so sweeps can keep going.
     """
-    from ..compiler.driver import DEFAULT_PIPELINE, Compiler, DiagnosticsObserver
+    from ...compiler.driver import DEFAULT_PIPELINE, Compiler, DiagnosticsObserver
 
     spec_text = spec_text or DEFAULT_PIPELINE
     interleaved = interleave_validate(
@@ -470,7 +467,7 @@ class FuzzReport:
 
 
 def _all_loops(module) -> List:
-    from ..dialects.affine import AffineForOp
+    from ...dialects.affine import AffineForOp
 
     return [op for op in module.walk() if isinstance(op, AffineForOp)]
 
@@ -486,14 +483,14 @@ def fuzz_transforms(
     one that wrongly rejects shows up only as a higher rejection count —
     conservative in the safe direction.
     """
-    from ..transforms.loop_transforms import (
+    from ...transforms.loop_transforms import (
         loop_bands_of,
         permute_band,
         pipeline_loop,
         unroll_loop,
     )
-    from ..workloads import as_module, get_workload
-    from .legality import TransformLegalityError
+    from ...workloads import as_module, get_workload
+    from ..legality import TransformLegalityError
 
     rng = random.Random(seed)
     report = FuzzReport()
@@ -549,183 +546,3 @@ def fuzz_transforms(
         else:
             report.validated += 1
     return report
-
-
-# ---------------------------------------------------------------------------
-# CLI: zoo sweep and fuzz modes
-# ---------------------------------------------------------------------------
-
-#: Kernels with non-integer math need the documented relative tolerance;
-#: everything else must stay bitwise.
-_SWEEP_TOLERANCES = {"correlation": 1e-9}
-
-
-def _sweep_workloads(names: Sequence[str], everything: bool) -> List:
-    """Resolve the sweep's workload handles (kernels shrink to n=8)."""
-    from ..workloads import get_workload, iter_workloads
-
-    if everything:
-        handles = list(iter_workloads(kind="kernel"))
-    else:
-        handles = [get_workload(name) for name in names]
-    shrunk = []
-    for handle in handles:
-        if "n" in handle.params:
-            handle = handle.at(n=8)
-        if "tsteps" in handle.params:
-            handle = handle.at(tsteps=2)
-        shrunk.append(handle)
-    return shrunk
-
-
-def _sweep_specs(spec: Optional[str], ablations: bool) -> List[Tuple[str, str]]:
-    from ..baselines.ablation import ABLATION_MODES, ablation_pipeline_spec
-    from ..compiler.driver import DEFAULT_PIPELINE
-
-    if spec:
-        return [("spec", spec)]
-    named = [("default", DEFAULT_PIPELINE)]
-    if ablations:
-        named += [
-            (mode, ablation_pipeline_spec(mode, max_parallel_factor=8))
-            for mode in sorted(ABLATION_MODES)
-        ]
-    return named
-
-
-def _annotation(level: str, title: str, message: str) -> str:
-    return f"::{level} title={title}::{message}"
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.tv",
-        description="Translation-validate pipelines, or fuzz checked "
-        "transforms against the reference interpreter.",
-    )
-    parser.add_argument(
-        "--workload",
-        action="append",
-        default=[],
-        metavar="NAME[@PARAM=VALUE,...]",
-        help="workload id to validate (repeatable; kernels shrink to n=8)",
-    )
-    parser.add_argument(
-        "--all-workloads",
-        action="store_true",
-        help="validate every registered kernel workload",
-    )
-    parser.add_argument(
-        "--spec", default=None, help="pipeline spec (default: the Figure-3 default)"
-    )
-    parser.add_argument(
-        "--ablations",
-        action="store_true",
-        help="also sweep the four Figure-11 ablation pipelines",
-    )
-    parser.add_argument("--target", default="vu9p-slr", metavar="NAME")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--max-ops", type=int, default=0, help="interpreter op budget (0 = default)"
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.0,
-        help="relative float tolerance for reassociating transforms "
-        "(default 0 = bitwise; division/sqrt kernels get 1e-9 automatically)",
-    )
-    parser.add_argument(
-        "--fuzz",
-        action="store_true",
-        help="legality-fuzz mode: apply --count random checked transforms",
-    )
-    parser.add_argument(
-        "--count", type=int, default=200, help="fuzz applications (default 200)"
-    )
-    parser.add_argument(
-        "--annotate",
-        action="store_true",
-        help="emit GitHub workflow annotations for failures",
-    )
-    parser.add_argument("--json", default=None, metavar="PATH")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    if args.fuzz:
-        report = fuzz_transforms(count=args.count, seed=args.seed)
-        print(
-            f"fuzz: {report.applications} application(s), "
-            f"{report.rejected} rejected, {report.validated} validated, "
-            f"{len(report.failures)} silent change(s)"
-        )
-        for failure in report.failures:
-            print(f"  FAIL {failure}")
-            if args.annotate:
-                print(_annotation("error", "legality-fuzz", failure))
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        return 0 if report.ok else 1
-
-    if not args.workload and not args.all_workloads:
-        parser.error("pass --workload/--all-workloads (or --fuzz)")
-    from ..workloads import UnknownWorkloadError
-
-    try:
-        handles = _sweep_workloads(args.workload, args.all_workloads)
-    except (UnknownWorkloadError, ValueError) as error:
-        parser.error(f"--workload: {error}")
-    specs = _sweep_specs(args.spec, args.ablations)
-    reports: List[ValidationReport] = []
-    failures = 0
-    for handle in handles:
-        tolerance = args.tolerance or _SWEEP_TOLERANCES.get(
-            handle.definition.name, 0.0
-        )
-        for spec_name, spec_text in specs:
-            report = validate_pipeline(
-                handle,
-                spec_text,
-                platform=args.target,
-                seed=args.seed,
-                max_ops=args.max_ops,
-                tolerance=tolerance,
-            )
-            reports.append(report)
-            outcome = report.outcomes()
-            tag = "ok" if report.ok else "FAIL"
-            line = f"{tag:4s} {report.workload:24s} {spec_name:8s} {outcome}"
-            if args.verbose or not report.ok:
-                print(line)
-            if not report.ok:
-                failures += 1
-                detail = report.error or "; ".join(
-                    f"{c.stage}: {c.mismatches[0] if c.mismatches else c.outcome}"
-                    for c in report.mismatches
-                )
-                if args.annotate:
-                    print(
-                        _annotation(
-                            "error",
-                            "translation-validation",
-                            f"{report.workload} x {spec_name}: {detail}",
-                        )
-                    )
-    print(
-        f"validated {len(reports)} pipeline run(s) across "
-        f"{len(handles)} workload(s) x {len(specs)} spec(s): "
-        f"{failures} failure(s)"
-    )
-    if args.json:
-        payload = {
-            "runs": [report.to_dict() for report in reports],
-            "failures": failures,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-    return 0 if failures == 0 else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

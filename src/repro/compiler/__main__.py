@@ -16,13 +16,12 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Dict, List, Optional
 
-from .. import obs
-from ..workloads import UnknownWorkloadError, get_workload, iter_workloads
-from ..targets import UnknownTargetError, get_target, iter_targets
+from .. import _cli, obs
+from ..dse.fidelity import get_fidelity
+from ..estimation.platform import iter_platforms
 from .driver import (
     DEFAULT_PIPELINE,
     Compiler,
@@ -32,14 +31,6 @@ from .driver import (
 )
 from .spec import PipelineSpecError
 from .stages import stage_registry
-
-
-def _parse_workload(text: str):
-    """A registry workload id (``resnet18@batch=4``, legacy ``model:lenet@4``)."""
-    try:
-        return get_workload(text)
-    except (UnknownWorkloadError, ValueError) as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,50 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list registered stages with their options and exit",
     )
     parser.add_argument(
-        "--list-workloads",
-        action="store_true",
-        help="list registered workloads (models and kernels) and exit",
-    )
-    parser.add_argument(
         "--list-targets",
         action="store_true",
         help="list registered target platforms and exit",
     )
-    parser.add_argument(
-        "--spec",
-        default=DEFAULT_PIPELINE,
-        help="textual pipeline spec (default: the full Figure-3 pipeline)",
-    )
-    parser.add_argument(
-        "--workload",
-        type=_parse_workload,
-        default=None,
-        metavar="NAME[@PARAM=VALUE,...]",
-        help="registered workload id, e.g. atax, resnet18@batch=4 or 2mm@n=16 "
-        "(see --list-workloads; legacy kind:name[@batch] still accepted)",
-    )
-    parser.add_argument(
-        "--target",
-        "--platform",
-        dest="platform",
-        default="vu9p-slr",
-        metavar="NAME",
-        help="registered target platform or alias (default: vu9p-slr; "
-        "see --list-targets)",
-    )
-    parser.add_argument(
-        "--fidelity",
-        default="estimate",
-        metavar="LEVEL",
-        help="QoR fidelity of the reported summary: 'estimate' (analytic "
-        "model) or 'simulate' (dataflow simulation of the final design); "
-        "see --list-fidelities (default: estimate)",
-    )
-    parser.add_argument(
-        "--list-fidelities",
-        action="store_true",
-        help="list registered QoR fidelity levels and exit",
-    )
+    _cli.add_registry_flags(parser)
+    _cli.add_spec(parser, "--spec", default=DEFAULT_PIPELINE)
+    _cli.add_workload(parser)
+    _cli.add_target(parser, default="vu9p-slr")
     parser.add_argument(
         "--verify",
         "--verify-ir",
@@ -150,31 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="STAGE",
         help="print the IR after every stage (or only after STAGE)",
     )
-    parser.add_argument(
-        "--ir-cache",
-        action="store_true",
-        help="reuse stage-boundary IR snapshots from the incremental "
-        "compilation cache (and store new ones)",
-    )
-    parser.add_argument(
-        "--ir-cache-dir",
-        default=None,
-        metavar="PATH",
-        help="IR snapshot cache directory (default: $REPRO_IR_CACHE or "
-        "~/.cache/repro/ir; requires --ir-cache)",
-    )
+    _cli.add_ir_cache(parser)
     parser.add_argument(
         "--cache-stats",
         action="store_true",
         help="print IR-cache statistics (prefix hits, stages skipped, "
         "frontend traces, snapshots stored) after the run",
     )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the result summary as JSON to PATH",
-    )
+    _cli.add_json(parser, "the result summary")
     obs.add_cli_arguments(parser)
     return parser
 
@@ -188,25 +126,14 @@ def _print_stage_list() -> None:
             print(f"  {decl.name}={default:<12s} {decl.help}")
 
 
-def _print_workload_list() -> None:
-    for handle in iter_workloads():
-        definition = handle.definition
-        params = ", ".join(
-            f"{decl.name}={decl.default}" for decl in definition.params
-        )
-        print(f"{definition.name:14s} {definition.kind:7s} "
-              f"[{params or '-'}]  {definition.description}")
-
-
 def _print_target_list() -> None:
-    for target in iter_targets():
-        platform = target.platform
-        aliases = ", ".join(target.aliases) or "-"
-        print(f"{target.name:10s} {platform.dsps:5d} DSP  "
+    for platform in iter_platforms():
+        aliases = ", ".join(platform.aliases) or "-"
+        print(f"{platform.name:10s} {platform.dsps:5d} DSP  "
               f"{platform.bram_18k:5d} BRAM18K  {platform.luts:7,d} LUT  "
               f"{platform.clock_mhz:5.0f} MHz  aliases: {aliases}")
-        if target.description:
-            print(f"  {target.description}")
+        if platform.description:
+            print(f"  {platform.description}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -219,36 +146,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_stages:
         _print_stage_list()
         return 0
-    if args.list_workloads:
-        _print_workload_list()
-        return 0
     if args.list_targets:
         _print_target_list()
         return 0
-    if args.list_fidelities:
-        from ..dse.fidelity import describe_fidelities
-
-        for line in describe_fidelities():
-            print(line)
+    if _cli.print_listing(args):
         return 0
-    from ..dse.fidelity import get_fidelity
-
-    try:
-        fidelity = get_fidelity(args.fidelity)
-    except ValueError as error:
-        parser.error(f"--fidelity: {error}")
+    fidelity = get_fidelity(args.fidelity)
     if args.workload is None:
         parser.error(
             "--workload is required unless listing stages/workloads/targets "
             "or the default spec"
         )
-    try:
-        target = get_target(args.platform)
-    except UnknownTargetError as error:
-        parser.error(str(error))
-    platform_name = target.name
-    if args.ir_cache_dir is not None and not args.ir_cache:
-        parser.error("--ir-cache-dir requires --ir-cache")
+    _cli.check_ir_cache(parser, args)
     if args.lint_fail_on != "never" and not args.lint:
         parser.error("--lint-fail-on requires --lint")
     if args.validate_tolerance and not args.validate:
@@ -283,25 +192,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         snapshots = SnapshotObserver(None if args.print_ir == "*" else [args.print_ir])
         observers.append(snapshots)
 
-    try:
-        compiler = Compiler.from_spec(
-            spec_text,
-            platform=platform_name,
-            verify_each=args.verify,
-            observers=observers,
-        )
-    except PipelineSpecError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(f"pipeline: {compiler.spec_text()}")
-    print(f"platform: {platform_name}   spec-hash: {compiler.spec_hash()}")
-
     from ..analysis import AnalysisError
     from ..analysis.tv import TranslationValidationError
     from ..ir.verifier import VerificationError
 
-    obs.cli_configure(args)
     try:
+        compiler = Compiler.from_spec(
+            spec_text,
+            platform=args.platform,
+            verify_each=args.verify,
+            observers=observers,
+        )
+        print(f"pipeline: {compiler.spec_text()}")
+        print(f"platform: {args.platform}   spec-hash: {compiler.spec_hash()}")
+        obs.cli_configure(args)
         result = compiler.run(workload=args.workload, ir_cache=ir_cache)
     except PipelineSpecError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -347,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     qor = fidelity.apply(result)
     summary = qor["summary"]
-    print(f"\n{args.workload.label()} on {platform_name} "
+    print(f"\n{args.workload.label()} on {args.platform} "
           f"({fidelity.name} fidelity):")
     for key, value in summary.items():
         rendered = f"{value:.2f}" if isinstance(value, float) else str(value)
@@ -359,7 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             stage_seconds[name] = stage_seconds.get(name, 0.0) + seconds
         payload = {
             "workload": args.workload.label(),
-            "platform": platform_name,
+            "platform": args.platform,
             "pipeline_spec": compiler.spec_text(),
             "spec_hash": compiler.spec_hash(),
             "fidelity": fidelity.name,
@@ -367,19 +271,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "estimate": qor["estimate"],
             "stage_seconds": stage_seconds,
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
+        _cli.write_json(args.json, payload)
 
-    telemetry = obs.cli_finish(args)
-    if telemetry is not None:
-        print(
-            f"telemetry: {telemetry['spans']} spans, "
-            f"{telemetry['events']} events; "
-            f"compile {telemetry['compile_seconds']:.2f}s, "
-            f"simulate {telemetry['simulate_seconds']:.3f}s, "
-            f"cache probes {telemetry['cache_probe_seconds']:.3f}s"
-        )
+    obs.cli_finish(args)
     return 0
 
 

@@ -1,12 +1,12 @@
 """repro.dialects — the dialect stack HIDA is built from.
 
 Existing-dialect substrates: ``arith``, ``scf``, ``affine``, ``memref``,
-``tensor``, ``linalg`` and the HLS directive dialect.  HIDA-specific
+``linalg`` and the HLS directive dialect.  HIDA-specific
 dialects: the Functional/Structural dataflow dialect in
 :mod:`repro.dialects.dataflow`.
 """
 
-from . import affine, affine_map, arith, dataflow, hls, linalg, memref, scf, tensor
+from . import affine, affine_map, arith, dataflow, hls, linalg, memref, scf
 
 __all__ = [
     "affine",
@@ -17,5 +17,4 @@ __all__ = [
     "linalg",
     "memref",
     "scf",
-    "tensor",
 ]

@@ -56,7 +56,6 @@ __all__ = [
     "get_consumers",
     "get_node_users",
     "is_external_buffer",
-    "defining_buffer_op",
 ]
 
 
@@ -187,9 +186,6 @@ class TaskOp(Operation):
     @property
     def label(self) -> str:
         return self.get_attr("label", "")
-
-    def set_label(self, label: str) -> None:
-        self.set_attr("label", label)
 
     @property
     def yield_op(self) -> Optional["YieldOp"]:
@@ -324,9 +320,6 @@ class NodeOp(Operation):
     @property
     def label(self) -> str:
         return self.get_attr("label", "")
-
-    def set_label(self, label: str) -> None:
-        self.set_attr("label", label)
 
     @property
     def effects(self) -> List[str]:
@@ -595,10 +588,6 @@ class PortOp(Operation):
     def latency(self) -> int:
         return self.get_attr("latency", 64)
 
-    @property
-    def port_name(self) -> str:
-        return self.get_attr("port_name", "")
-
 
 @register_operation
 class BundleOp(Operation):
@@ -613,10 +602,6 @@ class BundleOp(Operation):
             operands=list(ports),
             attributes={"bundle_name": name},
         )
-
-    @property
-    def bundle_name(self) -> str:
-        return self.get_attr("bundle_name")
 
 
 @register_operation
@@ -660,12 +645,6 @@ def get_producers(buffer: Value) -> List[NodeOp]:
 def get_consumers(buffer: Value) -> List[NodeOp]:
     """Nodes with a read effect on ``buffer``."""
     return [node for node in get_node_users(buffer) if node.reads(buffer)]
-
-
-def defining_buffer_op(value: Value) -> Optional[BufferOp]:
-    """The BufferOp producing ``value``, if any."""
-    op = value.defining_op
-    return op if isinstance(op, BufferOp) else None
 
 
 def is_external_buffer(buffer: Value, schedule: ScheduleOp) -> bool:

@@ -4,8 +4,7 @@ HIDA reuses the directive-level IR of ScaleHLS to express HLS pragmas such as
 loop pipelining, loop unrolling and array partitioning.  In this
 reproduction, pipelining and unrolling live as attributes of
 ``affine.for`` (see :class:`~repro.dialects.affine.AffineForOp`); this module
-defines the array partition / interface directives and explicit primitive
-ops that have no natural home on a loop.
+defines the array partition directive, which has no natural home on a loop.
 """
 
 from __future__ import annotations
@@ -13,17 +12,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Sequence, Tuple
 
-from ..ir.core import Operation, Value, register_operation
+from ..ir.core import Value
 
 __all__ = [
     "PartitionKind",
     "ArrayPartition",
-    "ArrayPartitionOp",
-    "InterfaceOp",
-    "DataflowDirectiveOp",
     "partition_of",
     "set_partition",
-    "bank_count",
 ]
 
 
@@ -93,67 +88,6 @@ class ArrayPartition:
         return f"partition<[{inner}]>"
 
 
-@register_operation
-class ArrayPartitionOp(Operation):
-    """Explicitly request an array partition on a memref value."""
-
-    OPERATION_NAME = "hls.array_partition"
-
-    @classmethod
-    def create(cls, memref: Value, partition: ArrayPartition) -> "ArrayPartitionOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[memref],
-            attributes={"partition": partition},
-        )
-
-    @property
-    def partition(self) -> ArrayPartition:
-        return self.get_attr("partition")
-
-
-@register_operation
-class InterfaceOp(Operation):
-    """Declare the HLS interface of a function argument (AXI, BRAM, stream)."""
-
-    OPERATION_NAME = "hls.interface"
-
-    @classmethod
-    def create(
-        cls,
-        value: Value,
-        mode: str = "m_axi",
-        bundle: str = "gmem",
-        latency: int = 64,
-    ) -> "InterfaceOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[value],
-            attributes={"mode": mode, "bundle": bundle, "latency": latency},
-        )
-
-    @property
-    def mode(self) -> str:
-        return self.get_attr("mode")
-
-    @property
-    def latency(self) -> int:
-        return self.get_attr("latency", 64)
-
-
-@register_operation
-class DataflowDirectiveOp(Operation):
-    """Marks a region of a function as executing under the HLS dataflow pragma."""
-
-    OPERATION_NAME = "hls.dataflow"
-
-    @classmethod
-    def create(cls) -> "DataflowDirectiveOp":
-        op = cls(name=cls.OPERATION_NAME, num_regions=1)
-        op.regions[0].add_entry_block()
-        return op
-
-
 # ---------------------------------------------------------------------------
 # Partition annotations carried on memref values.
 #
@@ -195,9 +129,3 @@ def partition_of(value: Value) -> Optional[ArrayPartition]:
         key = f"result{value.index}"
     table = owner.get_attr(_PARTITION_ATTR, {})
     return table.get(key)
-
-
-def bank_count(value: Value) -> int:
-    """Number of memory banks required by ``value``'s partition (1 if none)."""
-    partition = partition_of(value)
-    return partition.banks if partition else 1

@@ -25,28 +25,20 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .. import obs
-from ..targets import UnknownTargetError, get_target
-from ..workloads import UnknownWorkloadError
+from .. import _cli, obs
 from .cache import QoRCache, default_cache_dir
-from .fidelity import DEFAULT_FIDELITY, available_fidelities, describe_fidelities
 from .config import ExploreConfig
 from .pareto import DEFAULT_OBJECTIVES
 from .runner import explore
 from .search import available_strategies, get_strategy
-from .space import (
-    SPACE_PRESETS,
-    build_space,
-    dnn_suite,
-    polybench_suite,
-    suite_from_names,
-)
+from .space import SPACE_PRESETS, build_space, dnn_suite, polybench_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dse",
-        description="Explore HIDA design spaces in parallel with QoR caching.",
+        description="Explore HIDA design spaces in parallel with QoR caching "
+        "(default: the polybench suite on zu3eg).",
     )
     parser.add_argument(
         "--space",
@@ -60,33 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default="polybench",
         help="workload suite to sweep (default: polybench)",
     )
-    parser.add_argument(
-        "--workload",
-        action="append",
-        dest="workloads",
-        default=None,
-        metavar="NAME[@PARAM=VALUE,...]",
-        help="sweep these registered workloads instead of a --suite; "
-        "repeatable (e.g. --workload resnet18@batch=4 --workload 2mm@n=16)",
-    )
-    parser.add_argument(
-        "--list-workloads",
-        action="store_true",
-        help="list registered workload names and exit",
-    )
+    _cli.add_workload(parser, repeatable=True)  # instead of a --suite
+    _cli.add_registry_flags(parser)
     parser.add_argument(
         "--dry-run",
         action="store_true",
         help="resolve and print the design points without evaluating them",
     )
-    parser.add_argument(
-        "--platform",
-        action="append",
-        dest="platforms",
-        default=None,
-        metavar="NAME",
-        help="target platform(s); repeatable (default: zu3eg)",
-    )
+    _cli.add_target(parser, default=None, repeatable=True)
     parser.add_argument(
         "--workers", type=int, default=1, help="worker processes (default: 1)"
     )
@@ -140,15 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="offspring batch size for --strategy genetic",
     )
     parser.add_argument(
-        "--fidelity",
-        choices=available_fidelities(),
-        default=DEFAULT_FIDELITY,
-        help="top QoR fidelity: 'estimate' scores everything with the "
-        "analytic model; 'simulate' additionally promotes the most "
-        "promising points to the dataflow simulator and re-ranks the "
-        "frontier on the simulated records (default: estimate)",
-    )
-    parser.add_argument(
         "--promote-top",
         type=float,
         default=None,
@@ -163,11 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stop a --strategy run after N consecutive generations "
         "without a hypervolume improvement",
-    )
-    parser.add_argument(
-        "--list-fidelities",
-        action="store_true",
-        help="list registered QoR fidelity levels and exit",
     )
     parser.add_argument(
         "--list-strategies",
@@ -189,20 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cache", action="store_true", help="disable the QoR cache"
     )
-    parser.add_argument(
-        "--ir-cache",
-        action="store_true",
-        help="enable the stage-boundary IR snapshot cache: compilations "
-        "sharing a pipeline prefix resume mid-pipeline instead of "
-        "recompiling from the frontend (results are byte-identical)",
-    )
-    parser.add_argument(
-        "--ir-cache-dir",
-        default=None,
-        metavar="PATH",
-        help="IR snapshot cache directory (default: $REPRO_IR_CACHE or "
-        "~/.cache/repro/ir; needs --ir-cache)",
-    )
+    _cli.add_ir_cache(parser)
     parser.add_argument(
         "--prefilter",
         action="store_true",
@@ -225,24 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stream already-cached points into the result and skip the "
         "rest (no compilation; pairs with --json to export partial sweeps)",
     )
-    parser.add_argument(
-        "--pipeline-spec",
-        action="append",
-        dest="pipeline_specs",
-        default=None,
-        metavar="SPEC",
-        help="add a textual pipeline spec as an extra design axis; "
-        "repeatable (see python -m repro.compiler --list-stages)",
-    )
+    # Each spec is one more value of the pipeline design axis.
+    _cli.add_spec(parser, "--pipeline-spec", default=None, repeatable=True)
     parser.add_argument(
         "--clear-cache", action="store_true", help="clear the cache and exit"
     )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the full ExplorationResult as JSON to PATH",
-    )
+    _cli.add_json(parser, "the full ExplorationResult")
     parser.add_argument(
         "--top",
         type=int,
@@ -257,6 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _cli.check_ir_cache(parser, args)
     if args.sample < 0:
         parser.error(f"--sample must be non-negative (got {args.sample})")
     if args.workers < 0:
@@ -283,9 +218,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--population must be >= 1 (got {args.population})")
         strategy_options["population"] = args.population
     try:
-        # Every cross-field rule (--resume vs --no-cache/--strategy/
+        # Every other cross-field rule (--resume vs --no-cache/--strategy/
         # --fidelity, search flags without --strategy, --promote-top,
-        # --patience, --ir-cache-dir, --objectives) is ExploreConfig's.
+        # --patience, --objectives) is ExploreConfig's.
         config = ExploreConfig(
             workers=args.workers,
             cache_dir=args.cache_dir,
@@ -310,16 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         parser.error(str(error))
 
-    if args.list_workloads:
-        from ..workloads import iter_workloads
-
-        for handle in iter_workloads():
-            print(f"{handle.name:14s} {handle.kind}")
-        return 0
-
-    if args.list_fidelities:
-        for line in describe_fidelities():
-            print(line)
+    if _cli.print_listing(args):
         return 0
 
     if args.list_strategies:
@@ -339,32 +265,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.workloads:
-        try:
-            suite = suite_from_names(args.workloads)
-        except (UnknownWorkloadError, ValueError) as error:
-            parser.error(f"--workload: {error}")
-        suite_label = "custom suite"
+        suite, suite_label = args.workloads, "custom suite"
     else:
         suite = polybench_suite() if args.suite == "polybench" else dnn_suite()
         suite_label = f"{args.suite} suite"
-    try:
-        platforms = tuple(
-            get_target(name).name for name in (args.platforms or ("zu3eg",))
-        )
-    except UnknownTargetError as error:
-        parser.error(f"--platform: {error}")
-    pipeline_specs: tuple = (None,)
-    if args.pipeline_specs:
-        from ..compiler import Compiler, PipelineSpecError
-
-        for spec in args.pipeline_specs:
-            try:
-                Compiler.from_spec(spec)
-            except PipelineSpecError as error:
-                parser.error(f"bad --pipeline-spec: {error}")
-        pipeline_specs = (None, *args.pipeline_specs)
+    platforms = tuple(args.platforms or ("zu3eg",))
     space = build_space(
-        args.space, suite=suite, platforms=platforms, pipeline_specs=pipeline_specs
+        args.space,
+        suite=suite,
+        platforms=platforms,
+        pipeline_specs=(None, *(args.pipeline_specs or ())),
     )
     if args.sample:
         space = space.sample(args.sample, seed=args.seed)
@@ -460,18 +370,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json())
-        print(f"wrote {args.json}")
-
-    summary = obs.cli_finish(args)
-    if summary is not None:
-        print(
-            f"telemetry: {summary['spans']} spans, {summary['events']} events; "
-            f"compile {summary['compile_seconds']:.2f}s, "
-            f"simulate {summary['simulate_seconds']:.3f}s, "
-            f"cache probes {summary['cache_probe_seconds']:.3f}s"
-        )
+        _cli.write_json(args.json, result.to_dict())
+    obs.cli_finish(args)
 
     return (
         0

@@ -13,7 +13,16 @@ from .metrics import (
     speedup,
     throughput_samples_per_second,
 )
-from .platform import PYNQ_Z2, VU9P_SLR, ZU3EG, Platform, get_platform
+from .platform import (
+    PYNQ_Z2,
+    VU9P_SLR,
+    ZU3EG,
+    Platform,
+    UnknownTargetError,
+    get_platform,
+    iter_platforms,
+    list_platforms,
+)
 from .qor import (
     SIMULATION_FRAMES,
     DesignEstimate,
@@ -42,7 +51,10 @@ __all__ = [
     "VU9P_SLR",
     "ZU3EG",
     "Platform",
+    "UnknownTargetError",
     "get_platform",
+    "iter_platforms",
+    "list_platforms",
     "DesignEstimate",
     "NodeEstimate",
     "QoREstimator",

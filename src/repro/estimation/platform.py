@@ -9,9 +9,24 @@ device figures; BRAM is counted in 18Kb blocks as Vitis HLS reports it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
-__all__ = ["Platform", "PYNQ_Z2", "ZU3EG", "VU9P_SLR", "get_platform"]
+from .._naming import UnknownNameError, closest_names, unknown_name_message
+
+__all__ = [
+    "Platform",
+    "PYNQ_Z2",
+    "ZU3EG",
+    "VU9P_SLR",
+    "UnknownTargetError",
+    "get_platform",
+    "iter_platforms",
+    "list_platforms",
+]
+
+
+class UnknownTargetError(UnknownNameError):
+    """An unresolvable target/platform name, with closest-match suggestions."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,6 +43,9 @@ class Platform:
     dram_bytes_per_cycle: float = 16.0
     #: Latency, in cycles, of an external memory burst setup.
     dram_latency_cycles: int = 64
+    #: Other names :func:`get_platform` resolves to this device.
+    aliases: Tuple[str, ...] = ()
+    description: str = ""
 
     @property
     def clock_hz(self) -> float:
@@ -59,6 +77,8 @@ PYNQ_Z2 = Platform(
     bram_18k=280,
     clock_mhz=100.0,
     dram_bytes_per_cycle=8.0,
+    aliases=("pynq", "zynq-7020", "z2"),
+    description="PYNQ-Z2 (Zynq-7020) — the Section-2 LeNet case study board",
 )
 
 ZU3EG = Platform(
@@ -69,6 +89,8 @@ ZU3EG = Platform(
     bram_18k=432,
     clock_mhz=200.0,
     dram_bytes_per_cycle=16.0,
+    aliases=("zu3", "ultra96"),
+    description="Zynq UltraScale+ ZU3EG — the Table-7 PolyBench target",
 )
 
 VU9P_SLR = Platform(
@@ -81,24 +103,50 @@ VU9P_SLR = Platform(
     # Four DDR4-2400 channels are reachable from one SLR on the evaluation
     # board; at 200 MHz this is roughly 256 bytes per cycle of burst traffic.
     dram_bytes_per_cycle=256.0,
+    aliases=("vu9p", "u250-slr"),
+    description="One SLR of a Virtex UltraScale+ VU9P — the Table-8 DNN target",
 )
 
 
-def get_platform(name: Union[str, Platform]) -> Platform:
-    """Look up a platform by name (``pynq-z2``, ``zu3eg``, ``vu9p-slr``).
+#: The one name -> platform table: canonical names and aliases alike.
+_BY_NAME: Dict[str, Platform] = {
+    name: platform
+    for platform in (PYNQ_Z2, ZU3EG, VU9P_SLR)
+    for name in (platform.name, *platform.aliases)
+}
 
-    A lookup in the :mod:`repro.targets` registry, so aliases (``vu9p`` ->
-    ``vu9p-slr``) work everywhere a platform name is accepted and unknown
-    names raise its did-you-mean ``KeyError`` subclass.
+
+def iter_platforms() -> Iterator[Platform]:
+    """Registered platforms, registration order (aliases folded)."""
+    return iter(dict.fromkeys(_BY_NAME.values()))
+
+
+def list_platforms() -> List[str]:
+    """Canonical platform names, registration order."""
+    return [platform.name for platform in iter_platforms()]
+
+
+def get_platform(name: Union[str, Platform]) -> Platform:
+    """Look up a platform by name or alias (``vu9p`` -> ``vu9p-slr``).
+
+    Case-insensitive; a :class:`Platform` passes through unchanged and an
+    unknown name raises :class:`UnknownTargetError`, a did-you-mean
+    ``KeyError`` subclass.
     """
     if isinstance(name, Platform):
         return name
     try:
         # Canonical names (every internal caller) are one dict read.
-        return _targets._REGISTRY[name].platform
+        return _BY_NAME[name]
     except KeyError:
-        return _targets.get_target(name).platform
-
-
-# At the bottom because repro.targets registers the devices defined above.
-from .. import targets as _targets  # noqa: E402
+        pass
+    key = name.lower().strip()
+    platform = _BY_NAME.get(key)
+    if platform is None:
+        canonical = list_platforms()
+        candidates = canonical + sorted(set(_BY_NAME) - set(canonical))
+        raise UnknownTargetError(
+            unknown_name_message("target platform", key, candidates),
+            closest_names(key, candidates),
+        )
+    return platform

@@ -10,7 +10,6 @@ from .lenet_case_study import (
     exhaustive_search,
     expert_design_point,
     pareto_frontier,
-    run_case_study,
 )
 from .reporting import ExplorationResult, format_ratio, format_table, print_table
 
@@ -24,7 +23,6 @@ __all__ = [
     "exhaustive_search",
     "expert_design_point",
     "pareto_frontier",
-    "run_case_study",
     "ExplorationResult",
     "format_ratio",
     "format_table",

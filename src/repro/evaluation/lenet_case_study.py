@@ -34,7 +34,6 @@ __all__ = [
     "expert_design_point",
     "best_design",
     "compile_hida_lenet",
-    "run_case_study",
 ]
 
 #: Parameter ranges of Table 1.  CPF / KPF denote channel / kernel parallel
@@ -254,28 +253,3 @@ def compile_hida_lenet(
     if best is None:
         raise RuntimeError("no HIDA LeNet configuration fits the platform")
     return best
-
-
-def run_case_study(platform: Platform = PYNQ_Z2) -> Dict[str, Dict[str, float]]:
-    """Produce the Table 2 summary: expert vs exhaustive vs HIDA."""
-    results = exhaustive_search(platform)
-    expert = evaluate_design_point(expert_design_point(), platform)
-    exhaustive_best = best_design(results)
-    hida_throughput, hida_utilization, hida_result = compile_hida_lenet()
-    return {
-        "expert": {
-            "throughput": expert.throughput,
-            "utilization": expert.utilization,
-            "develop_hours": 40.0,
-        },
-        "exhaustive": {
-            "throughput": exhaustive_best.throughput,
-            "utilization": exhaustive_best.utilization,
-            "develop_hours": 210.0,
-        },
-        "hida": {
-            "throughput": hida_throughput,
-            "utilization": hida_utilization,
-            "develop_hours": hida_result.compile_seconds / 3600.0,
-        },
-    }

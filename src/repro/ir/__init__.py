@@ -32,7 +32,6 @@ from .types import (
     TensorType,
     TokenType,
     Type,
-    element_type_of,
     f16,
     f32,
     f64,
@@ -44,8 +43,6 @@ from .types import (
     index,
     memref_of,
     none,
-    shape_of,
-    tensor_of,
     token,
 )
 from .verifier import VerificationError, verify
@@ -89,10 +86,7 @@ __all__ = [
     "MemRefType",
     "StreamType",
     "FunctionType",
-    "element_type_of",
-    "shape_of",
     "memref_of",
-    "tensor_of",
     "i1",
     "i8",
     "i16",

@@ -10,7 +10,7 @@ iff they describe the same type, and they can be used as dict keys.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = [
     "Type",
@@ -264,20 +264,6 @@ none = NoneType()
 token = TokenType()
 
 
-def element_type_of(ty: Type) -> Type:
-    """Return the element type of a shaped or stream type, else the type itself."""
-    if isinstance(ty, (TensorType, MemRefType, StreamType)):
-        return ty.element_type
-    return ty
-
-
-def shape_of(ty: Type) -> Optional[Tuple[int, ...]]:
-    """Return the shape of a shaped type, or ``None`` for scalars."""
-    if isinstance(ty, (TensorType, MemRefType)):
-        return ty.shape
-    return None
-
-
 def memref_of(ty: Type, memory_space: str = "bram") -> MemRefType:
     """Convert a tensor (or memref) type into a memref type."""
     if isinstance(ty, MemRefType):
@@ -285,12 +271,3 @@ def memref_of(ty: Type, memory_space: str = "bram") -> MemRefType:
     if isinstance(ty, TensorType):
         return MemRefType(ty.shape, ty.element_type, memory_space)
     raise TypeError(f"cannot convert {ty} to a memref type")
-
-
-def tensor_of(ty: Type) -> TensorType:
-    """Convert a memref (or tensor) type into a tensor type."""
-    if isinstance(ty, TensorType):
-        return ty
-    if isinstance(ty, MemRefType):
-        return TensorType(ty.shape, ty.element_type)
-    raise TypeError(f"cannot convert {ty} to a tensor type")

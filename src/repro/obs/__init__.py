@@ -400,6 +400,8 @@ def export_jsonl(path: str) -> Optional[str]:
 
 def add_cli_arguments(parser: Any) -> None:
     """Attach the shared observability flags to an ``argparse`` parser."""
+    from .._cli import output_path
+
     group = parser.add_argument_group("observability")
     group.add_argument(
         "--trace",
@@ -409,6 +411,7 @@ def add_cli_arguments(parser: Any) -> None:
     )
     group.add_argument(
         "--trace-out",
+        type=output_path,
         default=None,
         metavar="PATH",
         help="export the collected trace to PATH (implies --trace; "
@@ -417,6 +420,7 @@ def add_cli_arguments(parser: Any) -> None:
     )
     group.add_argument(
         "--metrics-json",
+        type=output_path,
         default=None,
         metavar="PATH",
         help="dump the metrics registry (counters/gauges) as "
@@ -432,13 +436,13 @@ def cli_configure(args: Any) -> bool:
     return True
 
 
-def cli_finish(args: Any) -> Optional[Dict[str, Any]]:
-    """Export per the observability flags, shut down, return the summary."""
-    import json
+def cli_finish(args: Any) -> None:
+    """Export per the observability flags, shut down, print the summary."""
+    from .._cli import write_json
 
     live = session()
     if live is None:
-        return None
+        return
     summary = telemetry_summary()
     if args.trace_out:
         if str(args.trace_out).endswith(".jsonl"):
@@ -447,8 +451,11 @@ def cli_finish(args: Any) -> Optional[Dict[str, Any]]:
             export_chrome(args.trace_out)
         print(f"wrote trace to {args.trace_out}")
     if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as handle:
-            json.dump(live.registry.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote metrics to {args.metrics_json}")
+        write_json(args.metrics_json, live.registry.to_dict(), "metrics to ")
     shutdown()
-    return summary
+    print(
+        f"telemetry: {summary['spans']} spans, {summary['events']} events; "
+        f"compile {summary['compile_seconds']:.2f}s, "
+        f"simulate {summary['simulate_seconds']:.3f}s, "
+        f"cache probes {summary['cache_probe_seconds']:.3f}s"
+    )

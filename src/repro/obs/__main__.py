@@ -88,7 +88,7 @@ def _load(
     return kept, metrics, None
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Report on repro telemetry traces (JSONL or Chrome JSON).",
@@ -120,7 +120,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="schema-check the (exported) Chrome trace; non-zero exit on "
         "any problem",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
 
     events: List[Dict[str, Any]] = []
     metrics: Dict[str, Any] = {}

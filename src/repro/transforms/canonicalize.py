@@ -24,8 +24,6 @@ _SIDE_EFFECT_OPS = {
     "scf.yield",
     "hida.yield",
     "hida.stream_write",
-    "hls.array_partition",
-    "hls.interface",
     "hida.pack",
     "hida.bundle",
 }

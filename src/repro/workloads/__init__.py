@@ -21,7 +21,6 @@ from .registry import (
     parse_workload_id,
     register_workload,
     source_modules,
-    workload_registry,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "parse_workload_id",
     "register_workload",
     "source_modules",
-    "workload_registry",
 ]

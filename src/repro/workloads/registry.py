@@ -43,7 +43,6 @@ __all__ = [
     "register_workload",
     "registered_definition",
     "source_modules",
-    "workload_registry",
 ]
 
 #: Parameter kinds a workload id can spell on the command line.
@@ -238,12 +237,6 @@ def _ensure_builtins() -> None:
     from ..frontend.nn import models  # noqa: F401
 
     _BUILTINS_LOADED = True
-
-
-def workload_registry() -> Dict[str, WorkloadDef]:
-    """A snapshot of the registry (name -> definition, registration order)."""
-    _ensure_builtins()
-    return dict(_REGISTRY)
 
 
 def registered_definition(name: str) -> Optional[WorkloadDef]:

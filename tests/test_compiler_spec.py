@@ -451,5 +451,7 @@ class TestCompilerCli:
     def test_bad_spec_exits_2(self, capsys):
         from repro.compiler.__main__ import main
 
-        assert main(["--workload", "kernel:atax", "--spec", "nope"]) == 2
+        with pytest.raises(SystemExit) as exit_info:  # a usage error since PR 18
+            main(["--workload", "kernel:atax", "--spec", "nope"])
+        assert exit_info.value.code == 2
         assert "known stages" in capsys.readouterr().err

@@ -119,7 +119,7 @@ CLI_INVALID = [
     (["--fidelity", "simulate", "--promote-top", "2.0"], "promote_top"),
     (["--patience", "2"], "patience"),
     (["--strategy", "random", "--patience", "0"], "patience must be >= 1"),
-    (["--ir-cache-dir", "/tmp/nope"], "ir_cache_dir"),
+    (["--ir-cache-dir", "/tmp/nope"], "--ir-cache-dir requires --ir-cache"),
 ]
 
 

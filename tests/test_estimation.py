@@ -19,6 +19,7 @@ from repro.estimation import (
     estimate_buffer,
     geometric_mean,
     get_platform,
+    list_platforms,
     memory_reduction,
     simulate_dataflow,
     simulate_schedule,
@@ -31,7 +32,6 @@ from repro.dialects.memref import AllocOp
 from repro.compiler import Compiler, default_stages
 from repro.frontend.cpp import KernelBuilder, build_listing1
 from repro.ir import ConstantOp, MemRefType, f32, i8
-from repro.targets import list_targets
 from repro.transforms.loop_transforms import loop_bands_of, pipeline_loop
 from repro.workloads import as_module
 
@@ -48,7 +48,7 @@ def compile_unfused_listing1():
 
 class TestPlatform:
     def test_registry(self):
-        assert set(list_targets()) == {"pynq-z2", "zu3eg", "vu9p-slr"}
+        assert set(list_platforms()) == {"pynq-z2", "zu3eg", "vu9p-slr"}
         assert get_platform("ZU3EG") is ZU3EG
         with pytest.raises(KeyError):
             get_platform("virtex2")

@@ -29,7 +29,7 @@ from repro.analysis.tv import (
     semantic_fingerprint,
     validate_pipeline,
 )
-from repro.analysis.tv import main as tv_main
+from repro.analysis.tv.__main__ import main as tv_main
 from repro.baselines import (
     ABLATION_MODES,
     ablation_pipeline_spec,

@@ -1,16 +1,16 @@
-"""Tests for the unified workload & target registries (repro.workloads /
-repro.targets): discovery, parameterized variants, did-you-mean errors, the
+"""Tests for the workload registry and platform table (repro.workloads /
+repro.estimation.platform): discovery, parameterized variants, did-you-mean errors, the
 handle <-> DesignPoint identity bridge and the CLI listing/resolution paths."""
 
 import pytest
 
 from repro.dse.space import DesignPoint, build_space
 from repro.ir import ModuleOp, verify
-from repro.targets import (
-    Target,
+from repro.estimation.platform import (
+    Platform,
     UnknownTargetError,
-    get_target,
-    list_targets,
+    get_platform,
+    list_platforms,
 )
 from repro.workloads import (
     UnknownWorkloadError,
@@ -57,10 +57,12 @@ class TestDiscovery:
             verify(module)
 
     def test_targets_registered(self):
-        assert list_targets() == ["pynq-z2", "zu3eg", "vu9p-slr"]
-        target = get_target("zu3eg")
-        assert isinstance(target, Target)
-        assert target.platform.dsps == 360
+        assert list_platforms() == ["pynq-z2", "zu3eg", "vu9p-slr"]
+        platform = get_platform("zu3eg")
+        assert isinstance(platform, Platform)
+        assert platform.dsps == 360
+        custom = Platform("custom", luts=1, ffs=1, dsps=1, bram_18k=1)
+        assert get_platform(custom) is custom
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +162,14 @@ class TestSuggestions:
 
     def test_unknown_target_suggests_closest(self):
         with pytest.raises(UnknownTargetError) as excinfo:
-            get_target("zu3egg")
+            get_platform("zu3egg")
         assert "zu3eg" in str(excinfo.value)
+        assert excinfo.value.suggestions == ["zu3eg", "zu3"]
         assert isinstance(excinfo.value, KeyError)
 
     def test_target_aliases_resolve(self):
-        assert get_target("vu9p").name == "vu9p-slr"
-        assert get_target("pynq").name == "pynq-z2"
-        from repro.estimation import get_platform
-
         assert get_platform("vu9p").name == "vu9p-slr"
+        assert get_platform("pynq").name == "pynq-z2"
 
     def test_legacy_build_entry_points_raise_keyerror(self):
         # The kind-qualified spellings the old per-frontend builders mapped to.

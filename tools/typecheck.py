@@ -2,8 +2,8 @@
 """Ratcheting mypy gate over the analyzer and IR layers.
 
 Runs ``mypy --config-file mypy.ini`` over :data:`TARGETS` (the analyzer, IR,
-telemetry, compiler-front-door, DSE, baseline and target/workload-registry
-layers) and diffs the findings against the committed baseline
+telemetry, compiler-front-door, DSE, baseline, workload-registry and shared
+CLI-flag layers) and diffs the findings against the committed baseline
 (``tools/mypy_baseline.txt``):
 
 * a finding not in the baseline fails the gate (new type error);
@@ -36,7 +36,7 @@ TARGETS = [
     "src/repro/compiler",
     "src/repro/dse",
     "src/repro/baselines",
-    "src/repro/targets",
+    "src/repro/_cli.py",
     "src/repro/workloads",
     "src/repro/estimation/platform.py",
     "src/repro/evaluation/reporting.py",
