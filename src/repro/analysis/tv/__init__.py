@@ -206,13 +206,9 @@ def semantic_fingerprint(module) -> str:
     modules that differ only in directives (:data:`NON_SEMANTIC_ATTRS`)
     hash identically and need no execution.
     """
-    from ...ir.printer import print_op
+    from ...ir.printer import IRPrinter
 
-    clone = module.clone()
-    for op in clone.walk():
-        for name in NON_SEMANTIC_ATTRS:
-            op.attributes.pop(name, None)
-    text = print_op(clone)
+    text = IRPrinter(skip_attrs=NON_SEMANTIC_ATTRS).print_op(module)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
 
 

@@ -42,75 +42,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from collections import deque
 from fractions import Fraction
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-    cast,
-)
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union, cast
 
-from ..dialects.affine import (
-    AffineApplyOp,
-    AffineForOp,
-    AffineIfOp,
-    AffineLoadOp,
-    AffineStoreOp,
-    AffineYieldOp,
-)
-from ..dialects.arith import (
-    AddFOp,
-    AddIOp,
-    CastOp,
-    CmpOp,
-    DivFOp,
-    DivIOp,
-    ExpOp,
-    MACOp,
-    MaxFOp,
-    MaxIOp,
-    MinFOp,
-    MinIOp,
-    MulFOp,
-    MulIOp,
-    NegFOp,
-    SelectOp,
-    SqrtOp,
-    SubFOp,
-    SubIOp,
-)
-from ..dialects.dataflow import (
-    BufferOp,
-    DispatchOp,
-    NodeOp,
-    ScheduleOp,
-    StreamOp,
-    StreamReadOp,
-    StreamWriteOp,
-    TaskOp,
-    YieldOp as HidaYieldOp,
-)
-from ..dialects.memref import (
-    AllocOp,
-    CopyOp,
-    DeallocOp,
-    GetGlobalOp,
-    LoadOp,
-    StoreOp,
-    SubViewOp,
-)
-from ..dialects.scf import (
-    ForOp as ScfForOp,
-    IfOp as ScfIfOp,
-    WhileOp as ScfWhileOp,
-    YieldOp as ScfYieldOp,
+from ..dialects import affine, arith, dataflow, memref, scf
+from ..dialects.affine_map import (
+    AffineBinaryExpr,
+    AffineConstantExpr,
+    AffineDimExpr,
+    AffineExpr,
+    AffineMap,
+    AffineSymbolExpr,
 )
 from .builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp, UnrealizedCastOp
 from .core import Block, Operation, Value
@@ -229,28 +173,30 @@ class MemoryRef:
         return count
 
     def _address(self, indices: Sequence[int]) -> Optional[int]:
-        if len(indices) != len(self.shape):
-            # Rank-mismatched accesses (e.g. scalar access to rank-1 view)
-            # are tolerated by flattening when possible.
-            if not self.shape and not indices:
-                return self.offset
+        """Flat cell address of ``indices``; None when out of bounds."""
+        shape, strides = self.shape, self.strides
+        if len(indices) != len(shape):
             return None
-        address = self.offset
-        for index, extent, stride in zip(indices, self.shape, self.strides):
-            if index < 0 or index >= extent:
+        if len(shape) == 2:  # unrolled: most zoo buffers are matrices
+            row, column = indices
+            if not (0 <= row < shape[0] and 0 <= column < shape[1]):
                 return None
-            address += index * stride
-        return address
+            address = self.offset + row * strides[0] + column * strides[1]
+        else:
+            address = self.offset
+            for index, extent, stride in zip(indices, shape, strides):
+                if not 0 <= index < extent:
+                    return None
+                address += index * stride
+        return address if 0 <= address < len(self.cells) else None
 
     def load(self, indices: Sequence[int]) -> Optional[Union[int, float]]:
         address = self._address(indices)
-        if address is None or not 0 <= address < len(self.cells):
-            return None
-        return self.cells[address]
+        return None if address is None else self.cells[address]
 
     def store(self, indices: Sequence[int], value: Union[int, float]) -> bool:
         address = self._address(indices)
-        if address is None or not 0 <= address < len(self.cells):
+        if address is None:
             return False
         self.cells[address] = value
         return True
@@ -389,9 +335,9 @@ def estimate_cost(op: Operation) -> int:
     charged through their MAC/element counts — but cheap (one IR walk) and
     good enough to refuse model-scale modules before touching them.
     """
-    if isinstance(op, AffineForOp):
+    if isinstance(op, affine.AffineForOp):
         return 2 + max(op.trip_count, 0) * _block_cost(op.body)
-    if isinstance(op, ScfForOp):
+    if isinstance(op, scf.ForOp):
         lb = _constant_int(op.operand(0))
         ub = _constant_int(op.operand(1))
         step = _constant_int(op.operand(2))
@@ -400,7 +346,7 @@ def estimate_cost(op: Operation) -> int:
         else:
             trips = _UNKNOWN_TRIP
         return 2 + trips * sum(_block_cost(b) for r in op.regions for b in r.blocks)
-    if isinstance(op, ScfWhileOp):
+    if isinstance(op, scf.WhileOp):
         body = sum(_block_cost(b) for r in op.regions for b in r.blocks)
         return 2 + _UNKNOWN_TRIP * body
     from ..dialects.linalg import LinalgOp  # local: keep the ir layer light
@@ -415,7 +361,7 @@ def estimate_cost(op: Operation) -> int:
         except (AttributeError, TypeError, NotImplementedError):
             pass
         return 4 * max(cost, 1)
-    if isinstance(op, CopyOp):
+    if isinstance(op, memref.CopyOp):
         source_type = op.source.type
         elements = (
             source_type.num_elements if isinstance(source_type, MemRefType) else 1
@@ -433,61 +379,242 @@ def _block_cost(block: Block) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The interpreter
+# Lowering affine maps to integer rows
 # ---------------------------------------------------------------------------
 
-_BINARY_FLOAT: Dict[type, Callable[[Any, Any], Any]] = {
-    AddFOp: lambda a, b: a + b,
-    SubFOp: lambda a, b: a - b,
-    MulFOp: lambda a, b: a * b,
-    MaxFOp: max,
-    MinFOp: min,
-    AddIOp: lambda a, b: a + b,
-    SubIOp: lambda a, b: a - b,
-    MulIOp: lambda a, b: a * b,
-    MaxIOp: max,
-    MinIOp: min,
-}
-
-_CMP_PREDICATES: Dict[str, Callable[[Any, Any], Any]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
+#: One lowered op: reads and writes its pre-resolved slots of the frame.
+Step = Callable[[List[Any]], None]
+#: A lowered affine map: operand slots of the frame -> integer subscripts.
+_Subscripts = Callable[[List[Any]], Sequence[int]]
+#: ``(const, {operand position: coefficient})`` of one linear map result.
+_Row = Tuple[int, Dict[int, int]]
 
 
-def _trunc_div(a: int, b: int) -> int:
+def _linear_row(expr: AffineExpr, num_dims: int) -> Optional[_Row]:
+    """``expr`` as ``const + sum(coeff * operand)``; None when it is not linear.
+
+    The interpreter's own linear form, deliberately not shared with the
+    dependence engine of the passes it judges.  ``floordiv``/``ceildiv``/
+    ``mod``, products of two non-constants and non-``int`` constants return
+    None and keep the general :meth:`AffineMap.evaluate` path.
+    """
+    if isinstance(expr, AffineConstantExpr):
+        return (expr.value, {}) if isinstance(expr.value, int) else None
+    if isinstance(expr, AffineDimExpr):
+        return 0, {expr.position: 1}
+    if isinstance(expr, AffineSymbolExpr):
+        return 0, {num_dims + expr.position: 1}
+    if not isinstance(expr, AffineBinaryExpr) or expr.kind not in ("add", "mul"):
+        return None
+    lhs, rhs = _linear_row(expr.lhs, num_dims), _linear_row(expr.rhs, num_dims)
+    if lhs is None or rhs is None:
+        return None
+    if expr.kind == "add":
+        terms = dict(lhs[1])
+        for position, coeff in rhs[1].items():
+            terms[position] = terms.get(position, 0) + coeff
+        return lhs[0] + rhs[0], terms
+    if lhs[1] and rhs[1]:
+        return None
+    (scale, _), (const, terms) = (lhs, rhs) if not lhs[1] else (rhs, lhs)
+    return scale * const, {p: scale * coeff for p, coeff in terms.items()}
+
+
+def _pick(slots: Sequence[int]) -> _Subscripts:
+    """``frame -> tuple(frame[s] for s in slots)`` without a Python-level loop."""
+    if not slots:
+        return lambda frame: ()
+    if len(slots) == 1:
+        (only,) = slots
+        return lambda frame: (frame[only],)
+    picker: _Subscripts = operator.itemgetter(*slots)
+    return picker
+
+
+def _general_subscripts(affine_map: AffineMap, slots: Sequence[int]) -> _Subscripts:
+    """The general case: coerce operands, ``AffineMap.evaluate``, check."""
+    num_dims = affine_map.num_dims
+
+    def subscripts(frame: List[Any]) -> Sequence[int]:
+        operands = [int(frame[s]) for s in slots]
+        coerced = []
+        for value in affine_map.evaluate(operands[:num_dims], operands[num_dims:]):
+            if isinstance(value, Fraction):
+                if value.denominator != 1:
+                    raise InterpreterError(
+                        f"non-integer subscript {value} from affine map"
+                    )
+                value = value.numerator
+            coerced.append(int(value))
+        return coerced
+
+    return subscripts
+
+
+def _lower_subscripts(affine_map: AffineMap, slots: Sequence[int]) -> _Subscripts:
+    """``affine_map`` over integer operands held in ``slots`` of the frame.
+
+    Linear results become pre-resolved ``(const, ((slot, coeff), ...))``
+    rows (identity/permutation maps plain slot picks); one non-linear
+    result sends the whole map down :func:`_general_subscripts`.
+    """
+    rows = [_linear_row(result, affine_map.num_dims) for result in affine_map.results]
+    if len(slots) < affine_map.num_dims + affine_map.num_symbols or None in rows:
+        return _general_subscripts(affine_map, slots)
+    resolved = [
+        (const, [(slots[p], k) for p, k in sorted(terms.items()) if k])
+        for const, terms in cast(List[_Row], rows)
+    ]
+    if all(const == 0 and [k for _, k in terms] == [1] for const, terms in resolved):
+        return _pick([terms[0][0] for _, terms in resolved])
+    return lambda frame: [
+        sum([frame[slot] * k for slot, k in terms], const) for const, terms in resolved
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The interpreter: lower the entry function once, run the closures
+# ---------------------------------------------------------------------------
+
+
+def _trunc_div(a: Any, b: Any) -> int:
+    a, b = int(a), int(b)
     if b == 0:
         raise InterpreterError("integer division by zero")
     q = abs(a) // abs(b)
     return q if (a < 0) == (b < 0) else -q
 
 
+def _divf(a: Any, b: Any) -> Any:
+    if b == 0:
+        raise InterpreterError("float division by zero")
+    return a / b
+
+
+def _exp(a: Any) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        raise InterpreterError(f"exp overflow on {a!r}") from None
+
+
+def _sqrt(a: Any) -> float:
+    if a < 0:
+        raise InterpreterError(f"sqrt of negative value {a!r}")
+    return math.sqrt(a)
+
+
+#: Scalar ops that are a pure function of their leading operands:
+#: ``kind -> (function, how many operands it reads)``.
+_ARITH: Dict[type, Tuple[Callable[..., Any], int]] = {
+    arith.AddFOp: (operator.add, 2),
+    arith.SubFOp: (operator.sub, 2),
+    arith.MulFOp: (operator.mul, 2),
+    arith.MaxFOp: (max, 2),
+    arith.MinFOp: (min, 2),
+    arith.AddIOp: (operator.add, 2),
+    arith.SubIOp: (operator.sub, 2),
+    arith.MulIOp: (operator.mul, 2),
+    arith.MaxIOp: (max, 2),
+    arith.MinIOp: (min, 2),
+    arith.DivFOp: (_divf, 2),
+    arith.DivIOp: (_trunc_div, 2),
+    arith.NegFOp: (operator.neg, 1),
+    arith.ExpOp: (_exp, 1),
+    arith.SqrtOp: (_sqrt, 1),
+    arith.MACOp: (lambda a, b, acc: acc + a * b, 3),
+    arith.SelectOp: (lambda condition, a, b: a if condition else b, 3),
+    UnrealizedCastOp: (lambda a: a, 1),
+}
+
+_CMP_PREDICATES: Dict[str, Callable[[Any, Any], Any]] = {
+    name: getattr(operator, name) for name in ("eq", "ne", "lt", "le", "gt", "ge")
+}
+
+_YIELDS = (affine.AffineYieldOp, scf.YieldOp, dataflow.YieldOp)
+#: ``affine.if``/``scf.if``/``scf.while`` bodies end at their first yield or
+#: return (the return still executes).
+_BODY_END = _YIELDS + (ReturnOp,)
+
+#: The values visible at a program point -> their frame slots.
+_Scope = Dict[Value, int]
+_LoadOp = Union[affine.AffineLoadOp, memref.LoadOp]
+_StoreOp = Union[affine.AffineStoreOp, memref.StoreOp]
+
+
+def _apply(fn: Callable[..., Any], args: Sequence[int], out: int) -> Step:
+    """``frame[out] = fn(*frame[args])``."""
+    if len(args) == 2:
+        a, b = args
+
+        def step(frame: List[Any]) -> None:
+            frame[out] = fn(frame[a], frame[b])
+
+    else:
+        operands = _pick(args)
+
+        def step(frame: List[Any]) -> None:
+            frame[out] = fn(*operands(frame))
+
+    return step
+
+
+def _raising(error: InterpreterError) -> Step:
+    """The step of an op without semantics: fails when (and only if) it runs."""
+
+    def step(frame: List[Any]) -> None:
+        raise error
+
+    return step
+
+
+def _zero_for(value: Value) -> Union[int, float]:
+    value_type = value.type
+    if isinstance(value_type, MemRefType):
+        return _zero_of(value_type.element_type)
+    return _zero_of(value_type)
+
+
 class _Interpreter:
+    """Lowers one function into closures over a flat frame, then runs them.
+
+    Every ``Value`` gets one slot of ``frame``; a scope maps the values
+    visible at a program point to their slots (``hida.schedule``/``hida.node``
+    bodies get a fresh one, their operands copied into their block-argument
+    slots).  Each static op becomes one :data:`Step` with its slots,
+    constants and attribute reads already resolved, so a dynamic op costs
+    one call however often its loop runs.  The op budget is charged per
+    straight-line block: at block entry and at every loop iteration.
+    """
+
     def __init__(self, seed: int, max_ops: int) -> None:
         self.seed = seed
         self.max_ops = max_ops
+        self.limit = max_ops * _DYNAMIC_SLACK
         self.ops_executed = 0
         self.oob_reads = 0
         self.oob_writes = 0
         self.stream_underflows = 0
         self.globals: Dict[str, MemoryRef] = {}
         self.returned: Tuple[object, ...] = ()
+        self.frame: List[Any] = []
 
     # ------------------------------------------------------------- entry
     def run(self, func: FuncOp) -> ExecutionResult:
-        env: Dict[Value, Any] = {}
-        for slot, argument in enumerate(func.arguments):
-            env[argument] = self._seeded_argument(slot, argument.type)
-        self._exec_block(func.entry_block, env)
-        outputs: List[Tuple[str, Tuple[Union[int, float], ...]]] = []
-        for slot, argument in enumerate(func.arguments):
-            bound = env[argument]
-            if isinstance(bound, MemoryRef):
-                outputs.append((f"arg{slot}", bound.logical_cells()))
+        scope: _Scope = {}
+        arguments = [self._define(argument, scope) for argument in func.arguments]
+        body = self._block(func.entry_block, scope)
+        frame = self.frame
+        for position, argument in enumerate(func.arguments):
+            frame[arguments[position]] = self._seeded_argument(position, argument.type)
+        body(frame)
+        if self.ops_executed > self.limit:
+            raise self._overrun()
+        outputs = [
+            (f"arg{position}", frame[slot].logical_cells())
+            for position, slot in enumerate(arguments)
+            if isinstance(frame[slot], MemoryRef)
+        ]
         returned = tuple(
             value.logical_cells() if isinstance(value, MemoryRef) else value
             for value in self.returned
@@ -501,7 +628,7 @@ class _Interpreter:
             stream_underflows=self.stream_underflows,
         )
 
-    def _seeded_argument(self, slot: int, value_type) -> object:
+    def _seeded_argument(self, slot: int, value_type: Any) -> object:
         if isinstance(value_type, MemRefType):
             return MemoryRef.allocate(
                 value_type, lambda i: seed_value(slot, i, self.seed)
@@ -512,379 +639,448 @@ class _Interpreter:
             return float(seed_value(slot, 0, self.seed))
         return seed_value(slot, 0, self.seed)
 
-    # ------------------------------------------------------------ helpers
-    def _charge(self) -> None:
-        self.ops_executed += 1
-        if self.ops_executed > self.max_ops * _DYNAMIC_SLACK:
-            raise InterpreterBudgetError(
-                f"dynamic op count exceeded "
-                f"{self.max_ops * _DYNAMIC_SLACK} (budget {self.max_ops})",
-                cost=self.ops_executed,
-                max_ops=self.max_ops,
-            )
-
-    def _subscripts(
-        self, affine_map, operands: Sequence[Any]
-    ) -> Tuple[int, ...]:
-        dims = [int(v) for v in operands[: affine_map.num_dims]]
-        symbols = [int(v) for v in operands[affine_map.num_dims :]]
-        results = affine_map.evaluate(dims, symbols)
-        coerced = []
-        for value in results:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise InterpreterError(
-                        f"non-integer subscript {value} from affine map"
-                    )
-                value = value.numerator
-            coerced.append(int(value))
-        return tuple(coerced)
-
-    def _zero_for(self, value: Value) -> Union[int, float]:
-        value_type = value.type
-        if isinstance(value_type, MemRefType):
-            return _zero_of(value_type.element_type)
-        return _zero_of(value_type)
-
-    def _run_body(self, block: Block, env: Dict[Value, Any]) -> None:
-        for op in block.operations:
-            if isinstance(op, (AffineYieldOp, ScfYieldOp, HidaYieldOp, ReturnOp)):
-                if isinstance(op, ReturnOp):
-                    self._exec(op, env)
-                break
-            self._exec(op, env)
-
-    def _terminator_operands(
-        self, block: Block, env: Dict[Value, Any]
-    ) -> List[Any]:
-        last = block.last_op
-        if last is not None and isinstance(
-            last, (AffineYieldOp, ScfYieldOp, HidaYieldOp)
-        ):
-            return [env[v] for v in last.operands]
-        return []
-
-    def _exec_block(self, block: Block, env: Dict[Value, Any]) -> None:
-        for op in block.operations:
-            self._exec(op, env)
-
-    # ----------------------------------------------------------- dispatch
-    def _exec(self, op: Operation, env: Dict[Value, Any]) -> None:
-        self._charge()
-
-        # Constants and casts -------------------------------------------
-        if isinstance(op, ConstantOp):
-            value = op.value
-            result = op.result()
-            if isinstance(result.type, FloatType):
-                env[result] = float(value)
-            else:
-                env[result] = int(value)
-            return
-        if isinstance(op, UnrealizedCastOp):
-            env[op.result()] = env[op.operand(0)]
-            return
-        if isinstance(op, CastOp):
-            value = env[op.operand(0)]
-            target = op.result().type
-            if isinstance(target, FloatType):
-                env[op.result()] = float(value)
-            else:
-                env[op.result()] = math.trunc(value)
-            return
-
-        # Arith ----------------------------------------------------------
-        handler = _BINARY_FLOAT.get(type(op))
-        if handler is not None:
-            env[op.result()] = handler(env[op.operand(0)], env[op.operand(1)])
-            return
-        if isinstance(op, DivFOp):
-            rhs = env[op.operand(1)]
-            if rhs == 0:
-                raise InterpreterError("float division by zero")
-            env[op.result()] = env[op.operand(0)] / rhs
-            return
-        if isinstance(op, DivIOp):
-            env[op.result()] = _trunc_div(
-                int(env[op.operand(0)]), int(env[op.operand(1)])
-            )
-            return
-        if isinstance(op, NegFOp):
-            env[op.result()] = -env[op.operand(0)]
-            return
-        if isinstance(op, ExpOp):
-            env[op.result()] = math.exp(env[op.operand(0)])
-            return
-        if isinstance(op, SqrtOp):
-            operand = env[op.operand(0)]
-            if operand < 0:
-                raise InterpreterError(f"sqrt of negative value {operand!r}")
-            env[op.result()] = math.sqrt(operand)
-            return
-        if isinstance(op, MACOp):
-            env[op.result()] = env[op.operand(2)] + (
-                env[op.operand(0)] * env[op.operand(1)]
-            )
-            return
-        if isinstance(op, CmpOp):
-            predicate = op.get_attr("predicate")
-            compare = _CMP_PREDICATES.get(str(predicate))
-            if compare is None:
-                raise UnsupportedOpError(f"unknown cmp predicate {predicate!r}")
-            env[op.result()] = int(
-                compare(env[op.operand(0)], env[op.operand(1)])
-            )
-            return
-        if isinstance(op, SelectOp):
-            env[op.result()] = (
-                env[op.operand(1)] if env[op.operand(0)] else env[op.operand(2)]
-            )
-            return
-
-        # Affine ---------------------------------------------------------
-        if isinstance(op, AffineApplyOp):
-            env[op.result()] = self._subscripts(
-                op.map, [env[v] for v in op.operands]
-            )[0]
-            return
-        if isinstance(op, AffineLoadOp):
-            memory = env[op.memref]
-            indices = self._subscripts(
-                op.access_map, [env[v] for v in op.index_operands]
-            )
-            value = memory.load(indices)
-            if value is None:
-                self.oob_reads += 1
-                value = self._zero_for(op.memref)
-            env[op.result()] = value
-            return
-        if isinstance(op, AffineStoreOp):
-            memory = env[op.memref]
-            indices = self._subscripts(
-                op.access_map, [env[v] for v in op.index_operands]
-            )
-            if not memory.store(indices, env[op.value]):
-                self.oob_writes += 1
-            return
-        if isinstance(op, AffineForOp):
-            self._exec_affine_for(op, env)
-            return
-        if isinstance(op, AffineIfOp):
-            condition = op.get_attr("condition")
-            holds = all(
-                v >= 0
-                for v in self._subscripts(
-                    condition, [env[v] for v in op.operands]
-                )
-            )
-            if holds:
-                self._run_body(op.then_block, env)
-            elif op.else_block is not None:
-                self._run_body(op.else_block, env)
-            return
-
-        # MemRef ---------------------------------------------------------
-        if isinstance(op, AllocOp):
-            env[op.result()] = MemoryRef.allocate(op.memref_type, lambda i: 0)
-            return
-        if isinstance(op, DeallocOp):
-            return
-        if isinstance(op, LoadOp):
-            memory = env[op.memref]
-            indices = [int(env[v]) for v in op.indices]
-            value = memory.load(indices)
-            if value is None:
-                self.oob_reads += 1
-                value = self._zero_for(op.memref)
-            env[op.result()] = value
-            return
-        if isinstance(op, StoreOp):
-            memory = env[op.memref]
-            indices = [int(env[v]) for v in op.indices]
-            if not memory.store(indices, env[op.value]):
-                self.oob_writes += 1
-            return
-        if isinstance(op, CopyOp):
-            target = env[op.target]
-            target.copy_from(env[op.source])
-            self.ops_executed += max(target.num_elements - 1, 0)
-            return
-        if isinstance(op, SubViewOp):
-            parent: MemoryRef = env[op.operand(0)]
-            offsets = [int(v) for v in op.get_attr("offsets", ())]
-            sizes = [int(v) for v in op.get_attr("sizes", ())]
-            strides = [int(v) for v in op.get_attr("strides", ())]
-            offset = parent.offset + sum(
-                o * s for o, s in zip(offsets, parent.strides)
-            )
-            view_strides = [
-                p * s for p, s in zip(parent.strides, strides)
-            ]
-            env[op.result()] = MemoryRef(
-                parent.cells, sizes, view_strides, offset
-            )
-            return
-        if isinstance(op, GetGlobalOp):
-            symbol = str(op.get_attr("symbol"))
-            if symbol not in self.globals:
-                slot = _symbol_slot(symbol)
-                self.globals[symbol] = MemoryRef.allocate(
-                    cast(MemRefType, op.result().type),
-                    lambda i: seed_value(slot, i, self.seed),
-                )
-            env[op.result()] = self.globals[symbol]
-            return
-
-        # scf ------------------------------------------------------------
-        if isinstance(op, ScfForOp):
-            self._exec_scf_for(op, env)
-            return
-        if isinstance(op, ScfIfOp):
-            self._exec_scf_if(op, env)
-            return
-        if isinstance(op, ScfWhileOp):
-            self._exec_scf_while(op, env)
-            return
-
-        # hida dataflow --------------------------------------------------
-        if isinstance(op, DispatchOp):
-            self._exec_block_transparent(op.body, env)
-            return
-        if isinstance(op, TaskOp):
-            self._exec_block_transparent(op.body, env)
-            results = self._terminator_operands(op.body, env)
-            for result, value in zip(op.results, results):
-                env[result] = value
-            return
-        if isinstance(op, ScheduleOp):
-            inner: Dict[Value, Any] = {}
-            for operand, argument in zip(op.operands, op.body.arguments):
-                inner[argument] = env[operand]
-            self._exec_block_transparent(op.body, inner)
-            return
-        if isinstance(op, NodeOp):
-            inner = {}
-            for operand, argument in zip(op.operands, op.body.arguments):
-                inner[argument] = env[operand]
-            self._exec_block_transparent(op.body, inner)
-            return
-        if isinstance(op, BufferOp):
-            env[op.result()] = MemoryRef.allocate(op.memref_type, lambda i: 0)
-            return
-        if isinstance(op, StreamOp):
-            env[op.result()] = deque()
-            return
-        if isinstance(op, StreamReadOp):
-            queue: Deque[object] = env[op.operand(0)]
-            if queue:
-                value = queue.popleft()
-            else:
-                self.stream_underflows += 1
-                value = _zero_of(op.result().type)
-            env[op.result()] = value
-            return
-        if isinstance(op, StreamWriteOp):
-            env[op.operand(0)].append(env[op.operand(1)])
-            return
-
-        # Functions ------------------------------------------------------
-        if isinstance(op, ReturnOp):
-            self.returned = tuple(env[v] for v in op.operands)
-            return
-        if isinstance(op, ModuleOp) or isinstance(op, FuncOp):
-            raise InterpreterError(
-                f"{op.name} cannot be executed as a nested op"
-            )
-
-        raise UnsupportedOpError(
-            f"no interpreter semantics for {op.name!r}"
+    def _overrun(self) -> InterpreterBudgetError:
+        return InterpreterBudgetError(
+            f"dynamic op count exceeded {self.limit} (budget {self.max_ops})",
+            cost=self.ops_executed,
+            max_ops=self.max_ops,
         )
 
-    # -------------------------------------------------------- region exec
-    def _exec_block_transparent(
-        self, block: Block, env: Dict[Value, Any]
-    ) -> None:
+    # ------------------------------------------------------------- slots
+    def _define(self, value: Value, scope: _Scope) -> int:
+        slot = scope[value] = len(self.frame)
+        self.frame.append(None)
+        return slot
+
+    def _slots(self, values: Sequence[Value], scope: _Scope, op: Operation) -> List[int]:
+        try:
+            return [scope[value] for value in values]
+        except KeyError:
+            raise InterpreterError(
+                f"{op.name} uses a value that is not defined in its scope "
+                f"(hida.schedule/hida.node bodies are isolated from above)"
+            ) from None
+
+    def _access(
+        self, affine_map: AffineMap, operands: Sequence[Value], scope: _Scope, op: Operation
+    ) -> _Subscripts:
+        """``affine_map`` applied to ``operands``, as a function of the frame.
+
+        Statically index/integer-typed operands hold Python ints and take
+        the row form; anything else is coerced on the general path.
+        """
+        slots = self._slots(operands, scope, op)
+        if all(isinstance(v.type, (IndexType, IntegerType)) for v in operands):
+            return _lower_subscripts(affine_map, slots)
+        return _general_subscripts(affine_map, slots)
+
+    # ------------------------------------------------------------ blocks
+    def _steps(
+        self,
+        block: Block,
+        scope: _Scope,
+        skip: Tuple[type, ...] = (),
+        stop: Tuple[type, ...] = (),
+    ) -> Tuple[Tuple[Step, ...], int]:
+        """Lowered ops of ``block`` and what one pass over them is charged.
+
+        ``skip`` drops a loop's own yields; ``stop`` ends the body at its
+        first terminator.  Constants are charged but have no step: their
+        value is written into the frame here, once.
+        """
+        steps: List[Step] = []
+        cost = 0
         for op in block.operations:
-            if isinstance(op, (HidaYieldOp, AffineYieldOp, ScfYieldOp)):
+            if isinstance(op, skip):
+                continue
+            if isinstance(op, stop) and not isinstance(op, ReturnOp):
                 break
-            self._exec(op, env)
-
-    def _exec_affine_for(self, loop: AffineForOp, env: Dict[Value, Any]) -> None:
-        body_ops = [
-            op
-            for op in loop.body.operations
-            if not isinstance(op, AffineYieldOp)
-        ]
-        iv = loop.induction_variable
-        for value in range(loop.lower_bound, loop.upper_bound, loop.step):
-            env[iv] = value
-            for op in body_ops:
-                self._exec(op, env)
-
-    def _exec_scf_for(self, loop: ScfForOp, env: Dict[Value, Any]) -> None:
-        lb = int(env[loop.operand(0)])
-        ub = int(env[loop.operand(1)])
-        step = int(env[loop.operand(2)])
-        if step <= 0:
-            raise InterpreterError(f"scf.for step must be positive, got {step}")
-        iter_values = [env[v] for v in loop.operands[3:]]
-        block = loop.regions[0].entry_block
-        body_ops = [
-            op for op in block.operations if not isinstance(op, ScfYieldOp)
-        ]
-        for value in range(lb, ub, step):
-            env[block.arguments[0]] = value
-            for argument, iter_value in zip(block.arguments[1:], iter_values):
-                env[argument] = iter_value
-            for op in body_ops:
-                self._exec(op, env)
-            yielded = self._terminator_operands(block, env)
-            if yielded:
-                iter_values = yielded
-        for result, value in zip(loop.results, iter_values):
-            env[result] = value
-
-    def _exec_scf_if(self, op: ScfIfOp, env: Dict[Value, Any]) -> None:
-        condition = env[op.operand(0)]
-        block: Optional[Block] = None
-        if condition:
-            block = op.regions[0].entry_block
-        elif len(op.regions) > 1 and op.regions[1].blocks:
-            block = op.regions[1].entry_block
-        if block is not None:
-            self._run_body(block, env)
-            results = self._terminator_operands(block, env)
-        else:
-            results = []
-        for index, result in enumerate(op.results):
-            env[result] = (
-                results[index]
-                if index < len(results)
-                else self._zero_for(result)
-            )
-
-    def _exec_scf_while(self, op: ScfWhileOp, env: Dict[Value, Any]) -> None:
-        cond_block = op.regions[0].entry_block
-        body_block = op.regions[1].entry_block
-        values = [env[v] for v in op.operands]
-        while True:
-            for argument, value in zip(cond_block.arguments, values):
-                env[argument] = value
-            self._run_body(cond_block, env)
-            yielded = self._terminator_operands(cond_block, env)
-            if not yielded:
-                raise InterpreterError("scf.while condition region must yield")
-            flag, forwarded = yielded[0], yielded[1:] or values
-            if not flag:
-                values = list(forwarded)
+            cost += 1
+            step = self._lower(op, scope)
+            if step is not None:
+                steps.append(step)
+            if isinstance(op, stop):
                 break
-            for argument, value in zip(body_block.arguments, forwarded):
-                env[argument] = value
-            self._run_body(body_block, env)
-            next_values = self._terminator_operands(body_block, env)
-            values = next_values if next_values else list(forwarded)
-        for result, value in zip(op.results, values):
-            env[result] = value
+        return tuple(steps), cost
+
+    def _block(self, block: Block, scope: _Scope, stop: Tuple[type, ...] = ()) -> Step:
+        steps, cost = self._steps(block, scope, stop=stop)
+        limit = self.limit
+
+        def run(frame: List[Any]) -> None:
+            self.ops_executed += cost
+            if self.ops_executed > limit:
+                raise self._overrun()
+            for step in steps:
+                step(frame)
+
+        return run
+
+    def _yielded(self, block: Block, scope: _Scope) -> List[int]:
+        """Slots of the operands of ``block``'s terminating yield (if any)."""
+        last = block.last_op
+        if last is not None and isinstance(last, _YIELDS):
+            return self._slots(last.operands, scope, last)
+        return []
+
+    # ---------------------------------------------------------- dispatch
+    def _lower(self, op: Operation, scope: _Scope) -> Optional[Step]:
+        for kind in type(op).__mro__:
+            if kind in _ARITH:
+                fn, arity = _ARITH[kind]
+                args = self._slots(op.operands[:arity], scope, op)
+                return _apply(fn, args, self._define(op.result(), scope))
+            lower = _LOWER.get(kind)
+            if lower is not None:
+                return lower(self, op, scope)
+        return _raising(UnsupportedOpError(f"no interpreter semantics for {op.name!r}"))
+
+    def _lower_constant(self, op: ConstantOp, scope: _Scope) -> None:
+        result = op.result()
+        convert = float if isinstance(result.type, FloatType) else int
+        self.frame[self._define(result, scope)] = convert(op.value)
+
+    def _lower_cast(self, op: arith.CastOp, scope: _Scope) -> Step:
+        convert = float if isinstance(op.result().type, FloatType) else math.trunc
+        args = self._slots(op.operands[:1], scope, op)
+        return _apply(convert, args, self._define(op.result(), scope))
+
+    def _lower_cmp(self, op: arith.CmpOp, scope: _Scope) -> Step:
+        predicate = op.get_attr("predicate")
+        compare = _CMP_PREDICATES.get(str(predicate))
+        if compare is None:
+            return _raising(UnsupportedOpError(f"unknown cmp predicate {predicate!r}"))
+        args = self._slots(op.operands[:2], scope, op)
+        return _apply(lambda a, b: int(compare(a, b)), args, self._define(op.result(), scope))
+
+    # ------------------------------------------------------------ memory
+    def _access_of(self, op: Union[_LoadOp, _StoreOp], scope: _Scope) -> _Subscripts:
+        """A load/store's subscripts: its access map, or its plain indices."""
+        if isinstance(op, (affine.AffineLoadOp, affine.AffineStoreOp)):
+            return self._access(op.access_map, op.index_operands, scope, op)
+        return self._access(AffineMap.identity(len(op.indices)), op.indices, scope, op)
+
+    def _lower_load(self, op: _LoadOp, scope: _Scope) -> Step:
+        (source,) = self._slots([op.memref], scope, op)
+        subscripts = self._access_of(op, scope)
+        out = self._define(op.result(), scope)
+        zero = _zero_for(op.memref)
+
+        def step(frame: List[Any]) -> None:
+            memory = frame[source]
+            address = memory._address(subscripts(frame))
+            if address is None:
+                self.oob_reads += 1
+                frame[out] = zero
+            else:
+                frame[out] = memory.cells[address]
+
+        return step
+
+    def _lower_store(self, op: _StoreOp, scope: _Scope) -> Step:
+        value, target = self._slots([op.value, op.memref], scope, op)
+        subscripts = self._access_of(op, scope)
+
+        def step(frame: List[Any]) -> None:
+            memory = frame[target]
+            address = memory._address(subscripts(frame))
+            if address is None:
+                self.oob_writes += 1
+            else:
+                memory.cells[address] = frame[value]
+
+        return step
+
+    def _lower_alloc(self, op: Union[memref.AllocOp, dataflow.BufferOp], scope: _Scope) -> Step:
+        memref_type = op.memref_type
+        zero, count = _zero_of(memref_type.element_type), memref_type.num_elements
+        shape = memref_type.shape
+        out = self._define(op.result(), scope)
+
+        def step(frame: List[Any]) -> None:
+            frame[out] = MemoryRef([zero] * count, shape)
+
+        return step
+
+    def _lower_copy(self, op: memref.CopyOp, scope: _Scope) -> Step:
+        source, target = self._slots([op.source, op.target], scope, op)
+
+        def step(frame: List[Any]) -> None:
+            memory = frame[target]
+            memory.copy_from(frame[source])
+            self.ops_executed += max(memory.num_elements - 1, 0)
+
+        return step
+
+    def _lower_subview(self, op: memref.SubViewOp, scope: _Scope) -> Step:
+        (source,) = self._slots(op.operands[:1], scope, op)
+        offsets = [int(v) for v in op.get_attr("offsets", ())]
+        sizes = [int(v) for v in op.get_attr("sizes", ())]
+        strides = [int(v) for v in op.get_attr("strides", ())]
+        out = self._define(op.result(), scope)
+
+        def step(frame: List[Any]) -> None:
+            parent: MemoryRef = frame[source]
+            offset = parent.offset + sum(o * s for o, s in zip(offsets, parent.strides))
+            view_strides = [p * s for p, s in zip(parent.strides, strides)]
+            frame[out] = MemoryRef(parent.cells, sizes, view_strides, offset)
+
+        return step
+
+    def _lower_get_global(self, op: memref.GetGlobalOp, scope: _Scope) -> Step:
+        symbol = str(op.get_attr("symbol"))
+        seed_slot = _symbol_slot(symbol)
+        memref_type = cast(MemRefType, op.result().type)
+        out = self._define(op.result(), scope)
+        cache, seed = self.globals, self.seed
+
+        def step(frame: List[Any]) -> None:
+            memory = cache.get(symbol)
+            if memory is None:
+                memory = cache[symbol] = MemoryRef.allocate(
+                    memref_type, lambda i: seed_value(seed_slot, i, seed)
+                )
+            frame[out] = memory
+
+        return step
+
+    # ------------------------------------------------------------ affine
+    def _lower_affine_apply(self, op: affine.AffineApplyOp, scope: _Scope) -> Step:
+        subscripts = self._access(op.map, op.operands, scope, op)
+        out = self._define(op.result(), scope)
+
+        def step(frame: List[Any]) -> None:
+            frame[out] = subscripts(frame)[0]
+
+        return step
+
+    def _lower_affine_for(self, op: affine.AffineForOp, scope: _Scope) -> Step:
+        iv = self._define(op.induction_variable, scope)
+        body, cost = self._steps(op.body, scope, skip=(affine.AffineYieldOp,))
+        trips = range(op.lower_bound, op.upper_bound, op.step)
+        limit = self.limit
+
+        def step(frame: List[Any]) -> None:
+            for value in trips:
+                self.ops_executed += cost
+                if self.ops_executed > limit:
+                    raise self._overrun()
+                frame[iv] = value
+                for inner in body:
+                    inner(frame)
+
+        return step
+
+    def _lower_affine_if(self, op: affine.AffineIfOp, scope: _Scope) -> Step:
+        condition = self._access(op.get_attr("condition"), op.operands, scope, op)
+        then, orelse = self._block(op.then_block, scope, stop=_BODY_END), op.else_block
+        otherwise = None if orelse is None else self._block(orelse, scope, stop=_BODY_END)
+
+        def step(frame: List[Any]) -> None:
+            for value in condition(frame):
+                if value < 0:
+                    if otherwise is not None:
+                        otherwise(frame)
+                    return
+            then(frame)
+
+        return step
+
+    # --------------------------------------------------------------- scf
+    def _lower_scf_for(self, op: scf.ForOp, scope: _Scope) -> Step:
+        lower, upper, stride, *init = self._slots(op.operands, scope, op)
+        block = op.regions[0].entry_block
+        iv, *carried = [self._define(argument, scope) for argument in block.arguments]
+        body, cost = self._steps(block, scope, skip=(scf.YieldOp,))
+        yielded = self._yielded(block, scope)
+        results = [self._define(result, scope) for result in op.results]
+        limit = self.limit
+
+        def step(frame: List[Any]) -> None:
+            by = int(frame[stride])
+            if by <= 0:
+                raise InterpreterError(f"scf.for step must be positive, got {by}")
+            values = [frame[s] for s in init]
+            for value in range(int(frame[lower]), int(frame[upper]), by):
+                self.ops_executed += cost
+                if self.ops_executed > limit:
+                    raise self._overrun()
+                frame[iv] = value
+                for slot, carried_value in zip(carried, values):
+                    frame[slot] = carried_value
+                for inner in body:
+                    inner(frame)
+                if yielded:
+                    values = [frame[s] for s in yielded]
+            for slot, result in zip(results, values):
+                frame[slot] = result
+
+        return step
+
+    def _lower_scf_if(self, op: scf.IfOp, scope: _Scope) -> Step:
+        (condition,) = self._slots(op.operands[:1], scope, op)
+        blocks = [op.regions[0].entry_block]
+        if len(op.regions) > 1 and op.regions[1].blocks:
+            blocks.append(op.regions[1].entry_block)
+        branches = [
+            (self._block(block, scope, stop=_BODY_END), self._yielded(block, scope))
+            for block in blocks
+        ]
+        results = [(self._define(r, scope), _zero_for(r)) for r in op.results]
+
+        def step(frame: List[Any]) -> None:
+            values: List[Any] = []
+            if frame[condition] or len(branches) > 1:
+                body, yielded = branches[0 if frame[condition] else 1]
+                body(frame)
+                values = [frame[s] for s in yielded]
+            for position, (slot, zero) in enumerate(results):
+                frame[slot] = values[position] if position < len(values) else zero
+
+        return step
+
+    def _lower_scf_while(self, op: scf.WhileOp, scope: _Scope) -> Step:
+        init = self._slots(op.operands, scope, op)
+        regions = []
+        for region in op.regions[:2]:
+            block = region.entry_block
+            arguments = [self._define(argument, scope) for argument in block.arguments]
+            body = self._block(block, scope, stop=_BODY_END)
+            regions.append((arguments, body, self._yielded(block, scope)))
+        (cond_args, cond, cond_yield), (body_args, body, body_yield) = regions
+        results = [self._define(result, scope) for result in op.results]
+
+        def step(frame: List[Any]) -> None:
+            values = [frame[s] for s in init]
+            while True:
+                for slot, value in zip(cond_args, values):
+                    frame[slot] = value
+                cond(frame)
+                yielded = [frame[s] for s in cond_yield]
+                if not yielded:
+                    raise InterpreterError("scf.while condition region must yield")
+                flag, forwarded = yielded[0], yielded[1:] or values
+                if not flag:
+                    values = list(forwarded)
+                    break
+                for slot, value in zip(body_args, forwarded):
+                    frame[slot] = value
+                body(frame)
+                values = [frame[s] for s in body_yield] or list(forwarded)
+            for slot, value in zip(results, values):
+                frame[slot] = value
+
+        return step
+
+    # ----------------------------------------------------- hida dataflow
+    def _lower_task(self, op: dataflow.TaskOp, scope: _Scope) -> Step:
+        """The body shares the scope; results are its terminating yield's operands."""
+        body = self._block(op.body, scope, stop=_YIELDS)
+        moves = [
+            (source, self._define(result, scope))
+            for source, result in zip(self._yielded(op.body, scope), op.results)
+        ]
+
+        def step(frame: List[Any]) -> None:
+            body(frame)
+            for source, out in moves:
+                frame[out] = frame[source]
+
+        return step
+
+    def _lower_isolated(self, op: Operation, scope: _Scope) -> Step:
+        """``hida.schedule``/``hida.node``: a fresh scope holding only the
+        block arguments, bound to the operands on entry."""
+        inner: _Scope = {}
+        sources = self._slots(op.operands, scope, op)
+        binds = [
+            (source, self._define(argument, inner))
+            for source, argument in zip(sources, op.body.arguments)
+        ]
+        body = self._block(op.body, inner, stop=_YIELDS)
+
+        def step(frame: List[Any]) -> None:
+            for source, argument in binds:
+                frame[argument] = frame[source]
+            body(frame)
+
+        return step
+
+    def _lower_stream(self, op: dataflow.StreamOp, scope: _Scope) -> Step:
+        out = self._define(op.result(), scope)
+
+        def step(frame: List[Any]) -> None:
+            frame[out] = deque()
+
+        return step
+
+    def _lower_stream_read(self, op: dataflow.StreamReadOp, scope: _Scope) -> Step:
+        (stream,) = self._slots(op.operands[:1], scope, op)
+        out = self._define(op.result(), scope)
+        zero = _zero_of(op.result().type)
+
+        def step(frame: List[Any]) -> None:
+            queue: Deque[object] = frame[stream]
+            if queue:
+                frame[out] = queue.popleft()
+            else:
+                self.stream_underflows += 1
+                frame[out] = zero
+
+        return step
+
+    def _lower_stream_write(self, op: dataflow.StreamWriteOp, scope: _Scope) -> Step:
+        stream, value = self._slots(op.operands[:2], scope, op)
+
+        def step(frame: List[Any]) -> None:
+            frame[stream].append(frame[value])
+
+        return step
+
+    # --------------------------------------------------------- functions
+    def _lower_return(self, op: ReturnOp, scope: _Scope) -> Step:
+        returned = _pick(self._slots(op.operands, scope, op))
+
+        def step(frame: List[Any]) -> None:
+            self.returned = tuple(returned(frame))
+
+        return step
+
+    def _lower_nested(self, op: Operation, scope: _Scope) -> Step:
+        return _raising(InterpreterError(f"{op.name} cannot be executed as a nested op"))
+
+
+_LOWER: Dict[type, Callable[[_Interpreter, Any, _Scope], Optional[Step]]] = {
+    ConstantOp: _Interpreter._lower_constant,
+    arith.CastOp: _Interpreter._lower_cast,
+    arith.CmpOp: _Interpreter._lower_cmp,
+    affine.AffineApplyOp: _Interpreter._lower_affine_apply,
+    affine.AffineLoadOp: _Interpreter._lower_load,
+    affine.AffineStoreOp: _Interpreter._lower_store,
+    affine.AffineForOp: _Interpreter._lower_affine_for,
+    affine.AffineIfOp: _Interpreter._lower_affine_if,
+    memref.AllocOp: _Interpreter._lower_alloc,
+    dataflow.BufferOp: _Interpreter._lower_alloc,
+    memref.DeallocOp: lambda self, op, scope: (lambda frame: None),
+    memref.LoadOp: _Interpreter._lower_load,
+    memref.StoreOp: _Interpreter._lower_store,
+    memref.CopyOp: _Interpreter._lower_copy,
+    memref.SubViewOp: _Interpreter._lower_subview,
+    memref.GetGlobalOp: _Interpreter._lower_get_global,
+    scf.ForOp: _Interpreter._lower_scf_for,
+    scf.IfOp: _Interpreter._lower_scf_if,
+    scf.WhileOp: _Interpreter._lower_scf_while,
+    dataflow.DispatchOp: lambda self, op, scope: self._block(op.body, scope, stop=_YIELDS),
+    dataflow.TaskOp: _Interpreter._lower_task,
+    dataflow.ScheduleOp: _Interpreter._lower_isolated,
+    dataflow.NodeOp: _Interpreter._lower_isolated,
+    dataflow.StreamOp: _Interpreter._lower_stream,
+    dataflow.StreamReadOp: _Interpreter._lower_stream_read,
+    dataflow.StreamWriteOp: _Interpreter._lower_stream_write,
+    ReturnOp: _Interpreter._lower_return,
+    ModuleOp: _Interpreter._lower_nested,
+    FuncOp: _Interpreter._lower_nested,
+}
 
 
 # ---------------------------------------------------------------------------

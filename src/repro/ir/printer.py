@@ -11,7 +11,7 @@ unambiguous — every SSA value prints under a unique name.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Set
+from typing import Any, Dict, FrozenSet, List, Set
 
 from .core import Operation, Region, Value
 
@@ -36,7 +36,12 @@ def _format_attr(value: Any) -> str:
 class IRPrinter:
     """Stateful printer assigning stable SSA names within a top-level op."""
 
-    def __init__(self, indent_width: int = 2) -> None:
+    def __init__(
+        self, indent_width: int = 2, skip_attrs: FrozenSet[str] = frozenset()
+    ) -> None:
+        #: Attribute names left out of the rendering (besides ``_private``
+        #: ones), e.g. the directives a semantic fingerprint ignores.
+        self._skip_attrs = skip_attrs
         self._names: Dict[int, str] = {}
         self._used: Set[str] = set()
         self._counter = 0
@@ -72,8 +77,11 @@ class IRPrinter:
         results = ", ".join(self.name_of(r) for r in op.results)
         prefix = f"{results} = " if results else ""
         operands = ", ".join(self.name_of(v) for v in op.operands)
+        skip = self._skip_attrs
         attr_items = {
-            k: v for k, v in op.attributes.items() if not k.startswith("_")
+            k: v
+            for k, v in op.attributes.items()
+            if not k.startswith("_") and k not in skip
         }
         attrs = ""
         if attr_items:

@@ -6,27 +6,101 @@ static cost estimate / budget refusal, and :func:`diff_results` semantics.
 The translation-validation layer built on top lives in ``test_tv.py``.
 """
 
-import pytest
+import hashlib
+import json
+import math
+import pathlib
 
-from repro.dialects.affine import AffineApplyOp, AffineForOp, AffineStoreOp
-from repro.dialects.affine_map import AffineMap, dim
-from repro.dialects.dataflow import StreamOp, StreamReadOp, StreamWriteOp
-from repro.dialects.memref import StoreOp
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.analysis.tv.__main__ import _sweep_workloads
+from repro.compiler import Compiler, SnapshotObserver
+from repro.compiler.driver import DEFAULT_PIPELINE
+from repro.dialects.affine import (
+    AffineApplyOp,
+    AffineForOp,
+    AffineIfOp,
+    AffineStoreOp,
+    AffineYieldOp,
+)
+from repro.dialects.affine_map import AffineMap, constant, dim, symbol
+from repro.dialects.arith import (
+    AddFOp,
+    AddIOp,
+    CastOp,
+    CmpOp,
+    DivFOp,
+    DivIOp,
+    ExpOp,
+    MACOp,
+    MaxFOp,
+    MaxIOp,
+    MinFOp,
+    MinIOp,
+    MulFOp,
+    MulIOp,
+    NegFOp,
+    SelectOp,
+    SqrtOp,
+    SubFOp,
+    SubIOp,
+)
+from repro.dialects.dataflow import (
+    DispatchOp,
+    NodeOp,
+    ScheduleOp,
+    StreamOp,
+    StreamReadOp,
+    StreamWriteOp,
+    TaskOp,
+    YieldOp as HidaYieldOp,
+)
+from repro.dialects.memref import (
+    AllocOp,
+    CopyOp,
+    DeallocOp,
+    LoadOp,
+    StoreOp,
+    SubViewOp,
+)
+from repro.dialects.scf import (
+    ForOp as ScfForOp,
+    IfOp as ScfIfOp,
+    WhileOp as ScfWhileOp,
+    YieldOp as ScfYieldOp,
+)
 from repro.dialects import linalg
 from repro.frontend.nn import Linear, Sequential, trace
-from repro.ir import Builder, FuncOp, MemRefType, ModuleOp, ReturnOp, f32, f64
+from repro.ir import (
+    Builder,
+    FuncOp,
+    MemRefType,
+    ModuleOp,
+    ReturnOp,
+    UnrealizedCastOp,
+    f32,
+    f64,
+    i1,
+    i32,
+    index,
+)
+from repro.ir import interp
 from repro.ir.core import Operation
 from repro.ir.interp import (
     DEFAULT_MAX_OPS,
     ExecutionResult,
     InterpreterBudgetError,
+    InterpreterError,
     UnsupportedOpError,
     diff_results,
     estimate_cost,
     interpret_module,
     seed_value,
 )
-from repro.workloads import as_module, get_workload
+from repro.ir.parser import parse_op
+from repro.ir.printer import print_op
+from repro.workloads import as_module, get_workload, iter_workloads
 
 SIZE = 16
 
@@ -217,3 +291,619 @@ class TestDiffResults:
         right = self._result([1.0, 9.0, 8.0])
         messages = diff_results(left, right)
         assert messages == ["arg0[1]: 2.0 != 9.0"]
+
+
+# ---------------------------------------------------------------------------
+# Op surface: one hand-built module per op kind the zoo never executes
+# ---------------------------------------------------------------------------
+
+
+def _run(build, arg_types=None, **interpret_kwargs):
+    """Interpret ``main(args) { build(builder, args); return <its values> }``."""
+    module = ModuleOp.create()
+    func = FuncOp.create(
+        "main", arg_types or [MemRefType((SIZE,), f64)], top=True
+    )
+    module.body.append(func)
+    builder = Builder.at_end(func.entry_block)
+    values = build(builder, func.arguments)
+    builder.insert(ReturnOp.create(list(values or ())))
+    return interpret_module(module, **interpret_kwargs)
+
+
+def _exactly(actual, expected):
+    """Equal values *and* equal Python types (``3`` is not ``3.0`` here)."""
+    assert tuple(actual) == tuple(expected)
+    assert [type(v) for v in actual] == [type(v) for v in expected]
+
+
+def _seeds(slot, count=SIZE, as_type=float):
+    return [as_type(seed_value(slot, i)) for i in range(count)]
+
+
+class TestOpSurface:
+    """Hand-computed outputs and counters for every op kind outside the zoo.
+
+    ``ops_executed`` expectations count one per executed op (constants,
+    region ops and the final return included; yields never).
+    """
+
+    # ------------------------------------------------------------ affine.if
+    def _affine_if(self, condition, with_else):
+        def build(b, args):
+            one, two = b.constant(1.0, f64), b.constant(2.0, f64)
+            loop = b.insert(AffineForOp.create(0, 4))
+            iv = loop.induction_variable
+            with b.at_end_of(loop.body):
+                branch = b.insert(
+                    AffineIfOp.create(condition, [iv], with_else=with_else)
+                )
+                with b.at_end_of(branch.then_block):
+                    b.insert(AffineStoreOp.create(one, args[0], [iv]))
+                    b.insert(AffineYieldOp.create())
+                    # Anything after the first yield is never reached.
+                    b.insert(AffineStoreOp.create(two, args[0], [iv]))
+                if with_else:
+                    with b.at_end_of(branch.else_block):
+                        b.insert(AffineStoreOp.create(two, args[0], [iv]))
+                b.insert(AffineYieldOp.create())
+
+        return _run(build)
+
+    def test_affine_if_takes_then_and_else(self):
+        result = self._affine_if(AffineMap(1, 0, [dim(0) - 2]), with_else=True)
+        assert result.output_map["arg0"][:5] == (2.0, 2.0, 1.0, 1.0, _seeds(0)[4])
+        # 2 constants + for + 4 x (if + one store) + return
+        assert result.ops_executed == 2 + 1 + 4 * 2 + 1
+
+    def test_affine_if_without_else_skips(self):
+        result = self._affine_if(AffineMap(1, 0, [dim(0) - 2]), with_else=False)
+        seeds = _seeds(0)
+        assert result.output_map["arg0"][:4] == (seeds[0], seeds[1], 1.0, 1.0)
+        # the store runs on two of the four iterations only
+        assert result.ops_executed == 2 + 1 + (4 + 2) + 1
+
+    def test_affine_if_needs_every_condition_row_non_negative(self):
+        # d0 - 1 >= 0 and 2 - d0 >= 0  <=>  d0 in {1, 2}
+        condition = AffineMap(1, 0, [dim(0) - 1, 2 - dim(0)])
+        result = self._affine_if(condition, with_else=True)
+        assert result.output_map["arg0"][:4] == (2.0, 1.0, 1.0, 2.0)
+
+    # -------------------------------------------------------------- scf.for
+    def test_scf_for_walks_lb_to_ub_by_step(self):
+        def build(b, args):
+            lb, ub, step = (b.index_constant(v) for v in (1, 7, 2))
+            marker = b.constant(5.0, f64)
+            loop = b.insert(ScfForOp.create(lb, ub, step))
+            with b.at_end_of(loop.body):
+                b.insert(
+                    StoreOp.create(marker, args[0], [loop.induction_variable])
+                )
+                b.insert(ScfYieldOp.create())
+
+        result = _run(build)
+        seeds = _seeds(0)
+        assert result.output_map["arg0"][:7] == (
+            seeds[0], 5.0, seeds[2], 5.0, seeds[4], 5.0, seeds[6],
+        )
+        assert result.ops_executed == 4 + 1 + 3 + 1
+        assert (result.oob_reads, result.oob_writes) == (0, 0)
+
+    def test_scf_for_threads_iter_args(self):
+        def build(b, args):
+            lb, ub, step = (b.index_constant(v) for v in (0, 3, 1))
+            init, two = b.constant(0.5, f64), b.constant(2.0, f64)
+            loop = b.insert(ScfForOp.create(lb, ub, step, iter_args=[init]))
+            with b.at_end_of(loop.body):
+                acc = b.insert(AddFOp.create(loop.iter_args[0], two))
+                b.insert(ScfYieldOp.create([acc.result()]))
+            empty = b.insert(ScfForOp.create(ub, lb, step, iter_args=[init]))
+            with b.at_end_of(empty.body):
+                b.insert(ScfYieldOp.create([two]))
+            return [loop.result(), empty.result()]
+
+        result = _run(build)
+        # 0.5 + 2 + 2 + 2; the zero-trip loop forwards its init unchanged
+        _exactly(result.returned, (6.5, 0.5))
+        assert result.ops_executed == 5 + (1 + 3) + 1 + 1
+
+    def test_scf_for_rejects_non_positive_step(self):
+        def build(b, args):
+            zero = b.index_constant(0)
+            b.insert(ScfForOp.create(zero, zero, zero))
+
+        with pytest.raises(InterpreterError, match="step must be positive, got 0"):
+            _run(build)
+
+    # --------------------------------------------------------------- scf.if
+    def test_scf_if_yields_results_from_the_taken_branch(self):
+        def build(b, args):
+            picks = []
+            for flag in (1, 0):
+                condition = b.constant(flag, i1)
+                branch = b.insert(
+                    ScfIfOp.create(condition, [f64], with_else=True)
+                )
+                with b.at_end_of(branch.then_block):
+                    b.insert(ScfYieldOp.create([b.constant(3.0, f64)]))
+                with b.at_end_of(branch.else_block):
+                    b.insert(ScfYieldOp.create([b.constant(4.0, f64)]))
+                picks.append(branch.result())
+            return picks
+
+        result = _run(build)
+        _exactly(result.returned, (3.0, 4.0))
+        # per if: condition + if + the taken branch's one constant
+        assert result.ops_executed == 2 * 3 + 1
+
+    def test_scf_if_without_else_yields_typed_zeros(self):
+        def build(b, args):
+            condition = b.constant(0, i1)
+            branch = b.insert(ScfIfOp.create(condition, [f64, index]))
+            with b.at_end_of(branch.then_block):
+                b.insert(
+                    ScfYieldOp.create([b.constant(3.0, f64), b.index_constant(9)])
+                )
+            return list(branch.results)
+
+        result = _run(build)
+        _exactly(result.returned, (0.0, 0))
+        assert result.ops_executed == 1 + 1 + 1
+
+    # ------------------------------------------------------------ scf.while
+    def test_scf_while_counts_up_through_forwarded_values(self):
+        def build(b, args):
+            zero, three, one = (b.index_constant(v) for v in (0, 3, 1))
+            loop = b.insert(ScfWhileOp.create([zero]))
+            cond_block = loop.regions[0].entry_block
+            body_block = loop.regions[1].entry_block
+            with b.at_end_of(cond_block):
+                x = cond_block.arguments[0]
+                flag = b.insert(CmpOp.create("lt", x, three))
+                b.insert(ScfYieldOp.create([flag.result(), x]))
+            with b.at_end_of(body_block):
+                x = body_block.arguments[0]
+                b.insert(StoreOp.create(b.constant(8.0, f64), args[0], [x]))
+                nxt = b.insert(AddIOp.create(x, one))
+                b.insert(ScfYieldOp.create([nxt.result()]))
+            return [loop.result()]
+
+        result = _run(build)
+        _exactly(result.returned, (3,))
+        assert result.output_map["arg0"][:4] == (8.0, 8.0, 8.0, _seeds(0)[3])
+        # 3 constants + while + 4 condition passes (cmp) + 3 bodies
+        # (constant, store, addi) + return
+        assert result.ops_executed == 3 + 1 + 4 * 1 + 3 * 3 + 1
+
+    def test_scf_while_flag_only_condition_forwards_current_values(self):
+        def build(b, args):
+            start, limit, one = (b.index_constant(v) for v in (5, 7, 1))
+            loop = b.insert(ScfWhileOp.create([start]))
+            cond_block = loop.regions[0].entry_block
+            body_block = loop.regions[1].entry_block
+            with b.at_end_of(cond_block):
+                flag = b.insert(CmpOp.create("ne", cond_block.arguments[0], limit))
+                b.insert(ScfYieldOp.create([flag.result()]))
+            with b.at_end_of(body_block):
+                nxt = b.insert(AddIOp.create(body_block.arguments[0], one))
+                b.insert(ScfYieldOp.create([nxt.result()]))
+            return [loop.result()]
+
+        _exactly(_run(build).returned, (7,))
+
+    def test_scf_while_condition_must_yield(self):
+        def build(b, args):
+            b.insert(ScfWhileOp.create([b.index_constant(0)]))
+
+        with pytest.raises(InterpreterError, match="condition region must yield"):
+            _run(build)
+
+    # --------------------------------------------------------------- memref
+    def test_memref_load_in_and_out_of_bounds(self):
+        def build(b, args):
+            loads = [
+                b.insert(LoadOp.create(memref, [b.index_constant(at)]))
+                for memref, at in (
+                    (args[0], 3), (args[0], SIZE), (args[0], -1),
+                    (args[1], 2), (args[1], 4),
+                )
+            ]
+            # rank-mismatched subscripts are out of bounds too
+            loads.append(b.insert(LoadOp.create(args[0], [])))
+            return [load.result() for load in loads]
+
+        result = _run(build, [MemRefType((SIZE,), f64), MemRefType((4,), i32)])
+        _exactly(
+            result.returned,
+            (float(seed_value(0, 3)), 0.0, 0.0, seed_value(1, 2), 0, 0.0),
+        )
+        assert result.oob_reads == 4
+        assert result.oob_writes == 0
+        assert result.ops_executed == 5 + 6 + 1
+
+    def test_memref_copy_charges_one_op_per_element(self):
+        def build(b, args):
+            b.insert(CopyOp.create(args[0], args[1]))
+
+        same = _run(build, [MemRefType((SIZE,), f64)] * 2)
+        assert same.output_map["arg1"] == tuple(_seeds(0))
+        assert same.ops_executed == 1 + (SIZE - 1) + 1
+        # mismatched shapes copy the overlapping row-major prefix
+        narrow = _run(build, [MemRefType((2, 3), f64), MemRefType((4,), f64)])
+        assert narrow.output_map["arg1"] == tuple(_seeds(0, 4))
+        assert narrow.output_map["arg0"] == tuple(_seeds(0, 6))
+        assert narrow.ops_executed == 1 + 3 + 1
+
+    def test_memref_subview_applies_offset_and_stride(self):
+        def build(b, args):
+            # view[i][j] = parent[1 + i][2 * j]
+            view = b.insert(SubViewOp.create(args[0], (1, 0), (2, 2), (1, 2)))
+            at = {v: b.index_constant(v) for v in (0, 1, 2)}
+            b.insert(
+                StoreOp.create(b.constant(7.0, f64), view.result(), [at[1], at[1]])
+            )
+            inside = b.insert(LoadOp.create(view.result(), [at[0], at[1]]))
+            # parent[3][0] exists, but row 2 is outside the 2x2 view
+            outside = b.insert(LoadOp.create(view.result(), [at[2], at[0]]))
+            return [inside.result(), outside.result()]
+
+        result = _run(build, [MemRefType((4, 4), f64)])
+        cells = list(_seeds(0))
+        cells[2 * 4 + 2] = 7.0
+        assert result.output_map["arg0"] == tuple(cells)
+        _exactly(result.returned, (float(seed_value(0, 1 * 4 + 2)), 0.0))
+        assert (result.oob_reads, result.oob_writes) == (1, 0)
+
+    def test_alloc_is_zeroed_and_dealloc_is_a_charged_no_op(self):
+        def build(b, args):
+            scratch = b.insert(AllocOp.create(MemRefType((2, 2), f64)))
+            counts = b.insert(AllocOp.create(MemRefType((3,), i32)))
+            b.insert(DeallocOp.create(scratch.result()))
+            return [scratch.result(), counts.result()]
+
+        result = _run(build)
+        _exactly(result.returned[0], (0.0, 0.0, 0.0, 0.0))
+        _exactly(result.returned[1], (0, 0, 0))
+        assert result.ops_executed == 3 + 1
+
+    # ---------------------------------------------------------------- casts
+    def test_cast_truncates_toward_zero_and_widens_to_float(self):
+        def build(b, args):
+            return [
+                b.insert(CastOp.create(b.constant(value, source), target)).result()
+                for value, source, target in (
+                    (-2.7, f64, i32), (2.7, f64, index), (3, i32, f64), (-4, index, f32),
+                )
+            ]
+
+        result = _run(build)
+        _exactly(result.returned, (-2, 2, 3.0, -4.0))
+        assert result.ops_executed == 4 + 4 + 1
+
+    def test_unrealized_cast_forwards_the_value_unchanged(self):
+        def build(b, args):
+            five = b.index_constant(5)
+            return [b.insert(UnrealizedCastOp.create(five, f64)).result()]
+
+        _exactly(_run(build).returned, (5,))
+
+    # ---------------------------------------------------------------- arith
+    def test_cmp_predicates(self):
+        table = {  # predicate -> results on (2, 3) and (3, 3)
+            "eq": (0, 1), "ne": (1, 0), "lt": (1, 0),
+            "le": (1, 1), "gt": (0, 0), "ge": (0, 1),
+        }
+
+        def build(b, args):
+            two, three = b.index_constant(2), b.index_constant(3)
+            return [
+                b.insert(CmpOp.create(predicate, lhs, three)).result()
+                for predicate in table
+                for lhs in (two, three)
+            ]
+
+        result = _run(build)
+        _exactly(result.returned, [bit for bits in table.values() for bit in bits])
+        assert result.ops_executed == 2 + 12 + 1
+
+    def test_unknown_cmp_predicate_is_unsupported(self):
+        def build(b, args):
+            one = b.index_constant(1)
+            b.insert(CmpOp.create("ult", one, one))
+
+        with pytest.raises(UnsupportedOpError, match="unknown cmp predicate 'ult'"):
+            _run(build)
+
+    def test_select_mac_and_unary_float_ops(self):
+        def build(b, args):
+            yes, no = b.constant(1, i1), b.constant(0, i1)
+            two, three, four = (b.constant(v, f64) for v in (2.0, 3.0, 4.0))
+            return [
+                op.result()
+                for op in (
+                    b.insert(SelectOp.create(yes, two, three)),
+                    b.insert(SelectOp.create(no, two, three)),
+                    b.insert(MACOp.create(two, three, four)),  # 4 + 2 * 3
+                    b.insert(NegFOp.create(two)),
+                    b.insert(ExpOp.create(b.constant(0.0, f64))),
+                    b.insert(ExpOp.create(b.constant(1.0, f64))),
+                    b.insert(SqrtOp.create(b.constant(9.0, f64))),
+                )
+            ]
+
+        result = _run(build)
+        _exactly(result.returned, (2.0, 3.0, 10.0, -2.0, 1.0, math.e, 3.0))
+
+    def test_integer_arithmetic(self):
+        def build(b, args):
+            seven, minus_two = b.index_constant(7), b.index_constant(-2)
+            return [
+                b.insert(kind.create(seven, minus_two)).result()
+                for kind in (AddIOp, SubIOp, MulIOp, MaxIOp, MinIOp)
+            ]
+
+        result = _run(build)
+        _exactly(result.returned, (5, 9, -14, 7, -2))
+        assert result.ops_executed == 2 + 5 + 1
+
+    def test_float_min_max_and_division(self):
+        def build(b, args):
+            seven, minus_two = b.constant(7.0, f64), b.constant(-2.0, f64)
+            return [
+                b.insert(kind.create(seven, minus_two)).result()
+                for kind in (MaxFOp, MinFOp, DivFOp, SubFOp, MulFOp)
+            ]
+
+        _exactly(_run(build).returned, (7.0, -2.0, -3.5, 9.0, -14.0))
+
+    def test_integer_division_truncates_toward_zero(self):
+        def build(b, args):
+            return [
+                b.insert(
+                    DivIOp.create(b.index_constant(lhs), b.index_constant(rhs))
+                ).result()
+                for lhs, rhs in ((7, 2), (-7, 2), (7, -2), (-7, -2), (0, 5))
+            ]
+
+        _exactly(_run(build).returned, (3, -3, -3, 3, 0))
+
+    @pytest.mark.parametrize(
+        "kind, lhs, rhs, type_, message",
+        [
+            (DivIOp, 1, 0, index, "integer division by zero"),
+            (DivFOp, 1.0, 0.0, f64, "float division by zero"),
+        ],
+    )
+    def test_division_by_zero_is_an_interpreter_error(
+        self, kind, lhs, rhs, type_, message
+    ):
+        def build(b, args):
+            b.insert(kind.create(b.constant(lhs, type_), b.constant(rhs, type_)))
+
+        with pytest.raises(InterpreterError, match=message):
+            _run(build)
+
+    def test_sqrt_of_a_negative_is_an_interpreter_error(self):
+        def build(b, args):
+            b.insert(SqrtOp.create(b.constant(-4.0, f64)))
+
+        with pytest.raises(InterpreterError, match=r"sqrt of negative value -4\.0"):
+            _run(build)
+
+    # ------------------------------------------------------------- dataflow
+    def test_task_results_come_from_its_terminator(self):
+        def build(b, args):
+            dispatch = b.insert(DispatchOp.create())
+            with b.at_end_of(dispatch.body):
+                task = b.insert(TaskOp.create([f64]))
+                with b.at_end_of(task.body):
+                    b.insert(HidaYieldOp.create([b.constant(3.0, f64)]))
+                b.insert(HidaYieldOp.create())
+            return [task.result()]
+
+        result = _run(build)
+        _exactly(result.returned, (3.0,))
+        assert result.ops_executed == 1 + 1 + 1 + 1
+
+    def test_isolated_regions_bind_operands_to_block_arguments(self):
+        def build(b, args):
+            schedule = b.insert(ScheduleOp.create([args[0]]))
+            with b.at_end_of(schedule.body):
+                node = b.insert(NodeOp.create(outputs=[schedule.body.arguments[0]]))
+                with b.at_end_of(node.body):
+                    b.insert(
+                        StoreOp.create(
+                            b.constant(9.0, f64),
+                            node.body.arguments[0],
+                            [b.index_constant(1)],
+                        )
+                    )
+
+        result = _run(build)
+        # memory is shared by reference through both isolation boundaries
+        assert result.output_map["arg0"][:3] == (_seeds(0)[0], 9.0, _seeds(0)[2])
+        assert result.ops_executed == 1 + 1 + 3 + 1
+
+    # ------------------------------------------------------------ functions
+    @pytest.mark.parametrize(
+        "nested",
+        [lambda: ModuleOp.create("inner"), lambda: FuncOp.create("inner")],
+        ids=["module", "func"],
+    )
+    def test_nested_module_or_function_cannot_execute(self, nested):
+        def build(b, args):
+            b.insert(nested())
+
+        with pytest.raises(InterpreterError, match="cannot be executed as a nested op"):
+            _run(build)
+
+
+# ---------------------------------------------------------------------------
+# Golden executions: recorded with the if/elif interpreter this one replaced
+# ---------------------------------------------------------------------------
+
+_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "interp_golden.json").read_text()
+)
+
+
+class TestGoldenExecutions:
+    @pytest.mark.parametrize(
+        "handle",
+        _sweep_workloads([], everything=True),  # every kernel at n=8, tsteps=2
+        ids=lambda handle: handle.definition.name,
+    )
+    def test_every_stage_boundary_replays_the_recorded_execution(self, handle):
+        snapshots = SnapshotObserver()
+        Compiler.from_spec(DEFAULT_PIPELINE, observers=[snapshots]).run(
+            workload=handle
+        )
+        boundaries = [("frontend", print_op(as_module(handle)))]
+        boundaries += snapshots.snapshots
+        assert [stage for stage, _ in boundaries[1:]] == DEFAULT_PIPELINE.split(",")
+        replayed = {}
+        for stage, text in boundaries:
+            for seed in (0, 1):
+                result = interpret_module(parse_op(text), seed=seed)
+                digest = hashlib.sha256(
+                    repr((result.outputs, result.returned)).encode()
+                ).hexdigest()
+                replayed[f"{handle.definition.name}/{stage}/seed{seed}"] = [
+                    digest,
+                    result.ops_executed,
+                    result.oob_reads,
+                    result.oob_writes,
+                    result.stream_underflows,
+                ]
+        recorded = {
+            key: row
+            for key, row in _GOLDEN["executions"].items()
+            if key.split("/")[0] == handle.definition.name
+        }
+        assert replayed == recorded
+
+    def test_models_are_refused_at_the_recorded_cost(self):
+        costs = {}
+        for handle in iter_workloads(kind="model"):
+            with pytest.raises(InterpreterBudgetError) as refusal:
+                interpret_module(as_module(handle))
+            assert refusal.value.max_ops == DEFAULT_MAX_OPS
+            costs[handle.definition.name] = refusal.value.cost
+        assert costs == _GOLDEN["refusals"]
+        assert len(_GOLDEN["executions"]) == 12 * 10 * 2
+
+
+# ---------------------------------------------------------------------------
+# Unhappy paths stay InterpreterErrors; budget edges
+# ---------------------------------------------------------------------------
+
+
+class TestUnhappyPaths:
+    """``IRSnapshotCache.store`` and the validate stage catch only
+    :class:`InterpreterError`: anything else escaping kills a sweep."""
+
+    def test_exp_overflow_is_an_interpreter_error(self):
+        def build(b, args):
+            b.insert(ExpOp.create(b.constant(1000.0, f64)))
+
+        with pytest.raises(InterpreterError, match="exp overflow"):
+            _run(build)
+
+    def test_isolated_region_cannot_use_a_value_from_above(self):
+        def build(b, args):
+            outside = b.constant(9.0, f64)
+            node = b.insert(NodeOp.create(outputs=[args[0]]))
+            with b.at_end_of(node.body):
+                b.insert(
+                    StoreOp.create(
+                        outside, node.body.arguments[0], [b.index_constant(0)]
+                    )
+                )
+
+        with pytest.raises(InterpreterError, match="memref.store uses a value"):
+            _run(build)
+
+
+class TestBudgetEdges:
+    def _unknown_trip_loop(self, trips):
+        """An scf.for whose upper bound is computed, so the static estimate
+        assumes 64 trips whatever ``trips`` is."""
+        module, func, b = _empty_design()
+        zero, one = b.index_constant(0), b.index_constant(1)
+        upper = b.insert(AddIOp.create(b.index_constant(trips), zero))
+        loop = b.insert(ScfForOp.create(zero, upper.result(), one))
+        with b.at_end_of(loop.body):
+            b.insert(StoreOp.create(b.constant(1.0, f64), func.arguments[0], [zero]))
+            b.insert(ScfYieldOp.create())
+        _finish(b)
+        return module
+
+    def test_dynamic_overrun_aborts_past_four_times_the_budget(self):
+        module = self._unknown_trip_loop(trips=1_000_000)
+        budget = estimate_cost(module)
+        assert budget == estimate_cost(self._unknown_trip_loop(trips=3))
+        with pytest.raises(InterpreterBudgetError) as overrun:
+            interpret_module(module, max_ops=budget)
+        assert "dynamic op count exceeded" in str(overrun.value)
+        assert overrun.value.max_ops == budget
+        assert budget * 4 < overrun.value.cost < budget * 5
+        # Within the slack the same loop completes: 2 ops per trip.
+        result = interpret_module(self._unknown_trip_loop(trips=100), max_ops=budget)
+        assert result.ops_executed == 3 + 1 + 1 + 100 * 2 + 1
+
+    def test_static_refusal_threshold_is_exclusive(self):
+        module = as_module(get_workload("2mm").at(n=8))
+        cost = estimate_cost(module)
+        assert interpret_module(module, max_ops=cost).ops_executed > 0
+        with pytest.raises(InterpreterBudgetError) as refusal:
+            interpret_module(module, max_ops=cost - 1)
+        assert (refusal.value.cost, refusal.value.max_ops) == (cost, cost - 1)
+        assert "estimated interpretation cost" in str(refusal.value)
+
+
+# ---------------------------------------------------------------------------
+# Property: lowered subscripts == AffineMap.evaluate
+# ---------------------------------------------------------------------------
+
+_NUM_DIMS, _NUM_SYMBOLS = 3, 2
+_leaves = st.one_of(
+    st.builds(dim, st.integers(0, _NUM_DIMS - 1)),
+    st.builds(symbol, st.integers(0, _NUM_SYMBOLS - 1)),
+    st.builds(constant, st.integers(-9, 9)),
+)
+_divisors = st.integers(1, 7)
+_exprs = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: a + b, inner, inner),
+        st.builds(lambda a, k: a * k, inner, st.integers(-4, 4)),
+        st.builds(lambda a, k: a // k, inner, _divisors),
+        st.builds(lambda a, k: a.ceildiv(k), inner, _divisors),
+        st.builds(lambda a, k: a % k, inner, _divisors),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    results=st.lists(_exprs, min_size=1, max_size=3),
+    operands=st.lists(
+        st.integers(-64, 64),
+        min_size=_NUM_DIMS + _NUM_SYMBOLS,
+        max_size=_NUM_DIMS + _NUM_SYMBOLS,
+    ),
+)
+@example(results=[dim(2), dim(0)], operands=[1, 2, 3, 4, 5])  # slot picks
+@example(results=[dim(0) * 4 + symbol(1) - 3], operands=[7, 0, 0, 0, -5])
+@example(results=[dim(1), (dim(0) + 1) // 2], operands=[-3, 9, 0, 0, 0])
+def test_lowered_subscripts_equal_affine_map_evaluate(results, operands):
+    affine_map = AffineMap(_NUM_DIMS, _NUM_SYMBOLS, results)
+    # Operand k lives in frame slot 2k + 1; the even slots are decoys.
+    slots = [2 * k + 1 for k in range(len(operands))]
+    frame = [1000] * (2 * len(operands) + 1)
+    for slot, value in zip(slots, operands):
+        frame[slot] = value
+    expected = affine_map.evaluate(operands[:_NUM_DIMS], operands[_NUM_DIMS:])
+    lowered = interp._lower_subscripts(affine_map, slots)(frame)
+    _exactly(lowered, [int(value) for value in expected])

@@ -15,6 +15,7 @@ The load-bearing guarantees, pinned:
 * repeated analysis findings deduplicate (stable order, first wins).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -36,7 +37,7 @@ from repro.baselines import (
     scalehls_pipeline_spec,
     vitis_pipeline_spec,
 )
-from repro.compiler.driver import DEFAULT_PIPELINE
+from repro.compiler.driver import DEFAULT_PIPELINE, Compiler, PipelineObserver
 from repro.compiler.stages import CompilationState, get_stage_class
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.dialects.affine_map import AffineMap, constant, dim
@@ -47,6 +48,7 @@ from repro.dialects.affine import AffineApplyOp
 from repro.estimation.platform import get_platform
 from repro.ir import Builder, FuncOp, MemRefType, ModuleOp, ReturnOp, f32, f64
 from repro.ir.interp import diff_results, interpret_module, seed_value
+from repro.ir.printer import IRPrinter, print_op
 from repro.workloads import as_module, get_workload, iter_workloads
 
 _PLATFORM = get_platform("vu9p-slr")
@@ -167,6 +169,36 @@ def test_semantic_change_executes_and_validates_bitwise():
     outer.induction_variable.name_hint = "ii"
     _run_validate(state, after="rename")
     assert [c.outcome for c in state.tv_baseline.checks] == ["baseline", "bitwise"]
+
+
+@pytest.mark.parametrize("workload", ["2mm@n=8", "lenet"])
+def test_semantic_fingerprint_prints_what_clone_and_strip_printed(workload):
+    """The fingerprint skips attributes while printing; it used to clone the
+    module, pop them and print the clone.  Same text at every boundary."""
+    texts = []
+
+    class Boundaries(PipelineObserver):
+        def on_stage_end(self, stage, state, seconds):
+            compare(state.module)
+
+    def compare(module):
+        stripped = module.clone()
+        for op in stripped.walk():
+            for name in NON_SEMANTIC_ATTRS:
+                op.attributes.pop(name, None)
+        text = IRPrinter(skip_attrs=NON_SEMANTIC_ATTRS).print_op(module)
+        assert text == print_op(stripped)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
+        assert semantic_fingerprint(module) == digest
+        texts.append(text)
+
+    handle = get_workload(workload)
+    compare(as_module(handle))
+    Compiler.from_spec(DEFAULT_PIPELINE, observers=[Boundaries()]).run(
+        workload=handle
+    )
+    assert len(texts) == 1 + len(DEFAULT_PIPELINE.split(","))
+    assert len(set(texts)) > 1  # the boundaries are not all one module
 
 
 def test_non_semantic_attrs_catalog_is_sorted():
