@@ -47,7 +47,7 @@ call walks for itself, so there is no cache to invalidate.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..dialects.affine import (
     AffineApplyOp,
@@ -67,6 +67,7 @@ __all__ = [
     "DistanceElement",
     "Dependence",
     "NestAccesses",
+    "linear_subscripts",
     "nest_dependences",
     "band_dependences",
     "loop_carried_dependences",
@@ -266,6 +267,19 @@ def _expr_to_linear(
     return None  # symbols and anything else: not analyzable
 
 
+def linear_subscripts(
+    op: Union[AffineLoadOp, AffineStoreOp]
+) -> List[Optional[_LinearIndex]]:
+    """Per subscript of an affine load/store, its linear form, None if non-linear.
+
+    Each is the access map's result expression folded over the linearized
+    index operands, so both map-level arithmetic like ``d0 * 2 + 1`` and
+    operand-level ``affine.apply`` chains land in one linear form.
+    """
+    operand_forms = [_linearize_value(index) for index in op.index_operands]
+    return [_expr_to_linear(expr, operand_forms) for expr in op.access_map.results]
+
+
 @dataclasses.dataclass
 class _Access:
     op: Operation
@@ -289,17 +303,10 @@ class NestAccesses:
 
     def _walk(self, op: Operation, loops: Tuple[AffineForOp, ...]) -> None:
         if isinstance(op, (AffineLoadOp, AffineStoreOp)):
-            # Each subscript is the access map's result expression composed
-            # over the linearized index operands (so both map-level arithmetic
-            # like ``d0 * 2 + 1`` and operand-level ``affine.apply`` chains
-            # land in one linear form).
-            operand_forms = [_linearize_value(index) for index in op.index_operands]
-            subscripts: List[Optional[_LinearIndex]] = [
-                _expr_to_linear(expr, operand_forms)
-                for expr in op.access_map.results
-            ]
             is_store = isinstance(op, AffineStoreOp)
-            self.accesses.append(_Access(op, op.memref, is_store, subscripts, loops))
+            self.accesses.append(
+                _Access(op, op.memref, is_store, linear_subscripts(op), loops)
+            )
             return
         if isinstance(op, AffineForOp):
             loops += (op,)

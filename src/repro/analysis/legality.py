@@ -16,13 +16,12 @@ import dataclasses
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dialects.affine import AffineForOp
+from ..dialects.affine import AffineForOp, loop_of
 from ..ir.core import Operation, Value
 from .dependence import (
     Dependence,
     NestAccesses,
-    _expr_to_linear,
-    _linearize_value,
+    linear_subscripts,
     loop_carried_dependences,
     nest_dependences,
 )
@@ -267,19 +266,14 @@ def partition_bank_conflicts(
 
         factors = partition_factors_of_value(buffer)
     conflicts: List[BankConflict] = []
+    subscripts = [linear_subscripts(access) for access in accesses]
     for dim, factor in enumerate(factors):
         if factor <= 1:
             continue
         # Group accesses by the variable part of this dim's subscript.
         groups: Dict[Tuple, List[Tuple[int, List[int]]]] = {}
-        for access in accesses:
-            results = access.access_map.results
-            if dim >= len(results):
-                continue
-            operand_forms = [
-                _linearize_value(index) for index in access.index_operands
-            ]
-            form = _expr_to_linear(results[dim], operand_forms)
+        for forms in subscripts:
+            form = forms[dim] if dim < len(forms) else None
             if form is None:
                 continue
             offsets = _unrolled_offsets(form)
@@ -310,9 +304,8 @@ def _unrolled_offsets(form) -> List[int]:
     """
     per_loop: List[List[int]] = []
     for value, coeff in form.coeffs.items():
-        owner = value.owner
-        loop = owner.parent_op if hasattr(owner, "parent_op") else None
-        if not isinstance(loop, AffineForOp):
+        loop = loop_of(value)
+        if loop is None:
             continue
         factor = loop.unroll_factor
         if factor <= 1:

@@ -11,9 +11,15 @@ depths, node interfaces, loop bounds and directives.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
+from ..dialects.affine_map import (
+    AffineBinaryExpr,
+    AffineConstantExpr,
+    AffineDimExpr,
+    AffineExpr,
+)
 from ..dialects.dataflow import BufferOp, NodeOp, ScheduleOp, StreamOp
 from ..dialects.memref import AllocOp, CopyOp, GetGlobalOp
 from ..ir.builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
@@ -42,6 +48,29 @@ _FUNCTION_OPERATORS = {
     "math.exp": "hls::exp",
     "math.sqrt": "hls::sqrt",
 }
+
+
+_AFFINE_OPERATORS = {"add": "+", "mul": "*", "floordiv": "/", "mod": "%"}
+
+
+def _affine_to_c(expr: AffineExpr, names: Sequence[str], tight: bool = False) -> str:
+    """An affine-map result as a C expression over the index-operand names
+    (``tight``: the expression is an operand of ``*``, ``/`` or ``%``).
+    Index operands are loop counters, never negative, so C's truncating
+    ``/`` and ``%`` agree with ``floordiv`` and ``mod``."""
+    if isinstance(expr, AffineDimExpr):
+        return names[expr.position]
+    if isinstance(expr, AffineConstantExpr):
+        return str(expr.value)
+    if not isinstance(expr, AffineBinaryExpr):
+        raise TypeError(f"cannot emit affine expression {expr!r}")
+    lhs = _affine_to_c(expr.lhs, names, expr.kind != "add")
+    rhs = _affine_to_c(expr.rhs, names, expr.kind != "add")
+    if expr.kind == "ceildiv":
+        text = f"({lhs} + {rhs} - 1) / {rhs}"
+    else:
+        text = f"{lhs} {_AFFINE_OPERATORS[expr.kind]} {rhs}"
+    return f"({text})" if tight else text
 
 
 def _cpp_type(ty: Type) -> str:
@@ -185,13 +214,10 @@ class HlsCppEmitter:
             )
         elif op.name == "affine.apply":
             name = self._name(op.result(), prefix="idx")
-            self._emit(f"int {name} = /* affine */ {self._affine_expr(op)};")
+            operands = [self._name(operand) for operand in op.operands]
+            self._emit(f"int {name} = {_affine_to_c(op.map.results[0], operands)};")
         else:
             self._emit(f"// unhandled op: {op.name}")
-
-    def _affine_expr(self, op: Operation) -> str:
-        operands = [self._name(operand) for operand in op.operands]
-        return " + ".join(operands) if operands else "0"
 
     def _emit_schedule(self, schedule: ScheduleOp) -> None:
         label = schedule.label or "dataflow_region"
@@ -253,21 +279,10 @@ class HlsCppEmitter:
         self._emit("}")
 
     def _subscripts(self, op) -> str:
-        positions = op.access_map.result_dim_positions()
-        strides = op.access_map.result_strides()
-        index_operands = list(op.index_operands)
-        parts = []
-        for position, stride in zip(positions, strides):
-            if position is None or position >= len(index_operands):
-                parts.append("[0]")
-                continue
-            name = self._name(index_operands[position])
-            stride_value = int(stride) if stride and float(stride).is_integer() else stride
-            if stride_value in (1, Ellipsis):
-                parts.append(f"[{name}]")
-            else:
-                parts.append(f"[{name} * {stride_value}]")
-        return "".join(parts)
+        names = [self._name(index) for index in op.index_operands]
+        return "".join(
+            f"[{_affine_to_c(result, names)}]" for result in op.access_map.results
+        )
 
     def _emit_load(self, op: AffineLoadOp) -> None:
         name = self._name(op.result(), prefix="ld")

@@ -10,9 +10,9 @@ connection analyses of HIDA-OPT.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from ..ir.core import Block, Operation, Value, register_operation
+from ..ir.core import Block, BlockArgument, Operation, Value, register_operation
 from ..ir.types import IndexType, MemRefType
 from .affine_map import AffineMap
 
@@ -23,6 +23,7 @@ __all__ = [
     "AffineLoadOp",
     "AffineStoreOp",
     "AffineApplyOp",
+    "loop_of",
     "get_loop_band",
     "get_perfectly_nested_band",
     "enclosing_loops",
@@ -221,9 +222,18 @@ class _AffineMemAccess(Operation):
     def index_operands(self) -> Sequence[Value]:
         raise NotImplementedError
 
-    def access_loop_positions(self) -> List[Optional[int]]:
-        """For each subscript, the operand position of the single IV it uses."""
-        return self.access_map.result_dim_positions()
+    def driving_loops(self) -> List[Optional[Tuple["AffineForOp", int]]]:
+        """Per subscript, the loop whose induction variable drives it and the
+        stride, or None when the subscript mentions zero or several dims or
+        its index operand is not an induction variable (see
+        :meth:`AffineMap.single_dim_strides`; ``affine.apply`` operands are
+        not looked through)."""
+        operands = self.index_operands
+        drivers: List[Optional[Tuple[AffineForOp, int]]] = []
+        for decoded in self.access_map.single_dim_strides():
+            loop = loop_of(operands[decoded[0]]) if decoded else None
+            drivers.append((loop, decoded[1]) if loop is not None else None)
+        return drivers
 
 
 @register_operation
@@ -306,6 +316,16 @@ class AffineStoreOp(_AffineMemAccess):
 # ---------------------------------------------------------------------------
 # Loop nest utilities
 # ---------------------------------------------------------------------------
+
+
+def loop_of(value: Value) -> Optional[AffineForOp]:
+    """The ``affine.for`` whose induction variable ``value`` is, else None
+    (an op result inside a loop body is not that loop's variable)."""
+    if isinstance(value, BlockArgument):
+        parent = value.owner.parent_op
+        if isinstance(parent, AffineForOp):
+            return parent
+    return None
 
 
 def enclosing_loops(op: Operation) -> List[AffineForOp]:

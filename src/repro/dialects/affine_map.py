@@ -11,7 +11,6 @@ analysis and for the permutation/scaling-map construction of HIDA-OPT.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "symbol",
     "constant",
 ]
-
-Number = Union[int, Fraction]
 
 
 class AffineExpr:
@@ -63,9 +60,9 @@ class AffineExpr:
     # --------------------------------------------------------------- queries
     def evaluate(
         self,
-        dims: Sequence[Number] = (),
-        symbols: Sequence[Number] = (),
-    ) -> Number:
+        dims: Sequence[int] = (),
+        symbols: Sequence[int] = (),
+    ) -> int:
         """Evaluate the expression with concrete dim/symbol values."""
         raise NotImplementedError
 
@@ -77,9 +74,6 @@ class AffineExpr:
 
     def _collect_dims(self, out: set) -> None:
         raise NotImplementedError
-
-    def _uses_symbols(self) -> bool:
-        return False
 
     def __str__(self) -> str:  # pragma: no cover - overridden
         return "affine_expr"
@@ -103,7 +97,7 @@ class AffineDimExpr(AffineExpr):
 
     position: int
 
-    def evaluate(self, dims: Sequence[Number] = (), symbols: Sequence[Number] = ()) -> Number:
+    def evaluate(self, dims: Sequence[int] = (), symbols: Sequence[int] = ()) -> int:
         return dims[self.position]
 
     def _collect_dims(self, out: set) -> None:
@@ -119,14 +113,11 @@ class AffineSymbolExpr(AffineExpr):
 
     position: int
 
-    def evaluate(self, dims: Sequence[Number] = (), symbols: Sequence[Number] = ()) -> Number:
+    def evaluate(self, dims: Sequence[int] = (), symbols: Sequence[int] = ()) -> int:
         return symbols[self.position]
 
     def _collect_dims(self, out: set) -> None:
         return None
-
-    def _uses_symbols(self) -> bool:
-        return True
 
     def __str__(self) -> str:
         return f"s{self.position}"
@@ -138,7 +129,7 @@ class AffineConstantExpr(AffineExpr):
 
     value: int
 
-    def evaluate(self, dims: Sequence[Number] = (), symbols: Sequence[Number] = ()) -> Number:
+    def evaluate(self, dims: Sequence[int] = (), symbols: Sequence[int] = ()) -> int:
         return self.value
 
     def _collect_dims(self, out: set) -> None:
@@ -165,7 +156,7 @@ class AffineBinaryExpr(AffineExpr):
     lhs: AffineExpr
     rhs: AffineExpr
 
-    def evaluate(self, dims: Sequence[Number] = (), symbols: Sequence[Number] = ()) -> Number:
+    def evaluate(self, dims: Sequence[int] = (), symbols: Sequence[int] = ()) -> int:
         lhs = self.lhs.evaluate(dims, symbols)
         rhs = self.rhs.evaluate(dims, symbols)
         if self.kind == "add":
@@ -183,9 +174,6 @@ class AffineBinaryExpr(AffineExpr):
     def _collect_dims(self, out: set) -> None:
         self.lhs._collect_dims(out)
         self.rhs._collect_dims(out)
-
-    def _uses_symbols(self) -> bool:
-        return self.lhs._uses_symbols() or self.rhs._uses_symbols()
 
     def __str__(self) -> str:
         return f"({self.lhs} {_BINARY_SYMBOLS[self.kind]} {self.rhs})"
@@ -275,9 +263,9 @@ class AffineMap:
 
     def evaluate(
         self,
-        dims: Sequence[Number] = (),
-        symbols: Sequence[Number] = (),
-    ) -> Tuple[Number, ...]:
+        dims: Sequence[int] = (),
+        symbols: Sequence[int] = (),
+    ) -> Tuple[int, ...]:
         if len(dims) != self.num_dims:
             raise ValueError(
                 f"map expects {self.num_dims} dims, got {len(dims)}"
@@ -306,36 +294,26 @@ class AffineMap:
             r._collect_dims(dims_used)
         return tuple(sorted(dims_used))
 
-    def result_dim_positions(self) -> List[Optional[int]]:
-        """For each result, the single dim it depends on (or None).
+    def single_dim_strides(self) -> List[Optional[Tuple[int, int]]]:
+        """Per result ``f``: ``(d, f(e_d) - f(0))`` when ``f`` mentions exactly
+        one dim ``d``, else None.
 
-        Used by the connection analysis of HIDA-OPT to derive permutation
-        maps: a result like ``d2 * 2`` maps to dim position 2.
+        The position is syntactic and the stride is probed, not solved for:
+        ``d2 * 2`` gives ``(2, 2)`` and ``d0 + 1`` gives ``(0, 1)``, but
+        ``d0 floordiv 120`` gives ``(0, 0)``.  The connection analysis of
+        HIDA-OPT derives its permutation and scaling maps from this.
         """
-        positions: List[Optional[int]] = []
-        for r in self.results:
-            used = r.used_dims()
-            positions.append(used[0] if len(used) == 1 else None)
-        return positions
-
-    def result_strides(self) -> List[Fraction]:
-        """For each result, the linear coefficient of its single used dim.
-
-        Results that use no dim or more than one dim report stride 0.
-        """
-        strides: List[Fraction] = []
+        zeros = [0] * self.num_dims
+        decoded: List[Optional[Tuple[int, int]]] = []
         for r in self.results:
             used = r.used_dims()
             if len(used) != 1:
-                strides.append(Fraction(0))
+                decoded.append(None)
                 continue
-            pos = used[0]
-            zeros = [0] * self.num_dims
-            probe = [0] * self.num_dims
-            probe[pos] = 1
-            base = Fraction(r.evaluate(zeros))
-            strides.append(Fraction(r.evaluate(probe)) - base)
-        return strides
+            unit = list(zeros)
+            unit[used[0]] = 1
+            decoded.append((used[0], r.evaluate(unit) - r.evaluate(zeros)))
+        return decoded
 
     # ------------------------------------------------------------- transform
     def compose(self, other: "AffineMap") -> "AffineMap":

@@ -285,18 +285,9 @@ def _memory_port_ii(
         if isinstance(memref_type, MemRefType) and not memref_type.is_on_chip:
             continue
         distinct = 1.0
-        seen_loops = set()
-        positions = op.access_map.result_dim_positions()
-        index_operands = list(op.index_operands)
-        for position in positions:
-            if position is None or position >= len(index_operands):
-                continue
-            iv = index_operands[position]
-            owner = iv.owner
-            owner_loop = owner.parent_op if owner is not None else None
-            if isinstance(owner_loop, AffineForOp) and id(owner_loop) not in seen_loops:
-                seen_loops.add(id(owner_loop))
-                distinct *= max(1, owner_loop.unroll_factor)
+        drivers = {id(loop): loop for loop, _ in filter(None, op.driving_loops())}
+        for loop in drivers.values():
+            distinct *= max(1, loop.unroll_factor)
         key = id(buffer)
         previous = per_buffer.get(key, (buffer, 0.0))[1]
         per_buffer[key] = (buffer, previous + distinct)

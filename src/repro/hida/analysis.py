@@ -71,7 +71,7 @@ class BandAccess:
     buffer: Value
     is_store: bool
     dim_loop_positions: List[Optional[int]]
-    dim_strides: List[Fraction]
+    dim_strides: List[int]
 
     @property
     def rank(self) -> int:
@@ -121,29 +121,21 @@ class BandInfo:
 
 def _band_accesses(node: NodeOp, band: Sequence[AffineForOp]) -> List[BandAccess]:
     """Collect accesses within the band, normalized to band loop positions."""
-    loop_position = {id(loop.induction_variable): i for i, loop in enumerate(band)}
+    loop_position = {id(loop): i for i, loop in enumerate(band)}
     accesses: List[BandAccess] = []
     root = band[0] if band else node
     for op in root.walk():
         if not isinstance(op, (AffineLoadOp, AffineStoreOp)):
             continue
-        access_map = op.access_map
-        positions = access_map.result_dim_positions()
-        strides = access_map.result_strides()
-        index_operands = list(op.index_operands)
         dim_loops: List[Optional[int]] = []
-        dim_strides: List[Fraction] = []
-        for pos, stride in zip(positions, strides):
-            if pos is not None and pos < len(index_operands):
-                iv = index_operands[pos]
-                dim_loops.append(loop_position.get(id(iv)))
-            else:
-                dim_loops.append(None)
-            dim_strides.append(Fraction(stride) if stride else Fraction(0))
-        buffer = op.memref
+        dim_strides: List[int] = []
+        for driver in op.driving_loops():
+            loop, stride = driver or (None, 0)
+            dim_loops.append(loop_position.get(id(loop)))
+            dim_strides.append(stride)
         accesses.append(
             BandAccess(
-                buffer=buffer,
+                buffer=op.memref,
                 is_store=isinstance(op, AffineStoreOp),
                 dim_loop_positions=dim_loops,
                 dim_strides=dim_strides,
@@ -219,7 +211,7 @@ class Connection:
     source: BandInfo
     target: BandInfo
     buffer: Value
-    links: List[Tuple[int, int, Fraction, Fraction]]
+    links: List[Tuple[int, int, int, int]]
 
     # ----------------------------------------------------------------- maps
     def source_to_target_permutation(self) -> List[Optional[int]]:
@@ -241,7 +233,7 @@ class Connection:
         result: List[Optional[Fraction]] = [None] * self.source.num_loops
         for s_pos, _, s_stride, t_stride in self.links:
             if t_stride:
-                result[s_pos] = Fraction(s_stride) / Fraction(t_stride)
+                result[s_pos] = Fraction(s_stride, t_stride)
         return result
 
     def target_to_source_scaling(self) -> List[Optional[Fraction]]:
@@ -249,7 +241,7 @@ class Connection:
         result: List[Optional[Fraction]] = [None] * self.target.num_loops
         for _, t_pos, s_stride, t_stride in self.links:
             if s_stride:
-                result[t_pos] = Fraction(t_stride) / Fraction(s_stride)
+                result[t_pos] = Fraction(t_stride, s_stride)
         return result
 
     # ------------------------------------------------------------ constraints
@@ -275,11 +267,9 @@ class Connection:
             other_factor = other_factors[other_pos]
             if not own_stride:
                 continue
-            scaled = Fraction(other_factor) * Fraction(abs(other_stride)) / Fraction(
-                abs(own_stride)
+            constraints[own_pos] = max(
+                1, other_factor * abs(other_stride) // abs(own_stride)
             )
-            value = max(1, int(scaled)) if scaled >= 1 else 1
-            constraints[own_pos] = value
         return constraints
 
     def endpoints(self) -> Tuple[NodeOp, NodeOp]:
@@ -338,7 +328,7 @@ def collect_connections(
             for target_info, target_access in reader_list:
                 if source_info.node is target_info.node and source_info.band is target_info.band:
                     continue
-                links: List[Tuple[int, int, Fraction, Fraction]] = []
+                links: List[Tuple[int, int, int, int]] = []
                 rank = min(source_access.rank, target_access.rank)
                 for d in range(rank):
                     s_pos = source_access.dim_loop_positions[d]
@@ -349,8 +339,8 @@ def collect_connections(
                         (
                             s_pos,
                             t_pos,
-                            source_access.dim_strides[d] or Fraction(1),
-                            target_access.dim_strides[d] or Fraction(1),
+                            source_access.dim_strides[d] or 1,
+                            target_access.dim_strides[d] or 1,
                         )
                     )
                 if links:

@@ -20,10 +20,9 @@ whose same-cycle access set still collides in one bank raises
 from __future__ import annotations
 
 import contextlib
-import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
+from ..dialects.affine import AffineLoadOp, AffineStoreOp
 from ..dialects.dataflow import BufferOp, NodeOp
 from ..dialects.hls import ArrayPartition, PartitionKind, partition_of, set_partition
 from ..ir.core import Block, BlockArgument, Operation, Value
@@ -47,43 +46,15 @@ def _buffer_shape(buffer: Value) -> Tuple[int, ...]:
     return tuple(int(dim) for dim in shape)
 
 
-def _loop_unroll_product_for_dim(
-    access: AffineAccess, dim_position: Optional[int], stride: float
-) -> int:
-    """Partition demand of one buffer dimension for one access.
-
-    ``dim_position`` is the index-operand position driving that dimension; the
-    demand is the unroll factor of the loop owning that IV times the access
-    stride magnitude (rounded up).
-    """
-    if dim_position is None:
-        return 1
-    index_operands = list(access.index_operands)
-    if dim_position >= len(index_operands):
-        return 1
-    iv = index_operands[dim_position]
-    owner_block = iv.owner
-    loop = owner_block.parent_op if isinstance(owner_block, Block) else None
-    if not isinstance(loop, AffineForOp):
-        return 1
-    factor = loop.unroll_factor
-    stride_mag = abs(float(stride)) if stride else 1.0
-    return max(1, math.ceil(factor * max(stride_mag, 1.0)))
-
-
 def access_partition_demand(access: AffineAccess, rank: int) -> List[int]:
-    """Per-dimension partition demand of a single affine load/store."""
-    access_map = access.access_map
-    positions = access_map.result_dim_positions()
-    strides = access_map.result_strides()
-    demand: List[int] = []
-    for d in range(rank):
-        if d < len(positions):
-            demand.append(
-                _loop_unroll_product_for_dim(access, positions[d], float(strides[d]))
-            )
-        else:
-            demand.append(1)
+    """Per-dimension partition demand of a single affine load/store: the
+    unroll factor of the loop driving that dimension times the access stride
+    magnitude, 1 where no loop drives it."""
+    demand = [1] * rank
+    for d, driver in enumerate(access.driving_loops()[:rank]):
+        if driver is not None:
+            loop, stride = driver
+            demand[d] = max(1, loop.unroll_factor * max(abs(stride), 1))
     return demand
 
 

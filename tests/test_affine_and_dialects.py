@@ -1,7 +1,6 @@
 """Tests for affine maps/expressions and the basic dialects
 (arith, memref, scf, affine, hls directives)."""
 
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -104,12 +103,11 @@ class TestAffineMap:
 
     def test_result_strides_and_positions(self):
         amap = AffineMap.from_callable(2, lambda i, k: [i * 2, k])
-        assert amap.result_strides() == [Fraction(2), Fraction(1)]
-        assert amap.result_dim_positions() == [0, 1]
+        assert amap.single_dim_strides() == [(0, 2), (1, 1)]
 
     def test_result_position_none_for_multi_dim(self):
         amap = AffineMap.from_callable(2, lambda i, j: [i + j])
-        assert amap.result_dim_positions() == [None]
+        assert amap.single_dim_strides() == [None]
 
     def test_compose(self):
         outer = AffineMap.from_callable(2, lambda a, b: [a + b])
@@ -299,8 +297,7 @@ class TestAffineDialect:
             [loops[0].induction_variable, loops[1].induction_variable],
             amap,
         )
-        assert load.access_map.result_strides()[0] == 2
-        assert load.access_loop_positions() == [0, 1]
+        assert load.driving_loops() == [(loops[0], 2), (loops[1], 1)]
 
     def test_load_map_arity_mismatch_fails_verify(self):
         memref_ty = MemRefType((8,), f32)

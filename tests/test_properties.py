@@ -95,8 +95,7 @@ def test_affine_map_composition_matches_sequential_evaluation(coeffs, point_a, p
 @settings(max_examples=40, deadline=None)
 def test_identity_map_strides_are_one(rank, probe):
     amap = AffineMap.identity(rank)
-    assert all(float(s) == 1.0 for s in amap.result_strides())
-    assert amap.result_dim_positions() == list(range(rank))
+    assert amap.single_dim_strides() == [(d, 1) for d in range(rank)]
 
 
 # ---------------------------------------------------------------------------

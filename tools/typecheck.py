@@ -37,6 +37,8 @@ TARGETS = [
     "src/repro/dse",
     "src/repro/baselines",
     "src/repro/_cli.py",
+    "src/repro/backend",
+    "src/repro/dialects/affine_map.py",
     "src/repro/workloads",
     "src/repro/estimation/platform.py",
     "src/repro/evaluation/reporting.py",
