@@ -235,6 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "stages_run",
             "frontend_traces",
             "snapshots_stored",
+            "snapshots_refused",
         ):
             print(f"  {key}: {stats[key]}")
 

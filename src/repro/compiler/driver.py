@@ -91,13 +91,15 @@ def default_stages(
 
 
 #: Initial value of :attr:`Compiler.ir_cache_stats` (a live :mod:`repro.obs`
-#: session counts the same events as ``ir_cache.*``).
+#: session counts the same events as ``ir_cache.*``; refusals are counted by
+#: the cache itself, as ``ir_cache.refused``).
 _ZERO_IR_STATS = {
     "prefix_hits": 0,
     "stages_skipped": 0,
     "stages_run": 0,
     "frontend_traces": 0,
     "snapshots_stored": 0,
+    "snapshots_refused": 0,
 }
 
 
@@ -341,6 +343,7 @@ class Compiler:
         ) as run_span:
             workload_key: Optional[str] = None
             if ir_cache is not None:
+                refused_before = ir_cache.refused
                 if workload is not None:
                     workload_key = workload_cache_key(workload)
                 else:
@@ -430,6 +433,12 @@ class Compiler:
                     )
                 ):
                     count("snapshots_stored")
+            if ir_cache is not None:
+                # The cache counts (and reports) its own refusals as they
+                # happen; the run only records how many were its own.
+                self.ir_cache_stats["snapshots_refused"] = (
+                    ir_cache.refused - refused_before
+                )
             state.compile_seconds = time.perf_counter() - start
             run_span.set_attr(compile_seconds=round(state.compile_seconds, 6))
         return state

@@ -52,6 +52,7 @@ import os
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from .. import obs
 from ..dialects.dataflow import ScheduleOp
 from ..hida.dataflow_opt import BalanceReport
 from ..ir.builtin import ModuleOp
@@ -122,9 +123,12 @@ class IRSnapshotCache:
         self.misses = 0
         #: Snapshots written this process.
         self.stores = 0
-        #: Snapshots refused because the print->parse->print round-trip or
-        #: the schedule re-collection failed self-verification.
+        #: Snapshots refused at store time: the print->parse->print
+        #: round-trip, the schedule re-collection or the executed compare
+        #: failed self-verification.
         self.verify_failures = 0
+        #: Every refusal, store- and load-side (each also an ``obs`` event).
+        self.refused = 0
         #: Snapshots whose parsed form also *executed* identically to the
         #: live state (reference-interpreter compare at store time).
         self.exec_verified = 0
@@ -165,6 +169,17 @@ class IRSnapshotCache:
         )
 
     # ------------------------------------------------------------- snapshots
+    def _refuse(self, phase: str, reason: str) -> None:
+        """Count a refusal and say why, under a stable reason id.
+
+        ``parse``: the text (or its hint sidecar) does not parse back into a
+        module; ``reprint-differs``; ``schedule-count``; ``exec-differs``;
+        ``payload``: a stored entry lacks a field or holds the wrong type.
+        """
+        self.refused += 1
+        obs.inc("ir_cache.refused")
+        obs.event("ircache.refused", cat="cache", phase=phase, reason=reason)
+
     def store(
         self,
         workload_key: str,
@@ -186,20 +201,14 @@ class IRSnapshotCache:
         text = print_op(state.module)
         hints = collect_name_hints(state.module)
         try:
-            clone = parse_op(text)
-            assign_name_hints(clone, hints)
-            if not isinstance(clone, ModuleOp):
-                raise IRParseError("snapshot root is not a module")
+            clone = _reparse(text, hints)
             if print_op(clone) != text:
-                raise IRParseError("re-printed snapshot differs")
-            recollected = _collect_schedules(clone)
-            if len(recollected) != len(state.schedules):
-                raise IRParseError(
-                    f"snapshot re-collects {len(recollected)} schedule(s), "
-                    f"state holds {len(state.schedules)}"
-                )
-        except IRParseError:
+                raise _Refused("reprint-differs")
+            if len(_collect_schedules(clone)) != len(state.schedules):
+                raise _Refused("schedule-count")
+        except _Refused as refusal:
             self.verify_failures += 1
+            self._refuse("store", refusal.reason)
             return False
         # Executed self-check: the parsed snapshot must behave identically
         # to the live state under the reference interpreter.  A textual
@@ -217,6 +226,7 @@ class IRSnapshotCache:
         else:
             if interp.diff_results(live, warm):
                 self.verify_failures += 1
+                self._refuse("store", "exec-differs")
                 return False
             self.exec_verified += 1
         payload = {
@@ -250,20 +260,22 @@ class IRSnapshotCache:
             self.misses += 1
             return None
         try:
-            module = parse_op(payload["ir"])
-            assign_name_hints(module, payload["hints"])
-            if not isinstance(module, ModuleOp):
-                raise IRParseError("snapshot root is not a module")
+            module = _reparse(payload["ir"], payload["hints"])
             schedules = _collect_schedules(module)
             if len(schedules) != int(payload["num_schedules"]):
-                raise IRParseError("schedule count mismatch")
+                raise _Refused("schedule-count")
             balance = BalanceReport(**payload["balance"])
             misalignments = int(payload["misalignments"])
-        except (IRParseError, KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return module, schedules, balance, misalignments
+        except _Refused as refusal:
+            reason = refusal.reason
+        except (KeyError, TypeError, ValueError):
+            reason = "payload"
+        else:
+            self.hits += 1
+            return module, schedules, balance, misalignments
+        self.misses += 1
+        self._refuse("load", reason)
+        return None
 
     # ----------------------------------------------------------- maintenance
     def clear(self) -> int:
@@ -278,6 +290,25 @@ class IRSnapshotCache:
             f"IRSnapshotCache({str(self.root)!r}, entries={len(self)}, "
             f"hits={self.hits}, misses={self.misses}, stores={self.stores})"
         )
+
+
+class _Refused(Exception):
+    """A snapshot failed a check; ``reason`` is the id its ``obs`` event carries."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+def _reparse(text: str, hints: list) -> ModuleOp:
+    """A snapshot's module, parsed back from its text and hint sidecar."""
+    try:
+        module = assign_name_hints(parse_op(text), hints)
+    except IRParseError:
+        raise _Refused("parse") from None
+    if not isinstance(module, ModuleOp):
+        raise _Refused("parse")
+    return module
 
 
 def _collect_schedules(module: ModuleOp) -> List[ScheduleOp]:

@@ -1,23 +1,53 @@
 """Parser for the textual IR form produced by :mod:`repro.ir.printer`.
 
-The printer emits exactly one operation, block header or region delimiter
-per line, which keeps the grammar line-oriented and the parser small.  The
-parser accepts precisely that output — it is a *round-trip* parser for
-serializing IR (stage-boundary snapshots), not a general MLIR reader:
+A *round-trip* parser for serialized IR (stage-boundary snapshots), not a
+general MLIR reader: it accepts what the printer emits — one operation,
+block header or region delimiter per line, indentation insignificant —
+and nothing else.  The grammar, one production per line::
 
-* operations rebuild through :func:`repro.ir.core.create_operation`, so
-  registered dialect op classes come back with their Python behaviour;
-* every attribute form the printer renders is reconstructed with its
-  original Python type: ints, floats, bools, strings, lists, dicts,
-  affine maps, function types, array partitions and buffer layouts
-  (``[...]`` sequences come back as lists — the printer renders lists and
-  tuples identically, and every consumer iterates or unpacks);
-* SSA names resolve through a flat symbol table (printed names are unique
-  within one top-level op — the printer guarantees it), and parsed values
-  carry no name hints; callers that need byte-identical re-printing restore
-  the original hints with :func:`assign_name_hints` from a sidecar captured
-  at print time (printed names are *derived* from hints plus global printer
-  state, so they cannot be inverted locally).
+    text      ::= op                          (one top-level op, regions nested)
+    op        ::= [values " = "] NAME "(" [values] ")" suffix  { line }  ["}"]
+    line      ::= op | "^bb" INT "(" [arg {", " arg}] "):" | "} {" | "}"
+    suffix    ::= [" " dict] [" : " type {", " type}] [" {"]
+    values    ::= "%" NAME {", %" NAME}
+    arg       ::= "%" NAME ": " type
+    dict      ::= "{" [NAME " = " attr {", " NAME " = " attr}] "}"
+    attr      ::= '"' {any but '"'} '"' | NUMBER | "true" | "false" | dict
+                | "[" [attr {", " attr}] "]" | partition | layout | functype | map
+    NUMBER    ::= INT | digits "." [digits] [exponent] | "inf" | "-inf" | "nan"
+    partition ::= "partition<[" NAME ":" INT {", " NAME ":" INT} "]>"
+    layout    ::= "layout<[" [INT {", " INT}] "], [" [INT {", " INT}] "]>"
+    type      ::= "index" | "none" | "token" | "i" N | "ui" N | "f" N | functype
+                | "tensor<" {N "x"} type ">" | "memref<" {N "x"} type ", " NAME ">"
+                | "stream<" type ", " INT ">"
+    functype  ::= "(" [type {", " type}] ") -> (" [type {", " type}] ")"
+    map       ::= "(" ["d0" {", d" i}] ")" ["[s0" {", s" i} "]"] " -> (" [expr {", " expr}] ")"
+    expr      ::= "(" expr " " ("+" | "*" | "floordiv" | "ceildiv" | "mod") " " expr ")"
+                | "d" N | "s" N | INT
+
+Every production below the line level is a function ``(text, pos) ->
+(value, end)`` that consumes one whole construct per compiled-regex match;
+a mismatch says what was expected and where.  Operations rebuild through
+:func:`repro.ir.core.create_operation`, so registered dialect op classes
+come back with their Python behaviour; ``[...]`` comes back as a list (the
+printer renders lists and tuples identically); SSA names resolve through a
+flat symbol table (the printer keeps them unique within one top-level op)
+and parsed values carry no name hints — restore those with
+:func:`assign_name_hints` from a sidecar captured at print time.
+
+Sharing rule.  Printed IR repeats: thousands of op headers carry a few
+hundred distinct suffixes and a few dozen distinct types, mostly *across*
+texts, so :func:`_intern` keeps one bounded process-level table from
+``(production, exact text)`` to the parsed result.  Only results that are
+immutable all the way down go through it — a block-argument type, and a
+suffix whose attribute values are all scalars or the frozen, value-compared
+leaves (types, affine maps, function types, partitions, layouts).  That is
+sound because such objects cannot be changed through any op that holds them,
+compare by value, and print from the object — so a wrong entry still fails
+the snapshot cache's re-print compare every time it is served.  Attribute
+dicts, list- and dict-valued attributes (a suffix carrying one is parsed
+afresh per op), operations, blocks and values are never shared, and a
+production that raises caches nothing.
 
 Fidelity contract: ``print_op(parse_op(text)) == text`` for any text the
 printer produced.  The snapshot cache additionally verifies this property
@@ -26,7 +56,10 @@ at save time and refuses to cache anything that fails it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import functools
+import itertools
+import re
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..dialects.affine_map import (
     AffineBinaryExpr,
@@ -52,6 +85,8 @@ from .types import (
 
 __all__ = ["IRParseError", "parse_op", "assign_name_hints", "collect_name_hints"]
 
+T = TypeVar("T")
+
 
 class IRParseError(ValueError):
     """Raised when text does not match the printer's output grammar.
@@ -74,11 +109,54 @@ class IRParseError(ValueError):
         self.column = column
 
 
-#: Characters allowed in SSA value names, op names and attribute keys.
-_IDENT_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.$-"
-)
+class _Mismatch(Exception):
+    """A production did not match: what it wanted, at which offset of its text."""
 
+    def __init__(self, what: str, column: int) -> None:
+        super().__init__(what)
+        self.what = what
+        self.column = column
+
+    def positioned(self, lineno: int, line: str) -> IRParseError:
+        """The public error, once the line the offset counts into is known."""
+        return IRParseError(
+            f"{self.what} at column {self.column} of {line!r}",
+            line=lineno,
+            column=self.column,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Tokens
+# ---------------------------------------------------------------------------
+
+#: SSA value names, op names and attribute keys.
+_NAME_RE = r"[A-Za-z0-9_.$-]+"
+_NAME = re.compile(_NAME_RE)
+_VALUES = re.compile(rf"%({_NAME_RE}(?:, %{_NAME_RE})*)")
+_INT = re.compile(r"-?\d+")
+_ARG = re.compile(rf"%({_NAME_RE})(: )?")
+_ATTR = re.compile(
+    r'"([^"]*)"'  # 1: string (printed unescaped)
+    rf"|(true|false)(?!{_NAME_RE})"  # 2: bool
+    r"|(-?(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+|-?inf|nan)"  # 3: float
+    r"|(-?\d+)"  # 4: int
+    r"|(partition<|layout<|[\[{(])"  # 5: a construct with its own production
+)
+_TYPE = re.compile(
+    r"(tensor|memref)<((?:\d+x)*)"  # 1, 2: shaped kind and dims
+    r"|(stream<)"  # 3
+    r"|(index|none|token)"  # 4
+    r"|([if])(\d+)"  # 5, 6
+    r"|(ui)"  # 7
+)
+_AFFINE_ATOM = re.compile(r"([ds])(\d+)|(-?\d+)")
+
+_SCALAR_TYPES: Dict[str, Callable[[], Type]] = {
+    "index": IndexType,
+    "none": NoneType,
+    "token": TokenType,
+}
 _BINARY_KINDS = {
     "+": "add",
     "*": "mul",
@@ -88,58 +166,85 @@ _BINARY_KINDS = {
 }
 
 
-class _Cursor:
-    """Character cursor over one line of printed IR."""
+def _expect(text: str, pos: int, literal: str) -> int:
+    if not text.startswith(literal, pos):
+        raise _Mismatch(f"expected {literal!r}", pos)
+    return pos + len(literal)
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
+def _name(text: str, pos: int) -> Tuple[str, int]:
+    match = _NAME.match(text, pos)
+    if match is None:
+        raise _Mismatch("expected an identifier", pos)
+    return match.group(), match.end()
 
-    def peek(self, count: int = 1) -> str:
-        return self.text[self.pos : self.pos + count]
 
-    def startswith(self, literal: str) -> bool:
-        return self.text.startswith(literal, self.pos)
+def _integer(text: str, pos: int) -> Tuple[int, int]:
+    match = _INT.match(text, pos)
+    if match is None:
+        raise _Mismatch("expected an integer", pos)
+    return int(match.group()), match.end()
 
-    def accept(self, literal: str) -> bool:
-        if self.startswith(literal):
-            self.pos += len(literal)
-            return True
-        return False
 
-    def expect(self, literal: str) -> None:
-        if not self.accept(literal):
-            raise IRParseError(
-                f"expected {literal!r} at column {self.pos} of {self.text!r}",
-                column=self.pos,
-            )
+def _no_value_name(text: str, pos: int) -> _Mismatch:
+    if text.startswith("%", pos):
+        return _Mismatch("expected an identifier", pos + 1)
+    return _Mismatch("expected '%'", pos)
 
-    def ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
-            self.pos += 1
-        if self.pos == start:
-            raise IRParseError(
-                f"expected an identifier at column {start} of {self.text!r}",
-                column=start,
-            )
-        return self.text[start : self.pos]
 
-    def integer(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise IRParseError(
-                f"expected an integer at column {start} of {self.text!r}",
-                column=start,
-            )
-        return int(self.text[start : self.pos])
+def _values(text: str, pos: int, close: str) -> Tuple[List[str], int]:
+    """``%a, %b`` then ``close``: the names, and the offset after ``close``."""
+    match = _VALUES.match(text, pos)
+    if match is None:
+        raise _no_value_name(text, pos)
+    end = match.end()
+    if not text.startswith(close, end):
+        if text.startswith(", ", end):
+            raise _no_value_name(text, end + 2)
+        raise _Mismatch(f"expected {close!r}", end)
+    return match.group(1).split(", %"), end + len(close)
+
+
+def _sequence(
+    text: str,
+    pos: int,
+    item: Callable[[str, int], Tuple[T, int]],
+    close: str,
+    nonempty: bool = False,
+) -> Tuple[List[T], int]:
+    """``item, item`` then ``close``: the items, and the offset after ``close``."""
+    values: List[T] = []
+    if not nonempty and text.startswith(close, pos):
+        return values, pos + len(close)
+    while True:
+        value, pos = item(text, pos)
+        values.append(value)
+        if text.startswith(", ", pos):
+            pos += 2
+        else:
+            return values, _expect(text, pos, close)
+
+
+@functools.lru_cache(maxsize=4096)
+def _intern(production: Callable[[str], T], text: str) -> T:
+    """The one table of shared parse results; see the module docstring."""
+    return production(text)
+
+
+def _interned(production: Callable[[str], T], text: str, start: int, end: int) -> T:
+    """``production`` over ``text[start:end]``, mismatches re-anchored to ``text``."""
+    try:
+        return _intern(production, text[start:end])
+    except _Mismatch as mismatch:
+        raise _Mismatch(mismatch.what, mismatch.column + start) from None
+
+
+def _built(build: Callable[..., T], pos: int, *args: Any) -> T:
+    """``build(*args)``; a value the leaf's constructor rejects fails at ``pos``."""
+    try:
+        return build(*args)
+    except ValueError as error:
+        raise _Mismatch(str(error), pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -147,84 +252,42 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 
-def _parse_shape_and_element(cursor: _Cursor) -> Tuple[Tuple[int, ...], Type]:
-    """Parse ``4x4xf32``-style dims-plus-element of a shaped type."""
-    shape: List[int] = []
-    while True:
-        start = cursor.pos
-        if cursor.peek().isdigit():
-            digits = ""
-            while cursor.peek().isdigit():
-                digits += cursor.peek()
-                cursor.pos += 1
-            if cursor.accept("x"):
-                shape.append(int(digits))
-                continue
-            cursor.pos = start  # a bare number here is not a dimension
-        break
-    return tuple(shape), _parse_type(cursor)
+def _type(text: str, pos: int) -> Tuple[Type, int]:
+    if text.startswith("(", pos):
+        return _function_type(text, pos)
+    match = _TYPE.match(text, pos)
+    if match is None:
+        raise _Mismatch("expected a type", pos)
+    kind, end = match.lastindex, match.end()
+    if kind == 2:
+        shape = [int(dim) for dim in match.group(2).split("x")[:-1]]
+        element, end = _type(text, end)
+        if match.group(1) == "tensor":
+            return _built(TensorType, pos, shape, element), _expect(text, end, ">")
+        space, end = _name(text, _expect(text, end, ", "))
+        return _built(MemRefType, pos, shape, element, space), _expect(text, end, ">")
+    if kind == 3:
+        element, end = _type(text, end)
+        depth, end = _integer(text, _expect(text, end, ", "))
+        return _built(StreamType, pos, element, depth), _expect(text, end, ">")
+    if kind == 4:
+        return _SCALAR_TYPES[match.group(4)](), end
+    if kind == 6:
+        build = IntegerType if match.group(5) == "i" else FloatType
+        return _built(build, pos, int(match.group(6))), end
+    width, end = _integer(text, end)
+    return _built(IntegerType, pos, width, False), end
 
 
-def _parse_type(cursor: _Cursor) -> Type:
-    if cursor.accept("tensor<"):
-        shape, element = _parse_shape_and_element(cursor)
-        cursor.expect(">")
-        return TensorType(shape, element)
-    if cursor.accept("memref<"):
-        shape, element = _parse_shape_and_element(cursor)
-        cursor.expect(", ")
-        space = cursor.ident()
-        cursor.expect(">")
-        return MemRefType(shape, element, space)
-    if cursor.accept("stream<"):
-        element = _parse_type(cursor)
-        cursor.expect(", ")
-        depth = cursor.integer()
-        cursor.expect(">")
-        return StreamType(element, depth)
-    if cursor.peek() == "(":
-        return _parse_function_type(cursor)
-    if cursor.accept("index"):
-        return IndexType()
-    if cursor.accept("none"):
-        return NoneType()
-    if cursor.accept("token"):
-        return TokenType()
-    if cursor.startswith("ui"):
-        cursor.pos += 2
-        return IntegerType(cursor.integer(), signed=False)
-    if cursor.peek() == "i" and cursor.peek(2)[1:].isdigit():
-        cursor.pos += 1
-        return IntegerType(cursor.integer())
-    if cursor.peek() == "f" and cursor.peek(2)[1:].isdigit():
-        cursor.pos += 1
-        return FloatType(cursor.integer())
-    raise IRParseError(
-        f"expected a type at column {cursor.pos} of {cursor.text!r}",
-        column=cursor.pos,
-    )
+def _function_type(text: str, pos: int) -> Tuple[FunctionType, int]:
+    inputs, pos = _sequence(text, _expect(text, pos, "("), _type, ")")
+    results, pos = _sequence(text, _expect(text, pos, " -> ("), _type, ")")
+    return FunctionType(inputs, results), pos
 
 
-def _parse_function_type(cursor: _Cursor) -> FunctionType:
-    cursor.expect("(")
-    inputs: List[Type] = []
-    if not cursor.accept(")"):
-        while True:
-            inputs.append(_parse_type(cursor))
-            if cursor.accept(", "):
-                continue
-            cursor.expect(")")
-            break
-    cursor.expect(" -> (")
-    results: List[Type] = []
-    if not cursor.accept(")"):
-        while True:
-            results.append(_parse_type(cursor))
-            if cursor.accept(", "):
-                continue
-            cursor.expect(")")
-            break
-    return FunctionType(inputs, results)
+def _leading_type(text: str) -> Tuple[Type, int]:
+    """The type ``text`` starts with and its length (a block argument's)."""
+    return _type(text, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,319 +295,223 @@ def _parse_function_type(cursor: _Cursor) -> FunctionType:
 # ---------------------------------------------------------------------------
 
 
-def _parse_affine_expr(cursor: _Cursor) -> AffineExpr:
-    if cursor.accept("("):
-        lhs = _parse_affine_expr(cursor)
-        cursor.expect(" ")
-        op = ""
-        while cursor.peek() not in (" ", ""):
-            op += cursor.peek()
-            cursor.pos += 1
-        kind = _BINARY_KINDS.get(op)
+def _affine_expr(text: str, pos: int) -> Tuple[AffineExpr, int]:
+    if text.startswith("(", pos):
+        lhs, pos = _affine_expr(text, pos + 1)
+        pos = _expect(text, pos, " ")
+        operator = text[pos:].partition(" ")[0]
+        kind = _BINARY_KINDS.get(operator)
         if kind is None:
-            raise IRParseError(
-                f"unknown affine operator {op!r} in {cursor.text!r}",
-                column=cursor.pos - len(op),
-            )
-        cursor.expect(" ")
-        rhs = _parse_affine_expr(cursor)
-        cursor.expect(")")
-        return AffineBinaryExpr(kind, lhs, rhs)
-    if cursor.peek() == "d" and cursor.peek(2)[1:].isdigit():
-        cursor.pos += 1
-        return AffineDimExpr(cursor.integer())
-    if cursor.peek() == "s" and cursor.peek(2)[1:].isdigit():
-        cursor.pos += 1
-        return AffineSymbolExpr(cursor.integer())
-    return AffineConstantExpr(cursor.integer())
+            raise _Mismatch(f"unknown affine operator {operator!r}", pos)
+        rhs, pos = _affine_expr(text, _expect(text, pos + len(operator), " "))
+        return AffineBinaryExpr(kind, lhs, rhs), _expect(text, pos, ")")
+    match = _AFFINE_ATOM.match(text, pos)
+    if match is None:
+        raise _Mismatch("expected an integer", pos)
+    if match.lastindex == 3:
+        return AffineConstantExpr(int(match.group(3))), match.end()
+    if match.group(1) == "d":
+        return AffineDimExpr(int(match.group(2))), match.end()
+    return AffineSymbolExpr(int(match.group(2))), match.end()
 
 
-def _parse_affine_map(cursor: _Cursor) -> AffineMap:
-    cursor.expect("(")
-    num_dims = 0
-    if not cursor.accept(")"):
-        while True:
-            cursor.expect(f"d{num_dims}")
-            num_dims += 1
-            if cursor.accept(", "):
-                continue
-            cursor.expect(")")
-            break
-    num_symbols = 0
-    if cursor.accept("["):
-        while True:
-            cursor.expect(f"s{num_symbols}")
-            num_symbols += 1
-            if cursor.accept(", "):
-                continue
-            cursor.expect("]")
-            break
-    cursor.expect(" -> (")
-    results: List[AffineExpr] = []
-    if not cursor.accept(")"):
-        while True:
-            results.append(_parse_affine_expr(cursor))
-            if cursor.accept(", "):
-                continue
-            cursor.expect(")")
-            break
-    return AffineMap(num_dims, num_symbols, results)
+def _numbered(prefix: str) -> Callable[[str, int], Tuple[None, int]]:
+    """Items that must read ``<prefix>0``, ``<prefix>1``, ... in order."""
+    count = itertools.count()
+    return lambda text, pos: (None, _expect(text, pos, f"{prefix}{next(count)}"))
 
 
-def _parse_number(cursor: _Cursor) -> Any:
-    start = cursor.pos
-    if cursor.peek() == "-":
-        cursor.pos += 1
-    while cursor.peek().isdigit():
-        cursor.pos += 1
-    is_float = False
-    if cursor.peek() == ".":
-        is_float = True
-        cursor.pos += 1
-        while cursor.peek().isdigit():
-            cursor.pos += 1
-    if cursor.peek() in ("e", "E") and cursor.peek(2)[1:] in "+-0123456789":
-        is_float = True
-        cursor.pos += 1
-        if cursor.peek() in ("+", "-"):
-            cursor.pos += 1
-        while cursor.peek().isdigit():
-            cursor.pos += 1
-    text = cursor.text[start : cursor.pos]
-    if not text or text == "-":
-        raise IRParseError(
-            f"expected a number at column {start} of {cursor.text!r}",
-            column=start,
-        )
-    return float(text) if is_float else int(text)
+def _affine_map(text: str, pos: int) -> Tuple[AffineMap, int]:
+    dims, pos = _sequence(text, _expect(text, pos, "("), _numbered("d"), ")")
+    symbols: List[None] = []
+    if text.startswith("[", pos):
+        symbols, pos = _sequence(text, pos + 1, _numbered("s"), "]", nonempty=True)
+    results, pos = _sequence(text, _expect(text, pos, " -> ("), _affine_expr, ")")
+    return AffineMap(len(dims), len(symbols), results), pos
 
 
-def _parse_partition(cursor: _Cursor):
+def _function_type_or_map(text: str, pos: int) -> Tuple[Any, int]:
+    # Both read "(...) -> (...)"; their operand grammars are disjoint, so
+    # try the type reading and report the map reading's mismatch.
+    try:
+        return _function_type(text, pos)
+    except _Mismatch:
+        return _affine_map(text, pos)
+
+
+def _partition_dim(text: str, pos: int) -> Tuple[Tuple[str, int], int]:
+    kind, pos = _name(text, pos)
+    factor, pos = _integer(text, _expect(text, pos, ":"))
+    return (kind, factor), pos
+
+
+def _partition(text: str, pos: int) -> Tuple[Any, int]:
     from ..dialects.hls import ArrayPartition
 
-    cursor.expect("partition<[")
-    kinds: List[str] = []
-    factors: List[int] = []
-    while True:
-        kinds.append(cursor.ident())
-        cursor.expect(":")
-        factors.append(cursor.integer())
-        if cursor.accept(", "):
-            continue
-        cursor.expect("]>")
-        break
-    return ArrayPartition(kinds, factors)
+    start = _expect(text, pos, "partition<[")
+    dims, end = _sequence(text, start, _partition_dim, "]>", nonempty=True)
+    kinds, factors = zip(*dims)
+    return _built(ArrayPartition, pos, kinds, factors), end
 
 
-def _parse_int_bracket_list(cursor: _Cursor) -> List[int]:
-    cursor.expect("[")
-    values: List[int] = []
-    if not cursor.accept("]"):
-        while True:
-            values.append(cursor.integer())
-            if cursor.accept(", "):
-                continue
-            cursor.expect("]")
-            break
-    return values
-
-
-def _parse_layout(cursor: _Cursor):
+def _layout(text: str, pos: int) -> Tuple[Any, int]:
     from ..dialects.dataflow import BufferLayout
 
-    cursor.expect("layout<")
-    tiles = _parse_int_bracket_list(cursor)
-    cursor.expect(", ")
-    vectors = _parse_int_bracket_list(cursor)
-    cursor.expect(">")
-    return BufferLayout(tiles, vectors)
+    tiles, end = _sequence(text, _expect(text, pos + len("layout<"), "["), _integer, "]")
+    end = _expect(text, _expect(text, end, ", "), "[")
+    vectors, end = _sequence(text, end, _integer, "]")
+    return _built(BufferLayout, pos, tiles, vectors), _expect(text, end, ">")
 
 
-def _parse_attr_value(cursor: _Cursor) -> Any:
-    if cursor.accept('"'):
-        end = cursor.text.find('"', cursor.pos)
-        if end < 0:
-            raise IRParseError(
-                f"unterminated string in {cursor.text!r}",
-                column=cursor.pos - 1,
-            )
-        value = cursor.text[cursor.pos : end]
-        cursor.pos = end + 1
-        return value
-    if cursor.accept("["):
-        values: List[Any] = []
-        if not cursor.accept("]"):
-            while True:
-                values.append(_parse_attr_value(cursor))
-                if cursor.accept(", "):
-                    continue
-                cursor.expect("]")
-                break
-        return values
-    if cursor.accept("{"):
-        mapping: Dict[str, Any] = {}
-        if not cursor.accept("}"):
-            while True:
-                key = cursor.ident()
-                cursor.expect(" = ")
-                mapping[key] = _parse_attr_value(cursor)
-                if cursor.accept(", "):
-                    continue
-                cursor.expect("}")
-                break
-        return mapping
-    if cursor.startswith("true") and not _ident_continues(cursor, 4):
-        cursor.pos += 4
-        return True
-    if cursor.startswith("false") and not _ident_continues(cursor, 5):
-        cursor.pos += 5
-        return False
-    if cursor.startswith("partition<"):
-        return _parse_partition(cursor)
-    if cursor.startswith("layout<"):
-        return _parse_layout(cursor)
-    if cursor.peek() == "(":
-        # Function types and affine maps share the "(...) -> (...)" shape;
-        # try the type reading first (its operand grammar is disjoint from
-        # affine expressions) and fall back to an affine map.
-        saved = cursor.pos
-        try:
-            return _parse_function_type(cursor)
-        except IRParseError:
-            cursor.pos = saved
-        return _parse_affine_map(cursor)
-    return _parse_number(cursor)
+def _attr_list(text: str, pos: int) -> Tuple[List[Any], int]:
+    return _sequence(text, pos + 1, _attr, "]")
 
 
-def _ident_continues(cursor: _Cursor, offset: int) -> bool:
-    nxt = cursor.text[cursor.pos + offset : cursor.pos + offset + 1]
-    return bool(nxt) and nxt in _IDENT_CHARS
+def _dict_item(text: str, pos: int) -> Tuple[Tuple[str, Any], int]:
+    key, pos = _name(text, pos)
+    value, pos = _attr(text, _expect(text, pos, " = "))
+    return (key, value), pos
 
 
-def _parse_attr_dict(cursor: _Cursor) -> Dict[str, Any]:
-    cursor.expect("{")
-    attrs: Dict[str, Any] = {}
-    if cursor.accept("}"):
-        return attrs
-    while True:
-        key = cursor.ident()
-        cursor.expect(" = ")
-        attrs[key] = _parse_attr_value(cursor)
-        if cursor.accept(", "):
-            continue
-        cursor.expect("}")
-        return attrs
+def _attr_dict(text: str, pos: int) -> Tuple[Dict[str, Any], int]:
+    items, end = _sequence(text, pos + 1, _dict_item, "}")
+    return dict(items), end
+
+
+_CONSTRUCTS: Dict[str, Callable[[str, int], Tuple[Any, int]]] = {
+    "[": _attr_list,
+    "{": _attr_dict,
+    "(": _function_type_or_map,
+    "partition<": _partition,
+    "layout<": _layout,
+}
+
+
+def _attr(text: str, pos: int) -> Tuple[Any, int]:
+    match = _ATTR.match(text, pos)
+    if match is None:
+        if text.startswith('"', pos):
+            raise _Mismatch("unterminated string", pos)
+        raise _Mismatch("expected a number", pos)
+    kind = match.lastindex
+    if kind == 1:
+        return match.group(1), match.end()
+    if kind == 2:
+        return match.group(2) == "true", match.end()
+    if kind == 3:
+        return float(match.group(3)), match.end()
+    if kind == 4:
+        return int(match.group(4)), match.end()
+    return _CONSTRUCTS[match.group(5)](text, pos)
 
 
 # ---------------------------------------------------------------------------
 # Operations, blocks and regions
 # ---------------------------------------------------------------------------
 
-
-def _parse_value_name(cursor: _Cursor) -> str:
-    cursor.expect("%")
-    return cursor.ident()
+_Suffix = Tuple[Dict[str, Any], Tuple[Type, ...], bool]
 
 
-def _lookup(symtab: Dict[str, Value], name: str, line: str) -> Value:
-    try:
-        return symtab[name]
-    except KeyError:
-        raise IRParseError(
-            f"use of undefined value %{name} in line {line!r}"
-        ) from None
+def _suffix(text: str) -> _Suffix:
+    """What follows ``)``: attributes, result types, whether a region opens."""
+    attributes: Dict[str, Any] = {}
+    pos = 0
+    if text.startswith(" {") and text != " {":
+        attributes, pos = _attr_dict(text, 1)
+    types: List[Type] = []
+    if text.startswith(" : ", pos):
+        # One or more types, closed by nothing: the line ends or a region opens.
+        types, pos = _sequence(text, pos + 3, _type, "", nonempty=True)
+    opens_region = text.startswith(" {", pos)
+    if opens_region:
+        pos += 2
+    if pos != len(text):
+        raise _Mismatch("trailing text", pos)
+    return attributes, tuple(types), opens_region
 
 
-class _OpHeader:
-    __slots__ = (
-        "result_names",
-        "op_name",
-        "operand_names",
-        "attributes",
-        "result_types",
-        "opens_region",
-    )
+def _shared_suffix(text: str) -> Optional[_Suffix]:
+    """:func:`_suffix`, or None when it holds a list or dict (never shared)."""
+    suffix = _suffix(text)
+    if any(isinstance(value, (list, dict)) for value in suffix[0].values()):
+        return None
+    return suffix
 
 
-def _parse_op_header(line: str) -> _OpHeader:
-    header = _OpHeader()
-    cursor = _Cursor(line)
-    header.result_names = []
-    if cursor.peek() == "%":
-        while True:
-            header.result_names.append(_parse_value_name(cursor))
-            if cursor.accept(", "):
-                continue
-            break
-        cursor.expect(" = ")
-    header.op_name = cursor.ident()
-    cursor.expect("(")
-    header.operand_names = []
-    if not cursor.accept(")"):
-        while True:
-            header.operand_names.append(_parse_value_name(cursor))
-            if cursor.accept(", "):
-                continue
-            cursor.expect(")")
-            break
-    header.attributes = {}
-    if cursor.startswith(" {") and cursor.text[cursor.pos:] != " {":
-        cursor.expect(" ")
-        header.attributes = _parse_attr_dict(cursor)
-    header.result_types = []
-    if cursor.accept(" : "):
-        while True:
-            header.result_types.append(_parse_type(cursor))
-            if cursor.accept(", "):
-                continue
-            break
-    header.opens_region = False
-    if cursor.accept(" {"):
-        header.opens_region = True
-    if not cursor.eof():
-        raise IRParseError(
-            f"trailing text at column {cursor.pos} of line {line!r}",
-            column=cursor.pos,
-        )
-    if len(header.result_types) != len(header.result_names):
-        raise IRParseError(
-            f"{len(header.result_names)} result name(s) but "
-            f"{len(header.result_types)} result type(s) in line {line!r}"
-        )
-    return header
+def _block_argument(line: str, pos: int) -> Tuple[Tuple[str, Type], int]:
+    match = _ARG.match(line, pos)
+    if match is None:
+        raise _no_value_name(line, pos)
+    if match.group(2) is None:
+        raise _Mismatch("expected ': '", match.end())
+    # A type holds no "%", so it runs to the next argument or the closing "):".
+    pos = match.end()
+    stop = line.find(", %", pos)
+    if stop < 0:
+        stop = line.rfind("):", pos)
+    if stop < 0:
+        stop = len(line)
+    parsed, length = _interned(_leading_type, line, pos, stop)
+    return (match.group(1), parsed), pos + length
 
 
-def _parse_block_header(
-    line: str, symtab: Dict[str, Value]
-) -> Block:
-    cursor = _Cursor(line)
-    cursor.expect("^bb")
-    cursor.integer()
-    cursor.expect("(")
+def _parse_block_header(line: str, lineno: int, symtab: Dict[str, Value]) -> Block:
+    _, pos = _integer(line, len("^bb"))
+    arguments, pos = _sequence(line, _expect(line, pos, "("), _block_argument, ")")
+    if _expect(line, pos, ":") != len(line):
+        raise IRParseError(f"trailing text after block header {line!r}", line=lineno)
     block = Block()
-    if not cursor.accept(")"):
-        while True:
-            name = _parse_value_name(cursor)
-            cursor.expect(": ")
-            arg = block.add_argument(_parse_type(cursor))
-            if name in symtab:
-                raise IRParseError(f"duplicate value name %{name} in {line!r}")
-            symtab[name] = arg
-            if cursor.accept(", "):
-                continue
-            cursor.expect(")")
-            break
-    cursor.expect(":")
-    if not cursor.eof():
-        raise IRParseError(f"trailing text after block header {line!r}")
+    for name, argument_type in arguments:
+        if name in symtab:
+            raise IRParseError(f"duplicate value name %{name} in {line!r}", line=lineno)
+        symtab[name] = block.add_argument(argument_type)
     return block
 
 
-def _at_line(error: IRParseError, lineno: int) -> IRParseError:
-    """Anchor ``error`` to ``lineno`` unless it already carries a line."""
-    if error.line is None:
-        error.line = lineno
-    return error
+def _parse_op_header(
+    line: str, lineno: int, symtab: Dict[str, Value]
+) -> Tuple[Operation, bool]:
+    """One op line: the op, its results named in ``symtab``, and whether the
+    line opens a region."""
+    result_names: List[str] = []
+    pos = 0
+    if line.startswith("%"):
+        result_names, pos = _values(line, 0, " = ")
+    op_name, pos = _name(line, pos)
+    pos = _expect(line, pos, "(")
+    operand_names: List[str] = []
+    if line.startswith(")", pos):
+        pos += 1
+    else:
+        operand_names, pos = _values(line, pos, ")")
+    shared = _interned(_shared_suffix, line, pos, len(line))
+    attributes, result_types, opens_region = shared or _suffix(line[pos:])
+    if len(result_types) != len(result_names):
+        raise IRParseError(
+            f"{len(result_names)} result name(s) but "
+            f"{len(result_types)} result type(s) in line {line!r}",
+            line=lineno,
+        )
+    try:
+        operands = [symtab[name] for name in operand_names]
+    except KeyError as error:
+        raise IRParseError(
+            f"use of undefined value %{error.args[0]} in line {line!r}", line=lineno
+        ) from None
+    # create_operation copies ``attributes``, so a shared suffix's dict is
+    # never the op's own.
+    op = create_operation(
+        op_name,
+        operands=operands,
+        result_types=result_types,
+        attributes=attributes,
+        num_regions=0,
+    )
+    for name, result in zip(result_names, op.results):
+        if name in symtab:
+            raise IRParseError(f"duplicate value name %{name} in {line!r}", line=lineno)
+        symtab[name] = result
+    return op, opens_region
 
 
 def _parse_op(
@@ -552,34 +519,18 @@ def _parse_op(
 ) -> Tuple[Operation, int]:
     open_lineno, line = lines[index]
     try:
-        header = _parse_op_header(line)
-        operands = [
-            _lookup(symtab, name, line) for name in header.operand_names
-        ]
-    except IRParseError as error:
-        raise _at_line(error, open_lineno)
-    op = create_operation(
-        header.op_name,
-        operands=operands,
-        result_types=header.result_types,
-        attributes=header.attributes,
-        num_regions=0,
-    )
-    for name, result in zip(header.result_names, op.results):
-        if name in symtab:
-            raise IRParseError(
-                f"duplicate value name %{name} in {line!r}", line=open_lineno
-            )
-        symtab[name] = result
+        op, opens_region = _parse_op_header(line, open_lineno, symtab)
+    except _Mismatch as mismatch:
+        raise mismatch.positioned(open_lineno, line) from None
     index += 1
-    if not header.opens_region:
+    if not opens_region:
         return op, index
     region = op.add_region()
     block: Optional[Block] = None
     while True:
         if index >= len(lines):
             raise IRParseError(
-                f"unterminated region of {header.op_name!r} "
+                f"unterminated region of {op.name!r} "
                 f"(opened at line {open_lineno})",
                 line=open_lineno,
             )
@@ -596,9 +547,9 @@ def _parse_op(
             continue
         if line.startswith("^bb"):
             try:
-                block = _parse_block_header(line, symtab)
-            except IRParseError as error:
-                raise _at_line(error, lineno)
+                block = _parse_block_header(line, lineno, symtab)
+            except _Mismatch as mismatch:
+                raise mismatch.positioned(lineno, line) from None
             region.append_block(block)
             index += 1
             continue
@@ -627,9 +578,9 @@ def parse_op(text: str) -> Operation:
     0-based offset into that line's stripped form (when known).
     """
     lines = [
-        (number, line.strip())
-        for number, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
+        (number, line)
+        for number, line in enumerate(map(str.strip, text.split("\n")), start=1)
+        if line
     ]
     if not lines:
         raise IRParseError("empty IR text")

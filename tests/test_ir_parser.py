@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.driver import DEFAULT_PIPELINE, Compiler
@@ -197,6 +197,7 @@ _strings = st.one_of(
 )
 _floats = st.one_of(
     st.sampled_from([1e-05, 1e22, -0.0, 0.0, 1.5, -2.5e-07, 1e16, 123456789.125]),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 _attr_leaves = st.one_of(
@@ -283,6 +284,72 @@ def test_string_holding_a_quote_splits_in_two():
     assert parse_op(print_op(op)).attributes == op.attributes
 
 
+def test_non_finite_floats_roundtrip():
+    """``str(float)`` spells them inf, -inf and nan; a snapshot holding one
+    used to be refused at every store."""
+    op = create_operation(
+        "test.op", attributes={"a": float("inf"), "b": float("-inf"), "c": float("nan")}
+    )
+    text = print_op(op)
+    assert text == "test.op() {a = inf, b = -inf, c = nan}"
+    clone = parse_op(text)
+    assert [type(value) for value in clone.attributes.values()] == [float] * 3
+    assert print_op(clone) == text
+
+
+# ---------------------------------------------------------------------------
+# The intern table shares nothing an op can change
+# ---------------------------------------------------------------------------
+
+_MUTABLE = "{a = [1, 2], d = {k = 1}, n = 3}"
+_FROZEN = "{m = (d0) -> (d0), n = 3} : memref<4xf32, bram>"
+
+
+def _two_ops(first, second):
+    text = f"builtin.module() {{\n  %0 = test.op() {first}\n  %1 = test.op() {second}\n}}"
+    return list(parse_op(text).regions[0].blocks[0].operations)
+
+
+@pytest.mark.parametrize("same_text", [True, False], ids=["one-text", "two-texts"])
+def test_equal_attribute_text_never_aliases_anything_mutable(same_text):
+    suffix = f"{_MUTABLE} : i32"
+    if same_text:
+        op, other = _two_ops(suffix, suffix)
+    else:
+        op, other = _two_ops(suffix, suffix)[0], _two_ops(suffix, suffix)[1]
+    op.attributes["n"] = 4
+    op.attributes["extra"] = True
+    op.attributes["a"].append(3)
+    op.attributes["d"]["k"] = 2
+    assert other.attributes == {"a": [1, 2], "d": {"k": 1}, "n": 3}
+    assert parse_op(f"test.op() {_MUTABLE}").attributes == other.attributes
+
+
+def test_interned_suffix_hands_out_a_fresh_dict_and_may_share_leaves():
+    op, other = _two_ops(_FROZEN, _FROZEN)
+    op.attributes["n"] = 4
+    del op.attributes["m"]
+    assert other.attributes["n"] == 3
+    again = _two_ops(_FROZEN, _FROZEN)[0]
+    assert again.attributes == other.attributes
+    # Frozen, value-compared leaves may be one object; equality is the contract.
+    assert again.attributes["m"] == other.attributes["m"] == AffineMap.identity(1)
+    assert again.results[0].type == MemRefType([4], FloatType(32), "bram")
+    assert again.results[0] is not other.results[0]
+
+
+def test_a_leaf_whose_constructor_raises_is_not_cached():
+    text = "builtin.module() {\n  ^bb0(%a: i0):\n}"
+    messages = []
+    for _ in range(2):
+        with pytest.raises(IRParseError) as excinfo:
+            parse_op(text)
+        messages.append((str(excinfo.value), excinfo.value.line, excinfo.value.column))
+    assert messages[0] == messages[1]
+    assert messages[0][1:] == (2, 9)
+    assert "integer width must be positive" in messages[0][0]
+
+
 # ---------------------------------------------------------------------------
 # Error behavior
 # ---------------------------------------------------------------------------
@@ -367,10 +434,14 @@ def test_trailing_content_reports_line():
 # ---------------------------------------------------------------------------
 
 #: One row per malformed text: every ``raise IRParseError`` site at least
-#: once, each pinned to its message, line and column.  Recorded from the
-#: character-cursor parser this file was written against; a parser change
-#: keeps ``line`` and ``column`` on every row and never re-records a row to
-#: make itself pass.
+#: once, each pinned to its message, line and column.  The first 90 rows were
+#: recorded from the character-cursor parser; the construct parser kept
+#: ``line`` and ``column`` on all of them and reworded five messages into the
+#: one ``<what> at column <c> of <line>`` form (``trailing-*``,
+#: ``type-list-dangling-comma``, ``attr-unterminated-string``,
+#: ``map-unknown-operator``).  The ``leaf-*`` and ``number-*`` rows came with
+#: it: texts that used to escape as a bare ``ValueError``.  A parser change
+#: never re-records a row to make itself pass.
 _ERROR_ROWS = json.loads(
     (Path(__file__).parent / "data" / "ir_parse_errors.json").read_text()
 )

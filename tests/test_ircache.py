@@ -7,6 +7,7 @@ frontiers whether the IR cache is off, cold or warm, for any worker count.
 
 import pytest
 
+import repro.obs as obs
 from repro.compiler.driver import DEFAULT_PIPELINE, Compiler
 from repro.compiler.ircache import (
     SCHEMA_VERSION,
@@ -22,6 +23,19 @@ from repro.workloads import get_workload
 
 def make_compiler(platform="zu3eg"):
     return Compiler.from_spec(DEFAULT_PIPELINE, platform=platform)
+
+
+@pytest.fixture
+def refusals():
+    """A live telemetry session; call it for the ``(phase, reason)`` of every
+    ``ircache.refused`` event so far."""
+    session = obs.configure()
+    yield lambda: [
+        (event["attrs"]["phase"], event["attrs"]["reason"])
+        for event in session.events()
+        if event.get("name") == "ircache.refused"
+    ]
+    obs.shutdown()
 
 
 def summary_of(result):
@@ -197,7 +211,7 @@ def test_module_with_workload_keys_like_the_workload_alone(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_store_refuses_snapshot_on_schedule_mismatch(tmp_path):
+def test_store_refuses_snapshot_on_schedule_mismatch(tmp_path, refusals):
     compiler = make_compiler()
     # Through lower-structural.
     state = Compiler(compiler.stages[:4], platform="zu3eg").run_stages(workload="2mm")
@@ -209,15 +223,33 @@ def test_store_refuses_snapshot_on_schedule_mismatch(tmp_path):
     assert stored is False
     assert cache.verify_failures == 1
     assert len(cache) == 0
+    assert refusals() == [("store", "schedule-count")]
+    assert obs.metrics().value("ir_cache.refused") == 1
+
+    # A string attribute holding a bare '"' prints as text that does not
+    # parse back: the compile goes on uncached, and now says so.
+    module = get_workload("atax").build_module()
+    module.set_attr("note", 'a " b')
+    result = compiler.run(module, ir_cache=cache)
+    assert result.estimate is not None
+    assert refusals()[1:] == [("store", "parse")] * 7
+    assert compiler.ir_cache_stats["snapshots_refused"] == 7
+    assert compiler.ir_cache_stats["snapshots_stored"] == 0
+    assert len(cache) == 0
 
 
-def test_corrupt_payload_loads_as_miss(tmp_path):
+def test_corrupt_payload_loads_as_miss(tmp_path, refusals):
     cache = IRSnapshotCache(tmp_path / "ir")
     key = IRSnapshotCache.snapshot_key("2mm", "zu3eg", "deadbeef")
     cache._store.put(key, {"ir": "garbage!!", "hints": []})
     assert cache.load("2mm", "zu3eg", "deadbeef") is None
     assert cache.misses == 1
     assert cache.hits == 0
+    assert refusals() == [("load", "parse")]
+    cache._store.put(key, {"ir": "builtin.module() {\n}", "hints": []})
+    assert cache.load("2mm", "zu3eg", "deadbeef") is None
+    assert refusals()[1:] == [("load", "payload")]
+    assert cache.refused == 2 and cache.verify_failures == 0
 
 
 @pytest.mark.parametrize(

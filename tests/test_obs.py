@@ -292,6 +292,7 @@ def test_compiler_metrics_replace_stat_dict():
         "stages_run",
         "frontend_traces",
         "snapshots_stored",
+        "snapshots_refused",
     }
     assert stats["stages_run"] > 0
     assert stats["frontend_traces"] == 1
