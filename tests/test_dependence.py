@@ -3,9 +3,25 @@
 Pins the precision model: exact distances where subscripts are uniform,
 sound lower bounds on carried reduction levels, independence from the
 GCD/bounds tests, and conservative degradation everywhere else.
+
+Two nets hold the engine as a whole.  ``tests/data/dependence_golden.json``
+records every answer the engine gives on the zoo (every loop of every nest
+at every stage boundary of the default pipeline); it was recorded with the
+pre-PR-22 engine and is regenerated only on purpose, with
+``PYTHONPATH=src python tests/test_dependence.py --regen``.  The brute-force
+oracle at the end executes small generated nests and checks that no
+dependence that really happens goes unreported.
 """
 
+import hashlib
+import itertools
+import json
+import pathlib
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     NestAccesses,
@@ -16,12 +32,20 @@ from repro.analysis import (
     nest_dependences,
 )
 from repro.compiler import DEFAULT_PIPELINE, Compiler, PipelineObserver
-from repro.dialects.affine import AffineForOp, enclosing_loops
+from repro.dialects.affine import (
+    AffineApplyOp,
+    AffineForOp,
+    AffineLoadOp,
+    AffineStoreOp,
+    enclosing_loops,
+)
+from repro.dialects.affine_map import AffineMap, constant, dim
 from repro.frontend.cpp import KernelBuilder
 from repro.hida.analysis import is_parallel_loop
 from repro.transforms import tile_loop
 from repro.transforms.loop_transforms import get_perfectly_nested_band, loop_bands_of
-from repro.workloads import list_workloads
+from repro.ir import Builder, ConstantOp, FuncOp, MemRefType, f32
+from repro.workloads import get_workload, list_workloads
 
 
 def _loops(module):
@@ -319,3 +343,288 @@ class TestSharedAccessCollection:
         inside, outside = _loops(gemm_module())[0], _loops(gemm_module())[0]
         with pytest.raises(ValueError):
             nest_dependences(outside, accesses=NestAccesses(inside))
+
+
+# ---------------------------------------------------------------------------
+# Golden answers on the zoo
+# ---------------------------------------------------------------------------
+
+_GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "dependence_golden.json"
+
+
+def _nest_roots(module):
+    return [
+        op
+        for op in module.walk()
+        if isinstance(op, AffineForOp) and not enclosing_loops(op)
+    ]
+
+
+def _nest_loops(root):
+    return [op for op in root.walk() if isinstance(op, AffineForOp)]
+
+
+def _access_index(root):
+    """Position of every load/store of the nest in program order, by id."""
+    accesses = (
+        op for op in root.walk() if isinstance(op, (AffineLoadOp, AffineStoreOp))
+    )
+    return {id(op): position for position, op in enumerate(accesses)}
+
+
+def _rows(dependences, index):
+    """The positional form of an answer: no op, loop or value in it."""
+    return [
+        [index[id(d.source)], index[id(d.sink)], d.kind, len(d.loops), d.describe()]
+        for d in dependences
+    ]
+
+
+class _AnswerRows(PipelineObserver):
+    """Every answer at every stage boundary: per stage, one row list per
+    question, in ``_nest_roots`` x ``_nest_loops`` x (True, False) order."""
+
+    def __init__(self):
+        self.stages = {}
+
+    def on_stage_end(self, stage, state, seconds):
+        answers = self.stages[stage.name] = []
+        for root in _nest_roots(state.module):
+            index = _access_index(root)
+            for loop in _nest_loops(root):
+                for independent in (True, False):
+                    answers.append(_rows(nest_dependences(loop, independent), index))
+
+
+def _compact(value):
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _golden_of(workload):
+    """``{stage: answers}`` for a kernel (a stage whose answers equal the
+    previous stage's holds that stage's name instead), and
+    ``{stage: [questions, rows, sha256]}`` for a model."""
+    observer = _AnswerRows()
+    compiler = Compiler.from_spec(
+        DEFAULT_PIPELINE, platform="vu9p-slr", observers=[observer]
+    )
+    compiler.run(workload=workload)
+    assert not compiler.observer_errors
+    if get_workload(workload).kind == "kernel":
+        golden, previous = {}, None
+        for stage, answers in observer.stages.items():
+            same = previous is not None and observer.stages[previous] == answers
+            golden[stage] = previous if same else answers
+            previous = previous if same else stage
+        return golden
+    return {
+        stage: [
+            len(answers),
+            sum(len(rows) for rows in answers),
+            hashlib.sha256(_compact(answers).encode()).hexdigest(),
+        ]
+        for stage, answers in observer.stages.items()
+    }
+
+
+def _regenerate_golden():
+    lines = []
+    for workload in list_workloads():
+        stages = ",\n".join(
+            f"  {json.dumps(stage)}: {_compact(value)}"
+            for stage, value in _golden_of(workload).items()
+        )
+        lines.append(f" {json.dumps(workload)}: {{\n{stages}\n }}")
+    _GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+class TestGoldenAnswers:
+    @pytest.mark.parametrize("workload", list_workloads())
+    def test_answers_match_golden(self, workload):
+        golden = json.loads(_GOLDEN_PATH.read_text())
+        assert _golden_of(workload) == golden[workload]
+
+    def test_golden_covers_the_zoo(self):
+        golden = json.loads(_GOLDEN_PATH.read_text())
+        assert list(golden) == list_workloads()
+        questions = 0
+        for workload, stages in golden.items():
+            assert list(stages) == [s.strip() for s in DEFAULT_PIPELINE.split(",")]
+            for stage, value in stages.items():
+                while isinstance(value, str):
+                    value = stages[value]
+                kernel = get_workload(workload).kind == "kernel"
+                questions += len(value) if kernel else value[0]
+        assert questions == 18780
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle: no dependence that happens goes unreported
+# ---------------------------------------------------------------------------
+#
+# A generated nest is a chain of 1-3 loops with 2-4 accesses hung at any
+# depth, before or after the next loop down.  It is described by plain
+# data, built into IR for the engine, and *executed from the data* — the
+# addresses below never pass through the engine's linearizer.  No loop is
+# declared ``parallel``: the attribute is an assertion the engine trusts,
+# not something it proves.
+
+
+@st.composite
+def _nests(draw):
+    depth = draw(st.integers(1, 3))
+    # (lower bound, step, trip count)
+    loops = [
+        (draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 4)))
+        for _ in range(depth)
+    ]
+    ranks = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    coefficient = st.integers(-2, 2)
+    accesses = []
+    for _ in range(draw(st.integers(2, 4))):
+        buffer = draw(st.integers(0, len(ranks) - 1))
+        level = draw(st.integers(1, depth))  # number of enclosing loops
+        subscripts = [
+            # (coefficient per enclosing IV, constant, through an affine.apply)
+            (
+                [draw(coefficient) for _ in range(level)],
+                draw(coefficient),
+                draw(st.booleans()),
+            )
+            for _ in range(ranks[buffer])
+        ]
+        # (buffer, is_store, level, after the next loop down, subscripts)
+        accesses.append(
+            (buffer, draw(st.booleans()), level, draw(st.booleans()), subscripts)
+        )
+    return loops, ranks, accesses
+
+
+def _build_nest(nest):
+    """``(loop ops outermost first, access ops in ``accesses`` order)``."""
+    loops, ranks, accesses = nest
+    func = FuncOp.create(
+        "f", input_types=[MemRefType((64,) * rank, f32, "bram") for rank in ranks]
+    )
+    builder = Builder.at_end(func.entry_block)
+    stored = builder.insert(ConstantOp.create(0.0, f32)).result()
+    loop_ops = []
+    for lower, step, trip in loops:
+        loop_ops.append(
+            builder.insert(AffineForOp.create(lower, lower + step * trip, step))
+        )
+        builder = Builder.at_end(loop_ops[-1].body)
+    ops = []
+    for buffer, is_store, level, after, subscripts in accesses:
+        if level == len(loops) or after:
+            builder = Builder.at_end(loop_ops[level - 1].body)
+        else:
+            builder = Builder.before(loop_ops[level])
+        ivs = [loop.induction_variable for loop in loop_ops[:level]]
+        applied, results = [], []
+        for coefficients, const, through_apply in subscripts:
+            expr = constant(const)
+            for position, coeff in enumerate(coefficients):
+                expr = expr + dim(position) * coeff
+            if through_apply:
+                apply = AffineApplyOp.create(AffineMap(level, 0, [expr]), ivs)
+                expr = dim(level + len(applied))
+                applied.append(builder.insert(apply).result())
+            results.append(expr)
+        access_map = AffineMap(level + len(applied), 0, results)
+        memref = func.arguments[buffer]
+        if is_store:
+            op = AffineStoreOp.create(stored, memref, ivs + applied, access_map)
+        else:
+            op = AffineLoadOp.create(memref, ivs + applied, access_map)
+        ops.append(builder.insert(op))
+    return func, loop_ops, ops
+
+
+def _execute_nest(nest):
+    """Dynamic accesses in execution order as ``(access, iteration numbers,
+    (buffer, address...))``."""
+    loops, _, accesses = nest
+    trace = []
+
+    def touch(level, iterations, after_inner):
+        ivs = [
+            lower + iteration * step
+            for (lower, step, _), iteration in zip(loops, iterations)
+        ]
+        for position, (buffer, _, at, after, subscripts) in enumerate(accesses):
+            if at == level and (level == len(loops) or after == after_inner):
+                address = tuple(
+                    const + sum(c * iv for c, iv in zip(coefficients, ivs))
+                    for coefficients, const, _ in subscripts
+                )
+                trace.append((position, tuple(iterations), (buffer,) + address))
+
+    def run(level, outer):
+        for iteration in range(loops[level][2]):
+            iterations = outer + [iteration]
+            touch(level + 1, iterations, False)
+            if level + 1 < len(loops):
+                run(level + 1, iterations)
+                touch(level + 1, iterations, True)
+
+    run(0, [])
+    return trace
+
+
+def _admits(dependence, distance):
+    if len(dependence.distance) != len(distance):
+        return False
+    for element, actual in zip(dependence.distance, distance):
+        if element.kind == "exact" and element.value != actual:
+            return False
+        if element.kind == "atleast" and element.value > actual:
+            return False
+    return True  # "any" / "unknown" admit every distance
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_nests())
+def test_no_executed_dependence_goes_unreported(nest):
+    """Soundness only: every ordered pair of dynamic accesses to one address
+    with a store on either side is covered by a reported ``Dependence`` with
+    that source and sink whose vector admits the pair's per-level distance,
+    and a loop that carries such a pair (equal outer iterations, positive
+    distance at its level) is never called dependence-free.  Precision is
+    the golden's business, not this test's."""
+    _, _, accesses = nest
+    _, loop_ops, ops = _build_nest(nest)
+    by_address = {}
+    for entry in _execute_nest(nest):
+        by_address.setdefault(entry[2], []).append(entry)
+    happened = set()  # (source access, sink access, distance over common loops)
+    for entries in by_address.values():
+        for (a, at_a, _), (b, at_b, _) in itertools.combinations(entries, 2):
+            if accesses[a][1] or accesses[b][1]:
+                common = min(accesses[a][2], accesses[b][2])
+                distance = tuple(y - x for x, y in zip(at_a[:common], at_b[:common]))
+                happened.add((a, b, distance))
+    shared = NestAccesses(loop_ops[0])
+    for reported in (
+        nest_dependences(loop_ops[0]),
+        nest_dependences(loop_ops[0], accesses=shared),
+    ):
+        for a, b, distance in happened:
+            assert any(
+                dep.source is ops[a] and dep.sink is ops[b] and _admits(dep, distance)
+                for dep in reported
+            ), (a, b, distance)
+    for level, loop in enumerate(loop_ops):
+        if any(
+            len(distance) > level and not any(distance[:level]) and distance[level] > 0
+            for _, _, distance in happened
+        ):
+            assert loop_carries_dependence(loop), level
+            assert loop_carries_dependence(loop, shared), level
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_dependence.py --regen")
+    _regenerate_golden()
+    print(f"wrote {_GOLDEN_PATH}")
