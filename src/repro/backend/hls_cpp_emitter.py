@@ -11,7 +11,8 @@ depths, node interfaces, loop bounds and directives.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import re
+from typing import Dict, List, Sequence, Set
 
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.affine_map import (
@@ -51,6 +52,32 @@ _FUNCTION_OPERATORS = {
 
 
 _AFFINE_OPERATORS = {"add": "+", "mul": "*", "floordiv": "/", "mod": "%"}
+
+#: C and C++ keywords (through C++20) and alternative operator spellings.
+_KEYWORDS = frozenset(
+    """
+    alignas alignof and and_eq asm auto bitand bitor bool break case catch char
+    char8_t char16_t char32_t class co_await co_return co_yield compl concept
+    const const_cast consteval constexpr constinit continue decltype default
+    delete do double dynamic_cast else enum explicit export extern false float
+    for friend goto if inline int long mutable namespace new noexcept not not_eq
+    nullptr operator or or_eq private protected public register reinterpret_cast
+    requires restrict return short signed sizeof static static_assert static_cast
+    struct switch template this thread_local throw true try typedef typeid
+    typename union unsigned using virtual void volatile wchar_t while xor xor_eq
+    """.split()
+)
+
+_NOT_IDENTIFIER_CHARACTER = re.compile(r"[^A-Za-z0-9_]")
+
+
+def _c_identifier(name: str) -> str:
+    """``name`` as a C/C++ identifier: every other character becomes ``_``,
+    a leading digit gets a ``_`` in front and a keyword one behind."""
+    name = _NOT_IDENTIFIER_CHARACTER.sub("_", name)
+    if name[:1].isdigit():
+        name = f"_{name}"
+    return f"{name}_" if name in _KEYWORDS else name
 
 
 def _affine_to_c(expr: AffineExpr, names: Sequence[str], tight: bool = False) -> str:
@@ -95,6 +122,7 @@ class HlsCppEmitter:
         self._indent = 0
         self._indent_width = indent_width
         self._names: Dict[int, str] = {}
+        self._used: Set[str] = set()
         self._counter = 0
 
     # ----------------------------------------------------------------- utils
@@ -106,14 +134,12 @@ class HlsCppEmitter:
         key = id(value)
         if key not in self._names:
             hint = value.name_hint
-            if hint:
-                name = hint.replace(".", "_")
-                if name in self._names.values():
-                    name = f"{name}_{self._counter}"
-                    self._counter += 1
-            else:
-                name = f"{prefix}{self._counter}"
+            name = _c_identifier(hint) if hint else ""
+            stem = f"{name.rstrip('_')}_" if hint else prefix
+            while not name or name in self._used:
+                name = f"{stem}{self._counter}"
                 self._counter += 1
+            self._used.add(name)
             self._names[key] = name
         return self._names[key]
 
@@ -142,7 +168,7 @@ class HlsCppEmitter:
                 params.append(self._array_decl(name, argument.type))
             else:
                 params.append(f"{_cpp_type(argument.type)} {name}")
-        self._emit(f"void {func.sym_name}({', '.join(params)}) {{")
+        self._emit(f"void {_c_identifier(func.sym_name)}({', '.join(params)}) {{")
         self._indent += 1
         if func.is_top:
             for argument in func.entry_block.arguments:

@@ -209,8 +209,8 @@ def _emit(name):
 
 
 def _evaluate(text, names, values):
-    """``eval`` of a bracket text with operand k spelled ``x[k]`` (lenet
-    names an induction variable ``if``)."""
+    """``eval`` of a bracket text with operand k spelled ``x[k]`` (a C
+    identifier such as ``in`` can be a Python keyword)."""
     python = _NAME.sub(lambda match: f"x[{names.index(match.group())}]", text)
     return eval(python, {}, {"x": values})
 

@@ -1,12 +1,19 @@
 """End-to-end tests: the HIDA pipeline, the baselines, the HLS C++ emitter and
 the LeNet case study harness."""
 
+import functools
 import hashlib
 import json
+import pathlib
+import re
+import shutil
+import subprocess
 
 import pytest
 
 from repro import DEFAULT_PIPELINE, Compiler, default_stages, emit_hls_cpp
+from repro.backend import HlsCppEmitter
+from repro.backend.hls_cpp_emitter import _KEYWORDS, _c_identifier
 from repro.baselines import (
     ABLATION_MODES,
     UnsupportedModelError,
@@ -29,7 +36,7 @@ from repro.evaluation import (
 from repro.evaluation.lenet_case_study import LeNetDesignPoint
 from repro.frontend.cpp import build_listing1
 from repro.frontend.nn import layer_summary
-from repro.ir import verify
+from repro.ir import Builder, ConstantOp, FuncOp, f32, verify
 from repro.workloads import as_module, list_workloads
 
 
@@ -213,6 +220,68 @@ class TestEmitter:
     def test_emission_is_deterministic(self):
         module = as_module("bicg")
         assert emit_hls_cpp(module) == emit_hls_cpp(module)
+
+
+#: ``ap_int.h`` / ``hls_math.h`` / ``hls_stream.h`` over the standard library.
+_HLS_SHIM = pathlib.Path(__file__).parent / "data" / "hls_shim"
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@functools.lru_cache(maxsize=None)
+def _emitted(workload):
+    """``(declared identifiers, text)`` of a default compile's C++."""
+    module = Compiler.from_spec(DEFAULT_PIPELINE).run(workload=workload).module
+    emitter = HlsCppEmitter()
+    text = emitter.emit_module(module)
+    functions = re.findall(r"^void ([^(]+)\(", text, re.MULTILINE)
+    assert len(functions) == len(module.functions)
+    return sorted({*functions, *emitter._names.values()}), text
+
+
+class TestEmittedCppParses:
+    """The artefact a user hands to an HLS tool must get past a C++ parser."""
+
+    @pytest.mark.parametrize("workload", list_workloads())
+    def test_every_declared_identifier_is_one(self, workload):
+        identifiers, _ = _emitted(workload)
+        assert identifiers
+        for identifier in identifiers:
+            assert _IDENTIFIER.fullmatch(identifier), identifier
+            assert identifier not in _KEYWORDS, identifier
+            assert "__" not in identifier, identifier  # reserved in C++
+
+    @pytest.mark.parametrize("workload", list_workloads())
+    def test_gxx_accepts(self, workload, tmp_path):
+        compiler = shutil.which("g++") or shutil.which("c++")
+        if compiler is None:
+            pytest.skip("no C++ compiler on PATH")
+        source = tmp_path / "design.cpp"
+        source.write_text(_emitted(workload)[1] + "\n")
+        checked = subprocess.run(
+            [compiler, "-std=c++17", "-fsyntax-only", "-I", str(_HLS_SHIM), str(source)],
+            capture_output=True,
+            text=True,
+        )
+        assert checked.returncode == 0, checked.stderr[:2000]
+
+    def test_c_identifier(self):
+        assert _c_identifier("2mm") == "_2mm"
+        assert _c_identifier("jacobi-2d") == "jacobi_2d"
+        assert _c_identifier("if") == "if_"
+        assert _c_identifier("conv1.weight") == "conv1_weight"
+        assert _c_identifier("oh") == "oh"
+
+    def test_a_collision_fallback_is_itself_checked(self):
+        """The second ``x`` may not take the ``x_1`` the counter proposes first."""
+        func = FuncOp.create("f")
+        builder = Builder.at_end(func.entry_block)
+        values = [builder.insert(ConstantOp.create(0.0, f32)).result() for _ in range(5)]
+        for value, hint in zip(values, [None, "x", "x_1", "x", "if"]):
+            value.name_hint = hint
+        emitter = HlsCppEmitter()
+        names = [emitter._name(value) for value in values]
+        assert names == ["v0", "x", "x_1", "x_2", "if_"]
+        assert [emitter._name(value) for value in values] == names
 
 
 # ---------------------------------------------------------------------------
