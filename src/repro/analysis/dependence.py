@@ -31,24 +31,40 @@ All arithmetic is integral: affine constants, loop bounds and steps are
 ``int``.  A non-integral constant, should one ever appear, makes the
 subscript not analyzable (``None``), like a non-linear expression.
 
-Sharing the walk
-----------------
-Walking a nest and linearizing its subscripts does not depend on which
-loop a question is rooted at.  :class:`NestAccesses` does it once for a
-band's outermost loop; every entry point here and in :mod:`.legality` /
-:mod:`.recurrence` takes one as ``accesses`` and answers for any loop of
-the nest by restricting to the accesses under it and trimming their loop
-tuples — the same rooted solve as a fresh walk, not a projection of the
-outer nest's vectors.  A collection describes one IR state: whoever
-mutates the nest (``permute_band``) drops it.  Without ``accesses`` each
-call walks for itself, so there is no cache to invalidate.
+Sharing the answers
+-------------------
+:class:`NestAccesses` walks a nest once and numbers what it saw into a
+**canonical problem** (``_Problem``) that holds no IR object: loops by first
+appearance as lower bound, step, trip count and the ``parallel`` attribute,
+buffers by first appearance, and each access as buffer number, load or
+store, the loop around it and its linearized subscripts, every subscript
+variable coded as *IV of loop n*, *value defined inside the nest under loop
+h* or *external value k*.  :func:`_solve` takes that problem (plus which of
+its loops the question is rooted at) as its only input and returns
+positional records; one bounded process-level table keeps them per
+problem, and each question re-binds the records to the asking nest's ops
+and loops as fresh :class:`Dependence` objects.
+
+The key is complete by construction, not by audit: the solver has no other
+argument, so it cannot read a bound, an attribute or an SSA value that is
+not part of the key.  For the same reason nothing is ever invalidated — a
+permuted or re-tiled band numbers into a *different* problem, and the old
+entry is merely unused until the bound evicts it.  A question rooted at an
+inner loop is a rooted solve over the accesses under that loop (an outer IV
+is one more invariant; a value is "inside" iff its home loop is), never a
+projection of the outer nest's vectors, so it answers exactly like a fresh
+walk of the inner loop.  What is shared is only ints, strs, bools, None,
+tuples and frozen :class:`DistanceElement`s; ``Dependence`` objects, ops,
+loops and values never are, and a :class:`NestAccesses` still describes
+one IR state — whoever mutates the nest (``permute_band``) drops it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from .. import obs
 from ..dialects.affine import (
     AffineApplyOp,
     AffineForOp,
@@ -125,7 +141,13 @@ class DistanceElement:
 
 
 def _exact(value: int) -> DistanceElement:
-    return DistanceElement(_EXACT, value)
+    return DistanceElement(_EXACT, value) if value else _ZERO_DISTANCE
+
+
+# Frozen, so one object serves every vector that holds it.
+_ZERO_DISTANCE = DistanceElement(_EXACT, 0)
+_ANY_DISTANCE = DistanceElement(_ANY)
+_UNKNOWN_DISTANCE = DistanceElement(_UNKNOWN)
 
 
 @dataclasses.dataclass
@@ -233,14 +255,14 @@ def _expr_to_linear(
     expr: AffineExpr, dim_forms: Sequence[_LinearIndex]
 ) -> Optional[_LinearIndex]:
     """Fold an affine expression over linear operand forms; None if non-linear."""
-    if isinstance(expr, AffineConstantExpr):
-        if not isinstance(expr.value, int):
-            return None  # non-integral constant: not analyzable
-        return _LinearIndex({}, expr.value)
     if isinstance(expr, AffineDimExpr):
         if expr.position >= len(dim_forms):
             return None
         return dim_forms[expr.position]
+    if isinstance(expr, AffineConstantExpr):
+        if not isinstance(expr.value, int):
+            return None  # non-integral constant: not analyzable
+        return _LinearIndex({}, expr.value)
     if isinstance(expr, AffineBinaryExpr):
         lhs = _expr_to_linear(expr.lhs, dim_forms)
         rhs = _expr_to_linear(expr.rhs, dim_forms)
@@ -276,75 +298,230 @@ def linear_subscripts(
     index operands, so both map-level arithmetic like ``d0 * 2 + 1`` and
     operand-level ``affine.apply`` chains land in one linear form.
     """
-    operand_forms = [_linearize_value(index) for index in op.index_operands]
-    return [_expr_to_linear(expr, operand_forms) for expr in op.access_map.results]
+    return _linear_subscripts(op, {})
 
 
-@dataclasses.dataclass
-class _Access:
-    op: Operation
-    memref: Value
-    is_store: bool
-    subscripts: List[Optional[_LinearIndex]]
-    loops: Tuple[AffineForOp, ...]  # enclosing loops within the nest root
+def _linear_subscripts(
+    op: Union[AffineLoadOp, AffineStoreOp], operand_forms: Dict[Value, _LinearIndex]
+) -> List[Optional[_LinearIndex]]:
+    """:func:`linear_subscripts`, linearizing each distinct index operand of
+    one unchanging nest once: ``operand_forms`` remembers them."""
+    operands = op.index_operands
+    for index in operands:
+        if index not in operand_forms:
+            operand_forms[index] = _linearize_value(index)
+    forms = [operand_forms[index] for index in operands]
+    return [_expr_to_linear(expr, forms) for expr in op.access_map.results]
+
+
+# ---------------------------------------------------------------------------
+# The canonical problem
+# ---------------------------------------------------------------------------
+
+#: Home of a subscript variable that is no induction variable of the nest:
+#: the number of the innermost loop around its definition, or one of these.
+_UNDER_ROOT = -1  # inside the nest's root op (not itself a loop), under no loop
+_EXTERNAL = -2  # defined outside the nest
+
+#: ``(lowers, steps, trips, parallels, parents, homes, accesses)``.  The first
+#: five hold one entry per loop, numbered by first appearance: lower bound,
+#: step, trip count, whether it is declared ``parallel``, and the number of
+#: the loop around it (-1 at the top).  ``homes`` has one entry per non-IV
+#: subscript variable.  ``accesses`` has one row per load/store in program
+#: order: ``(buffer number, is_store, innermost loop around it, *subscripts)``,
+#: a subscript being None (not linear) or ``(const, var, coeff, var, coeff,
+#: ...)`` where ``var >= 0`` is the IV of that loop and ``~var`` indexes ``homes``.
+_Problem = Tuple[Tuple[Any, ...], ...]
+
+#: One answer: ``(source access, sink access, kind, common depth, distance)``.
+_Record = Tuple[int, int, str, int, Tuple[DistanceElement, ...]]
 
 
 class NestAccesses:
-    """The affine accesses of one nest, walked and linearized once.
+    """The affine accesses of one nest, walked, linearized and numbered once.
 
-    Describes the IR as it was when built; see "Sharing the walk" in the
-    module docstring for who may reuse it and when it must be rebuilt.
+    Describes the IR as it was when built; see "Sharing the answers" in the
+    module docstring for what is shared through it and what never is.
     """
 
     def __init__(self, root: Operation) -> None:
         self.root = root
-        self.accesses: List[_Access] = []  # program order
-        self._walk(root, ())
+        self.ops: List[Operation] = []  # the loads and stores, program order
+        self._memrefs: List[Value] = []  # the buffer of each
+        self._paths: List[Tuple[AffineForOp, ...]] = []  # the loops around each
+        self._numbers: Dict[Operation, int] = {}  # loop -> number
+        self._depths: List[int] = []  # how many loops are around each loop
+        columns: Tuple[List[Any], ...] = ([], [], [], [], [], [], [])
+        lowers, steps, trips, parallels, parents, homes, accesses = columns
+        numbers = self._numbers
+        codes: Dict[Value, int] = {}  # subscript variable -> ``var``
+        buffers: Dict[Value, int] = {}
+        operand_forms: Dict[Value, _LinearIndex] = {}
 
-    def _walk(self, op: Operation, loops: Tuple[AffineForOp, ...]) -> None:
-        if isinstance(op, (AffineLoadOp, AffineStoreOp)):
-            is_store = isinstance(op, AffineStoreOp)
-            self.accesses.append(
-                _Access(op, op.memref, is_store, linear_subscripts(op), loops)
-            )
-            return
-        if isinstance(op, AffineForOp):
-            loops += (op,)
-        for region in op.regions:
-            for block in region.blocks:
-                for child in block.operations:
-                    self._walk(child, loops)
+        def home(value: Value) -> int:
+            owner = value.owner
+            op = owner.parent_op if isinstance(owner, Block) else owner
+            if isinstance(op, AffineForOp) and isinstance(owner, Block):
+                # The IV of a loop without a number: this nest is inside it.
+                return _EXTERNAL
+            while op is not None:
+                if op in numbers:
+                    return numbers[op]
+                if op is root:
+                    return _UNDER_ROOT
+                op = op.parent_op
+            return _EXTERNAL
 
-    def under(self, root: Operation) -> List[_Access]:
-        """Accesses nested under ``root``, their loop tuples starting at it."""
-        if root is self.root:
-            return self.accesses
-        trimmed = [
-            dataclasses.replace(access, loops=access.loops[depth:])
-            for access in self.accesses
-            for depth, loop in enumerate(access.loops)
-            if loop is root
-        ]
-        if not trimmed and not (
-            isinstance(root, AffineForOp) and self.root.is_ancestor_of(root)
-        ):
+        def number_access(
+            op: Union[AffineLoadOp, AffineStoreOp], path: Tuple[AffineForOp, ...], leaf: int
+        ) -> None:
+            memref = op.memref
+            buffer = buffers.get(memref)
+            if buffer is None:
+                buffer = buffers[memref] = len(buffers)
+            row = [buffer, isinstance(op, AffineStoreOp), leaf]
+            for form in _linear_subscripts(op, operand_forms):
+                if form is None:
+                    row.append(None)
+                    continue
+                subscript = [form.const]
+                for value, coeff in form.coeffs.items():
+                    code = codes.get(value)
+                    if code is None:
+                        code = codes[value] = ~len(homes)
+                        homes.append(home(value))
+                    subscript += (code, coeff)
+                row.append(tuple(subscript))
+            accesses.append(tuple(row))
+            self.ops.append(op)
+            self._memrefs.append(memref)
+            self._paths.append(path)
+
+        def number(op: Operation, path: Tuple[AffineForOp, ...], leaf: int) -> None:
+            """``op`` if it is a loop, then everything under it."""
+            if isinstance(op, AffineForOp):
+                numbers[op] = codes[op.induction_variable] = len(lowers)
+                self._depths.append(len(path))
+                parents.append(leaf)
+                leaf = len(lowers)
+                lowers.append(op.lower_bound)
+                steps.append(op.step)
+                trips.append(op.trip_count)
+                parallels.append(op.has_attr("parallel") and op.is_parallel)
+                path += (op,)
+            for region in op.regions:
+                for block in region.blocks:
+                    for child in block.operations:
+                        if isinstance(child, (AffineLoadOp, AffineStoreOp)):
+                            number_access(child, path, leaf)
+                        elif child.regions:
+                            number(child, path, leaf)
+
+        number(root, (), -1)
+        self.problem: _Problem = tuple(map(tuple, columns))
+        self._answers = _answers_of(self.problem)
+
+    def _dependences(
+        self, root: Operation, include_loop_independent: bool
+    ) -> List[Dependence]:
+        """The table's answer for ``root``, bound to this nest's ops and loops."""
+        number = self._numbers.get(root, -1)
+        if number < 0 and root is not self.root:
             raise ValueError("root is not a loop of the nest these accesses cover")
-        return trimmed
+        key = (number, include_loop_independent)
+        records = self._answers.get(key)
+        if records is None:
+            records = self._answers[key] = _solve(self.problem, *key)
+            _COUNTS["solved"] += 1
+            obs.inc("dependence.solved")
+        else:
+            _COUNTS["reused"] += 1
+            obs.inc("dependence.reused")
+        ops, memrefs, paths = self.ops, self._memrefs, self._paths
+        outer = self._depths[number] if number >= 0 else 0  # loops around ``root``
+        return [
+            Dependence(
+                ops[source],
+                ops[sink],
+                memrefs[source],
+                kind,
+                paths[source][outer : outer + depth],
+                distance,
+            )
+            for source, sink, kind, depth, distance in records
+        ]
 
 
 # ---------------------------------------------------------------------------
-# Pairwise solving
+# The answer table
 # ---------------------------------------------------------------------------
 
+#: Distinct problems whose answers are kept; the oldest goes first.  A form of
+#: the zoo weighs about 2.9 KB with its answers (219 forms, 0.63 MB after one
+#: ``zoo-compile`` round), so the table tops out near 1.5 MB.
+_MAX_FORMS = 512
 
-def _defined_inside(value: Value, root: Operation) -> bool:
-    owner = value.owner
-    if isinstance(owner, Operation):
-        return root.is_ancestor_of(owner)
-    if isinstance(owner, Block):
-        parent = owner.parent.parent if owner.parent is not None else None
-        return parent is not None and root.is_ancestor_of(parent)
-    return False
+#: problem -> {(root loop number, include_loop_independent): records}.  Only
+#: ints, strs, bools, None, tuples and frozen ``DistanceElement``s live here.
+_TABLE: Dict[_Problem, Dict[Tuple[int, bool], Tuple[_Record, ...]]] = {}
+_COUNTS = {"reused": 0, "solved": 0}
+
+
+def _answers_of(problem: _Problem) -> Dict[Tuple[int, bool], Tuple[_Record, ...]]:
+    answers = _TABLE.get(problem)
+    if answers is None:
+        while len(_TABLE) >= _MAX_FORMS:
+            _TABLE.pop(next(iter(_TABLE)), None)
+        answers = _TABLE[problem] = {}
+    return answers
+
+
+def table_stats() -> Dict[str, int]:
+    """Questions answered from the table (``reused``) and by the solver
+    (``solved``) in this process, and the ``forms`` the table holds now."""
+    return {**_COUNTS, "forms": len(_TABLE)}
+
+
+def _clear_table() -> None:
+    """Forget every answer and count (tests only: nothing ever goes stale)."""
+    _TABLE.clear()
+    _COUNTS.update(reused=0, solved=0)
+
+
+# ---------------------------------------------------------------------------
+# Solving a canonical problem
+# ---------------------------------------------------------------------------
+
+#: ``deepest`` of a subscript fed by something that varies inside the root
+#: independently of any common loop.
+_NEVER_COMMON = 1 << 30
+
+
+class _Subscript(NamedTuple):
+    """One linear subscript as a question rooted at some loop sees it."""
+
+    const: int
+    levels: Dict[int, int]  # coefficient of the IV at each depth below the root
+    invariants: Dict[int, int]  # coefficient per variable defined outside the root
+    deepest: int  # the deepest level used; ``_NEVER_COMMON`` as above
+
+
+class _Rooted(NamedTuple):
+    """One access under the root of a question."""
+
+    position: int  # among the accesses of the whole nest
+    is_store: bool
+    path: Tuple[int, ...]  # the loops around it, from the root down
+    subscripts: List[Optional[_Subscript]]
+
+
+class _Common(NamedTuple):
+    """The loops around both accesses of a pair, outermost first, by column."""
+
+    lowers: List[int]
+    steps: List[int]
+    trips: List[int]
+    parallels: List[bool]
 
 
 def _gcd(a: int, b: int) -> int:
@@ -354,64 +531,137 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def _iter_range(loop: AffineForOp) -> int:
-    """Number of iterations minus one (max |distance| the loop allows)."""
-    return max(loop.trip_count - 1, 0)
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def _solve(
+    problem: _Problem, root: int, include_loop_independent: bool
+) -> Tuple[_Record, ...]:
+    """Every dependence between the accesses under loop ``root`` (-1: the
+    whole nest) of ``problem``, which is all this function can see.
+
+    Every pair of accesses to the same buffer with at least one store is
+    solved in both directions over their common enclosing loops from
+    ``root`` down: program order for the forward direction, strictly
+    earlier iterations for the backward one.  A loop outside ``root`` is
+    not a level of the answer: its IV is one more invariant.
+    """
+    parents, homes, accesses = problem[4:]
+    # Per loop, the loops from ``root`` down to it; None outside ``root``.
+    paths: List[Optional[Tuple[int, ...]]] = []
+    for loop, parent in enumerate(parents):
+        if loop == root or (root < 0 and parent < 0):
+            paths.append((loop,))
+        else:
+            above = paths[parent] if parent >= 0 else None
+            paths.append(None if above is None else above + (loop,))
+
+    def rooted(subscript: Tuple[int, ...], path: Tuple[int, ...]) -> _Subscript:
+        levels: Dict[int, int] = {}
+        invariants: Dict[int, int] = {}
+        deepest = -1
+        for at in range(1, len(subscript), 2):
+            var, coeff = subscript[at], subscript[at + 1]
+            home = var if var >= 0 else homes[~var]
+            below = paths[home] if home >= 0 else None
+            if below is None and (home == _EXTERNAL or root >= 0):
+                invariants[var] = coeff  # defined outside ``root``: one value
+            elif var >= 0 and below is not None and path[: len(below)] == below:
+                levels[len(below) - 1] = coeff  # the IV of a loop around the access
+                deepest = max(deepest, len(below) - 1)
+            else:
+                deepest = _NEVER_COMMON  # varies inside ``root`` on its own
+        return _Subscript(subscript[0], levels, invariants, deepest)
+
+    # The accesses under ``root`` per buffer, both in first-appearance order.
+    groups: Dict[int, List[_Rooted]] = {}
+    for position, (buffer, is_store, leaf, *subscripts) in enumerate(accesses):
+        path = paths[leaf] if leaf >= 0 else (() if root < 0 else None)
+        if path is not None:
+            decoded = [None if sub is None else rooted(sub, path) for sub in subscripts]
+            groups.setdefault(buffer, []).append(_Rooted(position, is_store, path, decoded))
+
+    records: List[_Record] = []
+    commons: Dict[Tuple[int, ...], _Common] = {}
+
+    def solve(src: _Rooted, dst: _Rooted, path: Tuple[int, ...], strict: bool) -> None:
+        common = commons.get(path)
+        if common is None:
+            common = commons[path] = _Common(
+                *([column[loop] for loop in path] for column in problem[:4])
+            )
+        distance = _solve_pair(src.subscripts, dst.subscripts, common, strict)
+        if distance is not None and (
+            include_loop_independent
+            or not all(element.can_be_zero for element in distance)
+            or any(
+                element.can_be_positive(trip)
+                for element, trip in zip(distance, common.trips)
+            )
+        ):
+            kind = _dependence_kind(src.is_store, dst.is_store)
+            records.append((src.position, dst.position, kind, len(path), tuple(distance)))
+
+    for group in groups.values():
+        for i, a in enumerate(group):
+            if a.is_store:
+                # An access can depend on itself across iterations.
+                solve(a, a, a.path, True)
+            for b in group[i + 1 :]:
+                if not (a.is_store or b.is_store):
+                    continue
+                shared = 0
+                for loop_a, loop_b in zip(a.path, b.path):
+                    if loop_a != loop_b:
+                        break
+                    shared += 1
+                solve(a, b, a.path[:shared], False)
+                solve(b, a, a.path[:shared], True)
+    return tuple(records)
+
+
+def _dependence_kind(source_is_store: bool, sink_is_store: bool) -> str:
+    if source_is_store and sink_is_store:
+        return "WAW"
+    if source_is_store:
+        return "RAW"
+    return "WAR"
 
 
 def _solve_pair(
-    src: _Access,
-    dst: _Access,
-    common: Sequence[AffineForOp],
-    root: Operation,
+    src: Sequence[Optional[_Subscript]],
+    dst: Sequence[Optional[_Subscript]],
+    common: _Common,
     strict: bool,
 ) -> Optional[List[DistanceElement]]:
-    """Distance vector of src -> dst over ``common``; None if independent.
+    """Distance vector of src -> dst over the loops ``common``; None if
+    independent.
 
     ``strict`` demands a lexicographically positive distance (src in a
     strictly earlier iteration); otherwise equal iterations also count
     (src precedes dst in program order).
     """
-    n = len(common)
-    level_of = {id(loop.induction_variable): i for i, loop in enumerate(common)}
+    lowers, steps, trips, parallels = common
+    n = len(trips)
     exact: List[Optional[int]] = [None] * n
     unknown = [False] * n
     pair_unknown = False
 
-    rank = min(len(src.subscripts), len(dst.subscripts))
-    for dim in range(rank):
-        fa, fb = src.subscripts[dim], dst.subscripts[dim]
+    for fa, fb in zip(src, dst):
         if fa is None or fb is None:
             pair_unknown = True
             continue
-        coeff_a: Dict[int, int] = {}
-        coeff_b: Dict[int, int] = {}
-        skip_dim = False
-        invariant_mismatch = False
-        for value in set(fa.coeffs) | set(fb.coeffs):
-            ca = fa.coeffs.get(value, 0)
-            cb = fb.coeffs.get(value, 0)
-            level = level_of.get(id(value))
-            if level is not None:
-                if ca:
-                    coeff_a[level] = ca
-                if cb:
-                    coeff_b[level] = cb
-                continue
-            if _defined_inside(value, root):
-                # An index that varies per instance independently of the
-                # common loops (inner loop IV, computed value): the dim
-                # imposes no constraint we can use — assume it can match.
-                skip_dim = True
-                break
-            if ca != cb:
-                # Loop-invariant value with different weight on each side:
-                # the offset between the two subscripts is unknown.
-                invariant_mismatch = True
-        if skip_dim:
+        coeff_a, coeff_b = fa.levels, fb.levels
+        if fa.deepest >= n or fb.deepest >= n:
+            # An index that varies per instance independently of the common
+            # loops (inner loop IV, computed value): the dim imposes no
+            # constraint we can use — assume it can match.
             continue
         involved = sorted(set(coeff_a) | set(coeff_b))
-        if invariant_mismatch:
+        if fa.invariants != fb.invariants:
+            # Loop-invariant value with different weight on each side: the
+            # offset between the two subscripts is unknown.
             for level in involved:
                 unknown[level] = True
             if not involved:
@@ -422,14 +672,8 @@ def _solve_pair(
             if const != 0:
                 return None  # distinct constant addresses: independent
             continue
-        uniform = all(
-            coeff_a.get(level, 0) == coeff_b.get(level, 0) for level in involved
-        )
-        if uniform:
-            verdict = _solve_uniform_dim(
-                involved, coeff_a, const, common, exact, unknown
-            )
-            if verdict is False:
+        if coeff_a == coeff_b:
+            if not _solve_uniform_dim(involved, coeff_a, const, common, exact, unknown):
                 return None  # no aliasing iteration pair: independent
             continue
         # General case: GCD + bounds tests over iteration-number variables.
@@ -437,14 +681,13 @@ def _solve_pair(
         terms: List[Tuple[int, int]] = []  # (coefficient, trip range)
         c2 = const
         for level in involved:
-            step = common[level].step
             a = coeff_a.get(level, 0)
             b = coeff_b.get(level, 0)
-            c2 -= (a - b) * common[level].lower_bound
+            c2 -= (a - b) * lowers[level]
             if a:
-                terms.append((a * step, _iter_range(common[level])))
+                terms.append((a * steps[level], max(trips[level] - 1, 0)))
             if b:
-                terms.append((-b * step, _iter_range(common[level])))
+                terms.append((-b * steps[level], max(trips[level] - 1, 0)))
         g = 0
         for coefficient, _ in terms:
             g = _gcd(g, coefficient)
@@ -461,38 +704,31 @@ def _solve_pair(
     # Assemble raw per-level elements.
     elements: List[DistanceElement] = []
     for level in range(n):
-        if exact[level] is not None:
-            elements.append(_exact(exact[level]))
+        value = exact[level]
+        if value is not None:
+            elements.append(_exact(value))
         elif unknown[level] or pair_unknown:
-            elements.append(DistanceElement(_UNKNOWN))
+            elements.append(_UNKNOWN_DISTANCE)
         else:
-            elements.append(DistanceElement(_ANY))
+            elements.append(_ANY_DISTANCE)
 
     # A loop the lowering explicitly declared ``parallel`` (e.g. the output
     # dimensions of a linalg op, whose delinearized subscripts can exceed
     # the linear model) carries no cross-iteration aliasing: resolve
     # conservative levels to zero.  Proven exact distances are kept — an
     # attribute never overrides a proof.
-    for level, loop in enumerate(common):
-        if (
-            elements[level].kind != _EXACT
-            and loop.has_attr("parallel")
-            and loop.is_parallel
-        ):
-            elements[level] = _exact(0)
+    for level, parallel in enumerate(parallels):
+        if parallel and elements[level].kind != _EXACT:
+            elements[level] = _ZERO_DISTANCE
 
-    return _apply_ordering(elements, common, strict)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+    return _apply_ordering(elements, trips, strict)
 
 
 def _solve_uniform_dim(
     involved: Sequence[int],
     coeffs: Dict[int, int],
     const: int,
-    common: Sequence[AffineForOp],
+    common: _Common,
     exact: List[Optional[int]],
     unknown: List[bool],
 ) -> bool:
@@ -507,9 +743,9 @@ def _solve_uniform_dim(
     """
     terms: List[Tuple[int, int, int]] = []  # (level, coefficient, trip range)
     for level in involved:
-        g = coeffs.get(level, 0) * common[level].step
+        g = coeffs.get(level, 0) * common.steps[level]
         if g != 0:
-            terms.append((level, g, _iter_range(common[level])))
+            terms.append((level, g, max(common.trips[level] - 1, 0)))
     if not terms:
         return const == 0
     target = -const
@@ -563,15 +799,15 @@ def _solve_uniform_dim(
 
 def _apply_ordering(
     elements: List[DistanceElement],
-    common: Sequence[AffineForOp],
+    trips: Sequence[int],
     strict: bool,
 ) -> Optional[List[DistanceElement]]:
-    """Intersect with the lexicographic source-before-sink constraint.
+    """Intersect with the lexicographic source-before-sink constraint
+    (``trips``: the trip count of each level).
 
     Returns refined elements, or None when no ordered iteration pair exists
     (the candidate dependence is infeasible).
     """
-    trips = [loop.trip_count for loop in common]
     # Single-iteration loops force a zero distance.
     for i, element in enumerate(elements):
         if trips[i] <= 1:
@@ -579,7 +815,7 @@ def _apply_ordering(
                 return None
             if element.kind == _ATLEAST and element.value > 0:
                 return None
-            elements[i] = _exact(0)
+            elements[i] = _ZERO_DISTANCE
         elif element.kind == _EXACT and abs(element.value) > trips[i] - 1:
             return None
 
@@ -629,87 +865,18 @@ def _apply_ordering(
     return elements
 
 
-def _dependence_kind(source_is_store: bool, sink_is_store: bool) -> str:
-    if source_is_store and sink_is_store:
-        return "WAW"
-    if source_is_store:
-        return "RAW"
-    return "WAR"
-
-
-def _make_dependence(
-    source: _Access,
-    sink: _Access,
-    common: Tuple[AffineForOp, ...],
-    distance: List[DistanceElement],
-) -> Dependence:
-    return Dependence(
-        source=source.op,
-        sink=sink.op,
-        buffer=source.memref,
-        kind=_dependence_kind(source.is_store, sink.is_store),
-        loops=common,
-        distance=tuple(distance),
-    )
-
-
-def _common_prefix(
-    a: Tuple[AffineForOp, ...], b: Tuple[AffineForOp, ...]
-) -> Tuple[AffineForOp, ...]:
-    out: List[AffineForOp] = []
-    for la, lb in zip(a, b):
-        if la is not lb:
-            break
-        out.append(la)
-    return tuple(out)
-
-
 def nest_dependences(
     root: Operation,
     include_loop_independent: bool = True,
     accesses: Optional[NestAccesses] = None,
 ) -> List[Dependence]:
-    """All memory dependences between affine accesses nested under ``root``.
-
-    Every pair of accesses to the same buffer with at least one store is
-    solved in both directions over their common enclosing loops (within
-    ``root``): program order for the forward direction, strictly earlier
-    iterations for the backward one.  ``accesses`` is a collection of an
-    enclosing nest to answer from instead of walking ``root`` again.
+    """All memory dependences between affine accesses nested under ``root``
+    (see :func:`_solve`), as fresh :class:`Dependence` objects.  ``accesses``
+    is a collection of an enclosing nest to answer from instead of walking
+    ``root`` again.
     """
     nest = accesses or NestAccesses(root)
-    by_buffer: Dict[int, List[_Access]] = {}
-    for access in nest.under(root):
-        by_buffer.setdefault(id(access.memref), []).append(access)
-
-    dependences: List[Dependence] = []
-
-    def admit(dep: Dependence) -> None:
-        if include_loop_independent or not dep.is_loop_independent or any(
-            element.can_be_positive(loop.trip_count)
-            for element, loop in zip(dep.distance, dep.loops)
-        ):
-            dependences.append(dep)
-
-    for group in by_buffer.values():
-        for i, a in enumerate(group):
-            if a.is_store:
-                # An access can depend on itself across iterations.
-                common = a.loops
-                distance = _solve_pair(a, a, common, root, strict=True)
-                if distance is not None:
-                    admit(_make_dependence(a, a, common, distance))
-            for b in group[i + 1 :]:
-                if not (a.is_store or b.is_store):
-                    continue
-                common = _common_prefix(a.loops, b.loops)
-                forward = _solve_pair(a, b, common, root, strict=False)
-                if forward is not None:
-                    admit(_make_dependence(a, b, common, forward))
-                backward = _solve_pair(b, a, common, root, strict=True)
-                if backward is not None:
-                    admit(_make_dependence(b, a, common, backward))
-    return dependences
+    return nest._dependences(root, include_loop_independent)
 
 
 def band_dependences(band: Sequence[AffineForOp]) -> List[Dependence]:

@@ -18,10 +18,15 @@ Implements steps (2)-(4) of the HIDA parallelization flow:
 After parallelization the innermost loops are pipelined and buffer
 partitions are derived from the final unroll factors.
 
-A band's legality checks (``legal_permutation``, ``legal_pipeline_ii``) are
-answered from the access collection its :class:`BandInfo` was analyzed
-with; an applied permutation invalidates it, so the pipelined loop is then
-walked afresh.  :func:`count_misalignments` runs no dependence analysis.
+A band's legality checks (``legal_permutation``, ``legal_pipeline_ii``) ask
+the dependence engine through the access collection its :class:`BandInfo`
+was analyzed with, so the band is walked and numbered once and a question
+the engine has answered for the same canonical problem — an earlier loop,
+an identical layer, the previous design point — is a table lookup.  The
+collection describes the band as it was walked: an applied permutation
+makes it a different problem, so the collection is dropped and the
+pipelined loop walked afresh (the table itself needs no invalidation).
+:func:`count_misalignments` runs no dependence analysis.
 """
 
 from __future__ import annotations
@@ -209,14 +214,21 @@ def proposal_cost(
     with the alignment constraints, then structural tie-breakers that favour
     balanced factor vectors with parallelism on inner loops.
     """
-    return _proposal_ranker(band, constraints_list)(factors)
+    head, tail = _proposal_ranker(band, constraints_list)
+    return head(factors) + tail(factors)
+
+
+_Ranker = Callable[[Sequence[int]], Tuple[float, ...]]
 
 
 def _proposal_ranker(
     band: BandInfo, constraints_list: Sequence[Sequence[Optional[int]]]
-) -> Callable[[Sequence[int]], Tuple[float, float, float, int, float]]:
-    """:func:`proposal_cost` of one band, with what no proposal changes —
-    the combined constraint and each access's stride weights — computed once."""
+) -> Tuple[_Ranker, _Ranker]:
+    """:func:`proposal_cost` of one band in two parts, ``(iterations, DSPs)``
+    and ``(banks, max factor, -inner preference)``: the order is
+    lexicographic, so the second part — which walks every access — is only
+    ever needed to break a tie on the first.  What no proposal changes (the
+    combined constraint, each access's stride weights) is computed once."""
     # Combined constraint demand per loop position (from connected bands).
     combined_constraint: List[int] = [1] * band.num_loops
     for constraints in constraints_list:
@@ -236,15 +248,16 @@ def _proposal_ranker(
         for access in band.accesses
     ]
 
-    def cost(factors: Sequence[int]) -> Tuple[float, float, float, int, float]:
+    def head(factors: Sequence[int]) -> Tuple[float, float]:
         iterations = 1.0
         for trip, factor in zip(band.trip_counts, factors):
             iterations *= math.ceil(trip / max(factor, 1))
         product = 1
         for factor in factors:
             product *= factor
-        dsp = band.muls_per_iteration * product
+        return (iterations, band.muls_per_iteration * product)
 
+    def tail(factors: Sequence[int]) -> Tuple[float, int, float]:
         banks = 0.0
         for access_demands in demands:
             access_banks = 1.0
@@ -252,12 +265,11 @@ def _proposal_ranker(
                 demand = max(factors[position] * weight, constraint)
                 access_banks *= max(demand, 1.0)
             banks += access_banks
-
         max_factor = max(factors) if factors else 1
         inner_preference = sum(factor * index for index, factor in enumerate(factors))
-        return (iterations, dsp, banks, max_factor, -inner_preference)
+        return (banks, max_factor, -inner_preference)
 
-    return cost
+    return head, tail
 
 
 def _order_reductions_outward(band: BandInfo) -> bool:
@@ -305,18 +317,24 @@ def parallelize_band(
                 constraints_list.append(connection.constraints_for(band, other))
 
     proposals = candidate_unroll_factors(band, parallel_factor)
-    cost_of = _proposal_ranker(band, constraints_list)
+    head_of, tail_of = _proposal_ranker(band, constraints_list)
     best: Optional[List[int]] = None
-    best_cost: Optional[Tuple] = None
+    best_head: Tuple[float, ...] = ()
+    best_tail: Optional[Tuple[float, ...]] = None  # computed on the first tie
     for factors in proposals:
         result.proposals_evaluated += 1
         if options.connection_aware and _violates_constraints(factors, constraints_list):
             result.constraint_violations += 1
             continue
-        cost = cost_of(factors)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best = factors
+        head = head_of(factors)
+        if best is None or head < best_head:
+            best, best_head, best_tail = factors, head, None
+        elif head == best_head:
+            if best_tail is None:
+                best_tail = tail_of(best)
+            tail = tail_of(factors)
+            if tail < best_tail:
+                best, best_tail = factors, tail
     if best is None:
         best = [1] * band.num_loops
     band.apply_unroll_factors(best)

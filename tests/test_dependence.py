@@ -13,6 +13,7 @@ oracle at the end executes small generated nests and checks that no
 dependence that really happens goes unreported.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -23,7 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.analysis import (
+    DistanceElement,
     NestAccesses,
     band_dependences,
     legal_permutation,
@@ -31,6 +34,7 @@ from repro.analysis import (
     loop_carries_dependence,
     nest_dependences,
 )
+from repro.analysis import dependence
 from repro.compiler import DEFAULT_PIPELINE, Compiler, PipelineObserver
 from repro.dialects.affine import (
     AffineApplyOp,
@@ -40,11 +44,17 @@ from repro.dialects.affine import (
     enclosing_loops,
 )
 from repro.dialects.affine_map import AffineMap, constant, dim
+from repro.dialects.arith import AddIOp
 from repro.frontend.cpp import KernelBuilder
 from repro.hida.analysis import is_parallel_loop
 from repro.transforms import tile_loop
-from repro.transforms.loop_transforms import get_perfectly_nested_band, loop_bands_of
-from repro.ir import Builder, ConstantOp, FuncOp, MemRefType, f32
+from repro.transforms.loop_transforms import (
+    get_perfectly_nested_band,
+    loop_bands_of,
+    permute_band,
+)
+from repro.ir import Block, Builder, ConstantOp, FuncOp, IndexType, MemRefType, Type, f32
+from repro.ir.core import Operation, Value
 from repro.workloads import get_workload, list_workloads
 
 
@@ -279,8 +289,21 @@ class TestIsParallelLoop:
 
 
 # ---------------------------------------------------------------------------
-# One shared walk per band answers like a fresh analysis of every loop
+# One shared walk per band answers like a fresh analysis of every loop, and
+# the table like the solver
 # ---------------------------------------------------------------------------
+
+
+def _nest_roots(module):
+    return [
+        op
+        for op in module.walk()
+        if isinstance(op, AffineForOp) and not enclosing_loops(op)
+    ]
+
+
+def _nest_loops(root):
+    return [op for op in root.walk() if isinstance(op, AffineForOp)]
 
 
 def _signature(dependences):
@@ -292,10 +315,34 @@ def _signature(dependences):
     ]
 
 
+def _solved_afresh(nest, loop, independent):
+    """The ``_signature`` of ``nest_dependences(loop, independent, nest)`` as
+    the solver answers when nothing is remembered: the table may not vouch
+    for itself, and two lookups of one row agreeing would say nothing.  The
+    loops are re-derived from the IR, not from the collection."""
+
+    def loops_from(op):
+        around = enclosing_loops(op)
+        return tuple(around[around.index(loop) :])
+
+    records = dependence._solve(nest.problem, nest._numbers[loop], independent)
+    return [
+        (
+            kind,
+            id(nest.ops[source]),
+            id(nest.ops[sink]),
+            loops_from(nest.ops[source])[:depth],
+            distance,
+        )
+        for source, sink, kind, depth, distance in records
+    ]
+
+
 class _SharedEqualsFresh(PipelineObserver):
     """At the ``tile`` and ``parallelize`` boundaries, compare every loop of
-    every nest against a fresh analysis rooted at that loop.  Mismatches are
-    collected: the driver isolates exceptions raised by observers."""
+    every nest against a fresh analysis rooted at that loop, and both against
+    an uncached solve.  Mismatches are collected: the driver isolates
+    exceptions raised by observers."""
 
     def __init__(self):
         self.loops = self.permutations = 0
@@ -304,18 +351,15 @@ class _SharedEqualsFresh(PipelineObserver):
     def on_stage_end(self, stage, state, seconds):
         if stage.name not in ("tile", "parallelize"):
             return
-        for root in state.module.walk():
-            if not isinstance(root, AffineForOp) or enclosing_loops(root):
-                continue
+        for root in _nest_roots(state.module):
             shared = NestAccesses(root)
-            for loop in root.walk():
-                if not isinstance(loop, AffineForOp):
-                    continue
+            for loop in _nest_loops(root):
                 self.loops += 1
                 for independent in (True, False):
-                    ours = nest_dependences(loop, independent, shared)
-                    fresh = nest_dependences(loop, independent)
-                    if _signature(ours) != _signature(fresh):
+                    ours = _signature(nest_dependences(loop, independent, shared))
+                    fresh = _signature(nest_dependences(loop, independent))
+                    solved = _solved_afresh(shared, loop, independent)
+                    if not ours == fresh == solved:
                         self.mismatches.append((stage.name, loop, independent))
             band = get_perfectly_nested_band(root)
             for shift in range(len(band)):
@@ -346,22 +390,190 @@ class TestSharedAccessCollection:
 
 
 # ---------------------------------------------------------------------------
+# The answer table: keyed by everything the solver reads, holding no IR
+# ---------------------------------------------------------------------------
+
+
+def _keyed_nest(
+    lower=0,
+    upper=8,
+    step=1,
+    coeff=1,
+    const=0,
+    second_is_store=False,
+    second_buffer=0,
+    parallel=None,
+    swapped=False,
+    second_index="iv",
+):
+    """``for o in 0..4: for i in lower..upper step: A[coeff*i + const] = 0;
+    .. = A[i]`` with one knob per solver input.  ``second_index`` picks what
+    the second access adds to ``i``: nothing (``"iv"``), a value computed
+    inside the inner loop, the same computed before the nest, or the outer
+    loop's IV.  Returns ``(outer loop, inner loop)``."""
+    func = FuncOp.create(
+        "f", input_types=[MemRefType((64,), f32, "bram")] * 2 + [IndexType()]
+    )
+    builder = Builder.at_end(func.entry_block)
+    stored = builder.insert(ConstantOp.create(0.0, f32)).result()
+    argument = func.arguments[2]
+    hoisted = builder.insert(AddIOp.create(argument, argument)).result()
+    outer = builder.insert(AffineForOp.create(0, 4))
+    inner = Builder.at_end(outer.body).insert(AffineForOp.create(lower, upper, step))
+    if parallel is not None:
+        inner.set_attr("parallel", parallel)
+    body = Builder.at_end(inner.body)
+    iv = inner.induction_variable
+    extra = {
+        "iv": None,
+        "inside": lambda: body.insert(AddIOp.create(argument, argument)).result(),
+        "hoisted": lambda: hoisted,
+        "outer-iv": lambda: outer.induction_variable,
+    }[second_index]
+    first = AffineStoreOp.create(
+        stored, func.arguments[0], [iv], AffineMap(1, 0, [dim(0) * coeff + const])
+    )
+    memref = func.arguments[second_buffer]
+    indices, index_map = [iv], AffineMap(1, 0, [dim(0)])
+    if extra is not None:
+        indices, index_map = [iv, extra()], AffineMap(2, 0, [dim(0) + dim(1)])
+    if second_is_store:
+        second = AffineStoreOp.create(stored, memref, indices, index_map)
+    else:
+        second = AffineLoadOp.create(memref, indices, index_map)
+    for op in (second, first) if swapped else (first, second):
+        body.insert(op)
+    return outer, inner
+
+
+@pytest.fixture
+def empty_table():
+    dependence._clear_table()
+    yield
+    dependence._clear_table()
+
+
+class TestAnswerTable:
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            {"lower": 1},
+            {"upper": 9},
+            {"step": 2},
+            {"coeff": 2},
+            {"const": 1},
+            {"second_is_store": True},
+            {"second_buffer": 1},
+            {"parallel": True},
+            {"swapped": True},
+            {"second_index": "inside"},
+            {"second_index": "hoisted"},
+            {"second_index": "outer-iv"},
+        ],
+        ids=lambda mutation: "-".join(map(str, *mutation.items())),
+    )
+    def test_every_solver_input_is_in_the_key(self, mutation):
+        base = NestAccesses(_keyed_nest()[0]).problem
+        assert NestAccesses(_keyed_nest()[0]).problem == base  # a key, not an id
+        assert NestAccesses(_keyed_nest(**mutation)[0]).problem != base
+
+    def test_where_an_index_is_defined_is_in_the_key(self):
+        """The same ``i + k``: ``k`` computed inside the loop varies per
+        iteration, ``k`` computed before the nest is an invariant, and the
+        outer loop's IV is an invariant only to a question rooted below it."""
+        problems = [
+            NestAccesses(_keyed_nest(second_index=where)[0]).problem
+            for where in ("inside", "hoisted", "outer-iv")
+        ]
+        assert len(set(problems)) == 3
+        # Rooted at the inner loop the outer IV is one more external value.
+        hoisted, outer_iv = (
+            NestAccesses(_keyed_nest(second_index=where)[1]).problem
+            for where in ("hoisted", "outer-iv")
+        )
+        assert hoisted == outer_iv
+
+    def test_a_false_parallel_attribute_is_no_attribute(self):
+        base = NestAccesses(_keyed_nest()[0]).problem
+        assert NestAccesses(_keyed_nest(parallel=False)[0]).problem == base
+
+    def test_identical_bands_in_different_functions_share_one_row(self, empty_table):
+        first, second = _loops(gemm_module())[0], _loops(gemm_module())[0]
+        ours = nest_dependences(first)
+        assert dependence.table_stats() == {"reused": 0, "solved": 1, "forms": 1}
+        theirs = nest_dependences(second)
+        assert dependence.table_stats() == {"reused": 1, "solved": 1, "forms": 1}
+        assert [d.describe() for d in ours] == [d.describe() for d in theirs]
+        # ... re-bound to each band's own ops and loops.
+        assert all(first.is_ancestor_of(d.source) and d.loops[0] is first for d in ours)
+        assert all(second.is_ancestor_of(d.sink) and d.loops[0] is second for d in theirs)
+
+    def test_a_band_permuted_over_equal_bounds_is_another_problem(self, empty_table):
+        band = _loops(gemm_module(8, 8, 8))
+        before = NestAccesses(band[0]).problem
+        assert loop_carries_dependence(band[2])
+        permute_band(band, [2, 0, 1])  # same bounds at every level
+        after = NestAccesses(band[0])
+        assert after.problem != before
+        assert not loop_carries_dependence(band[2], after)
+        assert dependence.table_stats()["forms"] == 3  # band, band[2], permuted band
+
+    def test_two_answers_to_one_question_share_no_dependence(self, empty_table):
+        loop = _loops(gemm_module())[0]
+        nest = NestAccesses(loop)
+        first = nest_dependences(loop, accesses=nest)
+        second = nest_dependences(loop, accesses=nest)
+        assert first == second and first
+        assert all(a is not b for a, b in zip(first, second))
+        first[0].kind = "scribbled"
+        del first[1:]
+        assert nest_dependences(loop, accesses=nest) == second
+
+    def test_nothing_in_the_table_is_ir(self, empty_table):
+        Compiler.from_spec(DEFAULT_PIPELINE).run(workload="resnet18")
+        assert dependence.table_stats()["forms"] > 20
+        assert dataclasses.is_dataclass(DistanceElement)
+        assert DistanceElement.__dataclass_params__.frozen
+        leaves = 0
+        pending = [dependence._TABLE]
+        while pending:
+            item = pending.pop()
+            assert not isinstance(item, (Operation, Value, Block, Type)), item
+            if isinstance(item, dict):
+                pending.extend(item.keys())
+                pending.extend(item.values())
+            elif isinstance(item, tuple):
+                pending.extend(item)
+            else:
+                leaves += 1
+                assert item is None or type(item) in (int, str, bool, DistanceElement)
+        assert leaves > 1000
+
+    def test_a_table_of_one_form_still_answers_right(self, empty_table, monkeypatch):
+        monkeypatch.setattr(dependence, "_MAX_FORMS", 1)
+        golden = json.loads(_GOLDEN_PATH.read_text())
+        assert _golden_of("3mm") == golden["3mm"]
+        assert dependence.table_stats()["forms"] == 1
+        assert dependence.table_stats()["solved"] > 100
+
+    def test_questions_are_counted_on_the_telemetry_session(self, empty_table):
+        loop = _loops(gemm_module())[0]
+        session = obs.configure()
+        try:
+            nest_dependences(loop)
+            nest_dependences(loop)
+            nest_dependences(loop, include_loop_independent=False)
+        finally:
+            obs.shutdown()
+        assert session.registry.value("dependence.solved") == 2
+        assert session.registry.value("dependence.reused") == 1
+
+
+# ---------------------------------------------------------------------------
 # Golden answers on the zoo
 # ---------------------------------------------------------------------------
 
 _GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "dependence_golden.json"
-
-
-def _nest_roots(module):
-    return [
-        op
-        for op in module.walk()
-        if isinstance(op, AffineForOp) and not enclosing_loops(op)
-    ]
-
-
-def _nest_loops(root):
-    return [op for op in root.walk() if isinstance(op, AffineForOp)]
 
 
 def _access_index(root):
@@ -392,8 +604,12 @@ class _AnswerRows(PipelineObserver):
         for root in _nest_roots(state.module):
             index = _access_index(root)
             for loop in _nest_loops(root):
+                nest = NestAccesses(loop)
                 for independent in (True, False):
-                    answers.append(_rows(nest_dependences(loop, independent), index))
+                    answer = nest_dependences(loop, independent, nest)
+                    # The driver reports an observer's exception as an error.
+                    assert _signature(answer) == _solved_afresh(nest, loop, independent)
+                    answers.append(_rows(answer, index))
 
 
 def _compact(value):

@@ -19,6 +19,8 @@ from repro.hida import (
     node_intensity,
     sort_bands,
 )
+from repro.baselines import ABLATION_MODES, ablation_pipeline_spec
+from repro.hida import parallelize
 from repro.hida.parallelize import candidate_unroll_factors, proposal_cost
 from repro.ir import verify
 from repro.transforms.loop_transforms import loop_bands_of
@@ -164,6 +166,42 @@ class TestCandidateGeneration:
         low = proposal_cost(compute_band, [1, 1, 1], [])
         high = proposal_cost(compute_band, [4, 8, 1], [])
         assert high < low  # fewer iterations sorts first
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DEFAULT_PIPELINE] + [ablation_pipeline_spec(mode, 64) for mode in ABLATION_MODES],
+        ids=["default", *ABLATION_MODES],
+    )
+    def test_lazy_ranking_chooses_what_the_full_cost_chooses(self, spec, monkeypatch):
+        """``parallelize_band`` computes the tail of the cost only on a tie
+        of its head; ranking every proposal by the whole public 5-tuple
+        must choose the same factors for every band of the zoo."""
+
+        def compile_zoo():
+            results = [
+                Compiler.from_spec(spec, platform="vu9p-slr").run(workload=name)
+                for name in list_workloads()
+            ]
+            return [
+                (
+                    result.parallelization.unroll_factors,
+                    result.parallelization.proposals_evaluated,
+                    result.parallelization.constraint_violations,
+                )
+                for result in results
+            ]
+
+        lazy = compile_zoo()
+        assert any(factors for factors, _, _ in lazy)
+
+        ranker = parallelize._proposal_ranker
+
+        def eager(band, constraints_list):
+            head, tail = ranker(band, constraints_list)
+            return (lambda factors: head(factors) + tail(factors)), (lambda factors: ())
+
+        monkeypatch.setattr(parallelize, "_proposal_ranker", eager)
+        assert compile_zoo() == lazy
 
 
 class TestTable5And6:
