@@ -10,7 +10,13 @@ between designs the simulation must agree.
 """
 
 import itertools
+import json
+import pathlib
+import sys
 
+import pytest
+
+from repro.dialects.dataflow import BufferOp, ScheduleOp, get_consumers, get_producers
 from repro.dse import build_space, explore, polybench_suite
 from repro.estimation import (
     ChannelSpec,
@@ -19,7 +25,8 @@ from repro.estimation import (
     simulate_schedule,
 )
 from repro.estimation.dataflow_sim import _topological_order
-from repro.workloads import as_module
+from repro.hida.dataflow_opt import node_depths
+from repro.workloads import as_module, list_workloads
 from repro.compiler import Compiler
 
 
@@ -218,3 +225,64 @@ def test_topological_order_with_cycle_exposes_exact_member_set():
     assert members == frozenset({0, 1})
     # The legacy helper stays a thin wrapper over the same order.
     assert _topological_order(4, channels) == order
+
+
+# ------------------------------------------------------------ graph golden
+# ``tests/data/dataflow_graph_golden.json`` holds, for every zoo workload and
+# every schedule in it, the channel list, the node depths and each buffer's
+# producers / consumers (as node positions) — once right after
+# ``lower-structural`` (multi-producer buffers still present) and once after
+# the whole default pipeline.  Recorded with the pre-PR-23 scans (every node
+# asked about every schedule argument); regenerate only on purpose, with
+# ``PYTHONPATH=src python tests/test_dataflow_sim.py --regen``.
+
+_GRAPH_GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "dataflow_graph_golden.json"
+_GRAPH_SPECS = {
+    "structural": "construct-dataflow,fuse-tasks,lower-linalg,lower-structural",
+    "final": (
+        "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+        "eliminate-multi-producers,balance,tile,parallelize"
+    ),
+}
+
+
+def _graph_rows(workload):
+    rows = {}
+    for point, spec in _GRAPH_SPECS.items():
+        state = Compiler.from_spec(spec, platform="zu3eg").run_stages(workload=workload)
+        schedules = []
+        for schedule in state.module.walk_ops(ScheduleOp):
+            nodes, channels = build_channels(schedule)
+            position = {id(node): i for i, node in enumerate(nodes)}
+            depths = node_depths(schedule)
+            schedules.append(
+                {
+                    "channels": [[c.producer, c.consumer, c.capacity] for c in channels],
+                    "depths": [depths[id(node)] for node in nodes],
+                    "buffers": [
+                        [
+                            [position.get(id(n), -1) for n in get_producers(op.result())],
+                            [position.get(id(n), -1) for n in get_consumers(op.result())],
+                        ]
+                        for op in schedule.body.operations
+                        if isinstance(op, BufferOp)
+                    ],
+                }
+            )
+        rows[point] = schedules
+    return rows
+
+
+@pytest.mark.parametrize("workload", list_workloads())
+def test_dataflow_graph_golden(workload):
+    golden = json.loads(_GRAPH_GOLDEN_PATH.read_text())[workload]
+    assert _graph_rows(workload) == golden
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_dataflow_sim.py --regen")
+    rows = {workload: _graph_rows(workload) for workload in list_workloads()}
+    lines = [f" {json.dumps(w)}: {json.dumps(row, separators=(',', ':'))}" for w, row in rows.items()]
+    _GRAPH_GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {_GRAPH_GOLDEN_PATH}")

@@ -2,7 +2,12 @@
 verifier and the pass infrastructure."""
 
 import pytest
+from hypothesis import given, settings
 
+from repro.compiler.driver import DEFAULT_PIPELINE, Compiler
+from repro.compiler.stages import CompilationState
+from repro.estimation.platform import get_platform
+from repro.workloads import get_workload, list_workloads
 from repro.ir import (
     Block,
     Builder,
@@ -28,6 +33,7 @@ from repro.ir import (
 )
 from repro.dialects.arith import AddFOp
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
+from test_ir_parser import _op_trees
 
 
 def build_simple_func(name="foo", shape=(8, 8)):
@@ -372,3 +378,176 @@ class TestVerifier:
         Builder.at_end(loop2.body).insert(AddFOp.create(inner.result(), inner.result()))
         errors = verify(module, raise_on_error=False)
         assert any("not visible" in e for e in errors)
+
+
+# ---------------------------------------------------------------------------
+# Traversal net: the walk against the recursive generator it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_walk(root, order="post"):
+    """The recursive walk of ``Operation.walk`` as it stood before PR 23,
+    verbatim: the reference the explicit-stack walk is held to."""
+
+    def _walk(op):
+        if order == "pre":
+            yield op
+        for region in op.regions:
+            for block in region.blocks:
+                for child in list(block.operations):
+                    yield from _walk(child)
+        if order == "post":
+            yield op
+
+    return _walk(root)
+
+
+def _assert_same_walk(root, context=""):
+    for order in ("pre", "post"):
+        expected = list(_reference_walk(root, order))
+        got = list(root.walk(order=order))
+        assert len(got) == len(expected), (context, order)
+        assert all(a is b for a, b in zip(got, expected)), (context, order)
+        seen = []
+        assert next(root.walk(seen.append, order=order), None) is None
+        assert len(seen) == len(expected) and all(a is b for a, b in zip(seen, expected))
+        for region in root.regions:
+            expected = [
+                op
+                for block in region.blocks
+                for child in block.operations
+                for op in _reference_walk(child, order)
+            ]
+            got = list(region.walk(order=order))
+            assert len(got) == len(expected), (context, order)
+            assert all(a is b for a, b in zip(got, expected)), (context, order)
+
+
+def _nest(depth, leaves=2):
+    """``depth`` nested loops with ``leaves`` constants on each side of every
+    inner loop; returns the outermost loop."""
+    root = AffineForOp.create(0, 2)
+    loop = root
+    for _ in range(depth - 1):
+        builder = Builder.at_end(loop.body)
+        for _ in range(leaves):
+            builder.insert(ConstantOp.create(1.0, f32))
+        inner = builder.insert(AffineForOp.create(0, 2))
+        for _ in range(leaves):
+            builder.insert(ConstantOp.create(2.0, f32))
+        loop = inner
+    Builder.at_end(loop.body).insert(ConstantOp.create(3.0, f32))
+    return root
+
+
+class TestWalkMatchesReference:
+    @pytest.mark.parametrize("workload", list_workloads())
+    def test_every_zoo_module_after_every_default_stage(self, workload):
+        compiler = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg")
+        state = CompilationState(
+            module=get_workload(workload).build_module(), platform=get_platform("zu3eg")
+        )
+        _assert_same_walk(state.module, "frontend")
+        for stage in compiler.stages:
+            stage.run(state)
+            _assert_same_walk(state.module, stage.name)
+        assert list(state.module.nested_values()) == [
+            value
+            for op in _reference_walk(state.module, "pre")
+            for value in [*op.results, *(a for r in op.regions for b in r.blocks for a in b.arguments)]
+        ]
+        func = state.module.functions[0]
+        assert func.walk_ops(AffineForOp) == [
+            op for op in _reference_walk(func) if isinstance(op, AffineForOp)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(op=_op_trees())
+    def test_generated_op_trees(self, op):
+        # Empty regions, empty blocks, multi-block and multi-region bodies.
+        _assert_same_walk(op)
+
+    def test_detached_root_and_leaf(self):
+        leaf = ConstantOp.create(1.0, f32)
+        assert leaf.parent is None
+        _assert_same_walk(leaf)
+        assert list(leaf.walk()) == [leaf]
+        _assert_same_walk(_nest(5))
+        empty = create_operation("test.empty", num_regions=2)
+        _assert_same_walk(empty)
+        assert list(empty.walk(order="pre")) == [empty]
+
+    # The snapshot rule: a block's op list is copied when the walk enters the
+    # block.  What is erased or inserted after that does not change what this
+    # walk yields from that block; blocks not yet entered see the change.
+
+    @pytest.mark.parametrize("order", ["pre", "post"])
+    def test_erase_during_walk_still_yields_the_erased_op(self, order):
+        def run(walk):
+            root = _nest(4)
+            names = []
+            for op in walk(root, order):
+                names.append(op.name)
+                later = op.parent.operations if op.parent is not None else []
+                if op.name == "arith.constant" and later and later[-1] is not op:
+                    later[-1].erase()  # a later sibling of the same block
+            return names
+
+        assert run(lambda root, order: root.walk(order=order)) == run(_reference_walk)
+
+    @pytest.mark.parametrize("order", ["pre", "post"])
+    def test_insert_during_walk_is_seen_only_in_blocks_not_yet_entered(self, order):
+        def run(walk):
+            root = _nest(3)
+            inner = root.body.operations[2]
+            seen, late = [], None
+            for op in walk(root, order):
+                seen.append(op)
+                if late is None and op is not root:
+                    # A child is out, so root's block is entered: not yielded.
+                    late = Builder.at_end(root.body).insert(ConstantOp.create(7.0, f32))
+                    # The inner loop's block is not entered yet: yielded.
+                    early = Builder.at_start(inner.body).insert(ConstantOp.create(8.0, f32))
+            return seen, late, early, root
+
+        seen, late, early, root = run(lambda root, order: root.walk(order=order))
+        reference, ref_late, ref_early, ref_root = run(_reference_walk)
+        assert [op.name for op in seen] == [op.name for op in reference]
+        assert not any(op is late for op in seen) and any(op is early for op in seen)
+        assert [op is root for op in seen] == [op is ref_root for op in reference]
+        assert [op is early for op in seen] == [op is ref_early for op in reference]
+
+    def test_preorder_sees_regions_added_to_the_op_it_just_yielded(self):
+        def run(walk):
+            root = create_operation("test.root", num_regions=1)
+            root.body.append(create_operation("test.child"))
+            names = []
+            for op in walk(root, "pre"):
+                names.append(op.name)
+                if op.name == "test.child":
+                    op.add_region().entry_block.append(create_operation("test.grandchild"))
+            return names
+
+        expected = ["test.root", "test.child", "test.grandchild"]
+        assert run(_reference_walk) == expected
+        assert run(lambda root, order: root.walk(order=order)) == expected
+
+    def test_second_block_is_snapshotted_when_entered_not_before(self):
+        def run(walk):
+            root = create_operation("test.root", num_regions=1)
+            first, second = Block(), Block()
+            root.regions[0].append_block(first)
+            root.regions[0].append_block(second)
+            first.append(create_operation("test.a"))
+            second.append(create_operation("test.b"))
+            names = []
+            for op in walk(root, "post"):
+                names.append(op.name)
+                if op.name == "test.a":
+                    second.append(create_operation("test.c"))
+                    first.append(create_operation("test.never"))
+            return names
+
+        expected = ["test.a", "test.b", "test.c", "test.root"]
+        assert run(_reference_walk) == expected
+        assert run(lambda root, order: root.walk(order=order)) == expected

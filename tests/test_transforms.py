@@ -1,8 +1,14 @@
 """Tests for generic transforms: linalg-to-affine lowering, loop transforms,
 array partitioning and canonicalization."""
 
+import hashlib
+import json
+import pathlib
+import sys
+
 import pytest
 
+from repro.compiler import Compiler
 from repro.dialects import linalg
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.dialects.dataflow import TaskOp
@@ -10,7 +16,7 @@ from repro.dialects.memref import AllocOp, GetGlobalOp
 from repro.frontend.cpp import KernelBuilder, build_listing1
 from repro.frontend.nn import Sequential, Conv2d, ReLU, Linear, MaxPool2d, Flatten, trace
 from repro.hida.functional import construct_functional_dataflow
-from repro.ir import Builder, ConstantOp, FuncOp, MemRefType, ModuleOp, f32, verify
+from repro.ir import Builder, ConstantOp, FuncOp, MemRefType, ModuleOp, f32, print_op, verify
 from repro.transforms import (
     eliminate_dead_code,
     lower_linalg_to_affine,
@@ -19,7 +25,7 @@ from repro.transforms import (
     tile_loop,
     unroll_loop,
 )
-from repro.workloads import as_module
+from repro.workloads import as_module, iter_workloads
 from repro.transforms.loop_transforms import (
     annotate_unroll,
     innermost_loops_of,
@@ -273,3 +279,70 @@ class TestCanonicalize:
         eliminate_dead_code(module)
         loops_after = len([op for op in module.walk() if isinstance(op, AffineForOp)])
         assert loops_before == loops_after
+
+    def test_dce_keeps_an_op_whose_only_effect_is_nested_two_levels_down(self):
+        module = as_module("2mm")
+        for loop in [op for op in module.walk() if isinstance(op, AffineForOp)]:
+            assert not any(result.has_uses for result in loop.results)
+        before = print_op(module)
+        assert eliminate_dead_code(module) == 0
+        assert print_op(module) == before
+
+    def test_dce_erases_a_dead_loop_nest_inside_out_in_one_sweep(self):
+        module, func = ModuleOp.create("m"), FuncOp.create("f", input_types=[MemRefType((4,), f32)])
+        module.append(func)
+        builder = Builder.at_end(func.entry_block)
+        dead_outer = builder.insert(AffineForOp.create(0, 4))
+        dead_inner = Builder.at_end(dead_outer.body).insert(AffineForOp.create(0, 4))
+        Builder.at_end(dead_inner.body).insert(ConstantOp.create(1.0, f32))
+        live_outer = builder.insert(AffineForOp.create(0, 4))
+        live_inner = Builder.at_end(live_outer.body).insert(AffineForOp.create(0, 4))
+        body = Builder.at_end(live_inner.body)
+        body.insert(ConstantOp.create(2.0, f32))  # dead, next to a store
+        kept = body.insert(ConstantOp.create(3.0, f32))
+        body.insert(
+            AffineStoreOp.create(kept.result(), func.arguments[0], [live_inner.induction_variable])
+        )
+        # Post-order reaches the constant, then the inner loop, then the outer.
+        assert eliminate_dead_code(module, max_iterations=1) == 4
+        assert func.entry_block.operations == [live_outer]
+        assert [op.name for op in live_inner.body.operations] == ["arith.constant", "affine.store"]
+
+
+# ``tests/data/dce_golden.json`` holds what the pre-PR-23 ``eliminate_dead_code``
+# (one subtree walk per candidate op) erased from every NN model right after
+# ``lower_linalg_to_affine``: the count, and a digest of the printed result.
+# Regenerate only on purpose: ``PYTHONPATH=src python tests/test_transforms.py --regen``.
+
+_DCE_GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "dce_golden.json"
+_MODELS = [handle.workload_id for handle in iter_workloads() if handle.kind == "model"]
+
+
+def _dce_row(workload):
+    state = Compiler.from_spec("construct-dataflow,fuse-tasks", platform="zu3eg").run_stages(
+        workload=workload
+    )
+    lower_linalg_to_affine(state.module)
+    erased = eliminate_dead_code(state.module)
+    text = print_op(state.module)
+    return {
+        "erased": erased,
+        "lines": text.count("\n") + 1,
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("workload", _MODELS)
+def test_dce_golden(workload):
+    assert len(_MODELS) >= 6
+    golden = json.loads(_DCE_GOLDEN_PATH.read_text())[workload]
+    assert golden["erased"] > 0
+    assert _dce_row(workload) == golden
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_transforms.py --regen")
+    rows = {workload: _dce_row(workload) for workload in _MODELS}
+    _DCE_GOLDEN_PATH.write_text(json.dumps(rows, indent=1) + "\n")
+    print(f"wrote {_DCE_GOLDEN_PATH}")
