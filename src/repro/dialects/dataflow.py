@@ -351,19 +351,18 @@ class NodeOp(Operation):
     def params(self) -> List[Value]:
         return [v for _, v in self._operands_with_effect(lambda e: e == MemoryEffect.PARAM)]
 
+    def _effects_on(self, value: Value) -> List[str]:
+        """Effect of every operand slot holding ``value``, read off its use list."""
+        effects = self.get_attr("effects", ())
+        return [effects[i] for user, i in value._uses if user is self and i < len(effects)]
+
     def reads(self, value: Value) -> bool:
         """True if this node reads from ``value`` (READ or READ_WRITE)."""
-        return any(
-            operand is value and MemoryEffect.reads(effect)
-            for operand, effect in zip(self.operands, self.effects)
-        )
+        return any(map(MemoryEffect.reads, self._effects_on(value)))
 
     def writes(self, value: Value) -> bool:
         """True if this node writes to ``value`` (WRITE or READ_WRITE)."""
-        return any(
-            operand is value and MemoryEffect.writes(effect)
-            for operand, effect in zip(self.operands, self.effects)
-        )
+        return any(map(MemoryEffect.writes, self._effects_on(value)))
 
     def uses_value(self, value: Value) -> bool:
         return any(operand is value for operand in self.operands)

@@ -69,11 +69,11 @@ def build_channels(schedule: ScheduleOp) -> Tuple[List[NodeOp], List[ChannelSpec
     index_of = {id(node): i for i, node in enumerate(nodes)}
     channels: List[ChannelSpec] = []
 
-    def add_channel(producer: NodeOp, consumer: NodeOp, capacity: int) -> None:
-        if id(producer) not in index_of or id(consumer) not in index_of:
-            return
-        p, c = index_of[id(producer)], index_of[id(consumer)]
-        if p == c:
+    def add_channel(
+        producer: NodeOp, consumer: NodeOp, capacity: int, forward_only: bool = False
+    ) -> None:
+        p, c = index_of.get(id(producer)), index_of.get(id(consumer))
+        if p is None or c is None or p == c or (forward_only and p > c):
             return
         channels.append(ChannelSpec(p, c, capacity))
 
@@ -82,8 +82,9 @@ def build_channels(schedule: ScheduleOp) -> Tuple[List[NodeOp], List[ChannelSpec
         if isinstance(op, BufferOp):
             value = op.result()
             capacity = max(op.depth, 1)
+            consumers = get_consumers(value)
             for producer in get_producers(value):
-                for consumer in get_consumers(value):
+                for consumer in consumers:
                     if producer is not consumer:
                         add_channel(producer, consumer, capacity)
         elif isinstance(op, StreamOp):
@@ -97,14 +98,14 @@ def build_channels(schedule: ScheduleOp) -> Tuple[List[NodeOp], List[ChannelSpec
                         add_channel(producer, consumer, op.depth)
 
     # Values passed in from outside (schedule block arguments): a write by one
-    # node followed by a read by another still orders the two nodes.
+    # node followed by a read by another still orders the two nodes.  The
+    # schedule is isolated from above, so the argument's node users are nodes
+    # of this schedule: ask its use list, not every node.
     for argument in schedule.body.arguments:
-        writers = [n for n in nodes if n.writes(argument)]
-        readers = [n for n in nodes if n.reads(argument)]
-        for producer in writers:
+        readers = get_consumers(argument)
+        for producer in get_producers(argument):
             for consumer in readers:
-                if producer is not consumer and nodes.index(producer) < nodes.index(consumer):
-                    add_channel(producer, consumer, 2)
+                add_channel(producer, consumer, 2, forward_only=True)
     return nodes, channels
 
 

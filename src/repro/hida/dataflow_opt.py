@@ -213,28 +213,25 @@ def node_depths(schedule: ScheduleOp) -> Dict[int, int]:
     nodes = schedule.nodes
     index_of = {id(node): i for i, node in enumerate(nodes)}
     edges: Dict[int, List[int]] = {i: [] for i in range(len(nodes))}
+
+    def connect(value: Value, forward_only: bool) -> None:
+        users = get_node_users(value)
+        consumers = [index_of[id(n)] for n in users if n.reads(value)]
+        for producer in users:
+            if producer.writes(value):
+                pi = index_of[id(producer)]
+                edges[pi].extend(
+                    ci for ci in consumers if (pi < ci if forward_only else pi != ci)
+                )
+
     for op in schedule.body.operations:
         if isinstance(op, (BufferOp, StreamOp)):
-            value = op.result()
-        else:
-            continue
-        producers = [n for n in get_node_users(value) if n.writes(value)]
-        consumers = [n for n in get_node_users(value) if n.reads(value)]
-        for producer in producers:
-            for consumer in consumers:
-                if producer is not consumer:
-                    edges[index_of[id(producer)]].append(index_of[id(consumer)])
-    # Also order through externally passed buffers (schedule arguments).
-    for argument in schedule.body.arguments:
-        if not isinstance(argument.type, MemRefType):
-            continue
-        producers = [n for n in nodes if n.writes(argument)]
-        consumers = [n for n in nodes if n.reads(argument)]
-        for producer in producers:
-            for consumer in consumers:
-                pi, ci = index_of[id(producer)], index_of[id(consumer)]
-                if pi < ci:
-                    edges[pi].append(ci)
+            connect(op.result(), forward_only=False)
+    # Externally passed buffers (schedule arguments) order their users too.
+    # The schedule is isolated from above, so an argument's node users are
+    # nodes of this schedule: ask its use list, not every node.
+    for argument in _external_buffer_values(schedule):
+        connect(argument, forward_only=True)
 
     depth = [0] * len(nodes)
     # Nodes are in program order which is a topological order for acyclic

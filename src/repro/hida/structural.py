@@ -73,9 +73,7 @@ def analyze_memory_effects(
     Returns the externally-defined values in first-use order plus a map from
     ``id(value)`` to the effect (``read``/``write``/``readwrite``/``param``).
     """
-    inside = set()
-    for op in container.walk():
-        inside.add(id(op))
+    inside = {id(op) for op in container.walk()}
 
     order: List[Value] = []
     effects: Dict[int, str] = {}
@@ -89,7 +87,7 @@ def analyze_memory_effects(
             owner_op = owner_block.parent_op if owner_block is not None else None
             if owner_op is not None and id(owner_op) in inside:
                 return  # argument of a nested region
-        if not any(value is v for v in order):
+        if id(value) not in effects:
             order.append(value)
             effects[id(value)] = MemoryEffect.PARAM
         current = effects[id(value)]
@@ -108,9 +106,9 @@ def analyze_memory_effects(
                 else MemoryEffect.WRITE
             )
 
+    # A second walk, not a second half of the first: a block argument's owner
+    # is an ancestor, which post-order yields last, so ``inside`` must be whole.
     for op in container.walk():
-        if id(op) not in inside:
-            continue
         if isinstance(op, AffineLoadOp):
             note(op.memref, reads=True, writes=False)
             for index in op.index_operands:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 from typing import (
     Any,
     Callable,
@@ -59,6 +60,7 @@ class IRError(Exception):
 
 
 _value_ids = itertools.count()
+_user_of = operator.itemgetter(0)
 
 
 class Value:
@@ -82,11 +84,8 @@ class Value:
     @property
     def users(self) -> List["Operation"]:
         """Operations that use this value, in first-use order, de-duplicated."""
-        seen = []
-        for op, _ in self._uses:
-            if op not in seen:
-                seen.append(op)
-        return seen
+        # dicts keep insertion order; ops hash by identity.
+        return list(dict.fromkeys(map(_user_of, self._uses)))
 
     @property
     def has_uses(self) -> bool:
@@ -182,6 +181,51 @@ class WalkOrder:
 
     PRE_ORDER = "pre"
     POST_ORDER = "post"
+
+
+_IS_POST_ORDER = {WalkOrder.PRE_ORDER: False, WalkOrder.POST_ORDER: True}
+_BAD_WALK_ORDER = "unknown walk order {!r}; expected 'pre' or 'post'"
+
+
+def _walk_flat(
+    roots: Iterable["Operation"], root_blocks: Iterable["Block"], post: bool
+) -> Iterator["Operation"]:
+    """Walk ``roots``, then the ops of ``root_blocks``, without recursion.
+
+    One generator whatever the nesting depth: a leaf op costs one resume, an
+    op with regions one push.  The current frame lives in three locals — the
+    op being walked, an iterator over the snapshot of the block it is in, and
+    a live iterator over the blocks still to enter; ``outer`` chains the
+    suspended frames, innermost first.
+    """
+    owner: Optional[Operation] = None
+    children, blocks = iter(roots), iter(root_blocks)
+    outer: Optional[tuple] = None
+    while True:
+        for op in children:
+            if not post:
+                yield op
+            regions = op.regions
+            if regions:
+                outer = (owner, children, blocks, outer)
+                owner = op
+                blocks = iter(regions[0].blocks)
+                if len(regions) > 1:
+                    blocks = (block for region in regions for block in region.blocks)
+                break
+            if post:
+                yield op
+        # Here either a descent just began or a block ran out: enter the
+        # owner's next block, or leave the owner.
+        for block in blocks:
+            children = iter(block._operations[:])
+            break
+        else:
+            if outer is None:
+                return
+            if post:
+                yield owner
+            owner, children, blocks, outer = outer
 
 
 # --------------------------------------------------------------------------
@@ -354,13 +398,11 @@ class Operation:
         return self.parent
 
     @property
-    def parent_region(self) -> Optional["Region"]:
-        return self.parent.parent if self.parent else None
-
-    @property
     def parent_op(self) -> Optional["Operation"]:
-        region = self.parent_region
-        return region.parent if region else None
+        block = self.parent
+        if block is None or block.parent is None:
+            return None
+        return block.parent.parent
 
     def is_ancestor_of(self, other: "Operation") -> bool:
         """True if ``other`` is nested (strictly or not) within this operation."""
@@ -378,7 +420,7 @@ class Operation:
         """True if both ops are in the same block and self precedes other."""
         if self.parent is None or self.parent is not other.parent:
             raise IRError("operations are not in the same block")
-        ops = self.parent.operations
+        ops = self.parent._operations
         return ops.index(self) < ops.index(other)
 
     # ------------------------------------------------------------- placement
@@ -433,24 +475,22 @@ class Operation:
         callback: Optional[Callable[["Operation"], Any]] = None,
         order: str = WalkOrder.POST_ORDER,
     ) -> Iterator["Operation"]:
-        """Walk this op and all nested ops.
+        """Walk this op and all nested ops, in ``"pre"`` or ``"post"`` order.
 
         With a ``callback`` this behaves like MLIR's walk and returns nothing
-        meaningful; without one it returns an iterator over operations.
-        Nested operations are visited in either pre- or post-order.
+        meaningful; without one it returns an iterator over operations.  The
+        walk is flat: it costs O(ops) however deep the nesting.
+
+        Mutation rule: a block's op list is snapshotted when the walk *enters*
+        that block (after a pre-order walk has yielded the block's owner, and
+        for a later block only once the blocks before it are done).  An op
+        erased after that is still yielded, an op inserted after that is not;
+        blocks the walk has not entered yet see every change.  An op's region
+        list is read when the walk reaches the op, a region's block list live.
         """
-
-        def _walk(op: "Operation") -> Iterator["Operation"]:
-            if order == WalkOrder.PRE_ORDER:
-                yield op
-            for region in op.regions:
-                for block in region.blocks:
-                    for child in list(block.operations):
-                        yield from _walk(child)
-            if order == WalkOrder.POST_ORDER:
-                yield op
-
-        iterator = _walk(self)
+        if order not in _IS_POST_ORDER:
+            raise ValueError(_BAD_WALK_ORDER.format(order))
+        iterator = _walk_flat((self,), (), _IS_POST_ORDER[order])
         if callback is None:
             return iterator
         for op in iterator:
@@ -510,8 +550,10 @@ class Operation:
         """Hook for op-specific verification; overridden by dialect ops."""
 
     def __repr__(self) -> str:
-        n_ops = sum(1 for _ in self.walk()) - 1
-        return f"<{self.name} operands={self.num_operands} results={self.num_results} nested={n_ops}>"
+        # Direct children only: a repr lands in tracebacks and diagnostics and
+        # must not cost a walk of the whole module.
+        n_ops = sum(len(block) for region in self.regions for block in region.blocks)
+        return f"<{self.name} operands={self.num_operands} results={self.num_results} children={n_ops}>"
 
 
 def _clone_attribute_dict(attrs: Dict[str, Any]) -> Dict[str, Any]:
@@ -637,9 +679,10 @@ class Region:
         return self.blocks[0].operations
 
     def walk(self, order: str = WalkOrder.POST_ORDER) -> Iterator[Operation]:
-        for block in self.blocks:
-            for op in list(block.operations):
-                yield from op.walk(order=order)
+        """Walk every op of the region; the contract of :meth:`Operation.walk`."""
+        if order not in _IS_POST_ORDER:
+            raise ValueError(_BAD_WALK_ORDER.format(order))
+        return _walk_flat((), self.blocks, _IS_POST_ORDER[order])
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)

@@ -14,7 +14,7 @@ Checks the invariants the rest of the compiler relies on:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .core import Block, BlockArgument, IRError, OpResult, Operation, Value
 
@@ -25,19 +25,37 @@ class VerificationError(IRError):
     """Raised when IR verification fails."""
 
 
-def _enclosing_isolated_op(op: Operation) -> Optional[Operation]:
-    """Innermost ancestor op (inclusive) that is isolated from above."""
-    node: Optional[Operation] = op
-    while node is not None:
-        if node.get_attr("_isolated_from_above", False) or getattr(
-            node, "ISOLATED_FROM_ABOVE", False
-        ):
-            return node
-        node = node.parent_op
-    return None
+class _Scope:
+    """What one :func:`verify` walk learns once and is asked many times.  Both
+    tables are keyed by identity and only looked up, never iterated, so
+    diagnostic order cannot depend on hash order."""
+
+    def __init__(self) -> None:
+        self._positions: Dict[Block, Dict[Operation, int]] = {}
+        self._isolated: Dict[Operation, Optional[Operation]] = {}
+
+    def position(self, block: Block, op: Operation) -> int:
+        """Index of ``op`` in ``block``; the block is numbered on first ask."""
+        positions = self._positions.get(block)
+        if positions is None:
+            positions = self._positions[block] = {o: i for i, o in enumerate(block._operations)}
+        return positions[op]
+
+    def enclosing_isolated_op(self, op: Operation) -> Optional[Operation]:
+        """Innermost ancestor op (inclusive) that is isolated from above."""
+        memo = self._isolated
+        if op not in memo:
+            if op.get_attr("_isolated_from_above", False) or getattr(
+                op, "ISOLATED_FROM_ABOVE", False
+            ):
+                memo[op] = op
+            else:
+                parent = op.parent_op
+                memo[op] = None if parent is None else self.enclosing_isolated_op(parent)
+        return memo[op]
 
 
-def _is_visible(value: Value, user: Operation) -> bool:
+def _is_visible(value: Value, user: Operation, scope: _Scope) -> bool:
     """Whether ``value`` may be used as an operand of ``user``."""
     if isinstance(value, BlockArgument):
         defining_block: Optional[Block] = value.block
@@ -59,7 +77,7 @@ def _is_visible(value: Value, user: Operation) -> bool:
         node: Optional[Operation] = user
         while node is not None:
             if node.parent is def_block:
-                return def_block.index_of(def_op) < def_block.index_of(node)
+                return scope.position(def_block, def_op) < scope.position(def_block, node)
             node = node.parent_op
         return False
     return False
@@ -72,7 +90,7 @@ def _verify_parent_links(op: Operation, errors: List[str]) -> None:
         for block in region.blocks:
             if block.parent is not region:
                 errors.append(f"{op.name}: block parent link is broken")
-            for child in block.operations:
+            for child in block._operations:
                 if child.parent is not block:
                     errors.append(
                         f"{op.name}: child op {child.name} has a stale parent link"
@@ -80,22 +98,22 @@ def _verify_parent_links(op: Operation, errors: List[str]) -> None:
 
 
 def _verify_uses(op: Operation, errors: List[str]) -> None:
-    for index, operand in enumerate(op.operands):
-        if (op, index) not in operand.uses:
+    for index, operand in enumerate(op._operands):
+        if (op, index) not in operand._uses:
             errors.append(
                 f"{op.name}: operand #{index} use-list is missing this use"
             )
     for result in op.results:
-        for user, idx in result.uses:
+        for user, idx in result._uses:
             if idx >= user.num_operands or user.operand(idx) is not result:
                 errors.append(
                     f"{op.name}: stale use recorded on result #{result.index}"
                 )
 
 
-def _verify_operand_visibility(op: Operation, top: Operation, errors: List[str]) -> None:
-    isolated = _enclosing_isolated_op(op)
-    for index, operand in enumerate(op.operands):
+def _verify_operand_visibility(op: Operation, scope: _Scope, errors: List[str]) -> None:
+    isolated = scope.enclosing_isolated_op(op)
+    for index, operand in enumerate(op._operands):
         if isolated is not None and isolated is not op:
             # Operands must be defined inside the isolated op.
             def_op = operand.defining_op
@@ -114,7 +132,7 @@ def _verify_operand_visibility(op: Operation, top: Operation, errors: List[str])
                         f"outside isolated op {isolated.name}"
                     )
                     continue
-        if not _is_visible(operand, op):
+        if not _is_visible(operand, op, scope):
             errors.append(
                 f"{op.name}: operand #{index} ({operand!r}) is not visible at its use"
             )
@@ -127,11 +145,12 @@ def verify(top: Operation, raise_on_error: bool = True) -> List[str]:
     ``raise_on_error`` is set and any diagnostic was produced.
     """
     errors: List[str] = []
+    scope = _Scope()
     for op in top.walk():
         _verify_parent_links(op, errors)
         _verify_uses(op, errors)
         if op is not top:
-            _verify_operand_visibility(op, top, errors)
+            _verify_operand_visibility(op, scope, errors)
         try:
             op.verify()
         except Exception as exc:  # op-specific verification failure

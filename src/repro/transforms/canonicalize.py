@@ -29,32 +29,28 @@ _SIDE_EFFECT_OPS = {
 }
 
 
-def _has_side_effects(op: Operation) -> bool:
-    if op.name in _SIDE_EFFECT_OPS:
-        return True
-    # Ops with regions may contain side-effecting ops.
-    return any(
-        nested is not op and nested.name in _SIDE_EFFECT_OPS
-        for nested in op.walk()
-    )
-
-
 def eliminate_dead_code(top: Operation, max_iterations: int = 8) -> int:
     """Erase ops whose results are unused and that have no side effects.
 
-    Returns the number of erased operations.
+    An op has side effects when it, or anything nested in it, is one of
+    :data:`_SIDE_EFFECT_OPS`.  Returns the number of erased operations.
     """
     erased_total = 0
     for _ in range(max_iterations):
         erased = 0
+        # Post-order yields an op after everything nested in it, so an effectful
+        # op marks its parent on the way up.  The marks stay exact through the
+        # sweep's own erasures: an erased op was effect-free and left no mark.
+        effectful = set()
         for op in list(top.walk()):
+            if op.name in _SIDE_EFFECT_OPS or op in effectful:
+                effectful.add(op.parent_op)
+                continue
             if op is top or op.parent is None:
                 continue
             if isinstance(op, (FuncOp, ModuleOp)):
                 continue
             if any(result.has_uses for result in op.results):
-                continue
-            if _has_side_effects(op):
                 continue
             op.erase()
             erased += 1

@@ -1,6 +1,8 @@
 """Tests for the IR kernel: values, operations, regions, builder, printer,
 verifier and the pass infrastructure."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -551,3 +553,56 @@ class TestWalkMatchesReference:
         expected = ["test.a", "test.b", "test.c", "test.root"]
         assert run(_reference_walk) == expected
         assert run(lambda root, order: root.walk(order=order)) == expected
+
+
+class TestWalkContract:
+    @pytest.mark.parametrize("order", ["preorder", "POST", "", None])
+    def test_unknown_order_is_rejected_by_name(self, order):
+        loop = _nest(2)
+        for walk in (loop.walk, loop.regions[0].walk):
+            with pytest.raises(ValueError, match="'pre' or 'post'"):
+                walk(order=order)  # at the call, before anything is consumed
+        with pytest.raises(ValueError, match=repr(order)):
+            loop.walk(lambda op: None, order=order)
+
+    def test_walk_resumes_are_linear(self):
+        """Timing-free guard for the flat walk: a 12-deep nest of N ops is
+        walked in at most 2 N + 16 Python-level calls (generator resumes
+        included), where the recursive walk made about depth x N."""
+        root = _nest(12, leaves=6)
+        for order in ("pre", "post"):
+            n_ops = len(list(root.walk(order=order)))
+            assert n_ops == 12 + 11 * 12 + 1
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            sys.setprofile(count)
+            try:
+                for _ in root.walk(order=order):
+                    pass
+            finally:
+                sys.setprofile(None)
+            assert calls <= 2 * n_ops + 16, (order, calls, n_ops)
+            assert sum(1 for _ in _reference_walk(root, order)) == n_ops
+
+    def test_users_keep_first_use_order_without_duplicates(self):
+        a = ConstantOp.create(1.0, f32)
+        b = ConstantOp.create(2.0, f32)
+        first = AddFOp.create(a.result(), a.result())
+        second = AddFOp.create(b.result(), a.result())
+        third = AddFOp.create(a.result(), b.result())
+        assert a.result().users == [first, second, third]
+        assert b.result().users == [second, third]
+        many = [AddFOp.create(a.result(), a.result()) for _ in range(300)]
+        assert a.result().users == [first, second, third, *many]
+        assert a.result().num_uses == 4 + 2 * 300
+
+    def test_repr_counts_direct_children_only(self):
+        root = _nest(4)
+        assert repr(root) == "<affine.for operands=0 results=0 children=5>"
+        assert repr(ConstantOp.create(1.0, f32)) == (
+            "<arith.constant operands=0 results=1 children=0>"
+        )
