@@ -3,8 +3,8 @@
 :func:`probe_point` is the single "what is this point, and is its QoR
 already known" sequence; :func:`repro.dse.runner.explore` calls it from the
 orchestrating process before fan-out and :func:`evaluate_point` calls it
-again wherever the point actually runs, so both sides agree on record
-layout and cache keys by construction.
+wherever a point runs unprobed (a worker process, a run without a QoR
+cache), so both sides agree on record layout and cache keys by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .cache import QoRCache
 from .fidelity import DEFAULT_FIDELITY, get_fidelity
 from .space import DesignPoint
 
-__all__ = ["evaluate_point", "probe_point"]
+__all__ = ["evaluate_point", "open_caches", "probe_point"]
 
 #: Per-process memo ``workload identity -> (definition, fingerprint)`` of
 #: workload-module fingerprints (see :attr:`DesignPoint.workload_identity`).
@@ -86,18 +86,26 @@ def _resolve_fingerprint(point: DesignPoint, ir_cache) -> tuple:
     return fingerprint, module
 
 
+def open_caches(cache_dir: Optional[str], ir_cache_dir: Optional[str]) -> tuple:
+    """``(QoRCache, IRSnapshotCache)`` handles, None for a cache that is off."""
+    return (
+        QoRCache(cache_dir) if cache_dir else None,
+        IRSnapshotCache(ir_cache_dir) if ir_cache_dir else None,
+    )
+
+
 def probe_point(
     point: DesignPoint,
-    cache_dir: Optional[str],
+    qor_cache: Optional[QoRCache],
     fidelity: str,
-    ir_cache_dir: Optional[str],
+    ir_cache: Optional[IRSnapshotCache],
     **span_attrs,
 ) -> Tuple[Dict, Optional[tuple]]:
     """Record skeleton → fingerprint → cache key → QoR-cache probe.
 
     Returns ``(record, miss)``.  On a hit the record is complete
-    (``cached=True``) and ``miss`` is None.  On a miss, ``miss`` is the
-    ``(key, compiler, module, ir_cache)`` the compile continues from
+    (``cached=True``), ``miss`` is None and no compiler was built.  On a
+    miss, ``miss`` is the ``(key, module)`` the compile continues from
     (``module`` is None unless the fingerprint needed a frontend trace).
     Never raises: a failure leaves ``record["error"]`` and no ``miss``.
     """
@@ -109,19 +117,17 @@ def probe_point(
         "fidelity": fidelity,
     }
     try:
-        compiler = point.compiler()
-        spec_text = compiler.spec_text()
-        ir_cache = IRSnapshotCache(ir_cache_dir) if ir_cache_dir else None
+        spec_text = point.canonical_spec()
         fingerprint, module = _resolve_fingerprint(point, ir_cache)
         record["module_fingerprint"] = fingerprint
         record["pipeline_spec"] = spec_text
         key = _point_cache_key(fingerprint, point.platform, spec_text, fidelity)
         cached = None
-        if cache_dir:
+        if qor_cache is not None:
             with obs.span("qor-cache.probe", cat="cache", **span_attrs):
-                cached = QoRCache(cache_dir).get(key)
+                cached = qor_cache.get(key)
         if cached is None:
-            return record, (key, compiler, module, ir_cache)
+            return record, (key, module)
         record.update(cached)
         record["cached"] = True
         record["fidelity"] = fidelity
@@ -137,6 +143,7 @@ def evaluate_point(
     fidelity: str = DEFAULT_FIDELITY,
     ir_cache_dir: Optional[str] = None,
     trace: Optional[Dict[str, str]] = None,
+    probed: Optional[tuple] = None,
 ) -> Dict:
     """Evaluate one design point; safe to call in a worker process.
 
@@ -163,19 +170,25 @@ def evaluate_point(
     orchestrating span), then hands its collected events back under the
     record's ``"telemetry"`` key — popped by the parent exactly like
     ``"ir_cache"``, so traced and untraced records are byte-identical.
+
+    ``probed`` is a :func:`probe_point` miss the caller holds for this point:
+    evaluation continues from it (a traced module is compiled, not traced
+    again).  In-process only: IR is not pickled, so a worker probes for itself.
     """
     obs.begin_worker(trace)
     started = time.perf_counter()
+    qor_cache, ir_cache = open_caches(cache_dir, ir_cache_dir)
     with obs.span(
         "dse.point", cat="dse", label=point.label(), fidelity=fidelity
     ) as point_span:
-        record, miss = probe_point(point, cache_dir, fidelity, ir_cache_dir)
+        record, miss = probed or probe_point(point, qor_cache, fidelity, ir_cache)
         if miss is None:
             if record["cached"]:
                 point_span.set_attr(cached=True)
         else:
-            key, compiler, module, ir_cache = miss
+            key, module = miss
             try:
+                compiler = point.compiler()
                 # With no module in hand the driver builds it — or, on an
                 # IR-cache prefix hit, rehydrates from the snapshot and the
                 # frontend never runs in this process at all.
@@ -185,8 +198,8 @@ def evaluate_point(
                 if ir_cache is not None:
                     record["ir_cache"] = compiler.ir_cache_stats
                 payload = get_fidelity(fidelity).apply(result)
-                if cache_dir:
-                    QoRCache(cache_dir).put(key, payload)
+                if qor_cache is not None:
+                    qor_cache.put(key, payload)
                 record.update(payload)
             except Exception:
                 record["error"] = traceback.format_exc(limit=8)

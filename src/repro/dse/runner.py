@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from .. import obs
 from ..evaluation.reporting import ExplorationResult, relative_disagreement
 from .config import ExploreConfig
-from .evaluate import evaluate_point, probe_point
+from .evaluate import evaluate_point, open_caches, probe_point
 from .fidelity import DEFAULT_FIDELITY, best_fidelity_records
 from .pareto import hypervolume, hypervolume_reference, pareto_frontier
 from .search import SearchStrategy, make_strategy
@@ -151,41 +151,44 @@ def _evaluate_batch(
     when the IR cache is off).
     """
     records: List[Dict] = []
-    pending: List[DesignPoint] = []
+    #: ``(point, the parent's probe_point miss or None)``.
+    pending: List[tuple] = []
     if cache_dir:
+        qor_cache, ir_cache = open_caches(cache_dir, ir_cache_dir)  # per batch
         for point in points:
             started = time.perf_counter()
-            record, _ = probe_point(
-                point, cache_dir, fidelity, ir_cache_dir, side="parent"
+            record, miss = probe_point(
+                point, qor_cache, fidelity, ir_cache, side="parent"
             )
-            # A miss — or any probe failure — falls through to a full
-            # evaluation wherever the point runs.
             if record.get("cached"):
                 record["eval_seconds"] = time.perf_counter() - started
                 records.append(record)
             else:
-                pending.append(point)
+                # An in-process evaluation continues from the miss; a probe
+                # failure falls through to a full one, which reports it.
+                pending.append((point, (record, miss) if miss is not None else None))
     else:
-        pending = list(points)
+        pending = [(point, None) for point in points]
     skipped = 0
     if resume:
         skipped = len(pending)
         pending = []
     if ir_cache_dir:
-        pending.sort(key=_prefix_group_order)
+        pending.sort(key=lambda entry: _prefix_group_order(entry[0]))
     if pool is None or len(pending) <= 1:
         records.extend(
-            evaluate_point(point, cache_dir, fidelity, ir_cache_dir)
-            for point in pending
+            evaluate_point(point, cache_dir, fidelity, ir_cache_dir, probed=probed)
+            for point, probed in pending
         )
     else:
         # Serialize the current span context so worker-side spans stitch
         # under the orchestrating span (None while tracing is disabled).
+        # Workers probe for themselves: a traced module cannot be pickled.
         trace_ctx = obs.propagation_context()
         records.extend(
             pool.map(
                 evaluate_point,
-                pending,
+                [point for point, _ in pending],
                 [cache_dir] * len(pending),
                 [fidelity] * len(pending),
                 [ir_cache_dir] * len(pending),

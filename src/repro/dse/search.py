@@ -353,18 +353,6 @@ class SearchStrategy:
         self._record_by_key: Dict[str, Dict] = {}
         self._generation = 0
         self.domains = axis_domains(self.points)
-        #: point key -> canonical pipeline-spec text (specs are immutable
-        #: per point, so the compiler round-trip is paid once per point).
-        self._canonical_specs: Dict[str, Optional[str]] = {}
-
-    def _canonical_point_spec(self, key: str, point: DesignPoint) -> Optional[str]:
-        if key not in self._canonical_specs:
-            self._canonical_specs[key] = (
-                None
-                if point.pipeline_spec is None
-                else _canonical_spec_text(point.pipeline_spec)
-            )
-        return self._canonical_specs[key]
 
     # ------------------------------------------------------------- ask/tell
     def propose(self, limit: int) -> List[DesignPoint]:
@@ -631,10 +619,8 @@ class GeneticSearch(SearchStrategy):
             # Work from canonical parent forms: offspring come back
             # canonical, so comparing against a raw parent spelling would
             # let a same-design child masquerade as novel and burn budget.
-            spec_a = self._canonical_point_spec(first.get("point_key"), parent_a)
-            spec_b = self._canonical_point_spec(second.get("point_key"), parent_b)
-            if spec_a is None or spec_b is None:
-                return None
+            # (Both parents have scored records, so their specs are valid.)
+            spec_a, spec_b = parent_a.canonical_spec(), parent_b.canonical_spec()
             child_spec = crossover_specs(spec_a, spec_b, self.rng)
             if child_spec is None:
                 return None

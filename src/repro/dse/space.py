@@ -18,6 +18,7 @@ determinism tests pin down.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -131,9 +132,10 @@ class DesignPoint:
         Explicit ``pipeline_spec`` points re-print through the parser (so
         equivalent spellings collapse); knob-driven points print the spec
         of the stages their knobs configure.  The QoR cache keys on this
-        string.
+        string.  Printed once per knob setting (:func:`_spec_text`), not
+        once per point: workload and platform do not reach it.
         """
-        return self.compiler().spec_text()
+        return _spec_text(self.pipeline_spec, *[getattr(self, a) for a in self.KNOB_AXES])
 
     def compiler(self):
         """The :class:`~repro.compiler.driver.Compiler` for this point."""
@@ -171,7 +173,9 @@ class DesignPoint:
         return Compiler(stages, platform=self.platform)
 
     def to_dict(self) -> Dict[str, object]:
-        data = dataclasses.asdict(self)
+        """A fresh JSON-safe dict of the fields, in declared order (every
+        field but ``workload_params`` is a scalar: nothing to deep-copy)."""
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         if self.pipeline_spec is None:
             # Keep point keys of flag-driven spaces stable across versions.
             data.pop("pipeline_spec")
@@ -184,15 +188,22 @@ class DesignPoint:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DesignPoint":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{k: v for k, v in data.items() if k in _FIELD_NAMES})
 
-    def key(self) -> str:
-        """Stable identity of the point (hash of the canonical JSON form)."""
+    # ``cached_property`` writes the instance ``__dict__`` directly, which a
+    # frozen dataclass allows; being no field, what it remembers stays out of
+    # ``==``, ``hash``, ``repr``, ``to_dict`` and ``dataclasses.replace``.
+    @functools.cached_property
+    def _key(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
-    def label(self) -> str:
+    def key(self) -> str:
+        """Stable identity of the point (hash of the canonical JSON form)."""
+        return self._key
+
+    @functools.cached_property
+    def _label(self) -> str:
         workload = self.workload
         if self.workload_kind == "model" and self.batch != 1:
             workload += f"@b{self.batch}"
@@ -207,6 +218,28 @@ class DesignPoint:
             f"/pf{self.max_parallel_factor}/t{self.tile_size}"
             f"/f{self.top_k_fusion}/ii{self.target_ii}"
         )
+
+    def label(self) -> str:
+        return self._label
+
+
+_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(DesignPoint))
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _spec_text(pipeline_spec: Optional[str], *knobs) -> str:
+    """The printed spec of one ``(pipeline_spec, *KNOB_AXES values)`` setting.
+
+    The one process-level table of the point-identity path: at most 4096
+    settings (least recently asked dropped first), scalars and strings only.
+    ``typed`` keeps ``1`` and ``True`` apart, as their point keys are.  A
+    printed spec depends on nothing but its key and the stage registry, and
+    ``register_stage`` refuses to rebind a name, so no entry goes stale.
+    """
+    knob_values = dict(zip(DesignPoint.KNOB_AXES, knobs))
+    # Any workload and platform will do: neither reaches the stages' options.
+    probe = DesignPoint("kernel", "", pipeline_spec=pipeline_spec, **knob_values)
+    return probe.compiler().spec_text()
 
 
 class DesignSpace:

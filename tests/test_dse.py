@@ -25,6 +25,10 @@ from repro.estimation import DesignEstimate
 from repro.ir import fingerprint_op
 
 
+def qor_only(summary):
+    return {k: v for k, v in summary.items() if k != "compile_seconds"}
+
+
 def tiny_space(kernels=("atax", "mvt"), factors=(8, 32), tiles=(0, 16)):
     space = DesignSpace()
     for kernel in kernels:
@@ -244,9 +248,6 @@ def test_explore_deterministic_across_worker_counts(tmp_path):
     fanout = explore(space, workers=8, cache_dir=str(tmp_path / "b"))
     assert serial.frontier_keys() == fanout.frontier_keys()
     assert len(serial.frontier_keys()) > 0
-    def qor_only(summary):
-        return {k: v for k, v in summary.items() if k != "compile_seconds"}
-
     for left, right in zip(serial.frontier, fanout.frontier):
         assert qor_only(left["summary"]) == qor_only(right["summary"])
     # Same seed, same space, fresh sampling: still the same frontier.
@@ -287,6 +288,62 @@ def test_explore_warm_cache_replay(tmp_path):
     assert warm.num_cached == warm.num_points == len(space)
     assert warm.frontier_keys() == cold.frontier_keys()
     assert warm.summary()["errors"] == 0
+
+
+def _count_frontend_traces(monkeypatch):
+    """Count ``Workload.build_module`` calls; the process fingerprint memo is
+    emptied so the first probe of each workload has to trace."""
+    from repro.dse import evaluate
+    from repro.workloads.registry import Workload
+
+    calls = []
+    build = Workload.build_module
+
+    def counting(self, **extra):
+        calls.append(self.workload_id)
+        return build(self, **extra)
+
+    monkeypatch.setattr(Workload, "build_module", counting)
+    monkeypatch.setattr(evaluate, "_WORKLOAD_FINGERPRINTS", {})
+    return calls
+
+
+def test_cold_default_explore_traces_each_point_once(tmp_path, monkeypatch):
+    # Regression: the parent's probe traced each workload for its
+    # fingerprint, dropped the module, and evaluate_point traced it again:
+    # 10 traces for 8 points of 2 workloads on the default configuration
+    # (QoR cache on, IR cache off).
+    calls = _count_frontend_traces(monkeypatch)
+    space = tiny_space()
+    cold = explore(space, workers=1, cache_dir=str(tmp_path / "qor"))
+    assert cold.num_cached == 0 and not cold.errors
+    assert len(calls) == len(space) == 8
+    # ... and handing the traced module on changes no answer.
+    del calls[:]
+    uncached = explore(space, workers=1, use_cache=False)
+    assert len(calls) == 8
+    assert cold.frontier_keys() == uncached.frontier_keys()
+    for left, right in zip(cold.frontier, uncached.frontier):
+        assert qor_only(left["summary"]) == qor_only(right["summary"])
+
+
+def test_parent_probe_failure_still_evaluates_and_reports(tmp_path, monkeypatch):
+    calls = _count_frontend_traces(monkeypatch)
+    bad = [
+        DesignPoint(workload_kind="kernel", workload="no-such-kernel"),
+        DesignPoint(workload_kind="kernel", workload="atax", pipeline_spec="no-such-stage"),
+    ]
+    good = tiny_space(kernels=("atax",), factors=(8,), tiles=(0,)).points
+    result = explore(bad + good, workers=1, cache_dir=str(tmp_path / "qor"))
+    assert [("error" in r, r["cached"]) for r in result.records] == [
+        (True, False),
+        (True, False),
+        (False, False),
+    ]
+    assert "no-such-kernel" in result.records[0]["error"]
+    assert "no-such-stage" in result.records[1]["error"]
+    assert all("eval_seconds" in r for r in result.records)
+    assert calls == ["atax"]
 
 
 def test_best_by_ignores_records_missing_the_metric():

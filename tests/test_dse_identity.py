@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import DesignPoint, build_space
+from repro.dse import DesignPoint, build_space, explore
 from repro.dse.evaluate import _point_cache_key
 
 _GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "point_identity_golden.json"
@@ -204,6 +204,46 @@ def test_the_printed_spec_depends_on_the_knobs_alone(point):
 
 
 # ---------------------------------------------------------------------------
+# What a QoR-cache hit costs, in counted calls (no timing)
+# ---------------------------------------------------------------------------
+
+
+def _calls(stats, name, file_suffix=""):
+    return sum(
+        entry[1]
+        for (filename, _, function), entry in stats.stats.items()
+        if function == name and filename.endswith(file_suffix)
+    )
+
+
+@pytest.mark.parametrize("rebuilt", [False, True], ids=["same-points", "rebuilt-points"])
+def test_an_all_hit_explore_costs_a_file_read_per_point(tmp_path, rebuilt):
+    """N = 36 hits: one ``open`` each, no ``Compiler``, no ``asdict``, and at
+    most 200 N + 2,000 Python calls (the pre-PR-24 path made about 1,290 N).
+    ``rebuilt`` replays with points fresh from ``from_dict``, as a new sweep
+    over a warm cache would: nothing a previous instance remembered helps."""
+    import cProfile
+    import pstats
+
+    suite = ["atax", "bicg", "mvt", "gesummv", "2mm", "3mm", "symm", "syr2k", "jacobi-2d"]
+    points = build_space("small", suite=suite).points
+    assert len(points) == 36
+    cache_dir = str(tmp_path / "qor")
+    assert explore(points, cache_dir=cache_dir).num_cached == 0
+    if rebuilt:
+        points = [DesignPoint.from_dict(point.to_dict()) for point in points]
+    profile = cProfile.Profile()
+    warm = profile.runcall(explore, points, cache_dir=cache_dir)
+    assert warm.num_cached == 36 and not warm.errors
+    stats = pstats.Stats(profile)
+    assert stats.total_calls <= 200 * 36 + 2000
+    assert _calls(stats, "__init__", "compiler/driver.py") == 0
+    assert _calls(stats, "asdict", "dataclasses.py") == 0
+    assert _calls(stats, "<built-in method io.open>") == 36
+    assert _calls(stats, "__init__", "dse/cache.py") == 1  # one handle per batch
+
+
+# ---------------------------------------------------------------------------
 # Nothing above may depend on hash order
 # ---------------------------------------------------------------------------
 
@@ -216,6 +256,8 @@ def stable(result):
         {k: v for k, v in record.items() if k != "eval_seconds"}
         for record in result.frontier
     ]
+    for record in frontier:
+        record["summary"].pop("compile_seconds")  # the other wall-clock field
     return {"frontier": frontier, "keys": [r["point_key"] for r in result.records]}
 
 sweep = explore(build_space("small", suite=["atax", "mvt"]), use_cache=False)
@@ -225,15 +267,6 @@ search = explore(
 )
 print(json.dumps({"sweep": stable(sweep), "search": stable(search)}))
 """
-
-
-def _strip_times(text):
-    """Drop the one wall-clock field a summary carries."""
-    report = json.loads(text)
-    for run in report.values():
-        for record in run["frontier"]:
-            record.get("summary", {}).pop("compile_seconds", None)
-    return json.dumps(report)
 
 
 def test_sweep_and_search_are_identical_under_any_hash_seed():
@@ -249,7 +282,7 @@ def test_sweep_and_search_are_identical_under_any_hash_seed():
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        outputs.append(_strip_times(done.stdout))
+        outputs.append(done.stdout)
     report = json.loads(outputs[0])
     assert len(report["sweep"]["keys"]) == 8 and len(report["search"]["keys"]) == 12
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
