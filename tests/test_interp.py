@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import pathlib
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from repro.dialects.affine import (
     AffineApplyOp,
     AffineForOp,
     AffineIfOp,
+    AffineLoadOp,
     AffineStoreOp,
     AffineYieldOp,
 )
@@ -907,3 +909,163 @@ def test_lowered_subscripts_equal_affine_map_evaluate(results, operands):
     expected = affine_map.evaluate(operands[:_NUM_DIMS], operands[_NUM_DIMS:])
     lowered = interp._lower_subscripts(affine_map, slots)(frame)
     _exactly(lowered, [int(value) for value in expected])
+
+
+# ---------------------------------------------------------------------------
+# Property: one load/store == the address arithmetic it must keep
+# ---------------------------------------------------------------------------
+
+
+def _reference_address(self, indices):
+    """Flat cell address of ``indices``; None when out of bounds."""
+    shape, strides = self.shape, self.strides
+    if len(indices) != len(shape):
+        return None
+    if len(shape) == 2:  # unrolled: most zoo buffers are matrices
+        row, column = indices
+        if not (0 <= row < shape[0] and 0 <= column < shape[1]):
+            return None
+        address = self.offset + row * strides[0] + column * strides[1]
+    else:
+        address = self.offset
+        for index, extent, stride in zip(indices, shape, strides):
+            if not 0 <= index < extent:
+                return None
+            address += index * stride
+    return address if 0 <= address < len(self.cells) else None
+
+
+_ACCESS_KINDS = ("affine.load", "affine.store", "memref.load", "memref.store")
+
+
+def _row_major(shape):
+    strides, step = [], 1
+    for extent in reversed(shape):
+        strides.insert(0, step)
+        step *= extent
+    return strides
+
+
+def _access_expr(num_dims):
+    """One subscript: a pick, ``c + k*d``, multi-term, ``floordiv``/``mod``
+    or a constant (single-term rows with ``k == 0`` are constants too)."""
+    constants = st.builds(constant, st.integers(-1, 3))
+    if not num_dims:
+        return constants
+    dims = st.builds(dim, st.integers(0, num_dims - 1))
+    return st.one_of(
+        dims,
+        st.builds(lambda d, k, c: d * k + c, dims, st.integers(-2, 2), st.integers(-2, 2)),
+        st.builds(lambda a, b, k: a + b * k, dims, dims, st.integers(1, 3)),
+        st.builds(lambda d, q: d // q, dims, st.integers(1, 3)),
+        st.builds(lambda d, q: d % q, dims, st.integers(1, 3)),
+        constants,
+    )
+
+
+@st.composite
+def _access_cases(draw):
+    rank = draw(st.integers(0, 3))
+    extents = st.lists(st.integers(1, 4), min_size=rank, max_size=rank)
+    case = {
+        "kind": draw(st.sampled_from(_ACCESS_KINDS)),
+        "float": draw(st.booleans()),
+        "parent": draw(extents),
+        "subview": None,
+    }
+    if draw(st.booleans()):  # per-dimension bounds hold; cells may run past storage
+        small = st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
+        strides = st.lists(st.integers(1, 2), min_size=rank, max_size=rank)
+        case["subview"] = (draw(small), draw(extents), draw(strides))
+    count = draw(st.one_of(st.just(rank), st.integers(0, 4)))  # or the wrong rank
+    values = st.integers(-2, 6)
+    if case["kind"].startswith("memref."):
+        case["operands"] = draw(st.lists(values, min_size=count, max_size=count))
+        return case
+    shape = draw(st.sampled_from(["permutation", "expressions"]))
+    if shape == "permutation":  # identity included
+        case["map"] = AffineMap(count, 0, [dim(p) for p in draw(st.permutations(range(count)))])
+    else:
+        num_dims = draw(st.integers(0, 3))
+        results = draw(st.lists(_access_expr(num_dims), min_size=count, max_size=count))
+        case["map"] = AffineMap(num_dims, 0, results)
+    num_dims = case["map"].num_dims
+    case["operands"] = draw(st.lists(values, min_size=num_dims, max_size=num_dims))
+    return case
+
+
+def _expected_access(case):
+    """``(cells, returned, oob_reads, oob_writes)`` by ``_reference_address``."""
+    convert = float if case["float"] else int
+    count = math.prod(case["parent"])
+    cells = [convert(seed_value(0, i)) for i in range(count)]
+    shape, strides, offset = case["parent"], _row_major(case["parent"]), 0
+    if case["subview"] is not None:
+        offsets, shape, steps = case["subview"]
+        offset = sum(o * s for o, s in zip(offsets, strides))
+        strides = [p * s for p, s in zip(strides, steps)]
+    view = types.SimpleNamespace(cells=cells, shape=shape, strides=strides, offset=offset)
+    if "map" in case:
+        subscripts = [int(v) for v in case["map"].evaluate(case["operands"], ())]
+    else:
+        subscripts = list(case["operands"])
+    address = _reference_address(view, subscripts)
+    missed = int(address is None)
+    if case["kind"].endswith("load"):
+        value = convert(0) if address is None else cells[address]
+        return cells, (value,), missed, 0
+    if address is not None:
+        cells[address] = convert(99)
+    return cells, (), 0, missed
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_access_cases())
+@example(case={  # jacobi-2d's stencil row: i - 1 on a row-major matrix
+    "kind": "affine.load", "float": True, "parent": [4, 4], "subview": None,
+    "map": AffineMap(2, 0, [dim(0) - 1, dim(1)]), "operands": [0, 2],
+})
+@example(case={  # a 4-wide view at offset 2 of 4 cells: its tail is past storage
+    "kind": "memref.store", "float": True, "parent": [4], "subview": ([2], [4], [1]),
+    "operands": [3],
+})
+@example(case={  # one past a view's extent is still inside its parent's storage
+    "kind": "memref.load", "float": True, "parent": [4], "subview": ([0], [2], [1]),
+    "operands": [2],
+})
+@example(case={  # the same in the middle dimension of a rank-3 view
+    "kind": "affine.load", "float": False, "parent": [2, 3, 2], "subview": ([0, 0, 0], [2, 1, 2], [1, 1, 1]),
+    "map": AffineMap(3, 0, [dim(0), dim(1), dim(2)]), "operands": [0, 1, 0],
+})
+@example(case={  # rank 3, multi-term and mod rows
+    "kind": "affine.store", "float": False, "parent": [2, 3, 2], "subview": None,
+    "map": AffineMap(2, 0, [dim(0), dim(0) + dim(1) * 2, dim(1) % 2]), "operands": [1, 1],
+})
+def test_one_access_matches_the_reference_address(case):
+    module = ModuleOp.create()
+    element = f64 if case["float"] else i32
+    func = FuncOp.create("main", [MemRefType(tuple(case["parent"]), element)], top=True)
+    module.body.append(func)
+    b = Builder.at_end(func.entry_block)
+    memory = func.arguments[0]
+    if case["subview"] is not None:
+        memory = b.insert(SubViewOp.create(memory, *case["subview"])).result()
+    operands = [b.index_constant(v) for v in case["operands"]]
+    returned = []
+    if case["kind"] == "affine.load":
+        returned = [b.insert(AffineLoadOp.create(memory, operands, case["map"])).result()]
+    elif case["kind"] == "memref.load":
+        returned = [b.insert(LoadOp.create(memory, operands)).result()]
+    else:
+        marker = b.constant(99.0 if case["float"] else 99, element)
+        if case["kind"] == "affine.store":
+            b.insert(AffineStoreOp.create(marker, memory, operands, case["map"]))
+        else:
+            b.insert(StoreOp.create(marker, memory, operands))
+    b.insert(ReturnOp.create(returned))
+    result = interpret_module(module)
+    cells, values, oob_reads, oob_writes = _expected_access(case)
+    _exactly(result.output_map["arg0"], cells)
+    _exactly(result.returned, values)
+    assert (result.oob_reads, result.oob_writes) == (oob_reads, oob_writes)
+    assert result.ops_executed == len(list(func.entry_block.operations))
