@@ -136,9 +136,13 @@ def _row_major_strides(shape: Sequence[int]) -> Tuple[int, ...]:
 
 
 class MemoryRef:
-    """A (possibly strided) view over flat storage cells."""
+    """A (possibly strided) view over flat storage cells.
 
-    __slots__ = ("cells", "shape", "strides", "offset")
+    ``rank`` and ``size`` (the storage length) are fixed when the view is
+    built: a cells list never resizes, so every view of it keeps them.
+    """
+
+    __slots__ = ("cells", "shape", "strides", "offset", "rank", "size")
 
     def __init__(
         self,
@@ -153,17 +157,17 @@ class MemoryRef:
             tuple(strides) if strides is not None else _row_major_strides(self.shape)
         )
         self.offset = offset
+        self.rank = len(self.shape)
+        self.size = len(cells)
 
     @classmethod
-    def allocate(
-        cls, memref_type: MemRefType, fill: Callable[[int], Union[int, float]]
-    ) -> "MemoryRef":
+    def allocate(cls, memref_type: MemRefType, slot: int, seed: int) -> "MemoryRef":
+        """A buffer of ``memref_type`` holding ``seed_value(slot, i, seed)``."""
+        convert = float if isinstance(memref_type.element_type, FloatType) else int
         count = memref_type.num_elements
-        if isinstance(memref_type.element_type, FloatType):
-            cells: List[Union[int, float]] = [float(fill(i)) for i in range(count)]
-        else:
-            cells = [int(fill(i)) for i in range(count)]
-        return cls(cells, memref_type.shape)
+        return cls(
+            [convert(seed_value(slot, i, seed)) for i in range(count)], memref_type.shape
+        )
 
     @property
     def num_elements(self) -> int:
@@ -173,71 +177,59 @@ class MemoryRef:
         return count
 
     def _address(self, indices: Sequence[int]) -> Optional[int]:
-        """Flat cell address of ``indices``; None when out of bounds."""
-        shape, strides = self.shape, self.strides
-        if len(indices) != len(shape):
+        """Flat cell address of ``indices``; None when out of bounds.
+
+        The general access path: rank 0 or >= 3, multi-term or non-linear
+        subscripts, non-integer operands (0 % of the benchmark's ``validate``
+        and ``cache-fill`` accesses).  Rank-1/2 single-term accesses make the
+        same checks inline, in :meth:`_Interpreter._lower_access`'s steps.
+        """
+        if len(indices) != self.rank:
             return None
-        if len(shape) == 2:  # unrolled: most zoo buffers are matrices
-            row, column = indices
-            if not (0 <= row < shape[0] and 0 <= column < shape[1]):
+        address = self.offset
+        for index, extent, stride in zip(indices, self.shape, self.strides):
+            if not 0 <= index < extent:
                 return None
-            address = self.offset + row * strides[0] + column * strides[1]
-        else:
-            address = self.offset
-            for index, extent, stride in zip(indices, shape, strides):
-                if not 0 <= index < extent:
-                    return None
-                address += index * stride
-        return address if 0 <= address < len(self.cells) else None
+            address += index * stride
+        return address if 0 <= address < self.size else None
 
-    def load(self, indices: Sequence[int]) -> Optional[Union[int, float]]:
-        address = self._address(indices)
-        return None if address is None else self.cells[address]
-
-    def store(self, indices: Sequence[int], value: Union[int, float]) -> bool:
-        address = self._address(indices)
-        if address is None:
-            return False
-        self.cells[address] = value
-        return True
+    def addresses(self) -> List[int]:
+        """Every element's storage address in row-major logical order,
+        unchecked (a subview's cells may run past the storage)."""
+        addresses = [self.offset]
+        for extent, stride in zip(self.shape, self.strides):
+            addresses = [a + i * stride for a in addresses for i in range(extent)]
+        return addresses
 
     def logical_cells(self) -> Tuple[Union[int, float], ...]:
-        """The view's elements in row-major logical order."""
-        if not self.shape:
-            return (self.cells[self.offset],)
+        """The view's elements in row-major logical order (0 past storage)."""
         if (
             self.offset == 0
             and self.strides == _row_major_strides(self.shape)
-            and self.num_elements == len(self.cells)
+            and self.num_elements == self.size
         ):
             return tuple(self.cells)
-        out: List[Union[int, float]] = []
-        indices = [0] * len(self.shape)
-        for _ in range(self.num_elements):
-            value = self.load(indices)
-            out.append(0 if value is None else value)
-            for d in range(len(self.shape) - 1, -1, -1):
-                indices[d] += 1
-                if indices[d] < self.shape[d]:
-                    break
-                indices[d] = 0
-        return tuple(out)
+        cells, size = self.cells, self.size
+        return tuple([cells[a] if 0 <= a < size else 0 for a in self.addresses()])
 
-    def copy_from(self, source: "MemoryRef") -> None:
-        """Element-wise copy (logical order, overlapping prefix)."""
-        src = source.logical_cells()
-        dst_count = self.num_elements
-        if not self.shape:
-            self.cells[self.offset] = src[0]
-            return
-        indices = [0] * len(self.shape)
-        for flat in range(min(dst_count, len(src))):
-            self.store(indices, src[flat])
-            for d in range(len(self.shape) - 1, -1, -1):
-                indices[d] += 1
-                if indices[d] < self.shape[d]:
-                    break
-                indices[d] = 0
+    def copy_from(self, source: "MemoryRef", zero: Union[int, float]) -> Tuple[int, int]:
+        """Element-wise copy of the overlapping row-major prefix.
+
+        Returns how many of its reads and writes fell outside storage: a
+        missing source cell copies ``zero``, a write past storage is dropped.
+        """
+        reads = source.addresses()[: self.num_elements]
+        src, src_size = source.cells, source.size
+        # Every read before the first write: the two views may alias.
+        values = [src[a] if 0 <= a < src_size else zero for a in reads]
+        missed = len([a for a in reads if not 0 <= a < src_size])
+        cells, size, dropped = self.cells, self.size, 0
+        for address, value in zip(self.addresses(), values):
+            if 0 <= address < size:
+                cells[address] = value
+            else:
+                dropped += 1
+        return missed, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +380,8 @@ Step = Callable[[List[Any]], None]
 _Subscripts = Callable[[List[Any]], Sequence[int]]
 #: ``(const, {operand position: coefficient})`` of one linear map result.
 _Row = Tuple[int, Dict[int, int]]
+#: ``(const, [(frame slot, coefficient), ...])``: a row over the frame.
+_Decoded = Tuple[int, List[Tuple[int, int]]]
 
 
 def _linear_row(expr: AffineExpr, num_dims: int) -> Optional[_Row]:
@@ -451,24 +445,33 @@ def _general_subscripts(affine_map: AffineMap, slots: Sequence[int]) -> _Subscri
     return subscripts
 
 
-def _lower_subscripts(affine_map: AffineMap, slots: Sequence[int]) -> _Subscripts:
-    """``affine_map`` over integer operands held in ``slots`` of the frame.
-
-    Linear results become pre-resolved ``(const, ((slot, coeff), ...))``
-    rows (identity/permutation maps plain slot picks); one non-linear
-    result sends the whole map down :func:`_general_subscripts`.
-    """
+def _decode(affine_map: AffineMap, slots: Sequence[int]) -> Optional[List[_Decoded]]:
+    """``affine_map``'s results as rows over the integer operands held in
+    ``slots`` of the frame (zero coefficients dropped); None when one
+    result is not linear."""
     rows = [_linear_row(result, affine_map.num_dims) for result in affine_map.results]
     if len(slots) < affine_map.num_dims + affine_map.num_symbols or None in rows:
-        return _general_subscripts(affine_map, slots)
-    resolved = [
+        return None
+    return [
         (const, [(slots[p], k) for p, k in sorted(terms.items()) if k])
         for const, terms in cast(List[_Row], rows)
     ]
-    if all(const == 0 and [k for _, k in terms] == [1] for const, terms in resolved):
-        return _pick([terms[0][0] for _, terms in resolved])
+
+
+def _lower_subscripts(
+    affine_map: AffineMap, slots: Sequence[int], rows: Optional[List[_Decoded]]
+) -> _Subscripts:
+    """``affine_map`` over the operands in ``slots``, from its :func:`_decode` rows.
+
+    Identity/permutation rows become plain slot picks; ``rows`` None (a
+    non-linear result or non-integer operands) takes :func:`_general_subscripts`.
+    """
+    if rows is None:
+        return _general_subscripts(affine_map, slots)
+    if all(const == 0 and [k for _, k in terms] == [1] for const, terms in rows):
+        return _pick([terms[0][0] for _, terms in rows])
     return lambda frame: [
-        sum([frame[slot] * k for slot, k in terms], const) for const, terms in resolved
+        sum([frame[slot] * k for slot, k in terms], const) for const, terms in rows
     ]
 
 
@@ -630,9 +633,7 @@ class _Interpreter:
 
     def _seeded_argument(self, slot: int, value_type: Any) -> object:
         if isinstance(value_type, MemRefType):
-            return MemoryRef.allocate(
-                value_type, lambda i: seed_value(slot, i, self.seed)
-            )
+            return MemoryRef.allocate(value_type, slot, self.seed)
         if isinstance(value_type, StreamType):
             return deque()
         if isinstance(value_type, FloatType):
@@ -664,15 +665,21 @@ class _Interpreter:
     def _access(
         self, affine_map: AffineMap, operands: Sequence[Value], scope: _Scope, op: Operation
     ) -> _Subscripts:
-        """``affine_map`` applied to ``operands``, as a function of the frame.
+        """``affine_map`` applied to ``operands``, as a function of the frame."""
+        return _lower_subscripts(affine_map, *self._decoded(affine_map, operands, scope, op))
+
+    def _decoded(
+        self, affine_map: AffineMap, operands: Sequence[Value], scope: _Scope, op: Operation
+    ) -> Tuple[List[int], Optional[List[_Decoded]]]:
+        """The operands' slots and the map's :func:`_decode` rows.
 
         Statically index/integer-typed operands hold Python ints and take
-        the row form; anything else is coerced on the general path.
+        the row form; anything else (rows None) is coerced on the general path.
         """
         slots = self._slots(operands, scope, op)
         if all(isinstance(v.type, (IndexType, IntegerType)) for v in operands):
-            return _lower_subscripts(affine_map, slots)
-        return _general_subscripts(affine_map, slots)
+            return slots, _decode(affine_map, slots)
+        return slots, None
 
     # ------------------------------------------------------------ blocks
     def _steps(
@@ -754,40 +761,88 @@ class _Interpreter:
         return _apply(lambda a, b: int(compare(a, b)), args, self._define(op.result(), scope))
 
     # ------------------------------------------------------------ memory
-    def _access_of(self, op: Union[_LoadOp, _StoreOp], scope: _Scope) -> _Subscripts:
-        """A load/store's subscripts: its access map, or its plain indices."""
-        if isinstance(op, (affine.AffineLoadOp, affine.AffineStoreOp)):
-            return self._access(op.access_map, op.index_operands, scope, op)
-        return self._access(AffineMap.identity(len(op.indices)), op.indices, scope, op)
-
     def _lower_load(self, op: _LoadOp, scope: _Scope) -> Step:
         (source,) = self._slots([op.memref], scope, op)
-        subscripts = self._access_of(op, scope)
-        out = self._define(op.result(), scope)
-        zero = _zero_for(op.memref)
-
-        def step(frame: List[Any]) -> None:
-            memory = frame[source]
-            address = memory._address(subscripts(frame))
-            if address is None:
-                self.oob_reads += 1
-                frame[out] = zero
-            else:
-                frame[out] = memory.cells[address]
-
-        return step
+        return self._lower_access(op, scope, source, self._define(op.result(), scope), True)
 
     def _lower_store(self, op: _StoreOp, scope: _Scope) -> Step:
         value, target = self._slots([op.value, op.memref], scope, op)
-        subscripts = self._access_of(op, scope)
+        return self._lower_access(op, scope, target, value, False)
 
-        def step(frame: List[Any]) -> None:
-            memory = frame[target]
-            address = memory._address(subscripts(frame))
-            if address is None:
-                self.oob_writes += 1
+    def _lower_access(
+        self, op: Union[_LoadOp, _StoreOp], scope: _Scope, view: int, value: int, load: bool
+    ) -> Step:
+        """``frame[value] = cell`` (``load``) or ``cell = frame[value]``, in
+        one call per dynamic access.
+
+        The access map (or the plain indices) is decoded once, here.  Rank 1
+        or 2 with one term per subscript over integer operands takes a fused
+        step that computes the subscripts, checks the view's rank, each
+        dimension and the storage range, and touches the cell itself; any
+        other access goes through :meth:`MemoryRef._address`.
+        """
+        if isinstance(op, (affine.AffineLoadOp, affine.AffineStoreOp)):
+            affine_map, operands = op.access_map, op.index_operands
+        else:
+            affine_map, operands = AffineMap.identity(len(op.indices)), op.indices
+        slots, rows = self._decoded(affine_map, operands, scope, op)
+        zero = _zero_for(op.memref)
+
+        def miss(frame: List[Any]) -> None:
+            if load:
+                self.oob_reads += 1
+                frame[value] = zero
             else:
-                memory.cells[address] = frame[value]
+                self.oob_writes += 1
+
+        if not rows or len(rows) > 2 or any(len(terms) != 1 for _, terms in rows):
+            subscripts = _lower_subscripts(affine_map, slots, rows)
+
+            def step(frame: List[Any]) -> None:
+                memory = frame[view]
+                address = memory._address(subscripts(frame))
+                if address is None:
+                    miss(frame)
+                elif load:
+                    frame[value] = memory.cells[address]
+                else:
+                    memory.cells[address] = frame[value]
+
+        elif len(rows) == 1:
+            ((c0, ((s0, k0),)),) = rows
+
+            def step(frame: List[Any]) -> None:
+                memory = frame[view]
+                if memory.rank == 1:
+                    i = c0 + frame[s0] * k0
+                    if 0 <= i < memory.shape[0]:
+                        address = memory.offset + i * memory.strides[0]
+                        if 0 <= address < memory.size:
+                            if load:
+                                frame[value] = memory.cells[address]
+                            else:
+                                memory.cells[address] = frame[value]
+                            return
+                miss(frame)
+
+        else:
+            (c0, ((s0, k0),)), (c1, ((s1, k1),)) = rows
+
+            def step(frame: List[Any]) -> None:
+                memory = frame[view]
+                if memory.rank == 2:
+                    i, j = c0 + frame[s0] * k0, c1 + frame[s1] * k1
+                    height, width = memory.shape
+                    if 0 <= i < height and 0 <= j < width:
+                        row, column = memory.strides
+                        address = memory.offset + i * row + j * column
+                        if 0 <= address < memory.size:
+                            if load:
+                                frame[value] = memory.cells[address]
+                            else:
+                                memory.cells[address] = frame[value]
+                            return
+                miss(frame)
 
         return step
 
@@ -804,10 +859,13 @@ class _Interpreter:
 
     def _lower_copy(self, op: memref.CopyOp, scope: _Scope) -> Step:
         source, target = self._slots([op.source, op.target], scope, op)
+        zero = _zero_for(op.source)
 
         def step(frame: List[Any]) -> None:
             memory = frame[target]
-            memory.copy_from(frame[source])
+            missed, dropped = memory.copy_from(frame[source], zero)
+            self.oob_reads += missed
+            self.oob_writes += dropped
             self.ops_executed += max(memory.num_elements - 1, 0)
 
         return step
@@ -837,9 +895,7 @@ class _Interpreter:
         def step(frame: List[Any]) -> None:
             memory = cache.get(symbol)
             if memory is None:
-                memory = cache[symbol] = MemoryRef.allocate(
-                    memref_type, lambda i: seed_value(seed_slot, i, seed)
-                )
+                memory = cache[symbol] = MemoryRef.allocate(memref_type, seed_slot, seed)
             frame[out] = memory
 
         return step

@@ -6,10 +6,12 @@ static cost estimate / budget refusal, and :func:`diff_results` semantics.
 The translation-validation layer built on top lives in ``test_tv.py``.
 """
 
+import cProfile
 import hashlib
 import json
 import math
 import pathlib
+import pstats
 import types
 
 import pytest
@@ -536,6 +538,27 @@ class TestOpSurface:
         assert narrow.output_map["arg0"] == tuple(_seeds(0, 6))
         assert narrow.ops_executed == 1 + 3 + 1
 
+    def test_memref_copy_counts_cells_past_storage(self):
+        """A (4,) view at offset 2 of a 4-cell buffer: its last two cells
+        are past the storage, so a copy drops those writes or reads typed
+        zeros there, and counts each."""
+
+        def copy(into_view):
+            def build(b, args):
+                view = b.insert(SubViewOp.create(args[0], (2,), (4,), (1,))).result()
+                b.insert(CopyOp.create(*((args[1], view) if into_view else (view, args[1]))))
+
+            return _run(build, [MemRefType((4,), f64)] * 2)
+
+        into = copy(into_view=True)
+        _exactly(into.output_map["arg0"], _seeds(0, 2) + _seeds(1, 2))
+        assert (into.oob_reads, into.oob_writes) == (0, 2)
+        out_of = copy(into_view=False)
+        _exactly(out_of.output_map["arg1"], (7.0, 10.0, 0.0, 0.0))
+        assert (out_of.oob_reads, out_of.oob_writes) == (2, 0)
+        # subview + copy (one op per element) + return, either way
+        assert into.ops_executed == out_of.ops_executed == 1 + 4 + 1
+
     def test_memref_subview_applies_offset_and_stride(self):
         def build(b, args):
             # view[i][j] = parent[1 + i][2 * j]
@@ -907,7 +930,8 @@ def test_lowered_subscripts_equal_affine_map_evaluate(results, operands):
     for slot, value in zip(slots, operands):
         frame[slot] = value
     expected = affine_map.evaluate(operands[:_NUM_DIMS], operands[_NUM_DIMS:])
-    lowered = interp._lower_subscripts(affine_map, slots)(frame)
+    rows = interp._decode(affine_map, slots)
+    lowered = interp._lower_subscripts(affine_map, slots, rows)(frame)
     _exactly(lowered, [int(value) for value in expected])
 
 
@@ -982,8 +1006,8 @@ def _access_cases(draw):
     if case["kind"].startswith("memref."):
         case["operands"] = draw(st.lists(values, min_size=count, max_size=count))
         return case
-    shape = draw(st.sampled_from(["permutation", "expressions"]))
-    if shape == "permutation":  # identity included
+    form = draw(st.sampled_from(["permutation", "expressions"]))
+    if form == "permutation":  # identity included
         case["map"] = AffineMap(count, 0, [dim(p) for p in draw(st.permutations(range(count)))])
     else:
         num_dims = draw(st.integers(0, 3))
@@ -1069,3 +1093,28 @@ def test_one_access_matches_the_reference_address(case):
     _exactly(result.returned, values)
     assert (result.oob_reads, result.oob_writes) == (oob_reads, oob_writes)
     assert result.ops_executed == len(list(func.entry_block.operations))
+
+
+# ---------------------------------------------------------------------------
+# Counted, not timed: a rank-1/2 single-term access is one call
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, params, calls_per_op",
+    [
+        ("2mm", {"n": 8}, 2.0),
+        ("gesummv", {"n": 8}, 3.5),
+        ("jacobi-2d", {"n": 8, "tsteps": 2}, 4.5),
+    ],
+)
+def test_frontend_accesses_never_take_the_general_path(name, params, calls_per_op):
+    module = as_module(get_workload(name).at(**params))
+    profile = cProfile.Profile()
+    result = profile.runcall(interpret_module, module)
+    stats = pstats.Stats(profile)
+    general = sum(
+        row[1] for (_, _, function), row in stats.stats.items() if function == "_address"
+    )
+    assert general == 0
+    assert stats.total_calls <= calls_per_op * result.ops_executed
