@@ -36,7 +36,6 @@ from ..hida.functional import (
 from ..hida.parallelize import (
     ParallelizationOptions,
     ParallelizationResult,
-    count_misalignments,
     parallelize_function_bands,
     parallelize_schedule,
 )
@@ -485,7 +484,7 @@ class ParallelizeStage(CompilationStage):
             result.intensities.update(chosen.intensities)
             result.constraint_violations += chosen.constraint_violations
             result.proposals_evaluated += chosen.proposals_evaluated
-            state.misalignments += count_misalignments(schedule)
+            state.misalignments += chosen.misalignments
         if not state.schedules:
             # Single-band kernels: intra-band loop optimizations only.
             for func in state.module.functions:

@@ -301,11 +301,15 @@ class AffineMap:
         The position is syntactic and the stride is probed, not solved for:
         ``d2 * 2`` gives ``(2, 2)`` and ``d0 + 1`` gives ``(0, 1)``, but
         ``d0 floordiv 120`` gives ``(0, 0)``.  The connection analysis of
-        HIDA-OPT derives its permutation and scaling maps from this.
+        HIDA-OPT derives its permutation and scaling maps from this.  A bare
+        ``dN`` result, most of them, is ``(N, 1)`` without probing.
         """
         zeros = [0] * self.num_dims
         decoded: List[Optional[Tuple[int, int]]] = []
         for r in self.results:
+            if isinstance(r, AffineDimExpr):
+                decoded.append((r.position, 1))
+                continue
             used = r.used_dims()
             if len(used) != 1:
                 decoded.append(None)

@@ -39,12 +39,12 @@ from .functional import (
 from .parallelize import (
     ParallelizationOptions,
     ParallelizationResult,
-    candidate_unroll_factors,
     count_misalignments,
     generate_parallel_factors,
     parallelize_band,
     parallelize_schedule,
     proposal_cost,
+    search_unroll_factors,
     sort_bands,
 )
 from .pipeline import CompileOptions, CompileResult
@@ -82,12 +82,12 @@ __all__ = [
     "wrap_ops_in_task",
     "ParallelizationOptions",
     "ParallelizationResult",
-    "candidate_unroll_factors",
     "count_misalignments",
     "generate_parallel_factors",
     "parallelize_band",
     "parallelize_schedule",
     "proposal_cost",
+    "search_unroll_factors",
     "sort_bands",
     "CompileOptions",
     "CompileResult",

@@ -25,7 +25,8 @@ from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.arith import is_multiply_accumulate
 from ..dialects.dataflow import NodeOp, ScheduleOp
 from ..estimation.qor import node_intensity
-from ..ir.core import Block, Value
+from ..ir.core import Value
+from ..transforms.array_partition import _resolve_through_nodes
 from ..transforms.loop_transforms import loop_bands_of
 
 __all__ = [
@@ -66,12 +67,14 @@ class BandAccess:
 
     ``dim_loop_positions[d]`` is the band-loop index driving buffer dimension
     ``d`` (or None); ``dim_strides[d]`` is the corresponding access stride.
+    ``drivers`` is the ``driving_loops()`` decode they come from.
     """
 
     buffer: Value
     is_store: bool
     dim_loop_positions: List[Optional[int]]
     dim_strides: List[int]
+    drivers: List[Optional[Tuple[AffineForOp, int]]]
 
     @property
     def rank(self) -> int:
@@ -84,7 +87,8 @@ class BandInfo:
 
     ``nest_accesses`` is the dependence engine's walk of ``band[0]`` that
     ``parallel_flags`` were answered from; ``parallelize_band`` reuses it
-    for its legality checks until it mutates the band, then drops it.
+    for its legality checks until it mutates the band, then drops it, while
+    ``accesses`` follow a permutation (:meth:`permute_accesses`).
     Records from :func:`collect_access_infos` fill ``accesses`` only.
     """
 
@@ -118,6 +122,15 @@ class BandInfo:
                 max(1, min(int(factor), max(loop.trip_count, 1)))
             )
 
+    def permute_accesses(self, order: Sequence[int]) -> None:
+        """Follow ``permute_band(self.band, order)``: level ``p`` moved to
+        ``order.index(p)``, whose loop now drives what ``p`` drove."""
+        for access in self.accesses:
+            for d, position in enumerate(access.dim_loop_positions):
+                if position is not None:
+                    level = access.dim_loop_positions[d] = order.index(position)
+                    access.drivers[d] = (self.band[level], access.dim_strides[d])
+
 
 def _band_accesses(node: NodeOp, band: Sequence[AffineForOp]) -> List[BandAccess]:
     """Collect accesses within the band, normalized to band loop positions."""
@@ -127,19 +140,11 @@ def _band_accesses(node: NodeOp, band: Sequence[AffineForOp]) -> List[BandAccess
     for op in root.walk():
         if not isinstance(op, (AffineLoadOp, AffineStoreOp)):
             continue
-        dim_loops: List[Optional[int]] = []
-        dim_strides: List[int] = []
-        for driver in op.driving_loops():
-            loop, stride = driver or (None, 0)
-            dim_loops.append(loop_position.get(id(loop)))
-            dim_strides.append(stride)
+        drivers = op.driving_loops()
+        positions = [driver and loop_position.get(id(driver[0])) for driver in drivers]
+        strides = [driver[1] if driver else 0 for driver in drivers]
         accesses.append(
-            BandAccess(
-                buffer=op.memref,
-                is_store=isinstance(op, AffineStoreOp),
-                dim_loop_positions=dim_loops,
-                dim_strides=dim_strides,
-            )
+            BandAccess(op.memref, isinstance(op, AffineStoreOp), positions, strides, drivers)
         )
     return accesses
 
@@ -272,31 +277,11 @@ class Connection:
             )
         return constraints
 
-    def endpoints(self) -> Tuple[NodeOp, NodeOp]:
-        return self.source.node, self.target.node
-
     def __repr__(self) -> str:
         return (
             f"Connection({self.source.label} -> {self.target.label}, "
             f"buffer={self.buffer.name_hint or 'buf'}, links={self.links})"
         )
-
-
-def _resolve_buffer_key(value: Value) -> Value:
-    """Map node block arguments to the outer value they alias."""
-    current = value
-    for _ in range(8):
-        owner = current.owner
-        if owner is None or not isinstance(owner, Block):
-            return current
-        parent = owner.parent_op
-        if parent is None or parent.name not in ("hida.node", "hida.schedule"):
-            return current
-        index = current.index
-        if index >= parent.num_operands:
-            return current
-        current = parent.operand(index)
-    return current
 
 
 def collect_connections(
@@ -315,7 +300,7 @@ def collect_connections(
     buffers: Dict[int, Value] = {}
     for info in infos:
         for access in info.accesses:
-            key_value = _resolve_buffer_key(access.buffer)
+            key_value = _resolve_through_nodes(access.buffer)
             key = id(key_value)
             buffers[key] = key_value
             target = writers if access.is_store else readers

@@ -26,7 +26,9 @@ an identical layer, the previous design point — is a table lookup.  The
 collection describes the band as it was walked: an applied permutation
 makes it a different problem, so the collection is dropped and the
 pipelined loop walked afresh (the table itself needs no invalidation).
-:func:`count_misalignments` runs no dependence analysis.
+The band's access records follow the permutation, and the misalignment
+count and array partitioning read them, so each access is decoded once.
+:func:`count_misalignments` recounts from a fresh walk, without dependences.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dependence import NestAccesses
 from ..analysis.legality import legal_permutation, legal_pipeline_ii
-from ..dialects.affine import AffineForOp
+from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.dataflow import ScheduleOp
-from ..transforms.array_partition import partition_buffers_in
+from ..ir.core import Operation
+from ..transforms.array_partition import partition_decoded_accesses
 from ..transforms.loop_transforms import loop_bands_of, permute_band, pipeline_loop
 from .analysis import (
     BandInfo,
@@ -55,7 +58,7 @@ __all__ = [
     "ParallelizationResult",
     "generate_parallel_factors",
     "sort_bands",
-    "candidate_unroll_factors",
+    "search_unroll_factors",
     "proposal_cost",
     "parallelize_band",
     "parallelize_schedule",
@@ -92,6 +95,7 @@ class ParallelizationResult:
     intensities: Dict[str, int] = dataclasses.field(default_factory=dict)
     constraint_violations: int = 0
     proposals_evaluated: int = 0
+    misalignments: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -162,43 +166,83 @@ def _factor_candidates_for_loop(trip: int, parallel: bool, limit: int) -> List[i
     return sorted(candidates)
 
 
-def candidate_unroll_factors(band: BandInfo, parallel_factor: int) -> List[List[int]]:
-    """Enumerate unroll-factor vectors whose product does not exceed the budget."""
-    per_loop = [
-        _factor_candidates_for_loop(trip, flag, parallel_factor)
-        for trip, flag in zip(band.trip_counts, band.parallel_flags)
-    ]
-    proposals: List[List[int]] = []
+def _misaligned(constraint: Optional[int], factor: int) -> bool:
+    """Algorithm 4 lines 13-16: neither of the two divides the other."""
+    return constraint is not None and constraint % factor != 0 and factor % constraint != 0
 
-    def recurse(index: int, current: List[int], product: int) -> None:
-        if len(proposals) >= _MAX_PROPOSALS:
-            return
-        if index == len(per_loop):
-            proposals.append(list(current))
-            return
-        for factor in per_loop[index]:
+
+_Ranker = Callable[[Sequence[int]], Tuple[float, ...]]
+
+
+def search_unroll_factors(
+    trip_counts: Sequence[int], parallel_flags: Sequence[bool], muls_per_iteration: int,
+    parallel_factor: int, constraints_list: Sequence[Sequence[Optional[int]]], tail_of: _Ranker,
+) -> Tuple[List[int], int, int]:
+    """Algorithm 4's intra-band DSE in one depth-first pass; returns (best
+    factors, proposals evaluated, constraint violations).
+
+    Proposals are the factor vectors within ``parallel_factor``, in
+    lexicographic order of the per-loop candidates, at most ``_MAX_PROPOSALS``.
+    One misaligned with ``constraints_list`` is a violation; the rest rank by
+    :func:`proposal_cost`.  Its ``(iterations, DSPs)`` head is carried as
+    running products, iterations in level order (a level whose only candidate
+    is 1 folds into the one before); its tail, ``tail_of``, breaks ties only.
+    """
+    factors = [1] * len(trip_counts)
+    iterations = 1.0
+    # Per searched level: position, trip, candidates, the misaligned ones,
+    # trips of the folded levels after it.
+    levels: List[Tuple[int, int, List[int], set, List[int]]] = []
+    for position, (trip, flag) in enumerate(zip(trip_counts, parallel_flags)):
+        candidates = _factor_candidates_for_loop(trip, flag, parallel_factor)
+        if len(candidates) > 1:
+            column = [c[position] for c in constraints_list if position < len(c)]
+            bad = {f for f in candidates if any(_misaligned(c, f) for c in column)}
+            levels.append((position, trip, candidates, bad, []))
+        elif levels:
+            levels[-1][4].append(trip)
+        else:
+            iterations *= trip
+    if not levels:
+        return factors, 1, 0
+    best: Optional[List[int]] = None
+    best_head, best_tail = (0.0, 0), None  # the tail is computed on a first tie
+    evaluated = violations = 0
+
+    def descend(index: int, product: int, iterations: float, rejected: bool) -> bool:
+        """Visit every proposal below this level; True once the cap is hit."""
+        nonlocal best, best_head, best_tail, evaluated, violations
+        position, trip, candidates, bad, folded = levels[index]
+        for factor in candidates:
             new_product = product * factor
             if new_product > parallel_factor:
                 break
-            current.append(factor)
-            recurse(index + 1, current, new_product)
-            current.pop()
-
-    recurse(0, [], 1)
-    return proposals
-
-
-def _violates_constraints(
-    factors: Sequence[int], constraints_list: Sequence[Sequence[Optional[int]]]
-) -> bool:
-    """Algorithm 4 lines 13-16: mutual-divisibility check."""
-    for constraints in constraints_list:
-        for constraint, factor in zip(constraints, factors):
-            if constraint is None:
+            factors[position] = factor
+            new_iterations = iterations * math.ceil(trip / factor)
+            for folded_trip in folded:
+                new_iterations *= folded_trip
+            misaligned = rejected or factor in bad
+            if index + 1 < len(levels):
+                if descend(index + 1, new_product, new_iterations, misaligned):
+                    return True
                 continue
-            if constraint % factor != 0 and factor % constraint != 0:
+            evaluated += 1
+            head = (new_iterations, muls_per_iteration * new_product)
+            if misaligned:
+                violations += 1
+            elif best is None or head < best_head:
+                best, best_head, best_tail = list(factors), head, None
+            elif head == best_head:
+                best_tail = best_tail or tail_of(best)
+                tail = tail_of(factors)
+                if tail < best_tail:
+                    best, best_tail = list(factors), tail
+            if evaluated >= _MAX_PROPOSALS:
                 return True
-    return False
+        return False
+
+    descend(0, 1, iterations, False)
+    return best or [1] * len(trip_counts), evaluated, violations
 
 
 def proposal_cost(
@@ -214,29 +258,26 @@ def proposal_cost(
     with the alignment constraints, then structural tie-breakers that favour
     balanced factor vectors with parallelism on inner loops.
     """
-    head, tail = _proposal_ranker(band, constraints_list)
-    return head(factors) + tail(factors)
+    iterations = 1.0
+    for trip, factor in zip(band.trip_counts, factors):
+        iterations *= math.ceil(trip / max(factor, 1))
+    head = (iterations, band.muls_per_iteration * math.prod(factors))
+    return head + _tail_ranker(band, constraints_list)(factors)
 
 
-_Ranker = Callable[[Sequence[int]], Tuple[float, ...]]
-
-
-def _proposal_ranker(
+def _tail_ranker(
     band: BandInfo, constraints_list: Sequence[Sequence[Optional[int]]]
-) -> Tuple[_Ranker, _Ranker]:
-    """:func:`proposal_cost` of one band in two parts, ``(iterations, DSPs)``
-    and ``(banks, max factor, -inner preference)``: the order is
-    lexicographic, so the second part — which walks every access — is only
-    ever needed to break a tie on the first.  What no proposal changes (the
-    combined constraint, each access's stride weights) is computed once."""
+) -> _Ranker:
+    """The ``(banks, max factor, -inner preference)`` part of
+    :func:`proposal_cost`, which walks every access: the order is
+    lexicographic, so it only ever breaks a tie of the ``(iterations,
+    DSPs)`` head.  What no proposal changes (the combined constraint, each
+    access's stride weights) is computed once."""
     # Combined constraint demand per loop position (from connected bands).
-    combined_constraint: List[int] = [1] * band.num_loops
-    for constraints in constraints_list:
-        for position, constraint in enumerate(constraints):
-            if constraint is not None:
-                combined_constraint[position] = max(
-                    combined_constraint[position], constraint
-                )
+    combined_constraint = [
+        max([1] + [c[p] for c in constraints_list if p < len(c) and c[p] is not None])
+        for p in range(band.num_loops)
+    ]
     # Per access: (loop position, stride weight, constraint demand) of every
     # buffer dimension a band loop drives.
     demands = [
@@ -247,15 +288,6 @@ def _proposal_ranker(
         ]
         for access in band.accesses
     ]
-
-    def head(factors: Sequence[int]) -> Tuple[float, float]:
-        iterations = 1.0
-        for trip, factor in zip(band.trip_counts, factors):
-            iterations *= math.ceil(trip / max(factor, 1))
-        product = 1
-        for factor in factors:
-            product *= factor
-        return (iterations, band.muls_per_iteration * product)
 
     def tail(factors: Sequence[int]) -> Tuple[float, int, float]:
         banks = 0.0
@@ -269,7 +301,7 @@ def _proposal_ranker(
         inner_preference = sum(factor * index for index, factor in enumerate(factors))
         return (banks, max_factor, -inner_preference)
 
-    return head, tail
+    return tail
 
 
 def _order_reductions_outward(band: BandInfo) -> bool:
@@ -293,6 +325,7 @@ def _order_reductions_outward(band: BandInfo) -> bool:
         return False
     permute_band(band.band, order, check=False)
     band.nest_accesses = None  # walked before the permutation: stale
+    band.permute_accesses(order)
     return True
 
 
@@ -316,27 +349,13 @@ def parallelize_band(
                 other = finished_factors[id(connection.source)]
                 constraints_list.append(connection.constraints_for(band, other))
 
-    proposals = candidate_unroll_factors(band, parallel_factor)
-    head_of, tail_of = _proposal_ranker(band, constraints_list)
-    best: Optional[List[int]] = None
-    best_head: Tuple[float, ...] = ()
-    best_tail: Optional[Tuple[float, ...]] = None  # computed on the first tie
-    for factors in proposals:
-        result.proposals_evaluated += 1
-        if options.connection_aware and _violates_constraints(factors, constraints_list):
-            result.constraint_violations += 1
-            continue
-        head = head_of(factors)
-        if best is None or head < best_head:
-            best, best_head, best_tail = factors, head, None
-        elif head == best_head:
-            if best_tail is None:
-                best_tail = tail_of(best)
-            tail = tail_of(factors)
-            if tail < best_tail:
-                best, best_tail = factors, tail
-    if best is None:
-        best = [1] * band.num_loops
+    tail_of = _tail_ranker(band, constraints_list)
+    best, evaluated, violations = search_unroll_factors(
+        band.trip_counts, band.parallel_flags, band.muls_per_iteration,
+        parallel_factor, constraints_list, tail_of,
+    )
+    result.proposals_evaluated += evaluated
+    result.constraint_violations += violations
     band.apply_unroll_factors(best)
     _order_reductions_outward(band)
     if band.band:
@@ -356,7 +375,7 @@ def parallelize_band(
         min_ii = legal_pipeline_ii(current, options.target_ii, accesses).min_ii
         pipeline_loop(current, target_ii=max(options.target_ii, min_ii))
     band.nest_accesses = None
-    return list(best)
+    return best
 
 
 def parallelize_schedule(
@@ -366,34 +385,14 @@ def parallelize_schedule(
     """Run the full IA+CA parallelization on one schedule.
 
     Applies unroll factors and pipelining to every band, then derives array
-    partitions for all buffers from the final factors.
+    partitions for all buffers and counts the misalignments left, both from
+    the bands' access records.
     """
-    options = options or ParallelizationOptions()
-    result = ParallelizationResult()
     bands = collect_band_infos(schedule)
-    if not bands:
-        return result
     connections = collect_connections(schedule, bands)
-    parallel_factors = generate_parallel_factors(bands, options)
     ordered = sort_bands(bands, connections)
-
-    finished: Dict[int, List[int]] = {}
-    for index, band in enumerate(ordered):
-        label = f"{band.label}#{index}"
-        factors = parallelize_band(
-            band,
-            connections,
-            parallel_factors[id(band)],
-            finished,
-            options,
-            result,
-        )
-        finished[id(band)] = factors
-        result.unroll_factors[label] = factors
-        result.parallel_factors[label] = parallel_factors[id(band)]
-        result.intensities[label] = band.intensity
-
-    partition_buffers_in(schedule)
+    result = _parallelize_bands(schedule, bands, ordered, connections, options)
+    result.misalignments = _misalignments(collect_connections(schedule, bands))
     return result
 
 
@@ -409,22 +408,50 @@ def parallelize_function_bands(
     array partitioning — which is why the two frameworks perform on par on
     the paper's single-loop kernels.
     """
+    bands = [band_info_of(func, band) for band in loop_bands_of(func)]
+    return _parallelize_bands(func, bands, bands, [], options)
+
+
+def _parallelize_bands(
+    top: Operation, bands: List[BandInfo], ordered: List[BandInfo],
+    connections: Sequence[Connection], options: Optional[ParallelizationOptions],
+) -> ParallelizationResult:
+    """Steps (3) and (4) over ``ordered``, then the partitions under ``top``."""
     options = options or ParallelizationOptions()
     result = ParallelizationResult()
-    bands = [band_info_of(func, band) for band in loop_bands_of(func)]
     if not bands:
         return result
     parallel_factors = generate_parallel_factors(bands, options)
-    for index, band in enumerate(bands):
-        factors = parallelize_band(
-            band, [], parallel_factors[id(band)], {}, options, result
-        )
+    finished: Dict[int, List[int]] = {}
+    for index, band in enumerate(ordered):
         label = f"{band.label}#{index}"
-        result.unroll_factors[label] = factors
+        finished[id(band)] = parallelize_band(
+            band, connections, parallel_factors[id(band)], finished, options, result
+        )
+        result.unroll_factors[label] = finished[id(band)]
         result.parallel_factors[label] = parallel_factors[id(band)]
         result.intensities[label] = band.intensity
-    partition_buffers_in(func)
+    _partition_from_records(top, bands)
     return result
+
+
+def _partition_from_records(top: Operation, bands: Sequence[BandInfo]) -> None:
+    """``partition_buffers_in(top)`` from the bands' records: only the ops
+    outside band roots are walked, in program order, for other accesses."""
+    records = {id(band.band[0]): band.accesses for band in bands}
+
+    def accesses_under(op: Operation):
+        for region in op.regions:
+            for block in region.blocks:
+                for child in block.operations:
+                    if id(child) in records:
+                        yield from ((a.buffer, a.drivers) for a in records[id(child)])
+                    elif isinstance(child, (AffineLoadOp, AffineStoreOp)):
+                        yield child.memref, child.driving_loops()
+                    else:
+                        yield from accesses_under(child)
+
+    partition_decoded_accesses(accesses_under(top))
 
 
 def count_misalignments(schedule: ScheduleOp) -> int:
@@ -434,18 +461,17 @@ def count_misalignments(schedule: ScheduleOp) -> int:
     (after stride scaling) are mutually indivisible.  Misalignment forces the
     compiler to generate fine-grained access control logic, which is what
     degrades the connection-unaware modes at large parallel factors in the
-    Figure 11 ablation.
+    Figure 11 ablation.  An independent recount of what
+    :func:`parallelize_schedule` reports: accesses are walked afresh.
     """
-    # Accesses are re-collected, not reused from the parallelizer: a permuted
-    # band's ``dim_loop_positions`` are stale.  Nothing else is analyzed.
+    return _misalignments(collect_connections(schedule, collect_access_infos(schedule)))
+
+
+def _misalignments(connections: Sequence[Connection]) -> int:
     violations = 0
-    for connection in collect_connections(schedule, collect_access_infos(schedule)):
+    for connection in connections:
         source_factors = connection.source.unroll_factors()
         target_factors = connection.target.unroll_factors()
         constraints = connection.constraints_for(connection.target, source_factors)
-        for constraint, factor in zip(constraints, target_factors):
-            if constraint is None:
-                continue
-            if constraint % factor != 0 and factor % constraint != 0:
-                violations += 1
+        violations += sum(map(_misaligned, constraints, target_factors))
     return violations

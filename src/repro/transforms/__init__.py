@@ -1,7 +1,6 @@
 """repro.transforms — generic loop and bufferization transforms."""
 
 from .array_partition import (
-    access_partition_demand,
     partition_buffers_in,
     partition_factors_of_value,
     partition_for_accesses,
@@ -24,7 +23,6 @@ from .loop_transforms import (
 )
 
 __all__ = [
-    "access_partition_demand",
     "partition_buffers_in",
     "partition_factors_of_value",
     "partition_for_accesses",

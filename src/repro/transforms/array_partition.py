@@ -20,22 +20,24 @@ whose same-cycle access set still collides in one bank raises
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from ..dialects.affine import AffineLoadOp, AffineStoreOp
+from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.dataflow import BufferOp, NodeOp
 from ..dialects.hls import ArrayPartition, PartitionKind, partition_of, set_partition
 from ..ir.core import Block, BlockArgument, Operation, Value
 from ..ir.types import MemRefType
 
 __all__ = [
-    "access_partition_demand",
     "partition_for_accesses",
     "partition_buffers_in",
+    "partition_decoded_accesses",
     "partition_factors_of_value",
 ]
 
 AffineAccess = Union[AffineLoadOp, AffineStoreOp]
+#: An access's ``driving_loops()``: per subscript the loop and stride, or None.
+Drivers = Sequence[Optional[Tuple[AffineForOp, int]]]
 
 
 def _buffer_shape(buffer: Value) -> Tuple[int, ...]:
@@ -46,16 +48,21 @@ def _buffer_shape(buffer: Value) -> Tuple[int, ...]:
     return tuple(int(dim) for dim in shape)
 
 
-def access_partition_demand(access: AffineAccess, rank: int) -> List[int]:
-    """Per-dimension partition demand of a single affine load/store: the
-    unroll factor of the loop driving that dimension times the access stride
-    magnitude, 1 where no loop drives it."""
-    demand = [1] * rank
-    for d, driver in enumerate(access.driving_loops()[:rank]):
-        if driver is not None:
-            loop, stride = driver
-            demand[d] = max(1, loop.unroll_factor * max(abs(stride), 1))
-    return demand
+def _partition_of(buffer: Value, drivers_per_access: Iterable[Drivers]) -> ArrayPartition:
+    """The cyclic partition whose factor per dimension is the largest demand
+    of any access — the unroll factor of the loop driving that dimension
+    times the stride magnitude, 1 where no loop drives it — clamped to the
+    dimension size."""
+    shape = _buffer_shape(buffer)
+    factors = [1] * len(shape)
+    for drivers in drivers_per_access:
+        for d, driver in enumerate(drivers[: len(shape)]):
+            if driver is not None:
+                loop, stride = driver
+                factors[d] = max(factors[d], loop.unroll_factor * max(abs(stride), 1))
+    factors = [min(f, max(int(s), 1)) for f, s in zip(factors, shape)]
+    kinds = [PartitionKind.CYCLIC if f > 1 else PartitionKind.NONE for f in factors]
+    return ArrayPartition(kinds, factors)
 
 
 def partition_for_accesses(
@@ -71,20 +78,14 @@ def partition_for_accesses(
     bank-conflict model and raises ``TransformLegalityError`` when the
     unrolled access set of some dimension still exceeds one bank's ports.
     """
-    shape = _buffer_shape(buffer)
-    rank = len(shape)
-    factors = [1] * rank
-    for access in accesses:
-        demand = access_partition_demand(access, rank)
-        for d in range(rank):
-            factors[d] = max(factors[d], demand[d])
-    factors = [min(f, max(int(s), 1)) for f, s in zip(factors, shape)]
+    partition = _partition_of(buffer, [access.driving_loops() for access in accesses])
     if strict:
         from ..analysis.legality import (
             TransformLegalityError,
             partition_bank_conflicts,
         )
 
+        factors = list(partition.factors)
         conflicts = partition_bank_conflicts(buffer, list(accesses), factors)
         if conflicts:
             raise TransformLegalityError(
@@ -92,10 +93,7 @@ def partition_for_accesses(
                 f"clamped factors {factors} leave a bank conflict: "
                 f"{conflicts[0].describe()}",
             )
-    kinds = [
-        PartitionKind.CYCLIC if f > 1 else PartitionKind.NONE for f in factors
-    ]
-    return ArrayPartition(kinds, factors)
+    return partition
 
 
 def partition_factors_of_value(buffer: Value) -> Tuple[int, ...]:
@@ -129,27 +127,39 @@ def partition_buffers_in(
     Returns a map from ``id(buffer value)`` to the chosen partition.
     ``strict`` is forwarded to :func:`partition_for_accesses`.
     """
-    # Gather accesses per underlying buffer.
-    demands: Dict[int, Tuple[Value, List[AffineAccess]]] = {}
-    for op in top.walk():
-        if not isinstance(op, (AffineLoadOp, AffineStoreOp)):
-            continue
-        buffer = op.memref
-        # Resolve through node block arguments to the outer buffer.
-        resolved = _resolve_through_nodes(buffer)
-        entry = demands.setdefault(id(resolved), (resolved, []))
-        entry[1].append(op)
+    walked = [op for op in top.walk() if isinstance(op, (AffineLoadOp, AffineStoreOp))]
+    return _attach_partitions(
+        ((op.memref, op) for op in walked),
+        lambda buffer, accesses: partition_for_accesses(buffer, accesses, strict=strict),
+    )
 
+
+def partition_decoded_accesses(
+    accesses: Iterable[Tuple[Value, Drivers]]
+) -> Dict[int, ArrayPartition]:
+    """:func:`partition_buffers_in` (not strict) over accesses already
+    decoded, as ``(memref, driving_loops())`` pairs in program order."""
+    return _attach_partitions(accesses, _partition_of)
+
+
+def _attach_partitions(
+    accesses: Iterable[Tuple[Value, Any]], choose: Callable[[Value, list], ArrayPartition]
+) -> Dict[int, ArrayPartition]:
+    """Group ``(memref, access)`` pairs by the buffer each memref resolves
+    to through node block arguments, then attach ``choose(buffer, group)``."""
+    groups: Dict[int, Tuple[Value, list]] = {}
+    for buffer, access in accesses:
+        resolved = _resolve_through_nodes(buffer)
+        groups.setdefault(id(resolved), (resolved, []))[1].append(access)
     chosen: Dict[int, ArrayPartition] = {}
-    for key, (buffer, accesses) in demands.items():
-        partition = partition_for_accesses(buffer, accesses, strict=strict)
+    for key, (buffer, group) in groups.items():
+        partition = chosen[key] = choose(buffer, group)
         defining = buffer.defining_op
         if isinstance(defining, BufferOp):
             defining.set_partition(partition)
         else:
             with contextlib.suppress(ValueError):
                 set_partition(buffer, partition)
-        chosen[key] = partition
     return chosen
 
 

@@ -9,13 +9,19 @@ purpose, with ``PYTHONPATH=src python tests/test_parallelization.py --regen``.
 """
 
 import collections
+import cProfile
 import functools
 import hashlib
+import itertools
 import json
+import math
 import pathlib
+import pstats
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import emit_hls_cpp
 from repro.analysis import NestAccesses
@@ -40,10 +46,11 @@ from repro.hida import (
 )
 from repro.baselines import ABLATION_MODES, ablation_pipeline_spec, scalehls_pipeline_spec
 from repro.hida import parallelize
+from repro.hida.analysis import BandAccess, BandInfo
 from repro.hida.parallelize import (
-    candidate_unroll_factors,
     parallelize_function_bands,
     proposal_cost,
+    search_unroll_factors,
 )
 from repro.ir import Builder, ConstantOp, MemRefType, f32, print_op, verify
 from repro.transforms import partition_buffers_in
@@ -173,18 +180,106 @@ class TestParallelFactorGeneration:
         assert ordered[2].intensity == 256
 
 
+def _reference_candidate_unroll_factors(band, parallel_factor):
+    """The proposal enumerator the one-pass search replaced, verbatim but
+    for the module prefix (so a patched ``_MAX_PROPOSALS`` applies)."""
+    per_loop = [
+        parallelize._factor_candidates_for_loop(trip, flag, parallel_factor)
+        for trip, flag in zip(band.trip_counts, band.parallel_flags)
+    ]
+    proposals = []
+
+    def recurse(index, current, product):
+        if len(proposals) >= parallelize._MAX_PROPOSALS:
+            return
+        if index == len(per_loop):
+            proposals.append(list(current))
+            return
+        for factor in per_loop[index]:
+            new_product = product * factor
+            if new_product > parallel_factor:
+                break
+            current.append(factor)
+            recurse(index + 1, current, new_product)
+            current.pop()
+
+    recurse(0, [], 1)
+    return proposals
+
+
+def _reference_violates_constraints(factors, constraints_list):
+    """Algorithm 4 lines 13-16 as the replaced per-proposal check, verbatim."""
+    for constraints in constraints_list:
+        for constraint, factor in zip(constraints, factors):
+            if constraint is None:
+                continue
+            if constraint % factor != 0 and factor % constraint != 0:
+                return True
+    return False
+
+
+def _reference_search(band, parallel_factor, constraints_list):
+    """Every proposal listed, checked, and ranked by the whole public cost."""
+    best, best_cost, evaluated, violations = None, None, 0, 0
+    for factors in _reference_candidate_unroll_factors(band, parallel_factor):
+        evaluated += 1
+        if _reference_violates_constraints(factors, constraints_list):
+            violations += 1
+            continue
+        cost = proposal_cost(band, factors, constraints_list)
+        if best is None or cost < best_cost:
+            best, best_cost = factors, cost
+    return (best or [1] * band.num_loops), evaluated, violations
+
+
+@st.composite
+def _search_inputs(draw):
+    """A band without IR (trip counts, flags, MACs, accesses), a parallel
+    factor and alignment constraints that may leave any level free."""
+    levels = draw(st.integers(0, 4))
+    # Small trips have non-power-of-two divisors, hence misalignments and
+    # ties of the whole cost; large ones exercise the power-of-two ladder.
+    trip = st.integers(1, 24) | st.integers(1, 300)
+    trips = draw(st.lists(trip, min_size=levels, max_size=levels))
+    flags = draw(st.lists(st.booleans(), min_size=levels, max_size=levels))
+    position = st.none() | st.integers(0, levels - 1) if levels else st.none()
+    accesses = []
+    for positions in draw(st.lists(st.lists(position, max_size=3), max_size=3)):
+        rank = len(positions)
+        strides = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+        accesses.append(BandAccess(None, False, positions, strides, [None] * rank))
+    band = BandInfo(
+        node=None,
+        band=[None] * levels,
+        trip_counts=trips,
+        parallel_flags=flags,
+        accesses=accesses,
+        muls_per_iteration=draw(st.integers(0, 4)),
+    )
+    constraint = st.none() | st.integers(1, 64)
+    constraints_list = draw(
+        st.lists(st.lists(constraint, min_size=levels, max_size=levels), max_size=3)
+    )
+    return band, draw(st.integers(1, 512)), constraints_list
+
+
 class TestCandidateGeneration:
     def test_candidates_respect_budget_and_parallel_flags(self, listing1_analysis):
         _, bands, _ = listing1_analysis
         compute_band = max(bands, key=lambda b: b.intensity)
-        proposals = candidate_unroll_factors(compute_band, 32)
-        assert proposals
-        for factors in proposals:
-            product = 1
-            for factor in factors:
-                product *= factor
-            assert product <= 32
+        trips, flags = compute_band.trip_counts, compute_band.parallel_flags
+        for budget in (1, 2, 8, 32, 64):
+            factors, evaluated, violations = search_unroll_factors(
+                trips, flags, compute_band.muls_per_iteration, budget, [], lambda f: ()
+            )
+            assert math.prod(factors) <= budget
             assert factors[2] == 1  # reduction loop never unrolled
+            per_loop = [
+                parallelize._factor_candidates_for_loop(trip, flag, budget)
+                for trip, flag in zip(trips, flags)
+            ]
+            within = [v for v in itertools.product(*per_loop) if math.prod(v) <= budget]
+            assert (evaluated, violations) == (len(within), 0)
 
     def test_proposal_cost_prefers_full_parallelism(self, listing1_analysis):
         _, bands, _ = listing1_analysis
@@ -193,41 +288,29 @@ class TestCandidateGeneration:
         high = proposal_cost(compute_band, [4, 8, 1], [])
         assert high < low  # fewer iterations sorts first
 
-    @pytest.mark.parametrize(
-        "spec",
-        [DEFAULT_PIPELINE] + [ablation_pipeline_spec(mode, 64) for mode in ABLATION_MODES],
-        ids=["default", *ABLATION_MODES],
-    )
-    def test_lazy_ranking_chooses_what_the_full_cost_chooses(self, spec, monkeypatch):
-        """``parallelize_band`` computes the tail of the cost only on a tie
-        of its head; ranking every proposal by the whole public 5-tuple
-        must choose the same factors for every band of the zoo."""
-
-        def compile_zoo():
-            results = [
-                Compiler.from_spec(spec, platform="vu9p-slr").run(workload=name)
-                for name in list_workloads()
-            ]
-            return [
-                (
-                    result.parallelization.unroll_factors,
-                    result.parallelization.proposals_evaluated,
-                    result.parallelization.constraint_violations,
+    @given(_search_inputs())
+    @example((BandInfo(None, [None] * 3, [12, 9, 12], [True] * 3), 6, []))
+    @settings(max_examples=150, deadline=None)
+    def test_search_chooses_what_the_full_cost_chooses(self, inputs):
+        """The one-pass search, which ranks by running products and asks the
+        tail only on a tie, against listing every proposal and ranking it by
+        :func:`proposal_cost`: same factors and counters, also when the
+        proposal cap truncates the enumeration.  In the explicit example
+        ``[1, 3, 2]`` and ``[2, 1, 3]`` tie on the whole cost: the first
+        proposal stays."""
+        band, parallel_factor, constraints_list = inputs
+        for cap in (1, 3, 64, parallelize._MAX_PROPOSALS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(parallelize, "_MAX_PROPOSALS", cap)
+                searched = search_unroll_factors(
+                    band.trip_counts,
+                    band.parallel_flags,
+                    band.muls_per_iteration,
+                    parallel_factor,
+                    constraints_list,
+                    parallelize._tail_ranker(band, constraints_list),
                 )
-                for result in results
-            ]
-
-        lazy = compile_zoo()
-        assert any(factors for factors, _, _ in lazy)
-
-        ranker = parallelize._proposal_ranker
-
-        def eager(band, constraints_list):
-            head, tail = ranker(band, constraints_list)
-            return (lambda factors: head(factors) + tail(factors)), (lambda factors: ())
-
-        monkeypatch.setattr(parallelize, "_proposal_ranker", eager)
-        assert compile_zoo() == lazy
+                assert searched == _reference_search(band, parallel_factor, constraints_list)
 
 
 class TestTable5And6:
@@ -418,6 +501,57 @@ class TestDependenceWork:
         including the connection-unaware ablations (non-zero on ``ia-2mm``)."""
         result = Compiler.from_spec(spec, platform="vu9p-slr").run(workload=workload)
         assert sum(map(count_misalignments, result.schedules)) == result.misalignments
+
+
+class TestParallelizeWork:
+    """Pins the work, not the clock, of one zoo compile set (models at
+    factor 64 on ``vu9p-slr``, kernels at the default on ``zu3eg``)."""
+
+    @pytest.fixture(scope="class")
+    def profiled(self):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        results = [
+            Compiler(default_stages(parallelize={"factor": 64}), platform="vu9p-slr").run(
+                workload=name
+            )
+            for name in list_workloads(kind="model")
+        ] + [
+            Compiler(default_stages(), platform="zu3eg").run(workload=name)
+            for name in list_workloads(kind="kernel")
+        ]
+        profiler.disable()
+        calls = collections.defaultdict(lambda: (0, set()))
+        for (path, _, function), stat in pstats.Stats(profiler).stats.items():
+            key = ("/".join(pathlib.PurePath(path).parts[-2:]), function)
+            count, callers = calls[key]
+            calls[key] = (count + stat[1], callers | {caller[2] for caller in stat[4]})
+        return results, calls
+
+    def test_each_band_is_decoded_once(self, profiled):
+        results, calls = profiled
+        bands = sum(
+            len(loop_bands_of(top))
+            for result in results
+            for top in (
+                [node for schedule in result.schedules for node in schedule.nodes]
+                or result.module.functions
+            )
+        )
+        assert calls["hida/analysis.py", "_band_accesses"][0] == bands == 294
+
+    def test_partitions_and_misalignments_decode_nothing(self, profiled):
+        _, calls = profiled
+        count, callers = calls["dialects/affine.py", "driving_loops"]
+        assert callers <= {"_band_accesses", "_memory_port_ii"}
+        assert count <= 1_700  # 3,558 when both re-decoded every access
+        assert ("hida/analysis.py", "collect_access_infos") not in calls
+
+    def test_the_unroll_search_is_one_bounded_pass(self, profiled):
+        _, calls = profiled
+        count, callers = calls["hida/parallelize.py", "descend"]
+        assert callers == {"search_unroll_factors", "descend"}
+        assert count <= 2_500  # 22,064 calls building proposal lists before
 
 
 def _partitions(module):
