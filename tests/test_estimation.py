@@ -1,5 +1,18 @@
 """Tests for the QoR estimation substrate: platforms, latency/resource models,
-the dataflow simulator and evaluation metrics."""
+the dataflow simulator and evaluation metrics.
+
+``tests/data/qor_payload_golden.json`` pins the ``estimate`` and ``simulate``
+payloads of 254 compiles and the records and frontiers of five multi-fidelity
+``explore`` runs; it was recorded while the simulate level still re-walked the
+IR and every promoted point was recompiled, and is regenerated only on
+purpose, with ``PYTHONPATH=src python tests/test_estimation.py --regen``.
+"""
+
+import functools
+import hashlib
+import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +39,18 @@ from repro.estimation import (
     speedup,
     throughput_samples_per_second,
 )
+from repro.baselines import ablation_pipeline_spec
 from repro.dialects.arith import AddFOp, MulFOp
 from repro.dialects.dataflow import BufferOp
 from repro.dialects.memref import AllocOp
-from repro.compiler import Compiler, default_stages
+from repro.compiler import DEFAULT_PIPELINE, Compiler, default_stages
+from repro.dse import build_space, explore, get_fidelity
 from repro.frontend.cpp import KernelBuilder, build_listing1
 from repro.ir import ConstantOp, MemRefType, f32, i8
 from repro.transforms.loop_transforms import loop_bands_of, pipeline_loop
-from repro.workloads import as_module
+from repro.workloads import as_module, list_workloads
+
+PAYLOAD_GOLDEN = pathlib.Path(__file__).parent / "data" / "qor_payload_golden.json"
 
 
 def compile_unfused_listing1():
@@ -271,3 +288,115 @@ class TestMetrics:
     def test_geometric_mean_bounded_by_min_max(self, values):
         mean = geometric_mean(values)
         assert min(values) * 0.999 <= mean <= max(values) * 1.001
+
+
+# ---------------------------------------------------------------------------
+# Payload golden
+# ---------------------------------------------------------------------------
+
+
+def _digest(value):
+    text = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _timeless(record):
+    """A payload or record without its wall-clock fields."""
+    record = {key: value for key, value in record.items() if key != "eval_seconds"}
+    if "summary" in record:
+        record["summary"] = {
+            key: value
+            for key, value in record["summary"].items()
+            if key != "compile_seconds"
+        }
+    return record
+
+
+def _payload_compiles():
+    """(case name, zero-argument compile) of the 254 pinned compiles: the zoo
+    under the default, three ablation and the sequential-estimate specs on
+    both targets, then the 64-point ``kernel-dse`` sample."""
+    specs = {
+        "default": DEFAULT_PIPELINE,
+        "sequential": DEFAULT_PIPELINE.replace("estimate", "estimate{dataflow=0}"),
+    }
+    specs.update((mode, ablation_pipeline_spec(mode, 64)) for mode in ("naive", "ia", "ca"))
+    for platform in ("vu9p-slr", "zu3eg"):
+        for spec_name, spec in specs.items():
+            for workload in list_workloads():
+                compiler = Compiler.from_spec(spec, platform=platform)
+                yield f"{spec_name}/{platform}/{workload}", functools.partial(
+                    compiler.run, workload=workload
+                )
+    for point in build_space("full").sample(64, 2024):
+        yield f"dse/{point.label()}", functools.partial(
+            point.compiler().run, workload=point.workload_spec()
+        )
+
+
+def _payload_record(result):
+    return {
+        level: _digest(_timeless(get_fidelity(level).apply(result)))
+        for level in ("estimate", "simulate")
+    }
+
+
+def _explore_runs(cache_dir):
+    """(run name, result) of the five pinned multi-fidelity runs over the
+    ``kernel-dse`` sample, the warm one replaying the cold one's cache."""
+    points = build_space("full").sample(64, 2024)
+    common = {"fidelity": "simulate", "promote_top": 0.25}
+    yield "uncached", explore(points, use_cache=False, **common)
+    yield "cold", explore(points, cache_dir=cache_dir, **common)
+    yield "warm", explore(points, cache_dir=cache_dir, **common)
+    yield "workers=2", explore(points, use_cache=False, workers=2, **common)
+    yield "genetic", explore(
+        points, use_cache=False, strategy="genetic", budget=32, seed=0, **common
+    )
+
+
+def _explore_record(result):
+    return {
+        "records": _digest([_timeless(r) for r in result.records]),
+        "frontier": _digest([_timeless(r) for r in result.frontier]),
+    }
+
+
+def test_payload_golden():
+    golden = json.loads(PAYLOAD_GOLDEN.read_text())["compiles"]
+    actual = {name: _payload_record(run()) for name, run in _payload_compiles()}
+    assert len(actual) == 254
+    assert sorted(actual) == sorted(golden)
+    differing = [
+        f"{name}: {level}"
+        for name, record in golden.items()
+        for level, value in record.items()
+        if actual[name][level] != value
+    ]
+    assert differing == []
+
+
+def test_explore_golden(tmp_path):
+    golden = json.loads(PAYLOAD_GOLDEN.read_text())["explore"]
+    actual = {name: _explore_record(result) for name, result in _explore_runs(str(tmp_path))}
+    assert actual == golden
+
+
+def _regenerate_golden():
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as cache_dir:
+        golden = {
+            "compiles": {name: _payload_record(run()) for name, run in _payload_compiles()},
+            "explore": {
+                name: _explore_record(result) for name, result in _explore_runs(cache_dir)
+            },
+        }
+    PAYLOAD_GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(golden['compiles'])} compiles to {PAYLOAD_GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_estimation.py --regen")
+    _regenerate_golden()
