@@ -3,11 +3,11 @@
 
 The analytic QoR model scores a design point in microseconds but assumes
 loop bands stream element-wise and overlap perfectly inside every dataflow
-node.  The dataflow simulator (:func:`repro.estimation.simulate_design`)
-replays the final design frame by frame — bands execute atomically, nodes
-pipeline internally at their band-chain interval, and channel capacities
-apply back-pressure — which is slower but closer to cycle truth, and
-routinely *reorders* near-tied designs.
+node.  The dataflow simulator (:func:`repro.estimation.simulate_graphs`)
+replays the final design frame by frame from the estimate stage's graphs —
+bands execute atomically, nodes pipeline internally at their band-chain
+interval, and channel capacities apply back-pressure — which is closer to
+cycle truth, and routinely *reorders* near-tied designs.
 
 This script sweeps one kernel twice: once at the base fidelity and once
 with promotion racing (``fidelity="simulate"``), then prints where the two

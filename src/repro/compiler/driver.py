@@ -476,6 +476,7 @@ class Compiler:
             compile_seconds=state.compile_seconds,
             stage_timings=state.stage_timings,
             misalignments=state.misalignments,
+            graphs=state.graphs,
         )
         self._dispatch("on_pipeline_end", result)
         return result

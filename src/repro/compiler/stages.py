@@ -22,7 +22,7 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
 from ..dialects import linalg
 from ..dialects.dataflow import ScheduleOp
 from ..estimation.platform import Platform
-from ..estimation.qor import DesignEstimate, QoREstimator
+from ..estimation.qor import DesignEstimate, QoREstimator, SimulationGraph
 from ..hida.dataflow_opt import (
     BalanceReport,
     balance_data_paths,
@@ -87,6 +87,8 @@ class CompilationState:
     balance_report: BalanceReport = dataclasses.field(default_factory=BalanceReport)
     misalignments: int = 0
     estimate: Optional[DesignEstimate] = None
+    #: One IR-free simulation input per schedule, set with ``estimate``.
+    graphs: List[SimulationGraph] = dataclasses.field(default_factory=list)
     diagnostics: List[Diagnostic] = dataclasses.field(default_factory=list)
     #: Rolling translation-validation reference (set by the ``validate``
     #: stage; see :mod:`repro.analysis.tv`).  Not serialized into IR
@@ -534,13 +536,15 @@ class EstimateStage(CompilationStage):
     def run(self, state: CompilationState) -> None:
         estimator = QoREstimator(state.platform)
         if state.schedules:
-            estimates = [
+            estimated = [
                 estimator.estimate_schedule(schedule, dataflow=self.dataflow)
                 for schedule in state.schedules
             ]
             # The top-level schedule dominates; nested schedules already
-            # contribute through their parent node's loops.
-            state.estimate = max(estimates, key=lambda e: e.latency)
+            # contribute through their parent node's loops.  The simulate
+            # fidelity composes every schedule's graph.
+            state.estimate = max((e for e, _ in estimated), key=lambda e: e.latency)
+            state.graphs = [graph for _, graph in estimated]
             return
         # No schedule was formed (single-band kernels): estimate the function.
         func = state.module.functions[0] if state.module.functions else None

@@ -19,7 +19,7 @@ from ..estimation.qor import QoREstimator
 from ..ir.printer import fingerprint_op
 from ..workloads.registry import registered_definition
 from .cache import QoRCache
-from .fidelity import DEFAULT_FIDELITY, get_fidelity
+from .fidelity import DEFAULT_FIDELITY, SimulationInput, get_fidelity
 from .space import DesignPoint
 
 __all__ = ["evaluate_point", "open_caches", "probe_point"]
@@ -144,6 +144,8 @@ def evaluate_point(
     ir_cache_dir: Optional[str] = None,
     trace: Optional[Dict[str, str]] = None,
     probed: Optional[tuple] = None,
+    keep_input: bool = False,
+    base: Optional[SimulationInput] = None,
 ) -> Dict:
     """Evaluate one design point; safe to call in a worker process.
 
@@ -174,6 +176,11 @@ def evaluate_point(
     ``probed`` is a :func:`probe_point` miss the caller holds for this point:
     evaluation continues from it (a traced module is compiled, not traced
     again).  In-process only: IR is not pickled, so a worker probes for itself.
+
+    ``keep_input`` makes a compile hand back its IR-free
+    :class:`~repro.dse.fidelity.SimulationInput` under ``"simulation_input"``
+    (popped like ``"ir_cache"``); given it as ``base``, a later evaluation
+    of the point at another level applies that level to it, not compiling.
     """
     obs.begin_worker(trace)
     started = time.perf_counter()
@@ -188,16 +195,22 @@ def evaluate_point(
         else:
             key, module = miss
             try:
-                compiler = point.compiler()
-                # With no module in hand the driver builds it — or, on an
-                # IR-cache prefix hit, rehydrates from the snapshot and the
-                # frontend never runs in this process at all.
-                result = compiler.run(
-                    module, workload=point.workload_spec(), ir_cache=ir_cache
-                )
-                if ir_cache is not None:
-                    record["ir_cache"] = compiler.ir_cache_stats
+                result = base
+                if result is None:
+                    compiler = point.compiler()
+                    # With no module in hand the driver builds it — or, on an
+                    # IR-cache prefix hit, rehydrates from the snapshot and
+                    # the frontend never runs in this process at all.
+                    result = compiler.run(
+                        module, workload=point.workload_spec(), ir_cache=ir_cache
+                    )
+                    if ir_cache is not None:
+                        record["ir_cache"] = compiler.ir_cache_stats
                 payload = get_fidelity(fidelity).apply(result)
+                if keep_input:
+                    record["simulation_input"] = SimulationInput(
+                        result.graphs, result.estimate, dict(payload["summary"]), point.platform
+                    )
                 if qor_cache is not None:
                     qor_cache.put(key, payload)
                 record.update(payload)

@@ -9,15 +9,18 @@ different costs and trust levels.  This module makes that axis explicit:
   QoR-cache keys are byte-identical to the pre-fidelity cache, so existing
   caches stay warm.
 * ``simulate`` — a two-level dataflow simulation of the final design
-  (:func:`repro.estimation.qor.simulate_design`): bands execute
+  (:func:`repro.estimation.qor.simulate_graphs`), composed from the
+  estimate stage's per-schedule graphs with no IR walk: bands execute
   frame-atomically inside each node, nodes pipeline internally at their
   band-chain interval, and the schedule's channel graph is simulated with
-  back-pressure over a long frame horizon.  Slower, closer to cycle truth.
+  back-pressure over a long frame horizon.  Closer to cycle truth.
 
 A :class:`PromotionPolicy` implements successive-halving-style racing:
 every proposed point is evaluated at the cheap fidelity, and each
 generation the top fraction — frontier membership first, then hypervolume
-contribution — is *promoted* to the expensive fidelity.  The frontier is
+contribution — is *promoted* to the expensive fidelity.  A point compiled
+in this run is promoted without a recompile: its base evaluation keeps a
+:class:`SimulationInput` until the batch's promotion pass.  The frontier is
 re-ranked on the highest-fidelity record available per point.  Selection
 depends only on QoR records (never timing or cache state), so fixed-seed
 multi-fidelity runs stay byte-identical across worker counts.
@@ -32,6 +35,8 @@ import dataclasses
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..estimation.platform import Platform, get_platform
+from ..estimation.qor import DesignEstimate, SimulationGraph, simulate_graphs
 from .pareto import (
     DEFAULT_OBJECTIVES,
     hypervolume,
@@ -45,6 +50,7 @@ __all__ = [
     "DEFAULT_PROMOTE_TOP",
     "FidelityLevel",
     "PromotionPolicy",
+    "SimulationInput",
     "available_fidelities",
     "best_fidelity_records",
     "describe_fidelities",
@@ -67,10 +73,10 @@ class FidelityLevel:
     """One registered QoR evaluation fidelity.
 
     ``apply(result)`` turns a :class:`~repro.hida.pipeline.CompileResult`
-    into the JSON-safe QoR payload the runner caches (``summary`` /
-    ``estimate`` / ``fits``).  ``version`` is folded into the QoR-cache key
-    of non-base levels, so refining a level's model invalidates only its own
-    persisted records.
+    (or a :class:`SimulationInput`) into the JSON-safe QoR payload the
+    runner caches (``summary`` / ``estimate`` / ``fits``).  ``version`` is
+    folded into the QoR-cache key of non-base levels, so refining a level's
+    model invalidates only its own persisted records.
     """
 
     name: str
@@ -180,15 +186,34 @@ def _estimate_payload(result) -> Dict:
     }
 
 
+@dataclasses.dataclass(frozen=True)
+class SimulationInput:
+    """What a promotion needs of a point's base compile, and no IR: the
+    parts of a :class:`~repro.hida.pipeline.CompileResult` a level's
+    ``apply`` reads.  A few KB and picklable, so it crosses the worker
+    boundary with the base record."""
+
+    graphs: List[SimulationGraph]
+    estimate: DesignEstimate
+    base_summary: Dict[str, float]
+    platform_name: str
+
+    @property
+    def platform(self) -> Platform:
+        return get_platform(self.platform_name)
+
+    def summary(self) -> Dict[str, float]:
+        return dict(self.base_summary)
+
+
 def _simulate_payload(result) -> Dict:
-    """Simulation-refined payload: timing from the dataflow simulator.
+    """Simulation-refined payload: timing from the dataflow simulator over
+    the estimate stage's graphs.
 
     Resources (and therefore ``fits`` / ``max_utilization``) are the
     analytic values — simulation refines cycle counts, not area.
     """
-    from ..estimation.qor import simulate_design
-
-    refined = simulate_design(result.schedules, result.estimate, result.platform)
+    refined = simulate_graphs(result.graphs, result.estimate)
     summary = result.summary()
     summary["latency_cycles"] = refined.latency
     summary["interval_cycles"] = refined.interval
@@ -214,8 +239,9 @@ SIMULATE = register_fidelity(
         name="simulate",
         rank=1,
         description=(
-            "two-level dataflow simulation with back-pressure "
-            "(expensive; promoted points only)"
+            "two-level dataflow simulation with back-pressure over the "
+            "estimate stage's graphs (promoted points; no recompile of a "
+            "point compiled in this run)"
         ),
         apply=_simulate_payload,
     )

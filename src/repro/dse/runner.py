@@ -37,7 +37,7 @@ from .. import obs
 from ..evaluation.reporting import ExplorationResult, relative_disagreement
 from .config import ExploreConfig
 from .evaluate import evaluate_point, open_caches, probe_point
-from .fidelity import DEFAULT_FIDELITY, best_fidelity_records
+from .fidelity import DEFAULT_FIDELITY, SimulationInput, best_fidelity_records
 from .pareto import hypervolume, hypervolume_reference, pareto_frontier
 from .search import SearchStrategy, make_strategy
 from .space import DesignPoint, DesignSpace
@@ -139,16 +139,20 @@ def _evaluate_batch(
     cache_dir: Optional[str],
     ir_cache_dir: Optional[str],
     resume: bool = False,
+    keep_inputs: bool = False,
+    bases: Optional[Dict[str, SimulationInput]] = None,
 ) -> tuple:
     """Evaluate one batch of points at one fidelity level; records come
     back in batch order.
 
     Cache hits replay in the parent process (no worker startup on warm
-    batches); the rest fan out across ``pool`` (serially in-process when
-    there is none).  Returns ``(records, skipped, ir_stats)`` where
-    ``skipped`` counts uncached points a ``resume`` run left unevaluated
-    and ``ir_stats`` sums the batch's IR-snapshot reuse counters (empty
-    when the IR cache is off).
+    batches), and so do points in ``bases`` (point key -> the base
+    compile's :class:`~repro.dse.fidelity.SimulationInput`), with no
+    compile; the rest fan out across ``pool`` (serially in-process when
+    there is none).  Returns ``(records, skipped, ir_stats, inputs)``:
+    uncached points a ``resume`` run left unevaluated, the batch's
+    IR-snapshot reuse counters (empty when the IR cache is off) and, with
+    ``keep_inputs``, every compiled point's simulation input by point key.
     """
     records: List[Dict] = []
     #: ``(point, the parent's probe_point miss or None)``.
@@ -175,35 +179,35 @@ def _evaluate_batch(
         pending = []
     if ir_cache_dir:
         pending.sort(key=lambda entry: _prefix_group_order(entry[0]))
-    if pool is None or len(pending) <= 1:
-        records.extend(
-            evaluate_point(point, cache_dir, fidelity, ir_cache_dir, probed=probed)
-            for point, probed in pending
-        )
-    else:
-        # Serialize the current span context so worker-side spans stitch
-        # under the orchestrating span (None while tracing is disabled).
-        # Workers probe for themselves: a traced module cannot be pickled.
-        trace_ctx = obs.propagation_context()
-        records.extend(
-            pool.map(
-                evaluate_point,
-                [point for point, _ in pending],
-                [cache_dir] * len(pending),
-                [fidelity] * len(pending),
-                [ir_cache_dir] * len(pending),
-                [trace_ctx] * len(pending),
-                chunksize=max(1, chunksize),
-            )
-        )
+    bases = bases or {}
+    evaluate = functools.partial(
+        evaluate_point,
+        cache_dir=cache_dir,
+        fidelity=fidelity,
+        ir_cache_dir=ir_cache_dir,
+        keep_input=keep_inputs,
+    )
+    if pool is not None and len(pending) > 1:
+        # Only points that must compile fan out.  Serialize the current span
+        # context so worker-side spans stitch under the orchestrating span
+        # (None while tracing is disabled).  Workers probe for themselves: a
+        # traced module cannot be pickled.
+        remote = [point for point, _ in pending if point.key() not in bases]
+        pending = [entry for entry in pending if entry[0].key() in bases]
+        traced = functools.partial(evaluate, trace=obs.propagation_context())
+        records.extend(pool.map(traced, remote, chunksize=max(1, chunksize)))
+    records.extend(
+        evaluate(point, probed=probed, base=bases.get(point.key())) for point, probed in pending
+    )
     _merge_telemetry(records)
     ir_stats = _merge_ir_stats(records)
+    inputs = {r["point_key"]: r.pop("simulation_input") for r in records if "simulation_input" in r}
     # ``pool.map`` already preserves order; re-sort by the batch point order
     # (prefix grouping reorders evaluation) so downstream consumers can
     # rely on it.
     order = {point.key(): index for index, point in enumerate(points)}
     records.sort(key=lambda r: order.get(r.get("point_key"), len(order)))
-    return records, skipped, ir_stats
+    return records, skipped, ir_stats, inputs
 
 
 def _best_scored(records: Sequence[Dict]) -> List[Dict]:
@@ -374,8 +378,9 @@ def explore(
                 if searcher is not None
                 else None
             )
-            batch_records, batch_skipped, batch_ir = evaluate(
-                batch, DEFAULT_FIDELITY, resume=config.resume
+            # Simulation inputs live until this batch's promotion pass.
+            batch_records, batch_skipped, batch_ir, inputs = evaluate(
+                batch, DEFAULT_FIDELITY, resume=config.resume, keep_inputs=policy is not None
             )
             skipped += batch_skipped
             evaluated += len(batch)
@@ -398,11 +403,12 @@ def explore(
                     points=len(promote_points),
                     fidelity=fidelity,
                 ):
-                    promoted_records, _, promote_ir = evaluate(
-                        promote_points, fidelity
+                    promoted_records, _, promote_ir, _ = evaluate(
+                        promote_points, fidelity, bases=inputs
                     )
                 batch_ir.update(promote_ir)
                 records.extend(promoted_records)
+            del inputs
             ir_totals.update(batch_ir)
             if searcher is None:
                 continue  # a full sweep keeps no per-generation books

@@ -5,7 +5,7 @@ coarse-grained dataflow simulator and the evaluation metrics used in the
 paper (DSP efficiency, throughput, memory reduction).
 """
 
-from .dataflow_sim import ChannelSpec, build_channels, simulate_dataflow, simulate_schedule
+from .dataflow_sim import ChannelSpec, build_channels, simulate_dataflow
 from .metrics import (
     dsp_efficiency,
     geometric_mean,
@@ -29,11 +29,13 @@ from .qor import (
     NodeEstimate,
     QoREstimator,
     ResourceUsage,
+    SimulationGraph,
     dsp_cost_of_op,
     estimate_band,
     estimate_buffer,
     estimate_node,
     simulate_design,
+    simulate_graphs,
     simulate_node,
 )
 
@@ -41,7 +43,6 @@ __all__ = [
     "ChannelSpec",
     "build_channels",
     "simulate_dataflow",
-    "simulate_schedule",
     "dsp_efficiency",
     "geometric_mean",
     "memory_reduction",
@@ -59,11 +60,13 @@ __all__ = [
     "NodeEstimate",
     "QoREstimator",
     "ResourceUsage",
+    "SimulationGraph",
     "dsp_cost_of_op",
     "estimate_band",
     "estimate_buffer",
     "estimate_node",
     "simulate_design",
+    "simulate_graphs",
     "simulate_node",
     "SIMULATION_FRAMES",
 ]

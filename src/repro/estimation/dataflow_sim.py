@@ -32,7 +32,6 @@ __all__ = [
     "ChannelSpec",
     "DataflowTimeline",
     "simulate_dataflow",
-    "simulate_schedule",
     "dataflow_timeline",
     "build_channels",
     "channel_cycles",
@@ -437,26 +436,3 @@ def _topological_order(num_nodes: int, channels: Sequence[ChannelSpec]) -> List[
     """Topological order over data edges (falls back to index order on cycles)."""
     order, _ = topological_order_with_cycle(num_nodes, channels)
     return order
-
-
-def simulate_schedule(
-    schedule: ScheduleOp,
-    node_estimates: Sequence,
-    frames: int = 16,
-    intervals: Optional[Sequence[float]] = None,
-) -> Tuple[float, float]:
-    """Simulate a schedule given per-node estimates (from the QoR model).
-
-    ``intervals`` optionally gives each node an internal initiation interval
-    (see :func:`simulate_dataflow`); without it nodes are frame-atomic,
-    which is what the analytic estimator assumes.
-    """
-    nodes, channels = build_channels(schedule)
-    latencies = [estimate.latency for estimate in node_estimates]
-    if len(latencies) != len(nodes):
-        latencies = latencies[: len(nodes)] + [1.0] * (len(nodes) - len(latencies))
-    if intervals is not None and len(intervals) != len(nodes):
-        intervals = list(intervals[: len(nodes)]) + [1.0] * (
-            len(nodes) - len(intervals)
-        )
-    return simulate_dataflow(latencies, channels, frames=frames, intervals=intervals)

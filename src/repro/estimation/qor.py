@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .. import obs
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
@@ -35,18 +35,21 @@ from ..ir.core import Operation, Value
 from ..ir.types import MemRefType
 from ..transforms.array_partition import partition_factors_of_value
 from ..transforms.loop_transforms import innermost_loops_of, loop_bands_of
+from .dataflow_sim import ChannelSpec, build_channels, dataflow_timeline, simulate_dataflow
 from .platform import Platform
 
 __all__ = [
     "ResourceUsage",
     "NodeEstimate",
     "DesignEstimate",
+    "SimulationGraph",
     "dsp_cost_of_op",
     "node_intensity",
     "estimate_band",
     "estimate_node",
     "estimate_buffer",
     "simulate_node",
+    "simulate_graphs",
     "simulate_design",
     "QoREstimator",
 ]
@@ -477,6 +480,12 @@ def estimate_node(node: NodeOp, platform: Platform) -> NodeEstimate:
     latency is dominated by its slowest band rather than the sum of all
     bands.
     """
+    return _estimate_node(node, platform)[0]
+
+
+def _estimate_node(node: NodeOp, platform: Platform) -> Tuple[NodeEstimate, List[float]]:
+    """:func:`estimate_node` plus the node's band latencies, each times the
+    node's short-burst penalty: the node's input to the simulation."""
     bands = loop_bands_of(node)
     latency = 0.0
     resources = ResourceUsage(lut=_NODE_BASE_LUT, ff=_NODE_BASE_LUT)
@@ -508,7 +517,8 @@ def estimate_node(node: NodeOp, platform: Platform) -> NodeEstimate:
         )
         resources.lut += 120 * external_ports
     # Short-burst external access also degrades achievable bandwidth.
-    latency *= _short_burst_penalty(node)
+    penalty = _short_burst_penalty(node)
+    latency *= penalty
 
     estimate = NodeEstimate(
         label=node.label or "node",
@@ -517,7 +527,7 @@ def estimate_node(node: NodeOp, platform: Platform) -> NodeEstimate:
         resources=resources,
         intensity=node_intensity(node),
     )
-    return estimate
+    return estimate, [band_latency * penalty for band_latency in band_latencies]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +537,32 @@ def estimate_node(node: NodeOp, platform: Platform) -> NodeEstimate:
 #: Frame horizon of the high-fidelity simulation (longer than the analytic
 #: estimator's 16 so slow-converging back-pressure transients settle).
 SIMULATION_FRAMES = 48
+
+
+@dataclasses.dataclass
+class SimulationGraph:
+    """The IR-free, picklable simulation input of one schedule, built by the
+    estimate stage's walk (:meth:`QoREstimator.estimate_schedule`):
+    ``band_latencies[n]`` are node ``n``'s band latencies times its
+    short-burst penalty; ``channels`` index ``node_estimates``."""
+
+    label: str
+    node_estimates: List[NodeEstimate]
+    band_latencies: List[List[float]]
+    channels: List[ChannelSpec]
+
+
+def _band_chain(band_latencies: Sequence[float], frames: int) -> Tuple[float, float]:
+    """``(latency, interval)`` of bands run frame-atomically in a chain of
+    capacity-2 ping-pong buffers (see :func:`simulate_node`)."""
+    if not band_latencies:
+        return 4.0, 4.0
+    if len(band_latencies) == 1:
+        latency = max(band_latencies[0], 1.0)
+        return latency, latency
+    channels = [ChannelSpec(i, i + 1, 2) for i in range(len(band_latencies) - 1)]
+    interval, latency = simulate_dataflow(band_latencies, channels, frames=frames)
+    return max(latency, 1.0), max(interval, 1.0)
 
 
 def simulate_node(
@@ -543,36 +579,17 @@ def simulate_node(
     critical path, while successive frames pipeline through the chain at the
     slowest band's rate — the node's true initiation interval.
     """
-    from .dataflow_sim import ChannelSpec, simulate_dataflow
-
-    bands = loop_bands_of(node)
-    if not bands:
-        return 4.0, 4.0
-    band_latencies = [
-        estimate_band(band, platform)[0] for band in bands
-    ]
-    penalty = _short_burst_penalty(node)
-    band_latencies = [latency * penalty for latency in band_latencies]
-    if len(band_latencies) == 1:
-        latency = max(band_latencies[0], 1.0)
-        return latency, latency
-    channels = [
-        ChannelSpec(i, i + 1, 2) for i in range(len(band_latencies) - 1)
-    ]
-    interval, latency = simulate_dataflow(band_latencies, channels, frames=frames)
-    return max(latency, 1.0), max(interval, 1.0)
+    return _band_chain(_estimate_node(node, platform)[1], frames)
 
 
-def simulate_design(
-    schedules: Sequence[ScheduleOp],
-    estimate: DesignEstimate,
-    platform: Platform,
-    frames: int = SIMULATION_FRAMES,
+def simulate_graphs(
+    graphs: Sequence[SimulationGraph], estimate: DesignEstimate, frames: int = SIMULATION_FRAMES
 ) -> DesignEstimate:
     """Re-derive a design's QoR from a two-level dataflow simulation.
 
-    This is the expensive fidelity of the DSE subsystem: every node is
-    simulated band-by-band (:func:`simulate_node`), then the schedule's
+    This is the expensive fidelity of the DSE subsystem, composed from the
+    estimate stage's graphs with no IR walk: every node is simulated
+    band-by-band (the chain of :func:`simulate_node`), then the schedule's
     channel graph is simulated with per-node initiation intervals — nodes
     behave as internally pipelined engines bounded by channel capacities and
     back-pressure, which is where the analytic estimate and the simulation
@@ -587,65 +604,56 @@ def simulate_design(
     overlap the hardware would not have.  Resources are unchanged
     everywhere: simulation refines *timing*, not area.
     """
-    from .dataflow_sim import build_channels, dataflow_timeline, simulate_dataflow
-
-    if not schedules:
+    if not graphs:
         return dataclasses.replace(estimate)
 
-    best: Optional[Tuple[float, float, List[NodeEstimate]]] = None
-    best_graph = None
-    with obs.span("simulate-design", cat="sim", schedules=len(schedules)) as sim_span:
-        for schedule in schedules:
-            nodes, channels = build_channels(schedule)
-            if not nodes:
+    best = None
+    with obs.span("simulate-design", cat="sim", schedules=len(graphs)) as sim_span:
+        for graph in graphs:
+            if not graph.node_estimates:
                 continue
-            simulated = [
-                simulate_node(node, platform, frames=frames) for node in nodes
-            ]
+            simulated = [_band_chain(bands, frames) for bands in graph.band_latencies]
             latencies = [latency for latency, _ in simulated]
             intervals = [interval for _, interval in simulated]
             interval, latency = simulate_dataflow(
-                latencies, channels, frames=frames, intervals=intervals
+                latencies, graph.channels, frames=frames, intervals=intervals
             )
-            # Per-node resources come from the analytic model *of this
-            # schedule's nodes* (never zipped against estimate.node_estimates,
-            # which may describe a different schedule): simulation replaces the
-            # timing fields only.
-            node_estimates = [
-                dataclasses.replace(
-                    estimate_node(node, platform),
-                    latency=node_latency,
-                    interval=node_interval,
-                )
-                for node, (node_latency, node_interval) in zip(nodes, simulated)
-            ]
             # Mirror EstimateStage: the slowest (top-level) schedule dominates.
             if best is None or latency > best[0]:
-                best = (latency, interval, node_estimates)
-                best_graph = (schedule, nodes, channels, latencies, intervals)
+                best = (latency, interval, graph, latencies, intervals)
         if best is None:
             return dataclasses.replace(estimate)
-        sim_span.set_attr(latency=round(best[0], 3), interval=round(best[1], 3))
-        if obs.enabled() and best_graph is not None:
+        latency, interval, graph, latencies, intervals = best
+        sim_span.set_attr(latency=round(latency, 3), interval=round(interval, 3))
+        if obs.enabled():
             # Re-run only the winning schedule to materialize its occupancy
             # timeline; disabled runs never pay for interval bookkeeping.
-            schedule, nodes, channels, latencies, intervals = best_graph
             timeline = dataflow_timeline(
-                latencies, channels, frames=frames, intervals=intervals
+                latencies, graph.channels, frames=frames, intervals=intervals
             )
-            obs.emit_timeline(
-                timeline,
-                label=schedule.label or "schedule",
-                node_names=[node.label or "node" for node in nodes],
-            )
-    latency, interval, node_estimates = best
+            names = [node.label for node in graph.node_estimates]
+            obs.emit_timeline(timeline, label=graph.label, node_names=names)
+    # Per-node resources stay the analytic ones *of this schedule's nodes*:
+    # simulation replaces the timing fields only.
+    node_estimates = [
+        dataclasses.replace(node, latency=node_latency, interval=node_interval)
+        for node, node_latency, node_interval in zip(graph.node_estimates, latencies, intervals)
+    ]
     return dataclasses.replace(
-        estimate,
-        latency=latency,
-        interval=interval,
-        node_estimates=node_estimates,
-        dataflow=True,
+        estimate, latency=latency, interval=interval, node_estimates=node_estimates, dataflow=True
     )
+
+
+def simulate_design(
+    schedules: Sequence[ScheduleOp],
+    estimate: DesignEstimate,
+    platform: Platform,
+    frames: int = SIMULATION_FRAMES,
+) -> DesignEstimate:
+    """:func:`simulate_graphs` over graphs rebuilt from ``schedules``' IR."""
+    estimator = QoREstimator(platform)
+    graphs = [estimator.estimate_schedule(s, dataflow=False)[1] for s in schedules]
+    return simulate_graphs(graphs, estimate, frames)
 
 
 class QoREstimator:
@@ -660,16 +668,17 @@ class QoREstimator:
     # ------------------------------------------------------------- schedules
     def estimate_schedule(
         self, schedule: ScheduleOp, dataflow: bool = True, frames: int = 16
-    ) -> DesignEstimate:
-        """Estimate a structural dataflow schedule.
+    ) -> Tuple[DesignEstimate, SimulationGraph]:
+        """Estimate a structural dataflow schedule, and keep its simulation
+        graph from the same walk (channels included under ``dataflow=False``).
 
         With ``dataflow=True`` the steady-state interval comes from the
         coarse-grained dataflow simulator (overlapped node execution through
         ping-pong buffers); otherwise nodes execute back-to-back.
         """
-        from .dataflow_sim import simulate_schedule
-
-        node_estimates = [estimate_node(node, self.platform) for node in schedule.nodes]
+        nodes, channels = build_channels(schedule)
+        estimated = [_estimate_node(node, self.platform) for node in nodes]
+        node_estimates = [estimate for estimate, _ in estimated]
         resources = ResourceUsage()
         for estimate in node_estimates:
             resources = resources + estimate.resources
@@ -678,15 +687,12 @@ class QoREstimator:
         for _stream in schedule.streams:
             resources = resources + ResourceUsage(lut=40, ff=60)
 
-        total_latency = sum(e.latency for e in node_estimates) or 1.0
+        latency = interval = sum(e.latency for e in node_estimates) or 1.0
         if dataflow and node_estimates:
-            interval, pipeline_latency = simulate_schedule(
-                schedule, node_estimates, frames=frames
-            )
-            latency = pipeline_latency
-        else:
-            interval = total_latency
-            latency = total_latency
+            latencies = [e.latency for e in node_estimates]
+            interval, latency = simulate_dataflow(latencies, channels, frames=frames)
+        band_latencies = [bands for _, bands in estimated]
+        graph = SimulationGraph(schedule.label or "schedule", node_estimates, band_latencies, channels)
         return DesignEstimate(
             resources=resources,
             latency=latency,
@@ -694,7 +700,7 @@ class QoREstimator:
             clock_mhz=self.platform.clock_mhz,
             node_estimates=node_estimates,
             dataflow=dataflow,
-        )
+        ), graph
 
     # ----------------------------------------------------------- plain loops
     def estimate_function(self, func: Operation, dataflow: bool = False) -> DesignEstimate:

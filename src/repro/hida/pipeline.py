@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dialects.dataflow import ScheduleOp
 from ..estimation.platform import Platform, get_platform
-from ..estimation.qor import DesignEstimate
+from ..estimation.qor import DesignEstimate, SimulationGraph
 from ..ir.builtin import ModuleOp
 from .dataflow_opt import BalanceReport
 from .parallelize import ParallelizationResult
@@ -58,6 +58,8 @@ class CompileResult:
     #: (stages skipped by an IR-cache resume do not appear).
     stage_timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
     misalignments: int = 0
+    #: The estimate stage's simulation graphs, one per schedule.
+    graphs: List[SimulationGraph] = dataclasses.field(default_factory=list)
 
     @property
     def throughput(self) -> float:

@@ -22,7 +22,8 @@ from repro.estimation import (
     ChannelSpec,
     build_channels,
     simulate_dataflow,
-    simulate_schedule,
+    simulate_design,
+    simulate_graphs,
 )
 from repro.estimation.dataflow_sim import _topological_order
 from repro.hida.dataflow_opt import node_depths
@@ -120,28 +121,25 @@ def test_simulate_schedule_is_deterministic():
     second = _run("2mm")
     for result in (first, second):
         assert result.schedules
-    outcomes = []
-    for result in (first, second):
-        schedule = result.schedules[0]
-        outcomes.append(
-            simulate_schedule(
-                schedule, result.estimate.node_estimates, frames=48
-            )
-        )
-    assert outcomes[0] == outcomes[1]
-    # Re-simulating the *same* schedule object is bit-identical too.
-    schedule = first.schedules[0]
-    repeat = [
-        simulate_schedule(schedule, first.estimate.node_estimates, frames=48)
-        for _ in range(3)
+        assert len(result.graphs) == len(result.schedules)
+    outcomes = [
+        simulate_graphs(result.graphs, result.estimate, frames=48)
+        for result in (first, second)
     ]
-    assert len(set(repeat)) == 1
+    assert outcomes[0] == outcomes[1]
+    # Re-simulating the *same* graphs is bit-identical too, and so is
+    # simulating graphs rebuilt from the schedules' IR.
+    repeat = [simulate_graphs(first.graphs, first.estimate) for _ in range(3)]
+    repeat.append(simulate_design(first.schedules, first.estimate, first.platform))
+    assert all(outcome == outcomes[0] for outcome in repeat)
 
 
 def test_build_channels_matches_schedule_structure():
     result = _run("2mm")
     nodes, channels = build_channels(result.schedules[0])
     assert len(nodes) == len(result.schedules[0].nodes)
+    # The estimate stage's graph carries the same channels, in the same order.
+    assert result.graphs[0].channels == channels
     for channel in channels:
         assert 0 <= channel.producer < len(nodes)
         assert 0 <= channel.consumer < len(nodes)

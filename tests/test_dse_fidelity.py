@@ -6,15 +6,21 @@ zero simulations (both fidelity levels cache under non-colliding keys),
 promoted points enter the final frontier with simulator-fidelity records,
 simulation genuinely reorders the estimate-only frontier on a small space,
 budget counts distinct designs (promotions are free), and hypervolume
-patience stops stalled searches early.
+patience stops stalled searches early.  A point compiled in the run is
+promoted from its base compile's simulation input: one compile per distinct
+point, no band walk in the promotion pass, and records equal to a recompile's.
 """
 
+import collections
 import json
+import pickle
 
 import pytest
 
+from repro.compiler import Compiler
 from repro.dse import (
     DEFAULT_FIDELITY,
+    DesignPoint,
     FidelityLevel,
     PromotionPolicy,
     available_fidelities,
@@ -25,7 +31,10 @@ from repro.dse import (
     get_fidelity,
     polybench_suite,
 )
+from repro.dse.evaluate import evaluate_point
 from repro.dse.fidelity import register_fidelity
+from repro.estimation import qor
+from repro.workloads import list_workloads
 
 
 def kernel_space(name, preset="medium"):
@@ -40,6 +49,24 @@ def record_keys(result):
 
 def qor_only(summary):
     return {k: v for k, v in summary.items() if k != "compile_seconds"}
+
+
+def timeless(record):
+    """A record without its wall-clock fields."""
+    record = {k: v for k, v in record.items() if k != "eval_seconds"}
+    record["summary"] = qor_only(record["summary"])
+    return record
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Count calls of ``owner.name`` into ``counts[name]``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
 
 
 # ---------------------------------------------------------------- registry
@@ -225,9 +252,11 @@ def test_multifidelity_warm_rerun_does_zero_compiles_or_simulations(tmp_path):
     assert warm.cache_misses == 0
 
 
-def test_fidelity_levels_never_collide_in_the_cache(tmp_path):
+def test_fidelity_levels_never_collide_in_the_cache(tmp_path, monkeypatch):
     space = kernel_space("atax", "small")
     base = explore(space, cache_dir=str(tmp_path))
+    compiles = collections.Counter()
+    count_calls(monkeypatch, Compiler, "run_stages", compiles)
     multi = explore(
         space, cache_dir=str(tmp_path), fidelity="simulate", promote_top=1.0
     )
@@ -251,6 +280,42 @@ def test_fidelity_levels_never_collide_in_the_cache(tmp_path):
         for e, p in zip(estimate_records, promoted_records)
         if e["point_key"] == p["point_key"]
     )
+    # Cache-hit bases leave no simulation input, so every promoted point
+    # recompiled; an uncached run promotes from its base compiles instead,
+    # and the two paths agree on everything but wall-clock fields.
+    assert compiles["run_stages"] == len(promoted_records)
+    uncached = explore(space, use_cache=False, fidelity="simulate", promote_top=1.0)
+    assert compiles["run_stages"] == len(promoted_records) + len(space)
+    reused = [r for r in uncached.records if r.get("fidelity") == "simulate"]
+    assert [timeless(r) for r in reused] == [timeless(r) for r in promoted_records]
+
+
+def test_promotion_reuses_the_base_compile(monkeypatch):
+    space = kernel_space("2mm")
+    counts = collections.Counter()
+    count_calls(monkeypatch, Compiler, "run_stages", counts)
+    count_calls(monkeypatch, qor, "estimate_band", counts)
+    explore(space, use_cache=False)
+    base_bands = counts["estimate_band"]
+    counts.clear()
+    multi = explore(space, use_cache=False, fidelity="simulate", promote_top=0.5)
+    assert multi.num_promoted > 0
+    # One compile per distinct point, and the promotion pass walks no band:
+    # every estimate_band call belongs to a base compile.
+    assert counts["run_stages"] == len(space)
+    assert counts["estimate_band"] == base_bands
+
+
+@pytest.mark.parametrize("platform", ["zu3eg", "vu9p-slr"])
+def test_a_kept_simulation_input_is_small_and_ir_free(platform):
+    simulate = get_fidelity("simulate")
+    for workload in list_workloads():
+        point = DesignPoint.for_workload(workload, platform=platform)
+        kept = evaluate_point(point, keep_input=True).pop("simulation_input")
+        data = pickle.dumps(kept)
+        assert b"repro.ir" not in data and b"repro.dialects" not in data, workload
+        assert len(data) <= 8 * 1024, (workload, len(data))
+        assert simulate.apply(pickle.loads(data)) == simulate.apply(kept)
 
 
 # ------------------------------------------------------------ budget rules

@@ -35,7 +35,6 @@ from repro.estimation import (
     list_platforms,
     memory_reduction,
     simulate_dataflow,
-    simulate_schedule,
     speedup,
     throughput_samples_per_second,
 )
@@ -219,12 +218,18 @@ class TestDataflowSimulator:
         assert total >= max(latencies) * 0.999
 
     def test_simulate_schedule_end_to_end(self):
+        # The estimate stage's graph, simulated with frame-atomic nodes, is
+        # the schedule's dataflow estimate.
         result = compile_unfused_listing1()
-        schedule = result.schedules[0]
-        estimates = result.estimate.node_estimates
-        interval, latency = simulate_schedule(schedule, estimates)
+        assert len(result.graphs) == len(result.schedules) == 1
+        graph = result.graphs[0]
+        estimates = graph.node_estimates
+        interval, latency = simulate_dataflow(
+            [e.latency for e in estimates], graph.channels
+        )
         assert interval >= max(e.latency for e in estimates) * 0.99
         assert latency >= interval
+        assert (latency, interval) == (result.estimate.latency, result.estimate.interval)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +242,12 @@ class TestDesignEstimation:
         result = compile_unfused_listing1()
         estimator = QoREstimator(ZU3EG)
         schedule = result.schedules[0]
-        dataflow = estimator.estimate_schedule(schedule, dataflow=True)
-        sequential = estimator.estimate_schedule(schedule, dataflow=False)
+        dataflow, graph = estimator.estimate_schedule(schedule, dataflow=True)
+        sequential, sequential_graph = estimator.estimate_schedule(schedule, dataflow=False)
         assert dataflow.interval <= sequential.interval
         assert dataflow.throughput >= sequential.throughput
+        # The simulation graph does not depend on the overlap model.
+        assert graph.channels and sequential_graph == graph
 
     def test_throughput_formula(self):
         estimate = DesignEstimate(
