@@ -144,7 +144,6 @@ def evaluate_point(
     ir_cache_dir: Optional[str] = None,
     trace: Optional[Dict[str, str]] = None,
     probed: Optional[tuple] = None,
-    keep_input: bool = False,
     base: Optional[SimulationInput] = None,
 ) -> Dict:
     """Evaluate one design point; safe to call in a worker process.
@@ -177,7 +176,7 @@ def evaluate_point(
     evaluation continues from it (a traced module is compiled, not traced
     again).  In-process only: IR is not pickled, so a worker probes for itself.
 
-    ``keep_input`` makes a compile hand back its IR-free
+    A compile hands back its IR-free
     :class:`~repro.dse.fidelity.SimulationInput` under ``"simulation_input"``
     (popped like ``"ir_cache"``); given it as ``base``, a later evaluation
     of the point at another level applies that level to it, not compiling.
@@ -207,9 +206,9 @@ def evaluate_point(
                     if ir_cache is not None:
                         record["ir_cache"] = compiler.ir_cache_stats
                 payload = get_fidelity(fidelity).apply(result)
-                if keep_input:
+                if base is None:
                     record["simulation_input"] = SimulationInput(
-                        result.graphs, result.estimate, dict(payload["summary"]), point.platform
+                        result.graphs, result.estimate, dict(payload["summary"]), result.platform
                     )
                 if qor_cache is not None:
                     qor_cache.put(key, payload)

@@ -35,7 +35,7 @@ import dataclasses
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..estimation.platform import Platform, get_platform
+from ..estimation.platform import Platform
 from ..estimation.qor import DesignEstimate, SimulationGraph, simulate_graphs
 from .pareto import (
     DEFAULT_OBJECTIVES,
@@ -196,11 +196,7 @@ class SimulationInput:
     graphs: List[SimulationGraph]
     estimate: DesignEstimate
     base_summary: Dict[str, float]
-    platform_name: str
-
-    @property
-    def platform(self) -> Platform:
-        return get_platform(self.platform_name)
+    platform: Platform
 
     def summary(self) -> Dict[str, float]:
         return dict(self.base_summary)

@@ -139,7 +139,6 @@ def _evaluate_batch(
     cache_dir: Optional[str],
     ir_cache_dir: Optional[str],
     resume: bool = False,
-    keep_inputs: bool = False,
     bases: Optional[Dict[str, SimulationInput]] = None,
 ) -> tuple:
     """Evaluate one batch of points at one fidelity level; records come
@@ -151,8 +150,8 @@ def _evaluate_batch(
     compile; the rest fan out across ``pool`` (serially in-process when
     there is none).  Returns ``(records, skipped, ir_stats, inputs)``:
     uncached points a ``resume`` run left unevaluated, the batch's
-    IR-snapshot reuse counters (empty when the IR cache is off) and, with
-    ``keep_inputs``, every compiled point's simulation input by point key.
+    IR-snapshot reuse counters (empty when the IR cache is off) and every
+    compiled point's simulation input by point key.
     """
     records: List[Dict] = []
     #: ``(point, the parent's probe_point miss or None)``.
@@ -185,7 +184,6 @@ def _evaluate_batch(
         cache_dir=cache_dir,
         fidelity=fidelity,
         ir_cache_dir=ir_cache_dir,
-        keep_input=keep_inputs,
     )
     if pool is not None and len(pending) > 1:
         # Only points that must compile fan out.  Serialize the current span
@@ -380,7 +378,7 @@ def explore(
             )
             # Simulation inputs live until this batch's promotion pass.
             batch_records, batch_skipped, batch_ir, inputs = evaluate(
-                batch, DEFAULT_FIDELITY, resume=config.resume, keep_inputs=policy is not None
+                batch, DEFAULT_FIDELITY, resume=config.resume
             )
             skipped += batch_skipped
             evaluated += len(batch)

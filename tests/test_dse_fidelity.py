@@ -311,7 +311,7 @@ def test_a_kept_simulation_input_is_small_and_ir_free(platform):
     simulate = get_fidelity("simulate")
     for workload in list_workloads():
         point = DesignPoint.for_workload(workload, platform=platform)
-        kept = evaluate_point(point, keep_input=True).pop("simulation_input")
+        kept = evaluate_point(point).pop("simulation_input")
         data = pickle.dumps(kept)
         assert b"repro.ir" not in data and b"repro.dialects" not in data, workload
         assert len(data) <= 8 * 1024, (workload, len(data))
