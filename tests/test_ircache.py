@@ -5,7 +5,14 @@ cache.  A fixed-seed run must produce byte-identical IR, QoR metrics and
 frontiers whether the IR cache is off, cold or warm, for any worker count.
 """
 
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.compiler.driver import DEFAULT_PIPELINE, Compiler
@@ -15,7 +22,8 @@ from repro.compiler.ircache import (
     workload_cache_key,
 )
 from repro.compiler.stages import CompilationState
-from repro.dse import build_space, explore
+from repro.dse import QoRCache, build_space, explore
+from repro.dse.cache import CACHE_VERSION
 from repro.estimation.platform import get_platform
 from repro.ir.printer import print_op
 from repro.workloads import get_workload
@@ -431,3 +439,89 @@ def test_store_skips_executed_check_over_budget(tmp_path):
     assert cache.exec_verified == 0
     assert cache.exec_skipped == 7
     assert cache.verify_failures == 0
+
+
+# ---------------------------------------------------------------------------
+# Byte net: what a cold sweep writes, and what the JSON store encodes
+# ---------------------------------------------------------------------------
+
+#: Repeated boundary texts (``gesummv``), executed snapshots (the ``@n=16``
+#: kernels) and over-budget modules (``2mm``, ``mlp``) in one small space.
+NET_SUITE = ["gesummv@n=16", "mvt@n=16", "2mm", "mlp"]
+NET_DIGEST = "219d04493a9a25c52a5b48a31d91be61334839bcc4c060811c39a599386289da"
+NET_COUNTERS = {
+    "stores": 28,
+    "exec_verified": 14,
+    "exec_skipped": 14,
+    "verify_failures": 0,
+    "refused": 0,
+}
+
+
+def tree_digest(root):
+    """SHA-256 over ``(relative path, bytes)`` of every file under ``root``."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_cold_sweep_writes_pinned_ir_cache_bytes(tmp_path, monkeypatch, refusals):
+    """A cold ``explore`` writes the same snapshot files, byte for byte, with
+    the same self-check counters, however ``store`` reaches its verdicts."""
+    import repro.dse.evaluate as evaluate
+
+    handles = []
+
+    class CountedCache(IRSnapshotCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            handles.append(self)
+
+    monkeypatch.setattr(evaluate, "IRSnapshotCache", CountedCache)
+    # A cold process too: a memoised fingerprint would skip its memo file.
+    monkeypatch.setattr(evaluate, "_WORKLOAD_FINGERPRINTS", {})
+    root = tmp_path / "ir"
+    space = build_space("small", suite=NET_SUITE)
+    result = explore(space, use_cache=False, ir_cache=True, ir_cache_dir=str(root))
+    assert result.num_designs == len(space.points) == 16
+    assert len(list(root.glob("*/*.json"))) == 32  # 28 snapshots + 4 memos
+    assert tree_digest(root) == NET_DIGEST
+    assert {
+        name: sum(getattr(handle, name) for handle in handles)
+        for name in NET_COUNTERS
+    } == NET_COUNTERS
+    assert refusals() == []
+
+
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+_json_payload = st.dictionaries(
+    st.text(),
+    st.recursive(
+        _json_leaf,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example({"z": -0.0, "big": 1e300, "nan": float("nan"), "inf": float("-inf")})
+@example({"ir": 'say "hi" \\ bye', "é漢": ["\\", '"', "\n", 2**70]})
+@given(payload=_json_payload)
+def test_put_writes_the_sorted_json_record(payload):
+    with tempfile.TemporaryDirectory() as root:
+        cache = QoRCache(root)
+        cache.put("point|k", payload)
+        (path,) = Path(root).glob("*/*.json")
+        record = {"_cache_version": CACHE_VERSION, "payload": payload}
+        assert path.read_bytes() == json.dumps(record, sort_keys=True).encode("utf-8")
