@@ -32,7 +32,9 @@ parsed back, re-printed and byte-compared before it is stored, and — when
 the module fits the reference interpreter's op budget — *executed* against
 the live state (:mod:`repro.ir.interp`), refusing any snapshot whose
 behavior differs.  A cache can therefore never serve a state that differs
-from what the cold compile produced.
+from what the cold compile produced.  Consecutive boundaries often print
+the same text; a store that repeats the last accepted text and hints
+reuses that text's parse-side verdicts and re-executes only the live state.
 
 Storage reuses the :class:`~repro.dse.cache.QoRCache` store: two-level
 fan-out of JSON files under ``~/.cache/repro/ir`` (override with
@@ -135,6 +137,9 @@ class IRSnapshotCache:
         #: Snapshots stored without the executed check (module exceeded the
         #: interpreter budget or uses ops it cannot execute).
         self.exec_skipped = 0
+        #: The last accepted snapshot's ``(text, hints, schedule count of its
+        #: parse, the parse's ExecutionResult or None)``; no IR is kept.
+        self._last: Optional[tuple] = None
 
     @property
     def root(self) -> Path:
@@ -191,20 +196,29 @@ class IRSnapshotCache:
 
         The snapshot is self-verified before it is written: the printed
         module must parse back to byte-identical text (with the name-hint
-        sidecar applied) and re-collect exactly the schedules the live
-        state holds.  Failing either check refuses the snapshot — the run
-        continues uncached rather than risking a divergent warm path.
+        sidecar applied), re-collect exactly the schedules the live state
+        holds and, within the interpreter budget, execute like the live
+        module.  Failing any check refuses the snapshot — the run continues
+        uncached rather than risking a divergent warm path.  When the text
+        and hints equal the last accepted snapshot's, the parse side of
+        those checks is already known; only the schedule count and the
+        live module's execution are checked again.
         """
         key = self.snapshot_key(workload_key, platform, prefix_hash)
         if key in self._store:
             return False  # identical content by construction of the key
         text = print_op(state.module)
         hints = collect_name_hints(state.module)
+        clone, warm = None, None
         try:
-            clone = _reparse(text, hints)
-            if print_op(clone) != text:
-                raise _Refused("reprint-differs")
-            if len(_collect_schedules(clone)) != len(state.schedules):
+            if self._last is not None and self._last[:2] == (text, hints):
+                num_schedules, warm = self._last[2:]
+            else:
+                clone = _reparse(text, hints)
+                if print_op(clone) != text:
+                    raise _Refused("reprint-differs")
+                num_schedules = len(_collect_schedules(clone))
+            if num_schedules != len(state.schedules):
                 raise _Refused("schedule-count")
         except _Refused as refusal:
             self.verify_failures += 1
@@ -213,14 +227,18 @@ class IRSnapshotCache:
         # Executed self-check: the parsed snapshot must behave identically
         # to the live state under the reference interpreter.  A textual
         # round-trip can be byte-clean and still lose behavior if printer
-        # and parser share a blind spot; execution has no such blind spot.
+        # and parser share a blind spot; execution has no such blind spot,
+        # so the live module runs on every store, repeated text or not.
         from ..ir import interp
 
         try:
             live = interp.interpret_module(
                 state.module, max_ops=_EXEC_VERIFY_MAX_OPS
             )
-            warm = interp.interpret_module(clone, max_ops=_EXEC_VERIFY_MAX_OPS)
+            if warm is None:
+                if clone is None:  # repeated text, live side skipped last time
+                    clone = _reparse(text, hints)
+                warm = interp.interpret_module(clone, max_ops=_EXEC_VERIFY_MAX_OPS)
         except interp.InterpreterError:
             self.exec_skipped += 1
         else:
@@ -229,6 +247,7 @@ class IRSnapshotCache:
                 self._refuse("store", "exec-differs")
                 return False
             self.exec_verified += 1
+        self._last = (text, hints, num_schedules, warm)
         payload = {
             "ir": text,
             "hints": hints,

@@ -111,16 +111,21 @@ class QoRCache:
         return self._read(key) is not None
 
     def put(self, key: str, payload: Dict) -> None:
+        # Encoded before any file exists: one C-accelerated ``dumps`` (not
+        # the pure-Python streaming ``dump``), and a payload that does not
+        # serialize raises without leaving a temp file behind.
+        text = json.dumps(
+            {"_cache_version": CACHE_VERSION, "payload": payload}, sort_keys=True
+        )
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         kind = key.split("|", 1)[0]
         obs.inc(f"cache.{kind}.stores")
         obs.event("cache.put", cat="cache", kind=kind, key=key[:96])
-        record = {"_cache_version": CACHE_VERSION, "payload": payload}
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp, path)
         except OSError:
             with contextlib.suppress(OSError):

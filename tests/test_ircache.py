@@ -525,3 +525,108 @@ def test_put_writes_the_sorted_json_record(payload):
         (path,) = Path(root).glob("*/*.json")
         record = {"_cache_version": CACHE_VERSION, "payload": payload}
         assert path.read_bytes() == json.dumps(record, sort_keys=True).encode("utf-8")
+
+
+def test_put_of_unserializable_payload_leaves_no_file(tmp_path):
+    """The record is encoded before any file exists, so a payload that does
+    not serialize cannot leak a temp file that eviction never globs."""
+    cache = QoRCache(tmp_path / "qor")
+    with pytest.raises(TypeError):
+        cache.put("point|k", {"bad": object()})
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+# ---------------------------------------------------------------------------
+# A repeated boundary text: parse-side verdicts reused, live side re-executed
+# ---------------------------------------------------------------------------
+
+
+def boundary_texts(workload):
+    """Printed module at every snapshot boundary of a cold default compile."""
+    compiler = make_compiler()
+    state = CompilationState(
+        module=get_workload(workload).build_module(),
+        platform=get_platform("zu3eg"),
+    )
+    texts = []
+    for boundary in compiler.snapshot_boundaries():
+        compiler.stages[boundary - 1].run(state)
+        texts.append(print_op(state.module))
+    return texts
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the snapshot parses and interpreter runs ``store`` makes."""
+    import repro.compiler.ircache as ircache
+    import repro.ir.interp as interp
+
+    counts = {"parse_op": 0, "interpret_module": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ircache, "parse_op")
+    counted(interp, "interpret_module")
+    return counts
+
+
+def test_repeated_text_is_parsed_once_and_executed_live_every_store(tmp_path, work):
+    assert len(set(boundary_texts("gesummv@n=16"))) == 1
+    cache = IRSnapshotCache(tmp_path / "ir")
+    make_compiler().run(workload="gesummv@n=16", ir_cache=cache)
+    assert work == {"parse_op": 1, "interpret_module": 8}  # 1 parse + 7 live
+    assert cache.stores == cache.exec_verified == 7
+
+
+def test_over_budget_store_parses_each_distinct_text_once(tmp_path, work):
+    texts = boundary_texts("2mm")
+    runs = 1 + sum(a != b for a, b in zip(texts, texts[1:]))
+    assert runs == len(set(texts)) == 4
+    cache = IRSnapshotCache(tmp_path / "ir")
+    make_compiler().run(workload="2mm", ir_cache=cache)
+    assert work["parse_op"] == len(set(texts))
+    assert cache.stores == cache.exec_skipped == 7
+
+
+class PrintsAsEight(int):
+    """A printer/parser blind spot: holds one bound, prints another."""
+
+    def __str__(self):
+        return "8"
+
+    __repr__ = __str__
+
+
+def test_repeated_text_with_different_live_behaviour_is_refused(
+    tmp_path, refusals, work
+):
+    """The record covers only what the text determines: a live module that
+    prints the accepted text but runs differently is still caught."""
+    from repro.dialects.affine import AffineForOp
+
+    compiler = make_compiler()
+    hashes = compiler.prefix_hashes()
+    state = Compiler(compiler.stages[:4], platform="zu3eg").run_stages(
+        workload="2mm@n=8"
+    )
+    cache = IRSnapshotCache(tmp_path / "ir")
+    assert cache.store("2mm@n=8", "zu3eg", hashes[4], state) is True
+    text = print_op(state.module)
+
+    # A loop of the last node, which writes the output: halve its trip.
+    loop = [op for op in state.module.walk() if isinstance(op, AffineForOp)][-1]
+    assert loop.upper_bound == 8
+    loop.set_attr("upper_bound", PrintsAsEight(4))
+    assert print_op(state.module) == text
+    assert cache.store("2mm@n=8", "zu3eg", hashes[5], state) is False
+    assert work["parse_op"] == 1  # the second store hit the record
+    assert refusals() == [("store", "exec-differs")]
+    assert cache.verify_failures == 1 and cache.stores == 1
+    assert len(cache) == 1
