@@ -4,16 +4,10 @@ Each benchmark file regenerates one table or figure of the paper and prints
 the corresponding rows.  Helpers here pick, for a given tool, the largest
 parallel factor whose design still fits the target platform — matching the
 paper's methodology of comparing tools under the same resource budget.
-
-``--bench-json=PATH`` dumps per-benchmark wall-clock timings as JSON so CI
-can archive the performance trajectory of the suite across commits.
 """
 
-import json
 import os
-import platform
 import sys
-import time
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 if _SRC not in sys.path:
@@ -24,46 +18,6 @@ from repro.compiler import Compiler, default_stages
 from repro.estimation import get_platform
 
 __all__ = ["fit_dsp_budget", "hida_at", "scalehls_at", "dsp_budget_of"]
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        action="store",
-        default=None,
-        dest="bench_json",
-        metavar="PATH",
-        help="dump per-benchmark timings (seconds) as JSON to PATH",
-    )
-
-
-#: nodeid -> timing record, filled as benchmark tests finish.
-_TIMINGS = {}
-
-
-def pytest_runtest_logreport(report):
-    if report.when == "call":
-        _TIMINGS[report.nodeid] = {
-            "seconds": report.duration,
-            "outcome": report.outcome,
-        }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("bench_json", None)
-    if not path:
-        return
-    payload = {
-        "meta": {
-            "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "exit_status": int(exitstatus),
-        },
-        "benchmarks": dict(sorted(_TIMINGS.items())),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
 
 
 def dsp_budget_of(platform_name):

@@ -22,12 +22,8 @@ def small_space():
     return build_space("small", suite=KERNELS)
 
 
-def test_dse_serial_sweep(benchmark):
-    result = benchmark.pedantic(
-        lambda: explore(small_space(), workers=1, use_cache=False),
-        rounds=3,
-        iterations=1,
-    )
+def test_dse_serial_sweep():
+    result = explore(small_space(), workers=1, use_cache=False)
     assert result.num_points == len(small_space())
     assert not result.errors
     # Every workload contributes at least one frontier design.
@@ -35,18 +31,14 @@ def test_dse_serial_sweep(benchmark):
     assert covered == {spec.name for spec in KERNELS}
 
 
-def test_dse_warm_cache_replay(benchmark, tmp_path):
+def test_dse_warm_cache_replay(tmp_path):
     cache_dir = str(tmp_path / "qor")
     started = time.perf_counter()
     cold = explore(small_space(), workers=1, cache_dir=cache_dir)
     cold_seconds = time.perf_counter() - started
     assert cold.num_cached == 0
 
-    warm = benchmark.pedantic(
-        lambda: explore(small_space(), workers=1, cache_dir=cache_dir),
-        rounds=3,
-        iterations=1,
-    )
+    warm = explore(small_space(), workers=1, cache_dir=cache_dir)
     assert warm.num_cached == warm.num_points
     assert warm.frontier_keys() == cold.frontier_keys()
     # The replay must beat the cold sweep outright (the CLI acceptance bar
@@ -54,17 +46,13 @@ def test_dse_warm_cache_replay(benchmark, tmp_path):
     assert warm.elapsed_seconds < cold_seconds
 
 
-def test_dse_parallel_fanout(benchmark, tmp_path):
+def test_dse_parallel_fanout():
     space = small_space()
     serial_started = time.perf_counter()
     serial = explore(space, workers=1, use_cache=False)
     serial_seconds = time.perf_counter() - serial_started
 
-    fanout = benchmark.pedantic(
-        lambda: explore(space, workers=4, use_cache=False),
-        rounds=2,
-        iterations=1,
-    )
+    fanout = explore(space, workers=4, use_cache=False)
     assert fanout.frontier_keys() == serial.frontier_keys()
     speedup = serial_seconds / max(fanout.elapsed_seconds, 1e-9)
     print_table(

@@ -35,8 +35,8 @@ def _run_sweep():
     return samples
 
 
-def test_fig10_parallel_factor_tile_ablation(benchmark):
-    samples = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
+def test_fig10_parallel_factor_tile_ablation():
+    samples = _run_sweep()
 
     print()
     print(format_table(

@@ -27,8 +27,8 @@ def _run_ablation():
     return samples
 
 
-def test_fig11_iaca_ablation(benchmark):
-    samples = benchmark.pedantic(_run_ablation, rounds=1, iterations=1)
+def test_fig11_iaca_ablation():
+    samples = _run_ablation()
 
     print()
     print(format_table(

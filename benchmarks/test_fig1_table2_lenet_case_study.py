@@ -37,8 +37,8 @@ def _run_case_study():
     }
 
 
-def test_fig1_table2_lenet_case_study(benchmark):
-    data = benchmark.pedantic(_run_case_study, rounds=1, iterations=1)
+def test_fig1_table2_lenet_case_study():
+    data = _run_case_study()
 
     results = data["results"]
     expert, best = data["expert"], data["best"]

@@ -29,8 +29,8 @@ def _run_fig9():
     return rows
 
 
-def test_fig9_memory_reduction(benchmark):
-    rows_data = benchmark.pedantic(_run_fig9, rounds=1, iterations=1)
+def test_fig9_memory_reduction():
+    rows_data = _run_fig9()
 
     print()
     print(format_table(

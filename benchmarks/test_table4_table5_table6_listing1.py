@@ -50,8 +50,8 @@ def _run_all_modes():
     return outcomes
 
 
-def test_table4_table5_table6(benchmark):
-    outcomes = benchmark.pedantic(_run_all_modes, rounds=1, iterations=1)
+def test_table4_table5_table6():
+    outcomes = _run_all_modes()
 
     print()
     rows = [

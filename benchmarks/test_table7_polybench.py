@@ -39,8 +39,8 @@ def _run_table7():
     return [_evaluate_kernel(name) for name in kernel_names()]
 
 
-def test_table7_polybench(benchmark):
-    rows_data = benchmark.pedantic(_run_table7, rounds=1, iterations=1)
+def test_table7_polybench():
+    rows_data = _run_table7()
 
     table_rows = []
     for row in rows_data:

@@ -52,8 +52,8 @@ def _run_table8():
     return [_evaluate_model(name) for name in MODELS]
 
 
-def test_table8_dnn_models(benchmark):
-    rows_data = benchmark.pedantic(_run_table8, rounds=1, iterations=1)
+def test_table8_dnn_models():
+    rows_data = _run_table8()
 
     table_rows = []
     for row in rows_data:

@@ -204,7 +204,7 @@ def legal_pipeline_ii(
 
     ``min_ii`` in the result is the rec-MII bound; callers either clamp
     (the hida parallelize pass) or raise (explicit directives with
-    ``strict=True``).
+    ``check=True``).
     """
     name = f"pipeline at II={target_ii}"
     min_ii = pipeline_rec_mii(loop, accesses)

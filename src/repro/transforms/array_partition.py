@@ -10,8 +10,8 @@ The resulting :class:`~repro.dialects.hls.ArrayPartition` is attached to the
 buffer (``hida.buffer`` attribute or value annotation) and consumed by the
 resource model to compute BRAM bank counts (Table 6 of the paper).
 
-With ``strict=True`` the chosen partition is verified against the
-dependence engine's bank-conflict model
+``partition_for_accesses(strict=True)`` verifies the chosen partition
+against the dependence engine's bank-conflict model
 (:func:`repro.analysis.legality.partition_bank_conflicts`): a partition
 whose same-cycle access set still collides in one bank raises
 ``TransformLegalityError`` instead of silently under-provisioning ports.
@@ -113,9 +113,7 @@ def partition_factors_of_value(buffer: Value) -> Tuple[int, ...]:
     return tuple([1] * len(_buffer_shape(buffer)))
 
 
-def partition_buffers_in(
-    top: Operation, strict: bool = False
-) -> Dict[int, ArrayPartition]:
+def partition_buffers_in(top: Operation) -> Dict[int, ArrayPartition]:
     """Derive and attach partitions for every buffer accessed under ``top``.
 
     Handles both ``hida.buffer`` results (partition stored on the op) and
@@ -125,20 +123,16 @@ def partition_buffers_in(
     the connection-aware behaviour evaluated in Table 6.
 
     Returns a map from ``id(buffer value)`` to the chosen partition.
-    ``strict`` is forwarded to :func:`partition_for_accesses`.
     """
     walked = [op for op in top.walk() if isinstance(op, (AffineLoadOp, AffineStoreOp))]
-    return _attach_partitions(
-        ((op.memref, op) for op in walked),
-        lambda buffer, accesses: partition_for_accesses(buffer, accesses, strict=strict),
-    )
+    return _attach_partitions(((op.memref, op) for op in walked), partition_for_accesses)
 
 
 def partition_decoded_accesses(
     accesses: Iterable[Tuple[Value, Drivers]]
 ) -> Dict[int, ArrayPartition]:
-    """:func:`partition_buffers_in` (not strict) over accesses already
-    decoded, as ``(memref, driving_loops())`` pairs in program order."""
+    """:func:`partition_buffers_in` over accesses already decoded, as
+    ``(memref, driving_loops())`` pairs in program order."""
     return _attach_partitions(accesses, _partition_of)
 
 
