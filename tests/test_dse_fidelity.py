@@ -31,7 +31,7 @@ from repro.dse import (
     get_fidelity,
     polybench_suite,
 )
-from repro.dse.evaluate import evaluate_point
+from repro.dse.evaluate import evaluate_point, probe_point
 from repro.dse.fidelity import register_fidelity
 from repro.estimation import qor
 from repro.workloads import list_workloads
@@ -252,6 +252,14 @@ def test_multifidelity_warm_rerun_does_zero_compiles_or_simulations(tmp_path):
     assert warm.cache_misses == 0
 
 
+#: The base-level QoR-cache key of ``atax`` on ``zu3eg`` at the default knobs.
+CACHE_KEY_ESTIMATE = (
+    "point|m2|01aeb7bdbde9708adda1289da60dbeb1fc13a3c7165b67e3bc6c5a1671f15459|zu3eg|"
+    "construct-dataflow,fuse-tasks{patterns=elementwise,init},lower-linalg,"
+    "lower-structural,eliminate-multi-producers,balance,tile,parallelize,estimate"
+)
+
+
 def test_fidelity_levels_never_collide_in_the_cache(tmp_path, monkeypatch):
     space = kernel_space("atax", "small")
     base = explore(space, cache_dir=str(tmp_path))
@@ -288,6 +296,15 @@ def test_fidelity_levels_never_collide_in_the_cache(tmp_path, monkeypatch):
     assert compiles["run_stages"] == len(promoted_records) + len(space)
     reused = [r for r in uncached.records if r.get("fidelity") == "simulate"]
     assert [timeless(r) for r in reused] == [timeless(r) for r in promoted_records]
+    # The keys themselves are pinned: the simulate level appends its tag to
+    # the base key, which carries none, so existing caches stay warm.
+    point = DesignPoint.for_workload("atax", platform="zu3eg")
+    keys = {
+        level: probe_point(point, None, level, None)[1][0]
+        for level in ("estimate", "simulate")
+    }
+    assert keys["estimate"] == CACHE_KEY_ESTIMATE
+    assert keys["simulate"] == CACHE_KEY_ESTIMATE + "|fid:simulate.v1"
 
 
 def test_promotion_reuses_the_base_compile(monkeypatch):
@@ -404,19 +421,41 @@ def test_fidelity_metadata_serializes(tmp_path):
 
 
 # ------------------------------------------------------------------- CLIs
+#: ``--list-fidelities`` of both CLIs, byte for byte.
+LIST_FIDELITIES = (
+    "estimate   rank 0  analytic QoR model (cheap; steers every proposal)\n"
+    "simulate   rank 1  two-level dataflow simulation with back-pressure over "
+    "the estimate stage's graphs (promoted points; no recompile of a point "
+    "compiled in this run)\n"
+)
+
+#: ``python -m repro.dse --list-strategies``, byte for byte: each registered
+#: strategy with its docstring's first line and its option defaults.
+LIST_STRATEGIES = """\
+anneal       Per-workload simulated-annealing chains with geometric cooling.
+  chains=2
+  cooling=0.9
+  generations=None
+  temperature=1.0
+exhaustive   The whole space in generation order; the budget simply truncates.
+  generations=None
+genetic      Tournament-selected genetic search over knobs and pipeline specs.
+  generations=None
+  mutation_rate=0.25
+  population=8
+  tournament=2
+random       A seeded shuffle of the space, evaluated until the budget runs out.
+  generations=None
+"""
+
+
 def test_dse_cli_list_fidelities_and_strategies(capsys):
     from repro.dse.__main__ import main
 
     assert main(["--list-fidelities"]) == 0
-    output = capsys.readouterr().out
-    assert "estimate" in output and "simulate" in output
+    assert capsys.readouterr().out == LIST_FIDELITIES
     assert main(["--list-strategies"]) == 0
-    output = capsys.readouterr().out
-    for name in ("anneal", "exhaustive", "genetic", "random"):
-        assert name in output
-    # Registered defaults are printed with each strategy.
-    assert "population=8" in output
-    assert "mutation_rate=0.25" in output
+    assert capsys.readouterr().out == LIST_STRATEGIES
 
 
 def test_dse_cli_multifidelity_run(tmp_path, capsys):
@@ -464,7 +503,7 @@ def test_compiler_cli_fidelity(tmp_path, capsys):
     from repro.compiler.__main__ import main
 
     assert main(["--list-fidelities"]) == 0
-    assert "simulate" in capsys.readouterr().out
+    assert capsys.readouterr().out == LIST_FIDELITIES
     out_path = tmp_path / "qor.json"
     assert (
         main(
