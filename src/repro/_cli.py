@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, Type
 
 from .compiler.spec import PipelineSpecError, parse_pipeline
 from .compiler.stages import build_stages
-from .dse.fidelity import DEFAULT_FIDELITY, available_fidelities, describe_fidelities
+from .dse.fidelity import DEFAULT_FIDELITY, FIDELITIES
 from .estimation.platform import UnknownTargetError, get_platform
 from .workloads import UnknownWorkloadError, get_workload, iter_workloads
 
@@ -136,7 +136,7 @@ def add_registry_flags(parser: Any) -> None:
     """``--fidelity`` plus the registry listings both compile CLIs print."""
     parser.add_argument(
         "--fidelity",
-        choices=available_fidelities(),
+        choices=list(FIDELITIES),
         default=DEFAULT_FIDELITY,
         help="QoR fidelity: 'estimate' (analytic model) or 'simulate' "
         "(dataflow simulation); see --list-fidelities (default: estimate)",
@@ -162,8 +162,8 @@ def print_listing(args: Any) -> bool:
             print(f"{definition.name:14s} {definition.kind:7s} "
                   f"[{params or '-'}]  {definition.description}")
     elif args.list_fidelities:
-        for line in describe_fidelities():
-            print(line)
+        for rank, (name, description) in enumerate(FIDELITIES.items()):
+            print(f"{name:10s} rank {rank}  {description}")
     return args.list_workloads or args.list_fidelities
 
 

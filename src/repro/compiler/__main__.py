@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .. import _cli, obs
-from ..dse.fidelity import get_fidelity
+from ..dse.fidelity import payload
 from ..estimation.platform import iter_platforms
 from .driver import (
     DEFAULT_PIPELINE,
@@ -151,7 +151,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if _cli.print_listing(args):
         return 0
-    fidelity = get_fidelity(args.fidelity)
     if args.workload is None:
         parser.error(
             "--workload is required unless listing stages/workloads/targets "
@@ -250,10 +249,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, seconds in result.stage_timings:
             print(f"  {name:28s} {seconds * 1e3:8.2f} ms")
 
-    qor = fidelity.apply(result)
+    qor = payload(args.fidelity, result)
     summary = qor["summary"]
     print(f"\n{args.workload.label()} on {args.platform} "
-          f"({fidelity.name} fidelity):")
+          f"({args.fidelity} fidelity):")
     for key, value in summary.items():
         rendered = f"{value:.2f}" if isinstance(value, float) else str(value)
         print(f"  {key}: {rendered}")
@@ -262,17 +261,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         stage_seconds: Dict[str, float] = {}
         for name, seconds in result.stage_timings:
             stage_seconds[name] = stage_seconds.get(name, 0.0) + seconds
-        payload = {
+        report = {
             "workload": args.workload.label(),
             "platform": args.platform,
             "pipeline_spec": compiler.spec_text(),
             "spec_hash": compiler.spec_hash(),
-            "fidelity": fidelity.name,
+            "fidelity": args.fidelity,
             "summary": summary,
             "estimate": qor["estimate"],
             "stage_seconds": stage_seconds,
         }
-        _cli.write_json(args.json, payload)
+        _cli.write_json(args.json, report)
 
     obs.cli_finish(args)
     return 0

@@ -13,8 +13,8 @@ pipeline into that search engine:
 * :mod:`repro.dse.search` — pluggable adaptive search strategies
   (exhaustive / random / genetic / anneal over knob axes *and* pipeline
   composition);
-* :mod:`repro.dse.fidelity` — multi-fidelity QoR levels (analytic
-  estimate vs dataflow simulation) with promotion racing;
+* :mod:`repro.dse.fidelity` — the two QoR levels (analytic estimate,
+  then dataflow simulation) with promotion racing;
 * ``python -m repro.dse`` — the command-line sweep driver.
 """
 
@@ -24,13 +24,10 @@ from .evaluate import evaluate_point
 from .fidelity import (
     DEFAULT_FIDELITY,
     DEFAULT_PROMOTE_TOP,
-    FidelityLevel,
+    FIDELITIES,
     PromotionPolicy,
-    available_fidelities,
     best_fidelity_records,
     fidelity_rank,
-    get_fidelity,
-    register_fidelity,
 )
 from .pareto import (
     DEFAULT_OBJECTIVES,
@@ -71,13 +68,10 @@ __all__ = [
     "ExploreConfig",
     "DEFAULT_FIDELITY",
     "DEFAULT_PROMOTE_TOP",
-    "FidelityLevel",
+    "FIDELITIES",
     "PromotionPolicy",
-    "available_fidelities",
     "best_fidelity_records",
     "fidelity_rank",
-    "get_fidelity",
-    "register_fidelity",
     "DEFAULT_OBJECTIVES",
     "OBJECTIVE_DIRECTIONS",
     "hypervolume",

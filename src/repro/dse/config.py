@@ -10,18 +10,13 @@ else: an invalid combination raises ``ValueError`` at construction.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from ..compiler.ircache import default_ir_cache_dir
 from .cache import default_cache_dir
-from .fidelity import (
-    DEFAULT_FIDELITY,
-    DEFAULT_PROMOTE_TOP,
-    PromotionPolicy,
-    get_fidelity,
-)
+from .fidelity import DEFAULT_FIDELITY, DEFAULT_PROMOTE_TOP, PromotionPolicy, check_fidelity
 from .pareto import DEFAULT_OBJECTIVES, SUMMARY_METRICS
-from .search import SearchStrategy
+from .search import get_strategy
 
 __all__ = ["ExploreConfig"]
 
@@ -50,12 +45,11 @@ class ExploreConfig:
     #: *whole* space at the base fidelity, so it excludes ``strategy`` and
     #: a higher ``fidelity``.
     resume: bool = False
-    #: Adaptive search instead of the full sweep: a registered name
-    #: (``exhaustive``/``random``/``genetic``/``anneal``) or a
-    #: :class:`~repro.dse.search.SearchStrategy` instance (which then owns
-    #: ``budget``/``seed``/``strategy_options`` and must steer on the same
-    #: ``objectives``).  Progress lands in ``ExplorationResult.generations``.
-    strategy: Union[None, str, SearchStrategy] = None
+    #: Adaptive search instead of the full sweep: a registered strategy name
+    #: (``exhaustive``/``random``/``genetic``/``anneal``; a new one joins
+    #: with ``@register_strategy``).  Progress lands in
+    #: ``ExplorationResult.generations``.
+    strategy: Optional[str] = None
     #: Cap on distinct points a ``strategy`` evaluates (default: the space
     #: size).  Cache hits count, promotions and prefilter rejections do not,
     #: so cold and warm runs follow identical trajectories.
@@ -65,7 +59,8 @@ class ExploreConfig:
     #: Strategy-specific knobs (``population``, ``mutation_rate``,
     #: ``generations``, ``chains``, ...).
     strategy_options: Optional[Dict] = None
-    #: Top QoR level (see :mod:`repro.dse.fidelity`).  Above the base level
+    #: Top QoR level (``estimate`` or ``simulate``, see
+    #: :mod:`repro.dse.fidelity`).  At ``simulate``
     #: every point is still scored by the analytic model first; each
     #: generation (a full sweep is one) the top ``promote_top`` fraction is
     #: re-evaluated at this level and the frontier re-ranks on the
@@ -117,24 +112,13 @@ class ExploreConfig:
                 "budget/seed/strategy_options have no effect without strategy=... "
                 "(the full sweep evaluates every point)"
             )
-        if isinstance(self.strategy, SearchStrategy):
-            if search_args:
-                raise ValueError(
-                    "budget/seed/strategy_options belong to the "
-                    "SearchStrategy constructor when explore() is handed "
-                    "an instance"
-                )
-            if tuple(self.strategy.objectives) != self.objectives:
-                raise ValueError(
-                    f"strategy steers on objectives {self.strategy.objectives} "
-                    f"but explore() would report on {self.objectives}; "
-                    "pass the same objectives to both"
-                )
+        if searching:
+            get_strategy(self.strategy)  # refuses an unknown name
         policy = self.promotion_policy()  # validates fidelity and promote_top
         if self.promote_top is not None and policy is None:
             raise ValueError(
                 "promote_top has no effect at the base fidelity; "
-                "pass fidelity='simulate' (or another higher level) with it"
+                "pass fidelity='simulate' with it"
             )
         if self.resume and policy is not None:
             raise ValueError(
@@ -153,22 +137,11 @@ class ExploreConfig:
     # ------------------------------------------------------------ derived
     def promotion_policy(self) -> Optional[PromotionPolicy]:
         """The promotion race of a multi-fidelity run (None at base level)."""
-        level = get_fidelity(str(self.fidelity))
-        base_rank = get_fidelity(DEFAULT_FIDELITY).rank
-        if level.rank < base_rank:
-            raise ValueError(
-                f"fidelity {level.name!r} is below the base level "
-                f"{DEFAULT_FIDELITY!r}; promotion races upward only"
-            )
-        if level.rank == base_rank:
+        check_fidelity(self.fidelity)
+        if self.fidelity == DEFAULT_FIDELITY:
             return None
         return PromotionPolicy(
-            target=level.name,
-            promote_top=(
-                DEFAULT_PROMOTE_TOP
-                if self.promote_top is None
-                else float(self.promote_top)
-            ),
+            DEFAULT_PROMOTE_TOP if self.promote_top is None else float(self.promote_top)
         )
 
     def qor_cache_root(self) -> Optional[str]:
@@ -185,11 +158,9 @@ class ExploreConfig:
 
     # ------------------------------------------------------ serialization
     def to_dict(self) -> Dict:
-        """JSON-safe settings; a strategy instance is recorded by ``name``."""
+        """JSON-safe settings."""
         data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         data["objectives"] = list(self.objectives)
-        if isinstance(self.strategy, SearchStrategy):
-            data["strategy"] = self.strategy.name
         return data
 
     @classmethod

@@ -19,7 +19,7 @@ from ..estimation.qor import QoREstimator
 from ..ir.printer import fingerprint_op
 from ..workloads.registry import registered_definition
 from .cache import QoRCache
-from .fidelity import DEFAULT_FIDELITY, SimulationInput, get_fidelity
+from .fidelity import DEFAULT_FIDELITY, SIMULATE_CACHE_TAG, SimulationInput, check_fidelity, payload
 from .space import DesignPoint
 
 __all__ = ["evaluate_point", "open_caches", "probe_point"]
@@ -46,15 +46,16 @@ def _point_cache_key(
     documented way to signal an analytical-model change) invalidates every
     persisted QoR record, not just in-process estimator caches.
 
-    Non-base fidelity levels append their versioned tag, so estimate and
-    simulate records never collide; base-level keys are byte-identical to
-    pre-fidelity caches, which therefore stay warm.
+    Simulate keys append :data:`~repro.dse.fidelity.SIMULATE_CACHE_TAG`, so
+    estimate and simulate records never collide; base-level keys are
+    byte-identical to pre-fidelity caches, which therefore stay warm.
     """
     key = (
         f"point|m{QoREstimator.MODEL_VERSION}|{fingerprint}|{platform}|{spec_text}"
     )
     if fidelity != DEFAULT_FIDELITY:
-        key = f"{key}|{get_fidelity(fidelity).cache_tag()}"
+        check_fidelity(fidelity)
+        key = f"{key}|{SIMULATE_CACHE_TAG}"
     return key
 
 
@@ -150,7 +151,7 @@ def evaluate_point(
 
     Either replays the cached QoR record (see :func:`probe_point`) or runs
     the compilation pipeline and caches its outcome.  ``fidelity`` selects
-    the registered QoR level the payload is produced at (``"estimate"`` =
+    the QoR level the payload is produced at (``"estimate"`` =
     analytic model, ``"simulate"`` = dataflow simulation); the record
     carries the level name so consumers can re-rank on the most trusted
     record per point.  Never raises: failures come back as records with an
@@ -205,14 +206,14 @@ def evaluate_point(
                     )
                     if ir_cache is not None:
                         record["ir_cache"] = compiler.ir_cache_stats
-                payload = get_fidelity(fidelity).apply(result)
+                qor = payload(fidelity, result)
                 if base is None:
                     record["simulation_input"] = SimulationInput(
-                        result.graphs, result.estimate, dict(payload["summary"]), result.platform
+                        result.graphs, result.estimate, dict(qor["summary"]), result.platform
                     )
                 if qor_cache is not None:
-                    qor_cache.put(key, payload)
-                record.update(payload)
+                    qor_cache.put(key, qor)
+                record.update(qor)
             except Exception:
                 record["error"] = traceback.format_exc(limit=8)
             record["cached"] = False

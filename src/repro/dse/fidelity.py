@@ -1,8 +1,9 @@
-"""Multi-fidelity QoR evaluation: the fidelity-level registry and the
-promotion policy that races levels inside the DSE loop.
+"""Multi-fidelity QoR evaluation: the two QoR levels and the promotion
+policy that races them inside the DSE loop.
 
 The exploration engine steers on QoR records, but QoR can be produced at
-different costs and trust levels.  This module makes that axis explicit:
+different costs and trust levels.  This module makes that axis explicit —
+a fixed ladder, :data:`FIDELITIES`, cheapest first:
 
 * ``estimate`` — the analytic model exactly as every pre-fidelity sweep ran
   it (:meth:`~repro.hida.pipeline.CompileResult.summary`); cheap, and its
@@ -25,15 +26,14 @@ re-ranked on the highest-fidelity record available per point.  Selection
 depends only on QoR records (never timing or cache state), so fixed-seed
 multi-fidelity runs stay byte-identical across worker counts.
 
-Levels are registered like stages, workloads, targets and strategies:
-``@register_fidelity`` / :func:`get_fidelity` / :func:`available_fidelities`.
+:func:`payload` produces a level's QoR record of one compile.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..estimation.platform import Platform
 from ..estimation.qor import DesignEstimate, SimulationGraph, simulate_graphs
@@ -48,16 +48,27 @@ from .pareto import (
 __all__ = [
     "DEFAULT_FIDELITY",
     "DEFAULT_PROMOTE_TOP",
-    "FidelityLevel",
+    "FIDELITIES",
     "PromotionPolicy",
+    "SIMULATE_CACHE_TAG",
     "SimulationInput",
-    "available_fidelities",
     "best_fidelity_records",
-    "describe_fidelities",
+    "check_fidelity",
     "fidelity_rank",
-    "get_fidelity",
-    "register_fidelity",
+    "payload",
 ]
+
+#: The QoR levels and their ``--list-fidelities`` descriptions, cheapest
+#: first.  A level's rank is its position: a higher-rank record supersedes
+#: a lower-rank one for the same design point.
+FIDELITIES: Dict[str, str] = {
+    "estimate": "analytic QoR model (cheap; steers every proposal)",
+    "simulate": (
+        "two-level dataflow simulation with back-pressure over the "
+        "estimate stage's graphs (promoted points; no recompile of a "
+        "point compiled in this run)"
+    ),
+}
 
 #: The fidelity every record is produced at unless asked otherwise — and
 #: the base level every promotion race starts from.
@@ -67,82 +78,23 @@ DEFAULT_FIDELITY = "estimate"
 #: multi-fidelity and no explicit ``promote_top`` is given.
 DEFAULT_PROMOTE_TOP = 0.25
 
-
-@dataclasses.dataclass(frozen=True)
-class FidelityLevel:
-    """One registered QoR evaluation fidelity.
-
-    ``apply(result)`` turns a :class:`~repro.hida.pipeline.CompileResult`
-    (or a :class:`SimulationInput`) into the JSON-safe QoR payload the
-    runner caches (``summary`` / ``estimate`` / ``fits``).  ``version`` is
-    folded into the QoR-cache key of non-base levels, so refining a level's
-    model invalidates only its own persisted records.
-    """
-
-    name: str
-    #: Total order of trust/cost: higher-rank records supersede lower-rank
-    #: ones for the same design point.
-    rank: int
-    description: str
-    apply: Callable
-    version: int = 1
-
-    def cache_tag(self) -> str:
-        return f"fid:{self.name}.v{self.version}"
+#: Appended to the QoR-cache key of a simulate record, so the levels never
+#: collide; base-level keys carry no tag.  Bump the version when the
+#: simulation changes, to invalidate only simulate records.
+SIMULATE_CACHE_TAG = "fid:simulate.v1"
 
 
-_REGISTRY: Dict[str, FidelityLevel] = {}
-
-
-def register_fidelity(level: FidelityLevel) -> FidelityLevel:
-    """Add a fidelity level to the registry (name and rank must be unique)."""
-    if not level.name:
-        raise ValueError("fidelity level needs a name")
-    existing = _REGISTRY.get(level.name)
-    if existing is not None and existing is not level:
-        raise ValueError(f"fidelity level {level.name!r} is already registered")
-    for other in _REGISTRY.values():
-        if other.name != level.name and other.rank == level.rank:
-            raise ValueError(
-                f"fidelity rank {level.rank} is taken by {other.name!r}; "
-                "ranks must form a total order"
-            )
-    _REGISTRY[level.name] = level
-    return level
-
-
-def available_fidelities() -> List[str]:
-    """Registered level names, cheapest (lowest rank) first."""
-    return [
-        level.name for level in sorted(_REGISTRY.values(), key=lambda l: l.rank)
-    ]
-
-
-def get_fidelity(name: str) -> FidelityLevel:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+def check_fidelity(level: str) -> None:
+    """Refuse a level that is not in :data:`FIDELITIES`."""
+    if level not in FIDELITIES:
         raise ValueError(
-            f"unknown fidelity level {name!r}; "
-            f"options: {', '.join(available_fidelities())}"
-        ) from None
-
-
-def describe_fidelities() -> List[str]:
-    """One rendered line per registered level (the ``--list-fidelities``
-    output of both CLIs)."""
-    return [
-        f"{level.name:10s} rank {level.rank}  {level.description}"
-        for level in (get_fidelity(name) for name in available_fidelities())
-    ]
+            f"unknown fidelity level {level!r}; options: {', '.join(FIDELITIES)}"
+        )
 
 
 def fidelity_rank(name: Optional[str]) -> int:
     """Rank of a record's fidelity tag (untagged records are base-level)."""
-    if not name:
-        return 0
-    level = _REGISTRY.get(str(name))
-    return level.rank if level is not None else 0
+    return list(FIDELITIES).index(name) if name in FIDELITIES else 0
 
 
 def best_fidelity_records(records: Sequence[Dict]) -> List[Dict]:
@@ -172,25 +124,11 @@ def best_fidelity_records(records: Sequence[Dict]) -> List[Dict]:
     return [best[key] for key in order]
 
 
-# ---------------------------------------------------------------------------
-# Built-in levels
-# ---------------------------------------------------------------------------
-
-
-def _estimate_payload(result) -> Dict:
-    """The analytic QoR payload — exactly what pre-fidelity sweeps cached."""
-    return {
-        "summary": result.summary(),
-        "estimate": result.estimate.to_dict(),
-        "fits": result.platform.fits(result.estimate.resources.as_dict()),
-    }
-
-
 @dataclasses.dataclass(frozen=True)
 class SimulationInput:
     """What a promotion needs of a point's base compile, and no IR: the
-    parts of a :class:`~repro.hida.pipeline.CompileResult` a level's
-    ``apply`` reads.  A few KB and picklable, so it crosses the worker
+    parts of a :class:`~repro.hida.pipeline.CompileResult` that
+    :func:`payload` reads.  A few KB and picklable, so it crosses the worker
     boundary with the base record."""
 
     graphs: List[SimulationGraph]
@@ -202,13 +140,24 @@ class SimulationInput:
         return dict(self.base_summary)
 
 
-def _simulate_payload(result) -> Dict:
-    """Simulation-refined payload: timing from the dataflow simulator over
-    the estimate stage's graphs.
+def payload(level: str, result) -> Dict:
+    """The JSON-safe QoR payload the runner caches (``summary`` /
+    ``estimate`` / ``fits``) of a
+    :class:`~repro.hida.pipeline.CompileResult` or a :class:`SimulationInput`.
 
-    Resources (and therefore ``fits`` / ``max_utilization``) are the
-    analytic values — simulation refines cycle counts, not area.
+    ``estimate`` is the analytic payload, exactly what pre-fidelity sweeps
+    cached.  ``simulate`` takes its timing from the dataflow simulator over
+    the estimate stage's graphs; resources (and therefore ``fits`` /
+    ``max_utilization``) stay analytic — simulation refines cycle counts,
+    not area.
     """
+    if level == DEFAULT_FIDELITY:
+        return {
+            "summary": result.summary(),
+            "estimate": result.estimate.to_dict(),
+            "fits": result.platform.fits(result.estimate.resources.as_dict()),
+        }
+    check_fidelity(level)
     refined = simulate_graphs(result.graphs, result.estimate)
     summary = result.summary()
     summary["latency_cycles"] = refined.latency
@@ -221,29 +170,6 @@ def _simulate_payload(result) -> Dict:
     }
 
 
-ESTIMATE = register_fidelity(
-    FidelityLevel(
-        name="estimate",
-        rank=0,
-        description="analytic QoR model (cheap; steers every proposal)",
-        apply=_estimate_payload,
-    )
-)
-
-SIMULATE = register_fidelity(
-    FidelityLevel(
-        name="simulate",
-        rank=1,
-        description=(
-            "two-level dataflow simulation with back-pressure over the "
-            "estimate stage's graphs (promoted points; no recompile of a "
-            "point compiled in this run)"
-        ),
-        apply=_simulate_payload,
-    )
-)
-
-
 # ---------------------------------------------------------------------------
 # Promotion policy
 # ---------------------------------------------------------------------------
@@ -251,11 +177,11 @@ SIMULATE = register_fidelity(
 
 @dataclasses.dataclass(frozen=True)
 class PromotionPolicy:
-    """Successive-halving-style promotion between two fidelity levels.
+    """Successive-halving-style promotion from ``estimate`` to ``simulate``.
 
     Each generation, :meth:`select` ranks the generation's freshly scored
     base-fidelity records against the cumulative best-fidelity context and
-    promotes the top ``promote_top`` fraction (at least ``min_promote``):
+    promotes the top ``promote_top`` fraction (at least one):
     current-frontier members first, ordered by their hypervolume
     contribution within their workload group, then the remaining records by
     scalarized energy (so near-frontier designs, not lexicographic
@@ -264,28 +190,19 @@ class PromotionPolicy:
     across worker counts and cache temperature.
     """
 
-    target: str = "simulate"
     promote_top: float = DEFAULT_PROMOTE_TOP
-    min_promote: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.promote_top <= 1.0:
             raise ValueError(
                 f"promote_top must be in (0, 1] (got {self.promote_top})"
             )
-        if self.min_promote < 0:
-            raise ValueError(
-                f"min_promote must be non-negative (got {self.min_promote})"
-            )
-        get_fidelity(self.target)  # fail fast on unknown levels
 
     def quota(self, candidates: int) -> int:
         """Global promotion quota over one round's eligible candidates."""
         if candidates <= 0:
             return 0
-        return min(
-            candidates, max(self.min_promote, math.ceil(self.promote_top * candidates))
-        )
+        return min(candidates, max(1, math.ceil(self.promote_top * candidates)))
 
     def select(
         self,
@@ -307,8 +224,7 @@ class PromotionPolicy:
         eligible = [
             r
             for r in candidates
-            if "error" not in r
-            and fidelity_rank(r.get("fidelity")) < get_fidelity(self.target).rank
+            if "error" not in r and fidelity_rank(r.get("fidelity")) == 0
         ]
         if not eligible:
             return []

@@ -322,11 +322,9 @@ def explore(
     fidelity = str(config.fidelity)
     policy = config.promotion_policy()
     searcher: Optional[SearchStrategy] = None
-    if isinstance(config.strategy, SearchStrategy):
-        searcher = config.strategy
-    elif config.strategy is not None:
+    if config.strategy is not None:
         searcher = make_strategy(
-            str(config.strategy),
+            config.strategy,
             points,
             objectives=objectives,
             budget=config.budget,

@@ -300,7 +300,7 @@ def _point_group(point: DesignPoint) -> Tuple:
 
 
 class SearchStrategy:
-    """Base class of the ask/tell search loop.
+    """Base class of the propose/observe search loop.
 
     The runner repeatedly calls :meth:`propose` for a batch of *novel*
     points (never previously proposed or evaluated), evaluates them, and
@@ -354,7 +354,7 @@ class SearchStrategy:
         self._generation = 0
         self.domains = axis_domains(self.points)
 
-    # ------------------------------------------------------------- ask/tell
+    # ------------------------------------------------------ propose/observe
     def propose(self, limit: int) -> List[DesignPoint]:
         """Up to ``limit`` novel points to evaluate next ([] = done)."""
         if limit <= 0:
@@ -387,10 +387,6 @@ class SearchStrategy:
                 self.seen.add(key)
                 self._record_by_key[key] = record
         self._generation += 1
-
-    def tell(self, records: Sequence[Dict], *, refinement: bool = False) -> None:
-        """Ask/tell alias of :meth:`observe` (``propose`` is the ask)."""
-        self.observe(records, refinement=refinement)
 
     def _refine_record(self, record: Dict) -> None:
         """Swap a point's record for a higher-fidelity re-evaluation."""

@@ -12,6 +12,7 @@ point, no band walk in the promotion pass, and records equal to a recompile's.
 """
 
 import collections
+import dataclasses
 import json
 import pickle
 
@@ -20,19 +21,17 @@ import pytest
 from repro.compiler import Compiler
 from repro.dse import (
     DEFAULT_FIDELITY,
+    FIDELITIES,
     DesignPoint,
-    FidelityLevel,
     PromotionPolicy,
-    available_fidelities,
     best_fidelity_records,
     build_space,
     explore,
     fidelity_rank,
-    get_fidelity,
     polybench_suite,
 )
 from repro.dse.evaluate import evaluate_point, probe_point
-from repro.dse.fidelity import register_fidelity
+from repro.dse.fidelity import check_fidelity, payload
 from repro.estimation import qor
 from repro.workloads import list_workloads
 
@@ -71,21 +70,18 @@ def count_calls(monkeypatch, owner, name, counts):
 
 # ---------------------------------------------------------------- registry
 def test_fidelity_registry():
-    assert available_fidelities() == ["estimate", "simulate"]
-    assert get_fidelity("estimate").rank < get_fidelity("simulate").rank
+    # A fixed ladder, cheapest first: rank is position in the table.
+    assert list(FIDELITIES) == ["estimate", "simulate"]
+    assert DEFAULT_FIDELITY == "estimate"
     assert fidelity_rank(None) == 0
     assert fidelity_rank("estimate") == 0
     assert fidelity_rank("simulate") == 1
+    assert fidelity_rank("rtl") == 0  # an unknown tag ranks as base-level
+    check_fidelity("simulate")
+    with pytest.raises(ValueError, match="unknown fidelity level 'rtl'; options: estimate, simulate"):
+        check_fidelity("rtl")
     with pytest.raises(ValueError, match="unknown fidelity"):
-        get_fidelity("rtl")
-    with pytest.raises(ValueError, match="already registered"):
-        register_fidelity(
-            FidelityLevel(name="simulate", rank=7, description="", apply=id)
-        )
-    with pytest.raises(ValueError, match="rank"):
-        register_fidelity(
-            FidelityLevel(name="other", rank=1, description="", apply=id)
-        )
+        payload("rtl", None)  # refused before the result is read
 
 
 def test_promotion_policy_validation():
@@ -93,11 +89,12 @@ def test_promotion_policy_validation():
         PromotionPolicy(promote_top=0.0)
     with pytest.raises(ValueError, match="promote_top"):
         PromotionPolicy(promote_top=1.5)
-    with pytest.raises(ValueError, match="unknown fidelity"):
-        PromotionPolicy(target="rtl")
+    # The race always goes estimate -> simulate, so the fraction is the
+    # only setting.
+    assert [field.name for field in dataclasses.fields(PromotionPolicy)] == ["promote_top"]
     policy = PromotionPolicy(promote_top=0.25)
     assert policy.quota(0) == 0
-    assert policy.quota(1) == 1  # min_promote floor
+    assert policy.quota(1) == 1  # at least one point per round
     assert policy.quota(8) == 2
     assert PromotionPolicy(promote_top=1.0).quota(8) == 8
 
@@ -325,14 +322,13 @@ def test_promotion_reuses_the_base_compile(monkeypatch):
 
 @pytest.mark.parametrize("platform", ["zu3eg", "vu9p-slr"])
 def test_a_kept_simulation_input_is_small_and_ir_free(platform):
-    simulate = get_fidelity("simulate")
     for workload in list_workloads():
         point = DesignPoint.for_workload(workload, platform=platform)
         kept = evaluate_point(point).pop("simulation_input")
         data = pickle.dumps(kept)
         assert b"repro.ir" not in data and b"repro.dialects" not in data, workload
         assert len(data) <= 8 * 1024, (workload, len(data))
-        assert simulate.apply(pickle.loads(data)) == simulate.apply(kept)
+        assert payload("simulate", pickle.loads(data)) == payload("simulate", kept)
 
 
 # ------------------------------------------------------------ budget rules

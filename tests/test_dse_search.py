@@ -191,24 +191,20 @@ def test_generations_cap_stops_the_search_early():
 
 
 def test_explore_rejects_search_args_with_strategy_instance():
+    # explore() takes a strategy by registered name only: an instance, with
+    # or without search arguments, is an unknown strategy, refused before
+    # any point is evaluated.
     points = medium_space(kernels=1).points
     instance = make_strategy("random", points, budget=4, seed=9)
-    with pytest.raises(ValueError, match="SearchStrategy constructor"):
-        explore(points, use_cache=False, strategy=instance, budget=8)
-    result = explore(points, use_cache=False, strategy=instance)
-    assert result.num_points == 4  # the instance's own budget applies
-    mismatched = make_strategy(
-        "random", points, budget=4, objectives=("throughput", "dsp")
-    )
-    with pytest.raises(ValueError, match="same objectives"):
-        explore(points, use_cache=False, strategy=mismatched)
-    aligned = explore(
-        points,
-        use_cache=False,
-        strategy=mismatched,
-        objectives=("throughput", "dsp"),
-    )
-    assert aligned.objectives == ("throughput", "dsp")
+    for settings in ({}, {"budget": 8}, {"objectives": ("throughput", "dsp")}):
+        with pytest.raises(ValueError, match="unknown search strategy"):
+            explore(points, use_cache=False, strategy=instance, **settings)
+    with pytest.raises(ValueError, match="unknown search strategy 'nope'"):
+        explore(points, use_cache=False, strategy="nope")
+    # The name with the instance's arguments is the one spelling.
+    result = explore(points, use_cache=False, strategy="random", budget=4, seed=9)
+    assert result.num_points == 4
+    assert result.config.strategy == "random"
 
 
 def test_hypervolume_reference_epsilon_scales_with_magnitude():

@@ -43,7 +43,8 @@ from repro.dialects.arith import AddFOp, MulFOp
 from repro.dialects.dataflow import BufferOp
 from repro.dialects.memref import AllocOp
 from repro.compiler import DEFAULT_PIPELINE, Compiler, default_stages
-from repro.dse import build_space, explore, get_fidelity
+from repro.dse import build_space, explore
+from repro.dse.fidelity import payload
 from repro.frontend.cpp import KernelBuilder, build_listing1
 from repro.ir import ConstantOp, MemRefType, f32, i8
 from repro.transforms.loop_transforms import loop_bands_of, pipeline_loop
@@ -343,7 +344,7 @@ def _payload_compiles():
 
 def _payload_record(result):
     return {
-        level: _digest(_timeless(get_fidelity(level).apply(result)))
+        level: _digest(_timeless(payload(level, result)))
         for level in ("estimate", "simulate")
     }
 
