@@ -70,8 +70,9 @@ __all__ = [
 ]
 
 #: Snapshot schema version: bump when the payload layout, the printed IR
-#: grammar, or the semantics of any snapshot-safe stage change.
-SCHEMA_VERSION = 1
+#: grammar, or the semantics of any snapshot-safe stage change.  2: string
+#: attributes escape '"' and '\'.
+SCHEMA_VERSION = 2
 
 #: Interpreter op budget for the execute-and-compare snapshot check.
 #: Kept small: store() runs on the compile hot path, so large modules skip

@@ -12,8 +12,9 @@ and nothing else.  The grammar, one production per line::
     values    ::= "%" NAME {", %" NAME}
     arg       ::= "%" NAME ": " type
     dict      ::= "{" [NAME " = " attr {", " NAME " = " attr}] "}"
-    attr      ::= '"' {any but '"'} '"' | NUMBER | "true" | "false" | dict
+    attr      ::= STRING | NUMBER | "true" | "false" | dict
                 | "[" [attr {", " attr}] "]" | partition | layout | functype | map
+    STRING    ::= '"' {any but '"' or "\\" | "\\" any} '"'   (printed with '"', "\\" escaped)
     NUMBER    ::= INT | digits "." [digits] [exponent] | "inf" | "-inf" | "nan"
     partition ::= "partition<[" NAME ":" INT {", " NAME ":" INT} "]>"
     layout    ::= "layout<[" [INT {", " INT}] "], [" [INT {", " INT}] "]>"
@@ -137,7 +138,7 @@ _VALUES = re.compile(rf"%({_NAME_RE}(?:, %{_NAME_RE})*)")
 _INT = re.compile(r"-?\d+")
 _ARG = re.compile(rf"%({_NAME_RE})(: )?")
 _ATTR = re.compile(
-    r'"([^"]*)"'  # 1: string (printed unescaped)
+    r'"((?:[^"\\]|\\.)*)"'  # 1: string, its '"' and '\' escaped by a '\'
     rf"|(true|false)(?!{_NAME_RE})"  # 2: bool
     r"|(-?(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+|-?inf|nan)"  # 3: float
     r"|(-?\d+)"  # 4: int
@@ -151,6 +152,7 @@ _TYPE = re.compile(
     r"|(ui)"  # 7
 )
 _AFFINE_ATOM = re.compile(r"([ds])(\d+)|(-?\d+)")
+_ESCAPED = re.compile(r"\\(.)")
 
 _SCALAR_TYPES: Dict[str, Callable[[], Type]] = {
     "index": IndexType,
@@ -395,7 +397,10 @@ def _attr(text: str, pos: int) -> Tuple[Any, int]:
         raise _Mismatch("expected a number", pos)
     kind = match.lastindex
     if kind == 1:
-        return match.group(1), match.end()
+        value = match.group(1)
+        if "\\" in value:
+            value = _ESCAPED.sub(r"\1", value)
+        return value, match.end()
     if kind == 2:
         return match.group(2) == "true", match.end()
     if kind == 3:

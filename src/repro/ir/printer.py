@@ -24,6 +24,8 @@ def _format_attr(value: Any) -> str:
     if isinstance(value, (int, float)):
         return str(value)
     if isinstance(value, str):
+        if '"' in value or "\\" in value:
+            value = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{value}"'
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_attr(v) for v in value) + "]"

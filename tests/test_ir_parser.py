@@ -184,16 +184,14 @@ _layouts = st.lists(
     st.tuples(st.integers(1, 16), st.integers(1, 16)), max_size=4
 ).map(lambda dims: BufferLayout([t for t, _ in dims], [v for _, v in dims]))
 
-# Strings print unescaped (see test_string_holding_a_quote_splits_in_two), so
-# '"', "\\" and newline stay out of the alphabet until the escape grammar
-# lands with the next SCHEMA_VERSION bump; everything the grammar itself
-# uses as punctuation stays in.
+# Strings escape '"' and "\\" (see test_string_holding_a_quote_splits_in_two);
+# everything the grammar itself uses as punctuation is in the alphabet.  A
+# newline is not: the parser reads one op per line.
 _strings = st.one_of(
-    st.sampled_from(["", ", ", "}", " : ", " -> ", "%0", "a, b = {c}", "[1, 2]", " {", "true"]),
-    st.text(
-        st.characters(min_codepoint=32, max_codepoint=0x24F, blacklist_characters='"\\'),
-        max_size=12,
+    st.sampled_from(
+        ["", ", ", "}", " : ", " -> ", "%0", "a, b = {c}", "[1, 2]", " {", "true", '"', "\\"]
     ),
+    st.text(st.characters(min_codepoint=32, max_codepoint=0x24F), max_size=12),
 )
 _floats = st.one_of(
     st.sampled_from([1e-05, 1e22, -0.0, 0.0, 1.5, -2.5e-07, 1e16, 123456789.125]),
@@ -272,16 +270,24 @@ def test_generated_ir_roundtrips(op):
     assert fingerprint_op(clone) == fingerprint_op(op)
 
 
-@pytest.mark.xfail(strict=True, reason="strings print unescaped until the next SCHEMA_VERSION bump")
 def test_string_holding_a_quote_splits_in_two():
-    """``{s = 'a", t = "c'}`` prints as two attributes and re-prints cleanly.
-
-    The escape grammar that fixes it changes printed text, hence IR-cache
-    keys, so it waits for a schema bump; until then the byte compare in
-    ``IRSnapshotCache.store`` cannot see this one.
-    """
-    op = create_operation("test.op", attributes={"s": 'a", t = "c'})
-    assert parse_op(print_op(op)).attributes == op.attributes
+    """``{s = 'a", t = "c'}`` used to print as two attributes that re-printed
+    cleanly, so the byte compare in ``IRSnapshotCache.store`` could not see
+    it.  Strings now escape ``"`` and ``\\`` (IR-cache schema 2)."""
+    cases = {
+        'a", t = "c': r'"a\", t = \"c"',
+        "C:\\dir\\": r'"C:\\dir\\"',
+        '\\"': r'"\\\""',
+    }
+    for value, printed in cases.items():
+        op = create_operation("test.op", attributes={"s": value})
+        text = print_op(op)
+        assert text == f"test.op() {{s = {printed}}}"
+        assert parse_op(text).attributes == op.attributes
+    # A string with neither prints as before.
+    assert print_op(create_operation("test.op", attributes={"s": "a, b"})) == (
+        'test.op() {s = "a, b"}'
+    )
 
 
 def test_non_finite_floats_roundtrip():
