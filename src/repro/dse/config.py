@@ -59,13 +59,12 @@ class ExploreConfig:
     #: Strategy-specific knobs (``population``, ``mutation_rate``,
     #: ``generations``, ``chains``, ...).
     strategy_options: Optional[Dict] = None
-    #: Top QoR level (``estimate`` or ``simulate``, see
-    #: :mod:`repro.dse.fidelity`).  At ``simulate``
-    #: every point is still scored by the analytic model first; each
-    #: generation (a full sweep is one) the top ``promote_top`` fraction is
-    #: re-evaluated at this level and the frontier re-ranks on the
-    #: highest-fidelity record per point.  Both levels cache under
-    #: fidelity-tagged keys.
+    #: Top QoR level, ``estimate`` or ``simulate`` (see
+    #: :mod:`repro.dse.fidelity`).  At ``simulate`` every point is still
+    #: scored by the analytic model first; each generation (a full sweep is
+    #: one) the top ``promote_top`` fraction is re-evaluated by simulation
+    #: and the frontier re-ranks on the highest-fidelity record per point.
+    #: The two levels cache under distinct keys.
     fidelity: str = DEFAULT_FIDELITY
     #: Fraction of each generation promoted (default 0.25; frontier members
     #: first, ranked by hypervolume contribution).
