@@ -10,9 +10,8 @@ pipeline into that search engine:
 * :mod:`repro.dse.evaluate` — one point: fingerprint, cache probe, compile;
 * :mod:`repro.dse.runner` — the search loop and process-parallel fan-out;
 * :mod:`repro.dse.pareto` — Pareto frontier + hypervolume over QoR records;
-* :mod:`repro.dse.search` — pluggable adaptive search strategies
-  (exhaustive / random / genetic / anneal over knob axes *and* pipeline
-  composition);
+* :mod:`repro.dse.search` — the ``exhaustive`` and ``random`` search
+  strategies: which budget of a space a run evaluates;
 * :mod:`repro.dse.fidelity` — the two QoR levels (analytic estimate,
   then dataflow simulation) with promotion racing;
 * ``python -m repro.dse`` — the command-line sweep driver.
@@ -39,24 +38,11 @@ from .pareto import (
     pareto_frontier,
 )
 from .runner import explore
-from .search import (
-    AnnealSearch,
-    ExhaustiveSearch,
-    GeneticSearch,
-    RandomSearch,
-    SearchStrategy,
-    available_strategies,
-    crossover_specs,
-    get_strategy,
-    make_strategy,
-    mutate_spec,
-    register_strategy,
-)
+from .search import STRATEGIES, search_points
 from .space import (
     SPACE_PRESETS,
     DesignPoint,
     DesignSpace,
-    axis_domains,
     build_space,
     dnn_suite,
     polybench_suite,
@@ -81,21 +67,11 @@ __all__ = [
     "pareto_frontier",
     "evaluate_point",
     "explore",
-    "AnnealSearch",
-    "ExhaustiveSearch",
-    "GeneticSearch",
-    "RandomSearch",
-    "SearchStrategy",
-    "available_strategies",
-    "crossover_specs",
-    "get_strategy",
-    "make_strategy",
-    "mutate_spec",
-    "register_strategy",
+    "STRATEGIES",
+    "search_points",
     "SPACE_PRESETS",
     "DesignPoint",
     "DesignSpace",
-    "axis_domains",
     "build_space",
     "dnn_suite",
     "polybench_suite",

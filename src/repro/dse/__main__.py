@@ -8,11 +8,9 @@ Examples::
     python -m repro.dse --space small --dry-run
     python -m repro.dse --space full --sample 64 --seed 7 --json sweep.json
     python -m repro.dse --space full --resume --json partial.json
-    python -m repro.dse --space full --strategy genetic --budget 200 --workers 8
-    python -m repro.dse --space medium --strategy anneal --budget 64 --seed 3
-    python -m repro.dse --space small --strategy genetic --budget 12 \\
+    python -m repro.dse --space full --strategy random --budget 64 --seed 3 --workers 8
+    python -m repro.dse --space small --strategy random --budget 12 \\
         --fidelity simulate --promote-top 0.25
-    python -m repro.dse --space medium --strategy genetic --budget 64 --patience 3
     python -m repro.dse --list-strategies
     python -m repro.dse --list-fidelities
     python -m repro.dse --pipeline-spec "construct-dataflow,lower-structural,parallelize{factor=8},estimate"
@@ -30,7 +28,7 @@ from .cache import QoRCache, default_cache_dir
 from .config import ExploreConfig
 from .pareto import DEFAULT_OBJECTIVES
 from .runner import explore
-from .search import available_strategies, get_strategy
+from .search import STRATEGIES
 from .space import SPACE_PRESETS, build_space, dnn_suite, polybench_suite
 
 
@@ -78,10 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strategy",
-        choices=available_strategies(),
+        choices=list(STRATEGIES),
         default=None,
-        help="adaptive search instead of the full sweep "
-        "(genetic and anneal also search pipeline composition)",
+        help="evaluate --budget points in this order instead of the full sweep",
     )
     parser.add_argument(
         "--budget",
@@ -92,46 +89,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "(cache hits count but cost no compile; 0 = space size)",
     )
     parser.add_argument(
-        "--generations",
-        type=int,
-        default=0,
-        metavar="N",
-        help="cap --strategy generations (0 = run until the budget)",
-    )
-    parser.add_argument(
-        "--mutation-rate",
-        type=float,
-        default=None,
-        metavar="P",
-        help="per-axis mutation probability for --strategy genetic",
-    )
-    parser.add_argument(
-        "--population",
-        type=int,
-        default=None,
-        metavar="N",
-        help="offspring batch size for --strategy genetic",
-    )
-    parser.add_argument(
         "--promote-top",
         type=float,
         default=None,
         metavar="FRACTION",
-        help="fraction of each generation (or of the full sweep) promoted "
-        "to the --fidelity level (default: 0.25; needs --fidelity simulate)",
-    )
-    parser.add_argument(
-        "--patience",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop a --strategy run after N consecutive generations "
-        "without a hypervolume improvement",
+        help="fraction of the evaluated points promoted to the --fidelity "
+        "level (default: 0.25; needs --fidelity simulate)",
     )
     parser.add_argument(
         "--list-strategies",
         action="store_true",
-        help="list registered search strategies with their defaults and exit",
+        help="list the search strategies and exit",
     )
     parser.add_argument(
         "--objectives",
@@ -198,29 +166,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--workers must be non-negative (got {args.workers})")
     if args.budget < 0:
         parser.error(f"--budget must be non-negative (got {args.budget})")
-    if args.generations < 0:
-        parser.error(f"--generations must be non-negative (got {args.generations})")
-    strategy_options = {}
-    if args.generations:
-        strategy_options["generations"] = args.generations
-    if args.mutation_rate is not None:
-        if args.strategy != "genetic":
-            parser.error("--mutation-rate applies to --strategy genetic")
-        if not 0.0 <= args.mutation_rate <= 1.0:
-            parser.error(
-                f"--mutation-rate must be in [0, 1] (got {args.mutation_rate})"
-            )
-        strategy_options["mutation_rate"] = args.mutation_rate
-    if args.population is not None:
-        if args.strategy != "genetic":
-            parser.error("--population applies to --strategy genetic")
-        if args.population < 1:
-            parser.error(f"--population must be >= 1 (got {args.population})")
-        strategy_options["population"] = args.population
     try:
         # Every other cross-field rule (--resume vs --no-cache/--strategy/
         # --fidelity, search flags without --strategy, --promote-top,
-        # --patience, --objectives) is ExploreConfig's.
+        # --objectives) is ExploreConfig's.
         config = ExploreConfig(
             workers=args.workers,
             cache_dir=args.cache_dir,
@@ -233,10 +182,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             budget=args.budget or None,
             # Without a strategy --seed only steers --sample.
             seed=args.seed if args.strategy else 0,
-            strategy_options=strategy_options or None,
             fidelity=args.fidelity,
             promote_top=args.promote_top,
-            patience=args.patience,
             ir_cache=args.ir_cache,
             ir_cache_dir=args.ir_cache_dir,
             prefilter=args.prefilter,
@@ -249,13 +196,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.list_strategies:
-        for name in available_strategies():
-            cls = get_strategy(name)
-            doc = (cls.__doc__ or "").strip()
-            doc = doc.splitlines()[0] if doc else ""
-            print(f"{name:12s} {doc}")
-            for option in sorted(cls.defaults):
-                print(f"  {option}={cls.defaults[option]}")
+        for name, description in STRATEGIES.items():
+            print(f"{name:12s} {description}")
         return 0
 
     if args.clear_cache:
@@ -286,7 +228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.strategy:
             print(
                 f"(--strategy {args.strategy} would evaluate at most "
-                f"{args.budget or len(space)} of these, adaptively chosen; "
+                f"{args.budget or len(space)} of these, in its own order; "
                 "this listing is the full space)"
             )
         for point in space:
@@ -330,7 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"; strategy {result.strategy}: "
             f"{result.num_designs}/{result.budget} "
             f"budget in {len(result.generations)} generation(s)"
-            + (" [stopped early]" if result.stopped_early else "")
             if result.strategy
             else ""
         )

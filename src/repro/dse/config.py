@@ -16,7 +16,7 @@ from ..compiler.ircache import default_ir_cache_dir
 from .cache import default_cache_dir
 from .fidelity import DEFAULT_FIDELITY, DEFAULT_PROMOTE_TOP, PromotionPolicy, check_fidelity
 from .pareto import DEFAULT_OBJECTIVES, SUMMARY_METRICS
-from .search import get_strategy
+from .search import check_strategy
 
 __all__ = ["ExploreConfig"]
 
@@ -45,33 +45,26 @@ class ExploreConfig:
     #: *whole* space at the base fidelity, so it excludes ``strategy`` and
     #: a higher ``fidelity``.
     resume: bool = False
-    #: Adaptive search instead of the full sweep: a registered strategy name
-    #: (``exhaustive``/``random``/``genetic``/``anneal``; a new one joins
-    #: with ``@register_strategy``).  Progress lands in
-    #: ``ExplorationResult.generations``.
+    #: Evaluate a ``budget`` of the space instead of the full sweep, in the
+    #: order of a :data:`~repro.dse.search.STRATEGIES` name (``exhaustive``
+    #: or ``random``).  Its one batch lands in ``ExplorationResult.generations``.
     strategy: Optional[str] = None
     #: Cap on distinct points a ``strategy`` evaluates (default: the space
     #: size).  Cache hits count, promotions and prefilter rejections do not,
-    #: so cold and warm runs follow identical trajectories.
+    #: so cold and warm runs evaluate the same points.
     budget: Optional[int] = None
-    #: Seed of the search trajectory.
+    #: Seed of the ``random`` shuffle.
     seed: int = 0
-    #: Strategy-specific knobs (``population``, ``mutation_rate``,
-    #: ``generations``, ``chains``, ...).
-    strategy_options: Optional[Dict] = None
     #: Top QoR level, ``estimate`` or ``simulate`` (see
     #: :mod:`repro.dse.fidelity`).  At ``simulate`` every point is still
-    #: scored by the analytic model first; each generation (a full sweep is
-    #: one) the top ``promote_top`` fraction is re-evaluated by simulation
-    #: and the frontier re-ranks on the highest-fidelity record per point.
-    #: The two levels cache under distinct keys.
+    #: scored by the analytic model first; then the top ``promote_top``
+    #: fraction is re-evaluated by simulation and the frontier re-ranks on
+    #: the highest-fidelity record per point.  The two levels cache under
+    #: distinct keys.
     fidelity: str = DEFAULT_FIDELITY
-    #: Fraction of each generation promoted (default 0.25; frontier members
-    #: first, ranked by hypervolume contribution).
+    #: Fraction of the evaluated points promoted (default 0.25; frontier
+    #: members first, ranked by hypervolume contribution).
     promote_top: Optional[float] = None
-    #: Stop a ``strategy`` run once this many consecutive generations fail
-    #: to improve the best-fidelity frontier hypervolume.
-    patience: Optional[int] = None
     #: Stage-boundary IR snapshot cache (:mod:`repro.compiler.ircache`):
     #: points are grouped by shared canonical-spec prefix so it compiles
     #: once per worker batch and the rest resume from snapshots.  Results
@@ -101,18 +94,20 @@ class ExploreConfig:
                 f"choose from {SUMMARY_METRICS}"
             )
         searching = self.strategy is not None
-        search_args = self.budget is not None or self.seed or self.strategy_options
+        search_args = self.budget is not None or self.seed
         if self.resume and not self.use_cache:
             raise ValueError("resume=True requires the QoR cache (use_cache=True)")
         if self.resume and searching:
             raise ValueError("resume replays the whole space; drop strategy=...")
         if search_args and not searching:
             raise ValueError(
-                "budget/seed/strategy_options have no effect without strategy=... "
+                "budget/seed have no effect without strategy=... "
                 "(the full sweep evaluates every point)"
             )
         if searching:
-            get_strategy(self.strategy)  # refuses an unknown name
+            check_strategy(self.strategy)
+            if self.budget is not None and self.budget <= 0:
+                raise ValueError(f"budget must be positive (got {self.budget})")
         policy = self.promotion_policy()  # validates fidelity and promote_top
         if self.promote_top is not None and policy is None:
             raise ValueError(
@@ -123,13 +118,6 @@ class ExploreConfig:
             raise ValueError(
                 "resume replays base-fidelity cache entries only; drop fidelity=..."
             )
-        if self.patience is not None:
-            if not searching:
-                raise ValueError(
-                    "patience stops an adaptive search early; it needs strategy=..."
-                )
-            if int(self.patience) < 1:
-                raise ValueError(f"patience must be >= 1 (got {self.patience})")
         if self.ir_cache_dir and not self.ir_cache:
             raise ValueError("ir_cache_dir has no effect with ir_cache=False")
 

@@ -123,9 +123,8 @@ def scalarized_energies(
 ) -> List[float]:
     """Scalarized energy per record: the mean min-max-normalized signed
     objective value (lower is better); records missing an objective score
-    ``inf``.  The single-number ranking used wherever a total order over
-    records is needed — annealing acceptance, genetic tiebreaks, promotion
-    ranking of dominated candidates.
+    ``inf``.  The single-number ranking that orders dominated candidates
+    for promotion (:class:`~repro.dse.fidelity.PromotionPolicy`).
     """
     vectors = [objective_vector(r, objectives) for r in records]
     finite = [v for v in vectors if all(x != float("inf") for x in v)]
@@ -147,7 +146,7 @@ def scalarized_energies(
 
 
 # ---------------------------------------------------------------------------
-# Hypervolume (the search strategies' steering signal)
+# Hypervolume (frontier quality: promotion ranking, search progress)
 # ---------------------------------------------------------------------------
 
 

@@ -13,12 +13,12 @@ Determinism: records are re-ordered to the input point order after the
 parallel map, and the Pareto extraction sorts by objective vector, so the
 frontier is identical for any worker count.
 
-One loop drives every run (:func:`_proposals`): a full sweep is a single
-proposal of every point, an adaptive search (:mod:`repro.dse.search`)
-proposes batches steered by the records observed so far, and each batch —
-plus its promotion pass on a multi-fidelity run (:mod:`repro.dse.fidelity`)
-— goes through the same cache-aware fan-out.  The settings are the fields
-of :class:`~repro.dse.config.ExploreConfig`; evaluating a single point is
+Every run evaluates one batch: the whole space for a full sweep, or the
+first ``budget`` points of a search strategy's order
+(:mod:`repro.dse.search`).  The batch — plus its promotion pass on a
+multi-fidelity run (:mod:`repro.dse.fidelity`) — goes through one
+cache-aware fan-out.  The settings are the fields of
+:class:`~repro.dse.config.ExploreConfig`; evaluating a single point is
 :mod:`repro.dse.evaluate`.
 """
 
@@ -31,7 +31,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..evaluation.reporting import ExplorationResult, relative_disagreement
@@ -39,7 +39,7 @@ from .config import ExploreConfig
 from .evaluate import evaluate_point, open_caches, probe_point
 from .fidelity import DEFAULT_FIDELITY, SimulationInput, best_fidelity_records
 from .pareto import hypervolume, hypervolume_reference, pareto_frontier
-from .search import SearchStrategy, make_strategy
+from .search import search_points
 from .space import DesignPoint, DesignSpace
 
 __all__ = ["evaluate_point", "explore"]
@@ -230,58 +230,52 @@ def _frontier(scored: Sequence[Dict], objectives: Sequence[str]) -> List[Dict]:
     ]
 
 
-def _hv_references(
-    scored: Sequence[Dict], objectives: Sequence[str]
-) -> Dict[str, Optional[tuple]]:
-    """Per-workload hypervolume reference points derived from ``scored``."""
-    return {
-        name: hypervolume_reference(group, objectives)
-        for name, group in _by_workload(scored).items()
-    }
-
-
-def _hypervolume(
-    scored: Sequence[Dict],
-    objectives: Sequence[str],
-    references: Dict[str, Optional[tuple]],
-) -> float:
-    """Summed per-workload hypervolume against fixed per-workload references.
-
-    The references come from :func:`_hv_references` over the *final* record
-    set, so per-generation values within a run form a comparable
-    (non-decreasing) trajectory; cross-run comparisons should still derive
-    one shared reference externally.
-    """
+def _hypervolume(scored: Sequence[Dict], objectives: Sequence[str]) -> float:
+    """Summed per-workload hypervolume, each workload against a reference
+    derived from its own records (run-internal: cross-run comparisons
+    should derive one shared reference externally)."""
     groups = _by_workload(scored)
     total = 0.0
     for name in sorted(groups):
-        reference = references.get(name)
+        reference = hypervolume_reference(groups[name], objectives)
         if reference is not None:
             total += hypervolume(groups[name], objectives, reference)
     return total
 
 
-def _proposals(
-    searcher: Optional[SearchStrategy], points: List[DesignPoint]
-) -> Iterator[List[DesignPoint]]:
-    """The batches one run evaluates, in order.
-
-    A full sweep is one proposal of every point.  A search asks its
-    strategy for novel points until the budget of distinct designs is
-    spent or the strategy runs dry; the caller feeds each batch's records
-    back through ``observe`` before the next proposal is drawn.
-    """
-    if searcher is None:
-        if points:
-            yield points
-        return
-    remaining = searcher.budget
-    while remaining > 0:
-        batch = searcher.propose(remaining)[:remaining]
-        if not batch:
-            return
-        yield batch
-        remaining -= len(batch)
+def _generation_row(
+    base_records: List[Dict],
+    promoted_records: List[Dict],
+    records: List[Dict],
+    ir_stats: Counter,
+    objectives: Sequence[str],
+) -> Dict:
+    """The ``ExplorationResult.generations`` row of a search's one batch."""
+    base_by_key = {r.get("point_key"): r for r in base_records}
+    disagreement = max(
+        (
+            relative_disagreement(
+                base_by_key[r.get("point_key")].get("summary", {}),
+                r.get("summary", {}),
+                objectives,
+            )
+            for r in promoted_records
+            if "error" not in r and r.get("point_key") in base_by_key
+        ),
+        default=0.0,
+    )
+    scored = _best_scored(records)
+    return {
+        "generation": 0,
+        "evaluated": len(base_records),
+        "promoted": len(promoted_records),
+        "max_disagreement": disagreement,
+        "total_evaluations": len(base_records),
+        "frontier_size": len(_frontier(scored, objectives)),
+        "prefix_hits": ir_stats.get("prefix_hits", 0),
+        "stages_skipped": ir_stats.get("stages_skipped", 0),
+        "hypervolume": _hypervolume(scored, objectives),
+    }
 
 
 def explore(
@@ -289,13 +283,13 @@ def explore(
     config: Optional[ExploreConfig] = None,
     **overrides,
 ) -> ExplorationResult:
-    """Evaluate ``space`` (fully or via a search strategy) and extract the
-    Pareto frontier — the union of per-workload frontiers.
+    """Evaluate ``space`` (fully or a search strategy's budget of it) and
+    extract the Pareto frontier — the union of per-workload frontiers.
 
     Every setting is a field of :class:`~repro.dse.config.ExploreConfig`
     (documented there); ``overrides`` are ``dataclasses.replace`` on
     ``config`` (default: ``ExploreConfig()``), so
-    ``explore(space, workers=8, strategy="genetic", budget=64)`` is the
+    ``explore(space, workers=8, strategy="random", budget=64)`` is the
     short spelling.  Invalid combinations raise ``ValueError`` before any
     point is evaluated.
     """
@@ -321,16 +315,13 @@ def explore(
     objectives = config.objectives
     fidelity = str(config.fidelity)
     policy = config.promotion_policy()
-    searcher: Optional[SearchStrategy] = None
-    if config.strategy is not None:
-        searcher = make_strategy(
-            config.strategy,
-            points,
-            objectives=objectives,
-            budget=config.budget,
-            seed=config.seed,
-            options=config.strategy_options,
-        )
+    searching = config.strategy is not None
+    budget = len(points) if config.budget is None else config.budget
+    batch = (
+        search_points(points, config.strategy, budget, config.seed)
+        if searching
+        else points
+    )
 
     started = time.perf_counter()
     explore_span = obs.span(
@@ -342,19 +333,13 @@ def explore(
     )
     records: List[Dict] = []
     generations: List[Dict] = []
-    #: Index into ``records`` after each generation, for the final
-    #: fixed-reference hypervolume pass (promotions interleave, so the
-    #: design count does not address the record list).
-    boundaries: List[int] = []
     #: Run totals of the per-record ``ir_cache`` counters.
     ir_totals: Counter = Counter()
-    skipped = evaluated = stall = 0
-    stopped_early = False
-    # One pool for every batch and promotion pass: workers (and their
+    skipped = 0
+    # One pool for the batch and its promotion pass: workers (and their
     # import replay) are paid for once, and spawn lazily, so a fully-cached
-    # run never starts one.  Strategies never mutate workload axes, so the
-    # space's workload set covers every batch.
-    pool = _make_pool(config.workers, points) if config.workers > 1 else None
+    # run never starts one.
+    pool = _make_pool(config.workers, batch) if config.workers > 1 else None
     evaluate = functools.partial(
         _evaluate_batch,
         pool=pool,
@@ -363,29 +348,21 @@ def explore(
         ir_cache_dir=config.ir_cache_root(),
     )
     try:
-        for batch in _proposals(searcher, points):
+        if batch:
             generation_span = (
-                obs.span(
-                    "dse.generation",
-                    cat="dse",
-                    generation=len(generations),
-                    batch=len(batch),
-                )
-                if searcher is not None
+                obs.span("dse.generation", cat="dse", generation=0, batch=len(batch))
+                if searching
                 else None
             )
-            # Simulation inputs live until this batch's promotion pass.
-            batch_records, batch_skipped, batch_ir, inputs = evaluate(
+            # Simulation inputs live until the promotion pass.
+            base_records, skipped, ir_totals, inputs = evaluate(
                 batch, DEFAULT_FIDELITY, resume=config.resume
             )
-            skipped += batch_skipped
-            evaluated += len(batch)
-            previous_boundary = len(records)
-            records.extend(batch_records)
+            records.extend(base_records)
             promoted_records: List[Dict] = []
             if policy is not None:
                 promote_keys = policy.select(
-                    [r for r in batch_records if "error" not in r],
+                    [r for r in base_records if "error" not in r],
                     _best_scored(records),
                     objectives,
                 )
@@ -402,79 +379,24 @@ def explore(
                     promoted_records, _, promote_ir, _ = evaluate(
                         promote_points, fidelity, bases=inputs
                     )
-                batch_ir.update(promote_ir)
+                ir_totals.update(promote_ir)
                 records.extend(promoted_records)
             del inputs
-            ir_totals.update(batch_ir)
-            if searcher is None:
-                continue  # a full sweep keeps no per-generation books
-            searcher.observe(batch_records)
-            if policy is not None:
-                searcher.observe(promoted_records, refinement=True)
-            base_by_key = {r.get("point_key"): r for r in batch_records}
-            disagreement = max(
-                (
-                    relative_disagreement(
-                        base_by_key[r.get("point_key")].get("summary", {}),
-                        r.get("summary", {}),
-                        objectives,
+            if searching:
+                # A full sweep keeps no generation row.
+                generations.append(
+                    _generation_row(
+                        base_records, promoted_records, records, ir_totals, objectives
                     )
-                    for r in promoted_records
-                    if "error" not in r and r.get("point_key") in base_by_key
-                ),
-                default=0.0,
-            )
-            scored_so_far = _best_scored(records)
-            generations.append(
-                {
-                    "generation": len(generations),
-                    "evaluated": len(batch_records),
-                    "promoted": len(promoted_records),
-                    "max_disagreement": disagreement,
-                    "total_evaluations": evaluated,
-                    "frontier_size": len(_frontier(scored_so_far, objectives)),
-                    "prefix_hits": batch_ir.get("prefix_hits", 0),
-                    "stages_skipped": batch_ir.get("stages_skipped", 0),
-                }
-            )
-            generation_span.set_attr(
-                evaluated=len(batch_records), promoted=len(promoted_records)
-            )
-            generation_span.finish()
-            boundaries.append(len(records))
-            if config.patience is not None:
-                # Online improvement check: both prefixes are scored
-                # against references derived from the *current* record
-                # set, so the comparison is apples-to-apples even as
-                # the observed objective ranges expand.
-                current_refs = _hv_references(scored_so_far, objectives)
-                volume_now = _hypervolume(scored_so_far, objectives, current_refs)
-                volume_before = _hypervolume(
-                    _best_scored(records[:previous_boundary]),
-                    objectives,
-                    current_refs,
                 )
-                improved = volume_now > volume_before + 1e-9 * max(
-                    abs(volume_now), 1.0
+                generation_span.set_attr(
+                    evaluated=len(base_records), promoted=len(promoted_records)
                 )
-                stall = 0 if improved else stall + 1
-                if stall >= int(config.patience):
-                    stopped_early = True
-                    break
+                generation_span.finish()
     finally:
         if pool is not None:
             pool.shutdown()
-    # Hypervolume per generation is filled in against references fixed
-    # by the final record set — re-deriving the reference mid-run would
-    # make consecutive rows incomparable (it expands whenever a new
-    # worst extreme is observed).
     scored = _best_scored(records)
-    if generations:
-        references = _hv_references(scored, objectives)
-        for generation, boundary in zip(generations, boundaries):
-            generation["hypervolume"] = _hypervolume(
-                _best_scored(records[:boundary]), objectives, references
-            )
     elapsed = time.perf_counter() - started
     explore_span.set_attr(records=len(records), elapsed_seconds=round(elapsed, 6))
     explore_span.finish()
@@ -495,12 +417,11 @@ def explore(
         cache_misses=sum(1 for r in records if not r.get("cached")),
         errors=[r for r in records if "error" in r],
         skipped=skipped,
-        strategy=searcher.name if searcher is not None else None,
-        budget=searcher.budget if searcher is not None else None,
+        strategy=config.strategy,
+        budget=budget if searching else None,
         generations=generations,
         fidelity=fidelity,
         promote_top=policy.promote_top if policy is not None else None,
-        stopped_early=stopped_early,
         prefix_hits=ir_totals["prefix_hits"],
         stages_skipped=ir_totals["stages_skipped"],
         rejected=rejected,

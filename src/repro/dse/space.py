@@ -31,7 +31,6 @@ __all__ = [
     "DesignPoint",
     "DesignSpace",
     "SPACE_PRESETS",
-    "axis_domains",
     "build_space",
     "polybench_suite",
     "dnn_suite",
@@ -43,11 +42,10 @@ __all__ = [
 class DesignPoint:
     """One (workload, platform, optimization options) configuration."""
 
-    #: Optimization-knob axes a search strategy may mutate.  The identity
-    #: axes (workload, batch, params, platform) are never mutated, and
-    #: ``pipeline_spec`` mutates structurally through the compiler's spec
-    #: parser/printer rather than as a scalar value.  (Unannotated, so the
-    #: dataclass machinery does not treat it as a field.)
+    #: The optimization-knob axes: what :meth:`canonical_spec` prints a
+    #: knob-driven point's pipeline from (``pipeline_spec``, when set,
+    #: overrides them).  (Unannotated, so the dataclass machinery does not
+    #: treat it as a field.)
     KNOB_AXES = (
         "max_parallel_factor",
         "tile_size",
@@ -267,10 +265,6 @@ class DesignSpace:
     def __iter__(self):
         return iter(self._points)
 
-    def axis_domains(self) -> Dict[str, tuple]:
-        """Observed per-knob-axis value domains (see :func:`axis_domains`)."""
-        return axis_domains(self._points)
-
     def sample(self, count: int, seed: int = 0) -> "DesignSpace":
         """Deterministic seeded subsample preserving generation order."""
         if count < 0:
@@ -283,24 +277,6 @@ class DesignSpace:
 
     def __repr__(self) -> str:
         return f"DesignSpace({len(self)} points)"
-
-
-def axis_domains(points: Iterable[DesignPoint]) -> Dict[str, tuple]:
-    """Per-axis domain metadata over the knob-driven points of a space.
-
-    Maps each :attr:`DesignPoint.KNOB_AXES` axis to the sorted tuple of
-    values it takes across ``points`` (spec-driven points are excluded —
-    their knobs live inside the pipeline spec).  Search strategies mutate a
-    point by resampling an axis from its domain, so offspring always stay
-    inside the cross product the space was generated from.
-    """
-    knob_points = [p for p in points if p.pipeline_spec is None]
-    domains: Dict[str, tuple] = {}
-    for axis in DesignPoint.KNOB_AXES:
-        values = sorted({getattr(point, axis) for point in knob_points})
-        if values:
-            domains[axis] = tuple(values)
-    return domains
 
 
 def _identity_fields(handle: Workload) -> Dict[str, Any]:

@@ -109,14 +109,14 @@ class ExplorationResult:
     errors: List[Dict] = dataclasses.field(default_factory=list)
     #: Points left unevaluated by a ``--resume`` replay (not in the cache).
     skipped: int = 0
-    #: Search-strategy name when the run was adaptive (None = full sweep).
+    #: Search-strategy name when the run searched (None = full sweep).
     strategy: Optional[str] = None
     #: Evaluation budget of the search (distinct points; cache hits count).
     budget: Optional[int] = None
-    #: Per-generation search progress: generation index, points evaluated
-    #: that generation, promotions and their worst estimate/simulate
-    #: disagreement, cumulative evaluations vs budget, frontier size and
-    #: (informational, run-internal) frontier hypervolume.
+    #: Search progress, one row for the search's one batch (none for a full
+    #: sweep): generation index, points evaluated, promotions and their
+    #: worst estimate/simulate disagreement, evaluations vs budget, frontier
+    #: size and (informational, run-internal) frontier hypervolume.
     generations: List[Dict] = dataclasses.field(default_factory=list)
     #: Top QoR fidelity of the run (see :mod:`repro.dse.fidelity`); the
     #: base ``"estimate"`` level means single-fidelity.
@@ -124,8 +124,6 @@ class ExplorationResult:
     #: Fraction of each generation promoted to the top fidelity (None =
     #: single-fidelity run).
     promote_top: Optional[float] = None
-    #: True when ``patience`` stopped the search before the budget ran out.
-    stopped_early: bool = False
     #: Compilations resumed mid-pipeline from a stage-boundary IR snapshot
     #: (see :mod:`repro.compiler.ircache`); 0 when the IR cache was off.
     prefix_hits: int = 0
@@ -287,7 +285,7 @@ class ExplorationResult:
         return format_table(headers, rows, title)
 
     def search_table(self) -> str:
-        """Per-generation progress of an adaptive search run.
+        """Progress of a search run, one row per generation.
 
         Multi-fidelity runs add the promotion columns: how many of the
         generation's designs were re-evaluated by the simulator and the
@@ -329,7 +327,7 @@ class ExplorationResult:
         title = f"Search progress (strategy: {self.strategy}"
         if multi:
             title += f", fidelity: {self.fidelity}, promote top {self.promote_top:.0%}"
-        title += ", stopped early)" if self.stopped_early else ")"
+        title += ")"
         return format_table(headers, rows, title)
 
     def disagreement_table(self, max_rows: int = 0) -> str:

@@ -48,8 +48,7 @@ OPTION_STRINGS = {
     dse_parser: _OBS_FLAGS | {
         "-h", "--help", "--space", "--suite", "--workload", "--list-workloads",
         "--dry-run", "--target", "--platform", "--workers", "--sample", "--seed",
-        "--strategy", "--budget", "--generations", "--mutation-rate",
-        "--population", "--fidelity", "--promote-top", "--patience",
+        "--strategy", "--budget", "--fidelity", "--promote-top",
         "--list-fidelities", "--list-strategies", "--objectives", "--cache-dir",
         "--no-cache", "--ir-cache", "--ir-cache-dir", "--prefilter",
         "--validate-frontier", "--resume", "--pipeline-spec", "--clear-cache",

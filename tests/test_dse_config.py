@@ -1,5 +1,5 @@
 """``ExploreConfig``: the one place explore()'s settings and their
-cross-field rules live, and the single search loop behind it."""
+cross-field rules live, and the one batch every run evaluates."""
 
 import dataclasses
 import json
@@ -12,7 +12,6 @@ from repro.dse import (
     ExploreConfig,
     QoRCache,
     explore,
-    make_strategy,
 )
 from repro.dse.__main__ import main
 from repro.evaluation import ExplorationResult
@@ -37,45 +36,36 @@ def two_kernel_space():
     return space
 
 
-def _instance(**kwargs):
-    return make_strategy("random", two_kernel_space().points, budget=4, **kwargs)
-
-
 #: id -> (settings, message the ValueError must match): one row per rule,
 #: including the inputs the per-module ``pytest.raises`` tests used to feed.
 INVALID = {
     "unknown-objective": (dict(objectives=("latency",)), "unknown objective"),
     "no-objective": (dict(objectives=()), "unknown objective"),
     "resume-without-cache": (dict(resume=True, use_cache=False), "resume"),
-    "resume-with-strategy": (dict(resume=True, strategy="genetic"), "resume"),
+    "resume-with-strategy": (dict(resume=True, strategy="random"), "resume"),
     "resume-with-fidelity": (dict(resume=True, fidelity="simulate"), "resume"),
     "budget-without-strategy": (dict(budget=5), "without strategy"),
     "seed-without-strategy": (dict(seed=3), "without strategy"),
-    "options-without-strategy": (
-        dict(strategy_options={"population": 4}),
-        "without strategy",
+    "budget-not-positive": (
+        dict(strategy="random", budget=0),
+        "budget must be positive",
     ),
     "unknown-fidelity": (dict(fidelity="rtl"), "unknown fidelity"),
     "promote-top-at-base": (dict(promote_top=0.5), "promote_top"),
     "promote-top-range": (dict(fidelity="simulate", promote_top=2.0), "promote_top"),
-    "patience-without-strategy": (dict(patience=2), "patience"),
-    "patience-range": (dict(strategy="random", patience=0), "patience must be >= 1"),
     "ir-dir-without-ir-cache": (dict(ir_cache_dir="/tmp/nope"), "ir_cache_dir"),
-    # A strategy goes by registered name only: an instance is refused as an
-    # unknown strategy, whatever accompanies it.
+    # A strategy goes by name only: anything else is refused as an unknown
+    # strategy, whatever accompanies it.
     "instance-with-budget": (
-        lambda: dict(strategy=_instance(), budget=8),
+        dict(strategy=object(), budget=8),
         "unknown search strategy",
     ),
     "instance-with-seed": (
-        lambda: dict(strategy=_instance(), seed=1),
+        dict(strategy=object(), seed=1),
         "unknown search strategy",
     ),
     "instance-other-objectives": (
-        lambda: dict(
-            strategy=_instance(objectives=("throughput", "dsp")),
-            objectives=("throughput", "dsp"),
-        ),
+        dict(strategy=object(), objectives=("throughput", "dsp")),
         "unknown search strategy",
     ),
 }
@@ -85,7 +75,6 @@ INVALID = {
 def test_invalid_settings_raise_from_the_config_and_through_explore(
     settings, message
 ):
-    settings = settings() if callable(settings) else settings
     with pytest.raises(ValueError, match=message):
         ExploreConfig(**settings)
     # The keyword spelling and replace() on a valid config hit the same rule
@@ -105,9 +94,8 @@ def test_config_is_frozen_normalized_and_has_exactly_explores_settings(tmp_path)
         config.workers = 2
     assert [f.name for f in dataclasses.fields(ExploreConfig)] == [
         "workers", "cache_dir", "use_cache", "objectives", "chunksize",
-        "resume", "strategy", "budget", "seed", "strategy_options",
-        "fidelity", "promote_top", "patience", "ir_cache", "ir_cache_dir",
-        "prefilter", "validate_frontier",
+        "resume", "strategy", "budget", "seed", "fidelity", "promote_top",
+        "ir_cache", "ir_cache_dir", "prefilter", "validate_frontier",
     ]
     with pytest.raises(TypeError):
         explore(two_kernel_space(), no_such_setting=1)
@@ -119,11 +107,8 @@ CLI_INVALID = [
     (["--resume", "--strategy", "random"], "resume"),
     (["--resume", "--fidelity", "simulate"], "resume"),
     (["--budget", "5"], "without strategy"),
-    (["--generations", "2"], "without strategy"),
     (["--promote-top", "0.5"], "promote_top"),
     (["--fidelity", "simulate", "--promote-top", "2.0"], "promote_top"),
-    (["--patience", "2"], "patience"),
-    (["--strategy", "random", "--patience", "0"], "patience must be >= 1"),
     (["--ir-cache-dir", "/tmp/nope"], "--ir-cache-dir requires --ir-cache"),
 ]
 
@@ -138,7 +123,7 @@ def test_cli_reports_config_errors_through_parser_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
-# ------------------------------------------------------------- one loop
+# ------------------------------------------------------------ one batch
 def _stable(records):
     return [
         {
@@ -189,7 +174,7 @@ def test_result_roundtrips_with_its_config(tmp_path):
         [
             "records", "frontier", "objectives", "workers", "elapsed_seconds",
             "cache_hits", "cache_misses", "errors", "skipped", "strategy",
-            "budget", "generations", "fidelity", "promote_top", "stopped_early",
+            "budget", "generations", "fidelity", "promote_top",
             "prefix_hits", "stages_skipped", "rejected", "validation_failures",
         ]
     )

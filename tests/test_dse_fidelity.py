@@ -5,10 +5,10 @@ byte-identical across worker counts, warm reruns do zero compiles *and*
 zero simulations (both fidelity levels cache under non-colliding keys),
 promoted points enter the final frontier with simulator-fidelity records,
 simulation genuinely reorders the estimate-only frontier on a small space,
-budget counts distinct designs (promotions are free), and hypervolume
-patience stops stalled searches early.  A point compiled in the run is
-promoted from its base compile's simulation input: one compile per distinct
-point, no band walk in the promotion pass, and records equal to a recompile's.
+and budget counts distinct designs (promotions are free).  A point compiled
+in the run is promoted from its base compile's simulation input: one compile
+per distinct point, no band walk in the promotion pass, and records equal to
+a recompile's.
 """
 
 import collections
@@ -152,10 +152,6 @@ def test_explore_rejects_bad_fidelity_arguments(tmp_path):
         explore(space, use_cache=False, fidelity="rtl")
     with pytest.raises(ValueError, match="promote_top"):
         explore(space, use_cache=False, promote_top=0.5)
-    with pytest.raises(ValueError, match="patience"):
-        explore(space, use_cache=False, patience=2)
-    with pytest.raises(ValueError, match="patience must be >= 1"):
-        explore(space, use_cache=False, strategy="random", patience=0)
     with pytest.raises(ValueError, match="resume"):
         explore(
             space, cache_dir=str(tmp_path), resume=True, fidelity="simulate"
@@ -209,7 +205,7 @@ def test_multifidelity_search_deterministic_across_worker_counts(tmp_path):
                 space,
                 workers=workers,
                 cache_dir=str(tmp_path / f"cache{index}"),
-                strategy="genetic",
+                strategy="random",
                 budget=10,
                 seed=7,
                 fidelity="simulate",
@@ -232,7 +228,7 @@ def test_multifidelity_warm_rerun_does_zero_compiles_or_simulations(tmp_path):
     space = kernel_space("2mm")
     kwargs = dict(
         cache_dir=str(tmp_path),
-        strategy="genetic",
+        strategy="random",
         budget=8,
         seed=2,
         fidelity="simulate",
@@ -337,7 +333,7 @@ def test_budget_counts_designs_not_promotions(tmp_path):
     result = explore(
         space,
         cache_dir=str(tmp_path),
-        strategy="genetic",
+        strategy="random",
         budget=8,
         seed=0,
         fidelity="simulate",
@@ -354,38 +350,6 @@ def test_budget_counts_designs_not_promotions(tmp_path):
         assert "max_disagreement" in generation
 
 
-# ---------------------------------------------------------- early stopping
-def test_patience_stops_a_stalled_search(tmp_path):
-    # gesummv's medium space collapses to 3 distinct QoR vectors, so the
-    # frontier hypervolume saturates after the first generations and the
-    # patience rule must end the run before the budget does.
-    space = kernel_space("gesummv")
-    stopped = explore(
-        space,
-        cache_dir=str(tmp_path),
-        strategy="genetic",
-        budget=len(space),
-        seed=0,
-        strategy_options={"population": 3},
-        patience=2,
-    )
-    exhausted = explore(
-        space,
-        cache_dir=str(tmp_path),
-        strategy="genetic",
-        budget=len(space),
-        seed=0,
-        strategy_options={"population": 3},
-    )
-    assert stopped.stopped_early
-    assert not exhausted.stopped_early
-    assert stopped.num_points < exhausted.num_points
-    # The stall window is respected: the last `patience` generations did
-    # not improve hypervolume.
-    values = [g["hypervolume"] for g in stopped.generations]
-    assert values[-1] == pytest.approx(values[-2])
-
-
 # ------------------------------------------------------------ result model
 def test_fidelity_metadata_serializes(tmp_path):
     from repro.evaluation import ExplorationResult
@@ -393,7 +357,7 @@ def test_fidelity_metadata_serializes(tmp_path):
     result = explore(
         kernel_space("2mm"),
         cache_dir=str(tmp_path),
-        strategy="genetic",
+        strategy="random",
         budget=6,
         seed=1,
         fidelity="simulate",
@@ -403,7 +367,6 @@ def test_fidelity_metadata_serializes(tmp_path):
     restored = ExplorationResult.from_dict(json.loads(result.to_json()))
     assert restored.fidelity == "simulate"
     assert restored.promote_top == 0.5
-    assert restored.stopped_early is False
     assert restored.num_promoted == result.num_promoted
     assert restored.generations == result.generations
     # The rendered reports carry the fidelity columns.
@@ -425,23 +388,11 @@ LIST_FIDELITIES = (
     "compiled in this run)\n"
 )
 
-#: ``python -m repro.dse --list-strategies``, byte for byte: each registered
-#: strategy with its docstring's first line and its option defaults.
+#: ``python -m repro.dse --list-strategies``, byte for byte: each
+#: strategy with its description.
 LIST_STRATEGIES = """\
-anneal       Per-workload simulated-annealing chains with geometric cooling.
-  chains=2
-  cooling=0.9
-  generations=None
-  temperature=1.0
 exhaustive   The whole space in generation order; the budget simply truncates.
-  generations=None
-genetic      Tournament-selected genetic search over knobs and pipeline specs.
-  generations=None
-  mutation_rate=0.25
-  population=8
-  tournament=2
 random       A seeded shuffle of the space, evaluated until the budget runs out.
-  generations=None
 """
 
 
@@ -464,7 +415,7 @@ def test_dse_cli_multifidelity_run(tmp_path, capsys):
             "--workload",
             "atax",
             "--strategy",
-            "genetic",
+            "random",
             "--budget",
             "4",
             "--fidelity",
@@ -489,8 +440,6 @@ def test_dse_cli_rejects_bad_fidelity_combinations(tmp_path):
         main(["--promote-top", "0.5"])  # needs --fidelity simulate
     with pytest.raises(SystemExit):
         main(["--fidelity", "simulate", "--promote-top", "2.0"])
-    with pytest.raises(SystemExit):
-        main(["--patience", "2"])  # needs --strategy
     with pytest.raises(SystemExit):
         main(["--resume", "--fidelity", "simulate"])
 

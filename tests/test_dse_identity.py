@@ -263,14 +263,14 @@ def stable(result):
 sweep = explore(build_space("small", suite=["atax", "mvt"]), use_cache=False)
 search = explore(
     build_space("medium", suite=["atax", "mvt"]),
-    use_cache=False, strategy="genetic", budget=12, seed=7,
+    use_cache=False, strategy="random", budget=12, seed=7,
 )
 print(json.dumps({"sweep": stable(sweep), "search": stable(search)}))
 """
 
 
 def test_sweep_and_search_are_identical_under_any_hash_seed():
-    """A fixed-seed 8-point sweep and a 12-budget genetic search, each in its
+    """A fixed-seed 8-point sweep and a 12-budget random search, each in its
     own interpreter under ``PYTHONHASHSEED`` 0, 1 and a random value."""
     outputs = []
     for seed in ("0", "1", "random"):

@@ -350,7 +350,7 @@ def _payload_record(result):
 
 
 def _explore_runs(cache_dir):
-    """(run name, result) of the six pinned multi-fidelity runs over the
+    """(run name, result) of the five pinned multi-fidelity runs over the
     ``kernel-dse`` sample, the warm one replaying the cold one's cache."""
     points = build_space("full").sample(64, 2024)
     common = {"fidelity": "simulate", "promote_top": 0.25}
@@ -358,9 +358,6 @@ def _explore_runs(cache_dir):
     yield "cold", explore(points, cache_dir=cache_dir, **common)
     yield "warm", explore(points, cache_dir=cache_dir, **common)
     yield "workers=2", explore(points, use_cache=False, workers=2, **common)
-    yield "genetic", explore(
-        points, use_cache=False, strategy="genetic", budget=32, seed=0, **common
-    )
     yield "random", explore(
         points, use_cache=False, strategy="random", budget=32, seed=0, **common
     )

@@ -342,7 +342,7 @@ def test_explore_bit_identical_off_cold_warm(tmp_path, workers):
     kwargs = dict(
         workers=workers,
         use_cache=False,
-        strategy="genetic",
+        strategy="random",
         budget=8,
         seed=7,
     )
@@ -363,13 +363,13 @@ def test_explore_bit_identical_off_cold_warm(tmp_path, workers):
 
 
 def test_warm_sweep_skips_at_least_forty_percent(tmp_path):
-    """The acceptance bar: a warm genetic sweep (budget 24, 2 workers) runs
+    """The acceptance bar: a warm random sweep (budget 24, 2 workers) runs
     >=40% fewer stage executions than the cold sweep on the same cache."""
     space = build_space("small")
     kwargs = dict(
         workers=2,
         use_cache=False,
-        strategy="genetic",
+        strategy="random",
         budget=24,
         seed=7,
         ir_cache=True,
@@ -392,7 +392,7 @@ def test_reuse_column_and_summary(tmp_path):
     result = explore(
         points,
         use_cache=False,
-        strategy="genetic",
+        strategy="random",
         budget=6,
         seed=7,
         ir_cache=True,
