@@ -14,13 +14,16 @@ a recompile's.
 import collections
 import dataclasses
 import json
+import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler import Compiler
 from repro.dse import (
     DEFAULT_FIDELITY,
+    DEFAULT_OBJECTIVES,
     FIDELITIES,
     DesignPoint,
     PromotionPolicy,
@@ -28,8 +31,12 @@ from repro.dse import (
     build_space,
     explore,
     fidelity_rank,
+    hypervolume,
+    hypervolume_reference,
+    pareto_frontier,
     polybench_suite,
 )
+from repro.dse.pareto import scalarized_energies
 from repro.dse.evaluate import evaluate_point, probe_point
 from repro.dse.fidelity import check_fidelity, payload
 from repro.estimation import qor
@@ -128,6 +135,86 @@ def test_promotion_policy_selects_frontier_members_first():
         _record("fff", "k", 2.0, fidelity="simulate"),
     ]
     assert policy.select(ineligible, candidates) == []
+
+
+def _reference_select(promote_top, candidates, context, objectives):
+    """The promotion ranking over separate candidate and context records,
+    verbatim: the oracle the explore-time selection is held to, with the
+    candidates and the context both the batch's scored base records."""
+    eligible = [
+        r for r in candidates if "error" not in r and fidelity_rank(r.get("fidelity")) == 0
+    ]
+    if not eligible:
+        return []
+    groups, context_groups = {}, {}
+    for record in eligible:
+        groups.setdefault(str(record.get("workload", "")), []).append(record)
+    for record in context:
+        if "error" not in record:
+            context_groups.setdefault(str(record.get("workload", "")), []).append(record)
+    pool = []
+    for name in sorted(groups):
+        scored_context = context_groups.get(name, groups[name])
+        frontier = pareto_frontier(scored_context, objectives)
+        frontier_keys = [str(r.get("point_key", "")) for r in frontier]
+        reference = hypervolume_reference(scored_context, objectives)
+        full_volume = hypervolume(frontier, objectives, reference) if reference else 0.0
+        contributions = {}
+        for index, key in enumerate(frontier_keys):
+            rest = frontier[:index] + frontier[index + 1 :]
+            rest_volume = hypervolume(rest, objectives, reference) if reference else 0.0
+            contributions[key] = full_volume - rest_volume
+        energies = scalarized_energies(groups[name], objectives)
+        ranked = []
+        for record, energy in zip(groups[name], energies):
+            key = str(record.get("point_key", ""))
+            on_frontier = key in contributions
+            ranked.append(
+                (
+                    (0 if on_frontier else 1, -contributions[key] if on_frontier else energy, key),
+                    key,
+                )
+            )
+        ranked.sort()
+        pool.extend((position, rank, key) for position, (rank, key) in enumerate(ranked))
+    pool.sort()
+    quota = min(len(pool), max(1, math.ceil(promote_top * len(pool))))
+    return [key for _, _, key in pool[:quota]]
+
+
+_VALUES = st.one_of(st.none(), st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0]))
+
+
+@st.composite
+def _batch_records(draw):
+    """Base records of one batch: unique keys in any order, a few
+    workloads, tied and missing objective values, some errored points."""
+    count = draw(st.integers(0, 12))
+    records = []
+    for key in draw(st.permutations([f"{index:02x}" for index in range(count)])):
+        values = {name: draw(_VALUES) for name in ("latency_cycles", "dsp", "bram", "throughput")}
+        record = {
+            "point_key": key,
+            "workload": draw(st.sampled_from(["2mm", "atax", "mvt"])),
+            "fidelity": "estimate",
+            "summary": {name: value for name, value in values.items() if value is not None},
+        }
+        if draw(st.integers(0, 5)) == 0:
+            record["error"] = "boom"
+        records.append(record)
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=_batch_records(),
+    promote_top=st.sampled_from([0.01, 0.25, 0.5, 0.7, 1.0]),
+    objectives=st.sampled_from([DEFAULT_OBJECTIVES, ("throughput", "dsp")]),
+)
+def test_promotion_matches_the_reference_ranking(records, promote_top, objectives):
+    scored = [r for r in records if "error" not in r]
+    expected = _reference_select(promote_top, scored, scored, objectives)
+    assert PromotionPolicy(promote_top).select(scored, scored, objectives) == expected
 
 
 def test_best_fidelity_records_prefers_rank_and_skips_errors():
