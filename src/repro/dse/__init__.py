@@ -8,12 +8,13 @@ pipeline into that search engine:
 * :mod:`repro.dse.cache` — persistent content-hash QoR cache;
 * :mod:`repro.dse.config` — ``ExploreConfig``, every setting of one run;
 * :mod:`repro.dse.evaluate` — one point: fingerprint, cache probe, compile;
-* :mod:`repro.dse.runner` — the search loop and process-parallel fan-out;
+* :mod:`repro.dse.runner` — one batch, its promotion pass and the
+  process-parallel fan-out;
 * :mod:`repro.dse.pareto` — Pareto frontier + hypervolume over QoR records;
 * :mod:`repro.dse.search` — the ``exhaustive`` and ``random`` search
   strategies: which budget of a space a run evaluates;
 * :mod:`repro.dse.fidelity` — the two QoR levels (analytic estimate,
-  then dataflow simulation) with promotion racing;
+  then dataflow simulation) and which points a run promotes;
 * ``python -m repro.dse`` — the command-line sweep driver.
 """
 
@@ -24,9 +25,9 @@ from .fidelity import (
     DEFAULT_FIDELITY,
     DEFAULT_PROMOTE_TOP,
     FIDELITIES,
-    PromotionPolicy,
     best_fidelity_records,
     fidelity_rank,
+    select_promotions,
 )
 from .pareto import (
     DEFAULT_OBJECTIVES,
@@ -55,9 +56,9 @@ __all__ = [
     "DEFAULT_FIDELITY",
     "DEFAULT_PROMOTE_TOP",
     "FIDELITIES",
-    "PromotionPolicy",
     "best_fidelity_records",
     "fidelity_rank",
+    "select_promotions",
     "DEFAULT_OBJECTIVES",
     "OBJECTIVE_DIRECTIONS",
     "hypervolume",

@@ -244,9 +244,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs.cli_configure(args)
     result = explore(space, config)
 
-    if result.strategy:
-        print()
-        print(result.search_table())
     if result.num_promoted:
         print()
         print(result.disagreement_table(max_rows=args.top))
@@ -270,8 +267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         + (
             f"; strategy {result.strategy}: "
-            f"{result.num_designs}/{result.budget} "
-            f"budget in {len(result.generations)} generation(s)"
+            f"{result.num_designs}/{result.budget} budget"
             if result.strategy
             else ""
         )

@@ -10,11 +10,12 @@ else: an invalid combination raises ``ValueError`` at construction.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Dict, Optional, Tuple
 
 from ..compiler.ircache import default_ir_cache_dir
 from .cache import default_cache_dir
-from .fidelity import DEFAULT_FIDELITY, DEFAULT_PROMOTE_TOP, PromotionPolicy, check_fidelity
+from .fidelity import DEFAULT_FIDELITY, DEFAULT_PROMOTE_TOP, check_fidelity
 from .pareto import DEFAULT_OBJECTIVES, SUMMARY_METRICS
 from .search import check_strategy
 
@@ -47,7 +48,7 @@ class ExploreConfig:
     resume: bool = False
     #: Evaluate a ``budget`` of the space instead of the full sweep, in the
     #: order of a :data:`~repro.dse.search.STRATEGIES` name (``exhaustive``
-    #: or ``random``).  Its one batch lands in ``ExplorationResult.generations``.
+    #: or ``random``).
     strategy: Optional[str] = None
     #: Cap on distinct points a ``strategy`` evaluates (default: the space
     #: size).  Cache hits count, promotions and prefilter rejections do not,
@@ -106,15 +107,22 @@ class ExploreConfig:
             )
         if searching:
             check_strategy(self.strategy)
-            if self.budget is not None and self.budget <= 0:
-                raise ValueError(f"budget must be positive (got {self.budget})")
-        policy = self.promotion_policy()  # validates fidelity and promote_top
-        if self.promote_top is not None and policy is None:
-            raise ValueError(
-                "promote_top has no effect at the base fidelity; "
-                "pass fidelity='simulate' with it"
-            )
-        if self.resume and policy is not None:
+            if self.budget is not None and (
+                isinstance(self.budget, bool)
+                or not isinstance(self.budget, numbers.Integral)
+                or self.budget <= 0
+            ):
+                raise ValueError(f"budget must be positive and whole (got {self.budget!r})")
+        check_fidelity(self.fidelity)
+        if self.promote_top is not None:
+            if self.fidelity == DEFAULT_FIDELITY:
+                raise ValueError(
+                    "promote_top has no effect at the base fidelity; "
+                    "pass fidelity='simulate' with it"
+                )
+            if not 0.0 < self.promote_top <= 1.0:
+                raise ValueError(f"promote_top must be in (0, 1] (got {self.promote_top})")
+        if self.resume and self.fidelity != DEFAULT_FIDELITY:
             raise ValueError(
                 "resume replays base-fidelity cache entries only; drop fidelity=..."
             )
@@ -122,14 +130,11 @@ class ExploreConfig:
             raise ValueError("ir_cache_dir has no effect with ir_cache=False")
 
     # ------------------------------------------------------------ derived
-    def promotion_policy(self) -> Optional[PromotionPolicy]:
-        """The promotion race of a multi-fidelity run (None at base level)."""
-        check_fidelity(self.fidelity)
+    def promotion_fraction(self) -> Optional[float]:
+        """The fraction of the evaluated points promoted (None at base level)."""
         if self.fidelity == DEFAULT_FIDELITY:
             return None
-        return PromotionPolicy(
-            DEFAULT_PROMOTE_TOP if self.promote_top is None else float(self.promote_top)
-        )
+        return DEFAULT_PROMOTE_TOP if self.promote_top is None else float(self.promote_top)
 
     def qor_cache_root(self) -> Optional[str]:
         """Resolved QoR cache directory (None with the cache off)."""
@@ -152,4 +157,7 @@ class ExploreConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExploreConfig":
-        return cls(**data)
+        """Settings from :meth:`to_dict`; keys of settings that no longer
+        exist are dropped, so archived result files still load."""
+        known = {f.name for f in dataclasses.fields(cls)}
+        return cls(**{name: value for name, value in data.items() if name in known})

@@ -1,5 +1,5 @@
 """Multi-fidelity QoR evaluation: the two QoR levels and the promotion
-policy that races them inside the DSE loop.
+ranking that races them inside a DSE run.
 
 The exploration engine steers on QoR records, but QoR can be produced at
 different costs and trust levels.  This module makes that axis explicit —
@@ -16,13 +16,13 @@ a fixed ladder, :data:`FIDELITIES`, cheapest first:
   band-chain interval, and the schedule's channel graph is simulated with
   back-pressure over a long frame horizon.  Closer to cycle truth.
 
-A :class:`PromotionPolicy` implements successive-halving-style racing:
-every proposed point is evaluated at the cheap fidelity, and each
-generation the top fraction — frontier membership first, then hypervolume
-contribution — is *promoted* to the expensive fidelity.  A point compiled
-in this run is promoted without a recompile: its base evaluation keeps a
-:class:`SimulationInput` until the batch's promotion pass.  The frontier is
-re-ranked on the highest-fidelity record available per point.  Selection
+A multi-fidelity run races the two levels: every evaluated point is scored
+at the cheap fidelity, then :func:`select_promotions` picks the top
+fraction — frontier membership first, then hypervolume contribution — to
+*promote* to the expensive one.  A point compiled in this run is promoted
+without a recompile: its base evaluation keeps a :class:`SimulationInput`
+until the promotion pass.  The frontier is re-ranked on the
+highest-fidelity record available per point.  Selection
 depends only on QoR records (never timing or cache state), so fixed-seed
 multi-fidelity runs stay byte-identical across worker counts.
 
@@ -49,13 +49,13 @@ __all__ = [
     "DEFAULT_FIDELITY",
     "DEFAULT_PROMOTE_TOP",
     "FIDELITIES",
-    "PromotionPolicy",
     "SIMULATE_CACHE_TAG",
     "SimulationInput",
     "best_fidelity_records",
     "check_fidelity",
     "fidelity_rank",
     "payload",
+    "select_promotions",
 ]
 
 #: The QoR levels and their ``--list-fidelities`` descriptions, cheapest
@@ -71,11 +71,11 @@ FIDELITIES: Dict[str, str] = {
 }
 
 #: The fidelity every record is produced at unless asked otherwise — and
-#: the base level every promotion race starts from.
+#: the base level every promotion starts from.
 DEFAULT_FIDELITY = "estimate"
 
-#: Fraction of each generation promoted when ``explore(fidelity=...)`` is
-#: multi-fidelity and no explicit ``promote_top`` is given.
+#: Fraction of the evaluated points promoted when ``explore(fidelity=...)``
+#: is multi-fidelity and no explicit ``promote_top`` is given.
 DEFAULT_PROMOTE_TOP = 0.25
 
 #: Appended to the QoR-cache key of a simulate record, so the levels never
@@ -170,115 +170,50 @@ def payload(level: str, result) -> Dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Promotion policy
-# ---------------------------------------------------------------------------
+def select_promotions(
+    records: Sequence[Dict],
+    promote_top: float,
+    objectives: Sequence[str] = DEFAULT_OBJECTIVES,
+) -> List[str]:
+    """Point keys of the scored ``records`` to promote, in rank order.
 
-
-@dataclasses.dataclass(frozen=True)
-class PromotionPolicy:
-    """Successive-halving-style promotion from ``estimate`` to ``simulate``.
-
-    Each generation, :meth:`select` ranks the generation's freshly scored
-    base-fidelity records against the cumulative best-fidelity context and
-    promotes the top ``promote_top`` fraction (at least one):
-    current-frontier members first, ordered by their hypervolume
-    contribution within their workload group, then the remaining records by
-    scalarized energy (so near-frontier designs, not lexicographic
-    accidents, absorb leftover quota).  Every input the ranking consumes is
-    a pure function of the observed records, so promotion is deterministic
-    across worker counts and cache temperature.
+    Records group by workload.  Within a group, frontier members rank first,
+    by their hypervolume contribution; the rest follow by scalarized energy,
+    so near-frontier designs, not lexicographic accidents, absorb leftover
+    quota.  The quota — the top ``promote_top`` fraction of the scored
+    records, at least one — is global, never per group, or a multi-workload
+    sweep with one record per group would promote everything; it is spent
+    breadth-first across groups (each group's best before any group's
+    second), so no workload starves.  Ranking reads only QoR values and
+    point keys, so promotion is deterministic across worker counts and
+    cache temperature.
     """
-
-    promote_top: float = DEFAULT_PROMOTE_TOP
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.promote_top <= 1.0:
-            raise ValueError(
-                f"promote_top must be in (0, 1] (got {self.promote_top})"
-            )
-
-    def quota(self, candidates: int) -> int:
-        """Global promotion quota over one round's eligible candidates."""
-        if candidates <= 0:
-            return 0
-        return min(candidates, max(1, math.ceil(self.promote_top * candidates)))
-
-    def select(
-        self,
-        candidates: Sequence[Dict],
-        context: Sequence[Dict],
-        objectives: Sequence[str] = DEFAULT_OBJECTIVES,
-    ) -> List[str]:
-        """Point keys to promote, in deterministic rank order.
-
-        ``candidates`` are the records eligible for promotion this round
-        (scored, base-fidelity); ``context`` is every scored best-fidelity
-        record observed so far (used for frontier membership and the
-        hypervolume reference).  The ``promote_top`` quota is *global* over
-        the round's candidates — never per workload group, or a
-        multi-workload sweep with one candidate per group would promote
-        everything — but is spent breadth-first across groups (each group's
-        best candidate before any group's second), so no workload starves.
-        """
-        eligible = [
-            r
-            for r in candidates
-            if "error" not in r and fidelity_rank(r.get("fidelity")) == 0
-        ]
-        if not eligible:
-            return []
-        groups: Dict[str, List[Dict]] = {}
-        for record in eligible:
-            name = str(record.get("workload", ""))
-            groups.setdefault(name, []).append(record)
-        context_groups: Dict[str, List[Dict]] = {}
-        for record in context:
-            if "error" in record:
-                continue
-            name = str(record.get("workload", ""))
-            context_groups.setdefault(name, []).append(record)
-        #: (position within its group, group rank tuple, key) per candidate:
-        #: sorting on it spends the global quota breadth-first over groups.
-        pool: List[Tuple[int, Tuple, str]] = []
-        for name in sorted(groups):
-            scored_context = context_groups.get(name, groups[name])
-            frontier = pareto_frontier(scored_context, objectives)
-            frontier_keys = [str(r.get("point_key", "")) for r in frontier]
-            reference = hypervolume_reference(scored_context, objectives)
-            full_volume = (
-                hypervolume(frontier, objectives, reference) if reference else 0.0
-            )
-            contributions: Dict[str, float] = {}
-            for index, key in enumerate(frontier_keys):
-                rest = frontier[:index] + frontier[index + 1 :]
-                rest_volume = (
-                    hypervolume(rest, objectives, reference) if reference else 0.0
-                )
-                contributions[key] = full_volume - rest_volume
-            energies = scalarized_energies(groups[name], objectives)
-            ranked = []
-            for record, energy in zip(groups[name], energies):
-                key = str(record.get("point_key", ""))
-                on_frontier = key in contributions
-                # Frontier members order by hypervolume contribution;
-                # everything else by scalarized energy, so a near-frontier
-                # (e.g. dedup-tied) design always outranks a dominated one
-                # for the simulation quota.
-                ranked.append(
-                    (
-                        (
-                            0 if on_frontier else 1,
-                            -contributions[key] if on_frontier else energy,
-                            key,
-                        ),
-                        key,
-                    )
-                )
-            ranked.sort()
-            pool.extend(
-                (position, rank, key)
-                for position, (rank, key) in enumerate(ranked)
-            )
-        pool.sort()
-        return [key for _, _, key in pool[: self.quota(len(pool))]]
+    groups: Dict[str, List[Dict]] = {}
+    for record in records:
+        if "error" not in record:
+            groups.setdefault(str(record.get("workload", "")), []).append(record)
+    #: (position within its group, rank tuple ending in the key) per record:
+    #: sorting on it spends the global quota breadth-first over groups.
+    pool: List[Tuple] = []
+    for name in sorted(groups):
+        group = groups[name]
+        frontier = pareto_frontier(group, objectives)
+        reference = hypervolume_reference(group, objectives)
+        full_volume = hypervolume(frontier, objectives, reference) if reference else 0.0
+        contributions: Dict[str, float] = {}
+        for index, member in enumerate(frontier):
+            rest = frontier[:index] + frontier[index + 1 :]
+            rest_volume = hypervolume(rest, objectives, reference) if reference else 0.0
+            contributions[str(member.get("point_key", ""))] = full_volume - rest_volume
+        ranked = []
+        for record, energy in zip(group, scalarized_energies(group, objectives)):
+            key = str(record.get("point_key", ""))
+            if key in contributions:
+                ranked.append((0, -contributions[key], key))
+            else:
+                ranked.append((1, energy, key))
+        ranked.sort()
+        pool.extend((position, *rank) for position, rank in enumerate(ranked))
+    pool.sort()
+    quota = max(1, math.ceil(promote_top * len(pool)))
+    return [entry[-1] for entry in pool[:quota]]

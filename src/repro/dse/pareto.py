@@ -124,7 +124,7 @@ def scalarized_energies(
     """Scalarized energy per record: the mean min-max-normalized signed
     objective value (lower is better); records missing an objective score
     ``inf``.  The single-number ranking that orders dominated candidates
-    for promotion (:class:`~repro.dse.fidelity.PromotionPolicy`).
+    for promotion (:func:`~repro.dse.fidelity.select_promotions`).
     """
     vectors = [objective_vector(r, objectives) for r in records]
     finite = [v for v in vectors if all(x != float("inf") for x in v)]
@@ -146,7 +146,7 @@ def scalarized_energies(
 
 
 # ---------------------------------------------------------------------------
-# Hypervolume (frontier quality: promotion ranking, search progress)
+# Hypervolume (frontier quality: promotion ranking, search evaluation)
 # ---------------------------------------------------------------------------
 
 

@@ -34,11 +34,16 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..evaluation.reporting import ExplorationResult, relative_disagreement
+from ..evaluation.reporting import ExplorationResult
 from .config import ExploreConfig
 from .evaluate import evaluate_point, open_caches, probe_point
-from .fidelity import DEFAULT_FIDELITY, SimulationInput, best_fidelity_records
-from .pareto import hypervolume, hypervolume_reference, pareto_frontier
+from .fidelity import (
+    DEFAULT_FIDELITY,
+    SimulationInput,
+    best_fidelity_records,
+    select_promotions,
+)
+from .pareto import pareto_frontier
 from .search import search_points
 from .space import DesignPoint, DesignSpace
 
@@ -230,54 +235,6 @@ def _frontier(scored: Sequence[Dict], objectives: Sequence[str]) -> List[Dict]:
     ]
 
 
-def _hypervolume(scored: Sequence[Dict], objectives: Sequence[str]) -> float:
-    """Summed per-workload hypervolume, each workload against a reference
-    derived from its own records (run-internal: cross-run comparisons
-    should derive one shared reference externally)."""
-    groups = _by_workload(scored)
-    total = 0.0
-    for name in sorted(groups):
-        reference = hypervolume_reference(groups[name], objectives)
-        if reference is not None:
-            total += hypervolume(groups[name], objectives, reference)
-    return total
-
-
-def _generation_row(
-    base_records: List[Dict],
-    promoted_records: List[Dict],
-    records: List[Dict],
-    ir_stats: Counter,
-    objectives: Sequence[str],
-) -> Dict:
-    """The ``ExplorationResult.generations`` row of a search's one batch."""
-    base_by_key = {r.get("point_key"): r for r in base_records}
-    disagreement = max(
-        (
-            relative_disagreement(
-                base_by_key[r.get("point_key")].get("summary", {}),
-                r.get("summary", {}),
-                objectives,
-            )
-            for r in promoted_records
-            if "error" not in r and r.get("point_key") in base_by_key
-        ),
-        default=0.0,
-    )
-    scored = _best_scored(records)
-    return {
-        "generation": 0,
-        "evaluated": len(base_records),
-        "promoted": len(promoted_records),
-        "max_disagreement": disagreement,
-        "total_evaluations": len(base_records),
-        "frontier_size": len(_frontier(scored, objectives)),
-        "prefix_hits": ir_stats.get("prefix_hits", 0),
-        "stages_skipped": ir_stats.get("stages_skipped", 0),
-        "hypervolume": _hypervolume(scored, objectives),
-    }
-
-
 def explore(
     space: Union[DesignSpace, Sequence[DesignPoint]],
     config: Optional[ExploreConfig] = None,
@@ -314,7 +271,7 @@ def explore(
         points, rejected = filter_points(points)
     objectives = config.objectives
     fidelity = str(config.fidelity)
-    policy = config.promotion_policy()
+    promote_top = config.promotion_fraction()
     searching = config.strategy is not None
     budget = len(points) if config.budget is None else config.budget
     batch = (
@@ -332,7 +289,6 @@ def explore(
         fidelity=fidelity,
     )
     records: List[Dict] = []
-    generations: List[Dict] = []
     #: Run totals of the per-record ``ir_cache`` counters.
     ir_totals: Counter = Counter()
     skipped = 0
@@ -349,26 +305,15 @@ def explore(
     )
     try:
         if batch:
-            generation_span = (
-                obs.span("dse.generation", cat="dse", generation=0, batch=len(batch))
-                if searching
-                else None
-            )
             # Simulation inputs live until the promotion pass.
-            base_records, skipped, ir_totals, inputs = evaluate(
+            records, skipped, ir_totals, inputs = evaluate(
                 batch, DEFAULT_FIDELITY, resume=config.resume
             )
-            records.extend(base_records)
-            promoted_records: List[Dict] = []
-            if policy is not None:
-                promote_keys = policy.select(
-                    [r for r in base_records if "error" not in r],
-                    _best_scored(records),
-                    objectives,
-                )
+            if promote_top is not None:
                 by_key = {point.key(): point for point in batch}
                 promote_points = [
-                    by_key[key] for key in promote_keys if key in by_key
+                    by_key[key]
+                    for key in select_promotions(records, promote_top, objectives)
                 ]
                 with obs.span(
                     "dse.promote",
@@ -376,23 +321,12 @@ def explore(
                     points=len(promote_points),
                     fidelity=fidelity,
                 ):
-                    promoted_records, _, promote_ir, _ = evaluate(
+                    promoted, _, promote_ir, _ = evaluate(
                         promote_points, fidelity, bases=inputs
                     )
                 ir_totals.update(promote_ir)
-                records.extend(promoted_records)
+                records += promoted
             del inputs
-            if searching:
-                # A full sweep keeps no generation row.
-                generations.append(
-                    _generation_row(
-                        base_records, promoted_records, records, ir_totals, objectives
-                    )
-                )
-                generation_span.set_attr(
-                    evaluated=len(base_records), promoted=len(promoted_records)
-                )
-                generation_span.finish()
     finally:
         if pool is not None:
             pool.shutdown()
@@ -419,9 +353,8 @@ def explore(
         skipped=skipped,
         strategy=config.strategy,
         budget=budget if searching else None,
-        generations=generations,
         fidelity=fidelity,
-        promote_top=policy.promote_top if policy is not None else None,
+        promote_top=promote_top,
         prefix_hits=ir_totals["prefix_hits"],
         stages_skipped=ir_totals["stages_skipped"],
         rejected=rejected,

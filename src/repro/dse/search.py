@@ -9,8 +9,8 @@ fixed table, :data:`STRATEGIES`:
 * ``random`` — a ``random.Random(seed)`` shuffle of the space.
 
 Either one picks its whole budget up front, so a search is one batch: the
-same cache-aware fan-out and promotion pass as a full sweep, plus one
-``ExplorationResult.generations`` row.  Budget semantics: ``budget``
+same cache-aware fan-out and promotion pass as a full sweep.  Budget
+semantics: ``budget``
 bounds the number of *distinct design points evaluated*; cache hits count,
 so cold and warm runs evaluate the same points.
 """

@@ -18,28 +18,7 @@ __all__ = [
     "format_table",
     "format_ratio",
     "print_table",
-    "relative_disagreement",
 ]
-
-
-def relative_disagreement(
-    base_summary: Dict, refined_summary: Dict, objectives: Sequence[str]
-) -> float:
-    """Worst relative per-objective delta between two QoR summaries.
-
-    The single definition of the fidelity-disagreement metric: the runner's
-    per-generation ``disagree`` column and the per-point
-    :meth:`ExplorationResult.disagreements` report both read it, so the two
-    views can never drift apart.
-    """
-    worst = 0.0
-    for name in objectives:
-        low, high = base_summary.get(name), refined_summary.get(name)
-        if low is None or high is None:
-            continue
-        low, high = float(low), float(high)
-        worst = max(worst, abs(high - low) / max(abs(low), abs(high), 1e-9))
-    return worst
 
 
 def format_ratio(value: Optional[float]) -> str:
@@ -113,15 +92,10 @@ class ExplorationResult:
     strategy: Optional[str] = None
     #: Evaluation budget of the search (distinct points; cache hits count).
     budget: Optional[int] = None
-    #: Search progress, one row for the search's one batch (none for a full
-    #: sweep): generation index, points evaluated, promotions and their
-    #: worst estimate/simulate disagreement, evaluations vs budget, frontier
-    #: size and (informational, run-internal) frontier hypervolume.
-    generations: List[Dict] = dataclasses.field(default_factory=list)
     #: Top QoR fidelity of the run (see :mod:`repro.dse.fidelity`); the
     #: base ``"estimate"`` level means single-fidelity.
     fidelity: str = "estimate"
-    #: Fraction of each generation promoted to the top fidelity (None =
+    #: Fraction of the evaluated points promoted to the top fidelity (None =
     #: single-fidelity run).
     promote_top: Optional[float] = None
     #: Compilations resumed mid-pipeline from a stage-boundary IR snapshot
@@ -216,18 +190,16 @@ class ExplorationResult:
                 "label": refined.get("label", original.get("label", "?")),
                 "fidelity": refined.get("fidelity"),
             }
+            worst = 0.0
             for name in self.objectives:
-                comparison[f"estimate_{name}"] = original.get("summary", {}).get(
-                    name
-                )
-                comparison[f"{refined.get('fidelity')}_{name}"] = refined.get(
-                    "summary", {}
-                ).get(name)
-            comparison["max_disagreement"] = relative_disagreement(
-                original.get("summary", {}),
-                refined.get("summary", {}),
-                self.objectives,
-            )
+                low = original.get("summary", {}).get(name)
+                high = refined.get("summary", {}).get(name)
+                comparison[f"estimate_{name}"] = low
+                comparison[f"{refined.get('fidelity')}_{name}"] = high
+                if low is not None and high is not None:
+                    low, high = float(low), float(high)
+                    worst = max(worst, abs(high - low) / max(abs(low), abs(high), 1e-9))
+            comparison["max_disagreement"] = worst
             rows.append(comparison)
         rows.sort(
             key=lambda row: (-float(row["max_disagreement"]), row["point_key"])
@@ -282,52 +254,6 @@ class ExplorationResult:
             f"Pareto frontier ({len(self.frontier)}/{self.num_designs} designs, "
             f"objectives: {', '.join(self.objectives)})"
         )
-        return format_table(headers, rows, title)
-
-    def search_table(self) -> str:
-        """Progress of a search run, one row per generation.
-
-        Multi-fidelity runs add the promotion columns: how many of the
-        generation's designs were re-evaluated by the simulator and the
-        worst relative disagreement between the two fidelities.  Runs with
-        the IR snapshot cache on add a ``reuse`` column: per generation,
-        how many compilations resumed from a cached stage prefix and how
-        many stage executions that skipped.
-        """
-        multi = any(generation.get("promoted") for generation in self.generations)
-        reuse = self.prefix_hits > 0 or any(
-            generation.get("prefix_hits") for generation in self.generations
-        )
-        headers = ["gen", "evaluated", "total/budget", "frontier", "hypervolume"]
-        if multi:
-            headers[3:3] = ["promoted", "disagree"]
-        if reuse:
-            headers.append("reuse")
-        rows = []
-        for generation in self.generations:
-            row = [
-                generation.get("generation"),
-                generation.get("evaluated"),
-                f"{generation.get('total_evaluations')}/{self.budget}",
-                generation.get("frontier_size"),
-                generation.get("hypervolume"),
-            ]
-            if multi:
-                disagreement = generation.get("max_disagreement")
-                row[3:3] = [
-                    generation.get("promoted", 0),
-                    None if disagreement is None else f"{disagreement:.1%}",
-                ]
-            if reuse:
-                row.append(
-                    f"{generation.get('prefix_hits', 0)} hit(s)/"
-                    f"{generation.get('stages_skipped', 0)} stage(s)"
-                )
-            rows.append(row)
-        title = f"Search progress (strategy: {self.strategy}"
-        if multi:
-            title += f", fidelity: {self.fidelity}, promote top {self.promote_top:.0%}"
-        title += ")"
         return format_table(headers, rows, title)
 
     def disagreement_table(self, max_rows: int = 0) -> str:

@@ -50,6 +50,11 @@ INVALID = {
         dict(strategy="random", budget=0),
         "budget must be positive",
     ),
+    "budget-not-whole": (
+        dict(strategy="random", budget=2.5),
+        "budget must be positive and whole",
+    ),
+    "budget-bool": (dict(strategy="random", budget=True), "budget must be positive"),
     "unknown-fidelity": (dict(fidelity="rtl"), "unknown fidelity"),
     "promote-top-at-base": (dict(promote_top=0.5), "promote_top"),
     "promote-top-range": (dict(fidelity="simulate", promote_top=2.0), "promote_top"),
@@ -147,14 +152,14 @@ def test_full_sweep_is_one_exhaustive_generation(fidelity):
     assert _stable(sweep.frontier) == _stable(search.frontier)
     assert {r["workload"] for r in sweep.frontier} == {"atax", "mvt"}
     assert sweep.num_promoted == search.num_promoted == (fidelity == "simulate") * 2
-    # Only the search keeps per-generation books.
-    assert (sweep.strategy, sweep.budget, sweep.generations) == (None, None, [])
-    assert search.strategy == "exhaustive" and len(search.generations) == 1
+    # Only the search reports a strategy and a budget.
+    assert (sweep.strategy, sweep.budget) == (None, None)
+    assert (search.strategy, search.budget) == ("exhaustive", len(space))
 
 
 def test_explore_of_nothing_is_an_empty_result():
     result = explore([], use_cache=False)
-    assert result.records == result.frontier == result.generations == []
+    assert result.records == result.frontier == []
     assert result.strategy is None and result.skipped == 0
 
 
@@ -174,11 +179,26 @@ def test_result_roundtrips_with_its_config(tmp_path):
         [
             "records", "frontier", "objectives", "workers", "elapsed_seconds",
             "cache_hits", "cache_misses", "errors", "skipped", "strategy",
-            "budget", "generations", "fidelity", "promote_top",
+            "budget", "fidelity", "promote_top",
             "prefix_hits", "stages_skipped", "rejected", "validation_failures",
         ]
     )
     assert "config" not in ExplorationResult().to_dict()
+
+
+def test_a_result_file_with_retired_fields_still_loads(tmp_path):
+    result = explore(two_kernel_space(), cache_dir=tmp_path, strategy="random", budget=4, seed=9)
+    blob = json.loads(result.to_json())
+    # Keys older result files carry: per-generation rows and a setting that
+    # no longer exists.  Loading drops them.
+    archived = {
+        **blob,
+        "generations": [{"generation": 0, "evaluated": 4, "hypervolume": 1.0}],
+        "config": {**blob["config"], "patience": None},
+    }
+    clone = ExplorationResult.from_dict(archived)
+    assert clone.config == result.config
+    assert json.loads(clone.to_json()) == blob
 
 
 # ------------------------------------------------- stale fingerprint memo

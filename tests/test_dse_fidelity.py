@@ -12,7 +12,6 @@ a recompile's.
 """
 
 import collections
-import dataclasses
 import json
 import math
 import pickle
@@ -26,7 +25,7 @@ from repro.dse import (
     DEFAULT_OBJECTIVES,
     FIDELITIES,
     DesignPoint,
-    PromotionPolicy,
+    ExploreConfig,
     best_fidelity_records,
     build_space,
     explore,
@@ -35,10 +34,11 @@ from repro.dse import (
     hypervolume_reference,
     pareto_frontier,
     polybench_suite,
+    select_promotions,
 )
-from repro.dse.pareto import scalarized_energies
 from repro.dse.evaluate import evaluate_point, probe_point
 from repro.dse.fidelity import check_fidelity, payload
+from repro.dse.pareto import scalarized_energies
 from repro.estimation import qor
 from repro.workloads import list_workloads
 
@@ -92,18 +92,18 @@ def test_fidelity_registry():
 
 
 def test_promotion_policy_validation():
-    with pytest.raises(ValueError, match="promote_top"):
-        PromotionPolicy(promote_top=0.0)
-    with pytest.raises(ValueError, match="promote_top"):
-        PromotionPolicy(promote_top=1.5)
+    for fraction in (0.0, 1.5):
+        with pytest.raises(ValueError, match="promote_top must be in"):
+            ExploreConfig(fidelity="simulate", promote_top=fraction)
     # The race always goes estimate -> simulate, so the fraction is the
     # only setting.
-    assert [field.name for field in dataclasses.fields(PromotionPolicy)] == ["promote_top"]
-    policy = PromotionPolicy(promote_top=0.25)
-    assert policy.quota(0) == 0
-    assert policy.quota(1) == 1  # at least one point per round
-    assert policy.quota(8) == 2
-    assert PromotionPolicy(promote_top=1.0).quota(8) == 8
+    assert ExploreConfig().promotion_fraction() is None
+    assert ExploreConfig(fidelity="simulate").promotion_fraction() == 0.25
+    records = [_record(f"k{index}", "k", 10.0 + index) for index in range(8)]
+    assert select_promotions([], 0.25) == []
+    assert len(select_promotions(records[:1], 0.25)) == 1  # at least one point
+    assert len(select_promotions(records, 0.25)) == 2
+    assert len(select_promotions(records, 1.0)) == 8
 
 
 def _record(key, workload, latency, fidelity="estimate", error=None):
@@ -119,22 +119,19 @@ def _record(key, workload, latency, fidelity="estimate", error=None):
 
 
 def test_promotion_policy_selects_frontier_members_first():
-    policy = PromotionPolicy(promote_top=0.5)
     candidates = [
         _record("aaa", "k", 100.0),
         _record("bbb", "k", 10.0),  # the frontier point
         _record("ccc", "k", 50.0),
         _record("ddd", "k", 60.0),
     ]
-    chosen = policy.select(candidates, candidates)
+    chosen = select_promotions(candidates, 0.5)
     assert len(chosen) == 2
     assert chosen[0] == "bbb"  # frontier membership outranks everything
-    # Errored and already-promoted records are never candidates.
-    ineligible = [
-        _record("eee", "k", 1.0, error="boom"),
-        _record("fff", "k", 2.0, fidelity="simulate"),
-    ]
-    assert policy.select(ineligible, candidates) == []
+    # Errored records are never candidates, and do not count to the quota.
+    assert select_promotions([_record("eee", "k", 1.0, error="boom")], 1.0) == []
+    errored = [_record(f"e{index}", "k", 1.0, error="boom") for index in range(4)]
+    assert select_promotions(candidates + errored, 0.5) == chosen
 
 
 def _reference_select(promote_top, candidates, context, objectives):
@@ -214,7 +211,7 @@ def _batch_records(draw):
 def test_promotion_matches_the_reference_ranking(records, promote_top, objectives):
     scored = [r for r in records if "error" not in r]
     expected = _reference_select(promote_top, scored, scored, objectives)
-    assert PromotionPolicy(promote_top).select(scored, scored, objectives) == expected
+    assert select_promotions(records, promote_top, objectives) == expected
 
 
 def test_best_fidelity_records_prefers_rank_and_skips_errors():
@@ -308,7 +305,7 @@ def test_multifidelity_search_deterministic_across_worker_counts(tmp_path):
             assert qor_only(left.get("summary", {})) == qor_only(
                 right.get("summary", {})
             )
-        assert other.generations == baseline.generations
+        assert other.disagreements() == baseline.disagreements()
 
 
 def test_multifidelity_warm_rerun_does_zero_compiles_or_simulations(tmp_path):
@@ -432,9 +429,9 @@ def test_budget_counts_designs_not_promotions(tmp_path):
     assert len(base_records) == 8  # the budget, exactly
     assert result.num_promoted > 0
     assert result.num_points == 8 + result.num_promoted
-    for generation in result.generations:
-        assert generation["promoted"] <= generation["evaluated"]
-        assert "max_disagreement" in generation
+    rows = result.disagreements()
+    assert len(rows) == result.num_promoted
+    assert all("max_disagreement" in row for row in rows)
 
 
 # ------------------------------------------------------------ result model
@@ -455,10 +452,9 @@ def test_fidelity_metadata_serializes(tmp_path):
     assert restored.fidelity == "simulate"
     assert restored.promote_top == 0.5
     assert restored.num_promoted == result.num_promoted
-    assert restored.generations == result.generations
+    assert restored.disagreements() == result.disagreements()
     # The rendered reports carry the fidelity columns.
     assert "fidelity" in result.frontier_table()
-    assert "promoted" in result.search_table()
     table = result.disagreement_table()
     assert "disagree" in table
     rows = result.disagreements()
@@ -518,6 +514,9 @@ def test_dse_cli_multifidelity_run(tmp_path, capsys):
     assert "fidelity" in output
     assert "simulate" in output
     assert "Fidelity disagreement" in output
+    # A search reports its budget in the footer; it prints no progress table.
+    assert "; strategy random: 4/4 budget\n" in output
+    assert "Search progress" not in output
 
 
 def test_dse_cli_rejects_bad_fidelity_combinations(tmp_path):

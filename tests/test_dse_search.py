@@ -107,7 +107,7 @@ def test_a_search_of_a_fully_rejected_space_is_an_empty_result():
     assert [r["reason"] for r in sweep.rejected] == ["no-estimate", "no-estimate"]
     for strategy in STRATEGIES:
         search = explore(points, use_cache=False, prefilter=True, strategy=strategy)
-        assert search.records == search.frontier == search.generations == []
+        assert search.records == search.frontier == []
         assert search.rejected == sweep.rejected
         assert (search.strategy, search.budget) == (strategy, 0)
 
@@ -128,8 +128,7 @@ def test_random_budgets_nest_and_recover_more_hypervolume(tmp_path):
         keys = record_keys(result)
         assert keys[: len(previous)] == previous
         previous = keys
-        (generation,) = result.generations
-        assert generation["total_evaluations"] == budget
+        assert result.num_designs == budget
         values.append(hypervolume(result.frontier, result.objectives, reference))
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(
@@ -174,9 +173,6 @@ def test_search_deterministic_across_worker_counts(tmp_path):
             assert qor_only(left.get("summary", {})) == qor_only(
                 right.get("summary", {})
             )
-        # The generation row matches too (hypervolume and sizes are pure
-        # functions of the evaluated records).
-        assert other.generations == baseline.generations
 
 
 def test_search_warm_rerun_does_zero_compiles(tmp_path):
@@ -230,15 +226,11 @@ def test_search_metadata_serializes(tmp_path):
     )
     assert result.strategy == "random"
     assert result.budget == 6
-    (generation,) = result.generations  # one batch, one row
-    assert generation["total_evaluations"] == result.num_points
-    assert generation["frontier_size"] == len(result.frontier)
+    assert result.num_designs == result.num_points == 6
     restored = ExplorationResult.from_dict(json.loads(result.to_json()))
     assert restored.strategy == "random"
     assert restored.budget == 6
-    assert restored.generations == result.generations
-    table = result.search_table()
-    assert "random" in table and "total/budget" in table
+    assert restored.to_json() == result.to_json()
 
 
 def test_hypervolume_helpers():
