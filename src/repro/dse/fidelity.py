@@ -62,7 +62,7 @@ __all__ = [
 #: first.  A level's rank is its position: a higher-rank record supersedes
 #: a lower-rank one for the same design point.
 FIDELITIES: Dict[str, str] = {
-    "estimate": "analytic QoR model (cheap; steers every proposal)",
+    "estimate": "analytic QoR model (cheap; scores every evaluated point)",
     "simulate": (
         "two-level dataflow simulation with back-pressure over the "
         "estimate stage's graphs (promoted points; no recompile of a "

@@ -24,8 +24,8 @@ context (:func:`propagation_context`) into each worker task; workers call
 :func:`begin_worker` (idempotent per process) to adopt it, accumulate
 events in-memory, and :func:`drain_worker` hands everything back through
 the result record, which the parent :func:`ingest`\\ s — so a merged trace
-shows every worker's compiler stages under the generation that spawned
-them, while result records stay byte-identical to an untraced run
+shows every worker's compiler stages under the run that spawned them,
+while result records stay byte-identical to an untraced run
 (the telemetry keys are popped before records are consumed).
 
 Determinism: telemetry never touches cache keys, budgets or seeds; with an

@@ -465,7 +465,7 @@ def test_fidelity_metadata_serializes(tmp_path):
 # ------------------------------------------------------------------- CLIs
 #: ``--list-fidelities`` of both CLIs, byte for byte.
 LIST_FIDELITIES = (
-    "estimate   rank 0  analytic QoR model (cheap; steers every proposal)\n"
+    "estimate   rank 0  analytic QoR model (cheap; scores every evaluated point)\n"
     "simulate   rank 1  two-level dataflow simulation with back-pressure over "
     "the estimate stage's graphs (promoted points; no recompile of a point "
     "compiled in this run)\n"
