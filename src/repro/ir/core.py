@@ -520,29 +520,45 @@ class Operation:
         that internal def-use chains stay consistent.
         """
         value_map = value_map if value_map is not None else {}
+        # Built field by field rather than through ``__init__``: the source
+        # is valid IR, so nothing needs checking, and values are created in
+        # the constructors' order (results, then each block's arguments
+        # before its ops).
         cls = _OPERATION_REGISTRY.get(self.name, Operation)
         new_op = cls.__new__(cls)
-        Operation.__init__(
-            new_op,
-            name=self.name,
-            operands=[value_map.get(v, v) for v in self._operands],
-            result_types=[r.type for r in self.results],
-            attributes=_clone_attribute_dict(self.attributes),
-            num_regions=0,
-        )
-        for old_res, new_res in zip(self.results, new_op.results):
-            value_map[old_res] = new_res
+        new_op.name = self.name
+        operands = [value_map.get(v, v) for v in self._operands]
+        for index, value in enumerate(operands):
+            value._uses.append((new_op, index))
+        new_op._operands = operands
+        results = []
+        for index, old_res in enumerate(self.results):
+            new_res = OpResult(new_op, index, old_res.type)
             new_res.name_hint = old_res.name_hint
+            value_map[old_res] = new_res
+            results.append(new_res)
+        new_op.results = results
+        new_op.attributes = _clone_attribute_dict(self.attributes)
+        new_op.regions = []
+        new_op.parent = None
         for region in self.regions:
-            new_region = new_op.add_region()
+            new_region = Region(new_op)
+            new_op.regions.append(new_region)
             for block in region.blocks:
-                new_block = Block(arg_types=[a.type for a in block.arguments])
-                for old_arg, new_arg in zip(block.arguments, new_block.arguments):
-                    value_map[old_arg] = new_arg
+                new_block = Block.__new__(Block)
+                arguments = []
+                for index, old_arg in enumerate(block.arguments):
+                    new_arg = BlockArgument(new_block, index, old_arg.type)
                     new_arg.name_hint = old_arg.name_hint
-                new_region.append_block(new_block)
-                for op in block.operations:
-                    new_block.append(op.clone(value_map))
+                    value_map[old_arg] = new_arg
+                    arguments.append(new_arg)
+                new_block.arguments = arguments
+                new_block.parent = new_region
+                new_region.blocks.append(new_block)
+                ops = [op.clone(value_map) for op in block._operations]
+                for op in ops:
+                    op.parent = new_block
+                new_block._operations = ops
         return new_op
 
     # ------------------------------------------------------------------ misc
