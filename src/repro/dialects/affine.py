@@ -9,7 +9,6 @@ connection analyses of HIDA-OPT.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 from ..ir.core import Block, BlockArgument, Operation, Value, register_operation
@@ -92,10 +91,12 @@ class AffineForOp(Operation):
 
     @property
     def trip_count(self) -> int:
-        span = self.upper_bound - self.lower_bound
+        attributes = self.attributes
+        span = attributes["upper_bound"] - attributes["lower_bound"]
         if span <= 0:
             return 0
-        return math.ceil(span / self.step)
+        # Integer ceil-division: a float quotient rounds spans past 2**53.
+        return -(-span // attributes["step"])
 
     @property
     def induction_variable(self) -> Value:

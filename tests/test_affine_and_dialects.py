@@ -248,6 +248,14 @@ class TestAffineDialect:
         loop = AffineForOp.create(0, 17, 4)
         assert loop.trip_count == 5
 
+    @pytest.mark.parametrize(
+        "bounds", [(0, 2**60 + 1, 1), (3, 2**55 + 2, 3), (-(2**54), 2**54 + 1, 7), (5, 5, 1)]
+    )
+    def test_trip_count_is_exact_past_float_precision(self, bounds):
+        # The interpreter runs ``range(lb, ub, step)``; a float quotient
+        # rounded 2**60 + 1 iterations down to 2**60.
+        assert AffineForOp.create(*bounds).trip_count == len(range(*bounds))
+
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             AffineForOp.create(0, 4, 0)
