@@ -317,6 +317,14 @@ class Compiler:
         observable difference: skipped stages emit no diagnostics and re-run
         no observers.
 
+        ``ir_cache`` may be any store speaking that ``load``/``store``
+        protocol; two class attributes complete it.  ``first_boundary`` is
+        the first boundary it serves: 1 for the IR cache, 0 for a store
+        that also holds the frontend module (the state before any stage),
+        such as a DSE batch's :class:`~repro.dse.sharing.SharedPrefixes`.
+        ``counters`` is the :mod:`repro.obs` namespace the run's counters
+        land under (``ir_cache`` without a store).
+
         Returns the final :class:`~repro.compiler.stages.CompilationState`.
         Any pipeline is legal here — one without an ``estimate`` stage
         leaves ``state.estimate`` None; :meth:`run` is this plus the
@@ -333,10 +341,11 @@ class Compiler:
         self.ir_cache_stats = dict(_ZERO_IR_STATS)
         self.observer_errors = []
 
+        namespace = "ir_cache" if ir_cache is None else ir_cache.counters
         def count(key: str, amount: int = 1) -> None:
             # Per-run stats plus the live obs session (no-op if disabled).
             self.ir_cache_stats[key] += amount
-            obs.inc(f"ir_cache.{key}", amount)
+            obs.inc(f"{namespace}.{key}", amount)
 
         with obs.span(
             "compile", cat="pipeline", platform=self.platform, spec=self.spec_text()
@@ -354,8 +363,15 @@ class Compiler:
                     workload_key = f"fp:{fingerprint_op(module)}"
 
             state: Optional[CompilationState] = None
-            resume_index = 0
-            boundaries = self.snapshot_boundaries() if workload_key is not None else []
+            #: The boundary the state was restored at (-1: built from a module).
+            resume_index = -1
+            boundaries = []
+            if workload_key is not None:
+                boundaries = [
+                    i
+                    for i in (0, *self.snapshot_boundaries())
+                    if i >= ir_cache.first_boundary
+                ]
             hashes = self.prefix_hashes() if boundaries else []
             for i in reversed(boundaries):
                 restored = ir_cache.load(workload_key, self.platform, hashes[i])
@@ -393,8 +409,20 @@ class Compiler:
                     module=module, platform=get_platform(self.platform)
                 )
             state._sink = self._emit_diagnostic
+
+            def snapshot(boundary: int) -> None:
+                if (
+                    boundary in boundaries
+                    and boundary > resume_index
+                    and ir_cache.store(
+                        workload_key, self.platform, hashes[boundary], state
+                    )
+                ):
+                    count("snapshots_stored")
+
             start = time.perf_counter()
             self._dispatch("on_pipeline_start", self, module)
+            snapshot(0)
             for index, stage in enumerate(self.stages):
                 if index < resume_index:
                     continue  # resumed past this stage from a snapshot
@@ -424,15 +452,7 @@ class Compiler:
                             f"{len(issues)} issue(s); first: {issues[0]}"
                         )
                 count("stages_run")
-                boundary = index + 1
-                if (
-                    boundary in boundaries
-                    and boundary > resume_index
-                    and ir_cache.store(
-                        workload_key, self.platform, hashes[boundary], state
-                    )
-                ):
-                    count("snapshots_stored")
+                snapshot(index + 1)
             if ir_cache is not None:
                 # The cache counts (and reports) its own refusals as they
                 # happen; the run only records how many were its own.

@@ -109,6 +109,14 @@ def workload_cache_key(workload: object) -> Optional[str]:
 class IRSnapshotCache:
     """File-backed store of stage-boundary compilation-state snapshots."""
 
+    #: The store protocol of :meth:`Compiler.run_stages
+    #: <repro.compiler.driver.Compiler.run_stages>`: snapshots start after
+    #: the first stage (a frontend module rebuilds from the registry, and
+    #: the fingerprint memo spares even that), and the run's counters land
+    #: under ``ir_cache.*``.
+    first_boundary = 1
+    counters = "ir_cache"
+
     def __init__(
         self, root: Optional[os.PathLike] = None, max_entries: int = 4096
     ) -> None:

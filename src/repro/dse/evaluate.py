@@ -20,6 +20,7 @@ from ..ir.printer import fingerprint_op
 from ..workloads.registry import registered_definition
 from .cache import QoRCache
 from .fidelity import DEFAULT_FIDELITY, SIMULATE_CACHE_TAG, SimulationInput, check_fidelity, payload
+from .sharing import SharedPrefixes
 from .space import DesignPoint
 
 __all__ = ["evaluate_point", "open_caches", "probe_point"]
@@ -146,6 +147,7 @@ def evaluate_point(
     trace: Optional[Dict[str, str]] = None,
     probed: Optional[tuple] = None,
     base: Optional[SimulationInput] = None,
+    shared: Optional[SharedPrefixes] = None,
 ) -> Dict:
     """Evaluate one design point; safe to call in a worker process.
 
@@ -181,6 +183,10 @@ def evaluate_point(
     :class:`~repro.dse.fidelity.SimulationInput` under ``"simulation_input"``
     (popped like ``"ir_cache"``); given it as ``base``, a later evaluation
     of the point at another level applies that level to it, not compiling.
+
+    ``shared`` is the batch's :class:`~repro.dse.sharing.SharedPrefixes`
+    when the IR cache is off: the compile resumes from the deepest prefix
+    state it holds for this point, and leaves one for later points.
     """
     obs.begin_worker(trace)
     started = time.perf_counter()
@@ -202,7 +208,9 @@ def evaluate_point(
                     # IR-cache prefix hit, rehydrates from the snapshot and
                     # the frontend never runs in this process at all.
                     result = compiler.run(
-                        module, workload=point.workload_spec(), ir_cache=ir_cache
+                        module,
+                        workload=point.workload_spec(),
+                        ir_cache=shared if ir_cache is None else ir_cache,
                     )
                     if ir_cache is not None:
                         record["ir_cache"] = compiler.ir_cache_stats

@@ -45,6 +45,7 @@ from .fidelity import (
 )
 from .pareto import pareto_frontier
 from .search import search_points
+from .sharing import SharedPrefixes
 from .space import DesignPoint, DesignSpace
 
 __all__ = ["evaluate_point", "explore"]
@@ -106,6 +107,11 @@ def _prefix_group_order(point: DesignPoint) -> tuple:
     return (point.workload, point.platform, point.canonical_spec(), point.key())
 
 
+def _untraced(probed: Optional[tuple]) -> bool:
+    """Whether a pending entry's parent probe left it no traced module."""
+    return probed is None or probed[1][1] is None
+
+
 def _merge_ir_stats(records: List[Dict]) -> Counter:
     """Pop per-record ``"ir_cache"`` counters and sum them.
 
@@ -153,7 +159,8 @@ def _evaluate_batch(
     batches), and so do points in ``bases`` (point key -> the base
     compile's :class:`~repro.dse.fidelity.SimulationInput`), with no
     compile; the rest fan out across ``pool`` (serially in-process when
-    there is none).  Returns ``(records, skipped, ir_stats, inputs)``:
+    there is none).  An in-process batch with the IR cache off compiles
+    each prefix its points share once (:mod:`repro.dse.sharing`).  Returns ``(records, skipped, ir_stats, inputs)``:
     uncached points a ``resume`` run left unevaluated, the batch's
     IR-snapshot reuse counters (empty when the IR cache is off) and every
     compiled point's simulation input by point key.
@@ -184,6 +191,17 @@ def _evaluate_batch(
     if ir_cache_dir:
         pending.sort(key=lambda entry: _prefix_group_order(entry[0]))
     bases = bases or {}
+    shared = None
+    if pool is None and not ir_cache_dir:
+        # In-process with no IR cache: compile each shared prefix once.
+        shared = SharedPrefixes.plan(
+            [point for point, _ in pending if point.key() not in bases]
+        )
+        if shared is not None:
+            # Points sharing prefixes run back to back.  A point the parent
+            # probe traced (the first of its workload) leads, so its module
+            # starts the shared prefixes instead of a second trace.
+            pending.sort(key=lambda entry: (_untraced(entry[1]), shared.order(entry[0])))
     evaluate = functools.partial(
         evaluate_point,
         cache_dir=cache_dir,
@@ -199,9 +217,13 @@ def _evaluate_batch(
         pending = [entry for entry in pending if entry[0].key() in bases]
         traced = functools.partial(evaluate, trace=obs.propagation_context())
         records.extend(pool.map(traced, remote, chunksize=max(1, chunksize)))
-    records.extend(
-        evaluate(point, probed=probed, base=bases.get(point.key())) for point, probed in pending
-    )
+    for point, probed in pending:
+        held = shared if shared is not None and shared.covers(point) else None
+        records.append(
+            evaluate(point, probed=probed, base=bases.get(point.key()), shared=held)
+        )
+        if held is not None:
+            held.done(point)
     _merge_telemetry(records)
     ir_stats = _merge_ir_stats(records)
     inputs = {r["point_key"]: r.pop("simulation_input") for r in records if "simulation_input" in r}

@@ -6,6 +6,7 @@ frontiers for any worker count and on warm-cache replays.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -290,45 +291,142 @@ def test_explore_warm_cache_replay(tmp_path):
     assert warm.summary()["errors"] == 0
 
 
-def _count_frontend_traces(monkeypatch):
+def _count_frontend_traces(monkeypatch, tmp_path):
     """Count ``Workload.build_module`` calls; the process fingerprint memo is
-    emptied so the first probe of each workload has to trace."""
+    emptied so the first probe of each workload has to trace.
+
+    Each trace appends its workload id to a file, so forked pool workers
+    count too; the returned function reads the sorted ids and starts over.
+    """
     from repro.dse import evaluate
     from repro.workloads.registry import Workload
 
-    calls = []
+    log = tmp_path / "traces.log"
+    log.write_text("")
     build = Workload.build_module
 
     def counting(self, **extra):
-        calls.append(self.workload_id)
+        with open(log, "a") as handle:
+            handle.write(self.workload_id + "\n")
         return build(self, **extra)
+
+    def traces():
+        ids = sorted(log.read_text().split())
+        log.write_text("")
+        return ids
 
     monkeypatch.setattr(Workload, "build_module", counting)
     monkeypatch.setattr(evaluate, "_WORKLOAD_FINGERPRINTS", {})
-    return calls
+    return traces
 
 
 def test_cold_default_explore_traces_each_point_once(tmp_path, monkeypatch):
     # Regression: the parent's probe traced each workload for its
     # fingerprint, dropped the module, and evaluate_point traced it again:
     # 10 traces for 8 points of 2 workloads on the default configuration
-    # (QoR cache on, IR cache off).
-    calls = _count_frontend_traces(monkeypatch)
+    # (QoR cache on, IR cache off).  Since a batch compiles each shared
+    # prefix once, the frontend is traced once per workload: 2.
+    traces = _count_frontend_traces(monkeypatch, tmp_path)
     space = tiny_space()
     cold = explore(space, workers=1, cache_dir=str(tmp_path / "qor"))
     assert cold.num_cached == 0 and not cold.errors
-    assert len(calls) == len(space) == 8
+    assert len(space) == 8 and traces() == ["atax", "mvt"]
     # ... and handing the traced module on changes no answer.
-    del calls[:]
     uncached = explore(space, workers=1, use_cache=False)
-    assert len(calls) == 8
+    assert traces() == ["atax", "mvt"]
     assert cold.frontier_keys() == uncached.frontier_keys()
     for left, right in zip(cold.frontier, uncached.frontier):
         assert qor_only(left["summary"]) == qor_only(right["summary"])
 
 
+def test_ir_cache_and_pool_runs_trace_as_before(tmp_path, monkeypatch):
+    # Prefix sharing is for in-process batches with the IR cache off.  A
+    # cold IR-cache run traces each workload in the parent probe and once
+    # more where the first compile of its prefix group has no module; a pool
+    # run traces each point in its worker after the parent probe.
+    traces = _count_frontend_traces(monkeypatch, tmp_path)
+    space = tiny_space()
+    cached = explore(
+        space,
+        workers=1,
+        cache_dir=str(tmp_path / "qor"),
+        ir_cache=True,
+        ir_cache_dir=str(tmp_path / "ir"),
+    )
+    assert not cached.errors
+    assert traces() == ["atax", "atax", "mvt", "mvt"]
+    from repro.dse import evaluate
+
+    monkeypatch.setattr(evaluate, "_WORKLOAD_FINGERPRINTS", {})
+    pooled = explore(space, workers=2, cache_dir=str(tmp_path / "qor2"))
+    assert not pooled.errors
+    if multiprocessing.get_start_method() == "fork":  # workers count too
+        assert traces() == ["atax"] * 5 + ["mvt"] * 5
+    assert pooled.frontier_keys() == cached.frontier_keys()
+
+
+def test_a_stage_raising_in_a_shared_prefix_fails_every_sharing_point(monkeypatch):
+    # The two tiled points share every stage up to and including ``tile``,
+    # and resume from the state all four hold after ``balance``.
+    from repro.compiler.stages import TileStage
+
+    space = tiny_space(kernels=("atax",))
+    tiled = [point for point in space if point.tile_size > 0]
+
+    def boom(self, state):
+        raise RuntimeError("tile exploded")
+
+    monkeypatch.setattr(TileStage, "run", boom)
+    alone = explore(tiled[:1], workers=1, use_cache=False)
+    shared = explore(space, workers=1, use_cache=False)
+    expected = alone.errors[0]["error"].splitlines()[-1]
+    assert expected == "RuntimeError: tile exploded"
+    assert [r["point_key"] for r in shared.errors] == [p.key() for p in tiled]
+    for record in shared.errors:
+        assert record["error"].splitlines()[-1] == expected
+    assert len(shared.records) == len(space) == 4
+
+
+def test_no_held_state_outlives_its_last_point(monkeypatch):
+    import gc
+    import weakref
+
+    from repro.dse.sharing import SharedPrefixes
+
+    held, plans = [], []
+    store, done, plan = SharedPrefixes.store, SharedPrefixes.done, SharedPrefixes.plan.__func__
+
+    def tracking_store(self, workload_key, platform, prefix_hash, state):
+        stored = store(self, workload_key, platform, prefix_hash, state)
+        if stored:
+            key = (workload_key, platform, prefix_hash)
+            held.append(weakref.ref(self._held[key][0]))
+        return stored
+
+    def checking_done(self, point):
+        done(self, point)
+        # A state stays held only while a pending point can still use it.
+        assert all(self._pending[key] > 0 for key in self._held)
+
+    def tracking_plan(cls, points):
+        shared = plan(cls, points)
+        plans.append(shared)
+        return shared
+
+    monkeypatch.setattr(SharedPrefixes, "store", tracking_store)
+    monkeypatch.setattr(SharedPrefixes, "done", checking_done)
+    monkeypatch.setattr(SharedPrefixes, "plan", classmethod(tracking_plan))
+    result = explore(tiny_space(), workers=1, use_cache=False)
+    assert not result.errors and held
+    (shared,) = plans
+    assert not shared._held and not shared._pending
+    del result, shared, plans
+    gc.collect()
+    assert all(ref() is None for ref in held)
+
+
 def test_parent_probe_failure_still_evaluates_and_reports(tmp_path, monkeypatch):
-    calls = _count_frontend_traces(monkeypatch)
+    traces = _count_frontend_traces(monkeypatch, tmp_path)
     bad = [
         DesignPoint(workload_kind="kernel", workload="no-such-kernel"),
         DesignPoint(workload_kind="kernel", workload="atax", pipeline_spec="no-such-stage"),
@@ -343,7 +441,7 @@ def test_parent_probe_failure_still_evaluates_and_reports(tmp_path, monkeypatch)
     assert "no-such-kernel" in result.records[0]["error"]
     assert "no-such-stage" in result.records[1]["error"]
     assert all("eval_seconds" in r for r in result.records)
-    assert calls == ["atax"]
+    assert traces() == ["atax"]
 
 
 def test_best_by_ignores_records_missing_the_metric():

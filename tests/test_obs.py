@@ -500,6 +500,25 @@ def test_qor_cache_probe_counters(tmp_path):
     assert registry.value("cache.point.hits") > 0
 
 
+def test_shared_prefix_counters_show_where_a_batch_reused_work():
+    obs.configure()
+    result = explore(tiny_space(), workers=1, use_cache=False)
+    registry = obs.session().registry
+    # Each workload's two points share every stage up to ``tile``: the
+    # first compiles that prefix and holds the state, the second resumes.
+    assert registry.value("dse.snapshots_stored") == 2
+    assert registry.value("dse.prefix_hits") == 2
+    assert registry.value("dse.stages_skipped") == 2 * 7
+    runs = registry.value("dse.stages_run")
+    assert runs + registry.value("dse.stages_skipped") == 4 * len(DEFAULT_PIPELINE.split(","))
+    assert registry.value("dse.frontend_traces") <= 2
+    # A skipped stage opens no span, and records stay as they were.
+    events = obs.session().events()
+    assert sum(e["type"] == "span" and e["cat"] == "stage" for e in events) == runs
+    assert result.prefix_hits == result.stages_skipped == 0
+    assert all("ir_cache" not in record for record in result.records)
+
+
 def test_ir_cache_store_is_not_counted_as_a_probe(tmp_path):
     """``store``'s existence check is not a ``cache.get``: one cold compile
     probes the seven snapshot boundaries, so both stat views read 7 misses."""
