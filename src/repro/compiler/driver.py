@@ -342,6 +342,7 @@ class Compiler:
         self.observer_errors = []
 
         namespace = "ir_cache" if ir_cache is None else ir_cache.counters
+
         def count(key: str, amount: int = 1) -> None:
             # Per-run stats plus the live obs session (no-op if disabled).
             self.ir_cache_stats[key] += amount
@@ -363,7 +364,7 @@ class Compiler:
                     workload_key = f"fp:{fingerprint_op(module)}"
 
             state: Optional[CompilationState] = None
-            #: The boundary the state was restored at (-1: built from a module).
+            # The boundary the state was restored at (-1: built from a module).
             resume_index = -1
             boundaries = []
             if workload_key is not None:

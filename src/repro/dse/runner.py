@@ -160,10 +160,11 @@ def _evaluate_batch(
     compile's :class:`~repro.dse.fidelity.SimulationInput`), with no
     compile; the rest fan out across ``pool`` (serially in-process when
     there is none).  An in-process batch with the IR cache off compiles
-    each prefix its points share once (:mod:`repro.dse.sharing`).  Returns ``(records, skipped, ir_stats, inputs)``:
-    uncached points a ``resume`` run left unevaluated, the batch's
-    IR-snapshot reuse counters (empty when the IR cache is off) and every
-    compiled point's simulation input by point key.
+    each prefix its points share once (:mod:`repro.dse.sharing`).
+    Returns ``(records, skipped, ir_stats, inputs)``: uncached points a
+    ``resume`` run left unevaluated, the batch's IR-snapshot reuse counters
+    (empty when the IR cache is off) and every compiled point's simulation
+    input by point key.
     """
     records: List[Dict] = []
     #: ``(point, the parent's probe_point miss or None)``.
@@ -201,7 +202,9 @@ def _evaluate_batch(
             # Points sharing prefixes run back to back.  A point the parent
             # probe traced (the first of its workload) leads, so its module
             # starts the shared prefixes instead of a second trace.
-            pending.sort(key=lambda entry: (_untraced(entry[1]), shared.order(entry[0])))
+            pending.sort(
+                key=lambda entry: (_untraced(entry[1]), shared.order(entry[0]))
+            )
     evaluate = functools.partial(
         evaluate_point,
         cache_dir=cache_dir,
