@@ -102,8 +102,10 @@ class SharedPrefixes:
 
     def order(self, point: DesignPoint) -> tuple:
         """Sort key running points that share prefixes back to back, so a
-        held state is released as early as possible."""
-        return (self._chains[point.key()], point.key())
+        held state is released as early as possible.  A point the plan
+        does not hold (a promotion pass's point with a base input) sorts
+        first: it compiles nothing."""
+        return (self._chains.get(point.key(), []), point.key())
 
     def covers(self, point: DesignPoint) -> bool:
         """Whether ``point`` can resume from, or fill, a held state."""

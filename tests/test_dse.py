@@ -425,6 +425,22 @@ def test_no_held_state_outlives_its_last_point(monkeypatch):
     assert all(ref() is None for ref in held)
 
 
+def test_a_promotion_pass_shares_prefixes_beside_points_with_base_inputs(tmp_path):
+    # Regression: half the points replay their estimate record from the QoR
+    # cache, so the promotion pass compiles those again and applies the
+    # other half's base inputs.  The plan holds only the compiled half, and
+    # ordering the batch by it raised KeyError on the others.
+    space = tiny_space()
+    qor = str(tmp_path / "qor")
+    explore(list(space)[::2], workers=1, cache_dir=qor)
+    mixed = explore(space, workers=1, cache_dir=qor, fidelity="simulate", promote_top=1.0)
+    fresh = explore(space, workers=1, use_cache=False, fidelity="simulate", promote_top=1.0)
+    assert not mixed.errors and mixed.num_cached == 4
+    assert mixed.frontier_keys() == fresh.frontier_keys()
+    for left, right in zip(mixed.frontier, fresh.frontier):
+        assert qor_only(left["summary"]) == qor_only(right["summary"])
+
+
 def test_parent_probe_failure_still_evaluates_and_reports(tmp_path, monkeypatch):
     traces = _count_frontend_traces(monkeypatch, tmp_path)
     bad = [
