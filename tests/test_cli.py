@@ -6,6 +6,8 @@ Pinned here:
 * ``repro._cli`` resolves shared flags where they are parsed;
 * every bad value of a shared flag is a usage error (exit 2, one line, no
   traceback) raised before anything compiles, on all four compile CLIs;
+* ``python -m repro.compiler --ir-cache --cache-stats --json``'s counter
+  lines, summary and stage keys on a cold and a warm run;
 * ``python -m repro.analysis.tv`` imports the library exactly once, so the
   sweep catches the ``validate`` stage's own exception class.
 """
@@ -24,6 +26,7 @@ from repro.analysis.__main__ import _build_parser as analysis_parser
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.tv.__main__ import _build_parser as tv_parser
 from repro.analysis.tv.__main__ import main as tv_main
+from repro.compiler import DEFAULT_PIPELINE
 from repro.compiler import stages as stages_module
 from repro.compiler.__main__ import _build_parser as compiler_parser
 from repro.compiler.__main__ import main as compiler_main
@@ -119,6 +122,46 @@ def test_ir_cache_dir_needs_ir_cache_on_both_compile_clis(main, tmp_path, capsys
     assert capsys.readouterr().err.endswith(
         "error: --ir-cache-dir requires --ir-cache\n"
     )
+
+
+#: ``--cache-stats`` counter lines of a cold and a warm default-pipeline run.
+_CACHE_STATS_LINES = (
+    "prefix_hits", "stages_skipped", "stages_run", "frontend_traces",
+    "snapshots_stored", "snapshots_refused",
+)
+_COLD_STATS = (0, 0, 9, 1, 7, 0)
+_WARM_STATS = (1, 7, 2, 0, 0, 0)
+_ATAX_ZU3EG_SUMMARY = {
+    "bram": 0.0, "dsp": 200.0, "ff": 6472.456942879424, "interval_cycles": 486.0,
+    "latency_cycles": 972.0, "lut": 21640.8396450419,
+    "max_utilization": 0.5555555555555556, "misalignments": 0.0, "num_nodes": 2,
+    "throughput": 411522.633744856,
+}
+
+
+def test_compiler_cli_cache_stats_and_json_cold_then_warm(tmp_path, capsys):
+    cache_dir = tmp_path / "ir"
+    reports = []
+    for run, expected in (("cold", _COLD_STATS), ("warm", _WARM_STATS)):
+        out = tmp_path / f"{run}.json"
+        assert compiler_main([
+            "--workload", "atax", "--target", "zu3eg", "--ir-cache",
+            "--ir-cache-dir", str(cache_dir), "--cache-stats", "--json", str(out),
+        ]) == 0
+        stdout = capsys.readouterr().out
+        block = stdout.split("\nir-cache stats:\n", 1)[1].splitlines()[:6]
+        assert block == [
+            f"  {key}: {value}" for key, value in zip(_CACHE_STATS_LINES, expected)
+        ], run
+        reports.append(json.loads(out.read_text()))
+    cold, warm = reports
+    for report in reports:
+        summary = dict(report["summary"])
+        assert summary.pop("compile_seconds") > 0
+        assert summary == _ATAX_ZU3EG_SUMMARY
+    assert sorted(cold["stage_seconds"]) == sorted(DEFAULT_PIPELINE.split(","))
+    assert sorted(warm["stage_seconds"]) == ["estimate", "parallelize"]
+    assert cold["estimate"] == warm["estimate"]
 
 
 def test_github_annotation_formats():
