@@ -395,21 +395,10 @@ def validate_pipeline(
     )
 
 
-def validate_point(
-    point,
-    seed: int = 0,
-    max_ops: int = 0,
-    tolerance: float = 0.0,
-) -> ValidationReport:
+def validate_point(point) -> ValidationReport:
     """Translation-validate one DSE design point's full pipeline."""
-    compiler = point.compiler()
     return validate_pipeline(
-        point.workload_spec(),
-        compiler.spec_text(),
-        platform=point.platform,
-        seed=seed,
-        max_ops=max_ops,
-        tolerance=tolerance,
+        point.workload_spec(), point.canonical_spec(), platform=point.platform
     )
 
 
@@ -468,9 +457,7 @@ def _all_loops(module) -> List:
     return [op for op in module.walk() if isinstance(op, AffineForOp)]
 
 
-def fuzz_transforms(
-    count: int = 200, seed: int = 0, tolerance: float = _FUZZ_TOLERANCE
-) -> FuzzReport:
+def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
     """Apply ``count`` random *checked* transforms; each must either raise
     ``TransformLegalityError`` or preserve the module's behavior.
 
@@ -533,7 +520,7 @@ def fuzz_transforms(
             report.rejected += 1
             continue
         after = interpret_module(module, seed=seed)
-        deltas = diff_results(before, after, tolerance=tolerance)
+        deltas = diff_results(before, after, tolerance=_FUZZ_TOLERANCE)
         if deltas:
             report.failures.append(
                 f"{workload.label()}: {described} validated as legal but "
