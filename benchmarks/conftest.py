@@ -43,7 +43,7 @@ def fit_dsp_budget(compile_at, platform_name, factors):
 
 
 def hida_at(workload, platform_name, drop=()):
-    """``factor -> CompileResult`` of the default pipeline minus ``drop``."""
+    """``factor -> CompilationState`` of the default pipeline minus ``drop``."""
 
     def compile_at(factor):
         stages = default_stages(drop, parallelize={"factor": factor})
@@ -53,5 +53,5 @@ def hida_at(workload, platform_name, drop=()):
 
 
 def scalehls_at(workload, platform_name):
-    """``factor -> CompileResult`` of the ScaleHLS baseline."""
+    """``factor -> CompilationState`` of the ScaleHLS baseline."""
     return lambda factor: compile_scalehls_baseline(workload, platform_name, factor)

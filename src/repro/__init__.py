@@ -31,25 +31,25 @@ and the platform table name *what* to compile and *for which hardware*::
         "eliminate-multi-producers,balance,tile,parallelize{factor=64},estimate",
         platform="vu9p-slr",
     ).run(workload="resnet18@batch=4")  # or .run(module)
-    print(result.summary(), result.stage_timings)
+    print(result.summary(), result.stage_timings)  # one CompilationState
 """
 
 from .backend import emit_hls_cpp
 from .compiler import (
     DEFAULT_PIPELINE,
+    CompilationState,
     Compiler,
     PipelineSpec,
     default_stages,
     parse_pipeline,
 )
 from .estimation import Platform, QoREstimator, get_platform, list_platforms
-from .hida import CompileResult
 from .workloads import Workload, get_workload, list_workloads
 
 __version__ = "2.0.0"
 
 __all__ = [
-    "CompileResult",
+    "CompilationState",
     "Compiler",
     "DEFAULT_PIPELINE",
     "PipelineSpec",

@@ -19,8 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from ..compiler import Compiler, default_stages
-from ..hida.pipeline import CompileResult
+from ..compiler import CompilationState, Compiler, default_stages
 from ..ir.builtin import ModuleOp
 
 __all__ = [
@@ -88,7 +87,7 @@ class AblationOutcome:
     bram: float
     lut: float
     misalignments: int
-    result: CompileResult
+    result: CompilationState
     #: The printed pipeline spec this outcome was compiled with.
     pipeline_spec: str = ""
 

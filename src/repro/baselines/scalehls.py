@@ -18,9 +18,8 @@ costs, which is added to the estimate afterwards.
 
 from __future__ import annotations
 
-from ..compiler import Compiler
+from ..compiler import CompilationState, Compiler
 from ..dialects.memref import GetGlobalOp
-from ..hida.pipeline import CompileResult
 from ..ir.builtin import ModuleOp
 
 __all__ = ["compile_scalehls_baseline", "scalehls_pipeline_spec"]
@@ -51,7 +50,7 @@ def compile_scalehls_baseline(
     platform: str = "vu9p-slr",
     max_parallel_factor: int = 32,
     enable_dataflow: bool = True,
-) -> CompileResult:
+) -> CompilationState:
     """Compile ``module`` with ScaleHLS-style policies and estimate its QoR.
 
     ``module`` may also be a registry workload id (``"resnet18@batch=4"``)

@@ -7,10 +7,12 @@ Three layers:
   round-trippable through parse/print and content-hashable for the QoR
   cache;
 * :mod:`repro.compiler.stages` — the :class:`CompilationStage` protocol, a
-  global stage registry, and the Figure-3 phases registered by name with
-  typed per-stage options;
+  global stage registry, the Figure-3 phases registered by name with
+  typed per-stage options, and :class:`CompilationState`, the one record
+  of a compile;
 * :mod:`repro.compiler.driver` — the :class:`Compiler` object
-  (``Compiler.from_spec(spec, platform=...)``, ``.run(module)``) with
+  (``Compiler.from_spec(spec, platform=...)``, ``.run(module)`` returning
+  the state its stages filled) with
   per-stage timings, observer hooks for IR snapshots and structured
   diagnostics, and :func:`default_stages` for "the default pipeline with
   these stages dropped or reconfigured".

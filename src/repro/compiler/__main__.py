@@ -226,7 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 5
 
     if args.cache_stats:
-        stats = compiler.ir_cache_stats
+        stats = result.ir_cache_stats
         print("\nir-cache stats:")
         for key in (
             "prefix_hits",

@@ -1,17 +1,17 @@
 """The ``Compiler`` front door: run a pipeline spec with observer hooks.
 
 ``Compiler.from_spec("construct-dataflow,...,estimate", platform="zu3eg")``
-builds a stage list from the registry; ``.run(module)`` threads a
+builds a stage list from the registry; ``.run_stages(module)`` threads a
 :class:`~repro.compiler.stages.CompilationState` through the stages and
-returns a :class:`~repro.hida.pipeline.CompileResult`;
-``.run_stages(module)`` is the same loop returning the state itself, for
-pipelines without an ``estimate`` stage.  Programmatic callers that only
+returns that state, the one record of the compile; ``.run(module)`` is the
+same plus a check that the pipeline produced a QoR estimate.  Programmatic
+callers that only
 *vary* the default pipeline (ablations, DSE knob points) build typed stages
 with :func:`default_stages` and hand them to
 ``Compiler(stages, platform=...)`` — no text round trip.
 
 Every run records per-stage wall-clock seconds on
-``CompileResult.stage_timings`` and, under a live :mod:`repro.obs` session,
+``CompilationState.stage_timings`` and, under a live :mod:`repro.obs` session,
 one ``cat="stage"`` span per stage.  Observers (:class:`PipelineObserver`)
 receive per-stage begin/end events, per-stage IR snapshots
 (:class:`SnapshotObserver`) and structured diagnostics
@@ -20,8 +20,9 @@ receive per-stage begin/end events, per-stage IR snapshots
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 from .. import obs
 from ..estimation.platform import get_platform
@@ -32,7 +33,9 @@ from .spec import PipelineSpec, PipelineSpecError, parse_pipeline
 from .stages import (
     CompilationStage,
     CompilationState,
+    CompileOptions,
     Diagnostic,
+    _ZERO_IR_STATS,
     build_stages,
     get_stage_class,
 )
@@ -88,19 +91,6 @@ def default_stages(
         for name in names
         if name not in dropped
     ]
-
-
-#: Initial value of :attr:`Compiler.ir_cache_stats` (a live :mod:`repro.obs`
-#: session counts the same events as ``ir_cache.*``; refusals are counted by
-#: the cache itself, as ``ir_cache.refused``).
-_ZERO_IR_STATS = {
-    "prefix_hits": 0,
-    "stages_skipped": 0,
-    "stages_run": 0,
-    "frontend_traces": 0,
-    "snapshots_stored": 0,
-    "snapshots_refused": 0,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +164,6 @@ class Compiler:
         self.platform = platform
         self.verify_each = verify_each
         self.observers: List[PipelineObserver] = list(observers)
-        #: Incremental-compilation counters of the most recent run (all
-        #: zero when it had no IR cache).  Lives on the compiler rather than
-        #: :class:`CompileResult` so result records stay byte-identical with
-        #: caching on or off.
-        self.ir_cache_stats: Dict[str, int] = dict(_ZERO_IR_STATS)
-        #: Observer exceptions swallowed during the most recent run, as
-        #: structured ``observer-error`` diagnostics.
-        self.observer_errors: List[Diagnostic] = []
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -212,7 +194,9 @@ class Compiler:
     def spec_hash(self) -> str:
         return self.spec().spec_hash()
 
-    def _emit_diagnostic(self, diagnostic: Diagnostic) -> None:
+    def _emit_diagnostic(
+        self, errors: List[Diagnostic], diagnostic: Diagnostic
+    ) -> None:
         obs.event(
             "diagnostic",
             cat="pipeline",
@@ -220,17 +204,20 @@ class Compiler:
             severity=diagnostic.severity,
             message=diagnostic.message,
         )
-        self._dispatch("on_diagnostic", diagnostic)
+        self._dispatch(errors, "on_diagnostic", diagnostic)
 
-    def _dispatch(self, hook: str, *args, _depth: int = 0) -> None:
+    def _dispatch(
+        self, errors: List[Diagnostic], hook: str, *args, _depth: int = 0
+    ) -> None:
         """Call ``hook`` on every observer, isolating observer faults.
 
         An observer that raises must not abort the compilation it is merely
         watching: the exception is swallowed, recorded as a structured
-        ``observer-error`` diagnostic (kept in :attr:`observer_errors` and
-        fanned out through ``on_diagnostic``) and counted on the telemetry
-        session.  ``_depth`` caps the recursion when an ``on_diagnostic``
-        hook itself fails while reporting a failure.
+        ``observer-error`` diagnostic (appended to ``errors``, the run's
+        :attr:`CompilationState.observer_errors`, and fanned out through
+        ``on_diagnostic``) and counted on the telemetry session.  ``_depth``
+        caps the recursion when an ``on_diagnostic`` hook itself fails
+        while reporting a failure.
         """
         for observer in self.observers:
             try:
@@ -251,7 +238,7 @@ class Compiler:
                         "error": type(error).__name__,
                     },
                 )
-                self.observer_errors.append(diagnostic)
+                errors.append(diagnostic)
                 obs.event(
                     "observer-error",
                     cat="pipeline",
@@ -260,7 +247,9 @@ class Compiler:
                     error=type(error).__name__,
                 )
                 obs.inc("compiler.observer_errors")
-                self._dispatch("on_diagnostic", diagnostic, _depth=_depth + 1)
+                self._dispatch(
+                    errors, "on_diagnostic", diagnostic, _depth=_depth + 1
+                )
 
     # -------------------------------------------------- incremental helpers
     def snapshot_boundaries(self) -> List[int]:
@@ -312,10 +301,10 @@ class Compiler:
         stores a snapshot at every snapshot-safe boundary it crosses.
         Snapshots are keyed by ``workload``'s registry identity or, for raw
         modules, by the module's content fingerprint.  Counters for the run
-        land in :attr:`ir_cache_stats`; results are bit-for-bit independent
-        of the cache (snapshots self-verify at store time), with one
-        observable difference: skipped stages emit no diagnostics and re-run
-        no observers.
+        land in the state's ``ir_cache_stats``; results are bit-for-bit
+        independent of the cache (snapshots self-verify at store time), with
+        one observable difference: skipped stages emit no diagnostics and
+        re-run no observers.
 
         ``ir_cache`` may be any store speaking that ``load``/``store``
         protocol; two class attributes complete it.  ``first_boundary`` is
@@ -325,10 +314,12 @@ class Compiler:
         ``counters`` is the :mod:`repro.obs` namespace the run's counters
         land under (``ir_cache`` without a store).
 
-        Returns the final :class:`~repro.compiler.stages.CompilationState`.
-        Any pipeline is legal here — one without an ``estimate`` stage
-        leaves ``state.estimate`` None; :meth:`run` is this plus the
-        estimate check and the :class:`CompileResult` packaging.
+        Returns the :class:`~repro.compiler.stages.CompilationState` the
+        stages filled, with the run's ``ir_cache_stats`` and
+        ``observer_errors``; its diagnostic sink is cleared, so it keeps no
+        observer alive.  Any pipeline is legal here — one without an
+        ``estimate`` stage leaves ``state.estimate`` None; :meth:`run` is
+        this plus the estimate check and the ``on_pipeline_end`` hook.
         """
         if module is not None and not isinstance(module, ModuleOp):
             # Convenience: run("2mm") / run(handle) resolve via the registry.
@@ -338,14 +329,13 @@ class Compiler:
         if workload is None and module is None:
             raise TypeError("Compiler.run() needs a module or workload=...")
 
-        self.ir_cache_stats = dict(_ZERO_IR_STATS)
-        self.observer_errors = []
-
         namespace = "ir_cache" if ir_cache is None else ir_cache.counters
+        options = CompileOptions(self.platform, self.verify_each)
+        stats = dict(_ZERO_IR_STATS)
 
         def count(key: str, amount: int = 1) -> None:
             # Per-run stats plus the live obs session (no-op if disabled).
-            self.ir_cache_stats[key] += amount
+            stats[key] += amount
             obs.inc(f"{namespace}.{key}", amount)
 
         with obs.span(
@@ -385,6 +375,8 @@ class Compiler:
                     schedules=schedules,
                     balance_report=balance_report,
                     misalignments=misalignments,
+                    options=options,
+                    ir_cache_stats=stats,
                 )
                 resume_index = i
                 count("prefix_hits")
@@ -407,9 +399,13 @@ class Compiler:
                         module = as_module(workload)
                     count("frontend_traces")
                 state = CompilationState(
-                    module=module, platform=get_platform(self.platform)
+                    module=module,
+                    platform=get_platform(self.platform),
+                    options=options,
+                    ir_cache_stats=stats,
                 )
-            state._sink = self._emit_diagnostic
+            errors = state.observer_errors
+            state._sink = functools.partial(self._emit_diagnostic, errors)
 
             def snapshot(boundary: int) -> None:
                 if (
@@ -422,12 +418,12 @@ class Compiler:
                     count("snapshots_stored")
 
             start = time.perf_counter()
-            self._dispatch("on_pipeline_start", self, module)
+            self._dispatch(errors, "on_pipeline_start", self, module)
             snapshot(0)
             for index, stage in enumerate(self.stages):
                 if index < resume_index:
                     continue  # resumed past this stage from a snapshot
-                self._dispatch("on_stage_start", stage, state)
+                self._dispatch(errors, "on_stage_start", stage, state)
                 # A stage that raises still closes its span (``error`` attr).
                 with obs.span(stage.name, cat="stage") as stage_span:
                     stage_start = time.perf_counter()
@@ -435,7 +431,7 @@ class Compiler:
                     elapsed = time.perf_counter() - stage_start
                     stage_span.set_attr(seconds=round(elapsed, 6))
                 state.stage_timings.append((stage.name, elapsed))
-                self._dispatch("on_stage_end", stage, state, elapsed)
+                self._dispatch(errors, "on_stage_end", stage, state, elapsed)
                 if self.verify_each:
                     with obs.span("verify", cat="stage", after=stage.name):
                         issues = verify(module, raise_on_error=False)
@@ -457,11 +453,10 @@ class Compiler:
             if ir_cache is not None:
                 # The cache counts (and reports) its own refusals as they
                 # happen; the run only records how many were its own.
-                self.ir_cache_stats["snapshots_refused"] = (
-                    ir_cache.refused - refused_before
-                )
+                stats["snapshots_refused"] = ir_cache.refused - refused_before
             state.compile_seconds = time.perf_counter() - start
             run_span.set_attr(compile_seconds=round(state.compile_seconds, 6))
+        state._sink = None
         return state
 
     def run(
@@ -470,16 +465,14 @@ class Compiler:
         *,
         workload=None,
         ir_cache: Optional[IRSnapshotCache] = None,
-    ):
-        """:meth:`run_stages`, packaged as a
-        :class:`~repro.hida.pipeline.CompileResult`.
+    ) -> CompilationState:
+        """:meth:`run_stages`, checked for a QoR estimate.
 
         Raises :class:`~repro.compiler.spec.PipelineSpecError` when the
         pipeline produced no QoR estimate (i.e. it lacks an ``estimate``
         stage); :meth:`run_stages` is the entry point for such pipelines.
+        Observers' ``on_pipeline_end`` receives the returned state.
         """
-        from ..hida.pipeline import CompileOptions, CompileResult
-
         state = self.run_stages(module, workload=workload, ir_cache=ir_cache)
         if state.estimate is None:
             raise PipelineSpecError(
@@ -487,20 +480,8 @@ class Compiler:
                 "append an 'estimate' stage (run_stages() runs partial "
                 "pipelines)"
             )
-        result = CompileResult(
-            module=state.module,
-            schedules=state.schedules,
-            estimate=state.estimate,
-            parallelization=state.parallelization,
-            balance_report=state.balance_report,
-            options=CompileOptions(self.platform, self.verify_each),
-            compile_seconds=state.compile_seconds,
-            stage_timings=state.stage_timings,
-            misalignments=state.misalignments,
-            graphs=state.graphs,
-        )
-        self._dispatch("on_pipeline_end", result)
-        return result
+        self._dispatch(state.observer_errors, "on_pipeline_end", state)
+        return state
 
     def __repr__(self) -> str:
         return f"Compiler({self.spec_text()!r}, platform={self.platform!r})"

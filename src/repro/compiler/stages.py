@@ -50,6 +50,7 @@ __all__ = [
     "StageOption",
     "CompilationStage",
     "CompilationState",
+    "CompileOptions",
     "Diagnostic",
     "register_stage",
     "get_stage_class",
@@ -74,9 +75,39 @@ class Diagnostic:
         return f"[{self.severity}] {self.stage}: {self.message}"
 
 
+#: Initial value of :attr:`CompilationState.ir_cache_stats` (a live
+#: :mod:`repro.obs` session counts the same events under the run's counter
+#: namespace; refusals are counted by the cache itself, as
+#: ``ir_cache.refused``).
+_ZERO_IR_STATS = {
+    "prefix_hits": 0,
+    "stages_skipped": 0,
+    "stages_run": 0,
+    "frontend_traces": 0,
+    "snapshots_stored": 0,
+    "snapshots_refused": 0,
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class CompileOptions:
+    """What a :class:`~repro.compiler.driver.Compiler` is bound to besides
+    its stages (everything else is in the pipeline spec)."""
+
+    platform: str = "vu9p-slr"
+    #: Whether the IR was verified after every stage.
+    verify: bool = False
+
+
 @dataclasses.dataclass
 class CompilationState:
-    """Everything a pipeline run accumulates while flowing through stages."""
+    """One compile: what its stages accumulate while flowing through them.
+
+    :meth:`Compiler.run <repro.compiler.driver.Compiler.run>` returns the
+    very state its stages filled, so this is also the record every
+    downstream consumer (baselines, DSE, benchmark harnesses, the HLS
+    emitter) reads.
+    """
 
     module: ModuleOp
     platform: Platform
@@ -95,10 +126,24 @@ class CompilationState:
     #: snapshots — a warm resume simply re-baselines at its first boundary.
     tv_baseline: Optional[object] = None
     #: ``(stage name, wall-clock seconds)`` per stage the driver ran, in run
-    #: order, and the wall-clock seconds of the whole stage loop.
+    #: order (stages skipped by a snapshot resume do not appear), and the
+    #: wall-clock seconds of the whole stage loop.
     stage_timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
     compile_seconds: float = 0.0
-    #: Observer fan-out installed by the driver; stages call :meth:`emit`.
+    #: The running compiler's platform name and ``verify_each`` flag (None
+    #: on a state built outside a run).
+    options: Optional[CompileOptions] = None
+    #: Incremental-compilation counters of the run (see
+    #: :data:`_ZERO_IR_STATS`).  Kept off the QoR payload, so cached
+    #: records stay byte-identical with caching on or off.
+    ir_cache_stats: Dict[str, int] = dataclasses.field(
+        default_factory=_ZERO_IR_STATS.copy
+    )
+    #: Observer exceptions swallowed during the run, as structured
+    #: ``observer-error`` diagnostics.
+    observer_errors: List[Diagnostic] = dataclasses.field(default_factory=list)
+    #: Observer fan-out the driver installs for the stage loop (and clears
+    #: when it ends); stages call :meth:`emit`.
     _sink: Optional[Callable[[Diagnostic], None]] = None
 
     def emit(
@@ -109,6 +154,34 @@ class CompilationState:
         if self._sink is not None:
             self._sink(diagnostic)
         return diagnostic
+
+    # ------------------------------------------------------------- read API
+    @property
+    def throughput(self) -> float:
+        return self.estimate.throughput
+
+    def utilization(self) -> Dict[str, float]:
+        return self.estimate.utilization(self.platform)
+
+    def max_utilization(self) -> float:
+        return self.estimate.max_utilization(self.platform)
+
+    def summary(self) -> Dict[str, float]:
+        """Flat summary used by the benchmark harnesses."""
+        resources = self.estimate.resources
+        return {
+            "throughput": self.throughput,
+            "latency_cycles": self.estimate.latency,
+            "interval_cycles": self.estimate.interval,
+            "lut": resources.lut,
+            "ff": resources.ff,
+            "dsp": resources.dsp,
+            "bram": resources.bram,
+            "max_utilization": self.max_utilization(),
+            "compile_seconds": self.compile_seconds,
+            "num_nodes": sum(len(s.nodes) for s in self.schedules),
+            "misalignments": float(self.misalignments),
+        }
 
 
 @dataclasses.dataclass(frozen=True)

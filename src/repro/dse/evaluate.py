@@ -203,17 +203,16 @@ def evaluate_point(
             try:
                 result = base
                 if result is None:
-                    compiler = point.compiler()
                     # With no module in hand the driver builds it — or, on an
                     # IR-cache prefix hit, rehydrates from the snapshot and
                     # the frontend never runs in this process at all.
-                    result = compiler.run(
+                    result = point.compiler().run(
                         module,
                         workload=point.workload_spec(),
                         ir_cache=shared if ir_cache is None else ir_cache,
                     )
                     if ir_cache is not None:
-                        record["ir_cache"] = compiler.ir_cache_stats
+                        record["ir_cache"] = result.ir_cache_stats
                 qor = payload(fidelity, result)
                 if base is None:
                     record["simulation_input"] = SimulationInput(

@@ -6,9 +6,9 @@ different costs and trust levels.  This module makes that axis explicit —
 a fixed ladder, :data:`FIDELITIES`, cheapest first:
 
 * ``estimate`` — the analytic model exactly as every pre-fidelity sweep ran
-  it (:meth:`~repro.hida.pipeline.CompileResult.summary`); cheap, and its
-  QoR-cache keys are byte-identical to the pre-fidelity cache, so existing
-  caches stay warm.
+  it (:meth:`~repro.compiler.stages.CompilationState.summary`); cheap, and
+  its QoR-cache keys are byte-identical to the pre-fidelity cache, so
+  existing caches stay warm.
 * ``simulate`` — a two-level dataflow simulation of the final design
   (:func:`repro.estimation.qor.simulate_graphs`), composed from the
   estimate stage's per-schedule graphs with no IR walk: bands execute
@@ -127,7 +127,7 @@ def best_fidelity_records(records: Sequence[Dict]) -> List[Dict]:
 @dataclasses.dataclass(frozen=True)
 class SimulationInput:
     """What a promotion needs of a point's base compile, and no IR: the
-    parts of a :class:`~repro.hida.pipeline.CompileResult` that
+    parts of a :class:`~repro.compiler.stages.CompilationState` that
     :func:`payload` reads.  A few KB and picklable, so it crosses the worker
     boundary with the base record."""
 
@@ -143,7 +143,8 @@ class SimulationInput:
 def payload(level: str, result) -> Dict:
     """The JSON-safe QoR payload the runner caches (``summary`` /
     ``estimate`` / ``fits``) of a
-    :class:`~repro.hida.pipeline.CompileResult` or a :class:`SimulationInput`.
+    :class:`~repro.compiler.stages.CompilationState` or a
+    :class:`SimulationInput`.
 
     ``estimate`` is the analytic payload, exactly what pre-fidelity sweeps
     cached.  ``simulate`` takes its timing from the dataflow simulator over

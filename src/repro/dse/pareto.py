@@ -30,7 +30,7 @@ __all__ = [
 #: Minimized objectives, read from a record's ``summary`` mapping.
 DEFAULT_OBJECTIVES: Tuple[str, ...] = ("latency_cycles", "dsp", "bram")
 
-#: Every metric a QoR record's summary carries (see CompileResult.summary);
+#: Every metric a QoR record's summary carries (see CompilationState.summary);
 #: used to reject typo'd objective names before a sweep silently scores 0.
 SUMMARY_METRICS: Tuple[str, ...] = (
     "throughput",

@@ -19,9 +19,8 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..compiler import Compiler, default_stages
+from ..compiler import CompilationState, Compiler, default_stages
 from ..estimation.platform import PYNQ_Z2, Platform
-from ..hida.pipeline import CompileResult
 from ..workloads import get_workload
 
 __all__ = [
@@ -229,7 +228,7 @@ def compile_hida_lenet(
     batches: Sequence[int] = (10, 20),
     platform_name: str = "pynq-z2",
     workload: str = "lenet",
-) -> Tuple[float, float, CompileResult]:
+) -> Tuple[float, float, CompilationState]:
     """Compile LeNet with the real HIDA pipeline; pick the best fitting design.
 
     ``workload`` is resolved through the :mod:`repro.workloads` registry, so
@@ -237,7 +236,7 @@ def compile_hida_lenet(
     (throughput in images/s, utilization, compile result).
     """
     handle = get_workload(workload, kind="model")
-    best: Optional[Tuple[float, float, CompileResult]] = None
+    best: Optional[Tuple[float, float, CompilationState]] = None
     for batch in batches:
         for factor in parallel_factors:
             result = Compiler(

@@ -2,9 +2,8 @@
 
 The paper's primary contribution: Functional dataflow construction and task
 fusion, Structural lowering, multi-producer elimination, data-path
-balancing, intensity/connection analysis, IA+CA parallelization, and the
-result/workload records of a compilation (the driver itself is
-:mod:`repro.compiler`).
+balancing, intensity/connection analysis and IA+CA parallelization (the driver and
+its compile record are :mod:`repro.compiler`).
 """
 
 from .analysis import (
@@ -47,7 +46,6 @@ from .parallelize import (
     search_unroll_factors,
     sort_bands,
 )
-from .pipeline import CompileOptions, CompileResult
 from .structural import (
     analyze_memory_effects,
     convert_allocs_to_buffers,
@@ -89,8 +87,6 @@ __all__ = [
     "proposal_cost",
     "search_unroll_factors",
     "sort_bands",
-    "CompileOptions",
-    "CompileResult",
     "analyze_memory_effects",
     "convert_allocs_to_buffers",
     "convert_dispatch_to_schedule",

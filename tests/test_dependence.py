@@ -378,8 +378,7 @@ class TestSharedAccessCollection:
         compiler = Compiler.from_spec(
             DEFAULT_PIPELINE, platform="vu9p-slr", observers=[observer]
         )
-        compiler.run(workload=workload)
-        assert not compiler.observer_errors
+        assert not compiler.run(workload=workload).observer_errors
         assert observer.loops and observer.permutations
         assert not observer.mismatches
 
@@ -624,8 +623,7 @@ def _golden_of(workload):
     compiler = Compiler.from_spec(
         DEFAULT_PIPELINE, platform="vu9p-slr", observers=[observer]
     )
-    compiler.run(workload=workload)
-    assert not compiler.observer_errors
+    assert not compiler.run(workload=workload).observer_errors
     if get_workload(workload).kind == "kernel":
         golden, previous = {}, None
         for stage, answers in observer.stages.items():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.compiler.driver import DEFAULT_PIPELINE, Compiler
+from repro.compiler.driver import DEFAULT_PIPELINE, Compiler, PipelineObserver
 from repro.compiler.ircache import (
     SCHEMA_VERSION,
     IRSnapshotCache,
@@ -27,6 +27,13 @@ from repro.dse.cache import CACHE_VERSION
 from repro.estimation.platform import get_platform
 from repro.ir.printer import print_op
 from repro.workloads import get_workload
+
+
+#: The ``ir_cache_stats`` keys, in ``--cache-stats`` order.
+STATS_KEYS = (
+    "prefix_hits", "stages_skipped", "stages_run", "frontend_traces",
+    "snapshots_stored", "snapshots_refused",
+)
 
 
 def make_compiler(platform="zu3eg"):
@@ -47,7 +54,7 @@ def refusals():
 
 
 def summary_of(result):
-    """QoR-bearing fields of a CompileResult, excluding wall-clock noise."""
+    """QoR-bearing fields of a compile record, excluding wall-clock noise."""
     return {
         "latency": result.estimate.latency,
         "interval": result.estimate.interval,
@@ -133,16 +140,14 @@ def test_cold_then_warm_run_is_bit_identical(tmp_path):
     cache = IRSnapshotCache(tmp_path / "ir")
     reference = make_compiler().run(workload="2mm")
 
-    cold_compiler = make_compiler()
-    cold = cold_compiler.run(workload="2mm", ir_cache=cache)
-    assert cold_compiler.ir_cache_stats["prefix_hits"] == 0
-    assert cold_compiler.ir_cache_stats["frontend_traces"] == 1
-    assert cold_compiler.ir_cache_stats["snapshots_stored"] == 7
+    cold = make_compiler().run(workload="2mm", ir_cache=cache)
+    assert cold.ir_cache_stats["prefix_hits"] == 0
+    assert cold.ir_cache_stats["frontend_traces"] == 1
+    assert cold.ir_cache_stats["snapshots_stored"] == 7
     assert cache.verify_failures == 0
 
-    warm_compiler = make_compiler()
-    warm = warm_compiler.run(workload="2mm", ir_cache=cache)
-    stats = warm_compiler.ir_cache_stats
+    warm = make_compiler().run(workload="2mm", ir_cache=cache)
+    stats = warm.ir_cache_stats
     assert stats["prefix_hits"] == 1
     assert stats["stages_skipped"] == 7
     assert stats["stages_run"] == 2  # parallelize + estimate only
@@ -153,6 +158,45 @@ def test_cold_then_warm_run_is_bit_identical(tmp_path):
     assert print_op(warm.module) == print_op(reference.module)
     assert summary_of(cold) == summary_of(reference)
     assert summary_of(warm) == summary_of(reference)
+
+
+def test_one_compiler_run_cold_then_warm_returns_one_record_per_run(tmp_path):
+    """``run`` returns the state its stages filled, with that run's counters
+    and observer errors; the compiler itself keeps nothing of a run."""
+    ended = []
+
+    class PipelineEnds(PipelineObserver):
+        def on_pipeline_end(self, result):
+            ended.append(result)
+
+    compiler = Compiler.from_spec(
+        DEFAULT_PIPELINE, platform="zu3eg", observers=[PipelineEnds()]
+    )
+    attributes = dict(vars(compiler))
+    cache = IRSnapshotCache(tmp_path / "ir")
+    cold = compiler.run(workload="2mm", ir_cache=cache)
+    cold_fields = (
+        dict(cold.ir_cache_stats), list(cold.stage_timings), cold.compile_seconds
+    )
+    cold_text = print_op(cold.module)
+    warm = compiler.run(workload="2mm", ir_cache=cache)
+
+    def stats(hits, skipped, run, traces, stored):
+        return dict(zip(STATS_KEYS, (hits, skipped, run, traces, stored, 0)))
+
+    assert cold.ir_cache_stats == stats(0, 0, 9, 1, 7)
+    assert warm.ir_cache_stats == stats(1, 7, 2, 0, 0)
+    assert cold.observer_errors == warm.observer_errors == []
+    # The warm run left the cold record alone.
+    assert (cold.ir_cache_stats, cold.stage_timings, cold.compile_seconds) == (
+        cold_fields
+    )
+    assert print_op(cold.module) == cold_text
+    assert [name for name, _ in warm.stage_timings] == ["parallelize", "estimate"]
+    assert len(ended) == 2 and ended[0] is cold and ended[1] is warm
+    assert cold._sink is None and warm._sink is None
+    assert vars(compiler) == attributes
+    assert set(attributes) == {"stages", "platform", "verify_each", "observers"}
 
 
 @pytest.mark.parametrize("workload", ["2mm", "atax"])
@@ -180,9 +224,8 @@ def test_resume_from_every_boundary_matches_full_compile(tmp_path, workload):
         cache = IRSnapshotCache(tmp_path / f"b{boundary}")
         assert cache.store(key, "zu3eg", hashes[boundary], state)
 
-        resumed_compiler = make_compiler()
-        resumed = resumed_compiler.run(workload=workload, ir_cache=cache)
-        stats = resumed_compiler.ir_cache_stats
+        resumed = make_compiler().run(workload=workload, ir_cache=cache)
+        stats = resumed.ir_cache_stats
         assert stats["prefix_hits"] == 1
         assert stats["stages_skipped"] == boundary
         assert stats["frontend_traces"] == 0
@@ -241,8 +284,8 @@ def test_store_refuses_snapshot_on_schedule_mismatch(tmp_path, refusals):
     result = compiler.run(module, ir_cache=cache)
     assert result.estimate is not None
     assert refusals()[1:] == [("store", "parse")] * 7
-    assert compiler.ir_cache_stats["snapshots_refused"] == 7
-    assert compiler.ir_cache_stats["snapshots_stored"] == 0
+    assert result.ir_cache_stats["snapshots_refused"] == 7
+    assert result.ir_cache_stats["snapshots_stored"] == 0
     assert len(cache) == 0
 
 

@@ -284,8 +284,7 @@ def test_traced_compile_emits_stage_spans():
 
 def test_compiler_metrics_replace_stat_dict():
     compiler = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg")
-    compiler.run(workload=get_workload("atax"))
-    stats = compiler.ir_cache_stats
+    stats = compiler.run(workload=get_workload("atax")).ir_cache_stats
     assert set(stats) == {
         "prefix_hits",
         "stages_skipped",
@@ -324,7 +323,7 @@ class _ExplodingObserver(PipelineObserver):
     def on_diagnostic(self, diagnostic):
         self._maybe_raise("on_diagnostic")
 
-    def on_pipeline_end(self, compiler, result):
+    def on_pipeline_end(self, result):
         self._maybe_raise("on_pipeline_end")
 
 
@@ -336,13 +335,22 @@ def test_observer_exceptions_are_non_fatal():
     )
     result = compiler.run(workload=get_workload("atax"))
     assert result.module is not None
-    # Each raising hook produced one structured observer-error diagnostic.
-    assert compiler.observer_errors
-    assert all(d.stage == "observer-error" for d in compiler.observer_errors)
-    assert any("on_stage_start" in d.message for d in compiler.observer_errors)
-    assert any("on_pipeline_end" in d.message for d in compiler.observer_errors)
-    # Healthy observers still saw every stage.
+    # Each raising hook produced one structured observer-error diagnostic,
+    # all of them the exploding observer's own RuntimeErrors.
+    errors = result.observer_errors
+    assert [(d.stage, d.data["observer"], d.data["error"]) for d in errors] == [
+        ("observer-error", "_ExplodingObserver", "RuntimeError")
+    ] * len(errors)
+    assert [d.data["hook"] for d in errors] == ["on_stage_start"] * 9 + [
+        "on_pipeline_end"
+    ]
+    assert errors[-1].message == (
+        "_ExplodingObserver.on_pipeline_end raised RuntimeError: "
+        "boom in on_pipeline_end"
+    )
+    # Healthy observers saw every hook and raised nothing.
     assert healthy.calls.count("on_stage_end") == len(result.stage_timings) == 9
+    assert healthy.calls[-1] == "on_pipeline_end"
 
 
 def test_observer_error_reaches_diagnostics_observer():
@@ -366,7 +374,7 @@ def test_observer_raising_in_on_diagnostic_does_not_recurse():
     )
     result = compiler.run(workload=get_workload("atax"))
     assert result.module is not None
-    assert compiler.observer_errors  # recorded, bounded, non-fatal
+    assert result.observer_errors  # recorded, bounded, non-fatal
 
 
 def test_raising_stage_closes_its_span_with_error():
