@@ -5,9 +5,8 @@ builds a stage list from the registry; ``.run_stages(module)`` threads a
 :class:`~repro.compiler.stages.CompilationState` through the stages and
 returns that state, the one record of the compile; ``.run(module)`` is the
 same plus a check that the pipeline produced a QoR estimate.  Programmatic
-callers that only
-*vary* the default pipeline (ablations, DSE knob points) build typed stages
-with :func:`default_stages` and hand them to
+callers that only *vary* the default pipeline (ablations, DSE knob points)
+build typed stages with :func:`default_stages` and hand them to
 ``Compiler(stages, platform=...)`` — no text round trip.
 
 Every run records per-stage wall-clock seconds on
