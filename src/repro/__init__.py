@@ -31,7 +31,7 @@ and the platform table name *what* to compile and *for which hardware*::
         "eliminate-multi-producers,balance,tile,parallelize{factor=64},estimate",
         platform="vu9p-slr",
     ).run(workload="resnet18@batch=4")  # or .run(module)
-    print(result.summary(), result.stage_timings)  # one CompilationState
+    print(result.summary(), result.stage_timings)
 """
 
 from .backend import emit_hls_cpp

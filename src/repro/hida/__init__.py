@@ -2,8 +2,8 @@
 
 The paper's primary contribution: Functional dataflow construction and task
 fusion, Structural lowering, multi-producer elimination, data-path
-balancing, intensity/connection analysis and IA+CA parallelization (the driver and
-its compile record are :mod:`repro.compiler`).
+balancing, intensity/connection analysis and IA+CA parallelization (the
+driver and its compile record are :mod:`repro.compiler`).
 """
 
 from .analysis import (
