@@ -128,6 +128,51 @@ def test_cli_reports_config_errors_through_parser_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+#: argv -> the settings ``main`` must hand to explore(): one row per flag
+#: that sets an ``ExploreConfig`` field, plus the conversions of its value.
+CLI_SETTINGS = [
+    ([], {}),
+    (["--workers", "3"], dict(workers=3)),
+    (["--cache-dir", "qor"], dict(cache_dir="qor")),
+    (["--no-cache"], dict(use_cache=False)),
+    (["--objectives", "throughput, dsp,"], dict(objectives=("throughput", "dsp"))),
+    (["--resume"], dict(resume=True)),
+    (["--strategy", "random"], dict(strategy="random")),
+    (["--strategy", "random", "--budget", "5"], dict(strategy="random", budget=5)),
+    (["--strategy", "random", "--budget", "0"], dict(strategy="random")),
+    (["--strategy", "random", "--seed", "7"], dict(strategy="random", seed=7)),
+    (["--sample", "2", "--seed", "7"], {}),  # the seed steers --sample only
+    (["--fidelity", "simulate"], dict(fidelity="simulate")),
+    (
+        ["--fidelity", "simulate", "--promote-top", "0.5"],
+        dict(fidelity="simulate", promote_top=0.5),
+    ),
+    (["--ir-cache"], dict(ir_cache=True)),
+    (["--ir-cache", "--ir-cache-dir", "ir"], dict(ir_cache=True, ir_cache_dir="ir")),
+    (["--prefilter"], dict(prefilter=True)),
+    (["--validate-frontier"], dict(validate_frontier=True)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,settings", CLI_SETTINGS, ids=[" ".join(argv) or "none" for argv, _ in CLI_SETTINGS]
+)
+def test_cli_builds_the_config_its_flags_name(argv, settings, monkeypatch):
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def fake_explore(space, config):
+        seen.append(config)
+        raise Stop  # before anything is evaluated
+
+    monkeypatch.setattr("repro.dse.__main__.explore", fake_explore)
+    with pytest.raises(Stop):
+        main(["--workload", "atax", *argv])
+    assert seen == [ExploreConfig(**settings)]
+
+
 # ------------------------------------------------------------ one batch
 def _stable(records):
     return [
@@ -189,15 +234,25 @@ def test_result_roundtrips_with_its_config(tmp_path):
 def test_a_result_file_with_retired_fields_still_loads(tmp_path):
     result = explore(two_kernel_space(), cache_dir=tmp_path, strategy="random", budget=4, seed=9)
     blob = json.loads(result.to_json())
-    # Keys older result files carry: per-generation rows and a setting that
-    # no longer exists.  Loading drops them.
+    # Keys older result files carry: per-generation rows, a setting that no
+    # longer exists, and the run's settings and record counts written out
+    # beside ``config`` and ``records``.  Loading drops them.
     archived = {
         **blob,
         "generations": [{"generation": 0, "evaluated": 4, "hypervolume": 1.0}],
         "config": {**blob["config"], "patience": None},
+        "objectives": ["latency_cycles", "dsp", "bram"],
+        "workers": 1,
+        "strategy": "random",
+        "fidelity": "estimate",
+        "promote_top": None,
+        "cache_hits": 0,
+        "cache_misses": 4,
+        "errors": [],
     }
     clone = ExplorationResult.from_dict(archived)
     assert clone.config == result.config
+    assert (clone.records, clone.frontier) == (blob["records"], blob["frontier"])
     assert json.loads(clone.to_json()) == blob
 
 
