@@ -36,10 +36,10 @@ def test_dse_warm_cache_replay(tmp_path):
     started = time.perf_counter()
     cold = explore(small_space(), workers=1, cache_dir=cache_dir)
     cold_seconds = time.perf_counter() - started
-    assert cold.num_cached == 0
+    assert cold.cache_hits == 0
 
     warm = explore(small_space(), workers=1, cache_dir=cache_dir)
-    assert warm.num_cached == warm.num_points
+    assert warm.cache_hits == warm.num_points
     assert warm.frontier_keys() == cold.frontier_keys()
     # The replay must beat the cold sweep outright (the CLI acceptance bar
     # is 5x; asserted loosely here to stay robust on noisy CI runners).

@@ -57,7 +57,7 @@ def main() -> None:
     print()
     print(
         f"{result.num_points} points in {result.elapsed_seconds:.2f}s, "
-        f"{result.num_cached} from cache; "
+        f"{result.cache_hits} from cache; "
         f"{len(fitting)}/{len(result.frontier)} frontier designs fit {platform.name}"
     )
     best = result.best_by("throughput", minimize=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from typing import Any, Callable, Dict, Type
+from typing import Any, Callable, Dict, List, Optional, Type
 
 from .compiler.spec import PipelineSpecError, parse_pipeline
 from .compiler.stages import build_stages
@@ -45,6 +45,14 @@ def output_path(text: str) -> str:
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
     return text
+
+
+def non_negative(text: str) -> int:
+    """A whole number of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative (got {value})")
+    return value
 
 
 def _repeatable(repeatable: bool, dest: str) -> Dict[str, str]:
@@ -128,7 +136,8 @@ def add_ir_cache(parser: Any) -> None:
 
 
 def check_ir_cache(parser: Any, args: Any) -> None:
-    if args.ir_cache_dir is not None and not args.ir_cache:
+    # The DSE CLI leaves a flag it was not given out of ``args``.
+    if getattr(args, "ir_cache_dir", None) is not None and not getattr(args, "ir_cache", False):
         parser.error("--ir-cache-dir requires --ir-cache")
 
 
@@ -184,6 +193,14 @@ def add_sweep_flags(parser: Any) -> None:
         action="store_true",
         help="emit a GitHub Actions workflow annotation per finding or failure",
     )
+
+
+def sweep_workloads(parser: Any, args: Any, kind: Optional[str] = None) -> List[Any]:
+    """The handles a zoo sweep runs: the ``--workload`` handles, or every
+    registered workload (of ``kind``) with ``--all-workloads``."""
+    if bool(args.workloads) == args.all_workloads:
+        parser.error("pass --workload NAME (repeatable) or --all-workloads, not both")
+    return list(iter_workloads(kind=kind)) if args.all_workloads else args.workloads
 
 
 def github_annotation(level: str, title: str, message: str, **location: Any) -> str:

@@ -29,7 +29,6 @@ from .. import _cli
 from ..compiler.driver import DEFAULT_PIPELINE, Compiler
 from ..compiler.spec import PipelineSpecError
 from ..evaluation.reporting import format_table
-from ..workloads import iter_workloads
 from .engine import AnalysisReport, analyze_module
 from .rules import available_rules, rule_registry
 
@@ -142,8 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         _print_rule_catalog()
         return 0
-    if bool(args.workloads) == bool(args.all_workloads):
-        parser.error("pass --workload NAME (repeatable) or --all-workloads")
+    handles = _cli.sweep_workloads(parser, args)
     if args.rules:
         unknown = sorted(set(args.rules) - set(available_rules()))
         if unknown:
@@ -151,7 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--rules: unknown rule id(s) {', '.join(unknown)}; "
                 f"known rules: {', '.join(available_rules())}"
             )
-    handles = list(iter_workloads()) if args.all_workloads else args.workloads
 
     rule_ids = args.rules or available_rules()
     reports: Dict[str, AnalysisReport] = {}

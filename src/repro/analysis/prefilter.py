@@ -16,7 +16,7 @@ Rejections are pure functions of the point (no RNG, no caches consulted),
 so running :func:`~repro.dse.runner.explore` with the pre-filter on leaves
 the records of every feasible point byte-identical to a run without it;
 rejected points surface in :attr:`ExplorationResult.rejected
-<repro.evaluation.reporting.ExplorationResult.rejected>` and never consume
+<repro.dse.config.ExplorationResult.rejected>` and never consume
 distinct-point budget.
 """
 

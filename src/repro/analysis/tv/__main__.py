@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 from ... import _cli
 from ...baselines.ablation import ABLATION_MODES, ablation_pipeline_spec
 from ...compiler.driver import DEFAULT_PIPELINE
-from ...workloads import iter_workloads
 from . import ValidationReport, fuzz_transforms, validate_pipeline
 
 #: Kernels with non-integer math need the documented relative tolerance;
@@ -24,10 +23,8 @@ from . import ValidationReport, fuzz_transforms, validate_pipeline
 _SWEEP_TOLERANCES = {"correlation": 1e-9}
 
 
-def _sweep_workloads(handles: Sequence, everything: bool) -> List:
-    """The sweep's workload handles (kernels shrink to n=8)."""
-    if everything:
-        handles = list(iter_workloads(kind="kernel"))
+def _shrunk(handles: Sequence) -> List:
+    """The sweep's workload handles, kernels shrunk to n=8."""
     shrunk = []
     for handle in handles:
         if "n" in handle.params:
@@ -97,9 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _cli.write_json(args.json, fuzzed.to_dict())
         return 0 if fuzzed.ok else 1
 
-    if not args.workloads and not args.all_workloads:
-        parser.error("pass --workload/--all-workloads (or --fuzz)")
-    handles = _sweep_workloads(args.workloads, args.all_workloads)
+    handles = _shrunk(_cli.sweep_workloads(parser, args, kind="kernel"))
     specs = _sweep_specs(args.spec, args.ablations)
     reports: List[ValidationReport] = []
     failures = 0

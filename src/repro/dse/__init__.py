@@ -6,7 +6,8 @@ pipeline into that search engine:
 
 * :mod:`repro.dse.space` — design points and preset design spaces;
 * :mod:`repro.dse.cache` — persistent content-hash QoR cache;
-* :mod:`repro.dse.config` — ``ExploreConfig``, every setting of one run;
+* :mod:`repro.dse.config` — ``ExploreConfig``, every setting of one run,
+  and ``ExplorationResult``, what the run produced;
 * :mod:`repro.dse.evaluate` — one point: fingerprint, cache probe, compile;
 * :mod:`repro.dse.runner` — one batch, its promotion pass and the
   process-parallel fan-out;
@@ -19,7 +20,7 @@ pipeline into that search engine:
 """
 
 from .cache import QoRCache, default_cache_dir
-from .config import ExploreConfig
+from .config import ExplorationResult, ExploreConfig
 from .evaluate import evaluate_point
 from .fidelity import (
     DEFAULT_FIDELITY,
@@ -53,6 +54,7 @@ __all__ = [
     "QoRCache",
     "default_cache_dir",
     "ExploreConfig",
+    "ExplorationResult",
     "DEFAULT_FIDELITY",
     "DEFAULT_PROMOTE_TOP",
     "FIDELITIES",

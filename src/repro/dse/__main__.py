@@ -20,8 +20,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .. import _cli, obs
 from .cache import QoRCache, default_cache_dir
@@ -30,6 +31,19 @@ from .pareto import DEFAULT_OBJECTIVES
 from .runner import explore
 from .search import STRATEGIES
 from .space import SPACE_PRESETS, build_space, dnn_suite, polybench_suite
+
+#: A flag that sets one of these has it as its ``dest`` and no default, so a flag not given
+#: leaves ``ExploreConfig``'s.  ``--seed`` is the CLI's own: it also steers ``--sample``.
+_SETTINGS = {f.name for f in dataclasses.fields(ExploreConfig)} - {"seed"}
+
+
+def _objectives(text: str) -> Tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def budget(text: str) -> Optional[int]:
+    """``--budget``: 0 means the whole space."""
+    return int(text) or None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,31 +73,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _cli.add_target(parser, default=None, repeatable=True)
     parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default: 1)"
+        "--workers", type=int, help=f"worker processes (default: {ExploreConfig.workers})"
     )
     parser.add_argument(
         "--sample",
-        type=int,
+        type=_cli.non_negative,
         default=0,
         metavar="N",
         help="seeded subsample of N points from the space (0 = all)",
     )
     parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="sampling / search seed (default: 0)",
+        "--seed", type=int, help="sampling / search seed (needs --sample or --strategy)"
     )
     parser.add_argument(
         "--strategy",
         choices=list(STRATEGIES),
-        default=None,
         help="evaluate --budget points in this order instead of the full sweep",
     )
     parser.add_argument(
         "--budget",
-        type=int,
-        default=0,
+        type=budget,
         metavar="N",
         help="max distinct design points a --strategy run evaluates "
         "(cache hits count but cost no compile; 0 = space size)",
@@ -91,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--promote-top",
         type=float,
-        default=None,
         metavar="FRACTION",
         help="fraction of the evaluated points promoted to the --fidelity "
         "level (default: 0.25; needs --fidelity simulate)",
@@ -103,18 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--objectives",
-        default=",".join(DEFAULT_OBJECTIVES),
+        type=_objectives,
         help="comma-separated summary metrics, each optimized in its "
         "natural direction (throughput is maximized, everything else "
         f"minimized; default: {','.join(DEFAULT_OBJECTIVES)})",
     )
+    parser.add_argument("--cache-dir", help=f"QoR cache directory (default: {default_cache_dir()})")
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"QoR cache directory (default: {default_cache_dir()})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the QoR cache"
+        "--no-cache", action="store_false", dest="use_cache", help="disable the QoR cache"
     )
     _cli.add_ir_cache(parser)
     parser.add_argument(
@@ -147,12 +151,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _cli.add_json(parser, "the full ExplorationResult")
     parser.add_argument(
         "--top",
-        type=int,
+        type=_cli.non_negative,
         default=0,
         metavar="N",
         help="print at most N frontier rows (0 = all)",
     )
     obs.add_cli_arguments(parser)
+    for action in parser._actions:  # see _SETTINGS
+        if action.dest in _SETTINGS:
+            action.default = argparse.SUPPRESS
     return parser
 
 
@@ -160,35 +167,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _cli.check_ir_cache(parser, args)
-    if args.sample < 0:
-        parser.error(f"--sample must be non-negative (got {args.sample})")
-    if args.workers < 0:
-        parser.error(f"--workers must be non-negative (got {args.workers})")
-    if args.budget < 0:
-        parser.error(f"--budget must be non-negative (got {args.budget})")
+    settings = {name: value for name, value in vars(args).items() if name in _SETTINGS}
+    if args.seed is not None:
+        if "strategy" in settings:
+            settings["seed"] = args.seed
+        elif not args.sample:
+            parser.error("--seed has no effect without --sample or --strategy")
     try:
-        # Every other cross-field rule (--resume vs --no-cache/--strategy/
-        # --fidelity, search flags without --strategy, --promote-top,
-        # --objectives) is ExploreConfig's.
-        config = ExploreConfig(
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            objectives=tuple(
-                name.strip() for name in args.objectives.split(",") if name.strip()
-            ),
-            resume=args.resume,
-            strategy=args.strategy,
-            budget=args.budget or None,
-            # Without a strategy --seed only steers --sample.
-            seed=args.seed if args.strategy else 0,
-            fidelity=args.fidelity,
-            promote_top=args.promote_top,
-            ir_cache=args.ir_cache,
-            ir_cache_dir=args.ir_cache_dir,
-            prefilter=args.prefilter,
-            validate_frontier=args.validate_frontier,
-        )
+        # Every cross-field rule is ExploreConfig's.
+        config = ExploreConfig(**settings)
     except ValueError as error:
         parser.error(str(error))
 
@@ -201,7 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.clear_cache:
-        cache = QoRCache(args.cache_dir)
+        cache = QoRCache(config.cache_dir)
         removed = cache.clear()
         print(f"cleared {removed} cached QoR entries from {cache.root}")
         return 0
@@ -219,16 +206,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         pipeline_specs=(None, *(args.pipeline_specs or ())),
     )
     if args.sample:
-        space = space.sample(args.sample, seed=args.seed)
+        space = space.sample(args.sample, seed=args.seed or 0)
     if args.dry_run:
         print(
             f"{len(space)} design points "
             f"({args.space} space, {suite_label}, platforms: {', '.join(platforms)})"
         )
-        if args.strategy:
+        if config.strategy:
             print(
-                f"(--strategy {args.strategy} would evaluate at most "
-                f"{args.budget or len(space)} of these, in its own order; "
+                f"(--strategy {config.strategy} would evaluate at most "
+                f"{config.budget or len(space)} of these, in its own order; "
                 "this listing is the full space)"
             )
         for point in space:
@@ -238,8 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"exploring {len(space)} design points "
         f"({args.space} space, {suite_label}, platforms: {', '.join(platforms)}) "
-        f"with {args.workers} worker(s), cache "
-        f"{'off' if args.no_cache else (args.cache_dir or str(default_cache_dir()))}"
+        f"with {config.workers} worker(s), cache {config.qor_cache_root() or 'off'}"
     )
     obs.cli_configure(args)
     result = explore(space, config)
@@ -249,7 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(result.disagreement_table(max_rows=args.top))
     print()
     print(result.frontier_table(max_rows=args.top))
-    stats = result.summary()
     print()
     evaluations = (
         f" ({result.num_points} evaluations)" if result.num_promoted else ""
@@ -258,7 +243,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{result.num_designs} designs{evaluations} in "
         f"{result.elapsed_seconds:.2f}s "
         f"({result.points_per_second:.1f} evals/s) — "
-        f"{result.num_cached} from cache, {int(stats['errors'])} errors"
+        f"{result.cache_hits} from cache, {len(result.errors)} errors"
         + (f", {result.skipped} skipped (--resume)" if result.skipped else "")
         + (
             f", {result.num_promoted} promoted to {result.fidelity} fidelity"
@@ -274,22 +259,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         + (
             f"; IR cache: {result.prefix_hits} prefix hit(s), "
             f"{result.stages_skipped} stage execution(s) skipped"
-            if args.ir_cache
+            if result.config.ir_cache
             else ""
         )
         + (
             f"; {len(result.rejected)} point(s) statically rejected"
-            if args.prefilter
+            if result.config.prefilter
             else ""
         )
         + (
             f"; frontier validated: "
             f"{len(result.validation_failures)} failure(s)"
-            if args.validate_frontier
+            if result.config.validate_frontier
             else ""
         )
     )
-    if args.prefilter and result.rejected:
+    if result.config.prefilter and result.rejected:
         for record in result.rejected[:5]:
             print(
                 f"  rejected {record.get('label', '?')}: "

@@ -34,8 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..evaluation.reporting import ExplorationResult
-from .config import ExploreConfig
+from .config import ExplorationResult, ExploreConfig
 from .evaluate import evaluate_point, open_caches, probe_point
 from .fidelity import (
     DEFAULT_FIDELITY,
@@ -118,7 +117,7 @@ def _merge_ir_stats(records: List[Dict]) -> Counter:
     The counters are *popped*, not copied: records (and therefore frontier
     JSON, result files and fixed-seed comparisons) stay byte-identical with
     the IR cache on or off; reuse statistics surface only through
-    :class:`~repro.evaluation.reporting.ExplorationResult` aggregates.
+    :class:`~repro.dse.config.ExplorationResult` aggregates.
     """
     totals: Counter = Counter()
     for record in records:
@@ -369,17 +368,9 @@ def explore(
     return ExplorationResult(
         records=records,
         frontier=frontier,
-        objectives=objectives,
-        workers=max(1, config.workers),
         elapsed_seconds=elapsed,
-        cache_hits=sum(1 for r in records if r.get("cached")),
-        cache_misses=sum(1 for r in records if not r.get("cached")),
-        errors=[r for r in records if "error" in r],
         skipped=skipped,
-        strategy=config.strategy,
         budget=budget if searching else None,
-        fidelity=fidelity,
-        promote_top=promote_top,
         prefix_hits=ir_totals["prefix_hits"],
         stages_skipped=ir_totals["stages_skipped"],
         rejected=rejected,

@@ -11,7 +11,7 @@ from .lenet_case_study import (
     expert_design_point,
     pareto_frontier,
 )
-from .reporting import ExplorationResult, format_ratio, format_table, print_table
+from .reporting import format_ratio, format_table, print_table
 
 __all__ = [
     "FACTOR_RANGES",
@@ -23,7 +23,6 @@ __all__ = [
     "exhaustive_search",
     "expert_design_point",
     "pareto_frontier",
-    "ExplorationResult",
     "format_ratio",
     "format_table",
     "print_table",

@@ -6,6 +6,8 @@ Pinned here:
 * ``repro._cli`` resolves shared flags where they are parsed;
 * every bad value of a shared flag is a usage error (exit 2, one line, no
   traceback) raised before anything compiles, on all four compile CLIs;
+* both zoo sweeps refuse neither and both of ``--workload`` and
+  ``--all-workloads`` with the same usage error;
 * ``python -m repro.compiler --ir-cache --cache-stats --json``'s counter
   lines, summary and stage keys on a cold and a warm run;
 * ``python -m repro.analysis.tv`` imports the library exactly once, so the
@@ -223,6 +225,24 @@ def test_bad_shared_flag_is_a_usage_error_before_any_compile(cli, kind, capsys):
     assert text in err
     assert "Traceback" not in err
     assert compiles == []
+
+
+#: The two zoo sweeps read --workload and --all-workloads the same way:
+#: passing neither or both is one usage error.
+_SWEEP_MAINS = {"repro.analysis": analysis_main, "repro.analysis.tv": tv_main}
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--workload", "atax", "--all-workloads"]], ids=["neither", "both"]
+)
+@pytest.mark.parametrize("cli", _SWEEP_MAINS)
+def test_a_sweep_takes_its_workloads_or_all_of_them(cli, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _SWEEP_MAINS[cli](argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: pass --workload NAME (repeatable) or --all-workloads, not both\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--trace-out", "--metrics-json"])

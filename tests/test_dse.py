@@ -258,7 +258,7 @@ def test_explore_deterministic_across_worker_counts(tmp_path):
         cache_dir=str(tmp_path / "a"),
     )
     assert again.frontier_keys() == serial.frontier_keys()
-    assert again.num_cached == again.num_points  # warm replay
+    assert again.cache_hits == again.num_points  # warm replay
 
 
 def test_explore_dedupes_duplicate_points(tmp_path):
@@ -278,15 +278,15 @@ def test_explore_dedupes_duplicate_points(tmp_path):
     assert [r["point_key"] for r in warm.records] == [
         r["point_key"] for r in result.records
     ]
-    assert warm.num_cached == 2
+    assert warm.cache_hits == 2
 
 
 def test_explore_warm_cache_replay(tmp_path):
     space = tiny_space(kernels=("atax",))
     cold = explore(space, workers=1, cache_dir=str(tmp_path / "qor"))
     warm = explore(space, workers=1, cache_dir=str(tmp_path / "qor"))
-    assert cold.num_cached == 0
-    assert warm.num_cached == warm.num_points == len(space)
+    assert cold.cache_hits == 0
+    assert warm.cache_hits == warm.num_points == len(space)
     assert warm.frontier_keys() == cold.frontier_keys()
     assert warm.summary()["errors"] == 0
 
@@ -329,7 +329,7 @@ def test_cold_default_explore_traces_each_point_once(tmp_path, monkeypatch):
     traces = _count_frontend_traces(monkeypatch, tmp_path)
     space = tiny_space()
     cold = explore(space, workers=1, cache_dir=str(tmp_path / "qor"))
-    assert cold.num_cached == 0 and not cold.errors
+    assert cold.cache_hits == 0 and not cold.errors
     assert len(space) == 8 and traces() == ["atax", "mvt"]
     # ... and handing the traced module on changes no answer.
     uncached = explore(space, workers=1, use_cache=False)
@@ -435,7 +435,7 @@ def test_a_promotion_pass_shares_prefixes_beside_points_with_base_inputs(tmp_pat
     explore(list(space)[::2], workers=1, cache_dir=qor)
     mixed = explore(space, workers=1, cache_dir=qor, fidelity="simulate", promote_top=1.0)
     fresh = explore(space, workers=1, use_cache=False, fidelity="simulate", promote_top=1.0)
-    assert not mixed.errors and mixed.num_cached == 4
+    assert not mixed.errors and mixed.cache_hits == 4
     assert mixed.frontier_keys() == fresh.frontier_keys()
     for left, right in zip(mixed.frontier, fresh.frontier):
         assert qor_only(left["summary"]) == qor_only(right["summary"])
@@ -461,7 +461,7 @@ def test_parent_probe_failure_still_evaluates_and_reports(tmp_path, monkeypatch)
 
 
 def test_best_by_ignores_records_missing_the_metric():
-    from repro.evaluation import ExplorationResult
+    from repro.dse import ExplorationResult
 
     result = ExplorationResult(
         records=[
@@ -475,7 +475,7 @@ def test_best_by_ignores_records_missing_the_metric():
 
 
 def test_exploration_result_serialization(tmp_path):
-    from repro.evaluation import ExplorationResult
+    from repro.dse import ExplorationResult
 
     result = explore(tiny_space(kernels=("mvt",)), workers=1, use_cache=False)
     restored = ExplorationResult.from_dict(json.loads(result.to_json()))
@@ -544,10 +544,10 @@ def test_explore_resume_streams_cache_without_recompute(tmp_path):
     resumed = explore(space, workers=1, cache_dir=str(tmp_path / "qor"), resume=True)
     assert resumed.num_points == 3
     assert resumed.skipped == len(space) - 3
-    assert resumed.num_cached == 3
+    assert resumed.cache_hits == 3
     blob = json.loads(resumed.to_json())
     assert blob["skipped"] == resumed.skipped
-    from repro.evaluation import ExplorationResult
+    from repro.dse import ExplorationResult
 
     assert ExplorationResult.from_dict(blob).skipped == resumed.skipped
     # A later full run picks the skipped points up and the frontier converges.

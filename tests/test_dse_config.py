@@ -14,7 +14,7 @@ from repro.dse import (
     explore,
 )
 from repro.dse.__main__ import main
-from repro.evaluation import ExplorationResult
+from repro.dse import ExplorationResult
 from repro.ir import fingerprint_op
 from repro.workloads import get_workload, register_workload
 from repro.workloads.registry import _unregister
@@ -59,6 +59,7 @@ INVALID = {
     "promote-top-at-base": (dict(promote_top=0.5), "promote_top"),
     "promote-top-range": (dict(fidelity="simulate", promote_top=2.0), "promote_top"),
     "ir-dir-without-ir-cache": (dict(ir_cache_dir="/tmp/nope"), "ir_cache_dir"),
+    "negative-workers": (dict(workers=-1), "workers must be non-negative"),
     # A strategy goes by name only: anything else is refused as an unknown
     # strategy, whatever accompanies it.
     "instance-with-budget": (
@@ -115,6 +116,8 @@ CLI_INVALID = [
     (["--promote-top", "0.5"], "promote_top"),
     (["--fidelity", "simulate", "--promote-top", "2.0"], "promote_top"),
     (["--ir-cache-dir", "/tmp/nope"], "--ir-cache-dir requires --ir-cache"),
+    (["--top", "-1"], "argument --top: must be non-negative (got -1)"),
+    (["--seed", "7"], "--seed has no effect without --sample or --strategy"),
 ]
 
 
@@ -219,16 +222,16 @@ def test_result_roundtrips_with_its_config(tmp_path):
     assert json.loads(clone.to_json()) == blob
     assert clone.config == result.config
     assert clone.objectives == ("latency_cycles", "dsp", "bram")
-    # Apart from the embedded config the serialized keys are the pre-config set.
-    assert sorted(set(blob) - {"config"}) == sorted(
+    # The settings are serialized once, in ``config``; counts over
+    # ``records`` are not serialized at all.
+    assert sorted(blob) == sorted(
         [
-            "records", "frontier", "objectives", "workers", "elapsed_seconds",
-            "cache_hits", "cache_misses", "errors", "skipped", "strategy",
-            "budget", "fidelity", "promote_top",
+            "records", "frontier", "elapsed_seconds", "skipped", "budget",
             "prefix_hits", "stages_skipped", "rejected", "validation_failures",
+            "config",
         ]
     )
-    assert "config" not in ExplorationResult().to_dict()
+    assert ExplorationResult().to_dict()["config"] == ExploreConfig().to_dict()
 
 
 def test_a_result_file_with_retired_fields_still_loads(tmp_path):
@@ -308,6 +311,6 @@ def test_poisoned_qor_entries_are_recompiled_and_overwritten(tmp_path, poison):
     for path in entries:
         path.write_text(poison)
     healed = explore(space, cache_dir=tmp_path / "qor")
-    assert healed.errors == [] and healed.num_cached == 0
+    assert healed.errors == [] and healed.cache_hits == 0
     assert healed.frontier_keys() == cold.frontier_keys()
-    assert explore(space, cache_dir=tmp_path / "qor").num_cached == len(space)
+    assert explore(space, cache_dir=tmp_path / "qor").cache_hits == len(space)

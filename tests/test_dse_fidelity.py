@@ -325,7 +325,7 @@ def test_multifidelity_warm_rerun_does_zero_compiles_or_simulations(tmp_path):
     assert warm.frontier_keys() == cold.frontier_keys()
     # Zero compiles AND zero simulations: every record at every fidelity
     # level replays from its own cache entry.
-    assert warm.num_cached == warm.num_points
+    assert warm.cache_hits == warm.num_points
     assert warm.cache_misses == 0
 
 
@@ -436,7 +436,7 @@ def test_budget_counts_designs_not_promotions(tmp_path):
 
 # ------------------------------------------------------------ result model
 def test_fidelity_metadata_serializes(tmp_path):
-    from repro.evaluation import ExplorationResult
+    from repro.dse import ExplorationResult
 
     result = explore(
         kernel_space("2mm"),

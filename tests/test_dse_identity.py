@@ -229,12 +229,12 @@ def test_an_all_hit_explore_costs_a_file_read_per_point(tmp_path, rebuilt):
     points = build_space("small", suite=suite).points
     assert len(points) == 36
     cache_dir = str(tmp_path / "qor")
-    assert explore(points, cache_dir=cache_dir).num_cached == 0
+    assert explore(points, cache_dir=cache_dir).cache_hits == 0
     if rebuilt:
         points = [DesignPoint.from_dict(point.to_dict()) for point in points]
     profile = cProfile.Profile()
     warm = profile.runcall(explore, points, cache_dir=cache_dir)
-    assert warm.num_cached == 36 and not warm.errors
+    assert warm.cache_hits == 36 and not warm.errors
     stats = pstats.Stats(profile)
     assert stats.total_calls <= 200 * 36 + 2000
     assert _calls(stats, "__init__", "compiler/driver.py") == 0

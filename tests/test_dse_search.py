@@ -182,7 +182,7 @@ def test_search_warm_rerun_does_zero_compiles(tmp_path):
     assert cold.num_points == warm.num_points == 8
     assert record_keys(warm) == record_keys(cold)
     assert warm.frontier_keys() == cold.frontier_keys()
-    assert warm.num_cached == warm.num_points  # zero compiles on the rerun
+    assert warm.cache_hits == warm.num_points  # zero compiles on the rerun
     assert warm.cache_misses == 0
 
 
@@ -215,7 +215,7 @@ def test_random_quarter_budget_recovers_exhaustive_hypervolume(tmp_path):
 
 # ------------------------------------------------------------ result model
 def test_search_metadata_serializes(tmp_path):
-    from repro.evaluation import ExplorationResult
+    from repro.dse import ExplorationResult
 
     result = explore(
         medium_space(kernels=1),

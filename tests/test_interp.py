@@ -17,7 +17,7 @@ import types
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.tv.__main__ import _sweep_workloads
+from repro.analysis.tv.__main__ import _shrunk
 from repro.compiler import Compiler, SnapshotObserver
 from repro.compiler.driver import DEFAULT_PIPELINE
 from repro.dialects.affine import (
@@ -775,7 +775,7 @@ _GOLDEN = json.loads(
 class TestGoldenExecutions:
     @pytest.mark.parametrize(
         "handle",
-        _sweep_workloads([], everything=True),  # every kernel at n=8, tsteps=2
+        _shrunk(iter_workloads(kind="kernel")),  # every kernel at n=8, tsteps=2
         ids=lambda handle: handle.definition.name,
     )
     def test_every_stage_boundary_replays_the_recorded_execution(self, handle):
