@@ -116,7 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "natural direction (throughput is maximized, everything else "
         f"minimized; default: {','.join(DEFAULT_OBJECTIVES)})",
     )
-    parser.add_argument("--cache-dir", help=f"QoR cache directory (default: {default_cache_dir()})")
+    parser.add_argument(
+        "--cache-dir", help=f"QoR cache directory (default: {default_cache_dir()})"
+    )
     parser.add_argument(
         "--no-cache", action="store_false", dest="use_cache", help="disable the QoR cache"
     )

@@ -184,8 +184,7 @@ class ExplorationResult:
     elapsed_seconds: float = 0.0
     #: Points left unevaluated by a ``--resume`` replay (not in the cache).
     skipped: int = 0
-    #: Evaluation budget of the search (distinct points; cache hits count;
-    #: None = full sweep).
+    #: Evaluation budget of a search (distinct points; cache hits count); None on a full sweep.
     budget: Optional[int] = None
     #: Compilations resumed mid-pipeline from a stage-boundary IR snapshot
     #: (see :mod:`repro.compiler.ircache`); 0 when the IR cache was off.
@@ -403,7 +402,6 @@ class ExplorationResult:
             "points": float(self.num_points),
             "designs": float(self.num_designs),
             "frontier": float(len(self.frontier)),
-            "cached": float(self.cache_hits),
             "cache_hits": float(self.cache_hits),
             "cache_misses": float(self.cache_misses),
             "errors": float(len(self.errors)),
