@@ -9,12 +9,12 @@ import pytest
 from repro.dse import (
     DesignPoint,
     DesignSpace,
+    ExplorationResult,
     ExploreConfig,
     QoRCache,
     explore,
 )
 from repro.dse.__main__ import main
-from repro.dse import ExplorationResult
 from repro.ir import fingerprint_op
 from repro.workloads import get_workload, register_workload
 from repro.workloads.registry import _unregister
