@@ -42,7 +42,6 @@ TARGETS = [
     "src/repro/workloads",
     "src/repro/estimation/platform.py",
     "src/repro/evaluation/reporting.py",
-    "src/repro/hida/pipeline.py",
     "src/repro/hida/analysis.py",
     "src/repro/hida/dataflow_opt.py",
     "src/repro/transforms/array_partition.py",
