@@ -2,9 +2,14 @@
 
 The load-bearing guarantees, pinned:
 
-* every kernel-zoo workload validates through the default pipeline AND the
-  four ablation pipelines (the paper's Figure-11 set) — every snapshot-safe
-  stage boundary is baseline/static/bitwise/tolerance, never a mismatch;
+* every kernel-zoo workload validates through the default pipeline, the
+  four ablation pipelines (the paper's Figure-11 set) and the ScaleHLS and
+  Vitis baselines — every stage boundary is baseline/static/bitwise/
+  tolerance, never a mismatch, and the exact ``(stage, outcome)`` list of
+  each run is ``tests/data/tv_outcomes_golden.json`` (regenerated only on
+  purpose, with ``PYTHONPATH=src python tests/test_tv.py --regen``);
+* the checks ``validate_pipeline`` reports are the run's own record,
+  ``state.tv_baseline.checks``, on every registered workload;
 * deliberately miscompiled modules (the killed-mutant suite: an off-by-one
   loop permutation and an unroll that skips its legality check) are caught
   with a ``mismatch`` and :class:`TranslationValidationError`;
@@ -16,7 +21,10 @@ The load-bearing guarantees, pinned:
 """
 
 import hashlib
+import json
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -77,22 +85,66 @@ def _small(handle):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "name", [handle.definition.name for handle in iter_workloads(kind="kernel")]
-)
-def test_zoo_validates_across_all_pipelines(name):
+_KERNELS = [handle.definition.name for handle in iter_workloads(kind="kernel")]
+
+_GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "tv_outcomes_golden.json"
+
+
+def _outcomes_of(name):
+    """``"<kernel> x <spec>" -> [[stage, outcome], ...]`` over every spec."""
     handle = _small(get_workload(name))
     tolerance = _TOLERANCES.get(name, 0.0)
-    for spec_name, spec_text in _SPECS:
-        report = validate_pipeline(handle, spec_text, tolerance=tolerance)
+    return {
+        f"{name} x {spec_name}": validate_pipeline(
+            handle, spec_text, tolerance=tolerance
+        )
+        for spec_name, spec_text in _SPECS
+    }
+
+
+def _regenerate_golden():
+    lines = []
+    for name in _KERNELS:
+        for run, report in _outcomes_of(name).items():
+            pairs = [[check.stage, check.outcome] for check in report.checks]
+            lines.append(f" {json.dumps(run)}: {json.dumps(pairs)}")
+    _GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+@pytest.mark.parametrize("name", _KERNELS)
+def test_zoo_validates_across_all_pipelines(name):
+    golden = json.loads(_GOLDEN_PATH.read_text())
+    for run, report in _outcomes_of(name).items():
         detail = [check.to_dict() for check in report.checks]
-        assert report.ok, f"{name} x {spec_name}: {report.error}; {detail}"
+        assert report.ok, f"{run}: {report.error}; {detail}"
         outcomes = report.outcomes()
-        assert outcomes.get("baseline") == 1, f"{name} x {spec_name}: {outcomes}"
+        assert outcomes.get("baseline") == 1, f"{run}: {outcomes}"
         # Small kernels always fit the interpreter budget: no vacuous passes.
-        assert "skipped-budget" not in outcomes, f"{name} x {spec_name}"
+        assert "skipped-budget" not in outcomes, run
         # Beyond the baseline, every boundary proved equivalence.
         assert sum(outcomes.values()) >= 2
+        pairs = [[check.stage, check.outcome] for check in report.checks]
+        assert pairs == golden[run], run
+
+
+def test_outcome_golden_covers_every_kernel_and_spec():
+    golden = json.loads(_GOLDEN_PATH.read_text())
+    assert list(golden) == [
+        f"{name} x {spec_name}" for name in _KERNELS for spec_name, _ in _SPECS
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", [handle.definition.name for handle in iter_workloads()]
+)
+def test_reported_checks_are_the_runs_own_record(name):
+    """What ``validate_pipeline`` reports is what the interleaved run's
+    validate stages recorded on ``state.tv_baseline``, check for check."""
+    workload = _small(get_workload(name))
+    state = Compiler.from_spec(interleave_validate(DEFAULT_PIPELINE)).run(
+        workload=workload
+    )
+    assert validate_pipeline(workload).checks == state.tv_baseline.checks
 
 
 def test_bitwise_is_the_common_case_on_the_default_pipeline():
@@ -502,3 +554,10 @@ def test_validate_tolerance_requires_validate(capsys):
 
     with pytest.raises(SystemExit):
         compiler_main(["--workload", "2mm@n=8", "--validate-tolerance", "1e-9"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_tv.py --regen")
+    _regenerate_golden()
+    print(f"wrote {_GOLDEN_PATH}")
