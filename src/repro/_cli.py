@@ -14,7 +14,7 @@ import os
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from .compiler.spec import PipelineSpecError, parse_pipeline
-from .compiler.stages import build_stages
+from .compiler.stages import build_stages, relative_tolerance
 from .dse.fidelity import DEFAULT_FIDELITY, FIDELITIES
 from .estimation.platform import UnknownTargetError, get_platform
 from .workloads import UnknownWorkloadError, get_workload, iter_workloads
@@ -53,6 +53,10 @@ def non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative (got {value})")
     return value
+
+
+#: A relative float tolerance, held to the ``validate`` stage's own rule.
+tolerance = _usage_error(relative_tolerance, ValueError)
 
 
 def _repeatable(repeatable: bool, dest: str) -> Dict[str, str]:

@@ -14,24 +14,24 @@ Two equivalence paths, cheapest first:
   ``parallelize``, unroll/pipeline directives) leave access maps, loop
   bounds and op structure untouched, so their boundary validates without
   executing anything.
-* **Executed path** — both module versions run through the reference
-  interpreter and their outputs diff *bitwise* by default.  Inputs are
-  deterministic small integers, so f64 arithmetic is exact and even
-  reassociating transforms stay byte-identical on kernels without
-  division; kernels with genuinely non-integer math (``divf``/``sqrt``/
-  ``exp``) pass a documented relative ``tolerance`` instead.
+* **Executed path** — the one executed check: :func:`execute` runs each
+  module version through the reference interpreter and :func:`compare`
+  diffs the outputs, *bitwise* by default.  Inputs are deterministic small
+  integers, so f64 arithmetic is exact and even reassociating transforms
+  stay byte-identical on kernels without division; kernels with genuinely
+  non-integer math (``divf``/``sqrt``/``exp``) pass a documented relative
+  ``tolerance`` instead.  A module too large for the interpreter's op
+  budget reports an honest ``skipped-budget`` — never a silently vacuous
+  "validated".
 
-A module too large for the interpreter's op budget reports an honest
-``skipped-budget`` — never a silently vacuous "validated".
-
-Wired in at four layers:
+Every executed check runs through that pair, at three callers:
 
 * the registered ``validate`` compiler stage (interleaved by
-  ``python -m repro.compiler --validate``; exit code 5 on a mismatch);
+  ``python -m repro.compiler --validate``; exit code 5 on a mismatch),
+  whose ``state.tv_baseline.checks`` is the one record
+  :func:`validate_pipeline` and ``explore(validate_frontier=True)`` report;
 * ircache snapshot self-verification (:meth:`IRSnapshotCache.store`
   executes the parsed snapshot against the live state before writing);
-* ``explore(validate_frontier=True)`` — promoted Pareto points are
-  semantics-checked before being reported;
 * the legality fuzzer (``python -m repro.analysis.tv --fuzz``): every
   random checked transform either raises ``TransformLegalityError`` or
   validates — no third outcome.
@@ -44,13 +44,12 @@ import hashlib
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...ir import interp
 from ...ir.interp import (
     DEFAULT_MAX_OPS,
     ExecutionResult,
     InterpreterBudgetError,
-    InterpreterError,
     diff_results,
-    interpret_module,
 )
 
 __all__ = [
@@ -60,6 +59,8 @@ __all__ = [
     "TranslationValidationError",
     "TVBaseline",
     "ValidationReport",
+    "compare",
+    "execute",
     "fuzz_transforms",
     "interleave_validate",
     "run_validate_stage",
@@ -144,6 +145,7 @@ class TVBaseline:
     while every boundary so far exceeded the interpreter budget), so
     comparisons are always against the *previous* stage boundary — the
     mismatch report names the stage that actually broke the program.
+    ``checks`` is the run's record of every boundary checked so far.
     """
 
     fingerprint: str
@@ -166,9 +168,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.error is None and all(
-            check.outcome != "mismatch" for check in self.checks
-        )
+        return self.error is None  # a mismatch always aborts the run
 
     @property
     def mismatches(self) -> List[StageValidation]:
@@ -213,87 +213,89 @@ def semantic_fingerprint(module) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The validate stage body
+# The executed check and the validate stage body
 # ---------------------------------------------------------------------------
 
 
-def _execute(module, seed: int, max_ops: int) -> Optional[ExecutionResult]:
+def execute(module, seed: int, max_ops: int) -> Optional[ExecutionResult]:
     """Interpret ``module``; None when it exceeds the op budget."""
     try:
-        return interpret_module(module, seed=seed, max_ops=max_ops)
+        return interp.interpret_module(module, seed=seed, max_ops=max_ops)
     except InterpreterBudgetError:
         return None
+
+
+def compare(
+    reference: Optional[ExecutionResult],
+    result: Optional[ExecutionResult],
+    tolerance: float = 0.0,
+) -> Tuple[str, Tuple[str, ...]]:
+    """``(outcome, mismatches)`` of ``result`` against ``reference``:
+    ``skipped-budget`` when either side did not execute, ``bitwise``,
+    ``tolerance`` (equal within the relative ``tolerance``), or ``mismatch``
+    with up to eight differing elements — under a tolerance, those outside it.
+    """
+    if reference is None or result is None:
+        return "skipped-budget", ()
+    mismatches = diff_results(reference, result)
+    if mismatches and tolerance > 0:
+        mismatches = diff_results(reference, result, tolerance=tolerance)
+        if not mismatches:
+            return "tolerance", ()
+    if mismatches:
+        return "mismatch", tuple(mismatches[:8])
+    return "bitwise", ()
 
 
 def run_validate_stage(stage, state) -> None:
     """Body of the registered ``validate`` compiler stage.
 
-    The first validate boundary of a run records the baseline
-    (fingerprint + executed behavior) into ``state.tv_baseline``; every
-    later one proves equivalence against it — statically when the
-    semantic fingerprint is unchanged, by execution otherwise — then
-    rolls the baseline forward.  A mismatch emits an error diagnostic and
-    raises :class:`TranslationValidationError`.
+    The first validate boundary of a run (or of new ``seed``/``max-ops``)
+    records the baseline (fingerprint + executed behavior) into
+    ``state.tv_baseline``; every later one proves equivalence against it —
+    statically when the semantic fingerprint is unchanged, by execution
+    otherwise — then rolls the baseline forward.  Each check, labeled
+    ``after`` or else by the last stage run, is appended to
+    ``state.tv_baseline.checks``.  A mismatch emits an error diagnostic
+    and raises :class:`TranslationValidationError`.
     """
     seed = int(stage.seed)
     max_ops = int(stage.max_ops) or DEFAULT_MAX_OPS
     tolerance = float(stage.tolerance)
-    after = stage.after or "frontend"
+    after = stage.after or next(
+        (name for name, _ in reversed(state.stage_timings) if name != stage.name),
+        "frontend",
+    )
     baseline: Optional[TVBaseline] = state.tv_baseline
-    if baseline is not None and (baseline.seed, baseline.max_ops) != (seed, max_ops):
-        baseline = None  # incompatible reference inputs: start over
     fingerprint = semantic_fingerprint(state.module)
-
-    if baseline is None:
-        behavior = _execute(state.module, seed, max_ops)
-        outcome = "baseline" if behavior is not None else "skipped-budget"
-        state.tv_baseline = TVBaseline(fingerprint, behavior, seed, max_ops)
-        check = StageValidation(after, outcome)
-        state.tv_baseline.checks.append(check)
-        state.emit(
-            stage.name,
-            f"{after}: recorded reference behavior ({outcome})",
-            after=after,
-            outcome=outcome,
-        )
-        return
-
     mismatches: Tuple[str, ...] = ()
-    if fingerprint == baseline.fingerprint:
-        outcome = "static"
+    if baseline is None or (baseline.seed, baseline.max_ops) != (seed, max_ops):
+        # The first boundary, or incompatible reference inputs: start over,
+        # keeping the checks recorded so far.
+        behavior = execute(state.module, seed, max_ops)
+        outcome = "baseline" if behavior is not None else "skipped-budget"
+        checks = baseline.checks if baseline is not None else []
+        baseline = TVBaseline(fingerprint, behavior, seed, max_ops, checks)
+        state.tv_baseline = baseline
+        message = f"{after}: recorded reference behavior ({outcome})"
     else:
-        behavior = _execute(state.module, seed, max_ops)
-        if behavior is None or baseline.behavior is None:
-            # One side exceeded the interpreter budget: be honest, never
-            # vacuously "validated".  Roll whatever executed forward.
-            outcome = "skipped-budget"
-            baseline.behavior = behavior or baseline.behavior
+        if fingerprint == baseline.fingerprint:
+            outcome = "static"
         else:
-            try:
-                exact = diff_results(baseline.behavior, behavior)
-            except InterpreterError as error:  # result shapes diverged
-                exact = [str(error)]
-            if not exact:
-                outcome = "bitwise"
-            elif tolerance > 0 and not diff_results(
-                baseline.behavior, behavior, tolerance=tolerance
-            ):
-                outcome = "tolerance"
-            else:
-                outcome = "mismatch"
-                mismatches = tuple(exact[:8])
-            baseline.behavior = behavior
-        baseline.fingerprint = fingerprint
+            behavior = execute(state.module, seed, max_ops)
+            outcome, mismatches = compare(baseline.behavior, behavior, tolerance)
+            # Roll whatever executed forward: a side over the budget keeps
+            # the older reference.
+            baseline.behavior = behavior or baseline.behavior
+            baseline.fingerprint = fingerprint
+        detail = f"; first: {mismatches[0]}" if mismatches else ""
+        message = f"{after}: {outcome}{detail}"
 
-    check = StageValidation(after, outcome, mismatches)
-    baseline.checks.append(check)
-    state.tv_baseline = baseline
-    severity = "error" if outcome == "mismatch" else "note"
-    detail = f"; first: {mismatches[0]}" if mismatches else ""
+    baseline.checks.append(StageValidation(after, outcome, mismatches))
     state.emit(
         stage.name,
-        f"{after}: {outcome}{detail}",
-        severity=severity,
+        message,
+        severity="error" if outcome == "mismatch" else "note",
         after=after,
         outcome=outcome,
         mismatches=list(mismatches),
@@ -357,35 +359,24 @@ def validate_pipeline(
     """Compile ``workload`` through ``spec_text`` validating every boundary.
 
     Accepts everything ``Compiler.run`` accepts as a workload (registry
-    handle, id string, raw module).  Returns a :class:`ValidationReport`;
+    handle, id string, raw module).  Returns a :class:`ValidationReport`
+    whose checks are the run's own record, ``state.tv_baseline.checks``;
     a behavioral mismatch aborts the pipeline and lands in ``report.error``
     plus a ``mismatch`` check — it never raises, so sweeps can keep going.
     """
-    from ...compiler.driver import DEFAULT_PIPELINE, Compiler, DiagnosticsObserver
+    from ...compiler.driver import DEFAULT_PIPELINE, Compiler
 
     spec_text = spec_text or DEFAULT_PIPELINE
     interleaved = interleave_validate(
         spec_text, seed=seed, max_ops=max_ops, tolerance=tolerance
     )
-    diagnostics = DiagnosticsObserver()
-    compiler = Compiler.from_spec(
-        interleaved, platform=platform, observers=[diagnostics]
-    )
+    compiler = Compiler.from_spec(interleaved, platform=platform)
     label = workload.label() if hasattr(workload, "label") else str(workload)
     error: Optional[str] = None
     try:
-        compiler.run(workload=workload)
+        checks = compiler.run(workload=workload).tv_baseline.checks
     except TranslationValidationError as exc:
-        error = str(exc)
-    checks = [
-        StageValidation(
-            stage=str(d.data.get("after", "?")),
-            outcome=str(d.data.get("outcome", "?")),
-            mismatches=tuple(d.data.get("mismatches", ())),
-        )
-        for d in diagnostics.diagnostics
-        if d.stage == "validate"
-    ]
+        error, checks = str(exc), list(exc.checks)
     return ValidationReport(
         workload=label,
         spec=spec_text,
@@ -434,8 +425,8 @@ class FuzzReport:
     rejected: int = 0
     #: Applied transforms whose before/after outputs matched.
     validated: int = 0
-    #: Silent semantic changes: applied, *and* outputs differ.  Always a
-    #: bug — either in the transform or in the legality predicate.
+    #: Silent semantic changes: applied, *and* outputs not shown equal.
+    #: Always a bug — either in the transform or in the legality predicate.
     failures: List[str] = dataclasses.field(default_factory=list)
 
     @property
@@ -451,12 +442,6 @@ class FuzzReport:
         }
 
 
-def _all_loops(module) -> List:
-    from ...dialects.affine import AffineForOp
-
-    return [op for op in module.walk() if isinstance(op, AffineForOp)]
-
-
 def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
     """Apply ``count`` random *checked* transforms; each must either raise
     ``TransformLegalityError`` or preserve the module's behavior.
@@ -466,6 +451,7 @@ def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
     one that wrongly rejects shows up only as a higher rejection count —
     conservative in the safe direction.
     """
+    from ...dialects.affine import AffineForOp
     from ...transforms.loop_transforms import (
         loop_bands_of,
         permute_band,
@@ -481,13 +467,12 @@ def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
         name, params = _FUZZ_POOL[rng.randrange(len(_FUZZ_POOL))]
         workload = get_workload(name).at(**params)
         module = as_module(workload)
-        before = interpret_module(module, seed=seed)
-        loops = _all_loops(module)
+        before = execute(module, seed, DEFAULT_MAX_OPS)
+        loops = [op for op in module.walk() if isinstance(op, AffineForOp)]
         if not loops:
             continue
         report.applications += 1
         kind = rng.choice(("permute", "unroll", "pipeline"))
-        described = kind
         try:
             if kind == "permute":
                 bands = [
@@ -519,13 +504,13 @@ def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
         except TransformLegalityError:
             report.rejected += 1
             continue
-        after = interpret_module(module, seed=seed)
-        deltas = diff_results(before, after, tolerance=_FUZZ_TOLERANCE)
-        if deltas:
+        after = execute(module, seed, DEFAULT_MAX_OPS)
+        outcome, deltas = compare(before, after, _FUZZ_TOLERANCE)
+        if outcome in ("bitwise", "tolerance"):
+            report.validated += 1
+        else:
             report.failures.append(
                 f"{workload.label()}: {described} validated as legal but "
-                f"changed outputs: {deltas[0]}"
+                + (f"changed outputs: {deltas[0]}" if deltas else outcome)
             )
-        else:
-            report.validated += 1
     return report

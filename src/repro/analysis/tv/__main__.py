@@ -116,16 +116,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(line)
             if not report.ok:
                 failures += 1
-                detail = report.error or "; ".join(
-                    f"{c.stage}: {c.mismatches[0] if c.mismatches else c.outcome}"
-                    for c in report.mismatches
-                )
                 if args.annotate:
                     print(
                         _cli.github_annotation(
                             "error",
                             "translation-validation",
-                            f"{report.workload} x {spec_name}: {detail}",
+                            f"{report.workload} x {spec_name}: {report.error}",
                         )
                     )
     print(

@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--validate-tolerance",
-        type=float,
+        type=_cli.tolerance,
         default=0.0,
         metavar="REL",
         help="with --validate, relative float tolerance for reassociating "
@@ -209,34 +209,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PipelineSpecError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except VerificationError as error:
+    except (VerificationError, AnalysisError, TranslationValidationError) as error:
         for diagnostic in diagnostics.diagnostics:
             print(f"  {diagnostic}", file=sys.stderr)
         print(f"error: {error}", file=sys.stderr)
-        return 3
-    except AnalysisError as error:
-        for diagnostic in diagnostics.diagnostics:
-            print(f"  {diagnostic}", file=sys.stderr)
-        print(f"error: {error}", file=sys.stderr)
-        return 4
-    except TranslationValidationError as error:
-        for diagnostic in diagnostics.diagnostics:
-            print(f"  {diagnostic}", file=sys.stderr)
-        print(f"error: {error}", file=sys.stderr)
-        return 5
+        if isinstance(error, VerificationError):
+            return 3
+        return 4 if isinstance(error, AnalysisError) else 5
 
     if args.cache_stats:
-        stats = result.ir_cache_stats
         print("\nir-cache stats:")
-        for key in (
-            "prefix_hits",
-            "stages_skipped",
-            "stages_run",
-            "frontend_traces",
-            "snapshots_stored",
-            "snapshots_refused",
-        ):
-            print(f"  {key}: {stats[key]}")
+        for key, value in result.ir_cache_stats.items():
+            print(f"  {key}: {value}")
 
     if snapshots is not None:
         for stage_name, text in snapshots.snapshots:

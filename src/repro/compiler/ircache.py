@@ -58,6 +58,7 @@ from .. import obs
 from ..dialects.dataflow import ScheduleOp
 from ..hida.dataflow_opt import BalanceReport
 from ..ir.builtin import ModuleOp
+from ..ir.interp import InterpreterError
 from ..ir.parser import IRParseError, assign_name_hints, collect_name_hints, parse_op
 from ..ir.printer import print_op
 from .stages import CompilationState
@@ -238,24 +239,25 @@ class IRSnapshotCache:
         # round-trip can be byte-clean and still lose behavior if printer
         # and parser share a blind spot; execution has no such blind spot,
         # so the live module runs on every store, repeated text or not.
-        from ..ir import interp
+        from ..analysis.tv import compare, execute
 
         try:
-            live = interp.interpret_module(
-                state.module, max_ops=_EXEC_VERIFY_MAX_OPS
-            )
-            if warm is None:
+            live = execute(state.module, 0, _EXEC_VERIFY_MAX_OPS)
+            if live is not None and warm is None:
                 if clone is None:  # repeated text, live side skipped last time
                     clone = _reparse(text, hints)
-                warm = interp.interpret_module(clone, max_ops=_EXEC_VERIFY_MAX_OPS)
-        except interp.InterpreterError:
-            self.exec_skipped += 1
-        else:
-            if interp.diff_results(live, warm):
-                self.verify_failures += 1
-                self._refuse("store", "exec-differs")
-                return False
+                warm = execute(clone, 0, _EXEC_VERIFY_MAX_OPS)
+        except InterpreterError:  # an op the interpreter cannot execute
+            live = None
+        outcome, _ = compare(live, warm)
+        if outcome == "mismatch":
+            self.verify_failures += 1
+            self._refuse("store", "exec-differs")
+            return False
+        if outcome == "bitwise":
             self.exec_verified += 1
+        else:
+            self.exec_skipped += 1
         self._last = (text, hints, num_schedules, warm)
         payload = {
             "ir": text,

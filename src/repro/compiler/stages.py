@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
+import math
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..dialects import linalg
 from ..dialects.dataflow import ScheduleOp
@@ -45,6 +46,9 @@ from ..transforms.canonicalize import eliminate_dead_code
 from ..transforms.linalg_to_affine import lower_linalg_to_affine
 from ..transforms.loop_transforms import pipeline_innermost_loops
 from .spec import PipelineSpecError, StageSpec
+
+if TYPE_CHECKING:
+    from ..analysis.tv import TVBaseline
 
 __all__ = [
     "StageOption",
@@ -124,7 +128,7 @@ class CompilationState:
     #: Rolling translation-validation reference (set by the ``validate``
     #: stage; see :mod:`repro.analysis.tv`).  Not serialized into IR
     #: snapshots — a warm resume simply re-baselines at its first boundary.
-    tv_baseline: Optional[object] = None
+    tv_baseline: Optional["TVBaseline"] = None
     #: ``(stage name, wall-clock seconds)`` per stage the driver ran, in run
     #: order (stages skipped by a snapshot resume do not appear), and the
     #: wall-clock seconds of the whole stage loop.
@@ -693,6 +697,17 @@ class LintStage(CompilationStage):
             )
 
 
+def relative_tolerance(text: str) -> float:
+    """A relative float tolerance: a finite number >= 0 (0 = bitwise)."""
+    try:
+        value = float(text)
+        if math.isfinite(value) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"expects a finite number >= 0, got {text!r}")
+
+
 @register_stage
 class ValidateStage(CompilationStage):
     """Translation validation of the preceding stage boundary.
@@ -726,6 +741,18 @@ class ValidateStage(CompilationStage):
             "after", str, "", "label of the stage boundary being validated"
         ),
     )
+    max_ops: int
+    tolerance: str
+
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        try:
+            if self.max_ops < 0:
+                raise ValueError(f"expects an integer >= 0, got {self.max_ops}")
+            relative_tolerance(self.tolerance)
+        except ValueError as error:
+            option = "max-ops" if self.max_ops < 0 else "tolerance"
+            raise PipelineSpecError(f"option {option!r} of stage 'validate' {error}") from None
 
     def run(self, state: CompilationState) -> None:
         from ..analysis.tv import run_validate_stage

@@ -196,6 +196,15 @@ _BAD_VALUES = {
         lambda spec: ["--workload", "atax", spec, "construct-dataflow,nope"],
         None, "unknown stage 'nope'; known stages: construct-dataflow, ",
     ),
+    "validate-tolerance-not-a-number": (
+        lambda spec: ["--workload", "atax", spec, "validate{tolerance=abc},estimate"],
+        None, "option 'tolerance' of stage 'validate' expects a finite number >= 0, "
+        "got 'abc'",
+    ),
+    "validate-negative-max-ops": (
+        lambda spec: ["--workload", "atax", spec, "validate{max-ops=-5},estimate"],
+        None, "option 'max-ops' of stage 'validate' expects an integer >= 0, got -5",
+    ),
     "json-into-missing-directory": (
         lambda spec: ["--workload", "atax", "--json", "/no/such/dir/x.json"],
         "--json", "directory '/no/such/dir' does not exist",
@@ -225,6 +234,20 @@ def test_bad_shared_flag_is_a_usage_error_before_any_compile(cli, kind, capsys):
     assert text in err
     assert "Traceback" not in err
     assert compiles == []
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "nan", "-1"])
+def test_validate_tolerance_is_a_finite_non_negative_number(value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        compiler_main(
+            ["--workload", "atax", "--validate", "--validate-tolerance", value]
+        )
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.endswith(
+        "error: argument --validate-tolerance: expects a finite number >= 0, "
+        f"got {value!r}\n"
+    )
 
 
 #: The two zoo sweeps read --workload and --all-workloads the same way:

@@ -33,6 +33,7 @@ from repro.analysis.rules import AnalysisRule
 from repro.analysis.tv import (
     NON_SEMANTIC_ATTRS,
     TranslationValidationError,
+    compare,
     fuzz_transforms,
     interleave_validate,
     semantic_fingerprint,
@@ -46,6 +47,7 @@ from repro.baselines import (
     vitis_pipeline_spec,
 )
 from repro.compiler.driver import DEFAULT_PIPELINE, Compiler, PipelineObserver
+from repro.compiler.spec import PipelineSpecError
 from repro.compiler.stages import CompilationState, get_stage_class
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.dialects.affine_map import AffineMap, constant, dim
@@ -55,7 +57,12 @@ from repro.dialects.memref import StoreOp
 from repro.dialects.affine import AffineApplyOp
 from repro.estimation.platform import get_platform
 from repro.ir import Builder, FuncOp, MemRefType, ModuleOp, ReturnOp, f32, f64
-from repro.ir.interp import diff_results, interpret_module, seed_value
+from repro.ir.interp import (
+    ExecutionResult,
+    diff_results,
+    interpret_module,
+    seed_value,
+)
 from repro.ir.printer import IRPrinter, print_op
 from repro.workloads import as_module, get_workload, iter_workloads
 
@@ -257,6 +264,68 @@ def test_non_semantic_attrs_catalog_is_sorted():
     assert sorted(NON_SEMANTIC_ATTRS) == list(sorted(NON_SEMANTIC_ATTRS))
     assert "unroll_factor" in NON_SEMANTIC_ATTRS
     assert "map" not in NON_SEMANTIC_ATTRS  # addressing is semantic
+
+
+def _outputs(*cells):
+    return ExecutionResult(outputs=(("arg0", cells),))
+
+
+@pytest.mark.parametrize(
+    "result, tolerance, expected",
+    [
+        (_outputs(1.0, 2.0), 0.0, ("bitwise", ())),
+        (_outputs(1.0 + 1e-12, 2.0), 1e-9, ("tolerance", ())),
+        (_outputs(1.0 + 1e-12, 2.0), 0.0, ("mismatch", ("arg0[0]: 1.0 != 1.000000000001",))),
+        # Under a tolerance the element outside it is named, not the first
+        # element that differs at all.
+        (_outputs(1.0 + 1e-12, 5.0), 1e-9, ("mismatch", ("arg0[1]: 2.0 != 5.0",))),
+        (None, 0.0, ("skipped-budget", ())),
+    ],
+    ids=["bitwise", "tolerance", "exact-mismatch", "tolerance-mismatch", "budget"],
+)
+def test_compare_classifies_two_results(result, tolerance, expected):
+    assert compare(_outputs(1.0, 2.0), result, tolerance) == expected
+    assert compare(None, _outputs(1.0, 2.0), tolerance) == ("skipped-budget", ())
+
+
+@pytest.mark.parametrize(
+    "options, option",
+    [
+        ({"tolerance": "abc"}, "tolerance"),
+        ({"tolerance": "inf"}, "tolerance"),
+        ({"tolerance": "nan"}, "tolerance"),
+        ({"tolerance": "-1"}, "tolerance"),
+        ({"max_ops": -5}, "max-ops"),
+    ],
+)
+def test_validate_stage_refuses_bad_options(options, option):
+    with pytest.raises(PipelineSpecError, match=f"option '{option}' of stage 'validate'"):
+        get_stage_class("validate")(**options)
+
+
+def test_validate_stage_accepts_the_option_rules_bounds():
+    stage = get_stage_class("validate")(tolerance="0", max_ops=0)
+    assert (stage.tolerance, stage.max_ops) == ("0", 0)
+    assert get_stage_class("validate")(tolerance="1e-9").tolerance == "1e-9"
+
+
+def test_unlabeled_validate_names_the_stage_it_follows():
+    spec = "construct-dataflow,validate,fuse-tasks,validate,estimate"
+    state = Compiler.from_spec(spec).run(workload="2mm@n=8")
+    assert [(c.stage, c.outcome) for c in state.tv_baseline.checks] == [
+        ("construct-dataflow", "baseline"),
+        ("fuse-tasks", "bitwise"),
+    ]
+
+
+def test_a_reset_baseline_keeps_the_earlier_checks():
+    spec = "validate,construct-dataflow,validate{seed=1},fuse-tasks,validate{seed=1},estimate"
+    state = Compiler.from_spec(spec).run(workload="2mm@n=8")
+    assert [(c.stage, c.outcome) for c in state.tv_baseline.checks] == [
+        ("frontend", "baseline"),
+        ("construct-dataflow", "baseline"),
+        ("fuse-tasks", "bitwise"),
+    ]
 
 
 def test_interleave_validate_wraps_every_stage():
