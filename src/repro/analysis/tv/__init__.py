@@ -219,7 +219,7 @@ def semantic_fingerprint(module) -> str:
 
 def execute(module, seed: int, max_ops: int) -> Optional[ExecutionResult]:
     """Interpret ``module``; None when it exceeds the op budget."""
-    try:
+    try:  # looked up on the module, so a patched or counted interpreter runs
         return interp.interpret_module(module, seed=seed, max_ops=max_ops)
     except InterpreterBudgetError:
         return None

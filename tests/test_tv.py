@@ -98,7 +98,7 @@ _GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "tv_outcomes_golden.json
 
 
 def _outcomes_of(name):
-    """``"<kernel> x <spec>" -> [[stage, outcome], ...]`` over every spec."""
+    """``"<kernel> x <spec>" -> ValidationReport`` over every spec."""
     handle = _small(get_workload(name))
     tolerance = _TOLERANCES.get(name, 0.0)
     return {
