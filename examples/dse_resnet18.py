@@ -3,10 +3,14 @@
 
 Instead of compiling one hand-picked configuration (see
 ``resnet18_dataflow.py``), this example sweeps the HIDA option space —
-unroll-factor budget, external-memory tile size, fusion depth — across
-worker processes, caches every QoR result by content hash, and reports the
-Pareto frontier over (latency, DSP, BRAM).  Re-running the script is nearly
-instant: every point replays from the cache.
+unroll-factor budget, external-memory tile size, fusion depth — compiling
+each pipeline prefix the points share once, caches every QoR result by
+content hash, and reports the Pareto frontier over (latency, DSP, BRAM).
+Re-running the script is nearly instant: every point replays from the cache.
+
+The DSE hands a pool one prefix group (the points of one workload on one
+platform) per task.  This sweep is one group, so it runs in-process for
+any ``--workers``; add a workload or a platform to the space to fan out.
 
 Run with:  python examples/dse_resnet18.py [--workers N]
 """
@@ -42,11 +46,17 @@ def build_resnet_space() -> DesignSpace:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="pool size; one task per workload x platform group, so this "
+        "one-group sweep runs in-process whatever the count",
+    )
     args = parser.parse_args()
 
     space = build_resnet_space()
-    print(f"exploring {len(space)} ResNet-18 design points with {args.workers} workers")
+    print(f"exploring {len(space)} ResNet-18 design points")
     result = explore(space, workers=args.workers)
 
     print()

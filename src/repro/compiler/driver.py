@@ -309,7 +309,7 @@ class Compiler:
         protocol; two class attributes complete it.  ``first_boundary`` is
         the first boundary it serves: 1 for the IR cache, 0 for a store
         that also holds the frontend module (the state before any stage),
-        such as a DSE batch's :class:`~repro.dse.sharing.SharedPrefixes`.
+        such as a DSE prefix group's :class:`~repro.dse.sharing.SharedPrefixes`.
         ``counters`` is the :mod:`repro.obs` namespace the run's counters
         land under (``ir_cache`` without a store).
 

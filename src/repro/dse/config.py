@@ -30,7 +30,7 @@ class ExploreConfig:
     """Frozen settings of one exploration run (validated on construction)."""
 
     #: ``<= 1`` evaluates serially in-process (easier profiling/debugging);
-    #: anything larger fans out over one shared ``ProcessPoolExecutor``.
+    #: more runs each workload x platform group on one shared process pool.
     workers: int = 1
     #: QoR cache root (default ``$REPRO_DSE_CACHE`` or ``~/.cache/repro/dse``).
     cache_dir: Optional[str] = None
@@ -41,8 +41,6 @@ class ExploreConfig:
     #: The frontier is the union of per-workload frontiers: trade-offs only
     #: make sense between designs of the *same* computation.
     objectives: Tuple[str, ...] = DEFAULT_OBJECTIVES
-    #: ``pool.map`` chunk size of the worker fan-out.
-    chunksize: int = 4
     #: Never compile: cached points stream into the result, every uncached
     #: point is skipped (``ExplorationResult.skipped``).  Turns an
     #: interrupted sweep's partial cache into an output JSON.  Replays the
@@ -70,8 +68,8 @@ class ExploreConfig:
     #: members first, ranked by hypervolume contribution).
     promote_top: Optional[float] = None
     #: Stage-boundary IR snapshot cache (:mod:`repro.compiler.ircache`):
-    #: points are grouped by shared canonical-spec prefix so it compiles
-    #: once per worker batch and the rest resume from snapshots.  Results
+    #: a group's points run in canonical-spec order, so each shared prefix
+    #: compiles once and the rest resume from snapshots.  Results
     #: are byte-identical on/off/cold/warm; reuse shows only in
     #: ``prefix_hits``/``stages_skipped``.  The cache trusts workload ids, so
     #: re-registering a different workload under a cached id needs a clear.

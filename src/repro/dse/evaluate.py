@@ -23,7 +23,7 @@ from .fidelity import DEFAULT_FIDELITY, SIMULATE_CACHE_TAG, SimulationInput, che
 from .sharing import SharedPrefixes
 from .space import DesignPoint
 
-__all__ = ["evaluate_point", "open_caches", "probe_point"]
+__all__ = ["evaluate_point", "open_caches", "point_record", "probe_point"]
 
 #: Per-process memo ``workload identity -> (definition, fingerprint)`` of
 #: workload-module fingerprints (see :attr:`DesignPoint.workload_identity`).
@@ -96,6 +96,17 @@ def open_caches(cache_dir: Optional[str], ir_cache_dir: Optional[str]) -> tuple:
     )
 
 
+def point_record(point: DesignPoint, fidelity: str) -> Dict:
+    """The skeleton every record of ``point`` starts from."""
+    return {
+        "point": point.to_dict(),
+        "point_key": point.key(),
+        "label": point.label(),
+        "workload": point.workload,
+        "fidelity": fidelity,
+    }
+
+
 def probe_point(
     point: DesignPoint,
     qor_cache: Optional[QoRCache],
@@ -111,13 +122,7 @@ def probe_point(
     (``module`` is None unless the fingerprint needed a frontend trace).
     Never raises: a failure leaves ``record["error"]`` and no ``miss``.
     """
-    record = {
-        "point": point.to_dict(),
-        "point_key": point.key(),
-        "label": point.label(),
-        "workload": point.workload,
-        "fidelity": fidelity,
-    }
+    record = point_record(point, fidelity)
     try:
         spec_text = point.canonical_spec()
         fingerprint, module = _resolve_fingerprint(point, ir_cache)
@@ -184,7 +189,7 @@ def evaluate_point(
     (popped like ``"ir_cache"``); given it as ``base``, a later evaluation
     of the point at another level applies that level to it, not compiling.
 
-    ``shared`` is the batch's :class:`~repro.dse.sharing.SharedPrefixes`
+    ``shared`` is the prefix group's :class:`~repro.dse.sharing.SharedPrefixes`
     when the IR cache is off: the compile resumes from the deepest prefix
     state it holds for this point, and leaves one for later points.
     """

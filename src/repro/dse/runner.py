@@ -1,16 +1,17 @@
 """The parallel design-space exploration engine.
 
-``explore`` fans a :class:`~repro.dse.space.DesignSpace` out across worker
-processes with :mod:`concurrent.futures`.  Each worker rebuilds its
-workload module from the point's picklable identity fields, resolved
-through the workload registry (IR does not cross process boundaries),
-consults the content-hash
-:class:`~repro.dse.cache.QoRCache`, and only runs the full HIDA pipeline on
-a cache miss.  Results come back as plain JSON-safe record dicts, so the
-orchestrating process never unpickles IR either.
+``explore`` splits a :class:`~repro.dse.space.DesignSpace` into prefix
+groups, one per workload and platform, each compiling the prefixes its
+points share once (:mod:`repro.dse.sharing`), and runs each group as one
+task of a :mod:`concurrent.futures` worker pool (in-process without a pool
+or with one group).  A worker rebuilds workload modules from the points'
+picklable identity fields (IR does not cross process boundaries),
+consults the content-hash :class:`~repro.dse.cache.QoRCache`, and only
+runs the full HIDA pipeline on a cache miss.  Records come back as plain
+JSON-safe dicts.
 
 Determinism: records are re-ordered to the input point order after the
-parallel map, and the Pareto extraction sorts by objective vector, so the
+groups run, and the Pareto extraction sorts by objective vector, so the
 frontier is identical for any worker count.
 
 Every run evaluates one batch: the whole space for a full sweep, or the
@@ -31,11 +32,12 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from .config import ExplorationResult, ExploreConfig
-from .evaluate import evaluate_point, open_caches, probe_point
+from .evaluate import evaluate_point, open_caches, point_record, probe_point
 from .fidelity import (
     DEFAULT_FIDELITY,
     SimulationInput,
@@ -92,52 +94,82 @@ def _make_pool(workers: int, points: Sequence[DesignPoint]) -> ProcessPoolExecut
     )
 
 
-def _prefix_group_order(point: DesignPoint) -> tuple:
-    """Sort key grouping points that share compilation prefixes.
+def _pop_side_channels(records: List[Dict]) -> tuple:
+    """Pop what records carry for the run rather than as results.
 
-    Points of the same workload, platform and canonical-spec prefix land in
-    adjacent ``pool.map`` chunks, so one worker compiles the shared prefix
-    and its chunk-mates resume from the just-written snapshot instead of
-    racing other workers to compile it.  Canonical specs sort stage-by-
-    stage from the front, so the longest shared prefixes cluster tightest.
-    The final record order is restored from the batch order afterwards, so
-    grouping never changes any output — only which process compiles what.
+    Worker telemetry folds into the live session, ``"ir_cache"`` counters
+    sum into ``ir_stats`` and simulation inputs key by point into
+    ``inputs``; returns ``(ir_stats, inputs)``.  Popped, never copied:
+    records (and so frontier JSON, result files and fixed-seed comparisons)
+    stay byte-identical with tracing or the IR cache on or off.
     """
-    return (point.workload, point.platform, point.canonical_spec(), point.key())
-
-
-def _untraced(probed: Optional[tuple]) -> bool:
-    """Whether a pending entry's parent probe left it no traced module."""
-    return probed is None or probed[1][1] is None
-
-
-def _merge_ir_stats(records: List[Dict]) -> Counter:
-    """Pop per-record ``"ir_cache"`` counters and sum them.
-
-    The counters are *popped*, not copied: records (and therefore frontier
-    JSON, result files and fixed-seed comparisons) stay byte-identical with
-    the IR cache on or off; reuse statistics surface only through
-    :class:`~repro.dse.config.ExplorationResult` aggregates.
-    """
-    totals: Counter = Counter()
+    ir_stats: Counter = Counter()
+    inputs: Dict[str, SimulationInput] = {}
     for record in records:
+        telemetry = record.pop("telemetry", None)
+        if telemetry:
+            obs.ingest(telemetry)
         stats = record.pop("ir_cache", None)
         if isinstance(stats, dict):
-            totals.update(stats)
-    return totals
+            ir_stats.update(stats)
+        if "simulation_input" in record:
+            inputs[record["point_key"]] = record.pop("simulation_input")
+    return ir_stats, inputs
 
 
-def _merge_telemetry(records: List[Dict]) -> None:
-    """Pop per-record worker telemetry and fold it into the live session.
+def _evaluate_group(
+    points: Sequence[DesignPoint],
+    probes: Optional[Dict[str, tuple]] = None,
+    **options,
+) -> List[Dict]:
+    """Evaluate one prefix group back to back (``options`` are
+    :func:`evaluate_point`'s keywords).
 
-    Popped (never copied), exactly like :func:`_merge_ir_stats`: records —
-    and therefore frontier JSON and fixed-seed comparisons — stay
-    byte-identical whether tracing is on or off.
+    The points share a workload and a platform, so each prefix they share
+    compiles once: held by a :class:`SharedPrefixes` plan with the IR cache
+    off, or snapshotted with it on (points sorted by canonical spec).
+    ``probes`` maps point keys to the parent's :func:`probe_point` misses;
+    a worker probes for itself, because a traced module cannot be pickled.
     """
-    for record in records:
-        payload = record.pop("telemetry", None)
-        if payload:
-            obs.ingest(payload)
+    probes = probes or {}
+    shared = None
+    if options.get("ir_cache_dir"):
+        points = sorted(points, key=lambda point: (point.canonical_spec(), point.key()))
+    else:
+        shared = SharedPrefixes.plan(points)
+        if shared is not None:
+            # A point the parent probe traced leads, so its module starts
+            # the shared prefixes instead of a second trace.
+            traced = {key for key, (_, (_, module)) in probes.items() if module is not None}
+            points = sorted(points, key=lambda p: (p.key() not in traced, shared.order(p)))
+    records: List[Dict] = []
+    for point in points:
+        held = shared if shared is not None and shared.covers(point) else None
+        records.append(
+            evaluate_point(point, probed=probes.get(point.key()), shared=held, **options)
+        )
+        if held is not None:
+            held.done(point)
+    return records
+
+
+def _fan_out(pool: ProcessPoolExecutor, groups: List[List[DesignPoint]], **options) -> List[Dict]:
+    """Run each prefix group as one pool task, worker spans stitched under
+    the current span.  The points of every group a dead worker never
+    returned come back as error records."""
+    run = functools.partial(_evaluate_group, trace=obs.propagation_context(), **options)
+    records: List[Dict] = []
+    returned = 0
+    try:
+        for group_records in pool.map(run, groups):
+            records.extend(group_records)
+            returned += 1
+    except BrokenProcessPool as exc:
+        lost = [point for group in groups[returned:] for point in group]
+        obs.event("dse.worker-died", cat="dse", points=len(lost))
+        error = {"error": f"worker died before returning this point: {exc}", "cached": False}
+        records += [{**point_record(point, options["fidelity"]), **error} for point in lost]
+    return records
 
 
 def _evaluate_batch(
@@ -145,7 +177,6 @@ def _evaluate_batch(
     fidelity: str,
     *,
     pool: Optional[ProcessPoolExecutor],
-    chunksize: int,
     cache_dir: Optional[str],
     ir_cache_dir: Optional[str],
     resume: bool = False,
@@ -157,17 +188,15 @@ def _evaluate_batch(
     Cache hits replay in the parent process (no worker startup on warm
     batches), and so do points in ``bases`` (point key -> the base
     compile's :class:`~repro.dse.fidelity.SimulationInput`), with no
-    compile; the rest fan out across ``pool`` (serially in-process when
-    there is none).  An in-process batch with the IR cache off compiles
-    each prefix its points share once (:mod:`repro.dse.sharing`).
-    Returns ``(records, skipped, ir_stats, inputs)``: uncached points a
-    ``resume`` run left unevaluated, the batch's IR-snapshot reuse counters
-    (empty when the IR cache is off) and every compiled point's simulation
-    input by point key.
+    compile.  Every other point joins the prefix group of its workload and
+    platform (prefixes never cross either).  Returns ``(records, skipped,
+    ir_stats, inputs)``: uncached points a ``resume`` run left unevaluated,
+    the IR-snapshot reuse counters and compiled points' simulation inputs.
     """
     records: List[Dict] = []
-    #: ``(point, the parent's probe_point miss or None)``.
-    pending: List[tuple] = []
+    #: Point key -> the parent's ``probe_point`` miss.
+    probes: Dict[str, tuple] = {}
+    pending: List[DesignPoint] = [] if cache_dir else list(points)
     if cache_dir:
         qor_cache, ir_cache = open_caches(cache_dir, ir_cache_dir)  # per batch
         for point in points:
@@ -178,60 +207,36 @@ def _evaluate_batch(
             if record.get("cached"):
                 record["eval_seconds"] = time.perf_counter() - started
                 records.append(record)
-            else:
-                # An in-process evaluation continues from the miss; a probe
-                # failure falls through to a full one, which reports it.
-                pending.append((point, (record, miss) if miss is not None else None))
-    else:
-        pending = [(point, None) for point in points]
+                continue
+            # An in-process evaluation continues from the miss; a probe
+            # failure falls through to a full one, which reports it.
+            pending.append(point)
+            if miss is not None:
+                probes[point.key()] = (record, miss)
     skipped = 0
     if resume:
-        skipped = len(pending)
-        pending = []
-    if ir_cache_dir:
-        pending.sort(key=lambda entry: _prefix_group_order(entry[0]))
+        skipped, pending = len(pending), []
     bases = bases or {}
-    shared = None
-    if pool is None and not ir_cache_dir:
-        # In-process with no IR cache: compile each shared prefix once.
-        shared = SharedPrefixes.plan(
-            [point for point, _ in pending if point.key() not in bases]
-        )
-        if shared is not None:
-            # Points sharing prefixes run back to back.  A point the parent
-            # probe traced (the first of its workload) leads, so its module
-            # starts the shared prefixes instead of a second trace.
-            pending.sort(
-                key=lambda entry: (_untraced(entry[1]), shared.order(entry[0]))
-            )
-    evaluate = functools.partial(
-        evaluate_point,
-        cache_dir=cache_dir,
-        fidelity=fidelity,
-        ir_cache_dir=ir_cache_dir,
+    options: Dict[str, Any] = dict(
+        cache_dir=cache_dir, fidelity=fidelity, ir_cache_dir=ir_cache_dir
     )
-    if pool is not None and len(pending) > 1:
-        # Only points that must compile fan out.  Serialize the current span
-        # context so worker-side spans stitch under the orchestrating span
-        # (None while tracing is disabled).  Workers probe for themselves: a
-        # traced module cannot be pickled.
-        remote = [point for point, _ in pending if point.key() not in bases]
-        pending = [entry for entry in pending if entry[0].key() in bases]
-        traced = functools.partial(evaluate, trace=obs.propagation_context())
-        records.extend(pool.map(traced, remote, chunksize=max(1, chunksize)))
-    for point, probed in pending:
-        held = shared if shared is not None and shared.covers(point) else None
-        records.append(
-            evaluate(point, probed=probed, base=bases.get(point.key()), shared=held)
-        )
-        if held is not None:
-            held.done(point)
-    _merge_telemetry(records)
-    ir_stats = _merge_ir_stats(records)
-    inputs = {r["point_key"]: r.pop("simulation_input") for r in records if "simulation_input" in r}
-    # ``pool.map`` already preserves order; re-sort by the batch point order
-    # (prefix grouping reorders evaluation) so downstream consumers can
-    # rely on it.
+    groups: Dict[tuple, List[DesignPoint]] = {}
+    for point in pending:
+        base = bases.get(point.key())
+        if base is None:
+            groups.setdefault((point.workload_identity, point.platform), []).append(point)
+        else:
+            records.append(
+                evaluate_point(point, probed=probes.get(point.key()), base=base, **options)
+            )
+    if pool is None or len(groups) < 2:
+        for group in groups.values():
+            records.extend(_evaluate_group(group, probes, **options))
+    else:
+        records.extend(_fan_out(pool, list(groups.values()), **options))
+    ir_stats, inputs = _pop_side_channels(records)
+    # Restore the batch point order (grouping reorders evaluation) so
+    # downstream consumers can rely on it.
     order = {point.key(): index for index, point in enumerate(points)}
     records.sort(key=lambda r: order.get(r.get("point_key"), len(order)))
     return records, skipped, ir_stats, inputs
@@ -242,16 +247,11 @@ def _best_scored(records: Sequence[Dict]) -> List[Dict]:
     return [r for r in best_fidelity_records(records) if "error" not in r]
 
 
-def _by_workload(records: Sequence[Dict]) -> Dict[str, List[Dict]]:
-    groups: Dict[str, List[Dict]] = {}
-    for record in records:
-        groups.setdefault(str(record.get("workload", "")), []).append(record)
-    return groups
-
-
 def _frontier(scored: Sequence[Dict], objectives: Sequence[str]) -> List[Dict]:
     """Union of per-workload Pareto frontiers, workloads in name order."""
-    groups = _by_workload(scored)
+    groups: Dict[str, List[Dict]] = {}
+    for record in scored:
+        groups.setdefault(str(record.get("workload", "")), []).append(record)
     return [
         record
         for name in sorted(groups)
@@ -278,16 +278,10 @@ def explore(
         config = ExploreConfig(**overrides)
     elif overrides:
         config = dataclasses.replace(config, **overrides)
-    points: List[DesignPoint] = []
-    seen_keys = set()
-    for point in space:
-        # Dedupe by identity up front: duplicate points would collapse into
-        # one slot of the order-restoring sort and interleave cached/fresh
-        # results nondeterministically.
-        key = point.key()
-        if key not in seen_keys:
-            seen_keys.add(key)
-            points.append(point)
+    # Dedupe by identity up front: duplicate points would collapse into one
+    # slot of the order-restoring sort and interleave cached/fresh results
+    # nondeterministically.
+    points = list({point.key(): point for point in space}.values())
     rejected: List[Dict] = []
     if config.prefilter:
         from ..analysis.prefilter import filter_points
@@ -323,7 +317,6 @@ def explore(
     evaluate = functools.partial(
         _evaluate_batch,
         pool=pool,
-        chunksize=config.chunksize,
         cache_dir=config.qor_cache_root(),
         ir_cache_dir=config.ir_cache_root(),
     )

@@ -1,11 +1,11 @@
-"""The compilation prefixes the points of one DSE batch share, held in memory.
+"""The compilation prefixes a DSE prefix group's points share, held in memory.
 
 HIDA splits a design space by hierarchy: the functional-level stages
 (construct, fuse, lower) are decided once and shared by every node-level
-variant (tile, parallelize).  With the IR snapshot cache off, a batch would
+variant (tile, parallelize).  With the IR snapshot cache off, a group would
 still trace the frontend and run that shared prefix once per point.
 
-Before an in-process batch compiles, :class:`SharedPrefixes` keys every
+Before a group compiles, :class:`SharedPrefixes` keys every
 boundary each point can resume from — the frontend module (boundary 0) and
 the state after each snapshot-safe stage — by workload, platform and the
 canonical spec up to it.  A prefix two or more points share is held where
@@ -15,7 +15,7 @@ stage, the next prefix is held instead.)  The first point to cross a held
 boundary leaves a clone of its state; every later point resumes from the
 deepest state held for it, a clone while another pending point can still
 use that state and the held state itself for the last one, which releases
-it.  So each shared prefix runs once per batch, and a prefix no other point
+it.  So each shared prefix runs once per group, and a prefix no other point
 shares costs no clone.
 
 The object speaks the ``load``/``store`` protocol of
@@ -63,7 +63,7 @@ def _prefix_keys(point: DesignPoint) -> List[Key]:
 
 
 class SharedPrefixes:
-    """The held states of one batch; see the module docstring."""
+    """The held states of one prefix group; see the module docstring."""
 
     first_boundary = 0
     counters = "dse"
@@ -96,15 +96,14 @@ class SharedPrefixes:
 
     @classmethod
     def plan(cls, points: Sequence[DesignPoint]) -> Optional["SharedPrefixes"]:
-        """The batch's shared prefixes, or None when no two points share one."""
+        """The group's shared prefixes, or None when no two points share one."""
         shared = cls(points)
         return shared if shared._pending else None
 
     def order(self, point: DesignPoint) -> tuple:
         """Sort key running points that share prefixes back to back, so a
-        held state is released as early as possible.  A point the plan
-        does not hold (a promotion pass's point with a base input) sorts
-        first: it compiles nothing."""
+        held state is released as early as possible; a point the plan does
+        not hold (no prefix it shares, or an unresolvable spec) sorts first."""
         return (self._chains.get(point.key(), []), point.key())
 
     def covers(self, point: DesignPoint) -> bool:

@@ -264,9 +264,7 @@ def test_dse_prefilter_rejects_without_perturbing_feasible_points(tmp_path):
         platforms=("zu3eg",),
         pipeline_specs=(None, "construct-dataflow,lower-structural,parallelize"),
     )
-    kwargs = dict(
-        cache_dir=str(tmp_path / "qor"), workers=1, chunksize=2
-    )
+    kwargs = dict(cache_dir=str(tmp_path / "qor"), workers=1)
     base = explore(space, use_cache=False, **kwargs)
     filtered = explore(space, use_cache=False, prefilter=True, **kwargs)
 

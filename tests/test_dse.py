@@ -339,11 +339,10 @@ def test_cold_default_explore_traces_each_point_once(tmp_path, monkeypatch):
         assert qor_only(left["summary"]) == qor_only(right["summary"])
 
 
-def test_ir_cache_and_pool_runs_trace_as_before(tmp_path, monkeypatch):
-    # Prefix sharing is for in-process batches with the IR cache off.  A
-    # cold IR-cache run traces each workload in the parent probe and once
-    # more where the first compile of its prefix group has no module; a pool
-    # run traces each point in its worker after the parent probe.
+def test_ir_cache_and_pool_runs_trace_once_per_group(tmp_path, monkeypatch):
+    # Each workload traces once in the parent probe and once more where the
+    # first compile of its prefix group has no module: in-process with a
+    # cold IR cache, and in the worker that runs the group on a pool.
     traces = _count_frontend_traces(monkeypatch, tmp_path)
     space = tiny_space()
     cached = explore(
@@ -361,8 +360,42 @@ def test_ir_cache_and_pool_runs_trace_as_before(tmp_path, monkeypatch):
     pooled = explore(space, workers=2, cache_dir=str(tmp_path / "qor2"))
     assert not pooled.errors
     if multiprocessing.get_start_method() == "fork":  # workers count too
-        assert traces() == ["atax"] * 5 + ["mvt"] * 5
+        assert traces() == ["atax"] * 2 + ["mvt"] * 2
     assert pooled.frontier_keys() == cached.frontier_keys()
+
+
+def test_a_dead_worker_becomes_error_records(tmp_path, monkeypatch):
+    # The patched group function reaches the workers only when they fork.
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs the fork start method")
+    import functools
+    import os
+
+    from repro import obs
+    from repro.dse import runner
+
+    parent = os.getpid()
+    evaluate_group = runner._evaluate_group
+
+    @functools.wraps(evaluate_group)  # pickled by name, as the real one
+    def dying(points, probes=None, **options):
+        if os.getpid() != parent and points[0].workload == "mvt":
+            os._exit(1)
+        return evaluate_group(points, probes, **options)
+
+    monkeypatch.setattr(runner, "_evaluate_group", dying)
+    space = tiny_space()
+    obs.configure()
+    try:
+        result = explore(space, workers=2, cache_dir=str(tmp_path / "qor"))
+        died = [e for e in obs.session().events() if e.get("name") == "dse.worker-died"]
+    finally:
+        obs.shutdown()
+    assert [r["point_key"] for r in result.records] == [p.key() for p in space]
+    lost = {r["workload"] for r in result.errors}
+    assert "mvt" in lost and len(died) == 1
+    for record in result.errors:
+        assert record["error"].startswith("worker died before returning this point")
 
 
 def test_a_stage_raising_in_a_shared_prefix_fails_every_sharing_point(monkeypatch):
@@ -418,9 +451,9 @@ def test_no_held_state_outlives_its_last_point(monkeypatch):
     monkeypatch.setattr(SharedPrefixes, "plan", classmethod(tracking_plan))
     result = explore(tiny_space(), workers=1, use_cache=False)
     assert not result.errors and held
-    (shared,) = plans
-    assert not shared._held and not shared._pending
-    del result, shared, plans
+    assert len(plans) == 2  # one per workload's group
+    assert all(not shared._held and not shared._pending for shared in plans)
+    del result, plans
     gc.collect()
     assert all(ref() is None for ref in held)
 

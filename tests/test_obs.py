@@ -435,7 +435,6 @@ def test_explore_stitches_spans_across_workers(tmp_path):
     result = explore(
         tiny_space(),
         workers=2,
-        chunksize=1,
         cache_dir=tmp_path / "qor",
     )
     assert len(result.records) == 4
@@ -463,13 +462,9 @@ def test_explore_stitches_spans_across_workers(tmp_path):
 
 def test_tracing_does_not_change_results(tmp_path):
     space = tiny_space()
-    baseline = explore(
-        space, workers=2, chunksize=1, cache_dir=tmp_path / "qor-a"
-    )
+    baseline = explore(space, workers=2, cache_dir=tmp_path / "qor-a")
     obs.configure()
-    traced = explore(
-        space, workers=2, chunksize=1, cache_dir=tmp_path / "qor-b"
-    )
+    traced = explore(space, workers=2, cache_dir=tmp_path / "qor-b")
     obs.shutdown()
 
     def canonical(result):
