@@ -2,21 +2,30 @@
 array partitioning and canonicalization."""
 
 import hashlib
+import itertools
 import json
 import pathlib
+import random
 import sys
+from typing import List, Sequence
 
 import pytest
 
 from repro.compiler import Compiler
 from repro.dialects import linalg
-from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
+from repro.dialects.affine import (
+    AffineForOp,
+    AffineLoadOp,
+    AffineStoreOp,
+    get_perfectly_nested_band,
+)
 from repro.dialects.dataflow import TaskOp
 from repro.dialects.memref import AllocOp, GetGlobalOp
 from repro.frontend.cpp import KernelBuilder, build_listing1
 from repro.frontend.nn import Sequential, Conv2d, ReLU, Linear, MaxPool2d, Flatten, trace
 from repro.hida.functional import construct_functional_dataflow
 from repro.ir import Builder, ConstantOp, FuncOp, MemRefType, ModuleOp, f32, print_op, verify
+from repro.ir.core import Value
 from repro.transforms import (
     eliminate_dead_code,
     lower_linalg_to_affine,
@@ -31,6 +40,7 @@ from repro.transforms.loop_transforms import (
     innermost_loops_of,
     loop_bands_of,
     normalize_band_unroll,
+    permute_band,
     pipeline_innermost_loops,
     pipeline_loop,
     tile_band,
@@ -199,6 +209,135 @@ class TestLoopTransforms:
         module = as_module("3mm")
         inner = innermost_loops_of(module.functions[0])
         assert len(inner) == len(loop_bands_of(module.functions[0]))
+
+
+# ---------------------------------------------------------------------------
+# permute_band against the two-phase reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_permute_band(
+    band: Sequence[AffineForOp], permutation: Sequence[int], check: bool = True
+) -> List[AffineForOp]:
+    """Reorder a perfect band so new level ``j`` is old level ``permutation[j]``.
+
+    The loops stay in place structurally; their bounds, steps, directive
+    attributes and induction-variable uses are exchanged (two-phase swap, so
+    cyclic permutations work).  Returns the band in its new level order,
+    i.e. ``band`` itself — the outermost op is still the outermost op.
+
+    ``check=True`` (default) verifies legality first: a permutation that
+    could reverse a dependence raises ``TransformLegalityError``.
+    """
+    loops = list(band)
+    order = [int(i) for i in permutation]
+    if sorted(order) != list(range(len(loops))):
+        raise ValueError(
+            f"{order} is not a permutation of 0..{len(loops) - 1}"
+        )
+    if check:
+        from repro.analysis.legality import legal_permutation
+
+        legal_permutation(loops, order).raise_if_illegal()
+    if order == list(range(len(loops))):
+        return loops
+
+    bounds = [(l.lower_bound, l.upper_bound, l.step) for l in loops]
+    attrs = [dict(l.attributes) for l in loops]
+    hints = [l.induction_variable.name_hint for l in loops]
+    # Phase 1: route every old IV's uses through a placeholder so swaps
+    # cannot collide (IVs are block arguments and stay physically in place).
+    placeholders: List[Value] = []
+    for loop in loops:
+        placeholder = loop.body.add_argument(loop.induction_variable.type)
+        loop.induction_variable.replace_uses_if(placeholder, lambda _user: True)
+        placeholders.append(placeholder)
+    # Phase 2: old level p moves to new level order.index(p): its iteration
+    # values are now produced by the loop at that new position.
+    for new_level, old_level in enumerate(order):
+        lb, ub, step = bounds[old_level]
+        loops[new_level].set_bounds(lb, ub, step)
+        loops[new_level].attributes.clear()
+        loops[new_level].attributes.update(attrs[old_level])
+        loops[new_level].induction_variable.name_hint = hints[old_level]
+        placeholders[old_level].replace_uses_if(
+            loops[new_level].induction_variable, lambda _user: True
+        )
+    for loop in loops:
+        loop.body.erase_argument(len(loop.body.arguments) - 1)
+    return loops
+
+
+#: The stages before ``parallelize``: the bands its permutations act on.
+_BAND_PIPELINE = (
+    "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+    "eliminate-multi-producers,balance,tile"
+)
+
+
+def _distinct_zoo_bands():
+    """The zoo's bands of two or more loops, one per distinct printed band."""
+    bands = {}
+    for handle in iter_workloads():
+        state = Compiler.from_spec(_BAND_PIPELINE, platform="zu3eg").run_stages(
+            workload=handle.workload_id
+        )
+        tops = [node for schedule in state.schedules for node in schedule.nodes]
+        for top in tops or state.module.functions:
+            for band in loop_bands_of(top):
+                if len(band) >= 2:
+                    bands.setdefault(print_op(band[0]), band)
+    return list(bands.values())
+
+
+def _permutations(depth):
+    """Every permutation of a band up to four loops deep.  A deeper band
+    (six or seven loops: 720 or 5,040 orders) gets the reversal, every
+    rotation, every adjacent swap and eight seeded random orders."""
+    if depth <= 4:
+        return list(itertools.permutations(range(depth)))
+    identity = list(range(depth))
+    orders = [identity[::-1]]
+    orders += [identity[k:] + identity[:k] for k in range(1, depth)]
+    for k in range(depth - 1):
+        swapped = list(identity)
+        swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+        orders.append(swapped)
+    rng = random.Random(depth)
+    orders += [rng.sample(identity, depth) for _ in range(8)]
+    return orders
+
+
+def _permuted(band, order, permute):
+    """``(printed band, per level the (walk position, operand index) of each
+    IV use in use-list order)`` after ``permute`` on a clone of ``band``."""
+    root = band[0].clone()
+    loops = permute(get_perfectly_nested_band(root), order, check=False)
+    position = {id(op): index for index, op in enumerate(root.walk())}
+    uses = [
+        [(position[id(user)], index) for user, index in loop.induction_variable.uses]
+        for loop in loops
+    ]
+    return print_op(root), uses
+
+
+def test_permute_band_matches_the_two_phase_reference():
+    bands = _distinct_zoo_bands()
+    assert {len(band) for band in bands} == {2, 3, 4, 6, 7}
+    checked = 0
+    for band in bands:
+        for order in _permutations(len(band)):
+            expected = _permuted(band, order, _reference_permute_band)
+            assert _permuted(band, order, permute_band) == expected, (print_op(band[0]), order)
+            checked += 1
+    # Every order of one six-loop band too (the rotations above already
+    # cover seven-loop cycles).
+    six = next(band for band in bands if len(band) == 6)
+    for order in itertools.permutations(range(6)):
+        assert _permuted(six, order, permute_band) == _permuted(
+            six, order, _reference_permute_band
+        ), order
+    assert checked > 2_000
 
 
 # ---------------------------------------------------------------------------
