@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..estimation.platform import get_platform
@@ -281,6 +281,7 @@ class Compiler:
         *,
         workload=None,
         ir_cache: Optional[IRSnapshotCache] = None,
+        keys: Optional[Tuple[str, Sequence[str]]] = None,
     ) -> CompilationState:
         """Run every stage over ``module`` (modified in place).
 
@@ -311,7 +312,10 @@ class Compiler:
         that also holds the frontend module (the state before any stage),
         such as a DSE prefix group's :class:`~repro.dse.sharing.SharedPrefixes`.
         ``counters`` is the :mod:`repro.obs` namespace the run's counters
-        land under (``ir_cache`` without a store).
+        land under (``ir_cache`` without a store).  ``keys`` is
+        ``(workload_cache_key(workload), self.prefix_hashes())`` when the
+        caller has both already (a DSE prefix group plans each point's
+        keys before it compiles), so the run does not compute them again.
 
         Returns the :class:`~repro.compiler.stages.CompilationState` the
         stages filled, with the run's ``ir_cache_stats`` and
@@ -337,13 +341,17 @@ class Compiler:
             stats[key] += amount
             obs.inc(f"{namespace}.{key}", amount)
 
+        # The printed spec is only a span attribute: no session, no print.
+        spec = {"spec": self.spec_text()} if obs.enabled() else {}
         with obs.span(
-            "compile", cat="pipeline", platform=self.platform, spec=self.spec_text()
+            "compile", cat="pipeline", platform=self.platform, **spec
         ) as run_span:
             workload_key: Optional[str] = None
             if ir_cache is not None:
                 refused_before = ir_cache.refused
-                if workload is not None:
+                if keys is not None:
+                    workload_key = keys[0]
+                elif workload is not None:
                     workload_key = workload_cache_key(workload)
                 else:
                     # Raw modules have no registry identity; their content
@@ -362,7 +370,9 @@ class Compiler:
                     for i in (0, *self.snapshot_boundaries())
                     if i >= ir_cache.first_boundary
                 ]
-            hashes = self.prefix_hashes() if boundaries else []
+            hashes: Sequence[str] = []
+            if boundaries:
+                hashes = self.prefix_hashes() if keys is None else keys[1]
             for i in reversed(boundaries):
                 restored = ir_cache.load(workload_key, self.platform, hashes[i])
                 if restored is None:
@@ -464,6 +474,7 @@ class Compiler:
         *,
         workload=None,
         ir_cache: Optional[IRSnapshotCache] = None,
+        keys: Optional[Tuple[str, Sequence[str]]] = None,
     ) -> CompilationState:
         """:meth:`run_stages`, checked for a QoR estimate.
 
@@ -472,7 +483,7 @@ class Compiler:
         stage); :meth:`run_stages` is the entry point for such pipelines.
         Observers' ``on_pipeline_end`` receives the returned state.
         """
-        state = self.run_stages(module, workload=workload, ir_cache=ir_cache)
+        state = self.run_stages(module, workload=workload, ir_cache=ir_cache, keys=keys)
         if state.estimate is None:
             raise PipelineSpecError(
                 f"pipeline {self.spec_text()!r} produced no QoR estimate; "

@@ -545,6 +545,15 @@ class ParallelizeStage(CompilationStage):
     ca: bool
     target_ii: int
 
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        for option, value in (("factor", self.factor), ("target-ii", self.target_ii)):
+            if value < 1:
+                raise PipelineSpecError(
+                    f"option {option!r} of stage 'parallelize' expects an integer >= 1, "
+                    f"got {value}"
+                )
+
     def parallelization_options(self) -> ParallelizationOptions:
         return ParallelizationOptions(
             max_parallel_factor=self.factor,

@@ -190,8 +190,9 @@ def evaluate_point(
     of the point at another level applies that level to it, not compiling.
 
     ``shared`` is the prefix group's :class:`~repro.dse.sharing.SharedPrefixes`
-    when the IR cache is off: the compile resumes from the deepest prefix
-    state it holds for this point, and leaves one for later points.
+    when the IR cache is off: the point compiles with the compiler and keys
+    the group planned for it, resumes from the deepest prefix state held
+    for it, and leaves one for later points.
     """
     obs.begin_worker(trace)
     started = time.perf_counter()
@@ -211,11 +212,18 @@ def evaluate_point(
                     # With no module in hand the driver builds it — or, on an
                     # IR-cache prefix hit, rehydrates from the snapshot and
                     # the frontend never runs in this process at all.
-                    result = point.compiler().run(
-                        module,
-                        workload=point.workload_spec(),
-                        ir_cache=shared if ir_cache is None else ir_cache,
-                    )
+                    planned = shared.planned(point) if shared is not None else None
+                    if planned is None:  # no group plan, or the point does not resolve
+                        result = point.compiler().run(
+                            module, workload=point.workload_spec(), ir_cache=ir_cache
+                        )
+                    else:
+                        result = planned.compiler.run(
+                            module,
+                            workload=planned.workload,
+                            ir_cache=shared if shared.covers(point) else None,
+                            keys=planned.keys,
+                        )
                     if ir_cache is not None:
                         record["ir_cache"] = result.ir_cache_stats
                 qor = payload(fidelity, result)

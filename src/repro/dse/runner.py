@@ -127,7 +127,8 @@ def _evaluate_group(
 
     The points share a workload and a platform, so each prefix they share
     compiles once: held by a :class:`SharedPrefixes` plan with the IR cache
-    off, or snapshotted with it on (points sorted by canonical spec).
+    off (which also builds each point's compiler and keys once), or
+    snapshotted with it on (points sorted by canonical spec).
     ``probes`` maps point keys to the parent's :func:`probe_point` misses;
     a worker probes for itself, because a traced module cannot be pickled.
     """
@@ -137,19 +138,17 @@ def _evaluate_group(
         points = sorted(points, key=lambda point: (point.canonical_spec(), point.key()))
     else:
         shared = SharedPrefixes.plan(points)
-        if shared is not None:
-            # A point the parent probe traced leads, so its module starts
-            # the shared prefixes instead of a second trace.
-            traced = {key for key, (_, (_, module)) in probes.items() if module is not None}
-            points = sorted(points, key=lambda p: (p.key() not in traced, shared.order(p)))
+        # A point the parent probe traced leads, so its module starts the
+        # shared prefixes instead of a second trace.
+        traced = {key for key, (_, (_, module)) in probes.items() if module is not None}
+        points = sorted(points, key=lambda p: (p.key() not in traced, shared.order(p)))
     records: List[Dict] = []
     for point in points:
-        held = shared if shared is not None and shared.covers(point) else None
         records.append(
-            evaluate_point(point, probed=probes.get(point.key()), shared=held, **options)
+            evaluate_point(point, probed=probes.get(point.key()), shared=shared, **options)
         )
-        if held is not None:
-            held.done(point)
+        if shared is not None:
+            shared.done(point)
     return records
 
 

@@ -5,7 +5,9 @@ HIDA splits a design space by hierarchy: the functional-level stages
 variant (tile, parallelize).  With the IR snapshot cache off, a group would
 still trace the frontend and run that shared prefix once per point.
 
-Before a group compiles, :class:`SharedPrefixes` keys every
+Before a group compiles, :class:`SharedPrefixes` plans each point once:
+its compiler, workload handle and prefix hashes (a :class:`PointPlan`),
+which the point's compile then reuses.  From them it keys every
 boundary each point can resume from — the frontend module (boundary 0) and
 the state after each snapshot-safe stage — by workload, platform and the
 canonical spec up to it.  A prefix two or more points share is held where
@@ -32,38 +34,58 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..compiler.ircache import _collect_schedules, workload_cache_key
+from ..compiler.driver import Compiler
+from ..compiler.ircache import _collect_schedules
 from ..compiler.stages import CompilationState
+from ..workloads.registry import Workload
 from .space import DesignPoint
 
-__all__ = ["SharedPrefixes"]
+__all__ = ["PointPlan", "SharedPrefixes"]
 
 #: ``(workload key, platform, prefix hash)``: what the driver passes to
 #: ``load`` / ``store``.
 Key = Tuple[str, str, str]
 
 
-def _prefix_keys(point: DesignPoint) -> List[Key]:
-    """The keys of every boundary ``point``'s compile can resume from.
+class PointPlan(NamedTuple):
+    """What a point compiles with: its compiler, its bound workload and the
+    ``keys`` :meth:`Compiler.run_stages
+    <repro.compiler.driver.Compiler.run_stages>` takes, ``(workload key,
+    prefix hashes)``."""
 
-    Boundary 0 (the frontend module), then each snapshot-safe boundary;
-    empty when the point's workload or spec does not resolve (its own
-    evaluation reports that).
-    """
+    compiler: Compiler
+    workload: Workload
+    keys: Tuple[str, List[str]]
+
+
+def _plan(point: DesignPoint) -> Optional[PointPlan]:
+    """``point``'s plan, or None when its workload or spec does not resolve
+    (its own evaluation reports that)."""
     try:
         compiler = point.compiler()
-        workload_key = workload_cache_key(point.workload_spec())
+        workload = point.workload_spec()
     except (KeyError, TypeError, ValueError):  # unknown workload, bad spec
+        return None
+    # A bound handle's id is its workload_cache_key.
+    return PointPlan(compiler, workload, (workload.workload_id, compiler.prefix_hashes()))
+
+
+def _prefix_keys(point: DesignPoint, plan: Optional[PointPlan]) -> List[Key]:
+    """The keys of every boundary ``point``'s compile can resume from:
+    boundary 0 (the frontend module), then each snapshot-safe boundary;
+    empty without a plan."""
+    if plan is None:
         return []
-    hashes = compiler.prefix_hashes()
-    boundaries = (0, *compiler.snapshot_boundaries())
+    workload_key, hashes = plan.keys
+    boundaries = (0, *plan.compiler.snapshot_boundaries())
     return [(workload_key, point.platform, hashes[i]) for i in boundaries]
 
 
 class SharedPrefixes:
-    """The held states of one prefix group; see the module docstring."""
+    """The plans and held states of one prefix group; see the module
+    docstring."""
 
     first_boundary = 0
     counters = "dse"
@@ -71,7 +93,12 @@ class SharedPrefixes:
     refused = 0
 
     def __init__(self, points: Sequence[DesignPoint]) -> None:
-        chains = {point.key(): _prefix_keys(point) for point in points}
+        #: Point key -> its plan (None: unresolvable), until the point is done.
+        self._plans: Dict[str, Optional[PointPlan]] = {}
+        chains: Dict[str, List[Key]] = {}
+        for point in points:
+            plan = self._plans[point.key()] = _plan(point)
+            chains[point.key()] = _prefix_keys(point, plan)
         sharing = Counter(key for chain in chains.values() for key in chain)
         # Hold a shared prefix where the points through it part ways.  Where
         # all of them go on to the same next prefix, holding that one saves
@@ -95,10 +122,13 @@ class SharedPrefixes:
         self._held: Dict[Key, tuple] = {}
 
     @classmethod
-    def plan(cls, points: Sequence[DesignPoint]) -> Optional["SharedPrefixes"]:
-        """The group's shared prefixes, or None when no two points share one."""
-        shared = cls(points)
-        return shared if shared._pending else None
+    def plan(cls, points: Sequence[DesignPoint]) -> "SharedPrefixes":
+        """Plan every point of the group and the prefixes they share."""
+        return cls(points)
+
+    def planned(self, point: DesignPoint) -> Optional[PointPlan]:
+        """``point``'s plan, None if it does not resolve."""
+        return self._plans.get(point.key())
 
     def order(self, point: DesignPoint) -> tuple:
         """Sort key running points that share prefixes back to back, so a
@@ -111,7 +141,9 @@ class SharedPrefixes:
         return bool(self._chains.get(point.key()))
 
     def done(self, point: DesignPoint) -> None:
-        """``point`` is evaluated: drop the states no pending point needs."""
+        """``point`` is evaluated: drop its plan and the states no pending
+        point needs."""
+        self._plans.pop(point.key(), None)
         for key in self._chains.get(point.key(), ()):
             self._pending[key] -= 1
             if not self._pending[key]:

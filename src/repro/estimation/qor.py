@@ -34,7 +34,7 @@ from ..dialects.memref import AllocOp
 from ..ir.core import Operation, Value
 from ..ir.types import MemRefType
 from ..transforms.array_partition import partition_factors_of_value
-from ..transforms.loop_transforms import innermost_loops_of, loop_bands_of
+from ..transforms.loop_transforms import loop_bands_of
 from .dataflow_sim import ChannelSpec, build_channels, dataflow_timeline, simulate_dataflow
 from .platform import Platform
 
@@ -257,20 +257,11 @@ def _body_op_stats(loop: AffineForOp) -> Tuple[int, int, float, int, int]:
     return compute, mem, dsp, loads, stores
 
 
-def _unroll_product(loops: Sequence[AffineForOp]) -> int:
-    product = 1
-    for loop in loops:
-        product *= max(1, min(loop.unroll_factor, max(loop.trip_count, 1)))
-    return product
-
-
-def _memory_port_ii(
-    loop: AffineForOp, unroll_product: int, platform: Platform
-) -> float:
+def _memory_port_ii(loop: AffineForOp) -> float:
     """II contribution of on-chip memory-port limits.
 
     External (DRAM) buffers are handled separately as streaming transfers
-    overlapped with compute (see :func:`_external_traffic_bytes`): HIDA's
+    overlapped with compute (``traffic`` in :func:`estimate_band`): HIDA's
     tiling creates local tile buffers with double buffering, so the external
     accesses do not appear on the compute loop's critical path.
     """
@@ -304,79 +295,69 @@ def _memory_port_ii(
     return worst
 
 
-def _external_traffic_bytes(band_root: AffineForOp) -> float:
-    """Bytes moved to/from external memory by one execution of a band.
-
-    Assumes streaming with perfect on-chip reuse: every external buffer
-    touched by the band is transferred once (its full footprint) per band
-    execution, which models HIDA's tile-load / tile-compute / tile-store
-    sub-node structure.
-    """
-    seen: Dict[int, float] = {}
-    for op in band_root.walk():
-        if not isinstance(op, (AffineLoadOp, AffineStoreOp)):
-            continue
-        buffer = op.memref
-        memref_type = buffer.type
-        if not isinstance(memref_type, MemRefType) or memref_type.is_on_chip:
-            continue
-        seen[id(buffer)] = memref_type.num_elements * (
-            memref_type.element_type.bitwidth / 8.0
-        )
-    return sum(seen.values())
-
-
 def estimate_band(
     band: Sequence[AffineForOp], platform: Platform
 ) -> Tuple[float, float, ResourceUsage]:
-    """Latency, interval and resources of one loop band.
+    """Latency, interval and resources of one perfectly nested loop band.
 
-    The innermost loop of the band is inspected for its body statistics; the
-    surrounding loops contribute their (trip / unroll) iteration counts.
+    One post-order walk of ``band[0]`` gathers every term.  Its first loop
+    is the innermost loop the band leads to (the band may stop short of it
+    in an imperfect nest), whose body statistics are inspected; every loop
+    contributes its (trip / unroll) iteration count to ``iterations`` and
+    its unroll factor to ``unroll_product``; every external buffer its
+    full footprint, once, to ``traffic``.
     """
     if not band:
         return 1.0, 1.0, ResourceUsage()
-    innermost = band[-1]
-    # The band may not extend to the true innermost loop (imperfect nests);
-    # walk further down if needed.
-    inner_candidates = innermost_loops_of(innermost)
-    target = inner_candidates[0] if inner_candidates else innermost
+    target = None
+    iterations = 1
+    unroll_product = 1
+    pipelined: List[AffineForOp] = []
+    # Bytes moved to/from external memory by one execution of the band,
+    # assuming streaming with perfect on-chip reuse: every external buffer
+    # the band touches is transferred once (its full footprint), which
+    # models HIDA's tile-load / tile-compute / tile-store sub-node structure.
+    traffic = 0.0
+    external = set()
+    for op in band[0].walk():
+        if isinstance(op, AffineForOp):
+            if target is None:
+                target = op
+            trip = max(op.trip_count, 1)
+            unroll = max(1, min(op.unroll_factor, trip))
+            iterations *= max(1, math.ceil(trip / unroll))
+            unroll_product *= unroll
+            if op.is_pipelined:
+                pipelined.append(op)
+        elif isinstance(op, (AffineLoadOp, AffineStoreOp)):
+            buffer = op.memref
+            memref_type = buffer.type
+            if (
+                isinstance(memref_type, MemRefType)
+                and not memref_type.is_on_chip
+                and id(buffer) not in external
+            ):
+                external.add(id(buffer))
+                traffic += memref_type.num_elements * (
+                    memref_type.element_type.bitwidth / 8.0
+                )
     compute, mem, dsp_per_iter, loads, stores = _body_op_stats(target)
 
-    all_loops = [
-        loop for loop in band[0].walk() if isinstance(loop, AffineForOp)
-    ]
-    iterations = 1
-    for loop in all_loops:
-        unroll = max(1, min(loop.unroll_factor, max(loop.trip_count, 1)))
-        iterations *= max(1, math.ceil(max(loop.trip_count, 1) / unroll))
-    unroll_product = _unroll_product(all_loops)
-
-    pipelined = any(loop.is_pipelined for loop in all_loops)
-    ii = 1.0
     if pipelined:
         # Recurrence bound: a carried dependence chain caps the achievable
         # II regardless of the directive, exactly like scheduling would.
         from ..analysis.recurrence import pipeline_rec_mii
 
-        target_ii = max(loop.target_ii for loop in all_loops if loop.is_pipelined)
-        rec_mii = max(
-            pipeline_rec_mii(loop) for loop in all_loops if loop.is_pipelined
-        )
-        ii = max(
-            float(target_ii),
-            float(rec_mii),
-            _memory_port_ii(target, unroll_product, platform),
-        )
+        target_ii = max(loop.target_ii for loop in pipelined)
+        rec_mii = max(pipeline_rec_mii(loop) for loop in pipelined)
+        ii = max(float(target_ii), float(rec_mii), _memory_port_ii(target))
         latency = iterations * ii + _PIPELINE_DEPTH
     else:
         per_iter = max(2.0, (compute + mem) * _SEQ_CYCLES_PER_OP)
         latency = iterations * per_iter
-        ii = per_iter
 
     # External memory traffic streams concurrently with compute (tile-level
     # double buffering); the band is bound by whichever is slower.
-    traffic = _external_traffic_bytes(band[0])
     if traffic:
         transfer_cycles = traffic / platform.dram_bytes_per_cycle + platform.dram_latency_cycles
         latency = max(latency, transfer_cycles)

@@ -67,7 +67,9 @@ class BandAccess:
 
     ``dim_loop_positions[d]`` is the band-loop index driving buffer dimension
     ``d`` (or None); ``dim_strides[d]`` is the corresponding access stride.
-    ``drivers`` is the ``driving_loops()`` decode they come from.
+    ``drivers`` is the ``driving_loops()`` decode they come from, and
+    ``resolved`` the buffer ``buffer`` aliases through node block arguments
+    (what connections and partitions group accesses by).
     """
 
     buffer: Value
@@ -75,6 +77,7 @@ class BandAccess:
     dim_loop_positions: List[Optional[int]]
     dim_strides: List[int]
     drivers: List[Optional[Tuple[AffineForOp, int]]]
+    resolved: Value
 
     @property
     def rank(self) -> int:
@@ -143,8 +146,16 @@ def _band_accesses(node: NodeOp, band: Sequence[AffineForOp]) -> List[BandAccess
         drivers = op.driving_loops()
         positions = [driver and loop_position.get(id(driver[0])) for driver in drivers]
         strides = [driver[1] if driver else 0 for driver in drivers]
+        buffer = op.memref
         accesses.append(
-            BandAccess(op.memref, isinstance(op, AffineStoreOp), positions, strides, drivers)
+            BandAccess(
+                buffer,
+                isinstance(op, AffineStoreOp),
+                positions,
+                strides,
+                drivers,
+                _resolve_through_nodes(buffer),
+            )
         )
     return accesses
 
@@ -300,9 +311,8 @@ def collect_connections(
     buffers: Dict[int, Value] = {}
     for info in infos:
         for access in info.accesses:
-            key_value = _resolve_through_nodes(access.buffer)
-            key = id(key_value)
-            buffers[key] = key_value
+            key = id(access.resolved)
+            buffers[key] = access.resolved
             target = writers if access.is_store else readers
             target.setdefault(key, []).append((info, access))
 

@@ -42,7 +42,7 @@ from ..analysis.legality import legal_permutation, legal_pipeline_ii
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.dataflow import ScheduleOp
 from ..ir.core import Operation
-from ..transforms.array_partition import partition_decoded_accesses
+from ..transforms.array_partition import _resolve_through_nodes, partition_decoded_accesses
 from ..transforms.loop_transforms import loop_bands_of, permute_band, pipeline_loop
 from .analysis import (
     BandInfo,
@@ -445,9 +445,9 @@ def _partition_from_records(top: Operation, bands: Sequence[BandInfo]) -> None:
             for block in region.blocks:
                 for child in block.operations:
                     if id(child) in records:
-                        yield from ((a.buffer, a.drivers) for a in records[id(child)])
+                        yield from ((a.resolved, a.drivers) for a in records[id(child)])
                     elif isinstance(child, (AffineLoadOp, AffineStoreOp)):
-                        yield child.memref, child.driving_loops()
+                        yield _resolve_through_nodes(child.memref), child.driving_loops()
                     else:
                         yield from accesses_under(child)
 

@@ -21,7 +21,6 @@ region nesting, dominance of simple single-block regions) are checked by
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import operator
 from typing import (
@@ -71,8 +70,10 @@ class Value:
     def __init__(self, type: Type, name_hint: Optional[str] = None) -> None:
         self.type = type
         self._id = next(_value_ids)
-        # Uses are (operation, operand_index) pairs.
-        self._uses: List[Tuple["Operation", int]] = []
+        # Uses are (operation, operand_index) pairs, kept as the keys of an
+        # insertion-ordered dict: moving a use is O(1) and the order is the
+        # order the uses were made in.
+        self._uses: Dict[Tuple["Operation", int], None] = {}
         self.name_hint = name_hint
 
     # ------------------------------------------------------------------ uses
@@ -96,11 +97,10 @@ class Value:
         return len(self._uses)
 
     def _add_use(self, op: "Operation", index: int) -> None:
-        self._uses.append((op, index))
+        self._uses[op, index] = None
 
     def _remove_use(self, op: "Operation", index: int) -> None:
-        with contextlib.suppress(ValueError):
-            self._uses.remove((op, index))
+        self._uses.pop((op, index), None)
 
     def replace_all_uses_with(self, new_value: "Value") -> None:
         """Rewrite every use of this value to use ``new_value`` instead."""
@@ -529,7 +529,7 @@ class Operation:
         new_op.name = self.name
         operands = [value_map.get(v, v) for v in self._operands]
         for index, value in enumerate(operands):
-            value._uses.append((new_op, index))
+            value._uses[new_op, index] = None
         new_op._operands = operands
         results = []
         for index, old_res in enumerate(self.results):

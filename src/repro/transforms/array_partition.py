@@ -125,26 +125,28 @@ def partition_buffers_in(top: Operation) -> Dict[int, ArrayPartition]:
     Returns a map from ``id(buffer value)`` to the chosen partition.
     """
     walked = [op for op in top.walk() if isinstance(op, (AffineLoadOp, AffineStoreOp))]
-    return _attach_partitions(((op.memref, op) for op in walked), partition_for_accesses)
+    return _attach_partitions(
+        ((_resolve_through_nodes(op.memref), op) for op in walked), partition_for_accesses
+    )
 
 
 def partition_decoded_accesses(
     accesses: Iterable[Tuple[Value, Drivers]]
 ) -> Dict[int, ArrayPartition]:
     """:func:`partition_buffers_in` over accesses already decoded, as
-    ``(memref, driving_loops())`` pairs in program order."""
+    ``(buffer, driving_loops())`` pairs in program order, each buffer
+    already resolved through node block arguments."""
     return _attach_partitions(accesses, _partition_of)
 
 
 def _attach_partitions(
     accesses: Iterable[Tuple[Value, Any]], choose: Callable[[Value, list], ArrayPartition]
 ) -> Dict[int, ArrayPartition]:
-    """Group ``(memref, access)`` pairs by the buffer each memref resolves
-    to through node block arguments, then attach ``choose(buffer, group)``."""
+    """Group ``(buffer, access)`` pairs by buffer (each already resolved
+    through node block arguments), then attach ``choose(buffer, group)``."""
     groups: Dict[int, Tuple[Value, list]] = {}
     for buffer, access in accesses:
-        resolved = _resolve_through_nodes(buffer)
-        groups.setdefault(id(resolved), (resolved, []))[1].append(access)
+        groups.setdefault(id(buffer), (buffer, []))[1].append(access)
     chosen: Dict[int, ArrayPartition] = {}
     for key, (buffer, group) in groups.items():
         partition = chosen[key] = choose(buffer, group)

@@ -161,9 +161,9 @@ def permute_band(
     """Reorder a perfect band so new level ``j`` is old level ``permutation[j]``.
 
     The loops stay in place structurally; their bounds, steps, directive
-    attributes and induction-variable uses are exchanged (two-phase swap, so
-    cyclic permutations work).  Returns the band in its new level order,
-    i.e. ``band`` itself — the outermost op is still the outermost op.
+    attributes and induction-variable uses are exchanged.  Returns the band
+    in its new level order, i.e. ``band`` itself — the outermost op is
+    still the outermost op.
 
     ``check=True`` (default) verifies legality first: a permutation that
     could reverse a dependence raises ``TransformLegalityError``.
@@ -184,26 +184,22 @@ def permute_band(
     bounds = [(l.lower_bound, l.upper_bound, l.step) for l in loops]
     attrs = [dict(l.attributes) for l in loops]
     hints = [l.induction_variable.name_hint for l in loops]
-    # Phase 1: route every old IV's uses through a placeholder so swaps
-    # cannot collide (IVs are block arguments and stay physically in place).
-    placeholders: List[Value] = []
-    for loop in loops:
-        placeholder = loop.body.add_argument(loop.induction_variable.type)
-        loop.induction_variable.replace_uses_if(placeholder, lambda _user: True)
-        placeholders.append(placeholder)
-    # Phase 2: old level p moves to new level order.index(p): its iteration
-    # values are now produced by the loop at that new position.
+    # Every IV's uses as they stand, so each use moves once and none is
+    # moved twice by a cycle of swaps (IVs are block arguments and stay
+    # physically in place).
+    uses = [loop.induction_variable.uses for loop in loops]
+    # Old level p moves to new level order.index(p): its iteration values
+    # are now produced by the loop at that new position.
     for new_level, old_level in enumerate(order):
+        loop = loops[new_level]
         lb, ub, step = bounds[old_level]
-        loops[new_level].set_bounds(lb, ub, step)
-        loops[new_level].attributes.clear()
-        loops[new_level].attributes.update(attrs[old_level])
-        loops[new_level].induction_variable.name_hint = hints[old_level]
-        placeholders[old_level].replace_uses_if(
-            loops[new_level].induction_variable, lambda _user: True
-        )
-    for loop in loops:
-        loop.body.erase_argument(len(loop.body.arguments) - 1)
+        loop.set_bounds(lb, ub, step)
+        loop.attributes.clear()
+        loop.attributes.update(attrs[old_level])
+        iv = loop.induction_variable
+        iv.name_hint = hints[old_level]
+        for user, index in uses[old_level]:
+            user.set_operand(index, iv)
     return loops
 
 

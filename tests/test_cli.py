@@ -205,6 +205,22 @@ _BAD_VALUES = {
         lambda spec: ["--workload", "atax", spec, "validate{max-ops=-5},estimate"],
         None, "option 'max-ops' of stage 'validate' expects an integer >= 0, got -5",
     ),
+    "parallelize-zero-factor": (
+        lambda spec: ["--workload", "atax", spec, "parallelize{factor=0},estimate"],
+        None, "option 'factor' of stage 'parallelize' expects an integer >= 1, got 0",
+    ),
+    "parallelize-negative-factor": (
+        lambda spec: ["--workload", "atax", spec, "parallelize{factor=-4},estimate"],
+        None, "option 'factor' of stage 'parallelize' expects an integer >= 1, got -4",
+    ),
+    "parallelize-zero-target-ii": (
+        lambda spec: ["--workload", "atax", spec, "parallelize{target-ii=0},estimate"],
+        None, "option 'target-ii' of stage 'parallelize' expects an integer >= 1, got 0",
+    ),
+    "parallelize-negative-target-ii": (
+        lambda spec: ["--workload", "atax", spec, "parallelize{target-ii=-3},estimate"],
+        None, "option 'target-ii' of stage 'parallelize' expects an integer >= 1, got -3",
+    ),
     "json-into-missing-directory": (
         lambda spec: ["--workload", "atax", "--json", "/no/such/dir/x.json"],
         "--json", "directory '/no/such/dir' does not exist",

@@ -122,6 +122,27 @@ class TestStageRegistry:
         assert "factr" in message and "factor" in message
         assert exc.value.offset == text.index("factr")
 
+    @pytest.mark.parametrize(
+        "options, option, value",
+        [
+            ("factor=0", "factor", 0),
+            ("factor=-4", "factor", -4),
+            ("target-ii=0", "target-ii", 0),
+            ("target-ii=-3", "target-ii", -3),
+        ],
+    )
+    def test_parallelize_refuses_values_below_one(self, options, option, value):
+        message = f"option '{option}' of stage 'parallelize' expects an integer >= 1, got {value}"
+        with pytest.raises(PipelineSpecError) as exc:
+            Compiler.from_spec(f"construct-dataflow,parallelize{{{options}}},estimate")
+        assert str(exc.value) == message
+        with pytest.raises(PipelineSpecError, match=message):
+            get_stage_class("parallelize")(**{option.replace("-", "_"): value})
+
+    def test_parallelize_accepts_the_option_rules_bounds(self):
+        stage = get_stage_class("parallelize")(factor=1, target_ii=1)
+        assert (stage.factor, stage.target_ii) == (1, 1)
+
     def test_bad_bool_token(self):
         with pytest.raises(PipelineSpecError, match="boolean"):
             Compiler.from_spec("parallelize{ia=maybe}")

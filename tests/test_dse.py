@@ -339,6 +339,43 @@ def test_cold_default_explore_traces_each_point_once(tmp_path, monkeypatch):
         assert qor_only(left["summary"]) == qor_only(right["summary"])
 
 
+def test_each_uncached_point_is_planned_once(monkeypatch):
+    # The group's plan builds each point's compiler and prefix hashes, and
+    # the compile reuses both; the spec prints only for a traced span.
+    import collections
+
+    space = tiny_space()
+    for point in space:
+        point.canonical_spec()  # warm the process-level spec table
+    counts = collections.Counter()
+    for owner, name in [
+        (DesignPoint, "compiler"),
+        (Compiler, "prefix_hashes"),
+        (Compiler, "spec_text"),
+    ]:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    result = explore(space, workers=1, use_cache=False)
+    assert not result.errors and result.cache_hits == 0
+    assert counts == {"compiler": len(space), "prefix_hashes": len(space)}
+
+
+def test_a_parallelize_value_below_one_is_an_error_record():
+    points = [
+        DesignPoint(workload_kind="kernel", workload="atax", max_parallel_factor=0),
+        DesignPoint(workload_kind="kernel", workload="atax", target_ii=-3),
+    ]
+    result = explore(points, workers=1, use_cache=False)
+    assert [r["point_key"] for r in result.errors] == [p.key() for p in points]
+    assert "option 'factor' of stage 'parallelize'" in result.errors[0]["error"]
+    assert "option 'target-ii' of stage 'parallelize'" in result.errors[1]["error"]
+
+
 def test_ir_cache_and_pool_runs_trace_once_per_group(tmp_path, monkeypatch):
     # Each workload traces once in the parent probe and once more where the
     # first compile of its prefix group has no module: in-process with a

@@ -273,6 +273,8 @@ def test_traced_compile_emits_stage_spans():
         e for e in events if e["type"] == "span" and e["cat"] == "pipeline"
     ]
     assert len(pipeline) == 1 and pipeline[0]["name"] == "compile"
+    # The printed spec is a traced run's span attribute.
+    assert pipeline[0]["attrs"]["spec"] == DEFAULT_PIPELINE
     # Stage spans nest under the pipeline span.
     pipeline_id = pipeline[0]["id"]
     assert all(

@@ -247,7 +247,7 @@ def _search_inputs(draw):
     for positions in draw(st.lists(st.lists(position, max_size=3), max_size=3)):
         rank = len(positions)
         strides = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
-        accesses.append(BandAccess(None, False, positions, strides, [None] * rank))
+        accesses.append(BandAccess(None, False, positions, strides, [None] * rank, None))
     band = BandInfo(
         node=None,
         band=[None] * levels,
@@ -546,6 +546,14 @@ class TestParallelizeWork:
         assert callers <= {"_band_accesses", "_memory_port_ii"}
         assert count <= 1_700  # 3,558 when both re-decoded every access
         assert ("hida/analysis.py", "collect_access_infos") not in calls
+
+    def test_each_band_access_resolves_its_buffer_once(self, profiled):
+        _, calls = profiled
+        count, callers = calls["transforms/array_partition.py", "_resolve_through_nodes"]
+        # Connections and partitions read the buffer the access record holds;
+        # the estimator resolves each external port and on-chip buffer alone.
+        assert callers <= {"_band_accesses", "accesses_under", "partition_factors_of_value"}
+        assert count <= 2_100  # 3,976 when both re-resolved every access
 
     def test_the_unroll_search_is_one_bounded_pass(self, profiled):
         _, calls = profiled
