@@ -137,7 +137,7 @@ def _evaluate_group(
     if options.get("ir_cache_dir"):
         points = sorted(points, key=lambda point: (point.canonical_spec(), point.key()))
     else:
-        shared = SharedPrefixes.plan(points)
+        shared = SharedPrefixes(points)
         # A point the parent probe traced leads, so its module starts the
         # shared prefixes instead of a second trace.
         traced = {key for key, (_, (_, module)) in probes.items() if module is not None}

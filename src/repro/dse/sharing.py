@@ -121,11 +121,6 @@ class SharedPrefixes:
         #: Wanted key -> ``(module, balance report, misalignments)``.
         self._held: Dict[Key, tuple] = {}
 
-    @classmethod
-    def plan(cls, points: Sequence[DesignPoint]) -> "SharedPrefixes":
-        """Plan every point of the group and the prefixes they share."""
-        return cls(points)
-
     def planned(self, point: DesignPoint) -> Optional[PointPlan]:
         """``point``'s plan, None if it does not resolve."""
         return self._plans.get(point.key())

@@ -464,7 +464,7 @@ def test_no_held_state_outlives_its_last_point(monkeypatch):
     from repro.dse.sharing import SharedPrefixes
 
     held, plans = [], []
-    store, done, plan = SharedPrefixes.store, SharedPrefixes.done, SharedPrefixes.plan.__func__
+    store, done, init = SharedPrefixes.store, SharedPrefixes.done, SharedPrefixes.__init__
 
     def tracking_store(self, workload_key, platform, prefix_hash, state):
         stored = store(self, workload_key, platform, prefix_hash, state)
@@ -478,14 +478,13 @@ def test_no_held_state_outlives_its_last_point(monkeypatch):
         # A state stays held only while a pending point can still use it.
         assert all(self._pending[key] > 0 for key in self._held)
 
-    def tracking_plan(cls, points):
-        shared = plan(cls, points)
-        plans.append(shared)
-        return shared
+    def tracking_init(self, points):
+        init(self, points)
+        plans.append(self)
 
     monkeypatch.setattr(SharedPrefixes, "store", tracking_store)
     monkeypatch.setattr(SharedPrefixes, "done", checking_done)
-    monkeypatch.setattr(SharedPrefixes, "plan", classmethod(tracking_plan))
+    monkeypatch.setattr(SharedPrefixes, "__init__", tracking_init)
     result = explore(tiny_space(), workers=1, use_cache=False)
     assert not result.errors and held
     assert len(plans) == 2  # one per workload's group
