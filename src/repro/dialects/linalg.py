@@ -1,18 +1,27 @@
 """linalg dialect: named tensor-level compute operations.
 
 These ops are what the PyTorch-like frontend emits (the role Torch-MLIR +
-linalg play in the paper).  Each op knows its output shape and its
-multiply-accumulate count, which feed the Functional-dataflow optimizations
-and the QoR estimation.  The linalg-to-affine lowering pass expands them
-into affine loop nests for the Structural dataflow.
+linalg play in the paper): 2-D convolution (standard and depthwise), max
+and average pooling, fully-connected (linear), elementwise add, ReLU,
+folded batch norm, reshape, and fill (weights and other constants).
+
+Each op declares its loop nest once, on its class: the iteration bounds,
+the loop name hints, how many leading loops are parallel, the access
+expressions of each operand it reads and of the output it writes, and what
+one iteration costs.  The MAC and scalar-op counts that feed the
+Functional-dataflow optimizations and the QoR estimation are read from the
+bounds, and the linalg-to-affine lowering builds the nest it expands each
+op into from the same declaration.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 from ..ir.core import Operation, Value, register_operation
 from ..ir.types import TensorType, Type, f32
+from .affine_map import AffineExpr, constant
 
 __all__ = [
     "LinalgOp",
@@ -20,52 +29,66 @@ __all__ = [
     "DepthwiseConv2DOp",
     "MaxPool2DOp",
     "AvgPool2DOp",
-    "MatmulOp",
     "LinearOp",
     "AddOp",
-    "MulOp",
     "ReluOp",
     "BatchNormOp",
-    "SoftmaxOp",
     "ReshapeOp",
-    "ConcatOp",
-    "UpsampleOp",
     "FillOp",
-    "GenericOp",
-    "ELEMENTWISE_OP_NAMES",
 ]
+
+#: Cost kinds: one iteration of the nest is a multiply-accumulate, a scalar
+#: operation, or data movement (which counts as no compute).
+MAC, SCALAR, DATA = "mac", "scalar", "data"
+
+#: ``(reads, write)``: each read operand with its access expressions, then
+#: the output's access expressions.
+Accesses = Tuple[List[Tuple[Value, List[AffineExpr]]], List[AffineExpr]]
 
 
 class LinalgOp(Operation):
-    """Base class of named linalg ops.
+    """Base class of named linalg ops: the loop-nest declaration.
 
-    Subclasses implement :meth:`macs` (multiply-accumulate operations per
-    invocation) and may refine :meth:`num_scalar_ops` (total scalar ops, used
-    by the intensity analysis when the op has no MACs).
+    * :meth:`loop_bounds` — the iteration bounds, outermost first (default:
+      the output shape);
+    * ``LOOP_NAMES`` — one name hint per loop (default ``d0, d1, ...``);
+    * ``PARALLEL_LOOPS`` — how many leading loops are parallel (default:
+      all).  The rest are reductions, which accumulate into the output;
+    * :meth:`accesses` — over the loop dims ``d``, the access expressions
+      of each operand read and of the output write (default: every operand
+      and the output at the identity);
+    * ``COST`` and ``is_elementwise``.
     """
 
     OPERATION_NAME = "linalg.op"
 
+    LOOP_NAMES: Optional[Tuple[str, ...]] = None
+    PARALLEL_LOOPS: Optional[int] = None
+    COST = SCALAR
+    is_elementwise = False
+
+    def loop_bounds(self) -> Tuple[int, ...]:
+        return self.results[0].type.shape
+
+    def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
+        identity = list(d)
+        return [(operand, identity) for operand in self.operands], identity
+
     def macs(self) -> int:
         """Multiply-accumulate count of one execution of this op."""
-        return 0
+        return math.prod(self.loop_bounds()) if self.COST == MAC else 0
 
     def num_scalar_ops(self) -> int:
-        """Total scalar operations (defaults to output element count)."""
-        macs = self.macs()
-        if macs:
-            return macs
-        if self.results and isinstance(self.result().type, TensorType):
-            return self.result().type.num_elements
-        return 1
+        """Total scalar operations (the MACs, for a MAC op)."""
+        return 0 if self.COST == DATA else math.prod(self.loop_bounds())
 
     @property
     def output_type(self) -> TensorType:
         return self.result().type
 
     @property
-    def is_elementwise(self) -> bool:
-        return self.name in ELEMENTWISE_OP_NAMES
+    def input(self) -> Value:
+        return self.operand(0)
 
 
 def _conv_output_hw(
@@ -76,11 +99,41 @@ def _conv_output_hw(
     return out_h, out_w
 
 
+class _WindowOp(LinalgOp):
+    """An op sliding a ``kh x kw`` window over an NCHW input.
+
+    Its first four loops walk the NCHW output in parallel; the window loops
+    (and a conv's input channel) reduce.
+    """
+
+    PARALLEL_LOOPS = 4
+
+    @property
+    def stride(self) -> int:
+        return self.get_attr("stride", 1)
+
+    @property
+    def padding(self) -> int:
+        return self.get_attr("padding", 0)
+
+    def _window(self, d: Sequence[AffineExpr], channel: int, kh: int, kw: int) -> List[AffineExpr]:
+        """The input access of output ``d[0..3]`` at window loops ``kh``, ``kw``."""
+        stride, padding = self.stride, self.padding
+        return [
+            d[0],
+            d[channel],
+            d[2] * stride + d[kh] - padding,
+            d[3] * stride + d[kw] - padding,
+        ]
+
+
 @register_operation
-class Conv2DOp(LinalgOp):
+class Conv2DOp(_WindowOp):
     """2-D convolution over NCHW tensors with OIHW weights."""
 
     OPERATION_NAME = "linalg.conv2d"
+    LOOP_NAMES = ("n", "oc", "oh", "ow", "ic", "kh", "kw")
+    COST = MAC
 
     @classmethod
     def create(
@@ -115,32 +168,29 @@ class Conv2DOp(LinalgOp):
         )
 
     @property
-    def input(self) -> Value:
-        return self.operand(0)
-
-    @property
     def weight(self) -> Value:
         return self.operand(1)
 
-    @property
-    def stride(self) -> int:
-        return self.get_attr("stride", 1)
+    def loop_bounds(self) -> Tuple[int, ...]:
+        n, oc, oh, ow = self.results[0].type.shape
+        _, ic, kh, kw = self.operand(1).type.shape
+        return (n, oc, oh, ow, ic, kh, kw)
 
-    @property
-    def padding(self) -> int:
-        return self.get_attr("padding", 0)
-
-    def macs(self) -> int:
-        out = self.output_type.shape  # (N, OC, OH, OW)
-        w = self.weight.type.shape  # (OC, IC, KH, KW)
-        return out[0] * out[1] * out[2] * out[3] * w[1] * w[2] * w[3]
+    def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
+        reads = [
+            (self.input, self._window(d, 4, 5, 6)),
+            (self.weight, [d[1], d[4], d[5], d[6]]),
+        ]
+        return reads, [d[0], d[1], d[2], d[3]]
 
 
 @register_operation
-class DepthwiseConv2DOp(LinalgOp):
+class DepthwiseConv2DOp(_WindowOp):
     """Depthwise 2-D convolution (channel multiplier 1), as in MobileNet."""
 
     OPERATION_NAME = "linalg.depthwise_conv2d"
+    LOOP_NAMES = ("n", "c", "oh", "ow", "kh", "kw")
+    COST = MAC
 
     @classmethod
     def create(
@@ -166,29 +216,25 @@ class DepthwiseConv2DOp(LinalgOp):
         )
 
     @property
-    def input(self) -> Value:
-        return self.operand(0)
-
-    @property
     def weight(self) -> Value:
         return self.operand(1)
 
-    @property
-    def stride(self) -> int:
-        return self.get_attr("stride", 1)
+    def loop_bounds(self) -> Tuple[int, ...]:
+        _, _, kh, kw = self.operand(1).type.shape
+        return (*self.results[0].type.shape, kh, kw)
 
-    @property
-    def padding(self) -> int:
-        return self.get_attr("padding", 0)
-
-    def macs(self) -> int:
-        out = self.output_type.shape
-        k_h, k_w = self.get_attr("kernel")
-        return out[0] * out[1] * out[2] * out[3] * k_h * k_w
+    def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
+        reads = [
+            (self.input, self._window(d, 1, 4, 5)),
+            (self.weight, [d[1], constant(0), d[4], d[5]]),
+        ]
+        return reads, [d[0], d[1], d[2], d[3]]
 
 
-class _Pool2DOp(LinalgOp):
+class _Pool2DOp(_WindowOp):
     """Shared implementation of max/average pooling."""
+
+    LOOP_NAMES = ("n", "c", "oh", "ow", "kh", "kw")
 
     @classmethod
     def create(
@@ -211,20 +257,15 @@ class _Pool2DOp(LinalgOp):
         )
 
     @property
-    def input(self) -> Value:
-        return self.operand(0)
-
-    @property
     def kernel(self) -> int:
         return self.get_attr("kernel")
 
-    @property
-    def stride(self) -> int:
-        return self.get_attr("stride")
+    def loop_bounds(self) -> Tuple[int, ...]:
+        kernel = self.get_attr("kernel")
+        return (*self.results[0].type.shape, kernel, kernel)
 
-    def num_scalar_ops(self) -> int:
-        out = self.output_type.shape
-        return out[0] * out[1] * out[2] * out[3] * self.kernel * self.kernel
+    def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
+        return [(self.input, self._window(d, 1, 4, 5))], [d[0], d[1], d[2], d[3]]
 
 
 @register_operation
@@ -238,45 +279,13 @@ class AvgPool2DOp(_Pool2DOp):
 
 
 @register_operation
-class MatmulOp(LinalgOp):
-    """Matrix multiplication ``(M, K) x (K, N) -> (M, N)``."""
-
-    OPERATION_NAME = "linalg.matmul"
-
-    @classmethod
-    def create(cls, lhs: Value, rhs: Value) -> "MatmulOp":
-        l_type: TensorType = lhs.type
-        r_type: TensorType = rhs.type
-        m, k = l_type.shape
-        k2, n = r_type.shape
-        if k != k2:
-            raise ValueError(f"matmul inner dimension mismatch: {k} vs {k2}")
-        out_type = TensorType((m, n), l_type.element_type)
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[lhs, rhs],
-            result_types=[out_type],
-        )
-
-    @property
-    def lhs(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def rhs(self) -> Value:
-        return self.operand(1)
-
-    def macs(self) -> int:
-        m, n = self.output_type.shape
-        k = self.lhs.type.shape[1]
-        return m * n * k
-
-
-@register_operation
 class LinearOp(LinalgOp):
     """Fully-connected layer ``(N, IF) x (OF, IF)^T + bias -> (N, OF)``."""
 
     OPERATION_NAME = "linalg.linear"
+    LOOP_NAMES = ("n", "of", "if")
+    PARALLEL_LOOPS = 2
+    COST = MAC
 
     @classmethod
     def create(cls, input: Value, weight: Value, bias: Optional[Value] = None) -> "LinearOp":
@@ -298,22 +307,26 @@ class LinearOp(LinalgOp):
         )
 
     @property
-    def input(self) -> Value:
-        return self.operand(0)
-
-    @property
     def weight(self) -> Value:
         return self.operand(1)
 
-    def macs(self) -> int:
-        batch, out_features = self.output_type.shape
-        in_features = self.input.type.shape[1]
-        return batch * out_features * in_features
+    def loop_bounds(self) -> Tuple[int, ...]:
+        return (*self.results[0].type.shape, self.operand(0).type.shape[1])
+
+    def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
+        reads = [(self.input, [d[0], d[2]]), (self.weight, [d[1], d[2]])]
+        return reads, [d[0], d[1]]
 
 
-class _BinaryElementwiseOp(LinalgOp):
+@register_operation
+class AddOp(LinalgOp):
+    """Elementwise addition (e.g. ResNet shortcut merge)."""
+
+    OPERATION_NAME = "linalg.add"
+    is_elementwise = True
+
     @classmethod
-    def create(cls, lhs: Value, rhs: Value):
+    def create(cls, lhs: Value, rhs: Value) -> "AddOp":
         if lhs.type.shape != rhs.type.shape:
             raise ValueError(
                 f"elementwise shape mismatch: {lhs.type.shape} vs {rhs.type.shape}"
@@ -324,51 +337,19 @@ class _BinaryElementwiseOp(LinalgOp):
             result_types=[lhs.type],
         )
 
-    @property
-    def lhs(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def rhs(self) -> Value:
-        return self.operand(1)
-
 
 @register_operation
-class AddOp(_BinaryElementwiseOp):
-    """Elementwise addition (e.g. ResNet shortcut merge)."""
+class ReluOp(LinalgOp):
+    OPERATION_NAME = "linalg.relu"
+    is_elementwise = True
 
-    OPERATION_NAME = "linalg.add"
-
-
-@register_operation
-class MulOp(_BinaryElementwiseOp):
-    """Elementwise multiplication."""
-
-    OPERATION_NAME = "linalg.mul"
-
-
-class _UnaryElementwiseOp(LinalgOp):
     @classmethod
-    def create(cls, input: Value):
+    def create(cls, input: Value) -> "ReluOp":
         return cls(
             name=cls.OPERATION_NAME,
             operands=[input],
             result_types=[input.type],
         )
-
-    @property
-    def input(self) -> Value:
-        return self.operand(0)
-
-
-@register_operation
-class ReluOp(_UnaryElementwiseOp):
-    OPERATION_NAME = "linalg.relu"
-
-
-@register_operation
-class SoftmaxOp(_UnaryElementwiseOp):
-    OPERATION_NAME = "linalg.softmax"
 
 
 @register_operation
@@ -376,6 +357,8 @@ class BatchNormOp(LinalgOp):
     """Batch normalization folded into a per-channel scale and shift."""
 
     OPERATION_NAME = "linalg.batch_norm"
+    COST = MAC
+    is_elementwise = True
 
     @classmethod
     def create(cls, input: Value, scale: Value, shift: Value) -> "BatchNormOp":
@@ -385,19 +368,35 @@ class BatchNormOp(LinalgOp):
             result_types=[input.type],
         )
 
-    @property
-    def input(self) -> Value:
-        return self.operand(0)
+    def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
+        identity = list(d)
+        channel = [d[1] if len(d) >= 2 else d[0]]
+        reads = [(self.input, identity), (self.operand(1), channel), (self.operand(2), channel)]
+        return reads, identity
 
-    def macs(self) -> int:
-        return self.output_type.num_elements
+
+def _delinearize(flat: AffineExpr, shape: Sequence[int]) -> List[AffineExpr]:
+    """Row-major de-linearization into per-dimension index expressions."""
+    exprs: List[AffineExpr] = []
+    strides: List[int] = []
+    stride = 1
+    for size in reversed(shape):
+        strides.append(stride)
+        stride *= int(size)
+    strides.reverse()
+    for i, size in enumerate(shape):
+        expr = (flat // strides[i]) % int(size) if i > 0 else flat // strides[i]
+        exprs.append(expr)
+    return exprs
 
 
 @register_operation
 class ReshapeOp(LinalgOp):
-    """Reshape / flatten without moving data."""
+    """Reshape / flatten: one flat loop copying elements in row-major order."""
 
     OPERATION_NAME = "linalg.reshape"
+    LOOP_NAMES = ("flat",)
+    COST = DATA
 
     @classmethod
     def create(cls, input: Value, shape: Sequence[int]) -> "ReshapeOp":
@@ -415,65 +414,23 @@ class ReshapeOp(LinalgOp):
             attributes={"shape": tuple(shape)},
         )
 
-    @property
-    def input(self) -> Value:
-        return self.operand(0)
+    def loop_bounds(self) -> Tuple[int, ...]:
+        return (self.results[0].type.num_elements,)
 
-    def num_scalar_ops(self) -> int:
-        return 0
-
-
-@register_operation
-class ConcatOp(LinalgOp):
-    """Concatenate tensors along an axis (YOLO-style feature merges)."""
-
-    OPERATION_NAME = "linalg.concat"
-
-    @classmethod
-    def create(cls, inputs: Sequence[Value], axis: int = 1) -> "ConcatOp":
-        first: TensorType = inputs[0].type
-        shape = list(first.shape)
-        shape[axis] = sum(v.type.shape[axis] for v in inputs)
-        out_type = TensorType(shape, first.element_type)
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=list(inputs),
-            result_types=[out_type],
-            attributes={"axis": axis},
-        )
-
-    def num_scalar_ops(self) -> int:
-        return 0
-
-
-@register_operation
-class UpsampleOp(LinalgOp):
-    """Nearest-neighbour spatial upsampling by an integer factor."""
-
-    OPERATION_NAME = "linalg.upsample"
-
-    @classmethod
-    def create(cls, input: Value, factor: int = 2) -> "UpsampleOp":
-        in_type: TensorType = input.type
-        batch, channels, h, w = in_type.shape
-        out_type = TensorType((batch, channels, h * factor, w * factor), in_type.element_type)
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[input],
-            result_types=[out_type],
-            attributes={"factor": factor},
-        )
-
-    @property
-    def input(self) -> Value:
-        return self.operand(0)
+    def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
+        reads = [(self.input, _delinearize(d[0], self.input.type.shape))]
+        return reads, _delinearize(d[0], self.output_type.shape)
 
 
 @register_operation
 class FillOp(LinalgOp):
-    """Produce a tensor filled with a constant (weights / zero initialisers)."""
+    """Produce a tensor filled with a constant (weights / zero initialisers).
+
+    It has no loop nest: the lowering turns it into an external global.
+    """
 
     OPERATION_NAME = "linalg.fill"
+    COST = DATA
 
     @classmethod
     def create(cls, shape: Sequence[int], value: float = 0.0, element_type: Type = f32) -> "FillOp":
@@ -482,53 +439,3 @@ class FillOp(LinalgOp):
             result_types=[TensorType(shape, element_type)],
             attributes={"value": value},
         )
-
-    def num_scalar_ops(self) -> int:
-        return 0
-
-
-@register_operation
-class GenericOp(LinalgOp):
-    """A structured op described only by iteration-space sizes and a MAC count.
-
-    Used for operators without a dedicated named op; carries enough
-    information for the intensity analysis and the lowering to loops.
-    """
-
-    OPERATION_NAME = "linalg.generic"
-
-    @classmethod
-    def create(
-        cls,
-        inputs: Sequence[Value],
-        output_type: TensorType,
-        iteration_space: Sequence[int],
-        macs_per_iteration: int = 1,
-        label: str = "generic",
-    ) -> "GenericOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=list(inputs),
-            result_types=[output_type],
-            attributes={
-                "iteration_space": tuple(iteration_space),
-                "macs_per_iteration": macs_per_iteration,
-                "label": label,
-            },
-        )
-
-    def macs(self) -> int:
-        space = self.get_attr("iteration_space", ())
-        total = 1
-        for size in space:
-            total *= size
-        return total * self.get_attr("macs_per_iteration", 1)
-
-
-ELEMENTWISE_OP_NAMES = {
-    "linalg.add",
-    "linalg.mul",
-    "linalg.relu",
-    "linalg.batch_norm",
-    "linalg.softmax",
-}

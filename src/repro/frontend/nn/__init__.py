@@ -1,4 +1,8 @@
-"""repro.frontend.nn — the PyTorch-like (Torch-MLIR-style) DNN frontend."""
+"""repro.frontend.nn — the PyTorch-like (Torch-MLIR-style) DNN frontend.
+
+Its layers are the ones the model zoo uses; each traces to one linalg op
+whose loop nest that op declares once (:mod:`repro.dialects.linalg`).
+"""
 
 from .models import (
     MLP,
@@ -16,7 +20,6 @@ from .module import (
     Add,
     AvgPool2d,
     BatchNorm2d,
-    Concat,
     Conv2d,
     DepthwiseConv2d,
     Flatten,
@@ -25,9 +28,7 @@ from .module import (
     Module,
     ReLU,
     Sequential,
-    Softmax,
     Tensor,
-    Upsample,
 )
 from .tracer import Tracer, current_tracer, layer_summary, trace
 
@@ -35,7 +36,6 @@ __all__ = [
     "Add",
     "AvgPool2d",
     "BatchNorm2d",
-    "Concat",
     "Conv2d",
     "DepthwiseConv2d",
     "Flatten",
@@ -44,9 +44,7 @@ __all__ = [
     "Module",
     "ReLU",
     "Sequential",
-    "Softmax",
     "Tensor",
-    "Upsample",
     "Tracer",
     "current_tracer",
     "layer_summary",

@@ -6,9 +6,11 @@ replaces that path with a small define-by-run tracing frontend: layers are
 :class:`Tensor` handles, and a :class:`repro.frontend.nn.tracer.Tracer`
 records every layer invocation as a ``linalg`` operation in an IR module.
 
-Only the layer types needed by the paper's model zoo are provided:
-convolution (standard and depthwise), pooling, linear, ReLU, batch norm,
-elementwise add (shortcut paths), flatten/reshape, concat and upsample.
+Only the layer types the paper's model zoo uses are provided, each
+emitting one linalg op: convolution (standard and depthwise), max and
+average pooling, linear, ReLU, batch norm, elementwise add (shortcut
+paths) and flatten (reshape); weights are ``linalg.fill`` ops.  Each op
+declares its own loop nest (:mod:`repro.dialects.linalg`).
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ __all__ = [
     "BatchNorm2d",
     "Flatten",
     "Add",
-    "Concat",
-    "Upsample",
-    "Softmax",
 ]
 
 
@@ -237,11 +236,6 @@ class ReLU(Module):
         return _emit(linalg.ReluOp, x.value)
 
 
-class Softmax(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return _emit(linalg.SoftmaxOp, x.value)
-
-
 class MaxPool2d(Module):
     def __init__(self, kernel_size: int = 2, stride: Optional[int] = None, padding: int = 0) -> None:
         super().__init__()
@@ -302,21 +296,3 @@ class Add(Module):
 
     def forward(self, lhs: Tensor, rhs: Tensor) -> Tensor:
         return _emit(linalg.AddOp, lhs.value, rhs.value)
-
-
-class Concat(Module):
-    def __init__(self, axis: int = 1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, *tensors: Tensor) -> Tensor:
-        return _emit(linalg.ConcatOp, [t.value for t in tensors], axis=self.axis)
-
-
-class Upsample(Module):
-    def __init__(self, factor: int = 2) -> None:
-        super().__init__()
-        self.factor = factor
-
-    def forward(self, x: Tensor) -> Tensor:
-        return _emit(linalg.UpsampleOp, x.value, factor=self.factor)

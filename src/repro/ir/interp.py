@@ -348,11 +348,7 @@ def estimate_cost(op: Operation) -> int:
         for result in op.results:
             if isinstance(result.type, MemRefType):
                 cost += result.type.num_elements
-        try:
-            cost = max(cost, int(op.macs()))
-        except (AttributeError, TypeError, NotImplementedError):
-            pass
-        return 4 * max(cost, 1)
+        return 4 * max(cost, op.macs(), 1)
     if isinstance(op, memref.CopyOp):
         source_type = op.source.type
         elements = (
