@@ -29,7 +29,7 @@ from .driver import (
     PipelineObserver,
     SnapshotObserver,
 )
-from .spec import PipelineSpecError
+from .spec import PipelineSpecError, parse_pipeline
 from .stages import stage_registry
 
 
@@ -183,10 +183,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     observers: List[PipelineObserver] = [diagnostics]
     snapshots = None
     if args.print_ir is not None:
-        if args.print_ir != "*" and args.print_ir not in stage_registry():
+        run_stages = list(dict.fromkeys(s.name for s in parse_pipeline(spec_text).stages))
+        if args.print_ir != "*" and args.print_ir not in run_stages:
             parser.error(
-                f"--print-ir: unknown stage {args.print_ir!r}; "
-                f"known stages: {', '.join(stage_registry())}"
+                f"--print-ir: stage {args.print_ir!r} is not in this run's "
+                f"pipeline; its stages: {', '.join(run_stages)}"
             )
         snapshots = SnapshotObserver(None if args.print_ir == "*" else [args.print_ir])
         observers.append(snapshots)

@@ -8,6 +8,8 @@ Pinned here:
   traceback) raised before anything compiles, on all four compile CLIs;
 * both zoo sweeps refuse neither and both of ``--workload`` and
   ``--all-workloads`` with the same usage error;
+* ``python -m repro.compiler --print-ir STAGE`` refuses a STAGE its run's
+  pipeline (with the stages ``--validate`` and ``--lint`` add) lacks;
 * ``python -m repro.compiler --ir-cache --cache-stats --json``'s counter
   lines, summary and stage keys on a cold and a warm run;
 * ``python -m repro.analysis.tv`` imports the library exactly once, so the
@@ -125,6 +127,27 @@ def test_ir_cache_dir_needs_ir_cache_on_both_compile_clis(main, tmp_path, capsys
         "error: --ir-cache-dir requires --ir-cache\n"
     )
 
+
+
+@pytest.mark.parametrize(
+    "extra, stages",
+    [
+        ([], "lower-linalg, estimate"),
+        (["--validate", "--lint"], "validate, lower-linalg, estimate, lint"),
+    ],
+    ids=["spec", "spec-validate-lint"],
+)
+def test_print_ir_stage_must_be_in_the_run(extra, stages, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        compiler_main([
+            "--workload", "atax", "--spec", "lower-linalg,estimate",
+            "--print-ir", "tile", *extra,
+        ])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: --print-ir: stage 'tile' is not in this run's pipeline; "
+        f"its stages: {stages}\n"
+    )
 
 #: ``--cache-stats`` counter lines of a cold and a warm default-pipeline run.
 _CACHE_STATS_LINES = (
