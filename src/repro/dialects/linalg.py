@@ -68,7 +68,10 @@ class LinalgOp(Operation):
     is_elementwise = False
 
     def loop_bounds(self) -> Tuple[int, ...]:
-        return self.results[0].type.shape
+        # Every macs() and num_scalar_ops() call reads this (thousands per
+        # model compile), so overrides index operands rather than going
+        # through the named-operand properties.
+        return self.output_type.shape
 
     def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
         identity = list(d)
@@ -84,7 +87,7 @@ class LinalgOp(Operation):
 
     @property
     def output_type(self) -> TensorType:
-        return self.result().type
+        return self.results[0].type
 
     @property
     def input(self) -> Value:
@@ -172,7 +175,7 @@ class Conv2DOp(_WindowOp):
         return self.operand(1)
 
     def loop_bounds(self) -> Tuple[int, ...]:
-        n, oc, oh, ow = self.results[0].type.shape
+        n, oc, oh, ow = self.output_type.shape
         _, ic, kh, kw = self.operand(1).type.shape
         return (n, oc, oh, ow, ic, kh, kw)
 
@@ -221,7 +224,7 @@ class DepthwiseConv2DOp(_WindowOp):
 
     def loop_bounds(self) -> Tuple[int, ...]:
         _, _, kh, kw = self.operand(1).type.shape
-        return (*self.results[0].type.shape, kh, kw)
+        return (*self.output_type.shape, kh, kw)
 
     def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
         reads = [
@@ -262,7 +265,7 @@ class _Pool2DOp(_WindowOp):
 
     def loop_bounds(self) -> Tuple[int, ...]:
         kernel = self.get_attr("kernel")
-        return (*self.results[0].type.shape, kernel, kernel)
+        return (*self.output_type.shape, kernel, kernel)
 
     def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
         return [(self.input, self._window(d, 1, 4, 5))], [d[0], d[1], d[2], d[3]]
@@ -311,7 +314,7 @@ class LinearOp(LinalgOp):
         return self.operand(1)
 
     def loop_bounds(self) -> Tuple[int, ...]:
-        return (*self.results[0].type.shape, self.operand(0).type.shape[1])
+        return (*self.output_type.shape, self.operand(0).type.shape[1])
 
     def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
         reads = [(self.input, [d[0], d[2]]), (self.weight, [d[1], d[2]])]
@@ -415,7 +418,7 @@ class ReshapeOp(LinalgOp):
         )
 
     def loop_bounds(self) -> Tuple[int, ...]:
-        return (self.results[0].type.num_elements,)
+        return (self.output_type.num_elements,)
 
     def accesses(self, d: Sequence[AffineExpr]) -> Accesses:
         reads = [(self.input, _delinearize(d[0], self.input.type.shape))]
