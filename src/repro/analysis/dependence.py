@@ -418,6 +418,7 @@ class NestAccesses:
                             number(child, path, leaf)
 
         number(root, (), -1)
+        del number  # its self-reference would keep this walk's scratch for the collector
         self.problem: _Problem = tuple(map(tuple, columns))
         self._answers = _answers_of(self.problem)
 

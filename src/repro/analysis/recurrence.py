@@ -72,30 +72,33 @@ def dependence_chain_latency(dep: Dependence) -> Optional[float]:
     if stored_value is None:
         return None
 
-    memo: Dict[int, Optional[float]] = {}
-
-    def longest(value: Value) -> Optional[float]:
-        key = id(value)
-        if key in memo:
-            return memo[key]
-        memo[key] = None  # cycle guard (SSA is acyclic; applies stay safe)
-        best: Optional[float] = None
-        for user in value.users:
-            if user is store and value is stored_value:
-                best = 0.0 if best is None else max(best, 0.0)
-                continue
-            for result in user.results:
-                sub = longest(result)
-                if sub is not None:
-                    candidate = op_latency(user) + sub
-                    best = candidate if best is None else max(best, candidate)
-        memo[key] = best
-        return best
-
-    path = longest(load.results[0])
+    path = _longest_path(load.results[0], store, stored_value, {})
     if path is None:
         return None
     return path + _FORWARD_LATENCY
+
+
+def _longest_path(
+    value: Value, store: Operation, stored_value: Value, memo: Dict[int, Optional[float]]
+) -> Optional[float]:
+    """Latency of the longest def-use path from ``value`` into ``store``'s
+    stored operand, None when there is none."""
+    key = id(value)
+    if key in memo:
+        return memo[key]
+    memo[key] = None  # cycle guard (SSA is acyclic; applies stay safe)
+    best: Optional[float] = None
+    for user in value.users:
+        if user is store and value is stored_value:
+            best = 0.0 if best is None else max(best, 0.0)
+            continue
+        for result in user.results:
+            sub = _longest_path(result, store, stored_value, memo)
+            if sub is not None:
+                candidate = op_latency(user) + sub
+                best = candidate if best is None else max(best, candidate)
+    memo[key] = best
+    return best
 
 
 def pipeline_rec_mii(

@@ -30,10 +30,12 @@ from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.arith import is_compute_op
 from ..dialects.dataflow import BufferOp, NodeOp, ScheduleOp
 from ..dialects.hls import partition_of
+from ..dialects.linalg import LinalgOp
 from ..dialects.memref import AllocOp
 from ..ir.core import Operation, Value
 from ..ir.types import MemRefType
 from ..transforms.array_partition import partition_factors_of_value
+from ..transforms.linalg_to_affine import unlowered_op_error
 from ..transforms.loop_transforms import loop_bands_of
 from .dataflow_sim import ChannelSpec, build_channels, dataflow_timeline, simulate_dataflow
 from .platform import Platform
@@ -376,22 +378,21 @@ def node_intensity(node: Operation) -> int:
     that only move data fall back to the number of elements they store
     (Table 5: Node0 = 512, Node1 = 256, Node2 = 4096).
     """
-    totals = [0, 0]  # compute ops, stored elements
-
-    def visit(op: Operation, iterations: int) -> None:
+    compute = stored = 0
+    pending = [(node, 1)]  # (op, iterations of the loops around it)
+    while pending:
+        op, iterations = pending.pop()
         if is_compute_op(op):
-            totals[0] += iterations
+            compute += iterations
         elif isinstance(op, AffineStoreOp):
-            totals[1] += iterations
+            stored += iterations
         if isinstance(op, AffineForOp):
             iterations *= max(op.trip_count, 1)
         for region in op.regions:
             for block in region.blocks:
                 for child in block.operations:
-                    visit(child, iterations)
-
-    visit(node, 1)
-    return totals[0] or totals[1]
+                    pending.append((child, iterations))
+    return compute or stored
 
 
 def estimate_buffer(buffer_op: Operation, platform: Platform) -> ResourceUsage:
@@ -691,11 +692,14 @@ class QoREstimator:
         Structural lowering: bands execute sequentially.
         """
         bands = loop_bands_of(func)
-        # Also descend into tasks/dispatches if present.
+        # Also descend into tasks/dispatches if present; a linalg op there
+        # would otherwise be estimated as no work at all.
         if not bands:
             for op in func.walk():
                 if op.name in ("hida.task",):
                     bands.extend(loop_bands_of(op))
+                elif isinstance(op, LinalgOp):
+                    raise unlowered_op_error(op, "estimate")
         resources = ResourceUsage(lut=_NODE_BASE_LUT, ff=_NODE_BASE_LUT)
         latency = 0.0
         node_estimates = []

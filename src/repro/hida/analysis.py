@@ -25,7 +25,7 @@ from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.arith import is_multiply_accumulate
 from ..dialects.dataflow import NodeOp, ScheduleOp
 from ..estimation.qor import node_intensity
-from ..ir.core import Value
+from ..ir.core import Operation, Value
 from ..transforms.array_partition import _resolve_through_nodes
 from ..transforms.loop_transforms import loop_bands_of
 
@@ -79,10 +79,6 @@ class BandAccess:
     drivers: List[Optional[Tuple[AffineForOp, int]]]
     resolved: Value
 
-    @property
-    def rank(self) -> int:
-        return len(self.dim_loop_positions)
-
 
 @dataclasses.dataclass
 class BandInfo:
@@ -135,14 +131,12 @@ class BandInfo:
                     access.drivers[d] = (self.band[level], access.dim_strides[d])
 
 
-def _band_accesses(node: NodeOp, band: Sequence[AffineForOp]) -> List[BandAccess]:
-    """Collect accesses within the band, normalized to band loop positions."""
+def _band_accesses(band: Sequence[AffineForOp], ops: Sequence[Operation]) -> List[BandAccess]:
+    """The records of ``ops``, the band's loads and stores in program order,
+    normalized to band loop positions."""
     loop_position = {id(loop): i for i, loop in enumerate(band)}
     accesses: List[BandAccess] = []
-    root = band[0] if band else node
-    for op in root.walk():
-        if not isinstance(op, (AffineLoadOp, AffineStoreOp)):
-            continue
+    for op in ops:
         drivers = op.driving_loops()
         positions = [driver and loop_position.get(id(driver[0])) for driver in drivers]
         strides = [driver[1] if driver else 0 for driver in drivers]
@@ -158,6 +152,10 @@ def _band_accesses(node: NodeOp, band: Sequence[AffineForOp]) -> List[BandAccess
             )
         )
     return accesses
+
+
+def _loads_and_stores(root: Operation) -> List[Operation]:
+    return [op for op in root.walk() if isinstance(op, (AffineLoadOp, AffineStoreOp))]
 
 
 def _muls_per_innermost_iteration(band: Sequence[AffineForOp]) -> int:
@@ -177,12 +175,13 @@ def _muls_per_innermost_iteration(band: Sequence[AffineForOp]) -> int:
 
 
 def band_info_of(node: NodeOp, band: Sequence[AffineForOp]) -> BandInfo:
-    """Build the BandInfo record for one band of a node (one dependence walk)."""
+    """Build the BandInfo record for one band of a node: the dependence
+    engine's walk also lists the loads and stores its accesses come from."""
     band = list(band)
     trips = [max(loop.trip_count, 1) for loop in band]
     nest = NestAccesses(band[0]) if band else None
     flags = [is_parallel_loop(loop, nest) for loop in band]
-    accesses = _band_accesses(node, band)
+    accesses = _band_accesses(band, nest.ops if nest else _loads_and_stores(node))
     intensity = node_intensity(band[0]) if band else node_intensity(node)
     return BandInfo(
         node=node,
@@ -209,7 +208,7 @@ def collect_access_infos(schedule: ScheduleOp) -> List[BandInfo]:
     """The same units carrying only their accesses: all that connection
     alignment reads, so no dependence, intensity or MAC analysis is run."""
     return [
-        BandInfo(node, list(band), accesses=_band_accesses(node, band))
+        BandInfo(node, list(band), accesses=_band_accesses(band, _loads_and_stores(band[0])))
         for node in schedule.nodes
         for band in loop_bands_of(node)
     ]
@@ -219,15 +218,34 @@ def collect_access_infos(schedule: ScheduleOp) -> List[BandInfo]:
 class Connection:
     """A source -> target connection through a shared buffer (Table 4).
 
-    ``links`` holds one entry per buffer dimension where both endpoints have
-    a driving loop: ``(source loop position, target loop position, source
-    stride, target stride)``.
+    ``source_access`` stores to the buffer and ``target_access`` loads from
+    it; :attr:`links` are read from their current loop positions, so a
+    connection stays valid when either band is permuted.
     """
 
     source: BandInfo
     target: BandInfo
-    buffer: Value
-    links: List[Tuple[int, int, int, int]]
+    source_access: BandAccess
+    target_access: BandAccess
+
+    @property
+    def buffer(self) -> Value:
+        return self.source_access.resolved
+
+    @property
+    def links(self) -> List[Tuple[int, int, int, int]]:
+        """One entry per buffer dimension where both endpoints have a driving
+        loop: ``(source loop position, target loop position, source stride,
+        target stride)``."""
+        source, target = self.source_access, self.target_access
+        return [
+            (s_pos, t_pos, s_stride or 1, t_stride or 1)
+            for s_pos, t_pos, s_stride, t_stride in zip(
+                source.dim_loop_positions, target.dim_loop_positions,
+                source.dim_strides, target.dim_strides,
+            )
+            if s_pos is not None and t_pos is not None
+        ]
 
     # ----------------------------------------------------------------- maps
     def source_to_target_permutation(self) -> List[Optional[int]]:
@@ -308,58 +326,28 @@ def collect_connections(
     # Index accesses per underlying buffer.
     writers: Dict[int, List[Tuple[BandInfo, BandAccess]]] = {}
     readers: Dict[int, List[Tuple[BandInfo, BandAccess]]] = {}
-    buffers: Dict[int, Value] = {}
     for info in infos:
         for access in info.accesses:
             key = id(access.resolved)
-            buffers[key] = access.resolved
             target = writers if access.is_store else readers
             target.setdefault(key, []).append((info, access))
 
-    connections: List[Connection] = []
+    # One connection per (source, target, buffer): the first access pair
+    # with a link.
+    connections: Dict[Tuple[int, int, int], Connection] = {}
     for key, writer_list in writers.items():
         reader_list = readers.get(key, [])
         for source_info, source_access in writer_list:
             for target_info, target_access in reader_list:
                 if source_info.node is target_info.node and source_info.band is target_info.band:
                     continue
-                links: List[Tuple[int, int, int, int]] = []
-                rank = min(source_access.rank, target_access.rank)
-                for d in range(rank):
-                    s_pos = source_access.dim_loop_positions[d]
-                    t_pos = target_access.dim_loop_positions[d]
-                    if s_pos is None or t_pos is None:
-                        continue
-                    links.append(
-                        (
-                            s_pos,
-                            t_pos,
-                            source_access.dim_strides[d] or 1,
-                            target_access.dim_strides[d] or 1,
-                        )
-                    )
-                if links:
-                    connections.append(
-                        Connection(
-                            source=source_info,
-                            target=target_info,
-                            buffer=buffers[key],
-                            links=links,
-                        )
-                    )
-    # De-duplicate (same endpoints and buffer).
-    unique: List[Connection] = []
-    seen = set()
-    for connection in connections:
-        key = (
-            id(connection.source),
-            id(connection.target),
-            id(connection.buffer),
-        )
-        if key not in seen:
-            seen.add(key)
-            unique.append(connection)
-    return unique
+                endpoints = (id(source_info), id(target_info), key)
+                if endpoints in connections:
+                    continue
+                connection = Connection(source_info, target_info, source_access, target_access)
+                if connection.links:
+                    connections[endpoints] = connection
+    return list(connections.values())
 
 
 def connection_table(connections: Sequence[Connection]) -> List[Dict[str, object]]:

@@ -18,17 +18,22 @@ Implements steps (2)-(4) of the HIDA parallelization flow:
 After parallelization the innermost loops are pipelined and buffer
 partitions are derived from the final unroll factors.
 
-A band's legality checks (``legal_permutation``, ``legal_pipeline_ii``) ask
-the dependence engine through the access collection its :class:`BandInfo`
-was analyzed with, so the band is walked and numbered once and a question
-the engine has answered for the same canonical problem — an earlier loop,
-an identical layer, the previous design point — is a table lookup.  The
-collection describes the band as it was walked: an applied permutation
-makes it a different problem, so the collection is dropped and the
-pipelined loop walked afresh (the table itself needs no invalidation).
-The band's access records follow the permutation, and the misalignment
-count and array partitioning read them, so each access is decoded once.
-:func:`count_misalignments` recounts from a fresh walk, without dependences.
+One walk finds a band's loads and stores: the dependence engine's
+(:class:`NestAccesses`), which lists them in program order, and the band's
+access records are decoded from that list.  The band's legality checks
+(``legal_permutation``, ``legal_pipeline_ii``) ask the engine through the
+same collection, so a question the engine has answered for the same
+canonical problem — an earlier loop, an identical layer, the previous
+design point — is a table lookup.  The collection describes the band as it
+was walked: an applied permutation makes it a different problem, so the
+collection is dropped and the pipelined loop walked afresh (the table
+itself needs no invalidation).
+
+A schedule's connections are collected once.  Each keeps its two access
+records, which follow a permutation, and reads its links from their current
+positions, so the misalignment count after parallelization reuses them;
+array partitioning reads the same records.  :func:`count_misalignments`
+recounts from a fresh walk, without dependences.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from ..analysis.dependence import NestAccesses
 from ..analysis.legality import legal_permutation, legal_pipeline_ii
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ..dialects.dataflow import ScheduleOp
-from ..ir.core import Operation
+from ..ir.core import Operation, Value
 from ..transforms.array_partition import _resolve_through_nodes, partition_decoded_accesses
 from ..transforms.loop_transforms import loop_bands_of, permute_band, pipeline_loop
 from .analysis import (
@@ -242,6 +247,7 @@ def search_unroll_factors(
         return False
 
     descend(0, 1, iterations, False)
+    del descend  # its self-reference would keep this search alive for the collector
     return best or [1] * len(trip_counts), evaluated, violations
 
 
@@ -337,7 +343,11 @@ def parallelize_band(
     options: ParallelizationOptions,
     result: ParallelizationResult,
 ) -> List[int]:
-    """Algorithm 4 applied to one band; returns the chosen unroll factors."""
+    """Algorithm 4 applied to one band; returns the chosen unroll factors.
+
+    ``finished_factors`` holds each parallelized band's unroll factors in
+    its current loop order, the order its connections' links follow.
+    """
     # Gather constraints from already-parallelized connected bands.
     constraints_list: List[List[Optional[int]]] = []
     if options.connection_aware:
@@ -392,7 +402,7 @@ def parallelize_schedule(
     connections = collect_connections(schedule, bands)
     ordered = sort_bands(bands, connections)
     result = _parallelize_bands(schedule, bands, ordered, connections, options)
-    result.misalignments = _misalignments(collect_connections(schedule, bands))
+    result.misalignments = _misalignments(connections)
     return result
 
 
@@ -425,10 +435,10 @@ def _parallelize_bands(
     finished: Dict[int, List[int]] = {}
     for index, band in enumerate(ordered):
         label = f"{band.label}#{index}"
-        finished[id(band)] = parallelize_band(
+        result.unroll_factors[label] = parallelize_band(
             band, connections, parallel_factors[id(band)], finished, options, result
         )
-        result.unroll_factors[label] = finished[id(band)]
+        finished[id(band)] = band.unroll_factors()
         result.parallel_factors[label] = parallel_factors[id(band)]
         result.intensities[label] = band.intensity
     _partition_from_records(top, bands)
@@ -439,19 +449,19 @@ def _partition_from_records(top: Operation, bands: Sequence[BandInfo]) -> None:
     """``partition_buffers_in(top)`` from the bands' records: only the ops
     outside band roots are walked, in program order, for other accesses."""
     records = {id(band.band[0]): band.accesses for band in bands}
-
-    def accesses_under(op: Operation):
-        for region in op.regions:
-            for block in region.blocks:
-                for child in block.operations:
-                    if id(child) in records:
-                        yield from ((a.resolved, a.drivers) for a in records[id(child)])
-                    elif isinstance(child, (AffineLoadOp, AffineStoreOp)):
-                        yield _resolve_through_nodes(child.memref), child.driving_loops()
-                    else:
-                        yield from accesses_under(child)
-
-    partition_decoded_accesses(accesses_under(top))
+    decoded: List[Tuple[Value, list]] = []
+    pending: List[Operation] = [top]
+    while pending:
+        op = pending.pop()
+        if id(op) in records:
+            decoded += [(access.resolved, access.drivers) for access in records[id(op)]]
+        elif isinstance(op, (AffineLoadOp, AffineStoreOp)):
+            decoded.append((_resolve_through_nodes(op.memref), op.driving_loops()))
+        else:
+            for region in reversed(op.regions):
+                for block in reversed(region.blocks):
+                    pending += reversed(block.operations)
+    partition_decoded_accesses(decoded)
 
 
 def count_misalignments(schedule: ScheduleOp) -> int:

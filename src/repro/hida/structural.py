@@ -28,10 +28,12 @@ from ..dialects.dataflow import (
     TaskOp,
     YieldOp,
 )
+from ..dialects.linalg import LinalgOp
 from ..dialects.memref import AllocOp, CopyOp
 from ..ir.builtin import FuncOp, ModuleOp
 from ..ir.core import Operation, Value
 from ..ir.types import MemRefType
+from ..transforms.linalg_to_affine import unlowered_op_error
 
 __all__ = [
     "convert_allocs_to_buffers",
@@ -168,6 +170,9 @@ def convert_task_to_node(task: TaskOp) -> NodeOp:
         # bufferized); drop them.
         for result in task.results:
             if result.has_uses:
+                for op in node.walk(order="pre"):
+                    if isinstance(op, LinalgOp):
+                        raise unlowered_op_error(op, "lower-structural")
                 raise RuntimeError(
                     "task still produces SSA results at structural lowering; "
                     "run the linalg bufferization first"

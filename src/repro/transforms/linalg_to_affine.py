@@ -29,7 +29,18 @@ from ..ir.builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from ..ir.core import Value
 from ..ir.types import FunctionType, MemRefType, TensorType
 
-__all__ = ["lower_linalg_to_affine"]
+__all__ = ["lower_linalg_to_affine", "unlowered_op_error"]
+
+
+def unlowered_op_error(op: linalg.LinalgOp, stage: str) -> Exception:
+    """The error of ``stage`` meeting ``op``, which only ``lower-linalg``
+    turns into the loop nests the stage works on."""
+    from ..compiler.spec import PipelineSpecError  # the compiler imports this module
+
+    return PipelineSpecError(
+        f"stage {stage!r} reached the unlowered op {op.name!r}: "
+        f"the pipeline lacks 'lower-linalg' before {stage!r}"
+    )
 
 
 class _LoweringContext:

@@ -10,6 +10,8 @@ Pinned here:
   ``--all-workloads`` with the same usage error;
 * ``python -m repro.compiler --print-ir STAGE`` refuses a STAGE its run's
   pipeline (with the stages ``--validate`` and ``--lint`` add) lacks;
+* a model spec that reaches ``estimate`` or ``lower-structural`` without
+  ``lower-linalg`` is one error line and exit 2;
 * ``python -m repro.compiler --ir-cache --cache-stats --json``'s counter
   lines, summary and stage keys on a cold and a warm run;
 * ``python -m repro.analysis.tv`` imports the library exactly once, so the
@@ -148,6 +150,26 @@ def test_print_ir_stage_must_be_in_the_run(extra, stages, capsys):
         "error: --print-ir: stage 'tile' is not in this run's pipeline; "
         f"its stages: {stages}\n"
     )
+
+@pytest.mark.parametrize(
+    "spec, stage, op",
+    [
+        ("estimate", "estimate", "linalg.fill"),
+        (
+            "construct-dataflow,lower-structural,parallelize,estimate",
+            "lower-structural",
+            "linalg.conv2d",
+        ),
+    ],
+    ids=["estimate", "lower-structural"],
+)
+def test_a_model_spec_without_lower_linalg_is_refused(spec, stage, op, capsys):
+    assert compiler_main(["--workload", "lenet", "--target", "zu3eg", "--spec", spec]) == 2
+    assert capsys.readouterr().err == (
+        f"error: stage {stage!r} reached the unlowered op {op!r}: "
+        f"the pipeline lacks 'lower-linalg' before {stage!r}\n"
+    )
+
 
 #: ``--cache-stats`` counter lines of a cold and a warm default-pipeline run.
 _CACHE_STATS_LINES = (

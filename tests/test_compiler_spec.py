@@ -33,7 +33,7 @@ from repro.compiler import (
 )
 from repro.frontend.cpp import build_listing1
 from repro.ir import verify
-from repro.workloads import as_module
+from repro.workloads import as_module, list_workloads
 
 
 # ---------------------------------------------------------------- parsing
@@ -468,6 +468,12 @@ class TestCompilerCli:
             ["construct-dataflow", "lower-structural", "parallelize", "estimate"]
         )
         assert payload["summary"]["throughput"] > 0
+
+    @pytest.mark.parametrize("spec", ["estimate", "parallelize,parallelize,estimate"])
+    @pytest.mark.parametrize("model", list_workloads(kind="model"))
+    def test_an_unlowered_model_has_no_estimate(self, model, spec):
+        with pytest.raises(PipelineSpecError, match="lacks 'lower-linalg' before 'estimate'"):
+            Compiler.from_spec(spec, platform="zu3eg").run(workload=model)
 
     def test_bad_spec_exits_2(self, capsys):
         from repro.compiler.__main__ import main

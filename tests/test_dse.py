@@ -604,6 +604,17 @@ def test_bad_pipeline_spec_surfaces_as_record_error(tmp_path):
     assert "error" in record and "no-such-stage" in record["error"]
 
 
+def test_an_unlowered_spec_point_is_an_error_not_the_frontier():
+    space = build_space("small", suite=("lenet",), pipeline_specs=(None, "estimate"))
+    assert len(space) == 5
+    result = explore(space, workers=1, use_cache=False)
+    [failed] = [r for r in result.records if "error" in r]
+    assert failed["pipeline_spec"] == "estimate"
+    assert "PipelineSpecError" in failed["error"] and "'lower-linalg'" in failed["error"]
+    assert failed["point_key"] not in result.frontier_keys()
+    assert len(result.frontier_keys()) > 0
+
+
 # ----------------------------------------------------------------- resume
 def test_explore_resume_streams_cache_without_recompute(tmp_path):
     space = tiny_space(kernels=("atax", "mvt"))

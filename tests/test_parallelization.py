@@ -539,6 +539,16 @@ class TestParallelizeWork:
             )
         )
         assert calls["hida/analysis.py", "_band_accesses"][0] == bands == 294
+        # The records come from the dependence engine's walk of the band.
+        assert "_band_accesses" not in calls["ir/core.py", "walk"][1]
+
+    def test_each_schedule_collects_its_connections_once(self, profiled):
+        results, calls = profiled
+        schedules = sum(len(result.schedules) for result in results)
+        count, callers = calls["hida/analysis.py", "collect_connections"]
+        # The misalignment count reads the same connections after permutation.
+        assert (count, callers) == (schedules, {"parallelize_schedule"})
+        assert schedules == 14
 
     def test_partitions_and_misalignments_decode_nothing(self, profiled):
         _, calls = profiled
@@ -552,7 +562,7 @@ class TestParallelizeWork:
         count, callers = calls["transforms/array_partition.py", "_resolve_through_nodes"]
         # Connections and partitions read the buffer the access record holds;
         # the estimator resolves each external port and on-chip buffer alone.
-        assert callers <= {"_band_accesses", "accesses_under", "partition_factors_of_value"}
+        assert callers <= {"_band_accesses", "_partition_from_records", "partition_factors_of_value"}
         assert count <= 2_100  # 3,976 when both re-resolved every access
 
     def test_the_unroll_search_is_one_bounded_pass(self, profiled):
