@@ -469,12 +469,6 @@ class TestCompilerCli:
         )
         assert payload["summary"]["throughput"] > 0
 
-    @pytest.mark.parametrize("spec", ["estimate", "parallelize,parallelize,estimate"])
-    @pytest.mark.parametrize("model", list_workloads(kind="model"))
-    def test_an_unlowered_model_has_no_estimate(self, model, spec):
-        with pytest.raises(PipelineSpecError, match="lacks 'lower-linalg' before 'estimate'"):
-            Compiler.from_spec(spec, platform="zu3eg").run(workload=model)
-
     def test_bad_spec_exits_2(self, capsys):
         from repro.compiler.__main__ import main
 
@@ -482,3 +476,10 @@ class TestCompilerCli:
             main(["--workload", "kernel:atax", "--spec", "nope"])
         assert exit_info.value.code == 2
         assert "known stages" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["estimate", "parallelize,parallelize,estimate"])
+@pytest.mark.parametrize("model", list_workloads(kind="model"))
+def test_an_unlowered_model_has_no_estimate(model, spec):
+    with pytest.raises(PipelineSpecError, match="lacks 'lower-linalg' before 'estimate'"):
+        Compiler.from_spec(spec, platform="zu3eg").run(workload=model)
