@@ -26,8 +26,8 @@ Two equivalence paths, cheapest first:
 
 Every executed check runs through that pair, at three callers:
 
-* the registered ``validate`` compiler stage (interleaved by
-  ``python -m repro.compiler --validate``; exit code 5 on a mismatch),
+* the registered ``validate`` compiler stage (inserted at every boundary
+  by ``python -m repro.compiler --validate``; exit code 5 on a mismatch),
   whose ``state.tv_baseline.checks`` is the one record
   :func:`validate_pipeline` and ``explore(validate_frontier=True)`` report;
 * ircache snapshot self-verification (:meth:`IRSnapshotCache.store`
@@ -62,7 +62,6 @@ __all__ = [
     "compare",
     "execute",
     "fuzz_transforms",
-    "interleave_validate",
     "run_validate_stage",
     "semantic_fingerprint",
     "validate_pipeline",
@@ -254,18 +253,17 @@ def run_validate_stage(stage, state) -> None:
     records the baseline (fingerprint + executed behavior) into
     ``state.tv_baseline``; every later one proves equivalence against it —
     statically when the semantic fingerprint is unchanged, by execution
-    otherwise — then rolls the baseline forward.  Each check, labeled
-    ``after`` or else by the last stage run, is appended to
+    otherwise — then rolls the baseline forward.  Each check, labeled by
+    :func:`~repro.compiler.stages.checked_boundary`, is appended to
     ``state.tv_baseline.checks``.  A mismatch emits an error diagnostic
     and raises :class:`TranslationValidationError`.
     """
+    from ...compiler.stages import checked_boundary
+
     seed = int(stage.seed)
     max_ops = int(stage.max_ops) or DEFAULT_MAX_OPS
     tolerance = float(stage.tolerance)
-    after = stage.after or next(
-        (name for name, _ in reversed(state.stage_timings) if name != stage.name),
-        "frontend",
-    )
+    after = checked_boundary(stage, state)
     baseline: Optional[TVBaseline] = state.tv_baseline
     fingerprint = semantic_fingerprint(state.module)
     mismatches: Tuple[str, ...] = ()
@@ -305,47 +303,8 @@ def run_validate_stage(stage, state) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline interleaving and the one-call validator
+# The one-call validator
 # ---------------------------------------------------------------------------
-
-
-def interleave_validate(
-    spec_text: str,
-    seed: int = 0,
-    max_ops: int = 0,
-    tolerance: float = 0.0,
-) -> str:
-    """Insert a ``validate`` stage before the pipeline and after every stage.
-
-    Parses through the real spec grammar (stage options contain commas),
-    tags each inserted stage with the label of the boundary it checks, and
-    returns the printed interleaved spec.  Existing ``validate`` stages
-    are left alone and not doubled.
-    """
-    from ...compiler.spec import StageSpec, parse_pipeline
-
-    def _validate_spec(after: str) -> StageSpec:
-        options: Dict[str, List[str]] = {"after": [after]}
-        if seed:
-            options["seed"] = [str(seed)]
-        if max_ops:
-            options["max-ops"] = [str(max_ops)]
-        if tolerance:
-            options["tolerance"] = [repr(float(tolerance))]
-        return StageSpec(name="validate", options=options)
-
-    parsed = parse_pipeline(spec_text).stages
-    stages: List[StageSpec] = []
-    if not parsed or parsed[0].name != "validate":
-        stages.append(_validate_spec("frontend"))
-    for index, stage_spec in enumerate(parsed):
-        stages.append(stage_spec)
-        followed_by_validate = (
-            index + 1 < len(parsed) and parsed[index + 1].name == "validate"
-        )
-        if stage_spec.name != "validate" and not followed_by_validate:
-            stages.append(_validate_spec(stage_spec.name))
-    return ",".join(stage.print() for stage in stages)
 
 
 def validate_pipeline(
@@ -365,12 +324,18 @@ def validate_pipeline(
     plus a ``mismatch`` check — it never raises, so sweeps can keep going.
     """
     from ...compiler.driver import DEFAULT_PIPELINE, Compiler
+    from ...compiler.spec import StageSpec, insert_checks
 
     spec_text = spec_text or DEFAULT_PIPELINE
-    interleaved = interleave_validate(
-        spec_text, seed=seed, max_ops=max_ops, tolerance=tolerance
-    )
-    compiler = Compiler.from_spec(interleaved, platform=platform)
+    options: Dict[str, List[str]] = {}
+    if seed:
+        options["seed"] = [str(seed)]
+    if max_ops:
+        options["max-ops"] = [str(max_ops)]
+    if tolerance:
+        options["tolerance"] = [repr(float(tolerance))]
+    checked = insert_checks(spec_text, [StageSpec("validate", options)])
+    compiler = Compiler.from_spec(checked, platform=platform)
     label = workload.label() if hasattr(workload, "label") else str(workload)
     error: Optional[str] = None
     try:

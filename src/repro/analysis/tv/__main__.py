@@ -69,7 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="legality-fuzz mode: apply --count random checked transforms",
     )
     parser.add_argument(
-        "--count", type=int, default=200, help="fuzz applications (default 200)"
+        "--count",
+        type=_cli.non_negative,
+        default=200,
+        help="fuzz applications (default 200)",
     )
     _cli.add_json(parser, "every run's report")
     return parser

@@ -29,7 +29,7 @@ from .driver import (
     PipelineObserver,
     SnapshotObserver,
 )
-from .spec import PipelineSpecError, parse_pipeline
+from .spec import PipelineSpecError, StageSpec, insert_checks
 from .stages import stage_registry
 
 
@@ -62,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify-ir",
         dest="verify",
         action="store_true",
-        help="verify the IR after every stage; violations surface as "
-        "structured diagnostics and exit with status 3",
+        help="insert the 'verify' stage at every stage boundary; violations "
+        "surface as structured diagnostics and exit with status 3",
     )
     parser.add_argument(
         "--lint",
@@ -83,8 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="translation-validate every stage boundary against the "
-        "reference interpreter; a behavioral mismatch exits with status 5",
+        help="insert the 'validate' stage at every stage boundary: translation "
+        "validation against the reference interpreter; a behavioral mismatch "
+        "exits with status 5",
     )
     parser.add_argument(
         "--validate-tolerance",
@@ -161,18 +162,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--lint-fail-on requires --lint")
     if args.validate_tolerance and not args.validate:
         parser.error("--validate-tolerance requires --validate")
-    spec_text = args.spec
+    checks = [StageSpec("verify")] if args.verify else []
     if args.validate:
-        from ..analysis.tv import interleave_validate
-
-        spec_text = interleave_validate(
-            spec_text, tolerance=args.validate_tolerance
-        )
+        tolerance = args.validate_tolerance
+        options = {"tolerance": [repr(tolerance)]} if tolerance else {}
+        checks.append(StageSpec("validate", options))
+    spec = insert_checks(args.spec, checks)
     if args.lint:
-        lint_stage = "lint"
-        if args.lint_fail_on != "never":
-            lint_stage = f"lint{{fail-on={args.lint_fail_on}}}"
-        spec_text = f"{spec_text},{lint_stage}"
+        fail_on = args.lint_fail_on
+        spec.stages.append(StageSpec("lint", {"fail-on": [fail_on]} if fail_on != "never" else {}))
     ir_cache = None
     if args.ir_cache:
         from .ircache import IRSnapshotCache
@@ -183,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     observers: List[PipelineObserver] = [diagnostics]
     snapshots = None
     if args.print_ir is not None:
-        run_stages = list(dict.fromkeys(s.name for s in parse_pipeline(spec_text).stages))
+        run_stages = list(dict.fromkeys(stage.name for stage in spec))
         if args.print_ir != "*" and args.print_ir not in run_stages:
             parser.error(
                 f"--print-ir: stage {args.print_ir!r} is not in this run's "
@@ -195,19 +193,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     from ..analysis import AnalysisError
     from ..analysis.tv import TranslationValidationError
     from ..ir.verifier import VerificationError
+    from ..workloads.registry import WorkloadBuildError
 
     try:
-        compiler = Compiler.from_spec(
-            spec_text,
-            platform=args.platform,
-            verify_each=args.verify,
-            observers=observers,
-        )
+        compiler = Compiler.from_spec(spec, platform=args.platform, observers=observers)
         print(f"pipeline: {compiler.spec_text()}")
         print(f"platform: {args.platform}   spec-hash: {compiler.spec_hash()}")
         obs.cli_configure(args)
         result = compiler.run(workload=args.workload, ir_cache=ir_cache)
-    except PipelineSpecError as error:
+    except (PipelineSpecError, WorkloadBuildError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except (VerificationError, AnalysisError, TranslationValidationError) as error:

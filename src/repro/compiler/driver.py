@@ -26,7 +26,6 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 from .. import obs
 from ..estimation.platform import get_platform
 from ..ir.builtin import ModuleOp
-from ..ir.verifier import VerificationError, verify
 from .ircache import IRSnapshotCache, workload_cache_key
 from .spec import PipelineSpec, PipelineSpecError, parse_pipeline
 from .stages import (
@@ -156,12 +155,10 @@ class Compiler:
         self,
         stages: Sequence[CompilationStage],
         platform: str = "vu9p-slr",
-        verify_each: bool = False,
         observers: Sequence[PipelineObserver] = (),
     ) -> None:
         self.stages: List[CompilationStage] = list(stages)
         self.platform = platform
-        self.verify_each = verify_each
         self.observers: List[PipelineObserver] = list(observers)
 
     # ------------------------------------------------------------- builders
@@ -170,17 +167,11 @@ class Compiler:
         cls,
         spec: Union[str, PipelineSpec],
         platform: str = "vu9p-slr",
-        verify_each: bool = False,
         observers: Sequence[PipelineObserver] = (),
     ) -> "Compiler":
         """Build a compiler from a textual (or parsed) pipeline spec."""
         parsed = parse_pipeline(spec) if isinstance(spec, str) else spec
-        return cls(
-            build_stages(parsed),
-            platform=platform,
-            verify_each=verify_each,
-            observers=observers,
-        )
+        return cls(build_stages(parsed), platform=platform, observers=observers)
 
     # ----------------------------------------------------------------- spec
     def spec(self) -> PipelineSpec:
@@ -333,7 +324,7 @@ class Compiler:
             raise TypeError("Compiler.run() needs a module or workload=...")
 
         namespace = "ir_cache" if ir_cache is None else ir_cache.counters
-        options = CompileOptions(self.platform, self.verify_each)
+        options = CompileOptions(self.platform)
         stats = dict(_ZERO_IR_STATS)
 
         def count(key: str, amount: int = 1) -> None:
@@ -441,22 +432,6 @@ class Compiler:
                     stage_span.set_attr(seconds=round(elapsed, 6))
                 state.stage_timings.append((stage.name, elapsed))
                 self._dispatch(errors, "on_stage_end", stage, state, elapsed)
-                if self.verify_each:
-                    with obs.span("verify", cat="stage", after=stage.name):
-                        issues = verify(module, raise_on_error=False)
-                    if issues:
-                        # Surface every issue as a structured diagnostic
-                        # before aborting, so observers (and the CLI) can
-                        # report which stage corrupted what instead of a
-                        # bare traceback.
-                        for issue in issues:
-                            state.emit(
-                                "verify", issue, severity="error", after=stage.name
-                            )
-                        raise VerificationError(
-                            f"IR verification failed after stage {stage.name!r}: "
-                            f"{len(issues)} issue(s); first: {issues[0]}"
-                        )
                 count("stages_run")
                 snapshot(index + 1)
             if ir_cache is not None:

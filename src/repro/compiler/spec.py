@@ -24,20 +24,31 @@ offset so CLI users can point at the exact spot in a long spec.
 spec and re-parsing it yields an equal spec.  Canonicalization (dropping
 options that equal their stage defaults) happens one layer up, in
 :mod:`repro.compiler.driver`, where the typed stage declarations live.
+
+:func:`insert_checks` weaves check stages (:data:`CHECK_STAGES`) into a
+spec at every stage boundary; ``python -m repro.compiler --verify`` and
+``--validate`` and :func:`~repro.analysis.tv.validate_pipeline` build
+their pipelines through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 __all__ = [
+    "CHECK_STAGES",
     "PipelineSpecError",
     "StageSpec",
     "PipelineSpec",
+    "insert_checks",
     "parse_pipeline",
 ]
+
+#: Stages that check the boundary before them instead of changing the
+#: module; each takes an ``after`` option naming the boundary it checks.
+CHECK_STAGES = frozenset({"verify", "validate"})
 
 #: Characters allowed in stage names, option keys and option value tokens.
 _TOKEN_CHARS = frozenset(
@@ -220,3 +231,36 @@ def parse_pipeline(text: str) -> PipelineSpec:
         scanner.skip_ws()
         if scanner.eof():
             raise PipelineSpecError("trailing ',' at end of pipeline spec", scanner.pos - 1)
+
+
+def insert_checks(
+    spec: Union[str, PipelineSpec], checks: Sequence[StageSpec]
+) -> PipelineSpec:
+    """``spec`` with ``checks`` at the frontend boundary and after every
+    stage that is not itself a check.
+
+    Each inserted check is a copy of its :class:`StageSpec` labelled
+    ``after=<boundary>``, ahead of any checks the spec already has there;
+    a check whose name the spec already has at a boundary is not doubled.
+    """
+    stages = (parse_pipeline(spec) if isinstance(spec, str) else spec).stages
+    woven: List[StageSpec] = []
+
+    def insert(boundary: str, index: int) -> None:
+        present = set()
+        for stage in stages[index:]:
+            if stage.name not in CHECK_STAGES:
+                break
+            present.add(stage.name)
+        woven.extend(
+            StageSpec(check.name, {"after": [boundary], **check.options})
+            for check in checks
+            if check.name not in present
+        )
+
+    insert("frontend", 0)
+    for index, stage in enumerate(stages, start=1):
+        woven.append(stage)
+        if stage.name not in CHECK_STAGES:
+            insert(stage.name, index)
+    return PipelineSpec(woven)

@@ -42,10 +42,11 @@ from ..hida.parallelize import (
 )
 from ..hida.structural import lower_to_structural_dataflow
 from ..ir.builtin import ModuleOp
+from ..ir.verifier import VerificationError, verify
 from ..transforms.canonicalize import eliminate_dead_code
 from ..transforms.linalg_to_affine import lower_linalg_to_affine
 from ..transforms.loop_transforms import pipeline_innermost_loops
-from .spec import PipelineSpecError, StageSpec
+from .spec import CHECK_STAGES, PipelineSpecError, StageSpec
 
 if TYPE_CHECKING:
     from ..analysis.tv import TVBaseline
@@ -99,8 +100,6 @@ class CompileOptions:
     its stages (everything else is in the pipeline spec)."""
 
     platform: str = "vu9p-slr"
-    #: Whether the IR was verified after every stage.
-    verify: bool = False
 
 
 @dataclasses.dataclass
@@ -134,8 +133,8 @@ class CompilationState:
     #: wall-clock seconds of the whole stage loop.
     stage_timings: List[Tuple[str, float]] = dataclasses.field(default_factory=list)
     compile_seconds: float = 0.0
-    #: The running compiler's platform name and ``verify_each`` flag (None
-    #: on a state built outside a run).
+    #: The running compiler's platform name (None on a state built outside
+    #: a run).
     options: Optional[CompileOptions] = None
     #: Incremental-compilation counters of the run (see
     #: :data:`_ZERO_IR_STATS`).  Kept off the QoR payload, so cached
@@ -706,6 +705,47 @@ class LintStage(CompilationStage):
             )
 
 
+def checked_boundary(stage: CompilationStage, state: CompilationState) -> str:
+    """The boundary a check stage (:data:`~repro.compiler.spec.CHECK_STAGES`)
+    checks: its ``after`` label, else the last stage run that is not itself
+    a check (``frontend`` before any)."""
+    return stage.after or next(
+        (name for name, _ in reversed(state.stage_timings) if name not in CHECK_STAGES),
+        "frontend",
+    )
+
+
+@register_stage
+class VerifyStage(CompilationStage):
+    """Structural IR verification of the preceding stage boundary.
+
+    Runs :func:`~repro.ir.verifier.verify` over the module and emits every
+    issue as an ``error`` diagnostic labelled ``after`` the boundary, then
+    raises :class:`~repro.ir.verifier.VerificationError` if there was any.
+
+    ``python -m repro.compiler --verify`` inserts this stage at every
+    stage boundary (see :func:`~repro.compiler.spec.insert_checks`).
+    """
+
+    name = "verify"
+    snapshot_safe = True
+    option_decls = (
+        StageOption("after", str, "", "label of the stage boundary being verified"),
+    )
+    after: str
+
+    def run(self, state: CompilationState) -> None:
+        after = checked_boundary(self, state)
+        issues = verify(state.module, raise_on_error=False)
+        for issue in issues:
+            state.emit(self.name, issue, severity="error", after=after)
+        if issues:
+            raise VerificationError(
+                f"IR verification failed after stage {after!r}: "
+                f"{len(issues)} issue(s); first: {issues[0]}"
+            )
+
+
 def relative_tolerance(text: str) -> float:
     """A relative float tolerance: a finite number >= 0 (0 = bitwise)."""
     try:
@@ -728,8 +768,8 @@ class ValidateStage(CompilationStage):
     instance in a pipeline records the reference; a behavioral mismatch
     raises :class:`~repro.analysis.tv.TranslationValidationError`.
 
-    ``python -m repro.compiler --validate`` interleaves this stage after
-    every other stage automatically.
+    ``python -m repro.compiler --validate`` inserts this stage at every
+    stage boundary (see :func:`~repro.compiler.spec.insert_checks`).
     """
 
     name = "validate"

@@ -20,12 +20,6 @@ parallelization):
   partition / tiling / vectorization / placement attributes;
 * :class:`StreamOp` plus read/write ops — FIFO stream channels (single-bit
   streams are used as synchronization tokens for elastic node execution).
-
-Module interface:
-
-* :class:`PortOp`, :class:`BundleOp`, :class:`PackOp` — memory or stream
-  ports, named port bundles, and packing of an external memory block into a
-  port.
 """
 
 from __future__ import annotations
@@ -49,9 +43,6 @@ __all__ = [
     "StreamOp",
     "StreamReadOp",
     "StreamWriteOp",
-    "PortOp",
-    "BundleOp",
-    "PackOp",
     "get_producers",
     "get_consumers",
     "get_node_users",
@@ -552,74 +543,6 @@ class StreamWriteOp(Operation):
     @property
     def value(self) -> Value:
         return self.operand(1)
-
-
-# ---------------------------------------------------------------------------
-# Module interface
-# ---------------------------------------------------------------------------
-
-
-@register_operation
-class PortOp(Operation):
-    """A memory-mapped or stream port with explicit type and latency."""
-
-    OPERATION_NAME = "hida.port"
-
-    @classmethod
-    def create(
-        cls,
-        port_type: Type,
-        kind: str = "memory",
-        latency: int = 64,
-        name: str = "",
-    ) -> "PortOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            result_types=[port_type],
-            attributes={"kind": kind, "latency": latency, "port_name": name},
-        )
-
-    @property
-    def kind(self) -> str:
-        return self.get_attr("kind")
-
-    @property
-    def latency(self) -> int:
-        return self.get_attr("latency", 64)
-
-
-@register_operation
-class BundleOp(Operation):
-    """A named bundle of ports (e.g. one AXI interface shared by buffers)."""
-
-    OPERATION_NAME = "hida.bundle"
-
-    @classmethod
-    def create(cls, ports: Sequence[Value], name: str = "gmem") -> "BundleOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=list(ports),
-            attributes={"bundle_name": name},
-        )
-
-
-@register_operation
-class PackOp(Operation):
-    """Pack an external memory block into a port."""
-
-    OPERATION_NAME = "hida.pack"
-
-    @classmethod
-    def create(cls, memory: Value, port: Value, offset: int = 0) -> "PackOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[memory, port],
-            attributes={"offset": offset},
-        )
-
-    @property
-    def offset(self) -> int:
-        return self.get_attr("offset", 0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ _SIDE_EFFECT_OPS = {
     "scf.yield",
     "hida.yield",
     "hida.stream_write",
-    "hida.pack",
-    "hida.bundle",
 }
 
 

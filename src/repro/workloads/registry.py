@@ -34,6 +34,7 @@ __all__ = [
     "ParamDecl",
     "UnknownWorkloadError",
     "Workload",
+    "WorkloadBuildError",
     "WorkloadDef",
     "as_module",
     "get_workload",
@@ -53,6 +54,10 @@ WORKLOAD_KINDS = ("kernel", "model")
 
 class UnknownWorkloadError(UnknownNameError):
     """An unresolvable workload name, with closest-match suggestions."""
+
+
+class WorkloadBuildError(ValueError):
+    """A workload's builder rejected its parameter values."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,9 +211,14 @@ class Workload:
         """Build the linalg-level IR module for this workload variant.
 
         ``extra`` passes through builder-only keyword arguments that are not
-        registry parameters (e.g. ``element_type`` for traced models).
+        registry parameters (e.g. ``element_type`` for traced models).  A
+        builder's ``ValueError`` is re-raised as a
+        :class:`WorkloadBuildError` naming this workload's id.
         """
-        return self.definition.builder(**self.params, **extra)
+        try:
+            return self.definition.builder(**self.params, **extra)
+        except ValueError as error:
+            raise WorkloadBuildError(f"workload {self.workload_id!r}: {error}") from error
 
     def __repr__(self) -> str:
         return f"Workload({self.workload_id!r}, kind={self.kind!r})"

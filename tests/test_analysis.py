@@ -318,9 +318,9 @@ def test_lint_stage_runs_in_a_real_pipeline():
 
 
 # --------------------------------------------------------------- verify wiring
-def test_verify_each_surfaces_structured_diagnostics():
+def test_verify_stage_surfaces_structured_diagnostics():
     from repro.compiler.driver import DiagnosticsObserver
-    from repro.compiler.stages import CompilationStage
+    from repro.compiler.stages import CompilationStage, VerifyStage
     from repro.dialects.arith import AddFOp
     from repro.ir import ConstantOp
     from repro.ir.verifier import VerificationError
@@ -340,11 +340,13 @@ def test_verify_each_surfaces_structured_diagnostics():
             )
 
     observer = DiagnosticsObserver()
+    # The unlabelled verify names the last stage that is not a check.
     compiler = Compiler(
-        [CorruptStage()], platform="zu3eg", verify_each=True,
+        [VerifyStage(after="frontend"), CorruptStage(), VerifyStage()],
+        platform="zu3eg",
         observers=[observer],
     )
-    with pytest.raises(VerificationError, match="corrupt-for-test"):
+    with pytest.raises(VerificationError, match="after stage 'corrupt-for-test'"):
         compiler.run(as_module("2mm"))
     errors = [d for d in observer.diagnostics if d.severity == "error"]
     assert errors and errors[0].stage == "verify"

@@ -14,6 +14,9 @@ Pinned here:
   ``lower-linalg`` is one error line and exit 2;
 * ``python -m repro.compiler --ir-cache --cache-stats --json``'s counter
   lines, summary and stage keys on a cold and a warm run;
+* ``python -m repro.compiler --verify`` and ``--validate`` insert their
+  check stage at every boundary once, the frontend's included, and a
+  workload builder's ``ValueError`` is one error line and exit 2;
 * ``python -m repro.analysis.tv`` imports the library exactly once, so the
   sweep catches the ``validate`` stage's own exception class.
 """
@@ -40,8 +43,10 @@ from repro.compiler.stages import CompilationStage, register_stage
 from repro.dialects.affine import AffineStoreOp
 from repro.dse.__main__ import _build_parser as dse_parser
 from repro.dse.__main__ import main as dse_main
+from repro.ir import FuncOp
 from repro.obs.__main__ import _build_parser as obs_parser
-from repro.workloads import Workload
+from repro.workloads import Workload, get_workload, register_workload
+from repro.workloads.registry import _unregister
 
 _OBS_FLAGS = {"--trace", "--trace-out", "--metrics-json"}
 
@@ -386,3 +391,92 @@ def test_tv_dash_m_sweep_catches_the_validate_stage_error(
     assert len(annotations) == 1
     assert annotations[0].startswith("::error title=translation-validation::atax@n=8")
     assert json.loads(out.read_text())["failures"] == 1
+
+
+def test_fuzz_count_must_be_non_negative(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        tv_main(["--fuzz", "--count", "-3"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --count: must be non-negative (got -3)\n"
+    )
+
+
+# ------------------------------------------- python -m repro.compiler checks
+_SMALL_SPEC = "construct-dataflow,lower-linalg,lower-structural,estimate"
+
+
+def _pipeline_line(argv, capsys):
+    assert compiler_main(["--workload", "atax@n=8", "--target", "zu3eg", *argv]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, pipeline",
+    [
+        (
+            ["--validate", "--validate-tolerance", "1e-9", "--spec", _SMALL_SPEC],
+            "validate{tolerance=1e-09,after=frontend},construct-dataflow,"
+            "validate{tolerance=1e-09,after=construct-dataflow},lower-linalg,"
+            "validate{tolerance=1e-09,after=lower-linalg},lower-structural,"
+            "validate{tolerance=1e-09,after=lower-structural},estimate,"
+            "validate{tolerance=1e-09,after=estimate}",
+        ),
+        (
+            ["--validate", "--lint", "--spec",
+             "validate,lower-linalg,tile{size=4},validate{seed=2},estimate"],
+            "validate,lower-linalg,validate{after=lower-linalg},tile{size=4},"
+            "validate{seed=2},estimate,validate{after=estimate},lint",
+        ),
+    ],
+    ids=["tolerance", "existing-validates-and-lint"],
+)
+def test_validate_prints_the_pinned_pipeline(argv, pipeline, capsys):
+    assert _pipeline_line(argv, capsys)[0] == f"pipeline: {pipeline}"
+
+
+def test_verify_and_validate_check_every_boundary_once(capsys):
+    lines = _pipeline_line(
+        ["--verify", "--validate", "--timings", "--spec", _SMALL_SPEC], capsys
+    )
+    assert lines[0] == (
+        "pipeline: verify{after=frontend},validate{after=frontend},"
+        "construct-dataflow,verify{after=construct-dataflow},"
+        "validate{after=construct-dataflow},lower-linalg,verify{after=lower-linalg},"
+        "validate{after=lower-linalg},lower-structural,verify{after=lower-structural},"
+        "validate{after=lower-structural},estimate,verify{after=estimate},"
+        "validate{after=estimate}"
+    )
+    validated = [line.split(": ")[1] for line in lines if "[note] validate: " in line]
+    assert validated == ["frontend", *_SMALL_SPEC.split(",")]
+    timings = lines[lines.index("per-stage timings:") + 1 :]
+    ran = [line.split()[0] for line in timings[: timings.index("")]]
+    assert (len(ran), ran.count("verify"), ran.count("validate")) == (14, 5, 5)
+
+
+def test_verify_rejects_a_builder_s_invalid_ir_at_the_frontend(capsys):
+    @register_workload("test-duplicate-symbol", kind="kernel")
+    def build_duplicate_symbol():
+        module = get_workload("atax@n=8").build_module()
+        module.append(FuncOp.create(module.functions[0].sym_name))
+        return module
+
+    try:
+        status = compiler_main(["--workload", "test-duplicate-symbol", "--verify"])
+    finally:
+        _unregister("test-duplicate-symbol")
+    err = capsys.readouterr().err.splitlines()
+    assert status == 3
+    assert err[0].startswith("  [error] verify: ")
+    assert "duplicate function symbols" in err[0]
+    assert err[-1].startswith(
+        "error: IR verification failed after stage 'frontend': 1 issue(s); first: "
+    )
+
+
+def test_a_builder_value_error_is_one_line_naming_the_workload(capsys):
+    assert compiler_main(["--workload", "atax@n=-4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: workload 'atax@n=-4': shape dimensions must be non-negative, "
+        "got (-4, -4)\n"
+    )

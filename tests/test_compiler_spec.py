@@ -31,6 +31,8 @@ from repro.compiler import (
     register_stage,
     stage_registry,
 )
+from repro.compiler.spec import CHECK_STAGES, insert_checks
+from repro.compiler.stages import CompilationState, checked_boundary
 from repro.frontend.cpp import build_listing1
 from repro.ir import verify
 from repro.workloads import as_module, list_workloads
@@ -237,6 +239,70 @@ class TestCanonicalSpecs:
         assert PipelineSpec([stage]).print() == "tile{size=8}"
 
 
+# ----------------------------------------------------------- check stages
+#: The default pipeline with ``validate`` at every boundary, as the
+#: validate-only weaver this helper replaced printed it.
+_VALIDATED_DEFAULT = (
+    "validate{after=frontend},construct-dataflow,validate{after=construct-dataflow},"
+    "fuse-tasks,validate{after=fuse-tasks},lower-linalg,validate{after=lower-linalg},"
+    "lower-structural,validate{after=lower-structural},eliminate-multi-producers,"
+    "validate{after=eliminate-multi-producers},balance,validate{after=balance},"
+    "tile,validate{after=tile},parallelize,validate{after=parallelize},"
+    "estimate,validate{after=estimate}"
+)
+
+
+class TestCheckStages:
+    def test_verify_and_validate_are_registered_checks(self):
+        assert {"verify", "validate"} <= set(available_stages())
+        assert CHECK_STAGES == {"verify", "validate"}
+        assert get_stage_class("verify").snapshot_safe
+
+    def test_validate_alone_prints_the_pinned_spec(self):
+        validate = [StageSpec("validate")]
+        assert insert_checks(DEFAULT_PIPELINE, validate).print() == _VALIDATED_DEFAULT
+        options = {"seed": ["3"], "max-ops": ["100"], "tolerance": ["1e-09"]}
+        assert insert_checks("tile{size=4}", [StageSpec("validate", options)]).print() == (
+            "validate{after=frontend,seed=3,max-ops=100,tolerance=1e-09},tile{size=4},"
+            "validate{after=tile,seed=3,max-ops=100,tolerance=1e-09}"
+        )
+        # Checks a spec already has at a boundary are left alone, not doubled.
+        assert insert_checks(
+            "validate,balance,tile{size=4},validate{seed=2},estimate", validate
+        ).print() == (
+            "validate,balance,validate{after=balance},tile{size=4},validate{seed=2},"
+            "estimate,validate{after=estimate}"
+        )
+        assert insert_checks(_VALIDATED_DEFAULT, validate).print() == _VALIDATED_DEFAULT
+
+    def test_both_checks_once_per_boundary(self):
+        checks = [StageSpec("verify"), StageSpec("validate")]
+        spec = insert_checks("balance,verify,tile", checks)
+        assert spec.print() == (
+            "verify{after=frontend},validate{after=frontend},balance,"
+            "validate{after=balance},verify,tile,verify{after=tile},validate{after=tile}"
+        )
+        assert insert_checks(spec, checks).print() == spec.print()
+
+    def test_unlabelled_check_names_the_last_stage_that_is_neither_check(self):
+        state = CompilationState(module=None, platform=None)
+        for name in ("verify", "validate"):
+            stage = get_stage_class(name)()
+            state.stage_timings = []
+            assert checked_boundary(stage, state) == "frontend"
+            state.stage_timings = [("tile", 0.0), ("validate", 0.0), ("verify", 0.0)]
+            assert checked_boundary(stage, state) == "tile"
+            assert checked_boundary(get_stage_class(name)(after="x"), state) == "x"
+        result = Compiler.from_spec(
+            "construct-dataflow,verify,validate,lower-linalg,validate,verify,estimate",
+            platform="zu3eg",
+        ).run(workload="atax@n=8")
+        assert [check.stage for check in result.tv_baseline.checks] == [
+            "construct-dataflow",
+            "lower-linalg",
+        ]
+
+
 # ------------------------------------------------------------ compilation
 class TestLegacyEquivalence:
     """``Compiler.run`` contracts (class name kept so test ids stay stable)."""
@@ -270,7 +336,6 @@ class TestLegacyEquivalence:
             platform="zu3eg",
         ).run(build_listing1())
         assert result.options.platform == "zu3eg"
-        assert result.options.verify is False
         assert result.platform.name == "zu3eg"
 
     def test_missing_estimate_stage_is_a_helpful_error(self):
@@ -283,7 +348,9 @@ class TestLegacyEquivalence:
         from repro.dialects.dataflow import ScheduleOp
 
         stages = ["construct-dataflow", "lower-structural"]
-        compiler = Compiler.from_spec(",".join(stages), verify_each=True)
+        compiler = Compiler.from_spec(
+            insert_checks(",".join(stages), [StageSpec("verify")])
+        )
         obs.configure()
         try:
             state = compiler.run_stages(build_listing1())
@@ -299,18 +366,20 @@ class TestLegacyEquivalence:
             op for op in state.module.walk() if isinstance(op, ScheduleOp)
         ]
         assert state.schedules
-        assert [name for name, _ in state.stage_timings] == stages
-        # One span per stage, each followed by its verify_each pass.
-        assert spans == ["construct-dataflow", "verify", "lower-structural", "verify"]
+        # One span per stage, the frontend and every stage verified.
+        run = ["verify", "construct-dataflow", "verify", "lower-structural", "verify"]
+        assert [name for name, _ in state.stage_timings] == run
+        assert spans == run
         # run() is run_stages() plus the estimate check.
         with pytest.raises(PipelineSpecError, match="estimate"):
             compiler.run(build_listing1())
 
-    def test_verify_each_spec_run(self):
+    def test_verify_stage_spec_run(self):
         result = Compiler.from_spec(
-            DEFAULT_PIPELINE, platform="zu3eg", verify_each=True
+            insert_checks(DEFAULT_PIPELINE, [StageSpec("verify")]), platform="zu3eg"
         ).run(build_listing1())
         assert verify(result.module) == []
+        assert not [d for d in result.diagnostics if d.stage == "verify"]
 
 
 # -------------------------------------------------------------- observers

@@ -196,7 +196,7 @@ def test_one_compiler_run_cold_then_warm_returns_one_record_per_run(tmp_path):
     assert len(ended) == 2 and ended[0] is cold and ended[1] is warm
     assert cold._sink is None and warm._sink is None
     assert vars(compiler) == attributes
-    assert set(attributes) == {"stages", "platform", "verify_each", "observers"}
+    assert set(attributes) == {"stages", "platform", "observers"}
 
 
 @pytest.mark.parametrize("workload", ["2mm", "atax"])

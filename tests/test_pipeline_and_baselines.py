@@ -34,17 +34,16 @@ from repro.evaluation import (
     pareto_frontier,
 )
 from repro.evaluation.lenet_case_study import LeNetDesignPoint
+from repro.compiler.spec import StageSpec, insert_checks
 from repro.frontend.cpp import build_listing1
 from repro.frontend.nn import layer_summary
 from repro.ir import Builder, ConstantOp, FuncOp, f32, verify
 from repro.workloads import as_module, list_workloads
 
 
-def compile_hida(workload, platform="vu9p-slr", drop=(), verify_each=False, **stage_options):
+def compile_hida(workload, platform="vu9p-slr", drop=(), **stage_options):
     """The default pipeline, reconfigured, over a module or workload id."""
-    compiler = Compiler(
-        default_stages(drop, **stage_options), platform=platform, verify_each=verify_each
-    )
+    compiler = Compiler(default_stages(drop, **stage_options), platform=platform)
     return compiler.run(as_module(workload))
 
 
@@ -55,8 +54,12 @@ def compile_hida(workload, platform="vu9p-slr", drop=(), verify_each=False, **st
 
 class TestPipeline:
     def test_listing1_compiles_and_verifies(self):
-        result = compile_hida(build_listing1(), "zu3eg", drop=["tile"], verify_each=True)
-        assert result.options.verify
+        spec = Compiler(default_stages(["tile"])).spec()
+        result = Compiler.from_spec(
+            insert_checks(spec, [StageSpec("verify")]), platform="zu3eg"
+        ).run(build_listing1())
+        # The frontend and each of the eight stages' boundaries verified.
+        assert [name for name, _ in result.stage_timings].count("verify") == 9
         assert result.schedules
         assert result.throughput > 0
         assert verify(result.module) == []

@@ -35,7 +35,6 @@ from repro.analysis.tv import (
     TranslationValidationError,
     compare,
     fuzz_transforms,
-    interleave_validate,
     semantic_fingerprint,
     validate_pipeline,
 )
@@ -47,7 +46,7 @@ from repro.baselines import (
     vitis_pipeline_spec,
 )
 from repro.compiler.driver import DEFAULT_PIPELINE, Compiler, PipelineObserver
-from repro.compiler.spec import PipelineSpecError
+from repro.compiler.spec import PipelineSpecError, StageSpec, insert_checks
 from repro.compiler.stages import CompilationState, get_stage_class
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.dialects.affine_map import AffineMap, constant, dim
@@ -145,12 +144,11 @@ def test_outcome_golden_covers_every_kernel_and_spec():
     "name", [handle.definition.name for handle in iter_workloads()]
 )
 def test_reported_checks_are_the_runs_own_record(name):
-    """What ``validate_pipeline`` reports is what the interleaved run's
-    validate stages recorded on ``state.tv_baseline``, check for check."""
+    """What ``validate_pipeline`` reports is what the validate stages at
+    every boundary recorded on ``state.tv_baseline``, check for check."""
     workload = _small(get_workload(name))
-    state = Compiler.from_spec(interleave_validate(DEFAULT_PIPELINE)).run(
-        workload=workload
-    )
+    checked = insert_checks(DEFAULT_PIPELINE, [StageSpec("validate")])
+    state = Compiler.from_spec(checked).run(workload=workload)
     assert validate_pipeline(workload).checks == state.tv_baseline.checks
 
 
@@ -328,8 +326,8 @@ def test_a_reset_baseline_keeps_the_earlier_checks():
     ]
 
 
-def test_interleave_validate_wraps_every_stage():
-    spec = interleave_validate("balance,tile{size=4}")
+def test_insert_checks_wraps_every_stage():
+    spec = insert_checks("balance,tile{size=4}", [StageSpec("validate")]).print()
     stages = spec.split(",")
     # validate{after=frontend}, balance, validate, tile{...}, ... -> the
     # spec grammar splits tile{size=4} cleanly because options here have
@@ -338,7 +336,8 @@ def test_interleave_validate_wraps_every_stage():
     assert stages.count("validate{after=balance}") == 1
     assert "validate{after=tile}" in spec
     # Existing validate stages are not doubled.
-    assert interleave_validate(spec).count("validate") == spec.count("validate")
+    again = insert_checks(spec, [StageSpec("validate")]).print()
+    assert again.count("validate") == spec.count("validate")
 
 
 # ---------------------------------------------------------------------------

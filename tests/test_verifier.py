@@ -1,7 +1,7 @@
 """Error-path tests of the structural IR verifier (:mod:`repro.ir.verifier`).
 
 The happy path is exercised implicitly all over the suite (``--verify-ir``,
-``verify_each``); these tests corrupt IR on purpose and check that each
+the ``verify`` stage); these tests corrupt IR on purpose and check that each
 invariant class — parent links, use lists, operand visibility, isolation —
 produces its own diagnostic, that ``raise_on_error=False`` accumulates
 instead of stopping at the first hit, and that clean IR stays silent.
