@@ -135,6 +135,8 @@ def probe_point(
                 cached = qor_cache.get(key)
         if cached is None:
             return record, (key, module)
+        if module is not None:  # traced for its fingerprint alone
+            module.drop_all_references()
         record.update(cached)
         record["cached"] = True
         record["fidelity"] = fidelity
@@ -226,6 +228,9 @@ def evaluate_point(
                         )
                     if ir_cache is not None:
                         record["ir_cache"] = result.ir_cache_stats
+                elif module is not None:
+                    # A promotion compiles nothing, so the probe's trace is spare.
+                    module.drop_all_references()
                 qor = payload(fidelity, result)
                 if base is None:
                     record["simulation_input"] = SimulationInput(
@@ -234,6 +239,9 @@ def evaluate_point(
                 if qor_cache is not None:
                     qor_cache.put(key, qor)
                 record.update(qor)
+                if base is None:
+                    # The record holds no IR: free the module by refcount.
+                    result.module.drop_all_references()
             except Exception:
                 record["error"] = traceback.format_exc(limit=8)
             record["cached"] = False

@@ -143,7 +143,9 @@ class SharedPrefixes:
             self._pending[key] -= 1
             if not self._pending[key]:
                 del self._pending[key]
-                self._held.pop(key, None)
+                held = self._held.pop(key, None)
+                if held is not None:  # no point took the held module itself
+                    held[0].drop_all_references()
 
     # ------------------------------------------------- the store protocol
     def store(

@@ -17,6 +17,16 @@ The model is deliberately Pythonic: attributes are plain Python objects
 stored in Python lists.  Structural invariants (operand/result ownership,
 region nesting, dominance of simple single-block regions) are checked by
 :mod:`repro.ir.verifier`.
+
+IR lifetime: IR is full of reference cycles (an op and its results, a block
+and its parent, a value and its users), so dropped IR would wait for the
+cycle collector.  :meth:`Operation.drop_all_references` unlinks an op and
+everything nested in it in one pass, after which the subtree frees by
+refcount.  Only the owner of IR that is being discarded may call it: the
+dropped IR is dead (empty ops, blocks and regions) and must be unreachable
+afterwards, except through handles its owner is about to release.  A design
+space sweep calls it on each module it is done with.  :meth:`Operation.erase`
+detaches the op and then drops it, so erased IR frees by refcount as well.
 """
 
 from __future__ import annotations
@@ -432,24 +442,56 @@ class Operation:
         return self
 
     def erase(self) -> None:
-        """Erase this operation.  Its results must have no remaining uses."""
+        """Erase this operation.  Its results must have no remaining uses.
+
+        The op is detached, then :meth:`drop_all_references` unlinks it and
+        everything nested in it, so the erased IR frees by refcount.
+        """
         for result in self.results:
-            if result.has_uses:
+            if result._uses:
                 users = ", ".join(u.name for u in result.users)
                 raise IRError(
                     f"cannot erase {self.name}: result still used by {users}"
                 )
-        self.drop_all_references()
         self.detach()
+        self.drop_all_references()
 
     def drop_all_references(self) -> None:
-        """Drop operand uses of this op and of everything nested inside it."""
-        self._drop_all_operand_uses()
-        self._operands = []
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.operations):
-                    op.drop_all_references()
+        """Unlink this op and everything nested in it; the IR is dead after.
+
+        Every nested operand use is dropped from its value's use list, so a
+        value defined outside the subtree loses exactly the subtree's uses.
+        Every op, block and region of the subtree is emptied (operands,
+        results, regions, blocks, ops, block arguments) and every nested
+        ``parent`` is nulled; this op's own ``parent`` is left alone.  No
+        reference cycle of the IR survives, so a discarded subtree frees by
+        refcount even where an op memo holds one of its values.
+
+        One flat walk over a list that grows as it goes, with no call per
+        object: a sweep drops every module it compiles.
+        """
+        parent = self.parent
+        ops = [self]
+        for op in ops:
+            index = 0
+            for value in op._operands:
+                uses = value._uses
+                if (op, index) in uses:
+                    del uses[op, index]
+                index += 1
+            op._operands = []
+            op.results = []
+            for region in op.regions:
+                for block in region.blocks:
+                    ops += block._operations
+                    block._operations = []
+                    block.arguments = []
+                    block.parent = None
+                region.blocks = []
+                region.parent = None
+            op.regions = []
+            op.parent = None
+        self.parent = parent
 
     def move_before(self, other: "Operation") -> None:
         self.detach()
@@ -520,46 +562,98 @@ class Operation:
         that internal def-use chains stay consistent.
         """
         value_map = value_map if value_map is not None else {}
-        # Built field by field rather than through ``__init__``: the source
-        # is valid IR, so nothing needs checking, and values are created in
-        # the constructors' order (results, then each block's arguments
-        # before its ops).
-        cls = _OPERATION_REGISTRY.get(self.name, Operation)
-        new_op = cls.__new__(cls)
-        new_op.name = self.name
-        operands = [value_map.get(v, v) for v in self._operands]
-        for index, value in enumerate(operands):
-            value._uses[new_op, index] = None
-        new_op._operands = operands
-        results = []
-        for index, old_res in enumerate(self.results):
-            new_res = OpResult(new_op, index, old_res.type)
-            new_res.name_hint = old_res.name_hint
-            value_map[old_res] = new_res
-            results.append(new_res)
-        new_op.results = results
-        new_op.attributes = _clone_attribute_dict(self.attributes)
-        new_op.regions = []
-        new_op.parent = None
-        for region in self.regions:
-            new_region = Region(new_op)
-            new_op.regions.append(new_region)
-            for block in region.blocks:
-                new_block = Block.__new__(Block)
-                arguments = []
-                for index, old_arg in enumerate(block.arguments):
-                    new_arg = BlockArgument(new_block, index, old_arg.type)
-                    new_arg.name_hint = old_arg.name_hint
-                    value_map[old_arg] = new_arg
-                    arguments.append(new_arg)
-                new_block.arguments = arguments
-                new_block.parent = new_region
-                new_region.blocks.append(new_block)
-                ops = [op.clone(value_map) for op in block._operations]
-                for op in ops:
-                    op.parent = new_block
-                new_block._operations = ops
-        return new_op
+        # One pre-order pass with no recursion that builds every object field
+        # by field: the source is valid IR, so nothing needs checking.  Values
+        # are created in the constructors' order (an op's results, then each
+        # block's arguments before its ops).  Each new list starts as a copy
+        # of its source, and its slots are overwritten as the source is read.
+        # As in :func:`_walk_flat`, the current frame lives in four locals:
+        # the source ops still to clone with their positions, the list their
+        # clones go to, the block that list belongs to, and the (source,
+        # clone) blocks of the current owner still to enter; ``outer`` chains
+        # the suspended frames.
+        registry = _OPERATION_REGISTRY
+        copy_rule = _ATTRIBUTE_COPY
+        ids = _value_ids
+        make_result = OpResult.__new__
+        make_argument = BlockArgument.__new__
+        make_region = Region.__new__
+        make_block = Block.__new__
+        roots: List[Any] = [None]
+        children: Iterator[Tuple[int, Operation]] = enumerate((self,))
+        clones: List[Any] = roots
+        into: Optional[Block] = None
+        blocks: Iterator[Tuple[Block, Block]] = iter(())
+        outer: Optional[tuple] = None
+        while True:
+            for position, op in children:
+                name = op.name
+                try:
+                    cls = registry[name]
+                except KeyError:
+                    cls = Operation
+                clone = cls.__new__(cls)
+                clone.name = name
+                operands = clone._operands = list(op._operands)
+                for index, value in enumerate(op._operands):
+                    if value in value_map:
+                        value = operands[index] = value_map[value]
+                    value._uses[clone, index] = None
+                results = clone.results = list(op.results)
+                for index, old_result in enumerate(op.results):
+                    result = results[index] = value_map[old_result] = make_result(OpResult)
+                    result.type = old_result.type
+                    result._id = next(ids)
+                    result._uses = {}
+                    result.name_hint = old_result.name_hint
+                    result.op = clone
+                    result.index = index
+                attributes = clone.attributes = dict(op.attributes)
+                for key in op.attributes:
+                    attribute = attributes[key]
+                    copy = copy_rule[attribute.__class__]
+                    if copy is not None:
+                        attributes[key] = copy(attribute)
+                clone.parent = into
+                clones[position] = clone
+                regions = clone.regions = list(op.regions)
+                if not regions:
+                    continue
+                sources: List[Block] = []
+                targets: List[Block] = []
+                for index, region in enumerate(op.regions):
+                    cloned_region = regions[index] = make_region(Region)
+                    cloned_region.parent = clone
+                    cloned_blocks = cloned_region.blocks = list(region.blocks)
+                    for slot, _ in enumerate(region.blocks):
+                        cloned_block = cloned_blocks[slot] = make_block(Block)
+                        cloned_block.parent = cloned_region
+                    sources += region.blocks
+                    targets += cloned_blocks
+                outer = (children, clones, into, blocks, outer)
+                blocks = zip(sources, targets)
+                break
+            # Here either a descent just began or a block ran out: enter the
+            # owner's next block, or go back up to the owner's block.
+            for block, into in blocks:
+                arguments = into.arguments = list(block.arguments)
+                for index, old_argument in enumerate(block.arguments):
+                    argument = arguments[index] = value_map[old_argument] = make_argument(
+                        BlockArgument
+                    )
+                    argument.type = old_argument.type
+                    argument._id = next(ids)
+                    argument._uses = {}
+                    argument.name_hint = old_argument.name_hint
+                    argument.block = into
+                    argument.index = index
+                children = enumerate(block._operations)
+                clones = into._operations = list(block._operations)
+                break
+            else:
+                if outer is None:
+                    return roots[0]
+                children, clones, into, blocks, outer = outer
 
     # ------------------------------------------------------------------ misc
     def verify(self) -> None:
@@ -572,19 +666,19 @@ class Operation:
         return f"<{self.name} operands={self.num_operands} results={self.num_results} children={n_ops}>"
 
 
-def _clone_attribute_dict(attrs: Dict[str, Any]) -> Dict[str, Any]:
-    """Shallow-copy an attribute dict, copying mutable containers."""
-    cloned: Dict[str, Any] = {}
-    for key, value in attrs.items():
-        if isinstance(value, list):
-            cloned[key] = list(value)
-        elif isinstance(value, dict):
-            cloned[key] = dict(value)
-        elif isinstance(value, set):
-            cloned[key] = set(value)
-        else:
-            cloned[key] = value
-    return cloned
+class _AttributeCopyRule(Dict[type, Optional[type]]):
+    """``class -> the container a cloned attribute of that class is copied
+    into``: lists, dicts and sets (subclasses too) are copied into a plain
+    one, anything else is shared (None).  Filled on first sight of a class,
+    so a clone decides each attribute with one lookup."""
+
+    def __missing__(self, cls: type) -> Optional[type]:
+        rule = next((c for c in (list, dict, set) if issubclass(cls, c)), None)
+        self[cls] = rule
+        return rule
+
+
+_ATTRIBUTE_COPY = _AttributeCopyRule()
 
 
 class Block:

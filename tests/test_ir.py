@@ -1,7 +1,9 @@
 """Tests for the IR kernel: values, operations, regions, builder, printer,
 verifier and the pass infrastructure."""
 
+import gc
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from repro.ir import (
 )
 from repro.dialects.arith import AddFOp
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
+from repro.analysis.recurrence import pipeline_rec_mii
 from test_ir_parser import _op_trees
 
 
@@ -242,6 +245,107 @@ class TestOperations:
         entry = region.entry_block
         assert not region.empty
         assert region.entry_block is entry
+
+
+def _copy_nest(func):
+    """Append a two-deep loop nest copying ``func``'s first argument into its
+    second, then one load of the first argument; returns ``(outer loop, that
+    load)``."""
+    src, dst = func.arguments
+    builder = Builder.at_end(func.entry_block)
+    outer = builder.insert(AffineForOp.create(0, 8, name_hint="i"))
+    with builder.at_end_of(outer.body):
+        inner = builder.insert(AffineForOp.create(0, 8, name_hint="j"))
+        with builder.at_end_of(inner.body):
+            ivs = [outer.induction_variable, inner.induction_variable]
+            load = builder.insert(AffineLoadOp.create(src, ivs))
+            value = builder.insert(AddFOp.create(load.result(), load.result()))
+            builder.insert(AffineStoreOp.create(value.result(), dst, ivs))
+    zero = builder.insert(ConstantOp.create(0, index)).result()
+    after = builder.insert(AffineLoadOp.create(src, [zero, zero]))
+    return outer, after
+
+
+def _nested_structure(root):
+    """Every op strictly inside ``root``, and every block and region of the
+    subtree."""
+    ops = [op for op in root.walk() if op is not root]
+    regions = [region for op in root.walk() for region in op.regions]
+    blocks = [block for region in regions for block in region.blocks]
+    return ops, blocks, regions
+
+
+def _block_dies_by_refcount(discard):
+    """With the collector off, build a module holding a loop nest whose outer
+    loop memoizes its rec-MII (so the memo holds the nest's induction
+    variables), ``discard(module, outer loop)`` and delete every name: does
+    the inner loop's block die?"""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        module, func = build_simple_func()
+        outer, after = _copy_nest(func)
+        pipeline_rec_mii(outer)
+        block = weakref.ref(outer.body.operations[0].body)
+        discard(module, outer)
+        del module, func, outer, after
+        return block() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestDropAllReferences:
+    def test_outside_values_lose_exactly_the_subtrees_uses(self):
+        module, func = build_simple_func()
+        src, dst = func.arguments
+        outer, after = _copy_nest(func)
+        assert src.uses == [(outer.walk_ops(AffineLoadOp)[0], 0), (after, 0)]
+        outer.drop_all_references()
+        assert src.uses == [(after, 0)]
+        assert dst.uses == []
+        assert after.operands[0] is src
+
+    def test_every_nested_op_block_and_region_ends_empty_and_unlinked(self):
+        module, func = build_simple_func()
+        outer, _ = _copy_nest(func)
+        ops, blocks, regions = _nested_structure(outer)
+        assert len(ops) == 4 and len(blocks) == len(regions) == 2
+        outer.drop_all_references()
+        for op in [outer, *ops]:
+            assert (op.operands, op.results, op.regions) == ([], [], []), op.name
+        assert all(op.parent is None for op in ops)
+        assert outer.parent is func.entry_block
+        for block in blocks:
+            assert (block.operations, block.arguments, block.parent) == ([], [], None)
+        for region in regions:
+            assert (region.blocks, region.parent) == ([], None)
+
+    def test_a_dropped_subtree_frees_by_refcount(self):
+        assert _block_dies_by_refcount(lambda module, loop: module.drop_all_references())
+
+    def test_an_erased_op_frees_by_refcount(self):
+        assert _block_dies_by_refcount(lambda module, loop: loop.erase())
+
+    def test_erase_with_live_uses_raises_and_leaves_the_op_intact(self):
+        module, func = build_simple_func()
+        builder = Builder.at_end(func.entry_block)
+        const = builder.insert(ConstantOp.create(1.0, f32))
+        add = builder.insert(AddFOp.create(const.result(), const.result()))
+        outer, _ = _copy_nest(func)
+        store = outer.walk_ops(AffineStoreOp)[0]
+        store.set_operand(0, add.result())
+        text = print_op(module)
+        for op in (const, outer.walk_ops(AffineLoadOp)[0]):
+            parent, results = op.parent, op.results
+            with pytest.raises(IRError):
+                op.erase()
+            assert op.parent is parent and op in parent.operations
+            assert op.results == results and results[0].has_uses
+        with pytest.raises(IRError):
+            add.erase()
+        assert print_op(module) == text
+        verify(module)
 
 
 # ---------------------------------------------------------------------------

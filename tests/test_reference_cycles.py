@@ -1,4 +1,4 @@
-"""The compile path leaves no reference cycles of its own closures.
+"""The compile path leaves no reference cycles of its own closures or IR.
 
 A recursive closure refers to itself through its cell, so the function, its
 cells and everything they hold (a band's access walk, an unroll search's
@@ -6,8 +6,16 @@ state) outlive the call until the cycle collector finds them.  Here the zoo
 and one DSE prefix group compile with the collector off; one collection with
 ``DEBUG_SAVEALL`` then keeps everything that was only reachable from a cycle
 in ``gc.garbage``, and none of it may be a function of ``repro`` or a cell
-of one.  The IR's own cycles (an op and its results, a block and its
-parent) are expected and not checked.
+of one.
+
+The IR links an op to its results and a block to its parent, so IR is a
+cycle until :meth:`Operation.drop_all_references
+<repro.ir.core.Operation.drop_all_references>` unlinks it.  A DSE prefix
+group drops every module it discards, and an erased op drops itself, so
+neither leaves an op, block, region or value to the collector; nor does a
+zoo compile whose returned modules are dropped (which covers the ops the
+passes erase and the ``_rec_mii_cache`` memo that holds a loop's induction
+variables).
 """
 
 import collections
@@ -16,6 +24,7 @@ import types
 
 from repro.compiler import Compiler, default_stages
 from repro.dse import build_space, explore
+from repro.ir.core import Block, Operation, Region, Value
 from repro.workloads import list_workloads
 
 
@@ -53,13 +62,32 @@ def _repro_closures(garbage):
     return collections.Counter(function.__qualname__ for function in functions), cells
 
 
-def _compile_zoo():
+def _ir_objects(garbage):
+    """``class name -> count`` of the IR objects in ``garbage``."""
+    return collections.Counter(
+        type(obj).__name__
+        for obj in garbage
+        if isinstance(obj, (Operation, Block, Region, Value))
+    )
+
+
+def _zoo_results():
     for name in list_workloads(kind="model"):
-        Compiler(default_stages(parallelize={"factor": 64}), platform="vu9p-slr").run(
+        yield Compiler(default_stages(parallelize={"factor": 64}), platform="vu9p-slr").run(
             workload=name
         )
     for name in list_workloads(kind="kernel"):
-        Compiler(default_stages(), platform="zu3eg").run(workload=name)
+        yield Compiler(default_stages(), platform="zu3eg").run(workload=name)
+
+
+def _compile_zoo():
+    for _ in _zoo_results():
+        pass
+
+
+def _compile_zoo_and_drop():
+    for result in _zoo_results():
+        result.module.drop_all_references()
 
 
 def _explore_one_group():
@@ -75,3 +103,11 @@ def test_the_zoo_compile_frees_its_closures_by_refcount():
 def test_a_dse_prefix_group_frees_its_closures_by_refcount():
     found, cells = _repro_closures(_garbage_of(_explore_one_group))
     assert (found, cells) == ({}, 0)
+
+
+def test_a_dse_prefix_group_leaves_no_ir_to_the_collector():
+    assert _ir_objects(_garbage_of(_explore_one_group)) == {}
+
+
+def test_a_dropped_zoo_compile_leaves_no_ir_to_the_collector():
+    assert _ir_objects(_garbage_of(_compile_zoo_and_drop)) == {}
