@@ -236,12 +236,11 @@ def evaluate_point(
                     record["simulation_input"] = SimulationInput(
                         result.graphs, result.estimate, dict(qor["summary"]), result.platform
                     )
+                    # The record holds no IR: free the module by refcount.
+                    result.module.drop_all_references()
                 if qor_cache is not None:
                     qor_cache.put(key, qor)
                 record.update(qor)
-                if base is None:
-                    # The record holds no IR: free the module by refcount.
-                    result.module.drop_all_references()
             except Exception:
                 record["error"] = traceback.format_exc(limit=8)
             record["cached"] = False
