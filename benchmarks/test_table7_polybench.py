@@ -12,8 +12,7 @@ from conftest import fit_dsp_budget, hida_at, scalehls_at
 from repro.baselines import compile_vitis_baseline, soff_throughput
 from repro.estimation import geometric_mean
 from repro.evaluation import format_ratio, format_table
-from repro.frontend.cpp import MULTI_LOOP_KERNELS, SINGLE_LOOP_KERNELS, kernel_names
-from repro.workloads import as_module
+from repro.workloads import as_module, get_workload, list_workloads
 
 PLATFORM = "zu3eg"
 
@@ -24,6 +23,7 @@ def _evaluate_kernel(name):
     vitis = compile_vitis_baseline(as_module(name), platform=PLATFORM)
     return {
         "kernel": name,
+        "tags": get_workload(name).tags,
         "compile_seconds": hida.compile_seconds,
         "lut": hida.estimate.resources.lut,
         "ff": hida.estimate.resources.ff,
@@ -36,7 +36,7 @@ def _evaluate_kernel(name):
 
 
 def _run_table7():
-    return [_evaluate_kernel(name) for name in kernel_names()]
+    return [_evaluate_kernel(name) for name in sorted(list_workloads(tag="polybench"))]
 
 
 def test_table7_polybench():
@@ -64,10 +64,10 @@ def test_table7_polybench():
     speedup_vs_scalehls = geometric_mean(r["hida"] / r["scalehls"] for r in rows_data)
     speedup_vs_vitis = geometric_mean(r["hida"] / r["vitis"] for r in rows_data)
     multi = geometric_mean(
-        r["hida"] / r["scalehls"] for r in rows_data if r["kernel"] in MULTI_LOOP_KERNELS
+        r["hida"] / r["scalehls"] for r in rows_data if "multi-loop" in r["tags"]
     )
     single = geometric_mean(
-        r["hida"] / r["scalehls"] for r in rows_data if r["kernel"] in SINGLE_LOOP_KERNELS
+        r["hida"] / r["scalehls"] for r in rows_data if "single-loop" in r["tags"]
     )
     print(f"Geo-mean HIDA/ScaleHLS: {speedup_vs_scalehls:.2f}x "
           f"(multi-loop {multi:.2f}x, single-loop {single:.2f}x); "

@@ -18,7 +18,7 @@ from ..dialects.dataflow import (
     get_consumers,
     get_producers,
 )
-from ..estimation.dataflow_sim import ChannelSpec, simulate_dataflow
+from ..estimation.dataflow_sim import ChannelSpec, channel_depths, simulate_dataflow
 from .rules import AnalysisDiagnostic, AnalysisRule, register_rule
 
 __all__ = [
@@ -207,9 +207,9 @@ class BufferSizingRule(AnalysisRule):
 
     def check(self, context) -> Iterable[AnalysisDiagnostic]:
         from ..estimation.qor import _SHORT_BURST
-        from ..hida.dataflow_opt import node_depths
 
-        depths = node_depths(context.schedule)
+        nodes = context.nodes
+        depths = dict(zip(map(id, nodes), channel_depths(len(nodes), context.channels)))
         for buffer_op in context.schedule.buffers:
             value = buffer_op.result()
             producers = get_producers(value)

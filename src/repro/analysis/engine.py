@@ -230,12 +230,6 @@ class AnalysisReport:
         return self
 
 
-def _resolve_platform(platform: Union[str, Platform]) -> Platform:
-    if isinstance(platform, Platform):
-        return platform
-    return get_platform(platform)
-
-
 def analyze_module(
     module: Operation,
     platform: Union[str, Platform] = "vu9p-slr",
@@ -252,7 +246,7 @@ def analyze_module(
     if rules is not None and only is not None:
         raise ValueError("pass rules=... or only=..., not both")
     active = list(rules) if rules is not None else default_rules(only)
-    resolved = _resolve_platform(platform)
+    resolved = get_platform(platform)
     _, locations = locate_ops(module)
     report = AnalysisReport()
     seen_findings: Set[Tuple[object, ...]] = set()

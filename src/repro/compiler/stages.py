@@ -30,9 +30,9 @@ from ..hida.dataflow_opt import (
     eliminate_multiple_producers,
 )
 from ..hida.functional import (
+    FUSION_PATTERNS,
     construct_functional_dataflow,
     fuse_dataflow_tasks,
-    fusion_patterns_by_name,
 )
 from ..hida.parallelize import (
     ParallelizationOptions,
@@ -393,22 +393,17 @@ class FuseTasksStage(CompilationStage):
     )
     patterns: Optional[List[str]]
 
-    def resolved_patterns(self):
-        """Pattern instances for the configured names (None = defaults)."""
-        if self.patterns is None:
-            return None
-        by_name = fusion_patterns_by_name()
-        unknown = [name for name in self.patterns if name not in by_name]
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        unknown = [name for name in self.patterns or () if name not in FUSION_PATTERNS]
         if unknown:
             raise PipelineSpecError(
                 f"unknown fusion pattern(s) {', '.join(map(repr, unknown))} "
-                f"in stage {self.name!r}; known patterns: "
-                f"{', '.join(sorted(by_name))}"
+                f"in stage {self.name!r}; known patterns: {', '.join(FUSION_PATTERNS)}"
             )
-        return [by_name[name] for name in self.patterns]
 
     def run(self, state: CompilationState) -> None:
-        fuse_dataflow_tasks(state.module, self.resolved_patterns())
+        fuse_dataflow_tasks(state.module, self.patterns)
 
 
 @register_stage
@@ -470,19 +465,27 @@ class BalanceStage(CompilationStage):
     budget: int
 
     def run(self, state: CompilationState) -> None:
+        total = state.balance_report
         for schedule in state.schedules:
             report = balance_data_paths(schedule, on_chip_bit_budget=self.budget)
-            state.balance_report.buffers_deepened += report.buffers_deepened
-            state.balance_report.copy_nodes_inserted += report.copy_nodes_inserted
-            state.balance_report.soft_fifos += report.soft_fifos
-            state.balance_report.token_streams += report.token_streams
-        if state.balance_report.buffers_deepened or state.balance_report.copy_nodes_inserted:
+            total.buffers_deepened += report.buffers_deepened
+            total.soft_fifos += report.soft_fifos
+            total.token_streams += report.token_streams
+        actions = []
+        if total.buffers_deepened:
+            actions.append(f"deepened {total.buffers_deepened} buffer(s) on chip")
+        if total.soft_fifos:
+            actions.append(
+                f"spilled {total.soft_fifos} buffer(s) to soft FIFO(s) with "
+                f"{total.token_streams} token stream(s)"
+            )
+        if actions:
             state.emit(
                 self.name,
-                f"deepened {state.balance_report.buffers_deepened} buffer(s), "
-                f"inserted {state.balance_report.copy_nodes_inserted} copy node(s)",
-                buffers_deepened=state.balance_report.buffers_deepened,
-                copy_nodes_inserted=state.balance_report.copy_nodes_inserted,
+                "; ".join(actions),
+                buffers_deepened=total.buffers_deepened,
+                soft_fifos=total.soft_fifos,
+                token_streams=total.token_streams,
             )
 
 

@@ -25,7 +25,7 @@ import json
 import random
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from ..workloads.registry import WORKLOAD_KINDS, Workload, get_workload
+from ..workloads.registry import WORKLOAD_KINDS, Workload, get_workload, list_workloads
 
 __all__ = [
     "DesignPoint",
@@ -141,7 +141,7 @@ class DesignPoint:
 
         if self.pipeline_spec is not None:
             return Compiler.from_spec(self.pipeline_spec, platform=self.platform)
-        from ..hida.functional import default_fusion_patterns, fusion_pattern_name
+        from ..hida.functional import FUSION_PATTERNS
 
         # The knob axes as "the default pipeline, reconfigured": built as
         # typed stages directly (no text round trip per evaluated point).
@@ -150,10 +150,7 @@ class DesignPoint:
         if self.top_k_fusion == 0:
             drop.append("fuse-tasks")
         elif self.top_k_fusion > 0:
-            patterns = [
-                fusion_pattern_name(pattern)
-                for pattern in default_fusion_patterns()[: self.top_k_fusion]
-            ]
+            patterns = list(FUSION_PATTERNS)[: self.top_k_fusion]
         if self.tile_size <= 0:
             drop.append("tile")
         stages = default_stages(
@@ -306,10 +303,8 @@ def suite_from_names(names: Sequence) -> List[Workload]:
 
 
 def polybench_suite() -> List[Workload]:
-    """Every registered PolyBench kernel, in Table 7 order."""
-    from ..frontend.cpp import kernel_names
-
-    return suite_from_names(kernel_names())
+    """Every registered PolyBench kernel, in name order."""
+    return suite_from_names(sorted(list_workloads(tag="polybench")))
 
 
 def dnn_suite() -> List[Workload]:

@@ -17,7 +17,7 @@ token flow) precisely to remove that back-pressure.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects.dataflow import (
     BufferOp,
@@ -35,7 +35,7 @@ __all__ = [
     "dataflow_timeline",
     "build_channels",
     "channel_cycles",
-    "topological_order_with_cycle",
+    "channel_depths",
 ]
 
 
@@ -333,9 +333,8 @@ def channel_cycles(
     Returns one sorted member list per SCC with more than one node (self
     channels never exist: :func:`build_channels` drops producer == consumer
     edges), ordered by smallest member.  This is the *single* definition of
-    "a cycle" shared by the simulator's scheduling fallback and the static
-    deadlock checker in :mod:`repro.analysis` — the two can never disagree
-    about which nodes are cyclically dependent.
+    "a cycle" over the simulator's channel graph, which the static deadlock
+    checker in :mod:`repro.analysis` reads.
     """
     adjacency = _dedup_adjacency(num_nodes, channels)
     # Iterative Tarjan (schedules can be deep enough to bother recursion).
@@ -390,17 +389,34 @@ def channel_cycles(
     return components
 
 
-def topological_order_with_cycle(
-    num_nodes: int, channels: Sequence[ChannelSpec]
-) -> Tuple[List[int], FrozenSet[int]]:
-    """Kahn's order plus the member set of any channel-graph cycles.
+def channel_depths(num_nodes: int, channels: Sequence[ChannelSpec]) -> List[int]:
+    """Longest-path depth of every node over the channel graph.
 
-    The order is a true topological sort when the graph is acyclic (and the
-    returned member set is empty).  With cycles, nodes Kahn's algorithm
-    could not schedule are appended in index (program) order and the second
-    element names every node on a cycle (union of the cyclic SCCs from
-    :func:`channel_cycles`) so callers can *report* the fallback instead of
-    silently absorbing it.
+    Edges are relaxed in node (program) order, which is a topological order
+    for acyclic dataflow; at most ``num_nodes`` passes bound the result on a
+    cycle.  Data-path balancing and the ``buffer-sizing`` rule read these
+    depths, so both see the simulator's graph.
+    """
+    adjacency = _dedup_adjacency(num_nodes, channels)
+    depth = [0] * num_nodes
+    for _ in range(num_nodes):
+        changed = False
+        for node in range(num_nodes):
+            for succ in adjacency[node]:
+                if depth[succ] < depth[node] + 1:
+                    depth[succ] = depth[node] + 1
+                    changed = True
+        if not changed:
+            break
+    return depth
+
+
+def _topological_order(num_nodes: int, channels: Sequence[ChannelSpec]) -> List[int]:
+    """Kahn's order over data edges.
+
+    With cycles (e.g. in-place updates) the nodes Kahn's algorithm could not
+    schedule are appended in index (program) order; :func:`channel_cycles`
+    names the nodes that actually sit on a cycle.
     """
     adjacency = _dedup_adjacency(num_nodes, channels)
     indegree = [0] * num_nodes
@@ -417,22 +433,7 @@ def topological_order_with_cycle(
             if indegree[succ] == 0:
                 ready.append(succ)
         ready.sort()
-    cycle_members: FrozenSet[int] = frozenset()
     if len(order) != num_nodes:
-        # Cycle (e.g. in-place updates): fall back to program order for the
-        # unscheduled remainder, but expose which nodes actually sit on a
-        # cycle (the remainder also contains nodes merely *downstream* of
-        # one, which Kahn's algorithm cannot distinguish).
         scheduled = set(order)
-        remaining = [i for i in range(num_nodes) if i not in scheduled]
-        order.extend(remaining)
-        cycle_members = frozenset(
-            member for cycle in channel_cycles(num_nodes, channels) for member in cycle
-        )
-    return order, cycle_members
-
-
-def _topological_order(num_nodes: int, channels: Sequence[ChannelSpec]) -> List[int]:
-    """Topological order over data edges (falls back to index order on cycles)."""
-    order, _ = topological_order_with_cycle(num_nodes, channels)
+        order.extend(i for i in range(num_nodes) if i not in scheduled)
     return order

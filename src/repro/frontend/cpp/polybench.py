@@ -12,7 +12,10 @@ grouped as in the paper:
 The kernels the paper classifies as *single-loop* (``bicg``, ``gesummv``,
 ``seidel-2d``, ``symm``, ``syr2k``) are written as one loop band, so they
 expose no inter-task dataflow opportunity; the *multi-loop* kernels contain
-several bands and are where HIDA's dataflow optimizations show gains.
+several bands and are where HIDA's dataflow optimizations show gains.  The
+registry is the only list of them: every kernel carries the ``polybench``
+tag and exactly one of ``single-loop`` / ``multi-loop``
+(``list_workloads(tag="multi-loop")``).
 
 Problem sizes follow the PolyBench ``SMALL`` dataset scaled to keep the
 analytical evaluation fast; relative comparisons are size-independent.
@@ -20,18 +23,9 @@ analytical evaluation fast; relative comparisons are size-independent.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
-
 from ...ir.builtin import ModuleOp
 from ...workloads import register_workload
 from .kernel_builder import KernelBuilder
-
-__all__ = [
-    "POLYBENCH_KERNELS",
-    "MULTI_LOOP_KERNELS",
-    "SINGLE_LOOP_KERNELS",
-    "kernel_names",
-]
 
 N = 40  # base problem dimension
 TSTEPS = 4  # time steps for stencils
@@ -277,35 +271,3 @@ def build_syr2k(n: int = N) -> ModuleOp:
         kb.store("C", [i, j], acc)
     return kb.finish()
 
-
-POLYBENCH_KERNELS: Dict[str, Callable[[], ModuleOp]] = {
-    "2mm": build_2mm,
-    "3mm": build_3mm,
-    "atax": build_atax,
-    "bicg": build_bicg,
-    "correlation": build_correlation,
-    "gesummv": build_gesummv,
-    "jacobi-2d": build_jacobi_2d,
-    "mvt": build_mvt,
-    "seidel-2d": build_seidel_2d,
-    "symm": build_symm,
-    "syr2k": build_syr2k,
-}
-
-#: Kernels with more than one loop band, where dataflow optimization applies.
-MULTI_LOOP_KERNELS: List[str] = [
-    "2mm",
-    "3mm",
-    "atax",
-    "correlation",
-    "jacobi-2d",
-    "mvt",
-]
-
-#: Single-band kernels where HIDA performs on par with ScaleHLS.
-SINGLE_LOOP_KERNELS: List[str] = ["bicg", "gesummv", "seidel-2d", "symm", "syr2k"]
-
-
-def kernel_names() -> List[str]:
-    """Names of all PolyBench kernels, in the paper's Table 7 order."""
-    return list(POLYBENCH_KERNELS)

@@ -6,15 +6,12 @@ whose loop nest that op declares once (:mod:`repro.dialects.linalg`).
 
 from .models import (
     MLP,
-    MODEL_INPUT_SHAPES,
-    MODEL_ZOO,
     LeNet,
     MobileNet,
     ResNet18,
     VGG16,
     YOLO,
     ZFNet,
-    model_names,
 )
 from .module import (
     Add,
@@ -56,7 +53,4 @@ __all__ = [
     "VGG16",
     "YOLO",
     "MLP",
-    "MODEL_ZOO",
-    "MODEL_INPUT_SHAPES",
-    "model_names",
 ]

@@ -16,7 +16,7 @@ models.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ...workloads import register_workload
 from .module import (
@@ -42,9 +42,6 @@ __all__ = [
     "VGG16",
     "YOLO",
     "MLP",
-    "MODEL_ZOO",
-    "MODEL_INPUT_SHAPES",
-    "model_names",
 ]
 
 
@@ -369,27 +366,3 @@ class MLP(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.layers(x)
 
-
-MODEL_ZOO: Dict[str, Callable[[], Module]] = {
-    "lenet": LeNet,
-    "resnet18": ResNet18,
-    "mobilenet": MobileNet,
-    "zfnet": ZFNet,
-    "vgg16": VGG16,
-    "yolo": YOLO,
-    "mlp": MLP,
-}
-
-MODEL_INPUT_SHAPES: Dict[str, Tuple[int, ...]] = {
-    "lenet": (1, 28, 28),
-    "resnet18": (3, 224, 224),
-    "mobilenet": (3, 224, 224),
-    "zfnet": (3, 224, 224),
-    "vgg16": (3, 224, 224),
-    "yolo": (3, 416, 416),
-    "mlp": (784,),
-}
-
-
-def model_names() -> List[str]:
-    return list(MODEL_ZOO)

@@ -21,14 +21,10 @@ from .dataflow_opt import (
     BalanceReport,
     balance_data_paths,
     eliminate_multiple_producers,
-    node_depths,
 )
 from .functional import (
-    ElementwiseFusionPattern,
-    FusionPattern,
-    InitializationFusionPattern,
+    FUSION_PATTERNS,
     construct_functional_dataflow,
-    default_fusion_patterns,
     fuse_dataflow_tasks,
     fuse_tasks,
     task_intensity,
@@ -67,12 +63,8 @@ __all__ = [
     "BalanceReport",
     "balance_data_paths",
     "eliminate_multiple_producers",
-    "node_depths",
-    "ElementwiseFusionPattern",
-    "FusionPattern",
-    "InitializationFusionPattern",
+    "FUSION_PATTERNS",
     "construct_functional_dataflow",
-    "default_fusion_patterns",
     "fuse_dataflow_tasks",
     "fuse_tasks",
     "task_intensity",

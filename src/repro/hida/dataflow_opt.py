@@ -35,6 +35,7 @@ from ..dialects.dataflow import (
     get_producers,
 )
 from ..dialects.memref import CopyOp
+from ..estimation.dataflow_sim import build_channels, channel_depths
 from ..ir.builder import Builder
 from ..ir.builtin import ConstantOp
 from ..ir.core import Value
@@ -42,7 +43,6 @@ from ..ir.types import MemRefType, i1
 
 __all__ = [
     "eliminate_multiple_producers",
-    "node_depths",
     "balance_data_paths",
     "BalanceReport",
 ]
@@ -208,51 +208,12 @@ def _merge_nodes(schedule: ScheduleOp, nodes: Sequence[NodeOp]) -> NodeOp:
 # ---------------------------------------------------------------------------
 
 
-def node_depths(schedule: ScheduleOp) -> Dict[int, int]:
-    """Longest-path depth of every node in the schedule's dataflow DAG."""
-    nodes = schedule.nodes
-    index_of = {id(node): i for i, node in enumerate(nodes)}
-    edges: Dict[int, List[int]] = {i: [] for i in range(len(nodes))}
-
-    def connect(value: Value, forward_only: bool) -> None:
-        users = get_node_users(value)
-        consumers = [index_of[id(n)] for n in users if n.reads(value)]
-        for producer in users:
-            if producer.writes(value):
-                pi = index_of[id(producer)]
-                edges[pi].extend(
-                    ci for ci in consumers if (pi < ci if forward_only else pi != ci)
-                )
-
-    for op in schedule.body.operations:
-        if isinstance(op, (BufferOp, StreamOp)):
-            connect(op.result(), forward_only=False)
-    # Externally passed buffers (schedule arguments) order their users too.
-    # The schedule is isolated from above, so an argument's node users are
-    # nodes of this schedule: ask its use list, not every node.
-    for argument in _external_buffer_values(schedule):
-        connect(argument, forward_only=True)
-
-    depth = [0] * len(nodes)
-    # Nodes are in program order which is a topological order for acyclic
-    # dataflow; iterate a few times to be safe with back edges.
-    for _ in range(len(nodes)):
-        changed = False
-        for i in range(len(nodes)):
-            for j in edges[i]:
-                if depth[j] < depth[i] + 1:
-                    depth[j] = depth[i] + 1
-                    changed = True
-        if not changed:
-            break
-    return {id(node): depth[i] for i, node in enumerate(nodes)}
-
-
 @dataclasses.dataclass
 class BalanceReport:
     """Summary of the data-path balancing transformation."""
 
     buffers_deepened: int = 0
+    #: Always 0 (deepening models duplication); kept for the IR-cache payload.
     copy_nodes_inserted: int = 0
     soft_fifos: int = 0
     token_streams: int = 0
@@ -281,7 +242,8 @@ def balance_data_paths(
     streams (method 2: elastic node execution).
     """
     report = BalanceReport()
-    depths = node_depths(schedule)
+    nodes, channels = build_channels(schedule)
+    depths = dict(zip(map(id, nodes), channel_depths(len(nodes), channels)))
 
     for buffer_op in list(_internal_buffers(schedule)):
         buffer = buffer_op.result()

@@ -6,15 +6,16 @@ operation with its own ``hida.task``.  A region is dispatchable when it is
 owned by an iterative operation (a loop or a function) and contains at least
 two iterative operations that can execute in a dataflow manner.
 
-Task fusion then (a) applies pre-defined profitable fusion patterns (e.g.
-fuse elementwise operations into their producers) through a worklist, and
-(b) keeps fusing the two least-critical adjacent tasks until fusion would
-create a new critical task, rebalancing the dataflow.
+Task fusion then (a) applies the pre-defined profitable fusion patterns of
+:data:`FUSION_PATTERNS` (one table: spec name -> match function, e.g. fuse
+elementwise operations into their producers) through a worklist, and (b)
+keeps fusing the two least-critical adjacent tasks until fusion would create
+a new critical task, rebalancing the dataflow.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import linalg
 from ..dialects.affine import AffineForOp
@@ -29,12 +30,7 @@ __all__ = [
     "wrap_ops_in_task",
     "wrap_block_in_dispatch",
     "construct_functional_dataflow",
-    "FusionPattern",
-    "ElementwiseFusionPattern",
-    "InitializationFusionPattern",
-    "default_fusion_patterns",
-    "fusion_patterns_by_name",
-    "fusion_pattern_name",
+    "FUSION_PATTERNS",
     "fuse_tasks",
     "task_intensity",
     "fuse_dataflow_tasks",
@@ -243,20 +239,6 @@ def task_intensity(task: TaskOp) -> int:
     return node_intensity(task)
 
 
-class FusionPattern:
-    """A profitable task-fusion pattern.
-
-    ``match`` receives a task and returns the adjacent task it should be
-    fused with (its producer or consumer), or None when the pattern does not
-    apply.
-    """
-
-    name = "fusion"
-
-    def match(self, task: TaskOp) -> Optional[TaskOp]:
-        raise NotImplementedError
-
-
 def _producer_task(task: TaskOp) -> Optional[TaskOp]:
     """The *latest* preceding task producing one of this task's used values.
 
@@ -290,78 +272,80 @@ def _external_values_used(task: TaskOp) -> List[Value]:
     return used
 
 
-class ElementwiseFusionPattern(FusionPattern):
+def _match_elementwise(task: TaskOp) -> Optional[TaskOp]:
     """Fuse a purely elementwise task into its producer task.
 
     This is the classic conv+ReLU / conv+BN fusion: the elementwise consumer
     adds negligible intensity while removing an inter-task buffer.
     """
-
-    name = "elementwise-fusion"
-
-    def match(self, task: TaskOp) -> Optional[TaskOp]:
-        payload = task.payload_ops()
-        if not payload:
-            return None
-        for op in payload:
-            if isinstance(op, linalg.LinalgOp):
-                if not op.is_elementwise and not isinstance(
-                    op, (linalg.MaxPool2DOp, linalg.AvgPool2DOp, linalg.ReshapeOp)
-                ):
-                    return None
-            else:
+    payload = task.payload_ops()
+    if not payload:
+        return None
+    for op in payload:
+        if isinstance(op, linalg.LinalgOp):
+            if not op.is_elementwise and not isinstance(
+                op, (linalg.MaxPool2DOp, linalg.AvgPool2DOp, linalg.ReshapeOp)
+            ):
                 return None
-        return _producer_task(task)
+        else:
+            return None
+    return _producer_task(task)
 
 
-class InitializationFusionPattern(FusionPattern):
+def _match_init(task: TaskOp) -> Optional[TaskOp]:
     """Fuse a zero-initialization loop band into the compute band it feeds.
 
     PolyBench kernels commonly initialize an accumulator array in one loop
     band and accumulate into it in the next; keeping them in separate
     dataflow tasks wastes a pipeline stage and an inter-task buffer.
     """
-
-    name = "init-fusion"
-
-    def match(self, task: TaskOp) -> Optional[TaskOp]:
-        payload = task.payload_ops()
-        if len(payload) != 1 or not isinstance(payload[0], AffineForOp):
-            return None
-        band_root = payload[0]
-        has_compute = any(
-            op.name in ("arith.mulf", "arith.addf", "arith.mac", "arith.muli")
-            for op in band_root.walk()
-        )
-        if has_compute:
-            return None
-        # Only pure *initialization* bands qualify: every stored value must be
-        # a compile-time constant.  Bands that move data between buffers
-        # (tile loads / stores) are real dataflow stages and stay separate.
-        stores = [op for op in band_root.walk() if op.name == "affine.store"]
-        if not stores:
-            return None
-        for store in stores:
-            stored = store.value
-            if stored.defining_op is None or stored.defining_op.name != "arith.constant":
-                return None
-        # Fuse with the next task that uses one of the buffers it writes.
-        written = [store.memref for store in stores]
-        block = task.parent
-        if block is None:
-            return None
-        after = False
-        for sibling in block.operations:
-            if sibling is task:
-                after = True
-                continue
-            if after and isinstance(sibling, TaskOp):
-                reads = [
-                    op.memref for op in sibling.walk() if op.name == "affine.load"
-                ] + [op.memref for op in sibling.walk() if op.name == "affine.store"]
-                if any(any(w is r for r in reads) for w in written):
-                    return sibling
+    payload = task.payload_ops()
+    if len(payload) != 1 or not isinstance(payload[0], AffineForOp):
         return None
+    band_root = payload[0]
+    has_compute = any(
+        op.name in ("arith.mulf", "arith.addf", "arith.mac", "arith.muli")
+        for op in band_root.walk()
+    )
+    if has_compute:
+        return None
+    # Only pure *initialization* bands qualify: every stored value must be
+    # a compile-time constant.  Bands that move data between buffers
+    # (tile loads / stores) are real dataflow stages and stay separate.
+    stores = [op for op in band_root.walk() if op.name == "affine.store"]
+    if not stores:
+        return None
+    for store in stores:
+        stored = store.value
+        if stored.defining_op is None or stored.defining_op.name != "arith.constant":
+            return None
+    # Fuse with the next task that uses one of the buffers it writes.
+    written = [store.memref for store in stores]
+    block = task.parent
+    if block is None:
+        return None
+    after = False
+    for sibling in block.operations:
+        if sibling is task:
+            after = True
+            continue
+        if after and isinstance(sibling, TaskOp):
+            reads = [
+                op.memref for op in sibling.walk() if op.name == "affine.load"
+            ] + [op.memref for op in sibling.walk() if op.name == "affine.store"]
+            if any(any(w is r for r in reads) for w in written):
+                return sibling
+    return None
+
+
+#: The pre-defined profitable fusion patterns, in application order: the
+#: name pipeline specs use (``fuse-tasks{patterns=elementwise,init}``) ->
+#: a match function that returns the adjacent task to fuse the given task
+#: with (its producer or consumer), or None when the pattern does not apply.
+FUSION_PATTERNS: Dict[str, Callable[[TaskOp], Optional[TaskOp]]] = {
+    "elementwise": _match_elementwise,
+    "init": _match_init,
+}
 
 
 def _memrefs_written(task: TaskOp) -> List[Value]:
@@ -384,40 +368,6 @@ def _tasks_connected(first: TaskOp, second: TaskOp) -> bool:
     written_second = _memrefs_written(second)
     read_first = _memrefs_read(first)
     return any(any(w is r for r in read_first) for w in written_second)
-
-
-def default_fusion_patterns() -> List[FusionPattern]:
-    """The pre-defined profitable fusion pattern set used by HIDA."""
-    return [ElementwiseFusionPattern(), InitializationFusionPattern()]
-
-
-#: Spec-level short names of the stock fusion patterns (what pipeline specs
-#: like ``fuse-tasks{patterns=elementwise,init}`` refer to).
-_FUSION_PATTERN_SHORT_NAMES = {
-    "elementwise": ElementwiseFusionPattern,
-    "init": InitializationFusionPattern,
-}
-
-
-def fusion_patterns_by_name() -> dict:
-    """Fresh pattern instances keyed by every accepted name.
-
-    Both the short spec names (``elementwise``, ``init``) and the pattern
-    class names (``ElementwiseFusionPattern``, ...) resolve in textual
-    pipeline specs.
-    """
-    by_name = {name: cls() for name, cls in _FUSION_PATTERN_SHORT_NAMES.items()}
-    for pattern in default_fusion_patterns():
-        by_name[type(pattern).__name__] = pattern
-    return by_name
-
-
-def fusion_pattern_name(pattern: FusionPattern) -> str:
-    """Canonical short name of a pattern (class name for custom patterns)."""
-    for name, cls in _FUSION_PATTERN_SHORT_NAMES.items():
-        if type(pattern) is cls:
-            return name
-    return type(pattern).__name__
 
 
 def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:
@@ -492,14 +442,16 @@ def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:
 
 def fuse_dataflow_tasks(
     module: ModuleOp,
-    patterns: Optional[Sequence[FusionPattern]] = None,
+    patterns: Optional[Sequence[str]] = None,
     balance: bool = True,
 ) -> int:
     """Algorithm 2: pattern-driven worklist fusion plus criticality balancing.
 
-    Returns the number of fusions performed.
+    ``patterns`` names :data:`FUSION_PATTERNS` entries (default: all of
+    them).  Returns the number of fusions performed.
     """
-    patterns = list(patterns) if patterns is not None else default_fusion_patterns()
+    names = FUSION_PATTERNS if patterns is None else patterns
+    matchers = [FUSION_PATTERNS[name] for name in names]
     fusions = 0
     for dispatch in list(module.walk_ops(DispatchOp)):
         # --- pattern-driven worklist (lines 2-6) --------------------------
@@ -509,8 +461,8 @@ def fuse_dataflow_tasks(
             for task in list(dispatch.tasks):
                 if task.parent is None:
                     continue
-                for pattern in patterns:
-                    partner = pattern.match(task)
+                for match in matchers:
+                    partner = match(task)
                     if partner is not None and partner.parent is task.parent:
                         fuse_tasks(partner, task)
                         fusions += 1

@@ -14,11 +14,8 @@ from .loop_transforms import (
     annotate_unroll,
     innermost_loops_of,
     loop_bands_of,
-    normalize_band_unroll,
     pipeline_innermost_loops,
     pipeline_loop,
-    tile_band,
-    tile_loop,
     unroll_loop,
 )
 
@@ -32,10 +29,7 @@ __all__ = [
     "annotate_unroll",
     "innermost_loops_of",
     "loop_bands_of",
-    "normalize_band_unroll",
     "pipeline_innermost_loops",
     "pipeline_loop",
-    "tile_band",
-    "tile_loop",
     "unroll_loop",
 ]

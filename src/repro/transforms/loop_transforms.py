@@ -1,4 +1,4 @@
-"""Loop-level transformations: unrolling, tiling, pipelining, permutation.
+"""Loop-level transformations: unrolling, pipelining, permutation.
 
 These play the role of the ScaleHLS loop/directive transforms that HIDA
 reuses.  Unrolling and pipelining are expressed primarily as directives
@@ -13,7 +13,7 @@ producing IR whose directives no schedule could honour.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..dialects.affine import (
     AffineApplyOp,
@@ -29,12 +29,9 @@ __all__ = [
     "annotate_unroll",
     "innermost_loops_of",
     "loop_bands_of",
-    "normalize_band_unroll",
     "permute_band",
     "pipeline_innermost_loops",
     "pipeline_loop",
-    "tile_band",
-    "tile_loop",
     "unroll_loop",
 ]
 
@@ -201,71 +198,3 @@ def permute_band(
         for user, index in uses[old_level]:
             user.set_operand(index, iv)
     return loops
-
-
-def tile_loop(loop: AffineForOp, tile_size: int) -> Optional[AffineForOp]:
-    """Tile one loop: the loop becomes the tile loop (stepping by the tile
-    size) and a new point loop is created inside it.
-
-    Returns the newly created point loop, or None when the tile size does not
-    divide the loop into more than one tile.
-    """
-    tile_size = int(tile_size)
-    if tile_size <= 0:
-        raise ValueError("tile size must be positive")
-    trip = loop.trip_count
-    if tile_size >= trip or tile_size < 1:
-        return None
-    original_step = loop.step
-    body = loop.body
-    original_ops = [
-        op for op in body.operations if not isinstance(op, AffineYieldOp)
-    ]
-    # The original loop becomes the tile loop.
-    loop.set_bounds(loop.lower_bound, loop.upper_bound, original_step * tile_size)
-    # Create the point loop and move the body into it.
-    builder = Builder.at_end(body)
-    point_loop = builder.insert(
-        AffineForOp.create(0, tile_size * original_step, original_step, name_hint="pt")
-    )
-    point_loop.set_attr("point_loop", True)
-    for op in original_ops:
-        op.detach()
-        point_loop.body.append(op)
-    # iv_combined = tile_iv + point_iv
-    inner_builder = Builder.at_start(point_loop.body)
-    combined = inner_builder.insert(
-        AffineApplyOp.create(
-            AffineMap(2, 0, [dim(0) + dim(1)]),
-            [loop.induction_variable, point_loop.induction_variable],
-        )
-    )
-    loop.induction_variable.replace_uses_if(
-        combined.result(),
-        lambda user: user is not combined and point_loop.is_ancestor_of(user),
-    )
-    return point_loop
-
-
-def tile_band(band: Sequence[AffineForOp], tile_sizes: Sequence[int]) -> List[AffineForOp]:
-    """Tile each loop of a band; returns the created point loops."""
-    point_loops = []
-    for loop, size in zip(band, tile_sizes):
-        point = tile_loop(loop, size)
-        if point is not None:
-            point_loops.append(point)
-    return point_loops
-
-
-def normalize_band_unroll(
-    band: Sequence[AffineForOp], unroll_factors: Sequence[int]
-) -> List[int]:
-    """Annotate a band with unroll factors, clamping each to its trip count.
-
-    Returns the clamped factors actually applied.
-    """
-    applied = []
-    for loop, factor in zip(band, unroll_factors):
-        annotate_unroll(loop, factor)
-        applied.append(loop.unroll_factor)
-    return applied

@@ -430,6 +430,20 @@ def test_prefilter_rejects_unparseable_spec():
     assert verdict["reason"] == "invalid-spec"
 
 
+def test_prefilter_rejects_an_unknown_fusion_pattern():
+    from repro.dse import DesignPoint
+
+    point = DesignPoint(
+        workload_kind="kernel",
+        workload="atax",
+        pipeline_spec="construct-dataflow,fuse-tasks{patterns=bogus},lower-structural,estimate",
+    )
+    verdict = check_point(point)
+    assert verdict is not None
+    assert verdict["reason"] == "invalid-spec"
+    assert "known patterns: elementwise, init" in verdict["detail"]
+
+
 # ----------------------------------------------------------------------- CLIs
 def test_analysis_cli_list_rules(capsys):
     from repro.analysis.__main__ import main

@@ -474,6 +474,19 @@ def test_verify_rejects_a_builder_s_invalid_ir_at_the_frontend(capsys):
     )
 
 
+def test_an_unknown_fusion_pattern_is_a_usage_error_before_the_header(capsys):
+    spec = "construct-dataflow,fuse-tasks{patterns=bogus},estimate"
+    with pytest.raises(SystemExit) as exit_info:
+        compiler_main(["--workload", "atax", "--spec", spec])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --spec: unknown fusion pattern(s) 'bogus' in stage "
+        "'fuse-tasks'; known patterns: elementwise, init\n"
+    )
+
+
 def test_a_builder_value_error_is_one_line_naming_the_workload(capsys):
     assert compiler_main(["--workload", "atax@n=-4"]) == 2
     assert capsys.readouterr().err == (

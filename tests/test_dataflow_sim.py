@@ -25,8 +25,7 @@ from repro.estimation import (
     simulate_design,
     simulate_graphs,
 )
-from repro.estimation.dataflow_sim import _topological_order
-from repro.hida.dataflow_opt import node_depths
+from repro.estimation.dataflow_sim import _topological_order, channel_depths
 from repro.workloads import as_module, list_workloads
 from repro.compiler import Compiler
 
@@ -201,30 +200,6 @@ def test_channel_cycles_finds_cyclic_sccs():
     assert channel_cycles(0, []) == []
 
 
-def test_topological_order_with_cycle_exposes_exact_member_set():
-    from repro.estimation.dataflow_sim import topological_order_with_cycle
-
-    # Acyclic: a complete order, an empty member set.
-    order, members = topological_order_with_cycle(
-        3, [ChannelSpec(0, 1), ChannelSpec(1, 2)]
-    )
-    assert order == [0, 1, 2]
-    assert members == frozenset()
-    # A cycle feeding a downstream chain: only the cycle's nodes are
-    # members — downstream nodes are victims, not causes.
-    channels = [
-        ChannelSpec(0, 1),
-        ChannelSpec(1, 0),
-        ChannelSpec(1, 2),
-        ChannelSpec(2, 3),
-    ]
-    order, members = topological_order_with_cycle(4, channels)
-    assert sorted(order) == [0, 1, 2, 3]
-    assert members == frozenset({0, 1})
-    # The legacy helper stays a thin wrapper over the same order.
-    assert _topological_order(4, channels) == order
-
-
 # ------------------------------------------------------------ graph golden
 # ``tests/data/dataflow_graph_golden.json`` holds, for every zoo workload and
 # every schedule in it, the channel list, the node depths and each buffer's
@@ -252,11 +227,10 @@ def _graph_rows(workload):
         for schedule in state.module.walk_ops(ScheduleOp):
             nodes, channels = build_channels(schedule)
             position = {id(node): i for i, node in enumerate(nodes)}
-            depths = node_depths(schedule)
             schedules.append(
                 {
                     "channels": [[c.producer, c.consumer, c.capacity] for c in channels],
-                    "depths": [depths[id(node)] for node in nodes],
+                    "depths": channel_depths(len(nodes), channels),
                     "buffers": [
                         [
                             [position.get(id(n), -1) for n in get_producers(op.result())],

@@ -47,7 +47,6 @@ from repro.dialects.affine_map import AffineMap, constant, dim
 from repro.dialects.arith import AddIOp
 from repro.frontend.cpp import KernelBuilder
 from repro.hida.analysis import is_parallel_loop
-from repro.transforms import tile_loop
 from repro.transforms.loop_transforms import (
     get_perfectly_nested_band,
     loop_bands_of,
@@ -210,26 +209,34 @@ class TestIndependence:
 # ---------------------------------------------------------------------------
 
 
+def _tiled_nest(distance=None, trip=16, tile=4):
+    """``for t in 0..trip step tile: for p in 0..tile: x = t + p`` (one
+    ``affine.apply``), then ``B[x] = A[x]``, or ``A[x] = A[x - distance]``
+    with a ``distance``.  Returns ``(tile loop, point loop)``."""
+    func = FuncOp.create("f", input_types=[MemRefType((trip,), f32, "bram")] * 2)
+    outer = Builder.at_end(func.entry_block).insert(AffineForOp.create(0, trip, tile))
+    point = Builder.at_end(outer.body).insert(AffineForOp.create(0, tile))
+    body = Builder.at_end(point.body)
+    ivs = [outer.induction_variable, point.induction_variable]
+    x = body.insert(AffineApplyOp.create(AffineMap(2, 0, [dim(0) + dim(1)]), ivs)).result()
+    a, b = func.arguments
+    read = AffineMap(1, 0, [dim(0) - (distance or 0)])
+    loaded = body.insert(AffineLoadOp.create(a, [x], read)).result()
+    target = b if distance is None else a
+    body.insert(AffineStoreOp.create(loaded, target, [x], AffineMap(1, 0, [dim(0)])))
+    return outer, point
+
+
 class TestTiledAndConservative:
     def test_tiled_parallel_loop_stays_parallel(self):
-        kb = KernelBuilder("scale")
-        kb.add_input("A", (16,))
-        kb.add_output("B", (16,))
-        with kb.loop("i", 16) as i:
-            kb.store("B", [i], kb.load("A", [i]) * 2.0)
-        module = kb.finish()
-        loop = _loops(module)[0]
-        point = tile_loop(loop, 4)
-        assert point is not None
-        # Accesses now index through an affine.apply (tile_iv + point_iv);
-        # the linearizer sees through it and both levels stay parallel.
+        loop, point = _tiled_nest()
+        # Accesses index through an affine.apply (tile_iv + point_iv); the
+        # linearizer sees through it and both levels stay parallel.
         assert not loop_carries_dependence(loop)
         assert not loop_carries_dependence(point)
 
     def test_tiled_recurrence_still_detected(self):
-        module = recurrence_module(distance=1, trip=16)
-        loop = _loops(module)[0]
-        tile_loop(loop, 4)
+        loop, _ = _tiled_nest(distance=1)
         deps = nest_dependences(loop, include_loop_independent=False)
         assert any(dep.kind == "RAW" for dep in deps)
         assert loop_carries_dependence(loop)

@@ -5,28 +5,21 @@ import pytest
 
 from repro.dialects.affine import AffineForOp, AffineLoadOp
 from repro.dialects import linalg
-from repro.frontend.cpp import (
-    MULTI_LOOP_KERNELS,
-    SINGLE_LOOP_KERNELS,
-    IndexExpr,
-    KernelBuilder,
-    build_listing1,
-    kernel_names,
-)
+from repro.frontend.cpp import IndexExpr, KernelBuilder, build_listing1
 from repro.frontend.nn import (
-    MODEL_INPUT_SHAPES,
     Conv2d,
     Linear,
     ReLU,
     Sequential,
     Tensor,
     layer_summary,
-    model_names,
     trace,
 )
 from repro.ir import ModuleOp, f32, i8, verify
 from repro.transforms.loop_transforms import loop_bands_of
-from repro.workloads import as_module
+from repro.workloads import as_module, get_workload, list_workloads
+
+POLYBENCH = sorted(list_workloads(tag="polybench"))
 
 
 # ---------------------------------------------------------------------------
@@ -107,26 +100,30 @@ class TestPolyBench:
             "2mm", "3mm", "atax", "bicg", "correlation", "gesummv",
             "jacobi-2d", "mvt", "seidel-2d", "symm", "syr2k",
         }
-        assert set(kernel_names()) == expected
-        assert set(MULTI_LOOP_KERNELS) | set(SINGLE_LOOP_KERNELS) == expected
+        assert set(POLYBENCH) == expected
+
+    @pytest.mark.parametrize("name", POLYBENCH)
+    def test_every_kernel_has_exactly_one_loop_class(self, name):
+        tags = get_workload(name).tags
+        assert ("single-loop" in tags) != ("multi-loop" in tags)
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(KeyError):
             as_module("nonexistent")
 
-    @pytest.mark.parametrize("name", kernel_names())
+    @pytest.mark.parametrize("name", POLYBENCH)
     def test_every_kernel_builds_and_verifies(self, name):
         module = as_module(name)
         assert verify(module) == []
         assert module.functions[0].is_top
 
-    @pytest.mark.parametrize("name", SINGLE_LOOP_KERNELS)
+    @pytest.mark.parametrize("name", list_workloads(tag="single-loop"))
     def test_single_loop_kernels_have_one_band(self, name):
         module = as_module(name)
         bands = loop_bands_of(module.functions[0])
         assert len(bands) == 1
 
-    @pytest.mark.parametrize("name", MULTI_LOOP_KERNELS)
+    @pytest.mark.parametrize("name", list_workloads(tag="multi-loop"))
     def test_multi_loop_kernels_have_many_bands(self, name):
         module = as_module(name)
         bands = loop_bands_of(module.functions[0])
@@ -195,7 +192,7 @@ class TestNNModules:
 
 class TestModelZoo:
     def test_zoo_contains_all_paper_models(self):
-        assert set(model_names()) == {
+        assert set(list_workloads(kind="model")) == {
             "lenet", "resnet18", "mobilenet", "zfnet", "vgg16", "yolo", "mlp"
         }
 
@@ -239,8 +236,8 @@ class TestModelZoo:
         assert set(compute) == {"linalg.linear"}
 
     def test_input_shapes_table(self):
-        assert MODEL_INPUT_SHAPES["yolo"] == (3, 416, 416)
-        assert MODEL_INPUT_SHAPES["mlp"] == (784,)
+        assert get_workload("yolo").metadata["input_shape"] == (3, 416, 416)
+        assert get_workload("mlp").metadata["input_shape"] == (784,)
 
 
 class TestLinalgOpSemantics:

@@ -27,15 +27,11 @@ from repro.hida import (
     fuse_dataflow_tasks,
     fuse_tasks,
     lower_to_structural_dataflow,
-    node_depths,
     task_intensity,
     wrap_ops_in_task,
 )
-from repro.hida.functional import (
-    ElementwiseFusionPattern,
-    InitializationFusionPattern,
-    default_fusion_patterns,
-)
+from repro.estimation.dataflow_sim import build_channels, channel_depths
+from repro.hida.functional import FUSION_PATTERNS
 from repro.ir import Builder, MemRefType, f32, verify
 from repro.transforms import lower_linalg_to_affine
 from repro.workloads import as_module
@@ -113,7 +109,7 @@ class TestTaskFusion:
         construct_functional_dataflow(module)
         dispatch = module.walk_ops(DispatchOp)[0]
         relu_task = dispatch.tasks[1]
-        partner = ElementwiseFusionPattern().match(relu_task)
+        partner = FUSION_PATTERNS["elementwise"](relu_task)
         assert partner is dispatch.tasks[0]
 
     def test_fusion_reduces_task_count(self):
@@ -140,7 +136,7 @@ class TestTaskFusion:
         construct_functional_dataflow(module)
         dispatch = module.walk_ops(DispatchOp)[0]
         tasks_before = len(dispatch.tasks)
-        fuse_dataflow_tasks(module, patterns=[InitializationFusionPattern()], balance=False)
+        fuse_dataflow_tasks(module, patterns=["init"], balance=False)
         assert len(dispatch.tasks) < tasks_before
         assert verify(module) == []
 
@@ -162,9 +158,7 @@ class TestTaskFusion:
         assert max(intensities) == 240_000
 
     def test_default_patterns_present(self):
-        patterns = default_fusion_patterns()
-        names = {p.name for p in patterns}
-        assert "elementwise-fusion" in names and "init-fusion" in names
+        assert list(FUSION_PATTERNS) == ["elementwise", "init"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +351,10 @@ def build_shortcut_schedule(big_buffer=False):
 
 class TestDataPathBalancing:
     def test_node_depths(self):
-        schedule, (node0, node1, node2), _ = build_shortcut_schedule()
-        depths = node_depths(schedule)
-        assert depths[id(node0)] == 0
-        assert depths[id(node1)] == 1
-        assert depths[id(node2)] == 2
+        schedule, shortcut_nodes, _ = build_shortcut_schedule()
+        nodes, channels = build_channels(schedule)
+        assert nodes == list(shortcut_nodes)
+        assert channel_depths(len(nodes), channels) == [0, 1, 2]
 
     def test_shortcut_buffer_deepened_on_chip(self):
         schedule, _, (buf1, buf2, buf3) = build_shortcut_schedule()
@@ -395,6 +388,25 @@ class TestDataPathBalancing:
             workload="resnet18"
         )
         assert result.balance_report.buffers_deepened + result.balance_report.soft_fifos > 0
+
+    @pytest.mark.parametrize(
+        "budget, note",
+        [
+            (None, "deepened 8 buffer(s) on chip"),
+            (1024, "spilled 8 buffer(s) to soft FIFO(s) with 17 token stream(s)"),
+        ],
+        ids=["on-chip", "spill-only"],
+    )
+    def test_balance_note_names_what_it_did(self, budget, note):
+        from repro.compiler import Compiler
+
+        balance = "balance" if budget is None else f"balance{{budget={budget}}}"
+        state = Compiler.from_spec(
+            "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+            f"eliminate-multi-producers,{balance}",
+            platform="zu3eg",
+        ).run_stages(workload="resnet18")
+        assert [d.message for d in state.diagnostics if d.stage == "balance"] == [note]
 
 
 from repro.ir.core import Operation  # noqa: E402  (used in an assertion above)

@@ -31,7 +31,6 @@ from repro.transforms import (
     lower_linalg_to_affine,
     partition_buffers_in,
     partition_for_accesses,
-    tile_loop,
     unroll_loop,
 )
 from repro.workloads import as_module, iter_workloads
@@ -39,11 +38,9 @@ from repro.transforms.loop_transforms import (
     annotate_unroll,
     innermost_loops_of,
     loop_bands_of,
-    normalize_band_unroll,
     permute_band,
     pipeline_innermost_loops,
     pipeline_loop,
-    tile_band,
 )
 
 
@@ -171,39 +168,6 @@ class TestLoopTransforms:
         module = as_module("mvt")
         count = pipeline_innermost_loops(module.functions[0])
         assert count == 2
-
-    def test_tile_loop_creates_point_loop(self):
-        module, loop = single_loop_module(trip=16)
-        point = tile_loop(loop, 4)
-        assert point is not None
-        assert point.get_attr("point_loop")
-        assert loop.step == 4
-        assert point.trip_count == 4
-        assert verify(module) == []
-
-    def test_tile_loop_noop_when_tile_covers_trip(self):
-        module, loop = single_loop_module(trip=8)
-        assert tile_loop(loop, 8) is None
-        assert tile_loop(loop, 16) is None
-
-    def test_tile_loop_rejects_bad_size(self):
-        _, loop = single_loop_module()
-        with pytest.raises(ValueError):
-            tile_loop(loop, 0)
-
-    def test_tile_band(self):
-        module = as_module("symm")
-        band = loop_bands_of(module.functions[0])[0]
-        points = tile_band(band, [8, 8, 8])
-        assert len(points) == 3
-        assert verify(module) == []
-
-    def test_normalize_band_unroll(self):
-        module = as_module("symm")
-        band = loop_bands_of(module.functions[0])[0]
-        applied = normalize_band_unroll(band, [4, 1000, 2])
-        assert applied[0] == 4
-        assert applied[1] <= band[1].trip_count
 
     def test_innermost_loops_of(self):
         module = as_module("3mm")
