@@ -15,7 +15,7 @@ a new critical task, rebalancing the dataflow.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dialects import linalg
 from ..dialects.affine import AffineForOp
@@ -79,19 +79,18 @@ def _is_dispatchable(block: Block) -> bool:
     return len(iterative) >= 2
 
 
-def _values_escaping(ops: Sequence[Operation]) -> List[Value]:
-    """Values defined by ``ops`` (or their nests) that are used outside them."""
-    op_set = set()
-    for op in ops:
-        for nested in op.walk():
-            op_set.add(id(nested))
-    escaping: List[Value] = []
-    for op in ops:
-        for nested in op.walk():
-            for result in nested.results:
-                if any(id(user) not in op_set for user in result.users):
-                    escaping.append(result)
-    return escaping
+def _values_escaping(ops: Sequence[Operation]) -> Tuple[Set[int], List[Value]]:
+    """The ids of ``ops`` and their nests, and the values they define that are
+    used outside them, from one walk of each op."""
+    nested_ops = [nested for op in ops for nested in op.walk()]
+    op_set = {id(nested) for nested in nested_ops}
+    escaping = [
+        result
+        for nested in nested_ops
+        for result in nested.results
+        if any(id(user) not in op_set for user in result.users)
+    ]
+    return op_set, escaping
 
 
 def wrap_ops_in_task(ops: Sequence[Operation], label: str = "") -> TaskOp:
@@ -105,7 +104,7 @@ def wrap_ops_in_task(ops: Sequence[Operation], label: str = "") -> TaskOp:
     block = ops[0].parent
     if block is None or any(op.parent is not block for op in ops):
         raise ValueError("ops to wrap must live in the same block")
-    escaping = _values_escaping(ops)
+    op_set, escaping = _values_escaping(ops)
     task = TaskOp.create(result_types=[v.type for v in escaping], label=label)
     # Insert the task right before the first wrapped op.
     first = min(ops, key=lambda op: block.index_of(op))
@@ -117,10 +116,6 @@ def wrap_ops_in_task(ops: Sequence[Operation], label: str = "") -> TaskOp:
         task_block.append(op)
     # Redirect external uses of escaping values to the task results *before*
     # creating the yield, so the yield keeps referencing the inner values.
-    op_set = set()
-    for op in ops:
-        for nested in op.walk():
-            op_set.add(id(nested))
     for value, result in zip(escaping, task.results):
         result.name_hint = value.name_hint
         value.replace_uses_if(
@@ -135,20 +130,15 @@ def wrap_block_in_dispatch(block: Block, label: str = "") -> DispatchOp:
     wrappable = [op for op in block.operations if _is_task_worthy(op) or isinstance(op, TaskOp)]
     if not wrappable:
         raise ValueError("block has no wrappable operations")
-    escaping = _values_escaping(wrappable)
+    op_set, escaping = _values_escaping(wrappable)
     dispatch = DispatchOp.create(result_types=[v.type for v in escaping])
     if label:
         dispatch.set_attr("label", label)
-    first = min(wrappable, key=lambda op: block.index_of(op))
-    block.insert(block.index_of(first), dispatch)
+    # ``wrappable`` is in block order.
+    block.insert(block.index_of(wrappable[0]), dispatch)
     body = dispatch.body
-    for op in sorted(wrappable, key=lambda op: block.index_of(op)):
-        op.detach()
-        body.append(op)
-    op_set = set()
     for op in wrappable:
-        for nested in op.walk():
-            op_set.add(id(nested))
+        body.append(op)
     for value, result in zip(escaping, dispatch.results):
         result.name_hint = value.name_hint
         value.replace_uses_if(
@@ -260,16 +250,14 @@ def _producer_task(task: TaskOp) -> Optional[TaskOp]:
 
 
 def _external_values_used(task: TaskOp) -> List[Value]:
-    inside = set()
-    for op in task.walk():
-        inside.add(id(op))
-    used: List[Value] = []
-    for op in task.walk():
-        for operand in op.operands:
-            defining = operand.defining_op
-            if defining is not None and id(defining) not in inside:
-                used.append(operand)
-    return used
+    nested_ops = list(task.walk())
+    inside = {id(op) for op in nested_ops}
+    return [
+        operand
+        for op in nested_ops
+        for operand in op.operands
+        if operand.defining_op is not None and id(operand.defining_op) not in inside
+    ]
 
 
 def _match_elementwise(task: TaskOp) -> Optional[TaskOp]:
@@ -373,56 +361,41 @@ def _tasks_connected(first: TaskOp, second: TaskOp) -> bool:
 def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:
     """Fuse two tasks of the same dispatch into one (earlier task absorbs).
 
-    The later task's payload is appended to the earlier one; results of both
-    that are still used externally are re-yielded from the fused task.
+    The fused task takes the earlier task's place and holds the earlier
+    payload, then the later one; results of both that are still used
+    externally are re-yielded from it.
     """
     block = first.parent
     if block is None or second.parent is not block:
         raise ValueError("tasks must live in the same dispatch region")
     if block.index_of(first) > block.index_of(second):
         first, second = second, first
+    first_yield, second_yield = first.yield_op, second.yield_op
+    first_yields = list(first_yield.operands) if first_yield else []
+    second_yields = list(second_yield.operands) if second_yield else []
 
-    # Map: result of either task -> the value yielded inside.
-    def yielded_values(task: TaskOp) -> List[Value]:
-        yield_op = task.yield_op
-        return list(yield_op.operands) if yield_op else []
-
-    first_yields = yielded_values(first)
-    second_yields = yielded_values(second)
-
-    # Move the second task's payload into the first (before first's yield).
-    first_yield_op = first.yield_op
-    insertion_index = first.body.index_of(first_yield_op) if first_yield_op else len(first.body)
-    for op in list(second.body.operations):
-        if isinstance(op, YieldOp):
-            continue
-        op.detach()
-        first.body.insert(insertion_index, op)
-        insertion_index += 1
-
-    # Second task's operands referencing first-task results become the inner
-    # values (they are now in the same region).
+    # Uses of the first task's results in the second's payload become the
+    # inner values (they will share a region).
     for result, inner in zip(first.results, first_yields):
-        result.replace_uses_if(inner, lambda user: first.is_ancestor_of(user))
+        result.replace_uses_if(
+            inner, lambda user: user is not second_yield and second.is_ancestor_of(user)
+        )
 
-    # Build the fused result list: any result of either task still used
-    # externally must be re-yielded.
+    # Every result of either task still used is used outside both payloads
+    # (a task's payload cannot use its own or a later task's results), so it
+    # must be re-yielded.
     new_yield_values: List[Value] = []
     replacements: List[Tuple[Value, int]] = []
     for task, yields in ((first, first_yields), (second, second_yields)):
         for result, inner in zip(task.results, yields):
-            external_users = [u for u in result.users if not first.is_ancestor_of(u)]
-            if external_users:
+            if result.has_uses:
                 replacements.append((result, len(new_yield_values)))
                 new_yield_values.append(inner)
 
     label = "+".join(x for x in (first.label, second.label) if x)
     fused = TaskOp.create(result_types=[v.type for v in new_yield_values], label=label)
     block.insert(block.index_of(first), fused)
-    for op in list(first.body.operations):
-        if isinstance(op, YieldOp):
-            continue
-        op.detach()
+    for op in first.payload_ops() + second.payload_ops():
         fused.body.append(op)
     fused.body.append(YieldOp.create(new_yield_values))
     for value, index in replacements:
@@ -449,17 +422,29 @@ def fuse_dataflow_tasks(
 
     ``patterns`` names :data:`FUSION_PATTERNS` entries (default: all of
     them).  Returns the number of fusions performed.
+
+    Each task is matched and measured once.  A fusion replaces its two tasks
+    with a new :class:`TaskOp` and changes no other task's payload, producers
+    or later readers: the fused task takes the earlier task's place, so
+    accesses only move earlier.  A task no pattern matched therefore stays
+    unmatched, and an unchanged task keeps its intensity and its
+    connectivity to a neighbour, until it is fused itself.  Within one
+    dispatch those answers are kept per task object (and per adjacent pair);
+    the tables hold the tasks, so no id is reused while they live.  The
+    worklist still restarts from the first task after every fusion, so the
+    fusion sequence is that of a full rescan.
     """
     names = FUSION_PATTERNS if patterns is None else patterns
     matchers = [FUSION_PATTERNS[name] for name in names]
     fusions = 0
     for dispatch in list(module.walk_ops(DispatchOp)):
         # --- pattern-driven worklist (lines 2-6) --------------------------
+        unmatched: Set[TaskOp] = set()
         changed = True
         while changed:
             changed = False
-            for task in list(dispatch.tasks):
-                if task.parent is None:
+            for task in dispatch.tasks:
+                if task in unmatched:
                     continue
                 for match in matchers:
                     partner = match(task)
@@ -470,26 +455,34 @@ def fuse_dataflow_tasks(
                         break
                 if changed:
                     break
+                unmatched.add(task)
 
         # --- least-critical balancing (lines 7-9) --------------------------
         if balance:
+            intensity: Dict[TaskOp, int] = {}
+            connected: Dict[Tuple[TaskOp, TaskOp], bool] = {}
             while True:
                 tasks = dispatch.tasks
                 if len(tasks) < 3:
                     break
-                critical = max(task_intensity(t) for t in tasks)
+                for task in tasks:
+                    if task not in intensity:
+                        intensity[task] = task_intensity(task)
+                critical = max(intensity[t] for t in tasks)
                 # Find the connected adjacent pair with the smallest combined
                 # intensity.  Fusion of unconnected tasks saves nothing (they
                 # already run concurrently) so it is not considered profitable.
                 best_pair = None
                 best_sum = None
-                for a, b in zip(tasks, tasks[1:]):
-                    if not _tasks_connected(a, b):
+                for pair in zip(tasks, tasks[1:]):
+                    if pair not in connected:
+                        connected[pair] = _tasks_connected(*pair)
+                    if not connected[pair]:
                         continue
-                    combined = task_intensity(a) + task_intensity(b)
+                    combined = intensity[pair[0]] + intensity[pair[1]]
                     if best_sum is None or combined < best_sum:
                         best_sum = combined
-                        best_pair = (a, b)
+                        best_pair = pair
                 if best_pair is None or best_sum is None:
                     break
                 if best_sum > critical:

@@ -16,7 +16,7 @@ Three procedures, matching the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..dialects.affine import AffineLoadOp, AffineStoreOp
 from ..dialects.dataflow import (
@@ -31,7 +31,7 @@ from ..dialects.dataflow import (
 from ..dialects.linalg import LinalgOp
 from ..dialects.memref import AllocOp, CopyOp
 from ..ir.builtin import FuncOp, ModuleOp
-from ..ir.core import Operation, Value
+from ..ir.core import BlockArgument, Operation, OpResult, Value
 from ..ir.types import MemRefType
 from ..transforms.linalg_to_affine import unlowered_op_error
 
@@ -50,8 +50,11 @@ def convert_allocs_to_buffers(func: FuncOp, default_depth: int = 2) -> int:
     Returns the number of converted buffers.  Buffers default to ping-pong
     depth ``default_depth`` so inter-task communication can overlap.
     """
-    converted = 0
-    for alloc in list(func.walk_ops(AllocOp)):
+    return _allocs_to_buffers(func.walk_ops(AllocOp), default_depth)
+
+
+def _allocs_to_buffers(allocs: List[AllocOp], default_depth: int) -> int:
+    for alloc in allocs:
         memref_type: MemRefType = alloc.memref_type
         buffer = BufferOp.create(
             memref_type,
@@ -63,31 +66,42 @@ def convert_allocs_to_buffers(func: FuncOp, default_depth: int = 2) -> int:
         block.insert(block.index_of(alloc), buffer)
         alloc.result().replace_all_uses_with(buffer.result())
         alloc.erase()
-        converted += 1
-    return converted
+    return len(allocs)
 
 
-def analyze_memory_effects(
-    container: Operation,
-) -> Tuple[List[Value], Dict[int, str]]:
-    """Find external values used inside ``container`` and their memory effects.
+def _walk_to_nodes(container: Operation) -> List[Operation]:
+    """``container.walk()`` (post-order) without the bodies of nested nodes.
 
-    Returns the externally-defined values in first-use order plus a map from
-    ``id(value)`` to the effect (``read``/``write``/``readwrite``/``param``).
+    A node is isolated from above: the ops of its body use only its block
+    arguments and values they define, so what the node reads from outside
+    is exactly its operands.  Every other child is walked whole.
     """
-    inside = {id(op) for op in container.walk()}
+    ops: List[Operation] = []
+    for region in container.regions:
+        for block in region.blocks:
+            for child in block.operations:
+                if isinstance(child, NodeOp):
+                    ops.append(child)
+                else:
+                    ops.extend(child.walk())
+    ops.append(container)
+    return ops
 
+
+def _memory_effects(
+    ops: List[Operation], inside: Set[int]
+) -> Tuple[List[Value], Dict[int, str]]:
+    """:func:`analyze_memory_effects` over a walk ``ops`` whose ids are ``inside``."""
     order: List[Value] = []
     effects: Dict[int, str] = {}
 
     def note(value: Value, reads: bool, writes: bool) -> None:
-        defining = value.defining_op
-        if defining is not None and id(defining) in inside:
-            return  # locally defined
-        if defining is None:
-            owner_block = value.owner
-            owner_op = owner_block.parent_op if owner_block is not None else None
-            if owner_op is not None and id(owner_op) in inside:
+        if isinstance(value, OpResult):
+            if id(value.op) in inside:
+                return  # locally defined
+        elif isinstance(value, BlockArgument):
+            region = value.block.parent
+            if region is not None and id(region.parent) in inside:
                 return  # argument of a nested region
         if id(value) not in effects:
             order.append(value)
@@ -108,9 +122,9 @@ def analyze_memory_effects(
                 else MemoryEffect.WRITE
             )
 
-    # A second walk, not a second half of the first: a block argument's owner
+    # A second pass, not a second half of the walk: a block argument's owner
     # is an ancestor, which post-order yields last, so ``inside`` must be whole.
-    for op in container.walk():
+    for op in ops:
         if isinstance(op, AffineLoadOp):
             note(op.memref, reads=True, writes=False)
             for index in op.index_operands:
@@ -133,9 +147,28 @@ def analyze_memory_effects(
     return order, effects
 
 
+def analyze_memory_effects(
+    container: Operation,
+) -> Tuple[List[Value], Dict[int, str]]:
+    """Find external values used inside ``container`` and their memory effects.
+
+    Returns the externally-defined values in first-use order plus a map from
+    ``id(value)`` to the effect (``read``/``write``/``readwrite``/``param``).
+
+    Reads every op of the container's post-order walk except the bodies of
+    nested nodes: a nested node is isolated, so it contributes its operands
+    (a memref one as ``readwrite``), where the walk reaches the node.  The
+    answer is that of the whole walk.
+    """
+    ops = _walk_to_nodes(container)
+    return _memory_effects(ops, {id(op) for op in ops})
+
+
 def convert_task_to_node(task: TaskOp) -> NodeOp:
     """Procedure (3): map one task to an isolated node with explicit effects."""
-    values, effects = analyze_memory_effects(task)
+    ops = _walk_to_nodes(task)
+    inside = {id(op) for op in ops}
+    values, effects = _memory_effects(ops, inside)
     inputs = [v for v in values if effects[id(v)] == MemoryEffect.READ]
     outputs = [v for v in values if effects[id(v)] == MemoryEffect.WRITE]
     inouts = [v for v in values if effects[id(v)] == MemoryEffect.READ_WRITE]
@@ -154,16 +187,20 @@ def convert_task_to_node(task: TaskOp) -> NodeOp:
     block.insert(block.index_of(task), node)
 
     # Move the payload into the node body and rewire external values to the
-    # node's block arguments (the node is isolated from above).
+    # node's block arguments (the node is isolated from above).  The users
+    # to rewire are the payload's ops: the task's walk, less the task and
+    # its yield, which stay behind.
+    yield_op = task.yield_op
+    inside.discard(id(task))
     for op in list(task.body.operations):
-        if isinstance(op, YieldOp):
+        if op is yield_op:
             continue
         op.detach()
         node.body.append(op)
+    if yield_op is not None:
+        inside.discard(id(yield_op))
     for operand, argument in zip(node.operands, node.body.arguments):
-        operand.replace_uses_if(
-            argument, lambda user: user is not node and node.is_ancestor_of(user)
-        )
+        operand.replace_uses_if(argument, lambda user: id(user) in inside)
 
     if task.num_results:
         # Any remaining task results must be dead by now (tensors were
@@ -178,32 +215,38 @@ def convert_task_to_node(task: TaskOp) -> NodeOp:
                     "run the linalg bufferization first"
                 )
         task.results = []
-    if task.yield_op is not None:
-        task.yield_op.set_operands([])
+    if yield_op is not None:
+        yield_op.set_operands([])
     task.erase()
     return node
 
 
 def convert_dispatch_to_schedule(dispatch: DispatchOp) -> ScheduleOp:
-    """Procedure (2): map a dispatch (whose tasks became nodes) to a schedule."""
+    """Procedure (2): map a dispatch (whose tasks became nodes) to a schedule.
+
+    Reads the dispatch's ops but not its nodes' bodies: each node is already
+    isolated, so its operands are all it uses from outside (see
+    :func:`analyze_memory_effects`).  Both the buffers it pulls in and the
+    schedule's operands come from that one walk.
+    """
     block = dispatch.parent
     if block is None:
         raise ValueError("dispatch has no parent block")
 
+    ops = _walk_to_nodes(dispatch)
+    inside = {id(op) for op in ops}
     # Pull buffers used exclusively by this dispatch's nodes into the schedule
     # so they become *internal* buffers (eligible for duplication).
-    dispatch_ops = set(id(op) for op in dispatch.walk())
     internal_buffers: List[BufferOp] = []
-    parent_block = block
     func_block = dispatch.parent_op.body if dispatch.parent_op else None
     if func_block is not None:
         for op in list(func_block.operations):
             if isinstance(op, BufferOp):
                 users = op.result().users
-                if users and all(id(u) in dispatch_ops or u is dispatch for u in users):
+                if users and all(id(u) in inside for u in users):
                     internal_buffers.append(op)
 
-    values, effects = analyze_memory_effects(dispatch)
+    values, effects = _memory_effects(ops, inside)
     # Values produced by internal buffers will move inside; exclude them.
     internal_ids = {id(b.result()) for b in internal_buffers}
     external_values = [v for v in values if id(v) not in internal_ids]
@@ -217,17 +260,17 @@ def convert_dispatch_to_schedule(dispatch: DispatchOp) -> ScheduleOp:
         schedule.body.append(buffer)
     for op in list(dispatch.body.operations):
         if isinstance(op, YieldOp):
+            inside.discard(id(op))
             continue
         op.detach()
         schedule.body.append(op)
 
-    # Rewire external values to schedule block arguments inside the schedule.
+    # Rewire external values to schedule block arguments inside the schedule:
+    # the users to rewire are the walk's ops, less the dispatch and its yield.
+    inside.discard(id(dispatch))
     for operand, argument in zip(schedule.operands, schedule.body.arguments):
         argument.name_hint = operand.name_hint
-        operand.replace_uses_if(
-            argument,
-            lambda user: user is not schedule and schedule.is_ancestor_of(user),
-        )
+        operand.replace_uses_if(argument, lambda user: id(user) in inside)
 
     if dispatch.num_results:
         for result in dispatch.results:
@@ -245,9 +288,10 @@ def lower_to_structural_dataflow(module: ModuleOp, default_depth: int = 2) -> Li
     """
     schedules: List[ScheduleOp] = []
     for func in module.functions:
-        convert_allocs_to_buffers(func, default_depth=default_depth)
+        ops = list(func.walk())
+        _allocs_to_buffers([op for op in ops if isinstance(op, AllocOp)], default_depth)
         # Innermost dispatches first so nested hierarchies lower bottom-up.
-        dispatches = list(func.walk_ops(DispatchOp))
+        dispatches = [op for op in ops if isinstance(op, DispatchOp)]
         for dispatch in dispatches:
             for task in list(dispatch.body.operations):
                 if isinstance(task, TaskOp):

@@ -410,3 +410,82 @@ class TestDataPathBalancing:
 
 
 from repro.ir.core import Operation  # noqa: E402  (used in an assertion above)
+
+
+# ---------------------------------------------------------------------------
+# Work counts: each task is matched and measured once, each node read once
+# ---------------------------------------------------------------------------
+
+
+def _mobilenet_dataflow():
+    module = as_module("mobilenet")
+    construct_functional_dataflow(module)
+    return module, sum(len(d.tasks) for d in module.walk_ops(DispatchOp))
+
+
+def _counting(counts, name, function):
+    def counted(*args):
+        counts[name] += 1
+        return function(*args)
+
+    return counted
+
+
+class TestWorkCounts:
+    def test_each_pattern_matches_a_task_at_most_once(self, monkeypatch):
+        module, tasks = _mobilenet_dataflow()
+        counts = dict.fromkeys(FUSION_PATTERNS, 0)
+        for name, match in list(FUSION_PATTERNS.items()):
+            monkeypatch.setitem(FUSION_PATTERNS, name, _counting(counts, name, match))
+        fusions = fuse_dataflow_tasks(module)
+        assert (tasks, fusions) == (84, 66)
+        assert all(0 < count <= tasks + fusions for count in counts.values()), counts
+
+    def test_each_task_is_measured_once(self, monkeypatch):
+        import repro.hida.functional as functional
+
+        module, tasks = _mobilenet_dataflow()
+        counts = {"task_intensity": 0}
+        monkeypatch.setattr(
+            functional,
+            "task_intensity",
+            _counting(counts, "task_intensity", functional.task_intensity),
+        )
+        fusions = fuse_dataflow_tasks(module)
+        assert 0 < counts["task_intensity"] <= tasks + fusions
+
+    def test_building_a_schedule_reads_no_node_body(self, monkeypatch):
+        from repro.hida import convert_dispatch_to_schedule, convert_task_to_node
+
+        module, _ = _mobilenet_dataflow()
+        fuse_dataflow_tasks(module)
+        lower_linalg_to_affine(module)
+        (func,) = module.functions
+        convert_allocs_to_buffers(func)
+        dispatches = func.walk_ops(DispatchOp)
+        for dispatch in dispatches:
+            for task in dispatch.tasks:
+                convert_task_to_node(task)
+        walked = []
+        walk = Operation.walk
+
+        def recording_walk(op, *args, **kwargs):
+            ops = list(walk(op, *args, **kwargs))
+            walked.extend(ops)
+            return iter(ops)
+
+        monkeypatch.setattr(Operation, "walk", recording_walk)
+        schedules = [convert_dispatch_to_schedule(d) for d in dispatches]
+        monkeypatch.undo()
+        assert schedules and all(schedule.nodes for schedule in schedules)
+
+        def in_node_body(op):
+            parent = op.parent_op
+            while parent is not None:
+                if isinstance(parent, NodeOp):
+                    return True
+                parent = parent.parent_op
+            return False
+
+        assert [op.name for op in walked if in_node_body(op)] == []
+        assert verify(module) == []
