@@ -61,7 +61,7 @@ from ..ir.builtin import ModuleOp
 from ..ir.interp import InterpreterError
 from ..ir.parser import IRParseError, assign_name_hints, collect_name_hints, parse_op
 from ..ir.printer import print_op
-from .stages import CompilationState
+from .stages import CompilationState, collect_schedules
 
 __all__ = [
     "IRSnapshotCache",
@@ -227,7 +227,7 @@ class IRSnapshotCache:
                 clone = _reparse(text, hints)
                 if print_op(clone) != text:
                     raise _Refused("reprint-differs")
-                num_schedules = len(_collect_schedules(clone))
+                num_schedules = len(collect_schedules(clone))
             if num_schedules != len(state.schedules):
                 raise _Refused("schedule-count")
         except _Refused as refusal:
@@ -291,7 +291,7 @@ class IRSnapshotCache:
             return None
         try:
             module = _reparse(payload["ir"], payload["hints"])
-            schedules = _collect_schedules(module)
+            schedules = collect_schedules(module)
             if len(schedules) != int(payload["num_schedules"]):
                 raise _Refused("schedule-count")
             balance = BalanceReport(**payload["balance"])
@@ -339,20 +339,3 @@ def _reparse(text: str, hints: list) -> ModuleOp:
     if not isinstance(module, ModuleOp):
         raise _Refused("parse")
     return module
-
-
-def _collect_schedules(module: ModuleOp) -> List[ScheduleOp]:
-    """Re-collect schedule ops exactly as ``lower-structural`` ordered them.
-
-    ``CompilationState.schedules`` is the list returned by the structural
-    lowering; its order matches a function-order walk of the module, which
-    is what makes re-collection from a parsed snapshot faithful (verified
-    per-snapshot at store time via the count, and property-tested across
-    the workload zoo).
-    """
-    return [
-        op
-        for func in module.functions
-        for op in func.walk()
-        if isinstance(op, ScheduleOp)
-    ]

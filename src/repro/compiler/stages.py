@@ -61,6 +61,7 @@ __all__ = [
     "get_stage_class",
     "available_stages",
     "stage_registry",
+    "collect_schedules",
 ]
 
 #: Default on-chip buffer budget in bits (4 MiB).
@@ -423,6 +424,23 @@ class LowerLinalgStage(CompilationStage):
         eliminate_dead_code(state.module)
 
 
+def collect_schedules(module: ModuleOp) -> List[ScheduleOp]:
+    """Every schedule of ``module``, in the order the stages visit them.
+
+    The one definition of schedule order: ``lower-structural`` sets
+    ``CompilationState.schedules`` to it, and a state resumed from printed
+    IR (an IR-cache snapshot, a DSE prefix group's held module) is
+    re-collected with it.  The order is a function-order post-order walk,
+    which is the order the structural lowering creates schedules in.
+    """
+    return [
+        op
+        for func in module.functions
+        for op in func.walk()
+        if isinstance(op, ScheduleOp)
+    ]
+
+
 @register_stage
 class LowerStructuralStage(CompilationStage):
     """Structural dataflow construction: dispatch/task -> schedule/node."""
@@ -431,11 +449,12 @@ class LowerStructuralStage(CompilationStage):
     snapshot_safe = True
 
     def run(self, state: CompilationState) -> None:
-        state.schedules = list(lower_to_structural_dataflow(state.module))
+        lowered = lower_to_structural_dataflow(state.module)
+        state.schedules = collect_schedules(state.module)
         state.emit(
             self.name,
-            f"lowered to {len(state.schedules)} schedule(s)",
-            schedules=len(state.schedules),
+            f"lowered to {len(lowered)} schedule(s)",
+            schedules=len(lowered),
         )
 
 

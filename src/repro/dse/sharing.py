@@ -37,8 +37,7 @@ from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..compiler.driver import Compiler
-from ..compiler.ircache import _collect_schedules
-from ..compiler.stages import CompilationState
+from ..compiler.stages import CompilationState, collect_schedules
 from ..workloads.registry import Workload
 from .space import DesignPoint
 
@@ -182,7 +181,7 @@ class SharedPrefixes:
             module = module.clone()
         return (
             module,
-            _collect_schedules(module),
+            collect_schedules(module),
             dataclasses.replace(balance),
             misalignments,
         )

@@ -493,3 +493,17 @@ def test_a_builder_value_error_is_one_line_naming_the_workload(capsys):
         "error: workload 'atax@n=-4': shape dimensions must be non-negative, "
         "got (-4, -4)\n"
     )
+
+
+def test_a_second_lower_structural_prints_the_same_design(capsys):
+    spec = "construct-dataflow,lower-linalg,lower-structural,{}estimate"
+    outputs = []
+    for extra in ("", "lower-structural,"):
+        argv = ["--workload", "lenet", "--target", "zu3eg", "--spec", spec.format(extra)]
+        assert compiler_main(argv) == 0
+        outputs.append([
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("  throughput:", "  num_nodes:"))
+        ])
+    assert outputs[0] == ["  throughput: 92.59", "  num_nodes: 10"]
+    assert outputs[1] == outputs[0]

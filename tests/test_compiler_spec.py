@@ -533,3 +533,26 @@ class TestCompilerCli:
 def test_an_unlowered_model_has_no_estimate(model, spec):
     with pytest.raises(PipelineSpecError, match="lacks 'lower-linalg' before 'estimate'"):
         Compiler.from_spec(spec, platform="zu3eg").run(workload=model)
+
+
+@pytest.mark.parametrize(
+    "workload, spec",
+    [
+        ("lenet", "construct-dataflow,lower-linalg,lower-structural,{}estimate"),
+        ("2mm", "construct-dataflow,lower-linalg,lower-structural,{}parallelize,estimate"),
+    ],
+    ids=["lenet", "2mm"],
+)
+def test_a_second_lower_structural_keeps_the_design(workload, spec):
+    """A rerun lowers nothing new; the state still holds every schedule."""
+    once, twice = (
+        Compiler.from_spec(spec.format(extra), platform="zu3eg").run(workload=workload)
+        for extra in ("", "lower-structural,")
+    )
+    assert twice.schedules and len(twice.schedules) == len(once.schedules)
+    summaries = [state.summary() for state in (once, twice)]
+    for summary in summaries:
+        del summary["compile_seconds"]
+    assert summaries[0]["num_nodes"] > 0 and summaries[1] == summaries[0]
+    notes = [d.message for d in twice.diagnostics if d.stage == "lower-structural"]
+    assert notes == [f"lowered to {len(once.schedules)} schedule(s)", "lowered to 0 schedule(s)"]

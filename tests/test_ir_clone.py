@@ -25,7 +25,8 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler.driver import DEFAULT_PIPELINE, Compiler
-from repro.compiler.ircache import _EXEC_VERIFY_MAX_OPS, _collect_schedules
+from repro.compiler.ircache import _EXEC_VERIFY_MAX_OPS
+from repro.compiler.stages import collect_schedules
 from repro.compiler.stages import CompilationState
 from repro.estimation.platform import get_platform
 from repro.ir import interp
@@ -128,7 +129,7 @@ def test_clone_at_every_stage_boundary(workload, platform):
             break
         # Continue on the clone, with the schedules re-collected from it.
         state.module = clone
-        state.schedules = _collect_schedules(clone)
+        state.schedules = collect_schedules(clone)
         stages[index].run(state)
     for original, text, where in held:
         assert print_op(original) == text, f"{where}: a later stage wrote the original"
