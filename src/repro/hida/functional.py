@@ -88,7 +88,7 @@ def _values_escaping(ops: Sequence[Operation]) -> Tuple[Set[int], List[Value]]:
         result
         for nested in nested_ops
         for result in nested.results
-        if any(id(user) not in op_set for user in result.users)
+        if any(id(user) not in op_set for user, _ in result.uses)
     ]
     return op_set, escaping
 
@@ -107,12 +107,10 @@ def wrap_ops_in_task(ops: Sequence[Operation], label: str = "") -> TaskOp:
     op_set, escaping = _values_escaping(ops)
     task = TaskOp.create(result_types=[v.type for v in escaping], label=label)
     # Insert the task right before the first wrapped op.
-    first = min(ops, key=lambda op: block.index_of(op))
+    ordered = sorted(ops, key=block.index_of)
     task_block = task.body
-    block.insert(block.index_of(first), task)
-    ordered = sorted(ops, key=lambda op: block.index_of(op))
+    block.insert(block.index_of(ordered[0]), task)
     for op in ordered:
-        op.detach()
         task_block.append(op)
     # Redirect external uses of escaping values to the task results *before*
     # creating the yield, so the yield keeps referencing the inner values.
