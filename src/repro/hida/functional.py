@@ -288,17 +288,16 @@ def _match_init(task: TaskOp) -> Optional[TaskOp]:
     payload = task.payload_ops()
     if len(payload) != 1 or not isinstance(payload[0], AffineForOp):
         return None
-    band_root = payload[0]
-    has_compute = any(
+    band_ops = list(payload[0].walk())
+    if any(
         op.name in ("arith.mulf", "arith.addf", "arith.mac", "arith.muli")
-        for op in band_root.walk()
-    )
-    if has_compute:
+        for op in band_ops
+    ):
         return None
     # Only pure *initialization* bands qualify: every stored value must be
     # a compile-time constant.  Bands that move data between buffers
     # (tile loads / stores) are real dataflow stages and stay separate.
-    stores = [op for op in band_root.walk() if op.name == "affine.store"]
+    stores = [op for op in band_ops if op.name == "affine.store"]
     if not stores:
         return None
     for store in stores:
@@ -306,7 +305,7 @@ def _match_init(task: TaskOp) -> Optional[TaskOp]:
         if stored.defining_op is None or stored.defining_op.name != "arith.constant":
             return None
     # Fuse with the next task that uses one of the buffers it writes.
-    written = [store.memref for store in stores]
+    written = {id(store.memref) for store in stores}
     block = task.parent
     if block is None:
         return None
@@ -316,10 +315,8 @@ def _match_init(task: TaskOp) -> Optional[TaskOp]:
             after = True
             continue
         if after and isinstance(sibling, TaskOp):
-            reads = [
-                op.memref for op in sibling.walk() if op.name == "affine.load"
-            ] + [op.memref for op in sibling.walk() if op.name == "affine.store"]
-            if any(any(w is r for r in reads) for w in written):
+            reads, writes = _memrefs_accessed(sibling)
+            if any(id(memref) in written for memref in reads + writes):
                 return sibling
     return None
 
@@ -334,12 +331,16 @@ FUSION_PATTERNS: Dict[str, Callable[[TaskOp], Optional[TaskOp]]] = {
 }
 
 
-def _memrefs_written(task: TaskOp) -> List[Value]:
-    return [op.memref for op in task.walk() if op.name == "affine.store"]
-
-
-def _memrefs_read(task: TaskOp) -> List[Value]:
-    return [op.memref for op in task.walk() if op.name == "affine.load"]
+def _memrefs_accessed(op: Operation) -> Tuple[List[Value], List[Value]]:
+    """The memrefs ``op``'s nest loads from and stores to, from one walk."""
+    reads: List[Value] = []
+    writes: List[Value] = []
+    for nested in op.walk():
+        if nested.name == "affine.load":
+            reads.append(nested.memref)
+        elif nested.name == "affine.store":
+            writes.append(nested.memref)
+    return reads, writes
 
 
 def _tasks_connected(first: TaskOp, second: TaskOp) -> bool:
@@ -347,13 +348,13 @@ def _tasks_connected(first: TaskOp, second: TaskOp) -> bool:
     for result in first.results:
         if any(second.is_ancestor_of(user) or user is second for user in result.users):
             return True
-    written = _memrefs_written(first)
-    touched = _memrefs_read(second) + _memrefs_written(second)
-    if any(any(w is t for t in touched) for w in written):
+    first_reads, first_writes = _memrefs_accessed(first)
+    second_reads, second_writes = _memrefs_accessed(second)
+    written = {id(memref) for memref in first_writes}
+    if any(id(memref) in written for memref in second_reads + second_writes):
         return True
-    written_second = _memrefs_written(second)
-    read_first = _memrefs_read(first)
-    return any(any(w is r for r in read_first) for w in written_second)
+    read = {id(memref) for memref in first_reads}
+    return any(id(memref) in read for memref in second_writes)
 
 
 def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:
