@@ -278,6 +278,18 @@ def _match_elementwise(task: TaskOp) -> Optional[TaskOp]:
     return _producer_task(task)
 
 
+def _memrefs_accessed(op: Operation) -> Tuple[List[Value], List[Value]]:
+    """The memrefs ``op``'s nest loads from and stores to, from one walk."""
+    reads: List[Value] = []
+    writes: List[Value] = []
+    for nested in op.walk():
+        if nested.name == "affine.load":
+            reads.append(nested.memref)
+        elif nested.name == "affine.store":
+            writes.append(nested.memref)
+    return reads, writes
+
+
 def _match_init(task: TaskOp) -> Optional[TaskOp]:
     """Fuse a zero-initialization loop band into the compute band it feeds.
 
@@ -331,18 +343,6 @@ FUSION_PATTERNS: Dict[str, Callable[[TaskOp], Optional[TaskOp]]] = {
 }
 
 
-def _memrefs_accessed(op: Operation) -> Tuple[List[Value], List[Value]]:
-    """The memrefs ``op``'s nest loads from and stores to, from one walk."""
-    reads: List[Value] = []
-    writes: List[Value] = []
-    for nested in op.walk():
-        if nested.name == "affine.load":
-            reads.append(nested.memref)
-        elif nested.name == "affine.store":
-            writes.append(nested.memref)
-    return reads, writes
-
-
 def _tasks_connected(first: TaskOp, second: TaskOp) -> bool:
     """Whether two tasks exchange data (SSA results or shared memrefs)."""
     for result in first.results:
@@ -394,16 +394,17 @@ def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:
     label = "+".join(x for x in (first.label, second.label) if x)
     fused = TaskOp.create(result_types=[v.type for v in new_yield_values], label=label)
     block.insert(block.index_of(first), fused)
+    body = fused.body
     for op in first.payload_ops() + second.payload_ops():
-        fused.body.append(op)
-    fused.body.append(YieldOp.create(new_yield_values))
+        body.append(op)
+    body.append(YieldOp.create(new_yield_values))
     for value, index in replacements:
         value.replace_all_uses_with(fused.results[index])
 
     # Clean up the now-empty original tasks.
-    for task in (second, first):
-        if task.yield_op is not None:
-            task.yield_op.set_operands([])
+    for task, yield_op in ((second, second_yield), (first, first_yield)):
+        if yield_op is not None:
+            yield_op.set_operands([])
         for result in task.results:
             if result.has_uses:
                 raise RuntimeError("fusion left dangling uses on a task result")

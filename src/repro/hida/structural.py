@@ -31,7 +31,7 @@ from ..dialects.dataflow import (
 from ..dialects.linalg import LinalgOp
 from ..dialects.memref import AllocOp, CopyOp
 from ..ir.builtin import FuncOp, ModuleOp
-from ..ir.core import BlockArgument, Operation, OpResult, Value
+from ..ir.core import Operation, Value
 from ..ir.types import MemRefType
 from ..transforms.linalg_to_affine import unlowered_op_error
 
@@ -88,62 +88,64 @@ def _walk_to_nodes(container: Operation) -> List[Operation]:
     return ops
 
 
-def _memory_effects(
-    ops: List[Operation], inside: Set[int]
-) -> Tuple[List[Value], Dict[int, str]]:
-    """:func:`analyze_memory_effects` over a walk ``ops`` whose ids are ``inside``."""
+def _memory_effects(ops: List[Operation]) -> Tuple[List[Value], Dict[int, str]]:
+    """:func:`analyze_memory_effects` over the walk ``ops``."""
     order: List[Value] = []
     effects: Dict[int, str] = {}
+    # Values the walk defines: its ops' results and their blocks' arguments.
+    # Built whole before any use is read: a block argument's owner is an
+    # ancestor, which post-order yields after the uses.
+    local = {id(result) for op in ops for result in op.results}
+    local.update(
+        id(argument)
+        for op in ops
+        for region in op.regions
+        for block in region.blocks
+        for argument in block.arguments
+    )
 
     def note(value: Value, reads: bool, writes: bool) -> None:
-        if isinstance(value, OpResult):
-            if id(value.op) in inside:
-                return  # locally defined
-        elif isinstance(value, BlockArgument):
-            region = value.block.parent
-            if region is not None and id(region.parent) in inside:
-                return  # argument of a nested region
-        if id(value) not in effects:
+        key = id(value)
+        if key in local:
+            return
+        current = effects.get(key)
+        if current is None:
             order.append(value)
-            effects[id(value)] = MemoryEffect.PARAM
-        current = effects[id(value)]
+            current = MemoryEffect.PARAM
         if reads and writes:
-            effects[id(value)] = MemoryEffect.READ_WRITE
+            current = MemoryEffect.READ_WRITE
         elif reads:
-            effects[id(value)] = (
-                MemoryEffect.READ_WRITE
-                if MemoryEffect.writes(current)
-                else MemoryEffect.READ
+            current = (
+                MemoryEffect.READ_WRITE if MemoryEffect.writes(current) else MemoryEffect.READ
             )
         elif writes:
-            effects[id(value)] = (
-                MemoryEffect.READ_WRITE
-                if MemoryEffect.reads(current)
-                else MemoryEffect.WRITE
+            current = (
+                MemoryEffect.READ_WRITE if MemoryEffect.reads(current) else MemoryEffect.WRITE
             )
+        effects[key] = current
 
-    # A second pass, not a second half of the walk: a block argument's owner
-    # is an ancestor, which post-order yields last, so ``inside`` must be whole.
     for op in ops:
         if isinstance(op, AffineLoadOp):
-            note(op.memref, reads=True, writes=False)
-            for index in op.index_operands:
-                note(index, reads=False, writes=False)
+            note(op.memref, True, False)
+            indices = op.index_operands
         elif isinstance(op, AffineStoreOp):
-            note(op.memref, reads=False, writes=True)
-            note(op.value, reads=False, writes=False)
-            for index in op.index_operands:
-                note(index, reads=False, writes=False)
+            note(op.memref, False, True)
+            note(op.value, False, False)
+            indices = op.index_operands
         elif isinstance(op, CopyOp):
-            note(op.source, reads=True, writes=False)
-            note(op.target, reads=False, writes=True)
+            note(op.source, True, False)
+            note(op.target, False, True)
+            continue
         else:
             for operand in op.operands:
-                if isinstance(operand.type, MemRefType):
+                if id(operand) not in local:
                     # Conservative: unknown use of a memref is read-write.
-                    note(operand, reads=True, writes=True)
-                else:
-                    note(operand, reads=False, writes=False)
+                    memref = isinstance(operand.type, MemRefType)
+                    note(operand, memref, memref)
+            continue
+        for index in indices:
+            if id(index) not in local:
+                note(index, False, False)
     return order, effects
 
 
@@ -160,15 +162,14 @@ def analyze_memory_effects(
     (a memref one as ``readwrite``), where the walk reaches the node.  The
     answer is that of the whole walk.
     """
-    ops = _walk_to_nodes(container)
-    return _memory_effects(ops, {id(op) for op in ops})
+    return _memory_effects(_walk_to_nodes(container))
 
 
 def convert_task_to_node(task: TaskOp) -> NodeOp:
     """Procedure (3): map one task to an isolated node with explicit effects."""
     ops = _walk_to_nodes(task)
     inside = {id(op) for op in ops}
-    values, effects = _memory_effects(ops, inside)
+    values, effects = _memory_effects(ops)
     inputs = [v for v in values if effects[id(v)] == MemoryEffect.READ]
     outputs = [v for v in values if effects[id(v)] == MemoryEffect.WRITE]
     inouts = [v for v in values if effects[id(v)] == MemoryEffect.READ_WRITE]
@@ -246,7 +247,7 @@ def convert_dispatch_to_schedule(dispatch: DispatchOp) -> ScheduleOp:
                 if users and all(id(u) in inside for u in users):
                     internal_buffers.append(op)
 
-    values, effects = _memory_effects(ops, inside)
+    values, effects = _memory_effects(ops)
     # Values produced by internal buffers will move inside; exclude them.
     internal_ids = {id(b.result()) for b in internal_buffers}
     external_values = [v for v in values if id(v) not in internal_ids]
