@@ -16,7 +16,7 @@ Three procedures, matching the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..dialects.affine import AffineLoadOp, AffineStoreOp
 from ..dialects.dataflow import (
