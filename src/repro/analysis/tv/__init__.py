@@ -8,12 +8,13 @@ CounterPoint idiom (concrete measurements refute analytic assumptions),
 
 Two equivalence paths, cheapest first:
 
-* **Static fast path** — :func:`semantic_fingerprint` strips every
-  directive/bookkeeping attribute (:data:`NON_SEMANTIC_ATTRS`) and hashes
-  the printed module.  Stages that only annotate (``tile``,
-  ``parallelize``, unroll/pipeline directives) leave access maps, loop
-  bounds and op structure untouched, so their boundary validates without
-  executing anything.
+* **Static fast path** — :func:`semantic_fingerprint` is the module's
+  structural key (:meth:`~repro.ir.printer.IRPrinter.key`) with every
+  directive/bookkeeping attribute (:data:`NON_SEMANTIC_ATTRS`) left out:
+  equal keys print equal text, so nothing is formatted or hashed.  Stages
+  that only annotate (``tile``, ``parallelize``, unroll/pipeline
+  directives) leave access maps, loop bounds and op structure untouched,
+  so their boundary validates without executing anything.
 * **Executed path** — the one executed check: :func:`execute` runs each
   module version through the reference interpreter and :func:`compare`
   diffs the outputs, *bitwise* by default.  Inputs are deterministic small
@@ -34,15 +35,16 @@ Every executed check runs through that pair, at three callers:
   executes the parsed snapshot against the live state before writing);
 * the legality fuzzer (``python -m repro.analysis.tv --fuzz``): every
   random checked transform either raises ``TransformLegalityError`` or
-  validates — no third outcome.
+  validates — statically when it leaves the key unchanged — with no third
+  outcome.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import functools
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...ir import interp
 from ...ir.interp import (
@@ -70,8 +72,8 @@ __all__ = [
 
 #: Attributes that never change a module's observable behavior: directives
 #: consumed by the QoR estimator / HLS backend (unroll, pipeline, tiling,
-#: partitioning hints) and pure bookkeeping.  Stripped before
-#: fingerprinting, so directive-only stages take the static fast path.
+#: partitioning hints) and pure bookkeeping.  Left out of the semantic
+#: fingerprint, so directive-only stages take the static fast path.
 #: ``map``/``layout``/``lower_bound``/... stay — those shape addressing.
 NON_SEMANTIC_ATTRS = frozenset(
     {
@@ -147,7 +149,8 @@ class TVBaseline:
     ``checks`` is the run's record of every boundary checked so far.
     """
 
-    fingerprint: str
+    #: :func:`semantic_fingerprint` of the last checked boundary.
+    fingerprint: Tuple[Any, ...]
     behavior: Optional[ExecutionResult]
     seed: int
     max_ops: int
@@ -197,18 +200,18 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def semantic_fingerprint(module) -> str:
-    """Content hash of ``module`` modulo non-semantic attributes.
+def semantic_fingerprint(module) -> Tuple[Any, ...]:
+    """Structural key of ``module`` modulo non-semantic attributes.
 
     Equal fingerprints prove equivalence structurally: access maps, loop
-    bounds, op sequence and types are all part of the printed form, so two
-    modules that differ only in directives (:data:`NON_SEMANTIC_ATTRS`)
-    hash identically and need no execution.
+    bounds, op sequence and types are all part of the key, which is equal
+    only where the printed forms are, so two modules that differ only in
+    directives (:data:`NON_SEMANTIC_ATTRS`) key identically and need no
+    execution.
     """
     from ...ir.printer import IRPrinter
 
-    text = IRPrinter(skip_attrs=NON_SEMANTIC_ATTRS).print_op(module)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
+    return IRPrinter(skip_attrs=NON_SEMANTIC_ATTRS).key(module)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +393,9 @@ class FuzzReport:
     rejected: int = 0
     #: Applied transforms whose before/after outputs matched.
     validated: int = 0
+    #: Of ``validated``, those that left the semantic fingerprint unchanged
+    #: (directive-only), validated without executing anything.
+    static: int = 0
     #: Silent semantic changes: applied, *and* outputs not shown equal.
     #: Always a bug — either in the transform or in the legality predicate.
     failures: List[str] = dataclasses.field(default_factory=list)
@@ -403,6 +409,7 @@ class FuzzReport:
             "applications": self.applications,
             "rejected": self.rejected,
             "validated": self.validated,
+            "static": self.static,
             "failures": list(self.failures),
         }
 
@@ -414,7 +421,11 @@ def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
     Ties the PR-8 legality layer to executable ground truth: a predicate
     that wrongly approves a transform shows up as a recorded failure, and
     one that wrongly rejects shows up only as a higher rejection count —
-    conservative in the safe direction.
+    conservative in the safe direction.  The interpreter runs only where
+    its outputs are compared: a rejected request executes nothing, and an
+    application that leaves the semantic fingerprint unchanged validates
+    statically; any other runs a clone taken before the transform and the
+    transformed module.
     """
     from ...dialects.affine import AffineForOp
     from ...transforms.loop_transforms import (
@@ -432,45 +443,55 @@ def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
         name, params = _FUZZ_POOL[rng.randrange(len(_FUZZ_POOL))]
         workload = get_workload(name).at(**params)
         module = as_module(workload)
-        before = execute(module, seed, DEFAULT_MAX_OPS)
         loops = [op for op in module.walk() if isinstance(op, AffineForOp)]
         if not loops:
             continue
-        report.applications += 1
         kind = rng.choice(("permute", "unroll", "pipeline"))
+        transform: Callable[[], object]
+        if kind == "permute":
+            bands = [
+                band
+                for func in module.functions
+                for band in loop_bands_of(func)
+                if len(band) >= 2
+            ]
+            if not bands:
+                continue
+            band = bands[rng.randrange(len(bands))]
+            order = list(range(len(band)))
+            while order == list(range(len(band))):
+                rng.shuffle(order)
+            described = f"permute{order}"
+            transform = functools.partial(permute_band, band, order, check=True)
+        elif kind == "unroll":
+            loop = loops[rng.randrange(len(loops))]
+            factor = rng.choice((2, 3, 4, 8))
+            literal = rng.random() < 0.5
+            described = f"unroll x{factor}{' literal' if literal else ''}"
+            transform = functools.partial(
+                unroll_loop, loop, factor, literal=literal, check=True
+            )
+        else:
+            loop = loops[rng.randrange(len(loops))]
+            target_ii = rng.choice((1, 2, 4))
+            described = f"pipeline ii={target_ii}"
+            transform = functools.partial(pipeline_loop, loop, target_ii, check=True)
+        report.applications += 1
+        before = module.clone()
         try:
-            if kind == "permute":
-                bands = [
-                    band
-                    for func in module.functions
-                    for band in loop_bands_of(func)
-                    if len(band) >= 2
-                ]
-                if not bands:
-                    report.applications -= 1
-                    continue
-                band = bands[rng.randrange(len(bands))]
-                order = list(range(len(band)))
-                while order == list(range(len(band))):
-                    rng.shuffle(order)
-                described = f"permute{order}"
-                permute_band(band, order, check=True)
-            elif kind == "unroll":
-                loop = loops[rng.randrange(len(loops))]
-                factor = rng.choice((2, 3, 4, 8))
-                literal = rng.random() < 0.5
-                described = f"unroll x{factor}{' literal' if literal else ''}"
-                unroll_loop(loop, factor, literal=literal, check=True)
-            else:
-                loop = loops[rng.randrange(len(loops))]
-                target_ii = rng.choice((1, 2, 4))
-                described = f"pipeline ii={target_ii}"
-                pipeline_loop(loop, target_ii, check=True)
+            transform()
         except TransformLegalityError:
             report.rejected += 1
             continue
-        after = execute(module, seed, DEFAULT_MAX_OPS)
-        outcome, deltas = compare(before, after, _FUZZ_TOLERANCE)
+        if semantic_fingerprint(module) == semantic_fingerprint(before):
+            report.validated += 1
+            report.static += 1
+            continue
+        outcome, deltas = compare(
+            execute(before, seed, DEFAULT_MAX_OPS),
+            execute(module, seed, DEFAULT_MAX_OPS),
+            _FUZZ_TOLERANCE,
+        )
         if outcome in ("bitwise", "tolerance"):
             report.validated += 1
         else:

@@ -4,16 +4,24 @@ Produces an MLIR-flavoured, human-readable rendering of operations, regions
 and blocks.  The output round-trips through :mod:`repro.ir.parser`, which is
 what makes printed IR usable as a serialization format (stage-boundary
 snapshots in :mod:`repro.compiler.ircache`); it also remains the basis of
-content fingerprints, so the rendering must stay deterministic and
-unambiguous — every SSA value prints under a unique name.
+content fingerprints (:func:`fingerprint_op`, the QoR and analysis cache
+keys), so the rendering must stay deterministic and unambiguous — every SSA
+value prints under a unique name.
+
+:meth:`IRPrinter.key` is the printed form's structural twin: the same walk,
+value names and attribute filter, returned as a tuple of records with
+nothing formatted or hashed.  Equal keys print equal text, so translation
+validation (:mod:`repro.analysis.tv`) compares keys to prove that a stage
+changed nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, FrozenSet, List, Set
+from operator import attrgetter
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from .core import Operation, Region, Value
+from .core import Block, Operation, Region, Value
 
 __all__ = ["print_op", "fingerprint_op", "IRPrinter"]
 
@@ -33,6 +41,53 @@ def _format_attr(value: Any) -> str:
         inner = ", ".join(f"{k} = {_format_attr(v)}" for k, v in value.items())
         return "{" + inner + "}"
     return str(value)
+
+
+#: Attribute classes keyed by class and value: two equal values of one of
+#: these print alike (``1``, ``True`` and ``1.0`` are equal, but their
+#: classes differ).  Floats are keyed by their printed form instead, since
+#: ``0.0 == -0.0`` prints apart and ``nan != nan`` prints alike.
+_KEYED_SCALARS = frozenset({int, bool, str})
+
+
+class _KeyedByValue(Dict[type, bool]):
+    """``class -> whether an attribute of that class is its own key``: a
+    frozen dataclass (affine map, type, buffer layout, array partition)
+    compares field by field and prints from its fields alone.  Filled on
+    first sight of a class, so a key decides each attribute with one lookup."""
+
+    def __missing__(self, cls: type) -> bool:
+        params = cls.__dict__.get("__dataclass_params__")
+        keyed = params is not None and params.frozen and params.eq
+        self[cls] = keyed
+        return keyed
+
+
+_KEYED_BY_VALUE = _KeyedByValue()
+
+_type_of = attrgetter("type")
+_blocks_of = attrgetter("blocks")
+
+
+def _attr_key(value: Any) -> Any:
+    """A comparable stand-in for ``value``: equal stand-ins format equally.
+
+    Lists and tuples (which print alike) and dicts are frozen recursively; a
+    class neither scalar nor a frozen dataclass is keyed by its printed
+    string, so a mutable object never equals its own mutated self.
+    """
+    cls = value.__class__
+    if cls in _KEYED_SCALARS:
+        return (cls, value)
+    if cls is float:
+        return (cls, str(value))
+    if cls is list or cls is tuple:
+        return (list, tuple(map(_attr_key, value)))
+    if cls is dict:
+        return (dict, tuple([(str(k), _attr_key(v)) for k, v in value.items()]))
+    if _KEYED_BY_VALUE[cls]:
+        return value
+    return (cls, _format_attr(value))
 
 
 class IRPrinter:
@@ -118,6 +173,83 @@ class IRPrinter:
                 lines.append(f"{pad}^bb{i}({args}):")
             for op in block.operations:
                 self._print_op(op, indent + (1 if multi_block else 0), lines)
+
+    # ------------------------------------------------------------------- keys
+    def key(self, op: Operation) -> Tuple[Any, ...]:
+        """Structural key of ``op``: two ops with equal keys print equal text.
+
+        Walks the ops in :meth:`print_op`'s order, names values with the same
+        :meth:`name_of` and filters attributes the same way, but formats and
+        hashes nothing.  In pre-order, one record per op — its name, result
+        and operand names, sorted ``(attribute, key)`` pairs, result types and
+        the block count of each region — and one per block — its arguments'
+        names and types and its op count — so the records decode to one tree.
+        Operand names are looked up without the ``%`` :meth:`name_of` adds.
+        """
+        name_of = self.name_of
+        name_by_id = self._names.__getitem__
+        skip = self._skip_attrs
+        records: List[Any] = []
+        append = records.append
+        # As in :meth:`Operation.clone`, no recursion: the ops of the current
+        # block still to key, the owner's blocks still to enter, and ``outer``
+        # chaining the suspended frames.
+        ops: Iterator[Operation] = iter((op,))
+        blocks: Iterator[Block] = iter(())
+        outer: Optional[tuple] = None
+        while True:
+            for op in ops:
+                results = op.results
+                result_names = tuple(map(name_of, results))
+                operands = op._operands
+                try:
+                    operand_names = tuple(map(name_by_id, map(id, operands)))
+                except KeyError:  # used before its definition is printed
+                    for value in operands:
+                        name_of(value)
+                    operand_names = tuple(map(name_by_id, map(id, operands)))
+                pairs = []
+                for name, value in op.attributes.items():
+                    if name.startswith("_") or name in skip:
+                        continue
+                    cls = value.__class__
+                    if cls in _KEYED_SCALARS:
+                        pairs.append((name, (cls, value)))
+                    else:
+                        pairs.append((name, _attr_key(value)))
+                pairs.sort()
+                regions = op.regions
+                append(
+                    (
+                        op.name,
+                        result_names,
+                        operand_names,
+                        tuple(pairs),
+                        tuple(map(_type_of, results)),
+                        tuple(map(len, map(_blocks_of, regions))),
+                    )
+                )
+                if regions:
+                    outer = (ops, blocks, outer)
+                    blocks = iter([block for region in regions for block in region.blocks])
+                    break
+            # Either a descent just began or a block ran out: enter the
+            # owner's next block, or go back up to the owner's block.
+            for block in blocks:
+                arguments = block.arguments
+                append(
+                    (
+                        tuple(map(name_of, arguments)),
+                        tuple(map(_type_of, arguments)),
+                        len(block._operations),
+                    )
+                )
+                ops = iter(block._operations)
+                break
+            else:
+                if outer is None:
+                    return tuple(records)
+                ops, blocks, outer = outer
 
 
 def print_op(op: Operation) -> str:

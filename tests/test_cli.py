@@ -34,6 +34,7 @@ from repro import _cli, obs
 from repro.analysis.__main__ import _build_parser as analysis_parser
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.tv.__main__ import _build_parser as tv_parser
+from repro.analysis.tv.__main__ import _shrunk
 from repro.analysis.tv.__main__ import main as tv_main
 from repro.compiler import DEFAULT_PIPELINE
 from repro.compiler import stages as stages_module
@@ -45,7 +46,7 @@ from repro.dse.__main__ import _build_parser as dse_parser
 from repro.dse.__main__ import main as dse_main
 from repro.ir import FuncOp
 from repro.obs.__main__ import _build_parser as obs_parser
-from repro.workloads import Workload, get_workload, register_workload
+from repro.workloads import Workload, get_workload, iter_workloads, register_workload
 from repro.workloads.registry import _unregister
 
 _OBS_FLAGS = {"--trace", "--trace-out", "--metrics-json"}
@@ -391,6 +392,31 @@ def test_tv_dash_m_sweep_catches_the_validate_stage_error(
     assert len(annotations) == 1
     assert annotations[0].startswith("::error title=translation-validation::atax@n=8")
     assert json.loads(out.read_text())["failures"] == 1
+
+
+@pytest.mark.parametrize(
+    "workload, validated",
+    [
+        ("2mm@n=4", "2mm@n=4"),
+        ("jacobi-2d@tsteps=3", "jacobi-2d@n=8,tsteps=3"),
+        ("2mm", "2mm@n=8"),
+    ],
+)
+def test_tv_sweep_shrinks_only_the_sizes_an_id_leaves_at_default(
+    workload, validated, capsys
+):
+    # Regression: every kernel ran at n=8, tsteps=2 whatever its id stated.
+    assert tv_main(["--workload", workload, "--verbose"]) == 0
+    assert capsys.readouterr().out.split()[1] == validated
+
+
+def test_tv_all_workloads_sweep_shrinks_every_kernel():
+    kernels = list(iter_workloads(kind="kernel"))
+    expected = [
+        kernel.at(**{k: v for k, v in {"n": 8, "tsteps": 2}.items() if k in kernel.params})
+        for kernel in kernels
+    ]
+    assert _shrunk(kernels) == expected
 
 
 def test_fuzz_count_must_be_non_negative(capsys):

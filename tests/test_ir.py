@@ -38,7 +38,7 @@ from repro.ir import (
 from repro.dialects.arith import AddFOp
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.analysis.recurrence import pipeline_rec_mii
-from test_ir_parser import _op_trees
+from ir_strategies import _op_trees
 
 
 def build_simple_func(name="foo", shape=(8, 8)):

@@ -20,7 +20,6 @@ The load-bearing guarantees, pinned:
 * repeated analysis findings deduplicate (stable order, first wins).
 """
 
-import hashlib
 import json
 import pathlib
 import random
@@ -230,9 +229,12 @@ def test_semantic_change_executes_and_validates_bitwise():
 
 @pytest.mark.parametrize("workload", ["2mm@n=8", "lenet"])
 def test_semantic_fingerprint_prints_what_clone_and_strip_printed(workload):
-    """The fingerprint skips attributes while printing; it used to clone the
-    module, pop them and print the clone.  Same text at every boundary."""
-    texts = []
+    """The fingerprint skips attributes while keying; it used to clone the
+    module, pop them and print the clone.  At every boundary the skip
+    printer prints the stripped clone's text, the clone keys like the
+    module, and two consecutive boundaries key alike exactly when they
+    print alike."""
+    texts, keys = [], []
 
     class Boundaries(PipelineObserver):
         def on_stage_end(self, stage, state, seconds):
@@ -245,9 +247,10 @@ def test_semantic_fingerprint_prints_what_clone_and_strip_printed(workload):
                 op.attributes.pop(name, None)
         text = IRPrinter(skip_attrs=NON_SEMANTIC_ATTRS).print_op(module)
         assert text == print_op(stripped)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
-        assert semantic_fingerprint(module) == digest
+        key = semantic_fingerprint(module)
+        assert key == IRPrinter().key(stripped) == semantic_fingerprint(stripped)
         texts.append(text)
+        keys.append(key)
 
     handle = get_workload(workload)
     compare(as_module(handle))
@@ -255,6 +258,9 @@ def test_semantic_fingerprint_prints_what_clone_and_strip_printed(workload):
         workload=handle
     )
     assert len(texts) == 1 + len(DEFAULT_PIPELINE.split(","))
+    for index in range(1, len(texts)):
+        same_text = texts[index] == texts[index - 1]
+        assert (keys[index] == keys[index - 1]) == same_text, index
     assert len(set(texts)) > 1  # the boundaries are not all one module
 
 
@@ -515,6 +521,38 @@ def test_literal_unroll_epilogue_on_non_dividing_factor():
     assert diff_results(before, interpret_module(module)) == []
 
 
+@pytest.mark.parametrize(
+    "count, seed, expected",
+    [
+        (12, 7, {"applications": 12, "rejected": 6, "validated": 6, "static": 2}),
+        (200, 0, {"applications": 200, "rejected": 54, "validated": 146, "static": 57}),
+    ],
+)
+def test_fuzzer_pins_its_fixed_seed_counts(count, seed, expected):
+    """The counts of the two fixed-seed runs the benchmark and CI make.
+    All but ``static`` (the directive-only applications validated without
+    executing) are what the fuzzer counted when it executed every draw."""
+    report = fuzz_transforms(count=count, seed=seed)
+    assert report.to_dict() == {**expected, "failures": []}
+
+
+def test_fuzzer_executes_only_what_it_compares(monkeypatch):
+    """A rejected request or an unchanged key executes nothing; every other
+    application executes once before and once after."""
+    from repro.ir import interp
+
+    executed = []
+    real = interp.interpret_module
+
+    def counted(module, **kwargs):
+        executed.append(module)
+        return real(module, **kwargs)
+
+    monkeypatch.setattr(interp, "interpret_module", counted)
+    report = fuzz_transforms(count=12, seed=7)
+    assert len(executed) == 2 * (report.validated - report.static) == 8
+
+
 def test_fuzzer_is_seeded_and_deterministic():
     first = fuzz_transforms(count=15, seed=3)
     second = fuzz_transforms(count=15, seed=3)
@@ -603,9 +641,14 @@ def test_tv_cli_rejects_a_malformed_workload_id(capsys):
         assert "--workload:" in capsys.readouterr().err
 
 
-def test_tv_cli_fuzz_mode(capsys):
-    assert tv_main(["--fuzz", "--count", "8", "--seed", "2"]) == 0
-    assert "silent change(s)" in capsys.readouterr().out
+def test_tv_cli_fuzz_mode(capsys, tmp_path):
+    out = tmp_path / "fuzz.json"
+    assert tv_main(["--fuzz", "--count", "12", "--seed", "7", "--json", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "fuzz: 12 application(s), 6 rejected, 6 validated (2 static), "
+        "0 silent change(s)"
+    )
+    assert json.loads(out.read_text())["static"] == 2
 
 
 def test_compiler_cli_validate_flag(capsys):
