@@ -526,6 +526,7 @@ def test_literal_unroll_epilogue_on_non_dividing_factor():
     [
         (12, 7, {"applications": 12, "rejected": 6, "validated": 6, "static": 2}),
         (200, 0, {"applications": 200, "rejected": 54, "validated": 146, "static": 57}),
+        (200, 7, {"applications": 200, "rejected": 57, "validated": 143, "static": 47}),
     ],
 )
 def test_fuzzer_pins_its_fixed_seed_counts(count, seed, expected):
@@ -536,21 +537,48 @@ def test_fuzzer_pins_its_fixed_seed_counts(count, seed, expected):
     assert report.to_dict() == {**expected, "failures": []}
 
 
+class _FuzzWork:
+    """What one ``fuzz_transforms`` run built and executed: every module
+    ``as_module`` returned (the pristine pool builds) with its key at build
+    time, and every module the interpreter ran."""
+
+    def __init__(self, monkeypatch):
+        from repro import workloads
+        from repro.ir import interp
+
+        self.built, self.keys, self.executed = [], [], []
+        build, run = workloads.as_module, interp.interpret_module
+
+        def counted_build(workload, **extra):
+            module = build(workload, **extra)
+            self.built.append((workload.label(), module))
+            self.keys.append(semantic_fingerprint(module))
+            return module
+
+        def counted_run(module, **kwargs):
+            self.executed.append(module)
+            return run(module, **kwargs)
+
+        monkeypatch.setattr(workloads, "as_module", counted_build)
+        monkeypatch.setattr(interp, "interpret_module", counted_run)
+
+    def references(self):
+        """The executions of a pristine build (by identity)."""
+        pristine = {id(module) for _, module in self.built}
+        return [module for module in self.executed if id(module) in pristine]
+
+
 def test_fuzzer_executes_only_what_it_compares(monkeypatch):
     """A rejected request or an unchanged key executes nothing; every other
-    application executes once before and once after."""
-    from repro.ir import interp
-
-    executed = []
-    real = interp.interpret_module
-
-    def counted(module, **kwargs):
-        executed.append(module)
-        return real(module, **kwargs)
-
-    monkeypatch.setattr(interp, "interpret_module", counted)
+    application runs its transformed module once, and each pool entry's
+    pristine build is the reference, run at most once."""
+    work = _FuzzWork(monkeypatch)
     report = fuzz_transforms(count=12, seed=7)
-    assert len(executed) == 2 * (report.validated - report.static) == 8
+    references = work.references()
+    executed_entries = {module.sym_name for module in work.executed}
+    assert len(work.executed) - len(references) == report.validated - report.static == 4
+    assert len(references) == len({id(module) for module in references})
+    assert len(references) == len(executed_entries)
 
 
 def test_fuzzer_is_seeded_and_deterministic():
