@@ -414,6 +414,25 @@ class FuzzReport:
         }
 
 
+@dataclasses.dataclass
+class _PoolBuild:
+    """One fuzz-pool entry, built once per run.  Every draw of the entry
+    transforms a clone, so ``module`` stays pristine: its key and its
+    behavior are each the reference of every draw, computed on first use."""
+
+    workload: Any
+    module: Any
+    seed: int
+
+    @functools.cached_property
+    def key(self) -> Tuple[Any, ...]:
+        return semantic_fingerprint(self.module)
+
+    @functools.cached_property
+    def behavior(self) -> Optional[ExecutionResult]:
+        return execute(self.module, self.seed, DEFAULT_MAX_OPS)
+
+
 def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
     """Apply ``count`` random *checked* transforms; each must either raise
     ``TransformLegalityError`` or preserve the module's behavior.
@@ -421,11 +440,12 @@ def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
     Ties the PR-8 legality layer to executable ground truth: a predicate
     that wrongly approves a transform shows up as a recorded failure, and
     one that wrongly rejects shows up only as a higher rejection count —
-    conservative in the safe direction.  The interpreter runs only where
-    its outputs are compared: a rejected request executes nothing, and an
-    application that leaves the semantic fingerprint unchanged validates
-    statically; any other runs a clone taken before the transform and the
-    transformed module.
+    conservative in the safe direction.  Each drawn pool entry is built,
+    keyed and executed at most once per run; a draw transforms a clone of
+    that build.  The interpreter runs only where its outputs are compared:
+    a rejected request executes nothing, and an application that leaves the
+    semantic fingerprint unchanged validates statically; any other runs the
+    transformed clone against the entry's one reference execution.
     """
     from ...dialects.affine import AffineForOp
     from ...transforms.loop_transforms import (
@@ -439,10 +459,15 @@ def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
 
     rng = random.Random(seed)
     report = FuzzReport()
+    builds: Dict[int, _PoolBuild] = {}
     for _ in range(max(0, int(count))):
-        name, params = _FUZZ_POOL[rng.randrange(len(_FUZZ_POOL))]
-        workload = get_workload(name).at(**params)
-        module = as_module(workload)
+        index = rng.randrange(len(_FUZZ_POOL))
+        build = builds.get(index)
+        if build is None:
+            name, params = _FUZZ_POOL[index]
+            workload = get_workload(name).at(**params)
+            build = builds[index] = _PoolBuild(workload, as_module(workload), seed)
+        module = build.module.clone()
         loops = [op for op in module.walk() if isinstance(op, AffineForOp)]
         if not loops:
             continue
@@ -477,26 +502,23 @@ def fuzz_transforms(count: int = 200, seed: int = 0) -> FuzzReport:
             described = f"pipeline ii={target_ii}"
             transform = functools.partial(pipeline_loop, loop, target_ii, check=True)
         report.applications += 1
-        before = module.clone()
         try:
             transform()
         except TransformLegalityError:
             report.rejected += 1
             continue
-        if semantic_fingerprint(module) == semantic_fingerprint(before):
+        if semantic_fingerprint(module) == build.key:
             report.validated += 1
             report.static += 1
             continue
         outcome, deltas = compare(
-            execute(before, seed, DEFAULT_MAX_OPS),
-            execute(module, seed, DEFAULT_MAX_OPS),
-            _FUZZ_TOLERANCE,
+            build.behavior, execute(module, seed, DEFAULT_MAX_OPS), _FUZZ_TOLERANCE
         )
         if outcome in ("bitwise", "tolerance"):
             report.validated += 1
         else:
             report.failures.append(
-                f"{workload.label()}: {described} validated as legal but "
+                f"{build.workload.label()}: {described} validated as legal but "
                 + (f"changed outputs: {deltas[0]}" if deltas else outcome)
             )
     return report

@@ -581,6 +581,20 @@ def test_fuzzer_executes_only_what_it_compares(monkeypatch):
     assert len(references) == len(executed_entries)
 
 
+def test_fuzzer_builds_keys_and_runs_each_pool_entry_once(monkeypatch):
+    """``as_module`` runs once per distinct entry drawn, the reference runs
+    at most once per distinct executed entry, and no draw changes the
+    pristine build its clone came from."""
+    work = _FuzzWork(monkeypatch)
+    report = fuzz_transforms(count=12, seed=7)
+    labels = [label for label, _ in work.built]
+    assert len(labels) == len(set(labels)) == 6  # 12 draws hit 6 pool entries
+    references = work.references()
+    assert len(references) == len({id(module) for module in references})
+    assert len(references) <= report.validated - report.static
+    assert [semantic_fingerprint(module) for _, module in work.built] == work.keys
+
+
 def test_fuzzer_is_seeded_and_deterministic():
     first = fuzz_transforms(count=15, seed=3)
     second = fuzz_transforms(count=15, seed=3)
