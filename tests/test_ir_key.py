@@ -11,7 +11,9 @@ Pinned here on generated op trees (:mod:`ir_strategies`):
   :data:`~repro.analysis.tv.NON_SEMANTIC_ATTRS` set — the keys are equal
   exactly when the skip printer's texts are;
 
-and on the zoo: a key holds no IR object, only names, values and types.
+on a kernel: a module that differs only in its ``partitions`` tables keys
+alike, and one that differs only in an access ``map`` keys apart; and on
+the zoo: a key holds no IR object, only names, values and types.
 """
 
 import dataclasses
@@ -22,6 +24,9 @@ from hypothesis import strategies as st
 from ir_strategies import _attr_values, _hints, _op_trees, _types
 from repro.analysis.tv import NON_SEMANTIC_ATTRS
 from repro.compiler.driver import DEFAULT_PIPELINE, Compiler
+from repro.dialects.affine import AffineLoadOp
+from repro.dialects.affine_map import AffineMap
+from repro.dialects.hls import ArrayPartition, set_partition
 from repro.ir.core import Block, Operation, Region, Value
 from repro.ir.printer import IRPrinter
 from repro.workloads import as_module, get_workload, iter_workloads
@@ -201,6 +206,39 @@ def test_a_mutable_attribute_is_keyed_by_what_it_held():
     op.attributes["d"]["k"] = 1
     held.value = 1
     assert _key(op) == key
+
+
+def _gesummv():
+    return as_module(get_workload("gesummv").at(n=8))
+
+
+def test_a_partition_table_alone_keys_alike():
+    """``hls.set_partition``'s ``partitions`` table, on a function or an
+    alloc, is a directive: a module that differs only there keys alike."""
+    module = _gesummv()
+    partitioned = module.clone()
+    func = partitioned.functions[0]
+    for value in [func.arguments[0]] + [
+        op.result() for op in func.walk() if op.name == "memref.alloc"
+    ]:
+        set_partition(value, ArrayPartition.none(value.type.rank).with_dim(0, "cyclic", 2))
+    assert any("partitions" in op.attributes for op in partitioned.walk())
+    assert _key(partitioned) == _key(module)
+
+
+def test_an_access_map_alone_keys_apart():
+    """An access ``map`` shapes addressing: changing one load's map, and
+    nothing else, changes the key."""
+    module = _gesummv()
+    changed = module.clone()
+    load = next(
+        op
+        for op in changed.walk()
+        if isinstance(op, AffineLoadOp) and len(set(op.get_attr("map").results)) > 1
+    )
+    old = load.get_attr("map")
+    load.set_attr("map", AffineMap(old.num_dims, old.num_symbols, old.results[::-1]))
+    assert _key(changed) != _key(module)
 
 
 # ---------------------------------------------------------------------------
