@@ -29,8 +29,9 @@ Semantics, in one place:
   FIFOs; reading an empty stream yields 0 and counts an underflow.
 * **linalg** — a module still carrying linalg ops is cloned and lowered
   through :func:`~repro.transforms.linalg_to_affine.lower_linalg_to_affine`
-  first; the interpreter executes the affine form (the linalg ops' defined
-  semantics).
+  first; the interpreter executes the affine form, which shares the ops'
+  declarations with the cost model and the C++, so the tests hold it to an
+  independent reference (``tests/reference_linalg.py``).
 * **Budget** — interpretation refuses modules whose statically estimated
   cost (:func:`estimate_cost`) exceeds ``max_ops``, and aborts if the
   dynamic op count overruns the estimate's safety margin; both raise
@@ -319,42 +320,53 @@ def _constant_int(value: Value) -> Optional[int]:
     return None
 
 
+def _scf_trips(op: scf.ForOp) -> int:
+    lb = _constant_int(op.operand(0))
+    ub = _constant_int(op.operand(1))
+    step = _constant_int(op.operand(2))
+    if lb is not None and ub is not None and step:
+        return max(0, -(-(ub - lb) // step)) if step > 0 else _UNKNOWN_TRIP
+    return _UNKNOWN_TRIP
+
+
+def _linalg_cost(op: Any) -> int:
+    cost = 0
+    for result in op.results:
+        if isinstance(result.type, MemRefType):
+            cost += result.type.num_elements
+    return 4 * max(cost, op.macs(), 1)
+
+
+def _copy_cost(op: memref.CopyOp) -> int:
+    source_type = op.source.type
+    return 1 + (source_type.num_elements if isinstance(source_type, MemRefType) else 1)
+
+
 def estimate_cost(op: Operation) -> int:
     """Estimated op executions of interpreting ``op`` (loops multiplied out).
 
     Approximate by construction — scf loops with non-constant bounds are
     assumed to run :data:`_UNKNOWN_TRIP` iterations and linalg ops are
-    charged through their MAC/element counts — but cheap (one IR walk) and
-    good enough to refuse model-scale modules before touching them.
+    charged through their MAC/element counts — but cheap and good enough to
+    refuse model-scale modules before touching them.  This is the budget's
+    definition; :func:`interpret_module` computes the same number in the one
+    flat walk that also finds linalg (:func:`_entry_walk`).
     """
     if isinstance(op, affine.AffineForOp):
         return 2 + max(op.trip_count, 0) * _block_cost(op.body)
     if isinstance(op, scf.ForOp):
-        lb = _constant_int(op.operand(0))
-        ub = _constant_int(op.operand(1))
-        step = _constant_int(op.operand(2))
-        if lb is not None and ub is not None and step:
-            trips = max(0, -(-(ub - lb) // step)) if step > 0 else _UNKNOWN_TRIP
-        else:
-            trips = _UNKNOWN_TRIP
-        return 2 + trips * sum(_block_cost(b) for r in op.regions for b in r.blocks)
+        return 2 + _scf_trips(op) * sum(
+            _block_cost(b) for r in op.regions for b in r.blocks
+        )
     if isinstance(op, scf.WhileOp):
         body = sum(_block_cost(b) for r in op.regions for b in r.blocks)
         return 2 + _UNKNOWN_TRIP * body
     from ..dialects.linalg import LinalgOp  # local: keep the ir layer light
 
     if isinstance(op, LinalgOp):
-        cost = 0
-        for result in op.results:
-            if isinstance(result.type, MemRefType):
-                cost += result.type.num_elements
-        return 4 * max(cost, op.macs(), 1)
+        return _linalg_cost(op)
     if isinstance(op, memref.CopyOp):
-        source_type = op.source.type
-        elements = (
-            source_type.num_elements if isinstance(source_type, MemRefType) else 1
-        )
-        return 1 + elements
+        return _copy_cost(op)
     cost = 1
     for region in op.regions:
         for block in region.blocks:
@@ -364,6 +376,73 @@ def estimate_cost(op: Operation) -> int:
 
 def _block_cost(block: Block) -> int:
     return sum(estimate_cost(op) for op in block.operations)
+
+
+#: How :func:`estimate_cost` charges an op of a class: nested ops scaled by
+#: a loop's trips (affine, scf for, scf while), a leaf that is charged by
+#: its size and whose regions are not entered (linalg, copy), or one plus
+#: its nested ops (anything else).  Filled per class on first sight.
+_AFFINE_FOR, _SCF_FOR, _SCF_WHILE, _LINALG, _COPY, _PLAIN = range(6)
+_COST_KINDS: Dict[type, int] = {}
+
+
+def _cost_kind(kind: type) -> int:
+    from ..dialects.linalg import LinalgOp
+
+    for base, code in (
+        (affine.AffineForOp, _AFFINE_FOR),
+        (scf.ForOp, _SCF_FOR),
+        (scf.WhileOp, _SCF_WHILE),
+        (LinalgOp, _LINALG),
+        (memref.CopyOp, _COPY),
+    ):
+        if issubclass(kind, base):
+            break
+    else:
+        code = _PLAIN
+    _COST_KINDS[kind] = code
+    return code
+
+
+def _entry_walk(module: ModuleOp) -> Tuple[int, bool]:
+    """``(estimate_cost(module), whether module holds a linalg op)``.
+
+    One flat walk, no recursion.  :func:`estimate_cost` is linear in its
+    nested ops' costs, so the total is each op's own charge times the
+    product of the trip factors of the loops around it: a stack of
+    ``(block ops, factor)`` carries that product down.  Ops under a
+    zero-trip loop are still visited, since they may hold linalg.
+    """
+    total, has_linalg = 0, False
+    stack: List[Tuple[List[Any], int]] = [([module], 1)]
+    kinds = _COST_KINDS
+    while stack:
+        ops, factor = stack.pop()
+        for op in ops:
+            code = kinds.get(type(op))
+            if code is None:
+                code = _cost_kind(type(op))
+            if code == _PLAIN:
+                total += factor
+                inner = factor
+            elif code == _AFFINE_FOR:
+                total += 2 * factor
+                stack.append((op.body.operations, factor * max(op.trip_count, 0)))
+                continue
+            elif code == _LINALG:
+                total += factor * _linalg_cost(op)
+                has_linalg = True
+                continue
+            elif code == _COPY:
+                total += factor * _copy_cost(op)
+                continue
+            else:
+                total += 2 * factor
+                inner = factor * (_scf_trips(op) if code == _SCF_FOR else _UNKNOWN_TRIP)
+            for region in op.regions:
+                for block in region.blocks:
+                    stack.append((block.operations, inner))
+    return total, has_linalg
 
 
 # ---------------------------------------------------------------------------
@@ -728,15 +807,10 @@ class _Interpreter:
 
     # ---------------------------------------------------------- dispatch
     def _lower(self, op: Operation, scope: _Scope) -> Optional[Step]:
-        for kind in type(op).__mro__:
-            if kind in _ARITH:
-                fn, arity = _ARITH[kind]
-                args = self._slots(op.operands[:arity], scope, op)
-                return _apply(fn, args, self._define(op.result(), scope))
-            lower = _LOWER.get(kind)
-            if lower is not None:
-                return lower(self, op, scope)
-        return _raising(UnsupportedOpError(f"no interpreter semantics for {op.name!r}"))
+        lower = _DISPATCH.get(type(op))
+        if lower is None:
+            lower = _dispatch(type(op))
+        return lower(self, op, scope)
 
     def _lower_constant(self, op: ConstantOp, scope: _Scope) -> None:
         result = op.result()
@@ -1102,7 +1176,9 @@ class _Interpreter:
         return _raising(InterpreterError(f"{op.name} cannot be executed as a nested op"))
 
 
-_LOWER: Dict[type, Callable[[_Interpreter, Any, _Scope], Optional[Step]]] = {
+_Lowering = Callable[[_Interpreter, Any, _Scope], Optional[Step]]
+
+_LOWER: Dict[type, _Lowering] = {
     ConstantOp: _Interpreter._lower_constant,
     arith.CastOp: _Interpreter._lower_cast,
     arith.CmpOp: _Interpreter._lower_cmp,
@@ -1135,22 +1211,42 @@ _LOWER: Dict[type, Callable[[_Interpreter, Any, _Scope], Optional[Step]]] = {
 }
 
 
+def _arith_lowering(fn: Callable[..., Any], arity: int) -> _Lowering:
+    def lower(self: _Interpreter, op: Operation, scope: _Scope) -> Step:
+        args = self._slots(op.operands[:arity], scope, op)
+        return _apply(fn, args, self._define(op.result(), scope))
+
+    return lower
+
+
+def _unsupported(self: _Interpreter, op: Operation, scope: _Scope) -> Step:
+    return _raising(UnsupportedOpError(f"no interpreter semantics for {op.name!r}"))
+
+
+#: Op class -> its lowering: the first class of its MRO with an :data:`_ARITH`
+#: or :data:`_LOWER` entry (arith first), else :func:`_unsupported`.  Filled
+#: per class on first sight, so lowering an op is one lookup.
+_DISPATCH: Dict[type, _Lowering] = {}
+
+
+def _dispatch(kind: type) -> _Lowering:
+    lower: _Lowering = _unsupported
+    for base in kind.__mro__:
+        if base in _ARITH:
+            lower = _arith_lowering(*_ARITH[base])
+            break
+        if base in _LOWER:
+            lower = _LOWER[base]
+            break
+    _DISPATCH[kind] = lower
+    return lower
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
-def _executable_module(module: ModuleOp) -> ModuleOp:
-    """The module itself, or an affine-lowered clone if linalg remains."""
-    from ..dialects.linalg import LinalgOp
-
-    if not any(isinstance(op, LinalgOp) for op in module.walk()):
-        return module
-    from ..transforms.linalg_to_affine import lower_linalg_to_affine
-
-    clone = module.clone()
-    lower_linalg_to_affine(clone)
-    return clone
 
 
 def _entry_function(module: ModuleOp, name: Optional[str]) -> FuncOp:
@@ -1177,12 +1273,21 @@ def interpret_module(
 ) -> ExecutionResult:
     """Execute ``module``'s top function over seeded inputs.
 
-    Raises :class:`InterpreterBudgetError` when the statically estimated
-    cost exceeds ``max_ops`` (callers report "skipped", never a silent
-    pass) and :class:`InterpreterError` on malformed or unsupported IR.
+    One flat walk (:func:`_entry_walk`) both prices the module as
+    :func:`estimate_cost` does and finds linalg; a module still carrying
+    linalg is priced again as its affine-lowered clone, which is what runs.
+    Raises :class:`InterpreterBudgetError` when that cost exceeds
+    ``max_ops``, before any op is lowered to a step (callers report
+    "skipped", never a silent pass), and :class:`InterpreterError` on
+    malformed or unsupported IR.
     """
-    module = _executable_module(module)
-    cost = estimate_cost(module)
+    cost, has_linalg = _entry_walk(module)
+    if has_linalg:
+        from ..transforms.linalg_to_affine import lower_linalg_to_affine
+
+        module = module.clone()
+        lower_linalg_to_affine(module)
+        cost = _entry_walk(module)[0]
     if cost > max_ops:
         raise InterpreterBudgetError(
             f"estimated interpretation cost {cost} exceeds budget {max_ops}",

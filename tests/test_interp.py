@@ -887,6 +887,96 @@ class TestBudgetEdges:
 
 
 # ---------------------------------------------------------------------------
+# The entry: one walk prices the module as estimate_cost does
+# ---------------------------------------------------------------------------
+
+#: The kernels of the benchmark's ``validate`` workload.
+_VALIDATE_KERNELS = [
+    ("2mm", {"n": 8}),
+    ("3mm", {"n": 8}),
+    ("atax", {"n": 8}),
+    ("bicg", {"n": 8}),
+    ("mvt", {"n": 8}),
+    ("gesummv", {"n": 8}),
+    ("symm", {"n": 8}),
+    ("syr2k", {"n": 8}),
+    ("jacobi-2d", {"n": 8, "tsteps": 2}),
+    ("seidel-2d", {"n": 8, "tsteps": 2}),
+    ("correlation", {"n": 8}),
+]
+
+
+def _reference_entry_cost(module):
+    """What the interpreter's entry charged before it walked once: the
+    budget cost of an affine-lowered clone if any linalg op remains, else
+    of the module, each by a separate walk."""
+    from repro.transforms.linalg_to_affine import lower_linalg_to_affine
+
+    if any(isinstance(op, linalg.LinalgOp) for op in module.walk()):
+        module = module.clone()
+        lower_linalg_to_affine(module)
+    return estimate_cost(module)
+
+
+def _boundaries(handle):
+    """The frontend module and the module after every default-pipeline stage."""
+    snapshots = SnapshotObserver()
+    Compiler.from_spec(DEFAULT_PIPELINE, observers=[snapshots]).run_stages(workload=handle)
+    return [as_module(handle)] + [parse_op(text) for _, text in snapshots.snapshots]
+
+
+class TestEntry:
+    @pytest.mark.parametrize(
+        "name, params", _VALIDATE_KERNELS + [("lenet", {})], ids=lambda v: str(v)
+    )
+    def test_one_walk_prices_and_refuses_as_before(self, name, params):
+        """At every default-pipeline boundary the walk's cost is
+        ``estimate_cost``'s, and a budget one below what the entry charged
+        before is refused with that cost."""
+        for module in _boundaries(get_workload(name).at(**params)):
+            has_linalg = any(isinstance(op, linalg.LinalgOp) for op in module.walk())
+            assert interp._entry_walk(module) == (estimate_cost(module), has_linalg)
+            cost = _reference_entry_cost(module)
+            with pytest.raises(InterpreterBudgetError) as refusal:
+                interpret_module(module, max_ops=cost - 1)
+            assert (refusal.value.cost, refusal.value.max_ops) == (cost, cost - 1)
+            if cost <= DEFAULT_MAX_OPS:
+                assert interpret_module(module, max_ops=cost).ops_executed > 0
+            else:
+                with pytest.raises(InterpreterBudgetError) as refusal:
+                    interpret_module(module)
+                assert refusal.value.cost == cost
+
+    def test_the_walk_prices_every_op_kind(self):
+        """scf loops (constant and computed bounds), scf.while, a copy, a
+        zero-trip affine loop holding linalg, and dataflow regions."""
+        module = TestBudgetEdges()._unknown_trip_loop(trips=3)
+        assert interp._entry_walk(module) == (estimate_cost(module), False)
+        for handle in iter_workloads(kind="model"):
+            module = as_module(handle)
+            assert interp._entry_walk(module) == (estimate_cost(module), True)
+        module, func, b = _empty_design()
+        loop = b.insert(AffineForOp.create(0, 0))
+        with b.at_end_of(loop.body):
+            b.insert(linalg.FillOp.create((2,), 0.0))
+        _finish(b)
+        assert interp._entry_walk(module) == (estimate_cost(module), True)
+
+    def test_an_execution_walks_the_module_once(self):
+        """Neither ``estimate_cost`` nor a generic ``walk`` runs, and every op
+        is lowered by one table lookup."""
+        module = as_module(get_workload("2mm").at(n=8))
+        profiler = cProfile.Profile()
+        profiler.runcall(interpret_module, module)
+        stats = pstats.Stats(profiler).stats.items()
+        called = {function: calls for (_, _, function), (_, calls, *_) in stats}
+        assert "estimate_cost" not in called and "walk" not in called
+        assert called["_entry_walk"] == 1
+        # A class is resolved on first sight only: at most once per class.
+        assert called.get("_dispatch", 0) <= len({type(op) for op in module.walk()})
+
+
+# ---------------------------------------------------------------------------
 # Property: lowered subscripts == AffineMap.evaluate
 # ---------------------------------------------------------------------------
 
