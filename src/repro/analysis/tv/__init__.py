@@ -73,8 +73,8 @@ __all__ = [
 #: Attributes that never change a module's observable behavior: directives
 #: consumed by the QoR estimator / HLS backend (unroll, pipeline, tiling,
 #: partitioning hints, ``hls.set_partition``'s ``partitions`` table) and pure
-#: bookkeeping.  Left out of the semantic
-#: fingerprint, so directive-only stages take the static fast path.
+#: bookkeeping.  Left out of the semantic fingerprint, so directive-only
+#: stages take the static fast path.
 #: ``map``/``layout``/``lower_bound``/... stay — those shape addressing.
 NON_SEMANTIC_ATTRS = frozenset(
     {

@@ -386,7 +386,7 @@ _AFFINE_FOR, _SCF_FOR, _SCF_WHILE, _LINALG, _COPY, _PLAIN = range(6)
 _COST_KINDS: Dict[type, int] = {}
 
 
-def _cost_kind(kind: type) -> int:
+def _cost_kind(op_class: type) -> int:
     from ..dialects.linalg import LinalgOp
 
     for base, code in (
@@ -396,11 +396,11 @@ def _cost_kind(kind: type) -> int:
         (LinalgOp, _LINALG),
         (memref.CopyOp, _COPY),
     ):
-        if issubclass(kind, base):
+        if issubclass(op_class, base):
             break
     else:
         code = _PLAIN
-    _COST_KINDS[kind] = code
+    _COST_KINDS[op_class] = code
     return code
 
 
@@ -1229,24 +1229,22 @@ def _unsupported(self: _Interpreter, op: Operation, scope: _Scope) -> Step:
 _DISPATCH: Dict[type, _Lowering] = {}
 
 
-def _dispatch(kind: type) -> _Lowering:
+def _dispatch(op_class: type) -> _Lowering:
     lower: _Lowering = _unsupported
-    for base in kind.__mro__:
+    for base in op_class.__mro__:
         if base in _ARITH:
             lower = _arith_lowering(*_ARITH[base])
             break
         if base in _LOWER:
             lower = _LOWER[base]
             break
-    _DISPATCH[kind] = lower
+    _DISPATCH[op_class] = lower
     return lower
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-
 
 
 def _entry_function(module: ModuleOp, name: Optional[str]) -> FuncOp:

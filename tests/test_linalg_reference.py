@@ -12,22 +12,22 @@ integer inputs, and requires the reference's result bitwise, and
 ``macs()`` equal to the reference's multiply count.
 
 The op is lowered as the pipeline lowers it, inside the task
-``construct-dataflow`` wraps it in.  The lowered module
-writes its result to a local buffer (the top function returns nothing), so
-the test appends one ``memref<..., dram>`` argument and copies the result
-into it before the return.
+``construct-dataflow`` wraps it in.  The lowered module writes its result
+to a local buffer (the top function returns nothing), so the test appends
+one ``memref<..., dram>`` argument and copies the result into it before
+the return.
 
 Inputs are the interpreter's seeded values, 1 to 11, so max pooling's -inf
 padding and ReLU's clamp are not observable here.
 
 Strict xfails:
 
-* a function-level op, lowered outside a task: when the op
-  is the first of its block, ``lower_linalg_to_affine`` builds its nest
-  before the buffer the nest writes (the nest's insertion index is taken
-  before the buffer is inserted at the top of the block), so the IR uses a
-  value before defining it.  The interpreter lowers a frontend module this
-  way, so a model whose first layer has no weight cannot be executed;
+* a function-level op, lowered outside a task: when the op is the first
+  of its block, ``lower_linalg_to_affine`` builds its nest before the
+  buffer the nest writes (the nest's insertion index is taken before the
+  buffer is inserted at the top of the block), so the IR uses a value
+  before defining it.  The interpreter lowers a frontend module this way,
+  so a model whose first layer has no weight cannot be executed;
 * bias, on ``linalg.conv2d`` and ``linalg.linear``: the lowering reads no
   bias operand;
 * ``linalg.fill``: the lowering makes every fill an external global whose
