@@ -6,8 +6,8 @@ Hierarchical Dataflow Compiler for High-Level Synthesis* (Ye, Jun, Chen).
 The package layers:
 
 * :mod:`repro.ir` — a compact SSA IR kernel (the MLIR substrate);
-* :mod:`repro.dialects` — affine/arith/memref/linalg/scf dialects plus
-  the HIDA Functional/Structural dataflow dialect;
+* :mod:`repro.dialects` — affine/arith/memref/linalg dialects plus the
+  HIDA Functional/Structural dataflow dialect;
 * :mod:`repro.frontend` — PyTorch-like model tracing and a C++-style loop
   kernel builder (the Torch-MLIR / Polygeist substitutes);
 * :mod:`repro.transforms` — bufferization, loop transforms, array partition;

@@ -37,13 +37,11 @@ _OP_LATENCY: Dict[str, float] = {
     "arith.addf": 2.0,
     "arith.subf": 2.0,
     "arith.mulf": 2.0,
-    "arith.mac": 3.0,
     "arith.divf": 8.0,
     "arith.maxf": 2.0,
     "arith.minf": 2.0,
     "math.exp": 10.0,
     "math.sqrt": 10.0,
-    "arith.muli": 2.0,
 }
 
 #: Store-to-load forwarding takes at least one cycle.

@@ -35,17 +35,11 @@ _BINARY_OPERATORS = {
     "arith.subf": "-",
     "arith.mulf": "*",
     "arith.divf": "/",
-    "arith.addi": "+",
-    "arith.subi": "-",
-    "arith.muli": "*",
-    "arith.divi": "/",
 }
 
 _FUNCTION_OPERATORS = {
     "arith.maxf": "hls::max",
     "arith.minf": "hls::min",
-    "arith.maxi": "hls::max",
-    "arith.mini": "hls::min",
     "math.exp": "hls::exp",
     "math.sqrt": "hls::sqrt",
 }
@@ -184,7 +178,7 @@ class HlsCppEmitter:
 
     # -------------------------------------------------------------- op cases
     def _emit_op(self, op: Operation) -> None:
-        if isinstance(op, (ReturnOp,)) or op.name in ("hida.yield", "affine.yield", "scf.yield"):
+        if isinstance(op, ReturnOp) or op.name == "hida.yield":
             return
         if isinstance(op, ScheduleOp):
             self._emit_schedule(op)

@@ -1,12 +1,11 @@
 """repro.dialects — the dialect stack HIDA is built from.
 
-Existing-dialect substrates: ``arith``, ``scf``, ``affine``, ``memref``,
-``linalg`` and the HLS directive dialect.  HIDA-specific
-dialects: the Functional/Structural dataflow dialect in
-:mod:`repro.dialects.dataflow`.
+Existing-dialect substrates: ``arith``, ``affine``, ``memref``, ``linalg``
+and the HLS directive dialect.  HIDA-specific dialects: the
+Functional/Structural dataflow dialect in :mod:`repro.dialects.dataflow`.
 """
 
-from . import affine, affine_map, arith, dataflow, hls, linalg, memref, scf
+from . import affine, affine_map, arith, dataflow, hls, linalg, memref
 
 __all__ = [
     "affine",
@@ -16,5 +15,4 @@ __all__ = [
     "hls",
     "linalg",
     "memref",
-    "scf",
 ]

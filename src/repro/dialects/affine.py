@@ -11,24 +11,18 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..ir.core import Block, BlockArgument, Operation, Value, register_operation
+from ..ir.core import BlockArgument, Operation, Value, register_operation
 from ..ir.types import IndexType, MemRefType
 from .affine_map import AffineMap
 
 __all__ = [
     "AffineForOp",
-    "AffineIfOp",
-    "AffineYieldOp",
     "AffineLoadOp",
     "AffineStoreOp",
     "AffineApplyOp",
     "loop_of",
-    "get_loop_band",
     "get_perfectly_nested_band",
     "enclosing_loops",
-    "loop_nest_depth",
-    "trip_count",
-    "total_trip_count",
 ]
 
 
@@ -137,53 +131,6 @@ class AffineForOp(Operation):
             raise ValueError("affine.for must have a body block")
         if not self.body.arguments:
             raise ValueError("affine.for body must have an induction variable")
-
-
-@register_operation
-class AffineIfOp(Operation):
-    """``affine.if`` guarded by an affine condition over enclosing IVs."""
-
-    OPERATION_NAME = "affine.if"
-
-    @classmethod
-    def create(
-        cls,
-        condition_map: AffineMap,
-        operands: Sequence[Value] = (),
-        with_else: bool = False,
-    ) -> "AffineIfOp":
-        op = cls(
-            name=cls.OPERATION_NAME,
-            operands=operands,
-            attributes={"condition": condition_map},
-            num_regions=2 if with_else else 1,
-        )
-        for region in op.regions:
-            region.add_entry_block()
-        return op
-
-    @property
-    def condition(self) -> AffineMap:
-        return self.get_attr("condition")
-
-    @property
-    def then_block(self) -> Block:
-        return self.regions[0].entry_block
-
-    @property
-    def else_block(self) -> Optional[Block]:
-        return self.regions[1].entry_block if len(self.regions) > 1 else None
-
-
-@register_operation
-class AffineYieldOp(Operation):
-    """Terminator of affine loop and if bodies."""
-
-    OPERATION_NAME = "affine.yield"
-
-    @classmethod
-    def create(cls, operands: Sequence[Value] = ()) -> "AffineYieldOp":
-        return cls(name=cls.OPERATION_NAME, operands=operands)
 
 
 @register_operation
@@ -341,80 +288,19 @@ def enclosing_loops(op: Operation) -> List[AffineForOp]:
     return loops
 
 
-def get_loop_band(root: AffineForOp) -> List[AffineForOp]:
-    """The maximal loop band rooted at ``root``: root plus nested for-loops
-    reachable by descending through single-loop bodies (ignoring yields)."""
-    band = [root]
-    current = root
-    while True:
-        inner_loops = [
-            op for op in current.body.operations if isinstance(op, AffineForOp)
-        ]
-        if len(inner_loops) != 1:
-            break
-        current = inner_loops[0]
-        band.append(current)
-    return band
-
-
 def get_perfectly_nested_band(root: AffineForOp) -> List[AffineForOp]:
     """The perfectly nested band rooted at ``root``.
 
-    Descends while the body of the current loop contains exactly one loop and
-    no other operations except terminators.
+    Descends while the body of the current loop holds exactly one op, an
+    ``affine.for`` (loop bodies carry no terminator).
     """
     band = [root]
     current = root
     while True:
-        body_ops = [
-            op
-            for op in current.body.operations
-            if not isinstance(op, AffineYieldOp)
-        ]
+        body_ops = current.body.operations
         if len(body_ops) != 1 or not isinstance(body_ops[0], AffineForOp):
             break
         current = body_ops[0]
         band.append(current)
     return band
 
-
-def loop_nest_depth(op: Operation) -> int:
-    """Maximum affine.for nesting depth inside ``op`` (inclusive)."""
-    best = 0
-    for nested in op.walk():
-        if isinstance(nested, AffineForOp):
-            depth = 1 + len(enclosing_loops(nested))
-            # Only count loops enclosed within `op` itself.
-            outer = [l for l in enclosing_loops(nested) if op.is_ancestor_of(l)]
-            depth = 1 + len(outer)
-            best = max(best, depth)
-    return best
-
-
-def trip_count(loop: AffineForOp) -> int:
-    """Trip count of a single affine loop."""
-    return loop.trip_count
-
-
-def total_trip_count(op: Operation) -> int:
-    """Product of trip counts of all loops inside ``op`` along the deepest nest.
-
-    Used as a quick estimate of the iteration space size of a node.
-    """
-    loops = [nested for nested in op.walk() if isinstance(nested, AffineForOp)]
-    if not loops:
-        return 1
-    # Iteration space = sum over innermost loops of product of enclosing trips.
-    total = 0
-    for loop in loops:
-        inner_loops = [
-            o for o in loop.body.operations if isinstance(o, AffineForOp)
-        ]
-        if inner_loops:
-            continue  # not innermost
-        product = loop.trip_count
-        for outer in enclosing_loops(loop):
-            if op.is_ancestor_of(outer):
-                product *= max(outer.trip_count, 1)
-        total += product
-    return max(total, 1)

@@ -1,4 +1,4 @@
-"""arith dialect: elementary scalar arithmetic and comparison operations.
+"""arith dialect: elementary floating-point arithmetic (and ``math`` functions).
 
 These ops are the *payload* IR at the bottom of loop nests.  The HIDA
 intensity analysis counts them to derive each node's computation intensity,
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.core import Operation, Value, register_operation
-from ..ir.types import Type, i1
+from ..ir.types import Type
 
 __all__ = [
     "BinaryOp",
@@ -18,21 +18,10 @@ __all__ = [
     "SubFOp",
     "MulFOp",
     "DivFOp",
-    "AddIOp",
-    "SubIOp",
-    "MulIOp",
-    "DivIOp",
     "MaxFOp",
     "MinFOp",
-    "MaxIOp",
-    "MinIOp",
-    "CmpOp",
-    "SelectOp",
-    "CastOp",
     "ExpOp",
     "SqrtOp",
-    "NegFOp",
-    "MACOp",
     "is_compute_op",
     "is_multiply_accumulate",
 ]
@@ -99,26 +88,6 @@ class DivFOp(BinaryOp):
 
 
 @register_operation
-class AddIOp(BinaryOp):
-    OPERATION_NAME = "arith.addi"
-
-
-@register_operation
-class SubIOp(BinaryOp):
-    OPERATION_NAME = "arith.subi"
-
-
-@register_operation
-class MulIOp(BinaryOp):
-    OPERATION_NAME = "arith.muli"
-
-
-@register_operation
-class DivIOp(BinaryOp):
-    OPERATION_NAME = "arith.divi"
-
-
-@register_operation
 class MaxFOp(BinaryOp):
     OPERATION_NAME = "arith.maxf"
 
@@ -126,21 +95,6 @@ class MaxFOp(BinaryOp):
 @register_operation
 class MinFOp(BinaryOp):
     OPERATION_NAME = "arith.minf"
-
-
-@register_operation
-class MaxIOp(BinaryOp):
-    OPERATION_NAME = "arith.maxi"
-
-
-@register_operation
-class MinIOp(BinaryOp):
-    OPERATION_NAME = "arith.mini"
-
-
-@register_operation
-class NegFOp(UnaryOp):
-    OPERATION_NAME = "arith.negf"
 
 
 @register_operation
@@ -153,93 +107,18 @@ class SqrtOp(UnaryOp):
     OPERATION_NAME = "math.sqrt"
 
 
-@register_operation
-class CmpOp(Operation):
-    """Comparison producing an ``i1``; ``predicate`` is e.g. ``"lt"``, ``"ge"``."""
-
-    OPERATION_NAME = "arith.cmp"
-
-    @classmethod
-    def create(cls, predicate: str, lhs: Value, rhs: Value) -> "CmpOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[lhs, rhs],
-            result_types=[i1],
-            attributes={"predicate": predicate},
-        )
-
-    @property
-    def predicate(self) -> str:
-        return self.get_attr("predicate")
-
-
-@register_operation
-class SelectOp(Operation):
-    """``result = condition ? true_value : false_value``."""
-
-    OPERATION_NAME = "arith.select"
-
-    @classmethod
-    def create(cls, condition: Value, true_value: Value, false_value: Value) -> "SelectOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[condition, true_value, false_value],
-            result_types=[true_value.type],
-        )
-
-
-@register_operation
-class CastOp(Operation):
-    """Numeric cast between integer/float/index types."""
-
-    OPERATION_NAME = "arith.cast"
-
-    @classmethod
-    def create(cls, operand: Value, result_type: Type) -> "CastOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[operand],
-            result_types=[result_type],
-        )
-
-
-@register_operation
-class MACOp(Operation):
-    """Fused multiply-accumulate ``acc + lhs * rhs`` (one DSP on FPGA)."""
-
-    OPERATION_NAME = "arith.mac"
-
-    @classmethod
-    def create(cls, lhs: Value, rhs: Value, acc: Value) -> "MACOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[lhs, rhs, acc],
-            result_types=[acc.type],
-        )
-
-
 _COMPUTE_OP_NAMES = {
     "arith.addf",
     "arith.subf",
     "arith.mulf",
     "arith.divf",
-    "arith.addi",
-    "arith.subi",
-    "arith.muli",
-    "arith.divi",
     "arith.maxf",
     "arith.minf",
-    "arith.maxi",
-    "arith.mini",
-    "arith.negf",
-    "arith.mac",
     "math.exp",
     "math.sqrt",
-    "arith.select",
-    "arith.cmp",
 }
 
-_MULTIPLY_OP_NAMES = {"arith.mulf", "arith.muli", "arith.divf", "arith.divi", "arith.mac"}
+_MULTIPLY_OP_NAMES = {"arith.mulf", "arith.divf"}
 
 
 def is_compute_op(op: Operation) -> bool:
@@ -248,5 +127,5 @@ def is_compute_op(op: Operation) -> bool:
 
 
 def is_multiply_accumulate(op: Operation) -> bool:
-    """True for ops that consume DSP blocks (multiplies, divides, MACs)."""
+    """True for ops that consume DSP blocks (multiplies and divides)."""
     return op.name in _MULTIPLY_OP_NAMES

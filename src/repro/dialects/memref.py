@@ -1,19 +1,15 @@
-"""memref dialect: allocation, load/store and copy on mutable buffers."""
+"""memref dialect: allocation, module-level globals and whole-buffer copies."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..ir.core import Operation, Value, register_operation
 from ..ir.types import MemRefType
 
 __all__ = [
     "AllocOp",
-    "DeallocOp",
-    "LoadOp",
-    "StoreOp",
     "CopyOp",
-    "SubViewOp",
     "GetGlobalOp",
 ]
 
@@ -37,62 +33,6 @@ class AllocOp(Operation):
 
 
 @register_operation
-class DeallocOp(Operation):
-    OPERATION_NAME = "memref.dealloc"
-
-    @classmethod
-    def create(cls, memref: Value) -> "DeallocOp":
-        return cls(name=cls.OPERATION_NAME, operands=[memref])
-
-
-@register_operation
-class LoadOp(Operation):
-    """Load a scalar from a memref at explicit index operands."""
-
-    OPERATION_NAME = "memref.load"
-
-    @classmethod
-    def create(cls, memref: Value, indices: Sequence[Value] = ()) -> "LoadOp":
-        element_type = memref.type.element_type
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[memref, *indices],
-            result_types=[element_type],
-        )
-
-    @property
-    def memref(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def indices(self) -> Sequence[Value]:
-        return self.operands[1:]
-
-
-@register_operation
-class StoreOp(Operation):
-    """Store a scalar to a memref at explicit index operands."""
-
-    OPERATION_NAME = "memref.store"
-
-    @classmethod
-    def create(cls, value: Value, memref: Value, indices: Sequence[Value] = ()) -> "StoreOp":
-        return cls(name=cls.OPERATION_NAME, operands=[value, memref, *indices])
-
-    @property
-    def value(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def memref(self) -> Value:
-        return self.operand(1)
-
-    @property
-    def indices(self) -> Sequence[Value]:
-        return self.operands[2:]
-
-
-@register_operation
 class CopyOp(Operation):
     """Copy the full contents of ``source`` into ``target``.
 
@@ -113,38 +53,6 @@ class CopyOp(Operation):
     @property
     def target(self) -> Value:
         return self.operand(1)
-
-
-@register_operation
-class SubViewOp(Operation):
-    """A rectangular tile view into a larger memref (used by loop tiling)."""
-
-    OPERATION_NAME = "memref.subview"
-
-    @classmethod
-    def create(
-        cls,
-        source: Value,
-        offsets: Sequence[int],
-        sizes: Sequence[int],
-        strides: Sequence[int],
-    ) -> "SubViewOp":
-        source_type: MemRefType = source.type
-        result_type = MemRefType(sizes, source_type.element_type, source_type.memory_space)
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[source],
-            result_types=[result_type],
-            attributes={
-                "offsets": tuple(offsets),
-                "sizes": tuple(sizes),
-                "strides": tuple(strides),
-            },
-        )
-
-    @property
-    def source(self) -> Value:
-        return self.operand(0)
 
 
 @register_operation

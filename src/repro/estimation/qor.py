@@ -223,10 +223,6 @@ def dsp_cost_of_op(op: Operation) -> float:
     width = getattr(element, "width", 32)
     if op.name in ("arith.mulf", "arith.divf"):
         return 3.0 if width >= 32 else 1.0
-    if op.name == "arith.mac":
-        return 5.0 if width >= 32 else 1.0
-    if op.name in ("arith.muli", "arith.divi"):
-        return 1.0 if width > 18 else 0.5
     if op.name in ("arith.addf", "arith.subf"):
         return 2.0 if width >= 32 else 0.0
     if op.name in ("math.exp", "math.sqrt"):

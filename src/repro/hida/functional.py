@@ -301,10 +301,7 @@ def _match_init(task: TaskOp) -> Optional[TaskOp]:
     if len(payload) != 1 or not isinstance(payload[0], AffineForOp):
         return None
     band_ops = list(payload[0].walk())
-    if any(
-        op.name in ("arith.mulf", "arith.addf", "arith.mac", "arith.muli")
-        for op in band_ops
-    ):
+    if any(op.name in ("arith.mulf", "arith.addf") for op in band_ops):
         return None
     # Only pure *initialization* bands qualify: every stored value must be
     # a compile-time constant.  Bands that move data between buffers

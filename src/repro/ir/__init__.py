@@ -6,7 +6,7 @@ object model; pipelines are :class:`repro.compiler.CompilationStage` lists.
 """
 
 from .builder import Builder, InsertionPoint
-from .builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp, UnrealizedCastOp
+from .builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from .core import (
     Block,
     BlockArgument,
@@ -65,7 +65,6 @@ __all__ = [
     "FuncOp",
     "ModuleOp",
     "ReturnOp",
-    "UnrealizedCastOp",
     # builder
     "Builder",
     "InsertionPoint",

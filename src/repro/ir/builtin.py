@@ -7,7 +7,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from .core import Block, Operation, Value, register_operation
 from .types import FunctionType, Type
 
-__all__ = ["ModuleOp", "FuncOp", "ReturnOp", "ConstantOp", "UnrealizedCastOp"]
+__all__ = ["ModuleOp", "FuncOp", "ReturnOp", "ConstantOp"]
 
 
 @register_operation
@@ -137,17 +137,3 @@ class ConstantOp(Operation):
     def value(self) -> Any:
         return self.get_attr("value")
 
-
-@register_operation
-class UnrealizedCastOp(Operation):
-    """A placeholder cast between types used during progressive lowering."""
-
-    OPERATION_NAME = "builtin.unrealized_cast"
-
-    @classmethod
-    def create(cls, operand: Value, result_type: Type) -> "UnrealizedCastOp":
-        return cls(
-            name=cls.OPERATION_NAME,
-            operands=[operand],
-            result_types=[result_type],
-        )

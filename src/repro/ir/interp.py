@@ -34,7 +34,8 @@ Semantics, in one place:
   independent reference (``tests/reference_linalg.py``).
 * **Budget** — interpretation refuses modules whose statically estimated
   cost (:func:`estimate_cost`) exceeds ``max_ops``, and aborts if the
-  dynamic op count overruns the estimate's safety margin; both raise
+  dynamic op count overruns the estimate by a safety margin (the estimate
+  prices a copy by its source, the run by its target); both raise
   :class:`InterpreterBudgetError` so callers can report an honest
   "skipped" instead of a silently vacuous "validated".
 """
@@ -48,7 +49,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union, cast
 
-from ..dialects import affine, arith, dataflow, memref, scf
+from ..dialects import affine, arith, dataflow, memref
 from ..dialects.affine_map import (
     AffineBinaryExpr,
     AffineConstantExpr,
@@ -57,7 +58,7 @@ from ..dialects.affine_map import (
     AffineMap,
     AffineSymbolExpr,
 )
-from .builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp, UnrealizedCastOp
+from .builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from .core import Block, Operation, Value
 from .types import FloatType, IndexType, IntegerType, MemRefType, StreamType
 
@@ -79,12 +80,9 @@ __all__ = [
 DEFAULT_MAX_OPS = 2_000_000
 
 #: The dynamic op counter may exceed the static estimate by this factor
-#: before interpretation aborts (the estimate is approximate for scf loops
-#: with non-constant bounds).
+#: before interpretation aborts (the estimate is approximate: a copy is
+#: priced by its source's size, but runs over its target's).
 _DYNAMIC_SLACK = 4
-
-#: Assumed trip count for scf loops whose bounds are not constants.
-_UNKNOWN_TRIP = 64
 
 
 class InterpreterError(RuntimeError):
@@ -137,29 +135,19 @@ def _row_major_strides(shape: Sequence[int]) -> Tuple[int, ...]:
 
 
 class MemoryRef:
-    """A (possibly strided) view over flat storage cells.
+    """A row-major buffer: flat storage cells and the shape indexing them.
 
-    ``rank`` and ``size`` (the storage length) are fixed when the view is
-    built: a cells list never resizes, so every view of it keeps them.
+    ``rank`` and ``strides`` are fixed when the buffer is built: a cells
+    list never resizes, so an in-range subscript is an in-range address.
     """
 
-    __slots__ = ("cells", "shape", "strides", "offset", "rank", "size")
+    __slots__ = ("cells", "shape", "strides", "rank")
 
-    def __init__(
-        self,
-        cells: List[Union[int, float]],
-        shape: Sequence[int],
-        strides: Optional[Sequence[int]] = None,
-        offset: int = 0,
-    ) -> None:
+    def __init__(self, cells: List[Union[int, float]], shape: Sequence[int]) -> None:
         self.cells = cells
         self.shape = tuple(int(s) for s in shape)
-        self.strides = (
-            tuple(strides) if strides is not None else _row_major_strides(self.shape)
-        )
-        self.offset = offset
+        self.strides = _row_major_strides(self.shape)
         self.rank = len(self.shape)
-        self.size = len(cells)
 
     @classmethod
     def allocate(cls, memref_type: MemRefType, slot: int, seed: int) -> "MemoryRef":
@@ -169,13 +157,6 @@ class MemoryRef:
         return cls(
             [convert(seed_value(slot, i, seed)) for i in range(count)], memref_type.shape
         )
-
-    @property
-    def num_elements(self) -> int:
-        count = 1
-        for extent in self.shape:
-            count *= extent
-        return count
 
     def _address(self, indices: Sequence[int]) -> Optional[int]:
         """Flat cell address of ``indices``; None when out of bounds.
@@ -187,50 +168,22 @@ class MemoryRef:
         """
         if len(indices) != self.rank:
             return None
-        address = self.offset
+        address = 0
         for index, extent, stride in zip(indices, self.shape, self.strides):
             if not 0 <= index < extent:
                 return None
             address += index * stride
-        return address if 0 <= address < self.size else None
-
-    def addresses(self) -> List[int]:
-        """Every element's storage address in row-major logical order,
-        unchecked (a subview's cells may run past the storage)."""
-        addresses = [self.offset]
-        for extent, stride in zip(self.shape, self.strides):
-            addresses = [a + i * stride for a in addresses for i in range(extent)]
-        return addresses
+        return address
 
     def logical_cells(self) -> Tuple[Union[int, float], ...]:
-        """The view's elements in row-major logical order (0 past storage)."""
-        if (
-            self.offset == 0
-            and self.strides == _row_major_strides(self.shape)
-            and self.num_elements == self.size
-        ):
-            return tuple(self.cells)
-        cells, size = self.cells, self.size
-        return tuple([cells[a] if 0 <= a < size else 0 for a in self.addresses()])
+        """The buffer's elements in row-major order."""
+        return tuple(self.cells)
 
-    def copy_from(self, source: "MemoryRef", zero: Union[int, float]) -> Tuple[int, int]:
-        """Element-wise copy of the overlapping row-major prefix.
-
-        Returns how many of its reads and writes fell outside storage: a
-        missing source cell copies ``zero``, a write past storage is dropped.
-        """
-        reads = source.addresses()[: self.num_elements]
-        src, src_size = source.cells, source.size
-        # Every read before the first write: the two views may alias.
-        values = [src[a] if 0 <= a < src_size else zero for a in reads]
-        missed = len([a for a in reads if not 0 <= a < src_size])
-        cells, size, dropped = self.cells, self.size, 0
-        for address, value in zip(self.addresses(), values):
-            if 0 <= address < size:
-                cells[address] = value
-            else:
-                dropped += 1
-        return missed, dropped
+    def copy_from(self, source: "MemoryRef") -> None:
+        """Element-wise copy of the overlapping row-major prefix."""
+        count = min(len(self.cells), len(source.cells))
+        # Slicing reads every source cell before the first write.
+        self.cells[:count] = source.cells[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -310,25 +263,6 @@ def diff_results(
 # ---------------------------------------------------------------------------
 
 
-def _constant_int(value: Value) -> Optional[int]:
-    owner = value.defining_op
-    if isinstance(owner, ConstantOp):
-        try:
-            return int(owner.value)
-        except (TypeError, ValueError):
-            return None
-    return None
-
-
-def _scf_trips(op: scf.ForOp) -> int:
-    lb = _constant_int(op.operand(0))
-    ub = _constant_int(op.operand(1))
-    step = _constant_int(op.operand(2))
-    if lb is not None and ub is not None and step:
-        return max(0, -(-(ub - lb) // step)) if step > 0 else _UNKNOWN_TRIP
-    return _UNKNOWN_TRIP
-
-
 def _linalg_cost(op: Any) -> int:
     cost = 0
     for result in op.results:
@@ -345,22 +279,14 @@ def _copy_cost(op: memref.CopyOp) -> int:
 def estimate_cost(op: Operation) -> int:
     """Estimated op executions of interpreting ``op`` (loops multiplied out).
 
-    Approximate by construction — scf loops with non-constant bounds are
-    assumed to run :data:`_UNKNOWN_TRIP` iterations and linalg ops are
-    charged through their MAC/element counts — but cheap and good enough to
-    refuse model-scale modules before touching them.  This is the budget's
-    definition; :func:`interpret_module` computes the same number in the one
-    flat walk that also finds linalg (:func:`_entry_walk`).
+    Approximate by construction — linalg ops are charged through their
+    MAC/element counts and a copy by its source's size — but cheap and good
+    enough to refuse model-scale modules before touching them.  This is the
+    budget's definition; :func:`interpret_module` computes the same number in
+    the one flat walk that also finds linalg (:func:`_entry_walk`).
     """
     if isinstance(op, affine.AffineForOp):
         return 2 + max(op.trip_count, 0) * _block_cost(op.body)
-    if isinstance(op, scf.ForOp):
-        return 2 + _scf_trips(op) * sum(
-            _block_cost(b) for r in op.regions for b in r.blocks
-        )
-    if isinstance(op, scf.WhileOp):
-        body = sum(_block_cost(b) for r in op.regions for b in r.blocks)
-        return 2 + _UNKNOWN_TRIP * body
     from ..dialects.linalg import LinalgOp  # local: keep the ir layer light
 
     if isinstance(op, LinalgOp):
@@ -379,10 +305,10 @@ def _block_cost(block: Block) -> int:
 
 
 #: How :func:`estimate_cost` charges an op of a class: nested ops scaled by
-#: a loop's trips (affine, scf for, scf while), a leaf that is charged by
-#: its size and whose regions are not entered (linalg, copy), or one plus
-#: its nested ops (anything else).  Filled per class on first sight.
-_AFFINE_FOR, _SCF_FOR, _SCF_WHILE, _LINALG, _COPY, _PLAIN = range(6)
+#: a loop's trips (affine.for), a leaf that is charged by its size and whose
+#: regions are not entered (linalg, copy), or one plus its nested ops
+#: (anything else).  Filled per class on first sight.
+_AFFINE_FOR, _LINALG, _COPY, _PLAIN = range(4)
 _COST_KINDS: Dict[type, int] = {}
 
 
@@ -391,8 +317,6 @@ def _cost_kind(op_class: type) -> int:
 
     for base, code in (
         (affine.AffineForOp, _AFFINE_FOR),
-        (scf.ForOp, _SCF_FOR),
-        (scf.WhileOp, _SCF_WHILE),
         (LinalgOp, _LINALG),
         (memref.CopyOp, _COPY),
     ):
@@ -424,24 +348,17 @@ def _entry_walk(module: ModuleOp) -> Tuple[int, bool]:
                 code = _cost_kind(type(op))
             if code == _PLAIN:
                 total += factor
-                inner = factor
+                for region in op.regions:
+                    for block in region.blocks:
+                        stack.append((block.operations, factor))
             elif code == _AFFINE_FOR:
                 total += 2 * factor
                 stack.append((op.body.operations, factor * max(op.trip_count, 0)))
-                continue
             elif code == _LINALG:
                 total += factor * _linalg_cost(op)
                 has_linalg = True
-                continue
-            elif code == _COPY:
+            else:  # _COPY
                 total += factor * _copy_cost(op)
-                continue
-            else:
-                total += 2 * factor
-                inner = factor * (_scf_trips(op) if code == _SCF_FOR else _UNKNOWN_TRIP)
-            for region in op.regions:
-                for block in region.blocks:
-                    stack.append((block.operations, inner))
     return total, has_linalg
 
 
@@ -555,14 +472,6 @@ def _lower_subscripts(
 # ---------------------------------------------------------------------------
 
 
-def _trunc_div(a: Any, b: Any) -> int:
-    a, b = int(a), int(b)
-    if b == 0:
-        raise InterpreterError("integer division by zero")
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
 def _divf(a: Any, b: Any) -> Any:
     if b == 0:
         raise InterpreterError("float division by zero")
@@ -590,34 +499,18 @@ _ARITH: Dict[type, Tuple[Callable[..., Any], int]] = {
     arith.MulFOp: (operator.mul, 2),
     arith.MaxFOp: (max, 2),
     arith.MinFOp: (min, 2),
-    arith.AddIOp: (operator.add, 2),
-    arith.SubIOp: (operator.sub, 2),
-    arith.MulIOp: (operator.mul, 2),
-    arith.MaxIOp: (max, 2),
-    arith.MinIOp: (min, 2),
     arith.DivFOp: (_divf, 2),
-    arith.DivIOp: (_trunc_div, 2),
-    arith.NegFOp: (operator.neg, 1),
     arith.ExpOp: (_exp, 1),
     arith.SqrtOp: (_sqrt, 1),
-    arith.MACOp: (lambda a, b, acc: acc + a * b, 3),
-    arith.SelectOp: (lambda condition, a, b: a if condition else b, 3),
-    UnrealizedCastOp: (lambda a: a, 1),
 }
 
-_CMP_PREDICATES: Dict[str, Callable[[Any, Any], Any]] = {
-    name: getattr(operator, name) for name in ("eq", "ne", "lt", "le", "gt", "ge")
-}
-
-_YIELDS = (affine.AffineYieldOp, scf.YieldOp, dataflow.YieldOp)
-#: ``affine.if``/``scf.if``/``scf.while`` bodies end at their first yield or
-#: return (the return still executes).
-_BODY_END = _YIELDS + (ReturnOp,)
+#: The dataflow regions' terminator; their bodies end before it.
+_YIELDS = (dataflow.YieldOp,)
 
 #: The values visible at a program point -> their frame slots.
 _Scope = Dict[Value, int]
-_LoadOp = Union[affine.AffineLoadOp, memref.LoadOp]
-_StoreOp = Union[affine.AffineStoreOp, memref.StoreOp]
+_LoadOp = affine.AffineLoadOp
+_StoreOp = affine.AffineStoreOp
 
 
 def _apply(fn: Callable[..., Any], args: Sequence[int], out: int) -> Step:
@@ -758,31 +651,22 @@ class _Interpreter:
 
     # ------------------------------------------------------------ blocks
     def _steps(
-        self,
-        block: Block,
-        scope: _Scope,
-        skip: Tuple[type, ...] = (),
-        stop: Tuple[type, ...] = (),
+        self, block: Block, scope: _Scope, stop: Tuple[type, ...] = ()
     ) -> Tuple[Tuple[Step, ...], int]:
         """Lowered ops of ``block`` and what one pass over them is charged.
 
-        ``skip`` drops a loop's own yields; ``stop`` ends the body at its
-        first terminator.  Constants are charged but have no step: their
-        value is written into the frame here, once.
+        ``stop`` ends the body before its terminator.  Constants are charged
+        but have no step: their value is written into the frame here, once.
         """
         steps: List[Step] = []
         cost = 0
         for op in block.operations:
-            if isinstance(op, skip):
-                continue
-            if isinstance(op, stop) and not isinstance(op, ReturnOp):
+            if isinstance(op, stop):
                 break
             cost += 1
             step = self._lower(op, scope)
             if step is not None:
                 steps.append(step)
-            if isinstance(op, stop):
-                break
         return tuple(steps), cost
 
     def _block(self, block: Block, scope: _Scope, stop: Tuple[type, ...] = ()) -> Step:
@@ -817,19 +701,6 @@ class _Interpreter:
         convert = float if isinstance(result.type, FloatType) else int
         self.frame[self._define(result, scope)] = convert(op.value)
 
-    def _lower_cast(self, op: arith.CastOp, scope: _Scope) -> Step:
-        convert = float if isinstance(op.result().type, FloatType) else math.trunc
-        args = self._slots(op.operands[:1], scope, op)
-        return _apply(convert, args, self._define(op.result(), scope))
-
-    def _lower_cmp(self, op: arith.CmpOp, scope: _Scope) -> Step:
-        predicate = op.get_attr("predicate")
-        compare = _CMP_PREDICATES.get(str(predicate))
-        if compare is None:
-            return _raising(UnsupportedOpError(f"unknown cmp predicate {predicate!r}"))
-        args = self._slots(op.operands[:2], scope, op)
-        return _apply(lambda a, b: int(compare(a, b)), args, self._define(op.result(), scope))
-
     # ------------------------------------------------------------ memory
     def _lower_load(self, op: _LoadOp, scope: _Scope) -> Step:
         (source,) = self._slots([op.memref], scope, op)
@@ -840,21 +711,18 @@ class _Interpreter:
         return self._lower_access(op, scope, target, value, False)
 
     def _lower_access(
-        self, op: Union[_LoadOp, _StoreOp], scope: _Scope, view: int, value: int, load: bool
+        self, op: Union[_LoadOp, _StoreOp], scope: _Scope, buffer: int, value: int, load: bool
     ) -> Step:
         """``frame[value] = cell`` (``load``) or ``cell = frame[value]``, in
         one call per dynamic access.
 
-        The access map (or the plain indices) is decoded once, here.  Rank 1
-        or 2 with one term per subscript over integer operands takes a fused
-        step that computes the subscripts, checks the view's rank, each
-        dimension and the storage range, and touches the cell itself; any
-        other access goes through :meth:`MemoryRef._address`.
+        The access map is decoded once, here.  Rank 1 or 2 with one term per
+        subscript over integer operands takes a fused step that computes the
+        subscripts, checks the buffer's rank and each dimension, and touches
+        the cell itself; any other access goes through
+        :meth:`MemoryRef._address`.
         """
-        if isinstance(op, (affine.AffineLoadOp, affine.AffineStoreOp)):
-            affine_map, operands = op.access_map, op.index_operands
-        else:
-            affine_map, operands = AffineMap.identity(len(op.indices)), op.indices
+        affine_map, operands = op.access_map, op.index_operands
         slots, rows = self._decoded(affine_map, operands, scope, op)
         zero = _zero_for(op.memref)
 
@@ -869,7 +737,7 @@ class _Interpreter:
             subscripts = _lower_subscripts(affine_map, slots, rows)
 
             def step(frame: List[Any]) -> None:
-                memory = frame[view]
+                memory = frame[buffer]
                 address = memory._address(subscripts(frame))
                 if address is None:
                     miss(frame)
@@ -882,36 +750,31 @@ class _Interpreter:
             ((c0, ((s0, k0),)),) = rows
 
             def step(frame: List[Any]) -> None:
-                memory = frame[view]
+                memory = frame[buffer]
                 if memory.rank == 1:
                     i = c0 + frame[s0] * k0
                     if 0 <= i < memory.shape[0]:
-                        address = memory.offset + i * memory.strides[0]
-                        if 0 <= address < memory.size:
-                            if load:
-                                frame[value] = memory.cells[address]
-                            else:
-                                memory.cells[address] = frame[value]
-                            return
+                        if load:
+                            frame[value] = memory.cells[i]
+                        else:
+                            memory.cells[i] = frame[value]
+                        return
                 miss(frame)
 
         else:
             (c0, ((s0, k0),)), (c1, ((s1, k1),)) = rows
 
             def step(frame: List[Any]) -> None:
-                memory = frame[view]
+                memory = frame[buffer]
                 if memory.rank == 2:
                     i, j = c0 + frame[s0] * k0, c1 + frame[s1] * k1
                     height, width = memory.shape
                     if 0 <= i < height and 0 <= j < width:
-                        row, column = memory.strides
-                        address = memory.offset + i * row + j * column
-                        if 0 <= address < memory.size:
-                            if load:
-                                frame[value] = memory.cells[address]
-                            else:
-                                memory.cells[address] = frame[value]
-                            return
+                        if load:
+                            frame[value] = memory.cells[i * width + j]
+                        else:
+                            memory.cells[i * width + j] = frame[value]
+                        return
                 miss(frame)
 
         return step
@@ -929,29 +792,11 @@ class _Interpreter:
 
     def _lower_copy(self, op: memref.CopyOp, scope: _Scope) -> Step:
         source, target = self._slots([op.source, op.target], scope, op)
-        zero = _zero_for(op.source)
 
         def step(frame: List[Any]) -> None:
             memory = frame[target]
-            missed, dropped = memory.copy_from(frame[source], zero)
-            self.oob_reads += missed
-            self.oob_writes += dropped
-            self.ops_executed += max(memory.num_elements - 1, 0)
-
-        return step
-
-    def _lower_subview(self, op: memref.SubViewOp, scope: _Scope) -> Step:
-        (source,) = self._slots(op.operands[:1], scope, op)
-        offsets = [int(v) for v in op.get_attr("offsets", ())]
-        sizes = [int(v) for v in op.get_attr("sizes", ())]
-        strides = [int(v) for v in op.get_attr("strides", ())]
-        out = self._define(op.result(), scope)
-
-        def step(frame: List[Any]) -> None:
-            parent: MemoryRef = frame[source]
-            offset = parent.offset + sum(o * s for o, s in zip(offsets, parent.strides))
-            view_strides = [p * s for p, s in zip(parent.strides, strides)]
-            frame[out] = MemoryRef(parent.cells, sizes, view_strides, offset)
+            memory.copy_from(frame[source])
+            self.ops_executed += max(len(memory.cells) - 1, 0)
 
         return step
 
@@ -982,7 +827,7 @@ class _Interpreter:
 
     def _lower_affine_for(self, op: affine.AffineForOp, scope: _Scope) -> Step:
         iv = self._define(op.induction_variable, scope)
-        body, cost = self._steps(op.body, scope, skip=(affine.AffineYieldOp,))
+        body, cost = self._steps(op.body, scope)
         trips = range(op.lower_bound, op.upper_bound, op.step)
         limit = self.limit
 
@@ -994,107 +839,6 @@ class _Interpreter:
                 frame[iv] = value
                 for inner in body:
                     inner(frame)
-
-        return step
-
-    def _lower_affine_if(self, op: affine.AffineIfOp, scope: _Scope) -> Step:
-        condition = self._access(op.get_attr("condition"), op.operands, scope, op)
-        then, orelse = self._block(op.then_block, scope, stop=_BODY_END), op.else_block
-        otherwise = None if orelse is None else self._block(orelse, scope, stop=_BODY_END)
-
-        def step(frame: List[Any]) -> None:
-            for value in condition(frame):
-                if value < 0:
-                    if otherwise is not None:
-                        otherwise(frame)
-                    return
-            then(frame)
-
-        return step
-
-    # --------------------------------------------------------------- scf
-    def _lower_scf_for(self, op: scf.ForOp, scope: _Scope) -> Step:
-        lower, upper, stride, *init = self._slots(op.operands, scope, op)
-        block = op.regions[0].entry_block
-        iv, *carried = [self._define(argument, scope) for argument in block.arguments]
-        body, cost = self._steps(block, scope, skip=(scf.YieldOp,))
-        yielded = self._yielded(block, scope)
-        results = [self._define(result, scope) for result in op.results]
-        limit = self.limit
-
-        def step(frame: List[Any]) -> None:
-            by = int(frame[stride])
-            if by <= 0:
-                raise InterpreterError(f"scf.for step must be positive, got {by}")
-            values = [frame[s] for s in init]
-            for value in range(int(frame[lower]), int(frame[upper]), by):
-                self.ops_executed += cost
-                if self.ops_executed > limit:
-                    raise self._overrun()
-                frame[iv] = value
-                for slot, carried_value in zip(carried, values):
-                    frame[slot] = carried_value
-                for inner in body:
-                    inner(frame)
-                if yielded:
-                    values = [frame[s] for s in yielded]
-            for slot, result in zip(results, values):
-                frame[slot] = result
-
-        return step
-
-    def _lower_scf_if(self, op: scf.IfOp, scope: _Scope) -> Step:
-        (condition,) = self._slots(op.operands[:1], scope, op)
-        blocks = [op.regions[0].entry_block]
-        if len(op.regions) > 1 and op.regions[1].blocks:
-            blocks.append(op.regions[1].entry_block)
-        branches = [
-            (self._block(block, scope, stop=_BODY_END), self._yielded(block, scope))
-            for block in blocks
-        ]
-        results = [(self._define(r, scope), _zero_for(r)) for r in op.results]
-
-        def step(frame: List[Any]) -> None:
-            values: List[Any] = []
-            if frame[condition] or len(branches) > 1:
-                body, yielded = branches[0 if frame[condition] else 1]
-                body(frame)
-                values = [frame[s] for s in yielded]
-            for position, (slot, zero) in enumerate(results):
-                frame[slot] = values[position] if position < len(values) else zero
-
-        return step
-
-    def _lower_scf_while(self, op: scf.WhileOp, scope: _Scope) -> Step:
-        init = self._slots(op.operands, scope, op)
-        regions = []
-        for region in op.regions[:2]:
-            block = region.entry_block
-            arguments = [self._define(argument, scope) for argument in block.arguments]
-            body = self._block(block, scope, stop=_BODY_END)
-            regions.append((arguments, body, self._yielded(block, scope)))
-        (cond_args, cond, cond_yield), (body_args, body, body_yield) = regions
-        results = [self._define(result, scope) for result in op.results]
-
-        def step(frame: List[Any]) -> None:
-            values = [frame[s] for s in init]
-            while True:
-                for slot, value in zip(cond_args, values):
-                    frame[slot] = value
-                cond(frame)
-                yielded = [frame[s] for s in cond_yield]
-                if not yielded:
-                    raise InterpreterError("scf.while condition region must yield")
-                flag, forwarded = yielded[0], yielded[1:] or values
-                if not flag:
-                    values = list(forwarded)
-                    break
-                for slot, value in zip(body_args, forwarded):
-                    frame[slot] = value
-                body(frame)
-                values = [frame[s] for s in body_yield] or list(forwarded)
-            for slot, value in zip(results, values):
-                frame[slot] = value
 
         return step
 
@@ -1180,24 +924,14 @@ _Lowering = Callable[[_Interpreter, Any, _Scope], Optional[Step]]
 
 _LOWER: Dict[type, _Lowering] = {
     ConstantOp: _Interpreter._lower_constant,
-    arith.CastOp: _Interpreter._lower_cast,
-    arith.CmpOp: _Interpreter._lower_cmp,
     affine.AffineApplyOp: _Interpreter._lower_affine_apply,
     affine.AffineLoadOp: _Interpreter._lower_load,
     affine.AffineStoreOp: _Interpreter._lower_store,
     affine.AffineForOp: _Interpreter._lower_affine_for,
-    affine.AffineIfOp: _Interpreter._lower_affine_if,
     memref.AllocOp: _Interpreter._lower_alloc,
     dataflow.BufferOp: _Interpreter._lower_alloc,
-    memref.DeallocOp: lambda self, op, scope: (lambda frame: None),
-    memref.LoadOp: _Interpreter._lower_load,
-    memref.StoreOp: _Interpreter._lower_store,
     memref.CopyOp: _Interpreter._lower_copy,
-    memref.SubViewOp: _Interpreter._lower_subview,
     memref.GetGlobalOp: _Interpreter._lower_get_global,
-    scf.ForOp: _Interpreter._lower_scf_for,
-    scf.IfOp: _Interpreter._lower_scf_if,
-    scf.WhileOp: _Interpreter._lower_scf_while,
     dataflow.DispatchOp: lambda self, op, scope: self._block(op.body, scope, stop=_YIELDS),
     dataflow.TaskOp: _Interpreter._lower_task,
     dataflow.ScheduleOp: _Interpreter._lower_isolated,

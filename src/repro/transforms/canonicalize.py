@@ -16,12 +16,8 @@ __all__ = [
 #: their results are unused.
 _SIDE_EFFECT_OPS = {
     "affine.store",
-    "memref.store",
     "memref.copy",
-    "memref.dealloc",
     "func.return",
-    "affine.yield",
-    "scf.yield",
     "hida.yield",
     "hida.stream_write",
 }

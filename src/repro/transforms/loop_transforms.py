@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence
 from ..dialects.affine import (
     AffineApplyOp,
     AffineForOp,
-    AffineYieldOp,
     get_perfectly_nested_band,
 )
 from ..dialects.affine_map import AffineMap, dim
@@ -96,9 +95,7 @@ def unroll_loop(
     if factor <= 1:
         return loop
     body = loop.body
-    original_ops = [
-        op for op in body.operations if not isinstance(op, AffineYieldOp)
-    ]
+    original_ops = body.operations
     iv = loop.induction_variable
     remainder = loop.trip_count % factor
     if remainder:

@@ -32,9 +32,9 @@ from repro.dialects.affine import (
     loop_of,
 )
 from repro.dialects.affine_map import AffineMap, constant, dim
-from repro.dialects.arith import AddIOp
 from repro.estimation import ZU3EG, estimate_band
-from repro.ir import Builder, FuncOp, MemRefType, f32
+from repro.ir import Builder, FuncOp, IndexType, MemRefType, f32
+from repro.ir.core import create_operation
 from repro.workloads import list_workloads
 
 
@@ -152,13 +152,13 @@ def test_pinned_rows(expr, expected):
 
 
 def _computed_index_load(trip=16, unroll=8):
-    """``for i (unroll 8): k = i + i; A[k]`` -- the index is an op result."""
+    """``for i (unroll 8): k = opaque(i); A[k]`` -- the index is an op result."""
     func = FuncOp.create("f", input_types=[MemRefType((2 * trip,), f32, "bram")])
     loop = Builder.at_end(func.entry_block).insert(AffineForOp.create(0, trip))
     loop.set_unroll_factor(unroll)
     body = Builder.at_end(loop.body)
     iv = loop.induction_variable
-    computed = body.insert(AddIOp.create(iv, iv)).result()
+    computed = body.insert(create_operation("test.opaque", [iv], [IndexType()])).result()
     by_result = body.insert(AffineLoadOp.create(func.arguments[0], [computed]))
     by_iv = body.insert(AffineLoadOp.create(func.arguments[0], [iv]))
     return func, loop, by_result, by_iv

@@ -1,5 +1,5 @@
 """Tests for affine maps/expressions and the basic dialects
-(arith, memref, scf, affine, hls directives)."""
+(arith, memref, affine, hls directives)."""
 
 
 import pytest
@@ -8,28 +8,16 @@ from hypothesis import strategies as st
 
 from repro.dialects.affine import (
     AffineForOp,
-    AffineIfOp,
     AffineLoadOp,
+    AffineStoreOp,
     enclosing_loops,
-    get_loop_band,
     get_perfectly_nested_band,
-    loop_nest_depth,
-    total_trip_count,
 )
 from repro.dialects.affine_map import AffineConstantExpr, AffineMap, constant, dim, symbol
-from repro.dialects.arith import (
-    AddFOp,
-    CmpOp,
-    MACOp,
-    MulFOp,
-    SelectOp,
-    is_compute_op,
-    is_multiply_accumulate,
-)
+from repro.dialects.arith import AddFOp, MulFOp, is_compute_op, is_multiply_accumulate
 from repro.dialects.hls import ArrayPartition, PartitionKind, partition_of, set_partition
-from repro.dialects.memref import AllocOp, CopyOp, LoadOp, StoreOp, SubViewOp
-from repro.dialects.scf import ForOp, IfOp
-from repro.ir import Builder, ConstantOp, FuncOp, MemRefType, f32, i32, index
+from repro.dialects.memref import AllocOp, CopyOp
+from repro.ir import Builder, ConstantOp, FuncOp, MemRefType, f32, index
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +143,27 @@ class TestArith:
         assert add.lhs is a.result()
         assert add.rhs is b.result()
 
-    def test_cmp_produces_i1(self):
-        a = ConstantOp.create(1.0, f32)
-        cmp = CmpOp.create("lt", a.result(), a.result())
-        assert cmp.result().type.width == 1
-        assert cmp.predicate == "lt"
-
-    def test_select(self):
-        a = ConstantOp.create(1.0, f32)
-        cond = CmpOp.create("lt", a.result(), a.result())
-        sel = SelectOp.create(cond.result(), a.result(), a.result())
-        assert sel.result().type == f32
-
     def test_compute_op_classification(self):
         a = ConstantOp.create(1.0, f32)
         mul = MulFOp.create(a.result(), a.result())
-        mac = MACOp.create(a.result(), a.result(), a.result())
-        assert is_compute_op(mul)
+        add = AddFOp.create(a.result(), a.result())
+        assert is_compute_op(mul) and is_compute_op(add)
         assert is_multiply_accumulate(mul)
-        assert is_multiply_accumulate(mac)
+        assert not is_multiply_accumulate(add)
         assert not is_compute_op(a)
 
 
 # ---------------------------------------------------------------------------
-# memref / scf dialects
+# memref dialect
 # ---------------------------------------------------------------------------
 
 
-class TestMemRefScf:
+class TestMemRef:
     def test_alloc_and_load_store(self):
         alloc = AllocOp.create(MemRefType((4, 4), f32), name_hint="buf")
         idx = ConstantOp.create(0, index)
-        load = LoadOp.create(alloc.result(), [idx.result(), idx.result()])
-        store = StoreOp.create(load.result(), alloc.result(), [idx.result(), idx.result()])
+        load = AffineLoadOp.create(alloc.result(), [idx.result(), idx.result()])
+        store = AffineStoreOp.create(load.result(), alloc.result(), [idx.result(), idx.result()])
         assert load.result().type == f32
         assert store.memref is alloc.result()
         assert alloc.result().name_hint == "buf"
@@ -198,28 +174,6 @@ class TestMemRefScf:
         copy = CopyOp.create(a.result(), b.result())
         assert copy.source is a.result()
         assert copy.target is b.result()
-
-    def test_subview_result_shape(self):
-        alloc = AllocOp.create(MemRefType((16, 16), f32))
-        view = SubViewOp.create(alloc.result(), [0, 0], [4, 4], [1, 1])
-        assert view.result().type.shape == (4, 4)
-
-    def test_scf_for_structure(self):
-        lb = ConstantOp.create(0, index)
-        ub = ConstantOp.create(10, index)
-        step = ConstantOp.create(1, index)
-        loop = ForOp.create(lb.result(), ub.result(), step.result())
-        assert loop.induction_variable.type == index
-        assert loop.lower_bound is lb.result()
-
-    def test_scf_if_blocks(self):
-        cond = CmpOp.create("lt", ConstantOp.create(0, i32).result(), ConstantOp.create(1, i32).result())
-        if_op = IfOp.create(cond.result(), with_else=True)
-        assert if_op.then_block is not None
-        assert if_op.else_block is not None
-        if_no_else = IfOp.create(cond.result())
-        assert if_no_else.else_block is None
-
 
 # ---------------------------------------------------------------------------
 # affine dialect and loop utilities
@@ -281,18 +235,12 @@ class TestAffineDialect:
         body_op = Builder.at_end(innermost.body).insert(ConstantOp.create(1.0, f32))
         assert enclosing_loops(body_op) == loops
         assert get_perfectly_nested_band(outer) == loops
-        assert get_loop_band(outer) == loops
 
     def test_imperfect_nest_band_stops(self):
         outer, loops = build_nest([4, 8])
         # Add a second op next to the inner loop -> band of length 1.
         Builder.at_end(outer.body).insert(ConstantOp.create(1.0, f32))
         assert get_perfectly_nested_band(outer) == [outer]
-
-    def test_loop_nest_depth_and_total_trip_count(self):
-        outer, loops = build_nest([4, 8, 2])
-        assert loop_nest_depth(outer) == 3
-        assert total_trip_count(outer) == 4 * 8 * 2
 
     def test_load_store_access_maps(self):
         memref_ty = MemRefType((32, 16), f32)
@@ -318,11 +266,6 @@ class TestAffineDialect:
         )
         with pytest.raises(ValueError):
             load.verify()
-
-    def test_affine_if_blocks(self):
-        if_op = AffineIfOp.create(AffineMap.identity(1), [], with_else=True)
-        assert if_op.then_block is not None and if_op.else_block is not None
-
 
 # ---------------------------------------------------------------------------
 # HLS directive dialect

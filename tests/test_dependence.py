@@ -44,7 +44,6 @@ from repro.dialects.affine import (
     enclosing_loops,
 )
 from repro.dialects.affine_map import AffineMap, constant, dim
-from repro.dialects.arith import AddIOp
 from repro.frontend.cpp import KernelBuilder
 from repro.hida.analysis import is_parallel_loop
 from repro.transforms.loop_transforms import (
@@ -53,7 +52,7 @@ from repro.transforms.loop_transforms import (
     permute_band,
 )
 from repro.ir import Block, Builder, ConstantOp, FuncOp, IndexType, MemRefType, Type, f32
-from repro.ir.core import Operation, Value
+from repro.ir.core import Operation, Value, create_operation
 from repro.workloads import get_workload, list_workloads
 
 
@@ -400,6 +399,11 @@ class TestSharedAccessCollection:
 # ---------------------------------------------------------------------------
 
 
+def _opaque_index(operand):
+    """An index computed by an op no analysis can see through."""
+    return create_operation("test.opaque", [operand], [IndexType()])
+
+
 def _keyed_nest(
     lower=0,
     upper=8,
@@ -423,7 +427,7 @@ def _keyed_nest(
     builder = Builder.at_end(func.entry_block)
     stored = builder.insert(ConstantOp.create(0.0, f32)).result()
     argument = func.arguments[2]
-    hoisted = builder.insert(AddIOp.create(argument, argument)).result()
+    hoisted = builder.insert(_opaque_index(argument)).result()
     outer = builder.insert(AffineForOp.create(0, 4))
     inner = Builder.at_end(outer.body).insert(AffineForOp.create(lower, upper, step))
     if parallel is not None:
@@ -432,7 +436,7 @@ def _keyed_nest(
     iv = inner.induction_variable
     extra = {
         "iv": None,
-        "inside": lambda: body.insert(AddIOp.create(argument, argument)).result(),
+        "inside": lambda: body.insert(_opaque_index(argument)).result(),
         "hoisted": lambda: hoisted,
         "outer-iv": lambda: outer.induction_variable,
     }[second_index]

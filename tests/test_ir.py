@@ -8,10 +8,10 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from repro.compiler.driver import DEFAULT_PIPELINE, Compiler
+from repro.compiler.driver import DEFAULT_PIPELINE, Compiler, PipelineObserver
 from repro.compiler.stages import CompilationState
 from repro.estimation.platform import get_platform
-from repro.workloads import get_workload, list_workloads
+from repro.workloads import get_workload, iter_workloads, list_workloads
 from repro.ir import (
     Block,
     Builder,
@@ -710,3 +710,50 @@ class TestWalkContract:
         assert repr(ConstantOp.create(1.0, f32)) == (
             "<arith.constant operands=0 results=1 children=0>"
         )
+
+
+# ---------------------------------------------------------------------------
+# Op surface: every registered kind is one the compiler builds
+# ---------------------------------------------------------------------------
+
+#: Registered kinds that no registered workload's default compile holds at
+#: any stage boundary, each with the ``src/`` function that constructs it.
+_BUILT_OFF_THE_DEFAULT_COMPILE = {
+    "affine.apply": "transforms.loop_transforms.unroll_loop (literal unroll)",
+    # hida.dataflow_opt.balance_data_paths, when a path needs a soft FIFO:
+    "hida.stream": "balance_data_paths",
+    "hida.stream_read": "balance_data_paths",
+    "hida.stream_write": "balance_data_paths",
+    "memref.copy": "hida.dataflow_opt.eliminate_multiple_producers",
+    # the C++-style kernel builder, frontend.cpp.kernel_builder:
+    "arith.minf": "ScalarExpr.minimum",
+    "math.exp": "KernelBuilder.exp",
+}
+
+
+class _OpNames(PipelineObserver):
+    """The op names of the module at every boundary of a compile."""
+
+    def __init__(self):
+        self.names = set()
+
+    def _collect(self, module):
+        self.names.update(op.name for op in module.walk())
+
+    def on_pipeline_start(self, compiler, module):
+        self._collect(module)
+
+    def on_stage_end(self, stage, state, seconds):
+        self._collect(state.module)
+
+
+def test_every_registered_op_kind_is_built_by_a_compile_or_allowlisted():
+    """A kind nothing builds only grows the interpreter and emitter; and an
+    allowlisted kind a compile starts to build leaves the allowlist."""
+    observer = _OpNames()
+    for handle in iter_workloads():
+        Compiler.from_spec(DEFAULT_PIPELINE, observers=[observer]).run(workload=handle)
+    unseen = set(registered_operations()) - observer.names
+    built_by_nothing = sorted(unseen - set(_BUILT_OFF_THE_DEFAULT_COMPILE))
+    assert not built_by_nothing, f"registered, never built: {built_by_nothing}"
+    assert sorted(set(_BUILT_OFF_THE_DEFAULT_COMPILE) - unseen) == []

@@ -51,7 +51,6 @@ from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.dialects.affine_map import AffineMap, constant, dim
 from repro.dialects.arith import AddFOp
 from repro.dialects.dataflow import NodeOp, ScheduleOp
-from repro.dialects.memref import StoreOp
 from repro.dialects.affine import AffineApplyOp
 from repro.estimation.platform import get_platform
 from repro.ir import Builder, FuncOp, MemRefType, ModuleOp, ReturnOp, f32, f64
@@ -362,11 +361,7 @@ def _mutant_off_by_one_permute(outer, inner):
 def _mutant_unroll_skipping_legality(loop):
     """A broken literal 2x unroll: clones the body at iv+1 but forgets to
     scale the loop step, so every iteration double-executes."""
-    body_ops = [
-        op
-        for op in list(loop.body.operations)
-        if op.name != "affine.yield"
-    ]
+    body_ops = loop.body.operations
     builder = Builder.at_end(loop.body)
     shifted = builder.insert(
         AffineApplyOp.create(
@@ -476,7 +471,7 @@ def test_affine_map_evaluation_matches_interpreter():
         applied = builder.insert(AffineApplyOp.create(amap, operands))
         marker = builder.constant(-1.0, f64)  # seeds are positive
         builder.insert(
-            StoreOp.create(marker, func.arguments[0], [applied.result()])
+            AffineStoreOp.create(marker, func.arguments[0], [applied.result()])
         )
         builder.insert(ReturnOp.create())
 
