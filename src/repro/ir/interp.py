@@ -20,7 +20,12 @@ Semantics, in one place:
 * **Out-of-bounds** — reads return 0 and writes are dropped, both counted
   in the result.  This keeps the interpreter total and deterministic; a
   transform that changes which addresses go out of bounds changes the
-  counters and (almost always) the outputs.
+  counters and (almost always) the outputs.  An access whose subscripts are
+  linear in ``affine.for`` induction variables is proven in range of its
+  static shape once, at lowering, by interval arithmetic over the loop
+  ranges; it then only checks that the buffer has that shape.  Every other
+  access (another operand, an empty loop, a subscript that may leave the
+  buffer such as a padded window's) is checked each time it runs.
 * **Dataflow** — ``hida.dispatch``/``hida.task`` are transparent regions;
   ``hida.schedule``/``hida.node`` are isolated and bind their operands to
   block arguments (memory is shared by reference, so node writes are
@@ -152,19 +157,20 @@ class MemoryRef:
     @classmethod
     def allocate(cls, memref_type: MemRefType, slot: int, seed: int) -> "MemoryRef":
         """A buffer of ``memref_type`` holding ``seed_value(slot, i, seed)``."""
-        convert = float if isinstance(memref_type.element_type, FloatType) else int
-        count = memref_type.num_elements
-        return cls(
-            [convert(seed_value(slot, i, seed)) for i in range(count)], memref_type.shape
-        )
+        offset = slot * 7 + seed * 5  # seed_value's formula, inline: no call per element
+        cells: List[Any] = [(offset + i * 3) % 11 + 1 for i in range(memref_type.num_elements)]
+        if isinstance(memref_type.element_type, FloatType):
+            cells = [float(v) for v in cells]
+        return cls(cells, memref_type.shape)
 
     def _address(self, indices: Sequence[int]) -> Optional[int]:
         """Flat cell address of ``indices``; None when out of bounds.
 
-        The general access path: rank 0 or >= 3, multi-term or non-linear
-        subscripts, non-integer operands (0 % of the benchmark's ``validate``
-        and ``cache-fill`` accesses).  Rank-1/2 single-term accesses make the
-        same checks inline, in :meth:`_Interpreter._lower_access`'s steps.
+        The general checked path: rank 0 or >= 3, multi-term or non-linear
+        subscripts, non-integer operands.  Rank-1/2 single-term accesses make
+        the same checks inline, in :meth:`_Interpreter._lower_access`'s steps.
+        Neither runs on the benchmark's ``validate`` or ``cache-fill``: every
+        access there is proven in range at lowering.
         """
         if len(indices) != self.rank:
             return None
@@ -472,37 +478,62 @@ def _lower_subscripts(
 # ---------------------------------------------------------------------------
 
 
-def _divf(a: Any, b: Any) -> Any:
-    if b == 0:
-        raise InterpreterError("float division by zero")
-    return a / b
-
-
-def _exp(a: Any) -> float:
-    try:
-        return math.exp(a)
-    except OverflowError:
-        raise InterpreterError(f"exp overflow on {a!r}") from None
-
-
-def _sqrt(a: Any) -> float:
-    if a < 0:
-        raise InterpreterError(f"sqrt of negative value {a!r}")
-    return math.sqrt(a)
-
-
-#: Scalar ops that are a pure function of their leading operands:
-#: ``kind -> (function, how many operands it reads)``.
-_ARITH: Dict[type, Tuple[Callable[..., Any], int]] = {
-    arith.AddFOp: (operator.add, 2),
-    arith.SubFOp: (operator.sub, 2),
-    arith.MulFOp: (operator.mul, 2),
-    arith.MaxFOp: (max, 2),
-    arith.MinFOp: (min, 2),
-    arith.DivFOp: (_divf, 2),
-    arith.ExpOp: (_exp, 1),
-    arith.SqrtOp: (_sqrt, 1),
+#: Scalar ops that are a pure function of their leading operands -> how many
+#: operands they read; :func:`_arith_step` computes each.
+_ARITH: Dict[type, int] = {
+    arith.AddFOp: 2,
+    arith.SubFOp: 2,
+    arith.MulFOp: 2,
+    arith.MaxFOp: 2,
+    arith.MinFOp: 2,
+    arith.DivFOp: 2,
+    arith.ExpOp: 1,
+    arith.SqrtOp: 1,
 }
+
+
+def _arith_step(kind: type, args: Sequence[int], out: int) -> Step:
+    """``frame[out] = kind(*frame[args])`` computed inline, one call per dynamic
+    op.  ``max``/``min`` keep the first operand unless the second compares
+    greater / less, as the builtins do, NaN and signed zeros included."""
+    a, b = args[0], args[-1]
+    if kind is arith.AddFOp:
+        def step(frame: List[Any]) -> None:
+            frame[out] = frame[a] + frame[b]
+    elif kind is arith.SubFOp:
+        def step(frame: List[Any]) -> None:
+            frame[out] = frame[a] - frame[b]
+    elif kind is arith.MulFOp:
+        def step(frame: List[Any]) -> None:
+            frame[out] = frame[a] * frame[b]
+    elif kind is arith.MaxFOp:
+        def step(frame: List[Any]) -> None:
+            x, y = frame[a], frame[b]
+            frame[out] = y if y > x else x
+    elif kind is arith.MinFOp:
+        def step(frame: List[Any]) -> None:
+            x, y = frame[a], frame[b]
+            frame[out] = y if y < x else x
+    elif kind is arith.DivFOp:
+        def step(frame: List[Any]) -> None:
+            y = frame[b]
+            if y == 0:
+                raise InterpreterError("float division by zero")
+            frame[out] = frame[a] / y
+    elif kind is arith.ExpOp:
+        def step(frame: List[Any]) -> None:
+            try:
+                frame[out] = math.exp(frame[a])
+            except OverflowError:
+                raise InterpreterError(f"exp overflow on {frame[a]!r}") from None
+    else:  # arith.SqrtOp
+        def step(frame: List[Any]) -> None:
+            x = frame[a]
+            if x < 0:
+                raise InterpreterError(f"sqrt of negative value {x!r}")
+            frame[out] = math.sqrt(x)
+    return step
+
 
 #: The dataflow regions' terminator; their bodies end before it.
 _YIELDS = (dataflow.YieldOp,)
@@ -511,23 +542,6 @@ _YIELDS = (dataflow.YieldOp,)
 _Scope = Dict[Value, int]
 _LoadOp = affine.AffineLoadOp
 _StoreOp = affine.AffineStoreOp
-
-
-def _apply(fn: Callable[..., Any], args: Sequence[int], out: int) -> Step:
-    """``frame[out] = fn(*frame[args])``."""
-    if len(args) == 2:
-        a, b = args
-
-        def step(frame: List[Any]) -> None:
-            frame[out] = fn(frame[a], frame[b])
-
-    else:
-        operands = _pick(args)
-
-        def step(frame: List[Any]) -> None:
-            frame[out] = fn(*operands(frame))
-
-    return step
 
 
 def _raising(error: InterpreterError) -> Step:
@@ -569,6 +583,8 @@ class _Interpreter:
         self.globals: Dict[str, MemoryRef] = {}
         self.returned: Tuple[object, ...] = ()
         self.frame: List[Any] = []
+        #: Induction-variable slot -> its loop's range, recorded at lowering.
+        self.ranges: Dict[int, range] = {}
 
     # ------------------------------------------------------------- entry
     def run(self, func: FuncOp) -> ExecutionResult:
@@ -716,11 +732,11 @@ class _Interpreter:
         """``frame[value] = cell`` (``load``) or ``cell = frame[value]``, in
         one call per dynamic access.
 
-        The access map is decoded once, here.  Rank 1 or 2 with one term per
-        subscript over integer operands takes a fused step that computes the
-        subscripts, checks the buffer's rank and each dimension, and touches
-        the cell itself; any other access goes through
-        :meth:`MemoryRef._address`.
+        The access map is decoded once, here.  An access :meth:`_proof` shows
+        in range checks only that the buffer has its static shape.  Any other
+        (or another shape) is checked: rank 1 or 2 with one term per subscript
+        over integer operands checks the rank and each dimension inline, and
+        anything else goes through :meth:`MemoryRef._address`.
         """
         affine_map, operands = op.access_map, op.index_operands
         slots, rows = self._decoded(affine_map, operands, scope, op)
@@ -736,7 +752,7 @@ class _Interpreter:
         if not rows or len(rows) > 2 or any(len(terms) != 1 for _, terms in rows):
             subscripts = _lower_subscripts(affine_map, slots, rows)
 
-            def step(frame: List[Any]) -> None:
+            def checked(frame: List[Any]) -> None:
                 memory = frame[buffer]
                 address = memory._address(subscripts(frame))
                 if address is None:
@@ -749,7 +765,7 @@ class _Interpreter:
         elif len(rows) == 1:
             ((c0, ((s0, k0),)),) = rows
 
-            def step(frame: List[Any]) -> None:
+            def checked(frame: List[Any]) -> None:
                 memory = frame[buffer]
                 if memory.rank == 1:
                     i = c0 + frame[s0] * k0
@@ -764,7 +780,7 @@ class _Interpreter:
         else:
             (c0, ((s0, k0),)), (c1, ((s1, k1),)) = rows
 
-            def step(frame: List[Any]) -> None:
+            def checked(frame: List[Any]) -> None:
                 memory = frame[buffer]
                 if memory.rank == 2:
                     i, j = c0 + frame[s0] * k0, c1 + frame[s1] * k1
@@ -777,7 +793,64 @@ class _Interpreter:
                         return
                 miss(frame)
 
-        return step
+        memref_type = op.memref.type
+        proof = self._proof(memref_type, rows)
+        if proof is None:
+            return checked
+        shape, (base, terms) = memref_type.shape, proof
+        if 1 <= len(terms) <= 2:  # inline; a lone term pads with weight 0 on its slot
+            (s0, w0), (s1, w1) = (terms + [(terms[0][0], 0)])[:2]
+
+            def proven(frame: List[Any]) -> None:
+                memory = frame[buffer]
+                if memory.shape != shape:
+                    return checked(frame)
+                if load:
+                    frame[value] = memory.cells[base + frame[s0] * w0 + frame[s1] * w1]
+                else:
+                    memory.cells[base + frame[s0] * w0 + frame[s1] * w1] = frame[value]
+
+        else:
+
+            def proven(frame: List[Any]) -> None:
+                memory = frame[buffer]
+                if memory.shape != shape:
+                    return checked(frame)
+                address = base
+                for slot, weight in terms:
+                    address += frame[slot] * weight
+                if load:
+                    frame[value] = memory.cells[address]
+                else:
+                    memory.cells[address] = frame[value]
+
+        return proven
+
+    def _proof(self, memref_type: Any, rows: Optional[List[_Decoded]]) -> Optional[_Decoded]:
+        """The flat address as ``(base, [(iv slot, weight), ...])`` when exact
+        interval arithmetic over the loop ranges puts every subscript row in
+        ``[0, dim)`` of ``memref_type``'s shape; None when not proven (a term
+        that is not a loop induction variable, or an empty loop)."""
+        if rows is None or not isinstance(memref_type, MemRefType):
+            return None
+        shape = memref_type.shape
+        if len(rows) != len(shape):
+            return None
+        weights: Dict[int, int] = {}
+        base = 0
+        for (const, terms), extent, stride in zip(rows, shape, _row_major_strides(shape)):
+            low = high = const
+            for slot, k in terms:
+                trips = self.ranges.get(slot)
+                if not trips or trips.step < 0:
+                    return None
+                first, last = trips[0] * k, trips[-1] * k
+                low, high = (low + first, high + last) if k > 0 else (low + last, high + first)
+                weights[slot] = weights.get(slot, 0) + k * stride
+            if low < 0 or high >= extent:
+                return None
+            base += const * stride
+        return base, [(slot, weight) for slot, weight in weights.items() if weight]
 
     def _lower_alloc(self, op: Union[memref.AllocOp, dataflow.BufferOp], scope: _Scope) -> Step:
         memref_type = op.memref_type
@@ -827,8 +900,8 @@ class _Interpreter:
 
     def _lower_affine_for(self, op: affine.AffineForOp, scope: _Scope) -> Step:
         iv = self._define(op.induction_variable, scope)
+        trips = self.ranges[iv] = range(op.lower_bound, op.upper_bound, op.step)
         body, cost = self._steps(op.body, scope)
-        trips = range(op.lower_bound, op.upper_bound, op.step)
         limit = self.limit
 
         def step(frame: List[Any]) -> None:
@@ -945,10 +1018,13 @@ _LOWER: Dict[type, _Lowering] = {
 }
 
 
-def _arith_lowering(fn: Callable[..., Any], arity: int) -> _Lowering:
+def _arith_lowering(kind: type) -> _Lowering:
     def lower(self: _Interpreter, op: Operation, scope: _Scope) -> Step:
-        args = self._slots(op.operands[:arity], scope, op)
-        return _apply(fn, args, self._define(op.result(), scope))
+        args = self._slots(op.operands[: _ARITH[kind]], scope, op)
+        out = self._define(op.result(), scope)
+        if len(args) < _ARITH[kind]:
+            return _raising(InterpreterError(f"{op.name} is missing an operand"))
+        return _arith_step(kind, args, out)
 
     return lower
 
@@ -967,7 +1043,7 @@ def _dispatch(op_class: type) -> _Lowering:
     lower: _Lowering = _unsupported
     for base in op_class.__mro__:
         if base in _ARITH:
-            lower = _arith_lowering(*_ARITH[base])
+            lower = _arith_lowering(base)
             break
         if base in _LOWER:
             lower = _LOWER[base]

@@ -10,6 +10,7 @@ import cProfile
 import hashlib
 import json
 import math
+import operator
 import pathlib
 import pstats
 import types
@@ -28,6 +29,7 @@ from repro.dialects.affine import (
 )
 from repro.dialects.affine_map import AffineMap, constant, dim, symbol
 from repro.dialects.arith import (
+    AddFOp,
     DivFOp,
     ExpOp,
     MaxFOp,
@@ -57,6 +59,7 @@ from repro.ir import (
     ReturnOp,
     f32,
     f64,
+    i8,
     i32,
 )
 from repro.ir import interp
@@ -835,25 +838,284 @@ def test_one_access_matches_the_reference_address(case):
 
 
 # ---------------------------------------------------------------------------
-# Counted, not timed: a rank-1/2 single-term access is one call
+# Property: accesses in constant-bound nests, proven in range or checked
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def _nest_cases(draw):
+    """A 1-3 deep ``affine.for`` nest (empty loops included) around one load
+    or store of a rank-1-3 buffer, each subscript ``c + sum(k * iv)`` over a
+    drawn operand list (repeated IVs, negative ``k``, some out of range).
+    ``static`` set: the nest runs in a ``hida.node`` whose block argument is
+    typed with that shape, not the operand's."""
+    depth, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    loops = []
+    for _ in range(depth):
+        low = draw(st.integers(-1, 2))
+        loops.append((low, low + draw(st.integers(-1, 4)), draw(st.integers(1, 3))))
+    shape = draw(st.lists(st.integers(1, 4), min_size=rank, max_size=rank))
+    operands = draw(st.lists(st.integers(0, depth - 1), min_size=1, max_size=3))
+    term = st.tuples(st.integers(0, len(operands) - 1), st.integers(-2, 2))
+    rows = draw(st.lists(
+        st.tuples(st.integers(-1, 2), st.lists(term, max_size=3)), min_size=rank, max_size=rank
+    ))
+    static = None
+    if draw(st.booleans()):
+        static = draw(st.lists(st.integers(1, 5), min_size=rank, max_size=rank))
+    return {
+        "kind": draw(st.sampled_from(("affine.load", "affine.store"))),
+        "float": draw(st.booleans()),
+        "loops": loops,
+        "shape": shape,
+        "operands": operands,
+        "rows": rows,
+        "static": static,
+    }
+
+
+def _build_nest(case):
+    """``main(arg0, arg1: memref<1>)``: a load stores its value to ``arg1[0]``,
+    which is loaded and returned after the nest; a store writes 99."""
+    element = f64 if case["float"] else i32
+    module = ModuleOp.create()
+    func = FuncOp.create(
+        "main",
+        [MemRefType(tuple(case["shape"]), element), MemRefType((1,), element)],
+        top=True,
+    )
+    module.body.append(func)
+    b = Builder.at_end(func.entry_block)
+    memory, last = func.arguments
+    cell = AffineMap(0, 0, [constant(0)])
+    if case["static"] is not None:
+        node = b.insert(NodeOp.create(inouts=[memory, last]))
+        memory, last = node.body.arguments
+        memory.type = MemRefType(tuple(case["static"]), element)
+        b = Builder.at_end(node.body)
+    marker = b.constant(99.0 if case["float"] else 99, element)
+    ivs = []
+    for low, high, step in case["loops"]:
+        loop = b.insert(AffineForOp.create(low, high, step))
+        ivs.append(loop.induction_variable)
+        b = Builder.at_end(loop.body)
+    exprs = []
+    for const, terms in case["rows"]:
+        expr = constant(const)
+        for position, k in terms:
+            expr = expr + dim(position) * k
+        exprs.append(expr)
+    access_map = AffineMap(len(case["operands"]), 0, exprs)
+    operands = [ivs[i] for i in case["operands"]]
+    if case["kind"] == "affine.load":
+        value = b.insert(AffineLoadOp.create(memory, operands, access_map)).result()
+        b.insert(AffineStoreOp.create(value, last, [], cell))
+    else:
+        b.insert(AffineStoreOp.create(marker, memory, operands, access_map))
+    b = Builder.at_end(func.entry_block)
+    returned = []
+    if case["kind"] == "affine.load":
+        returned = [b.insert(AffineLoadOp.create(func.arguments[1], [], cell)).result()]
+    b.insert(ReturnOp.create(returned))
+    return module
+
+
+def _expected_nest(case):
+    """``(arg0, arg1, returned, oob_reads, oob_writes, ops_executed)``: the
+    nest run in Python, each access addressed by ``_reference_address`` over
+    the operand's shape, each block charged its op count per entry."""
+    convert = float if case["float"] else int
+    load = case["kind"] == "affine.load"
+    cells = [convert(seed_value(0, i)) for i in range(math.prod(case["shape"]))]
+    last = [convert(seed_value(1, 0))]
+    buffer = types.SimpleNamespace(shape=case["shape"], strides=_row_major(case["shape"]))
+    counts = {"reads": 0, "writes": 0}
+    loops, innermost = case["loops"], 2 if load else 1
+    # Entry block: the node or (marker, outer loop); the final load; return.
+    ops = (1 if case["static"] is not None else 2) + int(load) + 1
+    if case["static"] is not None:
+        ops += 2  # the node's body: marker and outer loop
+    stack = [(0, [])]
+    while stack:
+        level, ivs = stack.pop()
+        if level == len(loops):
+            values = [ivs[i] for i in case["operands"]]
+            subscripts = [
+                const + sum(k * values[p] for p, k in terms) for const, terms in case["rows"]
+            ]
+            address = _reference_address(buffer, subscripts)
+            if load:
+                counts["reads"] += address is None
+                last[0] = convert(0) if address is None else cells[address]
+            elif address is None:
+                counts["writes"] += 1
+            else:
+                cells[address] = convert(99)
+            continue
+        trips = list(range(*loops[level]))
+        ops += len(trips) * (innermost if level == len(loops) - 1 else 1)
+        stack.extend((level + 1, ivs + [value]) for value in reversed(trips))
+    returned = (last[0],) if load else ()
+    return cells, last, returned, counts["reads"], counts["writes"], ops
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_nest_cases())
+@example(case={  # proven: a 3x4 buffer walked row-major, one loop per dimension
+    "kind": "affine.load", "float": True, "loops": [(0, 3, 1), (0, 4, 1)], "shape": [3, 4],
+    "operands": [0, 1], "rows": [(0, [(0, 1)]), (0, [(1, 1)])], "static": None,
+})
+@example(case={  # proven: a negative coefficient and a repeated IV, A[3 - i][i + i]
+    "kind": "affine.store", "float": False, "loops": [(0, 2, 1)], "shape": [4, 4],
+    "operands": [0, 0], "rows": [(3, [(0, -1)]), (0, [(0, 1), (1, 1)])], "static": None,
+})
+@example(case={  # a negative coefficient that leaves the buffer: A[1 - i], i in 0..2
+    "kind": "affine.load", "float": False, "loops": [(0, 3, 1)], "shape": [2],
+    "operands": [0], "rows": [(1, [(0, -1)])], "static": None,
+})
+@example(case={  # in range of the node's static 4x4, past the operand's 2x2 buffer
+    "kind": "affine.load", "float": True, "loops": [(0, 4, 1), (0, 4, 2)], "shape": [2, 2],
+    "operands": [0, 1], "rows": [(0, [(0, 1)]), (0, [(1, 1)])], "static": [4, 4],
+})
+@example(case={  # an empty loop around an access that would leave the buffer
+    "kind": "affine.store", "float": True, "loops": [(2, 1, 1)], "shape": [2],
+    "operands": [0], "rows": [(5, [(0, 2)])], "static": None,
+})
+def test_nested_accesses_match_the_reference_address(case):
+    result = interpret_module(_build_nest(case))
+    cells, last, returned, oob_reads, oob_writes, ops = _expected_nest(case)
+    _exactly(result.output_map["arg0"], cells)
+    _exactly(result.output_map["arg1"], last)
+    _exactly(result.returned, returned)
+    assert (result.oob_reads, result.oob_writes) == (oob_reads, oob_writes)
+    assert result.ops_executed == ops
+
+
+# ---------------------------------------------------------------------------
+# Property: inline arithmetic == the builtin it computes; seeded buffers
+# ---------------------------------------------------------------------------
+
+
+def _builtin(kind, x, y):
+    """What ``kind`` computes in Python builtins: its value, or the class of
+    the exception it raises."""
+    if (kind is DivFOp and y == 0) or (kind is SqrtOp and x < 0):
+        return InterpreterError
+    function = {
+        AddFOp: operator.add, SubFOp: operator.sub, MulFOp: operator.mul, MaxFOp: max,
+        MinFOp: min, DivFOp: operator.truediv, ExpOp: math.exp, SqrtOp: math.sqrt,
+    }[kind]
+    try:
+        return function(x) if kind in (ExpOp, SqrtOp) else function(x, y)
+    except OverflowError:  # a float overflow, or an int too large for a float
+        return InterpreterError if kind is ExpOp else OverflowError
+
+
+_scalars = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -1.0]),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([0, 1, -1, 10**400]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    kind=st.sampled_from([AddFOp, SubFOp, MulFOp, MaxFOp, MinFOp, DivFOp, ExpOp, SqrtOp]),
+    x=_scalars,
+    y=_scalars,
+)
+@example(kind=MaxFOp, x=0.0, y=-0.0)
+@example(kind=MinFOp, x=-0.0, y=0.0)
+@example(kind=MaxFOp, x=math.nan, y=1.0)
+@example(kind=MinFOp, x=1.0, y=math.nan)
+def test_arith_steps_equal_the_builtins_bitwise(kind, x, y):
+    """Compared by ``repr``, so -0.0 vs 0.0 and NaN count; ints stay ints."""
+
+    def build(b, args):
+        operands = [b.constant(v, f64 if isinstance(v, float) else i32) for v in (x, y)]
+        unary = kind in (ExpOp, SqrtOp)
+        return [b.insert(kind.create(*operands[: 1 if unary else 2])).result()]
+
+    expected = _builtin(kind, x, y)
+    if expected in (InterpreterError, OverflowError):
+        with pytest.raises(expected):
+            _run(build)
+    else:
+        assert repr(_run(build).returned) == repr((expected,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(0, 13), min_size=0, max_size=3),
+    element=st.sampled_from([f32, f64, i32, i8]),
+    slot=st.integers(0, 2000),
+    seed=st.integers(-50, 50),
+)
+def test_allocate_holds_seed_value(shape, element, slot, seed):
+    memory_type = MemRefType(tuple(shape), element)
+    convert = float if element in (f32, f64) else int
+    expected = [convert(seed_value(slot, i, seed)) for i in range(math.prod(shape))]
+    _exactly(interp.MemoryRef.allocate(memory_type, slot, seed).cells, expected)
+
+
+# ---------------------------------------------------------------------------
+# Counted, not timed: an access is one call, proven in range at lowering
+# ---------------------------------------------------------------------------
+
+
+def _interp_calls(module):
+    """``(result, {interp.py function name: calls}, all calls)`` of one execution."""
+    profile = cProfile.Profile()
+    result = profile.runcall(interpret_module, module)
+    stats, calls = pstats.Stats(profile), {}
+    for (filename, _, function), row in stats.stats.items():
+        if filename.endswith("interp.py"):
+            calls[function] = calls.get(function, 0) + row[1]
+    return result, calls, stats.total_calls
 
 
 @pytest.mark.parametrize(
     "name, params, calls_per_op",
     [
-        ("2mm", {"n": 8}, 2.0),
-        ("gesummv", {"n": 8}, 3.5),
-        ("jacobi-2d", {"n": 8, "tsteps": 2}, 4.5),
+        ("2mm", {"n": 8}, 1.3),
+        ("gesummv", {"n": 8}, 1.9),
+        ("jacobi-2d", {"n": 8, "tsteps": 2}, 3.0),
     ],
 )
 def test_frontend_accesses_never_take_the_general_path(name, params, calls_per_op):
     module = as_module(get_workload(name).at(**params))
-    profile = cProfile.Profile()
-    result = profile.runcall(interpret_module, module)
-    stats = pstats.Stats(profile)
-    general = sum(
-        row[1] for (_, _, function), row in stats.stats.items() if function == "_address"
-    )
-    assert general == 0
-    assert stats.total_calls <= calls_per_op * result.ops_executed
+    result, calls, total_calls = _interp_calls(module)
+    assert calls.get("_address", 0) == 0
+    assert total_calls <= calls_per_op * result.ops_executed
+
+
+def _dynamic_accesses(module):
+    """Loads and stores executed: each access times its loops' trip counts."""
+    count = 0
+    for op in module.walk():
+        if isinstance(op, (AffineLoadOp, AffineStoreOp)):
+            trips, parent = 1, op.parent_op
+            while parent is not None:
+                if isinstance(parent, AffineForOp):
+                    trips *= parent.trip_count
+                parent = parent.parent_op
+            count += trips
+    return count
+
+
+@pytest.mark.parametrize(
+    "handle",
+    _shrunk(iter_workloads(kind="kernel")),
+    ids=lambda handle: handle.definition.name,
+)
+def test_kernel_accesses_are_proven_in_range(handle):
+    """In the frontend and the final ``DEFAULT_PIPELINE`` module of every
+    kernel, each dynamic access takes the proven step and none the checked
+    one: no kernel reads or writes out of bounds."""
+    boundaries = _boundaries(handle)
+    for module in (boundaries[0], boundaries[-1]):
+        result, calls, _ = _interp_calls(module)
+        assert calls.get("checked", 0) == 0
+        assert calls.get("proven", 0) == _dynamic_accesses(module) > 0
+        assert (result.oob_reads, result.oob_writes) == (0, 0)
