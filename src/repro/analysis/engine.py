@@ -7,9 +7,9 @@ recording where every op's header lands (line and character offset — the
 rule, filters suppressed findings, and returns an :class:`AnalysisReport`.
 
 The context exposes exactly the graph the dataflow *simulator* uses
-(:func:`~repro.estimation.dataflow_sim.build_channels` and
-:func:`~repro.estimation.dataflow_sim.channel_cycles`), so the static rules
-and the measurement oracle can never disagree about structure.
+(:func:`~repro.estimation.dataflow_sim.build_channels`) and its one closure
+(:func:`~repro.estimation.dataflow_sim.channel_reachability`), so the static
+rules and the measurement oracle can never disagree about structure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import obs
 from ..dialects.dataflow import ScheduleOp
-from ..estimation.dataflow_sim import build_channels, channel_cycles
+from ..estimation.dataflow_sim import build_channels, channel_cycles, channel_reachability
 from ..estimation.platform import Platform, get_platform
 from ..ir.core import Operation
 from ..ir.printer import IRPrinter
@@ -111,26 +111,10 @@ class ScheduleContext:
         return edges
 
     def reachable(self, source: int) -> FrozenSet[int]:
-        """Node indices reachable from ``source`` over channel edges."""
+        """Node indices reachable from ``source`` by one or more channel
+        edges (``source`` itself when it sits on a cycle)."""
         if self._reachable is None:
-            adjacency: Dict[int, List[int]] = {
-                i: [] for i in range(len(self.nodes))
-            }
-            for (producer, consumer) in self.distinct_edges():
-                adjacency[producer].append(consumer)
-            closure: List[FrozenSet[int]] = []
-            for start in range(len(self.nodes)):
-                seen = {start}
-                stack = [start]
-                while stack:
-                    node = stack.pop()
-                    for succ in adjacency[node]:
-                        if succ not in seen:
-                            seen.add(succ)
-                            stack.append(succ)
-                seen.discard(start)
-                closure.append(frozenset(seen))
-            self._reachable = closure
+            self._reachable = channel_reachability(len(self.nodes), self.channels)
         return self._reachable[source]
 
     def ordered(self, a: int, b: int) -> bool:

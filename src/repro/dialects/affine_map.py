@@ -272,22 +272,6 @@ class AffineMap:
             )
         return tuple(r.evaluate(dims, symbols) for r in self.results)
 
-    def is_identity(self) -> bool:
-        if self.num_results != self.num_dims:
-            return False
-        return all(
-            isinstance(r, AffineDimExpr) and r.position == i
-            for i, r in enumerate(self.results)
-        )
-
-    def is_permutation(self) -> bool:
-        positions = []
-        for r in self.results:
-            if not isinstance(r, AffineDimExpr):
-                return False
-            positions.append(r.position)
-        return sorted(positions) == list(range(self.num_dims))
-
     def used_dims(self) -> Tuple[int, ...]:
         dims_used: set = set()
         for r in self.results:

@@ -46,7 +46,6 @@ __all__ = [
     "get_producers",
     "get_consumers",
     "get_node_users",
-    "is_external_buffer",
 ]
 
 
@@ -569,15 +568,3 @@ def get_consumers(buffer: Value) -> List[NodeOp]:
     return [node for node in get_node_users(buffer) if node.reads(buffer)]
 
 
-def is_external_buffer(buffer: Value, schedule: ScheduleOp) -> bool:
-    """Whether ``buffer`` is allocated outside ``schedule``'s region.
-
-    External buffers may be observed by nodes outside the schedule, so
-    multi-producer elimination must fall back to node fusion (Algorithm 3,
-    lines 11-13).
-    """
-    buffer_op = buffer.defining_op
-    if buffer_op is None:
-        # A block argument of the schedule or an ancestor: external.
-        return True
-    return not schedule.is_ancestor_of(buffer_op)

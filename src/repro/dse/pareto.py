@@ -86,8 +86,13 @@ def objective_vector(
 
 
 def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True when ``a`` is no worse than ``b`` everywhere and better somewhere."""
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+    """True when ``a`` is no worse than ``b`` everywhere (NaN never is) and better somewhere."""
+    better = False
+    for x, y in zip(a, b):
+        if not x <= y:
+            return False
+        better = better or x < y
+    return better
 
 
 def pareto_frontier(

@@ -11,7 +11,6 @@ from .metrics import (
     geometric_mean,
     memory_reduction,
     speedup,
-    throughput_samples_per_second,
 )
 from .platform import (
     PYNQ_Z2,
@@ -47,7 +46,6 @@ __all__ = [
     "geometric_mean",
     "memory_reduction",
     "speedup",
-    "throughput_samples_per_second",
     "PYNQ_Z2",
     "VU9P_SLR",
     "ZU3EG",

@@ -17,7 +17,7 @@ token flow) precisely to remove that back-pressure.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..dialects.dataflow import (
     BufferOp,
@@ -35,6 +35,7 @@ __all__ = [
     "dataflow_timeline",
     "build_channels",
     "channel_cycles",
+    "channel_reachability",
     "channel_depths",
 ]
 
@@ -325,6 +326,26 @@ def _dedup_adjacency(
     return adjacency
 
 
+def channel_reachability(
+    num_nodes: int, channels: Sequence[ChannelSpec]
+) -> List[FrozenSet[int]]:
+    """The nodes each node reaches by one or more channel edges (itself
+    exactly when it sits on a cycle): the one closure :func:`channel_cycles`
+    and the static rules' orderings read."""
+    adjacency = _dedup_adjacency(num_nodes, channels)
+    closure: List[FrozenSet[int]] = []
+    for start in range(num_nodes):
+        seen: Set[int] = set()
+        stack = [start]
+        while stack:
+            for succ in adjacency[stack.pop()]:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        closure.append(frozenset(seen))
+    return closure
+
+
 def channel_cycles(
     num_nodes: int, channels: Sequence[ChannelSpec]
 ) -> List[List[int]]:
@@ -332,60 +353,17 @@ def channel_cycles(
 
     Returns one sorted member list per SCC with more than one node (self
     channels never exist: :func:`build_channels` drops producer == consumer
-    edges), ordered by smallest member.  This is the *single* definition of
-    "a cycle" over the simulator's channel graph, which the static deadlock
+    edges), ordered by smallest member: each node on a cycle with the nodes
+    it reaches that reach it back.  This is the *single* definition of "a
+    cycle" over the simulator's channel graph, which the static deadlock
     checker in :mod:`repro.analysis` reads.
     """
-    adjacency = _dedup_adjacency(num_nodes, channels)
-    # Iterative Tarjan (schedules can be deep enough to bother recursion).
-    index_of: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack = [False] * num_nodes
-    stack: List[int] = []
+    reach = channel_reachability(num_nodes, channels)
     components: List[List[int]] = []
-    counter = [0]
-
-    def strongconnect(root: int) -> None:
-        work = [(root, iter(adjacency[root]))]
-        index_of[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack[succ] = True
-                    work.append((succ, iter(adjacency[succ])))
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    components.append(sorted(component))
-
-    for start in range(num_nodes):
-        if start not in index_of:
-            strongconnect(start)
-    components.sort(key=lambda members: members[0])
+    for node in range(num_nodes):
+        component = sorted(other for other in reach[node] if node in reach[other])
+        if len(component) > 1 and component[0] == node:
+            components.append(component)
     return components
 
 

@@ -1,4 +1,4 @@
-"""Evaluation metrics: DSP efficiency, throughput helpers, geometric means."""
+"""Evaluation metrics: DSP efficiency, speedups, geometric means, memory reduction."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Iterable
 
 __all__ = [
     "dsp_efficiency",
-    "throughput_samples_per_second",
     "geometric_mean",
     "speedup",
     "memory_reduction",
@@ -33,13 +32,6 @@ def dsp_efficiency(
     return (throughput * macs_per_sample) / (
         dsp_count * frequency_hz * macs_per_dsp_per_cycle
     )
-
-
-def throughput_samples_per_second(interval_cycles: float, clock_mhz: float) -> float:
-    """Throughput from a steady-state initiation interval."""
-    if interval_cycles <= 0:
-        return 0.0
-    return clock_mhz * 1e6 / interval_cycles
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -171,10 +171,6 @@ class DesignEstimate:
             return 0.0
         return self.clock_mhz * 1e6 / self.interval
 
-    @property
-    def latency_seconds(self) -> float:
-        return self.latency / (self.clock_mhz * 1e6)
-
     def utilization(self, platform: Platform) -> Dict[str, float]:
         return platform.utilization(self.resources.as_dict())
 

@@ -218,15 +218,6 @@ class BalanceReport:
     soft_fifos: int = 0
     token_streams: int = 0
 
-    @property
-    def total_actions(self) -> int:
-        return (
-            self.buffers_deepened
-            + self.copy_nodes_inserted
-            + self.soft_fifos
-            + self.token_streams
-        )
-
 
 def balance_data_paths(
     schedule: ScheduleOp,

@@ -166,10 +166,9 @@ class MemoryRef:
     def _address(self, indices: Sequence[int]) -> Optional[int]:
         """Flat cell address of ``indices``; None when out of bounds.
 
-        The general checked path: rank 0 or >= 3, multi-term or non-linear
-        subscripts, non-integer operands.  Rank-1/2 single-term accesses make
-        the same checks inline, in :meth:`_Interpreter._lower_access`'s steps.
-        Neither runs on the benchmark's ``validate`` or ``cache-fill``: every
+        Every checked access takes it: one that :meth:`_Interpreter._proof`
+        does not show in range, or that meets a buffer of another shape.  It
+        does not run on the benchmark's ``validate`` or ``cache-fill``: every
         access there is proven in range at lowering.
         """
         if len(indices) != self.rank:
@@ -466,8 +465,11 @@ def _lower_subscripts(
     """
     if rows is None:
         return _general_subscripts(affine_map, slots)
-    if all(const == 0 and [k for _, k in terms] == [1] for const, terms in rows):
-        return _pick([terms[0][0] for _, terms in rows])
+    picks = [
+        terms[0][0] for const, terms in rows if not const and len(terms) == 1 and terms[0][1] == 1
+    ]
+    if len(picks) == len(rows):
+        return _pick(picks)
     return lambda frame: [
         sum([frame[slot] * k for slot, k in terms], const) for const, terms in rows
     ]
@@ -734,64 +736,27 @@ class _Interpreter:
 
         The access map is decoded once, here.  An access :meth:`_proof` shows
         in range checks only that the buffer has its static shape.  Any other
-        (or another shape) is checked: rank 1 or 2 with one term per subscript
-        over integer operands checks the rank and each dimension inline, and
-        anything else goes through :meth:`MemoryRef._address`.
+        (or another shape) is checked by :meth:`MemoryRef._address`; a miss
+        reads 0 or drops the write, and is counted.
         """
         affine_map, operands = op.access_map, op.index_operands
         slots, rows = self._decoded(affine_map, operands, scope, op)
+        subscripts = _lower_subscripts(affine_map, slots, rows)
         zero = _zero_for(op.memref)
 
-        def miss(frame: List[Any]) -> None:
-            if load:
+        def checked(frame: List[Any]) -> None:
+            memory = frame[buffer]
+            address = memory._address(subscripts(frame))
+            if address is not None:
+                if load:
+                    frame[value] = memory.cells[address]
+                else:
+                    memory.cells[address] = frame[value]
+            elif load:
                 self.oob_reads += 1
                 frame[value] = zero
             else:
                 self.oob_writes += 1
-
-        if not rows or len(rows) > 2 or any(len(terms) != 1 for _, terms in rows):
-            subscripts = _lower_subscripts(affine_map, slots, rows)
-
-            def checked(frame: List[Any]) -> None:
-                memory = frame[buffer]
-                address = memory._address(subscripts(frame))
-                if address is None:
-                    miss(frame)
-                elif load:
-                    frame[value] = memory.cells[address]
-                else:
-                    memory.cells[address] = frame[value]
-
-        elif len(rows) == 1:
-            ((c0, ((s0, k0),)),) = rows
-
-            def checked(frame: List[Any]) -> None:
-                memory = frame[buffer]
-                if memory.rank == 1:
-                    i = c0 + frame[s0] * k0
-                    if 0 <= i < memory.shape[0]:
-                        if load:
-                            frame[value] = memory.cells[i]
-                        else:
-                            memory.cells[i] = frame[value]
-                        return
-                miss(frame)
-
-        else:
-            (c0, ((s0, k0),)), (c1, ((s1, k1),)) = rows
-
-            def checked(frame: List[Any]) -> None:
-                memory = frame[buffer]
-                if memory.rank == 2:
-                    i, j = c0 + frame[s0] * k0, c1 + frame[s1] * k1
-                    height, width = memory.shape
-                    if 0 <= i < height and 0 <= j < width:
-                        if load:
-                            frame[value] = memory.cells[i * width + j]
-                        else:
-                            memory.cells[i * width + j] = frame[value]
-                        return
-                miss(frame)
 
         memref_type = op.memref.type
         proof = self._proof(memref_type, rows)

@@ -75,14 +75,10 @@ class TestAffineExpr:
 class TestAffineMap:
     def test_identity_map(self):
         amap = AffineMap.identity(3)
-        assert amap.is_identity()
-        assert amap.is_permutation()
         assert amap.evaluate([1, 2, 3]) == (1, 2, 3)
 
     def test_permutation_map(self):
         amap = AffineMap.permutation([2, 0, 1])
-        assert amap.is_permutation()
-        assert not amap.is_identity()
         assert amap.evaluate([10, 20, 30]) == (30, 10, 20)
 
     def test_from_callable(self):
@@ -126,7 +122,6 @@ class TestAffineMap:
         amap = AffineMap.permutation(list(order))
         result = amap.evaluate(values)
         assert sorted(result) == sorted(values)
-        assert amap.is_permutation()
 
 
 # ---------------------------------------------------------------------------

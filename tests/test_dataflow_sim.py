@@ -15,6 +15,8 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dialects.dataflow import BufferOp, ScheduleOp, get_consumers, get_producers
 from repro.dse import build_space, explore, polybench_suite
@@ -198,6 +200,47 @@ def test_channel_cycles_finds_cyclic_sccs():
     # Acyclic graphs decompose into nothing (single nodes are not cycles).
     assert channel_cycles(3, [ChannelSpec(0, 1), ChannelSpec(1, 2)]) == []
     assert channel_cycles(0, []) == []
+
+
+@st.composite
+def _channel_graphs(draw):
+    """Up to 8 nodes and 0-20 channels, duplicates and self channels included."""
+    num_nodes = draw(st.integers(0, 8))
+    if not num_nodes:
+        return 0, []
+    node = st.integers(0, num_nodes - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=20))
+    return num_nodes, [ChannelSpec(producer, consumer) for producer, consumer in edges]
+
+
+def _mutual_reachability_classes(num_nodes, channels):
+    """Classes of nodes that reach each other by a path of >= 1 edges, of size
+    > 1, sorted, ordered by smallest member: a boolean Warshall closure."""
+    reach = [[False] * num_nodes for _ in range(num_nodes)]
+    for channel in channels:
+        reach[channel.producer][channel.consumer] = True
+    for k in range(num_nodes):
+        for i in range(num_nodes):
+            if reach[i][k]:
+                for j in range(num_nodes):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    classes = []
+    for i in range(num_nodes):
+        members = [i] + [j for j in range(num_nodes) if j != i and reach[i][j] and reach[j][i]]
+        if len(members) > 1 and min(members) == i:
+            classes.append(sorted(members))
+    return classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_channel_graphs())
+def test_channel_cycles_are_the_mutual_reachability_classes(graph):
+    from repro.estimation.dataflow_sim import channel_cycles
+
+    num_nodes, channels = graph
+    assert channel_cycles(num_nodes, channels) == _mutual_reachability_classes(
+        num_nodes, channels
+    )
 
 
 # ------------------------------------------------------------ graph golden

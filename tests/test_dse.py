@@ -9,6 +9,8 @@ import json
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler import DEFAULT_PIPELINE, Compiler
 from repro.dse import (
@@ -143,6 +145,22 @@ def test_pareto_missing_every_metric_is_dominated():
     }
     frontier = pareto_frontier([empty, complete])
     assert [r["point_key"] for r in frontier] == ["y"]
+
+
+_OBJECTIVE_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0]),
+    st.integers(-3, 3).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_OBJECTIVE_VALUES, _OBJECTIVE_VALUES), max_size=4))
+def test_dominates_is_no_worse_everywhere_and_better_somewhere(pairs):
+    from repro.dse.pareto import _dominates
+
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    expected = all(x <= y for x, y in pairs) and any(x < y for x, y in pairs)
+    assert _dominates(a, b) is expected
 
 
 def test_pareto_objective_directions():

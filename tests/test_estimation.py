@@ -36,7 +36,6 @@ from repro.estimation import (
     memory_reduction,
     simulate_dataflow,
     speedup,
-    throughput_samples_per_second,
 )
 from repro.baselines import ablation_pipeline_spec
 from repro.dialects.arith import AddFOp, MulFOp
@@ -255,7 +254,6 @@ class TestDesignEstimation:
             resources=ResourceUsage(), latency=1000, interval=500, clock_mhz=200
         )
         assert estimate.throughput == pytest.approx(200e6 / 500)
-        assert estimate.latency_seconds == pytest.approx(1000 / 200e6)
 
     def test_estimate_function_on_plain_kernel(self):
         module = as_module("symm")
@@ -278,7 +276,6 @@ class TestMetrics:
         assert dsp_efficiency(1, 1, 0, 1) == 0.0
 
     def test_throughput_and_speedup(self):
-        assert throughput_samples_per_second(1000, 100) == pytest.approx(1e5)
         assert speedup(10, 5) == 2
         assert speedup(10, 0) == float("inf")
 

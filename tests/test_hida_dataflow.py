@@ -19,6 +19,7 @@ from repro.dialects.memref import AllocOp, CopyOp
 from repro.frontend.cpp import build_listing1
 from repro.frontend.nn import Sequential, Conv2d, ReLU, BatchNorm2d, trace
 from repro.hida import (
+    BalanceReport,
     analyze_memory_effects,
     balance_data_paths,
     construct_functional_dataflow,
@@ -379,7 +380,7 @@ class TestDataPathBalancing:
     def test_balanced_schedule_not_modified(self):
         module, schedules = lower_listing1()
         report = balance_data_paths(schedules[0])
-        assert report.total_actions == 0
+        assert report == BalanceReport()
 
     def test_resnet_shortcuts_trigger_balancing(self):
         from repro.compiler import Compiler, default_stages
