@@ -22,6 +22,7 @@ __all__ = [
     "AffineApplyOp",
     "loop_of",
     "get_perfectly_nested_band",
+    "innermost_loop",
     "enclosing_loops",
 ]
 
@@ -304,3 +305,12 @@ def get_perfectly_nested_band(root: AffineForOp) -> List[AffineForOp]:
         band.append(current)
     return band
 
+
+def innermost_loop(loop: AffineForOp) -> AffineForOp:
+    """The loop reached from ``loop`` by descending into the first
+    ``affine.for`` of each body, through an imperfect nest too."""
+    while True:
+        inner = [op for op in loop.body.operations if isinstance(op, AffineForOp)]
+        if not inner:
+            return loop
+        loop = inner[0]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dependence import NestAccesses, loop_carries_dependence
-from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
+from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp, innermost_loop
 from ..dialects.arith import is_multiply_accumulate
 from ..dialects.dataflow import NodeOp, ScheduleOp
 from ..estimation.qor import node_intensity
@@ -161,17 +161,8 @@ def _loads_and_stores(root: Operation) -> List[Operation]:
 def _muls_per_innermost_iteration(band: Sequence[AffineForOp]) -> int:
     if not band:
         return 0
-    innermost = band[-1]
-    # Walk to the true innermost loop if the band is imperfect.
-    current = innermost
-    while True:
-        inner = [op for op in current.body.operations if isinstance(op, AffineForOp)]
-        if not inner:
-            break
-        current = inner[0]
-    return sum(
-        1 for op in current.body.operations if is_multiply_accumulate(op)
-    )
+    innermost = innermost_loop(band[-1])
+    return sum(1 for op in innermost.body.operations if is_multiply_accumulate(op))
 
 
 def band_info_of(node: NodeOp, band: Sequence[AffineForOp]) -> BandInfo:

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dependence import NestAccesses
 from ..analysis.legality import legal_permutation, legal_pipeline_ii
-from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
+from ..dialects.affine import AffineLoadOp, AffineStoreOp, innermost_loop
 from ..dialects.dataflow import ScheduleOp
 from ..ir.core import Operation, Value
 from ..transforms.array_partition import _resolve_through_nodes, partition_decoded_accesses
@@ -369,16 +369,8 @@ def parallelize_band(
     band.apply_unroll_factors(best)
     _order_reductions_outward(band)
     if band.band:
-        innermost = band.band[-1]
         # Pipeline the innermost loop of the (possibly deeper) nest.
-        current = innermost
-        while True:
-            inner = [
-                op for op in current.body.operations if isinstance(op, AffineForOp)
-            ]
-            if not inner:
-                break
-            current = inner[0]
+        current = innermost_loop(band.band[-1])
         # Clamp the directive to the recurrence bound so the pass never
         # claims an II its own carried dependences make unachievable.
         accesses = band.nest_accesses or NestAccesses(current)

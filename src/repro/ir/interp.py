@@ -38,11 +38,11 @@ Semantics, in one place:
   declarations with the cost model and the C++, so the tests hold it to an
   independent reference (``tests/reference_linalg.py``).
 * **Budget** — interpretation refuses modules whose statically estimated
-  cost (:func:`estimate_cost`) exceeds ``max_ops``, and aborts if the
-  dynamic op count overruns the estimate by a safety margin (the estimate
-  prices a copy by its source, the run by its target); both raise
-  :class:`InterpreterBudgetError` so callers can report an honest
-  "skipped" instead of a silently vacuous "validated".
+  cost (:func:`estimate_cost`) exceeds ``max_ops`` with
+  :class:`InterpreterBudgetError`, so callers can report an honest
+  "skipped" instead of a silently vacuous "validated".  Every loop has
+  constant bounds and a copy is priced by the cells it writes, so the
+  estimate is never below the op count of the run it admits.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ __all__ = [
 #: not and are honestly reported as skipped by the validation layer.
 DEFAULT_MAX_OPS = 2_000_000
 
-#: The dynamic op counter may exceed the static estimate by this factor
-#: before interpretation aborts (the estimate is approximate: a copy is
-#: priced by its source's size, but runs over its target's).
-_DYNAMIC_SLACK = 4
-
 
 class InterpreterError(RuntimeError):
     """Interpretation failed (malformed IR, unsupported construct, ...)."""
@@ -99,7 +94,7 @@ class UnsupportedOpError(InterpreterError):
 
 
 class InterpreterBudgetError(InterpreterError):
-    """The module's estimated or actual cost exceeds the op budget."""
+    """The module's estimated cost exceeds the op budget."""
 
     def __init__(self, message: str, cost: int = 0, max_ops: int = 0) -> None:
         super().__init__(message)
@@ -277,18 +272,19 @@ def _linalg_cost(op: Any) -> int:
 
 
 def _copy_cost(op: memref.CopyOp) -> int:
-    source_type = op.source.type
-    return 1 + (source_type.num_elements if isinstance(source_type, MemRefType) else 1)
+    target_type = op.target.type
+    return 1 + (target_type.num_elements if isinstance(target_type, MemRefType) else 1)
 
 
 def estimate_cost(op: Operation) -> int:
     """Estimated op executions of interpreting ``op`` (loops multiplied out).
 
     Approximate by construction — linalg ops are charged through their
-    MAC/element counts and a copy by its source's size — but cheap and good
-    enough to refuse model-scale modules before touching them.  This is the
-    budget's definition; :func:`interpret_module` computes the same number in
-    the one flat walk that also finds linalg (:func:`_entry_walk`).
+    MAC/element counts and a copy by the cells it writes — but cheap, on
+    affine IR never below a run's ``ops_executed``, and good enough to refuse
+    model-scale modules before touching them.  This is the budget's
+    definition; :func:`interpret_module` computes the same number in the one
+    flat walk that also finds linalg (:func:`_entry_walk`).
     """
     if isinstance(op, affine.AffineForOp):
         return 2 + max(op.trip_count, 0) * _block_cost(op.body)
@@ -570,15 +566,16 @@ class _Interpreter:
     bodies get a fresh one, their operands copied into their block-argument
     slots).  Each static op becomes one :data:`Step` with its slots,
     constants and attribute reads already resolved, so a dynamic op costs
-    one call however often its loop runs.  The op budget is charged per
-    straight-line block: at block entry and at every loop iteration.
+    one call however often its loop runs.  ``ops_executed`` is counted here
+    too: each op adds :attr:`runs`, the product of its enclosing loops' trip
+    counts, so the steps carry no bookkeeping.
     """
 
-    def __init__(self, seed: int, max_ops: int) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.max_ops = max_ops
-        self.limit = max_ops * _DYNAMIC_SLACK
         self.ops_executed = 0
+        #: How often the block being lowered runs: its loops' trips multiplied.
+        self.runs = 1
         self.oob_reads = 0
         self.oob_writes = 0
         self.stream_underflows = 0
@@ -597,8 +594,6 @@ class _Interpreter:
         for position, argument in enumerate(func.arguments):
             frame[arguments[position]] = self._seeded_argument(position, argument.type)
         body(frame)
-        if self.ops_executed > self.limit:
-            raise self._overrun()
         outputs = [
             (f"arg{position}", frame[slot].logical_cells())
             for position, slot in enumerate(arguments)
@@ -625,13 +620,6 @@ class _Interpreter:
         if isinstance(value_type, FloatType):
             return float(seed_value(slot, 0, self.seed))
         return seed_value(slot, 0, self.seed)
-
-    def _overrun(self) -> InterpreterBudgetError:
-        return InterpreterBudgetError(
-            f"dynamic op count exceeded {self.limit} (budget {self.max_ops})",
-            cost=self.ops_executed,
-            max_ops=self.max_ops,
-        )
 
     # ------------------------------------------------------------- slots
     def _define(self, value: Value, scope: _Scope) -> int:
@@ -668,33 +656,26 @@ class _Interpreter:
         return slots, None
 
     # ------------------------------------------------------------ blocks
-    def _steps(
-        self, block: Block, scope: _Scope, stop: Tuple[type, ...] = ()
-    ) -> Tuple[Tuple[Step, ...], int]:
-        """Lowered ops of ``block`` and what one pass over them is charged.
+    def _steps(self, block: Block, scope: _Scope, stop: Tuple[type, ...] = ()) -> Tuple[Step, ...]:
+        """Lowered ops of ``block``, each counted :attr:`runs` times.
 
-        ``stop`` ends the body before its terminator.  Constants are charged
+        ``stop`` ends the body before its terminator.  Constants are counted
         but have no step: their value is written into the frame here, once.
         """
         steps: List[Step] = []
-        cost = 0
         for op in block.operations:
             if isinstance(op, stop):
                 break
-            cost += 1
+            self.ops_executed += self.runs
             step = self._lower(op, scope)
             if step is not None:
                 steps.append(step)
-        return tuple(steps), cost
+        return tuple(steps)
 
     def _block(self, block: Block, scope: _Scope, stop: Tuple[type, ...] = ()) -> Step:
-        steps, cost = self._steps(block, scope, stop=stop)
-        limit = self.limit
+        steps = self._steps(block, scope, stop=stop)
 
         def run(frame: List[Any]) -> None:
-            self.ops_executed += cost
-            if self.ops_executed > limit:
-                raise self._overrun()
             for step in steps:
                 step(frame)
 
@@ -830,11 +811,11 @@ class _Interpreter:
 
     def _lower_copy(self, op: memref.CopyOp, scope: _Scope) -> Step:
         source, target = self._slots([op.source, op.target], scope, op)
+        # A copy writing n cells counts n ops: itself and n - 1 more (its estimate, n + 1).
+        self.ops_executed += self.runs * max(_copy_cost(op) - 2, 0)
 
         def step(frame: List[Any]) -> None:
-            memory = frame[target]
-            memory.copy_from(frame[source])
-            self.ops_executed += max(len(memory.cells) - 1, 0)
+            frame[target].copy_from(frame[source])
 
         return step
 
@@ -866,14 +847,13 @@ class _Interpreter:
     def _lower_affine_for(self, op: affine.AffineForOp, scope: _Scope) -> Step:
         iv = self._define(op.induction_variable, scope)
         trips = self.ranges[iv] = range(op.lower_bound, op.upper_bound, op.step)
-        body, cost = self._steps(op.body, scope)
-        limit = self.limit
+        runs = self.runs
+        self.runs = runs * len(trips)
+        body = self._steps(op.body, scope)
+        self.runs = runs
 
         def step(frame: List[Any]) -> None:
             for value in trips:
-                self.ops_executed += cost
-                if self.ops_executed > limit:
-                    raise self._overrun()
                 frame[iv] = value
                 for inner in body:
                     inner(frame)
@@ -1068,4 +1048,4 @@ def interpret_module(
             max_ops=max_ops,
         )
     func = _entry_function(module, function)
-    return _Interpreter(seed, max_ops).run(func)
+    return _Interpreter(seed).run(func)
