@@ -13,14 +13,21 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ir_strategies import _op_trees
 from repro.compiler import DEFAULT_PIPELINE, Compiler
+from repro.compiler.stages import CompilationState
 from repro.dialects.affine import AffineForOp
 from repro.dialects.arith import AddFOp
 from repro.dialects.dataflow import BufferOp, NodeOp, ScheduleOp
 from repro.ir import Block, Builder, ConstantOp, FuncOp, ModuleOp, f32, verify
+from repro.estimation.platform import get_platform
 from repro.ir.builtin import ReturnOp
+from repro.ir.core import BlockArgument, OpResult
 from repro.ir.verifier import VerificationError
+from repro.workloads import get_workload, list_workloads
 
 
 def clean_module():
@@ -301,6 +308,197 @@ def test_verifier_golden(name):
     golden = json.loads(_GOLDEN_PATH.read_text())[name]
     assert golden, "a corrupted module must produce diagnostics"
     assert _diagnostics(_CASES[name]) == golden
+
+
+# ---------------------------------------------------------------------------
+# Reference: the ancestor-climbing rules the scoped walk is held to
+# ---------------------------------------------------------------------------
+
+
+def _reference_verify(top):
+    """The verifier as it stood before the scoped walk, rules verbatim: a
+    recursive post-order walk in which every operand climbs its user's
+    ancestors and every op climbs to its enclosing isolated-from-above op."""
+
+    def walk(op):
+        for region in op.regions:
+            for block in region.blocks:
+                for child in list(block._operations):
+                    yield from walk(child)
+        yield op
+
+    def enclosing_isolated_op(op):
+        while op is not None and not getattr(op, "ISOLATED_FROM_ABOVE", False):
+            op = op.parent_op
+        return op
+
+    def is_visible(value, user):
+        if isinstance(value, BlockArgument):
+            block = user.parent
+            while block is not None:
+                if block is value.block:
+                    return True
+                parent_op = block.parent_op
+                block = parent_op.parent if parent_op else None
+            return False
+        if isinstance(value, OpResult):
+            def_op = value.op
+            def_block = def_op.parent
+            if def_block is None:
+                return False
+            node = user
+            while node is not None:
+                if node.parent is def_block:
+                    return def_block.index_of(def_op) < def_block.index_of(node)
+                node = node.parent_op
+        return False
+
+    errors = []
+    for op in walk(top):
+        for region in op.regions:
+            if region.parent is not op:
+                errors.append(f"{op.name}: region parent link is broken")
+            for block in region.blocks:
+                if block.parent is not region:
+                    errors.append(f"{op.name}: block parent link is broken")
+                for child in block._operations:
+                    if child.parent is not block:
+                        errors.append(f"{op.name}: child op {child.name} has a stale parent link")
+        for index, operand in enumerate(op._operands):
+            if (op, index) not in operand._uses:
+                errors.append(f"{op.name}: operand #{index} use-list is missing this use")
+        for result in op.results:
+            for user, idx in result._uses:
+                if idx >= user.num_operands or user.operand(idx) is not result:
+                    errors.append(f"{op.name}: stale use recorded on result #{result.index}")
+        isolated = enclosing_isolated_op(op)
+        for index, operand in enumerate(op._operands if op is not top else ()):
+            if isolated is not None and isolated is not op:
+                def_op = operand.defining_op
+                if def_op is not None:
+                    if not isolated.is_ancestor_of(def_op):
+                        errors.append(
+                            f"{op.name}: operand #{index} defined outside isolated op {isolated.name}"
+                        )
+                        continue
+                elif isinstance(operand, BlockArgument):
+                    owner_op = operand.block.parent_op
+                    if owner_op is not None and not isolated.is_ancestor_of(owner_op):
+                        errors.append(
+                            f"{op.name}: operand #{index} is a block argument from "
+                            f"outside isolated op {isolated.name}"
+                        )
+                        continue
+            if not is_visible(operand, op):
+                errors.append(f"{op.name}: operand #{index} ({operand!r}) is not visible at its use")
+        try:
+            op.verify()
+        except Exception as exc:
+            errors.append(f"{op.name}: {exc}")
+    return errors
+
+
+#: The corruptions a generated tree gets one of, on top of the misplaced
+#: operands it may already have (its operands are drawn from every value
+#: printed before the op, sibling regions and the op's own owners included).
+_CORRUPTIONS = (
+    "move-before-def",
+    "later-op",
+    "sibling-region",
+    "across-node",
+    "break-link",
+    "clear-def-parent",
+)
+
+
+def _ancestor_blocks(op):
+    blocks = []
+    block = op.parent
+    while block is not None:
+        blocks.append(block)
+        owner = block.parent_op
+        block = owner.parent if owner else None
+    return blocks
+
+
+@st.composite
+def _corrupted_trees(draw):
+    """A generated op tree with one drawn corruption applied, and its kind."""
+    top = draw(_op_trees())
+    ops = list(top.walk(order="pre"))
+    nested = ops[1:]
+    kind = draw(st.sampled_from(_CORRUPTIONS))
+    if kind == "move-before-def":
+        pairs = [
+            (user, operand.op)
+            for user in nested
+            for operand in user._operands
+            if isinstance(operand, OpResult)
+            and operand.op.parent is not None
+            and not user.is_ancestor_of(operand.op)
+        ]
+        if pairs:
+            user, def_op = draw(st.sampled_from(pairs))
+            user.move_before(def_op)
+    elif kind in ("later-op", "sibling-region"):
+        slots = [(user, index) for user in nested for index in range(user.num_operands)]
+        if slots:
+            user, index = draw(st.sampled_from(slots))
+            if kind == "later-op":
+                values = [r for op in ops[ops.index(user) + 1:] for r in op.results]
+            else:
+                ancestors = _ancestor_blocks(user)
+                values = [
+                    value
+                    for op in ops
+                    for region in op.regions
+                    for block in region.blocks
+                    if block not in ancestors
+                    for value in [*block.arguments, *(r for o in block._operations for r in o.results)]
+                ]
+            if values:
+                user.set_operand(index, draw(st.sampled_from(values)))
+    elif kind == "across-node":
+        if nested:
+            user = draw(st.sampled_from(nested))
+            node = Builder.before(user).insert(NodeOp.create(label="n"))
+            Builder.at_end(node.body).insert(user)
+    elif kind == "break-link":
+        regions = [region for op in ops for region in op.regions]
+        links = [*nested, *regions, *(block for region in regions for block in region.blocks)]
+        if links:
+            draw(st.sampled_from(links)).parent = None
+    else:
+        defs = [op for op in nested if any(result.has_uses for result in op.results)]
+        if defs:
+            draw(st.sampled_from(defs)).parent = None
+    return top, kind
+
+
+class TestVerifyMatchesReference:
+    @pytest.mark.parametrize(
+        "workload", list_workloads(kind="kernel") + ["lenet", "mlp"]
+    )
+    def test_zoo_module_after_every_default_stage(self, workload):
+        compiler = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg")
+        state = CompilationState(
+            module=get_workload(workload).build_module(), platform=get_platform("zu3eg")
+        )
+        assert verify(state.module, raise_on_error=False) == _reference_verify(state.module)
+        for stage in compiler.stages:
+            stage.run(state)
+            assert verify(state.module, raise_on_error=False) == _reference_verify(state.module), stage.name
+
+    @pytest.mark.parametrize("name", sorted(_CASES))
+    def test_golden_cases(self, name):
+        module = _CASES[name]()
+        assert verify(module, raise_on_error=False) == _reference_verify(module)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_corrupted_trees())
+    def test_generated_op_trees_with_one_corruption(self, case):
+        top, _kind = case
+        assert verify(top, raise_on_error=False) == _reference_verify(top)
 
 
 if __name__ == "__main__":
