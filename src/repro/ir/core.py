@@ -290,6 +290,9 @@ class Operation:
     """
 
     OPERATION_NAME = "builtin.unregistered"
+    #: Whether this op's regions may use only values defined inside it
+    #: (HIDA's structural ``node`` and ``schedule``); the verifier reads it.
+    ISOLATED_FROM_ABOVE = False
 
     def __init__(
         self,

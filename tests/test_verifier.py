@@ -7,6 +7,7 @@ produces its own diagnostic, that ``raise_on_error=False`` accumulates
 instead of stopping at the first hit, and that clean IR stays silent.
 """
 
+import collections
 import json
 import pathlib
 import re
@@ -22,10 +23,10 @@ from repro.compiler.stages import CompilationState
 from repro.dialects.affine import AffineForOp
 from repro.dialects.arith import AddFOp
 from repro.dialects.dataflow import BufferOp, NodeOp, ScheduleOp
-from repro.ir import Block, Builder, ConstantOp, FuncOp, ModuleOp, f32, verify
 from repro.estimation.platform import get_platform
+from repro.ir import Block, Builder, ConstantOp, FuncOp, ModuleOp, f32, verify
 from repro.ir.builtin import ReturnOp
-from repro.ir.core import BlockArgument, OpResult
+from repro.ir.core import BlockArgument, OpResult, Operation
 from repro.ir.verifier import VerificationError
 from repro.workloads import get_workload, list_workloads
 
@@ -328,7 +329,7 @@ def _reference_verify(top):
         yield op
 
     def enclosing_isolated_op(op):
-        while op is not None and not getattr(op, "ISOLATED_FROM_ABOVE", False):
+        while op is not None and not op.ISOLATED_FROM_ABOVE:
             op = op.parent_op
         return op
 
@@ -378,7 +379,8 @@ def _reference_verify(top):
                 if def_op is not None:
                     if not isolated.is_ancestor_of(def_op):
                         errors.append(
-                            f"{op.name}: operand #{index} defined outside isolated op {isolated.name}"
+                            f"{op.name}: operand #{index} defined outside isolated op "
+                            f"{isolated.name}"
                         )
                         continue
                 elif isinstance(operand, BlockArgument):
@@ -390,7 +392,9 @@ def _reference_verify(top):
                         )
                         continue
             if not is_visible(operand, op):
-                errors.append(f"{op.name}: operand #{index} ({operand!r}) is not visible at its use")
+                errors.append(
+                    f"{op.name}: operand #{index} ({operand!r}) is not visible at its use"
+                )
         try:
             op.verify()
         except Exception as exc:
@@ -454,7 +458,7 @@ def _corrupted_trees(draw):
                     for region in op.regions
                     for block in region.blocks
                     if block not in ancestors
-                    for value in [*block.arguments, *(r for o in block._operations for r in o.results)]
+                    for value in [*block.arguments, *(r for o in block for r in o.results)]
                 ]
             if values:
                 user.set_operand(index, draw(st.sampled_from(values)))
@@ -487,7 +491,8 @@ class TestVerifyMatchesReference:
         assert verify(state.module, raise_on_error=False) == _reference_verify(state.module)
         for stage in compiler.stages:
             stage.run(state)
-            assert verify(state.module, raise_on_error=False) == _reference_verify(state.module), stage.name
+            issues = verify(state.module, raise_on_error=False)
+            assert issues == _reference_verify(state.module), stage.name
 
     @pytest.mark.parametrize("name", sorted(_CASES))
     def test_golden_cases(self, name):
@@ -499,6 +504,29 @@ class TestVerifyMatchesReference:
     def test_generated_op_trees_with_one_corruption(self, case):
         top, _kind = case
         assert verify(top, raise_on_error=False) == _reference_verify(top)
+
+
+# ---------------------------------------------------------------------------
+# Work counts: a clean module is verified without climbing ancestors
+# ---------------------------------------------------------------------------
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("workload", ["lenet", "atax"])
+    def test_a_clean_module_reads_each_parent_op_at_most_once(self, workload, monkeypatch):
+        module, _ = _compiled(workload)
+        reads = collections.Counter()
+        parent_op = Operation.parent_op.fget
+
+        def counted(op):
+            reads[op] += 1
+            return parent_op(op)
+
+        monkeypatch.setattr(Operation, "parent_op", property(counted))
+        assert verify(module) == []
+        monkeypatch.undo()
+        ops = sum(1 for _ in module.walk())
+        assert max(reads.values(), default=0) <= 1, (sum(reads.values()), ops)
 
 
 if __name__ == "__main__":
