@@ -2,7 +2,8 @@
 
 Checks the invariants the rest of the compiler relies on:
 
-* parent links are consistent (op.parent.block contains op, etc.);
+* parent links are consistent (op.parent.block contains op, etc.) and a
+  block lists each op once;
 * every operand is visible at its use: defined earlier in the same block,
   defined in an ancestor region, or a block argument of an enclosing block —
   unless the using op sits inside an *isolated-from-above* op (HIDA
@@ -69,7 +70,7 @@ def _operand_issue(op: Operation, index: int, operand: Value) -> Optional[str]:
         while def_block is not None and node is not None:
             if node.parent is def_block:
                 ops = def_block._operations
-                if ops.index(operand.op) < ops.index(node):
+                if operand.op in ops and ops.index(operand.op) < ops.index(node):
                     return None
                 break
             node = node.parent_op
@@ -103,7 +104,15 @@ def verify(top: Operation, raise_on_error: bool = True) -> List[str]:
                     if argument.block is block:
                         visible[argument] = inner
                 children = block._operations
+                # A block that lists an op twice is reported; the op is
+                # checked at its first listing only.
+                listed = set() if len(set(children)) != len(children) else None
                 for child in children:
+                    if listed is not None:
+                        if child in listed:
+                            links.append(f"{op.name}: child op {child.name} is listed twice")
+                            continue
+                        listed.add(child)
                     if child.parent is block:
                         check(child, inner, block_linked)
                         for result in child.results:

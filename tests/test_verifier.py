@@ -24,7 +24,7 @@ from repro.dialects.affine import AffineForOp
 from repro.dialects.arith import AddFOp
 from repro.dialects.dataflow import BufferOp, NodeOp, ScheduleOp
 from repro.estimation.platform import get_platform
-from repro.ir import Block, Builder, ConstantOp, FuncOp, ModuleOp, f32, verify
+from repro.ir import Block, Builder, ConstantOp, FuncOp, InsertionPoint, ModuleOp, f32, verify
 from repro.ir.builtin import ReturnOp
 from repro.ir.core import BlockArgument, OpResult, Operation
 from repro.ir.verifier import VerificationError
@@ -46,6 +46,25 @@ def clean_module():
 def test_clean_module_verifies_silently():
     module, *_ = clean_module()
     assert verify(module) == []
+
+
+def test_an_op_its_block_no_longer_lists_is_reported_at_its_uses():
+    module, func, one, two, add = clean_module()
+    func.entry_block._operations.remove(one)
+    assert verify(module, raise_on_error=False) == [
+        f"arith.addf: operand #0 ({one.result()!r}) is not visible at its use"
+    ]
+
+
+def test_an_op_listed_twice_is_reported_once():
+    module, func, one, two, add = clean_module()
+    func.entry_block._operations.insert(0, add)
+    issues = verify(module, raise_on_error=False)
+    assert issues == [
+        f"arith.addf: operand #0 ({one.result()!r}) is not visible at its use",
+        f"arith.addf: operand #1 ({two.result()!r}) is not visible at its use",
+        "func.func: child op arith.addf is listed twice",
+    ]
 
 
 def test_parent_link_corruption_is_reported():
@@ -128,10 +147,16 @@ def test_accumulation_and_raise_modes():
 _GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "verifier_golden.json"
 
 
+def _move_after(op, anchor):
+    """Detach ``op`` and insert it right after ``anchor``."""
+    op.detach()
+    anchor.parent.insert(anchor.parent.index_of(anchor) + 1, op)
+
+
 def _long_block():
     """clean_module with 200 chained adds, so positions in a long block matter."""
     module, func, one, two, add = clean_module()
-    builder = Builder.before(func.entry_block.last_op)
+    builder = Builder(InsertionPoint.before(func.entry_block.last_op))
     chain = [add]
     for _ in range(200):
         chain.append(builder.insert(AddFOp.create(chain[-1].result(), one.result())))
@@ -146,14 +171,14 @@ def _compiled(workload):
 
 def _case_def_moved_after_use_in_long_block():
     module, func, one, two, chain = _long_block()
-    chain[40].move_after(chain[150])
-    one.move_after(chain[3])
+    _move_after(chain[40], chain[150])
+    _move_after(one, chain[3])
     return module
 
 
 def _case_use_across_isolated_node():
     module, func, one, two, add = clean_module()
-    node = Builder.before(func.entry_block.last_op).insert(NodeOp.create(label="iso"))
+    node = InsertionPoint.before(func.entry_block.last_op).insert(NodeOp.create(label="iso"))
     body = Builder.at_end(node.body)
     inner = body.insert(AddFOp.create(one.result(), two.result()))
     body.insert(AddFOp.create(inner.result(), add.result()))
@@ -162,7 +187,7 @@ def _case_use_across_isolated_node():
 
 def _case_block_argument_from_outside_isolated_op():
     module, func, *_ = clean_module()
-    node = Builder.before(func.entry_block.last_op).insert(NodeOp.create(label="iso"))
+    node = InsertionPoint.before(func.entry_block.last_op).insert(NodeOp.create(label="iso"))
     loop = Builder.at_end(node.body).insert(AffineForOp.create(0, 4))
     Builder.at_end(loop.body).insert(AddFOp.create(func.arguments[0], func.arguments[0]))
     return module
@@ -185,7 +210,7 @@ def _case_stale_use_entries():
 
 def _case_nested_region_use_before_def():
     module, func, one, two, add = clean_module()
-    outer = Builder.before(add).insert(AffineForOp.create(0, 4))
+    outer = InsertionPoint.before(add).insert(AffineForOp.create(0, 4))
     inner = Builder.at_end(outer.body).insert(AffineForOp.create(0, 4))
     # ``add`` is defined after the loop nest in the enclosing block.
     Builder.at_end(inner.body).insert(AddFOp.create(add.result(), one.result()))
@@ -194,7 +219,7 @@ def _case_nested_region_use_before_def():
 
 def _case_value_from_sibling_region():
     module, func, *_ = clean_module()
-    builder = Builder.before(func.entry_block.last_op)
+    builder = Builder(InsertionPoint.before(func.entry_block.last_op))
     first = builder.insert(AffineForOp.create(0, 4))
     second = builder.insert(AffineForOp.create(0, 4))
     inner = Builder.at_end(first.body).insert(ConstantOp.create(1.0, f32))
@@ -209,13 +234,13 @@ def _case_orphaned_op_and_detached_def():
     module, func, one, two, add = clean_module()
     one.parent = None  # still listed in the block
     ghost = ConstantOp.create(9.0, f32)  # never inserted anywhere
-    Builder.before(add).insert(AddFOp.create(ghost.result(), two.result()))
+    InsertionPoint.before(add).insert(AddFOp.create(ghost.result(), two.result()))
     return module
 
 
 def _case_broken_region_and_block_links():
     module, func, *_ = clean_module()
-    loop = Builder.before(func.entry_block.last_op).insert(AffineForOp.create(0, 4))
+    loop = InsertionPoint.before(func.entry_block.last_op).insert(AffineForOp.create(0, 4))
     Builder.at_end(loop.body).insert(ConstantOp.create(1.0, f32))
     loop.regions[0].parent = func
     loop.body.parent = func.regions[0]
@@ -225,16 +250,16 @@ def _case_broken_region_and_block_links():
 def _case_verify_hooks():
     module, func, one, *_ = clean_module()
     module.append(FuncOp.create("f"))
-    node = Builder.before(func.entry_block.last_op).insert(NodeOp.create(label="n"))
+    node = InsertionPoint.before(func.entry_block.last_op).insert(NodeOp.create(label="n"))
     node.append_operand(one.result())  # no effect entry, no block argument
     return module
 
 
 def _case_everything_at_once():
     module, func, one, two, chain = _long_block()
-    node = Builder.before(chain[60]).insert(NodeOp.create(label="iso"))
+    node = InsertionPoint.before(chain[60]).insert(NodeOp.create(label="iso"))
     Builder.at_end(node.body).insert(AddFOp.create(chain[10].result(), func.arguments[0]))
-    chain[20].move_after(chain[30])
+    _move_after(chain[20], chain[30])
     two.result()._remove_use(chain[0], 1)
     chain[70].result()._add_use(chain[71], 5)
     chain[80].parent = None
@@ -244,7 +269,7 @@ def _case_everything_at_once():
 def _case_zoo_buffer_moved_after_its_nodes():
     module, schedule = _compiled("2mm")
     buffer = next(op for op in schedule.body.operations if isinstance(op, BufferOp))
-    buffer.move_after(schedule.nodes[-1])
+    _move_after(buffer, schedule.nodes[-1])
     return module
 
 
@@ -265,7 +290,7 @@ def _case_zoo_inner_loop_hoisted_out_of_its_band():
     inner = next(
         loop for loop in schedule.walk_ops(AffineForOp) if isinstance(loop.parent_op, AffineForOp)
     )
-    inner.move_before(inner.parent_op)  # its body still reads the outer iv
+    InsertionPoint.before(inner.parent_op).insert(inner)  # its body still reads the outer iv
     return module
 
 
@@ -324,8 +349,10 @@ def _reference_verify(top):
     def walk(op):
         for region in op.regions:
             for block in region.blocks:
-                for child in list(block._operations):
-                    yield from walk(child)
+                children = list(block._operations)
+                for position, child in enumerate(children):
+                    if child not in children[:position]:
+                        yield from walk(child)
         yield op
 
     def enclosing_isolated_op(op):
@@ -345,7 +372,7 @@ def _reference_verify(top):
         if isinstance(value, OpResult):
             def_op = value.op
             def_block = def_op.parent
-            if def_block is None:
+            if def_block is None or def_op not in def_block._operations:
                 return False
             node = user
             while node is not None:
@@ -362,8 +389,11 @@ def _reference_verify(top):
             for block in region.blocks:
                 if block.parent is not region:
                     errors.append(f"{op.name}: block parent link is broken")
-                for child in block._operations:
-                    if child.parent is not block:
+                children = block._operations
+                for position, child in enumerate(children):
+                    if child in children[:position]:
+                        errors.append(f"{op.name}: child op {child.name} is listed twice")
+                    elif child.parent is not block:
                         errors.append(f"{op.name}: child op {child.name} has a stale parent link")
         for index, operand in enumerate(op._operands):
             if (op, index) not in operand._uses:
@@ -412,6 +442,8 @@ _CORRUPTIONS = (
     "across-node",
     "break-link",
     "clear-def-parent",
+    "unlist-def",
+    "list-twice",
 )
 
 
@@ -443,7 +475,8 @@ def _corrupted_trees(draw):
         ]
         if pairs:
             user, def_op = draw(st.sampled_from(pairs))
-            user.move_before(def_op)
+            user.detach()
+            InsertionPoint.before(def_op).insert(user)
     elif kind in ("later-op", "sibling-region"):
         slots = [(user, index) for user in nested for index in range(user.num_operands)]
         if slots:
@@ -465,17 +498,26 @@ def _corrupted_trees(draw):
     elif kind == "across-node":
         if nested:
             user = draw(st.sampled_from(nested))
-            node = Builder.before(user).insert(NodeOp.create(label="n"))
+            node = InsertionPoint.before(user).insert(NodeOp.create(label="n"))
             Builder.at_end(node.body).insert(user)
     elif kind == "break-link":
         regions = [region for op in ops for region in op.regions]
         links = [*nested, *regions, *(block for region in regions for block in region.blocks)]
         if links:
             draw(st.sampled_from(links)).parent = None
+    elif kind == "list-twice":
+        if nested:
+            op = draw(st.sampled_from(nested))
+            siblings = op.parent._operations
+            siblings.insert(draw(st.integers(0, len(siblings))), op)
     else:
         defs = [op for op in nested if any(result.has_uses for result in op.results)]
         if defs:
-            draw(st.sampled_from(defs)).parent = None
+            op = draw(st.sampled_from(defs))
+            if kind == "unlist-def":
+                op.parent._operations.remove(op)
+            else:
+                op.parent = None
     return top, kind
 
 
