@@ -169,11 +169,6 @@ class Dependence:
     def direction(self) -> Tuple[str, ...]:
         return tuple(element.direction for element in self.distance)
 
-    @property
-    def is_loop_independent(self) -> bool:
-        """Source and sink can touch the same address in the same iteration."""
-        return all(element.can_be_zero for element in self.distance)
-
     def carried_at(self, level: int) -> bool:
         """Can this dependence be carried by ``loops[level]``?
 
@@ -481,12 +476,6 @@ def table_stats() -> Dict[str, int]:
     """Questions answered from the table (``reused``) and by the solver
     (``solved``) in this process, and the ``forms`` the table holds now."""
     return {**_COUNTS, "forms": len(_TABLE)}
-
-
-def _clear_table() -> None:
-    """Forget every answer and count (tests only: nothing ever goes stale)."""
-    _TABLE.clear()
-    _COUNTS.update(reused=0, solved=0)
 
 
 # ---------------------------------------------------------------------------

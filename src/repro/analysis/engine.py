@@ -181,12 +181,9 @@ class AnalysisReport:
             totals[diagnostic.rule] = totals.get(diagnostic.rule, 0) + 1
         return totals
 
-    def by_severity(self, severity: str) -> List[AnalysisDiagnostic]:
-        return [d for d in self.diagnostics if d.severity == severity]
-
     @property
     def errors(self) -> List[AnalysisDiagnostic]:
-        return self.by_severity("error")
+        return [d for d in self.diagnostics if d.severity == "error"]
 
     def fails_at(self, threshold: str) -> bool:
         """Whether any finding reaches ``threshold`` ("never" disables)."""
@@ -205,13 +202,6 @@ class AnalysisReport:
             "schedules": self.schedules,
             "counts": self.counts(),
         }
-
-    def extend(self, other: "AnalysisReport") -> "AnalysisReport":
-        self.diagnostics.extend(other.diagnostics)
-        self.suppressed += other.suppressed
-        self.deduplicated += other.deduplicated
-        self.schedules += other.schedules
-        return self
 
 
 def analyze_module(

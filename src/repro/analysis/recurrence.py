@@ -39,8 +39,6 @@ _OP_LATENCY: Dict[str, float] = {
     "arith.mulf": 2.0,
     "arith.divf": 8.0,
     "arith.maxf": 2.0,
-    "arith.minf": 2.0,
-    "math.exp": 10.0,
     "math.sqrt": 10.0,
 }
 

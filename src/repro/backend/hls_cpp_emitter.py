@@ -39,8 +39,6 @@ _BINARY_OPERATORS = {
 
 _FUNCTION_OPERATORS = {
     "arith.maxf": "hls::max",
-    "arith.minf": "hls::min",
-    "math.exp": "hls::exp",
     "math.sqrt": "hls::sqrt",
 }
 

@@ -53,14 +53,6 @@ class DNNBuilderResult:
             self.dsp * self.clock_mhz * 1e6
         )
 
-    def summary(self) -> dict:
-        return {
-            "throughput": self.throughput,
-            "dsp": self.dsp,
-            "bram": self.bram,
-            "dsp_efficiency": self.dsp_efficiency,
-        }
-
 
 _UNSUPPORTED_OPS = {"linalg.add", "linalg.depthwise_conv2d"}
 

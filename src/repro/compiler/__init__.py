@@ -44,7 +44,6 @@ from .driver import (
     DiagnosticsObserver,
     PipelineObserver,
     SnapshotObserver,
-    default_pipeline_spec,
     default_stages,
 )
 from .spec import PipelineSpec, PipelineSpecError, StageSpec, parse_pipeline
@@ -66,7 +65,6 @@ __all__ = [
     "DiagnosticsObserver",
     "PipelineObserver",
     "SnapshotObserver",
-    "default_pipeline_spec",
     "default_stages",
     "PipelineSpec",
     "PipelineSpecError",

@@ -44,7 +44,6 @@ __all__ = [
     "SnapshotObserver",
     "DiagnosticsObserver",
     "DEFAULT_PIPELINE",
-    "default_pipeline_spec",
     "default_stages",
 ]
 
@@ -53,10 +52,6 @@ DEFAULT_PIPELINE = (
     "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
     "eliminate-multi-producers,balance,tile,parallelize,estimate"
 )
-
-
-def default_pipeline_spec() -> PipelineSpec:
-    return parse_pipeline(DEFAULT_PIPELINE)
 
 
 def default_stages(

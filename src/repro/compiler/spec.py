@@ -101,10 +101,6 @@ class PipelineSpec:
 
     stages: List[StageSpec] = dataclasses.field(default_factory=list)
 
-    @classmethod
-    def parse(cls, text: str) -> "PipelineSpec":
-        return parse_pipeline(text)
-
     def print(self) -> str:
         return ",".join(stage.print() for stage in self.stages)
 

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..ir.core import BlockArgument, Operation, Value, register_operation
 from ..ir.types import IndexType, MemRefType
-from .affine_map import AffineMap
+from .affine_map import AffineMap, dim
 
 __all__ = [
     "AffineForOp",
@@ -23,7 +23,6 @@ __all__ = [
     "loop_of",
     "get_perfectly_nested_band",
     "innermost_loop",
-    "enclosing_loops",
 ]
 
 
@@ -199,7 +198,7 @@ class AffineLoadOp(_AffineMemAccess):
         map: Optional[AffineMap] = None,
     ) -> "AffineLoadOp":
         memref_type: MemRefType = memref.type
-        access_map = map or AffineMap.identity(len(indices))
+        access_map = map or AffineMap(len(indices), 0, [dim(i) for i in range(len(indices))])
         return cls(
             name=cls.OPERATION_NAME,
             operands=[memref, *indices],
@@ -236,7 +235,7 @@ class AffineStoreOp(_AffineMemAccess):
         indices: Sequence[Value],
         map: Optional[AffineMap] = None,
     ) -> "AffineStoreOp":
-        access_map = map or AffineMap.identity(len(indices))
+        access_map = map or AffineMap(len(indices), 0, [dim(i) for i in range(len(indices))])
         return cls(
             name=cls.OPERATION_NAME,
             operands=[value, memref, *indices],
@@ -275,18 +274,6 @@ def loop_of(value: Value) -> Optional[AffineForOp]:
         if isinstance(parent, AffineForOp):
             return parent
     return None
-
-
-def enclosing_loops(op: Operation) -> List[AffineForOp]:
-    """All affine.for loops enclosing ``op``, outermost first."""
-    loops: List[AffineForOp] = []
-    parent = op.parent_op
-    while parent is not None:
-        if isinstance(parent, AffineForOp):
-            loops.append(parent)
-        parent = parent.parent_op
-    loops.reverse()
-    return loops
 
 
 def get_perfectly_nested_band(root: AffineForOp) -> List[AffineForOp]:

@@ -4,8 +4,8 @@ HIDA represents loop bounds, memory access functions, buffer partition
 fashions and data layouts as affine maps; the partition/layout attributes of
 a ``buffer`` op are "designed to be converted to semi-affine maps".  This
 module provides a small symbolic affine expression language with
-simplification, evaluation, and composition, sufficient for dependence
-analysis and for the permutation/scaling-map construction of HIDA-OPT.
+simplification and evaluation, sufficient for dependence analysis and for
+the permutation/scaling-map construction of HIDA-OPT.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "AffineBinaryExpr",
     "AffineMap",
     "dim",
-    "symbol",
     "constant",
 ]
 
@@ -53,9 +52,6 @@ class AffineExpr:
 
     def __mod__(self, other: "ExprLike") -> "AffineExpr":
         return _binary("mod", self, _wrap(other))
-
-    def ceildiv(self, other: "ExprLike") -> "AffineExpr":
-        return _binary("ceildiv", self, _wrap(other))
 
     # --------------------------------------------------------------- queries
     def evaluate(
@@ -205,11 +201,6 @@ def dim(position: int) -> AffineDimExpr:
     return AffineDimExpr(position)
 
 
-def symbol(position: int) -> AffineSymbolExpr:
-    """Shorthand for :class:`AffineSymbolExpr`."""
-    return AffineSymbolExpr(position)
-
-
 def constant(value: int) -> AffineConstantExpr:
     """Shorthand for :class:`AffineConstantExpr`."""
     return AffineConstantExpr(value)
@@ -235,27 +226,6 @@ class AffineMap:
             self, "results", tuple(_wrap(r) for r in results)
         )
 
-    # ---------------------------------------------------------- constructors
-    @classmethod
-    def identity(cls, rank: int) -> "AffineMap":
-        return cls(rank, 0, [dim(i) for i in range(rank)])
-
-    @classmethod
-    def constant_map(cls, values: Sequence[int]) -> "AffineMap":
-        return cls(0, 0, [constant(v) for v in values])
-
-    @classmethod
-    def permutation(cls, order: Sequence[int]) -> "AffineMap":
-        return cls(len(order), 0, [dim(i) for i in order])
-
-    @classmethod
-    def from_callable(cls, rank: int, fn) -> "AffineMap":
-        """Build a map from a Python callable over dim expressions."""
-        exprs = fn(*[dim(i) for i in range(rank)])
-        if isinstance(exprs, AffineExpr):
-            exprs = [exprs]
-        return cls(rank, 0, list(exprs))
-
     # --------------------------------------------------------------- queries
     @property
     def num_results(self) -> int:
@@ -271,12 +241,6 @@ class AffineMap:
                 f"map expects {self.num_dims} dims, got {len(dims)}"
             )
         return tuple(r.evaluate(dims, symbols) for r in self.results)
-
-    def used_dims(self) -> Tuple[int, ...]:
-        dims_used: set = set()
-        for r in self.results:
-            r._collect_dims(dims_used)
-        return tuple(sorted(dims_used))
 
     def single_dim_strides(self) -> List[Optional[Tuple[int, int]]]:
         """Per result ``f``: ``(d, f(e_d) - f(0))`` when ``f`` mentions exactly
@@ -303,35 +267,9 @@ class AffineMap:
             decoded.append((used[0], r.evaluate(unit) - r.evaluate(zeros)))
         return decoded
 
-    # ------------------------------------------------------------- transform
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """Return ``self ∘ other`` (apply other first, then self)."""
-        if self.num_dims != other.num_results:
-            raise ValueError(
-                f"cannot compose: {self.num_dims} dims vs {other.num_results} results"
-            )
-        substituted = [
-            _substitute(r, other.results) for r in self.results
-        ]
-        return AffineMap(other.num_dims, other.num_symbols, substituted)
-
     def __str__(self) -> str:
         dims_str = ", ".join(f"d{i}" for i in range(self.num_dims))
         syms_str = ", ".join(f"s{i}" for i in range(self.num_symbols))
         syms = f"[{syms_str}]" if self.num_symbols else ""
         res = ", ".join(str(r) for r in self.results)
         return f"({dims_str}){syms} -> ({res})"
-
-
-def _substitute(expr: AffineExpr, dim_replacements: Sequence[AffineExpr]) -> AffineExpr:
-    if isinstance(expr, AffineDimExpr):
-        return dim_replacements[expr.position]
-    if isinstance(expr, (AffineConstantExpr, AffineSymbolExpr)):
-        return expr
-    if isinstance(expr, AffineBinaryExpr):
-        return _binary(
-            expr.kind,
-            _substitute(expr.lhs, dim_replacements),
-            _substitute(expr.rhs, dim_replacements),
-        )
-    raise TypeError(f"unknown affine expression {expr!r}")

@@ -19,8 +19,6 @@ __all__ = [
     "MulFOp",
     "DivFOp",
     "MaxFOp",
-    "MinFOp",
-    "ExpOp",
     "SqrtOp",
     "is_compute_op",
     "is_multiply_accumulate",
@@ -39,14 +37,6 @@ class BinaryOp(Operation):
             operands=[lhs, rhs],
             result_types=[result_type or lhs.type],
         )
-
-    @property
-    def lhs(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def rhs(self) -> Value:
-        return self.operand(1)
 
     def verify(self) -> None:
         if self.num_operands != 2:
@@ -93,16 +83,6 @@ class MaxFOp(BinaryOp):
 
 
 @register_operation
-class MinFOp(BinaryOp):
-    OPERATION_NAME = "arith.minf"
-
-
-@register_operation
-class ExpOp(UnaryOp):
-    OPERATION_NAME = "math.exp"
-
-
-@register_operation
 class SqrtOp(UnaryOp):
     OPERATION_NAME = "math.sqrt"
 
@@ -113,8 +93,6 @@ _COMPUTE_OP_NAMES = {
     "arith.mulf",
     "arith.divf",
     "arith.maxf",
-    "arith.minf",
-    "math.exp",
     "math.sqrt",
 }
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-from ..ir.core import Block, Operation, Value, register_operation
+from ..ir.core import Operation, Value, register_operation
 from ..ir.types import MemRefType, StreamType, Type, i1
 from .hls import ArrayPartition
 
@@ -73,8 +73,7 @@ class BufferLayout:
     """Data layout of a buffer: per-dimension tiling and vectorization factors.
 
     Mirrors the ``#hida.layout<[tiles], [vectors]>`` attribute in Figure 4 of
-    the paper; both are convertible to semi-affine maps for polyhedral
-    analysis (see :meth:`to_affine_map`).
+    the paper.
     """
 
     tile_factors: Tuple[int, ...]
@@ -95,23 +94,6 @@ class BufferLayout:
     @classmethod
     def default(cls, rank: int) -> "BufferLayout":
         return cls([1] * rank, [1] * rank)
-
-    @property
-    def rank(self) -> int:
-        return len(self.tile_factors)
-
-    def to_affine_map(self):
-        """Semi-affine map (d_i) -> (d_i floordiv T_i, d_i mod T_i) flattened."""
-        from .affine_map import AffineMap, dim
-
-        results = []
-        for i, tile in enumerate(self.tile_factors):
-            if tile > 1:
-                results.append(dim(i) // tile)
-                results.append(dim(i) % tile)
-            else:
-                results.append(dim(i))
-        return AffineMap(self.rank, 0, results)
 
     def __str__(self) -> str:
         return f"layout<{list(self.tile_factors)}, {list(self.vector_factors)}>"
@@ -182,10 +164,6 @@ class TaskOp(Operation):
         last = self.body.last_op
         return last if isinstance(last, YieldOp) else None
 
-    @property
-    def sub_dispatches(self) -> List[DispatchOp]:
-        return [op for op in self.body.operations if isinstance(op, DispatchOp)]
-
     def payload_ops(self) -> List[Operation]:
         """Ops in the task body excluding the terminator."""
         return [op for op in self.body.operations if not isinstance(op, YieldOp)]
@@ -250,14 +228,6 @@ class ScheduleOp(Operation):
     @property
     def streams(self) -> List["StreamOp"]:
         return [op for op in self.body.operations if isinstance(op, StreamOp)]
-
-    def block_argument_for(self, operand_index: int) -> Value:
-        return self.body.arguments[operand_index]
-
-    def add_operand_with_argument(self, value: Value) -> Value:
-        """Pass one more external value into the schedule; returns its block arg."""
-        self.append_operand(value)
-        return self.body.add_argument(value.type, name_hint=value.name_hint)
 
     def verify(self) -> None:
         if len(self.body.arguments) != self.num_operands:
@@ -331,16 +301,6 @@ class NodeOp(Operation):
     def outputs(self) -> List[Value]:
         return [v for _, v in self._operands_with_effect(lambda e: e == MemoryEffect.WRITE)]
 
-    @property
-    def inouts(self) -> List[Value]:
-        return [
-            v for _, v in self._operands_with_effect(lambda e: e == MemoryEffect.READ_WRITE)
-        ]
-
-    @property
-    def params(self) -> List[Value]:
-        return [v for _, v in self._operands_with_effect(lambda e: e == MemoryEffect.PARAM)]
-
     def _effects_on(self, value: Value) -> List[str]:
         """Effect of every operand slot holding ``value``, read off its use list."""
         effects = self.get_attr("effects", ())
@@ -353,9 +313,6 @@ class NodeOp(Operation):
     def writes(self, value: Value) -> bool:
         """True if this node writes to ``value`` (WRITE or READ_WRITE)."""
         return any(map(MemoryEffect.writes, self._effects_on(value)))
-
-    def uses_value(self, value: Value) -> bool:
-        return any(operand is value for operand in self.operands)
 
     def block_argument_for(self, operand: Value) -> Value:
         """Block argument corresponding to a specific operand value."""

@@ -74,13 +74,6 @@ class ArrayPartition:
             total *= max(factor, 1)
         return total
 
-    def with_dim(self, dim: int, kind: str, factor: int) -> "ArrayPartition":
-        kinds = list(self.kinds)
-        factors = list(self.factors)
-        kinds[dim] = kind
-        factors[dim] = factor
-        return ArrayPartition(kinds, factors)
-
     def __str__(self) -> str:
         inner = ", ".join(
             f"{k}:{f}" for k, f in zip(self.kinds, self.factors)

@@ -10,7 +10,6 @@ from .metrics import (
     dsp_efficiency,
     geometric_mean,
     memory_reduction,
-    speedup,
 )
 from .platform import (
     PYNQ_Z2,
@@ -35,7 +34,6 @@ from .qor import (
     estimate_node,
     simulate_design,
     simulate_graphs,
-    simulate_node,
 )
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "dsp_efficiency",
     "geometric_mean",
     "memory_reduction",
-    "speedup",
     "PYNQ_Z2",
     "VU9P_SLR",
     "ZU3EG",
@@ -65,6 +62,5 @@ __all__ = [
     "estimate_node",
     "simulate_design",
     "simulate_graphs",
-    "simulate_node",
     "SIMULATION_FRAMES",
 ]

@@ -9,7 +9,6 @@ from typing import Iterable
 __all__ = [
     "dsp_efficiency",
     "geometric_mean",
-    "speedup",
     "memory_reduction",
 ]
 
@@ -40,13 +39,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     if not filtered:
         return 0.0
     return math.exp(sum(math.log(v) for v in filtered) / len(filtered))
-
-
-def speedup(new: float, baseline: float) -> float:
-    """Throughput improvement of ``new`` over ``baseline``."""
-    if baseline <= 0:
-        return float("inf") if new > 0 else 0.0
-    return new / baseline
 
 
 def memory_reduction(baseline_bram: float, optimized_bram: float) -> float:

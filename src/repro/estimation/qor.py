@@ -50,7 +50,6 @@ __all__ = [
     "estimate_band",
     "estimate_node",
     "estimate_buffer",
-    "simulate_node",
     "simulate_graphs",
     "simulate_design",
     "QoREstimator",
@@ -90,25 +89,8 @@ class ResourceUsage:
             bram=self.bram + other.bram,
         )
 
-    def scaled(self, factor: float) -> "ResourceUsage":
-        return ResourceUsage(
-            lut=self.lut * factor,
-            ff=self.ff * factor,
-            dsp=self.dsp * factor,
-            bram=self.bram * factor,
-        )
-
     def as_dict(self) -> Dict[str, float]:
         return {"lut": self.lut, "ff": self.ff, "dsp": self.dsp, "bram": self.bram}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "ResourceUsage":
-        return cls(
-            lut=float(data.get("lut", 0.0)),
-            ff=float(data.get("ff", 0.0)),
-            dsp=float(data.get("dsp", 0.0)),
-            bram=float(data.get("bram", 0.0)),
-        )
 
     def __repr__(self) -> str:
         return (
@@ -135,16 +117,6 @@ class NodeEstimate:
             "resources": self.resources.as_dict(),
             "intensity": self.intensity,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NodeEstimate":
-        return cls(
-            label=str(data["label"]),
-            latency=float(data["latency"]),
-            interval=float(data["interval"]),
-            resources=ResourceUsage.from_dict(data.get("resources", {})),
-            intensity=int(data.get("intensity", 0)),
-        )
 
     def __repr__(self) -> str:
         return (
@@ -178,11 +150,7 @@ class DesignEstimate:
         return platform.max_utilization(self.resources.as_dict())
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe serialization, the inverse of :meth:`from_dict`.
-
-        Used by the QoR cache: a cached estimate round-trips through JSON
-        with no loss (all fields are floats, bools and strings).
-        """
+        """JSON-safe serialization, the ``estimate`` the QoR cache stores."""
         return {
             "resources": self.resources.as_dict(),
             "latency": self.latency,
@@ -191,19 +159,6 @@ class DesignEstimate:
             "node_estimates": [n.to_dict() for n in self.node_estimates],
             "dataflow": self.dataflow,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DesignEstimate":
-        return cls(
-            resources=ResourceUsage.from_dict(data.get("resources", {})),
-            latency=float(data["latency"]),
-            interval=float(data["interval"]),
-            clock_mhz=float(data["clock_mhz"]),
-            node_estimates=[
-                NodeEstimate.from_dict(n) for n in data.get("node_estimates", [])
-            ],
-            dataflow=bool(data.get("dataflow", True)),
-        )
 
     def __repr__(self) -> str:
         return (
@@ -221,7 +176,7 @@ def dsp_cost_of_op(op: Operation) -> float:
         return 3.0 if width >= 32 else 1.0
     if op.name in ("arith.addf", "arith.subf"):
         return 2.0 if width >= 32 else 0.0
-    if op.name in ("math.exp", "math.sqrt"):
+    if op.name == "math.sqrt":
         return 6.0
     return 0.0
 
@@ -527,22 +482,7 @@ class SimulationGraph:
 
 
 def _band_chain(band_latencies: Sequence[float], frames: int) -> Tuple[float, float]:
-    """``(latency, interval)`` of bands run frame-atomically in a chain of
-    capacity-2 ping-pong buffers (see :func:`simulate_node`)."""
-    if not band_latencies:
-        return 4.0, 4.0
-    if len(band_latencies) == 1:
-        latency = max(band_latencies[0], 1.0)
-        return latency, latency
-    channels = [ChannelSpec(i, i + 1, 2) for i in range(len(band_latencies) - 1)]
-    interval, latency = simulate_dataflow(band_latencies, channels, frames=frames)
-    return max(latency, 1.0), max(interval, 1.0)
-
-
-def simulate_node(
-    node: NodeOp, platform: Platform, frames: int = SIMULATION_FRAMES
-) -> Tuple[float, float]:
-    """Frame-accurate ``(latency, interval)`` of one dataflow node.
+    """Frame-accurate ``(latency, interval)`` of one dataflow node's bands.
 
     The analytic :func:`estimate_node` assumes a node's loop bands stream
     element-wise and overlap perfectly (latency = slowest band plus fill).
@@ -553,7 +493,14 @@ def simulate_node(
     critical path, while successive frames pipeline through the chain at the
     slowest band's rate — the node's true initiation interval.
     """
-    return _band_chain(_estimate_node(node, platform)[1], frames)
+    if not band_latencies:
+        return 4.0, 4.0
+    if len(band_latencies) == 1:
+        latency = max(band_latencies[0], 1.0)
+        return latency, latency
+    channels = [ChannelSpec(i, i + 1, 2) for i in range(len(band_latencies) - 1)]
+    interval, latency = simulate_dataflow(band_latencies, channels, frames=frames)
+    return max(latency, 1.0), max(interval, 1.0)
 
 
 def simulate_graphs(
@@ -563,7 +510,7 @@ def simulate_graphs(
 
     This is the expensive fidelity of the DSE subsystem, composed from the
     estimate stage's graphs with no IR walk: every node is simulated
-    band-by-band (the chain of :func:`simulate_node`), then the schedule's
+    band-by-band (:func:`_band_chain`), then the schedule's
     channel graph is simulated with per-node initiation intervals — nodes
     behave as internally pipelined engines bounded by channel capacities and
     back-pressure, which is where the analytic estimate and the simulation

@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ...dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from ...dialects.affine_map import AffineExpr, AffineMap, constant, dim
-from ...dialects.arith import AddFOp, DivFOp, ExpOp, MaxFOp, MinFOp, MulFOp, SqrtOp, SubFOp
+from ...dialects.arith import AddFOp, DivFOp, MaxFOp, MulFOp, SqrtOp, SubFOp
 from ...ir.builder import Builder
 from ...ir.builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from ...ir.core import Value
@@ -136,9 +136,6 @@ class ScalarExpr:
 
     def maximum(self, other):
         return self._binary(MaxFOp, other)
-
-    def minimum(self, other):
-        return self._binary(MinFOp, other)
 
 
 ScalarLike = Union[ScalarExpr, Value, float, int]
@@ -283,11 +280,6 @@ class KernelBuilder:
         self._builder.insert(AffineStoreOp.create(scalar, memref, operands, access_map))
 
     # ------------------------------------------------------------------ math
-    def exp(self, value: ScalarLike) -> ScalarExpr:
-        scalar = self._as_scalar(value, self.element_type)
-        op = self._builder.insert(ExpOp.create(scalar))
-        return ScalarExpr(op.result(), self)
-
     def sqrt(self, value: ScalarLike) -> ScalarExpr:
         scalar = self._as_scalar(value, self.element_type)
         op = self._builder.insert(SqrtOp.create(scalar))
@@ -304,8 +296,3 @@ class KernelBuilder:
             self._builder.insert(ReturnOp.create())
             self._finished = True
         return self.module
-
-    @property
-    def func(self) -> FuncOp:
-        self._ensure_func()
-        return self._func

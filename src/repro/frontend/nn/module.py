@@ -16,7 +16,7 @@ declares its own loop nest (:mod:`repro.dialects.linalg`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...dialects import linalg
 from ...ir.core import Value
@@ -47,10 +47,6 @@ class Tensor:
     def shape(self) -> Tuple[int, ...]:
         return self.value.type.shape
 
-    @property
-    def rank(self) -> int:
-        return len(self.shape)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -58,35 +54,6 @@ class Tensor:
 class Module:
     """Base class of all layers and models."""
 
-    def __init__(self) -> None:
-        self._modules: Dict[str, "Module"] = {}
-        self.name: str = self.__class__.__name__
-
-    # -------------------------------------------------------------- children
-    def __setattr__(self, key: str, value) -> None:
-        if isinstance(value, Module) and key != "_modules":
-            if not hasattr(self, "_modules"):
-                object.__setattr__(self, "_modules", {})
-            self._modules[key] = value
-        object.__setattr__(self, key, value)
-
-    def children(self) -> Iterator["Module"]:
-        return iter(self._modules.values())
-
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield prefix or self.name, self
-        for key, child in self._modules.items():
-            child_prefix = f"{prefix}.{key}" if prefix else key
-            yield from child.named_modules(child_prefix)
-
-    def num_parameters(self) -> int:
-        """Total parameter (weight) element count of this module tree."""
-        total = getattr(self, "_own_parameters", 0)
-        for child in self.children():
-            total += child.num_parameters()
-        return total
-
-    # --------------------------------------------------------------- forward
     def __call__(self, *args: Tensor) -> Tensor:
         from .tracer import current_tracer
 
@@ -133,20 +100,12 @@ class Sequential(Module):
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
-        self.layers: List[Module] = []
-        for i, module in enumerate(modules):
-            setattr(self, f"layer{i}", module)
-            self.layers.append(module)
+        self.layers: List[Module] = list(modules)
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
             x = layer(x)
         return x
-
-    def append(self, module: Module) -> None:
-        index = len(self.layers)
-        setattr(self, f"layer{index}", module)
-        self.layers.append(module)
 
 
 class Conv2d(Module):
@@ -168,10 +127,6 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
         self.bias = bias
-        self._own_parameters = (
-            out_channels * in_channels * kernel_size * kernel_size
-            + (out_channels if bias else 0)
-        )
 
     def forward(self, x: Tensor) -> Tensor:
         weight = _weight(
@@ -200,7 +155,6 @@ class DepthwiseConv2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self._own_parameters = channels * kernel_size * kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
         weight = _weight(
@@ -223,7 +177,6 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.bias = bias
-        self._own_parameters = out_features * in_features + (out_features if bias else 0)
 
     def forward(self, x: Tensor) -> Tensor:
         weight = _weight((self.out_features, self.in_features), "linear_weight")
@@ -274,7 +227,6 @@ class BatchNorm2d(Module):
     def __init__(self, channels: int) -> None:
         super().__init__()
         self.channels = channels
-        self._own_parameters = 2 * channels
 
     def forward(self, x: Tensor) -> Tensor:
         scale = _weight((self.channels,), "bn_scale")

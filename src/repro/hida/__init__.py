@@ -43,8 +43,6 @@ from .parallelize import (
     sort_bands,
 )
 from .structural import (
-    analyze_memory_effects,
-    convert_allocs_to_buffers,
     convert_dispatch_to_schedule,
     convert_task_to_node,
     lower_to_structural_dataflow,
@@ -79,8 +77,6 @@ __all__ = [
     "proposal_cost",
     "search_unroll_factors",
     "sort_bands",
-    "analyze_memory_effects",
-    "convert_allocs_to_buffers",
     "convert_dispatch_to_schedule",
     "convert_task_to_node",
     "lower_to_structural_dataflow",

@@ -30,30 +30,24 @@ from ..dialects.dataflow import (
 )
 from ..dialects.linalg import LinalgOp
 from ..dialects.memref import AllocOp, CopyOp
-from ..ir.builtin import FuncOp, ModuleOp
+from ..ir.builtin import ModuleOp
 from ..ir.core import Operation, Value
 from ..ir.types import MemRefType
 from ..transforms.linalg_to_affine import unlowered_op_error
 
 __all__ = [
-    "convert_allocs_to_buffers",
-    "analyze_memory_effects",
     "convert_task_to_node",
     "convert_dispatch_to_schedule",
     "lower_to_structural_dataflow",
 ]
 
 
-def convert_allocs_to_buffers(func: FuncOp, default_depth: int = 2) -> int:
+def _allocs_to_buffers(allocs: List[AllocOp], default_depth: int) -> int:
     """Procedure (1): replace on-chip allocs with ``hida.buffer`` ops.
 
     Returns the number of converted buffers.  Buffers default to ping-pong
     depth ``default_depth`` so inter-task communication can overlap.
     """
-    return _allocs_to_buffers(func.walk_ops(AllocOp), default_depth)
-
-
-def _allocs_to_buffers(allocs: List[AllocOp], default_depth: int) -> int:
     for alloc in allocs:
         memref_type: MemRefType = alloc.memref_type
         buffer = BufferOp.create(
@@ -89,7 +83,14 @@ def _walk_to_nodes(container: Operation) -> List[Operation]:
 
 
 def _memory_effects(ops: List[Operation]) -> Tuple[List[Value], Dict[int, str]]:
-    """:func:`analyze_memory_effects` over the walk ``ops``."""
+    """Find external values used by the walk ``ops`` and their memory effects.
+
+    Returns the externally-defined values in first-use order plus a map from
+    ``id(value)`` to the effect (``read``/``write``/``readwrite``/``param``).
+    On a :func:`_walk_to_nodes` walk a nested node is isolated, so it
+    contributes its operands (a memref one as ``readwrite``), where the walk
+    reaches the node; the answer is that of the whole walk.
+    """
     order: List[Value] = []
     effects: Dict[int, str] = {}
     # Values the walk defines: its ops' results and their blocks' arguments.
@@ -147,22 +148,6 @@ def _memory_effects(ops: List[Operation]) -> Tuple[List[Value], Dict[int, str]]:
             if id(index) not in local:
                 note(index, False, False)
     return order, effects
-
-
-def analyze_memory_effects(
-    container: Operation,
-) -> Tuple[List[Value], Dict[int, str]]:
-    """Find external values used inside ``container`` and their memory effects.
-
-    Returns the externally-defined values in first-use order plus a map from
-    ``id(value)`` to the effect (``read``/``write``/``readwrite``/``param``).
-
-    Reads every op of the container's post-order walk except the bodies of
-    nested nodes: a nested node is isolated, so it contributes its operands
-    (a memref one as ``readwrite``), where the walk reaches the node.  The
-    answer is that of the whole walk.
-    """
-    return _memory_effects(_walk_to_nodes(container))
 
 
 def convert_task_to_node(task: TaskOp) -> NodeOp:
@@ -227,7 +212,7 @@ def convert_dispatch_to_schedule(dispatch: DispatchOp) -> ScheduleOp:
 
     Reads the dispatch's ops but not its nodes' bodies: each node is already
     isolated, so its operands are all it uses from outside (see
-    :func:`analyze_memory_effects`).  Both the buffers it pulls in and the
+    :func:`_memory_effects`).  Both the buffers it pulls in and the
     schedule's operands come from that one walk.
     """
     block = dispatch.parent

@@ -18,7 +18,6 @@ from .core import (
     WalkOrder,
     create_operation,
     register_operation,
-    registered_operations,
 )
 from .printer import IRPrinter, fingerprint_op, print_op
 from .types import (
@@ -41,7 +40,6 @@ from .types import (
     i32,
     i64,
     index,
-    memref_of,
     none,
     token,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "WalkOrder",
     "create_operation",
     "register_operation",
-    "registered_operations",
     # builtin ops
     "ConstantOp",
     "FuncOp",
@@ -85,7 +82,6 @@ __all__ = [
     "MemRefType",
     "StreamType",
     "FunctionType",
-    "memref_of",
     "i1",
     "i8",
     "i16",

@@ -23,19 +23,8 @@ class ModuleOp(Operation):
         return op
 
     @property
-    def sym_name(self) -> str:
-        return self.get_attr("sym_name", "module")
-
-    @property
     def functions(self) -> List["FuncOp"]:
         return [op for op in self.body.operations if isinstance(op, FuncOp)]
-
-    def lookup(self, name: str) -> Optional["FuncOp"]:
-        """Find a function by symbol name."""
-        for func in self.functions:
-            if func.sym_name == name:
-                return func
-        return None
 
     def append(self, op: Operation) -> Operation:
         return self.body.append(op)

@@ -44,7 +44,6 @@ from typing import (
     Sequence,
     Tuple,
     Type as PyType,
-    Union,
 )
 
 from .types import Type
@@ -59,7 +58,6 @@ __all__ = [
     "WalkOrder",
     "register_operation",
     "create_operation",
-    "registered_operations",
     "IRError",
 ]
 
@@ -102,10 +100,6 @@ class Value:
     def has_uses(self) -> bool:
         return bool(self._uses)
 
-    @property
-    def num_uses(self) -> int:
-        return len(self._uses)
-
     def _add_use(self, op: "Operation", index: int) -> None:
         self._uses[op, index] = None
 
@@ -130,10 +124,6 @@ class Value:
                 op.set_operand(idx, new_value)
 
     # ------------------------------------------------------------------ info
-    @property
-    def owner(self) -> Optional[Union["Operation", "Block"]]:
-        return None
-
     @property
     def defining_op(self) -> Optional["Operation"]:
         """The operation producing this value, or None for block arguments."""
@@ -254,11 +244,6 @@ def register_operation(cls: PyType["Operation"]) -> PyType["Operation"]:
     return cls
 
 
-def registered_operations() -> Dict[str, PyType["Operation"]]:
-    """Return a copy of the operation registry (name -> class)."""
-    return dict(_OPERATION_REGISTRY)
-
-
 def create_operation(
     name: str,
     operands: Sequence[Value] = (),
@@ -356,24 +341,6 @@ class Operation:
     def result(self, index: int = 0) -> OpResult:
         return self.results[index]
 
-    @property
-    def result_types(self) -> List[Type]:
-        return [r.type for r in self.results]
-
-    def replace_all_uses_with(self, other: Union["Operation", Sequence[Value]]) -> None:
-        """Replace all result uses with the results of ``other`` (op or values)."""
-        if isinstance(other, Operation):
-            new_values: Sequence[Value] = other.results
-        else:
-            new_values = list(other)
-        if len(new_values) != len(self.results):
-            raise IRError(
-                f"cannot replace {len(self.results)} results with "
-                f"{len(new_values)} values"
-            )
-        for old, new in zip(self.results, new_values):
-            old.replace_all_uses_with(new)
-
     # ------------------------------------------------------------ attributes
     def get_attr(self, name: str, default: Any = None) -> Any:
         return self.attributes.get(name, default)
@@ -384,17 +351,7 @@ class Operation:
     def has_attr(self, name: str) -> bool:
         return name in self.attributes
 
-    def remove_attr(self, name: str) -> None:
-        self.attributes.pop(name, None)
-
     # --------------------------------------------------------------- regions
-    @property
-    def num_regions(self) -> int:
-        return len(self.regions)
-
-    def region(self, index: int = 0) -> "Region":
-        return self.regions[index]
-
     @property
     def body(self) -> "Block":
         """The entry block of the first region (common single-region case)."""
@@ -425,16 +382,6 @@ class Operation:
                 return True
             node = node.parent_op
         return False
-
-    def is_proper_ancestor_of(self, other: "Operation") -> bool:
-        return other is not self and self.is_ancestor_of(other)
-
-    def is_before_in_block(self, other: "Operation") -> bool:
-        """True if both ops are in the same block and self precedes other."""
-        if self.parent is None or self.parent is not other.parent:
-            raise IRError("operations are not in the same block")
-        ops = self.parent._operations
-        return ops.index(self) < ops.index(other)
 
     # ------------------------------------------------------------- placement
     def detach(self) -> "Operation":
@@ -495,24 +442,6 @@ class Operation:
             op.regions = []
             op.parent = None
         self.parent = parent
-
-    def move_before(self, other: "Operation") -> None:
-        self.detach()
-        block = other.parent
-        if block is None:
-            raise IRError("target operation has no parent block")
-        idx = block._operations.index(other)
-        block._operations.insert(idx, self)
-        self.parent = block
-
-    def move_after(self, other: "Operation") -> None:
-        self.detach()
-        block = other.parent
-        if block is None:
-            raise IRError("target operation has no parent block")
-        idx = block._operations.index(other)
-        block._operations.insert(idx + 1, self)
-        self.parent = block
 
     # --------------------------------------------------------------- walking
     def walk(
@@ -700,10 +629,6 @@ class Block:
         return list(self._operations)
 
     @property
-    def empty(self) -> bool:
-        return not self._operations
-
-    @property
     def last_op(self) -> Optional[Operation]:
         return self._operations[-1] if self._operations else None
 
@@ -723,14 +648,6 @@ class Block:
         self.arguments.append(arg)
         return arg
 
-    def erase_argument(self, index: int) -> None:
-        arg = self.arguments[index]
-        if arg.has_uses:
-            raise IRError("cannot erase a block argument that still has uses")
-        del self.arguments[index]
-        for i, remaining in enumerate(self.arguments):
-            remaining.index = i
-
     # ------------------------------------------------------------- placement
     def append(self, op: Operation) -> Operation:
         op.detach()
@@ -743,10 +660,6 @@ class Block:
         self._operations.insert(index, op)
         op.parent = self
         return op
-
-    def extend(self, ops: Iterable[Operation]) -> None:
-        for op in ops:
-            self.append(op)
 
     @property
     def parent_op(self) -> Optional[Operation]:
@@ -783,19 +696,6 @@ class Region:
         self.blocks.insert(0, block)
         block.parent = self
         return block
-
-    @property
-    def operations(self) -> List[Operation]:
-        """Operations of the entry block (single-block convenience accessor)."""
-        if not self.blocks:
-            return []
-        return self.blocks[0].operations
-
-    def walk(self, order: str = WalkOrder.POST_ORDER) -> Iterator[Operation]:
-        """Walk every op of the region; the contract of :meth:`Operation.walk`."""
-        if order not in _IS_POST_ORDER:
-            raise ValueError(_BAD_WALK_ORDER.format(order))
-        return _walk_flat((), self.blocks, _IS_POST_ORDER[order])
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)

@@ -483,17 +483,15 @@ _ARITH: Dict[type, int] = {
     arith.SubFOp: 2,
     arith.MulFOp: 2,
     arith.MaxFOp: 2,
-    arith.MinFOp: 2,
     arith.DivFOp: 2,
-    arith.ExpOp: 1,
     arith.SqrtOp: 1,
 }
 
 
 def _arith_step(kind: type, args: Sequence[int], out: int) -> Step:
     """``frame[out] = kind(*frame[args])`` computed inline, one call per dynamic
-    op.  ``max``/``min`` keep the first operand unless the second compares
-    greater / less, as the builtins do, NaN and signed zeros included."""
+    op.  ``max`` keeps the first operand unless the second compares greater,
+    as the builtin does, NaN and signed zeros included."""
     a, b = args[0], args[-1]
     if kind is arith.AddFOp:
         def step(frame: List[Any]) -> None:
@@ -508,22 +506,12 @@ def _arith_step(kind: type, args: Sequence[int], out: int) -> Step:
         def step(frame: List[Any]) -> None:
             x, y = frame[a], frame[b]
             frame[out] = y if y > x else x
-    elif kind is arith.MinFOp:
-        def step(frame: List[Any]) -> None:
-            x, y = frame[a], frame[b]
-            frame[out] = y if y < x else x
     elif kind is arith.DivFOp:
         def step(frame: List[Any]) -> None:
             y = frame[b]
             if y == 0:
                 raise InterpreterError("float division by zero")
             frame[out] = frame[a] / y
-    elif kind is arith.ExpOp:
-        def step(frame: List[Any]) -> None:
-            try:
-                frame[out] = math.exp(frame[a])
-            except OverflowError:
-                raise InterpreterError(f"exp overflow on {frame[a]!r}") from None
     else:  # arith.SqrtOp
         def step(frame: List[Any]) -> None:
             x = frame[a]
@@ -1002,15 +990,10 @@ def _dispatch(op_class: type) -> _Lowering:
 # ---------------------------------------------------------------------------
 
 
-def _entry_function(module: ModuleOp, name: Optional[str]) -> FuncOp:
+def _entry_function(module: ModuleOp) -> FuncOp:
     functions = module.functions
     if not functions:
         raise InterpreterError("module has no functions to execute")
-    if name is not None:
-        func = module.lookup(name)
-        if func is None:
-            raise InterpreterError(f"no function named {name!r}")
-        return func
     for func in functions:
         if func.is_top:
             return func
@@ -1022,7 +1005,6 @@ def interpret_module(
     *,
     seed: int = 0,
     max_ops: int = DEFAULT_MAX_OPS,
-    function: Optional[str] = None,
 ) -> ExecutionResult:
     """Execute ``module``'s top function over seeded inputs.
 
@@ -1047,5 +1029,5 @@ def interpret_module(
             cost=cost,
             max_ops=max_ops,
         )
-    func = _entry_function(module, function)
+    func = _entry_function(module)
     return _Interpreter(seed).run(func)

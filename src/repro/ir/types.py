@@ -41,11 +41,6 @@ __all__ = [
 class Type:
     """Base class for all IR types."""
 
-    @property
-    def bitwidth(self) -> int:
-        """Storage width in bits; 0 for types without a data representation."""
-        return 0
-
     def __str__(self) -> str:  # pragma: no cover - overridden by subclasses
         return self.__class__.__name__
 
@@ -61,10 +56,6 @@ class NoneType(Type):
 @dataclasses.dataclass(frozen=True)
 class IndexType(Type):
     """Platform-width integer used for loop induction variables and indices."""
-
-    @property
-    def bitwidth(self) -> int:
-        return 64
 
     def __str__(self) -> str:
         return "index"
@@ -112,10 +103,6 @@ class FloatType(Type):
 class TokenType(Type):
     """Single-bit synchronization token used by elastic node execution."""
 
-    @property
-    def bitwidth(self) -> int:
-        return 1
-
     def __str__(self) -> str:
         return "token"
 
@@ -140,19 +127,11 @@ class TensorType(Type):
         object.__setattr__(self, "element_type", element_type)
 
     @property
-    def rank(self) -> int:
-        return len(self.shape)
-
-    @property
     def num_elements(self) -> int:
         total = 1
         for dim in self.shape:
             total *= dim
         return total
-
-    @property
-    def bitwidth(self) -> int:
-        return self.num_elements * self.element_type.bitwidth
 
     def __str__(self) -> str:
         dims = "x".join(str(d) for d in self.shape)
@@ -202,12 +181,6 @@ class MemRefType(Type):
     def is_on_chip(self) -> bool:
         return self.memory_space != "dram"
 
-    def with_memory_space(self, memory_space: str) -> "MemRefType":
-        return MemRefType(self.shape, self.element_type, memory_space)
-
-    def with_shape(self, shape: Sequence[int]) -> "MemRefType":
-        return MemRefType(shape, self.element_type, self.memory_space)
-
     def __str__(self) -> str:
         dims = "x".join(str(d) for d in self.shape)
         sep = "x" if dims else ""
@@ -224,10 +197,6 @@ class StreamType(Type):
     def __post_init__(self) -> None:
         if self.depth <= 0:
             raise ValueError(f"stream depth must be positive, got {self.depth}")
-
-    @property
-    def bitwidth(self) -> int:
-        return self.depth * self.element_type.bitwidth
 
     def __str__(self) -> str:
         return f"stream<{self.element_type}, {self.depth}>"
@@ -262,12 +231,3 @@ f64 = FloatType(64)
 index = IndexType()
 none = NoneType()
 token = TokenType()
-
-
-def memref_of(ty: Type, memory_space: str = "bram") -> MemRefType:
-    """Convert a tensor (or memref) type into a memref type."""
-    if isinstance(ty, MemRefType):
-        return ty
-    if isinstance(ty, TensorType):
-        return MemRefType(ty.shape, ty.element_type, memory_space)
-    raise TypeError(f"cannot convert {ty} to a memref type")

@@ -81,8 +81,6 @@ __all__ = [
     "span",
     "event",
     "inc",
-    "gauge_set",
-    "metrics",
     "propagation_context",
     "begin_worker",
     "drain_worker",
@@ -211,19 +209,6 @@ def inc(name: str, amount: float = 1.0) -> None:
     live.registry.inc(name, amount)
 
 
-def gauge_set(name: str, value: float, keep_max: bool = False) -> None:
-    live = _SESSION
-    if live is None or _SESSION_PID != os.getpid():
-        return
-    gauge = live.registry.gauge(name)
-    (gauge.set_max if keep_max else gauge.set)(value)
-
-
-def metrics() -> Optional[MetricsRegistry]:
-    live = session()
-    return live.registry if live is not None else None
-
-
 # ---------------------------------------------------------------------------
 # Cross-process stitching
 # ---------------------------------------------------------------------------
@@ -332,10 +317,8 @@ def emit_timeline(
             tracer.emit_counter(
                 track, ts=base + ts * cycle_us, pid=pid, values={"depth": depth}
             )
-        gauge_set(
-            f"sim.channel_depth_hwm.ch{channel}",
-            timeline.channel_hwm[channel],
-            keep_max=True,
+        live.registry.gauge(f"sim.channel_depth_hwm.ch{channel}").set_max(
+            timeline.channel_hwm[channel]
         )
     event(
         "timeline",

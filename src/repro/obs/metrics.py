@@ -10,7 +10,7 @@ without custom codecs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 __all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
@@ -37,16 +37,13 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value (e.g. a high-water mark or current depth)."""
+    """Largest value written (a high-water mark, such as a peak depth)."""
 
     kind = "gauge"
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
     def set_max(self, value: float) -> None:
         self.value = max(self.value, float(value))
@@ -90,15 +87,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------ shortcuts
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counter(name).inc(amount)
-
-    def value(self, name: str, default: float = 0.0) -> float:
-        metric = self._metrics.get(name)
-        if metric is None:
-            return default
-        return float(metric.value)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
 
     def __len__(self) -> int:
         return len(self._metrics)

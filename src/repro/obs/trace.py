@@ -59,9 +59,8 @@ class FakeClock(Clock):
     """Deterministic manual clock for tests.
 
     Every wall reading advances the clock by ``tick`` microseconds, so
-    consecutive timestamps are strictly increasing without any explicit
-    ``advance`` calls; CPU readings track the same counter without
-    advancing it.
+    consecutive timestamps are strictly increasing; CPU readings track the
+    same counter without advancing it.
     """
 
     def __init__(self, start: float = 0.0, tick: float = 1.0) -> None:
@@ -75,9 +74,6 @@ class FakeClock(Clock):
 
     def cpu_us(self) -> float:
         return self.now
-
-    def advance(self, microseconds: float) -> None:
-        self.now += float(microseconds)
 
 
 class SpanContext:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 
 from ..dialects.dataflow import DispatchOp, TaskOp, YieldOp
+from ..ir.builder import InsertionPoint
 from ..ir.builtin import FuncOp, ModuleOp
 from ..ir.core import Operation
 
@@ -71,13 +72,13 @@ def simplify_dispatch_hierarchy(dispatch: DispatchOp) -> None:
                 inner: TaskOp = payload[0]
                 inner_yield = inner.yield_op
                 yielded = list(inner_yield.operands) if inner_yield else []
+                before_inner = InsertionPoint.before(inner)
                 for op in list(inner.body.operations):
-                    if isinstance(op, YieldOp):
-                        continue
-                    op.detach()
-                    op.move_before(inner)
+                    if not isinstance(op, YieldOp):
+                        before_inner.insert(op)
                 if inner.num_results:
-                    inner.replace_all_uses_with(yielded)
+                    for result, value in zip(inner.results, yielded, strict=True):
+                        result.replace_all_uses_with(value)
                 inner.erase()
                 changed = True
                 break

@@ -166,10 +166,6 @@ class Workload:
         return self.definition.tags
 
     @property
-    def metadata(self) -> Mapping[str, object]:
-        return self.definition.metadata
-
-    @property
     def params(self) -> Dict[str, object]:
         """Full parameter dict: declaration defaults overlaid with bindings."""
         values = self.definition.defaults()
@@ -374,11 +370,6 @@ def _module_class_builder(cls, name: str, metadata: Mapping[str, object]):
 
     params = (ParamDecl("batch", 1), *ctor_params)
     return build, params
-
-
-def _unregister(name: str) -> None:
-    """Test-only hook: drop a registration."""
-    _REGISTRY.pop(name.lower(), None)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.dialects.affine_map import (
 )
 from repro.dialects.dataflow import BufferLayout
 from repro.dialects.hls import ArrayPartition, PartitionKind
-from repro.ir.core import Block, create_operation, registered_operations
+from repro.ir.core import _OPERATION_REGISTRY, Block, create_operation
 from repro.ir.types import (
     FloatType,
     FunctionType,
@@ -37,7 +37,7 @@ _names = st.text(_NAME_ALPHABET, min_size=1, max_size=6)
 #: Registered classes rebuild through the registry, unregistered names as a
 #: bare ``Operation``; both must print and parse alike.
 _op_names = st.one_of(
-    st.sampled_from(sorted(registered_operations())),
+    st.sampled_from(sorted(_OPERATION_REGISTRY)),
     st.sampled_from(["test.op", "x", "0.a-b$c", "true", "partition"]),
     _names,
 )

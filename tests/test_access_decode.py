@@ -31,7 +31,7 @@ from repro.dialects.affine import (
     AffineStoreOp,
     loop_of,
 )
-from repro.dialects.affine_map import AffineMap, constant, dim
+from repro.dialects.affine_map import AffineBinaryExpr, AffineMap, constant, dim
 from repro.estimation import ZU3EG, estimate_band
 from repro.ir import Builder, FuncOp, IndexType, MemRefType, f32
 from repro.ir.core import create_operation
@@ -111,7 +111,7 @@ _exprs = st.recursive(
         st.builds(lambda a, b: a + b, inner, inner),
         st.builds(lambda a, k: a * k, inner, st.integers(-4, 4)),
         st.builds(lambda a, k: a // k, inner, _divisors),
-        st.builds(lambda a, k: a.ceildiv(k), inner, _divisors),
+        st.builds(lambda a, k: AffineBinaryExpr("ceildiv", a, constant(k)), inner, _divisors),
         st.builds(lambda a, k: a % k, inner, _divisors),
     ),
     max_leaves=6,

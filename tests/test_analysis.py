@@ -610,7 +610,7 @@ def test_bank_conflict_rule_flags_underpartitioned_buffer():
     # Factor 2 on a stride-2 unrolled-by-4 stream: every copy hits bank 0.
     set_partition(buffer, ArrayPartition([PartitionKind.CYCLIC], [2]))
     report = analyze_module(module, only=["bank-conflict"])
-    warnings = report.by_severity("warning")
+    warnings = [d for d in report.diagnostics if d.severity == "warning"]
     assert warnings
     assert warnings[0].data["hits"] == 4
     # A wide-enough cyclic factor resolves it.

@@ -25,7 +25,7 @@ from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.dse.runner import explore
 from repro.dse.space import build_space
 from repro.estimation.dataflow_sim import build_channels, simulate_dataflow
-from repro.estimation.qor import estimate_band, simulate_node
+from repro.estimation.qor import SIMULATION_FRAMES, _band_chain, _estimate_node, estimate_band
 from repro.estimation.platform import get_platform
 from repro.transforms.loop_transforms import loop_bands_of
 from repro.workloads import iter_workloads
@@ -141,7 +141,8 @@ def test_rec_mii_is_a_sound_bound_across_the_zoo():
                     )
                     if rec_mii <= 1:
                         continue
-                    _, interval = simulate_node(node, platform)
+                    band_latencies = _estimate_node(node, platform)[1]
+                    _, interval = _band_chain(band_latencies, SIMULATION_FRAMES)
                     assert interval >= rec_mii, (
                         f"{where}: node {node.label!r} simulates at "
                         f"interval {interval} below rec-MII {rec_mii}"

@@ -47,7 +47,7 @@ from repro.dse.__main__ import main as dse_main
 from repro.ir import FuncOp
 from repro.obs.__main__ import _build_parser as obs_parser
 from repro.workloads import Workload, get_workload, iter_workloads, register_workload
-from repro.workloads.registry import _unregister
+from repro.workloads.registry import _REGISTRY
 
 _OBS_FLAGS = {"--trace", "--trace-out", "--metrics-json"}
 
@@ -490,7 +490,7 @@ def test_verify_rejects_a_builder_s_invalid_ir_at_the_frontend(capsys):
     try:
         status = compiler_main(["--workload", "test-duplicate-symbol", "--verify"])
     finally:
-        _unregister("test-duplicate-symbol")
+        _REGISTRY.pop("test-duplicate-symbol", None)
     err = capsys.readouterr().err.splitlines()
     assert status == 3
     assert err[0].startswith("  [error] verify: ")

@@ -51,11 +51,6 @@ class TestFunctionalOps:
         t2 = builder.insert(TaskOp.create(label="b"))
         assert dispatch.tasks == [t1, t2]
 
-    def test_nested_dispatch_in_task(self):
-        task = TaskOp.create(label="outer")
-        inner = Builder.at_end(task.body).insert(DispatchOp.create())
-        assert task.sub_dispatches == [inner]
-
 
 class TestBufferLayout:
     def test_default_layout(self):
@@ -68,13 +63,6 @@ class TestBufferLayout:
             BufferLayout([2, 2], [1])
         with pytest.raises(ValueError):
             BufferLayout([0, 1])
-
-    def test_layout_to_affine_map(self):
-        layout = BufferLayout([4, 1])
-        amap = layout.to_affine_map()
-        # dim0 tiled by 4 -> (d0 / 4, d0 % 4, d1)
-        assert amap.num_results == 3
-        assert amap.evaluate([9, 5]) == (2, 1, 5)
 
 
 class TestBufferAndStream:

@@ -41,7 +41,6 @@ from repro.dialects.affine import (
     AffineForOp,
     AffineLoadOp,
     AffineStoreOp,
-    enclosing_loops,
 )
 from repro.dialects.affine_map import AffineMap, constant, dim
 from repro.frontend.cpp import KernelBuilder
@@ -51,7 +50,17 @@ from repro.transforms.loop_transforms import (
     loop_bands_of,
     permute_band,
 )
-from repro.ir import Block, Builder, ConstantOp, FuncOp, IndexType, MemRefType, Type, f32
+from repro.ir import (
+    Block,
+    Builder,
+    ConstantOp,
+    FuncOp,
+    IndexType,
+    InsertionPoint,
+    MemRefType,
+    Type,
+    f32,
+)
 from repro.ir.core import Operation, Value, create_operation
 from repro.workloads import get_workload, list_workloads
 
@@ -153,7 +162,7 @@ class TestExactDistances:
         deps = nest_dependences(loop)
         war = [d for d in deps if d.kind == "WAR" and d.buffer.name_hint == "A"]
         assert war
-        assert all(d.is_loop_independent for d in war)
+        assert all(element.can_be_zero for d in war for element in d.distance)
         # The same-iteration WAR does not serialize the loop.
         assert not loop_carries_dependence(loop)
 
@@ -300,11 +309,20 @@ class TestIsParallelLoop:
 # ---------------------------------------------------------------------------
 
 
+def _enclosing_loops(op):
+    """The ``affine.for`` loops around ``op``, outermost first."""
+    loops = []
+    while (op := op.parent_op) is not None:
+        if isinstance(op, AffineForOp):
+            loops.insert(0, op)
+    return loops
+
+
 def _nest_roots(module):
     return [
         op
         for op in module.walk()
-        if isinstance(op, AffineForOp) and not enclosing_loops(op)
+        if isinstance(op, AffineForOp) and not _enclosing_loops(op)
     ]
 
 
@@ -328,7 +346,7 @@ def _solved_afresh(nest, loop, independent):
     loops are re-derived from the IR, not from the collection."""
 
     def loops_from(op):
-        around = enclosing_loops(op)
+        around = _enclosing_loops(op)
         return tuple(around[around.index(loop) :])
 
     records = dependence._solve(nest.problem, nest._numbers[loop], independent)
@@ -457,10 +475,9 @@ def _keyed_nest(
 
 
 @pytest.fixture
-def empty_table():
-    dependence._clear_table()
-    yield
-    dependence._clear_table()
+def empty_table(monkeypatch):
+    monkeypatch.setattr(dependence, "_TABLE", {})
+    monkeypatch.setattr(dependence, "_COUNTS", {"reused": 0, "solved": 0})
 
 
 class TestAnswerTable:
@@ -575,8 +592,9 @@ class TestAnswerTable:
             nest_dependences(loop, include_loop_independent=False)
         finally:
             obs.shutdown()
-        assert session.registry.value("dependence.solved") == 2
-        assert session.registry.value("dependence.reused") == 1
+        metrics = session.registry.to_dict()
+        assert metrics["dependence.solved"]["value"] == 2
+        assert metrics["dependence.reused"]["value"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +762,7 @@ def _build_nest(nest):
         if level == len(loops) or after:
             builder = Builder.at_end(loop_ops[level - 1].body)
         else:
-            builder = Builder.before(loop_ops[level])
+            builder = Builder(InsertionPoint.before(loop_ops[level]))
         ivs = [loop.induction_variable for loop in loop_ops[:level]]
         applied, results = [], []
         for coefficients, const, through_apply in subscripts:

@@ -17,7 +17,7 @@ from repro.dse import (
 from repro.dse.__main__ import main
 from repro.ir import fingerprint_op
 from repro.workloads import get_workload, register_workload
-from repro.workloads.registry import _unregister
+from repro.workloads.registry import _REGISTRY
 
 
 def two_kernel_space():
@@ -275,7 +275,7 @@ def test_reregistered_workload_gets_a_fresh_fingerprint(tmp_path):
         register("3mm")
         after = explore([point], cache_dir=tmp_path).records[0]
     finally:
-        _unregister("pr14-swap")
+        _REGISTRY.pop("pr14-swap", None)
     assert "error" not in before and "error" not in after
     assert after["cached"] is False
     assert after["module_fingerprint"] != before["module_fingerprint"]

@@ -158,17 +158,6 @@ class TestNNModules:
         with pytest.raises(RuntimeError):
             conv(Tensor.__new__(Tensor))
 
-    def test_sequential_and_named_modules(self):
-        model = Sequential(Conv2d(3, 8, 3), ReLU(), Linear(8, 4))
-        names = [name for name, _ in model.named_modules()]
-        assert len(names) == 4  # root + 3 children
-
-    def test_num_parameters(self):
-        conv = Conv2d(3, 8, 3, bias=True)
-        assert conv.num_parameters() == 8 * 3 * 9 + 8
-        linear = Linear(10, 5, bias=False)
-        assert linear.num_parameters() == 50
-
     def test_trace_simple_model(self):
         model = Sequential(Conv2d(1, 4, 3, padding=1), ReLU())
         module = trace(model, (1, 1, 8, 8), name="tiny")
@@ -236,8 +225,8 @@ class TestModelZoo:
         assert set(compute) == {"linalg.linear"}
 
     def test_input_shapes_table(self):
-        assert get_workload("yolo").metadata["input_shape"] == (3, 416, 416)
-        assert get_workload("mlp").metadata["input_shape"] == (784,)
+        assert get_workload("yolo").definition.metadata["input_shape"] == (3, 416, 416)
+        assert get_workload("mlp").definition.metadata["input_shape"] == (784,)
 
 
 class TestLinalgOpSemantics:

@@ -13,17 +13,17 @@ from repro.dialects.dataflow import (
     ScheduleOp,
     StreamOp,
     TaskOp,
+    YieldOp,
     get_producers,
 )
+from repro.dialects.arith import AddFOp
 from repro.dialects.memref import AllocOp, CopyOp
 from repro.frontend.cpp import build_listing1
 from repro.frontend.nn import Sequential, Conv2d, ReLU, BatchNorm2d, trace
 from repro.hida import (
     BalanceReport,
-    analyze_memory_effects,
     balance_data_paths,
     construct_functional_dataflow,
-    convert_allocs_to_buffers,
     eliminate_multiple_producers,
     fuse_dataflow_tasks,
     fuse_tasks,
@@ -33,8 +33,10 @@ from repro.hida import (
 )
 from repro.estimation.dataflow_sim import build_channels, channel_depths
 from repro.hida.functional import FUSION_PATTERNS
-from repro.ir import Builder, MemRefType, f32, verify
+from repro.hida.structural import _allocs_to_buffers, _memory_effects, _walk_to_nodes
+from repro.ir import Builder, ConstantOp, MemRefType, f32, verify
 from repro.transforms import lower_linalg_to_affine
+from repro.transforms.canonicalize import simplify_dispatch_hierarchy
 from repro.workloads import as_module
 
 
@@ -97,6 +99,21 @@ class TestFunctionalConstruction:
         nested_op = inner_loop.body.operations[0]
         with pytest.raises(ValueError):
             wrap_ops_in_task([top_level_op, nested_op])
+
+    def test_a_task_holding_only_a_task_is_flattened(self):
+        dispatch = DispatchOp.create([f32])
+        outer = Builder.at_end(dispatch.body).insert(TaskOp.create([f32], label="outer"))
+        inner = Builder.at_end(outer.body).insert(TaskOp.create([f32], label="inner"))
+        body = Builder.at_end(inner.body)
+        one = body.insert(ConstantOp.create(1.0, f32))
+        add = body.insert(AddFOp.create(one.result(), one.result()))
+        body.insert(YieldOp.create([add.result()]))
+        Builder.at_end(outer.body).insert(YieldOp.create([inner.result()]))
+        Builder.at_end(dispatch.body).insert(YieldOp.create([outer.result()]))
+        simplify_dispatch_hierarchy(dispatch)
+        assert outer.body.operations == [one, add, outer.yield_op]
+        assert outer.yield_op.operands == [add.result()]
+        assert verify(dispatch, raise_on_error=False) == []
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +195,7 @@ class TestStructuralLowering:
     def test_allocs_become_buffers(self):
         module = build_listing1()
         func = module.functions[0]
-        converted = convert_allocs_to_buffers(func)
+        converted = _allocs_to_buffers(func.walk_ops(AllocOp), 2)
         assert converted == 2
         assert not func.walk_ops(AllocOp)
         buffers = func.walk_ops(BufferOp)
@@ -189,7 +206,7 @@ class TestStructuralLowering:
         construct_functional_dataflow(module)
         dispatch = module.walk_ops(DispatchOp)[0]
         compute_task = [t for t in dispatch.tasks if len(t.walk_ops(AffineForOp)) == 3][0]
-        values, effects = analyze_memory_effects(compute_task)
+        values, effects = _memory_effects(_walk_to_nodes(compute_task))
         kinds = sorted(effects.values())
         assert MemoryEffect.WRITE in kinds  # C_out
         assert kinds.count(MemoryEffect.READ) == 2  # A and B buffers
@@ -212,7 +229,7 @@ class TestStructuralLowering:
                         continue
                     assert node.is_ancestor_of(defining) or isinstance(
                         defining, BufferOp
-                    ) is False or node.uses_value(operand)
+                    ) is False or operand in node.operands
 
     def test_schedule_operands_are_function_level_values(self):
         module, schedules = lower_listing1()
@@ -462,7 +479,7 @@ class TestWorkCounts:
         fuse_dataflow_tasks(module)
         lower_linalg_to_affine(module)
         (func,) = module.functions
-        convert_allocs_to_buffers(func)
+        _allocs_to_buffers(func.walk_ops(AllocOp), 2)
         dispatches = func.walk_ops(DispatchOp)
         for dispatch in dispatches:
             for task in dispatch.tasks:

@@ -30,7 +30,7 @@ from repro.compiler.stages import collect_schedules
 from repro.compiler.stages import CompilationState
 from repro.estimation.platform import get_platform
 from repro.ir import interp
-from repro.ir.core import Block, Operation, registered_operations
+from repro.ir.core import _OPERATION_REGISTRY, Block, Operation
 from repro.ir.parser import collect_name_hints
 from repro.ir.printer import print_op
 from repro.workloads import get_workload, list_workloads
@@ -41,7 +41,7 @@ TARGETS = ("zu3eg", "vu9p-slr")
 def _reference_clone(op, value_map=None):
     """The clone as it was before ops were built directly (verbatim logic)."""
     value_map = value_map if value_map is not None else {}
-    cls = registered_operations().get(op.name, Operation)
+    cls = _OPERATION_REGISTRY.get(op.name, Operation)
     new_op = cls.__new__(cls)
     attributes = {}
     for key, value in op.attributes.items():

@@ -221,7 +221,8 @@ def test_a_partition_table_alone_keys_alike():
     for value in [func.arguments[0]] + [
         op.result() for op in func.walk() if op.name == "memref.alloc"
     ]:
-        set_partition(value, ArrayPartition.none(value.type.rank).with_dim(0, "cyclic", 2))
+        rest = len(value.type.shape) - 1
+        set_partition(value, ArrayPartition(["cyclic"] + ["none"] * rest, [2] + [1] * rest))
     assert any("partitions" in op.attributes for op in partitioned.walk())
     assert _key(partitioned) == _key(module)
 

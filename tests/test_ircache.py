@@ -275,7 +275,7 @@ def test_store_refuses_snapshot_on_schedule_mismatch(tmp_path, refusals):
     assert cache.verify_failures == 1
     assert len(cache) == 0
     assert refusals() == [("store", "schedule-count")]
-    assert obs.metrics().value("ir_cache.refused") == 1
+    assert obs.session().registry.to_dict()["ir_cache.refused"]["value"] == 1
 
     # A string attribute holding a newline prints as text that does not
     # parse back (one op per line): the compile goes on uncached, and says so.

@@ -45,7 +45,7 @@ import reference_linalg as ref
 from repro.dialects import linalg
 from repro.dialects.memref import AllocOp, CopyOp, GetGlobalOp
 from repro.hida.functional import wrap_ops_in_task
-from repro.ir import Builder, FuncOp, ModuleOp, ReturnOp, f32
+from repro.ir import Builder, FuncOp, InsertionPoint, ModuleOp, ReturnOp, f32
 from repro.ir.interp import interpret_module, seed_value
 from repro.ir.types import MemRefType, TensorType
 from repro.ir.verifier import verify
@@ -90,7 +90,7 @@ def _run_lowered(create, input_shapes, seed):
     (buffer,) = [
         o.result() for o in func.walk() if isinstance(o, (AllocOp, GetGlobalOp))
     ]
-    Builder.before(func.entry_block.last_op).insert(CopyOp.create(buffer, result))
+    InsertionPoint.before(func.entry_block.last_op).insert(CopyOp.create(buffer, result))
     outputs = interpret_module(module, seed=seed).output_map
     return outputs[f"arg{len(input_shapes)}"], macs
 

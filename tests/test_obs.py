@@ -61,6 +61,11 @@ def tiny_space():
     return space
 
 
+def _value(registry, name):
+    """The value of metric ``name`` in ``registry`` (0 when absent)."""
+    return registry.to_dict().get(name, {"value": 0.0})["value"]
+
+
 # ---------------------------------------------------------------------------
 # Disabled mode
 # ---------------------------------------------------------------------------
@@ -69,12 +74,10 @@ def tiny_space():
 def test_disabled_by_default():
     assert not obs.enabled()
     assert obs.session() is None
-    assert obs.metrics() is None
     assert obs.span("anything") is NULL_SPAN
     # All helpers are silent no-ops while disabled.
     obs.event("nothing")
     obs.inc("nothing")
-    obs.gauge_set("nothing", 1.0)
     assert obs.propagation_context() is None
     assert obs.drain_worker() is None
     assert obs.telemetry_summary() is None
@@ -144,11 +147,10 @@ def test_registry_counters_gauges_histograms():
     registry = MetricsRegistry()
     registry.inc("c", 2.0)
     registry.inc("c")
-    registry.gauge("g").set(5.0)
+    registry.gauge("g").set_max(5.0)
     registry.gauge("g").set_max(3.0)  # keeps 5
-    assert registry.value("c") == 3.0
-    assert registry.value("g") == 5.0
     dump = registry.to_dict()
+    assert dump["c"]["value"] == 3.0
     assert dump["c"]["kind"] == "counter"
     assert dump["g"] == {"kind": "gauge", "value": 5.0}
     # Kind conflicts are programming errors.
@@ -159,14 +161,14 @@ def test_registry_counters_gauges_histograms():
 def test_registry_merge_and_drain():
     a = MetricsRegistry()
     a.inc("n", 1.0)
-    a.gauge("g").set(2.0)
+    a.gauge("g").set_max(2.0)
     b = MetricsRegistry()
     b.inc("n", 5.0)
-    b.gauge("g").set(7.0)
+    b.gauge("g").set_max(7.0)
     a.merge(b.drain())
     assert len(b) == 0
-    assert a.value("n") == 6.0
-    assert a.value("g") == 7.0  # gauges merge via max
+    assert _value(a, "n") == 6.0
+    assert _value(a, "g") == 7.0  # gauges merge via max
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def test_compiler_metrics_replace_stat_dict():
     # A live session counts the same events as ``ir_cache.*``.
     obs.configure()
     compiler.run(workload=get_workload("atax"))
-    assert obs.metrics().value("ir_cache.stages_run") == stats["stages_run"]
+    assert _value(obs.session().registry, "ir_cache.stages_run") == stats["stages_run"]
 
 
 class _ExplodingObserver(PipelineObserver):
@@ -429,7 +431,7 @@ def test_worker_payload_is_picklable_and_ingestable():
     obs.ingest(payload)
     events = parent.events()
     assert any(e.get("name") == "dse.point" for e in events)
-    assert parent.registry.value("cache.point.misses") == 1.0
+    assert _value(parent.registry, "cache.point.misses") == 1.0
 
 
 def test_explore_stitches_spans_across_workers(tmp_path):
@@ -499,10 +501,10 @@ def test_qor_cache_probe_counters(tmp_path):
     space = tiny_space()
     explore(space, workers=0, cache_dir=tmp_path / "qor")
     registry = obs.session().registry
-    assert registry.value("cache.point.misses") > 0
-    assert registry.value("cache.point.stores") > 0
+    assert _value(registry, "cache.point.misses") > 0
+    assert _value(registry, "cache.point.stores") > 0
     explore(space, workers=0, cache_dir=tmp_path / "qor")
-    assert registry.value("cache.point.hits") > 0
+    assert _value(registry, "cache.point.hits") > 0
 
 
 def test_shared_prefix_counters_show_where_a_batch_reused_work():
@@ -511,12 +513,12 @@ def test_shared_prefix_counters_show_where_a_batch_reused_work():
     registry = obs.session().registry
     # Each workload's two points share every stage up to ``tile``: the
     # first compiles that prefix and holds the state, the second resumes.
-    assert registry.value("dse.snapshots_stored") == 2
-    assert registry.value("dse.prefix_hits") == 2
-    assert registry.value("dse.stages_skipped") == 2 * 7
-    runs = registry.value("dse.stages_run")
-    assert runs + registry.value("dse.stages_skipped") == 4 * len(DEFAULT_PIPELINE.split(","))
-    assert registry.value("dse.frontend_traces") <= 2
+    assert _value(registry, "dse.snapshots_stored") == 2
+    assert _value(registry, "dse.prefix_hits") == 2
+    assert _value(registry, "dse.stages_skipped") == 2 * 7
+    runs = _value(registry, "dse.stages_run")
+    assert runs + _value(registry, "dse.stages_skipped") == 4 * len(DEFAULT_PIPELINE.split(","))
+    assert _value(registry, "dse.frontend_traces") <= 2
     # A skipped stage opens no span, and records stay as they were.
     events = obs.session().events()
     assert sum(e["type"] == "span" and e["cat"] == "stage" for e in events) == runs
@@ -537,12 +539,12 @@ def test_ir_cache_store_is_not_counted_as_a_probe(tmp_path):
     )
     assert cache.stores == 7
     assert cache.misses == 7
-    assert registry.value("cache.ir.misses") == 7
+    assert _value(registry, "cache.ir.misses") == 7
     Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(
         workload="2mm", ir_cache=cache
     )
-    assert registry.value("cache.ir.hits") == 1
-    assert registry.value("cache.ir.misses") == 7
+    assert _value(registry, "cache.ir.hits") == 1
+    assert _value(registry, "cache.ir.misses") == 7
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import emit_hls_cpp
 from repro.analysis import NestAccesses
-from repro.dialects.affine import AffineStoreOp, enclosing_loops
+from repro.dialects.affine import AffineForOp, AffineStoreOp
 from repro.dialects.affine_map import AffineMap
 from repro.dialects.dataflow import BufferOp
 from repro.dialects.hls import ArrayPartition
@@ -58,6 +58,15 @@ from repro.transforms.loop_transforms import loop_bands_of
 from repro.workloads import list_workloads
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "parallelize_golden.json"
+
+
+def _outermost_loop(loop):
+    """The outermost ``affine.for`` around ``loop``, or ``loop`` itself."""
+    outermost = loop
+    while (loop := loop.parent_op) is not None:
+        if isinstance(loop, AffineForOp):
+            outermost = loop
+    return outermost
 
 
 def lower_listing1_to_schedule(fuse=False):
@@ -476,7 +485,7 @@ class TestDependenceWork:
         # One walk when the band is analyzed, plus one of the pipelined loop
         # when an applied permutation made the first stale.
         per_band = collections.Counter(
-            id((enclosing_loops(root) or [root])[0])
+            id(_outermost_loop(root))
             for root in walked[window.begin : window.end]
         )
         assert set(per_band) == {id(band[0]) for band in bands}
@@ -624,7 +633,7 @@ class TestRecordedPartitions:
         zero = builder.insert(ConstantOp.create(0.0, f32))
         builder.insert(
             AffineStoreOp.create(
-                zero.result(), local.result(), [], AffineMap.constant_map([1, 2])
+                zero.result(), local.result(), [], AffineMap(0, 0, [1, 2])
             )
         )
         assert verify(module) == []

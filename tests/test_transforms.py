@@ -228,7 +228,7 @@ def _reference_permute_band(
             loops[new_level].induction_variable, lambda _user: True
         )
     for loop in loops:
-        loop.body.erase_argument(len(loop.body.arguments) - 1)
+        loop.body.arguments.pop()  # the placeholder, unused again
     return loops
 
 

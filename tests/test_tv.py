@@ -53,12 +53,21 @@ from repro.dialects.arith import AddFOp
 from repro.dialects.dataflow import NodeOp, ScheduleOp
 from repro.dialects.affine import AffineApplyOp
 from repro.estimation.platform import get_platform
-from repro.ir import Builder, FuncOp, MemRefType, ModuleOp, ReturnOp, f32, f64
+from repro.ir import (
+    Builder,
+    ConstantOp,
+    FuncOp,
+    IndexType,
+    MemRefType,
+    ModuleOp,
+    ReturnOp,
+    f32,
+    f64,
+)
 from repro.ir.interp import (
     ExecutionResult,
     diff_results,
     interpret_module,
-    seed_value,
 )
 from repro.ir.printer import IRPrinter, print_op
 from repro.workloads import as_module, get_workload, iter_workloads
@@ -174,17 +183,17 @@ def _counted_nest():
     module.body.append(func)
     builder = Builder.at_end(func.entry_block)
     outer = builder.insert(AffineForOp.create(0, 4, name_hint="i"))
-    with builder.at_end_of(outer.body):
-        inner = builder.insert(AffineForOp.create(0, 6, name_hint="j"))
-        with builder.at_end_of(inner.body):
-            marker = builder.constant(1.0, f64)
-            builder.insert(
-                AffineStoreOp.create(
-                    marker,
-                    func.arguments[0],
-                    [outer.induction_variable, inner.induction_variable],
-                )
-            )
+    in_outer = Builder.at_end(outer.body)
+    inner = in_outer.insert(AffineForOp.create(0, 6, name_hint="j"))
+    in_inner = Builder.at_end(inner.body)
+    marker = in_inner.insert(ConstantOp.create(1.0, f64)).result()
+    in_inner.insert(
+        AffineStoreOp.create(
+            marker,
+            func.arguments[0],
+            [outer.induction_variable, inner.induction_variable],
+        )
+    )
     builder.insert(ReturnOp.create())
     return module, outer, inner
 
@@ -381,16 +390,16 @@ def _accumulating_nest():
     module.body.append(func)
     builder = Builder.at_end(func.entry_block)
     loop = builder.insert(AffineForOp.create(0, 8, name_hint="i"))
-    with builder.at_end_of(loop.body):
-        zero = builder.index_constant(0)
-        acc = builder.insert(AffineLoadOp.create(func.arguments[0], [zero]))
-        term = builder.insert(
-            AffineLoadOp.create(func.arguments[0], [loop.induction_variable])
-        )
-        total = builder.insert(AddFOp.create(acc.result(), term.result()))
-        builder.insert(
-            AffineStoreOp.create(total.result(), func.arguments[0], [zero])
-        )
+    in_loop = Builder.at_end(loop.body)
+    zero = in_loop.insert(ConstantOp.create(0, IndexType())).result()
+    acc = in_loop.insert(AffineLoadOp.create(func.arguments[0], [zero]))
+    term = in_loop.insert(
+        AffineLoadOp.create(func.arguments[0], [loop.induction_variable])
+    )
+    total = in_loop.insert(AddFOp.create(acc.result(), term.result()))
+    in_loop.insert(
+        AffineStoreOp.create(total.result(), func.arguments[0], [zero])
+    )
     builder.insert(ReturnOp.create())
     return module, loop
 
@@ -467,9 +476,11 @@ def test_affine_map_evaluation_matches_interpreter():
         func = FuncOp.create("main", [MemRefType((_MAP_SIZE,), f64)], top=True)
         module.body.append(func)
         builder = Builder.at_end(func.entry_block)
-        operands = [builder.index_constant(value) for value in dims]
+        operands = [
+            builder.insert(ConstantOp.create(value, IndexType())).result() for value in dims
+        ]
         applied = builder.insert(AffineApplyOp.create(amap, operands))
-        marker = builder.constant(-1.0, f64)  # seeds are positive
+        marker = builder.insert(ConstantOp.create(-1.0, f64)).result()  # seeds are positive
         builder.insert(
             AffineStoreOp.create(marker, func.arguments[0], [applied.result()])
         )
@@ -570,7 +581,7 @@ def test_fuzzer_executes_only_what_it_compares(monkeypatch):
     work = _FuzzWork(monkeypatch)
     report = fuzz_transforms(count=12, seed=7)
     references = work.references()
-    executed_entries = {module.sym_name for module in work.executed}
+    executed_entries = {module.get_attr("sym_name") for module in work.executed}
     assert len(work.executed) - len(references) == report.validated - report.static == 4
     assert len(references) == len({id(module) for module in references})
     assert len(references) == len(executed_entries)
@@ -584,7 +595,7 @@ def test_fuzzer_builds_keys_and_runs_each_pool_entry_once(monkeypatch):
     fuzz_transforms(count=12, seed=7)
     labels = [label for label, _ in work.built]
     assert len(labels) == len(set(labels)) == 6  # 12 draws hit 6 pool entries
-    executed_entries = {module.sym_name for module in work.executed}
+    executed_entries = {module.get_attr("sym_name") for module in work.executed}
     assert len(work.references()) <= len(executed_entries)
     assert [semantic_fingerprint(module) for _, module in work.built] == work.keys
 

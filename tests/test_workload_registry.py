@@ -20,7 +20,7 @@ from repro.workloads import (
     list_workloads,
     register_workload,
 )
-from repro.workloads.registry import _unregister
+from repro.workloads.registry import _REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ class TestRegistration:
             modules = source_modules(["copy-rows", "2mm", "lenet"])
             assert modules == [build_copy.__module__]
         finally:
-            _unregister("copy-rows")
+            _REGISTRY.pop("copy-rows", None)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

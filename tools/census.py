@@ -46,6 +46,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple
@@ -61,7 +62,6 @@ REASON_KINDS = {
     "paper-feature": "a paper feature that no workload triggers; the reason names the trigger",
     "user-api": "a CLI flag, or a name that README.md or docs/ documents",
     "roadmap": "queued for the ROADMAP item the reason names",
-    "unjudged": "not judged yet: delete the function or give it a reason of another kind",
 }
 
 _ZOO = (
@@ -123,7 +123,8 @@ CI_COMMANDS = [
     "python -m repro.obs trace-smoke.json --validate --counters --top 10",
 ]
 
-PERF_WORKLOADS = ["zoo-compile", "kernel-dse", "cache-fill", "cache-replay", "validate"]
+#: The perf ledger's workloads, as BENCHMARK.json declares them.
+PERF_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _perf_worker(workload: str, trace: int) -> str:
@@ -343,10 +344,8 @@ def compare(missing: Sequence[Function], baseline: Dict[str, str]) -> Tuple[List
 
 def summary(functions: Sequence[Function], missing: Sequence[Function], baseline: Dict) -> str:
     kept = [f for f in missing if not f.exempt]
-    kinds: Dict[str, int] = {}
-    for name in baseline:
-        kinds[reason_kind(baseline[name])] = kinds.get(reason_kind(baseline[name]), 0) + 1
-    exempt = {k: sum(1 for f in missing if f.exempt == k) for k in ("dunder", "stub")}
+    kinds = Counter(reason_kind(reason) for reason in baseline.values())
+    exempt = Counter(f.exempt for f in missing)
     return (
         f"{len(functions)} functions ({sum(f.lines for f in functions)} lines) in "
         f"{PACKAGE.relative_to(ROOT)}; unreached: {len(kept)} "
