@@ -37,12 +37,12 @@ Semantics, in one place:
   first; the interpreter executes the affine form, which shares the ops'
   declarations with the cost model and the C++, so the tests hold it to an
   independent reference (``tests/reference_linalg.py``).
-* **Budget** — interpretation refuses modules whose statically estimated
-  cost (:func:`estimate_cost`) exceeds ``max_ops`` with
+* **Budget** — every loop has constant bounds, so :func:`estimate_cost`
+  counts the ops a run executes, exactly, by one walk and without running
+  anything; that count is the run's ``ops_executed``.  Interpretation
+  refuses a module whose count exceeds ``max_ops`` with
   :class:`InterpreterBudgetError`, so callers can report an honest
-  "skipped" instead of a silently vacuous "validated".  Every loop has
-  constant bounds and a copy is priced by the cells it writes, so the
-  estimate is never below the op count of the run it admits.
+  "skipped" instead of a silently vacuous "validated".
 """
 
 from __future__ import annotations
@@ -259,67 +259,28 @@ def diff_results(
 
 
 # ---------------------------------------------------------------------------
-# Static cost estimation
+# The op count: one flat walk, no execution
 # ---------------------------------------------------------------------------
 
 
-def _linalg_cost(op: Any) -> int:
-    cost = 0
-    for result in op.results:
-        if isinstance(result.type, MemRefType):
-            cost += result.type.num_elements
-    return 4 * max(cost, op.macs(), 1)
-
-
-def _copy_cost(op: memref.CopyOp) -> int:
-    target_type = op.target.type
-    return 1 + (target_type.num_elements if isinstance(target_type, MemRefType) else 1)
-
-
-def estimate_cost(op: Operation) -> int:
-    """Estimated op executions of interpreting ``op`` (loops multiplied out).
-
-    Approximate by construction — linalg ops are charged through their
-    MAC/element counts and a copy by the cells it writes — but cheap, on
-    affine IR never below a run's ``ops_executed``, and good enough to refuse
-    model-scale modules before touching them.  This is the budget's
-    definition; :func:`interpret_module` computes the same number in the one
-    flat walk that also finds linalg (:func:`_entry_walk`).
-    """
-    if isinstance(op, affine.AffineForOp):
-        return 2 + max(op.trip_count, 0) * _block_cost(op.body)
-    from ..dialects.linalg import LinalgOp  # local: keep the ir layer light
-
-    if isinstance(op, LinalgOp):
-        return _linalg_cost(op)
-    if isinstance(op, memref.CopyOp):
-        return _copy_cost(op)
-    cost = 1
-    for region in op.regions:
-        for block in region.blocks:
-            cost += _block_cost(block)
-    return cost
-
-
-def _block_cost(block: Block) -> int:
-    return sum(estimate_cost(op) for op in block.operations)
-
-
-#: How :func:`estimate_cost` charges an op of a class: nested ops scaled by
-#: a loop's trips (affine.for), a leaf that is charged by its size and whose
-#: regions are not entered (linalg, copy), or one plus its nested ops
-#: (anything else).  Filled per class on first sight.
-_AFFINE_FOR, _LINALG, _COPY, _PLAIN = range(4)
+#: How :func:`_count` charges an op of a class, as lowering runs it: one
+#: plus its body ``trip_count`` times (affine.for), the cells it writes
+#: (copy), nothing for it and the rest of its block (a dataflow yield, where
+#: lowering stops), one and no nested op (linalg, which the walk reports),
+#: or one plus its nested ops (anything else).  Filled per class on first
+#: sight.
+_AFFINE_FOR, _COPY, _END, _LINALG, _PLAIN = range(5)
 _COST_KINDS: Dict[type, int] = {}
 
 
 def _cost_kind(op_class: type) -> int:
-    from ..dialects.linalg import LinalgOp
+    from ..dialects.linalg import LinalgOp  # local: keep the ir layer light
 
     for base, code in (
         (affine.AffineForOp, _AFFINE_FOR),
-        (LinalgOp, _LINALG),
         (memref.CopyOp, _COPY),
+        (dataflow.YieldOp, _END),
+        (LinalgOp, _LINALG),
     ):
         if issubclass(op_class, base):
             break
@@ -329,17 +290,17 @@ def _cost_kind(op_class: type) -> int:
     return code
 
 
-def _entry_walk(module: ModuleOp) -> Tuple[int, bool]:
-    """``(estimate_cost(module), whether module holds a linalg op)``.
+def _count(func: FuncOp) -> Tuple[int, bool]:
+    """``(ops a run of func executes, whether it holds a linalg op)``.
 
-    One flat walk, no recursion.  :func:`estimate_cost` is linear in its
-    nested ops' costs, so the total is each op's own charge times the
-    product of the trip factors of the loops around it: a stack of
-    ``(block ops, factor)`` carries that product down.  Ops under a
-    zero-trip loop are still visited, since they may hold linalg.
+    One flat walk, no recursion: each op is charged its own count times the
+    product of the trip counts of the loops around it, which a stack of
+    ``(block ops, factor)`` carries down.  Every loop bound is constant, so
+    this is the run's count exactly.  Ops under a zero-trip loop are still
+    visited, since they may hold linalg.
     """
     total, has_linalg = 0, False
-    stack: List[Tuple[List[Any], int]] = [([module], 1)]
+    stack: List[Tuple[List[Any], int]] = [(func.entry_block.operations, 1)]
     kinds = _COST_KINDS
     while stack:
         ops, factor = stack.pop()
@@ -353,14 +314,59 @@ def _entry_walk(module: ModuleOp) -> Tuple[int, bool]:
                     for block in region.blocks:
                         stack.append((block.operations, factor))
             elif code == _AFFINE_FOR:
-                total += 2 * factor
-                stack.append((op.body.operations, factor * max(op.trip_count, 0)))
-            elif code == _LINALG:
-                total += factor * _linalg_cost(op)
+                total += factor
+                stack.append((op.body.operations, factor * op.trip_count))
+            elif code == _COPY:
+                target_type = op.target.type
+                cells = target_type.num_elements if isinstance(target_type, MemRefType) else 1
+                total += factor * max(cells, 1)
+            elif code == _END:
+                break
+            else:  # _LINALG
+                total += factor
                 has_linalg = True
-            else:  # _COPY
-                total += factor * _copy_cost(op)
     return total, has_linalg
+
+
+def _entry_function(module: ModuleOp) -> FuncOp:
+    functions = module.functions
+    if not functions:
+        raise InterpreterError("module has no functions to execute")
+    for func in functions:
+        if func.is_top:
+            return func
+    return functions[0]
+
+
+def _priced(module: ModuleOp) -> Tuple[FuncOp, int]:
+    """The function a run of ``module`` executes, and its op count.
+
+    A module still holding linalg runs as its affine-lowered clone, so the
+    clone's entry function is returned and priced.
+    """
+    func = _entry_function(module)
+    count, has_linalg = _count(func)
+    if has_linalg:
+        from ..transforms.linalg_to_affine import lower_linalg_to_affine
+
+        module = module.clone()
+        lower_linalg_to_affine(module)
+        func = _entry_function(module)
+        count = _count(func)[0]
+    return func, count
+
+
+def estimate_cost(module: ModuleOp) -> int:
+    """The number of ops :func:`interpret_module` executes on ``module``.
+
+    Exact, and known without executing: every loop bound is constant.  The
+    run's ``ExecutionResult.ops_executed`` is this number, and the budget
+    refuses a module when it exceeds ``max_ops``.  A module without
+    functions executes nothing and counts 0.
+    """
+    if not module.functions:
+        return 0
+    return _priced(module)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +560,12 @@ class _Interpreter:
     bodies get a fresh one, their operands copied into their block-argument
     slots).  Each static op becomes one :data:`Step` with its slots,
     constants and attribute reads already resolved, so a dynamic op costs
-    one call however often its loop runs.  ``ops_executed`` is counted here
-    too: each op adds :attr:`runs`, the product of its enclosing loops' trip
-    counts, so the steps carry no bookkeeping.
+    one call however often its loop runs.  Nothing is counted here: the
+    run's ``ops_executed`` is :func:`estimate_cost`'s walk, passed in.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.ops_executed = 0
-        #: How often the block being lowered runs: its loops' trips multiplied.
-        self.runs = 1
         self.oob_reads = 0
         self.oob_writes = 0
         self.stream_underflows = 0
@@ -574,7 +576,7 @@ class _Interpreter:
         self.ranges: Dict[int, range] = {}
 
     # ------------------------------------------------------------- entry
-    def run(self, func: FuncOp) -> ExecutionResult:
+    def run(self, func: FuncOp, ops_executed: int) -> ExecutionResult:
         scope: _Scope = {}
         arguments = [self._define(argument, scope) for argument in func.arguments]
         body = self._block(func.entry_block, scope)
@@ -594,7 +596,7 @@ class _Interpreter:
         return ExecutionResult(
             outputs=tuple(outputs),
             returned=returned,
-            ops_executed=self.ops_executed,
+            ops_executed=ops_executed,
             oob_reads=self.oob_reads,
             oob_writes=self.oob_writes,
             stream_underflows=self.stream_underflows,
@@ -645,16 +647,15 @@ class _Interpreter:
 
     # ------------------------------------------------------------ blocks
     def _steps(self, block: Block, scope: _Scope, stop: Tuple[type, ...] = ()) -> Tuple[Step, ...]:
-        """Lowered ops of ``block``, each counted :attr:`runs` times.
+        """Lowered ops of ``block``.
 
-        ``stop`` ends the body before its terminator.  Constants are counted
-        but have no step: their value is written into the frame here, once.
+        ``stop`` ends the body before its terminator.  Constants have no
+        step: their value is written into the frame here, once.
         """
         steps: List[Step] = []
         for op in block.operations:
             if isinstance(op, stop):
                 break
-            self.ops_executed += self.runs
             step = self._lower(op, scope)
             if step is not None:
                 steps.append(step)
@@ -799,8 +800,6 @@ class _Interpreter:
 
     def _lower_copy(self, op: memref.CopyOp, scope: _Scope) -> Step:
         source, target = self._slots([op.source, op.target], scope, op)
-        # A copy writing n cells counts n ops: itself and n - 1 more (its estimate, n + 1).
-        self.ops_executed += self.runs * max(_copy_cost(op) - 2, 0)
 
         def step(frame: List[Any]) -> None:
             frame[target].copy_from(frame[source])
@@ -835,10 +834,7 @@ class _Interpreter:
     def _lower_affine_for(self, op: affine.AffineForOp, scope: _Scope) -> Step:
         iv = self._define(op.induction_variable, scope)
         trips = self.ranges[iv] = range(op.lower_bound, op.upper_bound, op.step)
-        runs = self.runs
-        self.runs = runs * len(trips)
         body = self._steps(op.body, scope)
-        self.runs = runs
 
         def step(frame: List[Any]) -> None:
             for value in trips:
@@ -990,16 +986,6 @@ def _dispatch(op_class: type) -> _Lowering:
 # ---------------------------------------------------------------------------
 
 
-def _entry_function(module: ModuleOp) -> FuncOp:
-    functions = module.functions
-    if not functions:
-        raise InterpreterError("module has no functions to execute")
-    for func in functions:
-        if func.is_top:
-            return func
-    return functions[0]
-
-
 def interpret_module(
     module: ModuleOp,
     *,
@@ -1008,26 +994,18 @@ def interpret_module(
 ) -> ExecutionResult:
     """Execute ``module``'s top function over seeded inputs.
 
-    One flat walk (:func:`_entry_walk`) both prices the module as
-    :func:`estimate_cost` does and finds linalg; a module still carrying
-    linalg is priced again as its affine-lowered clone, which is what runs.
-    Raises :class:`InterpreterBudgetError` when that cost exceeds
-    ``max_ops``, before any op is lowered to a step (callers report
-    "skipped", never a silent pass), and :class:`InterpreterError` on
-    malformed or unsupported IR.
+    The walk of :func:`estimate_cost` prices the function that runs (an
+    affine-lowered clone's, if ``module`` still holds linalg) and is the
+    result's ``ops_executed``.  Raises :class:`InterpreterBudgetError` when
+    that count exceeds ``max_ops``, before any op is lowered to a step
+    (callers report "skipped", never a silent pass), and
+    :class:`InterpreterError` on malformed or unsupported IR.
     """
-    cost, has_linalg = _entry_walk(module)
-    if has_linalg:
-        from ..transforms.linalg_to_affine import lower_linalg_to_affine
-
-        module = module.clone()
-        lower_linalg_to_affine(module)
-        cost = _entry_walk(module)[0]
+    func, cost = _priced(module)
     if cost > max_ops:
         raise InterpreterBudgetError(
             f"estimated interpretation cost {cost} exceeds budget {max_ops}",
             cost=cost,
             max_ops=max_ops,
         )
-    func = _entry_function(module)
-    return _Interpreter(seed).run(func)
+    return _Interpreter(seed).run(func, cost)

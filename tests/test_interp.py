@@ -193,7 +193,7 @@ class TestBudget:
             zero = in_loop.insert(ConstantOp.create(0, IndexType())).result()
             in_loop.insert(AffineStoreOp.create(marker, func.arguments[0], [zero]))
             _finish(builder)
-            return loop
+            return module
 
         assert estimate_cost(loop_with_body(4096)) > estimate_cost(
             loop_with_body(4)
@@ -483,7 +483,7 @@ class TestGoldenExecutions:
             module = parse_op(text)
             for seed in (0, 1):
                 result = interpret_module(module, seed=seed)
-                assert result.ops_executed <= estimate_cost(module)
+                assert result.ops_executed == estimate_cost(module)
                 digest = hashlib.sha256(
                     repr((result.outputs, result.returned)).encode()
                 ).hexdigest()
@@ -568,7 +568,7 @@ class TestBudgetEdges:
 
 
 # ---------------------------------------------------------------------------
-# The entry: one walk prices the module as estimate_cost does
+# The entry: one walk per priced module is the run's op count
 # ---------------------------------------------------------------------------
 
 #: The kernels of the benchmark's ``validate`` workload.
@@ -587,18 +587,6 @@ _VALIDATE_KERNELS = [
 ]
 
 
-def _reference_entry_cost(module):
-    """What the interpreter's entry charged before it walked once: the
-    budget cost of an affine-lowered clone if any linalg op remains, else
-    of the module, each by a separate walk."""
-    from repro.transforms.linalg_to_affine import lower_linalg_to_affine
-
-    if any(isinstance(op, linalg.LinalgOp) for op in module.walk()):
-        module = module.clone()
-        lower_linalg_to_affine(module)
-    return estimate_cost(module)
-
-
 def _boundaries(handle):
     """The frontend module and the module after every default-pipeline stage."""
     snapshots = SnapshotObserver()
@@ -611,50 +599,68 @@ class TestEntry:
         "name, params", _VALIDATE_KERNELS + [("lenet", {})], ids=lambda v: str(v)
     )
     def test_one_walk_prices_and_refuses_as_before(self, name, params):
-        """At every default-pipeline boundary the walk's cost is
-        ``estimate_cost``'s, and a budget one below what the entry charged
-        before is refused with that cost."""
+        """At every default-pipeline boundary a budget one below
+        ``estimate_cost`` is refused with that cost, and a budget of it runs
+        exactly that many ops."""
         for module in _boundaries(get_workload(name).at(**params)):
-            has_linalg = any(isinstance(op, linalg.LinalgOp) for op in module.walk())
-            assert interp._entry_walk(module) == (estimate_cost(module), has_linalg)
-            cost = _reference_entry_cost(module)
+            cost = estimate_cost(module)
             with pytest.raises(InterpreterBudgetError) as refusal:
                 interpret_module(module, max_ops=cost - 1)
             assert (refusal.value.cost, refusal.value.max_ops) == (cost, cost - 1)
             if cost <= DEFAULT_MAX_OPS:
-                assert interpret_module(module, max_ops=cost).ops_executed > 0
+                assert interpret_module(module, max_ops=cost).ops_executed == cost
             else:
                 with pytest.raises(InterpreterBudgetError) as refusal:
                     interpret_module(module)
                 assert refusal.value.cost == cost
 
     def test_the_walk_prices_every_op_kind(self):
-        """A copy in an affine loop, the models' linalg ops, and a zero-trip
-        affine loop holding linalg."""
-        module = _copy_loop(trips=3, width=4)
-        assert interp._entry_walk(module) == (estimate_cost(module), False)
-        for handle in iter_workloads(kind="model"):
-            module = as_module(handle)
-            assert interp._entry_walk(module) == (estimate_cost(module), True)
-        module, func, b = _empty_design()
+        """A copy in an affine loop, a traced linalg model (priced as its
+        lowered clone), a zero-trip affine loop holding linalg, and a task
+        whose yield ends its body: each count is the run's."""
+        zero_trip, func, b = _empty_design()
         loop = b.insert(AffineForOp.create(0, 0))
-        in_loop = Builder.at_end(loop.body)
-        in_loop.insert(linalg.FillOp.create((2,), 0.0))
+        Builder.at_end(loop.body).insert(linalg.FillOp.create((2,), 0.0))
         _finish(b)
-        assert interp._entry_walk(module) == (estimate_cost(module), True)
+        yielded, func, b = _empty_design()
+        dispatch = b.insert(DispatchOp.create())
+        in_task = Builder.at_end(
+            Builder.at_end(dispatch.body).insert(TaskOp.create([])).body
+        )
+        in_task.insert(HidaYieldOp.create())
+        in_task.insert(ConstantOp.create(3.0, f64))  # after the yield: never lowered
+        _finish(b)
+        modules = [
+            _copy_loop(trips=3, width=4),
+            trace(Sequential(Linear(4, 4)), (1, 4)),
+            zero_trip,
+            yielded,
+        ]
+        counts = [estimate_cost(module) for module in modules]
+        assert counts[0] == 1 + 3 * 4 + 1  # loop, a copy of 4 cells per trip, return
+        assert counts[2] == 1 + 1 + 1  # the fill's get_global, loop and return: no body run
+        assert counts[3] == 1 + 1 + 1  # dispatch, task and return
+        assert counts == [interpret_module(module).ops_executed for module in modules]
+        assert estimate_cost(ModuleOp.create()) == 0
 
     def test_an_execution_walks_the_module_once(self):
-        """Neither ``estimate_cost`` nor a generic ``walk`` runs, and every op
-        is lowered by one table lookup."""
+        """The count walks each priced module once: an affine module, and a
+        linalg one and its lowered clone.  Neither ``estimate_cost`` nor a
+        generic ``walk`` runs, and every op is lowered by one table lookup."""
         module = as_module(get_workload("2mm").at(n=8))
         profiler = cProfile.Profile()
         profiler.runcall(interpret_module, module)
         stats = pstats.Stats(profiler).stats.items()
         called = {function: calls for (_, _, function), (_, calls, *_) in stats}
         assert "estimate_cost" not in called and "walk" not in called
-        assert called["_entry_walk"] == 1
+        assert called["_count"] == 1
         # A class is resolved on first sight only: at most once per class.
         assert called.get("_dispatch", 0) <= len({type(op) for op in module.walk()})
+        profiler = cProfile.Profile()
+        profiler.runcall(interpret_module, trace(Sequential(Linear(4, 4)), (1, 4)))
+        stats = pstats.Stats(profiler).stats.items()
+        called = {function: calls for (_, _, function), (_, calls, *_) in stats}
+        assert called["_count"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +989,7 @@ def test_nested_accesses_match_the_reference_address(case):
     _exactly(result.returned, returned)
     assert (result.oob_reads, result.oob_writes) == (oob_reads, oob_writes)
     assert result.ops_executed == ops
-    assert result.ops_executed <= estimate_cost(module)
+    assert result.ops_executed == estimate_cost(module)
 
 
 # ---------------------------------------------------------------------------
