@@ -507,12 +507,17 @@ class StreamWriteOp(Operation):
 
 
 def get_node_users(buffer: Value) -> List[NodeOp]:
-    """All nodes that take ``buffer`` as an operand, in program order."""
+    """All nodes that take ``buffer`` as an operand: those in the first
+    user's block in program order, then any others in use order."""
     users = [op for op in buffer.users if isinstance(op, NodeOp)]
     block = users[0].parent if users else None
-    if block is not None:
-        users.sort(key=lambda n: block.index_of(n) if n.parent is block else 1 << 30)
-    return users
+    if block is None:
+        return users
+    for node in users:
+        if node.parent is not block:
+            inside = [node for node in users if node.parent is block]
+            return block.in_order(inside) + [node for node in users if node.parent is not block]
+    return block.in_order(users)
 
 
 def get_producers(buffer: Value) -> List[NodeOp]:

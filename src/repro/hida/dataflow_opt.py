@@ -66,7 +66,8 @@ def _external_buffer_values(schedule: ScheduleOp) -> List[Value]:
     return external
 
 
-def _clone_buffer(buffer_op: BufferOp, suffix: str) -> BufferOp:
+def _clone_buffer(buffer_op: BufferOp, suffix: str, after: BufferOp) -> BufferOp:
+    """A copy of ``buffer_op``'s buffer, placed right after ``after``."""
     clone = BufferOp.create(
         buffer_op.memref_type,
         depth=buffer_op.depth,
@@ -75,46 +76,44 @@ def _clone_buffer(buffer_op: BufferOp, suffix: str) -> BufferOp:
         memory_kind=buffer_op.memory_kind,
         name_hint=(buffer_op.result().name_hint or "buf") + suffix,
     )
-    block = buffer_op.parent
-    block.insert(block.index_of(buffer_op) + 1, clone)
-    return clone
+    return after.parent.insert_after(after, clone)
 
 
 def eliminate_multiple_producers(schedule: ScheduleOp) -> int:
     """Algorithm 3.  Returns the number of violations eliminated."""
     eliminated = 0
 
-    # Case (1): internal buffers -> duplicate for every extra producer.
-    for buffer_op in list(_internal_buffers(schedule)):
+    # Case (1): internal buffers -> a duplicate for every extra producer.
+    # Users come in program order, and each extra producer starts a segment:
+    # it and every user up to the next producer move to its own duplicate.
+    block = schedule.body
+    for buffer_op in _internal_buffers(schedule):
         buffer = buffer_op.result()
         producers = get_producers(buffer)
         if len(producers) <= 1:
             continue
-        # Producers are already returned in program (dominance) order.
-        for producer in producers[1:]:
-            duplicate = _clone_buffer(buffer_op, "_dup")
-            dup_value = duplicate.result()
-            reads_original = producer.reads(buffer)
-            # Rewire this producer and every user it dominates to the new buffer.
-            block = schedule.body
-            producer_index = block.index_of(producer)
-            for user in get_node_users(buffer):
-                if user.parent is not block:
-                    continue
-                if block.index_of(user) >= producer_index:
-                    user.replace_operand(buffer, dup_value)
-            if reads_original:
-                # The producer needs the data accumulated so far: copy it in.
-                original_arg = None
-                # After rewiring, the producer no longer has the original as an
-                # operand; add it back as a read-only input.
-                original_arg = producer.add_operand_with_argument(
-                    buffer, MemoryEffect.READ
-                )
-                dup_arg = producer.block_argument_for(dup_value)
-                copy = CopyOp.create(original_arg, dup_arg)
-                producer.body.insert(0, copy)
-            eliminated += 1
+        extra = set(producers[1:])
+        version: Value = buffer  # what the segment so far reads and writes
+        last: BufferOp = buffer_op
+        for user in get_node_users(buffer):
+            if user.parent is not block:
+                continue
+            if user in extra:
+                reads_previous = user.reads(buffer)
+                last = _clone_buffer(buffer_op, "_dup", after=last)
+                previous, version = version, last.result()
+                user.replace_operand(buffer, version)
+                if reads_previous:
+                    # The producer needs the data written so far: it reads the
+                    # previous version as an input and copies it in first.
+                    previous_arg = user.add_operand_with_argument(
+                        previous, MemoryEffect.READ
+                    )
+                    copy = CopyOp.create(previous_arg, user.block_argument_for(version))
+                    user.body.insert(0, copy)
+                eliminated += 1
+            elif version is not buffer:
+                user.replace_operand(buffer, version)
 
     # Case (2): external buffers -> merge all producers into a single node.
     # The merge must take the full program-order *span* — the producers plus
@@ -127,14 +126,9 @@ def eliminate_multiple_producers(schedule: ScheduleOp) -> int:
         producers = get_producers(buffer)
         if len(producers) <= 1:
             continue
-        block = schedule.body
-        first = min(block.index_of(node) for node in producers)
-        last = max(block.index_of(node) for node in producers)
-        span = [
-            node
-            for node in schedule.nodes
-            if first <= block.index_of(node) <= last
-        ]
+        ordered = block.in_order(producers)
+        first, last = block.index_of(ordered[0]), block.index_of(ordered[-1])
+        span = [op for op in block.operations[first:last + 1] if isinstance(op, NodeOp)]
         _merge_nodes(schedule, span)
         eliminated += 1
     return eliminated
@@ -147,7 +141,7 @@ def _merge_nodes(schedule: ScheduleOp, nodes: Sequence[NodeOp]) -> NodeOp:
     buffer/stream declared between the members still dominates its use.
     """
     block = schedule.body
-    nodes = sorted(nodes, key=block.index_of)
+    nodes = block.in_order(nodes)
     last = nodes[-1]
     # Build the merged operand list with merged effects.
     merged_values: List[Value] = []
@@ -183,7 +177,7 @@ def _merge_nodes(schedule: ScheduleOp, nodes: Sequence[NodeOp]) -> NodeOp:
         params=params,
         label="+".join(n.label or "node" for n in nodes),
     )
-    block.insert(block.index_of(last), merged)
+    block.insert_before(last, merged)
 
     for node in nodes:
         # Move the node's body ops into the merged node, rewiring its block
@@ -191,9 +185,9 @@ def _merge_nodes(schedule: ScheduleOp, nodes: Sequence[NodeOp]) -> NodeOp:
         mapping: Dict[Value, Value] = {}
         for operand, argument in zip(node.operands, node.body.arguments):
             mapping[argument] = merged.block_argument_for(operand)
-        for op in list(node.body.operations):
-            op.detach()
-            merged.body.append(op)
+        moved = node.body.operations
+        merged.body.splice(moved)
+        for op in moved:
             # Rewire operands referencing old block arguments.
             for nested in op.walk():
                 for i, nested_operand in enumerate(nested.operands):
@@ -266,8 +260,7 @@ def balance_data_paths(
             for producer in producers:
                 for consumer in consumers:
                     stream = StreamOp.create(i1, depth=required_stages, name_hint="token")
-                    block = schedule.body
-                    block.insert(block.index_of(producer), stream.detach())
+                    schedule.body.insert_before(producer, stream)
                     token = stream.result()
                     producer_arg = producer.add_operand_with_argument(
                         token, MemoryEffect.WRITE

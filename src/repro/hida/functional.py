@@ -22,7 +22,7 @@ from ..dialects.affine import AffineForOp
 from ..dialects.dataflow import DispatchOp, TaskOp, YieldOp
 from ..dialects.memref import AllocOp, GetGlobalOp
 from ..ir.builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
-from ..ir.core import Block, Operation, Value
+from ..ir.core import Block, Operation, Value, detach_ops
 from ..transforms.canonicalize import simplify_dispatch_hierarchy
 from .analysis import node_intensity
 
@@ -106,12 +106,11 @@ def wrap_ops_in_task(ops: Sequence[Operation], label: str = "") -> TaskOp:
         raise ValueError("ops to wrap must live in the same block")
     op_set, escaping = _values_escaping(ops)
     task = TaskOp.create(result_types=[v.type for v in escaping], label=label)
-    # Insert the task right before the first wrapped op.
-    ordered = sorted(ops, key=block.index_of)
+    # The task takes the first wrapped op's place.
+    ordered = block.in_order(ops)
     task_block = task.body
-    block.insert(block.index_of(ordered[0]), task)
-    for op in ordered:
-        task_block.append(op)
+    block.replace(ordered[0], task)
+    task_block.splice(ordered)
     # Redirect external uses of escaping values to the task results *before*
     # creating the yield, so the yield keeps referencing the inner values.
     for value, result in zip(escaping, task.results):
@@ -132,11 +131,10 @@ def wrap_block_in_dispatch(block: Block, label: str = "") -> DispatchOp:
     dispatch = DispatchOp.create(result_types=[v.type for v in escaping])
     if label:
         dispatch.set_attr("label", label)
-    # ``wrappable`` is in block order.
-    block.insert(block.index_of(wrappable[0]), dispatch)
+    # ``wrappable`` is in block order; the dispatch takes its first op's place.
+    block.replace(wrappable[0], dispatch)
     body = dispatch.body
-    for op in wrappable:
-        body.append(op)
+    body.splice(wrappable)
     for value, result in zip(escaping, dispatch.results):
         result.name_hint = value.name_hint
         value.replace_uses_if(
@@ -187,15 +185,19 @@ def _hoist_leaf_definitions(block: Block) -> None:
     keeps all shared definitions in the transparent global context above the
     dispatch so every task can reference them.
     """
+    ops = block.operations
     leaves = [
         op
-        for op in block.operations
+        for op in ops
         if isinstance(op, (AllocOp, GetGlobalOp, ConstantOp, linalg.FillOp))
         and op.num_operands == 0
     ]
-    for position, op in enumerate(leaves):
-        op.detach()
-        block.insert(position, op)
+    hoisted = set(leaves)
+    for op in ops:
+        if op not in hoisted:
+            # One move puts every leaf, in order, before the first other op.
+            block.splice(leaves, before=op)
+            break
 
 
 def _already_dispatched(block: Block) -> bool:
@@ -361,6 +363,15 @@ def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:
     payload, then the later one; results of both that are still used
     externally are re-yielded from it.
     """
+    fused, emptied = _fuse(first, second)
+    emptied.detach()
+    return fused
+
+
+def _fuse(first: TaskOp, second: TaskOp) -> Tuple[TaskOp, TaskOp]:
+    """:func:`fuse_tasks`, less removing the later task from the block: it
+    stays listed, emptied (no regions, results or operands), and is returned
+    with the fused task for the caller to detach."""
     block = first.parent
     if block is None or second.parent is not block:
         raise ValueError("tasks must live in the same dispatch region")
@@ -390,15 +401,15 @@ def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:
 
     label = "+".join(x for x in (first.label, second.label) if x)
     fused = TaskOp.create(result_types=[v.type for v in new_yield_values], label=label)
-    block.insert(block.index_of(first), fused)
+    block.replace(first, fused)
     body = fused.body
-    for op in first.payload_ops() + second.payload_ops():
-        body.append(op)
+    body.splice(first.payload_ops() + second.payload_ops())
     body.append(YieldOp.create(new_yield_values))
     for value, index in replacements:
         value.replace_all_uses_with(fused.results[index])
 
-    # Clean up the now-empty original tasks.
+    # Clean up the now-empty original tasks; ``block.replace`` detached the
+    # first one already.
     for task, yield_op in ((second, second_yield), (first, first_yield)):
         if yield_op is not None:
             yield_op.set_operands([])
@@ -406,8 +417,8 @@ def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:
             if result.has_uses:
                 raise RuntimeError("fusion left dangling uses on a task result")
         task.results = []
-        task.erase()
-    return fused
+        task.drop_all_references()
+    return fused, second
 
 
 def fuse_dataflow_tasks(
@@ -428,50 +439,65 @@ def fuse_dataflow_tasks(
     connectivity to a neighbour, until it is fused itself.  Within one
     dispatch those answers are kept per task object (and per adjacent pair);
     the tables hold the tasks, so no id is reused while they live.  The
-    worklist still restarts from the first task after every fusion, so the
-    fusion sequence is that of a full rescan.
+    dispatch's task list is kept across fusions too, with the fused task in
+    the earlier task's slot.  Every task before that slot is unmatched and
+    unchanged, so the worklist resumes there, and the fusion sequence is that
+    of a full rescan from the first task.  The later task of each worklist
+    fusion stays in the dispatch body, emptied, until the worklist ends, and
+    then they all leave the body in one pass: deleting each one from the
+    middle of the body would shift the rest of it every time.  (Balancing
+    scans every adjacent pair per fusion anyway, so it fuses with
+    :func:`fuse_tasks`.)
     """
     names = FUSION_PATTERNS if patterns is None else patterns
     matchers = [FUSION_PATTERNS[name] for name in names]
     fusions = 0
     for dispatch in list(module.walk_ops(DispatchOp)):
         # --- pattern-driven worklist (lines 2-6) --------------------------
+        # A fused pair leaves the fused task in the earlier slot and None in
+        # the later one; ``slots`` finds a task's slot.
+        slotted: List[Optional[TaskOp]] = list(dispatch.tasks)
+        slots = {task: index for index, task in enumerate(slotted)}
         unmatched: Set[TaskOp] = set()
-        changed = True
-        while changed:
-            changed = False
-            for task in dispatch.tasks:
-                if task in unmatched:
-                    continue
-                for match in matchers:
-                    partner = match(task)
-                    if partner is not None and partner.parent is task.parent:
-                        fuse_tasks(partner, task)
-                        fusions += 1
-                        changed = True
-                        break
-                if changed:
+        removed: List[TaskOp] = []
+        index = 0
+        while index < len(slotted):
+            task = slotted[index]
+            if task is None or task in unmatched:
+                index += 1
+                continue
+            for match in matchers:
+                partner = match(task)
+                if partner is not None and partner.parent is task.parent:
                     break
+            else:
                 unmatched.add(task)
+                index += 1
+                continue
+            fused, emptied = _fuse(partner, task)
+            fusions += 1
+            index, later = sorted((slots.pop(partner), slots.pop(task)))
+            slotted[index], slotted[later] = fused, None
+            slots[fused] = index
+            removed.append(emptied)
+        detach_ops(removed)
+        tasks = [task for task in slotted if task is not None]
 
         # --- least-critical balancing (lines 7-9) --------------------------
         if balance:
             intensity: Dict[TaskOp, int] = {}
             connected: Dict[Tuple[TaskOp, TaskOp], bool] = {}
-            while True:
-                tasks = dispatch.tasks
-                if len(tasks) < 3:
-                    break
+            while len(tasks) >= 3:
                 for task in tasks:
                     if task not in intensity:
                         intensity[task] = task_intensity(task)
-                critical = max(intensity[t] for t in tasks)
+                critical = max(map(intensity.__getitem__, tasks))
                 # Find the connected adjacent pair with the smallest combined
                 # intensity.  Fusion of unconnected tasks saves nothing (they
                 # already run concurrently) so it is not considered profitable.
-                best_pair = None
+                best = None
                 best_sum = None
-                for pair in zip(tasks, tasks[1:]):
+                for position, pair in enumerate(zip(tasks, tasks[1:])):
                     if pair not in connected:
                         connected[pair] = _tasks_connected(*pair)
                     if not connected[pair]:
@@ -479,12 +505,12 @@ def fuse_dataflow_tasks(
                     combined = intensity[pair[0]] + intensity[pair[1]]
                     if best_sum is None or combined < best_sum:
                         best_sum = combined
-                        best_pair = pair
-                if best_pair is None or best_sum is None:
+                        best = position
+                if best is None or best_sum is None:
                     break
                 if best_sum > critical:
                     break  # fusion would create a new critical task
-                fuse_tasks(*best_pair)
+                tasks[best:best + 2] = [fuse_tasks(tasks[best], tasks[best + 1])]
                 fusions += 1
 
         simplify_dispatch_hierarchy(dispatch)

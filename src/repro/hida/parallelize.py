@@ -346,7 +346,9 @@ def parallelize_band(
     """Algorithm 4 applied to one band; returns the chosen unroll factors.
 
     ``finished_factors`` holds each parallelized band's unroll factors in
-    its current loop order, the order its connections' links follow.
+    its current loop order, the order its connections' links follow.  Only
+    the ``connections`` that touch ``band`` count, so a caller may pass just
+    those.
     """
     # Gather constraints from already-parallelized connected bands.
     constraints_list: List[List[Optional[int]]] = []
@@ -424,11 +426,17 @@ def _parallelize_bands(
     if not bands:
         return result
     parallel_factors = generate_parallel_factors(bands, options)
+    # Each band's connections, in connection order, from one pass.
+    touching: Dict[int, List[Connection]] = {id(band): [] for band in bands}
+    for connection in connections:
+        touching[id(connection.source)].append(connection)
+        if connection.target is not connection.source:
+            touching[id(connection.target)].append(connection)
     finished: Dict[int, List[int]] = {}
     for index, band in enumerate(ordered):
         label = f"{band.label}#{index}"
         result.unroll_factors[label] = parallelize_band(
-            band, connections, parallel_factors[id(band)], finished, options, result
+            band, touching[id(band)], parallel_factors[id(band)], finished, options, result
         )
         finished[id(band)] = band.unroll_factors()
         result.parallel_factors[label] = parallel_factors[id(band)]

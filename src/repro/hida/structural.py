@@ -56,8 +56,7 @@ def _allocs_to_buffers(allocs: List[AllocOp], default_depth: int) -> int:
             memory_kind="bram_t2p" if memref_type.is_on_chip else "dram",
             name_hint=alloc.result().name_hint,
         )
-        block = alloc.parent
-        block.insert(block.index_of(alloc), buffer)
+        alloc.parent.replace(alloc, buffer)
         alloc.result().replace_all_uses_with(buffer.result())
         alloc.erase()
     return len(allocs)
@@ -169,8 +168,7 @@ def convert_task_to_node(task: TaskOp) -> NodeOp:
     )
     if task.has_attr("tile_size"):
         node.set_attr("tile_size", task.get_attr("tile_size"))
-    block = task.parent
-    block.insert(block.index_of(task), node)
+    task.parent.replace(task, node)
 
     # Move the payload into the node body and rewire external values to the
     # node's block arguments (the node is isolated from above).  The users
@@ -178,11 +176,7 @@ def convert_task_to_node(task: TaskOp) -> NodeOp:
     # its yield, which stay behind.
     yield_op = task.yield_op
     inside.discard(id(task))
-    for op in list(task.body.operations):
-        if op is yield_op:
-            continue
-        op.detach()
-        node.body.append(op)
+    node.body.splice([op for op in task.body.operations if op is not yield_op])
     if yield_op is not None:
         inside.discard(id(yield_op))
     for operand, argument in zip(node.operands, node.body.arguments):
@@ -238,18 +232,18 @@ def convert_dispatch_to_schedule(dispatch: DispatchOp) -> ScheduleOp:
     external_values = [v for v in values if id(v) not in internal_ids]
 
     schedule = ScheduleOp.create(operands=external_values, label=dispatch.get_attr("label", ""))
-    block.insert(block.index_of(dispatch), schedule)
+    block.replace(dispatch, schedule)
 
     # Move internal buffers, then the dispatch body (nodes) into the schedule.
-    for buffer in internal_buffers:
-        buffer.detach()
-        schedule.body.append(buffer)
-    for op in list(dispatch.body.operations):
+    body = schedule.body
+    body.splice(internal_buffers)
+    moved = []
+    for op in dispatch.body.operations:
         if isinstance(op, YieldOp):
             inside.discard(id(op))
-            continue
-        op.detach()
-        schedule.body.append(op)
+        else:
+            moved.append(op)
+    body.splice(moved)
 
     # Rewire external values to schedule block arguments inside the schedule:
     # the users to rewire are the walk's ops, less the dispatch and its yield.

@@ -58,6 +58,7 @@ __all__ = [
     "WalkOrder",
     "register_operation",
     "create_operation",
+    "detach_ops",
     "IRError",
 ]
 
@@ -386,8 +387,12 @@ class Operation:
     # ------------------------------------------------------------- placement
     def detach(self) -> "Operation":
         """Remove this op from its parent block without touching its uses."""
-        if self.parent is not None:
-            self.parent._operations.remove(self)
+        block = self.parent
+        if block is not None:
+            index = block.index_of(self)
+            del block._operations[index]
+            del block._positions[self]
+            block._moved(index + 1, -1)
             self.parent = None
         return self
 
@@ -435,6 +440,7 @@ class Operation:
                 for block in region.blocks:
                     ops += block._operations
                     block._operations = []
+                    block._positions = None
                     block.arguments = []
                     block.parent = None
                 region.blocks = []
@@ -614,7 +620,29 @@ _ATTRIBUTE_COPY = _AttributeCopyRule()
 
 
 class Block:
-    """A sequential list of operations with typed block arguments."""
+    """A sequential list of operations with typed block arguments.
+
+    Order contract.  ``_operations`` is the program order, and every op in it
+    has this block as its ``parent``.  Positions come from one map per block,
+    ``op -> coordinate``, which the first position query builds in one pass
+    (:meth:`index_of`, :meth:`in_order`, placement by anchor, and
+    :meth:`Operation.detach`, which looks its op up).  An edit keeps the map
+    and notes which coordinates it moved: those below a window ``[_lo, _hi)``
+    are positions, those from ``_hi`` on are positions less ``_shift``, and
+    those in the window are unknown.  So a run of edits that moves forward or
+    backward through a block, or stays at one point as a builder does, keeps
+    every other op's position a lookup; a query that meets an unknown op
+    rebuilds the map, and a lookup is checked against the list before it is
+    trusted.  An op inserted since the build has no coordinate until the next
+    one, unless it was appended.  Moving several ops out of a block
+    (:meth:`splice`) rebuilds that block's list in one pass and drops its
+    map.  Every edit and query therefore costs work in proportion to the ops
+    it moves or asks about, plus one pass per rebuild.
+    """
+
+    #: ``op -> coordinate`` (see the order contract); None until asked for.
+    _positions: Optional[Dict[Operation, int]] = None
+    _lo = _hi = _shift = 0
 
     def __init__(self, arg_types: Sequence[Type] = ()) -> None:
         self.arguments: List[BlockArgument] = [
@@ -638,8 +666,64 @@ class Block:
     def __len__(self) -> int:
         return len(self._operations)
 
+    # ----------------------------------------------------------------- order
     def index_of(self, op: Operation) -> int:
-        return self._operations.index(op)
+        """The position of ``op`` in this block (its first, if listed twice)."""
+        positions = self._positions
+        if positions is not None and op in positions:
+            coord = positions[op]
+            if coord < self._lo:
+                index = coord
+            elif coord >= self._hi:
+                index = coord + self._shift
+            else:
+                index = -1
+            if index >= 0:
+                try:
+                    if self._operations[index] is op:
+                        return index
+                except IndexError:
+                    pass
+        positions = self._renumber()
+        if op not in positions:
+            raise ValueError(f"{op.name} is not in this block")
+        return positions[op]
+
+    def in_order(self, ops: Iterable[Operation]) -> List[Operation]:
+        """``ops``, all of this block, sorted into program order by their
+        coordinates.  Those order the ops when no edit since the last build
+        left a window and every op has one; otherwise the map is rebuilt."""
+        positions = self._positions
+        if positions is not None and self._lo == self._hi:
+            try:
+                return sorted(ops, key=positions.__getitem__)
+            except KeyError:  # an op inserted since the build
+                pass
+        return sorted(ops, key=self._renumber().__getitem__)
+
+    def _renumber(self) -> Dict[Operation, int]:
+        """Rebuild the position map: every op's coordinate is its position."""
+        ops = self._operations
+        count = len(ops)
+        # Filled back to front, so an op listed twice keeps its first position.
+        positions = self._positions = dict(zip(reversed(ops), range(count - 1, -1, -1)))
+        self._lo = self._hi = count
+        self._shift = 0
+        return positions
+
+    def _moved(self, index: int, step: int) -> None:
+        """Note in the map that the ops from position ``index`` on moved by
+        ``step``: the window grows to cover the ops that moved below it and
+        those that stayed above it, and the shift takes the step."""
+        lo, hi, shift = self._lo, self._hi, self._shift
+        if lo == hi and not shift:
+            lo = hi = index  # every coordinate is a position: start the window here
+        else:
+            if index < lo:
+                lo = index
+            if index > hi + shift:
+                hi = index - shift
+        self._lo, self._hi, self._shift = lo, hi, shift + step
 
     # ------------------------------------------------------------- arguments
     def add_argument(self, type: Type, name_hint: Optional[str] = None) -> BlockArgument:
@@ -650,16 +734,62 @@ class Block:
 
     # ------------------------------------------------------------- placement
     def append(self, op: Operation) -> Operation:
-        op.detach()
-        self._operations.append(op)
+        if op.parent is not None:
+            op.detach()
+        ops = self._operations
+        if self._positions is not None:
+            self._positions[op] = len(ops) - self._shift
+        ops.append(op)
         op.parent = self
         return op
 
     def insert(self, index: int, op: Operation) -> Operation:
-        op.detach()
+        """Insert ``op`` at ``index``, a position in the block as it is now:
+        an op that already sits in this block before ``index`` ends up right
+        before the op that was at ``index``."""
+        if op.parent is not None:
+            if op.parent is self and self.index_of(op) < index:
+                index -= 1
+            op.detach()
+        if self._positions is not None:
+            self._moved(index, 1)
         self._operations.insert(index, op)
         op.parent = self
         return op
+
+    def insert_before(self, anchor: Operation, op: Operation) -> Operation:
+        """Place ``op`` right before ``anchor``, an op of this block."""
+        return self.insert(self.index_of(anchor), op)
+
+    def insert_after(self, anchor: Operation, op: Operation) -> Operation:
+        """Place ``op`` right after ``anchor``, an op of this block."""
+        return self.insert(self.index_of(anchor) + 1, op)
+
+    def replace(self, old: Operation, new: Operation) -> Operation:
+        """Put ``new`` in ``old``'s place and detach ``old``; no other op moves."""
+        if new.parent is not None:
+            new.detach()
+        index = self.index_of(old)
+        self._operations[index] = new
+        positions = self._positions
+        positions[new] = positions.pop(old)
+        old.parent = None
+        new.parent = self
+        return new
+
+    def splice(self, ops: Sequence[Operation], before: Optional[Operation] = None) -> None:
+        """Move ``ops`` into this block as one run, in the given order, right
+        before ``before`` (at the end when None).  Each block the ops leave is
+        rebuilt once, so moving a whole body costs one pass over it."""
+        if not ops:
+            return
+        detach_ops(ops)
+        index = len(self._operations) if before is None else self.index_of(before)
+        if self._positions is not None:
+            self._moved(index, len(ops))
+        self._operations[index:index] = ops
+        for op in ops:
+            op.parent = self
 
     @property
     def parent_op(self) -> Optional[Operation]:
@@ -667,6 +797,23 @@ class Block:
 
     def __repr__(self) -> str:
         return f"<Block args={len(self.arguments)} ops={len(self._operations)}>"
+
+
+def detach_ops(ops: Sequence[Operation]) -> None:
+    """Detach every op of ``ops`` from its block, like :meth:`Operation.detach`.
+
+    Several ops leaving one block rebuild its list in one pass, which drops
+    its position map; a lone op is detached by position.
+    """
+    if len(ops) == 1:
+        ops[0].detach()
+        return
+    leaving = set(ops)
+    for block in {op.parent for op in ops} - {None}:
+        block._operations[:] = [op for op in block._operations if op not in leaving]
+        block._positions = None
+    for op in ops:
+        op.parent = None
 
 
 class Region:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from typing import List
 
 from ..dialects.dataflow import DispatchOp, TaskOp, YieldOp
 from ..ir.builder import InsertionPoint
 from ..ir.builtin import FuncOp, ModuleOp
-from ..ir.core import Operation
+from ..ir.core import Operation, detach_ops
 
 __all__ = [
     "eliminate_dead_code",
@@ -32,11 +33,14 @@ def eliminate_dead_code(top: Operation, max_iterations: int = 8) -> int:
     """
     erased_total = 0
     for _ in range(max_iterations):
-        erased = 0
         # Post-order yields an op after everything nested in it, so an effectful
         # op marks its parent on the way up.  The marks stay exact through the
-        # sweep's own erasures: an erased op was effect-free and left no mark.
+        # sweep: a dead op was effect-free and left no mark.  A dead op's
+        # operands are defined before it, so no later op of the sweep becomes
+        # dead by its erasure, and the sweep erases its dead ops together:
+        # one pass over each block they leave.
         effectful = set()
+        dead: List[Operation] = []
         for op in list(top.walk()):
             if op.name in _SIDE_EFFECT_OPS or op in effectful:
                 effectful.add(op.parent_op)
@@ -47,10 +51,12 @@ def eliminate_dead_code(top: Operation, max_iterations: int = 8) -> int:
                 continue
             if any(result.has_uses for result in op.results):
                 continue
+            dead.append(op)
+        detach_ops(dead)
+        for op in dead:
             op.erase()
-            erased += 1
-        erased_total += erased
-        if not erased:
+        erased_total += len(dead)
+        if not dead:
             break
     return erased_total
 

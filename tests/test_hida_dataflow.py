@@ -295,6 +295,28 @@ class FuncArgsHelper:
         return func, schedule, (p1, p2, consumer, target)
 
 
+def test_node_users_outside_the_block_follow_in_use_order():
+    """``get_node_users`` puts the first user's block in program order, then
+    the users elsewhere in the order they took the buffer on."""
+    from repro.dialects.dataflow import get_node_users
+    from repro.ir import FuncOp
+
+    func = FuncOp.create("f")
+    schedule = Builder.at_end(func.entry_block).insert(ScheduleOp.create())
+    buffer = Builder.at_end(schedule.body).insert(BufferOp.create(MemRefType((8,), f32)))
+    value = buffer.result()
+    # Use order: second, first, outer_late, outer_early.
+    second = NodeOp.create(inputs=[value], label="second")
+    first = NodeOp.create(inputs=[value], label="first")
+    outer_late = NodeOp.create(inputs=[value], label="outer_late")
+    outer_early = NodeOp.create(inputs=[value], label="outer_early")
+    Builder.at_end(schedule.body).insert(first)
+    Builder.at_end(schedule.body).insert(second)
+    Builder.at_end(func.entry_block).insert(outer_early)
+    Builder.at_end(func.entry_block).insert(outer_late)
+    assert get_node_users(value) == [first, second, outer_late, outer_early]
+
+
 class TestMultiProducerElimination:
     def test_internal_buffer_duplication(self):
         _, schedule, (p1, p2, consumer, buffer) = build_multi_producer_schedule()
@@ -326,6 +348,42 @@ class TestMultiProducerElimination:
     def test_single_producer_untouched(self):
         module, schedules = lower_listing1()
         assert eliminate_multiple_producers(schedules[0]) == 0
+
+    def test_three_producers_get_a_version_each(self):
+        """p1 c1 p2 c2 p3 c3 over one buffer: p2 and p3 each write their own
+        duplicate, each consumer reads the version written just before it,
+        and p3, which also reads, copies in the version p2 wrote."""
+        from repro.ir import FuncOp
+
+        func = FuncOp.create("f", input_types=[MemRefType((8,), f32, "dram")])
+        schedule = ScheduleOp.create(operands=list(func.arguments))
+        Builder.at_end(func.entry_block).insert(schedule)
+        builder = Builder.at_end(schedule.body)
+        shared = builder.insert(BufferOp.create(MemRefType((8,), f32), name_hint="shared"))
+        target = shared.result()
+        nodes = []
+        for producer in (
+            NodeOp.create(outputs=[target], label="p1"),
+            NodeOp.create(inputs=[target], label="c1"),
+            NodeOp.create(outputs=[target], label="p2"),
+            NodeOp.create(inputs=[target], label="c2"),
+            NodeOp.create(inouts=[target], label="p3"),
+            NodeOp.create(inputs=[target], label="c3"),
+        ):
+            nodes.append(builder.insert(producer))
+        p1, c1, p2, c2, p3, c3 = nodes
+        assert eliminate_multiple_producers(schedule) == 2
+        versions = [buffer.result() for buffer in schedule.buffers]
+        assert [value.name_hint for value in versions] == ["shared", "shared_dup", "shared_dup"]
+        first, second, third = versions
+        assert [get_producers(value) for value in versions] == [[p1], [p2], [p3]]
+        assert [c.reads(value) for c, value in zip((c1, c2, c3), versions)] == [True] * 3
+        assert p3.reads(second) and not p2.reads(first)
+        (copy,) = [op for op in p3.body.operations if isinstance(op, CopyOp)]
+        assert copy.source is p3.block_argument_for(second)
+        assert copy.target is p3.block_argument_for(third)
+        assert all(value.has_uses for value in versions)
+        assert verify(func) == []
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +565,116 @@ class TestWorkCounts:
 
         assert [op.name for op in walked if in_node_body(op)] == []
         assert verify(module) == []
+
+
+# ---------------------------------------------------------------------------
+# Work counts over depth: block edits and order queries cost what they touch
+# ---------------------------------------------------------------------------
+
+
+def conv_relu_chain(layers):
+    """A chain of ``layers`` Conv2d(8, 8, 3, padding=1) + ReLU pairs at
+    1x8x16x16, i8: a design whose depth grows while its layers stay alike.
+    Deliberately not a registered workload (it would join the zoo)."""
+    from repro.ir.types import i8
+
+    modules = []
+    for _ in range(layers):
+        modules += [Conv2d(8, 8, 3, padding=1), ReLU()]
+    return trace(Sequential(*modules), (1, 8, 16, 16), name="chain", element_type=i8)
+
+
+class _CountedOps(list):
+    """A block's op list that counts the entries its searches scan and its
+    edits shift: ``index`` scans up to the op, ``remove`` scans up to it
+    and shifts the rest, a positional insert or delete shifts what follows,
+    and a slice assignment scans the slice it replaces and shifts the tail
+    and the new entries into place."""
+
+    scanned = shifted = 0
+
+    def index(self, op, *bounds):
+        position = list.index(self, op, *bounds)
+        _CountedOps.scanned += position + 1
+        return position
+
+    def remove(self, op):
+        position = list.index(self, op)
+        _CountedOps.scanned += position + 1
+        _CountedOps.shifted += len(self) - position - 1
+        list.remove(self, op)
+
+    def insert(self, position, op):
+        _CountedOps.shifted += len(self) - min(max(position, 0), len(self))
+        list.insert(self, position, op)
+
+    def pop(self, position=-1):
+        _CountedOps.shifted += len(self) - position % len(self) - 1
+        return list.pop(self, position)
+
+    def __delitem__(self, key):
+        start, stop, _ = key.indices(len(self)) if isinstance(key, slice) else (key, key + 1, 1)
+        _CountedOps.shifted += len(self) - stop
+        list.__delitem__(self, key)
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            value = list(value)
+            start, stop, _ = key.indices(len(self))
+            _CountedOps.scanned += stop - start
+            _CountedOps.shifted += len(value)
+            if len(value) != stop - start:
+                _CountedOps.shifted += len(self) - stop
+        list.__setitem__(self, key, value)
+
+
+def _stage_work(layers, monkeypatch):
+    """``stage -> (entries scanned, entries shifted)`` of one default-pipeline
+    compile of the chain; building a position map scans its whole block."""
+    from repro.compiler import Compiler, default_stages
+    from repro.compiler.driver import PipelineObserver
+    from repro.ir.core import Block
+
+    init, renumber = Block.__init__, Block._renumber
+
+    def counted_init(block, *args, **kwargs):
+        init(block, *args, **kwargs)
+        block._operations = _CountedOps()
+
+    def counted_renumber(block):
+        _CountedOps.scanned += len(block._operations)
+        return renumber(block)
+
+    monkeypatch.setattr(Block, "__init__", counted_init)
+    monkeypatch.setattr(Block, "_renumber", counted_renumber)
+    module = conv_relu_chain(layers)
+    work = {}
+
+    class Counter(PipelineObserver):
+        def on_stage_start(self, stage, state):
+            _CountedOps.scanned = _CountedOps.shifted = 0
+
+        def on_stage_end(self, stage, state, seconds):
+            work[stage.name] = (_CountedOps.scanned, _CountedOps.shifted)
+
+    Compiler(default_stages(), observers=[Counter()]).run(module)
+    monkeypatch.undo()
+    return work
+
+
+class TestDepthWorkCounts:
+    def test_block_work_grows_linearly_with_depth(self, monkeypatch):
+        """8x the layers costs at most 10x the op-list work.  lower-linalg is
+        held to its scans only: it inserts every buffer at the top of the
+        function, one at a time, and each insert shifts the function's ops."""
+        shallow = _stage_work(64, monkeypatch)
+        deep = _stage_work(512, monkeypatch)
+        assert shallow.keys() == deep.keys()
+        table = str({name: (shallow[name], deep[name]) for name in deep})
+        scanned = sum(deep[name][0] for name in deep) / sum(shallow[name][0] for name in deep)
+        assert scanned <= 10, table
+        rest = [name for name in deep if name != "lower-linalg"]
+        work = sum(map(sum, (deep[name] for name in rest))) / sum(
+            map(sum, (shallow[name] for name in rest))
+        )
+        assert work <= 10, table

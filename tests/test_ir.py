@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler.driver import DEFAULT_PIPELINE, Compiler, PipelineObserver
 from repro.compiler.stages import CompilationState
@@ -706,3 +707,159 @@ def test_every_registered_op_kind_is_built_by_a_compile_or_allowlisted():
     built_by_nothing = sorted(unseen - set(_BUILT_OFF_THE_DEFAULT_COMPILE))
     assert not built_by_nothing, f"registered, never built: {built_by_nothing}"
     assert sorted(set(_BUILT_OFF_THE_DEFAULT_COMPILE) - unseen) == []
+
+
+# ---------------------------------------------------------------------------
+# Block order: placement by position or anchor, and the position map
+# ---------------------------------------------------------------------------
+
+
+def _constants(count):
+    return [ConstantOp.create(float(i), f32) for i in range(count)]
+
+
+class TestBlockPlacement:
+    def test_insert_at_a_later_position_of_the_same_block_lands_there(self):
+        block = Block()
+        a, b, c = _constants(3)
+        for op in (a, b, c):
+            block.append(op)
+        block.insert(block.index_of(c), a)
+        assert block.operations == [b, a, c]
+
+    def test_anchored_placement_moves_within_a_block(self):
+        block = Block()
+        a, b, c, d = _constants(4)
+        for op in (a, b, c, d):
+            block.append(op)
+        block.insert_before(d, a)
+        assert block.operations == [b, c, a, d]
+        block.insert_after(b, d)
+        assert block.operations == [b, d, c, a]
+        block.insert_after(a, b)
+        assert block.operations == [d, c, a, b]
+        assert [block.index_of(op) for op in (a, b, c, d)] == [2, 3, 1, 0]
+
+    def test_replace_and_splice(self):
+        block, other = Block(), Block()
+        a, b, c, d, e = _constants(5)
+        for op in (a, b, c):
+            block.append(op)
+        other.append(d)
+        block.replace(b, e)
+        assert block.operations == [a, e, c] and b.parent is None
+        other.splice([c, a], before=d)
+        assert other.operations == [c, a, d] and block.operations == [e]
+        assert all(op.parent is other for op in (c, a, d))
+
+
+def _vouched_positions(block):
+    """The positions the block's map vouches for, read without a lookup."""
+    positions = block._positions or {}
+    vouched = {}
+    for op, coord in positions.items():
+        if coord < block._lo:
+            vouched[op] = coord
+        elif coord >= block._hi:
+            vouched[op] = coord + block._shift
+    return vouched
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_edits_match_a_list_model(data):
+    """Random anchored inserts, positional inserts, appends, replaces,
+    detaches, erases, splices and order queries over two blocks of one
+    function, against plain lists: after every step the order, the parent
+    links, every position the map vouches for and the verifier agree."""
+    module = ModuleOp.create()
+    func = FuncOp.create("f")
+    Builder.at_end(module.body).insert(func)
+    loop = Builder.at_end(func.entry_block).insert(AffineForOp.create(0, 4))
+    blocks = [func.entry_block, loop.body]
+    model = {id(func.entry_block): [loop], id(loop.body): []}
+    free = _constants(6)
+
+    def placed():
+        return [op for block in blocks for op in model[id(block)] if op is not loop]
+
+    for _ in range(data.draw(st.integers(1, 25))):
+        kind = data.draw(
+            st.sampled_from(
+                ["append", "insert", "before", "after", "replace", "detach", "erase",
+                 "splice", "index", "order"]
+            )
+        )
+        block = data.draw(st.sampled_from(blocks))
+        ops = model[id(block)]
+        movable = placed() + free
+        if kind in ("append", "insert", "before", "after") and movable:
+            op = data.draw(st.sampled_from(movable))
+            anchors = [o for o in ops if o is not op]
+            if kind in ("before", "after") and not anchors:
+                continue
+            if kind == "append":
+                block.append(op)
+            elif kind == "insert":
+                # A position in the block as it is, counting ``op`` if it is here.
+                position = data.draw(st.integers(0, len(ops)))
+                moves_up = op in ops and ops.index(op) < position
+                position_after = position - moves_up
+                block.insert(position, op)
+            else:
+                anchor = data.draw(st.sampled_from(anchors))
+                if kind == "before":
+                    block.insert_before(anchor, op)
+                else:
+                    block.insert_after(anchor, op)
+            for owner in model.values():
+                if op in owner:
+                    owner.remove(op)
+            if op in free:
+                free.remove(op)
+            if kind == "append":
+                ops.append(op)
+            elif kind == "insert":
+                ops.insert(position_after, op)
+            else:
+                ops.insert(ops.index(anchor) + (kind == "after"), op)
+        elif kind == "replace" and [o for o in ops if o is not loop] and free:
+            old = data.draw(st.sampled_from([o for o in ops if o is not loop]))
+            new = free.pop(data.draw(st.integers(0, len(free) - 1)))
+            block.replace(old, new)
+            ops[ops.index(old)] = new
+            free.append(old)
+        elif kind in ("detach", "erase") and [o for o in ops if o is not loop]:
+            op = data.draw(st.sampled_from([o for o in ops if o is not loop]))
+            ops.remove(op)
+            if kind == "detach":
+                op.detach()
+                free.append(op)
+            else:
+                op.erase()
+        elif kind == "splice" and movable:
+            run = data.draw(st.lists(st.sampled_from(movable), min_size=1, max_size=4, unique=True))
+            anchors = [o for o in ops if o not in run]
+            anchor = data.draw(st.sampled_from([None] + anchors))
+            for owner in model.values():
+                owner[:] = [o for o in owner if o not in run]
+            free[:] = [o for o in free if o not in run]
+            block.splice(run, before=anchor)
+            at = len(ops) if anchor is None else ops.index(anchor)
+            ops[at:at] = run
+        elif kind == "index" and ops:
+            op = data.draw(st.sampled_from(ops))
+            assert block.index_of(op) == ops.index(op)
+        elif kind == "order" and ops:
+            asked = data.draw(st.lists(st.sampled_from(ops), unique=True))
+            assert block.in_order(asked) == sorted(asked, key=ops.index)
+        if len(free) < 3:
+            free += _constants(2)
+        for each in blocks:
+            listed = model[id(each)]
+            assert each.operations == listed
+            assert all(op.parent is each for op in listed)
+            vouched = _vouched_positions(each)
+            assert all(listed[position] is op for op, position in vouched.items())
+        assert all(op.parent is None for op in free)
+        assert verify(module, raise_on_error=False) == []

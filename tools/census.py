@@ -101,6 +101,10 @@ CI_COMMANDS = [
     "python -m repro.dse --list-strategies",
     "python -m repro.dse --space small --strategy random --fidelity simulate --promote-top 0.25 "
     "--budget 12 --seed 7 > fidelity-smoke.log",
+    "python -m repro.dse --space small --workload atax --platform zu3eg --prefilter --no-cache "
+    "> prefilter-smoke.log",
+    "python -m repro.dse --space small --workload atax@n=8 --platform zu3eg --validate-frontier "
+    "--no-cache > validate-frontier-smoke.log",
     "python -m repro.compiler --workload gesummv@n=16 --target zu3eg --ir-cache --ir-cache-dir "
     "ir-cache-exec --cache-stats > cold-exec.log",
     "python -m repro.compiler --workload 2mm --target zu3eg --ir-cache --ir-cache-dir "
