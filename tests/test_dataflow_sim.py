@@ -9,6 +9,7 @@ bit-identical, and where the analytic estimator draws a clear ordering
 between designs the simulation must agree.
 """
 
+import collections
 import itertools
 import json
 import pathlib
@@ -18,8 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dialects.dataflow import BufferOp, ScheduleOp, get_consumers, get_producers
+from repro.baselines import ABLATION_MODES, ablation_pipeline_spec
+from repro.compiler import DEFAULT_PIPELINE, Compiler, PipelineObserver
+from repro.dialects.dataflow import (
+    BufferOp,
+    NodeOp,
+    ScheduleOp,
+    StreamOp,
+    get_consumers,
+    get_producers,
+)
 from repro.dse import build_space, explore, polybench_suite
+from repro.ir import Builder, FuncOp, MemRefType, f32
+from repro.ir.builtin import ReturnOp
 from repro.estimation import (
     ChannelSpec,
     build_channels,
@@ -29,7 +41,6 @@ from repro.estimation import (
 )
 from repro.estimation.dataflow_sim import _topological_order, channel_depths
 from repro.workloads import as_module, list_workloads
-from repro.compiler import Compiler
 
 
 def _run(workload="2mm"):
@@ -292,6 +303,147 @@ def _graph_rows(workload):
 def test_dataflow_graph_golden(workload):
     golden = json.loads(_GRAPH_GOLDEN_PATH.read_text())[workload]
     assert _graph_rows(workload) == golden
+
+
+# ------------------------------------------------ channels from use lists
+def _reference_channels(schedule):
+    """The channel graph asked of ``get_producers`` / ``get_consumers``, one
+    buffer and one schedule argument at a time: :func:`build_channels` must
+    equal it, node list and channel list alike."""
+    nodes = schedule.nodes
+    index_of = {id(node): i for i, node in enumerate(nodes)}
+    channels = []
+
+    def add_channel(producer, consumer, capacity, forward_only=False):
+        p, c = index_of.get(id(producer)), index_of.get(id(consumer))
+        if p is None or c is None or p == c or (forward_only and p > c):
+            return
+        channels.append(ChannelSpec(p, c, capacity))
+
+    for op in schedule.body.operations:
+        if isinstance(op, BufferOp):
+            value = op.result()
+            consumers = get_consumers(value)
+            for producer in get_producers(value):
+                for consumer in consumers:
+                    if producer is not consumer:
+                        add_channel(producer, consumer, max(op.depth, 1))
+        elif isinstance(op, StreamOp):
+            value = op.result()
+            users = [u for u in value.users if isinstance(u, NodeOp)]
+            for producer in [u for u in users if u.writes(value)]:
+                for consumer in [u for u in users if u.reads(value)]:
+                    if producer is not consumer:
+                        add_channel(producer, consumer, op.depth)
+    for argument in schedule.body.arguments:
+        readers = get_consumers(argument)
+        for producer in get_producers(argument):
+            for consumer in readers:
+                add_channel(producer, consumer, 2, forward_only=True)
+    return nodes, channels
+
+
+def _assert_reference_channels(schedule):
+    nodes, channels = build_channels(schedule)
+    expected_nodes, expected = _reference_channels(schedule)
+    assert [id(node) for node in nodes] == [id(node) for node in expected_nodes]
+    assert channels == expected
+    return channels
+
+
+class _ChannelsAtStageEnd(PipelineObserver):
+    """Holds every schedule's channels to the reference after ``balance``
+    (which reads them for its depths) and after ``estimate`` (whose
+    simulation graphs carry them)."""
+
+    def __init__(self):
+        self.checked = collections.Counter()
+
+    def on_stage_end(self, stage, state, seconds):
+        if stage.name in ("balance", "estimate"):
+            for schedule in state.module.walk_ops(ScheduleOp):
+                _assert_reference_channels(schedule)
+                self.checked[stage.name] += 1
+
+
+_CHANNEL_SPECS = {
+    "default": DEFAULT_PIPELINE,
+    **{f"ablation-{mode}": ablation_pipeline_spec(mode, 64) for mode in ABLATION_MODES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHANNEL_SPECS))
+def test_channels_equal_the_use_list_reference_on_every_zoo_schedule(name):
+    checked = collections.Counter()
+    for workload in list_workloads():
+        observer = _ChannelsAtStageEnd()
+        Compiler.from_spec(_CHANNEL_SPECS[name], platform="zu3eg", observers=[observer]).run(
+            workload=workload
+        )
+        checked.update(observer.checked)
+    # The zoo's 14 schedules (kernels with one band have none), at both.
+    assert checked == {"balance": 14, "estimate": 14}
+
+
+def _schedule_with_args(num_args=1):
+    func = FuncOp.create("f", input_types=[MemRefType((8,), f32, "dram")] * num_args)
+    schedule = ScheduleOp.create(operands=list(func.arguments), label="s")
+    Builder.at_end(func.entry_block).insert(schedule)
+    Builder.at_end(func.entry_block).insert(ReturnOp.create())
+    return schedule
+
+
+def _edges(channels):
+    return [(c.producer, c.consumer, c.capacity) for c in channels]
+
+
+def test_stream_channels_keep_use_list_order():
+    schedule = _schedule_with_args()
+    builder = Builder.at_end(schedule.body)
+    token = builder.insert(StreamOp.create(depth=3)).result()
+    # w2 takes the stream before w1 does, so the use list reads w2, w1 while
+    # program order reads w1, w2.
+    w2 = NodeOp.create(outputs=[token], label="w2")
+    w1 = NodeOp.create(outputs=[token], label="w1")
+    builder.insert(w1)
+    builder.insert(w2)
+    builder.insert(NodeOp.create(inputs=[token], label="r"))
+    assert _edges(_assert_reference_channels(schedule)) == [(1, 2, 3), (0, 2, 3)]
+
+
+def test_readwrite_node_is_producer_and_consumer():
+    schedule = _schedule_with_args()
+    builder = Builder.at_end(schedule.body)
+    buf = builder.insert(BufferOp.create(MemRefType((8,), f32), depth=3)).result()
+    arg = schedule.body.arguments[0]
+    builder.insert(NodeOp.create(outputs=[buf], inputs=[arg], label="a"))
+    builder.insert(NodeOp.create(inouts=[buf, arg], label="b"))
+    builder.insert(NodeOp.create(inputs=[buf, arg], label="c"))
+    assert _edges(_assert_reference_channels(schedule)) == [
+        (0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 2, 2)
+    ]
+
+
+def test_one_buffer_in_two_slots_of_one_node_is_one_endpoint():
+    schedule = _schedule_with_args()
+    builder = Builder.at_end(schedule.body)
+    buf = builder.insert(BufferOp.create(MemRefType((8,), f32), depth=2)).result()
+    builder.insert(NodeOp.create(outputs=[buf, buf], label="p"))
+    builder.insert(NodeOp.create(inputs=[buf, buf], outputs=[buf], label="q"))
+    builder.insert(NodeOp.create(inputs=[buf, buf], label="r"))
+    assert _edges(_assert_reference_channels(schedule)) == [
+        (0, 1, 2), (0, 2, 2), (1, 2, 2)
+    ]
+
+
+def test_schedule_argument_written_by_a_later_node_has_no_backward_edge():
+    schedule = _schedule_with_args()
+    builder = Builder.at_end(schedule.body)
+    arg = schedule.body.arguments[0]
+    builder.insert(NodeOp.create(inputs=[arg], label="early-reader"))
+    builder.insert(NodeOp.create(outputs=[arg], label="writer"))
+    builder.insert(NodeOp.create(inputs=[arg], label="late-reader"))
+    assert _edges(_assert_reference_channels(schedule)) == [(1, 2, 2)]
 
 
 if __name__ == "__main__":
