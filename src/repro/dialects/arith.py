@@ -20,7 +20,7 @@ __all__ = [
     "DivFOp",
     "MaxFOp",
     "SqrtOp",
-    "is_compute_op",
+    "COMPUTE_OP_NAMES",
     "is_multiply_accumulate",
 ]
 
@@ -87,21 +87,13 @@ class SqrtOp(UnaryOp):
     OPERATION_NAME = "math.sqrt"
 
 
-_COMPUTE_OP_NAMES = {
-    "arith.addf",
-    "arith.subf",
-    "arith.mulf",
-    "arith.divf",
-    "arith.maxf",
-    "math.sqrt",
-}
+#: Names of the ops the intensity analysis and the estimator count as
+#: computation.
+COMPUTE_OP_NAMES = frozenset(
+    {"arith.addf", "arith.subf", "arith.mulf", "arith.divf", "arith.maxf", "math.sqrt"}
+)
 
 _MULTIPLY_OP_NAMES = {"arith.mulf", "arith.divf"}
-
-
-def is_compute_op(op: Operation) -> bool:
-    """True for ops that the intensity analysis counts as computation."""
-    return op.name in _COMPUTE_OP_NAMES
 
 
 def is_multiply_accumulate(op: Operation) -> bool:

@@ -58,14 +58,17 @@ class MemoryEffect:
     PARAM = "param"
 
     ALL = (READ, WRITE, READ_WRITE, PARAM)
+    #: The effects that read / write their operand.
+    READS = (READ, READ_WRITE)
+    WRITES = (WRITE, READ_WRITE)
 
     @staticmethod
     def reads(effect: str) -> bool:
-        return effect in (MemoryEffect.READ, MemoryEffect.READ_WRITE)
+        return effect in MemoryEffect.READS
 
     @staticmethod
     def writes(effect: str) -> bool:
-        return effect in (MemoryEffect.WRITE, MemoryEffect.READ_WRITE)
+        return effect in MemoryEffect.WRITES
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,14 +19,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..dialects.dataflow import (
-    BufferOp,
-    NodeOp,
-    ScheduleOp,
-    StreamOp,
-    get_consumers,
-    get_producers,
-)
+from ..dialects.dataflow import BufferOp, MemoryEffect, NodeOp, ScheduleOp, StreamOp
+from ..ir.core import Value
 
 __all__ = [
     "ChannelSpec",
@@ -64,48 +58,57 @@ def build_channels(schedule: ScheduleOp) -> Tuple[List[NodeOp], List[ChannelSpec
     communicating through external memory are connected by their token
     streams; if no token stream exists the dependence is still honoured with
     the default capacity.
+
+    One pass over the nodes' operand and effect lists gives every value its
+    writers and readers as node indices, each node once, in node order.
+    Channels then follow buffers in body order (writers x readers), streams
+    in body order with their nodes in use-list order, and schedule arguments
+    (forward edges only); a node is never its own channel's consumer.
     """
     nodes = schedule.nodes
-    index_of = {id(node): i for i, node in enumerate(nodes)}
+    index_of = {node: i for i, node in enumerate(nodes)}
+    writers: Dict[Value, List[int]] = {}
+    readers: Dict[Value, List[int]] = {}
+    for i, node in enumerate(nodes):
+        for value, effect in zip(node.operands, node.get_attr("effects", ())):
+            if effect in MemoryEffect.WRITES:
+                indices = writers.setdefault(value, [])
+                if not indices or indices[-1] != i:
+                    indices.append(i)
+            if effect in MemoryEffect.READS:
+                indices = readers.setdefault(value, [])
+                if not indices or indices[-1] != i:
+                    indices.append(i)
     channels: List[ChannelSpec] = []
-
-    def add_channel(
-        producer: NodeOp, consumer: NodeOp, capacity: int, forward_only: bool = False
-    ) -> None:
-        p, c = index_of.get(id(producer)), index_of.get(id(consumer))
-        if p is None or c is None or p == c or (forward_only and p > c):
-            return
-        channels.append(ChannelSpec(p, c, capacity))
 
     # Buffers and streams allocated inside the schedule.
     for op in schedule.body.operations:
         if isinstance(op, BufferOp):
             value = op.result()
             capacity = max(op.depth, 1)
-            consumers = get_consumers(value)
-            for producer in get_producers(value):
-                for consumer in consumers:
-                    if producer is not consumer:
-                        add_channel(producer, consumer, capacity)
+            consumers = readers.get(value, ())
+            for p in writers.get(value, ()):
+                for c in consumers:
+                    if c != p:
+                        channels.append(ChannelSpec(p, c, capacity))
         elif isinstance(op, StreamOp):
             value = op.result()
-            users = [u for u in value.users if isinstance(u, NodeOp)]
-            writers = [u for u in users if u.writes(value)]
-            readers = [u for u in users if u.reads(value)]
-            for producer in writers:
-                for consumer in readers:
-                    if producer is not consumer:
-                        add_channel(producer, consumer, op.depth)
+            users = [index_of[u] for u in value.users if u in index_of]
+            written, read = writers.get(value, ()), readers.get(value, ())
+            for p in users:
+                if p in written:
+                    for c in users:
+                        if c in read and c != p:
+                            channels.append(ChannelSpec(p, c, op.depth))
 
     # Values passed in from outside (schedule block arguments): a write by one
-    # node followed by a read by another still orders the two nodes.  The
-    # schedule is isolated from above, so the argument's node users are nodes
-    # of this schedule: ask its use list, not every node.
+    # node followed by a read by another still orders the two nodes.
     for argument in schedule.body.arguments:
-        readers = get_consumers(argument)
-        for producer in get_producers(argument):
-            for consumer in readers:
-                add_channel(producer, consumer, 2, forward_only=True)
+        consumers = readers.get(argument, ())
+        for p in writers.get(argument, ()):
+            for c in consumers:
+                if c > p:
+                    channels.append(ChannelSpec(p, c, 2))
     return nodes, channels
 
 

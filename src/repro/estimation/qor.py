@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
-from ..dialects.arith import is_compute_op
+from ..dialects.arith import COMPUTE_OP_NAMES
 from ..dialects.dataflow import BufferOp, NodeOp, ScheduleOp
 from ..dialects.hls import partition_of
 from ..dialects.linalg import LinalgOp
@@ -181,67 +181,9 @@ def dsp_cost_of_op(op: Operation) -> float:
     return 0.0
 
 
-def _body_op_stats(loop: AffineForOp) -> Tuple[int, int, float, int, int]:
-    """Statistics of one innermost loop body.
-
-    Returns (compute ops, memory accesses, dsp per iteration, loads, stores).
-    """
-    compute = 0
-    mem = 0
-    dsp = 0.0
-    loads = 0
-    stores = 0
-    for op in loop.body.operations:
-        if isinstance(op, AffineForOp):
-            continue
-        if is_compute_op(op):
-            compute += 1
-            dsp += dsp_cost_of_op(op)
-        if isinstance(op, AffineLoadOp):
-            mem += 1
-            loads += 1
-        if isinstance(op, AffineStoreOp):
-            mem += 1
-            stores += 1
-    return compute, mem, dsp, loads, stores
-
-
-def _memory_port_ii(loop: AffineForOp) -> float:
-    """II contribution of on-chip memory-port limits.
-
-    External (DRAM) buffers are handled separately as streaming transfers
-    overlapped with compute (``traffic`` in :func:`estimate_band`): HIDA's
-    tiling creates local tile buffers with double buffering, so the external
-    accesses do not appear on the compute loop's critical path.
-    """
-    worst = 1.0
-    # Distinct addresses touched per cycle, per buffer: unrolled copies that
-    # read the same address broadcast from one port, so only the unroll
-    # factors of loops actually driving the access's subscripts multiply the
-    # port demand.
-    per_buffer: Dict[int, Tuple[Value, float]] = {}
-    for op in loop.body.operations:
-        if not isinstance(op, (AffineLoadOp, AffineStoreOp)):
-            continue
-        buffer = op.memref
-        memref_type = buffer.type
-        if isinstance(memref_type, MemRefType) and not memref_type.is_on_chip:
-            continue
-        distinct = 1.0
-        drivers = {id(loop): loop for loop, _ in filter(None, op.driving_loops())}
-        for loop in drivers.values():
-            distinct *= max(1, loop.unroll_factor)
-        key = id(buffer)
-        previous = per_buffer.get(key, (buffer, 0.0))[1]
-        per_buffer[key] = (buffer, previous + distinct)
-    for buffer, accesses in per_buffer.values():
-        banks = 1
-        factors = partition_factors_of_value(buffer)
-        for factor in factors:
-            banks *= max(1, factor)
-        ports = banks * 2  # true dual-port BRAM
-        worst = max(worst, accesses / ports)
-    return worst
+_FOR = AffineForOp.OPERATION_NAME
+_ACCESSES = (AffineLoadOp.OPERATION_NAME, AffineStoreOp.OPERATION_NAME)
+_STORE = AffineStoreOp.OPERATION_NAME
 
 
 def estimate_band(
@@ -249,16 +191,24 @@ def estimate_band(
 ) -> Tuple[float, float, ResourceUsage]:
     """Latency, interval and resources of one perfectly nested loop band.
 
-    One post-order walk of ``band[0]`` gathers every term.  Its first loop
-    is the innermost loop the band leads to (the band may stop short of it
-    in an imperfect nest), whose body statistics are inspected; every loop
+    One pre-order walk of ``band[0]`` gathers every term.  Every loop
     contributes its (trip / unroll) iteration count to ``iterations`` and
-    its unroll factor to ``unroll_product``; every external buffer its
-    full footprint, once, to ``traffic``.
+    its unroll factor to ``unroll_product``; every external buffer its full
+    footprint, once, to ``traffic``.  The innermost loop the band leads to
+    (the band may stop short of it in an imperfect nest) is the first loop
+    with no loop nested in it: the walk counts the direct children of the
+    latest loop it entered and keeps the counts of the first one whose body
+    ends with no loop found inside.  Those are the body's compute ops and
+    their DSPs, its memory accesses, and the on-chip accesses whose port
+    demand bounds a pipelined band's II.
     """
     if not band:
         return 1.0, 1.0, ResourceUsage()
-    target = None
+    body = None  # of the latest loop entered, until the innermost one is found
+    found = False
+    compute = mem = 0
+    dsp_per_iter = 0.0
+    on_chip: List[Tuple[Operation, Value]] = []
     iterations = 1
     unroll_product = 1
     pipelined: List[AffineForOp] = []
@@ -267,30 +217,52 @@ def estimate_band(
     # the band touches is transferred once (its full footprint), which
     # models HIDA's tile-load / tile-compute / tile-store sub-node structure.
     traffic = 0.0
-    external = set()
-    for op in band[0].walk():
-        if isinstance(op, AffineForOp):
-            if target is None:
-                target = op
+    external: Dict[Value, bool] = {}
+    pending: List[Optional[Operation]] = [band[0]]
+    while pending:
+        op = pending.pop()
+        if op is None:  # ``body`` ended with no loop inside: keep its counts
+            found = True
+            continue
+        name = op.name
+        if name == _FOR:
             trip = max(op.trip_count, 1)
             unroll = max(1, min(op.unroll_factor, trip))
             iterations *= max(1, math.ceil(trip / unroll))
             unroll_product *= unroll
             if op.is_pipelined:
                 pipelined.append(op)
-        elif isinstance(op, (AffineLoadOp, AffineStoreOp)):
+            if not found:
+                body = op.body
+                compute = mem = 0
+                dsp_per_iter = 0.0
+                on_chip = []
+                pending.append(None)
+        elif name in _ACCESSES:
             buffer = op.memref
-            memref_type = buffer.type
-            if (
-                isinstance(memref_type, MemRefType)
-                and not memref_type.is_on_chip
-                and id(buffer) not in external
-            ):
-                external.add(id(buffer))
-                traffic += memref_type.num_elements * (
-                    memref_type.element_type.bitwidth / 8.0
+            is_external = external.get(buffer)
+            if is_external is None:
+                memref_type = buffer.type
+                is_external = external[buffer] = (
+                    isinstance(memref_type, MemRefType) and not memref_type.is_on_chip
                 )
-    compute, mem, dsp_per_iter, loads, stores = _body_op_stats(target)
+                if is_external:
+                    traffic += memref_type.num_elements * (
+                        memref_type.element_type.bitwidth / 8.0
+                    )
+            if not found and op.parent is body:
+                mem += 1
+                if not is_external:
+                    on_chip.append((op, buffer))
+        elif name in COMPUTE_OP_NAMES:
+            if not found and op.parent is body:
+                compute += 1
+                dsp_per_iter += dsp_cost_of_op(op)
+        regions = op.regions
+        if regions:
+            for region in reversed(regions):
+                for block in reversed(region.blocks):
+                    pending.extend(reversed(block.operations))
 
     if pipelined:
         # Recurrence bound: a carried dependence chain caps the achievable
@@ -299,7 +271,26 @@ def estimate_band(
 
         target_ii = max(loop.target_ii for loop in pipelined)
         rec_mii = max(pipeline_rec_mii(loop) for loop in pipelined)
-        ii = max(float(target_ii), float(rec_mii), _memory_port_ii(target))
+        # On-chip memory ports: distinct addresses touched per cycle, per
+        # buffer.  Unrolled copies that read the same address broadcast from
+        # one port, so only the unroll factors of loops actually driving the
+        # access's subscripts multiply the demand, spread over the buffer's
+        # banks x 2 ports (true dual-port BRAM).  External (DRAM) buffers
+        # stream through tile buffers, off the compute loop's critical path
+        # (``traffic`` above).
+        port_ii = 1.0
+        demand: Dict[Value, float] = {}
+        for access, buffer in on_chip:
+            distinct = 1.0
+            for loop in dict.fromkeys(loop for loop, _ in filter(None, access.driving_loops())):
+                distinct *= max(1, loop.unroll_factor)
+            demand[buffer] = demand.get(buffer, 0.0) + distinct
+        for buffer, accesses in demand.items():
+            banks = 1
+            for factor in partition_factors_of_value(buffer):
+                banks *= max(1, factor)
+            port_ii = max(port_ii, accesses / (banks * 2))
+        ii = max(float(target_ii), float(rec_mii), port_ii)
         latency = iterations * ii + _PIPELINE_DEPTH
     else:
         per_iter = max(2.0, (compute + mem) * _SEQ_CYCLES_PER_OP)
@@ -326,19 +317,19 @@ def node_intensity(node: Operation) -> int:
     (Table 5: Node0 = 512, Node1 = 256, Node2 = 4096).
     """
     compute = stored = 0
-    pending = [(node, 1)]  # (op, iterations of the loops around it)
+    pending = [((node,), 1)]  # (ops, iterations of the loops around them)
     while pending:
-        op, iterations = pending.pop()
-        if is_compute_op(op):
-            compute += iterations
-        elif isinstance(op, AffineStoreOp):
-            stored += iterations
-        if isinstance(op, AffineForOp):
-            iterations *= max(op.trip_count, 1)
-        for region in op.regions:
-            for block in region.blocks:
-                for child in block.operations:
-                    pending.append((child, iterations))
+        ops, iterations = pending.pop()
+        for op in ops:
+            name = op.name
+            if name in COMPUTE_OP_NAMES:
+                compute += iterations
+            elif name == _STORE:
+                stored += iterations
+            inner = iterations * max(op.trip_count, 1) if name == _FOR else iterations
+            for region in op.regions:
+                for block in region.blocks:
+                    pending.append((block.operations, inner))
     return compute or stored
 
 
@@ -381,25 +372,6 @@ def estimate_buffer(buffer_op: Operation, platform: Platform) -> ResourceUsage:
     return ResourceUsage(bram=banks * brams_per_bank * max(depth, 1))
 
 
-def _short_burst_penalty(node: NodeOp) -> float:
-    """Latency multiplier for fine-grained external-memory access.
-
-    Nodes streaming external buffers in sub-``_SHORT_BURST`` tiles lose DRAM
-    efficiency; both the analytic estimate and the dataflow simulation apply
-    the same degradation so the two fidelity levels disagree only about
-    overlap behavior, never about the memory model.
-    """
-    external_ports = sum(
-        1
-        for operand in node.operands
-        if isinstance(operand.type, MemRefType) and not operand.type.is_on_chip
-    )
-    tile_size = int(node.get_attr("tile_size", 0) or 0)
-    if external_ports and tile_size and tile_size < _SHORT_BURST:
-        return 1.0 + 0.4 * (_SHORT_BURST - tile_size) / _SHORT_BURST
-    return 1.0
-
-
 def estimate_node(node: NodeOp, platform: Platform) -> NodeEstimate:
     """Estimate one structural dataflow node.
 
@@ -440,13 +412,18 @@ def _estimate_node(node: NodeOp, platform: Platform) -> Tuple[NodeEstimate, List
             if not operand.type.is_on_chip:
                 external_ports += 1
     tile_size = int(node.get_attr("tile_size", 0) or 0)
+    penalty = 1.0
     if external_ports and tile_size and tile_size < _SHORT_BURST:
         resources.dsp += _ADDR_DSP_PER_PORT * external_ports * (
             _SHORT_BURST / max(tile_size, 1)
         )
         resources.lut += 120 * external_ports
-    # Short-burst external access also degrades achievable bandwidth.
-    penalty = _short_burst_penalty(node)
+        # Short-burst external access also degrades achievable bandwidth.
+        # Both the analytic estimate and the dataflow simulation apply this
+        # one multiplier (the simulation through the band latencies below),
+        # so the two fidelity levels disagree only about overlap behavior,
+        # never about the memory model.
+        penalty = 1.0 + 0.4 * (_SHORT_BURST - tile_size) / _SHORT_BURST
     latency *= penalty
 
     estimate = NodeEstimate(

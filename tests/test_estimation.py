@@ -8,10 +8,13 @@ IR and every promoted point was recompiled, and is regenerated only on
 purpose, with ``PYTHONPATH=src python tests/test_estimation.py --regen``.
 """
 
+import collections
+import cProfile
 import functools
 import hashlib
 import json
 import pathlib
+import pstats
 import sys
 
 import pytest
@@ -288,6 +291,42 @@ class TestMetrics:
     def test_geometric_mean_bounded_by_min_max(self, values):
         mean = geometric_mean(values)
         assert min(values) * 0.999 <= mean <= max(values) * 1.001
+
+
+# ---------------------------------------------------------------------------
+# Work counts
+# ---------------------------------------------------------------------------
+
+
+class TestEstimateWork:
+    """The estimator prices a band from its own one walk, counts a node's
+    intensity in one walk with no helper per op, and builds a schedule's
+    channels from one pass over its nodes' effect lists."""
+
+    @pytest.fixture(scope="class")
+    def profiled(self):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for name in list_workloads():
+            Compiler(default_stages(), platform="zu3eg").run(workload=name)
+        profiler.disable()
+        calls = collections.defaultdict(lambda: (0, set()))
+        for (path, _, function), stat in pstats.Stats(profiler).stats.items():
+            key = ("/".join(pathlib.PurePath(path).parts[-2:]), function)
+            count, callers = calls[key]
+            calls[key] = (count + stat[1], callers | {caller[2] for caller in stat[4]})
+        return calls
+
+    def test_bands_and_intensities_walk_once_without_operation_walk(self, profiled):
+        assert profiled["estimation/qor.py", "estimate_band"][0] > 0
+        assert profiled["estimation/qor.py", "node_intensity"][0] > 0
+        walk_callers = profiled["ir/core.py", "walk"][1]
+        assert not walk_callers & {"estimate_band", "node_intensity"}
+
+    def test_channels_read_effect_lists_not_producer_queries(self, profiled):
+        assert profiled["estimation/dataflow_sim.py", "build_channels"][0] > 0
+        for query in ("get_producers", "get_consumers"):
+            assert "build_channels" not in profiled["dialects/dataflow.py", query][1]
 
 
 # ---------------------------------------------------------------------------

@@ -562,7 +562,7 @@ class TestParallelizeWork:
     def test_partitions_and_misalignments_decode_nothing(self, profiled):
         _, calls = profiled
         count, callers = calls["dialects/affine.py", "driving_loops"]
-        assert callers <= {"_band_accesses", "_memory_port_ii"}
+        assert callers <= {"_band_accesses", "estimate_band"}
         assert count <= 1_700  # 3,558 when both re-decoded every access
         assert ("hida/analysis.py", "collect_access_infos") not in calls
 
