@@ -385,8 +385,8 @@ def test_channels_equal_the_use_list_reference_on_every_zoo_schedule(name):
     assert checked == {"balance": 14, "estimate": 14}
 
 
-def _schedule_with_args(num_args=1):
-    func = FuncOp.create("f", input_types=[MemRefType((8,), f32, "dram")] * num_args)
+def _schedule_with_arg():
+    func = FuncOp.create("f", input_types=[MemRefType((8,), f32, "dram")])
     schedule = ScheduleOp.create(operands=list(func.arguments), label="s")
     Builder.at_end(func.entry_block).insert(schedule)
     Builder.at_end(func.entry_block).insert(ReturnOp.create())
@@ -398,7 +398,7 @@ def _edges(channels):
 
 
 def test_stream_channels_keep_use_list_order():
-    schedule = _schedule_with_args()
+    schedule = _schedule_with_arg()
     builder = Builder.at_end(schedule.body)
     token = builder.insert(StreamOp.create(depth=3)).result()
     # w2 takes the stream before w1 does, so the use list reads w2, w1 while
@@ -412,7 +412,7 @@ def test_stream_channels_keep_use_list_order():
 
 
 def test_readwrite_node_is_producer_and_consumer():
-    schedule = _schedule_with_args()
+    schedule = _schedule_with_arg()
     builder = Builder.at_end(schedule.body)
     buf = builder.insert(BufferOp.create(MemRefType((8,), f32), depth=3)).result()
     arg = schedule.body.arguments[0]
@@ -425,7 +425,7 @@ def test_readwrite_node_is_producer_and_consumer():
 
 
 def test_one_buffer_in_two_slots_of_one_node_is_one_endpoint():
-    schedule = _schedule_with_args()
+    schedule = _schedule_with_arg()
     builder = Builder.at_end(schedule.body)
     buf = builder.insert(BufferOp.create(MemRefType((8,), f32), depth=2)).result()
     builder.insert(NodeOp.create(outputs=[buf, buf], label="p"))
@@ -437,7 +437,7 @@ def test_one_buffer_in_two_slots_of_one_node_is_one_endpoint():
 
 
 def test_schedule_argument_written_by_a_later_node_has_no_backward_edge():
-    schedule = _schedule_with_args()
+    schedule = _schedule_with_arg()
     builder = Builder.at_end(schedule.body)
     arg = schedule.body.arguments[0]
     builder.insert(NodeOp.create(inputs=[arg], label="early-reader"))
