@@ -32,14 +32,15 @@ Semantics, in one place:
   visible to later nodes).  Nodes execute in program order, which is a
   topological order of the single-producer dataflow graph.  Streams are
   FIFOs; reading an empty stream yields 0 and counts an underflow.
-* **linalg** — a module still carrying linalg ops is cloned and lowered
-  through :func:`~repro.transforms.linalg_to_affine.lower_linalg_to_affine`
-  first; the interpreter executes the affine form, which shares the ops'
-  declarations with the cost model and the C++, so the tests hold it to an
-  independent reference (``tests/reference_linalg.py``).
+* **linalg** — each kind runs from its mathematics over :class:`MemoryRef`
+  cells, with no lowering and no read of its loop-nest declaration
+  (:data:`_KERNELS` states the padding values and summation orders).  A
+  frontend function's tensor arguments are seeded as memref arguments are,
+  and its returned tensor is reported in ``returned``.
 * **Budget** — every loop has constant bounds, so :func:`estimate_cost`
   counts the ops a run executes, exactly, by one walk and without running
-  anything; that count is the run's ``ops_executed``.  Interpretation
+  anything; that count is the run's ``ops_executed``.  A linalg op counts
+  one per term its result combines (:func:`_linalg_terms`).  Interpretation
   refuses a module whose count exceeds ``max_ops`` with
   :class:`InterpreterBudgetError`, so callers can report an honest
   "skipped" instead of a silently vacuous "validated".
@@ -54,7 +55,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union, cast
 
-from ..dialects import affine, arith, dataflow, memref
+from ..dialects import affine, arith, dataflow, linalg, memref
 from ..dialects.affine_map import (
     AffineBinaryExpr,
     AffineConstantExpr,
@@ -65,7 +66,7 @@ from ..dialects.affine_map import (
 )
 from .builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from .core import Block, Operation, Value
-from .types import FloatType, IndexType, IntegerType, MemRefType, StreamType
+from .types import FloatType, IndexType, IntegerType, MemRefType, StreamType, TensorType
 
 __all__ = [
     "DEFAULT_MAX_OPS",
@@ -113,11 +114,6 @@ def seed_value(slot: int, index: int, seed: int = 0) -> int:
     return (slot * 7 + index * 3 + seed * 5) % 11 + 1
 
 
-def _symbol_slot(symbol: str) -> int:
-    """Stable per-symbol seeding slot (independent of hash randomization)."""
-    return sum((i + 1) * ord(c) for i, c in enumerate(symbol)) % 997 + 100
-
-
 # ---------------------------------------------------------------------------
 # Memory model
 # ---------------------------------------------------------------------------
@@ -150,7 +146,7 @@ class MemoryRef:
         self.rank = len(self.shape)
 
     @classmethod
-    def allocate(cls, memref_type: MemRefType, slot: int, seed: int) -> "MemoryRef":
+    def allocate(cls, memref_type: MemRefType | TensorType, slot: int, seed: int) -> MemoryRef:
         """A buffer of ``memref_type`` holding ``seed_value(slot, i, seed)``."""
         offset = slot * 7 + seed * 5  # seed_value's formula, inline: no call per element
         cells: List[Any] = [(offset + i * 3) % 11 + 1 for i in range(memref_type.num_elements)]
@@ -266,21 +262,18 @@ def diff_results(
 #: How :func:`_count` charges an op of a class, as lowering runs it: one
 #: plus its body ``trip_count`` times (affine.for), the cells it writes
 #: (copy), nothing for it and the rest of its block (a dataflow yield, where
-#: lowering stops), one and no nested op (linalg, which the walk reports),
-#: or one plus its nested ops (anything else).  Filled per class on first
-#: sight.
+#: lowering stops), the terms its result combines (linalg), or one plus its
+#: nested ops (anything else).  Filled per class on first sight.
 _AFFINE_FOR, _COPY, _END, _LINALG, _PLAIN = range(5)
 _COST_KINDS: Dict[type, int] = {}
 
 
 def _cost_kind(op_class: type) -> int:
-    from ..dialects.linalg import LinalgOp  # local: keep the ir layer light
-
     for base, code in (
         (affine.AffineForOp, _AFFINE_FOR),
         (memref.CopyOp, _COPY),
         (dataflow.YieldOp, _END),
-        (LinalgOp, _LINALG),
+        (linalg.LinalgOp, _LINALG),
     ):
         if issubclass(op_class, base):
             break
@@ -290,16 +283,28 @@ def _cost_kind(op_class: type) -> int:
     return code
 
 
-def _count(func: FuncOp) -> Tuple[int, bool]:
-    """``(ops a run of func executes, whether it holds a linalg op)``.
+def _linalg_terms(op: linalg.LinalgOp) -> int:
+    """The terms a direct run of ``op`` combines, from its shapes and
+    attributes: one per product of a convolution or linear layer, one per
+    window element of a pooling, else one per result element."""
+    cells = op.output_type.num_elements
+    if isinstance(op, (linalg.Conv2DOp, linalg.DepthwiseConv2DOp, linalg.LinearOp)):
+        weight = cast(TensorType, op.operand(1).type)  # OIHW or (out, in)
+        return cells * (weight.num_elements // weight.shape[0])
+    if isinstance(op, (linalg.MaxPool2DOp, linalg.AvgPool2DOp)):
+        return cells * op.get_attr("kernel") ** 2
+    return cells
+
+
+def _count(func: FuncOp) -> int:
+    """The ops a run of ``func`` executes.
 
     One flat walk, no recursion: each op is charged its own count times the
     product of the trip counts of the loops around it, which a stack of
     ``(block ops, factor)`` carries down.  Every loop bound is constant, so
-    this is the run's count exactly.  Ops under a zero-trip loop are still
-    visited, since they may hold linalg.
+    this is the run's count exactly.
     """
-    total, has_linalg = 0, False
+    total = 0
     stack: List[Tuple[List[Any], int]] = [(func.entry_block.operations, 1)]
     kinds = _COST_KINDS
     while stack:
@@ -323,9 +328,8 @@ def _count(func: FuncOp) -> Tuple[int, bool]:
             elif code == _END:
                 break
             else:  # _LINALG
-                total += factor
-                has_linalg = True
-    return total, has_linalg
+                total += factor * _linalg_terms(op)
+    return total
 
 
 def _entry_function(module: ModuleOp) -> FuncOp:
@@ -338,24 +342,6 @@ def _entry_function(module: ModuleOp) -> FuncOp:
     return functions[0]
 
 
-def _priced(module: ModuleOp) -> Tuple[FuncOp, int]:
-    """The function a run of ``module`` executes, and its op count.
-
-    A module still holding linalg runs as its affine-lowered clone, so the
-    clone's entry function is returned and priced.
-    """
-    func = _entry_function(module)
-    count, has_linalg = _count(func)
-    if has_linalg:
-        from ..transforms.linalg_to_affine import lower_linalg_to_affine
-
-        module = module.clone()
-        lower_linalg_to_affine(module)
-        func = _entry_function(module)
-        count = _count(func)[0]
-    return func, count
-
-
 def estimate_cost(module: ModuleOp) -> int:
     """The number of ops :func:`interpret_module` executes on ``module``.
 
@@ -366,7 +352,7 @@ def estimate_cost(module: ModuleOp) -> int:
     """
     if not module.functions:
         return 0
-    return _priced(module)[1]
+    return _count(_entry_function(module))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +461,136 @@ def _lower_subscripts(
     return lambda frame: [
         sum([frame[slot] * k for slot, k in terms], const) for const, terms in rows
     ]
+
+
+# ---------------------------------------------------------------------------
+# linalg: each kind from its mathematics
+# ---------------------------------------------------------------------------
+
+#: One linalg op's run: its operands' buffers -> its result's buffer.
+_Kernel = Callable[[Sequence[MemoryRef]], MemoryRef]
+
+
+def _windows(op: Any, input_shape: Sequence[int], kh: int, kw: int) -> List[List[Tuple[int, int]]]:
+    """Per output position of an NCHW window op, row-major, its window's
+    ``(offset in the input plane, or -1 in the padding; tap)`` pairs, taps
+    row-major over ``kh x kw``."""
+    (height, width), stride, padding = input_shape[2:], op.stride, op.padding
+    rows, cols = (range(0, extent * stride, stride) for extent in op.output_type.shape[2:])
+    return [
+        [
+            (r * width + c if 0 <= r < height and 0 <= c < width else -1, a * kw + b)
+            for a, r in enumerate(range(i - padding, i - padding + kh))
+            for b, c in enumerate(range(j - padding, j - padding + kw))
+        ]
+        for i in rows
+        for j in cols
+    ]
+
+
+def _products(op: Any) -> _Kernel:
+    """``out[n][o][p] = bias[o] + sum over (c, tap) of x[n][c][window(p, tap)]
+    * w[o][c][tap]``, added in (channel, row, column) order, the input padded
+    with zeros: a convolution; a depthwise one, filter ``o`` reading only
+    channel ``o``; a linear layer, one position ``p`` and one tap."""
+    depthwise = isinstance(op, linalg.DepthwiseConv2DOp)
+    shape, zero = op.output_type.shape, _zero_of(op.output_type.element_type)
+
+    def run(operands: Sequence[MemoryRef]) -> MemoryRef:
+        x, w = operands[0], operands[1]
+        bias = operands[2].cells if len(operands) > 2 else None
+        plane, taps = math.prod(x.shape[2:]), math.prod(w.shape[2:])
+        windows = _windows(op, x.shape, *w.shape[2:]) if x.rank == 4 else [[(0, 0)]]
+        xc, wc, channels, per_filter = x.cells, w.cells, x.shape[1], w.shape[1]
+        cells: List[Any] = []
+        for n in range(x.shape[0]):
+            for o in range(shape[1]):
+                planes = [
+                    ((n * channels + c) * plane, (o * per_filter + k) * taps)
+                    for k, c in enumerate(range(o, o + 1) if depthwise else range(channels))
+                ]
+                for window in windows:
+                    total = zero if bias is None else bias[o]
+                    for x_base, w_base in planes:
+                        for offset, tap in window:
+                            value = xc[x_base + offset] if offset >= 0 else zero
+                            total += value * wc[w_base + tap]
+                    cells.append(total)
+        return MemoryRef(cells, shape)
+
+    return run
+
+
+def _pooling(op: Any) -> _Kernel:
+    """The maximum of each ``k x k`` window, the input padded with -inf, or
+    its average: ``x * (1 / k**2)`` added in row-major order, padded with
+    zeros (the divisor is ``k**2`` whatever the padding)."""
+    kernel, shape = op.get_attr("kernel"), op.output_type.shape
+    zero, scale = _zero_of(op.output_type.element_type), 1.0 / (kernel * kernel)
+
+    maximum = isinstance(op, linalg.MaxPool2DOp)
+    pad: Any = -math.inf if maximum else zero
+
+    def reduce(values: List[Any]) -> Any:
+        if maximum:
+            return max(values)
+        total = zero
+        for value in values:  # not sum(): it may compensate float rounding
+            total += value * scale
+        return total
+
+    def run(operands: Sequence[MemoryRef]) -> MemoryRef:
+        (x,) = operands
+        windows, plane = _windows(op, x.shape, kernel, kernel), math.prod(x.shape[2:])
+        cells = [
+            reduce([x.cells[base + at] if at >= 0 else pad for at, _ in window])
+            for base in range(0, len(x.cells), plane)
+            for window in windows
+        ]
+        return MemoryRef(cells, shape)
+
+    return run
+
+
+def _elementwise(op: Any) -> _Kernel:
+    """``lhs + rhs``; ``max(x, 0)``; batch norm's ``x * scale[c] + shift[c]``,
+    ``c`` the element's index along axis 1 (axis 0 of a vector); a reshape's
+    row-major copy; a fill's ``value`` in every element."""
+    shape, element_type = op.output_type.shape, op.output_type.element_type
+    zero = _zero_of(element_type)
+    if isinstance(op, linalg.AddOp):
+        return lambda args: MemoryRef([a + b for a, b in zip(args[0].cells, args[1].cells)], shape)
+    if isinstance(op, linalg.ReluOp):
+        return lambda args: MemoryRef([zero if zero > v else v for v in args[0].cells], shape)
+    if isinstance(op, linalg.ReshapeOp):
+        return lambda args: MemoryRef(list(args[0].cells), shape)
+    if isinstance(op, linalg.BatchNormOp):
+        inner, channels = math.prod(shape[2:]), shape[1 if len(shape) >= 2 else 0]
+
+        def scale_shift(args: Sequence[MemoryRef]) -> MemoryRef:
+            x, scale, shift = [operand.cells for operand in args]
+            at = [(i // inner) % channels for i in range(len(x))]
+            return MemoryRef([v * scale[c] + shift[c] for v, c in zip(x, at)], shape)
+
+        return scale_shift
+    convert = float if isinstance(element_type, FloatType) else int
+    value: Union[int, float] = convert(op.get_attr("value"))
+    return lambda args: MemoryRef([value] * math.prod(shape), shape)
+
+
+#: linalg op class -> its kernel's builder.
+_KERNELS: Dict[type, Callable[[Any], _Kernel]] = {
+    linalg.Conv2DOp: _products,
+    linalg.DepthwiseConv2DOp: _products,
+    linalg.LinearOp: _products,
+    linalg.MaxPool2DOp: _pooling,
+    linalg.AvgPool2DOp: _pooling,
+    linalg.AddOp: _elementwise,
+    linalg.ReluOp: _elementwise,
+    linalg.BatchNormOp: _elementwise,
+    linalg.ReshapeOp: _elementwise,
+    linalg.FillOp: _elementwise,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +719,7 @@ class _Interpreter:
         )
 
     def _seeded_argument(self, slot: int, value_type: Any) -> object:
-        if isinstance(value_type, MemRefType):
+        if isinstance(value_type, (MemRefType, TensorType)):
             return MemoryRef.allocate(value_type, slot, self.seed)
         if isinstance(value_type, StreamType):
             return deque()
@@ -808,7 +924,8 @@ class _Interpreter:
 
     def _lower_get_global(self, op: memref.GetGlobalOp, scope: _Scope) -> Step:
         symbol = str(op.get_attr("symbol"))
-        seed_slot = _symbol_slot(symbol)
+        # A stable per-symbol seeding slot, independent of hash randomization.
+        seed_slot = sum((i + 1) * ord(c) for i, c in enumerate(symbol)) % 997 + 100
         memref_type = cast(MemRefType, op.result().type)
         out = self._define(op.result(), scope)
         cache, seed = self.globals, self.seed
@@ -844,9 +961,22 @@ class _Interpreter:
 
         return step
 
+    # ------------------------------------------------------------ linalg
+    def _lower_linalg(self, op: linalg.LinalgOp, scope: _Scope) -> Step:
+        if type(op) not in _KERNELS:
+            return _unsupported(self, op, scope)
+        kernel, operands = _KERNELS[type(op)](op), _pick(self._slots(op.operands, scope, op))
+        out = self._define(op.result(), scope)
+
+        def step(frame: List[Any]) -> None:
+            frame[out] = kernel(operands(frame))
+
+        return step
+
     # ----------------------------------------------------- hida dataflow
-    def _lower_task(self, op: dataflow.TaskOp, scope: _Scope) -> Step:
-        """The body shares the scope; results are its terminating yield's operands."""
+    def _lower_task(self, op: Union[dataflow.DispatchOp, dataflow.TaskOp], scope: _Scope) -> Step:
+        """``hida.dispatch``/``hida.task``: the body shares the scope; results
+        are its terminating yield's operands."""
         body = self._block(op.body, scope, stop=_YIELDS)
         moves = [
             (source, self._define(result, scope))
@@ -934,7 +1064,8 @@ _LOWER: Dict[type, _Lowering] = {
     dataflow.BufferOp: _Interpreter._lower_alloc,
     memref.CopyOp: _Interpreter._lower_copy,
     memref.GetGlobalOp: _Interpreter._lower_get_global,
-    dataflow.DispatchOp: lambda self, op, scope: self._block(op.body, scope, stop=_YIELDS),
+    linalg.LinalgOp: _Interpreter._lower_linalg,
+    dataflow.DispatchOp: _Interpreter._lower_task,
     dataflow.TaskOp: _Interpreter._lower_task,
     dataflow.ScheduleOp: _Interpreter._lower_isolated,
     dataflow.NodeOp: _Interpreter._lower_isolated,
@@ -994,14 +1125,14 @@ def interpret_module(
 ) -> ExecutionResult:
     """Execute ``module``'s top function over seeded inputs.
 
-    The walk of :func:`estimate_cost` prices the function that runs (an
-    affine-lowered clone's, if ``module`` still holds linalg) and is the
-    result's ``ops_executed``.  Raises :class:`InterpreterBudgetError` when
+    The walk of :func:`estimate_cost` prices the function that runs and is
+    the result's ``ops_executed``.  Raises :class:`InterpreterBudgetError` when
     that count exceeds ``max_ops``, before any op is lowered to a step
     (callers report "skipped", never a silent pass), and
     :class:`InterpreterError` on malformed or unsupported IR.
     """
-    func, cost = _priced(module)
+    func = _entry_function(module)
+    cost = _count(func)
     if cost > max_ops:
         raise InterpreterBudgetError(
             f"estimated interpretation cost {cost} exceeds budget {max_ops}",

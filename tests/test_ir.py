@@ -1,7 +1,9 @@
 """Tests for the IR kernel: values, operations, regions, builder, printer,
 verifier and the pass infrastructure."""
 
+import ast
 import gc
+import pathlib
 import sys
 import weakref
 
@@ -863,3 +865,24 @@ def test_block_edits_match_a_list_model(data):
             assert all(listed[position] is op for op, position in vouched.items())
         assert all(op.parent is None for op in free)
         assert verify(module, raise_on_error=False) == []
+
+
+def test_the_ir_layer_imports_no_transform():
+    """The IR and its oracle sit below the passes they judge: no module under
+    ``src/repro/ir/`` imports ``repro.transforms``, not even in a function."""
+    root = pathlib.Path(__file__).parent.parent / "src" / "repro"
+    found = []
+    for path in sorted((root / "ir").rglob("*.py")):
+        package = ["repro", *path.relative_to(root).parent.parts]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                parent = package[: len(package) + 1 - node.level] if node.level else []
+                base = ".".join([*parent, *filter(None, [node.module])])
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[:2] == ["repro", "transforms"] for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -120,6 +120,7 @@ CI_COMMANDS = [
     "--rules bank-conflict --baseline tools/analysis_baseline.json --annotate",
     "python -W error::RuntimeWarning -m repro.analysis.tv --all-workloads --ablations "
     '--annotate --json "$RUNNER_TEMP/tv.json"',
+    "python -W error::RuntimeWarning -m repro.analysis.tv --workload lenet --annotate",
     'python -m repro.analysis.tv --fuzz --count 200 --annotate --json "$RUNNER_TEMP/fuzz.json"',
     "python -m repro.dse --space small --workload atax --workload mvt --sample 4 --workers 2 "
     "--seed 7 --cache-dir qor-cache-smoke --trace-out trace-smoke.json --metrics-json "
