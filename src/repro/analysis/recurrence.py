@@ -9,10 +9,20 @@ that bound from the dependence engine and a small per-op latency table
 the ``loop-carried-race`` lint rule share one definition of "achievable
 II".
 
+The bound is computed where a loop is pipelined: the hida parallelize pass
+clamps each directive to it (through ``legal_pipeline_ii``) and the
+``parallelize`` stage records it per loop on the compilation state.  The
+``estimate`` stage hands that record to
+:func:`repro.estimation.qor.estimate_band`, which clamps its analytic II
+with it and asks :func:`pipeline_rec_mii` afresh only for a loop the record
+does not name (a hand-set directive, the ``pipeline-innermost`` baseline, a
+direct call).  The record is dropped after any stage other than a check, so
+a stage that reshapes a loop cannot leave a stale bound behind.
+
 The bound is *sound by construction* against the repo's own simulator:
-:func:`repro.estimation.qor.estimate_band` clamps its analytic II with
-:func:`pipeline_rec_mii`, and ``simulate_dataflow`` never reports a node
-interval below the estimator's per-band II.
+the estimator never prices a pipelined band below it, and
+``simulate_dataflow`` never reports a node interval below the estimator's
+per-band II.
 """
 
 from __future__ import annotations
@@ -103,14 +113,12 @@ def pipeline_rec_mii(
     """Recurrence-constrained minimum II of pipelining ``loop``.
 
     ``max(ceil(chain latency / distance))`` over the RAW dependences the
-    loop carries; 1 when the loop carries no value recurrence.  The result
-    is cached on the loop under :func:`_loop_signature`, so the estimator's
-    repeated queries of an unchanged loop do not re-run the engine.
+    loop carries; 1 when the loop carries no value recurrence.  A plain
+    function of the IR as it stands: nothing is memoized on the loop.  The
+    parallelize pass asks once per loop it pipelines and the estimator
+    reuses that answer (see the module docstring); ``accesses`` lets a
+    caller that has already walked the nest share its collection.
     """
-    cached = getattr(loop, "_rec_mii_cache", None)
-    signature = _loop_signature(loop)
-    if cached is not None and cached[0] == signature:
-        return cached[1]
     rec_mii = 1
     for dep in loop_carried_dependences(loop, accesses):
         chain = dependence_chain_latency(dep)
@@ -118,7 +126,6 @@ def pipeline_rec_mii(
             continue
         distance = dep.min_distance_at(0)
         rec_mii = max(rec_mii, math.ceil(chain / max(distance, 1)))
-    loop._rec_mii_cache = (signature, rec_mii)  # type: ignore[attr-defined]
     return rec_mii
 
 
@@ -135,21 +142,3 @@ def binding_recurrences(
             binding.append(dep)
     return binding
 
-
-def _loop_signature(loop: AffineForOp) -> tuple:
-    """Everything the rec-MII of ``loop`` is computed from, as the cache key.
-
-    Every enclosed op with its operands and access/apply map — the accesses,
-    their subscripts and the value chains between them — plus every enclosed
-    loop's bounds and ``parallel`` attr.  Operands are held, not ``id``-ed,
-    so a freed value's address cannot alias a new one.  Bounds alone are not
-    a key: ``permute_band`` moves IV uses between loops of equal bounds.
-    """
-    parts: List[tuple] = []
-    for op in loop.walk():
-        parts.append((op.name, op.get_attr("map"), *op.operands))
-        if isinstance(op, AffineForOp):
-            parts.append(
-                (op.lower_bound, op.upper_bound, op.step, op.get_attr("parallel"))
-            )
-    return tuple(parts)

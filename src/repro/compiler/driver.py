@@ -15,6 +15,10 @@ one ``cat="stage"`` span per stage.  Observers (:class:`PipelineObserver`)
 receive per-stage begin/end events, per-stage IR snapshots
 (:class:`SnapshotObserver`) and structured diagnostics
 (:class:`DiagnosticsObserver`) as they are emitted.
+
+``CompilationState.rec_mii``, the recurrence bounds the ``parallelize``
+stage proved, describes the loops as that stage left them: the stage loop
+drops it after any later stage that is not a check.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .. import obs
 from ..estimation.platform import get_platform
 from ..ir.builtin import ModuleOp
 from .ircache import IRSnapshotCache, workload_cache_key
-from .spec import PipelineSpec, PipelineSpecError, parse_pipeline
+from .spec import CHECK_STAGES, PipelineSpec, PipelineSpecError, parse_pipeline
 from .stages import (
     CompilationStage,
     CompilationState,
@@ -419,12 +423,16 @@ class Compiler:
                 if index < resume_index:
                     continue  # resumed past this stage from a snapshot
                 self._dispatch(errors, "on_stage_start", stage, state)
+                rec_mii = state.rec_mii
                 # A stage that raises still closes its span (``error`` attr).
                 with obs.span(stage.name, cat="stage") as stage_span:
                     stage_start = time.perf_counter()
                     stage.run(state)
                     elapsed = time.perf_counter() - stage_start
                     stage_span.set_attr(seconds=round(elapsed, 6))
+                if state.rec_mii is rec_mii and stage.name not in CHECK_STAGES:
+                    # Proven before a stage that may have reshaped the loops.
+                    state.rec_mii = None
                 state.stage_timings.append((stage.name, elapsed))
                 self._dispatch(errors, "on_stage_end", stage, state, elapsed)
                 count("stages_run")

@@ -50,6 +50,7 @@ from .spec import CHECK_STAGES, PipelineSpecError, StageSpec
 
 if TYPE_CHECKING:
     from ..analysis.tv import TVBaseline
+    from ..dialects.affine import AffineForOp
 
 __all__ = [
     "StageOption",
@@ -129,6 +130,12 @@ class CompilationState:
     #: stage; see :mod:`repro.analysis.tv`).  Not serialized into IR
     #: snapshots — a warm resume simply re-baselines at its first boundary.
     tv_baseline: Optional["TVBaseline"] = None
+    #: The rec-MII the ``parallelize`` stage clamped each loop it pipelined
+    #: to, by loop, for the ``estimate`` stage to reuse.  The driver drops
+    #: it after any other stage but a check, which may have reshaped the
+    #: loops.  Like ``tv_baseline``, never serialized, kept in an IR
+    #: snapshot or held in a DSE shared prefix.
+    rec_mii: Optional[Dict["AffineForOp", int]] = None
     #: ``(stage name, wall-clock seconds)`` per stage the driver ran, in run
     #: order (stages skipped by a snapshot resume do not appear), and the
     #: wall-clock seconds of the whole stage loop.
@@ -586,8 +593,10 @@ class ParallelizeStage(CompilationStage):
     def run(self, state: CompilationState) -> None:
         options = self.parallelization_options()
         result = state.parallelization
+        state.rec_mii = {}
         for schedule in state.schedules:
             chosen = parallelize_schedule(schedule, options)
+            state.rec_mii.update(chosen.rec_mii)
             result.unroll_factors.update(chosen.unroll_factors)
             result.parallel_factors.update(chosen.parallel_factors)
             result.intensities.update(chosen.intensities)
@@ -598,6 +607,7 @@ class ParallelizeStage(CompilationStage):
             # Single-band kernels: intra-band loop optimizations only.
             for func in state.module.functions:
                 chosen = parallelize_function_bands(func, options)
+                state.rec_mii.update(chosen.rec_mii)
                 result.unroll_factors.update(chosen.unroll_factors)
                 result.parallel_factors.update(chosen.parallel_factors)
                 result.intensities.update(chosen.intensities)
@@ -627,7 +637,12 @@ class PipelineInnermostStage(CompilationStage):
 
 @register_stage
 class EstimateStage(CompilationStage):
-    """QoR estimation of the final design (Vitis-HLS-style model)."""
+    """QoR estimation of the final design (Vitis-HLS-style model).
+
+    Pipelined loops are clamped to the rec-MII in ``state.rec_mii`` when the
+    ``parallelize`` stage's record is still current; any other loop's bound
+    is derived afresh.
+    """
 
     name = "estimate"
     option_decls = (
@@ -644,7 +659,9 @@ class EstimateStage(CompilationStage):
         estimator = QoREstimator(state.platform)
         if state.schedules:
             estimated = [
-                estimator.estimate_schedule(schedule, dataflow=self.dataflow)
+                estimator.estimate_schedule(
+                    schedule, dataflow=self.dataflow, rec_mii=state.rec_mii
+                )
                 for schedule in state.schedules
             ]
             # The top-level schedule dominates; nested schedules already
@@ -657,7 +674,9 @@ class EstimateStage(CompilationStage):
         func = state.module.functions[0] if state.module.functions else None
         if func is None:
             raise ValueError("module has no function to estimate")
-        state.estimate = estimator.estimate_function(func, dataflow=False)
+        state.estimate = estimator.estimate_function(
+            func, dataflow=False, rec_mii=state.rec_mii
+        )
 
 
 @register_stage

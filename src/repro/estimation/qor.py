@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
@@ -186,8 +186,12 @@ _ACCESSES = (AffineLoadOp.OPERATION_NAME, AffineStoreOp.OPERATION_NAME)
 _STORE = AffineStoreOp.OPERATION_NAME
 
 
+#: Rec-MII by pipelined loop, as the ``parallelize`` stage proved it.
+RecMII = Mapping[AffineForOp, int]
+
+
 def estimate_band(
-    band: Sequence[AffineForOp], platform: Platform
+    band: Sequence[AffineForOp], platform: Platform, rec_mii: Optional[RecMII] = None
 ) -> Tuple[float, float, ResourceUsage]:
     """Latency, interval and resources of one perfectly nested loop band.
 
@@ -201,6 +205,10 @@ def estimate_band(
     ends with no loop found inside.  Those are the body's compute ops and
     their DSPs, its memory accesses, and the on-chip accesses whose port
     demand bounds a pipelined band's II.
+
+    A pipelined loop's II is clamped to its recurrence bound: the one
+    ``rec_mii`` holds for it, else a fresh :func:`pipeline_rec_mii
+    <repro.analysis.recurrence.pipeline_rec_mii>` query.
     """
     if not band:
         return 1.0, 1.0, ResourceUsage()
@@ -270,7 +278,10 @@ def estimate_band(
         from ..analysis.recurrence import pipeline_rec_mii
 
         target_ii = max(loop.target_ii for loop in pipelined)
-        rec_mii = max(pipeline_rec_mii(loop) for loop in pipelined)
+        proven = rec_mii or {}
+        rec_bound = max(
+            proven[loop] if loop in proven else pipeline_rec_mii(loop) for loop in pipelined
+        )
         # On-chip memory ports: distinct addresses touched per cycle, per
         # buffer.  Unrolled copies that read the same address broadcast from
         # one port, so only the unroll factors of loops actually driving the
@@ -290,7 +301,7 @@ def estimate_band(
             for factor in partition_factors_of_value(buffer):
                 banks *= max(1, factor)
             port_ii = max(port_ii, accesses / (banks * 2))
-        ii = max(float(target_ii), float(rec_mii), port_ii)
+        ii = max(float(target_ii), float(rec_bound), port_ii)
         latency = iterations * ii + _PIPELINE_DEPTH
     else:
         per_iter = max(2.0, (compute + mem) * _SEQ_CYCLES_PER_OP)
@@ -384,15 +395,18 @@ def estimate_node(node: NodeOp, platform: Platform) -> NodeEstimate:
     return _estimate_node(node, platform)[0]
 
 
-def _estimate_node(node: NodeOp, platform: Platform) -> Tuple[NodeEstimate, List[float]]:
+def _estimate_node(
+    node: NodeOp, platform: Platform, rec_mii: Optional[RecMII] = None
+) -> Tuple[NodeEstimate, List[float]]:
     """:func:`estimate_node` plus the node's band latencies, each times the
-    node's short-burst penalty: the node's input to the simulation."""
+    node's short-burst penalty: the node's input to the simulation.
+    ``rec_mii`` goes to :func:`estimate_band`."""
     bands = loop_bands_of(node)
     latency = 0.0
     resources = ResourceUsage(lut=_NODE_BASE_LUT, ff=_NODE_BASE_LUT)
     band_latencies: List[float] = []
     for band in bands:
-        band_latency, _, band_resources = estimate_band(band, platform)
+        band_latency, _, band_resources = estimate_band(band, platform, rec_mii)
         band_latencies.append(band_latency)
         resources = resources + band_resources
     if band_latencies:
@@ -565,7 +579,11 @@ class QoREstimator:
 
     # ------------------------------------------------------------- schedules
     def estimate_schedule(
-        self, schedule: ScheduleOp, dataflow: bool = True, frames: int = 16
+        self,
+        schedule: ScheduleOp,
+        dataflow: bool = True,
+        frames: int = 16,
+        rec_mii: Optional[RecMII] = None,
     ) -> Tuple[DesignEstimate, SimulationGraph]:
         """Estimate a structural dataflow schedule, and keep its simulation
         graph from the same walk (channels included under ``dataflow=False``).
@@ -573,9 +591,10 @@ class QoREstimator:
         With ``dataflow=True`` the steady-state interval comes from the
         coarse-grained dataflow simulator (overlapped node execution through
         ping-pong buffers); otherwise nodes execute back-to-back.
+        ``rec_mii`` goes to :func:`estimate_band`.
         """
         nodes, channels = build_channels(schedule)
-        estimated = [_estimate_node(node, self.platform) for node in nodes]
+        estimated = [_estimate_node(node, self.platform, rec_mii) for node in nodes]
         node_estimates = [estimate for estimate, _ in estimated]
         resources = ResourceUsage()
         for estimate in node_estimates:
@@ -601,11 +620,14 @@ class QoREstimator:
         ), graph
 
     # ----------------------------------------------------------- plain loops
-    def estimate_function(self, func: Operation, dataflow: bool = False) -> DesignEstimate:
+    def estimate_function(
+        self, func: Operation, dataflow: bool = False, rec_mii: Optional[RecMII] = None
+    ) -> DesignEstimate:
         """Estimate a function that contains loop bands but no schedule.
 
         Used for the Vitis-HLS-only baseline and any design evaluated before
-        Structural lowering: bands execute sequentially.
+        Structural lowering: bands execute sequentially.  ``rec_mii`` goes
+        to :func:`estimate_band`.
         """
         bands = loop_bands_of(func)
         # Also descend into tasks/dispatches if present; a linalg op there
@@ -620,7 +642,7 @@ class QoREstimator:
         latency = 0.0
         node_estimates = []
         for i, band in enumerate(bands):
-            band_latency, _, band_resources = estimate_band(band, self.platform)
+            band_latency, _, band_resources = estimate_band(band, self.platform, rec_mii)
             latency += band_latency
             resources = resources + band_resources
             node_estimates.append(

@@ -16,7 +16,9 @@ Implements steps (2)-(4) of the HIDA parallelization flow:
   winner.
 
 After parallelization the innermost loops are pipelined and buffer
-partitions are derived from the final unroll factors.
+partitions are derived from the final unroll factors.  Each pipelined
+loop's directive is clamped to its recurrence bound (rec-MII), and the
+result keeps that bound per loop so the estimator need not derive it again.
 
 One walk finds a band's loads and stores: the dependence engine's
 (:class:`NestAccesses`), which lists them in program order, and the band's
@@ -44,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dependence import NestAccesses
 from ..analysis.legality import legal_permutation, legal_pipeline_ii
-from ..dialects.affine import AffineLoadOp, AffineStoreOp, innermost_loop
+from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp, innermost_loop
 from ..dialects.dataflow import ScheduleOp
 from ..ir.core import Operation, Value
 from ..transforms.array_partition import _resolve_through_nodes, partition_decoded_accesses
@@ -101,6 +103,11 @@ class ParallelizationResult:
     constraint_violations: int = 0
     proposals_evaluated: int = 0
     misalignments: int = 0
+    #: The rec-MII each pipelined loop was clamped to, by loop (what the
+    #: ``parallelize`` stage hands the estimator).
+    rec_mii: Dict[AffineForOp, int] = dataclasses.field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +385,7 @@ def parallelize_band(
         accesses = band.nest_accesses or NestAccesses(current)
         min_ii = legal_pipeline_ii(current, options.target_ii, accesses).min_ii
         pipeline_loop(current, target_ii=max(options.target_ii, min_ii))
+        result.rec_mii[current] = min_ii
     band.nest_accesses = None
     return best
 

@@ -20,7 +20,7 @@ import pytest
 from repro.analysis import analyze_module, legal_unroll, pipeline_rec_mii
 from repro.baselines.ablation import ABLATION_MODES, ablation_pipeline_spec
 from repro.compiler import Compiler
-from repro.compiler.driver import DEFAULT_PIPELINE
+from repro.compiler.driver import DEFAULT_PIPELINE, PipelineObserver
 from repro.dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp
 from repro.dse.runner import explore
 from repro.dse.space import build_space
@@ -104,17 +104,26 @@ def test_no_clean_zoo_design_is_flagged():
 def test_rec_mii_is_a_sound_bound_across_the_zoo():
     """rec-MII never exceeds what the simulator measures, zoo-wide.
 
-    Two pins per workload x pipeline: every pipelined loop's directive II
+    Three pins per workload x pipeline: every pipelined loop's directive II
     has been clamped up to its recurrence bound (the parallelize pass
-    consulted the engine), and every dataflow node's frame-accurate
-    initiation interval is at least the recurrence bound of its pipelined
-    loops (the static bound is sound against the measurement oracle).
+    consulted the engine); the bound parallelize handed the estimator for
+    each loop is the one a fresh query gives, and covers every pipelined
+    loop; and every dataflow node's frame-accurate initiation interval is
+    at least the recurrence bound of its pipelined loops (the static bound
+    is sound against the measurement oracle).
     """
     platform = get_platform("vu9p-slr")
     checked_loops = checked_nodes = 0
+
+    class Handed(PipelineObserver):
+        def on_stage_start(self, stage, state):
+            if stage.name == "estimate":
+                self.rec_mii = dict(state.rec_mii)
+
     for handle in iter_workloads():
         for mode, spec in _zoo_specs():
-            result = Compiler.from_spec(spec, platform="vu9p-slr").run(
+            handed = Handed()
+            result = Compiler.from_spec(spec, platform="vu9p-slr", observers=[handed]).run(
                 workload=handle
             )
             where = f"{handle.label()}[{mode}]"
@@ -126,7 +135,12 @@ def test_rec_mii_is_a_sound_bound_across_the_zoo():
                     f"{where}: pipelined loop claims II={loop.target_ii} "
                     f"below its rec-MII {rec_mii}"
                 )
+                assert handed.rec_mii.pop(loop, None) == rec_mii, (
+                    f"{where}: the estimator was handed a rec-MII other than "
+                    f"a fresh query's {rec_mii}"
+                )
                 checked_loops += 1
+            assert handed.rec_mii == {}, f"{where}: a handed loop is not pipelined"
             for schedule in result.schedules:
                 nodes, _ = build_channels(schedule)
                 for node in nodes:

@@ -41,8 +41,8 @@ def _recorded_bands():
     original = qor.estimate_band
     rows = []
 
-    def recording(band, platform):
-        latency, interval, resources = original(band, platform)
+    def recording(band, platform, rec_mii=None):
+        latency, interval, resources = original(band, platform, rec_mii)
         rows.append(repr((latency, interval, resources.lut, resources.ff, resources.dsp)))
         return latency, interval, resources
 

@@ -43,12 +43,23 @@ from repro.baselines import ablation_pipeline_spec
 from repro.dialects.arith import AddFOp, MulFOp
 from repro.dialects.dataflow import BufferOp
 from repro.dialects.memref import AllocOp
+from repro.analysis import pipeline_rec_mii
 from repro.compiler import DEFAULT_PIPELINE, Compiler, default_stages
+from repro.compiler import stages as stages_module
+from repro.compiler.driver import PipelineObserver
+from repro.compiler.spec import StageSpec, insert_checks
+from repro.compiler.stages import (
+    CompilationStage,
+    CompilationState,
+    EstimateStage,
+    collect_schedules,
+    register_stage,
+)
 from repro.dse import build_space, explore
 from repro.dse.fidelity import payload
 from repro.frontend.cpp import KernelBuilder, build_listing1
 from repro.ir import ConstantOp, MemRefType, f32, i8
-from repro.transforms.loop_transforms import loop_bands_of, pipeline_loop
+from repro.transforms.loop_transforms import loop_bands_of, permute_band, pipeline_loop
 from repro.workloads import as_module, list_workloads
 
 PAYLOAD_GOLDEN = pathlib.Path(__file__).parent / "data" / "qor_payload_golden.json"
@@ -327,6 +338,91 @@ class TestEstimateWork:
         assert profiled["estimation/dataflow_sim.py", "build_channels"][0] > 0
         for query in ("get_producers", "get_consumers"):
             assert "build_channels" not in profiled["dialects/dataflow.py", query][1]
+
+    def test_rec_mii_is_derived_once_per_pipelined_loop(self, profiled):
+        """parallelize derives the rec-MII of each loop it pipelines and the
+        estimator reuses it: no second engine query per loop."""
+        pipelined, pipeliners = profiled["transforms/loop_transforms.py", "pipeline_loop"]
+        assert pipelined > 0 and pipeliners == {"parallelize_band"}
+        assert profiled["analysis/recurrence.py", "pipeline_rec_mii"] == (
+            pipelined,
+            {"legal_pipeline_ii"},
+        )
+
+
+class _ReductionsInward(CompilationStage):
+    """Moves each pipelined band's outermost loop innermost (undoing
+    parallelize's reductions-outward order) and keeps the innermost loop
+    pipelined at its II: the pipelined loop is the same op, with other
+    dependences."""
+
+    name = "test-reductions-inward"
+
+    def run(self, state):
+        self.record = dict(state.rec_mii or {})
+        nodes = [node for schedule in state.schedules for node in schedule.nodes]
+        for top in nodes or state.module.functions:
+            for band in loop_bands_of(top):
+                if len(band) < 2 or not band[-1].is_pipelined:
+                    continue
+                target_ii = band[-1].target_ii
+                permute_band(band, [*range(1, len(band)), 0], check=False)
+                for loop in band:
+                    loop.set_pipeline(False)
+                band[-1].set_pipeline(True, target_ii)
+
+
+@pytest.fixture
+def reductions_inward():
+    register_stage(_ReductionsInward)
+    yield _ReductionsInward()
+    stages_module._REGISTRY.pop(_ReductionsInward.name)
+
+
+class TestRecMIIHandoff:
+    """The estimate stage reuses parallelize's rec-MII only while no stage
+    but a check has run since: a stage that reshapes a pipelined loop in
+    between leaves the estimate equal to a fresh one."""
+
+    @pytest.mark.parametrize("workload", ["2mm", "syr2k"])
+    def test_a_stage_between_parallelize_and_estimate_drops_the_record(
+        self, workload, reductions_inward
+    ):
+        stages = default_stages()
+        stages.insert(-1, reductions_inward)
+        result = Compiler(stages, platform="zu3eg").run(workload=workload)
+        # The permutation left a pipelined loop whose bound parallelize
+        # proved differ from what the loop carries now.
+        stale = reductions_inward.record
+        assert any(ii != pipeline_rec_mii(loop) for loop, ii in stale.items())
+        fresh = CompilationState(
+            module=result.module,
+            platform=get_platform("zu3eg"),
+            schedules=collect_schedules(result.module),
+        )
+        EstimateStage().run(fresh)
+        assert fresh.estimate.to_dict() == result.estimate.to_dict()
+        assert fresh.graphs == result.graphs
+
+    def test_checks_keep_the_record_and_the_estimate_drops_it(self):
+        handed = []
+
+        class Handed(PipelineObserver):
+            def on_stage_start(self, stage, state):
+                handed.append((stage.name, state.rec_mii is not None))
+
+        checks = [StageSpec("verify"), StageSpec("validate")]
+        spec = insert_checks(Compiler(default_stages()).spec(), checks)
+        result = Compiler.from_spec(spec, observers=[Handed()]).run(workload="2mm")
+        after = handed[handed.index(("parallelize", False)) + 1 :]
+        assert after == [
+            ("verify", True),
+            ("validate", True),
+            ("estimate", True),
+            ("verify", False),
+            ("validate", False),
+        ]
+        assert result.rec_mii is None
 
 
 # ---------------------------------------------------------------------------

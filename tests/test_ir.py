@@ -253,10 +253,10 @@ def _nested_structure(root):
 
 
 def _block_dies_by_refcount(discard):
-    """With the collector off, build a module holding a loop nest whose outer
-    loop memoizes its rec-MII (so the memo holds the nest's induction
-    variables), ``discard(module, outer loop)`` and delete every name: does
-    the inner loop's block die?"""
+    """With the collector off, build a module holding a loop nest, derive
+    the outer loop's rec-MII (the dependence analysis must keep no
+    reference into the nest), ``discard(module, outer loop)`` and delete
+    every name: does the inner loop's block die?"""
     enabled = gc.isenabled()
     gc.disable()
     try:

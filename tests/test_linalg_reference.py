@@ -16,7 +16,9 @@ Strict xfails, each a frontend run != lowered run: a function-level op (the
 lowering builds a block's first op's nest before its buffer, so the lowered
 IR uses a value before defining it); conv2d and linear bias (the lowering
 reads no bias operand); ``linalg.fill`` (the lowering makes it an external
-global that the interpreter seeds by symbol, never reading ``value``).
+global that the interpreter seeds by symbol, never reading ``value``); an
+integer average pool (the lowering scales by ``1/k**2`` as a constant of the
+element type, which is 0).
 """
 
 import math
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from repro.dialects import linalg
 from repro.dialects.memref import AllocOp, CopyOp, GetGlobalOp
 from repro.hida.functional import wrap_ops_in_task
-from repro.ir import Builder, FuncOp, InsertionPoint, ModuleOp, ReturnOp, f32
+from repro.ir import Builder, FuncOp, InsertionPoint, ModuleOp, ReturnOp, f32, i8
 from repro.ir.interp import interpret_module
 from repro.ir.types import MemRefType, TensorType
 from repro.transforms.linalg_to_affine import lower_linalg_to_affine
@@ -40,11 +42,11 @@ _XFAIL_SETTINGS = settings(_SETTINGS, max_examples=10, phases=[Phase.generate])
 _dim = st.integers(1, 6)
 
 
-def _one_op_module(create, input_shapes):
+def _one_op_module(create, input_shapes, element=f32):
     """``(module, op)``: ``forward`` returns ``create(*its arguments)``."""
     module = ModuleOp.create("reference")
     func = FuncOp.create(
-        "forward", input_types=[TensorType(s, f32) for s in input_shapes], top=True
+        "forward", input_types=[TensorType(s, element) for s in input_shapes], top=True
     )
     module.append(func)
     builder = Builder.at_end(func.entry_block)
@@ -53,16 +55,16 @@ def _one_op_module(create, input_shapes):
     return module, op
 
 
-def _check(create, input_shapes, products, seed, in_task=True):
+def _check(create, input_shapes, products, seed, in_task=True, element=f32):
     """``macs()`` is ``products``, and the direct run of the one-op module
     equals the run of a lowered copy that copies its result into an appended
     ``dram`` argument, with the seeded inputs unchanged on both sides."""
-    module, op = _one_op_module(create, input_shapes)
+    module, op = _one_op_module(create, input_shapes, element)
     assert op.macs() == products
     direct = interpret_module(module, seed=seed)
-    module, op = _one_op_module(create, input_shapes)
+    module, op = _one_op_module(create, input_shapes, element)
     func = module.functions[0]
-    output_type = MemRefType(op.result().type.shape, f32, "dram")
+    output_type = MemRefType(op.result().type.shape, element, "dram")
     result = func.entry_block.add_argument(output_type, "output")
     if in_task:
         wrap_ops_in_task([op])
@@ -136,6 +138,16 @@ def test_depthwise_conv2d(window, seed):
 def test_pool2d(window, op, seed):
     shape, kernel, stride, padding, _ = window
     _check(lambda x: op.create(x, kernel, stride, padding), [shape], 0, seed)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="frontend run != lowered run: an integer average pool scales by an "
+    "integer constant 1/k**2, which is 0 (ROADMAP item 11)",
+)
+def test_integer_avg_pool():
+    # Direct run (3.0, 9.0, 5.0, 5.5); lowered run (0, 0, 0, 0).
+    _check(lambda x: linalg.AvgPool2DOp.create(x, 2, 2, 0), [(1, 1, 4, 4)], 0, 0, element=i8)
 
 
 def _check_linear(batch, features, out_features, seed, bias):
