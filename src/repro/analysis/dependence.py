@@ -55,8 +55,17 @@ is one more invariant; a value is "inside" iff its home loop is), never a
 projection of the outer nest's vectors, so it answers exactly like a fresh
 walk of the inner loop.  What is shared is only ints, strs, bools, None,
 tuples and frozen :class:`DistanceElement`s; ``Dependence`` objects, ops,
-loops and values never are, and a :class:`NestAccesses` still describes
-one IR state — whoever mutates the nest (``permute_band``) drops it.
+loops and values never are.  A :class:`NestAccesses` describes one IR
+state.  The one mutation that follows it is ``permute_band``: it keeps the
+loop ops in place and exchanges bounds, attributes and IV uses, so
+:meth:`NestAccesses.permuted` renumbers the collection into the permuted
+nest's problem without walking it again.  Whoever mutates the nest any
+other way walks it afresh.
+
+The walk also records each access's ``driving_loops()`` decode
+(``drivers``), so the connection analysis need not decode it again, and
+:func:`loop_carries_dependence` reads the table's records directly,
+binding no ``Dependence``.
 """
 
 from __future__ import annotations
@@ -70,12 +79,14 @@ from ..dialects.affine import (
     AffineForOp,
     AffineLoadOp,
     AffineStoreOp,
+    loop_of,
 )
 from ..dialects.affine_map import (
     AffineBinaryExpr,
     AffineConstantExpr,
     AffineDimExpr,
     AffineExpr,
+    AffineMap,
 )
 from ..ir.core import Block, Operation, Value
 
@@ -293,20 +304,20 @@ def linear_subscripts(
     index operands, so both map-level arithmetic like ``d0 * 2 + 1`` and
     operand-level ``affine.apply`` chains land in one linear form.
     """
-    return _linear_subscripts(op, {})
+    return _linear_subscripts(op.index_operands, op.access_map, {})
 
 
 def _linear_subscripts(
-    op: Union[AffineLoadOp, AffineStoreOp], operand_forms: Dict[Value, _LinearIndex]
+    operands: Sequence[Value], access_map: AffineMap, operand_forms: Dict[Value, _LinearIndex]
 ) -> List[Optional[_LinearIndex]]:
-    """:func:`linear_subscripts`, linearizing each distinct index operand of
-    one unchanging nest once: ``operand_forms`` remembers them."""
-    operands = op.index_operands
+    """:func:`linear_subscripts` of the access with these index operands and
+    map, linearizing each distinct index operand of one unchanging nest
+    once: ``operand_forms`` remembers them."""
     for index in operands:
         if index not in operand_forms:
             operand_forms[index] = _linearize_value(index)
     forms = [operand_forms[index] for index in operands]
-    return [_expr_to_linear(expr, forms) for expr in op.access_map.results]
+    return [_expr_to_linear(expr, forms) for expr in access_map.results]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +353,8 @@ class NestAccesses:
     def __init__(self, root: Operation) -> None:
         self.root = root
         self.ops: List[Operation] = []  # the loads and stores, program order
+        #: Per access, its ``driving_loops()`` decode, read off the walk.
+        self.drivers: List[List[Optional[Tuple[AffineForOp, int]]]] = []
         self._memrefs: List[Value] = []  # the buffer of each
         self._paths: List[Tuple[AffineForOp, ...]] = []  # the loops around each
         self._numbers: Dict[Operation, int] = {}  # loop -> number
@@ -349,6 +362,7 @@ class NestAccesses:
         columns: Tuple[List[Any], ...] = ([], [], [], [], [], [], [])
         lowers, steps, trips, parallels, parents, homes, accesses = columns
         numbers = self._numbers
+        loops: List[AffineForOp] = []  # number -> loop
         codes: Dict[Value, int] = {}  # subscript variable -> ``var``
         buffers: Dict[Value, int] = {}
         operand_forms: Dict[Value, _LinearIndex] = {}
@@ -375,7 +389,9 @@ class NestAccesses:
             if buffer is None:
                 buffer = buffers[memref] = len(buffers)
             row = [buffer, isinstance(op, AffineStoreOp), leaf]
-            for form in _linear_subscripts(op, operand_forms):
+            operands = op.index_operands
+            access_map = op.access_map
+            for form in _linear_subscripts(operands, access_map, operand_forms):
                 if form is None:
                     row.append(None)
                     continue
@@ -387,8 +403,19 @@ class NestAccesses:
                         homes.append(home(value))
                     subscript += (code, coeff)
                 row.append(tuple(subscript))
+            # ``op.driving_loops()``: the IV of a numbered loop is that loop.
+            drivers: List[Optional[Tuple[AffineForOp, int]]] = []
+            for decoded in access_map.single_dim_strides():
+                if decoded is None:
+                    drivers.append(None)
+                    continue
+                value = operands[decoded[0]]
+                code = codes.get(value, -1)
+                loop = loops[code] if code >= 0 else loop_of(value)
+                drivers.append(None if loop is None else (loop, decoded[1]))
             accesses.append(tuple(row))
             self.ops.append(op)
+            self.drivers.append(drivers)
             self._memrefs.append(memref)
             self._paths.append(path)
 
@@ -396,6 +423,7 @@ class NestAccesses:
             """``op`` if it is a loop, then everything under it."""
             if isinstance(op, AffineForOp):
                 numbers[op] = codes[op.induction_variable] = len(lowers)
+                loops.append(op)
                 self._depths.append(len(path))
                 parents.append(leaf)
                 leaf = len(lowers)
@@ -417,10 +445,59 @@ class NestAccesses:
         self.problem: _Problem = tuple(map(tuple, columns))
         self._answers = _answers_of(self.problem)
 
-    def _dependences(
+    def permuted(self, band: Sequence[AffineForOp], order: Sequence[int]) -> "NestAccesses":
+        """This collection as it is after ``permute_band(band, order)``.
+
+        ``permute_band`` keeps every loop op in place and exchanges bounds,
+        attributes and IV uses.  When ``band`` is this collection's loops
+        ``0..n-1``, the permuted nest is therefore the same problem with
+        those loops' columns reordered (new level ``j`` takes old level
+        ``order[j]``'s lower bound, step, trip count and ``parallel``) and
+        each IV code ``p`` renumbered to ``order.index(p)``: the ops, paths
+        and loop numbers stay, and the drivers follow their IVs.  Any other
+        ``band`` is walked afresh.
+        """
+        size = len(band)
+        if any(self._numbers.get(loop) != level for level, loop in enumerate(band)):
+            return NestAccesses(self.root)
+        level_of = [0] * size  # old level -> new level
+        for new, old in enumerate(order):
+            level_of[old] = new
+        *columns, parents, homes, accesses = self.problem
+        rows = []
+        for buffer, is_store, leaf, *subscripts in accesses:
+            row: List[Any] = [buffer, is_store, leaf]
+            for subscript in subscripts:
+                if subscript is not None:
+                    subscript = list(subscript)
+                    for at in range(1, len(subscript), 2):
+                        if 0 <= subscript[at] < size:
+                            subscript[at] = level_of[subscript[at]]
+                    subscript = tuple(subscript)
+                row.append(subscript)
+            rows.append(tuple(row))
+        problem: _Problem = (
+            *(tuple(column[old] for old in order) + column[size:] for column in columns),
+            parents,
+            homes,
+            tuple(rows),
+        )
+        moved = {band[old]: band[new] for new, old in enumerate(order)}
+        drivers = [
+            [driver and (moved.get(driver[0], driver[0]), driver[1]) for driver in decode]
+            for decode in self.drivers
+        ]
+        permuted = object.__new__(NestAccesses)
+        vars(permuted).update(
+            vars(self), problem=problem, drivers=drivers, _answers=_answers_of(problem)
+        )
+        return permuted
+
+    def _records(
         self, root: Operation, include_loop_independent: bool
-    ) -> List[Dependence]:
-        """The table's answer for ``root``, bound to this nest's ops and loops."""
+    ) -> Tuple[int, Tuple[_Record, ...]]:
+        """The number of ``root`` (-1: the nest's root, not a loop) and the
+        table's records for it, solved on a miss."""
         number = self._numbers.get(root, -1)
         if number < 0 and root is not self.root:
             raise ValueError("root is not a loop of the nest these accesses cover")
@@ -433,6 +510,13 @@ class NestAccesses:
         else:
             _COUNTS["reused"] += 1
             obs.inc("dependence.reused")
+        return number, records
+
+    def _dependences(
+        self, root: Operation, include_loop_independent: bool
+    ) -> List[Dependence]:
+        """The table's answer for ``root``, bound to this nest's ops and loops."""
+        number, records = self._records(root, include_loop_independent)
         ops, memrefs, paths = self.ops, self._memrefs, self._paths
         outer = self._depths[number] if number >= 0 else 0  # loops around ``root``
         return [
@@ -890,5 +974,14 @@ def loop_carried_dependences(
 def loop_carries_dependence(
     loop: AffineForOp, accesses: Optional[NestAccesses] = None
 ) -> bool:
-    """True when iterations of ``loop`` cannot safely run in parallel."""
-    return bool(loop_carried_dependences(loop, accesses))
+    """True when iterations of ``loop`` cannot safely run in parallel:
+    ``bool(loop_carried_dependences(loop, accesses))``, read off the table's
+    records without binding a :class:`Dependence`.  A record rooted at
+    ``loop`` with a level has ``loop`` as its first, and no outer level to
+    hold at zero."""
+    _, records = (accesses or NestAccesses(loop))._records(loop, False)
+    trip_count = loop.trip_count
+    for _, _, _, depth, distance in records:
+        if depth and distance[0].can_be_positive(trip_count):
+            return True
+    return False

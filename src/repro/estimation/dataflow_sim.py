@@ -158,16 +158,16 @@ def simulate_dataflow(
 
 
 def _frame_bounds(
-    latencies: Sequence[float],
-    channels: Sequence[ChannelSpec],
-) -> Tuple[Dict[int, List[ChannelSpec]], Dict[int, List[ChannelSpec]]]:
-    num_nodes = len(latencies)
-    preds: Dict[int, List[ChannelSpec]] = {i: [] for i in range(num_nodes)}
-    succs: Dict[int, List[ChannelSpec]] = {i: [] for i in range(num_nodes)}
+    num_nodes: int, channels: Sequence[ChannelSpec]
+) -> Tuple[List[List[int]], List[List[Tuple[int, int]]]]:
+    """Per node, in channel order, the producers it reads and the
+    ``(capacity, consumer)`` of each channel it writes."""
+    producers: List[List[int]] = [[] for _ in range(num_nodes)]
+    consumers: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
     for channel in channels:
-        preds[channel.consumer].append(channel)
-        succs[channel.producer].append(channel)
-    return preds, succs
+        producers[channel.consumer].append(channel.producer)
+        consumers[channel.producer].append((channel.capacity, channel.consumer))
+    return producers, consumers
 
 
 def _schedule_frames(
@@ -185,31 +185,42 @@ def _schedule_frames(
     (:func:`dataflow_timeline`), so the two can never disagree.
     """
     num_nodes = len(latencies)
-    preds, succs = _frame_bounds(latencies, channels)
     order = _topological_order(num_nodes, channels)
+    producers, consumers = _frame_bounds(num_nodes, channels)
+    # Each node's latency and frame spacing floored at one cycle, once.
+    # ``max`` keeps a NaN operand where it stands; each ``>`` below takes
+    # the larger of two times exactly as ``max`` would.
+    durations = [max(latency, 1.0) for latency in latencies]
+    spacings = None if intervals is None else [max(interval, 1.0) for interval in intervals]
     finish = [[0.0] * num_nodes for _ in range(frames)]
     start = [[0.0] * num_nodes for _ in range(frames)]
     for frame in range(frames):
+        finished = finish[frame]
         for node in order:
             earliest = 0.0
             if frame > 0:
                 prior = (
                     finish[frame - 1][node]
-                    if intervals is None
-                    else start[frame - 1][node] + max(intervals[node], 1.0)
+                    if spacings is None
+                    else start[frame - 1][node] + spacings[node]
                 )
-                earliest = max(earliest, prior)
-            for channel in preds[node]:
-                earliest = max(earliest, finish[frame][channel.producer])
-            for channel in succs[node]:
+                if prior > earliest:
+                    earliest = prior
+            for producer in producers[node]:
+                ready = finished[producer]
+                if ready > earliest:
+                    earliest = ready
+            for capacity, consumer in consumers[node]:
                 # A channel with capacity C holds frames f-1 .. f-C while the
                 # producer works on frame f; the slot for frame f is free once
                 # the consumer has finished frame f - C.
-                waiting_frame = frame - channel.capacity
+                waiting_frame = frame - capacity
                 if waiting_frame >= 0:
-                    earliest = max(earliest, finish[waiting_frame][channel.consumer])
+                    freed = finish[waiting_frame][consumer]
+                    if freed > earliest:
+                        earliest = freed
             start[frame][node] = earliest
-            finish[frame][node] = earliest + max(latencies[node], 1.0)
+            finished[node] = earliest + durations[node]
     return start, finish
 
 
@@ -252,7 +263,7 @@ def dataflow_timeline(
     if num_nodes == 0:
         return DataflowTimeline([], [], [], [], frames)
     start, finish = _schedule_frames(latencies, channels, frames, intervals)
-    preds, _ = _frame_bounds(latencies, channels)
+    producers, _ = _frame_bounds(num_nodes, channels)
     epsilon = 1e-9
 
     node_busy = [
@@ -278,7 +289,7 @@ def dataflow_timeline(
             # The firing is the max of the readiness bounds, so whichever
             # bound equals the actual start names the cause of the stall.
             data_bound = max(
-                (finish[frame][channel.producer] for channel in preds[node]),
+                (finish[frame][producer] for producer in producers[node]),
                 default=0.0,
             )
             cause = "data" if data_bound >= began - epsilon else "backpressure"

@@ -26,7 +26,7 @@ from ..dialects.arith import is_multiply_accumulate
 from ..dialects.dataflow import NodeOp, ScheduleOp
 from ..estimation.qor import node_intensity
 from ..ir.core import Operation, Value
-from ..transforms.array_partition import _resolve_through_nodes
+from ..transforms.array_partition import Drivers, _resolve_through_nodes
 from ..transforms.loop_transforms import loop_bands_of
 
 __all__ = [
@@ -85,10 +85,11 @@ class BandInfo:
     """Loop-band structure of a node used by the parallelizer.
 
     ``nest_accesses`` is the dependence engine's walk of ``band[0]`` that
-    ``parallel_flags`` were answered from; ``parallelize_band`` reuses it
-    for its legality checks until it mutates the band, then drops it, while
-    ``accesses`` follow a permutation (:meth:`permute_accesses`).
-    Records from :func:`collect_access_infos` fill ``accesses`` only.
+    ``parallel_flags`` and ``accesses`` were read from; ``parallelize_band``
+    reuses it for its legality checks.  A permutation renumbers it
+    (:meth:`NestAccesses.permuted`) and ``accesses`` follow it
+    (:meth:`permute_accesses`).  Records from :func:`collect_access_infos`
+    fill ``accesses`` only.
     """
 
     node: NodeOp
@@ -125,37 +126,43 @@ class BandInfo:
         """Follow ``permute_band(self.band, order)``: level ``p`` moved to
         ``order.index(p)``, whose loop now drives what ``p`` drove."""
         for access in self.accesses:
+            # ``drivers`` may be the list the band's ``nest_accesses`` holds.
+            drivers = access.drivers = list(access.drivers)
             for d, position in enumerate(access.dim_loop_positions):
                 if position is not None:
                     level = access.dim_loop_positions[d] = order.index(position)
-                    access.drivers[d] = (self.band[level], access.dim_strides[d])
+                    drivers[d] = (self.band[level], access.dim_strides[d])
 
 
-def _band_accesses(band: Sequence[AffineForOp], ops: Sequence[Operation]) -> List[BandAccess]:
+def _band_accesses(
+    band: Sequence[AffineForOp],
+    ops: Sequence[Operation],
+    decodes: Sequence[Drivers],
+) -> List[BandAccess]:
     """The records of ``ops``, the band's loads and stores in program order,
-    normalized to band loop positions."""
-    loop_position = {id(loop): i for i, loop in enumerate(band)}
+    normalized to band loop positions from ``decodes``, each op's
+    ``driving_loops()``; each distinct buffer is resolved once."""
+    loop_position = {loop: i for i, loop in enumerate(band)}
+    resolved: Dict[Value, Value] = {}
     accesses: List[BandAccess] = []
-    for op in ops:
-        drivers = op.driving_loops()
-        positions = [driver and loop_position.get(id(driver[0])) for driver in drivers]
+    for op, drivers in zip(ops, decodes):
+        positions = [driver and loop_position.get(driver[0]) for driver in drivers]
         strides = [driver[1] if driver else 0 for driver in drivers]
         buffer = op.memref
+        root = resolved.get(buffer)
+        if root is None:
+            root = resolved[buffer] = _resolve_through_nodes(buffer)
         accesses.append(
-            BandAccess(
-                buffer,
-                isinstance(op, AffineStoreOp),
-                positions,
-                strides,
-                drivers,
-                _resolve_through_nodes(buffer),
-            )
+            BandAccess(buffer, isinstance(op, AffineStoreOp), positions, strides, drivers, root)
         )
     return accesses
 
 
-def _loads_and_stores(root: Operation) -> List[Operation]:
-    return [op for op in root.walk() if isinstance(op, (AffineLoadOp, AffineStoreOp))]
+def _decoded(root: Operation) -> Tuple[List[Operation], List[Drivers]]:
+    """The loads and stores under ``root`` and their ``driving_loops()``,
+    from a walk without dependences."""
+    ops = [op for op in root.walk() if isinstance(op, (AffineLoadOp, AffineStoreOp))]
+    return ops, [op.driving_loops() for op in ops]
 
 
 def _muls_per_innermost_iteration(band: Sequence[AffineForOp]) -> int:
@@ -172,7 +179,8 @@ def band_info_of(node: NodeOp, band: Sequence[AffineForOp]) -> BandInfo:
     trips = [max(loop.trip_count, 1) for loop in band]
     nest = NestAccesses(band[0]) if band else None
     flags = [is_parallel_loop(loop, nest) for loop in band]
-    accesses = _band_accesses(band, nest.ops if nest else _loads_and_stores(node))
+    ops, decodes = (nest.ops, nest.drivers) if nest else _decoded(node)
+    accesses = _band_accesses(band, ops, decodes)
     intensity = node_intensity(band[0]) if band else node_intensity(node)
     return BandInfo(
         node=node,
@@ -199,7 +207,7 @@ def collect_access_infos(schedule: ScheduleOp) -> List[BandInfo]:
     """The same units carrying only their accesses: all that connection
     alignment reads, so no dependence, intensity or MAC analysis is run."""
     return [
-        BandInfo(node, list(band), accesses=_band_accesses(band, _loads_and_stores(band[0])))
+        BandInfo(node, list(band), accesses=_band_accesses(band, *_decoded(band[0])))
         for node in schedule.nodes
         for band in loop_bands_of(node)
     ]

@@ -20,16 +20,18 @@ partitions are derived from the final unroll factors.  Each pipelined
 loop's directive is clamped to its recurrence bound (rec-MII), and the
 result keeps that bound per loop so the estimator need not derive it again.
 
-One walk finds a band's loads and stores: the dependence engine's
-(:class:`NestAccesses`), which lists them in program order, and the band's
-access records are decoded from that list.  The band's legality checks
-(``legal_permutation``, ``legal_pipeline_ii``) ask the engine through the
-same collection, so a question the engine has answered for the same
-canonical problem — an earlier loop, an identical layer, the previous
-design point — is a table lookup.  The collection describes the band as it
-was walked: an applied permutation makes it a different problem, so the
-collection is dropped and the pipelined loop walked afresh (the table
-itself needs no invalidation).
+The dependence engine's walk (:class:`NestAccesses`) is the only walk the
+parallelizer makes of a band: it lists the band's loads and stores in
+program order with each one's ``driving_loops()`` decode, from which the
+band's access records are built, and answers the parallel flags.  The
+band's legality checks (``legal_permutation``, ``legal_pipeline_ii``) ask
+the engine through the same collection, so a question the engine has
+answered for the same canonical problem — an earlier loop, an identical
+layer, the previous design point — is a table lookup.  An applied
+permutation makes the band a different problem; ``permute_band`` keeps the
+loop ops in place, so the collection is renumbered into that problem
+(:meth:`NestAccesses.permuted`) rather than walked again (the table itself
+needs no invalidation).
 
 A schedule's connections are collected once.  Each keeps its two access
 records, which follow a permutation, and reads its links from their current
@@ -44,7 +46,6 @@ import dataclasses
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.dependence import NestAccesses
 from ..analysis.legality import legal_permutation, legal_pipeline_ii
 from ..dialects.affine import AffineForOp, AffineLoadOp, AffineStoreOp, innermost_loop
 from ..dialects.dataflow import ScheduleOp
@@ -334,10 +335,11 @@ def _order_reductions_outward(band: BandInfo) -> bool:
     order += [i for i, flag in enumerate(flags) if flag]
     if order == list(range(len(flags))):
         return False
-    if not legal_permutation(band.band, order, band.nest_accesses):
+    nest = band.nest_accesses
+    if not legal_permutation(band.band, order, nest):
         return False
     permute_band(band.band, order, check=False)
-    band.nest_accesses = None  # walked before the permutation: stale
+    band.nest_accesses = nest and nest.permuted(band.band, order)
     band.permute_accesses(order)
     return True
 
@@ -382,8 +384,7 @@ def parallelize_band(
         current = innermost_loop(band.band[-1])
         # Clamp the directive to the recurrence bound so the pass never
         # claims an II its own carried dependences make unachievable.
-        accesses = band.nest_accesses or NestAccesses(current)
-        min_ii = legal_pipeline_ii(current, options.target_ii, accesses).min_ii
+        min_ii = legal_pipeline_ii(current, options.target_ii, band.nest_accesses).min_ii
         pipeline_loop(current, target_ii=max(options.target_ii, min_ii))
         result.rec_mii[current] = min_ii
     band.nest_accesses = None

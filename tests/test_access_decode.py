@@ -5,7 +5,9 @@ and ``loop_of``) is what the connection analysis, the array partitioner,
 the port-II model and the bank-conflict check all read.  Its meaning is
 pinned here against an independent probing reference: over every access
 of the compiled zoo, over random maps, and on the rows where "single dim"
-and "linear" part ways.
+and "linear" part ways.  The dependence engine's walk (``NestAccesses``)
+records the same decode for each access it numbers, and is held to
+``driving_loops()`` over the compiled zoo.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import partition_bank_conflicts
+from repro.analysis import NestAccesses, partition_bank_conflicts
 from repro.backend import HlsCppEmitter
 from repro.baselines import (
     ablation_pipeline_spec,
@@ -93,6 +95,21 @@ def test_zoo_accesses_decode_like_the_probe(name, spec):
             loop, stride = driver
             assert type(stride) is int and stride == reference[1]
             assert loop.induction_variable is operands[reference[0]]
+
+
+@pytest.mark.parametrize("spec", list(_SPECS))
+@pytest.mark.parametrize("name", list_workloads())
+def test_the_dependence_walk_records_the_same_decode(name, spec):
+    """``NestAccesses`` decodes each access while it walks (the connection
+    analysis reads that, not ``driving_loops()``): rooted at the module, it
+    sees every access; rooted at each loop, the loops around that loop are
+    ones it has not numbered."""
+    module = _compiled(name, _SPECS[spec])
+    nest = NestAccesses(module)
+    assert nest.ops == _accesses(module)
+    for root in [module, *module.walk_ops(AffineForOp)]:
+        nest = NestAccesses(root)
+        assert nest.drivers == [op.driving_loops() for op in nest.ops]
 
 
 # ---------------------------------------------------------------------------

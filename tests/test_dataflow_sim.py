@@ -13,6 +13,7 @@ import collections
 import itertools
 import json
 import pathlib
+import struct
 import sys
 
 import pytest
@@ -39,7 +40,11 @@ from repro.estimation import (
     simulate_design,
     simulate_graphs,
 )
-from repro.estimation.dataflow_sim import _topological_order, channel_depths
+from repro.estimation.dataflow_sim import (
+    _schedule_frames,
+    _topological_order,
+    channel_depths,
+)
 from repro.workloads import as_module, list_workloads
 
 
@@ -125,6 +130,75 @@ def test_internal_intervals_unlock_frame_pipelining():
     )
     assert deep == 4.0
     assert 4.0 < shallow < 12.0
+
+
+# ------------------------------------------------------- the recurrence
+def _reference_schedule_frames(latencies, channels, frames, intervals):
+    """The firing recurrence as it read with one ``max`` per edge, kept as
+    the reference the simulator's inline comparisons are held to."""
+    num_nodes = len(latencies)
+    preds = {i: [] for i in range(num_nodes)}
+    succs = {i: [] for i in range(num_nodes)}
+    for channel in channels:
+        preds[channel.consumer].append(channel)
+        succs[channel.producer].append(channel)
+    order = _topological_order(num_nodes, channels)
+    finish = [[0.0] * num_nodes for _ in range(frames)]
+    start = [[0.0] * num_nodes for _ in range(frames)]
+    for frame in range(frames):
+        for node in order:
+            earliest = 0.0
+            if frame > 0:
+                prior = (
+                    finish[frame - 1][node]
+                    if intervals is None
+                    else start[frame - 1][node] + max(intervals[node], 1.0)
+                )
+                earliest = max(earliest, prior)
+            for channel in preds[node]:
+                earliest = max(earliest, finish[frame][channel.producer])
+            for channel in succs[node]:
+                waiting_frame = frame - channel.capacity
+                if waiting_frame >= 0:
+                    earliest = max(earliest, finish[waiting_frame][channel.consumer])
+            start[frame][node] = earliest
+            finish[frame][node] = earliest + max(latencies[node], 1.0)
+    return start, finish
+
+
+def _bits(rows):
+    """Each float's IEEE-754 bytes: equal exactly when bitwise equal, NaN too."""
+    return [struct.pack(f"{len(row)}d", *row) for row in rows]
+
+
+_times = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 3.0, 12.0]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), frames=st.integers(4, 9), pipelined=st.booleans())
+def test_schedule_frames_is_bitwise_the_max_recurrence(data, frames, pipelined):
+    num_nodes = data.draw(st.integers(1, 7))
+    node = st.integers(0, num_nodes - 1)
+    channels = [
+        ChannelSpec(producer, consumer, capacity)
+        for producer, consumer, capacity in data.draw(
+            st.lists(st.tuples(node, node, st.integers(0, 5)), max_size=14)
+        )
+    ]
+    latencies = data.draw(st.lists(_times, min_size=num_nodes, max_size=num_nodes))
+    intervals = (
+        data.draw(st.lists(_times, min_size=num_nodes, max_size=num_nodes))
+        if pipelined
+        else None
+    )
+    start, finish = _schedule_frames(latencies, channels, frames, intervals)
+    expected_start, expected_finish = _reference_schedule_frames(
+        latencies, channels, frames, intervals
+    )
+    assert _bits(start) == _bits(expected_start)
+    assert _bits(finish) == _bits(expected_finish)
 
 
 # ------------------------------------------------------------ determinism

@@ -25,6 +25,11 @@ from hypothesis import strategies as st
 
 from repro import emit_hls_cpp
 from repro.analysis import NestAccesses
+from repro.analysis.dependence import (
+    Dependence,
+    loop_carried_dependences,
+    loop_carries_dependence,
+)
 from repro.dialects.affine import AffineForOp, AffineStoreOp
 from repro.dialects.affine_map import AffineMap
 from repro.dialects.dataflow import BufferOp
@@ -455,6 +460,30 @@ class _ParallelizeWindow(PipelineObserver):
             self.end = len(self.events)
 
 
+def _tops(state):
+    """The ops whose loop bands ``parallelize`` takes: every schedule's nodes,
+    else the functions."""
+    return [
+        node for schedule in state.schedules for node in schedule.nodes
+    ] or state.module.functions
+
+
+def _bands_of(tops):
+    return [band for top in tops for band in loop_bands_of(top)]
+
+
+def _band_roots(result):
+    """The outermost loop of every band ``parallelize`` took in ``result``."""
+    return [band[0] for band in _bands_of(_tops(result))]
+
+
+#: The default pipeline and the four ablation modes, at factor 64.
+_PIPELINES = {
+    "default": DEFAULT_PIPELINE,
+    **{mode: ablation_pipeline_spec(mode, 64) for mode in ABLATION_MODES},
+}
+
+
 class TestDependenceWork:
     """Pins the work, not the clock: how often the dependence engine walks a
     nest (``NestAccesses`` is the only collector) while parallelizing."""
@@ -471,30 +500,102 @@ class TestDependenceWork:
         monkeypatch.setattr(NestAccesses, "__init__", counting)
         return roots
 
-    def test_at_most_two_walks_per_band_and_none_for_misalignment(self, walked):
+    def test_one_walk_per_band_and_none_for_misalignment(self, walked, monkeypatch):
+        permutations = []
+        permuted = NestAccesses.permuted
+
+        def counting(self, band, order):
+            permutations.append(list(order))
+            return permuted(self, band, order)
+
+        monkeypatch.setattr(NestAccesses, "permuted", counting)
         window = _ParallelizeWindow(walked)
         result = Compiler.from_spec(
             DEFAULT_PIPELINE, platform="vu9p-slr", observers=[window]
         ).run(workload="resnet18")
-        bands = [
-            band
-            for schedule in result.schedules
-            for node in schedule.nodes
-            for band in loop_bands_of(node)
-        ]
-        # One walk when the band is analyzed, plus one of the pipelined loop
-        # when an applied permutation made the first stale.
+        # The walk when the band is analyzed; a permutation renumbers it.
         per_band = collections.Counter(
             id(_outermost_loop(root))
             for root in walked[window.begin : window.end]
         )
-        assert set(per_band) == {id(band[0]) for band in bands}
-        assert max(per_band.values()) <= 2
-        assert 2 in per_band.values()  # resnet18 does reorder reductions
+        assert per_band == collections.Counter(map(id, _band_roots(result)))
+        assert permutations  # resnet18 does reorder reductions
 
         del walked[:]
         assert sum(map(count_misalignments, result.schedules)) == result.misalignments
         assert walked == []
+
+    @pytest.mark.parametrize("spec", _PIPELINES.values(), ids=list(_PIPELINES))
+    def test_a_permutation_renumbers_the_walk_it_replaces(self, spec, walked, monkeypatch):
+        """Every band of the zoo is walked once by the stage, and every
+        collection a permutation renumbers equals a fresh walk of the
+        permuted nest, down to the table entry it answers from."""
+        checked = []
+        permuted = NestAccesses.permuted
+
+        def checking(self, band, order):
+            renumbered = permuted(self, band, order)
+            mark = len(walked)
+            fresh = NestAccesses(self.root)
+            del walked[mark:]  # the reference walk is not the stage's
+            assert renumbered.problem == fresh.problem
+            assert renumbered.ops == fresh.ops
+            assert renumbered._paths == fresh._paths
+            assert renumbered._numbers == fresh._numbers
+            assert renumbered.drivers == fresh.drivers
+            assert renumbered._answers is fresh._answers
+            checked.append(order)
+            return renumbered
+
+        monkeypatch.setattr(NestAccesses, "permuted", checking)
+        for workload in list_workloads():
+            window = _ParallelizeWindow(walked)
+            result = Compiler.from_spec(
+                spec, platform="vu9p-slr", observers=[window]
+            ).run(workload=workload)
+            per_band = collections.Counter(
+                id(_outermost_loop(root))
+                for root in walked[window.begin : window.end]
+            )
+            assert per_band == collections.Counter(map(id, _band_roots(result))), workload
+        assert checked
+
+    def test_the_parallel_flag_reads_the_records(self, monkeypatch):
+        """For every band loop of the zoo, on the IR the stage reads, the
+        flag answers ``bool(loop_carried_dependences(loop))`` from the
+        band's collection or a walk of its own, and binds no ``Dependence``."""
+        bound = []
+        bind = Dependence.__init__
+
+        def counting(self, *args, **kwargs):
+            bound.append(self)
+            bind(self, *args, **kwargs)
+
+        monkeypatch.setattr(Dependence, "__init__", counting)
+        answers = []  # (workload, both flags, Dependences they bound, reference)
+
+        class FlagsBeforeParallelize(PipelineObserver):
+            def on_stage_start(self, stage, state):
+                if stage.name != "parallelize":
+                    return
+                for band in _bands_of(_tops(state)):
+                    nest = NestAccesses(band[0])
+                    for loop in band:
+                        mark = len(bound)
+                        flags = {loop_carries_dependence(loop, nest), loop_carries_dependence(loop)}
+                        binds = len(bound) - mark
+                        expected = bool(loop_carried_dependences(loop))
+                        answers.append((workload, flags, binds, expected))
+
+        for workload in list_workloads():
+            result = Compiler.from_spec(
+                DEFAULT_PIPELINE, platform="vu9p-slr", observers=[FlagsBeforeParallelize()]
+            ).run(workload=workload)
+            assert result.observer_errors == [], workload
+        for workload, flags, binds, expected in answers:
+            assert (flags, binds) == ({expected}, 0), workload
+        carried = sum(expected for *_, expected in answers)
+        assert len(answers) > carried > 0
 
     @pytest.mark.parametrize(
         "spec, workload",
@@ -539,14 +640,7 @@ class TestParallelizeWork:
 
     def test_each_band_is_decoded_once(self, profiled):
         results, calls = profiled
-        bands = sum(
-            len(loop_bands_of(top))
-            for result in results
-            for top in (
-                [node for schedule in result.schedules for node in schedule.nodes]
-                or result.module.functions
-            )
-        )
+        bands = sum(len(_bands_of(_tops(result))) for result in results)
         assert calls["hida/analysis.py", "_band_accesses"][0] == bands == 294
         # The records come from the dependence engine's walk of the band.
         assert "_band_accesses" not in calls["ir/core.py", "walk"][1]
@@ -610,11 +704,7 @@ class TestRecordedPartitions:
     """Whatever the stage reads its accesses from, every partition equals
     what a fresh walk of the final IR derives."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [DEFAULT_PIPELINE] + [ablation_pipeline_spec(mode, 64) for mode in ABLATION_MODES],
-        ids=["default", *ABLATION_MODES],
-    )
+    @pytest.mark.parametrize("spec", _PIPELINES.values(), ids=list(_PIPELINES))
     def test_a_fresh_walk_changes_no_partition(self, spec):
         for workload in list_workloads():
             result = Compiler.from_spec(spec, platform="vu9p-slr").run(workload=workload)
