@@ -13,8 +13,8 @@ Precision model
 ---------------
 Subscripts are linearized over induction variables (through
 ``affine.apply`` chains, so tiled ``d0 + d1`` indices work); anything
-non-linear (``floordiv``/``mod``, symbols, values computed inside the
-nest) degrades *conservatively*: the analysis may report a dependence
+non-linear (``floordiv``/``mod``, values computed inside the nest)
+degrades *conservatively*: the analysis may report a dependence
 that does not exist, but never misses one.  Each distance entry is one of
 
 * ``exact`` — the distance at that level is a known integer;
@@ -27,9 +27,9 @@ that does not exist, but never misses one.  Each distance entry is one of
 be treated as "every distance possible".
 
 All arithmetic is integral: affine constants, loop bounds and steps are
-``int`` by construction, so linear forms and the GCD / bounds tests run on
-``int``.  A non-integral constant, should one ever appear, makes the
-subscript not analyzable (``None``), like a non-linear expression.
+``int`` by construction (:func:`~repro.dialects.affine_map.constant` and the
+expression operators refuse any other value), so linear forms and the GCD /
+bounds tests run on ``int``.
 
 Sharing the answers
 -------------------
@@ -266,8 +266,6 @@ def _expr_to_linear(
             return None
         return dim_forms[expr.position]
     if isinstance(expr, AffineConstantExpr):
-        if not isinstance(expr.value, int):
-            return None  # non-integral constant: not analyzable
         return _LinearIndex({}, expr.value)
     if isinstance(expr, AffineBinaryExpr):
         lhs = _expr_to_linear(expr.lhs, dim_forms)
@@ -282,17 +280,15 @@ def _expr_to_linear(
             if lhs.constant_value is not None:
                 return rhs.scale(lhs.constant_value)
             return None
-        # floordiv / ceildiv / mod: fold only the fully constant case.
+        # floordiv / mod: fold only the fully constant case.
         lc, rc = lhs.constant_value, rhs.constant_value
         if lc is not None and rc is not None and rc != 0:
             if expr.kind == "floordiv":
                 return _LinearIndex({}, lc // rc)
-            if expr.kind == "ceildiv":
-                return _LinearIndex({}, _ceil_div(lc, rc))
             if expr.kind == "mod":
                 return _LinearIndex({}, lc % rc)
         return None
-    return None  # symbols and anything else: not analyzable
+    return None
 
 
 def linear_subscripts(

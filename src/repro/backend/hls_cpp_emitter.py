@@ -85,10 +85,7 @@ def _affine_to_c(expr: AffineExpr, names: Sequence[str], tight: bool = False) ->
         raise TypeError(f"cannot emit affine expression {expr!r}")
     lhs = _affine_to_c(expr.lhs, names, expr.kind != "add")
     rhs = _affine_to_c(expr.rhs, names, expr.kind != "add")
-    if expr.kind == "ceildiv":
-        text = f"({lhs} + {rhs} - 1) / {rhs}"
-    else:
-        text = f"{lhs} {_AFFINE_OPERATORS[expr.kind]} {rhs}"
+    text = f"{lhs} {_AFFINE_OPERATORS[expr.kind]} {rhs}"
     return f"({text})" if tight else text
 
 

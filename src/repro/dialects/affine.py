@@ -198,7 +198,7 @@ class AffineLoadOp(_AffineMemAccess):
         map: Optional[AffineMap] = None,
     ) -> "AffineLoadOp":
         memref_type: MemRefType = memref.type
-        access_map = map or AffineMap(len(indices), 0, [dim(i) for i in range(len(indices))])
+        access_map = map or AffineMap(len(indices), [dim(i) for i in range(len(indices))])
         return cls(
             name=cls.OPERATION_NAME,
             operands=[memref, *indices],
@@ -235,7 +235,7 @@ class AffineStoreOp(_AffineMemAccess):
         indices: Sequence[Value],
         map: Optional[AffineMap] = None,
     ) -> "AffineStoreOp":
-        access_map = map or AffineMap(len(indices), 0, [dim(i) for i in range(len(indices))])
+        access_map = map or AffineMap(len(indices), [dim(i) for i in range(len(indices))])
         return cls(
             name=cls.OPERATION_NAME,
             operands=[value, memref, *indices],

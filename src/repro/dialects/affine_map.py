@@ -6,6 +6,13 @@ a ``buffer`` op are "designed to be converted to semi-affine maps".  This
 module provides a small symbolic affine expression language with
 simplification and evaluation, sufficient for dependence analysis and for
 the permutation/scaling-map construction of HIDA-OPT.
+
+The language holds what the compiler builds and nothing more.  Every loop
+has constant bounds, so a map has dims (``d0``, ``d1``, ...) and no
+runtime parameters; its atoms are dims and ``int`` constants, and its
+binary kinds are ``add``, ``mul``, ``floordiv`` and ``mod``.  Constants are
+``int`` by construction: :func:`constant` and the arithmetic operators raise
+:class:`TypeError` on any other value.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 __all__ = [
     "AffineExpr",
     "AffineDimExpr",
-    "AffineSymbolExpr",
     "AffineConstantExpr",
     "AffineBinaryExpr",
     "AffineMap",
@@ -26,7 +32,7 @@ __all__ = [
 
 
 class AffineExpr:
-    """Base class of affine expressions over dims (d0, d1, ...) and symbols."""
+    """Base class of affine expressions over dims (d0, d1, ...)."""
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other: "ExprLike") -> "AffineExpr":
@@ -54,12 +60,8 @@ class AffineExpr:
         return _binary("mod", self, _wrap(other))
 
     # --------------------------------------------------------------- queries
-    def evaluate(
-        self,
-        dims: Sequence[int] = (),
-        symbols: Sequence[int] = (),
-    ) -> int:
-        """Evaluate the expression with concrete dim/symbol values."""
+    def evaluate(self, dims: Sequence[int] = ()) -> int:
+        """Evaluate the expression with concrete dim values."""
         raise NotImplementedError
 
     def used_dims(self) -> Tuple[int, ...]:
@@ -84,7 +86,9 @@ ExprLike = Union[AffineExpr, int]
 def _wrap(value: ExprLike) -> AffineExpr:
     if isinstance(value, AffineExpr):
         return value
-    return AffineConstantExpr(int(value))
+    if type(value) is not int:
+        raise TypeError(f"affine constant must be an int, got {value!r}")
+    return AffineConstantExpr(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +97,7 @@ class AffineDimExpr(AffineExpr):
 
     position: int
 
-    def evaluate(self, dims: Sequence[int] = (), symbols: Sequence[int] = ()) -> int:
+    def evaluate(self, dims: Sequence[int] = ()) -> int:
         return dims[self.position]
 
     def _collect_dims(self, out: set) -> None:
@@ -104,28 +108,12 @@ class AffineDimExpr(AffineExpr):
 
 
 @dataclasses.dataclass(frozen=True)
-class AffineSymbolExpr(AffineExpr):
-    """A symbol (a runtime-invariant parameter), ``s<position>``."""
-
-    position: int
-
-    def evaluate(self, dims: Sequence[int] = (), symbols: Sequence[int] = ()) -> int:
-        return symbols[self.position]
-
-    def _collect_dims(self, out: set) -> None:
-        return None
-
-    def __str__(self) -> str:
-        return f"s{self.position}"
-
-
-@dataclasses.dataclass(frozen=True)
 class AffineConstantExpr(AffineExpr):
     """An integer constant."""
 
     value: int
 
-    def evaluate(self, dims: Sequence[int] = (), symbols: Sequence[int] = ()) -> int:
+    def evaluate(self, dims: Sequence[int] = ()) -> int:
         return self.value
 
     def _collect_dims(self, out: set) -> None:
@@ -139,7 +127,6 @@ _BINARY_SYMBOLS = {
     "add": "+",
     "mul": "*",
     "floordiv": "floordiv",
-    "ceildiv": "ceildiv",
     "mod": "mod",
 }
 
@@ -152,19 +139,17 @@ class AffineBinaryExpr(AffineExpr):
     lhs: AffineExpr
     rhs: AffineExpr
 
-    def evaluate(self, dims: Sequence[int] = (), symbols: Sequence[int] = ()) -> int:
-        lhs = self.lhs.evaluate(dims, symbols)
-        rhs = self.rhs.evaluate(dims, symbols)
+    def evaluate(self, dims: Sequence[int] = ()) -> int:
+        lhs = self.lhs.evaluate(dims)
+        rhs = self.rhs.evaluate(dims)
         if self.kind == "add":
             return lhs + rhs
         if self.kind == "mul":
             return lhs * rhs
         if self.kind == "floordiv":
-            return int(lhs) // int(rhs)
-        if self.kind == "ceildiv":
-            return -(-int(lhs) // int(rhs))
+            return lhs // rhs
         if self.kind == "mod":
-            return int(lhs) % int(rhs)
+            return lhs % rhs
         raise ValueError(f"unknown affine binary kind {self.kind!r}")
 
     def _collect_dims(self, out: set) -> None:
@@ -178,9 +163,7 @@ class AffineBinaryExpr(AffineExpr):
 def _binary(kind: str, lhs: AffineExpr, rhs: AffineExpr) -> AffineExpr:
     """Create a binary expression with light constant folding."""
     if isinstance(lhs, AffineConstantExpr) and isinstance(rhs, AffineConstantExpr):
-        return AffineConstantExpr(
-            int(AffineBinaryExpr(kind, lhs, rhs).evaluate())
-        )
+        return AffineConstantExpr(AffineBinaryExpr(kind, lhs, rhs).evaluate())
     if kind == "add":
         if isinstance(lhs, AffineConstantExpr) and lhs.value == 0:
             return rhs
@@ -202,26 +185,21 @@ def dim(position: int) -> AffineDimExpr:
 
 
 def constant(value: int) -> AffineConstantExpr:
-    """Shorthand for :class:`AffineConstantExpr`."""
+    """Shorthand for :class:`AffineConstantExpr`; ``value`` must be an ``int``."""
+    if type(value) is not int:
+        raise TypeError(f"affine constant must be an int, got {value!r}")
     return AffineConstantExpr(value)
 
 
 @dataclasses.dataclass(frozen=True)
 class AffineMap:
-    """A function mapping ``num_dims`` dims and ``num_symbols`` symbols to results."""
+    """A function mapping ``num_dims`` dims to results."""
 
     num_dims: int
-    num_symbols: int
     results: Tuple[AffineExpr, ...]
 
-    def __init__(
-        self,
-        num_dims: int,
-        num_symbols: int,
-        results: Sequence[ExprLike],
-    ) -> None:
+    def __init__(self, num_dims: int, results: Sequence[ExprLike]) -> None:
         object.__setattr__(self, "num_dims", num_dims)
-        object.__setattr__(self, "num_symbols", num_symbols)
         object.__setattr__(
             self, "results", tuple(_wrap(r) for r in results)
         )
@@ -231,16 +209,12 @@ class AffineMap:
     def num_results(self) -> int:
         return len(self.results)
 
-    def evaluate(
-        self,
-        dims: Sequence[int] = (),
-        symbols: Sequence[int] = (),
-    ) -> Tuple[int, ...]:
+    def evaluate(self, dims: Sequence[int] = ()) -> Tuple[int, ...]:
         if len(dims) != self.num_dims:
             raise ValueError(
                 f"map expects {self.num_dims} dims, got {len(dims)}"
             )
-        return tuple(r.evaluate(dims, symbols) for r in self.results)
+        return tuple(r.evaluate(dims) for r in self.results)
 
     def single_dim_strides(self) -> List[Optional[Tuple[int, int]]]:
         """Per result ``f``: ``(d, f(e_d) - f(0))`` when ``f`` mentions exactly
@@ -269,7 +243,5 @@ class AffineMap:
 
     def __str__(self) -> str:
         dims_str = ", ".join(f"d{i}" for i in range(self.num_dims))
-        syms_str = ", ".join(f"s{i}" for i in range(self.num_symbols))
-        syms = f"[{syms_str}]" if self.num_symbols else ""
         res = ", ".join(str(r) for r in self.results)
-        return f"({dims_str}){syms} -> ({res})"
+        return f"({dims_str}) -> ({res})"

@@ -11,7 +11,6 @@ invalid combination raises ``ValueError`` at construction.
 from __future__ import annotations
 
 import dataclasses
-import json
 import numbers
 from typing import Dict, List, Optional, Tuple
 
@@ -157,13 +156,6 @@ class ExploreConfig:
         data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         data["objectives"] = list(self.objectives)
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExploreConfig":
-        """Settings from :meth:`to_dict`; keys of settings that no longer
-        exist are dropped, so archived result files still load."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{name: value for name, value in data.items() if name in known})
 
 
 @dataclasses.dataclass
@@ -421,15 +413,3 @@ class ExplorationResult:
         if self.telemetry is None:
             del data["telemetry"]
         return data
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExplorationResult":
-        """A result from :meth:`to_dict`; keys of retired fields are dropped."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        values = {name: value for name, value in data.items() if name in known}
-        if "config" in values:
-            values["config"] = ExploreConfig.from_dict(values["config"])
-        return cls(**values)

@@ -181,10 +181,6 @@ class DesignPoint:
             data["workload_params"] = [list(pair) for pair in self.workload_params]
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DesignPoint":
-        return cls(**{k: v for k, v in data.items() if k in _FIELD_NAMES})
-
     # ``cached_property`` writes the instance ``__dict__`` directly, which a
     # frozen dataclass allows; being no field, what it remembers stays out of
     # ``==``, ``hash``, ``repr``, ``to_dict`` and ``dataclasses.replace``.

@@ -264,7 +264,7 @@ class KernelBuilder:
             for key, (value, coeff) in expr.terms.items():
                 acc = acc + dim(position[key]) * coeff
             results.append(acc)
-        access_map = AffineMap(len(operand_order), 0, results)
+        access_map = AffineMap(len(operand_order), results)
         return operand_order, access_map
 
     def load(self, array: str, indices: Sequence[IndexLike]) -> ScalarExpr:

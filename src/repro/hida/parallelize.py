@@ -209,8 +209,14 @@ def search_unroll_factors(
     for position, (trip, flag) in enumerate(zip(trip_counts, parallel_flags)):
         candidates = _factor_candidates_for_loop(trip, flag, parallel_factor)
         if len(candidates) > 1:
-            column = [c[position] for c in constraints_list if position < len(c)]
-            bad = {f for f in candidates if any(_misaligned(c, f) for c in column)}
+            column = [
+                c[position]
+                for c in constraints_list
+                if position < len(c) and c[position] is not None
+            ]
+            bad: set = set()
+            if column:
+                bad = {f for f in candidates if any(_misaligned(c, f) for c in column)}
             levels.append((position, trip, candidates, bad, []))
         elif levels:
             levels[-1][4].append(trip)

@@ -52,7 +52,6 @@ import dataclasses
 import math
 import operator
 from collections import deque
-from fractions import Fraction
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from ..dialects import affine, arith, dataflow, linalg, memref
@@ -62,7 +61,6 @@ from ..dialects.affine_map import (
     AffineDimExpr,
     AffineExpr,
     AffineMap,
-    AffineSymbolExpr,
 )
 from .builtin import ConstantOp, FuncOp, ModuleOp, ReturnOp
 from .core import Block, Operation, Value
@@ -369,23 +367,21 @@ _Row = Tuple[int, Dict[int, int]]
 _Decoded = Tuple[int, List[Tuple[int, int]]]
 
 
-def _linear_row(expr: AffineExpr, num_dims: int) -> Optional[_Row]:
+def _linear_row(expr: AffineExpr) -> Optional[_Row]:
     """``expr`` as ``const + sum(coeff * operand)``; None when it is not linear.
 
     The interpreter's own linear form, deliberately not shared with the
-    dependence engine of the passes it judges.  ``floordiv``/``ceildiv``/
-    ``mod``, products of two non-constants and non-``int`` constants return
-    None and keep the general :meth:`AffineMap.evaluate` path.
+    dependence engine of the passes it judges.  ``floordiv``/``mod`` and
+    products of two non-constants return None and keep the general
+    :meth:`AffineMap.evaluate` path.
     """
     if isinstance(expr, AffineConstantExpr):
-        return (expr.value, {}) if isinstance(expr.value, int) else None
+        return expr.value, {}
     if isinstance(expr, AffineDimExpr):
         return 0, {expr.position: 1}
-    if isinstance(expr, AffineSymbolExpr):
-        return 0, {num_dims + expr.position: 1}
     if not isinstance(expr, AffineBinaryExpr) or expr.kind not in ("add", "mul"):
         return None
-    lhs, rhs = _linear_row(expr.lhs, num_dims), _linear_row(expr.rhs, num_dims)
+    lhs, rhs = _linear_row(expr.lhs), _linear_row(expr.rhs)
     if lhs is None or rhs is None:
         return None
     if expr.kind == "add":
@@ -411,31 +407,17 @@ def _pick(slots: Sequence[int]) -> _Subscripts:
 
 
 def _general_subscripts(affine_map: AffineMap, slots: Sequence[int]) -> _Subscripts:
-    """The general case: coerce operands, ``AffineMap.evaluate``, check."""
-    num_dims = affine_map.num_dims
-
-    def subscripts(frame: List[Any]) -> Sequence[int]:
-        operands = [int(frame[s]) for s in slots]
-        coerced = []
-        for value in affine_map.evaluate(operands[:num_dims], operands[num_dims:]):
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise InterpreterError(
-                        f"non-integer subscript {value} from affine map"
-                    )
-                value = value.numerator
-            coerced.append(int(value))
-        return coerced
-
-    return subscripts
+    """The general case: coerce the operands to ``int``, ``AffineMap.evaluate``."""
+    dim_slots = slots[: affine_map.num_dims]
+    return lambda frame: affine_map.evaluate([int(frame[s]) for s in dim_slots])
 
 
 def _decode(affine_map: AffineMap, slots: Sequence[int]) -> Optional[List[_Decoded]]:
     """``affine_map``'s results as rows over the integer operands held in
     ``slots`` of the frame (zero coefficients dropped); None when one
     result is not linear."""
-    rows = [_linear_row(result, affine_map.num_dims) for result in affine_map.results]
-    if len(slots) < affine_map.num_dims + affine_map.num_symbols or None in rows:
+    rows = [_linear_row(result) for result in affine_map.results]
+    if len(slots) < affine_map.num_dims or None in rows:
         return None
     return [
         (const, [(slots[p], k) for p, k in sorted(terms.items()) if k])

@@ -22,9 +22,8 @@ and nothing else.  The grammar, one production per line::
                 | "tensor<" {N "x"} type ">" | "memref<" {N "x"} type ", " NAME ">"
                 | "stream<" type ", " INT ">"
     functype  ::= "(" [type {", " type}] ") -> (" [type {", " type}] ")"
-    map       ::= "(" ["d0" {", d" i}] ")" ["[s0" {", s" i} "]"] " -> (" [expr {", " expr}] ")"
-    expr      ::= "(" expr " " ("+" | "*" | "floordiv" | "ceildiv" | "mod") " " expr ")"
-                | "d" N | "s" N | INT
+    map       ::= "(" ["d0" {", d" i}] ") -> (" [expr {", " expr}] ")"
+    expr      ::= "(" expr " " ("+" | "*" | "floordiv" | "mod") " " expr ")" | "d" N | INT
 
 Every production below the line level is a function ``(text, pos) ->
 (value, end)`` that consumes one whole construct per compiled-regex match;
@@ -68,7 +67,6 @@ from ..dialects.affine_map import (
     AffineDimExpr,
     AffineExpr,
     AffineMap,
-    AffineSymbolExpr,
 )
 from .core import Block, Operation, Value, create_operation
 from .types import (
@@ -151,7 +149,7 @@ _TYPE = re.compile(
     r"|([if])(\d+)"  # 5, 6
     r"|(ui)"  # 7
 )
-_AFFINE_ATOM = re.compile(r"([ds])(\d+)|(-?\d+)")
+_AFFINE_ATOM = re.compile(r"d(\d+)|(-?\d+)")
 _ESCAPED = re.compile(r"\\(.)")
 
 _SCALAR_TYPES: Dict[str, Callable[[], Type]] = {
@@ -163,7 +161,6 @@ _BINARY_KINDS = {
     "+": "add",
     "*": "mul",
     "floordiv": "floordiv",
-    "ceildiv": "ceildiv",
     "mod": "mod",
 }
 
@@ -310,11 +307,9 @@ def _affine_expr(text: str, pos: int) -> Tuple[AffineExpr, int]:
     match = _AFFINE_ATOM.match(text, pos)
     if match is None:
         raise _Mismatch("expected an integer", pos)
-    if match.lastindex == 3:
-        return AffineConstantExpr(int(match.group(3))), match.end()
-    if match.group(1) == "d":
-        return AffineDimExpr(int(match.group(2))), match.end()
-    return AffineSymbolExpr(int(match.group(2))), match.end()
+    if match.lastindex == 2:
+        return AffineConstantExpr(int(match.group(2))), match.end()
+    return AffineDimExpr(int(match.group(1))), match.end()
 
 
 def _numbered(prefix: str) -> Callable[[str, int], Tuple[None, int]]:
@@ -325,11 +320,8 @@ def _numbered(prefix: str) -> Callable[[str, int], Tuple[None, int]]:
 
 def _affine_map(text: str, pos: int) -> Tuple[AffineMap, int]:
     dims, pos = _sequence(text, _expect(text, pos, "("), _numbered("d"), ")")
-    symbols: List[None] = []
-    if text.startswith("[", pos):
-        symbols, pos = _sequence(text, pos + 1, _numbered("s"), "]", nonempty=True)
     results, pos = _sequence(text, _expect(text, pos, " -> ("), _affine_expr, ")")
-    return AffineMap(len(dims), len(symbols), results), pos
+    return AffineMap(len(dims), results), pos
 
 
 def _function_type_or_map(text: str, pos: int) -> Tuple[Any, int]:

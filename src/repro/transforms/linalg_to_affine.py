@@ -109,7 +109,7 @@ def _access(
     exprs: Sequence[AffineExpr],
 ) -> Value:
     """Emit an affine.load with the access map given by ``exprs`` over ``ivs``."""
-    access_map = AffineMap(len(ivs), 0, list(exprs))
+    access_map = AffineMap(len(ivs), list(exprs))
     op = builder.insert(AffineLoadOp.create(memref, list(ivs), access_map))
     return op.result()
 
@@ -121,7 +121,7 @@ def _store(
     ivs: Sequence[Value],
     exprs: Sequence[AffineExpr],
 ) -> None:
-    access_map = AffineMap(len(ivs), 0, list(exprs))
+    access_map = AffineMap(len(ivs), list(exprs))
     builder.insert(AffineStoreOp.create(value, memref, list(ivs), access_map))
 
 

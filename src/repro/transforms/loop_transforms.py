@@ -116,7 +116,7 @@ def unroll_loop(
         # shifted_iv = iv + copy_index * step
         apply_op = builder.insert(
             AffineApplyOp.create(
-                AffineMap(1, 0, [dim(0) + copy_index * loop.step]), [iv]
+                AffineMap(1, [dim(0) + copy_index * loop.step]), [iv]
             )
         )
         value_map: Dict[Value, Value] = {iv: apply_op.result()}

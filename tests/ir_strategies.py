@@ -13,7 +13,6 @@ from repro.dialects.affine_map import (
     AffineConstantExpr,
     AffineDimExpr,
     AffineMap,
-    AffineSymbolExpr,
 )
 from repro.dialects.dataflow import BufferLayout
 from repro.dialects.hls import ArrayPartition, PartitionKind
@@ -70,7 +69,6 @@ _types = st.recursive(_scalar_types, _compound_types, max_leaves=4)
 
 _affine_atoms = st.one_of(
     st.builds(AffineDimExpr, st.integers(0, 3)),
-    st.builds(AffineSymbolExpr, st.integers(0, 2)),
     st.builds(AffineConstantExpr, st.integers(-130, 130)),
 )
 # Built directly, not through the folding operators, so every kind prints.
@@ -78,15 +76,13 @@ _affine_exprs = st.recursive(
     _affine_atoms,
     lambda inner: st.builds(
         AffineBinaryExpr,
-        st.sampled_from(["add", "mul", "floordiv", "ceildiv", "mod"]),
+        st.sampled_from(["add", "mul", "floordiv", "mod"]),
         inner,
         inner,
     ),
     max_leaves=5,
 )
-_affine_maps = st.builds(
-    AffineMap, st.integers(0, 4), st.integers(0, 3), st.lists(_affine_exprs, max_size=3)
-)
+_affine_maps = st.builds(AffineMap, st.integers(0, 4), st.lists(_affine_exprs, max_size=3))
 _partitions = st.lists(
     st.tuples(st.sampled_from(PartitionKind.ALL), st.integers(1, 64)), min_size=1, max_size=4
 ).map(lambda dims: ArrayPartition(*zip(*dims)))

@@ -33,7 +33,7 @@ from repro.dialects.affine import (
     AffineStoreOp,
     loop_of,
 )
-from repro.dialects.affine_map import AffineBinaryExpr, AffineMap, constant, dim
+from repro.dialects.affine_map import AffineMap, constant, dim
 from repro.estimation import ZU3EG, estimate_band
 from repro.ir import Builder, FuncOp, IndexType, MemRefType, f32
 from repro.ir.core import create_operation
@@ -128,7 +128,6 @@ _exprs = st.recursive(
         st.builds(lambda a, b: a + b, inner, inner),
         st.builds(lambda a, k: a * k, inner, st.integers(-4, 4)),
         st.builds(lambda a, k: a // k, inner, _divisors),
-        st.builds(lambda a, k: AffineBinaryExpr("ceildiv", a, constant(k)), inner, _divisors),
         st.builds(lambda a, k: a % k, inner, _divisors),
     ),
     max_leaves=6,
@@ -140,7 +139,7 @@ _exprs = st.recursive(
 @example(results=[dim(0) // 120, (dim(0) // 1) % 120])
 @example(results=[dim(3) * 0 + dim(1)])
 def test_random_maps_decode_like_the_probe(results):
-    amap = AffineMap(_NUM_DIMS, 0, results)
+    amap = AffineMap(_NUM_DIMS, results)
     decoded = amap.single_dim_strides()
     assert decoded == _reference(amap)
     assert all(type(s) is int for entry in decoded if entry for s in entry)
@@ -160,7 +159,7 @@ def test_random_maps_decode_like_the_probe(results):
     ids=str,
 )
 def test_pinned_rows(expr, expected):
-    assert AffineMap(_NUM_DIMS, 0, [expr]).single_dim_strides() == [expected]
+    assert AffineMap(_NUM_DIMS, [expr]).single_dim_strides() == [expected]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,7 @@ def test_affine_apply_is_emitted_through_the_same_renderer():
     func = FuncOp.create("f")
     loop = Builder.at_end(func.entry_block).insert(AffineForOp.create(0, 8, name_hint="i"))
     iv = loop.induction_variable
-    tiled = AffineMap(2, 0, [dim(0) * 4 + dim(1) % 3])
+    tiled = AffineMap(2, [dim(0) * 4 + dim(1) % 3])
     Builder.at_end(loop.body).insert(AffineApplyOp.create(tiled, [iv, iv]))
     emitter = HlsCppEmitter()
     emitter.emit_function(func)

@@ -226,12 +226,12 @@ def _tiled_nest(distance=None, trip=16, tile=4):
     point = Builder.at_end(outer.body).insert(AffineForOp.create(0, tile))
     body = Builder.at_end(point.body)
     ivs = [outer.induction_variable, point.induction_variable]
-    x = body.insert(AffineApplyOp.create(AffineMap(2, 0, [dim(0) + dim(1)]), ivs)).result()
+    x = body.insert(AffineApplyOp.create(AffineMap(2, [dim(0) + dim(1)]), ivs)).result()
     a, b = func.arguments
-    read = AffineMap(1, 0, [dim(0) - (distance or 0)])
+    read = AffineMap(1, [dim(0) - (distance or 0)])
     loaded = body.insert(AffineLoadOp.create(a, [x], read)).result()
     target = b if distance is None else a
-    body.insert(AffineStoreOp.create(loaded, target, [x], AffineMap(1, 0, [dim(0)])))
+    body.insert(AffineStoreOp.create(loaded, target, [x], AffineMap(1, [dim(0)])))
     return outer, point
 
 
@@ -459,12 +459,12 @@ def _keyed_nest(
         "outer-iv": lambda: outer.induction_variable,
     }[second_index]
     first = AffineStoreOp.create(
-        stored, func.arguments[0], [iv], AffineMap(1, 0, [dim(0) * coeff + const])
+        stored, func.arguments[0], [iv], AffineMap(1, [dim(0) * coeff + const])
     )
     memref = func.arguments[second_buffer]
-    indices, index_map = [iv], AffineMap(1, 0, [dim(0)])
+    indices, index_map = [iv], AffineMap(1, [dim(0)])
     if extra is not None:
-        indices, index_map = [iv, extra()], AffineMap(2, 0, [dim(0) + dim(1)])
+        indices, index_map = [iv, extra()], AffineMap(2, [dim(0) + dim(1)])
     if second_is_store:
         second = AffineStoreOp.create(stored, memref, indices, index_map)
     else:
@@ -770,11 +770,11 @@ def _build_nest(nest):
             for position, coeff in enumerate(coefficients):
                 expr = expr + dim(position) * coeff
             if through_apply:
-                apply = AffineApplyOp.create(AffineMap(level, 0, [expr]), ivs)
+                apply = AffineApplyOp.create(AffineMap(level, [expr]), ivs)
                 expr = dim(level + len(applied))
                 applied.append(builder.insert(apply).result())
             results.append(expr)
-        access_map = AffineMap(level + len(applied), 0, results)
+        access_map = AffineMap(level + len(applied), results)
         memref = func.arguments[buffer]
         if is_store:
             op = AffineStoreOp.create(stored, memref, ivs + applied, access_map)

@@ -153,7 +153,7 @@ def test_identity_matches_the_asdict_reference(point):
     assert data == _reference_to_dict(point)
     assert list(data) == list(_reference_to_dict(point))  # declared field order
     assert point.key() == _reference_key(point)
-    again = DesignPoint.from_dict(json.loads(json.dumps(data)))
+    again = DesignPoint(**json.loads(json.dumps(data)))
     assert again == point and hash(again) == hash(point)
     assert again.key() == point.key() and again.label() == point.label()
     # A returned dict is the caller's: mutating it reaches no later answer.
@@ -220,7 +220,7 @@ def _calls(stats, name, file_suffix=""):
 def test_an_all_hit_explore_costs_a_file_read_per_point(tmp_path, rebuilt):
     """N = 36 hits: one ``open`` each, no ``Compiler``, no ``asdict``, and at
     most 200 N + 2,000 Python calls (the pre-PR-24 path made about 1,290 N).
-    ``rebuilt`` replays with points fresh from ``from_dict``, as a new sweep
+    ``rebuilt`` replays with points built afresh from ``to_dict``, as a new sweep
     over a warm cache would: nothing a previous instance remembered helps."""
     import cProfile
     import pstats
@@ -231,7 +231,7 @@ def test_an_all_hit_explore_costs_a_file_read_per_point(tmp_path, rebuilt):
     cache_dir = str(tmp_path / "qor")
     assert explore(points, cache_dir=cache_dir).cache_hits == 0
     if rebuilt:
-        points = [DesignPoint.from_dict(point.to_dict()) for point in points]
+        points = [DesignPoint(**point.to_dict()) for point in points]
     profile = cProfile.Profile()
     warm = profile.runcall(explore, points, cache_dir=cache_dir)
     assert warm.cache_hits == 36 and not warm.errors

@@ -27,13 +27,7 @@ from repro.dialects.affine import (
     AffineLoadOp,
     AffineStoreOp,
 )
-from repro.dialects.affine_map import (
-    AffineBinaryExpr,
-    AffineMap,
-    AffineSymbolExpr,
-    constant,
-    dim,
-)
+from repro.dialects.affine_map import AffineMap, constant, dim
 from repro.dialects.arith import (
     AddFOp,
     DivFOp,
@@ -129,7 +123,7 @@ class TestMemoryAndControlFlow:
         module, func, builder = _empty_design()
         # index = d0 * 2 + 1 applied to 3 -> cell 7
         three = builder.insert(ConstantOp.create(3, IndexType())).result()
-        index = builder.insert(AffineApplyOp.create(AffineMap(1, 0, [dim(0) * 2 + 1]), [three]))
+        index = builder.insert(AffineApplyOp.create(AffineMap(1, [dim(0) * 2 + 1]), [three]))
         marker = builder.insert(ConstantOp.create(99.0, f64)).result()
         builder.insert(AffineStoreOp.create(marker, func.arguments[0], [index.result()]))
         _finish(builder)
@@ -694,10 +688,9 @@ class TestEntry:
 # Property: lowered subscripts == AffineMap.evaluate
 # ---------------------------------------------------------------------------
 
-_NUM_DIMS, _NUM_SYMBOLS = 3, 2
+_NUM_DIMS = 5
 _leaves = st.one_of(
     st.builds(dim, st.integers(0, _NUM_DIMS - 1)),
-    st.builds(AffineSymbolExpr, st.integers(0, _NUM_SYMBOLS - 1)),
     st.builds(constant, st.integers(-9, 9)),
 )
 _divisors = st.integers(1, 7)
@@ -707,7 +700,6 @@ _exprs = st.recursive(
         st.builds(lambda a, b: a + b, inner, inner),
         st.builds(lambda a, k: a * k, inner, st.integers(-4, 4)),
         st.builds(lambda a, k: a // k, inner, _divisors),
-        st.builds(lambda a, k: AffineBinaryExpr("ceildiv", a, constant(k)), inner, _divisors),
         st.builds(lambda a, k: a % k, inner, _divisors),
     ),
     max_leaves=6,
@@ -717,26 +709,22 @@ _exprs = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(
     results=st.lists(_exprs, min_size=1, max_size=3),
-    operands=st.lists(
-        st.integers(-64, 64),
-        min_size=_NUM_DIMS + _NUM_SYMBOLS,
-        max_size=_NUM_DIMS + _NUM_SYMBOLS,
-    ),
+    operands=st.lists(st.integers(-64, 64), min_size=_NUM_DIMS, max_size=_NUM_DIMS),
 )
 @example(results=[dim(2), dim(0)], operands=[1, 2, 3, 4, 5])  # slot picks
-@example(results=[dim(0) * 4 + AffineSymbolExpr(1) - 3], operands=[7, 0, 0, 0, -5])
+@example(results=[dim(0) * 4 + dim(4) - 3], operands=[7, 0, 0, 0, -5])
 @example(results=[dim(1), (dim(0) + 1) // 2], operands=[-3, 9, 0, 0, 0])
 def test_lowered_subscripts_equal_affine_map_evaluate(results, operands):
-    affine_map = AffineMap(_NUM_DIMS, _NUM_SYMBOLS, results)
+    affine_map = AffineMap(_NUM_DIMS, results)
     # Operand k lives in frame slot 2k + 1; the even slots are decoys.
     slots = [2 * k + 1 for k in range(len(operands))]
     frame = [1000] * (2 * len(operands) + 1)
     for slot, value in zip(slots, operands):
         frame[slot] = value
-    expected = affine_map.evaluate(operands[:_NUM_DIMS], operands[_NUM_DIMS:])
+    expected = affine_map.evaluate(operands)
     rows = interp._decode(affine_map, slots)
     lowered = interp._lower_subscripts(affine_map, slots, rows)(frame)
-    _exactly(lowered, [int(value) for value in expected])
+    _exactly(lowered, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -800,11 +788,11 @@ def _access_cases(draw):
     values = st.integers(-2, 6)
     form = draw(st.sampled_from(["permutation", "expressions"]))
     if form == "permutation":  # identity included
-        case["map"] = AffineMap(count, 0, [dim(p) for p in draw(st.permutations(range(count)))])
+        case["map"] = AffineMap(count, [dim(p) for p in draw(st.permutations(range(count)))])
     else:
         num_dims = draw(st.integers(0, 3))
         results = draw(st.lists(_access_expr(num_dims), min_size=count, max_size=count))
-        case["map"] = AffineMap(num_dims, 0, results)
+        case["map"] = AffineMap(num_dims, results)
     num_dims = case["map"].num_dims
     case["operands"] = draw(st.lists(values, min_size=num_dims, max_size=num_dims))
     return case
@@ -815,7 +803,7 @@ def _expected_access(case):
     convert = float if case["float"] else int
     cells = [convert(seed_value(0, i)) for i in range(math.prod(case["shape"]))]
     buffer = types.SimpleNamespace(shape=case["shape"], strides=_row_major(case["shape"]))
-    subscripts = [int(v) for v in case["map"].evaluate(case["operands"], ())]
+    subscripts = list(case["map"].evaluate(case["operands"]))
     address = _reference_address(buffer, subscripts)
     missed = int(address is None)
     if case["kind"].endswith("load"):
@@ -830,15 +818,15 @@ def _expected_access(case):
 @given(case=_access_cases())
 @example(case={  # jacobi-2d's stencil row: i - 1 on a row-major matrix
     "kind": "affine.load", "float": True, "shape": [4, 4],
-    "map": AffineMap(2, 0, [dim(0) - 1, dim(1)]), "operands": [0, 2],
+    "map": AffineMap(2, [dim(0) - 1, dim(1)]), "operands": [0, 2],
 })
 @example(case={  # one past the middle extent of a rank-3 buffer is inside its storage
     "kind": "affine.load", "float": False, "shape": [2, 1, 2],
-    "map": AffineMap(3, 0, [dim(0), dim(1), dim(2)]), "operands": [0, 1, 0],
+    "map": AffineMap(3, [dim(0), dim(1), dim(2)]), "operands": [0, 1, 0],
 })
 @example(case={  # rank 3, multi-term and mod rows
     "kind": "affine.store", "float": False, "shape": [2, 3, 2],
-    "map": AffineMap(2, 0, [dim(0), dim(0) + dim(1) * 2, dim(1) % 2]), "operands": [1, 1],
+    "map": AffineMap(2, [dim(0), dim(0) + dim(1) * 2, dim(1) % 2]), "operands": [1, 1],
 })
 def test_one_access_matches_the_reference_address(case):
     module = ModuleOp.create()
@@ -913,7 +901,7 @@ def _build_nest(case):
     module.body.append(func)
     b = Builder.at_end(func.entry_block)
     memory, last = func.arguments
-    cell = AffineMap(0, 0, [constant(0)])
+    cell = AffineMap(0, [constant(0)])
     if case["static"] is not None:
         node = b.insert(NodeOp.create(inouts=[memory, last]))
         memory, last = node.body.arguments
@@ -931,7 +919,7 @@ def _build_nest(case):
         for position, k in terms:
             expr = expr + dim(position) * k
         exprs.append(expr)
-    access_map = AffineMap(len(case["operands"]), 0, exprs)
+    access_map = AffineMap(len(case["operands"]), exprs)
     operands = [ivs[i] for i in case["operands"]]
     if case["kind"] == "affine.load":
         value = b.insert(AffineLoadOp.create(memory, operands, access_map)).result()

@@ -238,7 +238,7 @@ def test_an_access_map_alone_keys_apart():
         if isinstance(op, AffineLoadOp) and len(set(op.get_attr("map").results)) > 1
     )
     old = load.get_attr("map")
-    load.set_attr("map", AffineMap(old.num_dims, old.num_symbols, old.results[::-1]))
+    load.set_attr("map", AffineMap(old.num_dims, old.results[::-1]))
     assert _key(changed) != _key(module)
 
 

@@ -184,7 +184,7 @@ def test_interned_suffix_hands_out_a_fresh_dict_and_may_share_leaves():
     again = _two_ops(_FROZEN, _FROZEN)[0]
     assert again.attributes == other.attributes
     # Frozen, value-compared leaves may be one object; equality is the contract.
-    assert again.attributes["m"] == other.attributes["m"] == AffineMap(1, 0, [dim(0)])
+    assert again.attributes["m"] == other.attributes["m"] == AffineMap(1, [dim(0)])
     assert again.results[0].type == MemRefType([4], FloatType(32), "bram")
     assert again.results[0] is not other.results[0]
 

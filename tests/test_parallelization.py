@@ -295,6 +295,22 @@ class TestCandidateGeneration:
             within = [v for v in itertools.product(*per_loop) if math.prod(v) <= budget]
             assert (evaluated, violations) == (len(within), 0)
 
+    def test_unconstrained_levels_check_no_alignment(self, listing1_analysis, monkeypatch):
+        """A connected band not parallelized yet constrains nothing (None):
+        the search then builds no misalignment set and chooses as without it."""
+        _, bands, _ = listing1_analysis
+        band = max(bands, key=lambda b: b.intensity)
+        args = (band.trip_counts, band.parallel_flags, band.muls_per_iteration, 64)
+        unconstrained = search_unroll_factors(*args, [], lambda f: ())
+        checked = []
+        misaligned = parallelize._misaligned
+        monkeypatch.setattr(
+            parallelize, "_misaligned", lambda c, f: checked.append(c) or misaligned(c, f)
+        )
+        pending = [[None] * len(band.trip_counts)] * 2
+        assert search_unroll_factors(*args, pending, lambda f: ()) == unconstrained
+        assert checked == []
+
     def test_proposal_cost_prefers_full_parallelism(self, listing1_analysis):
         _, bands, _ = listing1_analysis
         compute_band = max(bands, key=lambda b: b.intensity)
@@ -723,7 +739,7 @@ class TestRecordedPartitions:
         zero = builder.insert(ConstantOp.create(0.0, f32))
         builder.insert(
             AffineStoreOp.create(
-                zero.result(), local.result(), [], AffineMap(0, 0, [1, 2])
+                zero.result(), local.result(), [], AffineMap(0, [1, 2])
             )
         )
         assert verify(module) == []

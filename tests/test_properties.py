@@ -80,7 +80,7 @@ def test_cloned_loop_nests_are_independent(bounds, unroll):
 @given(st.integers(1, 6), st.integers(0, 5))
 @settings(max_examples=40, deadline=None)
 def test_identity_map_strides_are_one(rank, probe):
-    amap = AffineMap(rank, 0, [dim(d) for d in range(rank)])
+    amap = AffineMap(rank, [dim(d) for d in range(rank)])
     assert amap.single_dim_strides() == [(d, 1) for d in range(rank)]
 
 

@@ -374,7 +374,7 @@ def _mutant_unroll_skipping_legality(loop):
     builder = Builder.at_end(loop.body)
     shifted = builder.insert(
         AffineApplyOp.create(
-            AffineMap(1, 0, [dim(0) + constant(1)]), [loop.induction_variable]
+            AffineMap(1, [dim(0) + constant(1)]), [loop.induction_variable]
         )
     )
     mapping = {loop.induction_variable: shifted.result()}
@@ -468,7 +468,7 @@ def test_affine_map_evaluation_matches_interpreter():
     for _ in range(60):
         num_dims = rng.randint(1, 3)
         expr = _random_semi_affine(rng, num_dims) % _MAP_SIZE
-        amap = AffineMap(num_dims, 0, [expr])
+        amap = AffineMap(num_dims, [expr])
         dims = [rng.randint(0, 9) for _ in range(num_dims)]
         expected = int(expr.evaluate(dims))
 

@@ -249,7 +249,7 @@ class TestDesignPointBridge:
             for variant in (handle, handle.at(**bumped)):
                 point = DesignPoint.for_workload(variant)
                 assert point.workload_spec() == variant, variant.workload_id
-                assert DesignPoint.from_dict(point.to_dict()) == point
+                assert DesignPoint(**point.to_dict()) == point
 
     def test_point_labels_are_pinned(self):
         # Record labels (and the perf golden digests built from them) spell
@@ -266,7 +266,7 @@ class TestDesignPointBridge:
         # the hashed dict whenever it is empty.
         point = DesignPoint(workload_kind="kernel", workload="2mm")
         assert "workload_params" not in point.to_dict()
-        roundtrip = DesignPoint.from_dict(point.to_dict())
+        roundtrip = DesignPoint(**point.to_dict())
         assert roundtrip == point and roundtrip.key() == point.key()
 
     def test_parameterized_points_roundtrip(self):
@@ -274,7 +274,7 @@ class TestDesignPointBridge:
 
         point = DesignPoint.for_workload("2mm@n=16", platform="zu3eg")
         data = json.loads(json.dumps(point.to_dict()))
-        roundtrip = DesignPoint.from_dict(data)
+        roundtrip = DesignPoint(**data)
         assert roundtrip == point and roundtrip.key() == point.key()
         assert roundtrip.workload_params == (("n", 16),)
         assert roundtrip.workload_spec() == get_workload("2mm@n=16")
