@@ -68,7 +68,3 @@ class GetGlobalOp(Operation):
             result_types=[memref_type],
             attributes={"symbol": symbol},
         )
-
-    @property
-    def symbol(self) -> str:
-        return self.get_attr("symbol")

@@ -317,6 +317,30 @@ def test_node_users_outside_the_block_follow_in_use_order():
     assert get_node_users(value) == [first, second, outer_late, outer_early]
 
 
+def three_producer_schedule():
+    """``(func, schedule, nodes)``: nodes p1 c1 p2 c2 p3 c3 over one buffer
+    ``shared`` in one schedule, p3 reading and writing it."""
+    from repro.ir import FuncOp
+
+    func = FuncOp.create("f", input_types=[MemRefType((8,), f32, "dram")])
+    schedule = ScheduleOp.create(operands=list(func.arguments))
+    Builder.at_end(func.entry_block).insert(schedule)
+    builder = Builder.at_end(schedule.body)
+    shared = builder.insert(BufferOp.create(MemRefType((8,), f32), name_hint="shared"))
+    target = shared.result()
+    nodes = []
+    for producer in (
+        NodeOp.create(outputs=[target], label="p1"),
+        NodeOp.create(inputs=[target], label="c1"),
+        NodeOp.create(outputs=[target], label="p2"),
+        NodeOp.create(inputs=[target], label="c2"),
+        NodeOp.create(inouts=[target], label="p3"),
+        NodeOp.create(inputs=[target], label="c3"),
+    ):
+        nodes.append(builder.insert(producer))
+    return func, schedule, nodes
+
+
 class TestMultiProducerElimination:
     def test_internal_buffer_duplication(self):
         _, schedule, (p1, p2, consumer, buffer) = build_multi_producer_schedule()
@@ -353,24 +377,7 @@ class TestMultiProducerElimination:
         """p1 c1 p2 c2 p3 c3 over one buffer: p2 and p3 each write their own
         duplicate, each consumer reads the version written just before it,
         and p3, which also reads, copies in the version p2 wrote."""
-        from repro.ir import FuncOp
-
-        func = FuncOp.create("f", input_types=[MemRefType((8,), f32, "dram")])
-        schedule = ScheduleOp.create(operands=list(func.arguments))
-        Builder.at_end(func.entry_block).insert(schedule)
-        builder = Builder.at_end(schedule.body)
-        shared = builder.insert(BufferOp.create(MemRefType((8,), f32), name_hint="shared"))
-        target = shared.result()
-        nodes = []
-        for producer in (
-            NodeOp.create(outputs=[target], label="p1"),
-            NodeOp.create(inputs=[target], label="c1"),
-            NodeOp.create(outputs=[target], label="p2"),
-            NodeOp.create(inputs=[target], label="c2"),
-            NodeOp.create(inouts=[target], label="p3"),
-            NodeOp.create(inputs=[target], label="c3"),
-        ):
-            nodes.append(builder.insert(producer))
+        func, schedule, nodes = three_producer_schedule()
         p1, c1, p2, c2, p3, c3 = nodes
         assert eliminate_multiple_producers(schedule) == 2
         versions = [buffer.result() for buffer in schedule.buffers]

@@ -64,12 +64,16 @@ REASON_KINDS = {
     "roadmap": "queued for the ROADMAP item the reason names",
 }
 
+# Every workload's default compile, and resnet18 with no buffer budget, whose
+# balance spills to soft FIFOs (the token-stream ops' C++).
 _ZOO = (
     "from repro.backend import emit_hls_cpp\n"
     "from repro.compiler import DEFAULT_PIPELINE, Compiler\n"
     "from repro.workloads import list_workloads\n"
     "for name in list_workloads():\n"
     "    emit_hls_cpp(Compiler.from_spec(DEFAULT_PIPELINE).run(workload=name).module)\n"
+    "spec = DEFAULT_PIPELINE.replace('balance', 'balance{budget=0}')\n"
+    "emit_hls_cpp(Compiler.from_spec(spec).run(workload='resnet18').module)\n"
 )
 
 # The ``python -m repro.*`` lines of CI's test job, as written there; they
@@ -116,6 +120,9 @@ CI_COMMANDS = [
     "python -m repro.analysis --list-rules",
     "python -m repro.analysis --all-workloads --baseline tools/analysis_baseline.json",
     "python -m repro.compiler --workload 2mm --target zu3eg --lint --lint-fail-on warning",
+    'python -m repro.compiler --workload resnet18 --verify --lint --spec "construct-dataflow,'
+    'fuse-tasks,lower-linalg,lower-structural,eliminate-multi-producers,balance{budget=0},tile,'
+    'parallelize,estimate"',
     "python -m repro.analysis --all-workloads --rules loop-carried-race --rules illegal-unroll "
     "--rules bank-conflict --baseline tools/analysis_baseline.json --annotate",
     "python -W error::RuntimeWarning -m repro.analysis.tv --all-workloads --ablations "
